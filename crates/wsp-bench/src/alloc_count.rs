@@ -3,17 +3,31 @@
 //! The type lives in the library, but only binaries that opt in install
 //! it (`#[global_allocator]` in the harness and in the alloc-guard
 //! integration test). Installing it here would tax every dependent
-//! test run with two atomic bumps per allocation for no benefit.
+//! test run with two counter bumps per allocation for no benefit.
 //!
-//! Counters are process-global relaxed atomics: cheap enough that the
-//! measured code's own timing is unaffected at the nanosecond scales
-//! E12 cares about, and exact for single-threaded measurement loops.
+//! Counters are per thread: a measuring thread reads only what it
+//! allocated itself, so a verdict does not depend on what sibling
+//! threads (parallel tests, server workers) happen to allocate
+//! meanwhile. Every measurement loop here is single-threaded, which is
+//! exactly what a per-thread count is exact for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisers and no destructors: touching these from
+    // inside the allocator neither allocates nor runs lazy set-up.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes against the calling thread.
+/// `try_with`: a thread's last frees and allocations can run after its
+/// locals are torn down, and those need not be counted.
+fn count(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
+}
 
 /// Forwarding allocator that counts `alloc` and `realloc` calls.
 pub struct CountingAllocator;
@@ -22,8 +36,7 @@ pub struct CountingAllocator;
 // returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -34,20 +47,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that grows is a fresh backing allocation from the
         // measured code's point of view, so it counts.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Heap allocations (alloc + realloc calls) since process start.
+/// Heap allocations (alloc + realloc calls) made by the calling thread.
 pub fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Bytes requested since process start.
+/// Bytes requested by the calling thread.
 pub fn bytes() -> u64 {
-    BYTES.load(Ordering::Relaxed)
+    BYTES.with(Cell::get)
 }
 
 /// Whether the counting allocator is actually installed in this

@@ -18,8 +18,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use wsp_http::{
-    guard_router, http_call_with_timeout, ConnectionPool, HttpUri, HttpgCredential, Request,
-    Response, ServerConfig, TcpServer, DEFAULT_CLIENT_TIMEOUT,
+    guard_router, ConnectionPool, HttpUri, HttpgCredential, Request, Response, ServerConfig,
+    TcpServer, DEFAULT_CLIENT_TIMEOUT,
 };
 use wsp_soap::Envelope;
 use wsp_uddi::{BindingTemplate, BusinessService, TModel, UddiClient};
@@ -42,8 +42,10 @@ pub struct HttpUddiConfig {
     /// When set, the host requires HTTPG tokens and endpoints use the
     /// `httpg://` scheme (the Globus-style authenticated transport).
     pub httpg: Option<HttpgCredential>,
-    /// Reuse TCP connections across invocations (keep-alive pool)
-    /// instead of the paper-era connection-per-call behaviour.
+    /// Reuse TCP connections across invocations (keep-alive pool, the
+    /// default). `false` restores the paper-era connection-per-call
+    /// behaviour — every request says `Connection: close` — which E7
+    /// keeps as its ablation row.
     pub keep_alive: bool,
     /// Admission-control limits for requests served by this host.
     /// Default is unlimited, the historical behaviour.
@@ -64,7 +66,7 @@ impl Default for HttpUddiConfig {
             port: 0,
             business: "wspeer".into(),
             httpg: None,
-            keep_alive: false,
+            keep_alive: true,
             load_shed: LoadShedPolicy::default(),
             server: ServerConfig::default(),
             registry_policy: ResiliencePolicy::none(),
@@ -151,22 +153,17 @@ impl Shared {
                 })?;
             credential.apply(&mut request);
         }
+        if !self.config.keep_alive {
+            request.headers.set("Connection", "close");
+        }
+        let timeout = timeout
+            .unwrap_or(DEFAULT_CLIENT_TIMEOUT)
+            .min(DEFAULT_CLIENT_TIMEOUT);
         // Wire-level failures are `Transport`: the resilience layer may
         // retry them or fail over, unlike semantic `Invoke` errors.
-        // The pooled path keeps its fixed per-exchange timeout (pooled
-        // sockets share their read timeout); one-shot calls honour the
-        // tighter per-call budget.
-        if self.config.keep_alive {
-            self.pool
-                .call(&uri.host, uri.port, request)
-                .map_err(|e| WspError::Transport(e.to_string()))
-        } else {
-            let timeout = timeout
-                .unwrap_or(DEFAULT_CLIENT_TIMEOUT)
-                .min(DEFAULT_CLIENT_TIMEOUT);
-            http_call_with_timeout(&uri.host, uri.port, request, timeout)
-                .map_err(|e| WspError::Transport(e.to_string()))
-        }
+        self.pool
+            .call_with_timeout(&uri.host, uri.port, request, timeout)
+            .map_err(|e| WspError::Transport(e.to_string()))
     }
 }
 

@@ -157,6 +157,13 @@ struct Inner {
 /// telemetry trace even when several peers share one process.
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
+/// Allocate a correlation token without a dispatcher at hand — a hop
+/// (the mediation gateway) that must mint an id for a request that
+/// arrived without one.
+pub fn next_correlation_token() -> u64 {
+    NEXT_TOKEN.fetch_add(1, Ordering::Relaxed)
+}
+
 impl Inner {
     /// Pop one queued job and run it on the calling thread. The heart
     /// of the helping protocol — workers, waiters and submitters all
@@ -548,7 +555,7 @@ impl Dispatcher {
     /// table correlates the whole peer — and the same value serves as
     /// the unambiguous correlation id in the telemetry trace.
     pub fn next_token(&self) -> u64 {
-        NEXT_TOKEN.fetch_add(1, Ordering::Relaxed)
+        next_correlation_token()
     }
 
     /// Submit `f` under a fresh token; its return value completes the

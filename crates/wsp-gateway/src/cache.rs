@@ -26,8 +26,10 @@
 //! buffers through the wire-path [`BufPool`], so cache-hit responses
 //! are assembled from pooled buffers instead of fresh allocations.
 
+use crate::pool::Backend;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsp_core::telemetry;
 use wsp_registry::DataVersions;
@@ -92,7 +94,7 @@ enum Expiry {
 }
 
 struct LocateEntry {
-    endpoints: Vec<String>,
+    backends: Arc<[Backend]>,
     shard: u32,
     key: EventKey,
 }
@@ -198,14 +200,15 @@ impl GatewayCaches {
 
     // -- locate ------------------------------------------------------------
 
-    /// Cached backend endpoints for `service`, if still fresh.
-    pub fn get_locate(&self, service: &str) -> Option<(Vec<String>, u32)> {
+    /// Cached backends for `service` (shared, not copied), if still
+    /// fresh.
+    pub fn get_locate(&self, service: &str) -> Option<(Arc<[Backend]>, u32)> {
         let mut inner = self.inner.lock();
         Self::sweep(&mut inner, self.now());
         match inner.locate.get(service) {
             Some(entry) => {
                 bump("gateway.cache.locate.hit");
-                Some((entry.endpoints.clone(), entry.shard))
+                Some((Arc::clone(&entry.backends), entry.shard))
             }
             None => {
                 bump("gateway.cache.locate.miss");
@@ -214,7 +217,7 @@ impl GatewayCaches {
         }
     }
 
-    pub fn put_locate(&self, service: &str, endpoints: Vec<String>, shard: u32) {
+    pub fn put_locate(&self, service: &str, backends: Arc<[Backend]>, shard: u32) {
         let mut inner = self.inner.lock();
         Self::sweep(&mut inner, self.now());
         let key = inner.wheel.schedule_after(
@@ -224,7 +227,7 @@ impl GatewayCaches {
         if let Some(old) = inner.locate.insert(
             service.to_owned(),
             LocateEntry {
-                endpoints,
+                backends,
                 shard,
                 key,
             },
@@ -481,6 +484,13 @@ mod tests {
         })
     }
 
+    fn backends(endpoints: &[&str]) -> Arc<[Backend]> {
+        endpoints
+            .iter()
+            .map(|e| Backend::parse((*e).to_owned()).expect("test endpoint parses"))
+            .collect()
+    }
+
     fn key(service: &str, body: &[u8]) -> ResponseKey {
         ResponseKey {
             service: service.to_owned(),
@@ -493,9 +503,9 @@ mod tests {
     fn locate_round_trips_and_expires() {
         let c = caches(30, 8);
         assert!(c.get_locate("Echo").is_none());
-        c.put_locate("Echo", vec!["http://a/Echo".into()], 2);
+        c.put_locate("Echo", backends(&["http://a/Echo"]), 2);
         let (eps, shard) = c.get_locate("Echo").unwrap();
-        assert_eq!(eps, vec!["http://a/Echo".to_owned()]);
+        assert_eq!(eps, backends(&["http://a/Echo"]));
         assert_eq!(shard, 2);
         std::thread::sleep(Duration::from_millis(60));
         assert!(c.get_locate("Echo").is_none(), "TTL must expire the entry");
@@ -546,21 +556,21 @@ mod tests {
     #[test]
     fn replacing_an_entry_cancels_the_old_expiry() {
         let c = caches(40, 8);
-        c.put_locate("Echo", vec!["http://a/Echo".into()], 0);
+        c.put_locate("Echo", backends(&["http://a/Echo"]), 0);
         std::thread::sleep(Duration::from_millis(25));
         // Refresh: the original expiry (due at ~40ms) must not fire on
         // the refreshed entry.
-        c.put_locate("Echo", vec!["http://b/Echo".into()], 0);
+        c.put_locate("Echo", backends(&["http://b/Echo"]), 0);
         std::thread::sleep(Duration::from_millis(25));
         let (eps, _) = c.get_locate("Echo").expect("refreshed entry still live");
-        assert_eq!(eps, vec!["http://b/Echo".to_owned()]);
+        assert_eq!(eps, backends(&["http://b/Echo"]));
     }
 
     #[test]
     fn epoch_change_flushes_routing_entries() {
         let c = caches(60_000, 8);
-        c.put_locate("A", vec!["http://a/A".into()], 0);
-        c.put_locate("B", vec!["http://b/B".into()], 1);
+        c.put_locate("A", backends(&["http://a/A"]), 0);
+        c.put_locate("B", backends(&["http://b/B"]), 1);
         c.put_wsdl("A", "<wsdl/>".into(), 0);
         let dropped = c.revalidate(&DataVersions {
             epoch: 3,
@@ -580,8 +590,8 @@ mod tests {
             epoch: 0,
             versions: vec![0, 0],
         });
-        c.put_locate("A", vec!["http://a/A".into()], 0);
-        c.put_locate("B", vec!["http://b/B".into()], 1);
+        c.put_locate("A", backends(&["http://a/A"]), 0);
+        c.put_locate("B", backends(&["http://b/B"]), 1);
         let req = b"<r/>".to_vec();
         c.put_response(key("A", &req), req.clone(), 200, "t".into(), vec![1], 0);
         c.revalidate(&DataVersions {
@@ -595,7 +605,7 @@ mod tests {
             "responses for the changed service must go too"
         );
         // An identical snapshot is a no-op.
-        c.put_locate("A", vec!["http://a/A".into()], 0);
+        c.put_locate("A", backends(&["http://a/A"]), 0);
         assert_eq!(
             c.revalidate(&DataVersions {
                 epoch: 0,
@@ -659,7 +669,7 @@ mod tests {
     #[test]
     fn epoch_flush_counts_each_service_once() {
         let c = caches(60_000, 8);
-        c.put_locate("A", vec!["http://a/A".into()], 0);
+        c.put_locate("A", backends(&["http://a/A"]), 0);
         c.put_wsdl("A", "<wsdl/>".into(), 0);
         let dropped = c.revalidate(&DataVersions {
             epoch: 9,

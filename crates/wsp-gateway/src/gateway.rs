@@ -15,7 +15,9 @@
 //! 4. **route** — backend endpoints from the locate cache (filled from
 //!    [`ShardedUddiClient::locate`] on miss), content-addressed by
 //!    service + operation, least-loaded breaker-admitted pick with
-//!    failover across the remaining endpoints;
+//!    failover across the remaining endpoints; the call itself goes
+//!    over a gateway-owned keep-alive [`ConnectionPool`] and carries
+//!    the request's correlation id and what is left of its deadline;
 //! 5. **store** — 200-responses to idempotent operations enter the
 //!    bounded response cache.
 //!
@@ -25,17 +27,23 @@
 //! served by the reactor-backed servers underneath.
 
 use crate::cache::{fnv1a, CachedResponse, GatewayCacheConfig, GatewayCaches, ResponseKey};
-use crate::pool::BackendPools;
+use crate::pool::{Backend, BackendPools};
 use parking_lot::Mutex;
 use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wsp_core::bindings::http_uddi::CORRELATION_HEADER;
+use wsp_core::dispatch::next_correlation_token;
 use wsp_core::overload::{
-    busy_fault_reason, deadline_in_ms, ANONYMOUS_TENANT, DEADLINE_HEADER, DEADLINE_SOAP_HEADER,
-    RETRY_AFTER_MS_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
+    busy_fault_reason, deadline_in_ms, remaining_ms, ANONYMOUS_TENANT, DEADLINE_HEADER,
+    DEADLINE_SOAP_HEADER, RETRY_AFTER_MS_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
 };
-use wsp_core::{telemetry, KeyedAdmissionController, KeyedLoadShedPolicy, WspError};
-use wsp_http::{http_call_uri, Request, Response, Router, TcpServer};
+use wsp_core::telemetry::{self, CorrelationScope};
+use wsp_core::{KeyedAdmissionController, KeyedLoadShedPolicy, WspError};
+use wsp_http::{
+    ConnectionPool, HttpError, Request, Response, Router, TcpServer, DEFAULT_CLIENT_TIMEOUT,
+};
 use wsp_p2ps::{P2psMessage, PipeTcpConfig, PipeTcpServer};
 use wsp_registry::{RegistryError, ShardedUddiClient};
 use wsp_soap::{constants::CONTENT_TYPE, Envelope, Fault};
@@ -139,6 +147,11 @@ struct GwInner {
     caches: GatewayCaches,
     admission: KeyedAdmissionController,
     pools: BackendPools,
+    /// Keep-alive connections to the backends, keyed by authority.
+    http: ConnectionPool,
+    /// How many of `http`'s connects `gateway.backend.connects` has
+    /// been told about.
+    connects_reported: AtomicU64,
     idempotent: IdempotentSet,
     backend_attempts: usize,
     revalidate_interval: Duration,
@@ -166,6 +179,8 @@ impl Gateway {
                 caches,
                 admission: KeyedAdmissionController::new(cfg.admission.clone()),
                 pools: BackendPools::default(),
+                http: ConnectionPool::new(),
+                connects_reported: AtomicU64::new(0),
                 idempotent: cfg.idempotent.clone(),
                 backend_attempts: cfg.backend_attempts,
                 revalidate_interval: cfg.revalidate_interval,
@@ -262,8 +277,30 @@ impl Gateway {
             }
         }
 
-        let (endpoints, shard) = self.resolve(service)?;
-        let (status, content_type, body) = self.call_backends(service, &endpoints, raw)?;
+        // One id follows the request across the hop: the caller's when
+        // a front found one on the wire, else minted here.
+        let correlation = match telemetry::current_correlation() {
+            0 => next_correlation_token(),
+            id => id,
+        };
+        let t = telemetry::global();
+        if t.is_enabled() {
+            t.span(
+                correlation,
+                "gateway.request",
+                format_args!("service={service} tenant={tenant}"),
+            );
+        }
+        let (backends, shard) = self.resolve(service)?;
+        let (status, content_type, body) =
+            self.call_backends(service, &backends, raw, correlation, deadline)?;
+        if t.is_enabled() {
+            t.span(
+                correlation,
+                "gateway.reply",
+                format_args!("status={status}"),
+            );
+        }
         if cacheable && status == 200 {
             self.inner.caches.put_response(
                 key,
@@ -282,24 +319,24 @@ impl Gateway {
         })
     }
 
-    /// Backend endpoints for `service` plus the shard they were placed
-    /// on: locate cache, else a registry scatter (cached on success).
-    fn resolve(&self, service: &str) -> Result<(Vec<String>, u32), GatewayError> {
-        if let Some((endpoints, shard)) = self.inner.caches.get_locate(service) {
-            return Ok((endpoints, shard));
+    /// Backends of `service` plus the shard they were placed on: locate
+    /// cache, else a registry scatter (parsed and cached on success).
+    fn resolve(&self, service: &str) -> Result<(Arc<[Backend]>, u32), GatewayError> {
+        if let Some(hit) = self.inner.caches.get_locate(service) {
+            return Ok(hit);
         }
         let found = self
             .inner
             .registry
             .locate(&ServiceQuery::by_name(service))
             .map_err(unavailable_of)?;
-        let endpoints: Vec<String> = found
-            .iter()
+        let backends: Arc<[Backend]> = found
+            .into_iter()
             .filter(|svc| svc.name == service)
-            .flat_map(|svc| svc.bindings.iter().map(|b| b.access_point.clone()))
-            .filter(|ap| !ap.is_empty())
+            .flat_map(|svc| svc.bindings)
+            .filter_map(|binding| Backend::parse(binding.access_point))
             .collect();
-        if endpoints.is_empty() {
+        if backends.is_empty() {
             return Err(GatewayError::Unavailable(format!(
                 "no backend registered for {service}"
             )));
@@ -307,29 +344,85 @@ impl Gateway {
         let shard = self.inner.registry.shard_of(service);
         self.inner
             .caches
-            .put_locate(service, endpoints.clone(), shard);
-        Ok((endpoints, shard))
+            .put_locate(service, Arc::clone(&backends), shard);
+        Ok((backends, shard))
+    }
+
+    /// One exchange with `backend` over the gateway's keep-alive pool.
+    fn exchange(
+        &self,
+        backend: &Backend,
+        request: Request,
+        timeout: Duration,
+    ) -> Result<Response, HttpError> {
+        let result =
+            self.inner
+                .http
+                .call_with_timeout(backend.host(), backend.port(), request, timeout);
+        // `gateway.backend.connects` follows the pool's miss count (the
+        // program-side twin of the kernel's active opens); `fetch_max`
+        // hands each increment to exactly one caller.
+        let connects = self.inner.http.stats().misses;
+        let reported = self
+            .inner
+            .connects_reported
+            .fetch_max(connects, Ordering::Relaxed);
+        if connects > reported {
+            telemetry::global()
+                .counter("gateway.backend.connects")
+                .add(connects - reported);
+        }
+        result
     }
 
     /// The failover loop: up to `backend_attempts` distinct endpoints,
-    /// least-loaded first, breaker outcomes recorded per call.
+    /// least-loaded first, breaker outcomes recorded per call. Each
+    /// attempt carries the correlation id and what is left of the
+    /// caller's deadline — which is also how long it waits; a request
+    /// whose budget is gone is never sent.
     fn call_backends(
         &self,
         service: &str,
-        endpoints: &[String],
+        backends: &[Backend],
         raw: &[u8],
+        correlation: u64,
+        deadline: Option<Instant>,
     ) -> Result<(u16, String, Vec<u8>), GatewayError> {
         let t = telemetry::global();
         let mut tried: Vec<String> = Vec::new();
         for attempt in 0..self.inner.backend_attempts {
-            let Some(lease) = self.inner.pools.pick(endpoints, &tried) else {
+            let budget_ms = deadline
+                .map(|deadline| {
+                    remaining_ms(deadline).ok_or_else(|| {
+                        GatewayError::Unavailable(format!(
+                            "deadline expired before a backend for {service} was called"
+                        ))
+                    })
+                })
+                .transpose()?;
+            let Some(lease) = self.inner.pools.pick(backends, &tried) else {
                 break;
             };
             if attempt > 0 {
                 t.counter("gateway.backend.failovers").incr();
             }
-            let request = Request::post("/", CONTENT_TYPE, raw.to_vec());
-            match http_call_uri(lease.endpoint(), request) {
+            let backend = &backends[lease.index()];
+            let mut request = Request::post(backend.target(), CONTENT_TYPE, raw.to_vec());
+            request
+                .headers
+                .set(CORRELATION_HEADER, correlation.to_string());
+            if let Some(ms) = budget_ms {
+                request.headers.set(DEADLINE_HEADER, ms.to_string());
+            }
+            if t.is_enabled() {
+                t.span(
+                    correlation,
+                    "gateway.backend",
+                    format_args!("endpoint={} attempt={}", backend.endpoint(), attempt + 1),
+                );
+            }
+            let timeout = budget_ms.map_or(DEFAULT_CLIENT_TIMEOUT, Duration::from_millis);
+            match self.exchange(backend, request, timeout) {
                 Ok(response) => {
                     lease.succeed();
                     let content_type = response
@@ -371,14 +464,15 @@ impl Gateway {
                 cached: true,
             });
         }
-        let (endpoints, shard) = self.resolve(service)?;
+        let (backends, shard) = self.resolve(service)?;
         let mut tried: Vec<String> = Vec::new();
         for _ in 0..self.inner.backend_attempts {
-            let Some(lease) = self.inner.pools.pick(&endpoints, &tried) else {
+            let Some(lease) = self.inner.pools.pick(&backends, &tried) else {
                 break;
             };
-            let uri = format!("{}?wsdl", lease.endpoint());
-            match http_call_uri(&uri, Request::get("/")) {
+            let backend = &backends[lease.index()];
+            let request = Request::get(format!("{}?wsdl", backend.target()));
+            match self.exchange(backend, request, DEFAULT_CLIENT_TIMEOUT) {
                 Ok(response) if response.status == 200 => {
                     lease.succeed();
                     let body = String::from_utf8_lossy(&response.body).into_owned();
@@ -453,11 +547,18 @@ impl Gateway {
             .get(DEADLINE_HEADER)
             .and_then(|v| v.trim().parse::<u64>().ok())
             .map(deadline_in_ms);
+        // Adopt the caller's correlation id for everything this request
+        // does on this thread, the backend call included.
+        let _scope = req
+            .headers
+            .get(CORRELATION_HEADER)
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .map(CorrelationScope::enter);
         to_http(self.invoke(&tenant, service, &req.body, deadline))
     }
 
     /// The `/metrics` body: registry counters/histograms plus the
-    /// gateway's cache and admission gauges.
+    /// gateway's cache, admission and backend-connection-pool gauges.
     pub fn render_metrics(&self) -> String {
         let mut extra = self.inner.caches.metrics_lines();
         extra.push_str(&format!(
@@ -470,6 +571,17 @@ impl Gateway {
                 self.inner.admission.in_flight(&tenant)
             ));
         }
+        let pool = self.inner.http.stats();
+        extra.push_str(&format!(
+            "gateway_backend_pool_hits {}\ngateway_backend_pool_misses {}\n\
+             gateway_backend_pool_retired {}\ngateway_backend_pool_retries {}\n\
+             gateway_backend_pool_idle {}\n",
+            pool.hits,
+            pool.misses,
+            pool.retired,
+            pool.retries,
+            self.inner.http.idle_count()
+        ));
         telemetry::render_metrics_with(telemetry::global(), &extra)
     }
 

@@ -16,6 +16,12 @@
 //! Breaker state is shared across tenants on purpose: a backend that
 //! has fallen over is down for everyone, and the first tenant to trip
 //! the breaker spares the rest the timeout.
+//!
+//! The lease owns the *routing* side of a call — the in-flight slot and
+//! the breaker outcome. The socket belongs to the gateway's
+//! `wsp_http::ConnectionPool`, keyed by the leased [`Backend`]'s
+//! authority: a lease that fails drops its connection there, and the
+//! failover loop moves on to a different endpoint.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -23,6 +29,50 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use wsp_core::{Admission, BreakerConfig, CircuitBreaker, EndpointHealth};
+use wsp_http::HttpUri;
+
+/// One backend of a located service: the access point exactly as the
+/// registry spelled it (the breaker and in-flight key) and where it
+/// parses to. Parsed once, when the locate result enters the cache, so
+/// a mediated call neither re-parses the URI nor re-formats its parts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Backend {
+    endpoint: String,
+    uri: HttpUri,
+}
+
+impl Backend {
+    /// `None` when `endpoint` is not an `http(g)://` URI — an access
+    /// point this gateway could never call (a P2PS binding of the same
+    /// service, or a typo in the registry).
+    pub fn parse(endpoint: String) -> Option<Backend> {
+        let uri = HttpUri::parse(&endpoint).ok()?;
+        Some(Backend { endpoint, uri })
+    }
+
+    pub fn endpoint(&self) -> &str {
+        &self.endpoint
+    }
+
+    pub fn host(&self) -> &str {
+        &self.uri.host
+    }
+
+    pub fn port(&self) -> u16 {
+        self.uri.port
+    }
+
+    /// Path (plus query) the service answers on.
+    pub fn target(&self) -> &str {
+        &self.uri.target
+    }
+}
+
+impl AsRef<str> for Backend {
+    fn as_ref(&self) -> &str {
+        &self.endpoint
+    }
+}
 
 struct PoolState {
     active: HashMap<String, u64>,
@@ -70,27 +120,32 @@ impl BackendPools {
     /// would strand the probe slot of any candidate that then lost the
     /// load comparison, removing a recovered backend from rotation
     /// forever.
-    pub fn pick(&self, candidates: &[String], exclude: &[String]) -> Option<BackendLease> {
+    pub fn pick<E: AsRef<str>>(
+        &self,
+        candidates: &[E],
+        exclude: &[String],
+    ) -> Option<BackendLease> {
         let now = Instant::now();
         let mut state = self.state.lock();
         let mut ranked: Vec<(u64, usize)> = candidates
             .iter()
             .enumerate()
-            .filter(|(_, endpoint)| !exclude.contains(endpoint))
-            .map(|(i, endpoint)| (state.active.get(endpoint).copied().unwrap_or(0), i))
+            .filter(|(_, endpoint)| !exclude.iter().any(|tried| tried == endpoint.as_ref()))
+            .map(|(i, endpoint)| (state.active.get(endpoint.as_ref()).copied().unwrap_or(0), i))
             .collect();
         // (load, index): ties break on candidate order.
         ranked.sort_unstable();
-        for (_, i) in ranked {
-            let endpoint = &candidates[i];
+        for (_, index) in ranked {
+            let endpoint = candidates[index].as_ref();
             let breaker = self.health.breaker(endpoint);
             let admission = breaker.try_acquire(now);
             if matches!(admission, Admission::Rejected) {
                 continue;
             }
-            *state.active.entry(endpoint.clone()).or_insert(0) += 1;
+            *state.active.entry(endpoint.to_owned()).or_insert(0) += 1;
             return Some(BackendLease {
-                endpoint: endpoint.clone(),
+                endpoint: endpoint.to_owned(),
+                index,
                 probe: admission == Admission::Probe,
                 reported: AtomicBool::new(false),
                 breaker,
@@ -104,6 +159,9 @@ impl BackendPools {
 /// RAII lease on one backend call (see [`BackendPools::pick`]).
 pub struct BackendLease {
     endpoint: String,
+    /// Position of the leased endpoint in the `candidates` it was
+    /// picked from.
+    index: usize,
     /// This lease holds the breaker's single half-open probe slot.
     probe: bool,
     /// Whether [`succeed`](BackendLease::succeed)/[`fail`](BackendLease::fail)
@@ -117,6 +175,12 @@ pub struct BackendLease {
 impl BackendLease {
     pub fn endpoint(&self) -> &str {
         &self.endpoint
+    }
+
+    /// Which of the `candidates` given to [`BackendPools::pick`] this
+    /// lease is on.
+    pub fn index(&self) -> usize {
+        self.index
     }
 
     pub fn succeed(&self) {
@@ -158,11 +222,26 @@ mod tests {
         assert_eq!(a1.endpoint(), "http://a", "ties break on order");
         let b1 = pools.pick(&candidates, &[]).unwrap();
         assert_eq!(b1.endpoint(), "http://b", "a is busier now");
+        assert_eq!((a1.index(), b1.index()), (0, 1));
         assert_eq!(pools.active("http://a"), 1);
         assert_eq!(pools.active("http://b"), 1);
         drop(a1);
         assert_eq!(pools.active("http://a"), 0, "lease drop releases");
         drop(b1);
+    }
+
+    #[test]
+    fn backends_parse_once_and_lease_by_their_registry_spelling() {
+        let backend = Backend::parse("http://10.0.0.7:8080/Echo".to_owned()).unwrap();
+        assert_eq!(
+            (backend.host(), backend.port(), backend.target()),
+            ("10.0.0.7", 8080, "/Echo")
+        );
+        assert!(Backend::parse("p2ps://peer/Echo".to_owned()).is_none());
+        let pools = BackendPools::default();
+        let lease = pools.pick(std::slice::from_ref(&backend), &[]).unwrap();
+        assert_eq!(lease.endpoint(), backend.endpoint());
+        assert_eq!(pools.active("http://10.0.0.7:8080/Echo"), 1);
     }
 
     #[test]

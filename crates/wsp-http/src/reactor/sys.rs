@@ -27,6 +27,9 @@ const EFD_NONBLOCK: i32 = 0o4000;
 
 const EINTR: i32 = 4;
 
+const MSG_PEEK: i32 = 0x02;
+const MSG_DONTWAIT: i32 = 0x40;
+
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Debug, Clone, Copy)]
@@ -50,6 +53,7 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
+    fn recv(fd: i32, buf: *mut u8, len: usize, flags: i32) -> isize;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -57,6 +61,40 @@ fn cvt(ret: i32) -> io::Result<i32> {
         Err(io::Error::last_os_error())
     } else {
         Ok(ret)
+    }
+}
+
+/// Is the blocking socket `fd` open with nothing to read? One
+/// `recv(MSG_PEEK | MSG_DONTWAIT)`: only "would block" means quiet —
+/// EOF, an error or unsolicited bytes all mean the socket cannot carry
+/// another request/response exchange.
+pub fn socket_is_quiet(fd: i32) -> bool {
+    let mut probe = 0u8;
+    // SAFETY: `probe` is one writable byte and the length passed is 1.
+    let n = unsafe { recv(fd, &mut probe, 1, MSG_PEEK | MSG_DONTWAIT) };
+    n < 0 && io::Error::last_os_error().kind() == io::ErrorKind::WouldBlock
+}
+
+/// `read(2)` from `fd` straight into the spare capacity of `buf` (no
+/// zero-fill, no bounce buffer), retrying on `EINTR`. The caller
+/// reserves the room; with none to spare this reads 0 bytes.
+pub fn read_into_spare(fd: i32, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let spare = buf.spare_capacity_mut();
+    let (ptr, room) = (spare.as_mut_ptr().cast::<u8>(), spare.len());
+    loop {
+        // SAFETY: `ptr` addresses `room` writable bytes owned by `buf`;
+        // the kernel writes at most `room` of them.
+        let n = unsafe { read(fd, ptr, room) };
+        if n >= 0 {
+            // SAFETY: the kernel initialised the first `n <= room`
+            // bytes past `len`, all within the capacity.
+            unsafe { buf.set_len(buf.len() + n as usize) };
+            return Ok(n as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.raw_os_error() != Some(EINTR) {
+            return Err(err);
+        }
     }
 }
 

@@ -28,10 +28,11 @@ use crate::codec::{
 use crate::conn::{ConnEffect, ConnEvent, ConnMachine, ConnState, Phase, TimerKind};
 use crate::drain::{DrainEffect, DrainEvent, DrainMachine, DrainState};
 use crate::message::{Request, Response};
-use crate::reactor::{Admit, ConnProtocol, Io, JobResult, Listener, Reactor, ReactorConfig};
+use crate::reactor::{sys, Admit, ConnProtocol, Io, JobResult, Listener, Reactor, ReactorConfig};
 use crate::router::Router;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -811,73 +812,81 @@ pub const DEFAULT_CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Issue one blocking request to `host:port`. Opens a fresh connection
 /// per call (`Connection: close` semantics).
+///
+/// This is the connection-per-call primitive: the bench ladder, the E7
+/// ablation and the overload tests call it to price or provoke exactly
+/// that. Everything that talks HTTP in production goes through a
+/// [`ConnectionPool`].
 pub fn http_call(host: &str, port: u16, request: Request) -> Result<Response, HttpError> {
     http_call_with_timeout(host, port, request, DEFAULT_CLIENT_TIMEOUT)
 }
 
-/// [`http_call`] with an explicit read timeout — callers propagating a
-/// deadline cap the wait at their remaining budget instead of the flat
-/// default.
+/// [`http_call`] with an explicit read timeout: a request that says
+/// `Connection: close`, through a pool that never gets to keep anything.
 pub fn http_call_with_timeout(
     host: &str,
     port: u16,
     mut request: Request,
     timeout: Duration,
 ) -> Result<Response, HttpError> {
-    request.headers.set("Host", format!("{host}:{port}"));
     request.headers.set("Connection", "close");
-    let mut stream =
-        TcpStream::connect((host, port)).map_err(|e| HttpError::Connect(e.to_string()))?;
-    stream
-        .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
-        .map_err(|e| HttpError::Io(e.to_string()))?;
-    let pool = wsp_xml::BufPool::global();
-    let mut wire = pool.take();
-    encode_request_into(&request, &mut wire);
-    let wrote = stream.write_all(&wire);
-    pool.put(wire);
-    pool.put(std::mem::take(&mut request.body));
-    wrote.map_err(|e| HttpError::Io(e.to_string()))?;
-    let mut buf = Vec::with_capacity(4096);
-    let (response, _) = read_response(&mut stream, &mut buf)?;
-    Ok(response)
+    ConnectionPool::new().call_with_timeout(host, port, request, timeout)
 }
 
-/// Read one complete response frame from `stream` into `buf`, scanning
-/// each chunk for the head terminator exactly once.
-fn read_response(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-) -> Result<(Response, usize), HttpError> {
+/// Read one complete response frame from `stream` into `buf` (straight
+/// into its spare capacity), scanning each chunk for the head
+/// terminator exactly once. Returns the frame length.
+fn read_frame(stream: &TcpStream, buf: &mut Vec<u8>) -> Result<usize, ExchangeError> {
+    let fd = stream.as_raw_fd();
     let mut scan = HeadScan::new();
     let mut frame: Option<usize> = None;
     loop {
         if frame.is_none() {
             if let Some(body_start) = scan.find(buf) {
-                frame = Some(frame_len(buf, body_start)?);
+                frame = Some(frame_len(buf, body_start).map_err(ExchangeError::Fatal)?);
             }
         }
-        if let Some(total) = frame {
-            if buf.len() >= total {
-                return parse_response(&buf[..total]);
-            }
+        match frame {
+            Some(total) if buf.len() >= total => return Ok(total),
+            Some(total) => buf.reserve(total - buf.len()),
+            None => buf.reserve(READ_CHUNK),
         }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(HttpError::Incomplete),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(HttpError::Io(e.to_string())),
+        match sys::read_into_spare(fd, buf) {
+            // Clean EOF before any response byte: the socket was
+            // already closed server-side.
+            Ok(0) if buf.is_empty() => {
+                return Err(ExchangeError::Retriable(HttpError::Incomplete));
+            }
+            Ok(0) => return Err(ExchangeError::Fatal(HttpError::Incomplete)),
+            Ok(_) => {}
+            Err(e) if buf.is_empty() && is_stale_socket_error(&e) => {
+                return Err(ExchangeError::Retriable(HttpError::Io(e.to_string())));
+            }
+            // Mid-response failures and timeouts are not provably
+            // pre-execution; surface them.
+            Err(e) => return Err(ExchangeError::Fatal(HttpError::Io(e.to_string()))),
         }
     }
 }
 
+/// Room reserved for a read while the frame length is still unknown.
+const READ_CHUNK: usize = 4096;
+
 /// Issue one request to an absolute `http://` URI.
 pub fn http_call_uri(uri: &str, mut request: Request) -> Result<Response, HttpError> {
-    let parsed = crate::uri::HttpUri::parse(uri).map_err(|e| HttpError::Connect(e.to_string()))?;
-    if request.target == "/" || request.target.is_empty() {
-        request.target = parsed.target.clone();
-    }
+    let parsed = adopt_uri_target(uri, &mut request)?;
     http_call(&parsed.host, parsed.port, request)
+}
+
+/// Parse `uri` and, when `request` names no target of its own, point it
+/// at the URI's path and query.
+fn adopt_uri_target(uri: &str, request: &mut Request) -> Result<crate::uri::HttpUri, HttpError> {
+    let mut parsed =
+        crate::uri::HttpUri::parse(uri).map_err(|e| HttpError::Connect(e.to_string()))?;
+    if request.target == "/" || request.target.is_empty() {
+        request.target = std::mem::take(&mut parsed.target);
+    }
+    Ok(parsed)
 }
 
 /// Counter snapshot of a [`ConnectionPool`] (see
@@ -888,84 +897,91 @@ pub struct PoolStats {
     pub hits: u64,
     /// Calls that had to open a fresh connection.
     pub misses: u64,
-    /// Pooled connections found dead (or answered `Connection: close`)
-    /// and dropped instead of being reused.
+    /// Pooled connections dropped instead of being reused: found dead
+    /// or too long idle, answered `Connection: close`, failed
+    /// mid-exchange, or evicted to keep the pool under its cap.
     pub retired: u64,
     /// Calls retried once on a fresh connection after a pooled one
     /// failed mid-exchange.
     pub retries: u64,
 }
 
+/// Most idle sockets a pool keeps, all authorities together. Authorities
+/// come from registry-supplied access points, so the pool must not grow
+/// with every one ever called; the cap is far above the concurrency of
+/// any one caller in this workspace (reactor workers, E17's clients), so
+/// a steady caller never churns.
+const MAX_IDLE: usize = 64;
+
+/// A socket idle for longer than this is retired on `take` without being
+/// probed: it outlived any idle reaper a server is likely to run
+/// ([`ServerConfig::idle_keepalive_timeout`]), and the request it would
+/// carry is better spent on a fresh connection than on finding out.
+const MAX_IDLE_AGE: Duration = Duration::from_secs(30);
+
+/// One pooled socket.
+struct PooledConn {
+    stream: TcpStream,
+    /// The read timeout the socket currently carries, so an exchange
+    /// with the same budget skips the `setsockopt`.
+    read_timeout: Option<Duration>,
+    idle_since: Instant,
+}
+
+#[derive(Default)]
+struct IdleSet {
+    /// Idle sockets per authority, oldest first. An entry may be empty
+    /// while its sockets are in use; empty entries are swept whenever a
+    /// new authority arrives at a full map, so `len() <= MAX_IDLE`.
+    by_authority: std::collections::HashMap<String, Vec<PooledConn>>,
+    /// Idle sockets across all authorities, `<= MAX_IDLE`.
+    total: usize,
+}
+
+impl IdleSet {
+    /// Drop the socket that has been idle longest.
+    fn evict_oldest(&mut self) {
+        let oldest = self
+            .by_authority
+            .iter_mut()
+            .filter(|(_, conns)| !conns.is_empty())
+            .min_by_key(|(_, conns)| conns[0].idle_since);
+        if let Some((_, conns)) = oldest {
+            conns.remove(0);
+            self.total -= 1;
+        }
+    }
+}
+
 /// A keep-alive connection pool: reuses TCP connections per authority,
 /// falling back to a fresh connection when a pooled one has gone stale.
+/// Every HTTP caller inside the workspace goes through one — the
+/// binding, the registry transport and the gateway's backend hop.
 ///
 /// A connection is never reused after the server replied
 /// `Connection: close`, and a pooled socket that died while idle (the
 /// peer closed or reset it) is detected by a non-blocking peek and
 /// retired before any request bytes are written to it. A pooled
 /// connection that fails *mid-exchange* gets exactly one retry on a
-/// fresh connection.
-///
-/// This is the transport ablation of experiment E7: per-call connection
-/// setup dominates small-payload HTTP round trips, and pooling removes
-/// it.
+/// fresh connection. The pool holds at most [`MAX_IDLE`] idle sockets
+/// (oldest evicted first) and retires any idle past [`MAX_IDLE_AGE`].
+#[derive(Default)]
 pub struct ConnectionPool {
-    idle: parking_lot::Mutex<std::collections::HashMap<String, Vec<TcpStream>>>,
-    max_idle_per_host: usize,
-    call_timeout: Duration,
+    idle: parking_lot::Mutex<IdleSet>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
     retired: std::sync::atomic::AtomicU64,
     retries: std::sync::atomic::AtomicU64,
 }
 
-impl Default for ConnectionPool {
-    fn default() -> Self {
-        ConnectionPool::new()
-    }
-}
-
-/// Has an idle pooled connection died behind our back? A healthy idle
-/// keep-alive connection has nothing to read (`WouldBlock`); EOF, an
-/// error, or unsolicited bytes all mean the stream cannot carry the
-/// next request/response exchange.
-fn idle_connection_is_dead(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut probe = [0u8; 1];
-    let dead = !matches!(
-        stream.peek(&mut probe),
-        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock
-    );
-    if stream.set_nonblocking(false).is_err() {
-        return true;
-    }
-    dead
-}
-
 impl ConnectionPool {
     pub fn new() -> Self {
-        ConnectionPool {
-            idle: parking_lot::Mutex::new(std::collections::HashMap::new()),
-            max_idle_per_host: 4,
-            call_timeout: DEFAULT_CLIENT_TIMEOUT,
-            hits: Default::default(),
-            misses: Default::default(),
-            retired: Default::default(),
-            retries: Default::default(),
-        }
-    }
-
-    /// Replace the per-exchange read timeout (default 10 s).
-    pub fn with_call_timeout(mut self, timeout: Duration) -> Self {
-        self.call_timeout = timeout.max(Duration::from_millis(1));
-        self
+        ConnectionPool::default()
     }
 
     /// Number of idle pooled connections (all hosts).
     pub fn idle_count(&self) -> usize {
-        self.idle.lock().values().map(Vec::len).sum()
+        self.idle.lock().total
     }
 
     /// Hit/miss/retire/retry counters.
@@ -979,34 +995,90 @@ impl ConnectionPool {
         }
     }
 
-    /// Pop pooled connections until one passes the liveness probe;
-    /// sockets that died while idle are retired, not returned.
-    fn take(&self, authority: &str) -> Option<TcpStream> {
-        use std::sync::atomic::Ordering::Relaxed;
+    fn retire(&self) {
+        self.retired
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// Pop pooled connections, newest first, until one is young enough
+    /// and passes the liveness probe; the rest are retired.
+    fn take(&self, authority: &str) -> Option<PooledConn> {
         loop {
-            let candidate = self.idle.lock().get_mut(authority).and_then(Vec::pop)?;
-            if idle_connection_is_dead(&candidate) {
-                self.retired.fetch_add(1, Relaxed);
-                continue;
+            let candidate = {
+                let mut idle = self.idle.lock();
+                let conn = idle.by_authority.get_mut(authority)?.pop()?;
+                idle.total -= 1;
+                conn
+            };
+            if candidate.idle_since.elapsed() <= MAX_IDLE_AGE
+                && sys::socket_is_quiet(candidate.stream.as_raw_fd())
+            {
+                return Some(candidate);
             }
-            return Some(candidate);
+            self.retire();
         }
     }
 
-    fn put(&self, authority: &str, stream: TcpStream) {
+    fn put(&self, authority: &str, mut conn: PooledConn) {
+        conn.idle_since = Instant::now();
         let mut idle = self.idle.lock();
-        let conns = idle.entry(authority.to_owned()).or_default();
-        if conns.len() < self.max_idle_per_host {
-            conns.push(stream);
+        if idle.total >= MAX_IDLE {
+            idle.evict_oldest();
+            self.retire();
         }
+        idle.total += 1;
+        if let Some(conns) = idle.by_authority.get_mut(authority) {
+            conns.push(conn);
+            return;
+        }
+        if idle.by_authority.len() >= MAX_IDLE {
+            idle.by_authority.retain(|_, conns| !conns.is_empty());
+        }
+        idle.by_authority.insert(authority.to_owned(), vec![conn]);
     }
 
-    /// Issue a request over a pooled (or fresh) keep-alive connection.
-    pub fn call(&self, host: &str, port: u16, mut request: Request) -> Result<Response, HttpError> {
+    /// Issue a request over a pooled (or fresh) keep-alive connection,
+    /// waiting up to [`DEFAULT_CLIENT_TIMEOUT`] for each read.
+    pub fn call(&self, host: &str, port: u16, request: Request) -> Result<Response, HttpError> {
+        self.call_with_timeout(host, port, request, DEFAULT_CLIENT_TIMEOUT)
+    }
+
+    /// [`call`](Self::call) to an absolute `http://` URI, with the
+    /// caller's read timeout.
+    pub fn call_uri(
+        &self,
+        uri: &str,
+        mut request: Request,
+        timeout: Duration,
+    ) -> Result<Response, HttpError> {
+        let parsed = adopt_uri_target(uri, &mut request)?;
+        self.call_with_timeout(&parsed.host, parsed.port, request, timeout)
+    }
+
+    /// [`call`](Self::call) with an explicit read timeout — callers
+    /// propagating a deadline cap the wait at their remaining budget.
+    ///
+    /// A request that already says `Connection: close` is honoured: it
+    /// goes out on a fresh connection that is not pooled afterwards
+    /// (connection-per-call through the same exchange code).
+    pub fn call_with_timeout(
+        &self,
+        host: &str,
+        port: u16,
+        mut request: Request,
+        timeout: Duration,
+    ) -> Result<Response, HttpError> {
         use std::sync::atomic::Ordering::Relaxed;
-        request.headers.set("Host", format!("{host}:{port}"));
-        request.headers.set("Connection", "keep-alive");
+        let one_shot = request
+            .headers
+            .get("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+        if !one_shot {
+            request.headers.set("Connection", "keep-alive");
+        }
         let authority = format!("{host}:{port}");
+        request.headers.set("Host", authority.as_str());
+        let timeout = timeout.max(Duration::from_millis(1));
         // A pooled connection may die between the liveness probe and
         // the exchange (the race is unavoidable). Retry exactly once on
         // a fresh connection — but only when the failure provably
@@ -1014,18 +1086,23 @@ impl ConnectionPool {
         // class). Once the server has started answering it may already
         // have executed the request, and resending would duplicate a
         // possibly non-idempotent call: those failures surface instead.
-        if let Some(stream) = self.take(&authority) {
-            match self.exchange(stream, &authority, &request) {
+        let pooled = if one_shot {
+            None
+        } else {
+            self.take(&authority)
+        };
+        if let Some(conn) = pooled {
+            match self.exchange(conn, &authority, &request, timeout) {
                 Ok(response) => {
                     self.hits.fetch_add(1, Relaxed);
                     return Ok(response);
                 }
                 Err(ExchangeError::Retriable(_)) => {
-                    self.retired.fetch_add(1, Relaxed);
+                    self.retire();
                     self.retries.fetch_add(1, Relaxed);
                 }
                 Err(ExchangeError::Fatal(e)) => {
-                    self.retired.fetch_add(1, Relaxed);
+                    self.retire();
                     return Err(e);
                 }
             }
@@ -1033,88 +1110,75 @@ impl ConnectionPool {
         self.misses.fetch_add(1, Relaxed);
         let stream =
             TcpStream::connect((host, port)).map_err(|e| HttpError::Connect(e.to_string()))?;
-        self.exchange(stream, &authority, &request)
+        let fresh = PooledConn {
+            stream,
+            read_timeout: None,
+            idle_since: Instant::now(),
+        };
+        self.exchange(fresh, &authority, &request, timeout)
             .map_err(ExchangeError::into_inner)
     }
 
+    /// One request/response over `conn`; on success the connection goes
+    /// back to the pool unless the response forbids reuse. One pooled
+    /// buffer carries the request out and the response in.
     fn exchange(
         &self,
-        mut stream: TcpStream,
+        mut conn: PooledConn,
         authority: &str,
         request: &Request,
+        timeout: Duration,
     ) -> Result<Response, ExchangeError> {
-        stream
-            .set_read_timeout(Some(self.call_timeout))
-            .map_err(|e| ExchangeError::Fatal(HttpError::Io(e.to_string())))?;
+        if conn.read_timeout != Some(timeout) {
+            conn.stream
+                .set_read_timeout(Some(timeout))
+                .map_err(|e| ExchangeError::Fatal(HttpError::Io(e.to_string())))?;
+            conn.read_timeout = Some(timeout);
+        }
         let buf_pool = wsp_xml::BufPool::global();
-        let mut wire = buf_pool.take();
-        encode_request_into(request, &mut wire);
-        let wrote = stream.write_all(&wire);
-        buf_pool.put(wire);
+        let mut buf = buf_pool.take();
+        encode_request_into(request, &mut buf);
         // A write failure means the server never got the full request:
         // always safe to retry on a fresh connection.
-        wrote.map_err(|e| ExchangeError::Retriable(HttpError::Io(e.to_string())))?;
-        let mut scan = HeadScan::new();
-        let mut frame: Option<usize> = None;
-        let mut buf = Vec::with_capacity(4096);
-        loop {
-            if frame.is_none() {
-                if let Some(body_start) = scan.find(&buf) {
-                    frame = Some(frame_len(&buf, body_start).map_err(ExchangeError::Fatal)?);
-                }
-            }
-            if let Some(total) = frame {
-                if buf.len() >= total {
+        let result = match conn.stream.write_all(&buf) {
+            Err(e) => Err(ExchangeError::Retriable(HttpError::Io(e.to_string()))),
+            Ok(()) => {
+                buf.clear();
+                read_frame(&conn.stream, &mut buf).and_then(|total| {
                     let (response, _) =
                         parse_response(&buf[..total]).map_err(ExchangeError::Fatal)?;
-                    self.settle(authority, stream, &buf, &response);
-                    return Ok(response);
-                }
+                    if may_reuse(&buf, &response) {
+                        self.put(authority, conn);
+                    } else {
+                        self.retire();
+                    }
+                    Ok(response)
+                })
             }
-            let mut chunk = [0u8; 4096];
-            match stream.read(&mut chunk) {
-                Ok(0) if buf.is_empty() => {
-                    // Clean EOF before any response byte: the pooled
-                    // socket was already closed server-side.
-                    return Err(ExchangeError::Retriable(HttpError::Incomplete));
-                }
-                Ok(0) => return Err(ExchangeError::Fatal(HttpError::Incomplete)),
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e) if buf.is_empty() && is_stale_socket_error(&e) => {
-                    return Err(ExchangeError::Retriable(HttpError::Io(e.to_string())));
-                }
-                // Mid-response failures and timeouts are not provably
-                // pre-execution; surface them.
-                Err(e) => return Err(ExchangeError::Fatal(HttpError::Io(e.to_string()))),
-            }
-        }
-    }
-
-    /// Decide whether `stream` goes back to the pool. HTTP/1.1 defaults
-    /// to persistent connections: an absent `Connection` header means
-    /// reuse unless the peer speaks HTTP/1.0 (whose default is close).
-    /// Explicit `close` — or any unrecognised token — retires it.
-    fn settle(&self, authority: &str, stream: TcpStream, raw: &[u8], response: &Response) {
-        let reuse = match response.headers.get("connection") {
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-            Some(_) => false,
-            None => !raw.starts_with(b"HTTP/1.0"),
         };
-        if reuse {
-            self.put(authority, stream);
-        } else {
-            self.retired
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        buf_pool.put(buf);
+        result
     }
 }
 
-/// A pooled-exchange failure, split by whether a retry on a fresh
+/// May the connection that carried `response` (wire bytes `raw`) carry
+/// another exchange? HTTP/1.1 defaults to persistent connections: an
+/// absent `Connection` header means reuse unless the peer speaks
+/// HTTP/1.0 (whose default is close). Explicit `close` — or any
+/// unrecognised token — forbids it.
+fn may_reuse(raw: &[u8], response: &Response) -> bool {
+    match response.headers.get("connection") {
+        Some(v) => v.eq_ignore_ascii_case("keep-alive"),
+        None => !raw.starts_with(b"HTTP/1.0"),
+    }
+}
+
+/// A client-exchange failure, split by whether a retry on a fresh
 /// connection could duplicate server-side work.
 #[derive(Debug)]
 enum ExchangeError {
-    /// The request provably never reached handler execution (connect or
-    /// write error, or EOF/reset before the first response byte).
+    /// The request provably never reached handler execution (write
+    /// error, or EOF/reset before the first response byte).
     Retriable(HttpError),
     /// Anything after the first response byte — or a timeout, where the
     /// request may still be executing.
@@ -1581,6 +1645,9 @@ mod pool_tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Safety-net read timeout for tests that expect an answer.
+    const SHORT: Duration = Duration::from_millis(500);
+
     fn echo_server() -> TcpServer {
         let router = Router::new();
         router.deploy(
@@ -1717,20 +1784,25 @@ mod pool_tests {
         let server = echo_server();
         let pool = ConnectionPool::new();
         let port = server.port();
-        // Ask the server to close: its handler echoes our Connection
-        // preference back, so sending `close` gets a close response.
-        let mut request = Request::get("/Echo");
-        request.headers.set("Host", format!("127.0.0.1:{port}"));
+        pool.call("127.0.0.1", port, Request::post("/Echo", "t", "warm"))
+            .unwrap();
+        assert_eq!(pool.idle_count(), 1);
+        // A request that asks the server to close is connection-per-call
+        // through the pool: it opens its own socket, the server answers
+        // `close`, and that socket is retired, not pooled.
+        let mut request = Request::post("/Echo", "t", "once");
         request.headers.set("Connection", "close");
-        let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-        let response = pool.exchange(stream, &format!("127.0.0.1:{port}"), &request);
+        let response = pool.call("127.0.0.1", port, request).unwrap();
+        assert_eq!(response.body_str(), "once");
         assert_eq!(
-            response.unwrap().headers.get("connection"),
+            response.headers.get("connection"),
             Some("close"),
             "server honoured the close request"
         );
-        assert_eq!(pool.idle_count(), 0, "closed connection must not pool");
-        assert_eq!(pool.stats().retired, 1);
+        let stats = pool.stats();
+        assert_eq!(stats.misses, 2, "one-shot opens its own: {stats:?}");
+        assert_eq!(stats.retired, 1, "{stats:?}");
+        assert_eq!(pool.idle_count(), 1, "only the warm connection is pooled");
         server.shutdown();
     }
 
@@ -1876,9 +1948,10 @@ mod pool_tests {
             // request count instead of a client-side connect error.
             vec!["HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok"],
         ]);
-        let pool = ConnectionPool::new().with_call_timeout(Duration::from_millis(500));
-        pool.call("127.0.0.1", port, Request::get("/")).unwrap();
-        let err = pool.call("127.0.0.1", port, Request::get("/")).unwrap_err();
+        let pool = ConnectionPool::new();
+        let get = || pool.call_with_timeout("127.0.0.1", port, Request::get("/"), SHORT);
+        get().unwrap();
+        let err = get().unwrap_err();
         assert!(
             matches!(err, HttpError::Incomplete | HttpError::Io(_)),
             "mid-response death must surface: {err:?}"
@@ -1902,14 +1975,149 @@ mod pool_tests {
             vec!["HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok"],
             vec!["HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok"],
         ]);
-        let pool = ConnectionPool::new().with_call_timeout(Duration::from_millis(500));
-        pool.call("127.0.0.1", port, Request::get("/")).unwrap();
+        let pool = ConnectionPool::new();
+        let get = || pool.call_with_timeout("127.0.0.1", port, Request::get("/"), SHORT);
+        get().unwrap();
         // Let the server-side close land so the liveness probe (or the
         // exchange) sees a dead socket rather than a live one.
         std::thread::sleep(Duration::from_millis(100));
-        let response = pool.call("127.0.0.1", port, Request::get("/")).unwrap();
+        let response = get().unwrap();
         assert_eq!(response.body_str(), "ok");
         assert_eq!(requests.load(std::sync::atomic::Ordering::SeqCst), 2);
         drop(join);
+    }
+
+    /// A connected client socket whose server side is already closed —
+    /// enough for the pool's bookkeeping, and it keeps the test under
+    /// the descriptor limit.
+    fn orphan_conn(listener: &std::net::TcpListener) -> PooledConn {
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        drop(listener.accept().unwrap());
+        PooledConn {
+            stream,
+            read_timeout: None,
+            idle_since: Instant::now(),
+        }
+    }
+
+    #[test]
+    fn idle_set_stays_under_its_cap_across_a_thousand_authorities() {
+        // Authorities come from registry-supplied access points: the
+        // pool must not grow with every one ever called.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let pool = ConnectionPool::new();
+        for i in 0..1000 {
+            pool.put(
+                &format!("10.0.{}.{}:80", i / 250, i % 250),
+                orphan_conn(&listener),
+            );
+            let idle = pool.idle.lock();
+            assert!(idle.total <= MAX_IDLE, "idle sockets: {}", idle.total);
+            assert!(
+                idle.by_authority.len() <= MAX_IDLE,
+                "authorities: {}",
+                idle.by_authority.len()
+            );
+            assert_eq!(
+                idle.total,
+                idle.by_authority.values().map(Vec::len).sum::<usize>()
+            );
+        }
+        assert_eq!(pool.idle_count(), MAX_IDLE);
+        assert_eq!(pool.stats().retired, (1000 - MAX_IDLE) as u64);
+        // Oldest first: exactly the last MAX_IDLE authorities survive.
+        let idle = pool.idle.lock();
+        for i in 0..1000 {
+            let held = idle
+                .by_authority
+                .get(&format!("10.0.{}.{}:80", i / 250, i % 250))
+                .is_some_and(|conns| !conns.is_empty());
+            assert_eq!(held, i >= 1000 - MAX_IDLE, "authority {i}");
+        }
+    }
+
+    #[test]
+    fn socket_idle_past_the_reaper_window_is_retired_unprobed() {
+        let server = echo_server();
+        let port = server.port();
+        let pool = ConnectionPool::new();
+        pool.call("127.0.0.1", port, Request::post("/Echo", "t", "a"))
+            .unwrap();
+        assert_eq!(pool.idle_count(), 1);
+        // Age the idle socket (still perfectly alive server-side).
+        let Some(long_ago) = Instant::now().checked_sub(MAX_IDLE_AGE + Duration::from_secs(1))
+        else {
+            return; // monotonic clock younger than the window
+        };
+        for conns in pool.idle.lock().by_authority.values_mut() {
+            conns[0].idle_since = long_ago;
+        }
+        pool.call("127.0.0.1", port, Request::post("/Echo", "t", "b"))
+            .unwrap();
+        let stats = pool.stats();
+        assert_eq!(stats.hits, 0, "{stats:?}");
+        assert_eq!(stats.misses, 2, "{stats:?}");
+        assert_eq!(stats.retired, 1, "{stats:?}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn pooled_exchange_honours_a_short_timeout_against_a_stalled_server() {
+        // The server accepts, reads and never answers: a 50 ms budget
+        // must come back as an error in about that time — on a fresh
+        // connection and on a pooled one whose socket carried the
+        // default timeout a moment ago.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let stalled = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut chunk = [0u8; 1024];
+            let _ = conn.read(&mut chunk).unwrap();
+            let _ = conn.write_all(
+                b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+            );
+            // Second request on the same (now pooled) socket: stall.
+            let _ = conn.read(&mut chunk).unwrap();
+            let _ = release_rx.recv();
+        });
+        let pool = ConnectionPool::new();
+        pool.call("127.0.0.1", port, Request::get("/")).unwrap();
+        let started = Instant::now();
+        let err = pool
+            .call_with_timeout(
+                "127.0.0.1",
+                port,
+                Request::get("/"),
+                Duration::from_millis(50),
+            )
+            .unwrap_err();
+        let waited = started.elapsed();
+        assert!(matches!(err, HttpError::Io(_)), "{err:?}");
+        assert!(waited >= Duration::from_millis(50), "{waited:?}");
+        assert!(waited < Duration::from_secs(5), "{waited:?}");
+        let stats = pool.stats();
+        assert_eq!(stats.retries, 0, "a timeout is not retried: {stats:?}");
+        assert_eq!(pool.idle_count(), 0, "the stalled socket is not pooled");
+        release_tx.send(()).unwrap();
+        stalled.join().unwrap();
+    }
+
+    #[test]
+    fn call_uri_adopts_the_uri_target() {
+        let server = echo_server();
+        let pool = ConnectionPool::new();
+        let response = pool
+            .call_uri(
+                &server.service_uri("Echo"),
+                Request::post("/", "t", "via uri"),
+                SHORT,
+            )
+            .unwrap();
+        assert_eq!(response.body_str(), "via uri");
+        assert!(pool
+            .call_uri("ftp://nope/", Request::get("/"), SHORT)
+            .is_err());
+        server.shutdown();
     }
 }

@@ -33,12 +33,16 @@ use wsp_xml::{Element, QName};
 /// The replicated op, generic payload of [`step_replica`]. Service
 /// records travel as their canonical XML so the op stays `Eq + Hash`
 /// (the checker's requirement) while carrying the full record,
-/// lease TTL attribute included.
+/// lease TTL attribute included. The XML is shared, not owned: the op
+/// is cloned into every `Prepare`, every replica's log and — because
+/// the pure transition function returns a fresh state — with the log
+/// on every step, so a copy per clone made a shard's memory and its
+/// publish cost grow with three times everything ever published.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ClusterOp {
     Save {
         /// `businessService` element, key already minted.
-        service_xml: String,
+        service_xml: Arc<str>,
         /// Virtual-time stamp (µs) the shard primary granted the lease
         /// at; keeps expiry deterministic across replicas and runs.
         granted_at_us: u64,
@@ -232,7 +236,7 @@ impl RegistryCluster {
             }
             for key in &expired {
                 for &m in &g.members {
-                    self.inner.nodes[m].registry.delete_service(key);
+                    self.inner.nodes[m].registry.remove_service_record(key);
                 }
             }
         }
@@ -386,7 +390,7 @@ impl RegistryCluster {
                 svc.lease_ttl_ms = self.inner.cfg.default_ttl.map(|d| d.as_micros() / 1_000);
             }
             let op = ClusterOp::Save {
-                service_xml: svc.to_element().to_xml(),
+                service_xml: svc.to_element().to_xml().into(),
                 granted_at_us: self.inner.clock_us.load(Ordering::SeqCst),
             };
             self.submit(shard, node, op)?;
@@ -531,22 +535,30 @@ impl RegistryCluster {
                 // (the same message a live election ends with) catches
                 // them up; retransmission is shell policy, exactly like
                 // the watchdog that starts elections.
-                let log = group.states[primary].log.clone();
-                let commit_num = group.states[primary].commit_num;
+                //
+                // Every submit passes through here, so the primary's
+                // log (which grows with the shard's age) is snapshotted
+                // only once a straggler actually needs it.
+                let mut snapshot = None;
                 for &b in &live {
                     let lagging =
                         group.states[b].view < view || group.states[b].status != Status::Normal;
                     if b != primary && lagging {
+                        let (log, commit_num) = snapshot.get_or_insert_with(|| {
+                            let state = &group.states[primary];
+                            (state.log.clone(), state.commit_num)
+                        });
+                        let msg = ReplMsg::StartView {
+                            view,
+                            log: log.clone(),
+                            commit_num: *commit_num,
+                        };
                         self.pump(
                             group,
                             b,
                             ReplEvent::Recv {
                                 from: primary as ReplicaId,
-                                msg: ReplMsg::StartView {
-                                    view,
-                                    log: log.clone(),
-                                    commit_num,
-                                },
+                                msg,
                             },
                         );
                     }
@@ -665,7 +677,7 @@ impl RegistryCluster {
                         let expired = group.leases.advance_to(granted_at);
                         for key in &expired {
                             for &m in &group.members {
-                                self.inner.nodes[m].registry.delete_service(key);
+                                self.inner.nodes[m].registry.remove_service_record(key);
                             }
                         }
                         group.leases.grant(&svc.key, Dur(ttl_ms * 1_000));
@@ -673,7 +685,7 @@ impl RegistryCluster {
                 }
             }
             ClusterOp::Delete { key } => {
-                registry.delete_service(key);
+                registry.remove_service_record(key);
                 if first_applier {
                     group.leases.cancel(key);
                 }

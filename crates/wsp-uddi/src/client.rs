@@ -222,13 +222,19 @@ pub fn direct_transport(registry: Registry) -> SoapTransport {
 }
 
 /// Transport that POSTs envelopes to a registry URI, serialising through
-/// the full SOAP + HTTP codecs.
+/// the full SOAP + HTTP codecs. The transport owns a keep-alive pool, so
+/// consecutive registry calls share a connection.
 pub fn http_transport(uri: String) -> SoapTransport {
+    let pool = wsp_http::ConnectionPool::new();
     Arc::new(move |request: &Envelope| {
-        let body = request.to_xml();
-        let http_request =
-            wsp_http::Request::post("/", wsp_soap::constants::CONTENT_TYPE, body.into_bytes());
-        let response = wsp_http::http_call_uri(&uri, http_request).map_err(|e| e.to_string())?;
+        let http_request = wsp_http::Request::post(
+            "/",
+            wsp_soap::constants::CONTENT_TYPE,
+            request.to_xml_bytes(),
+        );
+        let response = pool
+            .call_uri(&uri, http_request, wsp_http::DEFAULT_CLIENT_TIMEOUT)
+            .map_err(|e| e.to_string())?;
         if !response.is_success() && response.status != 500 {
             // 500 carries SOAP faults; anything else is transport-level.
             return Err(format!("registry answered HTTP {}", response.status));

@@ -77,8 +77,41 @@ impl Registry {
         tmodel
     }
 
-    /// Remove a service. True if it existed.
+    /// Remove a service, and with it every tModel its bindings named
+    /// that no remaining service references (a publish saves one WSDL
+    /// tModel per service; without this each deploy/undeploy cycle
+    /// leaks it). True if the service existed.
     pub fn delete_service(&self, key: &str) -> bool {
+        let mut services = self.inner.services.write();
+        let Some(removed) = services.remove(key) else {
+            return false;
+        };
+        let orphaned: Vec<&String> = removed
+            .bindings
+            .iter()
+            .flat_map(|binding| &binding.tmodel_keys)
+            .filter(|tmodel| {
+                !services
+                    .values()
+                    .flat_map(|service| &service.bindings)
+                    .any(|binding| binding.tmodel_keys.contains(tmodel))
+            })
+            .collect();
+        if !orphaned.is_empty() {
+            // Still under the services lock: a concurrent save cannot
+            // start referencing a tModel between the scan and the drop.
+            let mut tmodels = self.inner.tmodels.write();
+            for tmodel in orphaned {
+                tmodels.remove(tmodel);
+            }
+        }
+        true
+    }
+
+    /// Remove a service record and nothing else. For stores that hold
+    /// only a slice of the services (a shard replica), which cannot
+    /// tell whether a tModel is still referenced elsewhere.
+    pub fn remove_service_record(&self, key: &str) -> bool {
         self.inner.services.write().remove(key).is_some()
     }
 
@@ -201,6 +234,46 @@ mod tests {
         assert!(r.delete_service(&saved.key));
         assert!(!r.delete_service(&saved.key));
         assert_eq!(r.service_count(), 0);
+    }
+
+    #[test]
+    fn deleting_a_service_drops_its_unreferenced_tmodels() {
+        let r = Registry::new();
+        let shared = r.save_tmodel(TModel::new("", "shared interface"));
+        let keeper = r.save_service(
+            BusinessService::new("", "b", "Keeper")
+                .with_binding(BindingTemplate::new("", "http://h/K").with_tmodel(&shared.key)),
+        );
+        let baseline = r.tmodel_count();
+        for i in 0..100 {
+            // What `UddiPublisher::publish` does: one WSDL tModel per
+            // service, referenced from its binding.
+            let wsdl = r.save_tmodel(TModel::new("", format!("S{i} WSDL")));
+            let saved = r.save_service(
+                BusinessService::new("", "b", format!("S{i}")).with_binding(
+                    BindingTemplate::new("", "http://h/S")
+                        .with_tmodel(&wsdl.key)
+                        .with_tmodel(&shared.key),
+                ),
+            );
+            assert_eq!(r.tmodel_count(), baseline + 1);
+            assert!(r.delete_service(&saved.key));
+            assert_eq!(r.tmodel_count(), baseline, "cycle {i} leaked a tModel");
+        }
+        assert!(
+            r.get_tmodel(&shared.key).is_some(),
+            "a tModel another service still references survives"
+        );
+        assert!(r.delete_service(&keeper.key));
+        assert_eq!(r.tmodel_count(), baseline - 1, "last reference gone");
+        // The record-only removal never touches tModels.
+        let lone = r.save_tmodel(TModel::new("", "lone"));
+        let svc = r.save_service(
+            BusinessService::new("", "b", "Sliced")
+                .with_binding(BindingTemplate::new("", "http://h/X").with_tmodel(&lone.key)),
+        );
+        assert!(r.remove_service_record(&svc.key));
+        assert!(r.get_tmodel(&lone.key).is_some());
     }
 
     #[test]

@@ -4,11 +4,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
-cargo build --release --workspace
-
-echo "==> cargo test -q"
-cargo test -q --workspace
+# Tier-1, exactly as ROADMAP.md writes it (the manifest is a virtual
+# workspace, so this covers every member). Debug tests, default test
+# threads: cargo stops at the first failing test binary, so a suite
+# that is only green in release or single-threaded hides every suite
+# after it (alloc_guard did, until its counters went per-thread).
+echo "==> Tier-1: cargo build --release && cargo test -q"
+cargo build --release && cargo test -q
 
 # Fault-injection matrix under two fixed seeds: the suite itself checks
 # bit-reproducibility per seed; running a second seed (release, so the

@@ -7,11 +7,12 @@
 //! Doubles as the CI overload smoke test (`scripts/ci.sh` runs this
 //! suite under two fixed seeds).
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use wsp_core::bindings::{HttpUddiBinding, HttpUddiConfig, P2psBinding, P2psConfig};
-use wsp_core::{EventBus, LoadShedPolicy, Peer, ResiliencePolicy, ServiceQuery, WspError};
+use wsp_core::overload::DeadlineScope;
+use wsp_core::{Binding, EventBus, LoadShedPolicy, Peer, ResiliencePolicy, ServiceQuery, WspError};
 use wsp_http::{http_call, Request, Response, Router, ServerConfig, TcpServer};
 use wsp_integration_tests::{p2ps_star, wait_until};
 use wsp_wsdl::{OperationDef, ServiceDescriptor, ServiceHandler, Value, XsdType};
@@ -147,6 +148,57 @@ fn expired_deadline_is_rejected_before_the_handler_runs() {
         .unwrap();
     assert_eq!(value, Value::string("rested"));
     assert_eq!(naps.load(Ordering::SeqCst), 1);
+}
+
+/// The binding's pooled path honours the caller's remaining deadline as
+/// its exchange timeout (what the connection-per-call path guaranteed
+/// before every call went through the pool): against a server that has
+/// stopped answering, a 50 ms budget comes back as a transport error in
+/// about 50 ms — on a pooled socket that carried the default 10 s
+/// timeout one call earlier — not after the flat default.
+#[test]
+fn pooled_binding_call_honours_a_short_deadline_against_a_stalled_server() {
+    let binding = binding_with_policy(LoadShedPolicy::unlimited());
+    let peer = Peer::with_binding(&binding);
+    let stall = Arc::new(AtomicBool::new(false));
+    let stalled = stall.clone();
+    peer.server()
+        .deploy_and_publish(
+            nap_descriptor("StallNap"),
+            Arc::new(move |_op: &str, _args: &[Value]| {
+                let gave_up = Instant::now() + Duration::from_secs(10);
+                while stalled.load(Ordering::SeqCst) && Instant::now() < gave_up {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Ok(Value::string("rested"))
+            }),
+        )
+        .unwrap();
+    let service = peer
+        .client()
+        .locate_one(&ServiceQuery::by_name("StallNap"))
+        .unwrap();
+    let invoker = binding.invoker();
+    // Warm call, no deadline: pools a socket with the default timeout.
+    assert_eq!(
+        invoker.invoke(&service, "nap", &[]).unwrap(),
+        Value::string("rested")
+    );
+
+    stall.store(true, Ordering::SeqCst);
+    let started = Instant::now();
+    let outcome = {
+        let _budget = DeadlineScope::enter(Some(started + Duration::from_millis(50)));
+        invoker.invoke(&service, "nap", &[])
+    };
+    let waited = started.elapsed();
+    stall.store(false, Ordering::SeqCst);
+    assert!(
+        matches!(outcome, Err(WspError::Transport(_))),
+        "{outcome:?}"
+    );
+    assert!(waited >= Duration::from_millis(40), "{waited:?}");
+    assert!(waited < Duration::from_secs(5), "{waited:?}");
 }
 
 /// Over P2PS the shed takes the form of a SOAP busy fault on the return
