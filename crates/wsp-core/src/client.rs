@@ -1,12 +1,14 @@
 //! The client side of the interface tree: discovery and invocation.
 //!
 //! There is exactly **one** invocation pipeline. Every call — locate or
-//! invoke — is a job submitted to the shared [`Dispatcher`]; the
-//! asynchronous methods return the [`CallHandle`] and the synchronous
-//! methods are `handle.wait()` over the very same submission. The
-//! handle's correlation token is the token carried by the matching
-//! [`DiscoveryMessageEvent`] / [`ClientMessageEvent`], so callers can
-//! pair results delivered through events with the calls they made.
+//! invoke — is one job accounted by the shared [`Dispatcher`] under a
+//! correlation token: the asynchronous methods queue it and return the
+//! [`CallHandle`]; the synchronous methods run the very same job on the
+//! calling thread ([`Dispatcher::run_with_token`]), since a caller that
+//! would only wait has no use for a worker. Either way the token is the
+//! one carried by the matching [`DiscoveryMessageEvent`] /
+//! [`ClientMessageEvent`], so callers can pair results delivered
+//! through events with the calls they made.
 
 use crate::components::{Invoker, ServiceLocator};
 use crate::dispatch::{CallHandle, Dispatcher};
@@ -34,8 +36,8 @@ use wsp_wsdl::Value;
 /// Both synchronous and asynchronous forms are offered; the paper's
 /// position is that WSPeer "allows synchronous discovery and
 /// invocation, \[but\] is essentially an asynchronous, event driven
-/// system" — here the synchronous forms literally wrap the
-/// asynchronous ones.
+/// system" — here both forms are the same job with the same token,
+/// events and accounting; only the thread that runs it differs.
 pub struct Client {
     locator: RwLock<Option<Arc<dyn ServiceLocator>>>,
     invokers: RwLock<Vec<Arc<dyn Invoker>>>,
@@ -53,7 +55,7 @@ pub struct Client {
     /// Per-endpoint attempt counters, resolved once per endpoint so the
     /// steady-state attempt path never formats a name or takes the
     /// registry lock.
-    attempt_counters: Arc<RwLock<std::collections::HashMap<String, Arc<telemetry::Counter>>>>,
+    attempt_counters: Arc<AttemptCounters>,
 }
 
 impl Client {
@@ -127,23 +129,17 @@ impl Client {
         handle
     }
 
-    /// Asynchronous discovery: submits to the dispatcher and returns a
-    /// [`CallHandle`] immediately. The result also arrives as a
-    /// [`DiscoveryMessageEvent`] carrying the handle's token.
-    pub fn locate_async(
-        &self,
-        query: ServiceQuery,
-    ) -> CallHandle<Result<Vec<LocatedService>, WspError>> {
-        let token = self.dispatcher.next_token();
+    /// The locate job, shared by the queued and the caller-run form.
+    fn locate_job(&self, token: u64) -> impl Fn(&ServiceQuery) -> LocateResult + Send + 'static {
         let locator = self.locator.read().clone();
         let events = self.events.clone();
-        let job = move || {
+        move |query| {
             let registry = telemetry::global();
             if registry.is_enabled() {
                 registry.span(token, "client.locate", format_args!("query={query:?}"));
             }
-            let result = match locator {
-                Some(locator) => locator.locate(&query),
+            let result = match &locator {
+                Some(locator) => locator.locate(query),
                 None => Err(WspError::Locate("no ServiceLocator plugged in".into())),
             };
             events.fire_discovery(&DiscoveryMessageEvent {
@@ -151,17 +147,31 @@ impl Client {
                 result: result.clone(),
             });
             result
-        };
-        match self.dispatcher.submit_with_token(token, job) {
+        }
+    }
+
+    /// Asynchronous discovery: submits to the dispatcher and returns a
+    /// [`CallHandle`] immediately. The result also arrives as a
+    /// [`DiscoveryMessageEvent`] carrying the handle's token.
+    pub fn locate_async(&self, query: ServiceQuery) -> CallHandle<LocateResult> {
+        let token = self.dispatcher.next_token();
+        let job = self.locate_job(token);
+        match self
+            .dispatcher
+            .submit_with_token(token, move || job(&query))
+        {
             Ok(handle) => handle,
             Err(e) => self.failed_handle(token, e),
         }
     }
 
-    /// Synchronous discovery: [`Client::locate_async`] + wait. Fires a
-    /// [`DiscoveryMessageEvent`] as well as returning the result.
-    pub fn locate(&self, query: &ServiceQuery) -> Result<Vec<LocatedService>, WspError> {
-        self.locate_async(query.clone()).wait()
+    /// Synchronous discovery: the [`Client::locate_async`] job, run on
+    /// the calling thread. Fires a [`DiscoveryMessageEvent`] as well as
+    /// returning the result.
+    pub fn locate(&self, query: &ServiceQuery) -> LocateResult {
+        let token = self.dispatcher.next_token();
+        let job = self.locate_job(token);
+        self.dispatcher.run_with_token(token, || job(query))?
     }
 
     /// Rich discovery (the paper's "more complex queries"): push a sound
@@ -214,63 +224,26 @@ impl Client {
     ) -> CallHandle<Result<Value, WspError>> {
         let token = self.dispatcher.next_token();
         let operation = operation.into();
-        let invokers: Vec<Arc<dyn Invoker>> = self.invokers.read().clone();
-        let locator = self.locator.read().clone();
-        let events = self.events.clone();
-        let health = self.health.clone();
-        // The deadline clock starts at submission, so queueing time
-        // counts against the call's budget.
-        let deadline = policy.deadline.map(|d| Instant::now() + d);
-        let invoke_us = self.invoke_us.clone();
-        let attempt_counters = self.attempt_counters.clone();
-        let job = move || {
-            let registry = telemetry::global();
-            let started = Instant::now();
-            let attempts = ResilientAttempts {
-                policy: &policy,
-                health: &health,
-                invokers: &invokers,
-                locator: locator.as_ref(),
-                events: &events,
-                attempt_counters: &attempt_counters,
-                token,
-                deadline,
-            };
-            let result = attempts.run(service.clone(), &operation, &args);
-            invoke_us.record_micros(started.elapsed());
-            if registry.is_enabled() {
-                if let Err(error) = &result {
-                    registry.span(
-                        token,
-                        "client.error",
-                        format_args!("endpoint={} error={error}", service.endpoint),
-                    );
-                }
-            }
-            events.fire_client(&ClientMessageEvent {
-                token,
-                service: service.name().to_owned(),
-                operation,
-                result: result.clone(),
-            });
-            result
-        };
-        match self.dispatcher.submit_with_token(token, job) {
+        let job = self.invoke_job(token, policy);
+        match self
+            .dispatcher
+            .submit_with_token(token, move || job.run(&service, &operation, &args))
+        {
             Ok(handle) => handle,
             Err(e) => self.failed_handle(token, e),
         }
     }
 
-    /// Synchronous invocation: [`Client::invoke_async`] + wait — the
-    /// same validated, event-firing pipeline, not a separate path.
+    /// Synchronous invocation: the [`Client::invoke_async`] job — the
+    /// same validated, event-firing pipeline, not a separate path — run
+    /// on the calling thread.
     pub fn invoke(
         &self,
         service: &LocatedService,
         operation: &str,
         args: &[Value],
     ) -> Result<Value, WspError> {
-        self.invoke_async(service.clone(), operation, args.to_vec())
-            .wait()
+        self.invoke_with_policy(service, operation, args, self.resilience_policy())
     }
 
     /// Synchronous invocation under an explicit per-call policy.
@@ -281,8 +254,83 @@ impl Client {
         args: &[Value],
         policy: ResiliencePolicy,
     ) -> Result<Value, WspError> {
-        self.invoke_async_with_policy(service.clone(), operation, args.to_vec(), policy)
-            .wait()
+        let token = self.dispatcher.next_token();
+        let job = self.invoke_job(token, policy);
+        self.dispatcher
+            .run_with_token(token, || job.run(service, operation, args))?
+    }
+
+    /// Everything one invocation captures from the client, taken at the
+    /// call — so the policy deadline counts from here, queued or not.
+    fn invoke_job(&self, token: u64, policy: ResiliencePolicy) -> InvokeJob {
+        InvokeJob {
+            deadline: policy.deadline.map(|d| Instant::now() + d),
+            policy,
+            health: self.health.clone(),
+            invokers: self.invokers.read().clone(),
+            locator: self.locator.read().clone(),
+            events: self.events.clone(),
+            attempt_counters: self.attempt_counters.clone(),
+            invoke_us: self.invoke_us.clone(),
+            token,
+        }
+    }
+}
+
+type LocateResult = Result<Vec<LocatedService>, WspError>;
+type AttemptCounters = RwLock<std::collections::HashMap<String, Arc<telemetry::Counter>>>;
+
+/// One invocation, whichever thread runs it: the resilient attempt
+/// loop, the latency sample, the error span and the client event.
+struct InvokeJob {
+    policy: ResiliencePolicy,
+    health: Arc<EndpointHealth>,
+    invokers: Vec<Arc<dyn Invoker>>,
+    locator: Option<Arc<dyn ServiceLocator>>,
+    events: EventBus,
+    attempt_counters: Arc<AttemptCounters>,
+    invoke_us: Arc<telemetry::Histogram>,
+    token: u64,
+    deadline: Option<Instant>,
+}
+
+impl InvokeJob {
+    fn run(
+        &self,
+        service: &LocatedService,
+        operation: &str,
+        args: &[Value],
+    ) -> Result<Value, WspError> {
+        let registry = telemetry::global();
+        let started = Instant::now();
+        let attempts = ResilientAttempts {
+            policy: &self.policy,
+            health: &self.health,
+            invokers: &self.invokers,
+            locator: self.locator.as_ref(),
+            events: &self.events,
+            attempt_counters: &self.attempt_counters,
+            token: self.token,
+            deadline: self.deadline,
+        };
+        let result = attempts.run(service, operation, args);
+        self.invoke_us.record_micros(started.elapsed());
+        if registry.is_enabled() {
+            if let Err(error) = &result {
+                registry.span(
+                    self.token,
+                    "client.error",
+                    format_args!("endpoint={} error={error}", service.endpoint),
+                );
+            }
+        }
+        self.events.fire_client(&ClientMessageEvent {
+            token: self.token,
+            service: service.name().to_owned(),
+            operation: operation.to_owned(),
+            result: result.clone(),
+        });
+        result
     }
 }
 
@@ -294,7 +342,7 @@ struct ResilientAttempts<'a> {
     invokers: &'a [Arc<dyn Invoker>],
     locator: Option<&'a Arc<dyn ServiceLocator>>,
     events: &'a EventBus,
-    attempt_counters: &'a RwLock<std::collections::HashMap<String, Arc<telemetry::Counter>>>,
+    attempt_counters: &'a AttemptCounters,
     token: u64,
     deadline: Option<Instant>,
 }
@@ -454,10 +502,13 @@ impl ResilientAttempts<'_> {
 
     fn run(
         &self,
-        mut service: LocatedService,
+        first: &LocatedService,
         operation: &str,
         args: &[Value],
     ) -> Result<Value, WspError> {
+        // The endpoint in use: the caller's until a failover replaces it.
+        let mut failover: Option<LocatedService> = None;
+        let mut service = first;
         if !service.has_operation(operation) {
             return Err(WspError::NoSuchOperation {
                 service: service.name().to_owned(),
@@ -471,7 +522,7 @@ impl ResilientAttempts<'_> {
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
-            let error = match self.attempt(&service, operation, args) {
+            let error = match self.attempt(service, operation, args) {
                 Ok(value) => {
                     let registry = telemetry::global();
                     if registry.is_enabled() {
@@ -499,7 +550,7 @@ impl ResilientAttempts<'_> {
             };
             let will_retry = self.policy.is_retryable(&error) && attempt < self.policy.max_attempts;
             self.fire(
-                &service,
+                service,
                 ResilienceAction::AttemptFailed {
                     attempt,
                     error: error.to_string(),
@@ -512,14 +563,14 @@ impl ResilientAttempts<'_> {
             if !tried.contains(&service.endpoint) {
                 tried.push(service.endpoint.clone());
             }
-            if let Some(next) = self.failover_target(&service, operation, &tried) {
+            if let Some(next) = self.failover_target(service, operation, &tried) {
                 self.fire(
-                    &service,
+                    service,
                     ResilienceAction::FailedOver {
                         to: next.endpoint.clone(),
                     },
                 );
-                service = next;
+                service = failover.insert(next);
             }
             let delay = self
                 .policy
@@ -537,7 +588,7 @@ impl ResilientAttempts<'_> {
             if let Some(deadline) = self.deadline {
                 if Instant::now() + delay >= deadline {
                     self.fire(
-                        &service,
+                        service,
                         ResilienceAction::DeadlineExceeded {
                             after_attempts: attempt,
                         },
@@ -1166,6 +1217,136 @@ mod tests {
             "a policy deadline is visible to the transport"
         );
         assert!(seen[1].is_none(), "no deadline, no scope");
+    }
+
+    /// Records what a job can observe from inside: the correlation id
+    /// it runs under and the deadline scoped around the attempt.
+    #[derive(Default)]
+    struct Probe {
+        correlations: parking_lot::Mutex<Vec<u64>>,
+        deadlines: parking_lot::Mutex<Vec<Option<Instant>>>,
+    }
+    impl Invoker for Probe {
+        fn invoke(
+            &self,
+            _service: &LocatedService,
+            _operation: &str,
+            args: &[Value],
+        ) -> Result<Value, WspError> {
+            self.correlations
+                .lock()
+                .push(telemetry::current_correlation());
+            self.deadlines.lock().push(overload::current_deadline());
+            Ok(args.first().cloned().unwrap_or(Value::Null))
+        }
+        fn handles(&self, endpoint: &str) -> bool {
+            endpoint.starts_with("test://")
+        }
+        fn kind(&self) -> &'static str {
+            "probe"
+        }
+    }
+
+    #[test]
+    fn sync_and_async_forms_fire_the_same_event_under_the_call_token() {
+        let events = EventBus::new();
+        let listener = CollectingListener::new();
+        events.add_listener(listener.clone());
+        let client = Client::new(events);
+        let probe = Arc::new(Probe::default());
+        client.add_invoker(probe.clone());
+        client.set_locator(Arc::new(FixedLocator(vec![test_service()])));
+
+        let before = client.dispatcher().stats();
+        let sync = client.invoke(&test_service(), "echoString", &[Value::string("same")]);
+        let after_sync = client.dispatcher().stats();
+        let handle = client.invoke_async(test_service(), "echoString", vec![Value::string("same")]);
+        let async_token = handle.token();
+        let asynchronous = handle.wait();
+        let after_async = client.dispatcher().stats();
+        assert_eq!(sync.unwrap(), asynchronous.unwrap());
+
+        // Each job ran under its call's token, and its event carries it.
+        let ran_under = probe.correlations.lock().clone();
+        assert_eq!(ran_under.len(), 2);
+        assert_eq!(ran_under[1], async_token);
+        assert_ne!(ran_under[0], ran_under[1]);
+        let sync_event = listener
+            .client_message_for(ran_under[0])
+            .expect("the synchronous call fired its event under its token");
+        let async_event = listener.client_message_for(async_token).unwrap();
+        assert_eq!(sync_event.service, async_event.service);
+        assert_eq!(sync_event.operation, async_event.operation);
+        assert_eq!(
+            sync_event.result.as_ref().unwrap(),
+            async_event.result.as_ref().unwrap()
+        );
+        assert_eq!(listener.client_messages.read().len(), 2, "one event each");
+
+        // And the books moved the same way.
+        let moved = |a: &crate::DispatcherStats, b: &crate::DispatcherStats| {
+            (
+                b.submitted - a.submitted,
+                b.completed - a.completed,
+                b.failed - a.failed,
+                b.cancelled - a.cancelled,
+                b.pending_calls,
+            )
+        };
+        assert_eq!(moved(&before, &after_sync), (1, 1, 0, 0, 0));
+        assert_eq!(moved(&after_sync, &after_async), (1, 1, 0, 0, 0));
+
+        // Discovery likewise: one event per locate, either form.
+        let found = client.locate(&ServiceQuery::by_name("Echo")).unwrap();
+        let handle = client.locate_async(ServiceQuery::by_name("Echo"));
+        let token = handle.token();
+        assert_eq!(handle.wait().unwrap().len(), found.len());
+        assert_eq!(listener.discoveries.read().len(), 2);
+        assert!(listener.discovery_for(token).is_some());
+    }
+
+    #[test]
+    fn policy_deadline_counts_from_the_call_in_both_forms() {
+        let budget = Duration::from_secs(5);
+        let policy = ResiliencePolicy::none().with_deadline(budget);
+        let dispatcher = Dispatcher::new(crate::DispatcherConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        let client = Client::with_dispatcher(EventBus::new(), dispatcher);
+        let probe = Arc::new(Probe::default());
+        client.add_invoker(probe.clone());
+
+        // Asynchronous: the only worker is held for a while, so the job
+        // starts well after the call — its deadline must not move.
+        let held = Duration::from_millis(60);
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let blocker = client
+            .dispatcher()
+            .submit(move || gate.recv().unwrap())
+            .unwrap();
+        let called = Instant::now();
+        let handle =
+            client.invoke_async_with_policy(test_service(), "echoString", vec![], policy.clone());
+        let returned = Instant::now();
+        std::thread::sleep(held);
+        release.send(()).unwrap();
+        blocker.wait();
+        handle.wait().unwrap();
+        let seen = probe.deadlines.lock()[0].expect("deadline scoped");
+        assert!(
+            seen >= called + budget && seen <= returned + budget,
+            "deadline counted from the call, not from the job's start {held:?} later"
+        );
+
+        // Synchronous: the call is the job's start.
+        let called = Instant::now();
+        client
+            .invoke_with_policy(&test_service(), "echoString", &[], policy)
+            .unwrap();
+        let returned = Instant::now();
+        let seen = probe.deadlines.lock()[1].expect("deadline scoped");
+        assert!(seen >= called + budget && seen <= returned + budget);
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //! API a thin wrapper over the asynchronous one rather than a separate
 //! code path. A [`Dispatcher`] owns a bounded work queue drained by a
 //! fixed pool of workers. Every call — sync or async, locate or invoke,
-//! HTTP or P2PS — is a job submitted here plus a [`CallHandle`] keyed
-//! by a correlation token; `Client::invoke` is literally
-//! `invoke_call(..).wait()`.
+//! HTTP or P2PS — is one job accounted here under a correlation token.
+//! An asynchronous call queues the job and returns its [`CallHandle`];
+//! a synchronous call ([`Dispatcher::run_with_token`]) runs the very
+//! same job on the calling thread — same token registration, same
+//! correlation scope, same counters, same poisoning — because a caller
+//! that would only park until a worker finished gains nothing from the
+//! hand-off but a queue hop and two thread wake-ups.
 //!
 //! Two design points keep the pool deadlock-free:
 //!
@@ -192,28 +196,43 @@ impl Inner {
             self.idle_cv.notify_all();
             return;
         }
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
         // One clock read serves as both queue-wait end and run start.
-        let started = job.enqueued_at.map(|enqueued_at| {
+        let timing = job.enqueued_at.map(|enqueued_at| {
             let now = Instant::now();
-            self.queue_wait_us
-                .record_micros(now.saturating_duration_since(enqueued_at));
-            now
+            (now, now.saturating_duration_since(enqueued_at))
         });
         // Backstop isolation for fire-and-forget jobs; call-producing
         // jobs already poison their own handle before unwinding here.
-        let outcome = catch_unwind(AssertUnwindSafe(job.run));
-        if let Some(started) = started {
+        let _ = self.run_counted(timing, job.run);
+    }
+
+    /// Run one accepted job (`jobs_pending` already counts it) with the
+    /// accounting every job gets, queued or caller-run: `in_flight`
+    /// around it, `completed`/`failed` after it, queue-wait and run time
+    /// into the cached histograms when `timing` (run start, time spent
+    /// queued) is given. The panic, if any, is returned, not resumed.
+    fn run_counted<R>(
+        &self,
+        timing: Option<(Instant, Duration)>,
+        f: impl FnOnce() -> R,
+    ) -> std::thread::Result<R> {
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        if let Some((_, waited)) = timing {
+            self.queue_wait_us.record_micros(waited);
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(f));
+        if let Some((started, _)) = timing {
             self.run_us.record_micros(started.elapsed());
         }
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         match outcome {
-            Ok(()) => self.completed.fetch_add(1, Ordering::SeqCst),
+            Ok(_) => self.completed.fetch_add(1, Ordering::SeqCst),
             Err(_) => self.failed.fetch_add(1, Ordering::SeqCst),
         };
         self.jobs_pending.fetch_sub(1, Ordering::SeqCst);
         let _idle = self.idle_lock.lock();
         self.idle_cv.notify_all();
+        outcome
     }
 
     /// Step the correlation machine under its lock and return the
@@ -602,6 +621,53 @@ impl Dispatcher {
         }
     }
 
+    /// The synchronous form of [`Dispatcher::submit_with_token`]: run
+    /// `f` as the job of call `token` on the calling thread and return
+    /// its value. Everything a queued job gets, this one gets — the
+    /// token sits in the correlation table while `f` runs, `f` runs
+    /// inside the token's [`CorrelationScope`], the job moves
+    /// `submitted`, `in_flight`, `completed`/`failed` and
+    /// `dispatch.run_us` (its `dispatch.queue_wait_us` sample is 0), and
+    /// a panic poisons the call and is re-raised with the message
+    /// [`CallHandle::wait`] raises. What it skips is the hand-off: no
+    /// box, no queue slot, no worker wake-up, no parked waiter — and so
+    /// no `Send + 'static` bound on `f`. A shut-down dispatcher refuses
+    /// it with the error `submit` gives.
+    pub fn run_with_token<T>(&self, token: u64, f: impl FnOnce() -> T) -> Result<T, WspError> {
+        let inner = &self.inner;
+        if inner.jobs_tx.lock().is_none() {
+            return Err(WspError::Dispatch("dispatcher is shut down".into()));
+        }
+        inner.step_call(CorrelationEvent::Register(token));
+        inner.jobs_pending.fetch_add(1, Ordering::SeqCst);
+        inner.submitted.fetch_add(1, Ordering::SeqCst);
+        let timing = telemetry::global()
+            .is_enabled()
+            .then(|| (Instant::now(), Duration::ZERO));
+        let outcome = inner.run_counted(timing, || {
+            let _correlation = CorrelationScope::enter(token);
+            f()
+        });
+        // No handle to this token exists, so nothing can have cancelled
+        // or taken it: the delivery and the take are one critical
+        // section and the value never visits a mailbox.
+        let delivery = match &outcome {
+            Ok(_) => CorrelationEvent::Complete(token),
+            Err(_) => CorrelationEvent::Poison(token),
+        };
+        {
+            let mut calls = inner.calls.lock();
+            for event in [delivery, CorrelationEvent::Take(token)] {
+                *calls = inner.machine.step(&calls, &event).0;
+            }
+            debug_assert_eq!(calls.phase(token), None, "caller-run call left the table");
+        }
+        match outcome {
+            Ok(value) => Ok(value),
+            Err(payload) => panic!("call {token} panicked: {}", panic_message(payload)),
+        }
+    }
+
     /// Fire-and-forget: run `f` on the pool with no handle (server-side
     /// request serving, event pumping). Panics are isolated and counted.
     /// The submitter's correlation id (if any) is inherited, so spans
@@ -987,6 +1053,131 @@ mod tests {
             })
             .unwrap();
         assert_eq!(outer.wait(), 6);
+    }
+
+    /// What one finished call leaves behind in the books.
+    fn delta(before: DispatcherStats, after: DispatcherStats) -> [u64; 5] {
+        [
+            after.submitted - before.submitted,
+            after.completed - before.completed,
+            after.failed - before.failed,
+            after.cancelled - before.cancelled,
+            (after.pending_calls + after.in_flight + after.queue_depth) as u64,
+        ]
+    }
+
+    #[test]
+    fn caller_run_job_is_booked_exactly_like_a_queued_one() {
+        telemetry::global().set_enabled(true);
+        let d = small();
+        // What the job can see of itself, either way: its token in the
+        // correlation table and as the correlation scope, one job in
+        // flight.
+        let probe = |d: &Arc<Dispatcher>| {
+            let d = d.clone();
+            move || {
+                (
+                    d.pending_tokens(),
+                    telemetry::current_correlation(),
+                    d.stats().in_flight,
+                )
+            }
+        };
+
+        let start = d.stats();
+        let handle = d.submit_with_token(d.next_token(), probe(&d)).unwrap();
+        let queued_token = handle.token();
+        let queued_saw = handle.wait();
+        let queued = d.stats();
+
+        let waits_before = d.inner.queue_wait_us.count();
+        let runs_before = d.inner.run_us.count();
+        let caller_token = d.next_token();
+        let caller_thread = std::thread::current().id();
+        let mut ran_on = None;
+        let caller_saw = d
+            .run_with_token(caller_token, || {
+                ran_on = Some(std::thread::current().id());
+                probe(&d)()
+            })
+            .unwrap();
+        let caller = d.stats();
+
+        assert_eq!(ran_on, Some(caller_thread), "no hand-off");
+        assert_eq!(queued_saw, (vec![queued_token], queued_token, 1));
+        assert_eq!(caller_saw, (vec![caller_token], caller_token, 1));
+        assert_eq!(delta(start, queued), delta(queued, caller));
+        assert_eq!(delta(queued, caller), [1, 1, 0, 0, 0]);
+        // The caller-run job still leaves both timing samples (the
+        // global histograms are shared with parallel tests: at least).
+        assert!(d.inner.queue_wait_us.count() > waits_before);
+        assert!(d.inner.run_us.count() > runs_before);
+    }
+
+    #[test]
+    fn caller_run_panic_poisons_exactly_like_a_queued_one() {
+        let d = small();
+        let queued_token = d.next_token();
+        let bad = d
+            .submit_with_token(queued_token, || -> u32 { panic!("deliberate") })
+            .unwrap();
+        let queued = catch_unwind(AssertUnwindSafe(|| bad.wait())).unwrap_err();
+        let after_queued = d.stats();
+
+        let caller_token = d.next_token();
+        let caller = catch_unwind(AssertUnwindSafe(|| {
+            d.run_with_token(caller_token, || -> u32 { panic!("deliberate") })
+        }))
+        .unwrap_err();
+        let after_caller = d.stats();
+
+        assert_eq!(
+            panic_message(queued),
+            format!("call {queued_token} panicked: deliberate")
+        );
+        assert_eq!(
+            panic_message(caller),
+            format!("call {caller_token} panicked: deliberate")
+        );
+        assert_eq!(after_queued.failed, 1);
+        assert_eq!(delta(after_queued, after_caller), [1, 0, 1, 0, 0]);
+        assert_eq!(telemetry::current_correlation(), 0, "scope unwound");
+        // The dispatcher is unharmed either way.
+        assert_eq!(d.run_with_token(d.next_token(), || 7).unwrap(), 7);
+    }
+
+    #[test]
+    fn nested_caller_run_call_inside_the_only_worker_completes() {
+        let d = Dispatcher::new(DispatcherConfig {
+            workers: 1,
+            queue_capacity: 1,
+        });
+        let inner_d = d.clone();
+        let outer = d
+            .submit(move || {
+                let token = inner_d.next_token();
+                inner_d.run_with_token(token, || 5u32).unwrap() + 1
+            })
+            .unwrap();
+        assert_eq!(outer.wait(), 6);
+        assert_eq!(d.stats().completed, 2);
+    }
+
+    #[test]
+    fn shut_down_dispatcher_refuses_both_forms_with_the_same_error() {
+        let d = small();
+        d.inner.jobs_tx.lock().take();
+        let queued = d.submit(|| 1u32).unwrap_err().to_string();
+        let ran = std::cell::Cell::new(false);
+        let caller = d
+            .run_with_token(d.next_token(), || ran.set(true))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(queued, caller);
+        assert!(caller.contains("shut down"), "{caller}");
+        assert!(!ran.get(), "a refused job never runs");
+        assert_eq!(d.stats().submitted, 0);
+        assert!(d.pending_tokens().is_empty());
     }
 
     #[test]

@@ -605,9 +605,11 @@ pub fn render_metrics(registry: &Telemetry) -> String {
 /// [`render_metrics`] with extra `name value\n` lines spliced in before
 /// the trace section — bindings use this to report gauges the registry
 /// does not own (connection-pool counters, dispatcher queue stats).
-/// Wire-path buffer-pool counters are always included, next to the
-/// registry's own numbers, so operators can see envelope-buffer reuse
-/// without any binding-specific plumbing.
+/// Wire-path buffer-pool counters and the reactor's hand-off counters
+/// (`wsp-http` sits below this registry, so it keeps them as
+/// process-wide atomics) are always included, next to the registry's
+/// own numbers, so operators can see envelope-buffer reuse and where
+/// handlers run without any binding-specific plumbing.
 pub fn render_metrics_with(registry: &Telemetry, extra: &str) -> String {
     let mut out = registry.snapshot().render_text();
     out.push_str(extra);
@@ -616,6 +618,16 @@ pub fn render_metrics_with(registry: &Telemetry, extra: &str) -> String {
     out.push_str(&format!("bufpool_misses {}\n", bufs.misses));
     out.push_str(&format!("bufpool_returns {}\n", bufs.returns));
     out.push_str(&format!("bufpool_bytes_reused {}\n", bufs.bytes_reused));
+    let reactor = wsp_http::reactor::stats();
+    out.push_str(&format!(
+        "reactor.jobs_on_reader {}\n",
+        reactor.jobs_on_reader
+    ));
+    out.push_str(&format!("reactor.jobs_queued {}\n", reactor.jobs_queued));
+    out.push_str(&format!(
+        "reactor.handlers_busy {}\n",
+        reactor.handlers_busy
+    ));
     let adverts = wsp_p2ps::AdvertCacheStats::global();
     out.push_str(&format!("advert_cache_hits {}\n", adverts.hits()));
     out.push_str(&format!("advert_cache_misses {}\n", adverts.misses()));

@@ -18,10 +18,10 @@
 //! The reactor shell ([`crate::reactor`] driven by
 //! [`crate::tcp::TcpServer`]) holds one [`ConnState`] per connection,
 //! converts readiness happenings (bytes arrived, the head terminator
-//! was scanned, a wheel deadline fired, a worker finished a handler)
+//! was scanned, a wheel deadline fired, a handler finished)
 //! into [`ConnEvent`]s, and executes the returned [`ConnEffect`]s —
-//! arm or cancel a wheel timer, dispatch the parsed request to the
-//! worker pool, queue response bytes, close the socket. All byte-level
+//! arm or cancel a wheel timer, dispatch the parsed request to a
+//! handler, queue response bytes, close the socket. All byte-level
 //! bookkeeping (buffers, scan offsets, partial writes) stays in the
 //! shell; every *decision* lives here where `wsp-check` can explore
 //! it.
@@ -37,7 +37,7 @@
 //!   handler executions in flight;
 //! * **closed is terminal** — no transition leaves `Closed` and no
 //!   effect (in particular no write, no dispatch) is emitted from it,
-//!   so a late worker completion for a dead connection is provably
+//!   so a late handler completion for a dead connection is provably
 //!   dropped;
 //! * **drain latches** — once `draining` is observed it never clears,
 //!   and an idle connection closes immediately on drain;
@@ -70,7 +70,7 @@ pub enum Phase {
     ReadingHead,
     /// Head complete, body bytes still short of `Content-Length`.
     ReadingBody,
-    /// Request handed to the worker pool; awaiting its response.
+    /// Request handed to its handler; awaiting the response.
     Handling,
     /// Response bytes queued; flushing under write backpressure.
     Writing {
@@ -136,7 +136,7 @@ pub enum ConnEvent {
     RequestDone,
     /// The buffered bytes can never parse as a request.
     BadRequest,
-    /// A worker finished the handler; `close` carries the
+    /// The handler finished; `close` carries the
     /// client's `Connection: close` / drain decision made at encode
     /// time.
     HandlerDone { close: bool },
@@ -161,7 +161,7 @@ pub enum ConnEffect {
     ArmTimer(TimerKind),
     /// Cancel the armed deadline for `kind`.
     CancelTimer(TimerKind),
-    /// Hand the parsed request to the worker pool.
+    /// Hand the parsed request to its handler.
     Dispatch,
     /// Queue a canned `408 Request Timeout` response.
     SendTimeout,
@@ -219,7 +219,7 @@ impl Machine for ConnMachine {
         let mut next = *state;
         let mut effects = Vec::new();
 
-        // Terminal: a closed connection reacts to nothing — late worker
+        // Terminal: a closed connection reacts to nothing — late handler
         // completions, stale flushes and repeated stops are all dropped.
         if state.phase == P::Closed {
             return (next, effects);

@@ -1,4 +1,4 @@
-//! Raw epoll/eventfd bindings.
+//! Raw epoll/eventfd/timerfd bindings.
 //!
 //! We vendor every dependency, so there is no `libc` crate to lean on:
 //! these are hand-written `extern "C"` declarations against the libc
@@ -16,6 +16,11 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
+/// Wake only one of the epoll instances (and so one of the threads)
+/// waiting on this fd. Set at `add`, never with [`EPOLLONESHOT`].
+pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
+/// Report one event, then stay silent until the next `modify`.
+pub const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
@@ -24,6 +29,9 @@ const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
+const CLOCK_MONOTONIC: i32 = 1;
+const TFD_CLOEXEC: i32 = 0o2000000;
+const TFD_NONBLOCK: i32 = 0o4000;
 
 const EINTR: i32 = 4;
 
@@ -45,11 +53,26 @@ impl EpollEvent {
     }
 }
 
+/// `struct timespec` / `struct itimerspec` on 64-bit Linux.
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+#[repr(C)]
+struct Itimerspec {
+    it_interval: Timespec,
+    it_value: Timespec,
+}
+
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn timerfd_create(clockid: i32, flags: i32) -> i32;
+    fn timerfd_settime(fd: i32, flags: i32, new: *const Itimerspec, old: *mut Itimerspec) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
@@ -161,8 +184,8 @@ impl Drop for Epoll {
     }
 }
 
-/// An owned eventfd used to wake `epoll_wait` from other threads
-/// (worker completions, shutdown).
+/// An owned eventfd used to wake an `epoll_wait` from another thread
+/// (lifecycle flag flips, work parked on the pending list).
 pub struct EventFd {
     fd: i32,
 }
@@ -197,6 +220,59 @@ impl Drop for EventFd {
     }
 }
 
+/// An owned one-shot monotonic timerfd: the wheel's next due time as a
+/// readable fd, so a deadline wakes whichever thread `epoll_wait`
+/// picks instead of being somebody's `epoll_wait` timeout.
+pub struct TimerFd {
+    fd: i32,
+}
+
+impl TimerFd {
+    pub fn new() -> io::Result<TimerFd> {
+        // SAFETY: plain syscall, no pointers.
+        let fd = cvt(unsafe { timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK) })?;
+        Ok(TimerFd { fd })
+    }
+
+    pub fn raw_fd(&self) -> i32 {
+        self.fd
+    }
+
+    /// Expire once `after` from now (`None` disarms). A zero duration
+    /// would also disarm, so it is rounded up to one nanosecond.
+    pub fn set(&self, after: Option<std::time::Duration>) {
+        let after = after.map(|d| d.max(std::time::Duration::from_nanos(1)));
+        let spec = Itimerspec {
+            it_interval: Timespec {
+                tv_sec: 0,
+                tv_nsec: 0,
+            },
+            it_value: Timespec {
+                tv_sec: after.map_or(0, |d| d.as_secs() as i64),
+                tv_nsec: after.map_or(0, |d| i64::from(d.subsec_nanos())),
+            },
+        };
+        // SAFETY: `spec` is a valid itimerspec for the duration of the
+        // call; the old value is not requested.
+        unsafe { timerfd_settime(self.fd, 0, &spec, std::ptr::null_mut()) };
+    }
+
+    /// Consume a pending expiry so the fd stops polling readable.
+    pub fn drain(&self) {
+        let mut buf = [0u8; 8];
+        // SAFETY: `buf` is 8 writable bytes, the size a timerfd read
+        // returns; the fd is non-blocking.
+        unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
+    }
+}
+
+impl Drop for TimerFd {
+    fn drop(&mut self) {
+        // SAFETY: `fd` is owned by this value and closed exactly once.
+        unsafe { close(self.fd) };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,6 +297,43 @@ mod tests {
 
         ef.drain();
         assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "drained");
+    }
+
+    #[test]
+    fn timerfd_wakes_epoll_once_and_can_be_disarmed() {
+        let ep = Epoll::new().unwrap();
+        let tf = TimerFd::new().unwrap();
+        ep.add(tf.raw_fd(), EPOLLIN, 9).unwrap();
+        let mut events = [EpollEvent::zeroed(); 2];
+
+        tf.set(Some(std::time::Duration::from_millis(20)));
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "not due yet");
+        assert_eq!(ep.wait(&mut events, 2000).unwrap(), 1);
+        let token = events[0].data;
+        assert_eq!(token, 9);
+        tf.drain();
+        assert_eq!(ep.wait(&mut events, 0).unwrap(), 0, "one-shot");
+
+        tf.set(Some(std::time::Duration::from_millis(20)));
+        tf.set(None);
+        assert_eq!(ep.wait(&mut events, 60).unwrap(), 0, "disarmed");
+    }
+
+    #[test]
+    fn oneshot_registration_reports_once_until_rearmed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let ep = Epoll::new().unwrap();
+        let interest = EPOLLIN | EPOLLONESHOT;
+        ep.add(server_side.as_raw_fd(), interest, 5).unwrap();
+        client.write_all(b"x").unwrap();
+        let mut events = [EpollEvent::zeroed(); 2];
+        assert_eq!(ep.wait(&mut events, 2000).unwrap(), 1);
+        assert_eq!(ep.wait(&mut events, 30).unwrap(), 0, "disarmed by delivery");
+        // Re-arming re-reports the still-unread byte.
+        ep.modify(server_side.as_raw_fd(), interest, 5).unwrap();
+        assert_eq!(ep.wait(&mut events, 2000).unwrap(), 1);
     }
 
     #[test]

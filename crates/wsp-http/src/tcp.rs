@@ -9,12 +9,13 @@
 //! Two transport cores sit behind one `TcpServer` API:
 //!
 //! * [`ServerMode::Reactor`] (default) — the readiness-driven epoll
-//!   core ([`crate::reactor`]): the reactor thread parses requests and
-//!   flushes responses, a worker pool runs handlers, and every
+//!   core ([`crate::reactor`]): `workers + 1` identical threads, each
+//!   reading, serving and answering the connection the kernel hands it
+//!   (at most `workers` inside handlers at once), and every
 //!   per-connection decision is a pure [`ConnMachine`] transition with
-//!   header/body/idle deadlines on the shared [`EventWheel`]. One
-//!   thread + workers serve tens of thousands of keep-alive
-//!   connections (experiment E15).
+//!   header/body/idle deadlines on the shared [`EventWheel`]. They
+//!   serve tens of thousands of keep-alive connections (experiment
+//!   E15).
 //! * [`ServerMode::Threaded`] — the historical thread-per-connection
 //!   core, kept as the E15 A/B baseline and as a fallback.
 //!
@@ -41,7 +42,8 @@ use wsp_simnet::Machine;
 /// Which transport core serves the connections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerMode {
-    /// Readiness-driven epoll reactor + worker pool (default).
+    /// Readiness-driven epoll reactor, run-to-completion threads
+    /// (default).
     Reactor,
     /// One blocking thread per connection (the pre-reactor core; the
     /// E15 baseline).
@@ -81,8 +83,9 @@ pub struct ServerConfig {
     pub retry_after: Duration,
     /// Transport core.
     pub mode: ServerMode,
-    /// Reactor mode: handler worker threads (`0` = default of 4),
-    /// mirroring the dispatcher worker pool as the execution layer.
+    /// Reactor mode: most handlers running at once (`0` = default of
+    /// 4); the reactor runs one thread more than this, so one is always
+    /// free for I/O.
     pub workers: usize,
     /// Reactor mode: reap keep-alive connections idle longer than
     /// this. `None` (default) keeps them until the peer closes or the
@@ -339,6 +342,17 @@ impl Drop for TcpServer {
     }
 }
 
+#[cfg(test)]
+impl TcpServer {
+    /// (schedules, cancels) the reactor's shared wheel has seen.
+    fn wheel_ops(&self) -> (u64, u64) {
+        match &self.runtime {
+            Runtime::Reactor(reactor) => reactor.wheel_ops(),
+            Runtime::Threaded(_) => (0, 0),
+        }
+    }
+}
+
 /// The canned `503` + `Retry-After` wire bytes for a shed connection.
 fn reject_bytes(config: &ServerConfig, why: &str) -> Vec<u8> {
     let mut response = Response::unavailable(why);
@@ -569,9 +583,9 @@ impl HttpProto {
     }
 }
 
-/// Worker-side handler execution: run the router, decide the
-/// `Connection` header at encode time (drain may have begun while the
-/// handler ran), serialise into a pooled buffer.
+/// Handler execution (on a reactor thread, no lock held): run the
+/// router, decide the `Connection` header at encode time (drain may
+/// have begun while the handler ran), serialise into a pooled buffer.
 fn run_handler(
     router: &Router,
     state: &ServerState,
@@ -615,6 +629,7 @@ impl ConnProtocol for HttpProto {
         if self.conn.closed() {
             return; // late completion for a dead connection
         }
+        let silent = result.bytes.is_empty();
         io.queue_write(&result.bytes);
         wsp_xml::BufPool::global().put(result.bytes);
         self.step(
@@ -623,7 +638,7 @@ impl ConnProtocol for HttpProto {
                 close: result.close,
             },
         );
-        if io.unflushed() == 0 {
+        if silent {
             // Nothing to write (panicked handler): the flush edge will
             // never come from the reactor, so take it now.
             self.step(io, ConnEvent::WriteFlushed);
@@ -1637,6 +1652,227 @@ mod tests {
             "shutdown must track the connection close, not the 30 s deadline (took {waited:?})"
         );
         assert!(in_flight.join().unwrap().is_success());
+    }
+}
+
+#[cfg(test)]
+mod reactor_seam_tests {
+    //! The seams of the run-to-completion reactor as HTTP sees them:
+    //! what must keep working while every handler permit is taken, and
+    //! what a whole-frame request may cost the shared timer wheel.
+
+    use super::*;
+    use crate::codec::encode_request;
+    use crate::reactor::tests::wait_for;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    fn connect(server: &TcpServer) -> TcpStream {
+        let stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
+
+    /// Read until the peer closes; parse the one response before it.
+    fn response_then_eof(stream: &mut TcpStream) -> Response {
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).expect("response then close");
+        let (response, used) = parse_response(&raw).expect("a full response");
+        assert_eq!(used, raw.len(), "exactly one response");
+        response
+    }
+
+    /// `/Park` holds its handler until the returned sender is dropped
+    /// (or sent to); `entered` counts handlers inside.
+    fn parking_router() -> (Router, mpsc::Sender<()>, Arc<AtomicUsize>) {
+        let router = Router::new();
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = parking_lot::Mutex::new(gate);
+        let entered = Arc::new(AtomicUsize::new(0));
+        let inside = Arc::clone(&entered);
+        router.deploy(
+            "Park",
+            Arc::new(move |_req: &Request| {
+                inside.fetch_add(1, Ordering::SeqCst);
+                let _ = gate.lock().recv();
+                Response::ok("text/plain", "released")
+            }),
+        );
+        router.deploy(
+            "Echo",
+            Arc::new(|req: &Request| Response::ok("text/plain", req.body.clone())),
+        );
+        (router, release, entered)
+    }
+
+    #[test]
+    fn edges_are_served_while_every_handler_is_parked() {
+        let (router, release, entered) = parking_router();
+        let server = Arc::new(
+            TcpServer::launch_with(
+                0,
+                router,
+                ServerConfig {
+                    workers: 2,
+                    max_connections: Some(4),
+                    header_read_deadline: Duration::from_millis(100),
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap(),
+        );
+        // Both handler permits taken.
+        let mut parked: Vec<TcpStream> = (0..2).map(|_| connect(&server)).collect();
+        for stream in &mut parked {
+            stream
+                .write_all(&encode_request(&Request::get("/Park")))
+                .unwrap();
+        }
+        wait_for("both handlers to park", || {
+            entered.load(Ordering::SeqCst) == 2
+        });
+
+        // A new connection is accepted and parsed: garbage gets its 400
+        // with no handler involved.
+        let mut garbage = connect(&server);
+        garbage.write_all(b"NOT HTTP\r\n\r\n").unwrap();
+        assert_eq!(response_then_eof(&mut garbage).status, 400);
+
+        // A dripped head gets its 408 on time.
+        let mut slow = connect(&server);
+        let dripped_at = Instant::now();
+        slow.write_all(b"GET /Ec").unwrap();
+        assert_eq!(response_then_eof(&mut slow).status, 408);
+        let took = dripped_at.elapsed();
+        assert!(
+            took >= Duration::from_millis(100) && took < Duration::from_secs(2),
+            "408 after {took:?}, deadline 100 ms"
+        );
+        wait_for("the two short connections to be released", || {
+            server.active_connections() == 2
+        });
+
+        // Two idle keep-alive connections fill the cap; one over it
+        // gets the canned 503.
+        let mut idle: Vec<TcpStream> = (0..2).map(|_| connect(&server)).collect();
+        wait_for("the cap to fill", || server.active_connections() == 4);
+        let mut over = connect(&server);
+        let shed = response_then_eof(&mut over);
+        assert_eq!(shed.status, 503);
+        assert!(shed.headers.get("retry-after").is_some());
+
+        // shutdown() delivers drain: the idle connections close now,
+        // the parked requests finish behind `Connection: close`.
+        let drainer = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.shutdown())
+        };
+        for stream in &mut idle {
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).expect("closed by the drain");
+            assert!(rest.is_empty());
+        }
+        assert_eq!(entered.load(Ordering::SeqCst), 2, "handlers still parked");
+        drop(release);
+        for stream in &mut parked {
+            let response = response_then_eof(stream);
+            assert_eq!(response.body_str(), "released");
+            assert_eq!(response.headers.get("connection"), Some("close"));
+        }
+        assert!(drainer.join().unwrap(), "drained inside the deadline");
+        assert_eq!(server.active_connections(), 0);
+    }
+
+    #[test]
+    fn peer_half_close_during_handling_gets_response_then_close() {
+        let (router, release, entered) = parking_router();
+        let server = TcpServer::launch(0, router).unwrap();
+        let mut stream = connect(&server);
+        stream
+            .write_all(&encode_request(&Request::get("/Park")))
+            .unwrap();
+        wait_for("the handler to park", || {
+            entered.load(Ordering::SeqCst) == 1
+        });
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(response_then_eof(&mut stream).body_str(), "released");
+        wait_for("slot release", || server.active_connections() == 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn panicking_handler_closes_only_its_connection() {
+        let router = Router::new();
+        router.deploy(
+            "Boom",
+            Arc::new(|_req: &Request| -> Response { panic!("handler bug") }),
+        );
+        router.deploy(
+            "Echo",
+            Arc::new(|req: &Request| Response::ok("text/plain", req.body.clone())),
+        );
+        let server = TcpServer::launch(0, router).unwrap();
+        let mut bystander = connect(&server);
+        let mut victim = connect(&server);
+        victim
+            .write_all(&encode_request(&Request::get("/Boom")))
+            .unwrap();
+        let mut rest = Vec::new();
+        victim.read_to_end(&mut rest).expect("closed, not reset");
+        assert!(rest.is_empty(), "no response for the panicked request");
+        // The connection that was open beside it, and a new one, work.
+        bystander
+            .write_all(&encode_request(&Request::post(
+                "/Echo",
+                "text/plain",
+                "still here",
+            )))
+            .unwrap();
+        let mut buf = vec![0u8; 4096];
+        let n = bystander.read(&mut buf).unwrap();
+        let (response, _) = parse_response(&buf[..n]).unwrap();
+        assert_eq!(response.body_str(), "still here");
+        let fresh = http_call("127.0.0.1", server.port(), Request::get("/Echo")).unwrap();
+        assert!(fresh.is_success());
+        server.shutdown();
+    }
+
+    #[test]
+    fn whole_frame_request_never_touches_the_wheel_and_a_dripped_head_touches_it_twice() {
+        let router = Router::new();
+        router.deploy(
+            "Echo",
+            Arc::new(|req: &Request| Response::ok("text/plain", req.body.clone())),
+        );
+        let server = TcpServer::launch(0, router).unwrap();
+        let mut stream = connect(&server);
+        let wire = encode_request(&Request::post("/Echo", "text/plain", "one segment"));
+        let mut buf = vec![0u8; 4096];
+
+        // FirstByte arms the head deadline and RequestDone cancels it
+        // inside one callback: nothing reaches the wheel.
+        for _ in 0..3 {
+            stream.write_all(&wire).unwrap();
+            let n = stream.read(&mut buf).unwrap();
+            assert!(parse_response(&buf[..n]).unwrap().0.is_success());
+        }
+        assert_eq!(server.wheel_ops(), (0, 0));
+
+        // A head that arrives in two segments is on the clock between
+        // them: one schedule, one cancel.
+        let (first, second) = wire.split_at(10);
+        stream.write_all(first).unwrap();
+        wait_for("the head deadline to be armed", || {
+            server.wheel_ops() == (1, 0)
+        });
+        stream.write_all(second).unwrap();
+        let n = stream.read(&mut buf).unwrap();
+        assert!(parse_response(&buf[..n]).unwrap().0.is_success());
+        assert_eq!(server.wheel_ops(), (1, 1));
+        server.shutdown();
     }
 }
 

@@ -31,8 +31,9 @@ use crate::message::P2psMessage;
 /// smaller).
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
-/// A received message is handled on the worker pool; `Some` sends a
-/// framed reply back down the same connection, `None` stays silent.
+/// A received message is handled on a reactor thread, outside the
+/// connection's lock; `Some` sends a framed reply back down the same
+/// connection, `None` stays silent.
 pub type PipeHandler = Arc<dyn Fn(P2psMessage) -> Option<P2psMessage> + Send + Sync>;
 
 /// Configuration for a [`PipeTcpServer`].
@@ -43,7 +44,7 @@ pub struct PipeTcpConfig {
     pub idle_timeout: Option<Duration>,
     /// A started frame must arrive in full within this deadline.
     pub frame_deadline: Duration,
-    /// Worker threads for handler execution.
+    /// Most handlers running at once (the reactor's handler permits).
     pub workers: usize,
 }
 
@@ -231,8 +232,9 @@ pub struct PipeTcpServer {
 }
 
 impl PipeTcpServer {
-    /// Bind `addr` and serve framed messages to `handler` on the worker
-    /// pool. Pass port 0 to let the OS pick (see [`Self::addr`]).
+    /// Bind `addr` and serve framed messages to `handler` on the
+    /// reactor's threads. Pass port 0 to let the OS pick (see
+    /// [`Self::addr`]).
     pub fn launch<A, F>(addr: A, handler: F, config: PipeTcpConfig) -> io::Result<PipeTcpServer>
     where
         A: ToSocketAddrs,
@@ -401,6 +403,47 @@ mod tests {
         assert_eq!(names, ["a-ack", "b-ack", "c-ack"]);
         drop(stream);
 
+        server.shutdown();
+    }
+
+    #[test]
+    fn three_frames_in_one_segment_get_three_replies_while_the_first_handler_blocks() {
+        // The first frame's handler waits for the third frame's: the
+        // three jobs of one callback must not queue behind each other.
+        let (third_ran, wait_for_third) = std::sync::mpsc::channel::<()>();
+        let third_ran = parking_lot::Mutex::new(third_ran);
+        let wait_for_third = parking_lot::Mutex::new(wait_for_third);
+        let server = PipeTcpServer::launch(
+            "127.0.0.1:0",
+            move |message| {
+                match payload_of(&message) {
+                    "first" => wait_for_third
+                        .lock()
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("the third frame's handler ran meanwhile"),
+                    "third" => third_ran.lock().send(()).unwrap(),
+                    _ => {}
+                }
+                Some(message)
+            },
+            PipeTcpConfig::default(),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let segment: Vec<u8> = ["first", "second", "third"]
+            .iter()
+            .flat_map(|name| encode_frame(&sample(name)))
+            .collect();
+        stream.write_all(&segment).unwrap();
+        let mut names: Vec<String> = (0..3)
+            .map(|_| payload_of(&read_frame(&mut stream).unwrap()).to_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["first", "second", "third"]);
+        drop(stream);
         server.shutdown();
     }
 

@@ -81,6 +81,18 @@ echo "==> reactor overload/drain matrix (seed 2005 / seed 7, release)"
 WSP_FAULT_SEED=2005 timeout 300 cargo test -q --release -p wsp-integration-tests --test overload
 WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --test overload
 
+# Run-to-completion reactor (PR 15): every reactor thread reads,
+# serves and writes, so connection state is touched from all of them.
+# Loop the 8-client mixed-traffic test (keep-alive, pipelined bursts,
+# abrupt closes against 2 handler permits; one response per request,
+# active_connections() back to 0) ten times per seed in release.
+echo "==> reactor stress (8 clients x mixed traffic, 10x, seed 2005 / seed 7, release)"
+for seed in 2005 7; do
+  WSP_FAULT_SEED=$seed timeout 300 bash -c 'for i in 1 2 3 4 5 6 7 8 9 10; do
+    cargo test -q --release -p wsp-integration-tests --test overload eight_clients || exit 1
+  done'
+done
+
 echo "==> E15 artifact (BENCH_E15.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e15 -- quick
 

@@ -7,11 +7,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use wsp_core::bindings::HttpUddiBinding;
 use wsp_core::{
     Client, ClientMessageEvent, CollectingListener, DeliveryMode, Dispatcher, DispatcherConfig,
-    EventBus, Invoker, LocatedService, PeerMessageListener, WspError,
+    EventBus, Invoker, LocatedService, Peer, PeerMessageListener, ServiceQuery, WspError,
 };
-use wsp_wsdl::{ServiceDescriptor, Value, WsdlDocument};
+use wsp_wsdl::{OperationDef, ServiceDescriptor, Value, WsdlDocument, XsdType};
 
 struct EchoInvoker;
 impl Invoker for EchoInvoker {
@@ -327,4 +328,92 @@ fn timeout_and_cancel_round_trip() {
     assert!(handle.cancel());
     assert!(!completer.complete(1), "completion after cancel is dropped");
     assert_eq!(dispatcher.stats().cancelled, 1);
+}
+
+/// Over the real HTTP binding with a single dispatcher worker: a
+/// handler that itself makes a synchronous `invoke` completes — whether
+/// the outer call is synchronous (both jobs run on their callers, the
+/// worker never involved) or asynchronous (the worker is parked in the
+/// outer HTTP exchange while the nested call runs on the server's
+/// thread) — and every call, nested ones included, fires exactly one
+/// client event under a token of its own.
+#[test]
+fn nested_synchronous_invoke_from_a_handler_completes_on_one_worker() {
+    let events = EventBus::new();
+    let listener = CollectingListener::new();
+    events.add_listener(listener.clone());
+    let binding = HttpUddiBinding::with_local_registry(wsp_uddi::Registry::new(), events.clone());
+    let peer = Arc::new(Peer::with_parts(
+        events,
+        Dispatcher::new(DispatcherConfig {
+            workers: 1,
+            queue_capacity: 4,
+        }),
+    ));
+    peer.attach(&binding);
+    peer.server()
+        .deploy_and_publish(
+            ServiceDescriptor::echo(),
+            Arc::new(|_op: &str, args: &[Value]| Ok(args[0].clone())),
+        )
+        .unwrap();
+    let echo = peer
+        .client()
+        .locate_one(&ServiceQuery::by_name("Echo"))
+        .unwrap();
+    let relay_peer = Arc::downgrade(&peer);
+    peer.server()
+        .deploy_and_publish(
+            ServiceDescriptor::new("Relay", "urn:wspeer:test:relay").operation(
+                OperationDef::new("relay")
+                    .input("text", XsdType::String)
+                    .returns(XsdType::String),
+            ),
+            Arc::new(move |_op: &str, args: &[Value]| {
+                let peer = relay_peer.upgrade().expect("peer outlives its handlers");
+                peer.client()
+                    .invoke(&echo, "echoString", &[args[0].clone()])
+                    .map_err(|e| wsp_soap::Fault::receiver(e.to_string()))
+            }),
+        )
+        .unwrap();
+    let relay = peer
+        .client()
+        .locate_one(&ServiceQuery::by_name("Relay"))
+        .unwrap();
+
+    let before = peer.dispatcher().stats();
+    let sync = peer
+        .client()
+        .invoke(&relay, "relay", &[Value::string("via sync")])
+        .unwrap();
+    assert_eq!(sync, Value::string("via sync"));
+    let handle = peer
+        .client()
+        .invoke_async(relay, "relay", vec![Value::string("via async")]);
+    let outer_async_token = handle.token();
+    assert_eq!(handle.wait().unwrap(), Value::string("via async"));
+    peer.dispatcher().flush();
+
+    let after = peer.dispatcher().stats();
+    assert_eq!(
+        after.submitted - before.submitted,
+        4,
+        "two outer, two nested"
+    );
+    assert_eq!(after.completed - before.completed, 4);
+    assert_eq!(after.failed, 0);
+    assert_eq!(after.pending_calls, 0);
+    let events = listener.client_messages.read();
+    let mut tokens: Vec<u64> = events.iter().map(|e| e.token).collect();
+    tokens.sort_unstable();
+    tokens.dedup();
+    assert_eq!(events.len(), 4);
+    assert_eq!(
+        tokens.len(),
+        4,
+        "one event per call, each under its own token"
+    );
+    assert!(tokens.contains(&outer_async_token));
+    assert_eq!(events.iter().filter(|e| e.service == "Echo").count(), 2);
 }

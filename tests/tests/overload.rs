@@ -324,3 +324,138 @@ fn draining_host_finishes_admitted_work_and_rejects_new_connections() {
     assert!(drained, "in-flight work fit inside the drain deadline");
     assert!(drain_took < ServerConfig::default().drain_deadline);
 }
+
+/// The reactor's connection lifecycle under mixed traffic: 8 clients,
+/// each running keep-alive exchanges, a pipelined burst and an abrupt
+/// close on fresh connections, against 2 handler permits. Every request
+/// whose response is read gets exactly one, its own and in order; the
+/// abandoned ones leak nothing — `active_connections()` returns to 0
+/// and the server still drains cleanly. (`scripts/ci.sh` loops this in
+/// release under both fault seeds.)
+#[test]
+fn eight_clients_of_mixed_traffic_leave_no_connection_behind() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use wsp_http::{encode_request, parse_response};
+
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 40;
+    const KEEP_ALIVE: usize = 5;
+    const PIPELINED: usize = 4;
+
+    let served = Arc::new(AtomicU32::new(0));
+    let router = Router::new();
+    {
+        let served = Arc::clone(&served);
+        router.deploy(
+            "Echo",
+            Arc::new(move |request: &Request| {
+                served.fetch_add(1, Ordering::SeqCst);
+                Response::ok("text/plain", request.body.clone())
+            }),
+        );
+    }
+    let server = Arc::new(
+        TcpServer::launch_with(
+            0,
+            router,
+            ServerConfig {
+                workers: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("ephemeral port"),
+    );
+    let port = server.port();
+
+    /// Read exactly one response off `stream` (bytes of the next one
+    /// may already sit in `buf`).
+    fn next_response(stream: &mut TcpStream, buf: &mut Vec<u8>) -> Response {
+        let mut chunk = [0u8; 2048];
+        loop {
+            if let Ok((response, used)) = parse_response(buf) {
+                buf.drain(..used);
+                return response;
+            }
+            let n = stream.read(&mut chunk).expect("response bytes");
+            assert!(n > 0, "server closed before answering");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    let start = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|client| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let connect = || {
+                    let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(20)))
+                        .unwrap();
+                    stream
+                };
+                let request =
+                    |tag: String| encode_request(&Request::post("/Echo", "text/plain", tag));
+                let mut answered = 0u32;
+                start.wait();
+                for round in 0..ROUNDS {
+                    // Keep-alive: request, response, request, ...
+                    let (mut stream, mut buf) = (connect(), Vec::new());
+                    for i in 0..KEEP_ALIVE {
+                        let tag = format!("c{client}r{round}k{i}");
+                        stream.write_all(&request(tag.clone())).unwrap();
+                        let response = next_response(&mut stream, &mut buf);
+                        assert_eq!(response.body_str(), tag);
+                        answered += 1;
+                    }
+                    assert!(buf.is_empty(), "no unsolicited bytes");
+                    drop(stream);
+
+                    // Pipelined: all requests in one write, responses in order.
+                    let (mut stream, mut buf) = (connect(), Vec::new());
+                    let tags: Vec<String> = (0..PIPELINED)
+                        .map(|i| format!("c{client}r{round}p{i}"))
+                        .collect();
+                    let burst: Vec<u8> = tags.iter().flat_map(|t| request(t.clone())).collect();
+                    stream.write_all(&burst).unwrap();
+                    for tag in &tags {
+                        assert_eq!(next_response(&mut stream, &mut buf).body_str(), *tag);
+                        answered += 1;
+                    }
+                    assert!(buf.is_empty(), "exactly one response per request");
+                    drop(stream);
+
+                    // Abrupt: a request (or half of one) and gone, unread.
+                    let mut stream = connect();
+                    let wire = request(format!("c{client}r{round}x"));
+                    let cut = if round % 2 == 0 {
+                        wire.len()
+                    } else {
+                        wire.len() / 2
+                    };
+                    stream.write_all(&wire[..cut]).unwrap();
+                    drop(stream);
+                }
+                answered
+            })
+        })
+        .collect();
+
+    let answered: u32 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+    assert_eq!(
+        answered as usize,
+        CLIENTS * ROUNDS * (KEEP_ALIVE + PIPELINED),
+        "every request that waited for its response got it"
+    );
+    assert!(
+        wait_until(Duration::from_secs(10), || server.active_connections() == 0),
+        "{} connections still held after every client left",
+        server.active_connections()
+    );
+    // Handlers ran once per answered request, plus at most once per
+    // abandoned whole request.
+    let served = served.load(Ordering::SeqCst);
+    assert!(served >= answered && served <= answered + (CLIENTS * ROUNDS) as u32);
+    assert!(server.shutdown(), "nothing left to drain");
+}

@@ -148,7 +148,11 @@ fn metrics_route_served_by_container_less_host() {
         "client.invoke_us_count",
         "client.invoke_us_p99",
         "dispatch.run_us_count",
+        "dispatch.queue_wait_us_count",
         "server.serve_us_count",
+        "reactor.jobs_on_reader",
+        "reactor.jobs_queued",
+        "reactor.handlers_busy",
         "http_pool_hits",
         "http_pool_misses",
         "dispatch_submitted",
@@ -157,6 +161,19 @@ fn metrics_route_served_by_container_less_host() {
     ] {
         assert!(body.contains(needle), "missing {needle:?} in:\n{body}");
     }
+    // The reactor's hand-off counters: the requests above ran on the
+    // threads that read them, and this very scrape is inside a handler.
+    let metric = |name: &str| -> u64 {
+        body.lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no value for {name:?}"))
+    };
+    assert!(metric("reactor.jobs_on_reader ") >= 1);
+    assert!(metric("reactor.handlers_busy ") >= 1);
+    // Caller-run jobs (the synchronous locate above) still leave a
+    // queue-wait sample, so the two histograms count the same jobs.
+    assert!(metric("dispatch.queue_wait_us_count ") >= 2);
+
     // The invoke above is reconstructable from the scrape alone: its
     // correlation id appears on client- and server-side spans.
     let corr = format!("corr={token}");
