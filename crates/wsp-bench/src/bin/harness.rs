@@ -212,6 +212,7 @@ fn main() {
                 format!("{:.2}", r.mean_ms),
                 format!("{:.2}", r.p50_ms),
                 format!("{:.2}", r.p99_ms),
+                r.connections.to_string(),
             ]
         })
         .collect();
@@ -219,7 +220,14 @@ fn main() {
         "{}",
         render_table(
             &format!("E7  invoke round trips, HTTP vs P2PS pipes ({calls} calls, loopback)"),
-            &["transport", "payload B", "mean ms", "p50 ms", "p99 ms"],
+            &[
+                "transport",
+                "payload B",
+                "mean ms",
+                "p50 ms",
+                "p99 ms",
+                "conns"
+            ],
             &rows,
         )
     );

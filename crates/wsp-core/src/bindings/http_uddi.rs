@@ -24,7 +24,7 @@ use wsp_http::{
 use wsp_soap::Envelope;
 use wsp_uddi::{BindingTemplate, BusinessService, TModel, UddiClient};
 use wsp_wsdl::{
-    MessageEngine, Port, ServiceDescriptor, ServiceHandler, ServiceProxy, TransportKind, Value,
+    proxy, MessageEngine, Port, ServiceDescriptor, ServiceHandler, TransportKind, Value,
     WsdlDocument,
 };
 
@@ -348,6 +348,13 @@ impl HttpUddiBinding {
     pub fn host_running(&self) -> bool {
         self.shared.host.lock().is_some()
     }
+
+    /// Counters of this binding's client connection pool (the
+    /// `http_pool_*` gauges of `/metrics`): `misses` is the number of
+    /// TCP connections it has opened.
+    pub fn pool_stats(&self) -> wsp_http::tcp::PoolStats {
+        self.shared.pool.stats()
+    }
 }
 
 impl Binding for HttpUddiBinding {
@@ -498,14 +505,14 @@ impl ServiceDeployer for HttpDeployer {
                     };
                     // The application sees the request before the engine
                     // (Section III, point 2).
-                    events.fire_server(&ServerMessageEvent {
+                    events.fire_server_with(|| ServerMessageEvent {
                         service: service_name.clone(),
                         phase: ServerPhase::Inbound,
                         envelope: envelope.clone(),
                     });
                     match engine.process(&envelope) {
                         Some(response) => {
-                            events.fire_server(&ServerMessageEvent {
+                            events.fire_server_with(|| ServerMessageEvent {
                                 service: service_name.clone(),
                                 phase: ServerPhase::Outbound,
                                 envelope: response.clone(),
@@ -732,8 +739,8 @@ impl Invoker for HttpInvoker {
         operation: &str,
         args: &[Value],
     ) -> Result<Value, WspError> {
-        let proxy = ServiceProxy::new(service.wsdl.descriptor.clone(), service.endpoint.clone());
-        let envelope = proxy.encode_request(operation, args)?;
+        let descriptor = &service.wsdl.descriptor;
+        let envelope = proxy::encode_request(descriptor, &service.endpoint, operation, args)?;
         let target = HttpUri::parse(&service.endpoint)
             .map(|u| u.target)
             .unwrap_or_else(|_| "/".into());
@@ -844,7 +851,7 @@ impl Invoker for HttpInvoker {
         }
         let envelope = Envelope::from_xml(&response.body_str())
             .map_err(|e| WspError::Invoke(format!("unparseable response: {e}")))?;
-        Ok(proxy.decode_response(operation, &envelope)?)
+        Ok(proxy::decode_response(descriptor, operation, &envelope)?)
     }
 
     fn handles(&self, endpoint: &str) -> bool {

@@ -6,6 +6,27 @@
 //! One operation = one pipe, matching the paper's
 //! `p2ps://id/echo#echostring` scheme; every service additionally
 //! carries the *definition pipe* from which its WSDL is retrieved.
+//!
+//! # Threading
+//!
+//! The binding owns no thread. It installs a delivery sink on its
+//! [`ThreadPeer`] (holding a `Weak` back-reference, so the peer handle
+//! and the binding do not keep each other alive), and everything the
+//! peer delivers reaches [`on_peer_event`] on the thread that stepped
+//! the peer's machine — in practice the peer's inbox thread:
+//!
+//! * **provider**: the inbox thread decodes the request and passes
+//!   admission control; the handler runs on the dispatcher (so
+//!   queue-depth shedding, deadlines and nested calls behave as on any
+//!   other binding) and the worker sends the reply itself;
+//! * **consumer**: the inbox thread correlates the response and
+//!   completes the caller's `CallHandle`.
+//!
+//! One request/response is caller → provider inbox → worker → consumer
+//! inbox → caller. The sink is entered with no peer lock held, so it
+//! may send (the busy-fault reply of a shed request goes out from
+//! inside the delivery); it never waits on anything the inbox thread
+//! would have to produce.
 
 use crate::components::{Binding, Invoker, ServiceDeployer, ServiceLocator, ServicePublisher};
 use crate::dispatch::{Completer, Dispatcher};
@@ -18,7 +39,6 @@ use crate::telemetry;
 use crossbeam_channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use wsp_p2ps::{
@@ -27,7 +47,7 @@ use wsp_p2ps::{
 };
 use wsp_soap::{Envelope, HeaderBlock};
 use wsp_wsdl::{
-    MessageEngine, Port, ServiceDescriptor, ServiceHandler, ServiceProxy, TransportKind, Value,
+    proxy, MessageEngine, Port, ServiceDescriptor, ServiceHandler, TransportKind, Value,
     WsdlDocument,
 };
 
@@ -65,15 +85,19 @@ struct Shared {
     wsdls: RwLock<HashMap<String, String>>,
     published: RwLock<HashMap<String, ServiceAdvertisement>>,
     correlator: Mutex<RpcCorrelator>,
-    /// Outstanding pipe requests, completed by the demux when the
-    /// correlated response arrives on the return pipe. Tokens come from
-    /// the dispatcher, so they share one space with client calls.
+    /// Outstanding pipe requests, completed from the peer's delivery
+    /// sink when the correlated response arrives on the return pipe.
+    /// Tokens come from the dispatcher, so they share one space with
+    /// client calls.
     pending_requests: Mutex<HashMap<u64, Completer<Envelope>>>,
     pending_queries: Mutex<HashMap<u64, Sender<Vec<ServiceAdvertisement>>>>,
     /// The peer's shared dispatch core, installed by `on_attach`; a
     /// standalone binding lazily creates a default one.
     dispatcher: RwLock<Option<Arc<Dispatcher>>>,
-    demux_started: AtomicBool,
+    /// Cached telemetry handles for the per-request path (the lookup
+    /// by name takes the registry lock and allocates the key).
+    roundtrip_us: Arc<telemetry::Histogram>,
+    unknown_pipe: Arc<telemetry::Counter>,
 }
 
 impl Shared {
@@ -91,27 +115,13 @@ impl Shared {
         *slot = Some(dispatcher.clone());
         dispatcher
     }
-
-    /// Start the demultiplexer driver once, on the dispatcher. Called
-    /// from `on_attach` and lazily from every component entry point so
-    /// a standalone binding still works.
-    fn ensure_demux(self: &Arc<Self>) {
-        if self.demux_started.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let dispatcher = self.dispatcher_handle();
-        let weak = Arc::downgrade(self);
-        dispatcher.spawn_driver(format!("wsp-p2ps-demux-{}", self.peer.id()), move || {
-            demux_loop(weak)
-        });
-    }
 }
 
-/// The P2PS binding. Construct with a spawned [`ThreadPeer`]; the
-/// binding runs a demultiplexer driver that routes the peer's events to
-/// hosted services (server side, served on the dispatcher's pool) and
-/// outstanding calls (client side, completed through the correlation
-/// table).
+/// The P2PS binding. Construct with a spawned [`ThreadPeer`] that has
+/// no delivery sink yet: the binding installs its own, which routes
+/// the peer's events to hosted services (server side, served on the
+/// dispatcher's pool) and outstanding calls (client side, completed
+/// through the correlation table).
 #[derive(Clone)]
 pub struct P2psBinding {
     shared: Arc<Shared>,
@@ -120,8 +130,15 @@ pub struct P2psBinding {
 impl P2psBinding {
     pub fn new(peer: ThreadPeer, events: EventBus, config: P2psConfig) -> Self {
         let admission = AdmissionController::new(config.load_shed.clone());
-        P2psBinding {
-            shared: Arc::new(Shared {
+        let shared = Arc::new_cyclic(|weak: &Weak<Shared>| {
+            let binding = weak.clone();
+            let installed = peer.set_sink(Box::new(move |event| {
+                if let Some(shared) = binding.upgrade() {
+                    on_peer_event(&shared, event);
+                }
+            }));
+            assert!(installed, "the peer handed to a binding has no sink yet");
+            Shared {
                 peer,
                 config,
                 events,
@@ -133,9 +150,11 @@ impl P2psBinding {
                 pending_requests: Mutex::new(HashMap::new()),
                 pending_queries: Mutex::new(HashMap::new()),
                 dispatcher: RwLock::new(None),
-                demux_started: AtomicBool::new(false),
-            }),
-        }
+                roundtrip_us: telemetry::global().histogram("p2ps.roundtrip_us"),
+                unknown_pipe: telemetry::global().counter("p2ps.unknown_pipe"),
+            }
+        });
+        P2psBinding { shared }
     }
 
     /// This peer's logical id.
@@ -146,6 +165,18 @@ impl P2psBinding {
     /// Wire this peer to a neighbour (its rendezvous, usually).
     pub fn add_neighbour(&self, peer: wsp_p2ps::PeerId, rendezvous: bool) {
         self.shared.peer.add_neighbour(peer, rendezvous);
+    }
+
+    /// Requests sent from this peer whose response has neither arrived
+    /// nor been given up on.
+    pub fn outstanding_requests(&self) -> usize {
+        self.shared.correlator.lock().pending()
+    }
+
+    /// True if `pipe` is open on this peer — a hosted service's pipe, or
+    /// the return pipe of a request still in flight.
+    pub fn has_open_pipe(&self, pipe: &PipeAdvertisement) -> bool {
+        self.shared.peer.has_pipe(pipe)
     }
 }
 
@@ -180,53 +211,47 @@ impl Binding for P2psBinding {
 
     fn on_attach(&self, dispatcher: &Arc<Dispatcher>) {
         // Adopt the peer's shared dispatcher (replacing any lazily
-        // created default) and start the demux driver on it.
+        // created default).
         *self.shared.dispatcher.write() = Some(dispatcher.clone());
-        self.shared.ensure_demux();
     }
 }
 
-// --- demultiplexer ----------------------------------------------------------
+// --- delivery sink ------------------------------------------------------------
 
-fn demux_loop(weak: Weak<Shared>) {
-    loop {
-        let Some(shared) = weak.upgrade() else { return };
-        let event = shared.peer.recv_event(Duration::from_millis(50));
-        match event {
-            Some(ThreadPeerEvent::QueryResult { token, adverts }) => {
-                if let Some(tx) = shared.pending_queries.lock().get(&token) {
-                    let _ = tx.send(adverts);
-                }
+/// Everything the peer delivers, on the thread that stepped its
+/// machine (see the module docs). Must not block on the inbox thread.
+fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
+    match event {
+        ThreadPeerEvent::QueryResult { token, adverts } => {
+            if let Some(tx) = shared.pending_queries.lock().get(&token) {
+                let _ = tx.send(adverts);
             }
-            Some(ThreadPeerEvent::PipeDelivery {
-                pipe,
-                from: _,
-                payload,
-            }) => {
-                if pipe.service.is_some() {
-                    // Hosted-service traffic passes admission control
-                    // here — before it is queued — then is served on
-                    // the worker pool so the demux never blocks on a
-                    // handler. The demux decodes the request once (it
-                    // already parses return-pipe traffic) so admission
-                    // sees the propagated deadline.
-                    if let Some(received) = decode_request(&payload) {
-                        admit_and_serve(&shared, &pipe, received);
-                    }
-                } else {
-                    // A return pipe: correlate with an outstanding call
-                    // and complete its handle.
-                    let correlated = shared.correlator.lock().accept_response(&payload);
-                    if let Some((token, envelope)) = correlated {
-                        if let Some(completer) = shared.pending_requests.lock().remove(&token) {
-                            completer.complete(envelope);
-                        }
-                    }
-                }
-            }
-            Some(_) | None => {}
         }
-        drop(shared); // release before blocking again so shutdown works
+        ThreadPeerEvent::PipeDelivery { pipe, payload, .. } => {
+            if pipe.service.is_some() {
+                // Hosted-service traffic: decoded once here so
+                // admission sees the propagated deadline, admitted (or
+                // shed) before it is queued, then served on the worker
+                // pool so the inbox never blocks on a handler.
+                if let Some(received) = decode_request(&payload) {
+                    admit_and_serve(shared, pipe, received);
+                }
+            } else {
+                // A return pipe: correlate with an outstanding call
+                // and complete its handle.
+                let correlated = shared.correlator.lock().accept_response(&payload);
+                if let Some((token, envelope)) = correlated {
+                    let completer = shared.pending_requests.lock().remove(&token);
+                    if let Some(completer) = completer {
+                        completer.complete(envelope);
+                    }
+                }
+            }
+        }
+        // Typically a response that arrived after its caller timed out
+        // and closed the return pipe.
+        ThreadPeerEvent::UnknownPipe { .. } => shared.unknown_pipe.incr(),
+        ThreadPeerEvent::Pong { .. } => {}
     }
 }
 
@@ -242,79 +267,68 @@ fn deadline_from_envelope(envelope: &Envelope) -> Option<std::time::Instant> {
 /// runs on the pool under its propagated deadline (expired deadlines
 /// are shed again at dequeue); a shed answers immediately with the
 /// `wsp:overloaded` busy fault and its retry hint.
-fn admit_and_serve(shared: &Arc<Shared>, pipe: &PipeAdvertisement, received: ReceivedRequest) {
+fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, received: ReceivedRequest) {
     let dispatcher = shared.dispatcher_handle();
     let deadline = deadline_from_envelope(&received.envelope);
     // Definition-pipe reads are exempt: they are cheap metadata, and an
     // overloaded provider must stay discoverable so consumers back off
     // against it rather than treating it as departed.
-    if pipe.name == DEFINITION_PIPE {
-        let received = Arc::new(received);
-        let job_shared = shared.clone();
-        let job_pipe = pipe.clone();
-        let job_received = received.clone();
-        let submitted = dispatcher.execute_with_deadline(deadline, move || {
-            serve_request(&job_shared, &job_pipe, &job_received);
-        });
-        if submitted.is_err() {
-            let _deadline = DeadlineScope::enter(deadline);
-            serve_request(shared, pipe, &received);
-        }
-        return;
-    }
-    match shared
-        .admission
-        .try_admit(dispatcher.stats().queue_depth, deadline)
-    {
-        Ok(permit) => {
-            let received = Arc::new(received);
-            let job_shared = shared.clone();
-            let job_pipe = pipe.clone();
-            let job_received = received.clone();
-            let submitted = dispatcher.execute_with_deadline(deadline, move || {
-                let _permit = permit;
-                serve_request(&job_shared, &job_pipe, &job_received);
-            });
-            // Serve inline only if the dispatcher is gone (shut down).
-            if submitted.is_err() {
-                let _deadline = DeadlineScope::enter(deadline);
-                serve_request(shared, pipe, &received);
+    let permit = if pipe.name == DEFINITION_PIPE {
+        None
+    } else {
+        match shared
+            .admission
+            .try_admit(dispatcher.stats().queue_depth, deadline)
+        {
+            Ok(permit) => Some(permit),
+            Err(_) => {
+                let reason = overload::busy_fault_reason(shared.admission.policy().retry_after);
+                let busy = Envelope::fault(wsp_soap::Fault::receiver(reason));
+                if let Some((reply_pipe, wire)) = encode_response(&received, busy) {
+                    shared.peer.send_pipe(reply_pipe, wire);
+                }
+                return;
             }
         }
-        Err(_) => {
-            let reason = overload::busy_fault_reason(shared.admission.policy().retry_after);
-            let busy = Envelope::fault(wsp_soap::Fault::receiver(reason));
-            if let Some((reply_pipe, wire)) = encode_response(&received, busy) {
-                shared.peer.send_pipe(reply_pipe, wire);
-            }
-        }
+    };
+    // Shared with the job only so the request survives a refused
+    // submit: a dispatcher that is gone (shut down) serves inline.
+    let request = Arc::new((pipe, received));
+    let (job_shared, job_request) = (shared.clone(), request.clone());
+    let submitted = dispatcher.execute_with_deadline(deadline, move || {
+        let _permit = permit;
+        serve_request(&job_shared, &job_request.0, &job_request.1);
+    });
+    if submitted.is_err() {
+        let _deadline = DeadlineScope::enter(deadline);
+        serve_request(shared, &request.0, &request.1);
     }
 }
 
 /// Server side of Figure 6: answer a request that arrived on one of our
 /// service pipes.
 fn serve_request(shared: &Shared, pipe: &PipeAdvertisement, received: &ReceivedRequest) {
-    let service = pipe.service.clone().expect("checked by caller");
+    let service = pipe.service.as_deref().expect("checked by caller");
 
     let response = if pipe.name == DEFINITION_PIPE {
         // Serve the WSDL from the definition pipe.
-        shared.wsdls.read().get(&service).map(|xml| {
+        shared.wsdls.read().get(service).map(|xml| {
             let body = wsp_xml::parse(xml).expect("stored WSDL is well-formed");
             Envelope::request(body)
         })
     } else {
-        let engine = shared.engines.read().get(&service).cloned();
+        let engine = shared.engines.read().get(service).cloned();
         match engine {
             Some(engine) => {
-                shared.events.fire_server(&ServerMessageEvent {
-                    service: service.clone(),
+                shared.events.fire_server_with(|| ServerMessageEvent {
+                    service: service.to_owned(),
                     phase: ServerPhase::Inbound,
                     envelope: received.envelope.clone(),
                 });
                 let response = engine.process(&received.envelope);
                 if let Some(response) = &response {
-                    shared.events.fire_server(&ServerMessageEvent {
-                        service: service.clone(),
+                    shared.events.fire_server_with(|| ServerMessageEvent {
+                        service: service.to_owned(),
                         phase: ServerPhase::Outbound,
                         envelope: response.clone(),
                     });
@@ -338,7 +352,7 @@ fn serve_request(shared: &Shared, pipe: &PipeAdvertisement, received: &ReceivedR
 
 fn request_over_pipe(
     shared: &Shared,
-    target: &PipeAdvertisement,
+    target: PipeAdvertisement,
     mut envelope: Envelope,
 ) -> Result<Envelope, WspError> {
     let dispatcher = shared.dispatcher_handle();
@@ -381,16 +395,16 @@ fn request_over_pipe(
     }
     // Step 1-2: create a return pipe and its advertisement.
     let return_pipe = shared.peer.open_pipe(None);
-    // Register the call in the correlation table; the demux completes
-    // it when the response arrives — no thread parks on the network.
+    // Register the call in the correlation table; the delivery sink
+    // completes it when the response arrives.
     let (handle, completer) = dispatcher.register::<Envelope>(token);
     shared.pending_requests.lock().insert(token, completer);
     // Step 3-5: serialise the advert into ReplyTo and send the request.
     let wire = shared
         .correlator
         .lock()
-        .encode_request(token, target, &return_pipe, envelope);
-    shared.peer.send_pipe(target.clone(), wire);
+        .encode_request(token, &target, &return_pipe, envelope);
+    shared.peer.send_pipe(target, wire);
     // Step 6: await the response (helping the pool while waiting, so a
     // worker making a nested call still serves incoming requests).
     let result = handle.wait_timeout(request_timeout);
@@ -403,9 +417,7 @@ fn request_over_pipe(
     match result {
         Ok(envelope) => {
             if registry.is_enabled() {
-                registry
-                    .histogram("p2ps.roundtrip_us")
-                    .record_micros(started.elapsed());
+                shared.roundtrip_us.record_micros(started.elapsed());
                 registry.span(
                     telemetry::current_correlation(),
                     "p2ps.response",
@@ -473,8 +485,6 @@ impl ServiceDeployer for P2psDeployer {
         descriptor: ServiceDescriptor,
         handler: Arc<dyn ServiceHandler>,
     ) -> Result<DeployedService, WspError> {
-        // Hosting requires the demux to route incoming pipe traffic.
-        self.shared.ensure_demux();
         let advert = advert_for(&descriptor, self.shared.peer.id());
         let endpoint = advert.uri().address();
         let wsdl = WsdlDocument::new(
@@ -559,7 +569,6 @@ struct P2psLocator {
 
 impl ServiceLocator for P2psLocator {
     fn locate(&self, query: &ServiceQuery) -> Result<Vec<LocatedService>, WspError> {
-        self.shared.ensure_demux();
         let token = self.shared.dispatcher_handle().next_token();
         let registry = telemetry::global();
         let discovery_started = Instant::now();
@@ -575,24 +584,31 @@ impl ServiceLocator for P2psLocator {
         self.shared.pending_queries.lock().insert(token, tx);
         self.shared.peer.query(token, query.to_p2ps());
 
-        // Collect hits for the discovery window.
+        // Collect hits for the discovery window — or, for a capped
+        // query, until that many distinct services have answered.
+        let cap = match query.max_results {
+            0 => usize::MAX,
+            n => n,
+        };
         let deadline = Instant::now() + self.shared.config.discovery_window;
         let mut adverts: Vec<ServiceAdvertisement> = Vec::new();
-        while let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
-            match rx.recv_timeout(remaining) {
-                Ok(batch) => {
-                    for advert in batch {
-                        if !adverts
-                            .iter()
-                            .any(|a| a.peer == advert.peer && a.name == advert.name)
-                        {
-                            adverts.push(advert);
-                        }
-                    }
+        while adverts.len() < cap {
+            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+                break;
+            };
+            let Ok(batch) = rx.recv_timeout(remaining) else {
+                break;
+            };
+            for advert in batch {
+                if !adverts
+                    .iter()
+                    .any(|a| a.peer == advert.peer && a.name == advert.name)
+                {
+                    adverts.push(advert);
                 }
-                Err(_) => break,
             }
         }
+        adverts.truncate(cap);
         self.shared.pending_queries.lock().remove(&token);
 
         // Retrieve each hit's WSDL through its definition pipe.
@@ -602,7 +618,7 @@ impl ServiceLocator for P2psLocator {
                 continue;
             };
             let get = Envelope::request(wsp_xml::Element::new(P2PS_NS, "GetDefinition"));
-            let Ok(response) = request_over_pipe(&self.shared, definition_pipe, get) else {
+            let Ok(response) = request_over_pipe(&self.shared, definition_pipe.clone(), get) else {
                 continue; // provider vanished mid-discovery
             };
             let Some(defs) = response.payload() else {
@@ -648,15 +664,12 @@ impl Invoker for P2psInvoker {
         operation: &str,
         args: &[Value],
     ) -> Result<Value, WspError> {
-        self.shared.ensure_demux();
         let uri = P2psUri::parse(&service.endpoint).map_err(|e| WspError::Invoke(e.to_string()))?;
         // One pipe per operation: the fragment is the operation name.
-        let target = PipeAdvertisement::new(uri.peer, uri.service.clone(), operation.to_owned());
-        let proxy = ServiceProxy::new(service.wsdl.descriptor.clone(), service.endpoint.clone());
-        let envelope = proxy.encode_request(operation, args)?;
-        let expects_response = service
-            .wsdl
-            .descriptor
+        let target = PipeAdvertisement::new(uri.peer, uri.service, operation.to_owned());
+        let descriptor = &service.wsdl.descriptor;
+        let envelope = proxy::encode_request(descriptor, &service.endpoint, operation, args)?;
+        let expects_response = descriptor
             .find_operation(operation)
             .map(|op| op.expects_response())
             .unwrap_or(true);
@@ -667,8 +680,8 @@ impl Invoker for P2psInvoker {
             self.shared.peer.send_pipe(target, envelope.to_xml());
             return Ok(Value::Null);
         }
-        let response = request_over_pipe(&self.shared, &target, envelope)?;
-        Ok(proxy.decode_response(operation, &response)?)
+        let response = request_over_pipe(&self.shared, target, envelope)?;
+        Ok(proxy::decode_response(descriptor, operation, &response)?)
     }
 
     fn handles(&self, endpoint: &str) -> bool {

@@ -802,19 +802,6 @@ impl Dispatcher {
         )
     }
 
-    /// Spawn a named long-lived thread (an event pump, a peer driver)
-    /// that is accounted to this dispatcher but scheduled by the OS —
-    /// pump loops must never occupy pool workers.
-    pub fn spawn_driver<F>(&self, name: impl Into<String>, f: F) -> std::thread::JoinHandle<()>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        std::thread::Builder::new()
-            .name(name.into())
-            .spawn(f)
-            .expect("spawn driver thread")
-    }
-
     /// Block until every job submitted so far has finished, helping run
     /// them. The barrier the tests use instead of sleep-and-poll loops.
     pub fn flush(&self) {
@@ -890,8 +877,15 @@ impl Drop for Dispatcher {
     fn drop(&mut self) {
         // Disconnect the queue; workers drain remaining jobs and exit.
         self.inner.jobs_tx.lock().take();
+        let me = std::thread::current().id();
         for handle in self.worker_handles.lock().drain(..) {
-            let _ = handle.join();
+            // A job may own the last reference to the dispatcher (a
+            // binding's serve closure outliving its peer), so this can
+            // run on a worker — which cannot join itself; it exits on
+            // its own once the job returns to the disconnected queue.
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -1307,6 +1301,26 @@ mod tests {
             "the job observes its propagated deadline"
         );
         assert_eq!(d.stats().shed, 0);
+    }
+
+    #[test]
+    fn last_reference_dropped_inside_a_job_does_not_join_its_own_worker() {
+        let dispatcher = small();
+        let (done_tx, done_rx) = crossbeam_channel::unbounded::<()>();
+        let (go_tx, go_rx) = crossbeam_channel::unbounded::<()>();
+        let owned = dispatcher.clone();
+        dispatcher
+            .execute(move || {
+                go_rx.recv().unwrap(); // until the test's reference is gone
+                drop(owned);
+                done_tx.send(()).unwrap();
+            })
+            .unwrap();
+        drop(dispatcher);
+        go_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("drop on the worker returned");
     }
 
     #[test]

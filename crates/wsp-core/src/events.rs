@@ -327,7 +327,18 @@ impl EventBus {
     }
 
     pub fn fire_server(&self, event: &ServerMessageEvent) {
-        self.fire(QueuedEvent::Server(event.clone()));
+        self.fire_server_with(|| event.clone());
+    }
+
+    /// [`EventBus::fire_server`] for the request path, where building
+    /// the event means deep-cloning an envelope: `event` is only called
+    /// if someone can see the result — a listener is registered, or
+    /// the bus is [`DeliveryMode::Queued`] and one may be by `flush`.
+    pub fn fire_server_with(&self, event: impl FnOnce() -> ServerMessageEvent) {
+        if self.delivery_mode() == DeliveryMode::Immediate && self.listener_count() == 0 {
+            return;
+        }
+        self.fire(QueuedEvent::Server(event()));
     }
 
     pub fn fire_deployment(&self, event: &DeploymentMessageEvent) {
@@ -640,6 +651,47 @@ mod tests {
         assert_eq!(services, ["A", "B"], "flush delivers in fire order");
         bus.flush();
         assert_eq!(listener.total(), 2, "flush is idempotent when drained");
+    }
+
+    fn server_event(service: &str) -> ServerMessageEvent {
+        ServerMessageEvent {
+            service: service.into(),
+            phase: ServerPhase::Inbound,
+            envelope: wsp_soap::Envelope::request(wsp_xml::Element::new("urn:t", "op")),
+        }
+    }
+
+    #[test]
+    fn lazy_server_event_is_not_built_for_nobody_in_immediate_mode() {
+        let bus = EventBus::new();
+        let built = std::cell::Cell::new(0);
+        let build = || {
+            built.set(built.get() + 1);
+            server_event("S")
+        };
+        bus.fire_server_with(build);
+        assert_eq!(built.get(), 0, "no listener, nothing to build");
+
+        let listener = CollectingListener::new();
+        bus.add_listener(listener.clone());
+        bus.fire_server_with(build);
+        assert_eq!(built.get(), 1);
+        assert_eq!(listener.server_messages.read().len(), 1);
+    }
+
+    #[test]
+    fn lazy_server_event_is_queued_for_a_listener_added_before_flush() {
+        let bus = EventBus::new();
+        bus.set_delivery_mode(DeliveryMode::Queued);
+        // C3, "the application sees every request": nobody listens
+        // yet, but whoever does by `flush` must see this one.
+        bus.fire_server_with(|| server_event("early"));
+        let listener = CollectingListener::new();
+        bus.add_listener(listener.clone());
+        bus.flush();
+        let seen = listener.server_messages.read();
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].service, "early");
     }
 
     #[test]

@@ -59,17 +59,27 @@ pub fn with_reply_pipe(headers: MessageHeaders, reply_pipe: &PipeAdvertisement) 
 /// Provider side of Figures 5/6: extract the consumer's return pipe from
 /// a request envelope's `ReplyTo` header.
 pub fn reply_pipe_of(request: &Envelope) -> Option<PipeAdvertisement> {
-    let headers = request.addressing()?;
-    epr_to_advert(&headers.reply_to?)
+    reply_pipe_in(&request.addressing()?)
+}
+
+/// [`reply_pipe_of`] over headers the caller has already extracted.
+pub(crate) fn reply_pipe_in(headers: &MessageHeaders) -> Option<PipeAdvertisement> {
+    epr_to_advert(headers.reply_to.as_ref()?)
 }
 
 /// Provider side: which local pipe is the request addressed to? Reads
 /// the `To`/`Action` headers plus the copied `PipeName` reference
 /// property.
 pub fn target_pipe_of(request: &Envelope) -> Option<PipeAdvertisement> {
-    let headers = request.addressing()?;
-    let to = headers.to?;
-    let uri = P2psUri::parse(&to).ok()?;
+    target_pipe_in(request, &request.addressing()?)
+}
+
+/// [`target_pipe_of`] over headers the caller has already extracted.
+pub(crate) fn target_pipe_in(
+    request: &Envelope,
+    headers: &MessageHeaders,
+) -> Option<PipeAdvertisement> {
+    let uri = P2psUri::parse(headers.to.as_deref()?).ok()?;
     // The pipe name arrives either as a copied ReferenceProperty header
     // or as the fragment of the Action URI.
     let from_property = request

@@ -24,6 +24,16 @@ impl PeerId {
         format!("{:016x}", self.0)
     }
 
+    /// [`PeerId::to_hex`] into a caller-supplied buffer, for encoders
+    /// that write it straight to the wire.
+    pub fn hex_into(self, buf: &mut [u8; 16]) -> &str {
+        for (i, digit) in buf.iter_mut().enumerate() {
+            let nibble = (self.0 >> (60 - 4 * i)) & 0xf;
+            *digit = b"0123456789abcdef"[nibble as usize];
+        }
+        std::str::from_utf8(buf).expect("hex digits are ASCII")
+    }
+
     /// Parse the canonical form.
     pub fn from_hex(s: &str) -> Option<PeerId> {
         if s.len() != 16 {
@@ -50,6 +60,13 @@ mod tests {
         let id = PeerId(0x1234_5678_9abc_def0);
         assert_eq!(id.to_hex(), "123456789abcdef0");
         assert_eq!(PeerId::from_hex(&id.to_hex()), Some(id));
+    }
+
+    #[test]
+    fn hex_into_agrees_with_to_hex() {
+        for id in [0, 7, 0xbe01, 0x1234_5678_9abc_def0, u64::MAX] {
+            assert_eq!(PeerId(id).hex_into(&mut [0; 16]), PeerId(id).to_hex());
+        }
     }
 
     #[test]

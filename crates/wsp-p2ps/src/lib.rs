@@ -18,7 +18,8 @@
 //!
 //! The protocol logic is one sans-IO [`PeerMachine`]; two drivers run it:
 //! [`sim_driver`] (deterministic simnet, for the scaling/churn
-//! experiments) and [`thread_driver`] (real threads and channels).
+//! experiments) and [`thread_driver`] (real threads: callers step their
+//! own peer, one inbox thread per peer takes the wire traffic).
 
 pub mod addressing;
 pub mod advert;
@@ -52,5 +53,7 @@ pub use sim_driver::{
     add_peer, build_overlay, peer_id_for, Directory, P2psHandle, P2psSimNode, PeerCommand,
     PeerEvent, RQ_RESEND_TAG, RQ_TIMEOUT_TAG, WAKE_TAG,
 };
-pub use thread_driver::{ThreadNetwork, ThreadNetworkStats, ThreadPeer, ThreadPeerEvent};
+pub use thread_driver::{
+    DeliverySink, ThreadNetwork, ThreadNetworkStats, ThreadPeer, ThreadPeerEvent,
+};
 pub use uri::{P2psUri, P2psUriError};

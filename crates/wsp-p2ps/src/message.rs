@@ -5,7 +5,9 @@
 use crate::advert::{PipeAdvertisement, ServiceAdvertisement, P2PS_NS};
 use crate::id::PeerId;
 use crate::query::P2psQuery;
-use wsp_xml::Element;
+use std::borrow::Cow;
+use wsp_xml::escape::unescape;
+use wsp_xml::{Element, Token, Tokenizer};
 
 /// Messages between peers.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,13 +49,39 @@ impl P2psMessage {
     /// pooled buffer, so steady-state gossip does not allocate fresh
     /// serialisation state per message.
     pub fn to_xml(&self) -> String {
+        let mut out = wsp_xml::BufPool::global().take();
+        self.to_xml_into(&mut out);
+        String::from_utf8(out).expect("writer output is UTF-8")
+    }
+
+    /// Serialise to the wire form, appending to `out`. `PipeData` — the
+    /// one message every invocation pays for, twice — streams through
+    /// the writer without an [`Element`] tree or a copy of its payload;
+    /// the bytes are those of [`P2psMessage::to_element`] through the
+    /// tree writer, which the rarer variants still use.
+    pub fn to_xml_into(&self, out: &mut Vec<u8>) {
         thread_local! {
             static WRITER: std::cell::RefCell<wsp_xml::Writer> =
                 std::cell::RefCell::new(wsp_xml::Writer::new(wsp_xml::WriterConfig::default()));
         }
-        let mut out = wsp_xml::BufPool::global().take();
-        WRITER.with(|w| w.borrow_mut().write_into(&self.to_element(), &mut out));
-        String::from_utf8(out).expect("writer output is UTF-8")
+        WRITER.with(|w| {
+            let mut writer = w.borrow_mut();
+            match self {
+                P2psMessage::PipeData { to, payload } => writer.write_stream_into(out, |s| {
+                    s.element(P2PS_NS, "PipeData", |s| {
+                        s.element(P2PS_NS, "PipeAdvertisement", |s| {
+                            s.element(P2PS_NS, "Peer", |s| s.text(to.peer.hex_into(&mut [0; 16])));
+                            if let Some(service) = &to.service {
+                                s.element(P2PS_NS, "Service", |s| s.text(service));
+                            }
+                            s.element(P2PS_NS, "Name", |s| s.text(&to.name));
+                        });
+                        s.element(P2PS_NS, "Payload", |s| s.text(payload));
+                    });
+                }),
+                other => writer.write_into(&other.to_element(), out),
+            }
+        });
     }
 
     pub fn to_element(&self) -> Element {
@@ -103,8 +131,13 @@ impl P2psMessage {
         }
     }
 
-    /// Parse the wire form.
+    /// Parse the wire form. A `PipeData` frame in the shape
+    /// [`P2psMessage::to_xml_into`] writes is read straight off the
+    /// tokenizer; every other document goes through the tree reader.
     pub fn from_xml(xml: &str) -> Option<P2psMessage> {
+        if let Some(message) = pipe_data_from_tokens(xml) {
+            return Some(message);
+        }
         let root = wsp_xml::parse(xml).ok()?;
         P2psMessage::from_element(&root)
     }
@@ -168,6 +201,128 @@ impl P2psMessage {
             P2psMessage::Ping { .. } | P2psMessage::Pong { .. } => 60,
         }
     }
+}
+
+/// Decode a `PipeData` frame without building its tree. Accepts exactly
+/// the shape the encoder emits — one prefix declared on the root bound
+/// to [`P2PS_NS`], attribute-less children in writer order, nothing
+/// around the root — and answers `None` for anything else, valid or
+/// not: the caller then asks the tree reader, so the two decoders
+/// cannot disagree on a document.
+fn pipe_data_from_tokens(xml: &str) -> Option<P2psMessage> {
+    let mut tokens = Tokenizer::new(xml);
+    let Token::StartTag {
+        name: root,
+        attrs,
+        self_closing: false,
+        ..
+    } = tokens.next_token().ok()??
+    else {
+        return None;
+    };
+    let (prefix, "PipeData") = root.split_once(':')? else {
+        return None;
+    };
+    // `xml` is bound by the XML spec itself, whatever the document says.
+    if prefix.is_empty() || prefix == "xml" {
+        return None;
+    }
+    let [(declared, P2PS_NS)] = attrs[..] else {
+        return None;
+    };
+    if declared.strip_prefix("xmlns:")? != prefix {
+        return None;
+    }
+
+    let advert = open_tag(&mut tokens)?;
+    if local_name(advert, prefix)? != "PipeAdvertisement" {
+        return None;
+    }
+    let ("Peer", peer) = leaf(&mut tokens, prefix)? else {
+        return None;
+    };
+    let peer = PeerId::from_hex(peer.trim())?;
+    let (service, name) = match leaf(&mut tokens, prefix)? {
+        ("Service", service) => match leaf(&mut tokens, prefix)? {
+            ("Name", name) => (Some(service.into_owned()), name),
+            _ => return None,
+        },
+        ("Name", name) => (None, name),
+        _ => return None,
+    };
+    close_tag(&mut tokens, advert)?;
+    let ("Payload", payload) = leaf(&mut tokens, prefix)? else {
+        return None;
+    };
+    close_tag(&mut tokens, root)?;
+    if tokens.next_token().ok()?.is_some() {
+        return None;
+    }
+    Some(P2psMessage::PipeData {
+        to: PipeAdvertisement {
+            peer,
+            service,
+            name: name.into_owned(),
+        },
+        payload: payload.into_owned(),
+    })
+}
+
+/// The local part of `name` if it carries exactly `prefix`.
+fn local_name<'a>(name: &'a str, prefix: &str) -> Option<&'a str> {
+    name.strip_prefix(prefix)?.strip_prefix(':')
+}
+
+/// Next token must be an attribute-less, non-empty open tag; returns
+/// its lexical name.
+fn open_tag<'a>(tokens: &mut Tokenizer<'a>) -> Option<&'a str> {
+    match tokens.next_token().ok()?? {
+        Token::StartTag {
+            name,
+            attrs,
+            self_closing: false,
+            ..
+        } if attrs.is_empty() => Some(name),
+        _ => None,
+    }
+}
+
+fn close_tag(tokens: &mut Tokenizer<'_>, open: &str) -> Option<()> {
+    match tokens.next_token().ok()?? {
+        Token::EndTag { name, .. } if name == open => Some(()),
+        _ => None,
+    }
+}
+
+/// Next tokens must form an attribute-less text-only element under
+/// `prefix`; returns its local name and unescaped text.
+fn leaf<'a>(tokens: &mut Tokenizer<'a>, prefix: &str) -> Option<(&'a str, Cow<'a, str>)> {
+    let Token::StartTag {
+        name,
+        attrs,
+        self_closing,
+        ..
+    } = tokens.next_token().ok()??
+    else {
+        return None;
+    };
+    if !attrs.is_empty() {
+        return None;
+    }
+    let local = local_name(name, prefix)?;
+    if self_closing {
+        return Some((local, Cow::Borrowed("")));
+    }
+    let text = match tokens.next_token().ok()?? {
+        Token::Text { raw, offset } => {
+            let text = unescape(raw, offset).ok()?;
+            close_tag(tokens, name)?;
+            text
+        }
+        Token::EndTag { name: close, .. } if close == name => Cow::Borrowed(""),
+        _ => return None,
+    };
+    Some((local, text))
 }
 
 fn advert_size(a: &ServiceAdvertisement) -> usize {

@@ -60,10 +60,10 @@ impl Default for PipeTcpConfig {
 
 /// Encode one length-prefixed frame.
 pub fn encode_frame(message: &P2psMessage) -> Vec<u8> {
-    let xml = message.to_xml();
-    let mut frame = Vec::with_capacity(4 + xml.len());
-    frame.extend_from_slice(&(xml.len() as u32).to_be_bytes());
-    frame.extend_from_slice(xml.as_bytes());
+    let mut frame = vec![0u8; 4];
+    message.to_xml_into(&mut frame);
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
     frame
 }
 

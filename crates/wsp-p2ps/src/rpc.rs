@@ -8,12 +8,12 @@
 //! pipe advertisement, resolves it, and (6) returns the response down
 //! it. Correlation uses `MessageID`/`RelatesTo`.
 
-use crate::addressing::{reply_pipe_of, request_headers, target_pipe_of, with_reply_pipe};
+use crate::addressing::{reply_pipe_in, request_headers, target_pipe_in, with_reply_pipe};
 use crate::advert::PipeAdvertisement;
 use crate::rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
 use std::collections::HashMap;
 use wsp_simnet::step_mut;
-use wsp_soap::{Envelope, MessageHeaders};
+use wsp_soap::{Envelope, MessageHeaders, WSA_NS};
 
 /// Consumer-side correlation of responses to outstanding requests.
 ///
@@ -121,8 +121,10 @@ impl RpcCorrelator {
     /// to one of our requests, yield `(token, envelope)`.
     pub fn accept_response(&mut self, payload: &str) -> Option<(u64, Envelope)> {
         let envelope = Envelope::from_xml(payload).ok()?;
-        let relates_to = envelope.addressing()?.relates_to?;
-        let token = *self.token_of_msg.get(&relates_to)?;
+        // Only `RelatesTo` matters here; extracting the full header set
+        // would copy every other header for nothing.
+        let relates_to = envelope.find_header(WSA_NS, "RelatesTo")?.element.text();
+        let token = *self.token_of_msg.get(relates_to.trim())?;
         let effects = step_mut(
             &self.machine,
             &mut self.state,
@@ -173,17 +175,24 @@ pub struct ReceivedRequest {
     pub target: Option<PipeAdvertisement>,
     /// Where the response should go (Figure 6, step 4).
     pub reply_pipe: Option<PipeAdvertisement>,
+    /// The request's WS-Addressing headers, extracted once: the two
+    /// pipes above are read from them and the response relates to them.
+    headers: MessageHeaders,
 }
 
 /// Parse a request arriving on a service input pipe.
 pub fn decode_request(payload: &str) -> Option<ReceivedRequest> {
     let envelope = Envelope::from_xml(payload).ok()?;
-    let target = target_pipe_of(&envelope);
-    let reply_pipe = reply_pipe_of(&envelope);
+    let extracted = envelope.addressing();
+    let target = extracted
+        .as_ref()
+        .and_then(|headers| target_pipe_in(&envelope, headers));
+    let reply_pipe = extracted.as_ref().and_then(reply_pipe_in);
     Some(ReceivedRequest {
         envelope,
         target,
         reply_pipe,
+        headers: extracted.unwrap_or_default(),
     })
 }
 
@@ -195,9 +204,8 @@ pub fn encode_response(
     mut response: Envelope,
 ) -> Option<(PipeAdvertisement, String)> {
     let reply_pipe = request.reply_pipe.clone()?;
-    let request_headers = request.envelope.addressing().unwrap_or_default();
     let action = format!("{}#response", reply_pipe.uri().address());
-    response.set_addressing(MessageHeaders::response_to(&request_headers, action));
+    response.set_addressing(MessageHeaders::response_to(&request.headers, action));
     Some((reply_pipe, response.to_xml()))
 }
 

@@ -74,8 +74,8 @@ impl P2psUri {
     /// `wsa:Address`.
     pub fn address(&self) -> String {
         match &self.service {
-            Some(s) => format!("p2ps://{}/{}", self.peer.to_hex(), s),
-            None => format!("p2ps://{}", self.peer.to_hex()),
+            Some(s) => format!("p2ps://{}/{}", self.peer, s),
+            None => format!("p2ps://{}", self.peer),
         }
     }
 

@@ -118,42 +118,7 @@ impl ServiceProxy {
     /// Validate `args` and build the request envelope, including
     /// WS-Addressing `To`/`Action`/`MessageID` headers.
     pub fn encode_request(&self, operation: &str, args: &[Value]) -> Result<Envelope, ProxyError> {
-        let op = self
-            .descriptor
-            .find_operation(operation)
-            .ok_or_else(|| ProxyError::NoSuchOperation(operation.to_owned()))?;
-
-        let required = op.inputs.iter().filter(|p| !p.optional).count();
-        if args.len() < required || args.len() > op.inputs.len() {
-            return Err(ProxyError::ArityMismatch {
-                operation: operation.to_owned(),
-                expected: op.inputs.len(),
-                got: args.len(),
-            });
-        }
-
-        let ns = self.descriptor.namespace.as_str();
-        let mut wrapper = Element::new(ns.to_owned(), operation.to_owned());
-        for (param, arg) in op.inputs.iter().zip(args) {
-            if !arg.conforms_to(&param.ty) {
-                return Err(ProxyError::TypeMismatch {
-                    operation: operation.to_owned(),
-                    param: param.name.clone(),
-                    expected: param.ty.type_ref(),
-                });
-            }
-            if matches!(arg, Value::Null) && param.optional {
-                continue; // omitted optional argument
-            }
-            wrapper.push_element(value_element(ns, &param.name, arg));
-        }
-
-        let mut envelope = Envelope::request(wrapper);
-        envelope.set_addressing(MessageHeaders::request(
-            self.endpoint.clone(),
-            self.action(operation),
-        ));
-        Ok(envelope)
+        encode_request(&self.descriptor, &self.endpoint, operation, args)
     }
 
     /// Decode the response to `operation`: a fault becomes
@@ -164,32 +129,86 @@ impl ServiceProxy {
         operation: &str,
         response: &Envelope,
     ) -> Result<Value, ProxyError> {
-        if let Some(fault) = response.fault_body() {
-            return Err(ProxyError::Fault(Box::new(fault.clone())));
-        }
-        let op = self
-            .descriptor
-            .find_operation(operation)
-            .ok_or_else(|| ProxyError::NoSuchOperation(operation.to_owned()))?;
-        let Some(output) = &op.output else {
-            return Ok(Value::Null); // one-way: nothing to decode
-        };
-        let payload = response
-            .payload()
-            .ok_or_else(|| ProxyError::BadResponse("response body is empty".to_owned()))?;
-        let expected_wrapper = format!("{operation}Response");
-        if payload.name().local_name() != expected_wrapper {
-            return Err(ProxyError::BadResponse(format!(
-                "expected {expected_wrapper} wrapper, found {:?}",
-                payload.name()
-            )));
-        }
-        let ret = payload
-            .find_local("return")
-            .ok_or_else(|| ProxyError::BadResponse("response lacks return element".to_owned()))?;
-        decode_typed(ret, &output.ty, &self.descriptor.schema)
-            .map_err(|e| ProxyError::BadResponse(e.to_string()))
+        decode_response(&self.descriptor, operation, response)
     }
+}
+
+/// [`ServiceProxy::encode_request`] over a borrowed contract — for
+/// callers that already hold the descriptor (a located service's WSDL)
+/// and would otherwise deep-copy it into a proxy per call.
+pub fn encode_request(
+    descriptor: &ServiceDescriptor,
+    endpoint: &str,
+    operation: &str,
+    args: &[Value],
+) -> Result<Envelope, ProxyError> {
+    let op = descriptor
+        .find_operation(operation)
+        .ok_or_else(|| ProxyError::NoSuchOperation(operation.to_owned()))?;
+
+    let required = op.inputs.iter().filter(|p| !p.optional).count();
+    if args.len() < required || args.len() > op.inputs.len() {
+        return Err(ProxyError::ArityMismatch {
+            operation: operation.to_owned(),
+            expected: op.inputs.len(),
+            got: args.len(),
+        });
+    }
+
+    let ns = descriptor.namespace.as_str();
+    let mut wrapper = Element::new(ns.to_owned(), operation.to_owned());
+    for (param, arg) in op.inputs.iter().zip(args) {
+        if !arg.conforms_to(&param.ty) {
+            return Err(ProxyError::TypeMismatch {
+                operation: operation.to_owned(),
+                param: param.name.clone(),
+                expected: param.ty.type_ref(),
+            });
+        }
+        if matches!(arg, Value::Null) && param.optional {
+            continue; // omitted optional argument
+        }
+        wrapper.push_element(value_element(ns, &param.name, arg));
+    }
+
+    let mut envelope = Envelope::request(wrapper);
+    envelope.set_addressing(MessageHeaders::request(
+        endpoint.to_owned(),
+        descriptor.action_uri(endpoint, operation),
+    ));
+    Ok(envelope)
+}
+
+/// [`ServiceProxy::decode_response`] over a borrowed contract.
+pub fn decode_response(
+    descriptor: &ServiceDescriptor,
+    operation: &str,
+    response: &Envelope,
+) -> Result<Value, ProxyError> {
+    if let Some(fault) = response.fault_body() {
+        return Err(ProxyError::Fault(Box::new(fault.clone())));
+    }
+    let op = descriptor
+        .find_operation(operation)
+        .ok_or_else(|| ProxyError::NoSuchOperation(operation.to_owned()))?;
+    let Some(output) = &op.output else {
+        return Ok(Value::Null); // one-way: nothing to decode
+    };
+    let payload = response
+        .payload()
+        .ok_or_else(|| ProxyError::BadResponse("response body is empty".to_owned()))?;
+    let expected_wrapper = format!("{operation}Response");
+    if payload.name().local_name() != expected_wrapper {
+        return Err(ProxyError::BadResponse(format!(
+            "expected {expected_wrapper} wrapper, found {:?}",
+            payload.name()
+        )));
+    }
+    let ret = payload
+        .find_local("return")
+        .ok_or_else(|| ProxyError::BadResponse("response lacks return element".to_owned()))?;
+    decode_typed(ret, &output.ty, &descriptor.schema)
+        .map_err(|e| ProxyError::BadResponse(e.to_string()))
 }
 
 #[cfg(test)]

@@ -47,4 +47,4 @@ pub use name::{NameTable, NsBinding, QName, XMLNS_NS, XML_NS};
 pub use reader::parse;
 pub use tokenizer::{Token, Tokenizer};
 pub use tree::{Attribute, Element, ElementBuilder, Node};
-pub use writer::{Writer, WriterConfig};
+pub use writer::{StreamWriter, Writer, WriterConfig};

@@ -107,6 +107,13 @@ impl Writer {
     /// Serialise `root`, appending to `out`. The buffer is not cleared,
     /// so transports can prepend framing before the document.
     pub fn write_into(&mut self, root: &Element, out: &mut Vec<u8>) {
+        self.start_document(out);
+        self.write_element(root, 0, out);
+    }
+
+    /// Reset per-document state and emit the XML declaration if
+    /// configured.
+    fn start_document(&mut self, out: &mut Vec<u8>) {
         self.generated = 0;
         if self.config.declaration {
             out.extend_from_slice(b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
@@ -114,7 +121,21 @@ impl Writer {
                 out.push(b'\n');
             }
         }
-        self.write_element(root, 0, out);
+    }
+
+    /// Serialise a document of attribute-less elements and text without
+    /// building its [`Element`] tree first: `root` emits it through the
+    /// [`StreamWriter`] it is handed. The bytes are exactly what
+    /// [`Writer::write_into`] produces for the equivalent tree (compact
+    /// form — `pretty` is a tree-writer option).
+    pub fn write_stream_into(
+        &mut self,
+        out: &mut Vec<u8>,
+        root: impl FnOnce(&mut StreamWriter<'_>),
+    ) {
+        debug_assert!(!self.config.pretty, "the stream writer is compact-only");
+        self.start_document(out);
+        root(&mut StreamWriter { writer: self, out });
     }
 
     fn write_element(&mut self, element: &Element, depth: usize, out: &mut Vec<u8>) {
@@ -123,26 +144,14 @@ impl Writer {
         // Phase 1: decide declarations (element first, then attributes,
         // matching the old writer's prefix-generation order). They land
         // in the scope stack, which doubles as the staging area.
-        self.prepare_element_ns(element);
+        self.prepare_element_ns(element.name().namespace());
         for attr in element.attributes() {
             self.prepare_attr_ns(attr.name.namespace());
         }
 
         // Phase 2: emit. All names are now resolvable by pure lookup.
-        out.push(b'<');
-        self.push_element_tag(element, out);
-        for d in self.ns.current_scope_bindings() {
-            out.push(b' ');
-            if d.prefix.is_empty() {
-                out.extend_from_slice(b"xmlns=\"");
-            } else {
-                out.extend_from_slice(b"xmlns:");
-                out.extend_from_slice(d.prefix.as_bytes());
-                out.extend_from_slice(b"=\"");
-            }
-            escape_attr_into(&d.uri, out);
-            out.push(b'"');
-        }
+        let (ns, local) = (element.name().namespace(), element.name().local_name());
+        self.push_open_tag(ns, local, out);
         for attr in element.attributes() {
             out.push(b' ');
             self.push_attr_name(attr.name.namespace(), attr.name.local_name(), out);
@@ -204,17 +213,35 @@ impl Writer {
         out.extend_from_slice(b"</");
         // The element's scope is still open, so the lookups reproduce
         // exactly the tag written above.
-        self.push_element_tag(element, out);
+        self.push_element_tag(ns, local, out);
         out.push(b'>');
         self.ns.pop_scope();
+    }
+
+    /// Emit `<tag` plus the namespace declarations the prepare phase
+    /// left in the current scope.
+    fn push_open_tag(&self, ns: &str, local: &str, out: &mut Vec<u8>) {
+        out.push(b'<');
+        self.push_element_tag(ns, local, out);
+        for d in self.ns.current_scope_bindings() {
+            out.push(b' ');
+            if d.prefix.is_empty() {
+                out.extend_from_slice(b"xmlns=\"");
+            } else {
+                out.extend_from_slice(b"xmlns:");
+                out.extend_from_slice(d.prefix.as_bytes());
+                out.extend_from_slice(b"=\"");
+            }
+            escape_attr_into(&d.uri, out);
+            out.push(b'"');
+        }
     }
 
     /// Declare whatever namespace the element's tag needs. Elements
     /// prefer the default namespace. The preferred-prefix path borrows
     /// both the prefix and the URI (`declare_ref`), so steady-state
     /// writes of recurring vocabularies allocate nothing here.
-    fn prepare_element_ns(&mut self, element: &Element) {
-        let ns = element.name().namespace();
+    fn prepare_element_ns(&mut self, ns: &str) {
         if ns.is_empty() {
             // Must be in *no* namespace: undeclare any inherited default.
             if self.ns.resolve("") != Some("") {
@@ -258,8 +285,7 @@ impl Writer {
     /// Emit the element's lexical tag. After the prepare phase the name
     /// is guaranteed resolvable: either the default namespace matches or
     /// a non-empty prefix is in scope.
-    fn push_element_tag(&self, element: &Element, out: &mut Vec<u8>) {
-        let ns = element.name().namespace();
+    fn push_element_tag(&self, ns: &str, local: &str, out: &mut Vec<u8>) {
         if !ns.is_empty() && self.ns.resolve("") != Some(ns) {
             let prefix = self
                 .ns
@@ -269,7 +295,7 @@ impl Writer {
             out.extend_from_slice(prefix.as_bytes());
             out.push(b':');
         }
-        out.extend_from_slice(element.name().local_name().as_bytes());
+        out.extend_from_slice(local.as_bytes());
     }
 
     /// Emit an attribute's lexical name (see [`Writer::push_element_tag`]).
@@ -304,6 +330,43 @@ impl Writer {
         for _ in 0..depth {
             out.extend_from_slice(self.config.indent.as_bytes());
         }
+    }
+}
+
+/// The emitting end of [`Writer::write_stream_into`]: nested
+/// [`element`](StreamWriter::element) calls mirror the nesting of the
+/// document, so open tags live on the call stack, not in a tree.
+pub struct StreamWriter<'w> {
+    writer: &'w mut Writer,
+    out: &'w mut Vec<u8>,
+}
+
+impl StreamWriter<'_> {
+    /// Emit `{ns}local` around whatever `children` emits; an element
+    /// whose children emit nothing is self-closed, as the tree writer
+    /// does for an element without child nodes.
+    pub fn element(&mut self, ns: &str, local: &str, children: impl FnOnce(&mut Self)) {
+        self.writer.ns.push_scope();
+        self.writer.prepare_element_ns(ns);
+        self.writer.push_open_tag(ns, local, self.out);
+        self.out.push(b'>');
+        let body_start = self.out.len();
+        children(self);
+        if self.out.len() == body_start {
+            self.out.pop();
+            self.out.extend_from_slice(b"/>");
+        } else {
+            self.out.extend_from_slice(b"</");
+            self.writer.push_element_tag(ns, local, self.out);
+            self.out.push(b'>');
+        }
+        self.writer.ns.pop_scope();
+    }
+
+    /// Emit escaped character data (empty text emits nothing, matching
+    /// [`Element::push_text`]).
+    pub fn text(&mut self, text: &str) {
+        escape_text_into(text, self.out);
     }
 }
 
@@ -450,6 +513,39 @@ mod tests {
         let e = Element::build("", "a").text("x").finish();
         Writer::new(WriterConfig::default()).write_into(&e, &mut out);
         assert_eq!(out, b"HTTP-FRAMING<a>x</a>");
+    }
+
+    #[test]
+    fn stream_writer_matches_tree_writer_byte_for_byte() {
+        let tree = Element::build("urn:x", "a")
+            .child(
+                Element::build("urn:x", "b")
+                    .text("1 < 2 & \"q\" ]]> é")
+                    .finish(),
+            )
+            .child(Element::build("urn:y", "c").text("").finish())
+            .child(
+                Element::build("", "plain")
+                    .child(Element::new("urn:x", "d"))
+                    .finish(),
+            )
+            .finish();
+        for config in [
+            WriterConfig::default(),
+            WriterConfig::wire().prefer("urn:x", "x"),
+        ] {
+            let mut w = Writer::new(config);
+            let expected = w.write(&tree);
+            let mut out = Vec::new();
+            w.write_stream_into(&mut out, |s| {
+                s.element("urn:x", "a", |s| {
+                    s.element("urn:x", "b", |s| s.text("1 < 2 & \"q\" ]]> é"));
+                    s.element("urn:y", "c", |s| s.text(""));
+                    s.element("", "plain", |s| s.element("urn:x", "d", |_| {}));
+                });
+            });
+            assert_eq!(String::from_utf8(out).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -93,6 +93,18 @@ for seed in 2005 7; do
   done'
 done
 
+# Run-to-completion P2PS pipes (PR 16): a peer's machine is stepped by
+# its callers and by its inbox thread, deliveries reach the binding on
+# whichever thread stepped it, and a worker sends the reply itself — a
+# race here shows up as a hang, not a wrong answer, hence `timeout`.
+# Twenty release runs of the suites that cross those threads: the
+# 4-thread x 500 nested-invoke storm and teardown checks in
+# lifecycle_p2ps, and the same application code over both bindings.
+echo "==> P2PS threading stress (lifecycle_p2ps + cross_binding, 20x, release)"
+timeout 600 bash -c 'for i in $(seq 1 20); do
+  cargo test -q --release -p wsp-integration-tests --test lifecycle_p2ps --test cross_binding || exit 1
+done'
+
 echo "==> E15 artifact (BENCH_E15.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e15 -- quick
 

@@ -110,3 +110,48 @@ fn warm_pooled_envelope_encode_pays_only_the_staging_tree() {
     }
     assert!(worst <= 40, "warm pooled encode allocated {worst} times");
 }
+
+/// `PipeData` — the one P2PS message every invocation pays for, twice —
+/// skips the tree on both sides: a warm encode into a pooled buffer
+/// allocates nothing, and the decode allocates only what the decoded
+/// message owns (service, pipe name, payload) plus the tokenizer's
+/// attribute list for the root tag. The tree codec it replaced paid
+/// 15 + 20 for the same frame; the bound fails well short of that.
+#[test]
+fn warm_pipe_data_codec_allocates_only_the_decoded_fields() {
+    use wsp_p2ps::{P2psMessage, PeerId, PipeAdvertisement};
+    let (_, envelope) = e12::corpus().swap_remove(0);
+    let message = P2psMessage::PipeData {
+        to: PipeAdvertisement::new(PeerId(0xBE01), Some("Echo".into()), "echoString"),
+        payload: envelope.to_xml(),
+    };
+    let pool = wsp_xml::BufPool::new();
+    let round_trip = || {
+        let mut buf = pool.take();
+        let before = alloc_count::allocations();
+        message.to_xml_into(&mut buf);
+        let encoded = alloc_count::allocations() - before;
+        let wire = std::str::from_utf8(&buf).expect("wire is UTF-8");
+        let before = alloc_count::allocations();
+        let decoded = P2psMessage::from_xml(wire);
+        let decode = alloc_count::allocations() - before;
+        assert_eq!(decoded.as_ref(), Some(&message));
+        drop(decoded);
+        pool.put(buf);
+        (encoded, decode)
+    };
+    for _ in 0..50 {
+        round_trip();
+    }
+    let (mut worst_encode, mut worst_decode) = (0, 0);
+    for _ in 0..20 {
+        let (encode, decode) = round_trip();
+        worst_encode = worst_encode.max(encode);
+        worst_decode = worst_decode.max(decode);
+    }
+    assert_eq!(worst_encode, 0, "warm PipeData encode allocated");
+    assert!(
+        worst_decode <= 6,
+        "warm PipeData decode allocated {worst_decode} times"
+    );
+}
