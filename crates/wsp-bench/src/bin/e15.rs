@@ -1,31 +1,32 @@
-//! E15 — keep-alive connection density: reactor vs thread-per-conn.
+//! E15 — keep-alive connection density of the reactor.
 //!
 //! `cargo run --release -p wsp-bench --bin e15 [-- quick]`
 //!
-//! Orchestrates one server subprocess per mode (see `e15::serve_mode`
-//! for the three-process protocol and why it exists), renders the
-//! comparison table, and writes `BENCH_E15.json`.
+//! Orchestrates the server subprocess (see `e15::serve` for the
+//! three-process protocol and why it exists), renders the table, and
+//! writes `BENCH_E15.json`. Exits nonzero unless every target
+//! connection was held and served at no more than
+//! `MAX_KB_PER_CONN` KiB of resident memory each.
 //!
-//! Full mode holds 10 000 keep-alive connections on the reactor core
-//! and 1 000 on the thread-per-connection baseline (normalised
-//! per-connection in the verdict); `quick` shrinks both for CI.
+//! Full mode holds 10 000 keep-alive connections; `quick` holds 2 000
+//! for CI.
 
 use wsp_bench::common::render_table;
 use wsp_bench::e15::{self, E15Row};
 
-fn run_subprocess_row(mode: &str, conns: usize, sample: usize) -> std::io::Result<E15Row> {
+/// The density gate: resident KiB per held keep-alive connection.
+/// Measured 0.38 at PR 15 (EXPERIMENTS.md §E15); the deleted
+/// thread-per-connection core measured 18.4.
+const MAX_KB_PER_CONN: f64 = 1.0;
+
+fn run_subprocess_row(conns: usize, sample: usize) -> std::io::Result<E15Row> {
     let exe = std::env::current_exe()?;
     let output = std::process::Command::new(exe)
-        .args([
-            "--e15-server",
-            mode,
-            &conns.to_string(),
-            &sample.to_string(),
-        ])
+        .args(["--e15-server", &conns.to_string(), &sample.to_string()])
         .output()?;
     if !output.status.success() {
         return Err(std::io::Error::other(format!(
-            "e15 server subprocess ({mode}) failed: {}",
+            "e15 server subprocess failed: {}",
             String::from_utf8_lossy(&output.stderr)
         )));
     }
@@ -35,13 +36,12 @@ fn run_subprocess_row(mode: &str, conns: usize, sample: usize) -> std::io::Resul
         .rev()
         .find(|l| l.starts_with("ROW "))
         .and_then(e15::row_from_line)
-        .ok_or_else(|| std::io::Error::other(format!("no ROW line from {mode} subprocess")))
+        .ok_or_else(|| std::io::Error::other("no ROW line from the server subprocess"))
 }
 
 fn row_json(row: &E15Row) -> String {
     format!(
-        "    {{\"mode\": \"{}\", \"target_conns\": {}, \"held_conns\": {}, \"wave_ok\": {}, \"rss_before_kb\": {}, \"rss_after_kb\": {}, \"kb_per_conn\": {:.2}, \"p50_us\": {}, \"p99_us\": {}, \"wall_ms\": {}}}",
-        row.mode,
+        "    {{\"target_conns\": {}, \"held_conns\": {}, \"wave_ok\": {}, \"rss_before_kb\": {}, \"rss_after_kb\": {}, \"kb_per_conn\": {:.2}, \"p50_us\": {}, \"p99_us\": {}, \"wall_ms\": {}}}",
         row.target_conns,
         row.held_conns,
         row.wave_ok,
@@ -65,84 +65,62 @@ fn main() -> std::process::ExitCode {
         e15::client_main(addr, conns, sample);
     }
     if args.first().map(String::as_str) == Some("--e15-server") {
-        let mode = &args[1];
-        let conns: usize = args[2].parse().expect("conns");
-        let sample: usize = args[3].parse().expect("sample");
-        match e15::serve_mode(mode, conns, sample) {
+        let conns: usize = args[1].parse().expect("conns");
+        let sample: usize = args[2].parse().expect("sample");
+        match e15::serve(conns, sample) {
             Ok(row) => {
                 println!("{}", e15::row_to_line(&row));
                 return std::process::ExitCode::SUCCESS;
             }
             Err(e) => {
-                eprintln!("e15 server ({mode}): {e}");
+                eprintln!("e15 server: {e}");
                 return std::process::ExitCode::FAILURE;
             }
         }
     }
 
     let quick = args.iter().any(|a| a == "quick");
-    let (reactor_conns, threaded_conns, sample) = if quick {
-        (2_000usize, 200usize, 100usize)
+    let (conns, sample) = if quick {
+        (2_000usize, 100usize)
     } else {
-        (10_000, 1_000, 200)
+        (10_000, 200)
     };
 
-    let mut rows: Vec<E15Row> = Vec::new();
-    for (mode, conns) in [("reactor", reactor_conns), ("threaded", threaded_conns)] {
-        match run_subprocess_row(mode, conns, sample) {
-            Ok(row) => rows.push(row),
-            Err(e) => {
-                eprintln!("E15 {mode} run failed: {e}");
-                return std::process::ExitCode::FAILURE;
-            }
+    let row = match run_subprocess_row(conns, sample) {
+        Ok(row) => row,
+        Err(e) => {
+            eprintln!("E15 run failed: {e}");
+            return std::process::ExitCode::FAILURE;
         }
-    }
+    };
 
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.mode.clone(),
-                r.target_conns.to_string(),
-                r.held_conns.to_string(),
-                r.wave_ok.to_string(),
-                format!("{:.2}", r.kb_per_conn),
-                r.p50_us.to_string(),
-                r.p99_us.to_string(),
-                r.wall_ms.to_string(),
-            ]
-        })
-        .collect();
     println!(
         "{}",
         render_table(
-            "E15  keep-alive connection density (reactor vs thread-per-connection)",
-            &["mode", "target", "held", "wave ok", "KiB/conn", "p50 us", "p99 us", "wall ms"],
-            &table_rows,
+            "E15  keep-alive connection density (epoll reactor)",
+            &["target", "held", "wave ok", "KiB/conn", "p50 us", "p99 us", "wall ms"],
+            &[vec![
+                row.target_conns.to_string(),
+                row.held_conns.to_string(),
+                row.wave_ok.to_string(),
+                format!("{:.2}", row.kb_per_conn),
+                row.p50_us.to_string(),
+                row.p99_us.to_string(),
+                row.wall_ms.to_string(),
+            ]],
         )
     );
 
-    let reactor = rows.iter().find(|r| r.mode == "reactor");
-    let threaded = rows.iter().find(|r| r.mode == "threaded");
-    let sustained = reactor.map(|r| r.held_conns >= r.target_conns && r.wave_ok >= r.target_conns);
-    let cheaper = match (reactor, threaded) {
-        (Some(r), Some(t)) => Some(r.kb_per_conn < t.kb_per_conn),
-        _ => None,
-    };
+    let sustained = row.held_conns >= row.target_conns && row.wave_ok >= row.target_conns;
+    let dense = row.kb_per_conn <= MAX_KB_PER_CONN;
     println!(
-        "reactor held {} connections ({} served); {:.2} KiB/conn vs {:.2} KiB/conn threaded",
-        reactor.map_or(0, |r| r.held_conns),
-        reactor.map_or(0, |r| r.wave_ok),
-        reactor.map_or(f64::NAN, |r| r.kb_per_conn),
-        threaded.map_or(f64::NAN, |r| r.kb_per_conn),
+        "held {} of {} connections ({} served) at {:.2} KiB/conn (gate: all held and served, <= {MAX_KB_PER_CONN} KiB/conn)",
+        row.held_conns, row.target_conns, row.wave_ok, row.kb_per_conn,
     );
 
-    let body: Vec<String> = rows.iter().map(row_json).collect();
     let json = format!(
-        "{{\n  \"experiment\": \"E15\",\n  \"quick\": {quick},\n  \"reactor_sustained_target\": {},\n  \"reactor_cheaper_per_conn\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        sustained.map_or("null".into(), |b| b.to_string()),
-        cheaper.map_or("null".into(), |b| b.to_string()),
-        body.join(",\n")
+        "{{\n  \"experiment\": \"E15\",\n  \"quick\": {quick},\n  \"sustained_target\": {sustained},\n  \"max_kb_per_conn\": {MAX_KB_PER_CONN},\n  \"within_kb_per_conn\": {dense},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        row_json(&row)
     );
     let path = "BENCH_E15.json";
     match std::fs::write(path, &json) {
@@ -150,11 +128,10 @@ fn main() -> std::process::ExitCode {
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 
-    match (sustained, cheaper) {
-        (Some(true), Some(true)) => std::process::ExitCode::SUCCESS,
-        _ => {
-            eprintln!("E15 verdict failed: sustained={sustained:?} cheaper={cheaper:?}");
-            std::process::ExitCode::FAILURE
-        }
+    if sustained && dense {
+        std::process::ExitCode::SUCCESS
+    } else {
+        eprintln!("E15 verdict failed: sustained={sustained} within_kb_per_conn={dense}");
+        std::process::ExitCode::FAILURE
     }
 }

@@ -121,6 +121,12 @@ fn main() {
     if iso.hot_shed == 0 {
         failures.push("the hot flood was never shed".to_owned());
     }
+    if iso.flooded_ok != iso.samples {
+        failures.push(format!(
+            "only {} of {} cold requests answered during the flood",
+            iso.flooded_ok, iso.samples
+        ));
+    }
     if iso.p99_ratio > 2.0 {
         failures.push(format!("cold p99 ratio {:.2} > 2.0", iso.p99_ratio));
     }

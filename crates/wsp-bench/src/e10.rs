@@ -105,6 +105,12 @@ impl ServiceLocator for FixedLocator {
     }
 }
 
+/// Held by whichever of [`overhead`] and [`reconstruction`] is running:
+/// both set the process-wide registry's `enabled` flag, and run side by
+/// side (as the test harness runs them) one would switch the other's
+/// spans off mid-run.
+static REGISTRY_FLAG: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
 fn service_at(endpoint: &str) -> LocatedService {
     LocatedService::new(
         WsdlDocument::new(ServiceDescriptor::echo(), vec![]),
@@ -167,6 +173,7 @@ fn median(mut values: Vec<f64>) -> f64 {
 /// same process.
 pub fn overhead(calls: usize) -> Vec<E10Overhead> {
     const PASSES: usize = 5;
+    let _flag = REGISTRY_FLAG.lock();
     let registry = telemetry::global();
     let was_enabled = registry.is_enabled();
     let client = Client::new(EventBus::new());
@@ -211,6 +218,7 @@ pub fn overhead(calls: usize) -> Vec<E10Overhead> {
 /// over, and succeeds — and reconstruct all of it from the call's
 /// correlation id.
 pub fn reconstruction() -> E10Reconstruction {
+    let _flag = REGISTRY_FLAG.lock();
     let registry = telemetry::global();
     let was_enabled = registry.is_enabled();
     registry.set_enabled(true);

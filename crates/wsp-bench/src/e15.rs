@@ -1,30 +1,27 @@
-//! E15 — connection-density ceiling: readiness-driven reactor vs
-//! thread-per-connection under keep-alive fan-in.
+//! E15 — connection-density ceiling of the reactor under keep-alive
+//! fan-in.
 //!
 //! The experiment answers the question PR 8's tentpole exists for: how
-//! many *concurrently open* keep-alive connections can each server core
-//! sustain, and at what memory cost per connection?
+//! many *concurrently open* keep-alive connections can the server
+//! sustain, and at what memory cost per connection? (The
+//! thread-per-connection server it was first compared with is gone;
+//! its last measured row is recorded in EXPERIMENTS.md §E15.)
 //!
 //! Measurement protocol (three processes, because `ulimit -n` is 20 000
 //! here and one process cannot hold both ends of 10 000 sockets):
 //!
-//! 1. The orchestrator (`e15` bin) spawns one **server subprocess** per
-//!    mode so the two runs cannot pollute each other's RSS baseline
-//!    (freed pages from run A would be silently reused by run B).
-//! 2. The server subprocess launches a [`TcpServer`] in the requested
-//!    mode, notes its own `VmRSS`, then spawns a **client subprocess**
-//!    that opens N keep-alive connections and completes one request on
-//!    every one of them (proving each connection is genuinely served,
-//!    not just parked in a backlog).
+//! 1. The orchestrator (`e15` bin) spawns a **server subprocess**, so
+//!    the RSS baseline is that of a process that has served nothing.
+//! 2. The server subprocess launches a [`TcpServer`], notes its own
+//!    `VmRSS`, then spawns a **client subprocess** that opens N
+//!    keep-alive connections and completes one request on every one of
+//!    them (proving each connection is genuinely served, not just
+//!    parked in a backlog).
 //! 3. With all N connections still open, the client prints `READY`; the
 //!    server process re-reads `VmRSS` — the delta divided by the held
 //!    connection count is the marginal memory per connection — and
 //!    releases the client to time a latency sample over the live
 //!    connections before anything is torn down.
-//!
-//! The thread-per-connection baseline runs at a tenth of the reactor's
-//! target: 10 000 OS threads on this one-core box is not a benchmark,
-//! it is a fork bomb, so its row is normalised per-connection instead.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -32,13 +29,11 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wsp_http::tcp::ServerMode;
 use wsp_http::{frame_len, HeadScan, Request, Response, Router, ServerConfig, TcpServer};
 
-/// One measured server mode.
+/// One measured run.
 #[derive(Debug, Clone)]
 pub struct E15Row {
-    pub mode: String,
     /// Connections the client was asked to open.
     pub target_conns: usize,
     /// Connections the server counted as concurrently active at the
@@ -193,27 +188,16 @@ fn parse_field_f64(line: &str, key: &str) -> Option<f64> {
     rest.parse().ok()
 }
 
-/// Server subprocess body: launch the server in `mode_name`, drive the
-/// client subprocess through the READY/GO/RESULT protocol, and print a
-/// single `ROW ...` line for the orchestrator.
-pub fn serve_mode(mode_name: &str, conns: usize, sample: usize) -> std::io::Result<E15Row> {
-    let mode = match mode_name {
-        "reactor" => ServerMode::Reactor,
-        "threaded" => ServerMode::Threaded,
-        other => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("unknown mode {other:?}"),
-            ))
-        }
-    };
+/// Server subprocess body: launch the server, drive the client
+/// subprocess through the READY/GO/RESULT protocol, and return the row
+/// the bin prints as a single `ROW ...` line for the orchestrator.
+pub fn serve(conns: usize, sample: usize) -> std::io::Result<E15Row> {
     let router = Router::new();
     router.deploy(
         "Echo",
         Arc::new(|_req: &Request| Response::ok("text/plain", "ok")),
     );
     let config = ServerConfig {
-        mode,
         workers: 4,
         max_connections: None,
         drain_deadline: Duration::from_secs(5),
@@ -263,7 +247,6 @@ pub fn serve_mode(mode_name: &str, conns: usize, sample: usize) -> std::io::Resu
     server.shutdown();
 
     Ok(E15Row {
-        mode: mode_name.to_owned(),
         target_conns: conns,
         held_conns,
         wave_ok,
@@ -280,8 +263,7 @@ pub fn serve_mode(mode_name: &str, conns: usize, sample: usize) -> std::io::Resu
 /// subprocess and the orchestrator.
 pub fn row_to_line(row: &E15Row) -> String {
     format!(
-        "ROW mode={} target_conns={} held_conns={} wave_ok={} rss_before_kb={} rss_after_kb={} kb_per_conn={:.2} p50_us={} p99_us={} wall_ms={}",
-        row.mode,
+        "ROW target_conns={} held_conns={} wave_ok={} rss_before_kb={} rss_after_kb={} kb_per_conn={:.2} p50_us={} p99_us={} wall_ms={}",
         row.target_conns,
         row.held_conns,
         row.wave_ok,
@@ -296,12 +278,7 @@ pub fn row_to_line(row: &E15Row) -> String {
 
 /// Parse the `ROW ...` line back into a row (orchestrator side).
 pub fn row_from_line(line: &str) -> Option<E15Row> {
-    let mode = line
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("mode="))?
-        .to_owned();
     Some(E15Row {
-        mode,
         target_conns: parse_field(line, "target_conns")? as usize,
         held_conns: parse_field(line, "held_conns")? as usize,
         wave_ok: parse_field(line, "wave_ok")? as usize,
@@ -326,7 +303,6 @@ mod tests {
     #[test]
     fn row_line_round_trips() {
         let row = E15Row {
-            mode: "reactor".into(),
             target_conns: 10_000,
             held_conns: 10_000,
             wave_ok: 9_999,
@@ -338,7 +314,6 @@ mod tests {
             wall_ms: 3_141,
         };
         let back = row_from_line(&row_to_line(&row)).expect("parse");
-        assert_eq!(back.mode, "reactor");
         assert_eq!(back.target_conns, 10_000);
         assert_eq!(back.held_conns, 10_000);
         assert_eq!(back.wave_ok, 9_999);

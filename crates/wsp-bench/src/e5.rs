@@ -7,16 +7,16 @@
 //!   response;
 //! * the modelled cost of a 2004-era container doing the same
 //!   (cold start, per-module deploy, optional restart-on-deploy),
-//!   from [`wsp_http::ContainerModel`].
+//!   from [`crate::container::ContainerModel`].
 //!
 //! The paper's claim is qualitative ("cumbersome"); the reproduction
 //! quantifies the orders-of-magnitude gap and the redeploy behaviour.
 
+use crate::container::ContainerModel;
 use std::sync::Arc;
 use std::time::Instant;
 use wsp_core::bindings::HttpUddiBinding;
 use wsp_core::{EventBus, Peer};
-use wsp_http::ContainerModel;
 use wsp_uddi::Registry;
 use wsp_wsdl::{ServiceDescriptor, Value};
 

@@ -17,6 +17,7 @@ pub mod a1;
 pub mod a2;
 pub mod alloc_count;
 pub mod common;
+pub mod container;
 pub mod e1;
 pub mod e10;
 pub mod e11;

@@ -8,7 +8,8 @@
 
 use crate::composed::{ComposedEffect, ComposedEvent, ComposedMachine, ComposedState};
 use crate::mutations::{
-    ComposedSkipHalfOpenReset, IgnoreReserve, LeakSlotOnReject, SkipHalfOpenReset, StickyHeadTimer,
+    ComposedSkipHalfOpenReset, DrainClosesUnread, IgnoreReserve, LeakSlotOnReject,
+    SkipHalfOpenReset, StickyHeadTimer,
 };
 use crate::{fault_seed, random_walk, Graph, Report, Violation};
 use wsp_core::machines::admission::{
@@ -719,6 +720,15 @@ fn conn_invariants(
     graph.check_edges("drain latches", |from, _event, _effects, to| {
         !from.draining || to.draining
     })?;
+    // A connection the drain machine admitted may have its request in
+    // the socket already; closing it as "idle" loses admitted work.
+    graph.check_edges(
+        "drain never closes a connection that has not had its first read",
+        |from, event, _effects, to| {
+            !(*event == ConnEvent::DrainBegan && from.fresh && from.phase != ConnPhase::Closed)
+                || to.phase != ConnPhase::Closed
+        },
+    )?;
     graph.check_eventually("every connection can reach Closed", |s| {
         s.phase == ConnPhase::Closed
     })
@@ -733,6 +743,12 @@ pub fn check_conn() -> Result<Report, Violation> {
 /// The sticky-header-timer mutation must produce a counterexample.
 pub fn conn_mutation_counterexample() -> Option<Violation> {
     let graph = Graph::explore(StickyHeadTimer(ConnMachine), conn_events, MAX_STATES);
+    conn_invariants(&graph).err()
+}
+
+/// So must the one that drains an unread connection as if it were idle.
+pub fn conn_drain_mutation_counterexample() -> Option<Violation> {
+    let graph = Graph::explore(DrainClosesUnread(ConnMachine), conn_events, MAX_STATES);
     conn_invariants(&graph).err()
 }
 
@@ -1213,18 +1229,32 @@ mod tests {
 
     #[test]
     fn seeded_conn_mutation_is_caught_with_a_trace() {
-        let violation = conn_mutation_counterexample()
-            .expect("the sticky-header-timer mutant must be condemned");
-        assert!(
-            violation.invariant.contains("header timer"),
-            "unexpected invariant: {}",
-            violation.invariant
-        );
-        assert!(
-            violation.trace.contains("RequestDone"),
-            "trace should include the fast-path dispatch:\n{}",
-            violation.trace
-        );
+        // (mutant's verdict, the invariant that must catch it, the
+        // step its shortest trace must contain)
+        for (verdict, invariant, step) in [
+            (
+                conn_mutation_counterexample(),
+                "header timer",
+                "RequestDone", // the fast-path dispatch
+            ),
+            (
+                conn_drain_mutation_counterexample(),
+                "first read",
+                "DrainBegan",
+            ),
+        ] {
+            let violation = verdict.unwrap_or_else(|| panic!("{invariant}: mutant survived"));
+            assert!(
+                violation.invariant.contains(invariant),
+                "unexpected invariant: {}",
+                violation.invariant
+            );
+            assert!(
+                violation.trace.contains(step),
+                "trace should include {step}:\n{}",
+                violation.trace
+            );
+        }
     }
 
     #[test]

@@ -50,6 +50,10 @@ fn main() -> ExitCode {
                 wsp_check::checks::conn_mutation_counterexample(),
             ),
             (
+                "conn: drain closes an unread connection",
+                wsp_check::checks::conn_drain_mutation_counterexample(),
+            ),
+            (
                 "replication: skip log catch-up on view change",
                 wsp_check::checks::replication_mutation_counterexample(),
             ),

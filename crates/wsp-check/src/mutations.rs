@@ -136,6 +136,36 @@ impl Machine for StickyHeadTimer {
     }
 }
 
+/// Mutation: drain treats every `Idle` connection as keep-alive idle,
+/// forgetting that one accepted a moment ago has not been read yet —
+/// the E11 race: the drain machine admitted the connection, its
+/// request is in the socket, and the connection is closed under it.
+#[derive(Debug, Clone)]
+pub struct DrainClosesUnread(pub ConnMachine);
+
+impl Machine for DrainClosesUnread {
+    type State = ConnState;
+    type Event = ConnEvent;
+    type Effect = ConnEffect;
+
+    fn initial(&self) -> ConnState {
+        self.0.initial()
+    }
+
+    fn step(&self, state: &ConnState, event: &ConnEvent) -> (ConnState, Vec<ConnEffect>) {
+        if state.phase == Phase::Idle && state.fresh && matches!(event, ConnEvent::DrainBegan) {
+            // The bug: no "accepted, nothing read yet" distinction, so
+            // the connection is torn down like any keep-alive idle one.
+            let as_idle = ConnState {
+                fresh: false,
+                ..*state
+            };
+            return self.0.step(&as_idle, event);
+        }
+        self.0.step(state, event)
+    }
+}
+
 /// Mutation: the borrow path of the keyed fair-share policy checks the
 /// global cap but forgets the reserve held for other tenants' unused
 /// guaranteed shares. A tenant over its share can then fill the budget,

@@ -352,7 +352,7 @@ impl HttpUddiBinding {
     /// Counters of this binding's client connection pool (the
     /// `http_pool_*` gauges of `/metrics`): `misses` is the number of
     /// TCP connections it has opened.
-    pub fn pool_stats(&self) -> wsp_http::tcp::PoolStats {
+    pub fn pool_stats(&self) -> wsp_http::pool::PoolStats {
         self.shared.pool.stats()
     }
 }

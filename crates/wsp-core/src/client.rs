@@ -52,8 +52,9 @@ pub struct Client {
     /// Cached end-to-end invoke latency histogram (covers the whole
     /// retry/failover loop; no-op while telemetry is disabled).
     invoke_us: Arc<telemetry::Histogram>,
-    /// Per-endpoint attempt counters, resolved once per endpoint so the
-    /// steady-state attempt path never formats a name or takes the
+    /// Attempt counters by endpoint label (at most
+    /// [`MAX_ENDPOINT_LABELS`] + `other`), resolved once per label so
+    /// the steady-state attempt path never formats a name or takes the
     /// registry lock.
     attempt_counters: Arc<AttemptCounters>,
 }
@@ -280,6 +281,40 @@ impl Client {
 type LocateResult = Result<Vec<LocatedService>, WspError>;
 type AttemptCounters = RwLock<std::collections::HashMap<String, Arc<telemetry::Counter>>>;
 
+/// Most endpoints one client gives a `client.attempts{endpoint=…}`
+/// series of their own. Endpoints come out of registry records, and a
+/// host that redeploys mints a new one each time, so the label must not
+/// grow with every endpoint ever called: the first 64 are named, the
+/// rest share `endpoint=other` (the bound PR 10 put on tenants).
+const MAX_ENDPOINT_LABELS: usize = 64;
+const OTHER_ENDPOINT: &str = "other";
+
+/// Per-endpoint attempt count — every admission request, including
+/// ones the breaker rejects without touching the wire, so breaker
+/// effectiveness is visible. Handles are cached per label: steady
+/// state is a read lock + incr, no name formatting, no registry lock.
+fn count_attempt(counters: &AttemptCounters, registry: &telemetry::Telemetry, endpoint: &str) {
+    {
+        let cached = counters.read();
+        // `other` exists only once every label is taken.
+        let known = cached.get(endpoint).or_else(|| cached.get(OTHER_ENDPOINT));
+        if let Some(counter) = known {
+            counter.incr();
+            return;
+        }
+    }
+    let mut cached = counters.write();
+    let label = if cached.len() < MAX_ENDPOINT_LABELS {
+        endpoint
+    } else {
+        OTHER_ENDPOINT
+    };
+    cached
+        .entry(label.to_owned())
+        .or_insert_with(|| registry.counter(format!("client.attempts{{endpoint={label}}}")))
+        .incr();
+}
+
 /// One invocation, whichever thread runs it: the resilient attempt
 /// loop, the latency sample, the error span and the client event.
 struct InvokeJob {
@@ -389,29 +424,7 @@ impl ResilientAttempts<'_> {
     ) -> Result<Value, WspError> {
         let registry = telemetry::global();
         if registry.is_enabled() {
-            // Per-endpoint attempt count — every admission request,
-            // including ones the breaker rejects without touching the
-            // wire, so breaker effectiveness is visible. The handle is
-            // cached per endpoint: steady state is a read lock + incr,
-            // no name formatting, no registry lock.
-            let hit = {
-                let cached = self.attempt_counters.read();
-                match cached.get(&service.endpoint) {
-                    Some(counter) => {
-                        counter.incr();
-                        true
-                    }
-                    None => false,
-                }
-            };
-            if !hit {
-                let counter =
-                    registry.counter(format!("client.attempts{{endpoint={}}}", service.endpoint));
-                counter.incr();
-                self.attempt_counters
-                    .write()
-                    .insert(service.endpoint.clone(), counter);
-            }
+            count_attempt(self.attempt_counters, registry, &service.endpoint);
         }
         let breaker = self.health.breaker(&service.endpoint);
         let admission = breaker.try_acquire(Instant::now());

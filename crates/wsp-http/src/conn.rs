@@ -13,10 +13,13 @@
 //!                                ▼
 //!                             Closed      (Eof/IoError/Stopped from
 //!                                          anywhere also end here)
+//!
+//!   DrainBegan in Idle:  Idle ─► Closed       between requests
+//!                        Idle ─► ReadingHead  while `fresh` (unread)
 //! ```
 //!
 //! The reactor shell ([`crate::reactor`] driven by
-//! [`crate::tcp::TcpServer`]) holds one [`ConnState`] per connection,
+//! [`crate::server::TcpServer`]) holds one [`ConnState`] per connection,
 //! converts readiness happenings (bytes arrived, the head terminator
 //! was scanned, a wheel deadline fired, a handler finished)
 //! into [`ConnEvent`]s, and executes the returned [`ConnEffect`]s —
@@ -40,7 +43,12 @@
 //!   so a late handler completion for a dead connection is provably
 //!   dropped;
 //! * **drain latches** — once `draining` is observed it never clears,
-//!   and an idle connection closes immediately on drain;
+//!   and a keep-alive connection idle between requests closes
+//!   immediately on drain;
+//! * **drain never closes an unread connection** — a connection that
+//!   was admitted but has had no first read (`fresh`) may already have
+//!   its request in the socket: drain puts it on the head-read clock
+//!   to deliver that one request instead of closing it;
 //! * **always terminates** — from every reachable state, `Closed`
 //!   remains reachable.
 
@@ -89,6 +97,11 @@ pub struct ConnState {
     /// Graceful drain observed (latched): the next response closes the
     /// connection and an idle connection closes immediately.
     pub draining: bool,
+    /// Accepted, no request started yet — which is not keep-alive idle:
+    /// the server admitted this connection and owes it one request.
+    /// Cleared when its first request starts (its first byte arrived,
+    /// or drain put it on the head-read clock to wait for it).
+    pub fresh: bool,
     /// Peer half-closed its write side (EOF read) while a request was
     /// in flight; the response is still written, then we close.
     pub half_closed: bool,
@@ -180,6 +193,19 @@ pub enum ConnEffect {
 pub struct ConnMachine;
 
 impl ConnMachine {
+    /// Leave `Idle` for `ReadingHead`: off the idle clock, onto the
+    /// head-read clock.
+    fn start_request(next: &mut ConnState, effects: &mut Vec<ConnEffect>) {
+        if next.idle_timer {
+            effects.push(ConnEffect::CancelTimer(TimerKind::Idle));
+            next.idle_timer = false;
+        }
+        next.fresh = false;
+        next.phase = Phase::ReadingHead;
+        next.head_timer = true;
+        effects.push(ConnEffect::ArmTimer(TimerKind::Head));
+    }
+
     /// Close from any live phase, cancelling whatever timer is armed.
     fn teardown(state: &ConnState, effects: &mut Vec<ConnEffect>) -> ConnState {
         let mut next = *state;
@@ -204,6 +230,7 @@ impl Machine for ConnMachine {
         ConnState {
             phase: Phase::New,
             draining: false,
+            fresh: true,
             half_closed: false,
             head_timer: false,
             body_timer: false,
@@ -232,15 +259,7 @@ impl Machine for ConnMachine {
                 effects.push(Fx::ArmTimer(TimerKind::Idle));
             }
 
-            (P::Idle, Ev::FirstByte) => {
-                if state.idle_timer {
-                    effects.push(Fx::CancelTimer(TimerKind::Idle));
-                    next.idle_timer = false;
-                }
-                next.phase = P::ReadingHead;
-                next.head_timer = true;
-                effects.push(Fx::ArmTimer(TimerKind::Head));
-            }
+            (P::Idle, Ev::FirstByte) => ConnMachine::start_request(&mut next, &mut effects),
 
             (P::ReadingHead, Ev::HeadDone) => {
                 effects.push(Fx::CancelTimer(TimerKind::Head));
@@ -341,9 +360,17 @@ impl Machine for ConnMachine {
                 next.draining = true;
                 // An idle keep-alive connection closes now; a request
                 // in flight runs to completion and closes behind its
-                // response (the `Writing` flush checks `draining`).
+                // response (the `Writing` flush checks `draining`). A
+                // connection not read yet was admitted before the drain
+                // and its request may be sitting in the socket: it gets
+                // the head deadline to deliver it, and `draining` closes
+                // the connection behind that one response.
                 if state.phase == P::Idle {
-                    next = ConnMachine::teardown(&next, &mut effects);
+                    if state.fresh {
+                        ConnMachine::start_request(&mut next, &mut effects);
+                    } else {
+                        next = ConnMachine::teardown(&next, &mut effects);
+                    }
                 }
             }
 
@@ -421,8 +448,12 @@ mod tests {
     #[test]
     fn drain_closes_idle_but_finishes_in_flight() {
         let m = ConnMachine;
-        // Idle: drain closes immediately, cancelling the idle timer.
-        let mut idle = opened();
+        // Keep-alive idle (a request already served): drain closes
+        // immediately, cancelling the idle timer.
+        let mut idle = ConnState {
+            fresh: false,
+            ..opened()
+        };
         let fx = step_mut(&m, &mut idle, &ConnEvent::DrainBegan);
         assert!(idle.closed());
         assert!(fx.contains(&ConnEffect::CancelTimer(TimerKind::Idle)));
@@ -439,6 +470,17 @@ mod tests {
         assert_eq!(busy.phase, Phase::Writing { close_after: true });
         step_mut(&m, &mut busy, &ConnEvent::WriteFlushed);
         assert!(busy.closed());
+
+        // Admitted, nothing read yet: the request may be in the socket,
+        // so the connection goes on the head clock instead of closing,
+        // and the drain closes it behind that one response.
+        let mut unread = opened();
+        let fx = step_mut(&m, &mut unread, &ConnEvent::DrainBegan);
+        assert_eq!(unread.phase, Phase::ReadingHead);
+        assert!(fx.contains(&ConnEffect::ArmTimer(TimerKind::Head)));
+        step_mut(&m, &mut unread, &ConnEvent::RequestDone);
+        step_mut(&m, &mut unread, &ConnEvent::HandlerDone { close: false });
+        assert_eq!(unread.phase, Phase::Writing { close_after: true });
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! The state also carries the live-connection count, so slot
 //! accounting — increment on an admitted accept, decrement when the
-//! connection thread exits — is part of the same transition function
-//! the runtime executes and the model checker explores. The shell
-//! ([`crate::tcp::TcpServer`]) holds a `Mutex<DrainState>`, feeds in
-//! [`DrainEvent`]s from the accept loop, connection guards and
+//! connection closes — is part of the same transition function the
+//! runtime executes and the model checker explores. The shell
+//! ([`crate::server::TcpServer`]) holds a `Mutex<DrainState>`, feeds in
+//! [`DrainEvent`]s from the reactor's accept and close hooks and from
 //! `shutdown`, and executes the returned [`DrainEffect`]s (serve,
 //! reject with `503`, stop the listener).
 //!
@@ -39,7 +39,7 @@ pub enum Lifecycle {
     /// Graceful drain begun: latecomers rejected, admitted work runs
     /// to completion.
     Draining,
-    /// Accept loop gone. `drained` records whether the stop came
+    /// Listener gone. `drained` records whether the stop came
     /// through a drain (the historical `draining` flag latched forever
     /// once set, and in-flight responses still honour it).
     Stopped { drained: bool },
@@ -80,25 +80,25 @@ pub struct DrainMachine {
 pub enum DrainEvent {
     /// The listener accepted a connection; decide its fate.
     Accept,
-    /// A connection thread finished (response sent, peer gone, or
-    /// panic — the guard fires on every exit path).
+    /// A served connection closed (response sent, peer gone, handler
+    /// panic, reactor teardown — every release path reports it).
     ConnClosed,
     /// Graceful shutdown began.
     BeginDrain,
-    /// The accept loop must exit (drain finished or abrupt stop).
+    /// The listener must stop (drain finished or abrupt stop).
     Stop,
 }
 
 /// Instructions back to the shell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrainEffect {
-    /// Admit: spawn a connection thread (the slot is already counted).
+    /// Admit: serve the connection (the slot is already counted).
     Serve,
     /// Reject with `503`: the server is draining.
     RejectDraining,
     /// Reject with `503`: the connection cap is reached.
     RejectAtCapacity,
-    /// Tear down the listener and join the accept thread.
+    /// Tear down the listener and join the reactor threads.
     StopListening,
     /// A close arrived with no slot held — a shell bug (the count
     /// saturates at zero rather than wrapping).
@@ -131,7 +131,7 @@ impl Machine for DrainMachine {
                     }
                 }
                 Lifecycle::Draining => vec![E::RejectDraining],
-                // The accept loop has exited; a straggling accept is
+                // The listener has stopped; a straggling accept is
                 // dropped on the floor (the socket is already closed).
                 Lifecycle::Stopped { .. } => vec![],
             },

@@ -4,11 +4,14 @@
 //!
 //! * a byte-exact HTTP/1.1 [`codec`];
 //! * the container-less lightweight host — a [`Router`] of dynamically
-//!   deployed services behind either a real [`tcp::TcpServer`] or a
-//!   simulated [`sim::HttpSimServer`] (the same router serves both);
-//! * [`httpg`], the simulated Globus-style authenticated transport;
-//! * [`container`], the cost model of the *traditional* container used
-//!   as the baseline in the deployment-latency experiment (E5).
+//!   deployed services behind either a real [`server::TcpServer`] or a
+//!   simulated [`sim::HttpSimServer`] (the same router serves both).
+//!   `TcpServer` has one transport core, the epoll [`reactor`], whose
+//!   every decision is a pure machine ([`conn`], [`drain`]) that
+//!   `wsp-check` explores;
+//! * the blocking client: a keep-alive [`pool::ConnectionPool`], with
+//!   [`http_call`] as connection-per-call through the same code;
+//! * [`httpg`], the simulated Globus-style authenticated transport.
 //!
 //! The paper's host launches its HTTP server only when the first service
 //! is deployed, lists services at `/`, and hands every request to the
@@ -17,34 +20,33 @@
 
 pub mod codec;
 pub mod conn;
-pub mod container;
 pub mod drain;
 pub mod httpg;
 pub mod message;
+pub mod pool;
 pub mod reactor;
 pub mod router;
+pub mod server;
 pub mod sim;
-pub mod tcp;
+/// Test-only: the loopback suites of [`server`] and [`pool`].
+mod tcp;
 pub mod uri;
 
 pub use codec::{
     encode_request, encode_response, frame_len, parse_request, parse_response, HeadScan, HttpError,
 };
 pub use conn::{ConnEffect, ConnEvent, ConnMachine, ConnState, Phase, TimerKind};
-pub use container::{ContainerModel, ContainerSimServer, DEPLOY_TAG};
 pub use drain::{DrainEffect, DrainEvent, DrainMachine, DrainState, Lifecycle};
 pub use httpg::{guard_router, guarded, HttpgCredential, HttpgError};
 pub use message::{Headers, Method, Request, Response};
+pub use pool::{http_call, http_call_uri, ConnectionPool, DEFAULT_CLIENT_TIMEOUT};
 pub use reactor::{
     Admit, ConnProtocol, Io, Job, JobResult, Listener, Reactor, ReactorConfig, ServerHooks,
 };
 pub use router::{HttpHandler, Interceptor, Router};
+pub use server::{ServerConfig, TcpServer};
 pub use sim::{
     HttpSimServer, ResilientSimClient, RetrySchedule, SimCallOutcome, SimHttpClient,
     CORRELATION_HEADER, RETRY_RESEND_TAG, RETRY_TIMEOUT_TAG,
-};
-pub use tcp::{
-    http_call, http_call_uri, http_call_with_timeout, ConnectionPool, ServerConfig, TcpServer,
-    DEFAULT_CLIENT_TIMEOUT,
 };
 pub use uri::{HttpUri, UriError};

@@ -190,7 +190,7 @@ impl Response {
     }
 
     /// 408 — the client took too long to deliver its request (slow-client
-    /// defense: see the staged read deadlines in `tcp::ServerConfig`).
+    /// defense: see the staged read deadlines in `server::ServerConfig`).
     pub fn request_timeout(why: &str) -> Self {
         let mut r = Response::new(408, "Request Timeout");
         r.headers.set("Content-Type", "text/plain; charset=utf-8");

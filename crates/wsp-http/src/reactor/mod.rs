@@ -89,12 +89,9 @@ pub struct JobResult {
 
 /// What to do with a freshly accepted socket.
 pub enum Admit {
-    /// Serve it with this protocol. `counted` says the accept consumed
-    /// a tracked slot, released through [`ServerHooks::on_conn_closed`].
-    Serve {
-        proto: Box<dyn ConnProtocol>,
-        counted: bool,
-    },
+    /// Serve it with this protocol. The accept consumed a tracked slot,
+    /// released through [`ServerHooks::on_conn_closed`].
+    Serve(Box<dyn ConnProtocol>),
     /// Write these bytes, then close (canned rejection — 503s don't
     /// hold drain slots).
     Reject(Vec<u8>),
@@ -107,7 +104,7 @@ pub enum Admit {
 /// [`crate::drain::DrainMachine`].
 pub trait ServerHooks: Send + Sync {
     fn on_accept(&self) -> Admit;
-    /// A counted connection fully closed.
+    /// A served connection fully closed.
     fn on_conn_closed(&self);
     /// The threads exit once every listener's hooks report stopped.
     fn stopped(&self) -> bool;
@@ -264,12 +261,6 @@ pub struct ReactorConfig {
     /// Most handlers running at once. The reactor starts `workers + 1`
     /// threads so one is always outside a handler, free for I/O.
     pub workers: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        ReactorConfig { workers: 4 }
-    }
 }
 
 /// Process-wide reactor counters (every reactor in the process adds to
@@ -438,7 +429,8 @@ struct Slot {
     /// Fences stale events, deadlines and job results after the index
     /// is reused.
     gen: u32,
-    /// `None` for canned-reject connections (write bytes, close).
+    /// `None` for canned-reject connections (write bytes, close; they
+    /// hold no slot, so closing them notifies nobody).
     proto: Option<Box<dyn ConnProtocol>>,
     read_buf: Vec<u8>,
     /// Only what the socket would not take; `write_pos..` is unsent.
@@ -451,7 +443,6 @@ struct Slot {
     armed: bool,
     saw_eof: bool,
     close_after_flush: bool,
-    counted: bool,
     /// Armed deadlines: the wheel key and the due time, which is how a
     /// popped wheel entry is matched to the arming it came from.
     timers: [Option<(EventKey, Time)>; 3],
@@ -540,7 +531,7 @@ impl Shared {
         self.listeners.iter().all(|l| l.hooks.stopped())
     }
 
-    /// Last thread out: release every connection (counted slots notify
+    /// Last thread out: release every connection (served ones notify
     /// their hooks) and drop work nobody will run.
     fn teardown(&self) {
         let cells = self.cells.read().clone();
@@ -572,16 +563,11 @@ impl Shared {
                         continue;
                     }
                     match listener.hooks.on_accept() {
-                        Admit::Serve { proto, counted } => self.install(
-                            stream,
-                            owner,
-                            Some(proto),
-                            counted,
-                            Vec::new(),
-                            &mut batch,
-                        ),
+                        Admit::Serve(proto) => {
+                            self.install(stream, owner, Some(proto), Vec::new(), &mut batch)
+                        }
                         Admit::Reject(bytes) => {
-                            self.install(stream, owner, None, false, bytes, &mut batch)
+                            self.install(stream, owner, None, bytes, &mut batch)
                         }
                         Admit::Drop => drop(stream),
                     }
@@ -603,7 +589,6 @@ impl Shared {
         stream: TcpStream,
         owner: usize,
         proto: Option<Box<dyn ConnProtocol>>,
-        counted: bool,
         reject: Vec<u8>,
         batch: &mut Vec<Work>,
     ) {
@@ -632,7 +617,6 @@ impl Shared {
                 interest: 0,
                 armed: false,
                 saw_eof: false,
-                counted,
                 timers: [None; 3],
             });
             let alive = if slot.proto.is_some() {
@@ -663,7 +647,7 @@ impl Shared {
             let _ = self.epoll.delete(slot.stream.as_raw_fd());
         }
         drop(slot.stream);
-        if slot.counted {
+        if slot.proto.is_some() {
             if let Some(l) = self.listeners.get(slot.owner) {
                 l.hooks.on_conn_closed();
             }
@@ -1060,7 +1044,7 @@ impl Shared {
     fn run_chain(&self, mut work: Work) {
         loop {
             // A panicking handler closes its connection without a
-            // response, as a thread-per-connection server would.
+            // response; the thread and every other connection carry on.
             let result = catch_unwind(AssertUnwindSafe(work.job)).unwrap_or(JobResult {
                 bytes: Vec::new(),
                 close: true,
@@ -1149,10 +1133,7 @@ pub(crate) mod tests {
     impl ServerHooks for EchoHooks {
         fn on_accept(&self) -> Admit {
             self.hooks.open.fetch_add(1, Ordering::SeqCst);
-            Admit::Serve {
-                proto: Box::new(EchoProto { idle: self.idle }),
-                counted: true,
-            }
+            Admit::Serve(Box::new(EchoProto { idle: self.idle }))
         }
         fn on_conn_closed(&self) {
             self.hooks.closed.fetch_add(1, Ordering::SeqCst);
@@ -1392,10 +1373,7 @@ pub(crate) mod tests {
     impl ServerHooks for SerialHooks {
         fn on_accept(&self) -> Admit {
             self.hooks.open.fetch_add(1, Ordering::SeqCst);
-            Admit::Serve {
-                proto: (self.make)(&self.seen),
-                counted: true,
-            }
+            Admit::Serve((self.make)(&self.seen))
         }
         fn on_conn_closed(&self) {
             self.hooks.closed.fetch_add(1, Ordering::SeqCst);
@@ -1438,7 +1416,7 @@ pub(crate) mod tests {
         (reactor, hooks, seen, port)
     }
 
-    fn connect(port: u16) -> StdTcpStream {
+    pub(crate) fn connect(port: u16) -> StdTcpStream {
         let c = StdTcpStream::connect(("127.0.0.1", port)).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         c

@@ -101,15 +101,12 @@ impl ServerHooks for PipeHooks {
             return Admit::Drop;
         }
         self.active.fetch_add(1, Ordering::SeqCst);
-        Admit::Serve {
-            proto: Box::new(PipeProto {
-                handler: Arc::clone(&self.handler),
-                config: self.config.clone(),
-                in_flight: 0,
-                mid_frame: false,
-            }),
-            counted: true,
-        }
+        Admit::Serve(Box::new(PipeProto {
+            handler: Arc::clone(&self.handler),
+            config: self.config.clone(),
+            in_flight: 0,
+            mid_frame: false,
+        }))
     }
 
     fn on_conn_closed(&self) {

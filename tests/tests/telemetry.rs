@@ -318,6 +318,44 @@ fn faulty_invocation_reconstructed_from_correlation_ids() {
     );
 }
 
+/// `client.attempts{endpoint=…}` cannot grow with every endpoint a
+/// client ever called — a host that redeploys mints a fresh one each
+/// time. After 10^5 distinct endpoints the client has named 64 and
+/// counted the rest under `endpoint=other`, and the registry is still
+/// a few hundred series.
+#[test]
+fn endpoint_label_cardinality_is_bounded() {
+    const ENDPOINTS: usize = 100_000;
+    let registry = telemetry::global();
+    registry.set_enabled(true);
+    let client = Client::new(EventBus::new());
+    client.add_invoker(Arc::new(PartitionedInvoker {
+        poisoned: vec![],
+        calls: AtomicU32::new(0),
+    }));
+    let mut service = service_at("test://cardinality/Echo");
+    for i in 0..ENDPOINTS {
+        service.endpoint = format!("test://cardinality-{i}/Echo");
+        client
+            .invoke(&service, "echoString", &[Value::string("x")])
+            .unwrap();
+    }
+    let counters = registry.snapshot().counters;
+    let named = counters
+        .keys()
+        .filter(|name| name.starts_with("client.attempts{endpoint=test://cardinality-"))
+        .count();
+    assert_eq!(named, 64, "the first 64 endpoints keep their own series");
+    // Shared with every client in the process; ours alone put this many.
+    let other = counters["client.attempts{endpoint=other}"];
+    assert!(other >= (ENDPOINTS - 64) as u64, "other = {other}");
+    assert!(
+        counters.len() < 1_000,
+        "{} counter series after {ENDPOINTS} endpoints",
+        counters.len()
+    );
+}
+
 // --- concurrent scrape under overload ----------------------------------------
 
 /// Scraper threads render the `/metrics` text and take histogram
@@ -385,7 +423,10 @@ fn metrics_scrape_is_consistent_during_overload_burst() {
             let mut last_histogram_count = 0u64;
             let mut last_admitted = 0u64;
             let mut scrapes = 0usize;
-            while !stop.load(Ordering::SeqCst) {
+            // Scrape, then look at `stop`: on a loaded machine the burst
+            // can be over before this thread is first scheduled, and the
+            // scrape right after it must be as consistent as any other.
+            loop {
                 let snapshot = histogram.snapshot();
                 assert!(
                     snapshot.count >= last_histogram_count,
@@ -421,6 +462,9 @@ fn metrics_scrape_is_consistent_during_overload_burst() {
                 );
                 last_admitted = admitted_now;
                 scrapes += 1;
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
             }
             scrapes
         }));
