@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsp_core::bindings::{HttpUddiBinding, HttpUddiConfig};
-use wsp_core::{EventBus, LoadShedPolicy, Peer};
+use wsp_core::{EventBus, KeyedLoadShedPolicy, Peer};
 use wsp_http::{
     http_call, HttpSimServer, Request, ResilientSimClient, Response, RetrySchedule, Router,
     ServerConfig, SimCallOutcome, TcpServer,
@@ -163,7 +163,7 @@ pub fn shed_turnaround(probes: usize) -> E11Shed {
         wsp_uddi::UddiClient::direct(wsp_uddi::Registry::new()),
         EventBus::new(),
         HttpUddiConfig {
-            load_shed: LoadShedPolicy::bounded(1, 0),
+            load_shed: KeyedLoadShedPolicy::bounded(1, 0),
             ..HttpUddiConfig::default()
         },
     );

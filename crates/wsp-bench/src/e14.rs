@@ -14,9 +14,10 @@
 //!
 //! * **flash crowd** — N clients wake over a short ramp, locate one
 //!   provider through a small rendezvous layer and invoke it. The
-//!   provider runs the model-checked [`AdmissionMachine`]; every client
-//!   runs the model-checked [`BreakerMachine`] with timeouts, jittered
-//!   backoff and a bounded retry budget.
+//!   provider runs the model-checked [`KeyedAdmissionMachine`] in its
+//!   one-tenant host configuration; every client runs the
+//!   model-checked [`BreakerMachine`] with timeouts, jittered backoff
+//!   and a bounded retry budget.
 //! * **partition + heal** — a rendezvous mesh split into two halves
 //!   that heartbeat across the divide; a scheduled blackout window
 //!   trips the per-peer breakers, and the heal lets their half-open
@@ -34,15 +35,23 @@
 
 use rand::Rng;
 use std::time::Instant;
-use wsp_core::machines::admission::{
-    AdmissionEffect, AdmissionEvent, AdmissionMachine, AdmissionState,
-};
 use wsp_core::machines::breaker::{
     Admit, BreakerEffect, BreakerEvent, BreakerMachine, BreakerState,
 };
+use wsp_core::machines::keyed_admission::{
+    KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine, KeyedAdmissionState,
+};
 use wsp_simnet::wheel::EventKey;
 use wsp_simnet::{
-    ChurnModel, Dur, LinkSpec, NodeId, PeerCtx, PeerEvent, PeerModel, PeerMsg, PeerSim, Time,
+    ChurnModel, Dur, LinkSpec, Machine, NodeId, PeerCtx, PeerEvent, PeerModel, PeerMsg, PeerSim,
+    Time,
+};
+
+/// A clean request against a provider's single tenant slot.
+const ADMIT: KeyedAdmissionEvent = KeyedAdmissionEvent::Admit {
+    tenant: 0,
+    queue_depth: 0,
+    deadline_expired: false,
 };
 
 /// The one message vocabulary shared by all E14 scenarios. `Copy` and
@@ -174,17 +183,18 @@ struct Client {
     timeout: Option<EventKey>,
 }
 
-/// The flash-crowd model: one provider behind an [`AdmissionMachine`],
-/// a thin rendezvous layer, and N breaker-guarded clients.
+/// The flash-crowd model: one provider behind a one-tenant
+/// [`KeyedAdmissionMachine`], a thin rendezvous layer, and N
+/// breaker-guarded clients.
 pub struct FlashCrowd {
     breaker: BreakerMachine,
-    admission: AdmissionMachine,
+    admission: KeyedAdmissionMachine,
     provider: NodeId,
     first_rdv: NodeId,
     n_rdv: u32,
     first_client: NodeId,
     clients: Vec<Client>,
-    admission_state: AdmissionState,
+    admission_state: KeyedAdmissionState,
     service: Dur,
     timeout: Dur,
     completed: u64,
@@ -311,17 +321,10 @@ impl FlashCrowd {
                 from,
                 msg: Msg::Invoke,
             } => {
-                let effects = wsp_simnet::step_mut(
-                    &self.admission,
-                    &mut self.admission_state,
-                    &AdmissionEvent::Admit {
-                        queue_depth: 0,
-                        deadline_expired: false,
-                        over_watermark: false,
-                    },
-                );
+                let effects =
+                    wsp_simnet::step_mut(&self.admission, &mut self.admission_state, &ADMIT);
                 match effects[0] {
-                    AdmissionEffect::Admitted => {
+                    KeyedAdmissionEffect::Admitted { .. } => {
                         ctx.count("e14.admitted");
                         ctx.set_timer(self.service, TAG_SERVICE | from as u64);
                     }
@@ -335,7 +338,7 @@ impl FlashCrowd {
                 wsp_simnet::step_mut(
                     &self.admission,
                     &mut self.admission_state,
-                    &AdmissionEvent::Release,
+                    &KeyedAdmissionEvent::Release { tenant: 0 },
                 );
                 ctx.send(tag_arg(tag) as NodeId, Msg::InvokeOk);
             }
@@ -375,21 +378,19 @@ pub fn flash_crowd(seed: u64, clients: u32) -> E14Row {
     const RAMP: Dur = Dur::secs(2);
     let started = Instant::now();
 
+    let admission = KeyedAdmissionMachine::one_tenant(256, u64::MAX);
     let model = FlashCrowd {
         breaker: BreakerMachine {
             failure_threshold: 3,
             cooldown: 400, // ms
         },
-        admission: AdmissionMachine {
-            max_in_flight: 256,
-            max_queue_depth: u64::MAX,
-        },
+        admission_state: admission.initial(),
+        admission,
         provider: 0,
         first_rdv: 1,
         n_rdv: N_RDV,
         first_client: 1 + N_RDV,
         clients: Vec::new(),
-        admission_state: AdmissionState::default(),
         service: Dur::millis(2),
         timeout: Dur::millis(800),
         completed: 0,
@@ -647,9 +648,9 @@ pub fn partition_heal(seed: u64, peers: u32) -> E14Row {
 // Straggler sweep
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Provider {
-    admission: AdmissionState,
+    admission: KeyedAdmissionState,
     service: Dur,
 }
 
@@ -657,7 +658,7 @@ struct Provider {
 /// to blow the client timeout; clients retry onto a different provider.
 pub struct Stragglers {
     breaker: BreakerMachine,
-    admission: AdmissionMachine,
+    admission: KeyedAdmissionMachine,
     providers: Vec<Provider>,
     first_client: NodeId,
     clients: Vec<Client>,
@@ -789,17 +790,9 @@ impl PeerModel for Stragglers {
                     msg: Msg::Invoke,
                 } => {
                     let p = &mut self.providers[peer as usize];
-                    let effects = wsp_simnet::step_mut(
-                        &self.admission,
-                        &mut p.admission,
-                        &AdmissionEvent::Admit {
-                            queue_depth: 0,
-                            deadline_expired: false,
-                            over_watermark: false,
-                        },
-                    );
+                    let effects = wsp_simnet::step_mut(&self.admission, &mut p.admission, &ADMIT);
                     match effects[0] {
-                        AdmissionEffect::Admitted => {
+                        KeyedAdmissionEffect::Admitted { .. } => {
                             ctx.count("e14.admitted");
                             let service = p.service;
                             ctx.set_timer(service, TAG_SERVICE | from as u64);
@@ -814,7 +807,7 @@ impl PeerModel for Stragglers {
                     wsp_simnet::step_mut(
                         &self.admission,
                         &mut self.providers[peer as usize].admission,
-                        &AdmissionEvent::Release,
+                        &KeyedAdmissionEvent::Release { tenant: 0 },
                     );
                     ctx.send(tag_arg(tag) as NodeId, Msg::InvokeOk);
                 }
@@ -839,10 +832,7 @@ pub fn straggler_sweep(seed: u64, clients: u32, providers: u32, slow_permille: u
             failure_threshold: 3,
             cooldown: 300, // ms
         },
-        admission: AdmissionMachine {
-            max_in_flight: 64,
-            max_queue_depth: u64::MAX,
-        },
+        admission: KeyedAdmissionMachine::one_tenant(64, u64::MAX),
         providers: Vec::new(),
         first_client: providers,
         clients: Vec::new(),
@@ -865,10 +855,10 @@ pub fn straggler_sweep(seed: u64, clients: u32, providers: u32, slow_permille: u
         } else {
             Dur::millis(2)
         };
-        sim.model_mut().providers.push(Provider {
-            admission: AdmissionState::default(),
-            service,
-        });
+        let admission = sim.model().admission.initial();
+        sim.model_mut()
+            .providers
+            .push(Provider { admission, service });
     }
 
     let ramp_us = RAMP.as_micros();

@@ -12,9 +12,6 @@ use crate::mutations::{
     SkipHalfOpenReset, StickyHeadTimer,
 };
 use crate::{fault_seed, random_walk, Graph, Report, Violation};
-use wsp_core::machines::admission::{
-    AdmissionEffect, AdmissionEvent, AdmissionMachine, AdmissionState, ShedReason,
-};
 use wsp_core::machines::breaker::{
     Admit, BreakerEffect, BreakerEvent, BreakerMachine, BreakerState, Phase,
 };
@@ -242,116 +239,38 @@ pub fn breaker_mutation_counterexample() -> Option<Violation> {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control
+// Admission control: one machine, two configurations
 // ---------------------------------------------------------------------------
 
-fn admission_config() -> AdmissionMachine {
-    AdmissionMachine {
-        max_in_flight: 2,
-        max_queue_depth: 1,
-    }
+/// A host: one tenant that owns the whole cap, behind a dispatch queue.
+fn admission_config() -> KeyedAdmissionMachine {
+    KeyedAdmissionMachine::one_tenant(2, 1)
 }
 
-fn admission_events(state: &AdmissionState) -> Vec<AdmissionEvent> {
-    let mut events = Vec::new();
-    for queue_depth in [0, 1] {
-        for deadline_expired in [false, true] {
-            for over_watermark in [false, true] {
-                events.push(AdmissionEvent::Admit {
-                    queue_depth,
-                    deadline_expired,
-                    over_watermark,
-                });
-            }
-        }
-    }
-    // Release is paired with a held permit (RAII in the shell), so it
-    // is only enabled while something is in flight.
-    if state.in_flight > 0 {
-        events.push(AdmissionEvent::Release);
-    }
-    events.push(AdmissionEvent::BeginDrain);
-    events.push(AdmissionEvent::EndDrain);
-    events
-}
-
-pub fn check_admission() -> Result<Report, Violation> {
-    let cfg = admission_config();
-    let graph = Graph::explore(cfg.clone(), admission_events, MAX_STATES);
-    graph.check_states("permit count never exceeds the cap", |s| {
-        s.in_flight <= cfg.max_in_flight
-    })?;
-    graph.check_edges("permit count never goes negative", |_f, _e, effects, _t| {
-        !effects.contains(&AdmissionEffect::PermitUnderflow)
-    })?;
-    graph.check_edges(
-        "nothing is admitted while draining",
-        |from, _e, effects, _t| !(from.draining && effects.contains(&AdmissionEffect::Admitted)),
-    )?;
-    graph.check_edges(
-        "an expired deadline always sheds as DeadlineExpired",
-        |_from, event, effects, _to| {
-            !matches!(
-                event,
-                AdmissionEvent::Admit {
-                    deadline_expired: true,
-                    ..
-                }
-            ) || effects == [AdmissionEffect::Shed(ShedReason::DeadlineExpired)]
-        },
-    )?;
-    graph.check_edges(
-        "admission implies every shed condition was clear",
-        |from, event, effects, _to| {
-            if !effects.contains(&AdmissionEffect::Admitted) {
-                return true;
-            }
-            match event {
-                AdmissionEvent::Admit {
-                    queue_depth,
-                    deadline_expired,
-                    over_watermark,
-                } => {
-                    !deadline_expired
-                        && !from.draining
-                        && *queue_depth < cfg.max_queue_depth
-                        && !over_watermark
-                        && from.in_flight < cfg.max_in_flight
-                }
-                _ => false,
-            }
-        },
-    )?;
-    graph.check_eventually("in-flight work can always drain to zero", |s| {
-        s.in_flight == 0
-    })?;
-    Ok(graph.report("admission(cap=2, queue=1)"))
-}
-
-// ---------------------------------------------------------------------------
-// Keyed (per-tenant) fair-share admission
-// ---------------------------------------------------------------------------
-
-/// Two tenants with unequal weights and a tenant cap tight enough that
-/// every shed reason is reachable: guaranteed shares come out [3, 1],
-/// so tenant 0 can exercise the tenant cap and tenant 1 the reserve.
+/// A mediation tier: two tenants with unequal weights and a tenant cap
+/// tight enough that every shed reason is reachable: guaranteed shares
+/// come out [3, 1], so tenant 0 can exercise the tenant cap and tenant
+/// 1 the reserve.
 fn keyed_admission_config() -> KeyedAdmissionMachine {
     KeyedAdmissionMachine {
         global_cap: 4,
         weights: vec![2, 1],
         tenant_cap: 3,
+        max_queue_depth: 1,
     }
 }
 
+/// The alphabet of either configuration: every tenant the state holds,
+/// the queue empty or full, the deadline live or expired.
 fn keyed_admission_events(state: &KeyedAdmissionState) -> Vec<KeyedAdmissionEvent> {
     let mut events = Vec::new();
-    for tenant in 0..2 {
-        for deadline_expired in [false, true] {
-            for over_watermark in [false, true] {
+    for tenant in 0..state.in_flight.len() {
+        for queue_depth in [0, 1] {
+            for deadline_expired in [false, true] {
                 events.push(KeyedAdmissionEvent::Admit {
                     tenant,
+                    queue_depth,
                     deadline_expired,
-                    over_watermark,
                 });
             }
         }
@@ -425,6 +344,17 @@ where
             _ => true,
         },
     )?;
+    graph.check_edges(
+        "a full dispatch queue never admits",
+        |_from, event, effects, _to| match event {
+            KeyedAdmissionEvent::Admit { queue_depth, .. }
+                if *queue_depth >= cfg.max_queue_depth =>
+            {
+                matches!(effects, [KeyedAdmissionEffect::Shed { .. }])
+            }
+            _ => true,
+        },
+    )?;
     // No starvation: a clean request from a tenant still under its
     // guaranteed share is admitted no matter what the others hold.
     graph.check_edges(
@@ -432,9 +362,12 @@ where
         |from, event, effects, _to| match event {
             KeyedAdmissionEvent::Admit {
                 tenant,
+                queue_depth,
                 deadline_expired: false,
-                over_watermark: false,
-            } if !from.draining && from.in_flight[*tenant] < guaranteed[*tenant] => {
+            } if !from.draining
+                && *queue_depth < cfg.max_queue_depth
+                && from.in_flight[*tenant] < guaranteed[*tenant] =>
+            {
                 effects == [KeyedAdmissionEffect::Admitted { tenant: *tenant }]
             }
             _ => true,
@@ -443,6 +376,16 @@ where
     graph.check_eventually("in-flight work can always drain to zero", |s| {
         s.total() == 0
     })
+}
+
+/// The host configuration, held to the same invariants as the
+/// two-tenant one (with a single tenant the fair-share properties
+/// degenerate to "the cap is the cap", which is the point).
+pub fn check_admission() -> Result<Report, Violation> {
+    let cfg = admission_config();
+    let graph = Graph::explore(cfg.clone(), keyed_admission_events, MAX_STATES);
+    keyed_admission_invariants(&graph, &cfg)?;
+    Ok(graph.report("admission(cap=2, queue=1)"))
 }
 
 pub fn check_keyed_admission() -> Result<Report, Violation> {
@@ -810,6 +753,9 @@ pub fn check_rpc() -> Result<Report, Violation> {
 // Composed pipeline: breaker × admission × correlation
 // ---------------------------------------------------------------------------
 
+const PERMIT_UNDERFLOW: ComposedEffect =
+    ComposedEffect::Admission(KeyedAdmissionEffect::PermitUnderflow);
+
 fn composed_events(state: &ComposedState) -> Vec<ComposedEvent> {
     let mut events = Vec::new();
     if state.clock < 4 {
@@ -840,7 +786,7 @@ fn composed_invariants(
 ) -> Result<(), Violation> {
     graph.check_states(
         "the admission permit count equals the number of running calls",
-        |s| s.admission.in_flight == s.running.len() as u64,
+        |s| s.admission.total() == s.running.len() as u64,
     )?;
     graph.check_states(
         "a probe in flight is always carried by a running call (never stranded)",
@@ -864,7 +810,7 @@ fn composed_invariants(
         },
     )?;
     graph.check_edges("no permit ever underflows", |_f, _e, effects, _t| {
-        !effects.contains(&ComposedEffect::Admission(AdmissionEffect::PermitUnderflow))
+        !effects.contains(&PERMIT_UNDERFLOW)
     })?;
     graph.check_edges(
         "a started call runs exactly when breaker and admission both said yes",
@@ -922,10 +868,10 @@ pub fn composed_random_walk() -> Result<(), Violation> {
         50_000,
         fault_seed(),
         |from, _event, effects, to| {
-            if to.admission.in_flight != to.running.len() as u64 {
+            if to.admission.total() != to.running.len() as u64 {
                 return Err("permit count diverged from running calls".into());
             }
-            if effects.contains(&ComposedEffect::Admission(AdmissionEffect::PermitUnderflow)) {
+            if effects.contains(&PERMIT_UNDERFLOW) {
                 return Err("permit underflow".into());
             }
             let _ = from;
@@ -1140,9 +1086,9 @@ pub fn dot_for(name: &str) -> Option<String> {
             )
             .dot("breaker"),
         ),
-        "admission" => {
-            Some(Graph::explore(admission_config(), admission_events, MAX_STATES).dot("admission"))
-        }
+        "admission" => Some(
+            Graph::explore(admission_config(), keyed_admission_events, MAX_STATES).dot("admission"),
+        ),
         "correlation" => Some(
             Graph::explore(CorrelationMachine, correlation_events, MAX_STATES).dot("correlation"),
         ),

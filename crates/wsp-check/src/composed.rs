@@ -4,10 +4,10 @@
 //! Mirrors how the runtime wires the three protocols together for a
 //! single endpoint: a call first asks the endpoint's circuit breaker
 //! ([`BreakerMachine`]), then server-side admission control
-//! ([`AdmissionMachine`]) — a shed while holding the breaker's
-//! half-open probe aborts the probe, exactly as the runtime's
-//! `ProbeGuard` does — and only then registers a correlation-table
-//! token ([`CorrelationMachine`]). Completion releases the permit,
+//! (the one-tenant [`KeyedAdmissionMachine`] a host runs) — a shed while
+//! holding the breaker's half-open probe aborts the probe, exactly as
+//! the runtime's `ProbeGuard` does — and only then registers a
+//! correlation-table token ([`CorrelationMachine`]). Completion releases the permit,
 //! reports the outcome to the breaker, and delivers through the
 //! correlation machine. Time is a logical clock advanced by an
 //! explicit [`ComposedEvent::Tick`].
@@ -25,14 +25,14 @@
 //!   table, whatever the breaker and admission control are doing.
 
 use std::collections::BTreeMap;
-use wsp_core::machines::admission::{
-    AdmissionEffect, AdmissionEvent, AdmissionMachine, AdmissionState,
-};
 use wsp_core::machines::breaker::{
     Admit, BreakerEffect, BreakerEvent, BreakerMachine, BreakerState,
 };
 use wsp_core::machines::correlation::{
     CorrelationEffect, CorrelationEvent, CorrelationMachine, CorrelationState,
+};
+use wsp_core::machines::keyed_admission::{
+    KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine, KeyedAdmissionState,
 };
 use wsp_simnet::Machine;
 
@@ -40,7 +40,7 @@ use wsp_simnet::Machine;
 #[derive(Debug, Clone)]
 pub struct ComposedMachine {
     pub breaker: BreakerMachine,
-    pub admission: AdmissionMachine,
+    pub admission: KeyedAdmissionMachine,
     pub calls: CorrelationMachine,
     /// Logical-clock bound: [`ComposedEvent::Tick`] is a no-op past it.
     pub max_ticks: u64,
@@ -55,10 +55,7 @@ impl ComposedMachine {
                 failure_threshold: 2,
                 cooldown: 2,
             },
-            admission: AdmissionMachine {
-                max_in_flight: 1,
-                max_queue_depth: u64::MAX,
-            },
+            admission: KeyedAdmissionMachine::one_tenant(1, u64::MAX),
             calls: CorrelationMachine,
             max_ticks: 4,
         }
@@ -70,7 +67,7 @@ impl ComposedMachine {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ComposedState {
     pub breaker: BreakerState,
-    pub admission: AdmissionState,
+    pub admission: KeyedAdmissionState,
     pub calls: CorrelationState,
     pub clock: u64,
     /// Running calls: token → "this call is the half-open probe".
@@ -103,7 +100,7 @@ pub enum ComposedEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ComposedEffect {
     Breaker(BreakerEffect),
-    Admission(AdmissionEffect),
+    Admission(KeyedAdmissionEffect),
     Call(CorrelationEffect),
     /// The breaker refused the call before admission control ran.
     RejectedByBreaker(u64),
@@ -145,10 +142,10 @@ impl Machine for ComposedMachine {
             out.extend(effects.into_iter().map(E::Breaker));
             admit
         };
-        let admission = |next: &mut ComposedState, ev: AdmissionEvent, out: &mut Vec<E>| {
+        let admission = |next: &mut ComposedState, ev: KeyedAdmissionEvent, out: &mut Vec<E>| {
             let (s, effects) = self.admission.step(&next.admission, &ev);
             next.admission = s;
-            let admitted = effects.contains(&AdmissionEffect::Admitted);
+            let admitted = effects.contains(&KeyedAdmissionEffect::Admitted { tenant: 0 });
             out.extend(effects.into_iter().map(E::Admission));
             admitted
         };
@@ -173,10 +170,10 @@ impl Machine for ComposedMachine {
                         Some(Admit::Rejected) | None => out.push(E::RejectedByBreaker(t)),
                         Some(verdict @ (Admit::Allowed | Admit::Probe)) => {
                             let is_probe = verdict == Admit::Probe;
-                            let admit = AdmissionEvent::Admit {
+                            let admit = KeyedAdmissionEvent::Admit {
+                                tenant: 0,
                                 queue_depth: 0,
                                 deadline_expired: false,
-                                over_watermark: false,
                             };
                             if admission(&mut next, admit, &mut out) {
                                 calls(&mut next, CorrelationEvent::Register(t), &mut out);
@@ -201,7 +198,11 @@ impl Machine for ComposedMachine {
                 if next.running.remove(&t).is_some() {
                     calls(&mut next, CorrelationEvent::Complete(t), &mut out);
                     breaker(&mut next, BreakerEvent::Success, &mut out);
-                    admission(&mut next, AdmissionEvent::Release, &mut out);
+                    admission(
+                        &mut next,
+                        KeyedAdmissionEvent::Release { tenant: 0 },
+                        &mut out,
+                    );
                 }
             }
             ComposedEvent::Fail(t) => {
@@ -211,7 +212,11 @@ impl Machine for ComposedMachine {
                     // error as its result) — only the breaker counts it.
                     calls(&mut next, CorrelationEvent::Complete(t), &mut out);
                     breaker(&mut next, BreakerEvent::Failure { now }, &mut out);
-                    admission(&mut next, AdmissionEvent::Release, &mut out);
+                    admission(
+                        &mut next,
+                        KeyedAdmissionEvent::Release { tenant: 0 },
+                        &mut out,
+                    );
                 }
             }
             ComposedEvent::PanicCall(t) => {
@@ -222,7 +227,11 @@ impl Machine for ComposedMachine {
                         // The runtime's ProbeGuard unwinds with the panic.
                         breaker(&mut next, BreakerEvent::ProbeAborted { now }, &mut out);
                     }
-                    admission(&mut next, AdmissionEvent::Release, &mut out);
+                    admission(
+                        &mut next,
+                        KeyedAdmissionEvent::Release { tenant: 0 },
+                        &mut out,
+                    );
                 }
             }
             ComposedEvent::Take(t) => calls(&mut next, CorrelationEvent::Take(t), &mut out),

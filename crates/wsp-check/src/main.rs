@@ -2,10 +2,14 @@
 //! protocol machine and the composed pipeline.
 //!
 //! Exit status is nonzero on the first violation, with the
-//! counterexample trace on stderr. `wsp-check --dot <machine>` dumps a
-//! machine's explored state graph in Graphviz DOT form instead
-//! (`breaker`, `admission`, `correlation`, `drain`, `conn`, `rpc`,
-//! `lease`, `replication`);
+//! counterexample trace on stderr. `wsp-check --counts` runs the same
+//! suite but prints only `name states transitions` per configuration
+//! (no timings): CI diffs it against the checked-in `COUNTS.txt`, so a
+//! change that moves a count has to move that file in the same diff.
+//! `wsp-check --dot <machine>` dumps a machine's explored state graph
+//! in Graphviz DOT form instead (`breaker`, `admission` — the
+//! one-tenant host configuration of the admission machine —
+//! `correlation`, `drain`, `conn`, `rpc`, `lease`, `replication`);
 //! `wsp-check --mutants` runs the deliberately sabotaged machines and
 //! prints the counterexample trace each one earns (failing if any
 //! mutant survives).
@@ -78,13 +82,20 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         };
     }
-    if !args.is_empty() {
-        eprintln!("usage: wsp-check [--dot <machine> | --mutants]");
+    let counts_only = args.as_slice() == ["--counts"];
+    if !args.is_empty() && !counts_only {
+        eprintln!("usage: wsp-check [--counts | --dot <machine> | --mutants]");
         return ExitCode::FAILURE;
     }
 
     let start = Instant::now();
     match wsp_check::checks::run_all() {
+        Ok(reports) if counts_only => {
+            for r in &reports {
+                println!("{} {} {}", r.name, r.states, r.transitions);
+            }
+            ExitCode::SUCCESS
+        }
         Ok(reports) => {
             for report in &reports {
                 println!("ok  {report}");

@@ -9,7 +9,9 @@ use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::events::{EventBus, ServerMessageEvent, ServerPhase};
 use crate::health::{Admission, BreakerConfig, BreakerState, EndpointHealth};
-use crate::overload::{self, AdmissionController, DeadlineScope, LoadShedPolicy};
+use crate::overload::{
+    self, DeadlineScope, KeyedAdmissionController, KeyedLoadShedPolicy, ANONYMOUS_TENANT,
+};
 use crate::query::{properties_to_uddi_categories, ServiceQuery};
 use crate::resilience::ResiliencePolicy;
 use crate::telemetry::{self, CorrelationScope};
@@ -49,7 +51,7 @@ pub struct HttpUddiConfig {
     pub keep_alive: bool,
     /// Admission-control limits for requests served by this host.
     /// Default is unlimited, the historical behaviour.
-    pub load_shed: LoadShedPolicy,
+    pub load_shed: KeyedLoadShedPolicy,
     /// Transport tunables for the lightweight host (read deadlines,
     /// connection cap, drain deadline).
     pub server: ServerConfig,
@@ -67,7 +69,7 @@ impl Default for HttpUddiConfig {
             business: "wspeer".into(),
             httpg: None,
             keep_alive: true,
-            load_shed: LoadShedPolicy::default(),
+            load_shed: KeyedLoadShedPolicy::unlimited(),
             server: ServerConfig::default(),
             registry_policy: ResiliencePolicy::none(),
         }
@@ -83,9 +85,10 @@ struct Shared {
     pool: ConnectionPool,
     events: EventBus,
     /// Gate on every POST the host serves: in-flight cap, queue-depth
-    /// cap (against the shared dispatcher's queue), queue-wait
-    /// watermark, and expired-deadline shedding.
-    admission: AdmissionController,
+    /// cap (against the shared dispatcher's queue) and expired-deadline
+    /// shedding. A host is one tenant: everything is admitted against
+    /// the [`ANONYMOUS_TENANT`] slot.
+    admission: KeyedAdmissionController,
     /// The peer's shared dispatch core, installed by `on_attach`; used
     /// to fan WSDL retrieval out during discovery.
     dispatcher: RwLock<Option<Arc<Dispatcher>>>,
@@ -246,7 +249,7 @@ fn metrics_handler(shared: Weak<Shared>) -> wsp_http::HttpHandler {
             extra.push_str(&format!("http_pool_idle {}\n", shared.pool.idle_count()));
             extra.push_str(&format!(
                 "admission_in_flight {}\n",
-                shared.admission.in_flight()
+                shared.admission.total_in_flight()
             ));
             extra.push_str(&format!(
                 "admission_draining {}\n",
@@ -280,26 +283,6 @@ fn metrics_handler(shared: Weak<Shared>) -> wsp_http::HttpHandler {
     })
 }
 
-/// Map an admission-control rejection to the wire: `503` with a
-/// whole-second `Retry-After` (rounded up, HTTP-standard) plus the
-/// millisecond-precision `X-WSP-Retry-After-Ms` the WSPeer client
-/// prefers.
-fn overloaded_response(error: &WspError) -> Response {
-    let mut response = Response::unavailable(&error.to_string());
-    if let WspError::Overloaded {
-        retry_after_ms: Some(ms),
-    } = error
-    {
-        response
-            .headers
-            .set("Retry-After", ms.div_ceil(1000).max(1).to_string());
-        response
-            .headers
-            .set(overload::RETRY_AFTER_MS_HEADER, ms.to_string());
-    }
-    response
-}
-
 /// The HTTP/UDDI binding: plug into a [`crate::Peer`] and the peer
 /// becomes a standard Web service node.
 #[derive(Clone)]
@@ -309,7 +292,7 @@ pub struct HttpUddiBinding {
 
 impl HttpUddiBinding {
     pub fn new(uddi: UddiClient, events: EventBus, config: HttpUddiConfig) -> Self {
-        let admission = AdmissionController::new(config.load_shed.clone());
+        let admission = KeyedAdmissionController::new(config.load_shed.clone());
         HttpUddiBinding {
             shared: Arc::new(Shared {
                 uddi,
@@ -449,15 +432,11 @@ impl ServiceDeployer for HttpDeployer {
                     }
                     // Deadline propagation: the wire carries *remaining
                     // budget* (clock-skew safe); re-anchor it locally.
-                    let deadline = request
-                        .headers
-                        .get(overload::DEADLINE_HEADER)
-                        .and_then(|v| v.trim().parse::<u64>().ok())
-                        .map(overload::deadline_in_ms);
+                    let deadline = overload::deadline_from_headers(&request.headers);
                     // Admission control: gate on in-flight count, the
-                    // shared dispatcher's queue depth, the queue-wait
-                    // watermark, and an already-expired deadline. The
-                    // permit spans the whole serve (RAII).
+                    // shared dispatcher's queue depth and an
+                    // already-expired deadline. The permit spans the
+                    // whole serve (RAII).
                     let _permit = match shared.upgrade() {
                         Some(shared) => {
                             let queue_depth = shared
@@ -466,7 +445,11 @@ impl ServiceDeployer for HttpDeployer {
                                 .as_ref()
                                 .map(|d| d.stats().queue_depth)
                                 .unwrap_or(0);
-                            match shared.admission.try_admit(queue_depth, deadline) {
+                            match shared.admission.try_admit_at(
+                                ANONYMOUS_TENANT,
+                                queue_depth,
+                                deadline,
+                            ) {
                                 Ok(permit) => Some(permit),
                                 Err(error) => {
                                     if registry.is_enabled() {
@@ -476,7 +459,7 @@ impl ServiceDeployer for HttpDeployer {
                                             format_args!("service={service_name} error={error}"),
                                         );
                                     }
-                                    return overloaded_response(&error);
+                                    return overload::shed_response(&error);
                                 }
                             }
                         }

@@ -33,7 +33,9 @@ use crate::dispatch::{Completer, Dispatcher};
 use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::events::{EventBus, ServerMessageEvent, ServerPhase};
-use crate::overload::{self, AdmissionController, DeadlineScope, LoadShedPolicy};
+use crate::overload::{
+    self, DeadlineScope, KeyedAdmissionController, KeyedLoadShedPolicy, ANONYMOUS_TENANT,
+};
 use crate::query::ServiceQuery;
 use crate::telemetry;
 use crossbeam_channel::{unbounded, Sender};
@@ -62,7 +64,7 @@ pub struct P2psConfig {
     pub request_timeout: Duration,
     /// Admission-control limits for requests this peer hosts over
     /// pipes. Default is unlimited, the historical behaviour.
-    pub load_shed: LoadShedPolicy,
+    pub load_shed: KeyedLoadShedPolicy,
 }
 
 impl Default for P2psConfig {
@@ -70,7 +72,7 @@ impl Default for P2psConfig {
         P2psConfig {
             discovery_window: Duration::from_millis(300),
             request_timeout: Duration::from_secs(5),
-            load_shed: LoadShedPolicy::default(),
+            load_shed: KeyedLoadShedPolicy::unlimited(),
         }
     }
 }
@@ -79,8 +81,9 @@ struct Shared {
     peer: ThreadPeer,
     config: P2psConfig,
     events: EventBus,
-    /// Gate on every hosted-service request arriving over a pipe.
-    admission: AdmissionController,
+    /// Gate on every hosted-service request arriving over a pipe (one
+    /// tenant: the [`ANONYMOUS_TENANT`] slot).
+    admission: KeyedAdmissionController,
     engines: RwLock<HashMap<String, Arc<MessageEngine>>>,
     wsdls: RwLock<HashMap<String, String>>,
     published: RwLock<HashMap<String, ServiceAdvertisement>>,
@@ -129,7 +132,7 @@ pub struct P2psBinding {
 
 impl P2psBinding {
     pub fn new(peer: ThreadPeer, events: EventBus, config: P2psConfig) -> Self {
-        let admission = AdmissionController::new(config.load_shed.clone());
+        let admission = KeyedAdmissionController::new(config.load_shed.clone());
         let shared = Arc::new_cyclic(|weak: &Weak<Shared>| {
             let binding = weak.clone();
             let installed = peer.set_sink(Box::new(move |event| {
@@ -255,34 +258,28 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
     }
 }
 
-/// Read the propagated deadline (remaining milliseconds, re-anchored
-/// locally) from the request's `Deadline` SOAP header, if present.
-fn deadline_from_envelope(envelope: &Envelope) -> Option<std::time::Instant> {
-    let header = envelope.find_header("", overload::DEADLINE_SOAP_HEADER)?;
-    let ms = header.element.text().trim().parse::<u64>().ok()?;
-    Some(overload::deadline_in_ms(ms))
-}
-
 /// Admission-control gate for one hosted-service request: admitted work
 /// runs on the pool under its propagated deadline (expired deadlines
 /// are shed again at dequeue); a shed answers immediately with the
 /// `wsp:overloaded` busy fault and its retry hint.
 fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, received: ReceivedRequest) {
     let dispatcher = shared.dispatcher_handle();
-    let deadline = deadline_from_envelope(&received.envelope);
+    let deadline = overload::deadline_from_envelope(&received.envelope);
     // Definition-pipe reads are exempt: they are cheap metadata, and an
     // overloaded provider must stay discoverable so consumers back off
     // against it rather than treating it as departed.
     let permit = if pipe.name == DEFINITION_PIPE {
         None
     } else {
-        match shared
-            .admission
-            .try_admit(dispatcher.stats().queue_depth, deadline)
-        {
+        match shared.admission.try_admit_at(
+            ANONYMOUS_TENANT,
+            dispatcher.stats().queue_depth,
+            deadline,
+        ) {
             Ok(permit) => Some(permit),
-            Err(_) => {
-                let reason = overload::busy_fault_reason(shared.admission.policy().retry_after);
+            Err(error) => {
+                let reason =
+                    overload::busy_fault_reason(error.retry_after_hint().unwrap_or_default());
                 let busy = Envelope::fault(wsp_soap::Fault::receiver(reason));
                 if let Some((reply_pipe, wire)) = encode_response(&received, busy) {
                     shared.peer.send_pipe(reply_pipe, wire);

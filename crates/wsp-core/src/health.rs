@@ -167,6 +167,11 @@ impl CircuitBreaker {
         }
     }
 
+    /// Closed with no failure counted: what a newly created breaker is.
+    fn is_fresh(&self) -> bool {
+        *self.state.lock() == MachineState::Closed { failures: 0 }
+    }
+
     /// Is a half-open probe currently admitted and unreported?
     pub fn probe_in_flight(&self) -> bool {
         matches!(
@@ -220,6 +225,12 @@ impl Drop for ProbeGuard {
     }
 }
 
+/// Ceiling on the endpoints an [`EndpointHealth`] tracks. Endpoint
+/// strings come from registry answers — remote input — and a host that
+/// redeploys mints a fresh one each time, so the map must not grow
+/// with them.
+pub const MAX_TRACKED_ENDPOINTS: usize = 1024;
+
 /// The peer's endpoint-health registry: one lazily created breaker per
 /// endpoint URI, shared by every caller that consults it.
 #[derive(Default)]
@@ -243,15 +254,30 @@ impl EndpointHealth {
     }
 
     /// The breaker for `endpoint`, created closed on first touch.
+    ///
+    /// The map holds at most [`MAX_TRACKED_ENDPOINTS`] entries. A full
+    /// map first forgets every breaker that is closed with no failure
+    /// counted and held by nobody else — indistinguishable from the
+    /// one the next touch would create, so no decision changes. If
+    /// everything tracked carries history, the new endpoint gets a
+    /// fresh breaker that is not remembered.
     pub fn breaker(&self, endpoint: &str) -> Arc<CircuitBreaker> {
         if let Some(existing) = self.breakers.read().get(endpoint) {
             return existing.clone();
         }
         let config = self.config.read().clone();
         let mut map = self.breakers.write();
-        map.entry(endpoint.to_owned())
-            .or_insert_with(|| Arc::new(CircuitBreaker::new(config)))
-            .clone()
+        if let Some(existing) = map.get(endpoint) {
+            return existing.clone();
+        }
+        if map.len() >= MAX_TRACKED_ENDPOINTS {
+            map.retain(|_, breaker| Arc::strong_count(breaker) > 1 || !breaker.is_fresh());
+        }
+        let fresh = Arc::new(CircuitBreaker::new(config));
+        if map.len() < MAX_TRACKED_ENDPOINTS {
+            map.insert(endpoint.to_owned(), fresh.clone());
+        }
+        fresh
     }
 
     /// Endpoints with a breaker, and the state each is in at `now`.

@@ -108,8 +108,7 @@ pub use health::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, EndpointHealth, ProbeGuard,
 };
 pub use overload::{
-    AdmissionController, AdmissionPermit, DeadlineScope, KeyedAdmissionController,
-    KeyedAdmissionPermit, KeyedLoadShedPolicy, LoadShedPolicy,
+    DeadlineScope, KeyedAdmissionController, KeyedAdmissionPermit, KeyedLoadShedPolicy,
 };
 pub use peer::Peer;
 pub use query::{QueryExpr, ServiceQuery};

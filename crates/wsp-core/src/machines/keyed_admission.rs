@@ -1,14 +1,24 @@
-//! Per-tenant weighted fair-share admission as a pure machine.
+//! Admission control as a pure machine: one global in-flight cap,
+//! split into per-tenant weighted fair shares.
 //!
-//! The global [`super::admission::AdmissionMachine`] protects a host
-//! from aggregate overload but lets one hot caller consume the whole
-//! in-flight budget. This machine generalises it to *keyed* admission:
-//! tenants (interned to dense indices by the shell) share one global
-//! cap, each with a weight, and the cap is split into guaranteed
-//! shares by largest-remainder apportionment. The admit rule is:
+//! This is the only admission machine. A mediation tier runs it with
+//! one slot per tenant (interned to dense indices by the shell); a
+//! container-less host runs the same machine with a single tenant of
+//! weight 1 and no tenant ceiling ([`KeyedAdmissionMachine::one_tenant`]),
+//! where the guaranteed share is the whole cap and the decision reduces
+//! to: expired deadline → draining → queue full → in-flight cap → admit.
+//!
+//! The stored state is deliberately tiny — in-flight permits per tenant
+//! plus the drain flag — because everything else the runtime check
+//! consults (dispatch-queue depth, deadline expiry) is *observation*,
+//! not protocol state: the shell measures it and ships it inside
+//! [`KeyedAdmissionEvent::Admit`].
+//!
+//! The global cap is split into guaranteed shares by largest-remainder
+//! apportionment of the tenant weights. The admit rule is:
 //!
 //! * a tenant below its guaranteed share is always admitted (unless
-//!   draining / expired / over the watermark);
+//!   expired / draining / the dispatch queue is full);
 //! * a tenant at or above its share may borrow idle capacity, but only
 //!   while `total < global_cap - reserve`, where `reserve` is the sum
 //!   of every tenant's unused guaranteed share.
@@ -25,13 +35,14 @@
 //! conservation (`total ≤ global_cap`) and no-starvation (a tenant
 //! below its share has positive slack, hence `total < global_cap`, and
 //! the below-share branch admits unconditionally). `wsp-check`
-//! explores small configurations exhaustively and the mutation pass
-//! condemns a borrow rule that forgets the reserve.
+//! explores the one-tenant and a two-tenant configuration exhaustively
+//! against the same invariants, and the mutation pass condemns a
+//! borrow rule that forgets the reserve.
 
 use wsp_simnet::Machine;
 
 /// Configuration: the global cap, per-tenant weights (index = tenant
-/// id) and a per-tenant burst ceiling.
+/// id), a per-tenant burst ceiling and the dispatch-queue bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyedAdmissionMachine {
     /// Hard ceiling on total in-flight permits across all tenants.
@@ -42,9 +53,23 @@ pub struct KeyedAdmissionMachine {
     /// Hard per-tenant ceiling, the burst limit a single tenant can
     /// reach even when everything else is idle.
     pub tenant_cap: u64,
+    /// Shed when the dispatch queue already holds this many jobs.
+    /// `u64::MAX` disables the check.
+    pub max_queue_depth: u64,
 }
 
 impl KeyedAdmissionMachine {
+    /// The host configuration: a single tenant of weight 1 and no
+    /// tenant ceiling, whose guaranteed share is the whole cap.
+    pub fn one_tenant(global_cap: u64, max_queue_depth: u64) -> Self {
+        KeyedAdmissionMachine {
+            global_cap,
+            weights: vec![1],
+            tenant_cap: u64::MAX,
+            max_queue_depth,
+        }
+    }
+
     /// Guaranteed share per tenant: largest-remainder apportionment of
     /// `global_cap` by weight, then every zero share is raised to 1
     /// while shares above 1 are trimmed to compensate (a tenant with a
@@ -112,8 +137,8 @@ impl KeyedAdmissionMachine {
         match *event {
             KeyedAdmissionEvent::Admit {
                 tenant,
+                queue_depth,
                 deadline_expired,
-                over_watermark,
             } => {
                 let f = state.in_flight[tenant];
                 let total = state.total();
@@ -121,8 +146,8 @@ impl KeyedAdmissionMachine {
                     Some(KeyedShedReason::DeadlineExpired)
                 } else if state.draining {
                     Some(KeyedShedReason::Draining)
-                } else if over_watermark {
-                    Some(KeyedShedReason::OverWatermark)
+                } else if queue_depth >= self.max_queue_depth {
+                    Some(KeyedShedReason::QueueFull)
                 } else if f >= self.tenant_cap {
                     Some(KeyedShedReason::TenantCap)
                 } else if total >= self.global_cap {
@@ -196,10 +221,10 @@ impl KeyedAdmissionState {
 pub enum KeyedAdmissionEvent {
     Admit {
         tenant: usize,
+        /// Dispatch-queue depth observed by the shell.
+        queue_depth: u64,
         /// The caller's propagated deadline had already expired.
         deadline_expired: bool,
-        /// The sampled queue-wait watermark verdict.
-        over_watermark: bool,
     },
     Release {
         tenant: usize,
@@ -208,12 +233,13 @@ pub enum KeyedAdmissionEvent {
     EndDrain,
 }
 
-/// Why a keyed admission was refused, in shed-priority order.
+/// Why an admission was refused, in shed-priority order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyedShedReason {
     DeadlineExpired,
     Draining,
-    OverWatermark,
+    /// The dispatch queue is at capacity.
+    QueueFull,
     /// The tenant hit its own burst ceiling.
     TenantCap,
     /// The whole host is at the global cap.
@@ -269,8 +295,8 @@ mod tests {
     fn admit(tenant: usize) -> KeyedAdmissionEvent {
         KeyedAdmissionEvent::Admit {
             tenant,
+            queue_depth: 0,
             deadline_expired: false,
-            over_watermark: false,
         }
     }
 
@@ -279,6 +305,7 @@ mod tests {
             global_cap: cap,
             weights: weights.to_vec(),
             tenant_cap,
+            max_queue_depth: u64::MAX,
         }
     }
 
@@ -372,57 +399,109 @@ mod tests {
 
     #[test]
     fn shed_priority_order_is_stable() {
-        let m = machine(2, &[1], 2);
-        let mut s = KeyedAdmissionState {
-            in_flight: vec![0],
-            draining: true,
+        use KeyedShedReason::*;
+        fn shed(
+            m: &KeyedAdmissionMachine,
+            draining: bool,
+            deadline_expired: bool,
+        ) -> KeyedShedReason {
+            let from = KeyedAdmissionState {
+                in_flight: vec![0],
+                draining,
+            };
+            let event = KeyedAdmissionEvent::Admit {
+                tenant: 0,
+                queue_depth: 9,
+                deadline_expired,
+            };
+            match m.step(&from, &event).1[..] {
+                [KeyedAdmissionEffect::Shed { tenant: 0, reason }] => reason,
+                ref other => panic!("expected a shed, got {other:?}"),
+            }
+        }
+        // Everything that can refuse does; lift one condition at a
+        // time: expired beats draining beats queue full beats tenant
+        // cap beats global cap.
+        let m = KeyedAdmissionMachine {
+            global_cap: 0,
+            weights: vec![1],
+            tenant_cap: 0,
+            max_queue_depth: 0,
         };
-        assert_eq!(
-            step_mut(
-                &m,
-                &mut s,
-                &KeyedAdmissionEvent::Admit {
-                    tenant: 0,
-                    deadline_expired: true,
-                    over_watermark: true,
-                }
-            ),
-            vec![KeyedAdmissionEffect::Shed {
+        assert_eq!(shed(&m, true, true), DeadlineExpired);
+        assert_eq!(shed(&m, true, false), Draining);
+        assert_eq!(shed(&m, false, false), QueueFull);
+        let m = KeyedAdmissionMachine {
+            max_queue_depth: u64::MAX,
+            ..m
+        };
+        assert_eq!(shed(&m, false, false), TenantCap);
+        let m = KeyedAdmissionMachine {
+            tenant_cap: u64::MAX,
+            ..m
+        };
+        assert_eq!(shed(&m, false, false), GlobalCap);
+    }
+
+    /// The host configuration, enumerated: every input of
+    /// `one_tenant(cap=2, queue=1)` against the decision order a host
+    /// has always had — expired → draining → queue full → in-flight cap
+    /// → admit. Rows are literal, not derived from the machine.
+    #[test]
+    fn one_tenant_configuration_decides_like_a_host() {
+        use KeyedShedReason::*;
+        let m = KeyedAdmissionMachine::one_tenant(2, 1);
+        // (in_flight, draining, queue_depth, expired) → shed reason.
+        #[rustfmt::skip]
+        let rows = [
+            (0, false, 0, false, None),
+            (0, false, 0, true,  Some(DeadlineExpired)),
+            (0, false, 1, false, Some(QueueFull)),
+            (0, false, 1, true,  Some(DeadlineExpired)),
+            (0, true,  0, false, Some(Draining)),
+            (0, true,  0, true,  Some(DeadlineExpired)),
+            (0, true,  1, false, Some(Draining)),
+            (0, true,  1, true,  Some(DeadlineExpired)),
+            (1, false, 0, false, None),
+            (1, false, 0, true,  Some(DeadlineExpired)),
+            (1, false, 1, false, Some(QueueFull)),
+            (1, false, 1, true,  Some(DeadlineExpired)),
+            (1, true,  0, false, Some(Draining)),
+            (1, true,  0, true,  Some(DeadlineExpired)),
+            (1, true,  1, false, Some(Draining)),
+            (1, true,  1, true,  Some(DeadlineExpired)),
+            (2, false, 0, false, Some(GlobalCap)),
+            (2, false, 0, true,  Some(DeadlineExpired)),
+            (2, false, 1, false, Some(QueueFull)),
+            (2, false, 1, true,  Some(DeadlineExpired)),
+            (2, true,  0, false, Some(Draining)),
+            (2, true,  0, true,  Some(DeadlineExpired)),
+            (2, true,  1, false, Some(Draining)),
+            (2, true,  1, true,  Some(DeadlineExpired)),
+        ];
+        for (in_flight, draining, queue_depth, deadline_expired, shed) in rows {
+            let from = KeyedAdmissionState {
+                in_flight: vec![in_flight],
+                draining,
+            };
+            let event = KeyedAdmissionEvent::Admit {
                 tenant: 0,
-                reason: KeyedShedReason::DeadlineExpired
-            }]
-        );
-        assert_eq!(
-            step_mut(
-                &m,
-                &mut s,
-                &KeyedAdmissionEvent::Admit {
-                    tenant: 0,
-                    deadline_expired: false,
-                    over_watermark: true,
-                }
-            ),
-            vec![KeyedAdmissionEffect::Shed {
-                tenant: 0,
-                reason: KeyedShedReason::Draining
-            }]
-        );
-        s.draining = false;
-        assert_eq!(
-            step_mut(
-                &m,
-                &mut s,
-                &KeyedAdmissionEvent::Admit {
-                    tenant: 0,
-                    deadline_expired: false,
-                    over_watermark: true,
-                }
-            ),
-            vec![KeyedAdmissionEffect::Shed {
-                tenant: 0,
-                reason: KeyedShedReason::OverWatermark
-            }]
-        );
+                queue_depth,
+                deadline_expired,
+            };
+            let (to, effects) = m.step(&from, &event);
+            let (effect, admitted) = match shed {
+                Some(reason) => (KeyedAdmissionEffect::Shed { tenant: 0, reason }, 0),
+                None => (KeyedAdmissionEffect::Admitted { tenant: 0 }, 1),
+            };
+            assert_eq!(effects, vec![effect], "{from:?} {event:?}");
+            assert_eq!(
+                to.in_flight,
+                vec![in_flight + admitted],
+                "{from:?} {event:?}"
+            );
+            assert_eq!(to.draining, draining);
+        }
     }
 
     #[test]

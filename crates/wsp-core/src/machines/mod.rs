@@ -15,7 +15,6 @@
 //! shell converts `Instant`s relative to a private epoch; the model
 //! checker uses small integers).
 
-pub mod admission;
 pub mod breaker;
 pub mod correlation;
 pub mod keyed_admission;

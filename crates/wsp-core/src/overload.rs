@@ -5,11 +5,17 @@
 //! application *is* the server — there is no container in front of it
 //! to absorb a burst. This module is the host-side half of the
 //! resilience story started by the client retry loop: a
-//! [`LoadShedPolicy`] bounds how much work a peer accepts, an
-//! [`AdmissionController`] enforces it with an O(1) check per request,
-//! and a shed answers *immediately* with [`WspError::Overloaded`] plus
-//! a `Retry-After` hint — so a retry storm backs off instead of
-//! amplifying the overload.
+//! [`KeyedLoadShedPolicy`] bounds how much work a peer accepts, a
+//! [`KeyedAdmissionController`] enforces it with an O(1) check per
+//! request, and a shed answers *immediately* with
+//! [`WspError::Overloaded`] plus a `Retry-After` hint — so a retry
+//! storm backs off instead of amplifying the overload.
+//!
+//! There is one policy and one controller. A host is a gateway with a
+//! single tenant: the bindings admit every request against the
+//! [`ANONYMOUS_TENANT`] slot of a [`KeyedLoadShedPolicy::bounded`] (or
+//! [`KeyedLoadShedPolicy::unlimited`]) policy, the mediation tier
+//! admits per tenant against a [`KeyedLoadShedPolicy::fair`] one.
 //!
 //! Deadline propagation is the other half: the client's per-call
 //! deadline crosses the wire as [`DEADLINE_HEADER`] (remaining budget
@@ -18,19 +24,19 @@
 //! server-side into a [`DeadlineScope`], and work whose deadline has
 //! already expired is shed at dequeue time — there is no point
 //! computing a response nobody is waiting for.
-
+//!
 //! Every admission decision lives in the pure
-//! [`crate::machines::admission::AdmissionMachine`]; this module is its
-//! runtime shell. The shell gathers the *observations* (queue depth,
-//! deadline expiry, the sampled watermark verdict), ships them inside
-//! an [`AdmissionEvent::Admit`], and translates the effects back into
-//! permits, faults and counters. `wsp-check` exhaustively explores the
-//! machine; the tests here exercise the shell around it.
+//! [`KeyedAdmissionMachine`]; this module is its runtime shell. The
+//! shell interns tenants, gathers the *observations* (queue depth,
+//! deadline expiry), ships them inside a
+//! [`KeyedAdmissionEvent::Admit`], and translates the effects back
+//! into permits, faults and counters. `wsp-check` exhaustively
+//! explores the machine; the tests here exercise the shell around it.
+//! The overload wire grammar — the deadline budget, the `503` shed
+//! response and the P2PS busy fault — is written once, at the bottom
+//! of this module.
 
 use crate::error::WspError;
-use crate::machines::admission::{
-    AdmissionEffect, AdmissionEvent, AdmissionMachine, AdmissionState, ShedReason,
-};
 use crate::machines::keyed_admission::{
     KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine, KeyedAdmissionState,
     KeyedShedReason,
@@ -39,22 +45,24 @@ use crate::telemetry::{self, Counter};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use wsp_http::{Headers, Response};
 use wsp_simnet::Machine;
+use wsp_soap::Envelope;
 
 /// Request header carrying the caller's *remaining* call budget in
 /// milliseconds. Relative (a duration) rather than absolute so clock
 /// skew between peers cannot manufacture or destroy budget.
 pub const DEADLINE_HEADER: &str = "X-WSP-Deadline";
 
-/// Request header naming the tenant a request belongs to, for keyed
-/// (per-tenant fair-share) admission. Requests without it fall into
-/// the [`ANONYMOUS_TENANT`] bucket.
+/// Request header naming the tenant a request belongs to, for
+/// per-tenant fair-share admission. Requests without it fall into the
+/// [`ANONYMOUS_TENANT`] bucket.
 pub const TENANT_HEADER: &str = "X-WSP-Tenant";
 
-/// The tenant bucket for requests that do not identify themselves.
+/// The tenant bucket for requests that do not identify themselves —
+/// and the single slot a host admits everything against.
 pub const ANONYMOUS_TENANT: &str = "anonymous";
 
 /// SOAP header block (namespace-less local name) carrying the tenant
@@ -74,274 +82,32 @@ pub const BUSY_FAULT_PREFIX: &str = "wsp:overloaded";
 /// remaining deadline budget over the P2PS binding.
 pub const DEADLINE_SOAP_HEADER: &str = "Deadline";
 
-/// How often the (comparatively expensive) queue-wait watermark check
-/// re-reads the histogram: every 2^6 = 64 admissions. Between samples
-/// the cached verdict is used, keeping the admission check O(1).
-const WATERMARK_SAMPLE_SHIFT: u64 = 6;
-
-/// What a host is willing to accept before shedding.
-///
-/// The default policy is effectively unlimited — exactly the
-/// pre-overload-protection behaviour, so nothing sheds until a policy
-/// is configured.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadShedPolicy {
-    /// Shed when the dispatch queue already holds this many jobs.
-    /// `usize::MAX` disables the check.
-    pub max_queue_depth: usize,
-    /// Shed when this many requests are already in flight (admitted
-    /// and not yet answered). `usize::MAX` disables the check.
-    pub max_in_flight: usize,
-    /// Shed when the p99 dispatch queue wait (from the telemetry
-    /// histograms, sampled periodically) exceeds this — the earliest
-    /// smoke signal of saturation, firing before the queue is full.
-    pub queue_wait_watermark: Option<Duration>,
-    /// The `Retry-After` hint attached to every shed.
-    pub retry_after: Duration,
-}
-
-impl Default for LoadShedPolicy {
-    fn default() -> Self {
-        LoadShedPolicy::unlimited()
-    }
-}
-
-impl LoadShedPolicy {
-    /// Accept everything (the legacy behaviour).
-    pub fn unlimited() -> Self {
-        LoadShedPolicy {
-            max_queue_depth: usize::MAX,
-            max_in_flight: usize::MAX,
-            queue_wait_watermark: None,
-            retry_after: Duration::from_millis(100),
-        }
-    }
-
-    /// A bounded policy: at most `in_flight` concurrent requests and
-    /// `queue_depth` queued jobs, 100 ms retry hint.
-    pub fn bounded(in_flight: usize, queue_depth: usize) -> Self {
-        LoadShedPolicy {
-            max_queue_depth: queue_depth,
-            max_in_flight: in_flight,
-            queue_wait_watermark: None,
-            retry_after: Duration::from_millis(100),
-        }
-    }
-
-    pub fn with_retry_after(mut self, hint: Duration) -> Self {
-        self.retry_after = hint;
-        self
-    }
-
-    pub fn with_queue_wait_watermark(mut self, watermark: Duration) -> Self {
-        self.queue_wait_watermark = Some(watermark);
-        self
-    }
-
-    /// Does this policy ever shed?
-    pub fn is_limiting(&self) -> bool {
-        self.max_queue_depth != usize::MAX
-            || self.max_in_flight != usize::MAX
-            || self.queue_wait_watermark.is_some()
-    }
-}
-
-/// Enforces a [`LoadShedPolicy`] for one host. Cheap to clone (all
-/// state behind one `Arc`); both bindings of a peer may share one
-/// controller so the in-flight cap is per-peer, not per-transport.
-#[derive(Clone)]
-pub struct AdmissionController {
-    inner: Arc<AdmissionInner>,
-}
-
-struct AdmissionInner {
-    policy: LoadShedPolicy,
-    machine: AdmissionMachine,
-    /// All protocol state; every transition steps the machine under
-    /// this mutex, so concurrent admissions serialise and the cap is
-    /// never transiently breached.
-    state: Mutex<AdmissionState>,
-    admissions: AtomicU64,
-    /// Cached verdict of the periodic watermark sample.
-    over_watermark: AtomicBool,
-    admitted: Arc<Counter>,
-    shed: Arc<Counter>,
-    shed_expired: Arc<Counter>,
-}
-
-impl AdmissionController {
-    pub fn new(policy: LoadShedPolicy) -> Self {
-        let registry = telemetry::global();
-        let machine = AdmissionMachine {
-            max_in_flight: policy.max_in_flight as u64,
-            max_queue_depth: policy.max_queue_depth as u64,
-        };
-        let state = Mutex::new(machine.initial());
-        AdmissionController {
-            inner: Arc::new(AdmissionInner {
-                policy,
-                machine,
-                state,
-                admissions: AtomicU64::new(0),
-                over_watermark: AtomicBool::new(false),
-                admitted: registry.counter("admission.admitted"),
-                shed: registry.counter("admission.shed"),
-                shed_expired: registry.counter("admission.shed_expired"),
-            }),
-        }
-    }
-
-    fn step(&self, event: AdmissionEvent) -> Vec<AdmissionEffect> {
-        let mut state = self.inner.state.lock();
-        let (next, effects) = self.inner.machine.step(&state, &event);
-        *state = next;
-        effects
-    }
-
-    pub fn policy(&self) -> &LoadShedPolicy {
-        &self.inner.policy
-    }
-
-    /// Requests currently admitted and unanswered.
-    pub fn in_flight(&self) -> usize {
-        self.inner.state.lock().in_flight as usize
-    }
-
-    /// Enter drain mode: every subsequent admission is refused (with
-    /// the retry hint) while already-admitted work runs to completion.
-    pub fn start_draining(&self) {
-        self.step(AdmissionEvent::BeginDrain);
-    }
-
-    pub fn stop_draining(&self) {
-        self.step(AdmissionEvent::EndDrain);
-    }
-
-    pub fn is_draining(&self) -> bool {
-        self.inner.state.lock().draining
-    }
-
-    fn overloaded(&self) -> WspError {
-        self.inner.shed.incr();
-        WspError::Overloaded {
-            retry_after_ms: Some(self.inner.policy.retry_after.as_millis() as u64),
-        }
-    }
-
-    /// The shell's half of the watermark check: sample the p99 queue
-    /// wait every 2^[`WATERMARK_SAMPLE_SHIFT`] admissions, cache the
-    /// verdict, and hand the machine a plain boolean observation.
-    fn observe_watermark(&self) -> bool {
-        let Some(watermark) = self.inner.policy.queue_wait_watermark else {
-            return false;
-        };
-        let n = self.inner.admissions.fetch_add(1, Ordering::Relaxed);
-        if n & ((1 << WATERMARK_SAMPLE_SHIFT) - 1) == 0 {
-            let p99_us = telemetry::global()
-                .histogram("dispatch.queue_wait_us")
-                .snapshot()
-                .p99();
-            let over = Duration::from_micros(p99_us) > watermark;
-            self.inner.over_watermark.store(over, Ordering::Relaxed);
-        }
-        self.inner.over_watermark.load(Ordering::Relaxed)
-    }
-
-    /// Admit one request or shed it. `queue_depth` is the host's
-    /// current dispatch-queue depth (pass 0 when not applicable);
-    /// `deadline` is the caller's propagated deadline, shed immediately
-    /// when already expired (the caller has given up — answering
-    /// quickly matters more than answering at all).
-    pub fn try_admit(
-        &self,
-        queue_depth: usize,
-        deadline: Option<Instant>,
-    ) -> Result<AdmissionPermit, WspError> {
-        let event = AdmissionEvent::Admit {
-            queue_depth: queue_depth as u64,
-            deadline_expired: deadline.is_some_and(|d| Instant::now() >= d),
-            over_watermark: self.observe_watermark(),
-        };
-        match self.step(event).first() {
-            Some(AdmissionEffect::Admitted) => {
-                self.inner.admitted.incr();
-                Ok(AdmissionPermit {
-                    controller: self.clone(),
-                })
-            }
-            Some(AdmissionEffect::Shed(reason)) => {
-                if *reason == ShedReason::DeadlineExpired {
-                    self.inner.shed_expired.incr();
-                }
-                Err(self.overloaded())
-            }
-            other => unreachable!("Admit event produced {other:?}"),
-        }
-    }
-
-    /// Block until all admitted work has finished or `deadline` passes.
-    /// Returns the number of requests still in flight (0 on success).
-    pub fn await_idle(&self, deadline: Instant) -> usize {
-        loop {
-            let in_flight = self.in_flight();
-            if in_flight == 0 || Instant::now() >= deadline {
-                return in_flight;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-}
-
-/// RAII proof of admission: holds one in-flight slot, released on drop
-/// (success, fault and panic paths alike).
-pub struct AdmissionPermit {
-    controller: AdmissionController,
-}
-
-impl std::fmt::Debug for AdmissionPermit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdmissionPermit")
-            .field("in_flight", &self.controller.in_flight())
-            .finish()
-    }
-}
-
-impl Drop for AdmissionPermit {
-    fn drop(&mut self) {
-        let effects = self.controller.step(AdmissionEvent::Release);
-        debug_assert!(
-            !effects.contains(&AdmissionEffect::PermitUnderflow),
-            "permit released with nothing in flight"
-        );
-    }
-}
-
-// --- keyed (per-tenant fair-share) admission --------------------------------
-
-/// What a mediation tier is willing to accept, per tenant: the keyed
-/// generalisation of [`LoadShedPolicy`]. One global in-flight cap is
-/// split into guaranteed shares by tenant weight (largest-remainder
-/// apportionment, computed by the pure machine); tenants may borrow
-/// idle capacity beyond their share but never out of another tenant's
-/// unused guarantee.
+/// What a peer is willing to accept before shedding. One global
+/// in-flight cap is split into guaranteed shares by tenant weight
+/// (largest-remainder apportionment, computed by the pure machine);
+/// tenants may borrow idle capacity beyond their share but never out
+/// of another tenant's unused guarantee. A host's policy
+/// ([`Self::bounded`], [`Self::unlimited`]) has one tenant that owns
+/// the whole cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KeyedLoadShedPolicy {
-    /// Total in-flight permits across every tenant.
+    /// Total in-flight permits (admitted and not yet answered) across
+    /// every tenant. `usize::MAX` disables the check.
     pub global_max_in_flight: usize,
     /// Hard per-tenant burst ceiling (even with the rest of the host
     /// idle, one tenant cannot exceed this).
     pub tenant_max_in_flight: usize,
-    /// Weight applied to tenants not listed in `weights`.
-    pub default_weight: u64,
+    /// Shed when the dispatch queue already holds this many jobs.
+    /// `usize::MAX` disables the check.
+    pub max_queue_depth: usize,
     /// Explicitly weighted tenants, interned first (in this order).
+    /// Every other tenant has weight 1.
     pub weights: Vec<(String, u64)>,
-    /// Same early-smoke-signal watermark as [`LoadShedPolicy`].
-    pub queue_wait_watermark: Option<Duration>,
     /// Base `Retry-After` hint; per-tenant hints scale it by how far
     /// over its guaranteed share the tenant already is.
     pub retry_after: Duration,
-    /// Telemetry prefix for the per-tenant shed counters
-    /// (`<prefix>.<tenant>.shed`).
+    /// Telemetry prefix: `<prefix>.{admitted,shed,shed_expired}` and
+    /// the per-tenant `<prefix>.<tenant>.shed`.
     pub counter_prefix: String,
     /// Ceiling on the interned tenant population. Tenant ids arrive in
     /// client-controlled headers, so without a bound an attacker
@@ -356,14 +122,32 @@ pub struct KeyedLoadShedPolicy {
 }
 
 impl KeyedLoadShedPolicy {
+    /// Accept everything: a host without limits, so nothing sheds
+    /// until a policy is configured (drain mode and already-expired
+    /// deadlines still refuse).
+    pub fn unlimited() -> Self {
+        KeyedLoadShedPolicy::bounded(usize::MAX, usize::MAX)
+    }
+
+    /// A host's policy: at most `in_flight` concurrent requests and
+    /// `queue_depth` queued jobs, no tenant ceiling, 100 ms retry hint,
+    /// the `admission.*` counter series.
+    pub fn bounded(in_flight: usize, queue_depth: usize) -> Self {
+        KeyedLoadShedPolicy {
+            tenant_max_in_flight: usize::MAX,
+            max_queue_depth: queue_depth,
+            counter_prefix: "admission".to_owned(),
+            ..KeyedLoadShedPolicy::fair(in_flight)
+        }
+    }
+
     /// An equal-weight fair-share policy over `global_cap` permits.
     pub fn fair(global_cap: usize) -> Self {
         KeyedLoadShedPolicy {
             global_max_in_flight: global_cap,
             tenant_max_in_flight: global_cap,
-            default_weight: 1,
+            max_queue_depth: usize::MAX,
             weights: Vec::new(),
-            queue_wait_watermark: None,
             retry_after: Duration::from_millis(100),
             counter_prefix: "admission.tenant".to_owned(),
             max_tenants: 64,
@@ -396,10 +180,10 @@ impl KeyedLoadShedPolicy {
     }
 }
 
-/// All keyed protocol state, stepped under one mutex. The tenant
-/// interner lives inside the same lock: admitting a brand-new tenant
-/// atomically grows the machine's weight vector and the state's
-/// in-flight vector, so shares re-apportion on the very next decision.
+/// All protocol state, stepped under one mutex. The tenant interner
+/// lives inside the same lock: admitting a brand-new tenant atomically
+/// grows the machine's weight vector and the state's in-flight vector,
+/// so shares re-apportion on the very next decision.
 ///
 /// The apportionment is cached here and recomputed only when the
 /// weight vector changes (a tenant interned), so the steady-state
@@ -411,16 +195,22 @@ struct KeyedSync {
     index: HashMap<String, usize>,
     /// `machine.guaranteed()` for the current weight vector.
     guaranteed: Vec<u64>,
+    /// `<prefix>.<tenant>.shed` per slot, resolved once at interning so
+    /// a shed — the path that must answer fast under overload — neither
+    /// formats a name nor takes the registry lock.
+    shed_counters: Vec<Arc<Counter>>,
 }
 
 impl KeyedSync {
-    fn intern(&mut self, tenant: &str, weight: u64) -> usize {
+    fn intern(&mut self, tenant: &str, weight: u64, counter_prefix: &str) -> usize {
         if let Some(&i) = self.index.get(tenant) {
             return i;
         }
         let i = self.tenants.len();
         self.tenants.push(tenant.to_owned());
         self.index.insert(tenant.to_owned(), i);
+        self.shed_counters
+            .push(telemetry::global().counter(format!("{counter_prefix}.{tenant}.shed")));
         self.machine.weights.push(weight.max(1));
         self.state.in_flight.push(0);
         self.guaranteed = self.machine.guaranteed();
@@ -428,40 +218,46 @@ impl KeyedSync {
     }
 
     /// The slot a request for `tenant` is accounted to. Known tenants
-    /// resolve directly; unseen ones intern while the population is
-    /// below [`KeyedLoadShedPolicy::max_tenants`] and share the
-    /// [`ANONYMOUS_TENANT`] bucket beyond it, bounding memory, metric
-    /// cardinality and share dilution against junk tenant floods.
+    /// resolve directly; unseen ones intern (weight 1) while the
+    /// population is below [`KeyedLoadShedPolicy::max_tenants`] and
+    /// share the [`ANONYMOUS_TENANT`] bucket beyond it, bounding
+    /// memory, metric cardinality and share dilution against junk
+    /// tenant floods.
     fn tenant_index(&mut self, tenant: &str, policy: &KeyedLoadShedPolicy) -> usize {
         if let Some(&i) = self.index.get(tenant) {
             return i;
         }
-        if self.tenants.len() < policy.max_tenants {
-            return self.intern(tenant, policy.default_weight);
-        }
         // Population full: the overflow bucket (interned on first use;
         // the population is thus bounded by `max_tenants + 1`).
-        if let Some(&i) = self.index.get(ANONYMOUS_TENANT) {
-            return i;
-        }
-        self.intern(ANONYMOUS_TENANT, policy.default_weight)
+        let tenant = if self.tenants.len() < policy.max_tenants {
+            tenant
+        } else {
+            ANONYMOUS_TENANT
+        };
+        self.intern(tenant, 1, &policy.counter_prefix)
+    }
+
+    fn step(&mut self, event: KeyedAdmissionEvent) -> Vec<KeyedAdmissionEffect> {
+        let (next, effects) = self
+            .machine
+            .step_apportioned(&self.guaranteed, &self.state, &event);
+        self.state = next;
+        effects
     }
 }
 
 struct KeyedInner {
     policy: KeyedLoadShedPolicy,
     sync: Mutex<KeyedSync>,
-    admissions: AtomicU64,
-    over_watermark: AtomicBool,
     admitted: Arc<Counter>,
     shed: Arc<Counter>,
     shed_expired: Arc<Counter>,
 }
 
 /// Enforces a [`KeyedLoadShedPolicy`]: the runtime shell around the
-/// pure [`KeyedAdmissionMachine`]. Cheap to clone; a gateway's HTTP
-/// and P2PS fronts share one controller so the fair-share arithmetic
-/// spans both bindings.
+/// pure [`KeyedAdmissionMachine`]. Cheap to clone (all state behind
+/// one `Arc`): a gateway's HTTP and P2PS fronts share one controller so
+/// the fair-share arithmetic spans both bindings.
 #[derive(Clone)]
 pub struct KeyedAdmissionController {
     inner: Arc<KeyedInner>,
@@ -474,6 +270,7 @@ impl KeyedAdmissionController {
             global_cap: policy.global_max_in_flight as u64,
             weights: Vec::new(),
             tenant_cap: policy.tenant_max_in_flight as u64,
+            max_queue_depth: policy.max_queue_depth as u64,
         };
         let mut sync = KeyedSync {
             state: machine.initial(),
@@ -481,19 +278,18 @@ impl KeyedAdmissionController {
             tenants: Vec::new(),
             index: HashMap::new(),
             guaranteed: Vec::new(),
+            shed_counters: Vec::new(),
         };
+        let prefix = &policy.counter_prefix;
         // Intern configured tenants eagerly, in policy order, so their
         // indices (and the bisimulation mirror's) are deterministic.
         // Explicit weights always intern, even past `max_tenants`.
-        for (tenant, weight) in policy.weights.clone() {
-            let i = sync.intern(&tenant, weight);
-            if sync.machine.weights[i] != weight.max(1) {
-                // A tenant listed twice: the last weight wins.
-                sync.machine.weights[i] = weight.max(1);
-                sync.guaranteed = sync.machine.guaranteed();
-            }
+        for (tenant, weight) in &policy.weights {
+            let i = sync.intern(tenant, *weight, prefix);
+            // A tenant listed twice: the last weight wins.
+            sync.machine.weights[i] = (*weight).max(1);
         }
-        let prefix = &policy.counter_prefix;
+        sync.guaranteed = sync.machine.guaranteed();
         KeyedAdmissionController {
             inner: Arc::new(KeyedInner {
                 admitted: registry.counter(format!("{prefix}.admitted")),
@@ -501,14 +297,8 @@ impl KeyedAdmissionController {
                 shed_expired: registry.counter(format!("{prefix}.shed_expired")),
                 policy,
                 sync: Mutex::new(sync),
-                admissions: AtomicU64::new(0),
-                over_watermark: AtomicBool::new(false),
             }),
         }
-    }
-
-    pub fn policy(&self) -> &KeyedLoadShedPolicy {
-        &self.inner.policy
     }
 
     /// In-flight permits held by `tenant` (0 for unknown tenants).
@@ -520,6 +310,7 @@ impl KeyedAdmissionController {
             .unwrap_or(0)
     }
 
+    /// Requests currently admitted and unanswered, across every tenant.
     pub fn total_in_flight(&self) -> usize {
         self.inner.sync.lock().state.total() as usize
     }
@@ -537,71 +328,52 @@ impl KeyedAdmissionController {
         self.inner.sync.lock().tenants.clone()
     }
 
+    /// Enter drain mode: every subsequent admission is refused (with
+    /// the retry hint) while already-admitted work runs to completion.
     pub fn start_draining(&self) {
-        let mut sync = self.inner.sync.lock();
-        let (next, _) = sync.machine.step_apportioned(
-            &sync.guaranteed,
-            &sync.state,
-            &KeyedAdmissionEvent::BeginDrain,
-        );
-        sync.state = next;
+        self.inner.sync.lock().step(KeyedAdmissionEvent::BeginDrain);
     }
 
     pub fn stop_draining(&self) {
-        let mut sync = self.inner.sync.lock();
-        let (next, _) = sync.machine.step_apportioned(
-            &sync.guaranteed,
-            &sync.state,
-            &KeyedAdmissionEvent::EndDrain,
-        );
-        sync.state = next;
+        self.inner.sync.lock().step(KeyedAdmissionEvent::EndDrain);
     }
 
     pub fn is_draining(&self) -> bool {
         self.inner.sync.lock().state.draining
     }
 
-    /// Same sampled-watermark scheme as the global controller: re-read
-    /// the p99 dispatch queue wait every 64 admissions, cache the
-    /// verdict, hand the machine a boolean observation.
-    fn observe_watermark(&self) -> bool {
-        let Some(watermark) = self.inner.policy.queue_wait_watermark else {
-            return false;
-        };
-        let n = self.inner.admissions.fetch_add(1, Ordering::Relaxed);
-        if n & ((1 << WATERMARK_SAMPLE_SHIFT) - 1) == 0 {
-            let p99_us = telemetry::global()
-                .histogram("dispatch.queue_wait_us")
-                .snapshot()
-                .p99();
-            let over = Duration::from_micros(p99_us) > watermark;
-            self.inner.over_watermark.store(over, Ordering::Relaxed);
-        }
-        self.inner.over_watermark.load(Ordering::Relaxed)
-    }
-
-    /// Admit one request for `tenant` or shed it with a per-tenant
-    /// retry hint: the base hint scaled by how far over its guaranteed
-    /// share the tenant already is, so a flooding tenant is told to
-    /// back off harder than one shed by transient global pressure.
+    /// [`Self::try_admit_at`] for callers without a dispatch queue in
+    /// front of them (the mediation tier): queue depth 0.
     pub fn try_admit(
         &self,
         tenant: &str,
         deadline: Option<Instant>,
     ) -> Result<KeyedAdmissionPermit, WspError> {
-        let event_expired = deadline.is_some_and(|d| Instant::now() >= d);
-        let over_watermark = self.observe_watermark();
+        self.try_admit_at(tenant, 0, deadline)
+    }
+
+    /// Admit one request for `tenant` or shed it. `queue_depth` is the
+    /// host's current dispatch-queue depth; `deadline` is the caller's
+    /// propagated deadline, shed immediately when already expired (the
+    /// caller has given up — answering quickly matters more than
+    /// answering at all). A shed carries a per-tenant retry hint: the
+    /// base hint scaled by how far over its guaranteed share the tenant
+    /// already is, so a flooding tenant is told to back off harder than
+    /// one shed by transient global pressure.
+    pub fn try_admit_at(
+        &self,
+        tenant: &str,
+        queue_depth: usize,
+        deadline: Option<Instant>,
+    ) -> Result<KeyedAdmissionPermit, WspError> {
+        let deadline_expired = deadline.is_some_and(|d| Instant::now() >= d);
         let mut sync = self.inner.sync.lock();
         let t = sync.tenant_index(tenant, &self.inner.policy);
-        let event = KeyedAdmissionEvent::Admit {
+        let effects = sync.step(KeyedAdmissionEvent::Admit {
             tenant: t,
-            deadline_expired: event_expired,
-            over_watermark,
-        };
-        let (next, effects) = sync
-            .machine
-            .step_apportioned(&sync.guaranteed, &sync.state, &event);
-        sync.state = next;
+            queue_depth: queue_depth as u64,
+            deadline_expired,
+        });
         match effects.first() {
             Some(KeyedAdmissionEffect::Admitted { .. }) => {
                 drop(sync);
@@ -613,26 +385,20 @@ impl KeyedAdmissionController {
             }
             Some(KeyedAdmissionEffect::Shed { reason, .. }) => {
                 let hint = self.retry_hint_locked(&sync, t, *reason);
-                // Counters are named by the *interned* slot, so junk
-                // tenant names beyond `max_tenants` all land on the
-                // anonymous bucket instead of minting fresh series.
-                let bucket = sync.tenants[t].clone();
+                // Counted against the *interned* slot, so junk tenant
+                // names beyond `max_tenants` all land on the anonymous
+                // bucket instead of minting fresh series.
+                sync.shed_counters[t].incr();
                 drop(sync);
                 self.inner.shed.incr();
                 if *reason == KeyedShedReason::DeadlineExpired {
                     self.inner.shed_expired.incr();
                 }
-                telemetry::global()
-                    .counter(format!(
-                        "{}.{bucket}.shed",
-                        self.inner.policy.counter_prefix
-                    ))
-                    .incr();
                 Err(WspError::Overloaded {
                     retry_after_ms: Some(hint),
                 })
             }
-            other => unreachable!("keyed Admit produced {other:?}"),
+            other => unreachable!("Admit produced {other:?}"),
         }
     }
 
@@ -652,16 +418,14 @@ impl KeyedAdmissionController {
     }
 
     fn release(&self, tenant: usize) {
-        let mut sync = self.inner.sync.lock();
-        let (next, effects) = sync.machine.step_apportioned(
-            &sync.guaranteed,
-            &sync.state,
-            &KeyedAdmissionEvent::Release { tenant },
-        );
-        sync.state = next;
+        let effects = self
+            .inner
+            .sync
+            .lock()
+            .step(KeyedAdmissionEvent::Release { tenant });
         debug_assert!(
             !effects.contains(&KeyedAdmissionEffect::PermitUnderflow),
-            "keyed permit released with nothing in flight"
+            "permit released with nothing in flight"
         );
     }
 
@@ -678,8 +442,8 @@ impl KeyedAdmissionController {
     }
 }
 
-/// RAII proof of keyed admission: holds one of its tenant's in-flight
-/// slots, released on drop.
+/// RAII proof of admission: holds one of its tenant's in-flight slots,
+/// released on drop (success, fault and panic paths alike).
 pub struct KeyedAdmissionPermit {
     controller: KeyedAdmissionController,
     tenant: usize,
@@ -745,9 +509,42 @@ pub fn remaining_ms(deadline: Instant) -> Option<u64> {
     Some((deadline - now).as_millis().max(1) as u64)
 }
 
-/// Rehydrate a wire budget into a local deadline.
-pub fn deadline_in_ms(ms: u64) -> Instant {
-    Instant::now() + Duration::from_millis(ms)
+/// Rehydrate a wire budget — the value of [`DEADLINE_HEADER`] or the
+/// text of the [`DEADLINE_SOAP_HEADER`] block — into a local deadline.
+/// Remote input: anything but a non-negative decimal millisecond count
+/// that fits the clock yields `None` (no deadline), never a deadline
+/// in the past.
+pub fn parse_deadline(budget: &str) -> Option<Instant> {
+    let ms = budget.trim().parse::<u64>().ok()?;
+    Instant::now().checked_add(Duration::from_millis(ms))
+}
+
+/// The propagated deadline of an HTTP request, if it carries one.
+pub fn deadline_from_headers(headers: &Headers) -> Option<Instant> {
+    headers.get(DEADLINE_HEADER).and_then(parse_deadline)
+}
+
+/// The propagated deadline of a request that arrived over a pipe: the
+/// [`DEADLINE_SOAP_HEADER`] block, if present.
+pub fn deadline_from_envelope(envelope: &Envelope) -> Option<Instant> {
+    let header = envelope.find_header("", DEADLINE_SOAP_HEADER)?;
+    parse_deadline(&header.element.text())
+}
+
+/// Map an admission-control rejection to the wire: `503` with a
+/// whole-second `Retry-After` (rounded up, HTTP-standard) plus the
+/// millisecond-precision [`RETRY_AFTER_MS_HEADER`] the WSPeer client
+/// prefers.
+pub fn shed_response(error: &WspError) -> Response {
+    let mut response = Response::unavailable(&error.to_string());
+    if let Some(hint) = error.retry_after_hint() {
+        let ms = hint.as_millis() as u64;
+        response
+            .headers
+            .set("Retry-After", ms.div_ceil(1000).max(1).to_string());
+        response.headers.set(RETRY_AFTER_MS_HEADER, ms.to_string());
+    }
+    response
 }
 
 /// Render the busy-fault reason carried by the P2PS binding.
@@ -771,26 +568,31 @@ pub fn parse_busy_fault(reason: &str) -> Option<Option<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The slot a host admits everything against.
+    const HOST: &str = ANONYMOUS_TENANT;
 
     #[test]
     fn unlimited_policy_admits_everything() {
-        let ctl = AdmissionController::new(LoadShedPolicy::unlimited());
+        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::unlimited());
         let mut permits = Vec::new();
         for depth in 0..100 {
-            permits.push(ctl.try_admit(depth, None).expect("admit"));
+            permits.push(ctl.try_admit_at(HOST, depth, None).expect("admit"));
         }
-        assert_eq!(ctl.in_flight(), 100);
+        assert_eq!(ctl.total_in_flight(), 100);
         drop(permits);
-        assert_eq!(ctl.in_flight(), 0);
+        assert_eq!(ctl.total_in_flight(), 0);
     }
 
     #[test]
     fn in_flight_cap_sheds_and_recovers() {
-        let ctl = AdmissionController::new(LoadShedPolicy::bounded(2, usize::MAX));
-        let a = ctl.try_admit(0, None).expect("first");
-        let _b = ctl.try_admit(0, None).expect("second");
-        let shed = ctl.try_admit(0, None).expect_err("third must shed");
+        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::bounded(2, usize::MAX));
+        let a = ctl.try_admit(HOST, None).expect("first");
+        let _b = ctl.try_admit(HOST, None).expect("second");
+        let shed = ctl.try_admit(HOST, None).expect_err("third must shed");
+        // A full host sheds as `GlobalCap`: the plain base hint, never
+        // the tenant-scaled one.
         assert!(
             matches!(
                 shed,
@@ -801,52 +603,58 @@ mod tests {
             "{shed:?}"
         );
         drop(a);
-        ctl.try_admit(0, None).expect("slot freed by drop");
+        ctl.try_admit(HOST, None).expect("slot freed by drop");
     }
 
     #[test]
     fn queue_depth_cap_sheds() {
-        let ctl = AdmissionController::new(LoadShedPolicy::bounded(usize::MAX, 4));
-        assert!(ctl.try_admit(3, None).is_ok());
+        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::bounded(usize::MAX, 4));
+        assert!(ctl.try_admit_at(HOST, 3, None).is_ok());
         assert!(matches!(
-            ctl.try_admit(4, None),
-            Err(WspError::Overloaded { .. })
+            ctl.try_admit_at(HOST, 4, None),
+            Err(WspError::Overloaded {
+                retry_after_ms: Some(100)
+            })
         ));
     }
 
     #[test]
     fn expired_deadline_is_shed_on_arrival() {
-        let ctl = AdmissionController::new(LoadShedPolicy::unlimited());
+        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::unlimited());
         let expired = Instant::now() - Duration::from_millis(1);
         assert!(matches!(
-            ctl.try_admit(0, Some(expired)),
+            ctl.try_admit(HOST, Some(expired)),
             Err(WspError::Overloaded { .. })
         ));
         let live = Instant::now() + Duration::from_secs(5);
-        assert!(ctl.try_admit(0, Some(live)).is_ok());
+        assert!(ctl.try_admit(HOST, Some(live)).is_ok());
     }
 
     #[test]
     fn draining_refuses_new_work_but_keeps_permits() {
-        let ctl = AdmissionController::new(LoadShedPolicy::unlimited());
-        let permit = ctl.try_admit(0, None).expect("before drain");
+        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::unlimited());
+        let permit = ctl.try_admit(HOST, None).expect("before drain");
         ctl.start_draining();
         assert!(matches!(
-            ctl.try_admit(0, None),
+            ctl.try_admit(HOST, None),
             Err(WspError::Overloaded { .. })
         ));
-        assert_eq!(ctl.in_flight(), 1, "in-flight work unaffected by drain");
+        assert_eq!(
+            ctl.total_in_flight(),
+            1,
+            "drain leaves in-flight work alone"
+        );
         drop(permit);
         let idle_by = Instant::now() + Duration::from_secs(1);
         assert_eq!(ctl.await_idle(idle_by), 0);
         ctl.stop_draining();
-        assert!(ctl.try_admit(0, None).is_ok());
+        assert!(ctl.try_admit(HOST, None).is_ok());
     }
 
     #[test]
     fn concurrent_admissions_never_exceed_the_cap() {
         let cap = 8;
-        let ctl = AdmissionController::new(LoadShedPolicy::bounded(cap, usize::MAX));
+        let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::bounded(cap, usize::MAX));
         let peak = Arc::new(AtomicUsize::new(0));
         let threads: Vec<_> = (0..16)
             .map(|_| {
@@ -854,8 +662,8 @@ mod tests {
                 let peak = peak.clone();
                 std::thread::spawn(move || {
                     for _ in 0..200 {
-                        if let Ok(permit) = ctl.try_admit(0, None) {
-                            let seen = ctl.in_flight();
+                        if let Ok(permit) = ctl.try_admit(HOST, None) {
+                            let seen = ctl.total_in_flight();
                             peak.fetch_max(seen, Ordering::SeqCst);
                             assert!(seen <= cap, "cap breached: {seen}");
                             drop(permit);
@@ -867,7 +675,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(ctl.in_flight(), 0);
+        assert_eq!(ctl.total_in_flight(), 0);
         assert!(peak.load(Ordering::SeqCst) >= 1);
     }
 
@@ -893,7 +701,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_millis(500);
         let ms = remaining_ms(deadline).expect("budget remains");
         assert!(ms > 0 && ms <= 500, "{ms}");
-        let rehydrated = deadline_in_ms(ms);
+        let rehydrated = parse_deadline(&ms.to_string()).expect("a plain budget parses");
         // The rehydrated deadline is within transit slop of the original.
         let slop = Duration::from_millis(50);
         assert!(rehydrated <= deadline + slop);

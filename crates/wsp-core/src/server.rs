@@ -59,14 +59,6 @@ impl Server {
         *self.publisher.write() = Some(publisher);
     }
 
-    pub fn deployer_kind(&self) -> Option<&'static str> {
-        self.deployer.read().as_ref().map(|d| d.kind())
-    }
-
-    pub fn publisher_kind(&self) -> Option<&'static str> {
-        self.publisher.read().as_ref().map(|p| p.kind())
-    }
-
     /// Deploy a service: generate its description, create an
     /// addressable endpoint, and start answering. Fires a
     /// [`DeploymentMessageEvent`].

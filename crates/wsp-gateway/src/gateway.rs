@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 use wsp_core::bindings::http_uddi::CORRELATION_HEADER;
 use wsp_core::dispatch::next_correlation_token;
 use wsp_core::overload::{
-    busy_fault_reason, deadline_in_ms, remaining_ms, ANONYMOUS_TENANT, DEADLINE_HEADER,
-    DEADLINE_SOAP_HEADER, RETRY_AFTER_MS_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
+    busy_fault_reason, deadline_from_envelope, deadline_from_headers, remaining_ms, shed_response,
+    ANONYMOUS_TENANT, DEADLINE_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
 };
 use wsp_core::telemetry::{self, CorrelationScope};
 use wsp_core::{KeyedAdmissionController, KeyedLoadShedPolicy, WspError};
@@ -48,6 +48,10 @@ use wsp_p2ps::{P2psMessage, PipeTcpConfig, PipeTcpServer};
 use wsp_registry::{RegistryError, ShardedUddiClient};
 use wsp_soap::{constants::CONTENT_TYPE, Envelope, Fault};
 use wsp_uddi::ServiceQuery;
+
+/// Distinct backends tried before a request is failed over to
+/// `Unavailable`.
+const BACKEND_ATTEMPTS: usize = 3;
 
 /// Operations whose responses may be cached: exact `(service,
 /// operation)` pairs, or every operation of a service via `"*"`.
@@ -74,9 +78,6 @@ pub struct GatewayConfig {
     pub cache: GatewayCacheConfig,
     pub admission: KeyedLoadShedPolicy,
     pub idempotent: IdempotentSet,
-    /// Distinct backends tried before a request is failed over to
-    /// `Unavailable`.
-    pub backend_attempts: usize,
     /// How often the data-version probe runs (piggybacked on request
     /// arrival; `ZERO` probes before every request).
     pub revalidate_interval: Duration,
@@ -88,7 +89,6 @@ impl Default for GatewayConfig {
             cache: GatewayCacheConfig::default(),
             admission: KeyedLoadShedPolicy::fair(64).with_counter_prefix("gateway.tenant"),
             idempotent: IdempotentSet::default(),
-            backend_attempts: 3,
             revalidate_interval: Duration::from_millis(250),
         }
     }
@@ -107,11 +107,6 @@ impl GatewayConfig {
 
     pub fn idempotent(mut self, service: impl Into<String>, operation: impl Into<String>) -> Self {
         self.idempotent.add(service, operation);
-        self
-    }
-
-    pub fn with_backend_attempts(mut self, attempts: usize) -> Self {
-        self.backend_attempts = attempts.max(1);
         self
     }
 
@@ -153,7 +148,6 @@ struct GwInner {
     /// been told about.
     connects_reported: AtomicU64,
     idempotent: IdempotentSet,
-    backend_attempts: usize,
     revalidate_interval: Duration,
     last_revalidate: Mutex<Instant>,
 }
@@ -182,7 +176,6 @@ impl Gateway {
                 http: ConnectionPool::new(),
                 connects_reported: AtomicU64::new(0),
                 idempotent: cfg.idempotent.clone(),
-                backend_attempts: cfg.backend_attempts,
                 revalidate_interval: cfg.revalidate_interval,
                 last_revalidate: Mutex::new(Instant::now()),
             }),
@@ -375,7 +368,7 @@ impl Gateway {
         result
     }
 
-    /// The failover loop: up to `backend_attempts` distinct endpoints,
+    /// The failover loop: up to [`BACKEND_ATTEMPTS`] distinct endpoints,
     /// least-loaded first, breaker outcomes recorded per call. Each
     /// attempt carries the correlation id and what is left of the
     /// caller's deadline — which is also how long it waits; a request
@@ -390,7 +383,7 @@ impl Gateway {
     ) -> Result<(u16, String, Vec<u8>), GatewayError> {
         let t = telemetry::global();
         let mut tried: Vec<String> = Vec::new();
-        for attempt in 0..self.inner.backend_attempts {
+        for attempt in 0..BACKEND_ATTEMPTS {
             let budget_ms = deadline
                 .map(|deadline| {
                     remaining_ms(deadline).ok_or_else(|| {
@@ -466,7 +459,7 @@ impl Gateway {
         }
         let (backends, shard) = self.resolve(service)?;
         let mut tried: Vec<String> = Vec::new();
-        for _ in 0..self.inner.backend_attempts {
+        for _ in 0..BACKEND_ATTEMPTS {
             let Some(lease) = self.inner.pools.pick(&backends, &tried) else {
                 break;
             };
@@ -542,11 +535,7 @@ impl Gateway {
         if req.query() == Some("wsdl") {
             return to_http(self.wsdl(&tenant, service));
         }
-        let deadline = req
-            .headers
-            .get(DEADLINE_HEADER)
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(deadline_in_ms);
+        let deadline = deadline_from_headers(&req.headers);
         // Adopt the caller's correlation id for everything this request
         // does on this thread, the backend call included.
         let _scope = req
@@ -616,10 +605,7 @@ impl Gateway {
                     .map(|h| h.element.text().trim().to_owned())
                     .filter(|t| !t.is_empty())
                     .unwrap_or_else(|| ANONYMOUS_TENANT.to_owned());
-                let deadline = envelope
-                    .find_header("", DEADLINE_SOAP_HEADER)
-                    .and_then(|h| h.element.text().trim().parse::<u64>().ok())
-                    .map(deadline_in_ms);
+                let deadline = deadline_from_envelope(&envelope);
                 match self.invoke(&tenant, &service, payload.as_bytes(), deadline) {
                     Ok(reply) => String::from_utf8_lossy(&reply.body).into_owned(),
                     Err(GatewayError::Shed { retry_after_ms }) => Envelope::fault(Fault::receiver(
@@ -672,17 +658,9 @@ fn to_http(result: Result<GatewayReply, GatewayError>) -> Response {
             r.body = reply.body;
             r
         }
-        Err(GatewayError::Shed { retry_after_ms }) => {
-            let mut r = Response::new(503, "Service Unavailable");
-            r.headers.set(
-                "Retry-After",
-                retry_after_ms.div_ceil(1000).max(1).to_string(),
-            );
-            r.headers
-                .set(RETRY_AFTER_MS_HEADER, retry_after_ms.to_string());
-            r.body = b"shed: per-tenant admission".to_vec();
-            r
-        }
+        Err(GatewayError::Shed { retry_after_ms }) => shed_response(&WspError::Overloaded {
+            retry_after_ms: Some(retry_after_ms),
+        }),
         Err(GatewayError::Unavailable(why)) => {
             let mut r = Response::new(503, "Service Unavailable");
             r.headers.set("Content-Type", "text/plain; charset=utf-8");

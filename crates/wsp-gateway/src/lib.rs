@@ -12,8 +12,8 @@
 //!   registry's version stamps (map epoch for placement, per-shard
 //!   data versions for record churn) so a republish reaches gateway
 //!   clients without waiting out a TTL;
-//! * per-tenant **fair-share admission** — the keyed generalisation of
-//!   `wsp-core`'s load-shed policy ([`wsp_core::KeyedAdmissionController`],
+//! * per-tenant **fair-share admission** — `wsp-core`'s one admission
+//!   controller with a slot per tenant ([`wsp_core::KeyedAdmissionController`],
 //!   a pure machine explored by `wsp-check`): every tenant keeps a
 //!   weighted guaranteed share of the global permit budget, idle
 //!   capacity is borrowable, and a flooding tenant is shed with a

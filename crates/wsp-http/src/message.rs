@@ -182,13 +182,6 @@ impl Response {
         r
     }
 
-    pub fn server_error(why: &str) -> Self {
-        let mut r = Response::new(500, "Internal Server Error");
-        r.headers.set("Content-Type", "text/plain; charset=utf-8");
-        r.body = why.as_bytes().to_vec();
-        r
-    }
-
     /// 408 — the client took too long to deliver its request (slow-client
     /// defense: see the staged read deadlines in `server::ServerConfig`).
     pub fn request_timeout(why: &str) -> Self {

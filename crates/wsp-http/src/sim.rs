@@ -262,12 +262,6 @@ impl ResilientSimClient {
         }
     }
 
-    /// Does `tag` belong to this client's timer namespaces?
-    pub fn owns_tag(tag: u64) -> bool {
-        let phase = tag & TAG_PHASE_MASK;
-        phase == RETRY_TIMEOUT_TAG || phase == RETRY_RESEND_TAG
-    }
-
     /// Logical calls still in flight.
     pub fn in_flight(&self) -> usize {
         self.calls.len()

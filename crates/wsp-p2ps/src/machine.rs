@@ -122,10 +122,6 @@ impl PeerMachine {
         self.config.id
     }
 
-    pub fn is_rendezvous(&self) -> bool {
-        self.config.rendezvous
-    }
-
     pub fn cache_len(&self) -> usize {
         self.cache.len()
     }

@@ -146,11 +146,6 @@ impl ShardedUddiClient {
         ShardedUddiClient::connect(transports)
     }
 
-    pub fn with_policy(mut self, policy: ResiliencePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     pub fn with_breaker_config(self, config: BreakerConfig) -> Self {
         self.health.set_config(config);
         self

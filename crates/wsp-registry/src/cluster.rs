@@ -246,16 +246,12 @@ impl RegistryCluster {
         Time(self.inner.clock_us.load(Ordering::SeqCst))
     }
 
-    /// The current data version of one shard. Any committed write to
-    /// the shard (save, delete, lease expiry) makes this strictly
-    /// larger, so `version unchanged` ⇒ `cached locate results for the
-    /// shard are still exact` — the cheap revalidation handshake the
-    /// mediation gateway runs instead of waiting out its TTLs.
-    pub fn data_version(&self, shard: u32) -> u64 {
-        self.inner.data_versions[shard as usize].load(Ordering::SeqCst)
-    }
-
-    /// All shards' data versions, indexed by shard id.
+    /// All shards' data versions, indexed by shard id. Any committed
+    /// write to a shard (save, delete, lease expiry) makes its version
+    /// strictly larger, so `version unchanged` ⇒ `cached locate results
+    /// for the shard are still exact` — the cheap revalidation
+    /// handshake the mediation gateway runs instead of waiting out its
+    /// TTLs.
     pub fn data_versions(&self) -> Vec<u64> {
         self.inner
             .data_versions

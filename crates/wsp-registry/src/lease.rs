@@ -109,10 +109,6 @@ impl LeaseTable {
         self.armed.contains_key(key)
     }
 
-    pub fn active_count(&self) -> usize {
-        self.armed.len()
-    }
-
     /// The full deterministic trace so far.
     pub fn trace(&self) -> &[LeaseTrace] {
         &self.trace

@@ -62,11 +62,6 @@ impl LinkSpec {
         self
     }
 
-    pub fn with_per_byte(mut self, per_byte: Dur) -> Self {
-        self.per_byte = per_byte;
-        self
-    }
-
     /// Sample a delivery delay for a payload of `bytes`, or `None` if the
     /// message is lost.
     ///

@@ -105,12 +105,6 @@ impl<M: Payload> SimNet<M> {
         self.links.insert((from, to), spec);
     }
 
-    /// Set both directions between `a` and `b`.
-    pub fn set_link_sym(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.set_link(a, b, spec);
-        self.set_link(b, a, spec);
-    }
-
     /// The link spec in effect for `from → to`.
     pub fn link(&self, from: NodeId, to: NodeId) -> LinkSpec {
         self.links
@@ -200,12 +194,6 @@ impl<M: Payload> SimNet<M> {
         self.schedule(at, EventKind::SetLink { from, to, spec });
     }
 
-    /// Replace both directions between `a` and `b` at `at`.
-    pub fn schedule_link_sym(&mut self, at: Time, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.schedule_link(at, a, b, spec);
-        self.schedule_link(at, b, a, spec);
-    }
-
     /// Replace the default link at `at` (affects every pair with no
     /// explicit spec).
     pub fn schedule_default_link(&mut self, at: Time, spec: LinkSpec) {
@@ -224,12 +212,6 @@ impl<M: Payload> SimNet<M> {
         let rest = self.wheel.next_time().unwrap_or(deadline);
         self.wheel.advance_to(deadline.min(rest));
         self.wheel.now()
-    }
-
-    /// Run for a further `span` of virtual time.
-    pub fn run_for(&mut self, span: Dur) -> Time {
-        let deadline = self.wheel.now() + span;
-        self.run_until(deadline)
     }
 
     /// Drain every event (use only with behaviours that quiesce).

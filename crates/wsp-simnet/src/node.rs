@@ -1,6 +1,5 @@
 //! Node behaviours and the context handed to them during dispatch.
 
-use crate::link::LinkSpec;
 use crate::net::SimNet;
 use crate::time::{Dur, Time};
 use rand::rngs::StdRng;
@@ -136,11 +135,6 @@ impl<M: Payload> Context<'_, M> {
     /// Whether a node is currently up.
     pub fn is_up(&self, node: NodeId) -> bool {
         self.net.is_up(node)
-    }
-
-    /// Link spec used for messages from this node to `to`.
-    pub fn link_to(&self, to: NodeId) -> LinkSpec {
-        self.net.link(self.node, to)
     }
 
     /// Increment a named experiment counter.

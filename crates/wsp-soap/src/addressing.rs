@@ -149,11 +149,6 @@ impl MessageHeaders {
         self
     }
 
-    pub fn with_fault_to(mut self, epr: EndpointReference) -> Self {
-        self.fault_to = Some(epr);
-        self
-    }
-
     /// Append these headers to an envelope. `To` and `Action` are marked
     /// `mustUnderstand` as the binding requires.
     pub fn apply_to(&self, envelope: &mut Envelope) {

@@ -8,7 +8,7 @@
 use crate::base64;
 use crate::xsd::XsdType;
 use std::fmt;
-use wsp_xml::{Element, Node, QName};
+use wsp_xml::{Element, QName};
 
 /// XML Schema instance namespace (for `xsi:nil`).
 pub const XSI_NS: &str = "http://www.w3.org/2001/XMLSchema-instance";
@@ -348,12 +348,6 @@ pub fn value_element(ns: &str, name: &str, value: &Value) -> Element {
 /// True if the element is marked `xsi:nil`.
 pub fn is_nil(element: &Element) -> bool {
     element.attribute(XSI_NS, "nil") == Some("true")
-}
-
-/// Strip text children (used when normalising struct wrappers that
-/// contained stray whitespace).
-pub fn element_only_children(element: &Element) -> impl Iterator<Item = &Element> {
-    element.children().iter().filter_map(Node::as_element)
 }
 
 #[cfg(test)]

@@ -132,14 +132,23 @@ echo "==> E15 gate (BENCH_E15.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e15 -- quick
 
 # Model checking (PR 6): exhaustively explore every pure protocol
-# machine (breaker, admission, correlation, drain, RPC routing) plus
-# the composed breaker×admission×correlation pipeline, checking the
+# machine (breaker, admission — one machine since PR 18, explored as a
+# one-tenant host and as a two-tenant mediation tier — correlation,
+# drain, RPC routing) plus the composed
+# breaker×admission×correlation pipeline, checking the
 # invariant suite on every reachable state and transition. Runs in well
 # under a minute; on failure it prints the shortest counterexample
 # trace. The shell↔machine lockstep properties ride in the normal
 # test pass (tests/tests/machine_bisim.rs).
 echo "==> wsp-check (exhaustive state-machine exploration)"
 cargo run -q --release -p wsp-check
+
+# Every least-code PR (ROADMAP item 4) is gated on the explored state
+# spaces not moving. `--counts` prints one `name states transitions`
+# line per configuration; COUNTS.txt is the checked-in copy, so a PR
+# that moves a count has to move the file in the same diff.
+echo "==> wsp-check counts match crates/wsp-check/COUNTS.txt"
+cargo run -q --release -p wsp-check -- --counts | diff -u crates/wsp-check/COUNTS.txt -
 
 # Discovery plane (PR 9): the replicated registry. The wsp-check run
 # above already exhausts the VR-lite replication group and the lease
@@ -162,9 +171,11 @@ WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --
 echo "==> E16 artifact (BENCH_E16.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e16 -- quick
 
-# Mediation gateway (PR 10): the keyed (per-tenant) admission machine
-# is exhausted by the wsp-check run above and its ignore-the-reserve
-# mutant condemned by the mutation pass. The gateway fault matrix
+# Mediation gateway (PR 10): the admission machine's two-tenant
+# fair-share configuration is exhausted by the wsp-check run above and
+# its ignore-the-reserve mutant condemned by the mutation pass (the
+# same machine and invariants a host's one-tenant configuration is
+# held to). The gateway fault matrix
 # re-runs the integration suite — byte-identical cache replays,
 # invalidation-on-republish without waiting out the TTL, backend
 # crash failover, total-loss route invalidation, registry view-change

@@ -15,15 +15,13 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use wsp_core::dispatch::Dispatcher;
 use wsp_core::health::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-use wsp_core::machines::admission::{AdmissionEffect, AdmissionEvent, AdmissionMachine};
 use wsp_core::machines::breaker::{Admit, BreakerEffect, BreakerEvent, BreakerMachine, Phase};
 use wsp_core::machines::correlation::{CallPhase, CorrelationEvent, CorrelationMachine};
 use wsp_core::machines::keyed_admission::{
     KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine,
 };
 use wsp_core::overload::{
-    AdmissionController, AdmissionPermit, KeyedAdmissionController, KeyedAdmissionPermit,
-    KeyedLoadShedPolicy, LoadShedPolicy,
+    KeyedAdmissionController, KeyedAdmissionPermit, KeyedLoadShedPolicy, ANONYMOUS_TENANT,
 };
 use wsp_p2ps::rpc::{decode_request, encode_response};
 use wsp_p2ps::{PeerId, PipeAdvertisement, RpcCorrelator};
@@ -135,180 +133,150 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Admission controller ⇔ AdmissionMachine
+// Admission controller ⇔ KeyedAdmissionMachine (host and mediation policies)
 // ---------------------------------------------------------------------------
 
-fn arb_admission_ops() -> impl Strategy<Value = Vec<(u8, u8, bool)>> {
-    // (op selector, queue depth 0..3, deadline already expired?)
-    proptest::collection::vec((0u8..4, 0u8..3, any::<bool>()), 0..60)
+fn arb_admission_ops() -> impl Strategy<Value = Vec<(u8, u8, u8, bool)>> {
+    // (op selector, tenant 0..3, queue depth 0..3, deadline already expired?)
+    proptest::collection::vec((0u8..4, 0u8..3, 0u8..3, any::<bool>()), 0..80)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Drive `ops` through the controller for `policy` and a hand-stepped
+/// mirror of `machine` in lockstep. `names[i]` is the tenant interned
+/// at slot `i`: either pre-seeded by the policy's weights, or — for a
+/// host — the anonymous slot, interned by the first admission.
+fn admission_lockstep(
+    policy: KeyedLoadShedPolicy,
+    machine: KeyedAdmissionMachine,
+    names: &[&str],
+    ops: Vec<(u8, u8, u8, bool)>,
+) {
+    let shell = KeyedAdmissionController::new(policy);
+    let mut mirror = machine.initial();
+    let mut permits: Vec<Vec<KeyedAdmissionPermit>> = names.iter().map(|_| Vec::new()).collect();
 
-    #[test]
-    fn admission_controller_bisimulates_admission_machine(ops in arb_admission_ops()) {
-        let shell = AdmissionController::new(LoadShedPolicy::bounded(2, 1));
-        let machine = AdmissionMachine {
-            max_in_flight: 2,
-            max_queue_depth: 1,
-        };
-        let mut mirror = machine.initial();
-        let mut permits: Vec<AdmissionPermit> = Vec::new();
-
-        for (op, queue_depth, expired) in ops {
-            match op {
-                0 => {
-                    // The policy has no queue-wait watermark, so the
-                    // shell's sampled observation is always false.
-                    let deadline = if expired {
-                        Some(Instant::now())
-                    } else {
-                        Some(Instant::now() + Duration::from_secs(3600))
-                    };
-                    let got = shell.try_admit(queue_depth as usize, deadline);
-                    let effects = step_mut(&machine, &mut mirror, &AdmissionEvent::Admit {
+    for (op, tenant, queue_depth, expired) in ops {
+        let t = tenant as usize % names.len();
+        match op {
+            0 => {
+                let deadline = if expired {
+                    Some(Instant::now())
+                } else {
+                    Some(Instant::now() + Duration::from_secs(3600))
+                };
+                let got = shell.try_admit_at(names[t], queue_depth as usize, deadline);
+                let effects = step_mut(
+                    &machine,
+                    &mut mirror,
+                    &KeyedAdmissionEvent::Admit {
+                        tenant: t,
                         queue_depth: queue_depth as u64,
                         deadline_expired: expired,
-                        over_watermark: false,
-                    });
-                    prop_assert_eq!(
-                        got.is_ok(),
-                        effects.contains(&AdmissionEffect::Admitted),
-                        "admit(queue={}, expired={})", queue_depth, expired
-                    );
-                    if let Ok(permit) = got {
-                        permits.push(permit);
+                    },
+                );
+                prop_assert_eq!(
+                    got.is_ok(),
+                    effects == [KeyedAdmissionEffect::Admitted { tenant: t }],
+                    "admit(tenant={}, queue={}, expired={})",
+                    names[t],
+                    queue_depth,
+                    expired
+                );
+                match got {
+                    Ok(permit) => permits[t].push(permit),
+                    Err(err) => {
+                        // Sheds always carry a retry hint.
+                        prop_assert!(matches!(
+                            err,
+                            wsp_core::WspError::Overloaded {
+                                retry_after_ms: Some(_)
+                            }
+                        ));
                     }
-                }
-                1 => {
-                    // Release = drop a held permit (RAII), mirrored only
-                    // when the shell actually holds one.
-                    if permits.pop().is_some() {
-                        step_mut(&machine, &mut mirror, &AdmissionEvent::Release);
-                    }
-                }
-                2 => {
-                    shell.start_draining();
-                    step_mut(&machine, &mut mirror, &AdmissionEvent::BeginDrain);
-                }
-                _ => {
-                    shell.stop_draining();
-                    step_mut(&machine, &mut mirror, &AdmissionEvent::EndDrain);
                 }
             }
-            prop_assert_eq!(shell.in_flight() as u64, mirror.in_flight);
-            prop_assert_eq!(shell.is_draining(), mirror.draining);
+            1 => {
+                // Release = drop a held permit (RAII), mirrored only
+                // when the shell actually holds one for this tenant.
+                if permits[t].pop().is_some() {
+                    step_mut(
+                        &machine,
+                        &mut mirror,
+                        &KeyedAdmissionEvent::Release { tenant: t },
+                    );
+                }
+            }
+            2 => {
+                shell.start_draining();
+                step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::BeginDrain);
+            }
+            _ => {
+                shell.stop_draining();
+                step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::EndDrain);
+            }
         }
+        for (i, name) in names.iter().enumerate() {
+            prop_assert_eq!(shell.in_flight(name) as u64, mirror.in_flight[i]);
+        }
+        prop_assert_eq!(shell.total_in_flight() as u64, mirror.total());
+        prop_assert_eq!(shell.is_draining(), mirror.draining);
+        // With the population fixed up-front the fair-share reserve
+        // invariant is inductive, so it must hold at every step.
+        let reserve: u64 = machine
+            .guaranteed()
+            .iter()
+            .zip(&mirror.in_flight)
+            .map(|(&g, &f)| g.saturating_sub(f))
+            .sum();
+        prop_assert!(
+            mirror.total() + reserve <= machine.global_cap,
+            "borrows ate the reserve: total={} reserve={}",
+            mirror.total(),
+            reserve
+        );
     }
 }
 
-// ---------------------------------------------------------------------------
-// Keyed admission controller ⇔ KeyedAdmissionMachine
-// ---------------------------------------------------------------------------
-
-fn arb_keyed_ops() -> impl Strategy<Value = Vec<(u8, u8, bool)>> {
-    // (op selector, tenant 0..3, deadline already expired?)
-    proptest::collection::vec((0u8..4, 0u8..3, any::<bool>()), 0..80)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// A host's controller — `bounded(in_flight, queue_depth)`, every
+    /// request against the anonymous slot — is the one-tenant
+    /// configuration of the machine.
+    #[test]
+    fn admission_controller_bisimulates_admission_machine(ops in arb_admission_ops()) {
+        admission_lockstep(
+            KeyedLoadShedPolicy::bounded(2, 1),
+            KeyedAdmissionMachine::one_tenant(2, 1),
+            &[ANONYMOUS_TENANT],
+            ops,
+        );
+    }
+
     /// The gateway's per-tenant controller is a thin shell over the
-    /// keyed machine: pre-seeding the policy weights pins the tenant
+    /// same machine: pre-seeding the policy weights pins the tenant
     /// interning order, so a hand-stepped mirror with the same weight
     /// vector must agree on every admit verdict and every counter.
     #[test]
-    fn keyed_admission_controller_bisimulates_keyed_machine(ops in arb_keyed_ops()) {
-        let shell = KeyedAdmissionController::new(
-            KeyedLoadShedPolicy::fair(4)
-                .with_weight("alpha", 2)
-                .with_weight("beta", 1)
-                .with_weight("gamma", 1)
-                .with_tenant_cap(3),
+    fn keyed_admission_controller_bisimulates_keyed_machine(ops in arb_admission_ops()) {
+        admission_lockstep(
+            KeyedLoadShedPolicy {
+                max_queue_depth: 2,
+                ..KeyedLoadShedPolicy::fair(4)
+                    .with_weight("alpha", 2)
+                    .with_weight("beta", 1)
+                    .with_weight("gamma", 1)
+                    .with_tenant_cap(3)
+            },
+            KeyedAdmissionMachine {
+                global_cap: 4,
+                weights: vec![2, 1, 1],
+                tenant_cap: 3,
+                max_queue_depth: 2,
+            },
+            &["alpha", "beta", "gamma"],
+            ops,
         );
-        let names = ["alpha", "beta", "gamma"];
-        let machine = KeyedAdmissionMachine {
-            global_cap: 4,
-            weights: vec![2, 1, 1],
-            tenant_cap: 3,
-        };
-        let mut mirror = machine.initial();
-        let mut permits: Vec<Vec<KeyedAdmissionPermit>> = vec![Vec::new(), Vec::new(), Vec::new()];
-
-        for (op, tenant, expired) in ops {
-            let t = tenant as usize;
-            match op {
-                0 => {
-                    // No watermark configured, so the shell's sampled
-                    // observation is always false.
-                    let deadline = if expired {
-                        Some(Instant::now())
-                    } else {
-                        Some(Instant::now() + Duration::from_secs(3600))
-                    };
-                    let got = shell.try_admit(names[t], deadline);
-                    let effects = step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::Admit {
-                        tenant: t,
-                        deadline_expired: expired,
-                        over_watermark: false,
-                    });
-                    let admitted = effects
-                        .iter()
-                        .any(|e| matches!(e, KeyedAdmissionEffect::Admitted { .. }));
-                    prop_assert_eq!(
-                        got.is_ok(),
-                        admitted,
-                        "admit(tenant={}, expired={})", names[t], expired
-                    );
-                    match got {
-                        Ok(permit) => permits[t].push(permit),
-                        Err(err) => {
-                            // Sheds always carry a retry hint.
-                            prop_assert!(matches!(
-                                err,
-                                wsp_core::WspError::Overloaded { retry_after_ms: Some(_) }
-                            ));
-                        }
-                    }
-                }
-                1 => {
-                    // Release = drop a held permit (RAII), mirrored only
-                    // when the shell actually holds one for this tenant.
-                    if permits[t].pop().is_some() {
-                        step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::Release { tenant: t });
-                    }
-                }
-                2 => {
-                    shell.start_draining();
-                    step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::BeginDrain);
-                }
-                _ => {
-                    shell.stop_draining();
-                    step_mut(&machine, &mut mirror, &KeyedAdmissionEvent::EndDrain);
-                }
-            }
-            for (i, name) in names.iter().enumerate() {
-                prop_assert_eq!(shell.in_flight(name) as u64, mirror.in_flight[i]);
-            }
-            prop_assert_eq!(shell.total_in_flight() as u64, mirror.total());
-            prop_assert_eq!(shell.is_draining(), mirror.draining);
-            // With the population fixed up-front the fair-share reserve
-            // invariant is inductive, so it must hold at every step.
-            let guaranteed = machine.guaranteed();
-            let reserve: u64 = guaranteed
-                .iter()
-                .zip(&mirror.in_flight)
-                .map(|(&g, &f)| g.saturating_sub(f))
-                .sum();
-            prop_assert!(
-                mirror.total() + reserve <= 4,
-                "borrows ate the reserve: total={} reserve={}",
-                mirror.total(),
-                reserve
-            );
-        }
     }
 
     /// Permit conservation under random tenant traffic, including
@@ -679,26 +647,31 @@ fn peersim_breaker_trace(ops: &[(u8, u64)]) -> EffectTrace {
     sim.model().trace.clone()
 }
 
-fn admission_event_for(op: u8) -> AdmissionEvent {
+fn admission_event_for(op: u8) -> KeyedAdmissionEvent {
     match op {
-        0 => AdmissionEvent::Admit {
+        0 => KeyedAdmissionEvent::Admit {
+            tenant: 0,
             queue_depth: 0,
             deadline_expired: false,
-            over_watermark: false,
         },
-        1 => AdmissionEvent::Release,
-        2 => AdmissionEvent::BeginDrain,
-        _ => AdmissionEvent::EndDrain,
+        1 => KeyedAdmissionEvent::Release { tenant: 0 },
+        2 => KeyedAdmissionEvent::BeginDrain,
+        _ => KeyedAdmissionEvent::EndDrain,
     }
 }
 
-fn admission_effect_code(e: &AdmissionEffect) -> u8 {
+fn admission_effect_code(e: &KeyedAdmissionEffect) -> u8 {
     match e {
-        AdmissionEffect::Admitted => 0,
-        AdmissionEffect::Shed(r) => 1 + *r as u8,
-        AdmissionEffect::Released => 10,
-        AdmissionEffect::PermitUnderflow => 11,
+        KeyedAdmissionEffect::Admitted { .. } => 0,
+        KeyedAdmissionEffect::Shed { reason, .. } => 1 + *reason as u8,
+        KeyedAdmissionEffect::Released { .. } => 10,
+        KeyedAdmissionEffect::PermitUnderflow => 11,
     }
+}
+
+/// The host configuration both front-ends step.
+fn wheel_admission_machine() -> KeyedAdmissionMachine {
+    KeyedAdmissionMachine::one_tenant(2, u64::MAX)
 }
 
 /// Admission machine under the boxed front-end.
@@ -706,10 +679,7 @@ fn simnet_admission_trace(ops: &[(u8, u64)]) -> EffectTrace {
     let trace: Rc<RefCell<EffectTrace>> = Rc::default();
     let sink = Rc::clone(&trace);
     let ops = ops.to_vec();
-    let machine = AdmissionMachine {
-        max_in_flight: 2,
-        max_queue_depth: u64::MAX,
-    };
+    let machine = wheel_admission_machine();
     let mut state = machine.initial();
     let mut net: SimNet<u64> = SimNet::new(1);
     net.add_node(Box::new(
@@ -738,8 +708,8 @@ fn simnet_admission_trace(ops: &[(u8, u64)]) -> EffectTrace {
 
 struct WheelAdmissionModel {
     ops: Vec<(u8, u64)>,
-    machine: AdmissionMachine,
-    state: wsp_core::machines::admission::AdmissionState,
+    machine: KeyedAdmissionMachine,
+    state: wsp_core::machines::keyed_admission::KeyedAdmissionState,
     trace: EffectTrace,
 }
 
@@ -767,10 +737,7 @@ impl PeerModel for WheelAdmissionModel {
 
 /// Admission machine under the population front-end.
 fn peersim_admission_trace(ops: &[(u8, u64)]) -> EffectTrace {
-    let machine = AdmissionMachine {
-        max_in_flight: 2,
-        max_queue_depth: u64::MAX,
-    };
+    let machine = wheel_admission_machine();
     let state = machine.initial();
     let mut sim = PeerSim::new(
         1,

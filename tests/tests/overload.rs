@@ -12,7 +12,9 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use wsp_core::bindings::{HttpUddiBinding, HttpUddiConfig, P2psBinding, P2psConfig};
 use wsp_core::overload::DeadlineScope;
-use wsp_core::{Binding, EventBus, LoadShedPolicy, Peer, ResiliencePolicy, ServiceQuery, WspError};
+use wsp_core::{
+    Binding, EventBus, KeyedLoadShedPolicy, Peer, ResiliencePolicy, ServiceQuery, WspError,
+};
 use wsp_http::{http_call, Request, Response, Router, ServerConfig, TcpServer};
 use wsp_integration_tests::{p2ps_star, wait_until};
 use wsp_wsdl::{OperationDef, ServiceDescriptor, ServiceHandler, Value, XsdType};
@@ -31,7 +33,7 @@ fn nap_handler(naps: Arc<AtomicU32>, length: Duration) -> Arc<dyn ServiceHandler
     })
 }
 
-fn binding_with_policy(policy: LoadShedPolicy) -> HttpUddiBinding {
+fn binding_with_policy(policy: KeyedLoadShedPolicy) -> HttpUddiBinding {
     HttpUddiBinding::new(
         wsp_uddi::UddiClient::direct(wsp_uddi::Registry::new()),
         EventBus::new(),
@@ -48,7 +50,7 @@ fn binding_with_policy(policy: LoadShedPolicy) -> HttpUddiBinding {
 /// goodput survives the burst and no caller hangs.
 #[test]
 fn burst_past_capacity_sheds_with_hint_and_serves_the_rest() {
-    let binding = binding_with_policy(LoadShedPolicy::bounded(1, 1024));
+    let binding = binding_with_policy(KeyedLoadShedPolicy::bounded(1, 1024));
     let peer = Peer::with_binding(&binding);
     let naps = Arc::new(AtomicU32::new(0));
     peer.server()
@@ -112,7 +114,7 @@ fn burst_past_capacity_sheds_with_hint_and_serves_the_rest() {
 /// never invoked. The same service still serves live-deadline calls.
 #[test]
 fn expired_deadline_is_rejected_before_the_handler_runs() {
-    let binding = binding_with_policy(LoadShedPolicy::unlimited());
+    let binding = binding_with_policy(KeyedLoadShedPolicy::unlimited());
     let peer = Peer::with_binding(&binding);
     let naps = Arc::new(AtomicU32::new(0));
     peer.server()
@@ -158,7 +160,7 @@ fn expired_deadline_is_rejected_before_the_handler_runs() {
 /// timeout one call earlier — not after the flat default.
 #[test]
 fn pooled_binding_call_honours_a_short_deadline_against_a_stalled_server() {
-    let binding = binding_with_policy(LoadShedPolicy::unlimited());
+    let binding = binding_with_policy(KeyedLoadShedPolicy::unlimited());
     let peer = Peer::with_binding(&binding);
     let stall = Arc::new(AtomicBool::new(false));
     let stalled = stall.clone();
@@ -217,7 +219,7 @@ fn p2ps_overload_surfaces_busy_fault_as_overloaded_with_hint() {
         P2psConfig {
             discovery_window: Duration::from_millis(400),
             request_timeout: Duration::from_secs(3),
-            load_shed: LoadShedPolicy::bounded(usize::MAX, 0),
+            load_shed: KeyedLoadShedPolicy::bounded(usize::MAX, 0),
         },
     );
     let provider = Peer::with_binding(&provider_binding);
@@ -227,7 +229,7 @@ fn p2ps_overload_surfaces_busy_fault_as_overloaded_with_hint() {
         P2psConfig {
             discovery_window: Duration::from_millis(400),
             request_timeout: Duration::from_secs(3),
-            load_shed: LoadShedPolicy::unlimited(),
+            load_shed: KeyedLoadShedPolicy::unlimited(),
         },
     );
     let consumer = Peer::with_binding(&consumer_binding);

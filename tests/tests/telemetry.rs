@@ -10,7 +10,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use wsp_core::bindings::HttpUddiBinding;
 use wsp_core::telemetry::{self, bucket_bounds, bucket_index};
 use wsp_core::{
@@ -356,6 +356,37 @@ fn endpoint_label_cardinality_is_bounded() {
     );
 }
 
+/// The breaker map behind those endpoints is bounded the same way:
+/// 10^5 healthy endpoints leave it at or under its ceiling (a breaker
+/// with nothing to remember is forgotten), while the one endpoint that
+/// tripped is still open afterwards.
+#[test]
+fn endpoint_breaker_map_is_bounded() {
+    use wsp_core::health::{
+        Admission, BreakerConfig, BreakerState, EndpointHealth, MAX_TRACKED_ENDPOINTS,
+    };
+    let health = EndpointHealth::new(BreakerConfig {
+        failure_threshold: 1,
+        cooldown: Duration::from_secs(3600),
+    });
+    let now = Instant::now();
+    assert!(health.breaker("test://tripped/Echo").on_failure(now));
+    for i in 0..100_000 {
+        let breaker = health.breaker(&format!("test://healthy-{i}/Echo"));
+        assert_eq!(breaker.try_acquire(now), Admission::Allowed);
+        breaker.on_success(now);
+    }
+    let tracked = health.snapshot(now).len();
+    assert!(
+        tracked <= MAX_TRACKED_ENDPOINTS,
+        "{tracked} breakers tracked"
+    );
+    assert_eq!(
+        health.breaker("test://tripped/Echo").state(now),
+        BreakerState::Open
+    );
+}
+
 // --- concurrent scrape under overload ----------------------------------------
 
 /// Scraper threads render the `/metrics` text and take histogram
@@ -368,7 +399,8 @@ fn endpoint_label_cardinality_is_bounded() {
 #[test]
 fn metrics_scrape_is_consistent_during_overload_burst() {
     use std::sync::atomic::AtomicBool;
-    use wsp_core::{AdmissionController, LoadShedPolicy};
+    use wsp_core::overload::ANONYMOUS_TENANT;
+    use wsp_core::{KeyedAdmissionController, KeyedLoadShedPolicy};
 
     let registry = telemetry::global();
     registry.set_enabled(true);
@@ -382,7 +414,9 @@ fn metrics_scrape_is_consistent_during_overload_burst() {
     // Queue cap 8; every 4th attempt reports a deep queue and must be
     // shed deterministically. In-flight cap 4 with 4 single-permit
     // threads means the rest are admitted deterministically.
-    let controller = Arc::new(AdmissionController::new(LoadShedPolicy::bounded(4, 8)));
+    let controller = Arc::new(KeyedAdmissionController::new(KeyedLoadShedPolicy::bounded(
+        4, 8,
+    )));
     let histogram = registry.histogram("overload_scrape_us");
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -397,7 +431,7 @@ fn metrics_scrape_is_consistent_during_overload_burst() {
             let mut admitted = 0usize;
             for attempt in 0..ATTEMPTS_PER_THREAD {
                 let queue_depth = if attempt % 4 == 3 { 64 } else { 0 };
-                match controller.try_admit(queue_depth, None) {
+                match controller.try_admit_at(ANONYMOUS_TENANT, queue_depth, None) {
                     Ok(_permit) => {
                         admitted += 1;
                         histogram.record(rng.random_range(1u64..50_000));
