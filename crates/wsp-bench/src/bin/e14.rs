@@ -3,13 +3,18 @@
 //! ```text
 //! cargo run --release -p wsp-bench --bin e14            # full tables
 //! cargo run --release -p wsp-bench --bin e14 -- quick   # CI-sized
+//! cargo run --release -p wsp-bench --bin e14 -- digests # E14_DIGESTS.txt
 //! ```
 //!
 //! Prints the scaling tables recorded in `EXPERIMENTS.md` (E14) and
-//! writes `BENCH_E14.json` — sim events/sec, peak peer count and the
-//! per-scenario digests — for the CI artifact trail.
+//! writes `target/BENCH_E14.json` — sim events/sec, peak peer count and
+//! the per-scenario digests — for the CI artifact trail. `digests`
+//! prints one `scenario seed events digest` line per quick-mode row for
+//! the two CI seeds and nothing that depends on the clock:
+//! `scripts/ci.sh` diffs it against `crates/wsp-bench/E14_DIGESTS.txt`,
+//! so a change to the engine's event order has to move that file.
 
-use wsp_bench::common::render_table;
+use wsp_bench::common::{render_table, write_artifact};
 use wsp_bench::e14::{self, E14Row};
 
 fn rows_to_table(rows: &[E14Row]) -> Vec<Vec<String>> {
@@ -59,14 +64,8 @@ fn row_json(r: &E14Row, label: &str) -> String {
     )
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "quick");
-    let seed = std::env::var("WSP_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2005);
-    println!("E14 population-scale simulation (seed {seed}, quick={quick})");
-
+/// Every scenario of one run, labelled `scenario/size`.
+fn scenario_rows(seed: u64, quick: bool) -> Vec<(String, E14Row)> {
     let mut rows: Vec<(String, E14Row)> = Vec::new();
 
     // Flash crowd scaling ladder.
@@ -93,6 +92,25 @@ fn main() {
         let row = e14::straggler_sweep(seed, clients, 64, slow);
         rows.push((format!("straggler/{clients}/slow{}%", slow / 10), row));
     }
+    rows
+}
+
+fn main() {
+    if std::env::args().any(|a| a == "digests") {
+        for seed in [2005, 7] {
+            for (label, r) in scenario_rows(seed, true) {
+                println!("{label} {seed} {} {}", r.events, r.digest);
+            }
+        }
+        return;
+    }
+    let quick = std::env::args().any(|a| a == "quick");
+    let seed = std::env::var("WSP_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(2005);
+    println!("E14 population-scale simulation (seed {seed}, quick={quick})");
+    let rows = scenario_rows(seed, quick);
 
     let table_rows: Vec<Vec<String>> = rows
         .iter()
@@ -133,9 +151,6 @@ fn main() {
         "{{\n  \"experiment\": \"E14\",\n  \"seed\": {seed},\n  \"peak_peers\": {peak_peers},\n  \"peak_events_per_sec\": {peak_eps:.0},\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
-    let path = "BENCH_E14.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} (peak {peak_peers} peers, {peak_eps:.0} events/s)"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    println!("peak {peak_peers} peers, {peak_eps:.0} events/s");
+    write_artifact("BENCH_E14.json", &json);
 }

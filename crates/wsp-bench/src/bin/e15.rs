@@ -4,14 +4,14 @@
 //!
 //! Orchestrates the server subprocess (see `e15::serve` for the
 //! three-process protocol and why it exists), renders the table, and
-//! writes `BENCH_E15.json`. Exits nonzero unless every target
+//! writes `target/BENCH_E15.json`. Exits nonzero unless every target
 //! connection was held and served at no more than
 //! `MAX_KB_PER_CONN` KiB of resident memory each.
 //!
 //! Full mode holds 10 000 keep-alive connections; `quick` holds 2 000
 //! for CI.
 
-use wsp_bench::common::render_table;
+use wsp_bench::common::{render_table, write_artifact};
 use wsp_bench::e15::{self, E15Row};
 
 /// The density gate: resident KiB per held keep-alive connection.
@@ -122,11 +122,7 @@ fn main() -> std::process::ExitCode {
         "{{\n  \"experiment\": \"E15\",\n  \"quick\": {quick},\n  \"sustained_target\": {sustained},\n  \"max_kb_per_conn\": {MAX_KB_PER_CONN},\n  \"within_kb_per_conn\": {dense},\n  \"rows\": [\n{}\n  ]\n}}\n",
         row_json(&row)
     );
-    let path = "BENCH_E15.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    write_artifact("BENCH_E15.json", &json);
 
     if sustained && dense {
         std::process::ExitCode::SUCCESS

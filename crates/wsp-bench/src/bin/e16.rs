@@ -6,11 +6,11 @@
 //! ```
 //!
 //! Prints the availability table recorded in `EXPERIMENTS.md` (E16) and
-//! writes `BENCH_E16.json` — per-cell acked/lost counts, locate
+//! writes `target/BENCH_E16.json` — per-cell acked/lost counts, locate
 //! availability and the seeded trace digests — for the CI artifact
 //! trail.
 
-use wsp_bench::common::render_table;
+use wsp_bench::common::{render_table, write_artifact};
 use wsp_bench::e16::{self, E16Row};
 
 fn row_json(r: &E16Row) -> String {
@@ -93,13 +93,8 @@ fn main() {
         sharded_min_avail,
         body.join(",\n")
     );
-    let path = "BENCH_E16.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "wrote {path} (lost_total={lost_total}, sharded min availability {sharded_min_avail:.2}%)"
-        ),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    println!("lost_total={lost_total}, sharded min availability {sharded_min_avail:.2}%");
+    write_artifact("BENCH_E16.json", &json);
     if lost_total > 0 || sharded_min_avail < 99.0 {
         eprintln!("E16 acceptance gate FAILED");
         std::process::exit(1);

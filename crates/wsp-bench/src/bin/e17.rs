@@ -1,12 +1,12 @@
 //! E17 runner — mediation gateway vs direct invocation.
 //!
 //! Usage: `e17 [quick]`. Prints the goodput A/B, the tenant-isolation
-//! measurement, and the TTL sweep; writes `BENCH_E17.json`; exits 1 if
+//! measurement, and the TTL sweep; writes `target/BENCH_E17.json`; exits 1 if
 //! an acceptance gate fails. `WSP_FAULT_SEED` (default 2005) seeds the
 //! request schedules.
 
 use std::time::Duration;
-use wsp_bench::common::render_table;
+use wsp_bench::common::{render_table, write_artifact};
 use wsp_bench::e17;
 
 fn main() {
@@ -162,8 +162,7 @@ fn main() {
         sweep_json.join(","),
         failures.is_empty()
     );
-    std::fs::write("BENCH_E17.json", &json).expect("write BENCH_E17.json");
-    println!("wrote BENCH_E17.json");
+    write_artifact("BENCH_E17.json", &json);
 
     if failures.is_empty() {
         println!(

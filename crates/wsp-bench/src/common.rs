@@ -32,6 +32,17 @@ pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Strin
     out
 }
 
+/// Write a run's JSON artifact to `target/<name>` (relative to the
+/// working directory, created if missing). A failed write is reported,
+/// not fatal: the tables and gates have already been printed.
+pub fn write_artifact(name: &str, json: &str) {
+    let path = std::path::Path::new("target").join(name);
+    match std::fs::create_dir_all("target").and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
 /// Mean of a slice of f64.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {

@@ -115,7 +115,6 @@ pub fn goodput(shedding: bool, calls: usize, seed: u64) -> E11Goodput {
         latency: Dur::millis(2),
         jitter: Dur::millis(1),
         loss: 0.0,
-        per_byte: Dur::ZERO,
     });
     let queue_limit = if shedding { 2 } else { usize::MAX };
     let server = net.add_node(Box::new(

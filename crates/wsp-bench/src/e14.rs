@@ -31,7 +31,7 @@
 //! The seed-sweep tier (`tests/tests/sim_scale.rs`) asserts
 //! bit-identical digests across reruns; the `e14` binary prints the
 //! scaling tables recorded in `EXPERIMENTS.md` and writes
-//! `BENCH_E14.json`.
+//! `target/BENCH_E14.json`.
 
 use rand::Rng;
 use std::time::Instant;
@@ -155,7 +155,7 @@ fn finish(
     E14Row {
         scenario,
         seed,
-        peers: sim.peer_count(),
+        peers: sim.node_count(),
         events: sim_events,
         wall_ms,
         events_per_sec: sim_events as f64 / wall.as_secs_f64().max(1e-9),
@@ -551,7 +551,7 @@ impl PeerModel for Mesh {
                 // rejoin the heartbeat schedule.
                 self.next_round(ctx);
             }
-            PeerEvent::WentDown => {}
+            PeerEvent::Start | PeerEvent::WentDown => {}
         }
     }
 }
@@ -611,7 +611,7 @@ pub fn partition_heal_sim(seed: u64, peers: u32) -> PeerSim<Mesh> {
     // Light churn on a tenth of the mesh, scheduled through the same
     // wheel as everything else.
     let churn = ChurnModel::new(Dur::secs(4), Dur::millis(500));
-    churn.apply_peers(&mut sim, first, peers / 10, horizon, seed ^ 0x5eed);
+    churn.apply(&mut sim, first..first + peers / 10, horizon, seed ^ 0x5eed);
 
     // Stagger round starts across one round length.
     let round_us = Dur::millis(250).as_micros();

@@ -86,7 +86,7 @@ pub fn central_success(availability: f64, queries: usize, seed: u64) -> f64 {
     if availability < 1.0 {
         churn_for(availability, Dur::secs(30)).apply(
             &mut net,
-            &[registry],
+            [registry],
             Time::secs(300),
             seed ^ 1,
         );

@@ -85,7 +85,6 @@ pub fn run(loss: f64, retry: bool, calls: usize, seed: u64) -> E9Row {
         latency: Dur::millis(2),
         jitter: Dur::millis(1),
         loss: 0.0,
-        per_byte: Dur::ZERO,
     });
     let server = net.add_node(Box::new(HttpSimServer::new(
         echo_router(),

@@ -2,15 +2,13 @@
 //!
 //! The experiment harness for the WSPeer reproduction. Each module
 //! implements one experiment from the index in `DESIGN.md` (E1–E12);
-//! the `harness` binary prints every table, and one Criterion bench per
-//! experiment measures its core operation. `EXPERIMENTS.md` records the
-//! observed numbers against the paper's qualitative predictions.
+//! the `harness` binary prints every table. `EXPERIMENTS.md` records
+//! the observed numbers against the paper's qualitative predictions.
 //!
 //! Run everything:
 //!
 //! ```text
 //! cargo run --release -p wsp-bench --bin harness
-//! cargo bench -p wsp-bench
 //! ```
 
 pub mod a1;

@@ -13,8 +13,7 @@ use crate::overload::{
     self, DeadlineScope, KeyedAdmissionController, KeyedLoadShedPolicy, ANONYMOUS_TENANT,
 };
 use crate::query::{properties_to_uddi_categories, ServiceQuery};
-use crate::resilience::ResiliencePolicy;
-use crate::telemetry::{self, CorrelationScope};
+use crate::telemetry::{self, CorrelationScope, Counter, Histogram};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
@@ -55,11 +54,6 @@ pub struct HttpUddiConfig {
     /// Transport tunables for the lightweight host (read deadlines,
     /// connection cap, drain deadline).
     pub server: ServerConfig,
-    /// Retry/backoff policy for registry interactions (publish,
-    /// locate). Default is no retries, the historical behaviour; a
-    /// replicated discovery plane pairs this with `retrying(n)` so
-    /// transient registry faults fail over instead of failing.
-    pub registry_policy: ResiliencePolicy,
 }
 
 impl Default for HttpUddiConfig {
@@ -71,7 +65,6 @@ impl Default for HttpUddiConfig {
             keep_alive: true,
             load_shed: KeyedLoadShedPolicy::unlimited(),
             server: ServerConfig::default(),
-            registry_policy: ResiliencePolicy::none(),
         }
     }
 }
@@ -95,6 +88,30 @@ struct Shared {
     /// Per-registry-endpoint circuit breakers: a dead or flapping
     /// registry stops being hammered while the breaker cools down.
     registry_health: EndpointHealth,
+    publish_series: OpSeries,
+    unpublish_series: OpSeries,
+    locate_series: OpSeries,
+}
+
+/// The telemetry series of one registry operation — `<op>` counts
+/// answered calls, `<op>.errors` failed ones, `<op>.rtt_us` times the
+/// answered ones — looked up once per binding, so a publish or locate
+/// neither formats a name nor takes the telemetry registry's lock.
+struct OpSeries {
+    ok: Arc<Counter>,
+    errors: Arc<Counter>,
+    rtt_us: Arc<Histogram>,
+}
+
+impl OpSeries {
+    fn named(op: &str) -> OpSeries {
+        let registry = telemetry::global();
+        OpSeries {
+            ok: registry.counter(op),
+            errors: registry.counter(format!("{op}.errors")),
+            rtt_us: registry.histogram(format!("{op}.rtt_us")),
+        }
+    }
 }
 
 impl Shared {
@@ -170,65 +187,41 @@ impl Shared {
     }
 }
 
-/// One resilient registry interaction: admission through the
-/// registry's circuit breaker, transient (transport) failures retried
-/// on the binding's [`ResiliencePolicy`], and the outcome recorded in
-/// the `registry.publish` / `registry.locate` telemetry series that
-/// `/metrics` exports.
+/// One registry interaction: admission through the registry's circuit
+/// breaker, one call, and the outcome recorded in the operation's
+/// telemetry series that `/metrics` exports.
 fn registry_call<T>(
     shared: &Shared,
-    op: &'static str,
-    call: impl Fn() -> Result<T, wsp_uddi::UddiError>,
+    series: &OpSeries,
+    call: impl FnOnce() -> Result<T, wsp_uddi::UddiError>,
 ) -> Result<T, WspError> {
-    let registry = telemetry::global();
-    let endpoint = shared
-        .uddi
-        .endpoint_hint()
-        .unwrap_or("uddi:anonymous")
-        .to_owned();
-    let breaker = shared.registry_health.breaker(&endpoint);
+    let endpoint = shared.uddi.endpoint_hint().unwrap_or("uddi:anonymous");
+    let breaker = shared.registry_health.breaker(endpoint);
     let started = Instant::now();
-    let mut attempt = 1u32;
-    loop {
-        if matches!(breaker.try_acquire(Instant::now()), Admission::Rejected) {
-            registry.counter(format!("{op}.errors")).incr();
-            return Err(WspError::Transport(format!(
-                "registry {endpoint} circuit breaker open"
-            )));
+    if matches!(breaker.try_acquire(started), Admission::Rejected) {
+        series.errors.incr();
+        return Err(WspError::Transport(format!(
+            "registry {endpoint} circuit breaker open"
+        )));
+    }
+    match call() {
+        Ok(value) => {
+            breaker.on_success(Instant::now());
+            series.ok.incr();
+            series.rtt_us.record_micros(started.elapsed());
+            Ok(value)
         }
-        match call() {
-            Ok(value) => {
-                breaker.on_success(Instant::now());
-                registry.counter(op).incr();
-                registry
-                    .histogram(format!("{op}.rtt_us"))
-                    .record_micros(started.elapsed());
-                return Ok(value);
-            }
-            Err(wsp_uddi::UddiError::Transport(why)) => {
-                breaker.on_failure(Instant::now());
-                let error = WspError::Transport(why);
-                attempt += 1;
-                match shared.config.registry_policy.backoff_before(attempt) {
-                    Some(delay) if shared.config.registry_policy.is_retryable(&error) => {
-                        registry.counter(format!("{op}.retries")).incr();
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                    }
-                    _ => {
-                        registry.counter(format!("{op}.errors")).incr();
-                        return Err(error);
-                    }
-                }
-            }
-            Err(other) => {
-                // The registry answered; the error is semantic, not a
-                // liveness signal — the breaker records a success.
-                breaker.on_success(Instant::now());
-                registry.counter(format!("{op}.errors")).incr();
-                return Err(WspError::Invoke(other.to_string()));
-            }
+        Err(wsp_uddi::UddiError::Transport(why)) => {
+            breaker.on_failure(Instant::now());
+            series.errors.incr();
+            Err(WspError::Transport(why))
+        }
+        Err(other) => {
+            // The registry answered; the error is semantic, not a
+            // liveness signal — the breaker records a success.
+            breaker.on_success(Instant::now());
+            series.errors.incr();
+            Err(WspError::Invoke(other.to_string()))
         }
     }
 }
@@ -303,6 +296,9 @@ impl HttpUddiBinding {
                 admission,
                 dispatcher: RwLock::new(None),
                 registry_health: EndpointHealth::new(BreakerConfig::default()),
+                publish_series: OpSeries::named("registry.publish"),
+                unpublish_series: OpSeries::named("registry.unpublish"),
+                locate_series: OpSeries::named("registry.locate"),
                 config,
             }),
         }
@@ -585,9 +581,9 @@ impl ServicePublisher for UddiPublisher {
         let endpoint = service
             .primary_endpoint()
             .ok_or_else(|| WspError::Publish("service has no endpoint".into()))?;
-        // The tmodel + service pair is one logical registry publish:
-        // retried together, counted once.
-        let saved = registry_call(&self.shared, "registry.publish", || {
+        // The tmodel + service pair is one logical registry publish,
+        // counted once.
+        let saved = registry_call(&self.shared, &self.shared.publish_series, || {
             let tmodel = self.shared.uddi.save_tmodel(
                 &TModel::new("", format!("{} WSDL", service.name()))
                     .with_overview(format!("{endpoint}?wsdl")),
@@ -615,7 +611,7 @@ impl ServicePublisher for UddiPublisher {
         let Some(key) = self.shared.published.write().remove(service) else {
             return false;
         };
-        registry_call(&self.shared, "registry.unpublish", || {
+        registry_call(&self.shared, &self.shared.unpublish_series, || {
             self.shared.uddi.delete_service(&key)
         })
         .unwrap_or(false)
@@ -660,7 +656,7 @@ impl ServiceLocator for UddiLocator {
         if registry.is_enabled() {
             registry.counter("uddi.locate.queries").incr();
         }
-        let records = registry_call(&self.shared, "registry.locate", || {
+        let records = registry_call(&self.shared, &self.shared.locate_series, || {
             self.shared.uddi.locate(&query.to_uddi())
         })
         .map_err(|e| WspError::Locate(e.to_string()))?;

@@ -36,16 +36,6 @@ use wsp_registry::DataVersions;
 use wsp_simnet::{EventKey, EventWheel, Time};
 use wsp_xml::BufPool;
 
-/// FNV-1a, the same cheap stable hash the shard map places names with.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// TTLs and bounds for the three caches.
 #[derive(Debug, Clone)]
 pub struct GatewayCacheConfig {
@@ -474,6 +464,7 @@ fn recycle(entry: ResponseEntry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsp_simnet::fnv1a;
 
     fn caches(ttl_ms: u64, capacity: usize) -> GatewayCaches {
         GatewayCaches::new(GatewayCacheConfig {

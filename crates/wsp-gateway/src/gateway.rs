@@ -26,7 +26,7 @@
 //! ([`Gateway::launch_pipe`], tenant in the `Tenant` SOAP header), both
 //! served by the reactor-backed servers underneath.
 
-use crate::cache::{fnv1a, CachedResponse, GatewayCacheConfig, GatewayCaches, ResponseKey};
+use crate::cache::{CachedResponse, GatewayCacheConfig, GatewayCaches, ResponseKey};
 use crate::pool::{Backend, BackendPools};
 use parking_lot::Mutex;
 use std::io;
@@ -46,6 +46,7 @@ use wsp_http::{
 };
 use wsp_p2ps::{P2psMessage, PipeTcpConfig, PipeTcpServer};
 use wsp_registry::{RegistryError, ShardedUddiClient};
+use wsp_simnet::fnv1a;
 use wsp_soap::{constants::CONTENT_TYPE, Envelope, Fault};
 use wsp_uddi::ServiceQuery;
 

@@ -28,6 +28,9 @@ pub mod cache;
 pub mod gateway;
 pub mod pool;
 
-pub use cache::{fnv1a, CachedResponse, GatewayCacheConfig, GatewayCaches, ResponseKey};
+pub use cache::{CachedResponse, GatewayCacheConfig, GatewayCaches, ResponseKey};
 pub use gateway::{Gateway, GatewayConfig, GatewayError, GatewayReply, IdempotentSet};
 pub use pool::{BackendLease, BackendPools};
+/// The response-cache key hashes a request body with the workspace's
+/// one FNV-1a (shard placement uses the same function).
+pub use wsp_simnet::fnv1a;

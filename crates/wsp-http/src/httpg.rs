@@ -10,6 +10,7 @@
 use crate::message::{Request, Response};
 use crate::router::{HttpHandler, Router};
 use std::sync::Arc;
+use wsp_simnet::{fnv1a, fnv1a_fold};
 
 /// Header carrying the HTTPG token.
 pub const AUTH_HEADER: &str = "Authorization";
@@ -116,20 +117,14 @@ pub fn guard_router(router: &Router, credential: HttpgCredential) {
 /// FNV-1a over (secret, subject, target). Adequate for simulation; see
 /// module docs.
 fn keyed_hash(secret: &str, subject: &str, target: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in [
-        secret.as_bytes(),
-        b"\0",
+    [
+        b"\0".as_slice(),
         subject.as_bytes(),
         b"\0",
         target.as_bytes(),
-    ] {
-        for &b in chunk {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    hash
+    ]
+    .into_iter()
+    .fold(fnv1a(secret.as_bytes()), fnv1a_fold)
 }
 
 #[cfg(test)]

@@ -427,7 +427,6 @@ mod tests {
             latency: Dur::millis(1),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
         let server = net.add_node(Box::new(
             HttpSimServer::new(echo_router(), Dur::millis(10), workers)
@@ -570,7 +569,6 @@ mod tests {
             latency: Dur::millis(1),
             jitter: Dur::ZERO,
             loss,
-            per_byte: Dur::ZERO,
         });
         let server = net.add_node(Box::new(HttpSimServer::new(
             echo_router(),
@@ -643,7 +641,6 @@ mod tests {
             latency: Dur::millis(1),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
         let server = net.add_node(Box::new(
             HttpSimServer::new(echo_router(), Dur::millis(5), 1).with_queue_limit(0),
@@ -691,7 +688,6 @@ mod tests {
             latency: Dur::millis(1),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
         let server = net.add_node(Box::new(HttpSimServer::new(
             echo_router(),

@@ -181,8 +181,7 @@ impl P2psMessage {
         }
     }
 
-    /// Approximate wire size without serialising (used by the simulator
-    /// for serialisation-delay modelling).
+    /// Approximate wire size without serialising.
     pub fn approx_wire_size(&self) -> usize {
         match self {
             P2psMessage::Advertise { advert, .. } => 120 + advert_size(advert),
@@ -332,12 +331,6 @@ fn advert_size(a: &ServiceAdvertisement) -> usize {
             .iter()
             .map(|(k, v)| k.len() + v.len() + 40)
             .sum::<usize>()
-}
-
-impl wsp_simnet::Payload for P2psMessage {
-    fn wire_size(&self) -> usize {
-        self.approx_wire_size()
-    }
 }
 
 #[cfg(test)]

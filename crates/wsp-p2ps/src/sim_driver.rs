@@ -786,7 +786,6 @@ mod tests {
                 latency: Dur::millis(5),
                 jitter: Dur::millis(2),
                 loss: 0.3,
-                per_byte: Dur::ZERO,
             });
             let mut rng = StdRng::seed_from_u64(7);
             let (topology, rendezvous) = Topology::rendezvous_groups(1, 4, 1, &mut rng);

@@ -11,6 +11,7 @@
 //! also bump the epoch so cached primaries are invalidated the same
 //! way (`ShardMapChanged`).
 
+use wsp_simnet::fnv1a;
 use wsp_xml::{Element, QName};
 
 /// Namespace of the registry-plane control messages (`get_shardMap`,
@@ -20,16 +21,6 @@ pub const REGISTRY_NS: &str = "urn:wsp:registry";
 /// Virtual tokens per node on the placement ring. Plenty for the node
 /// counts we shard across while keeping map construction trivial.
 const VNODES: u64 = 32;
-
-/// 64-bit FNV-1a, the same fingerprint family the sim digests use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// splitmix64 avalanche finalizer. Ring tokens share long common
 /// prefixes (`wsp://registry/3#17`), and raw FNV-1a over strings that

@@ -6,12 +6,12 @@
 //! alternates exponentially-distributed up and down periods, the standard
 //! model for P2P session churn.
 
-use crate::net::SimNet;
-use crate::node::{NodeId, Payload};
+use crate::node::NodeId;
 use crate::peers::{PeerModel, PeerSim};
 use crate::time::{Dur, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
 /// An alternating up/down lifetime model.
 #[derive(Debug, Clone, Copy)]
@@ -77,48 +77,37 @@ impl ChurnModel {
         transitions
     }
 
-    /// Apply churn to `nodes` in `net` over `[0, horizon]`, using a
+    /// Apply churn to `nodes` of `sim` over `[0, horizon]`, using a
     /// dedicated RNG seeded with `seed` so churn is reproducible
-    /// independently of message traffic.
-    pub fn apply<M: Payload>(
-        &self,
-        net: &mut SimNet<M>,
-        nodes: &[NodeId],
-        horizon: Time,
-        seed: u64,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for &node in nodes {
-            for (at, up) in self.schedule_for(horizon, &mut rng) {
-                if up {
-                    net.schedule_up(node, at);
-                } else {
-                    net.schedule_down(node, at);
-                }
-            }
-        }
-    }
-
-    /// Apply churn to the peer range `[first, first + count)` of a
-    /// population-scale [`PeerSim`] over `[0, horizon]`. Same model and
-    /// same reproducibility contract as [`ChurnModel::apply`], but the
-    /// transitions schedule through the `PeerSim` wheel so churn
-    /// interleaves deterministically with message traffic and timers.
-    pub fn apply_peers<P: PeerModel>(
+    /// independently of message traffic. `nodes` is anything that yields
+    /// ids — a slice of boxed nodes, a `first..first + count` range of a
+    /// population. The transitions schedule through the engine's wheel,
+    /// so churn interleaves deterministically with traffic and timers.
+    pub fn apply<P: PeerModel>(
         &self,
         sim: &mut PeerSim<P>,
-        first: NodeId,
-        count: u32,
+        nodes: impl IntoIterator<Item = impl Borrow<NodeId>>,
         horizon: Time,
         seed: u64,
     ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for peer in first..first + count {
-            for (at, up) in self.schedule_for(horizon, &mut rng) {
+        self.schedule_onto(sim, nodes, horizon, &mut StdRng::seed_from_u64(seed));
+    }
+
+    /// [`ChurnModel::apply`] drawing from a caller-owned RNG (a
+    /// [`crate::FaultPlan`] threads its own through every op).
+    pub(crate) fn schedule_onto<P: PeerModel>(
+        &self,
+        sim: &mut PeerSim<P>,
+        nodes: impl IntoIterator<Item = impl Borrow<NodeId>>,
+        horizon: Time,
+        rng: &mut StdRng,
+    ) {
+        for node in nodes {
+            for (at, up) in self.schedule_for(horizon, rng) {
                 if up {
-                    sim.schedule_up(peer, at);
+                    sim.schedule_up(*node.borrow(), at);
                 } else {
-                    sim.schedule_down(peer, at);
+                    sim.schedule_down(*node.borrow(), at);
                 }
             }
         }
@@ -128,6 +117,7 @@ impl ChurnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::SimNet;
     use crate::node::{Context, NodeEvent};
 
     #[test]
@@ -246,11 +236,11 @@ mod tests {
             let mut sim = PeerSim::new(1, Idle);
             let first = sim.add_peers(64, 0);
             let m = ChurnModel::new(Dur::millis(10), Dur::millis(10));
-            m.apply_peers(&mut sim, first, 64, Time::secs(1), seed);
+            m.apply(&mut sim, first..first + 64, Time::secs(1), seed);
             sim.run_to_quiescence();
             (
-                sim.metrics().counter("peers.node_down"),
-                sim.metrics().counter("peers.node_up"),
+                sim.metrics().counter("simnet.node_down"),
+                sim.metrics().counter("simnet.node_up"),
                 sim.digest().value(),
             )
         }
@@ -268,7 +258,7 @@ mod tests {
             |_ctx: &mut Context<'_, String>, _e: NodeEvent<String>| {},
         ));
         let m = ChurnModel::new(Dur::millis(10), Dur::millis(10));
-        m.apply(&mut net, &[node], Time::secs(1), 99);
+        m.apply(&mut net, [node], Time::secs(1), 99);
         net.run_to_quiescence();
         assert!(net.metrics().counter("simnet.node_down") > 0);
         assert!(net.metrics().counter("simnet.node_up") > 0);

@@ -17,11 +17,31 @@
 //! rather than `std::hash::DefaultHasher` precisely so digests are
 //! stable across processes, runs and toolchain versions — they are part
 //! of the determinism contract, not an implementation detail.
+//!
+//! The byte-level hash is exported too ([`fnv1a`], [`fnv1a_fold`]): this
+//! crate is the bottom of the dependency graph, so shard placement,
+//! gateway cache keys and HTTPG tokens use this one copy.
 
 use std::fmt;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Fold `bytes` into a running FNV-1a 64 state (start from [`fnv1a`] of
+/// the first chunk to hash a message that arrives in pieces).
+#[inline]
+pub fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// 64-bit FNV-1a of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
 
 /// A rolling FNV-1a 64 fingerprint of an event stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,12 +67,7 @@ impl TraceDigest {
     /// Fold one 64-bit word into the digest.
     #[inline]
     pub fn fold(&mut self, word: u64) {
-        let mut h = self.hash;
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.hash = h;
+        self.hash = fnv1a_fold(self.hash, &word.to_le_bytes());
         self.folded += 1;
     }
 
@@ -125,6 +140,30 @@ mod tests {
         d.fold(7);
         assert_eq!(d.hex().len(), 16);
         assert_eq!(d.hex(), format!("{:016x}", d.value()));
+    }
+
+    #[test]
+    fn byte_hash_matches_the_published_vectors_and_the_word_fold() {
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_fold(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+        let mut d = TraceDigest::new();
+        d.fold(0x0102_0304_0506_0708);
+        assert_eq!(d.value(), fnv1a(&[8, 7, 6, 5, 4, 3, 2, 1]));
+    }
+
+    #[test]
+    fn placement_and_cache_key_hashes_are_the_ones_recorded_before_the_merge() {
+        // What `wsp_registry::shard::fnv1a` and `wsp_gateway::fnv1a`
+        // returned at faefe77, when each crate had its own copy: a shard
+        // token, a service name (`shard_of`), a response-cache body.
+        assert_eq!(fnv1a(b"shard/0"), 0x8add_9f73_fa5e_f094);
+        assert_eq!(fnv1a(b"EchoService"), 0xd26b_1e89_b29a_4c17);
+        assert_eq!(
+            fnv1a(b"<soap:Body><echo>hi</echo></soap:Body>"),
+            0x400b_60ee_8088_5cf2
+        );
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! `wsp-core` exists to survive exactly that. A [`FaultPlan`] describes
 //! *which* faults a scenario contains — uniform loss, seeded loss
 //! bursts, per-link blackouts, slow-link windows, node outages and
-//! churn — and compiles them onto any [`SimNet`] as scheduled link and
-//! node transitions. Because every random choice flows through one
-//! `StdRng` seeded from the plan, applying the same plan to the same
-//! topology reproduces the same fault timeline bit for bit, which is
-//! what makes the fault-injection test matrix deterministic.
+//! churn — and compiles them onto the engine ([`PeerSim`], and so any
+//! [`crate::SimNet`]) as scheduled link and node transitions. Because
+//! every random choice flows through one `StdRng` seeded from the plan,
+//! applying the same plan to the same topology reproduces the same
+//! fault timeline bit for bit, which is what makes the fault-injection
+//! test matrix deterministic.
 
 use crate::churn::ChurnModel;
-use crate::net::SimNet;
-use crate::node::{NodeId, Payload};
+use crate::node::NodeId;
+use crate::peers::{PeerModel, PeerSim};
 use crate::time::{Dur, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,10 +67,10 @@ enum FaultOp {
 /// A seeded, declarative fault schedule for one simulation run.
 ///
 /// Build with the fluent methods, then [`FaultPlan::apply`] it to a
-/// `SimNet` *before* running (link/outage windows are scheduled as
-/// simulator events). The plan is generic over the payload type, so the
-/// same plan drives both the HTTP-sim world (`SimNet<String>`) and the
-/// P2PS overlay (`SimNet<P2psMessage>`).
+/// simulation *before* running (link/outage windows are scheduled as
+/// simulator events). The plan is generic over the model, so the same
+/// plan drives a `SimNet` of boxed nodes and a population `PeerSim`;
+/// "default link" is the class-0 cell either way.
 ///
 /// Reproducibility contract: `(plan, topology, behaviours, net seed)`
 /// fully determine the run. The plan's own seed drives burst placement
@@ -151,7 +152,7 @@ impl FaultPlan {
     /// Compile the plan onto `net` as scheduled events. Call after the
     /// topology's links are configured (restore specs snapshot the link
     /// in effect now) and before the run starts.
-    pub fn apply<M: Payload>(&self, net: &mut SimNet<M>) {
+    pub fn apply<P: PeerModel>(&self, net: &mut PeerSim<P>) {
         let mut rng = StdRng::seed_from_u64(self.seed);
         for op in &self.ops {
             match op {
@@ -210,17 +211,7 @@ impl FaultPlan {
                     nodes,
                     model,
                     horizon,
-                } => {
-                    for &node in nodes {
-                        for (at, up) in model.schedule_for(*horizon, &mut rng) {
-                            if up {
-                                net.schedule_up(node, at);
-                            } else {
-                                net.schedule_down(node, at);
-                            }
-                        }
-                    }
-                }
+                } => model.schedule_onto(net, nodes, *horizon, &mut rng),
             }
         }
     }
@@ -230,6 +221,7 @@ impl FaultPlan {
 mod tests {
     use super::*;
     use crate::link::LinkSpec;
+    use crate::net::SimNet;
     use crate::node::{Context, NodeEvent};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -239,7 +231,6 @@ mod tests {
             latency,
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         }
     }
 

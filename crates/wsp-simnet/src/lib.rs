@@ -19,14 +19,16 @@
 //!   link profiles ([`LinkSpec::lan`]/[`LinkSpec::wan`]), churn
 //!   ([`ChurnModel`]) and overlay generators ([`Topology`]) cover the
 //!   E1–E8 experiment matrix.
-//! * **Two front-ends, one wheel.** Every event — message delivery,
-//!   timer, churn transition, fault window — schedules through the one
-//!   [`EventWheel`]. [`SimNet`] is the boxed-behaviour world (hundreds
-//!   of nodes, rich `Node` trait); [`PeerSim`] is the population-scale
-//!   world (10^5–10^6 lightweight peers driven by pure [`Machine`]
-//!   transitions, with [`TraceDigest`] run fingerprints). See
-//!   `DESIGN.md` §13 for the wheel architecture and determinism
-//!   contract.
+//! * **One engine, two front-ends.** [`PeerSim`] is the simulator:
+//!   the one event loop over the one [`EventWheel`], the link table,
+//!   the seeded RNG, churn, [`FaultPlan`]s, the [`TraceDigest`] run
+//!   fingerprint and the optional [`Trace`]. It drives one
+//!   [`PeerModel`] that owns every peer's state — 10^5–10^6 lightweight
+//!   peers stepped by pure [`Machine`] transitions when the model is
+//!   struct-of-arrays. [`SimNet`] is that engine with the model fixed
+//!   to "a `Box<dyn Node>` per peer" (hundreds of nodes, rich [`Node`]
+//!   trait) plus `add_node`; it has no loop of its own. See `DESIGN.md`
+//!   §13 for the architecture and the determinism contract.
 //!
 //! ```
 //! use wsp_simnet::{Context, NodeEvent, SimNet};
@@ -58,23 +60,15 @@ pub mod trace;
 pub mod wheel;
 
 pub use churn::ChurnModel;
-pub use digest::TraceDigest;
+pub use digest::{fnv1a, fnv1a_fold, TraceDigest};
 pub use fault::FaultPlan;
 pub use link::LinkSpec;
 pub use machine::{step_mut, Machine};
 pub use metrics::{Metrics, Summary};
 pub use net::SimNet;
-pub use node::{Context, Node, NodeEvent, NodeId, Payload, TimerId};
-pub use peers::{PeerCtx, PeerEvent, PeerModel, PeerMsg, PeerSim};
+pub use node::{Context, Node, NodeEvent, NodeId, Payload, Payload as PeerMsg, TimerId};
+pub use peers::{PeerCtx, PeerEvent, PeerModel, PeerSim};
 pub use time::{Dur, Time};
 pub use topology::Topology;
 pub use trace::{Trace, TraceEvent};
 pub use wheel::{EventKey, EventWheel};
-
-impl<M: Payload> SimNet<M> {
-    /// Test/bench helper: send a message between two nodes from outside
-    /// any behaviour (e.g. to kick off a scenario).
-    pub fn transmit_for_test(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.transmit(from, to, msg);
-    }
-}

@@ -12,9 +12,6 @@ pub struct LinkSpec {
     pub jitter: Dur,
     /// Probability in `[0, 1]` that a message is silently dropped.
     pub loss: f64,
-    /// Extra delay per payload byte (inverse bandwidth). Zero models an
-    /// uncongested LAN.
-    pub per_byte: Dur,
 }
 
 impl LinkSpec {
@@ -24,7 +21,6 @@ impl LinkSpec {
             latency: Dur::micros(500),
             jitter: Dur::micros(200),
             loss: 0.0,
-            per_byte: Dur::ZERO,
         }
     }
 
@@ -35,7 +31,6 @@ impl LinkSpec {
             latency: Dur::millis(40),
             jitter: Dur::millis(20),
             loss: 0.01,
-            per_byte: Dur::ZERO,
         }
     }
 
@@ -62,14 +57,13 @@ impl LinkSpec {
         self
     }
 
-    /// Sample a delivery delay for a payload of `bytes`, or `None` if the
-    /// message is lost.
+    /// Sample a delivery delay, or `None` if the message is lost.
     ///
     /// A fully lossy link (`loss >= 1`, e.g. a blackout window scheduled
     /// by a [`crate::FaultPlan`]) drops without consuming randomness, so
     /// a blackout does not perturb the seeded delay sequence of traffic
     /// on other links.
-    pub fn sample<R: Rng>(&self, bytes: usize, rng: &mut R) -> Option<Dur> {
+    pub fn sample<R: Rng>(&self, rng: &mut R) -> Option<Dur> {
         if self.loss >= 1.0 {
             return None;
         }
@@ -81,8 +75,7 @@ impl LinkSpec {
         } else {
             self.jitter.mul_f64(rng.random::<f64>())
         };
-        let serialisation = Dur(self.per_byte.0.saturating_mul(bytes as u64));
-        Some(self.latency + jitter + serialisation)
+        Some(self.latency + jitter)
     }
 }
 
@@ -103,7 +96,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let link = LinkSpec::lan();
         for _ in 0..100 {
-            assert!(link.sample(100, &mut rng).is_some());
+            assert!(link.sample(&mut rng).is_some());
         }
     }
 
@@ -114,10 +107,9 @@ mod tests {
             latency: Dur::millis(10),
             jitter: Dur::millis(5),
             loss: 0.0,
-            per_byte: Dur::ZERO,
         };
         for _ in 0..100 {
-            let d = link.sample(0, &mut rng).unwrap();
+            let d = link.sample(&mut rng).unwrap();
             assert!(d >= Dur::millis(10) && d <= Dur::millis(15), "{d}");
         }
     }
@@ -127,7 +119,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let link = LinkSpec::lan().with_loss(0.3);
         let lost = (0..10_000)
-            .filter(|_| link.sample(0, &mut rng).is_none())
+            .filter(|_| link.sample(&mut rng).is_none())
             .count();
         let rate = lost as f64 / 10_000.0;
         assert!((rate - 0.3).abs() < 0.03, "observed loss {rate}");
@@ -137,7 +129,7 @@ mod tests {
     fn total_loss_drops_everything() {
         let mut rng = StdRng::seed_from_u64(1);
         let link = LinkSpec::lan().with_loss(1.0);
-        assert!(link.sample(0, &mut rng).is_none());
+        assert!(link.sample(&mut rng).is_none());
     }
 
     #[test]
@@ -150,10 +142,10 @@ mod tests {
         let mut with = StdRng::seed_from_u64(9);
         let mut without = StdRng::seed_from_u64(9);
         for _ in 0..10 {
-            assert!(blackout.sample(64, &mut with).is_none());
+            assert!(blackout.sample(&mut with).is_none());
         }
         for _ in 0..50 {
-            assert_eq!(probe.sample(64, &mut with), probe.sample(64, &mut without));
+            assert_eq!(probe.sample(&mut with), probe.sample(&mut without));
         }
     }
 
@@ -163,11 +155,8 @@ mod tests {
         assert_eq!(LinkSpec::lan().with_loss(-0.5).loss, 0.0);
         assert_eq!(LinkSpec::lan().with_loss(f64::NAN).loss, 0.0);
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(LinkSpec::lan().with_loss(7.0).sample(0, &mut rng).is_none());
-        assert!(LinkSpec::lan()
-            .with_loss(-7.0)
-            .sample(0, &mut rng)
-            .is_some());
+        assert!(LinkSpec::lan().with_loss(7.0).sample(&mut rng).is_none());
+        assert!(LinkSpec::lan().with_loss(-7.0).sample(&mut rng).is_some());
     }
 
     #[test]
@@ -177,21 +166,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let link = LinkSpec::lan().with_loss(0.99);
         let delivered = (0..10_000)
-            .filter(|_| link.sample(0, &mut rng).is_some())
+            .filter(|_| link.sample(&mut rng).is_some())
             .count();
         assert!(delivered > 0, "0.99 loss is not a blackout");
-    }
-
-    #[test]
-    fn per_byte_delay_scales_with_size() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let link = LinkSpec {
-            latency: Dur::ZERO,
-            jitter: Dur::ZERO,
-            loss: 0.0,
-            per_byte: Dur::micros(2),
-        };
-        assert_eq!(link.sample(100, &mut rng).unwrap(), Dur::micros(200));
     }
 
     #[test]
@@ -200,7 +177,7 @@ mod tests {
         let mut a = StdRng::seed_from_u64(5);
         let mut b = StdRng::seed_from_u64(5);
         for _ in 0..50 {
-            assert_eq!(link.sample(64, &mut a), link.sample(64, &mut b));
+            assert_eq!(link.sample(&mut a), link.sample(&mut b));
         }
     }
 }

@@ -1,353 +1,75 @@
-//! The boxed-behaviour simulation front-end: delivery, virtual clock
-//! and churn over the shared [`EventWheel`].
+//! The boxed-node front-end: a [`PeerModel`] whose per-peer state is a
+//! `Box<dyn Node>`.
 //!
-//! Since the simnet-2.0 refactor the ordering/cancellation/clock logic
-//! lives in [`crate::wheel`]; `SimNet` keeps the node table, link map,
-//! RNG and trace, and schedules everything — messages, timers, churn
-//! transitions, fault windows — through the one wheel. The
-//! population-scale front-end ([`crate::PeerSim`]) shares the same
-//! wheel type, so both worlds inherit identical determinism semantics.
+//! `SimNet` owns no loop, clock, link table, RNG or counter. It is the
+//! engine ([`PeerSim`]) running one particular model, [`BoxedNodes`],
+//! which forwards each dispatch to the addressed node's behaviour with
+//! the engine's own context; everything but [`SimNet::new`] and
+//! [`SimNet::add_node`] is the engine's API, reached through `Deref`.
+//! That is the right shape for the protocol experiments (E1–E13:
+//! hundreds of nodes, each a rich hand-written state machine); the
+//! population scenarios (E14) hand the engine a struct-of-arrays model
+//! instead and skip the box.
 
-use crate::link::LinkSpec;
-use crate::metrics::Metrics;
-use crate::node::{Context, Node, NodeEvent, NodeId, Payload, TimerId};
-use crate::time::{Dur, Time};
-use crate::trace::{Trace, TraceEvent};
-use crate::wheel::{EventKey, EventWheel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
+use crate::node::{Context, Node, NodeEvent, NodeId, Payload};
+use crate::peers::{PeerModel, PeerSim};
+use std::ops::{Deref, DerefMut};
 
-enum EventKind<M> {
-    Dispatch {
-        node: NodeId,
-        event: NodeEvent<M>,
-    },
-    Timer {
-        node: NodeId,
-        tag: u64,
-    },
-    SetUp(NodeId),
-    SetDown(NodeId),
-    /// Replace the directed link `from → to` at a scheduled time (fault
-    /// windows: blackouts, loss bursts, slow periods).
-    SetLink {
-        from: NodeId,
-        to: NodeId,
-        spec: LinkSpec,
-    },
-    /// Replace the default link at a scheduled time.
-    SetDefaultLink(LinkSpec),
+/// The model behind [`SimNet`]: one boxed behaviour per node.
+pub struct BoxedNodes<M: Payload>(Vec<Box<dyn Node<M>>>);
+
+impl<M: Payload> PeerModel for BoxedNodes<M> {
+    type Msg = M;
+
+    fn on_event(&mut self, ctx: &mut Context<'_, M>, peer: NodeId, event: NodeEvent<M>) {
+        // A peer added behind `add_node`'s back has no behaviour.
+        if let Some(node) = self.0.get_mut(peer as usize) {
+            node.handle(ctx, event);
+        }
+    }
 }
 
-struct NodeSlot<M> {
-    behaviour: Option<Box<dyn Node<M>>>,
-    up: bool,
-}
-
-/// A deterministic discrete-event network simulation.
+/// A deterministic discrete-event network simulation of boxed nodes.
 ///
 /// This is the repo's substitute for the paper's planned NS2/AgentJ
 /// simulations of "large networks of peers publishing, discovering and
 /// invoking Web services" (Section IV). All randomness (link jitter,
 /// loss, behaviour decisions) flows through one seeded RNG, so a run is
 /// a pure function of `(seed, topology, behaviours)`.
-pub struct SimNet<M: Payload> {
-    wheel: EventWheel<EventKind<M>>,
-    nodes: Vec<NodeSlot<M>>,
-    default_link: LinkSpec,
-    links: HashMap<(NodeId, NodeId), LinkSpec>,
-    rng: StdRng,
-    metrics: Metrics,
-    /// Hard cap on dispatched events, to catch runaway behaviours.
-    event_budget: u64,
-    events_dispatched: u64,
-    trace: Option<Trace>,
-}
+pub struct SimNet<M: Payload>(PeerSim<BoxedNodes<M>>);
 
 impl<M: Payload> SimNet<M> {
     pub fn new(seed: u64) -> Self {
-        SimNet {
-            wheel: EventWheel::new(),
-            nodes: Vec::new(),
-            default_link: LinkSpec::default(),
-            links: HashMap::new(),
-            rng: StdRng::seed_from_u64(seed),
-            metrics: Metrics::new(),
-            event_budget: u64::MAX,
-            events_dispatched: 0,
-            trace: None,
-        }
+        SimNet(PeerSim::new(seed, BoxedNodes(Vec::new())))
     }
 
-    /// Keep an NS2-style trace of the most recent `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::with_capacity(capacity));
-    }
-
-    /// The trace, if enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Replace the link used for pairs with no explicit spec.
-    pub fn set_default_link(&mut self, spec: LinkSpec) {
-        self.default_link = spec;
-    }
-
-    /// The link used for pairs with no explicit spec.
-    pub fn default_link(&self) -> LinkSpec {
-        self.default_link
-    }
-
-    /// Set the directed link `from → to`.
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, spec: LinkSpec) {
-        self.links.insert((from, to), spec);
-    }
-
-    /// The link spec in effect for `from → to`.
-    pub fn link(&self, from: NodeId, to: NodeId) -> LinkSpec {
-        self.links
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_link)
-    }
-
-    /// Cap the total number of dispatched events (runaway guard).
-    pub fn set_event_budget(&mut self, budget: u64) {
-        self.event_budget = budget;
-    }
-
-    /// Add a node; its `Start` event fires at the current time.
+    /// Add a node (link class 0); its `Start` event fires at the
+    /// current time.
     pub fn add_node(&mut self, behaviour: Box<dyn Node<M>>) -> NodeId {
-        let id = self.nodes.len() as NodeId;
-        self.nodes.push(NodeSlot {
-            behaviour: Some(behaviour),
-            up: true,
-        });
-        self.schedule(
-            self.wheel.now(),
-            EventKind::Dispatch {
-                node: id,
-                event: NodeEvent::Start,
-            },
-        );
+        let id = self.0.add_peers(1, 0);
+        self.0.model_mut().0.push(behaviour);
+        self.0.inject(id, NodeEvent::Start);
         id
     }
+}
 
-    pub fn node_count(&self) -> u32 {
-        self.nodes.len() as u32
+impl<M: Payload> Deref for SimNet<M> {
+    type Target = PeerSim<BoxedNodes<M>>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
     }
+}
 
-    pub fn now(&self) -> Time {
-        self.wheel.now()
-    }
-
-    pub fn is_up(&self, node: NodeId) -> bool {
-        self.nodes.get(node as usize).map(|s| s.up).unwrap_or(false)
-    }
-
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    /// Number of events dispatched so far.
-    pub fn events_dispatched(&self) -> u64 {
-        self.events_dispatched
-    }
-
-    /// Inject an event into a node from outside the simulation (the
-    /// drivers use this to start application actions at chosen times).
-    pub fn inject_at(&mut self, at: Time, node: NodeId, event: NodeEvent<M>) {
-        debug_assert!(at >= self.wheel.now(), "cannot schedule in the past");
-        self.schedule(at, EventKind::Dispatch { node, event });
-    }
-
-    /// Inject an event at the current time.
-    pub fn inject(&mut self, node: NodeId, event: NodeEvent<M>) {
-        self.inject_at(self.wheel.now(), node, event);
-    }
-
-    /// Take a node down at `at`; messages to it and its pending timers
-    /// are lost until it comes back up.
-    pub fn schedule_down(&mut self, node: NodeId, at: Time) {
-        self.schedule(at, EventKind::SetDown(node));
-    }
-
-    /// Bring a node back up at `at`.
-    pub fn schedule_up(&mut self, node: NodeId, at: Time) {
-        self.schedule(at, EventKind::SetUp(node));
-    }
-
-    /// Replace the directed link `from → to` at `at`. Messages already
-    /// in flight keep the delay they sampled at send time; only traffic
-    /// sent after the change sees the new spec.
-    pub fn schedule_link(&mut self, at: Time, from: NodeId, to: NodeId, spec: LinkSpec) {
-        self.schedule(at, EventKind::SetLink { from, to, spec });
-    }
-
-    /// Replace the default link at `at` (affects every pair with no
-    /// explicit spec).
-    pub fn schedule_default_link(&mut self, at: Time, spec: LinkSpec) {
-        self.schedule(at, EventKind::SetDefaultLink(spec));
-    }
-
-    /// Run until the queue is empty or `deadline` passes. Returns the
-    /// virtual time reached.
-    pub fn run_until(&mut self, deadline: Time) -> Time {
-        while let Some(next_at) = self.wheel.next_time() {
-            if next_at > deadline || self.events_dispatched >= self.event_budget {
-                break;
-            }
-            self.step();
-        }
-        let rest = self.wheel.next_time().unwrap_or(deadline);
-        self.wheel.advance_to(deadline.min(rest));
-        self.wheel.now()
-    }
-
-    /// Drain every event (use only with behaviours that quiesce).
-    pub fn run_to_quiescence(&mut self) -> Time {
-        while self.events_dispatched < self.event_budget && self.step() {}
-        self.wheel.now()
-    }
-
-    /// Process one event. Returns `false` if the queue was empty.
-    pub fn step(&mut self) -> bool {
-        let Some((_, kind)) = self.wheel.pop() else {
-            return false;
-        };
-        self.events_dispatched += 1;
-        match kind {
-            EventKind::Dispatch { node, event } => self.dispatch(node, event),
-            EventKind::Timer { node, tag } => {
-                self.dispatch(node, NodeEvent::Timer { tag });
-            }
-            EventKind::SetDown(node) => {
-                if self.is_up(node) {
-                    self.dispatch(node, NodeEvent::WentDown);
-                    self.nodes[node as usize].up = false;
-                    self.metrics.incr("simnet.node_down", 1);
-                    self.trace_event(TraceEvent::NodeDown(node));
-                }
-            }
-            EventKind::SetUp(node) => {
-                if !self.is_up(node) {
-                    self.nodes[node as usize].up = true;
-                    self.metrics.incr("simnet.node_up", 1);
-                    self.trace_event(TraceEvent::NodeUp(node));
-                    self.dispatch(node, NodeEvent::WentUp);
-                }
-            }
-            EventKind::SetLink { from, to, spec } => {
-                self.links.insert((from, to), spec);
-                self.metrics.incr("simnet.link_change", 1);
-            }
-            EventKind::SetDefaultLink(spec) => {
-                self.default_link = spec;
-                self.metrics.incr("simnet.link_change", 1);
-            }
-        }
-        true
-    }
-
-    pub(crate) fn transmit(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.metrics.incr("simnet.sent", 1);
-        if to as usize >= self.nodes.len() {
-            self.metrics.incr("simnet.dropped_no_such_node", 1);
-            return;
-        }
-        let spec = self.link(from, to);
-        let size = msg.wire_size();
-        self.trace_event(TraceEvent::Sent {
-            from,
-            to,
-            bytes: size,
-        });
-        match spec.sample(size, &mut self.rng) {
-            Some(delay) => {
-                let at = self.wheel.now() + delay;
-                self.schedule(
-                    at,
-                    EventKind::Dispatch {
-                        node: to,
-                        event: NodeEvent::Message { from, msg },
-                    },
-                );
-            }
-            None => {
-                self.metrics.incr("simnet.dropped_loss", 1);
-                self.trace_event(TraceEvent::DroppedLoss { from, to });
-            }
-        }
-    }
-
-    fn trace_event(&mut self, event: TraceEvent) {
-        if let Some(trace) = &mut self.trace {
-            trace.record(self.wheel.now(), event);
-        }
-    }
-
-    pub(crate) fn set_timer(&mut self, node: NodeId, delay: Dur, tag: u64) -> TimerId {
-        let key = self
-            .wheel
-            .schedule_after(delay, EventKind::Timer { node, tag });
-        TimerId(key.0)
-    }
-
-    pub(crate) fn cancel_timer(&mut self, id: TimerId) {
-        self.wheel.cancel(EventKey(id.0));
-    }
-
-    fn schedule(&mut self, at: Time, kind: EventKind<M>) {
-        self.wheel.schedule_at(at, kind);
-    }
-
-    fn dispatch(&mut self, node: NodeId, event: NodeEvent<M>) {
-        let Some(slot) = self.nodes.get(node as usize) else {
-            return;
-        };
-        // Down nodes receive nothing (messages and timers are lost), the
-        // exception being the WentDown notification itself.
-        if !slot.up && !matches!(event, NodeEvent::WentUp) {
-            if matches!(event, NodeEvent::Message { .. }) {
-                self.metrics.incr("simnet.dropped_down", 1);
-                self.trace_event(TraceEvent::DroppedDown { to: node });
-            }
-            return;
-        }
-        if let NodeEvent::Message { from, ref msg } = event {
-            self.metrics.incr("simnet.delivered", 1);
-            let bytes = msg.wire_size();
-            self.trace_event(TraceEvent::Delivered {
-                from,
-                to: node,
-                bytes,
-            });
-        }
-        let Some(mut behaviour) = self.nodes[node as usize].behaviour.take() else {
-            // Re-entrant dispatch cannot happen in a single-threaded DES;
-            // a missing behaviour means the node was dispatched from
-            // within its own handler, which the API makes impossible.
-            return;
-        };
-        let mut ctx = Context { net: self, node };
-        behaviour.handle(&mut ctx, event);
-        self.nodes[node as usize].behaviour = Some(behaviour);
+impl<M: Payload> DerefMut for SimNet<M> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dur, LinkSpec, Time, TraceEvent};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -406,7 +128,7 @@ mod tests {
             },
         );
         // a isn't an echoer; send from a to b directly via a behaviourless path:
-        net.transmit(a_id, b_id, "ping".into());
+        net.transmit_for_test(a_id, b_id, "ping".into());
         net.run_to_quiescence();
         let log = log_a.borrow();
         let got: Vec<_> = log
@@ -426,14 +148,13 @@ mod tests {
             latency: Dur::millis(10),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
         let (a, _la) = logger(false);
         let (b, lb) = logger(false);
         let a_id = net.add_node(a);
         let b_id = net.add_node(b);
         net.run_to_quiescence(); // consume Start events at t=0
-        net.transmit(a_id, b_id, "x".into());
+        net.transmit_for_test(a_id, b_id, "x".into());
         net.run_to_quiescence();
         let log = lb.borrow();
         let (at, _) = log
@@ -453,7 +174,7 @@ mod tests {
             let a_id = net.add_node(a);
             let b_id = net.add_node(b);
             for _ in 0..20 {
-                net.transmit(b_id, a_id, "m".into());
+                net.transmit_for_test(b_id, a_id, "m".into());
             }
             net.run_to_quiescence();
             let log = lb.borrow().clone();
@@ -479,9 +200,8 @@ mod tests {
             latency: Dur::millis(5),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
-        net.transmit(a_id, a_id, "self".into());
+        net.transmit_for_test(a_id, a_id, "self".into());
         net.schedule_up(a_id, Time::millis(10));
         net.run_to_quiescence();
         let log = la.borrow();
@@ -499,7 +219,6 @@ mod tests {
             latency: Dur::millis(1),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
         let (a, _la) = logger(false);
         let (b, lb) = logger(false);
@@ -515,15 +234,14 @@ mod tests {
                 latency: Dur::millis(1),
                 jitter: Dur::ZERO,
                 loss: 0.0,
-                per_byte: Dur::ZERO,
             },
         );
         net.run_until(Time::millis(5));
-        net.transmit(a_id, b_id, "before".into());
+        net.transmit_for_test(a_id, b_id, "before".into());
         net.run_until(Time::millis(15));
-        net.transmit(a_id, b_id, "during".into());
+        net.transmit_for_test(a_id, b_id, "during".into());
         net.run_until(Time::millis(25));
-        net.transmit(a_id, b_id, "after".into());
+        net.transmit_for_test(a_id, b_id, "after".into());
         net.run_to_quiescence();
         let got: Vec<String> = lb
             .borrow()
@@ -545,7 +263,6 @@ mod tests {
             latency: Dur::millis(1),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
         let (a, _la) = logger(false);
         let (b, lb) = logger(false);
@@ -557,11 +274,10 @@ mod tests {
                 latency: Dur::millis(50),
                 jitter: Dur::ZERO,
                 loss: 0.0,
-                per_byte: Dur::ZERO,
             },
         );
         net.run_until(Time::millis(12));
-        net.transmit(a_id, b_id, "slow".into());
+        net.transmit_for_test(a_id, b_id, "slow".into());
         net.run_to_quiescence();
         let log = lb.borrow();
         let (at, _) = log
@@ -648,18 +364,17 @@ mod tests {
             latency: Dur::millis(1),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
         let (a, _la) = logger(false);
         let (b, _lb) = logger(false);
         let a_id = net.add_node(a);
         let b_id = net.add_node(b);
-        net.transmit(a_id, b_id, "hello".into());
+        net.transmit_for_test(a_id, b_id, "hello".into());
         net.schedule_down(b_id, Time::millis(5));
         net.schedule_up(b_id, Time::millis(10));
         net.run_until(Time::millis(6));
         // Sent while b is down: arrives at ~7ms, dropped.
-        net.transmit(a_id, b_id, "while down".into());
+        net.transmit_for_test(a_id, b_id, "while down".into());
         net.run_to_quiescence();
         let trace = net.trace().unwrap();
         let kinds: Vec<&TraceEvent> = trace.iter().map(|(_, e)| e).collect();
@@ -678,6 +393,37 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_destination_is_counted_through_both_front_ends() {
+        use crate::peers::tests::Echo;
+
+        // Boxed: node 0 sends to id 7 of a two-node net on Start.
+        let mut net: SimNet<String> = SimNet::new(1);
+        net.add_node(Box::new(
+            |ctx: &mut Context<'_, String>, ev: NodeEvent<String>| {
+                if let NodeEvent::Start = ev {
+                    ctx.send(7, "nobody".into());
+                }
+            },
+        ));
+        let (b, _lb) = logger(false);
+        net.add_node(b);
+        net.run_to_quiescence();
+        assert_eq!(net.metrics().counter("simnet.sent"), 1);
+        assert_eq!(net.metrics().counter("simnet.dropped_no_such_node"), 1);
+        assert_eq!(net.metrics().counter("simnet.delivered"), 0);
+
+        // Population: Echo's kickoff timer pings peer 1, which a
+        // one-peer population does not have.
+        let mut sim = PeerSim::new(1, Echo { seen: Vec::new() });
+        sim.add_peers(1, 0);
+        sim.schedule_timer_at(Time::ZERO, 0, 3);
+        sim.run_to_quiescence();
+        assert!(sim.model().seen.is_empty());
+        assert_eq!(sim.metrics().counter("simnet.sent"), 1);
+        assert_eq!(sim.metrics().counter("simnet.dropped_no_such_node"), 1);
+    }
+
+    #[test]
     fn metrics_track_flow() {
         let mut net: SimNet<String> = SimNet::new(3);
         net.set_default_link(LinkSpec::lan().with_loss(0.5));
@@ -686,7 +432,7 @@ mod tests {
         let a_id = net.add_node(a);
         let b_id = net.add_node(b);
         for _ in 0..1000 {
-            net.transmit(a_id, b_id, "m".into());
+            net.transmit_for_test(a_id, b_id, "m".into());
         }
         net.run_to_quiescence();
         let sent = net.metrics().counter("simnet.sent");

@@ -1,15 +1,10 @@
 //! The discrete-event wheel: the one ordered queue every part of the
 //! simulator schedules through.
 //!
-//! This is the engine underneath both simulation front-ends:
-//!
-//! * [`crate::SimNet`] — the boxed-behaviour world used by the threaded
-//!   drivers and the E1–E13 experiments — owns an
-//!   `EventWheel<EventKind>` instead of its former private heap/seq/
-//!   cancel-set trio;
-//! * [`crate::PeerSim`] — the population-scale world (10^5–10^6
-//!   lightweight peers driven by pure `Machine` transitions) — owns an
-//!   `EventWheel` of compact `Copy` events.
+//! One [`crate::PeerSim`] owns one wheel, and with it the only event
+//! loop in the crate: boxed nodes ([`crate::SimNet`]) and
+//! population-scale models alike schedule message deliveries, timers,
+//! churn transitions and link changes here.
 //!
 //! Determinism contract:
 //!

@@ -78,7 +78,9 @@ WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --
 
 # E14 artifact: sim events/sec, peak peer count and per-scenario
 # digests, for the CI artifact trail (quick mode: 100k-peer ladder).
-echo "==> E14 artifact (BENCH_E14.json)"
+# Like the other e14-e17 bins it writes under target/, so a CI run
+# leaves the tree clean.
+echo "==> E14 artifact (target/BENCH_E14.json)"
 cargo run -q --release -p wsp-bench --bin e14 -- quick
 
 # Reactor core (PR 8; the only transport core since PR 17), so every
@@ -128,7 +130,7 @@ done'
 # exits nonzero unless every target connection is held and served at
 # no more than 1 KiB of resident memory each, so this stage is a gate,
 # not just an artifact.
-echo "==> E15 gate (BENCH_E15.json, quick)"
+echo "==> E15 gate (target/BENCH_E15.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e15 -- quick
 
 # Model checking (PR 6): exhaustively explore every pure protocol
@@ -150,6 +152,15 @@ cargo run -q --release -p wsp-check
 echo "==> wsp-check counts match crates/wsp-check/COUNTS.txt"
 cargo run -q --release -p wsp-check -- --counts | diff -u crates/wsp-check/COUNTS.txt -
 
+# The simulator's counterpart: `e14 -- digests` prints one `scenario
+# seed events digest` line per quick-mode E14 row for seeds 2005 and 7
+# (no timings). The digest covers every dispatched event, so a change
+# to the engine's event order, RNG order or drop accounting has to move
+# E14_DIGESTS.txt in the same diff
+# (`... --bin e14 -- digests > crates/wsp-bench/E14_DIGESTS.txt`).
+echo "==> E14 digests match crates/wsp-bench/E14_DIGESTS.txt"
+cargo run -q --release -p wsp-bench --bin e14 -- digests | diff -u crates/wsp-bench/E14_DIGESTS.txt -
+
 # Discovery plane (PR 9): the replicated registry. The wsp-check run
 # above already exhausts the VR-lite replication group and the lease
 # machine; the mutation pass below re-runs every seeded mutant (the
@@ -168,7 +179,7 @@ echo "==> registry failover matrix (seed 2005 / seed 7)"
 WSP_FAULT_SEED=2005 timeout 300 cargo test -q -p wsp-integration-tests --test registry_failover
 WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --test registry_failover
 
-echo "==> E16 artifact (BENCH_E16.json, quick)"
+echo "==> E16 artifact (target/BENCH_E16.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e16 -- quick
 
 # Mediation gateway (PR 10): the admission machine's two-tenant
@@ -188,7 +199,7 @@ echo "==> gateway fault matrix (seed 2005 / seed 7)"
 WSP_FAULT_SEED=2005 timeout 300 cargo test -q -p wsp-integration-tests --test gateway
 WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --test gateway
 
-echo "==> E17 artifact (BENCH_E17.json, quick)"
+echo "==> E17 artifact (target/BENCH_E17.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e17 -- quick
 
 echo "==> cargo fmt --check"

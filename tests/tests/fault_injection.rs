@@ -17,7 +17,7 @@ use wsp_http::{
 };
 use wsp_p2ps::{build_overlay, P2psQuery, PeerCommand, PeerEvent, ServiceAdvertisement};
 use wsp_simnet::{
-    Context, Dur, FaultPlan, LinkSpec, Node, NodeEvent, NodeId, SimNet, Time, Topology,
+    Context, Dur, FaultPlan, LinkSpec, Node, NodeEvent, NodeId, SimNet, Time, Topology, TraceDigest,
 };
 
 /// The matrix seed; every scenario derives from it so one environment
@@ -79,19 +79,22 @@ impl Node<String> for CallSource {
     }
 }
 
-/// Run `calls` HTTP calls under `plan`; returns (outcomes, end time).
+/// Where a run ended: virtual time and the engine's digest of every
+/// event it dispatched.
+type RunEnd = (Time, TraceDigest);
+
+/// Run `calls` HTTP calls under `plan`; returns (outcomes, run end).
 fn run_http(
     sim_seed: u64,
     calls: usize,
     schedule: RetrySchedule,
     plan: impl FnOnce(NodeId, NodeId) -> FaultPlan,
-) -> (Vec<SimCallOutcome>, Time) {
+) -> (Vec<SimCallOutcome>, RunEnd) {
     let mut net: SimNet<String> = SimNet::new(sim_seed);
     net.set_default_link(LinkSpec {
         latency: Dur::millis(2),
         jitter: Dur::millis(1),
         loss: 0.0,
-        per_byte: Dur::ZERO,
     });
     let server = net.add_node(Box::new(HttpSimServer::new(
         echo_router(),
@@ -110,7 +113,7 @@ fn run_http(
     plan(client, server).apply(&mut net);
     let end = net.run_to_quiescence();
     let got = outcomes.borrow().clone();
-    (got, end)
+    (got, (end, net.digest()))
 }
 
 /// Run `calls` HTTP calls at 4× the server's capacity: one worker at
@@ -121,13 +124,12 @@ fn run_http_overloaded(
     calls: usize,
     schedule: RetrySchedule,
     queue_limit: usize,
-) -> (Vec<SimCallOutcome>, Time) {
+) -> (Vec<SimCallOutcome>, RunEnd) {
     let mut net: SimNet<String> = SimNet::new(sim_seed);
     net.set_default_link(LinkSpec {
         latency: Dur::millis(2),
         jitter: Dur::millis(1),
         loss: 0.0,
-        per_byte: Dur::ZERO,
     });
     let server = net.add_node(Box::new(
         HttpSimServer::new(echo_router(), Dur::millis(20), 1).with_queue_limit(queue_limit),
@@ -143,7 +145,7 @@ fn run_http_overloaded(
     }));
     let end = net.run_to_quiescence();
     let got = outcomes.borrow().clone();
-    (got, end)
+    (got, (end, net.digest()))
 }
 
 #[test]
@@ -253,7 +255,7 @@ fn http_fault_runs_are_bit_reproducible() {
     let (outcomes_a, end_a) = run();
     let (outcomes_b, end_b) = run();
     assert_eq!(outcomes_a, outcomes_b, "same seed ⇒ same outcome sequence");
-    assert_eq!(end_a, end_b, "same seed ⇒ same virtual end time");
+    assert_eq!(end_a, end_b, "same seed ⇒ same end time and run digest");
 }
 
 // --- overload side -----------------------------------------------------------
@@ -319,20 +321,19 @@ fn http_overload_runs_are_bit_reproducible() {
     let (outcomes_a, end_a) = run();
     let (outcomes_b, end_b) = run();
     assert_eq!(outcomes_a, outcomes_b, "same seed ⇒ same shed/serve split");
-    assert_eq!(end_a, end_b, "same seed ⇒ same virtual end time");
+    assert_eq!(end_a, end_b, "same seed ⇒ same end time and run digest");
 }
 
 // --- P2PS side ---------------------------------------------------------------
 
 /// One resilient query under `loss`, publisher live from t=0.
-/// Returns the seeker's terminal events.
-fn run_p2ps(sim_seed: u64, loss: f64, max_attempts: u32) -> Vec<PeerEvent> {
+/// Returns the seeker's terminal events and the run digest.
+fn run_p2ps(sim_seed: u64, loss: f64, max_attempts: u32) -> (Vec<PeerEvent>, TraceDigest) {
     let mut net: SimNet<String> = SimNet::new(sim_seed);
     net.set_default_link(LinkSpec {
         latency: Dur::millis(5),
         jitter: Dur::millis(2),
         loss: 0.0,
-        per_byte: Dur::ZERO,
     });
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(sim_seed);
     let (topology, rendezvous) = Topology::rendezvous_groups(1, 4, 1, &mut rng);
@@ -355,7 +356,7 @@ fn run_p2ps(sim_seed: u64, loss: f64, max_attempts: u32) -> Vec<PeerEvent> {
         },
     );
     net.run_to_quiescence();
-    seeker
+    let terminal = seeker
         .take_events()
         .into_iter()
         .map(|(_, e)| e)
@@ -363,13 +364,14 @@ fn run_p2ps(sim_seed: u64, loss: f64, max_attempts: u32) -> Vec<PeerEvent> {
             matches!(e, PeerEvent::QueryFailed { .. })
                 || matches!(e, PeerEvent::QueryResult { adverts, .. } if !adverts.is_empty())
         })
-        .collect()
+        .collect();
+    (terminal, net.digest())
 }
 
 #[test]
 fn p2ps_loss_matrix_terminates_classified() {
     for (i, loss) in [0.0, 0.05, 0.2].into_iter().enumerate() {
-        let terminal = run_p2ps(seed() + 100 + i as u64, loss, 8);
+        let (terminal, _) = run_p2ps(seed() + 100 + i as u64, loss, 8);
         assert_eq!(
             terminal.len(),
             1,
@@ -386,7 +388,7 @@ fn p2ps_loss_matrix_terminates_classified() {
 
 #[test]
 fn p2ps_total_loss_fails_classified_not_hanging() {
-    let terminal = run_p2ps(seed() + 200, 1.0, 3);
+    let (terminal, _) = run_p2ps(seed() + 200, 1.0, 3);
     assert_eq!(terminal.len(), 1);
     assert!(
         matches!(terminal[0], PeerEvent::QueryFailed { attempts: 3, .. }),
@@ -398,7 +400,7 @@ fn p2ps_total_loss_fails_classified_not_hanging() {
 fn p2ps_fault_runs_are_bit_reproducible() {
     let a = run_p2ps(seed() + 300, 0.25, 8);
     let b = run_p2ps(seed() + 300, 0.25, 8);
-    assert_eq!(a, b, "same seed ⇒ same terminal events");
+    assert_eq!(a, b, "same seed ⇒ same terminal events and run digest");
 }
 
 // --- threaded wsp-core path --------------------------------------------------

@@ -517,15 +517,14 @@ proptest! {
 // SimNet (boxed-node front-end) ⇔ PeerSim (population front-end)
 // ---------------------------------------------------------------------------
 //
-// Both simulation front-ends now schedule through the same
-// `EventWheel`, but they reach it through very different machinery:
-// SimNet dispatches boxed `Node` behaviours with per-node timer ids,
-// PeerSim dispatches one struct-of-arrays model with raw wheel keys.
-// These properties drive the *same* timed op sequence through a
-// machine hosted in each world and assert the machine-observable
-// traces — (virtual time, effects) pairs — are identical. Any drift
-// between the two wheels' timer semantics (firing order, clamping,
-// cancellation) shows up as a trace mismatch.
+// There is one simulation engine (`PeerSim`); `SimNet` is that engine
+// running a model that boxes a `Node` per peer and delivers a `Start`
+// event. These properties drive the *same* timed op sequence through a
+// machine hosted in a boxed closure and through one hosted in a
+// hand-written struct-of-arrays model, and assert the
+// machine-observable traces — (virtual time, effects) pairs — are
+// identical: the boxed adapter adds nothing to timer semantics (firing
+// order, clamping, cancellation) that a machine could observe.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wsp_p2ps::{build_overlay, P2psQuery, PeerCommand, PeerEvent, ServiceAdvertisement};
-use wsp_simnet::{ChurnModel, Dur, LinkSpec, SimNet, Time, Topology};
+use wsp_simnet::{ChurnModel, Dur, LinkSpec, SimNet, Time, Topology, TraceDigest};
 
 fn publish(handles: &[wsp_p2ps::P2psHandle], net: &mut SimNet<String>, slot: usize, name: &str) {
     let advert = ServiceAdvertisement::new(name, handles[slot].peer()).with_pipe("in");
@@ -58,8 +58,9 @@ fn discovery_succeeds_across_200_peer_overlay() {
     );
 }
 
-#[test]
-fn p2p_discovery_survives_rendezvous_churn() {
+/// `attempts` queries from a far leaf while the rendezvous peers churn;
+/// returns the tokens that found the service and the run digest.
+fn churned_discovery_run(attempts: u64) -> (std::collections::HashSet<u64>, TraceDigest) {
     let mut net: SimNet<String> = SimNet::new(7);
     net.set_default_link(LinkSpec::lan());
     let mut rng = StdRng::seed_from_u64(7);
@@ -75,7 +76,6 @@ fn p2p_discovery_survives_rendezvous_churn() {
     // Repeated queries from a far leaf; most should succeed despite the
     // churn, thanks to soft-state refresh.
     let seeker = &handles[31];
-    let attempts = 10;
     for i in 0..attempts {
         seeker.enqueue_at(
             &mut net,
@@ -89,7 +89,7 @@ fn p2p_discovery_survives_rendezvous_churn() {
     }
     net.run_until(Time::secs(130));
 
-    let successes: std::collections::HashSet<u64> = seeker
+    let successes = seeker
         .events()
         .iter()
         .filter_map(|(_, e)| match e {
@@ -97,10 +97,22 @@ fn p2p_discovery_survives_rendezvous_churn() {
             _ => None,
         })
         .collect();
+    (successes, net.digest())
+}
+
+#[test]
+fn p2p_discovery_survives_rendezvous_churn() {
+    let attempts = 10;
+    let (successes, digest) = churned_discovery_run(attempts);
     assert!(
         successes.len() >= attempts as usize / 2,
         "only {}/{attempts} queries succeeded under churn",
         successes.len()
+    );
+    assert_eq!(
+        churned_discovery_run(attempts).1,
+        digest,
+        "same seeds ⇒ the same run, event for event"
     );
 }
 
@@ -123,7 +135,6 @@ fn central_registry_saturates_single_worker() {
         latency: Dur::millis(1),
         jitter: Dur::ZERO,
         loss: 0.0,
-        per_byte: Dur::ZERO,
     });
     let server = net.add_node(Box::new(HttpSimServer::new(router, Dur::millis(5), 1)));
 
@@ -168,7 +179,6 @@ fn central_registry_saturates_single_worker() {
             latency: Dur::millis(1),
             jitter: Dur::ZERO,
             loss: 0.0,
-            per_byte: Dur::ZERO,
         });
         let server = net.add_node(Box::new(HttpSimServer::new(router, Dur::millis(5), 1)));
         let latencies = Rc::new(RefCell::new(Vec::new()));
