@@ -30,7 +30,7 @@ use wsp_p2ps::rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
 use wsp_registry::{
     GroupEffect, GroupMachine, LeaseEffect, LeaseEvent, LeaseMachine, LeaseState, LeaseStatus,
     ReplEffect, ReplEvent, ReplicaMachine, ReplicaState as ReplState, SkipLogCatchup,
-    Status as ReplStatus,
+    Status as ReplStatus, TruncateToOwnCommit,
 };
 use wsp_simnet::Machine;
 
@@ -911,18 +911,44 @@ where
                 .any(|e| matches!(e, GroupEffect::DuplicatePrimary { .. }))
         },
     )?;
-    graph.check_states("a replica never commits past its log", |s| {
-        s.replicas
-            .iter()
-            .all(|r| r.commit_num as usize <= r.log.len())
-    })?;
+    graph.check_states(
+        "a replica never commits past its log, nor drops a slot it has not applied",
+        |s| {
+            s.replicas
+                .iter()
+                .all(|r| r.log_start <= r.commit_num && r.commit_num <= r.log_end())
+        },
+    )?;
     graph.check_states(
         "every replica's committed prefix is a prefix of the ghost sequence",
         |s| {
             s.replicas.iter().all(|r| {
-                let n = r.commit_num as usize;
-                n <= s.committed.len() && r.log[..n] == s.committed[..n]
+                r.commit_num as usize <= s.committed.len()
+                    && (r.log_start + 1..=r.commit_num)
+                        .all(|slot| r.slot(slot) == s.committed.get(slot as usize - 1))
             })
+        },
+    )?;
+    graph.check_states(
+        "no replica discards a slot above the group-wide minimum acknowledged slot",
+        |s| {
+            // Whatever anyone dropped, every member — crashed ones too,
+            // they may return — holds or has itself applied and dropped,
+            // and what it holds there is the committed op.
+            let dropped = s.replicas.iter().map(|r| r.log_start).max().unwrap_or(0);
+            dropped as usize <= s.committed.len()
+                && s.replicas.iter().all(|m| {
+                    (m.log_start + 1..=dropped)
+                        .all(|slot| m.slot(slot) == s.committed.get(slot as usize - 1))
+                })
+        },
+    )?;
+    graph.check_edges(
+        "an adopted log never leaves a gap below the adopter's log_start + len",
+        |_from, _event, effects, _to| {
+            !effects
+                .iter()
+                .any(|e| matches!(e, GroupEffect::ApplySkipped { .. }))
         },
     )?;
     graph.check_edges(
@@ -957,26 +983,37 @@ pub fn check_replication() -> Result<Report, Violation> {
         REPL_MAX_STATES,
     );
     replication_invariants(&graph)?;
-    Ok(graph.report("replication(n=3, ops=2, crashes<=1, views<=1)"))
+    let report = graph.report("replication(n=3, ops=2, crashes<=1, views<=1)");
+    // `explore` stops at the cap: a graph that reached it was cut off,
+    // not exhausted, and its green invariants would prove nothing.
+    assert!(
+        report.states < REPL_MAX_STATES,
+        "replication exploration hit the {REPL_MAX_STATES}-state cap: {report}"
+    );
+    eprintln!(
+        "replication: exhausted at {} states, below the {REPL_MAX_STATES}-state cap",
+        report.states
+    );
+    Ok(report)
 }
 
 /// The replication graph is the largest in the suite: three logs plus a
 /// reordered network take more room than the single-machine configs.
 const REPL_MAX_STATES: usize = 3_000_000;
 
-/// The seeded skip-log-catch-up mutation: a new primary that keeps its
-/// own (possibly stale) log instead of adopting the best offer must
-/// lose a committed registration — condemned with a trace.
-pub fn replication_mutation_counterexample() -> Option<Violation> {
-    let n = 3;
+/// Explore the bounded replication group with every member replaced by
+/// `sabotage(genuine)` and return the invariant it breaks.
+fn replication_mutant<R>(sabotage: impl Fn(ReplicaMachine) -> R) -> Option<Violation>
+where
+    R: Machine<State = ReplState<u64>, Event = ReplEvent<u64>, Effect = ReplEffect<u64>> + Clone,
+{
+    let genuine = replication_group();
     let machine = GroupMachine {
-        n,
-        members: (0..n)
-            .map(|id| SkipLogCatchup(ReplicaMachine { n, id }))
-            .collect(),
-        ops: vec![101, 202],
-        max_crashes: 1,
-        max_view: 1,
+        n: genuine.n,
+        members: genuine.members.into_iter().map(sabotage).collect(),
+        ops: genuine.ops,
+        max_crashes: genuine.max_crashes,
+        max_view: genuine.max_view,
     };
     let enabled = machine.clone();
     let graph = Graph::explore(
@@ -985,6 +1022,20 @@ pub fn replication_mutation_counterexample() -> Option<Violation> {
         REPL_MAX_STATES,
     );
     replication_invariants(&graph).err()
+}
+
+/// The seeded skip-log-catch-up mutation: a new primary that keeps its
+/// own (possibly stale) log instead of adopting the best offer must
+/// lose a committed registration — condemned with a trace.
+pub fn replication_mutation_counterexample() -> Option<Violation> {
+    replication_mutant(SkipLogCatchup)
+}
+
+/// The seeded truncation mutation: a replica that drops its log behind
+/// its own commit point, not the group-stable point, discards slots a
+/// slower member still needs — condemned with a trace.
+pub fn replication_truncation_mutation_counterexample() -> Option<Violation> {
+    replication_mutant(TruncateToOwnCommit)
 }
 
 // ---------------------------------------------------------------------------
@@ -1284,6 +1335,23 @@ mod tests {
         assert!(
             violation.trace.contains("Crash"),
             "the counterexample crashes the primary:\n{}",
+            violation.trace
+        );
+    }
+
+    #[test]
+    fn seeded_truncation_mutation_is_caught_with_a_trace() {
+        let violation = replication_truncation_mutation_counterexample()
+            .expect("the truncate-to-own-commit mutant must be condemned");
+        assert!(
+            violation.invariant.contains("minimum acknowledged slot")
+                || violation.invariant.contains("leaves a gap"),
+            "unexpected invariant: {}",
+            violation.invariant
+        );
+        assert!(
+            violation.trace.contains("Commit"),
+            "the counterexample truncates on learning a commit point:\n{}",
             violation.trace
         );
     }

@@ -62,6 +62,10 @@ fn main() -> ExitCode {
                 wsp_check::checks::replication_mutation_counterexample(),
             ),
             (
+                "replication: truncate the log at one's own commit point",
+                wsp_check::checks::replication_truncation_mutation_counterexample(),
+            ),
+            (
                 "keyed admission: borrow ignores the fair-share reserve",
                 wsp_check::checks::keyed_admission_mutation_counterexample(),
             ),

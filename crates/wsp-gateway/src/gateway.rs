@@ -314,7 +314,7 @@ impl Gateway {
     }
 
     /// Backends of `service` plus the shard they were placed on: locate
-    /// cache, else a registry scatter (parsed and cached on success).
+    /// cache, else a registry locate (parsed and cached on success).
     fn resolve(&self, service: &str) -> Result<(Arc<[Backend]>, u32), GatewayError> {
         if let Some(hit) = self.inner.caches.get_locate(service) {
             return Ok(hit);

@@ -3,8 +3,25 @@
 //!
 //! The client caches the version-stamped [`ShardMap`], routes every
 //! publish to the owning shard's primary and stamps the epoch it
-//! believes in on the request. Three things can go wrong, and each has
-//! a recovery path that needs no operator:
+//! believes in on the request.
+//!
+//! A locate is one `find_serviceDetail` exchange per node asked, and
+//! how many nodes are asked depends on the query alone. A name without
+//! a `%` can only match records whose name has the same case fold, and
+//! placement hashes that fold — so an **exact-name** locate is *routed*:
+//! one exchange with the primary of the one shard that can own the
+//! name, answered from that node's name index. Anything else — a `%`
+//! pattern, `ServiceQuery::all()` — is *scattered* over a minimal cover
+//! (one node per shard, a node answering for every shard it hosts) and
+//! the answers merged by key, in key order, cut to `max_rows` after the
+//! merge. Either way a node that redirects or does not answer costs a
+//! map refresh and a second try, then a walk over the members of the
+//! shards concerned; reads are served from the local replica of
+//! whichever member answers, so they tolerate the staleness of one
+//! in-flight commit, never a missing record.
+//!
+//! Three things can go wrong, and each has a recovery path that needs
+//! no operator:
 //!
 //! * **stale map** — the node answers `wsp:staleShardMap` with the
 //!   fresh map in the fault detail; the client swaps its cache and
@@ -18,16 +35,21 @@
 //!
 //! Retry counts come from the session [`ResiliencePolicy`]; every
 //! publish/locate lands in the `registry.publish` / `registry.locate`
-//! telemetry series the `/metrics` endpoint exports.
+//! telemetry series the `/metrics` endpoint exports
+//! (`registry.locate.routed` / `.scattered` say which kind it was). The
+//! series' handles are resolved once per client, not per call.
 
 use crate::shard::{ShardMap, REGISTRY_NS};
 use parking_lot::RwLock;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-use wsp_core::{telemetry, Admission, BreakerConfig, EndpointHealth, ResiliencePolicy};
+use wsp_core::telemetry::{self, Counter, Histogram};
+use wsp_core::{Admission, BreakerConfig, EndpointHealth, ResiliencePolicy};
 use wsp_soap::{Envelope, Fault};
-use wsp_uddi::{BusinessService, ServiceInfo, SoapTransport, UddiError, UDDI_NS};
+use wsp_uddi::{
+    BusinessService, ServiceQuery, SoapTransport, UddiError, FIND_SERVICE_DETAIL, UDDI_NS,
+};
 use wsp_xml::Element;
 
 /// Errors from the sharded discovery plane.
@@ -99,6 +121,39 @@ enum CallError {
     Fatal(RegistryError),
 }
 
+/// The client's telemetry series, looked up once: a lookup takes the
+/// telemetry registry's lock and allocates the name.
+struct Series {
+    publish: Arc<Counter>,
+    publish_rtt_us: Arc<Histogram>,
+    publish_errors: Arc<Counter>,
+    publish_failovers: Arc<Counter>,
+    publish_redirects: Arc<Counter>,
+    locate: Arc<Counter>,
+    locate_rtt_us: Arc<Histogram>,
+    locate_errors: Arc<Counter>,
+    locate_routed: Arc<Counter>,
+    locate_scattered: Arc<Counter>,
+}
+
+impl Series {
+    fn resolve() -> Series {
+        let t = telemetry::global();
+        Series {
+            publish: t.counter("registry.publish"),
+            publish_rtt_us: t.histogram("registry.publish.rtt_us"),
+            publish_errors: t.counter("registry.publish.errors"),
+            publish_failovers: t.counter("registry.publish.failovers"),
+            publish_redirects: t.counter("registry.publish.redirects"),
+            locate: t.counter("registry.locate"),
+            locate_rtt_us: t.histogram("registry.locate.rtt_us"),
+            locate_errors: t.counter("registry.locate.errors"),
+            locate_routed: t.counter("registry.locate.routed"),
+            locate_scattered: t.counter("registry.locate.scattered"),
+        }
+    }
+}
+
 /// A UDDI client that speaks to the whole discovery plane.
 pub struct ShardedUddiClient {
     transports: Vec<SoapTransport>,
@@ -106,6 +161,7 @@ pub struct ShardedUddiClient {
     map: RwLock<Arc<ShardMap>>,
     policy: ResiliencePolicy,
     health: EndpointHealth,
+    series: Series,
 }
 
 impl ShardedUddiClient {
@@ -133,6 +189,7 @@ impl ShardedUddiClient {
             map: RwLock::new(Arc::new(map)),
             policy: ResiliencePolicy::retrying(3),
             health: EndpointHealth::new(BreakerConfig::default()),
+            series: Series::resolve(),
         })
     }
 
@@ -217,31 +274,34 @@ impl ShardedUddiClient {
                 "service needs a name to shard on".into(),
             )));
         }
-        let t = telemetry::global();
         let started = Instant::now();
-        let result = self.routed_write(&service.name, |epoch| {
-            let mut save = Element::new(UDDI_NS, "save_service");
-            crate::cluster::stamp_epoch(&mut save, epoch);
-            save.push_element(service.to_element());
-            save
-        });
+        let shard = self.map.read().shard_of(&service.name);
+        let result = self.routed_write_to_shard(
+            shard,
+            |epoch| {
+                let mut save = Element::new(UDDI_NS, "save_service");
+                crate::cluster::stamp_epoch(&mut save, epoch);
+                save.push_element(service.to_element());
+                save
+            },
+            |detail| {
+                detail
+                    .find(UDDI_NS, "businessService")
+                    .and_then(BusinessService::from_element)
+            },
+        );
         match &result {
             Ok(_) => {
-                t.counter("registry.publish").incr();
-                t.histogram("registry.publish.rtt_us")
-                    .record_micros(started.elapsed());
+                self.series.publish.incr();
+                self.series.publish_rtt_us.record_micros(started.elapsed());
             }
-            Err(_) => t.counter("registry.publish.errors").incr(),
+            Err(_) => self.series.publish_errors.incr(),
         }
-        let detail = result?;
-        detail
-            .find(UDDI_NS, "businessService")
-            .and_then(BusinessService::from_element)
-            .ok_or_else(|| {
-                RegistryError::Uddi(UddiError::Malformed(
-                    "serviceDetail lacks businessService".into(),
-                ))
-            })
+        result?.ok_or_else(|| {
+            RegistryError::Uddi(UddiError::Malformed(
+                "serviceDetail lacks businessService".into(),
+            ))
+        })
     }
 
     /// Unregister by key (cluster-minted keys embed their shard).
@@ -249,37 +309,31 @@ impl ShardedUddiClient {
         let Some(shard) = crate::cluster::shard_of_key(key) else {
             return Ok(false);
         };
-        let key = key.to_owned();
-        let report = self.routed_write_to_shard(shard, move |epoch| {
-            let mut del = Element::new(UDDI_NS, "delete_service");
-            crate::cluster::stamp_epoch(&mut del, epoch);
-            del.push_element(
-                Element::build(UDDI_NS, "serviceKey")
-                    .text(key.clone())
-                    .finish(),
-            );
-            del
-        })?;
-        Ok(report.attribute_local("deleted") == Some("1"))
-    }
-
-    fn routed_write(
-        &self,
-        name: &str,
-        build: impl Fn(u64) -> Element,
-    ) -> Result<Element, RegistryError> {
-        let shard = self.map.read().shard_of(name);
-        self.routed_write_to_shard(shard, build)
+        self.routed_write_to_shard(
+            shard,
+            |epoch| {
+                let mut del = Element::new(UDDI_NS, "delete_service");
+                crate::cluster::stamp_epoch(&mut del, epoch);
+                del.push_element(
+                    Element::build(UDDI_NS, "serviceKey")
+                        .text(key.to_owned())
+                        .finish(),
+                );
+                del
+            },
+            |report| report.attribute_local("deleted") == Some("1"),
+        )
     }
 
     /// The failover write loop: primary first, then backups; versioned
-    /// redirects refresh the cached map and restart the route.
-    fn routed_write_to_shard(
+    /// redirects refresh the cached map and restart the route. `read`
+    /// takes what the caller needs out of the response body.
+    fn routed_write_to_shard<T>(
         &self,
         shard: u32,
         build: impl Fn(u64) -> Element,
-    ) -> Result<Element, RegistryError> {
-        let t = telemetry::global();
+        read: impl Fn(&Element) -> T,
+    ) -> Result<T, RegistryError> {
         let attempts = self.policy.schedule().len().max(1) + 1;
         let mut last_err = "no replica reachable".to_owned();
         for _ in 0..attempts {
@@ -288,12 +342,12 @@ impl ShardedUddiClient {
             let mut rerouted = false;
             for (hop, node) in order.iter().copied().enumerate() {
                 if hop > 0 {
-                    t.counter("registry.publish.failovers").incr();
+                    self.series.publish_failovers.incr();
                 }
-                match self.call_node(node, build(map.epoch())) {
+                match self.call_node(node, build(map.epoch()), &read) {
                     Ok(body) => return Ok(body),
                     Err(CallError::Recover(Recovery::Rerouted)) => {
-                        t.counter("registry.publish.redirects").incr();
+                        self.series.publish_redirects.incr();
                         rerouted = true;
                         break;
                     }
@@ -315,8 +369,14 @@ impl ShardedUddiClient {
         Err(RegistryError::Unavailable(last_err))
     }
 
-    /// One SOAP call to `node`, classified for the failover loop.
-    fn call_node(&self, node: usize, payload: Element) -> Result<Element, CallError> {
+    /// One SOAP call to `node`, classified for the failover loop; `read`
+    /// sees the response body in place.
+    fn call_node<T>(
+        &self,
+        node: usize,
+        payload: Element,
+        read: impl FnOnce(&Element) -> T,
+    ) -> Result<T, CallError> {
         let endpoint = &self.endpoints[node];
         let breaker = self.health.breaker(endpoint);
         let now = Instant::now();
@@ -334,7 +394,7 @@ impl ShardedUddiClient {
                 if let Some(fault) = response.fault_body() {
                     return Err(self.classify_fault(fault));
                 }
-                response.payload().cloned().ok_or_else(|| {
+                response.payload().map(read).ok_or_else(|| {
                     CallError::Fatal(RegistryError::Uddi(UddiError::Malformed(
                         "response body is empty".into(),
                     )))
@@ -365,48 +425,55 @@ impl ShardedUddiClient {
         ))))
     }
 
-    /// Locate services matching `query` across the whole plane: a
-    /// scatter over a minimal live cover of the shards, results merged
-    /// by key.
-    pub fn locate(
-        &self,
-        query: &wsp_uddi::ServiceQuery,
-    ) -> Result<Vec<BusinessService>, RegistryError> {
-        let t = telemetry::global();
+    /// Locate services matching `query`: routed to the owning shard for
+    /// an exact name, scattered over a cover of the shards otherwise
+    /// (module doc). Results are in key order, at most `max_rows`.
+    pub fn locate(&self, query: &ServiceQuery) -> Result<Vec<BusinessService>, RegistryError> {
         let started = Instant::now();
+        match query.exact_name() {
+            Some(_) => self.series.locate_routed.incr(),
+            None => self.series.locate_scattered.incr(),
+        }
         let result = self.locate_inner(query);
         match &result {
             Ok(_) => {
-                t.counter("registry.locate").incr();
-                t.histogram("registry.locate.rtt_us")
-                    .record_micros(started.elapsed());
+                self.series.locate.incr();
+                self.series.locate_rtt_us.record_micros(started.elapsed());
             }
-            Err(_) => t.counter("registry.locate.errors").incr(),
+            Err(_) => self.series.locate_errors.incr(),
         }
         result
     }
 
-    fn locate_inner(
-        &self,
-        query: &wsp_uddi::ServiceQuery,
-    ) -> Result<Vec<BusinessService>, RegistryError> {
+    fn locate_inner(&self, query: &ServiceQuery) -> Result<Vec<BusinessService>, RegistryError> {
+        // The shards that can hold an answer: the name's owner, or all.
+        let shards_asked = |map: &ShardMap| match query.exact_name() {
+            Some(name) => {
+                let shard = map.shard_of(name);
+                shard..shard + 1
+            }
+            None => 0..map.shard_count(),
+        };
         for _ in 0..2 {
             let map = self.cached_map();
             // Greedy cover: one reachable node per shard, deduplicated —
             // a node serves every shard it hosts from its local store.
             let mut cover: Vec<usize> = Vec::new();
-            for s in 0..map.shard_count() {
-                let members = &map.shard(s).members;
-                if members.iter().any(|m| cover.contains(m)) {
-                    continue;
+            for s in shards_asked(&map) {
+                let info = map.shard(s);
+                if !info.members.iter().any(|m| cover.contains(m)) {
+                    cover.push(info.primary());
                 }
-                cover.push(map.shard(s).primary());
             }
-            match self.scatter(query, &cover) {
-                Ok(found) => return Ok(found),
+            let mut found = Vec::new();
+            match cover
+                .iter()
+                .try_for_each(|&node| self.find_detail(query, map.epoch(), node, &mut found))
+            {
+                Ok(()) => return Ok(merged(found, query)),
                 Err(CallError::Recover(_)) => {
-                    // A shard's cover node died or redirected: refresh
-                    // the map (new views move primaries) and rescatter.
+                    // A cover node died or redirected: refresh the map
+                    // (new views move primaries) and ask again.
                     let _ = self.refresh_map();
                 }
                 Err(CallError::Fatal(e)) => return Err(e),
@@ -414,18 +481,12 @@ impl ShardedUddiClient {
         }
         // Final attempt: walk every member per shard before giving up.
         let map = self.cached_map();
-        let mut results: Vec<BusinessService> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for s in 0..map.shard_count() {
+        let mut found = Vec::new();
+        for s in shards_asked(&map) {
             let mut shard_ok = false;
             for &node in &map.shard(s).failover_order() {
-                match self.find_and_fetch(query, node) {
-                    Ok(found) => {
-                        for svc in found {
-                            if seen.insert(svc.key.clone()) {
-                                results.push(svc);
-                            }
-                        }
+                match self.find_detail(query, map.epoch(), node, &mut found) {
+                    Ok(()) => {
                         shard_ok = true;
                         break;
                     }
@@ -439,63 +500,41 @@ impl ShardedUddiClient {
                 )));
             }
         }
-        Ok(results)
+        Ok(merged(found, query))
     }
 
-    fn scatter(
+    /// One `find_serviceDetail` exchange with `node`: the records it
+    /// holds that match, appended to `found`.
+    fn find_detail(
         &self,
-        query: &wsp_uddi::ServiceQuery,
-        cover: &[usize],
-    ) -> Result<Vec<BusinessService>, CallError> {
-        let mut results: Vec<BusinessService> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for &node in cover {
-            for svc in self.find_and_fetch(query, node)? {
-                if seen.insert(svc.key.clone()) {
-                    results.push(svc);
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    /// The classic two-step UDDI inquiry (find, then detail) against
-    /// one node.
-    fn find_and_fetch(
-        &self,
-        query: &wsp_uddi::ServiceQuery,
+        query: &ServiceQuery,
+        epoch: u64,
         node: usize,
-    ) -> Result<Vec<BusinessService>, CallError> {
-        let epoch = self.cached_epoch();
-        let mut find = query.to_element();
+        found: &mut Vec<BusinessService>,
+    ) -> Result<(), CallError> {
+        let mut find = query.to_request(FIND_SERVICE_DETAIL);
         crate::cluster::stamp_epoch(&mut find, epoch);
-        let list = self.call_node(node, find)?;
-        let infos: Vec<ServiceInfo> = list
-            .find(UDDI_NS, "serviceInfos")
-            .map(|i| {
-                i.find_all(UDDI_NS, "serviceInfo")
-                    .filter_map(ServiceInfo::from_element)
-                    .collect()
-            })
-            .unwrap_or_default();
-        if infos.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut get = Element::new(UDDI_NS, "get_serviceDetail");
-        crate::cluster::stamp_epoch(&mut get, epoch);
-        for info in &infos {
-            get.push_element(
-                Element::build(UDDI_NS, "serviceKey")
-                    .text(info.key.clone())
-                    .finish(),
-            );
-        }
-        let detail = self.call_node(node, get)?;
-        Ok(detail
-            .find_all(UDDI_NS, "businessService")
-            .filter_map(BusinessService::from_element)
-            .collect())
+        self.call_node(node, find, |detail| {
+            found.extend(
+                detail
+                    .find_all(UDDI_NS, "businessService")
+                    .filter_map(BusinessService::from_element),
+            )
+        })
     }
+}
+
+/// Merge what the nodes asked returned: one record per key, key order,
+/// cut to the query's `max_rows` — each node applied the cap to its own
+/// records, the merge must apply it again. (A single node's answer is
+/// already all of that; the pass over it changes nothing.)
+fn merged(mut found: Vec<BusinessService>, query: &ServiceQuery) -> Vec<BusinessService> {
+    found.sort_by(|a, b| a.key.cmp(&b.key));
+    found.dedup_by(|a, b| a.key == b.key);
+    if query.max_rows > 0 {
+        found.truncate(query.max_rows);
+    }
+    found
 }
 
 #[cfg(test)]
@@ -755,8 +794,16 @@ mod tests {
         let located = t.counter("registry.locate").get();
         let (_cluster, client) = plane();
         client.publish(&svc("Counted")).unwrap();
+        let routed = t.counter("registry.locate.routed").get();
         client.locate(&ServiceQuery::by_name("Counted")).unwrap();
         assert!(t.counter("registry.publish").get() > published);
         assert!(t.counter("registry.locate").get() > located);
+        assert!(t.counter("registry.locate.routed").get() > routed);
+        let scattered = t.counter("registry.locate.scattered").get();
+        client.locate(&ServiceQuery::by_name("Count%")).unwrap();
+        assert!(t.counter("registry.locate.scattered").get() > scattered);
+        // The replication shell samples the primary's retained log at
+        // every commit, and the publish above committed.
+        assert!(t.histogram("registry.replication.log_len").count() > 0);
     }
 }

@@ -8,20 +8,36 @@
 //! (per-node [`SoapTransport`]s and an HTTP handler), and crash faults
 //! (a node marked down drops every message addressed to it, exactly
 //! like the checker's `Crash` event prunes the net). Because the same
-//! `step_replica` transition runs here and under `wsp-check`'s
-//! exhaustive exploration, the failover behaviour the checker proves is
-//! the failover behaviour the cluster executes.
+//! transition runs here and under `wsp-check`'s exhaustive exploration
+//! — the pump calls `step_replica_in_place` on the states it owns, the
+//! checker the clone-then-that-call `step_replica` — the failover
+//! behaviour the checker proves is the failover behaviour the cluster
+//! executes.
+//!
+//! A replicated write costs what its own op costs: the pump mutates the
+//! replicas in place, and each replica's log keeps only the slots behind
+//! which some member still lags (see [`crate::replication`]). With every
+//! member up that is a slot or two; a crashed member pins the
+//! group-stable point, so the survivors' logs grow by what is published
+//! while it is away and fall back when it has returned and acknowledged.
+//! The shell's straggler transfer re-delivers the primary's
+//! `(log_start, suffix)`; what it exports about all this is
+//! `registry.replication.log_len` (histogram: the primary's retained
+//! slots at each commit), `registry.replication.truncated` (slots
+//! dropped, all replicas) and `registry.replication.state_transfers`
+//! (`StartView`s sent outside an election).
 
 use crate::lease::{LeaseTable, LeaseTrace};
 use crate::replication::{
-    initial_replica, step_replica, ReplEffect, ReplEvent, ReplMsg, ReplicaId, ReplicaMachine,
-    ReplicaState, Status,
+    step_replica_in_place, ReplEffect, ReplEvent, ReplMsg, ReplicaId, ReplicaMachine, ReplicaState,
+    Status,
 };
 use crate::shard::{ShardMap, REGISTRY_NS};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use wsp_core::telemetry::{self, Counter, Histogram};
 use wsp_http::{HttpHandler, Request, Response};
 use wsp_simnet::{Dur, Time};
 use wsp_soap::{Envelope, Fault};
@@ -30,14 +46,11 @@ use wsp_uddi::{
 };
 use wsp_xml::{Element, QName};
 
-/// The replicated op, generic payload of [`step_replica`]. Service
-/// records travel as their canonical XML so the op stays `Eq + Hash`
-/// (the checker's requirement) while carrying the full record,
-/// lease TTL attribute included. The XML is shared, not owned: the op
-/// is cloned into every `Prepare`, every replica's log and — because
-/// the pure transition function returns a fresh state — with the log
-/// on every step, so a copy per clone made a shard's memory and its
-/// publish cost grow with three times everything ever published.
+/// The replicated op, generic payload of [`step_replica_in_place`].
+/// Service records travel as their canonical XML so the op stays
+/// `Eq + Hash` (the checker's requirement) while carrying the full
+/// record, lease TTL attribute included. The XML is shared, not owned:
+/// the op is cloned into every `Prepare` and every replica's log.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ClusterOp {
     Save {
@@ -94,6 +107,18 @@ struct Group {
     group_applied: u32,
 }
 
+/// What one member of a shard's group currently holds of the op log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogFootprint {
+    pub node: usize,
+    /// Slots dropped behind the group-stable point.
+    pub log_start: u32,
+    /// Slots still held.
+    pub retained: usize,
+    /// Entries in the acknowledgement structure (one mark per member).
+    pub ack_entries: usize,
+}
+
 /// What one synchronous pump of the group produced.
 #[derive(Default)]
 struct PumpOut {
@@ -120,6 +145,9 @@ struct Inner {
     /// records changed without waiting out their TTLs, while epoch
     /// redirects keep handling placement changes.
     data_versions: Vec<AtomicU64>,
+    log_len: Arc<Histogram>,
+    truncated: Arc<Counter>,
+    state_transfers: Arc<Counter>,
 }
 
 /// The replicated discovery plane: `cfg.nodes` in-process registry
@@ -151,10 +179,12 @@ impl RegistryCluster {
             .map(|s| {
                 let members = map.shard(s).members.clone();
                 let n = members.len() as u8;
+                let machines: Vec<ReplicaMachine> =
+                    (0..n).map(|id| ReplicaMachine { n, id }).collect();
                 Mutex::new(Group {
                     shard: s,
-                    machines: (0..n).map(|id| ReplicaMachine { n, id }).collect(),
-                    states: (0..n).map(initial_replica).collect(),
+                    states: machines.iter().map(ReplicaMachine::initial_state).collect(),
+                    machines,
                     members,
                     leases: LeaseTable::new(),
                     group_applied: 0,
@@ -163,6 +193,7 @@ impl RegistryCluster {
             .collect();
         let key_seqs = (0..cfg.shard_count).map(|_| AtomicU64::new(0)).collect();
         let data_versions = (0..cfg.shard_count).map(|_| AtomicU64::new(0)).collect();
+        let t = telemetry::global();
         RegistryCluster {
             inner: Arc::new(Inner {
                 nodes,
@@ -172,6 +203,9 @@ impl RegistryCluster {
                 key_seqs,
                 global_seq: AtomicU64::new(0),
                 data_versions,
+                log_len: t.histogram("registry.replication.log_len"),
+                truncated: t.counter("registry.replication.truncated"),
+                state_transfers: t.counter("registry.replication.state_transfers"),
                 cfg,
             }),
         }
@@ -219,6 +253,23 @@ impl RegistryCluster {
             .leases
             .trace()
             .to_vec()
+    }
+
+    /// What each member of `shard`'s group (preference order) holds of
+    /// the op log — the numbers that must not grow with the shard's age.
+    pub fn log_footprint(&self, shard: u32) -> Vec<LogFootprint> {
+        let group = self.inner.groups[shard as usize].lock();
+        group
+            .members
+            .iter()
+            .zip(&group.states)
+            .map(|(&node, state)| LogFootprint {
+                node,
+                log_start: state.log_start,
+                retained: state.log.len(),
+                ack_entries: state.acked.len(),
+            })
+            .collect()
     }
 
     /// Advance the logical clock, sweeping every shard's lease wheel.
@@ -533,22 +584,20 @@ impl RegistryCluster {
                 // the watchdog that starts elections.
                 //
                 // Every submit passes through here, so the primary's
-                // log (which grows with the shard's age) is snapshotted
-                // only once a straggler actually needs it.
-                let mut snapshot = None;
+                // retained log (everything since the straggler went
+                // quiet) is copied only once a straggler needs it.
                 for &b in &live {
                     let lagging =
                         group.states[b].view < view || group.states[b].status != Status::Normal;
                     if b != primary && lagging {
-                        let (log, commit_num) = snapshot.get_or_insert_with(|| {
-                            let state = &group.states[primary];
-                            (state.log.clone(), state.commit_num)
-                        });
+                        let state = &group.states[primary];
                         let msg = ReplMsg::StartView {
                             view,
-                            log: log.clone(),
-                            commit_num: *commit_num,
+                            log_start: state.log_start,
+                            log: state.log.clone(),
+                            commit_num: state.commit_num,
                         };
+                        self.inner.state_transfers.incr();
                         self.pump(
                             group,
                             b,
@@ -611,12 +660,24 @@ impl RegistryCluster {
             if !self.is_up(group.members[at]) {
                 continue;
             }
-            let (next, effects) = step_replica(&group.machines[at], &group.states[at], &event);
-            group.states[at] = next;
+            let kept_before = group.states[at].log_start;
+            let effects = step_replica_in_place(&group.machines[at], &mut group.states[at], &event);
+            let dropped = group.states[at].log_start - kept_before;
+            if dropped > 0 {
+                self.inner.truncated.add(dropped as u64);
+            }
+            // A StartView from a step that did not win an election is a
+            // state transfer (the reply to a gapped backup's NeedState).
+            let elected = effects
+                .iter()
+                .any(|e| matches!(e, ReplEffect::BecamePrimary { .. }));
             for effect in effects {
                 match effect {
                     ReplEffect::Send { to, msg } => {
                         let to = to as usize;
+                        if !elected && matches!(msg, ReplMsg::StartView { .. }) {
+                            self.inner.state_transfers.incr();
+                        }
                         // Down nodes drop the message on the floor —
                         // the same pruning the checker's Crash does.
                         if self.is_up(group.members[to]) {
@@ -632,7 +693,10 @@ impl RegistryCluster {
                     ReplEffect::Apply { op_num, op } => {
                         self.apply_op(group, at, op_num, &op);
                     }
-                    ReplEffect::ClientAck { op_num } => out.acks.push(op_num),
+                    ReplEffect::ClientAck { op_num } => {
+                        self.inner.log_len.record(group.states[at].log.len() as u64);
+                        out.acks.push(op_num);
+                    }
                     ReplEffect::Redirect { .. } => out.redirected = true,
                     ReplEffect::BecamePrimary { view } => out.new_view = Some(view),
                     ReplEffect::AdoptedView { .. } => {}

@@ -14,14 +14,17 @@
 //!   refreshed — crashed providers vanish without an unregister;
 //! * [`replication`] — VR-lite primary/backup replication per shard as
 //!   a *pure* [`wsp_simnet::Machine`] transition function (view
-//!   numbers, op log, prepare/prepare-ok/commit, view change on primary
-//!   timeout), exhaustively explored by `wsp-check`;
+//!   numbers, an op log truncated behind the group-stable point,
+//!   prepare/prepare-ok/commit, view change on primary timeout),
+//!   exhaustively explored by `wsp-check`;
 //! * [`cluster`] — the thin runtime shell: N in-process registry nodes,
 //!   a synchronous message pump executing the pure machine's effects,
 //!   SOAP fronts per node for the HTTP and P2PS bindings;
-//! * [`client`] — [`ShardedUddiClient`]: shard-map routing, scatter
-//!   locate, primary→backup failover through `ResiliencePolicy` and the
-//!   per-endpoint circuit breakers, map refresh on redirect.
+//! * [`client`] — [`ShardedUddiClient`]: shard-map routing (an
+//!   exact-name locate is one exchange with the owning shard, only
+//!   patterns scatter), primary→backup failover through
+//!   `ResiliencePolicy` and the per-endpoint circuit breakers, map
+//!   refresh on redirect.
 
 pub mod client;
 pub mod cluster;
@@ -32,7 +35,7 @@ pub mod shard;
 pub use client::{DataVersions, RegistryError, ShardedUddiClient};
 pub use cluster::{
     get_data_versions_request, get_shard_map_request, shard_of_key, stamp_epoch, ClusterConfig,
-    ClusterOp, RegistryCluster,
+    ClusterOp, LogFootprint, RegistryCluster,
 };
 pub use lease::{
     LeaseAction, LeaseEffect, LeaseEvent, LeaseMachine, LeaseState, LeaseStatus, LeaseTable,
@@ -40,6 +43,6 @@ pub use lease::{
 };
 pub use replication::{
     GroupEffect, GroupEvent, GroupMachine, GroupState, ReplEffect, ReplEvent, ReplMsg,
-    ReplicaMachine, ReplicaState, SkipLogCatchup, Status,
+    ReplicaMachine, ReplicaState, SkipLogCatchup, Status, TruncateToOwnCommit,
 };
 pub use shard::{Route, ShardInfo, ShardMap, REGISTRY_NS};

@@ -1,9 +1,11 @@
 //! The consistent-hash shard map.
 //!
-//! Service names hash onto a fixed set of shards; each shard is placed
-//! on a replica set of nodes by walking a consistent-hash ring of
-//! virtual node tokens, so adding or removing a node only remaps the
-//! shards whose ring walk touches it. The whole map is version-stamped
+//! Service names hash — by their case fold, so that placement agrees
+//! with case-insensitive matching — onto a fixed set of shards; each
+//! shard is placed on a replica set of nodes by walking a
+//! consistent-hash ring of virtual node tokens, so adding or removing a
+//! node only remaps the shards whose ring walk touches it. The whole
+//! map is version-stamped
 //! with an `epoch`: clients cache it, send the epoch they believe in
 //! with every routed request, and a node that sees a stale epoch
 //! answers with a versioned redirect fault instead of serving the
@@ -11,7 +13,7 @@
 //! also bump the epoch so cached primaries are invalidated the same
 //! way (`ShardMapChanged`).
 
-use wsp_simnet::fnv1a;
+use wsp_simnet::{fnv1a, fnv1a_fold};
 use wsp_xml::{Element, QName};
 
 /// Namespace of the registry-plane control messages (`get_shardMap`,
@@ -138,9 +140,16 @@ impl ShardMap {
         &self.shards[s as usize]
     }
 
-    /// Which shard a service name lives on.
+    /// Which shard a service name lives on. Placement hashes the
+    /// name's case fold — the one [`wsp_uddi::fold`] that matching and
+    /// the registry's name index use — so every spelling that an exact
+    /// query matches lands on the shard that query is routed to.
     pub fn shard_of(&self, name: &str) -> u32 {
-        (fnv1a(name.as_bytes()) % self.shards.len() as u64) as u32
+        let mut utf8 = [0u8; 4];
+        let hash = wsp_uddi::fold(name).fold(fnv1a(&[]), |hash, c| {
+            fnv1a_fold(hash, c.encode_utf8(&mut utf8).as_bytes())
+        });
+        (hash % self.shards.len() as u64) as u32
     }
 
     /// Full route for a service name.
@@ -301,6 +310,21 @@ mod tests {
             seen[a.shard as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "256 names should hit all 8 shards");
+    }
+
+    #[test]
+    fn placement_ignores_case_like_matching_does() {
+        let map = ShardMap::build(endpoints(4), 8, 3, 0);
+        for name in ["EchoService", "ÉCHO service", "x%Y", "İstanbul"] {
+            assert_eq!(map.shard_of(name), map.shard_of(&name.to_lowercase()));
+        }
+        assert_eq!(map.shard_of("ECHOSERVICE"), map.shard_of("echoService"));
+        // An already-folded ASCII name hashes as its bytes: the fold
+        // streams through the same FNV-1a the ring uses.
+        assert_eq!(
+            map.shard_of("echo"),
+            (fnv1a(b"echo") % map.shard_count() as u64) as u32
+        );
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! The registry's SOAP API: dispatching publish and inquiry envelopes.
 //!
-//! Like real UDDI, inquiry is two-step: `find_service` returns a light
-//! `serviceList` of keys/names and `get_serviceDetail` returns full
-//! records. The locate path therefore costs two round trips — a detail
-//! the registry-bottleneck experiment (E1) faithfully inherits.
+//! Like real UDDI, inquiry has a two-step form: `find_service` returns
+//! a light `serviceList` of keys/names and `get_serviceDetail` returns
+//! full records — the pair the registry-bottleneck experiment (E1)
+//! drives, and that browsing tools want. A locate does not use it: two
+//! exchanges cost two round trips and leave a window in which a found
+//! key is deleted (or its lease expires) and the detail request faults.
+//! `find_serviceDetail` takes `find_service`'s children and answers with
+//! the matching records themselves, as a `serviceDetail`, from one read
+//! of the store; [`crate::UddiClient::locate`] and the sharded client
+//! are built on it.
 
 use crate::model::{BusinessEntity, BusinessService, TModel, UDDI_NS};
-use crate::query::ServiceQuery;
+use crate::query::{ServiceQuery, FIND_SERVICE, FIND_SERVICE_DETAIL};
 use crate::registry::Registry;
 use wsp_soap::{Envelope, Fault};
 use wsp_xml::{Element, QName};
@@ -62,7 +68,8 @@ impl UddiApi {
             return Envelope::fault(Fault::sender("UDDI request carries no body"));
         };
         let result = match payload.name().local_name() {
-            "find_service" => self.find_service(payload),
+            FIND_SERVICE => self.find_service(payload),
+            FIND_SERVICE_DETAIL => self.find_service_detail(payload),
             "find_business" => self.find_business(payload),
             "get_serviceDetail" => self.get_service_detail(payload),
             "save_service" => self.save_service(payload),
@@ -96,24 +103,28 @@ impl UddiApi {
         Ok(Element::build(UDDI_NS, "serviceList").child(infos).finish())
     }
 
+    /// `find_service` and `get_serviceDetail` in one exchange, under one
+    /// read of the store: a key cannot vanish between the two halves.
+    fn find_service_detail(&self, payload: &Element) -> Result<Element, Fault> {
+        let query = ServiceQuery::from_element(payload)
+            .ok_or_else(|| Fault::sender("malformed find_serviceDetail"))?;
+        let mut detail = Element::new(UDDI_NS, "serviceDetail");
+        for service in &self.registry.find_services(&query) {
+            detail.push_element(service.to_element());
+        }
+        Ok(detail)
+    }
+
     fn find_business(&self, payload: &Element) -> Result<Element, Fault> {
         let pattern = payload
             .child_text(UDDI_NS, "name")
             .unwrap_or_else(|| "%".to_owned());
         let mut infos = Element::new(UDDI_NS, "businessInfos");
-        for key in self.registry.business_keys() {
-            if let Some(biz) = self.registry.get_business(&key) {
-                if crate::query::wildcard_match(&pattern, &biz.name) {
-                    let mut info = Element::new(UDDI_NS, "businessInfo");
-                    info.set_attribute(wsp_xml::QName::local("businessKey"), biz.key.clone());
-                    info.push_element(
-                        Element::build(UDDI_NS, "name")
-                            .text(biz.name.clone())
-                            .finish(),
-                    );
-                    infos.push_element(info);
-                }
-            }
+        for (key, name) in self.registry.find_businesses(&pattern) {
+            let mut info = Element::new(UDDI_NS, "businessInfo");
+            info.set_attribute(QName::local("businessKey"), key);
+            info.push_element(Element::build(UDDI_NS, "name").text(name).finish());
+            infos.push_element(info);
         }
         Ok(Element::build(UDDI_NS, "businessList")
             .child(infos)
@@ -239,6 +250,35 @@ mod tests {
         .unwrap();
         assert_eq!(svc.name, "EchoService");
         assert_eq!(svc.bindings[0].access_point, "http://h/Echo");
+    }
+
+    #[test]
+    fn find_service_detail_is_find_and_detail_in_one_exchange() {
+        let (api, key) = api_with_service();
+        let query = ServiceQuery::by_name("echoservice");
+        let detail = api.process(&request(query.to_request(FIND_SERVICE_DETAIL)));
+        let body = detail.payload().unwrap();
+        assert!(body.name().is(UDDI_NS, "serviceDetail"));
+        let found: Vec<BusinessService> = body
+            .find_all(UDDI_NS, "businessService")
+            .filter_map(BusinessService::from_element)
+            .collect();
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].key, key);
+        assert_eq!(found[0].bindings[0].access_point, "http://h/Echo");
+        // No match is an empty detail, not a fault: there is no key
+        // that could have gone missing.
+        let none = api.process(&request(
+            ServiceQuery::by_name("Nope").to_request(FIND_SERVICE_DETAIL),
+        ));
+        assert!(none.fault_body().is_none());
+        assert_eq!(
+            none.payload()
+                .unwrap()
+                .find_all(UDDI_NS, "businessService")
+                .count(),
+            0
+        );
     }
 
     #[test]

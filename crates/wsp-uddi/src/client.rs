@@ -3,7 +3,7 @@
 
 use crate::api::ServiceInfo;
 use crate::model::{BusinessService, TModel, UDDI_NS};
-use crate::query::ServiceQuery;
+use crate::query::{ServiceQuery, FIND_SERVICE_DETAIL};
 use crate::registry::Registry;
 use std::fmt;
 use std::sync::Arc;
@@ -76,7 +76,12 @@ impl UddiClient {
         self.endpoint.as_deref()
     }
 
-    fn call(&self, payload: Element) -> Result<Element, UddiError> {
+    /// One exchange; `read` sees the response body in place.
+    fn call_with<T>(
+        &self,
+        payload: Element,
+        read: impl FnOnce(&Element) -> T,
+    ) -> Result<T, UddiError> {
         let request = Envelope::request(payload);
         let response = (self.transport)(&request).map_err(UddiError::Transport)?;
         if let Some(fault) = response.fault_body() {
@@ -84,8 +89,12 @@ impl UddiClient {
         }
         response
             .payload()
-            .cloned()
+            .map(read)
             .ok_or_else(|| UddiError::Malformed("response body is empty".into()))
+    }
+
+    fn call(&self, payload: Element) -> Result<Element, UddiError> {
+        self.call_with(payload, Element::clone)
     }
 
     /// `find_service`: returns light summaries.
@@ -117,15 +126,15 @@ impl UddiClient {
             .collect())
     }
 
-    /// Find and fetch details in one client call (two protocol round
-    /// trips, like real UDDI tooling).
+    /// `find_serviceDetail`: the full records matching `query`, in one
+    /// exchange.
     pub fn locate(&self, query: &ServiceQuery) -> Result<Vec<BusinessService>, UddiError> {
-        let infos = self.find_services(query)?;
-        if infos.is_empty() {
-            return Ok(Vec::new());
-        }
-        let keys: Vec<String> = infos.into_iter().map(|i| i.key).collect();
-        self.get_service_details(&keys)
+        self.call_with(query.to_request(FIND_SERVICE_DETAIL), |detail| {
+            detail
+                .find_all(UDDI_NS, "businessService")
+                .filter_map(BusinessService::from_element)
+                .collect()
+        })
     }
 
     /// `save_business`: register a publishing organisation.

@@ -3,10 +3,11 @@
 //! A UDDI-style registry: the discovery substrate of WSPeer's standard
 //! HTTP implementation (paper Section IV.A). Provides the v2-flavoured
 //! data model (business entities, services, binding templates, tModels),
-//! a thread-safe [`Registry`] store, the two-step SOAP inquiry/publish
-//! [`api`], a [`UddiClient`] over pluggable transports, and hosting glue
-//! to run a registry on the lightweight HTTP server — real TCP or the
-//! simulator.
+//! a thread-safe, name-indexed [`Registry`] store, the SOAP
+//! inquiry/publish [`api`] (two-step `find_service` + `get_serviceDetail`
+//! and the single-exchange `find_serviceDetail`), a [`UddiClient`] over
+//! pluggable transports, and hosting glue to run a registry on the
+//! lightweight HTTP server — real TCP or the simulator.
 //!
 //! The registry is deliberately *centralised*: it is the client/server
 //! discovery mechanism whose bottleneck and single-point-of-failure
@@ -37,6 +38,6 @@ pub use client::{direct_transport, http_transport, SoapTransport, UddiClient, Ud
 pub use model::{
     BindingTemplate, BusinessEntity, BusinessService, KeyedReference, TModel, UDDI_NS,
 };
-pub use query::{wildcard_match, ServiceQuery};
+pub use query::{fold, wildcard_match, ServiceQuery, FIND_SERVICE, FIND_SERVICE_DETAIL};
 pub use registry::Registry;
 pub use server::{registry_handler, RegistryServer, REGISTRY_PATH};

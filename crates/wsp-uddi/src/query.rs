@@ -4,6 +4,21 @@
 use crate::model::{BusinessService, KeyedReference, UDDI_NS};
 use wsp_xml::Element;
 
+/// The inquiry operation that answers a query with light summaries.
+pub const FIND_SERVICE: &str = "find_service";
+/// The single-exchange inquiry: `find_service`'s children in, the
+/// matching records out as a `serviceDetail`.
+pub const FIND_SERVICE_DETAIL: &str = "find_serviceDetail";
+
+/// The case fold of `approximateMatch`: two names are the same name
+/// exactly when their folds are equal. Matching, the registry's name
+/// index and shard placement all go through this one function — they
+/// must agree, or a routed query looks on a shard that cannot hold its
+/// answer.
+pub fn fold(name: &str) -> impl Iterator<Item = char> + Clone + '_ {
+    name.chars().flat_map(char::to_lowercase)
+}
+
 /// A `find_service` query: name pattern plus category constraints.
 ///
 /// The name pattern supports the UDDI `%` wildcard (match any run of
@@ -42,6 +57,13 @@ impl ServiceQuery {
         self
     }
 
+    /// The name this query asks for, if it asks for exactly one: a
+    /// pattern without a `%`. Such a query is answered from the name
+    /// index, and on a sharded plane by the one shard that owns the name.
+    pub fn exact_name(&self) -> Option<&str> {
+        self.name_pattern.as_deref().filter(|p| !p.contains('%'))
+    }
+
     /// Does `service` satisfy this query?
     pub fn matches(&self, service: &BusinessService) -> bool {
         if let Some(pattern) = &self.name_pattern {
@@ -49,6 +71,11 @@ impl ServiceQuery {
                 return false;
             }
         }
+        self.matches_categories(service)
+    }
+
+    /// The category half of [`ServiceQuery::matches`].
+    pub fn matches_categories(&self, service: &BusinessService) -> bool {
         self.categories.iter().all(|wanted| {
             service
                 .categories
@@ -59,7 +86,13 @@ impl ServiceQuery {
 
     /// Serialise as a `find_service` element.
     pub fn to_element(&self) -> Element {
-        let mut e = Element::new(UDDI_NS, "find_service");
+        self.to_request(FIND_SERVICE)
+    }
+
+    /// Serialise as the request element of inquiry operation `op`
+    /// ([`FIND_SERVICE`] or [`FIND_SERVICE_DETAIL`]: same children).
+    pub fn to_request(&self, op: &'static str) -> Element {
+        let mut e = Element::new(UDDI_NS, op);
         if self.max_rows > 0 {
             e.set_attribute(wsp_xml::QName::local("maxRows"), self.max_rows.to_string());
         }
@@ -76,9 +109,9 @@ impl ServiceQuery {
         e
     }
 
-    /// Parse a `find_service` element.
+    /// Parse a `find_service` or `find_serviceDetail` element.
     pub fn from_element(e: &Element) -> Option<ServiceQuery> {
-        if !e.name().is(UDDI_NS, "find_service") {
+        if !e.name().is(UDDI_NS, FIND_SERVICE) && !e.name().is(UDDI_NS, FIND_SERVICE_DETAIL) {
             return None;
         }
         Some(ServiceQuery {
@@ -100,31 +133,36 @@ impl ServiceQuery {
 }
 
 /// Case-insensitive match of `pattern` (with `%` wildcards) against
-/// `text`. Classic two-pointer wildcard algorithm, no backtracking blowup.
+/// `text`. Classic two-pointer wildcard algorithm, no backtracking
+/// blowup; both sides are read through [`fold`] as they are compared,
+/// so a match allocates nothing.
 pub fn wildcard_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().flat_map(|c| c.to_lowercase()).collect();
-    let t: Vec<char> = text.chars().flat_map(|c| c.to_lowercase()).collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            pi = sp + 1;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
+    let mut p = fold(pattern).peekable();
+    let mut t = fold(text).peekable();
+    // Where to resume after the last `%`: the pattern just past it, and
+    // the text position the `%` has swallowed up to.
+    let mut star = None;
+    while let Some(&tc) = t.peek() {
+        match p.peek() {
+            Some(&pc) if pc == tc => {
+                p.next();
+                t.next();
+            }
+            Some('%') => {
+                p.next();
+                star = Some((p.clone(), t.clone()));
+            }
+            _ => {
+                let Some((after_star, swallowed)) = &mut star else {
+                    return false;
+                };
+                swallowed.next();
+                p = after_star.clone();
+                t = swallowed.clone();
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    p.all(|c| c == '%')
 }
 
 #[cfg(test)]
@@ -159,6 +197,22 @@ mod tests {
     }
 
     #[test]
+    fn matching_folds_case_beyond_ascii() {
+        assert!(wildcard_match("éCHO%", "Échoservice"));
+        assert!(wildcard_match("%İ", "xi\u{307}"), "a fold of two chars");
+        assert!(!wildcard_match("%x", "xİ"));
+        assert!(fold("StraSSe").eq("strasse".chars()));
+    }
+
+    #[test]
+    fn only_a_percent_free_pattern_names_one_name() {
+        assert_eq!(ServiceQuery::by_name("Echo").exact_name(), Some("Echo"));
+        assert_eq!(ServiceQuery::by_name("").exact_name(), Some(""));
+        assert_eq!(ServiceQuery::by_name("Ech%").exact_name(), None);
+        assert_eq!(ServiceQuery::all().exact_name(), None);
+    }
+
+    #[test]
     fn name_query_matching() {
         let q = ServiceQuery::by_name("Echo%");
         assert!(q.matches(&svc("EchoService", &[])));
@@ -186,9 +240,13 @@ mod tests {
         let q = ServiceQuery::by_name("Ech%")
             .with_category(KeyedReference::new("uddi:types", "kind", "wspeer"))
             .with_max_rows(5);
-        let xml = q.to_element().to_xml();
-        let parsed = ServiceQuery::from_element(&wsp_xml::parse(&xml).unwrap()).unwrap();
-        assert_eq!(parsed, q);
+        for op in [FIND_SERVICE, FIND_SERVICE_DETAIL] {
+            let xml = q.to_request(op).to_xml();
+            assert!(xml.contains(op));
+            let parsed = ServiceQuery::from_element(&wsp_xml::parse(&xml).unwrap()).unwrap();
+            assert_eq!(parsed, q);
+        }
+        assert_eq!(q.to_element(), q.to_request(FIND_SERVICE));
     }
 
     #[test]

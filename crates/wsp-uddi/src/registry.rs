@@ -1,10 +1,25 @@
 //! The registry proper: a thread-safe store with publish and inquiry
 //! operations.
+//!
+//! Services live in one [`ServiceStore`] under one lock: the records by
+//! key, and two derived maps that every write keeps in step with them so
+//! that no inquiry or undeploy has to walk the records —
+//!
+//! * `by_name`: case-folded name → keys of the records carrying it.
+//!   `records[k].name` folds to `n` **iff** `by_name[n]` contains `k`;
+//!   each key list is sorted (results come back in key order, exactly as
+//!   a scan of the records would give them) and never empty.
+//! * `tmodel_refs`: tModel key → how many binding references to it the
+//!   records hold; an entry exists **iff** its count is positive.
+//!
+//! The fold is [`crate::query::fold`], the same one `wildcard_match`
+//! compares through, so the index answers exactly the queries a scan
+//! would.
 
 use crate::model::{BusinessEntity, BusinessService, TModel};
-use crate::query::ServiceQuery;
+use crate::query::{fold, wildcard_match, ServiceQuery};
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,9 +33,127 @@ pub struct Registry {
 #[derive(Default)]
 struct RegistryInner {
     businesses: RwLock<BTreeMap<String, BusinessEntity>>,
-    services: RwLock<BTreeMap<String, BusinessService>>,
+    services: RwLock<ServiceStore>,
     tmodels: RwLock<BTreeMap<String, TModel>>,
     next_key: AtomicU64,
+}
+
+/// The service records and the two maps derived from them (module doc).
+#[derive(Default)]
+struct ServiceStore {
+    records: BTreeMap<String, BusinessService>,
+    by_name: HashMap<String, Vec<String>>,
+    tmodel_refs: HashMap<String, usize>,
+}
+
+fn tmodel_keys(service: &BusinessService) -> impl Iterator<Item = &String> {
+    service.bindings.iter().flat_map(|b| &b.tmodel_keys)
+}
+
+impl ServiceStore {
+    fn index_name(&mut self, name: &str, key: &str) {
+        let keys = self.by_name.entry(fold(name).collect()).or_default();
+        if let Err(at) = keys.binary_search_by(|k| k.as_str().cmp(key)) {
+            keys.insert(at, key.to_owned());
+        }
+    }
+
+    fn unindex_name(&mut self, name: &str, key: &str) {
+        let folded: String = fold(name).collect();
+        if let Some(keys) = self.by_name.get_mut(&folded) {
+            keys.retain(|k| k != key);
+            if keys.is_empty() {
+                self.by_name.remove(&folded);
+            }
+        }
+    }
+
+    fn add_refs(&mut self, service: &BusinessService) {
+        for tmodel in tmodel_keys(service) {
+            *self.tmodel_refs.entry(tmodel.clone()).or_default() += 1;
+        }
+    }
+
+    /// Drop `service`'s references; returns the tModels nothing
+    /// references any more.
+    fn drop_refs(&mut self, service: &BusinessService) -> Vec<String> {
+        let mut orphaned = Vec::new();
+        for tmodel in tmodel_keys(service) {
+            if let Some(count) = self.tmodel_refs.get_mut(tmodel) {
+                *count -= 1;
+                if *count == 0 {
+                    self.tmodel_refs.remove(tmodel);
+                    orphaned.push(tmodel.clone());
+                }
+            }
+        }
+        orphaned
+    }
+
+    /// Insert or replace. A republish that changes neither the name nor
+    /// the tModel references — a lease refresh, a moved access point —
+    /// touches neither derived map and folds nothing.
+    fn save(&mut self, service: BusinessService) {
+        match self.records.get_mut(&service.key) {
+            Some(slot) => {
+                let renamed = slot.name != service.name;
+                let rebound = !tmodel_keys(slot).eq(tmodel_keys(&service));
+                if !renamed && !rebound {
+                    *slot = service;
+                    return;
+                }
+                let old = std::mem::replace(slot, service.clone());
+                if renamed {
+                    self.unindex_name(&old.name, &old.key);
+                    self.index_name(&service.name, &service.key);
+                }
+                if rebound {
+                    self.drop_refs(&old);
+                    self.add_refs(&service);
+                }
+            }
+            None => {
+                self.index_name(&service.name, &service.key);
+                self.add_refs(&service);
+                self.records.insert(service.key.clone(), service);
+            }
+        }
+    }
+
+    /// Remove a record and its index entries; returns the tModels it
+    /// was the last to reference (`None`: no such record).
+    fn remove(&mut self, key: &str) -> Option<Vec<String>> {
+        let removed = self.records.remove(key)?;
+        self.unindex_name(&removed.name, key);
+        Some(self.drop_refs(&removed))
+    }
+
+    fn find(&self, query: &ServiceQuery) -> Vec<BusinessService> {
+        let limit = if query.max_rows > 0 {
+            query.max_rows
+        } else {
+            usize::MAX
+        };
+        match query.exact_name() {
+            Some(name) => {
+                let folded: String = fold(name).collect();
+                let keys = self.by_name.get(&folded).map_or(&[][..], Vec::as_slice);
+                keys.iter()
+                    .map(|key| &self.records[key])
+                    .filter(|s| query.matches_categories(s))
+                    .take(limit)
+                    .cloned()
+                    .collect()
+            }
+            None => self
+                .records
+                .values()
+                .filter(|s| query.matches(s))
+                .take(limit)
+                .cloned()
+                .collect(),
+        }
+    }
 }
 
 impl Registry {
@@ -58,10 +191,7 @@ impl Registry {
                 binding.key = self.generate_key("bind");
             }
         }
-        self.inner
-            .services
-            .write()
-            .insert(service.key.clone(), service.clone());
+        self.inner.services.write().save(service.clone());
         service
     }
 
@@ -80,28 +210,18 @@ impl Registry {
     /// Remove a service, and with it every tModel its bindings named
     /// that no remaining service references (a publish saves one WSDL
     /// tModel per service; without this each deploy/undeploy cycle
-    /// leaks it). True if the service existed.
+    /// leaks it). True if the service existed. Costs the removed
+    /// record's own bindings, whatever else the registry holds.
     pub fn delete_service(&self, key: &str) -> bool {
         let mut services = self.inner.services.write();
-        let Some(removed) = services.remove(key) else {
+        let Some(orphaned) = services.remove(key) else {
             return false;
         };
-        let orphaned: Vec<&String> = removed
-            .bindings
-            .iter()
-            .flat_map(|binding| &binding.tmodel_keys)
-            .filter(|tmodel| {
-                !services
-                    .values()
-                    .flat_map(|service| &service.bindings)
-                    .any(|binding| binding.tmodel_keys.contains(tmodel))
-            })
-            .collect();
         if !orphaned.is_empty() {
             // Still under the services lock: a concurrent save cannot
-            // start referencing a tModel between the scan and the drop.
+            // start referencing a tModel between the count and the drop.
             let mut tmodels = self.inner.tmodels.write();
-            for tmodel in orphaned {
+            for tmodel in &orphaned {
                 tmodels.remove(tmodel);
             }
         }
@@ -117,31 +237,31 @@ impl Registry {
 
     // --- inquiry API -----------------------------------------------------
 
-    /// Run a `find_service` query.
+    /// Run a `find_service` query; results in key order. A `%`-free
+    /// name is answered from the name index, anything else by matching
+    /// every record.
     pub fn find_services(&self, query: &ServiceQuery) -> Vec<BusinessService> {
-        let services = self.inner.services.read();
-        let mut out: Vec<BusinessService> = services
-            .values()
-            .filter(|s| query.matches(s))
-            .cloned()
-            .collect();
-        if query.max_rows > 0 {
-            out.truncate(query.max_rows);
-        }
-        out
+        self.inner.services.read().find(query)
     }
 
     pub fn get_service(&self, key: &str) -> Option<BusinessService> {
-        self.inner.services.read().get(key).cloned()
+        self.inner.services.read().records.get(key).cloned()
     }
 
     pub fn get_business(&self, key: &str) -> Option<BusinessEntity> {
         self.inner.businesses.read().get(key).cloned()
     }
 
-    /// Keys of all registered businesses (inquiry support).
-    pub fn business_keys(&self) -> Vec<String> {
-        self.inner.businesses.read().keys().cloned().collect()
+    /// `(key, name)` of every business whose name matches `pattern`
+    /// (`%` wildcards), in key order.
+    pub fn find_businesses(&self, pattern: &str) -> Vec<(String, String)> {
+        self.inner
+            .businesses
+            .read()
+            .values()
+            .filter(|biz| wildcard_match(pattern, &biz.name))
+            .map(|biz| (biz.key.clone(), biz.name.clone()))
+            .collect()
     }
 
     pub fn get_tmodel(&self, key: &str) -> Option<TModel> {
@@ -149,7 +269,7 @@ impl Registry {
     }
 
     pub fn service_count(&self) -> usize {
-        self.inner.services.read().len()
+        self.inner.services.read().records.len()
     }
 
     pub fn business_count(&self) -> usize {

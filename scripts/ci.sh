@@ -164,8 +164,9 @@ cargo run -q --release -p wsp-bench --bin e14 -- digests | diff -u crates/wsp-be
 # Discovery plane (PR 9): the replicated registry. The wsp-check run
 # above already exhausts the VR-lite replication group and the lease
 # machine; the mutation pass below re-runs every seeded mutant (the
-# skip-log-catchup replica among them) and fails unless each one is
-# condemned with a counterexample trace. Then the failover matrix:
+# skip-log-catchup and truncate-to-own-commit replicas among them) and
+# fails unless each one is condemned with a counterexample trace. Then
+# the failover matrix:
 # committed publishes must survive a primary crash, stale-epoch clients
 # must complete after the versioned shard-map redirect over BOTH real
 # bindings (HTTP and P2PS pipes), and lease-expiry traces must replay
@@ -178,6 +179,14 @@ cargo run -q --release -p wsp-check -- --mutants
 echo "==> registry failover matrix (seed 2005 / seed 7)"
 WSP_FAULT_SEED=2005 timeout 300 cargo test -q -p wsp-integration-tests --test registry_failover
 WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --test registry_failover
+
+# The plane's cost must not grow with its age (PR 20): exchanges per
+# locate counted, merged results capped, no locate faulting on a record
+# deleted under it, and — after 10 000 republishes, a member's absence
+# and return, and a view change — every replica back to a handful of
+# retained log slots. Logical facts only; release, like the matrix.
+echo "==> registry read/write path + age flatness (release)"
+timeout 300 cargo test -q --release -p wsp-integration-tests --test registry_plane
 
 echo "==> E16 artifact (target/BENCH_E16.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e16 -- quick

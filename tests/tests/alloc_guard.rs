@@ -155,3 +155,51 @@ fn warm_pipe_data_codec_allocates_only_the_decoded_fields() {
         "warm PipeData decode allocated {worst_decode} times"
     );
 }
+
+/// One warm in-process exact-name locate on the benchmark's plane (6
+/// nodes, 4 shards, 3 replicas, 1 000 records): one `find_serviceDetail`
+/// exchange with one node, answered from the name index. Everything
+/// left is building, reading and dropping the two small trees — it does
+/// not depend on how many records the plane holds or how many nodes it
+/// has. The scan-and-scatter path it replaced paid thousands (two
+/// lower-cased `Vec<char>` per record per covered node).
+#[test]
+fn warm_exact_name_locate_allocates_for_its_own_trees_only() {
+    use wsp_registry::{ClusterConfig, RegistryCluster, ShardedUddiClient};
+    use wsp_uddi::{BindingTemplate, BusinessService, ServiceQuery};
+    let plane = RegistryCluster::new(ClusterConfig {
+        nodes: 6,
+        shard_count: 4,
+        replication: 3,
+        default_ttl: None,
+    });
+    let client = ShardedUddiClient::for_cluster(&plane).expect("bootstrap");
+    for i in 0..1_000 {
+        let name = format!("svc-{i:04}");
+        client
+            .publish(
+                &BusinessService::new("", "uddi:wspeer:bench", name.clone()).with_binding(
+                    BindingTemplate::new("", format!("http://10.8.0.1:8080/{name}")),
+                ),
+            )
+            .expect("pre-load");
+    }
+    let query = ServiceQuery::by_name("svc-0500");
+    let locate = || {
+        let before = alloc_count::allocations();
+        let found = client.locate(&query).expect("locate");
+        let during = alloc_count::allocations() - before;
+        assert_eq!(found.len(), 1);
+        during
+    };
+    for _ in 0..50 {
+        locate();
+    }
+    let worst = (0..20).map(|_| locate()).max().unwrap_or(0);
+    // Measured 38, in release and in debug alike; the ceiling is that
+    // plus 10 %.
+    assert!(
+        worst <= 42,
+        "warm exact-name locate allocated {worst} times"
+    );
+}
