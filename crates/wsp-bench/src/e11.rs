@@ -19,7 +19,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wsp_core::bindings::{HttpUddiBinding, HttpUddiConfig};
+use wsp_core::bindings::HttpUddiBinding;
 use wsp_core::{EventBus, KeyedLoadShedPolicy, Peer};
 use wsp_http::{
     http_call, HttpSimServer, Request, ResilientSimClient, Response, RetrySchedule, Router,
@@ -158,15 +158,10 @@ pub fn goodput_pair(calls: usize, seed: u64) -> Vec<E11Goodput> {
 /// policy rejects everything (queue budget 0) answers `probes` POSTs;
 /// every one must be a 503-with-hint, and quickly.
 pub fn shed_turnaround(probes: usize) -> E11Shed {
-    let binding = HttpUddiBinding::new(
-        wsp_uddi::UddiClient::direct(wsp_uddi::Registry::new()),
-        EventBus::new(),
-        HttpUddiConfig {
-            load_shed: KeyedLoadShedPolicy::bounded(1, 0),
-            ..HttpUddiConfig::default()
-        },
-    );
+    let binding = HttpUddiBinding::with_local_registry(wsp_uddi::Registry::new(), EventBus::new());
     let peer = Peer::with_binding(&binding);
+    peer.server()
+        .set_load_shed_policy(KeyedLoadShedPolicy::bounded(1, 0));
     let descriptor = ServiceDescriptor::new("E11Shed", "urn:wspeer:bench:e11")
         .operation(OperationDef::new("nap").returns(XsdType::String));
     peer.server()

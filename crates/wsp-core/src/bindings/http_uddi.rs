@@ -4,18 +4,17 @@
 //! once the application has deployed a service".
 
 use crate::components::{Binding, Invoker, ServiceDeployer, ServiceLocator, ServicePublisher};
-use crate::dispatch::Dispatcher;
 use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
-use crate::events::{EventBus, ServerMessageEvent, ServerPhase};
+use crate::events::EventBus;
 use crate::health::{Admission, BreakerConfig, BreakerState, EndpointHealth};
-use crate::overload::{
-    self, DeadlineScope, KeyedAdmissionController, KeyedLoadShedPolicy, ANONYMOUS_TENANT,
-};
+use crate::overload;
 use crate::query::{properties_to_uddi_categories, ServiceQuery};
-use crate::telemetry::{self, CorrelationScope, Counter, Histogram};
+use crate::server::{HostedService, Hosting, Incoming, Served};
+use crate::telemetry::{self, Counter, Histogram};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use wsp_http::{
@@ -24,10 +23,7 @@ use wsp_http::{
 };
 use wsp_soap::Envelope;
 use wsp_uddi::{BindingTemplate, BusinessService, TModel, UddiClient};
-use wsp_wsdl::{
-    proxy, MessageEngine, Port, ServiceDescriptor, ServiceHandler, TransportKind, Value,
-    WsdlDocument,
-};
+use wsp_wsdl::{proxy, Port, TransportKind, Value, WsdlDocument};
 
 /// Wire header carrying the caller's correlation token; the serving
 /// peer adopts it so client- and server-side spans share one trace id.
@@ -48,9 +44,6 @@ pub struct HttpUddiConfig {
     /// behaviour — every request says `Connection: close` — which E7
     /// keeps as its ablation row.
     pub keep_alive: bool,
-    /// Admission-control limits for requests served by this host.
-    /// Default is unlimited, the historical behaviour.
-    pub load_shed: KeyedLoadShedPolicy,
     /// Transport tunables for the lightweight host (read deadlines,
     /// connection cap, drain deadline).
     pub server: ServerConfig,
@@ -63,7 +56,6 @@ impl Default for HttpUddiConfig {
             business: "wspeer".into(),
             httpg: None,
             keep_alive: true,
-            load_shed: KeyedLoadShedPolicy::unlimited(),
             server: ServerConfig::default(),
         }
     }
@@ -76,21 +68,20 @@ struct Shared {
     /// service name → UDDI service key (for unpublish).
     published: RwLock<HashMap<String, String>>,
     pool: ConnectionPool,
-    events: EventBus,
-    /// Gate on every POST the host serves: in-flight cap, queue-depth
-    /// cap (against the shared dispatcher's queue) and expired-deadline
-    /// shedding. A host is one tenant: everything is admitted against
-    /// the [`ANONYMOUS_TENANT`] slot.
-    admission: KeyedAdmissionController,
-    /// The peer's shared dispatch core, installed by `on_attach`; used
-    /// to fan WSDL retrieval out during discovery.
-    dispatcher: RwLock<Option<Arc<Dispatcher>>>,
+    /// The peer's hosting core, installed by `on_attach` (or adopted
+    /// from the first `open`): its dispatcher fans WSDL retrieval out
+    /// during discovery, its gauges go on `/metrics`.
+    hosting: RwLock<Option<Arc<Hosting>>>,
     /// Per-registry-endpoint circuit breakers: a dead or flapping
     /// registry stops being hammered while the breaker cools down.
     registry_health: EndpointHealth,
     publish_series: OpSeries,
     unpublish_series: OpSeries,
     locate_series: OpSeries,
+    /// Per-call series, resolved once like the [`OpSeries`] above.
+    locate_queries: Arc<Counter>,
+    locate_rtt_us: Arc<Histogram>,
+    roundtrip_us: Arc<Histogram>,
 }
 
 /// The telemetry series of one registry operation — `<op>` counts
@@ -135,14 +126,6 @@ impl Shared {
         }
         let server = host.as_ref().expect("just ensured");
         Ok(("127.0.0.1".to_owned(), server.port()))
-    }
-
-    fn scheme(&self) -> &'static str {
-        if self.config.httpg.is_some() {
-            "httpg"
-        } else {
-            "http"
-        }
     }
 
     fn transport(&self) -> TransportKind {
@@ -227,46 +210,35 @@ fn registry_call<T>(
 }
 
 /// The `/metrics` route: the process-wide telemetry registry rendered
-/// as plain text, followed by connection-pool and dispatcher gauges
-/// owned by this binding. Holds only a `Weak` so an undeployed binding
-/// can drop even while its host lingers.
+/// as plain text, followed by this binding's connection-pool and
+/// registry-breaker gauges and the peer's admission and dispatcher
+/// ones. Holds only a `Weak`: the router (inside the host, inside
+/// `Shared`) holds this handler, so a strong `Arc<Shared>` here would
+/// be a cycle.
 fn metrics_handler(shared: Weak<Shared>) -> wsp_http::HttpHandler {
     Arc::new(move |_request: &Request| {
         let mut extra = String::new();
         if let Some(shared) = shared.upgrade() {
             let pool = shared.pool.stats();
-            extra.push_str(&format!("http_pool_hits {}\n", pool.hits));
-            extra.push_str(&format!("http_pool_misses {}\n", pool.misses));
-            extra.push_str(&format!("http_pool_retired {}\n", pool.retired));
-            extra.push_str(&format!("http_pool_retries {}\n", pool.retries));
-            extra.push_str(&format!("http_pool_idle {}\n", shared.pool.idle_count()));
-            extra.push_str(&format!(
-                "admission_in_flight {}\n",
-                shared.admission.total_in_flight()
-            ));
-            extra.push_str(&format!(
-                "admission_draining {}\n",
-                shared.admission.is_draining() as u8
-            ));
             let open = shared
                 .registry_health
                 .snapshot(Instant::now())
                 .iter()
                 .filter(|(_, state)| *state != BreakerState::Closed)
                 .count();
-            extra.push_str(&format!("registry_breakers_open {open}\n"));
-            let dispatcher = shared.dispatcher.read().clone();
-            if let Some(dispatcher) = dispatcher {
-                let stats = dispatcher.stats();
-                extra.push_str(&format!("dispatch_submitted {}\n", stats.submitted));
-                extra.push_str(&format!("dispatch_completed {}\n", stats.completed));
-                extra.push_str(&format!("dispatch_failed {}\n", stats.failed));
-                extra.push_str(&format!("dispatch_cancelled {}\n", stats.cancelled));
-                extra.push_str(&format!("dispatch_shed {}\n", stats.shed));
-                extra.push_str(&format!("dispatch_queue_depth {}\n", stats.queue_depth));
-                extra.push_str(&format!("dispatch_in_flight {}\n", stats.in_flight));
-                extra.push_str(&format!("dispatch_pending_calls {}\n", stats.pending_calls));
-                extra.push_str(&format!("dispatch_workers {}\n", stats.workers));
+            // Infallible: writing to a `String`.
+            let _ = write!(
+                extra,
+                "http_pool_hits {}\nhttp_pool_misses {}\nhttp_pool_retired {}\n\
+                 http_pool_retries {}\nhttp_pool_idle {}\nregistry_breakers_open {open}\n",
+                pool.hits,
+                pool.misses,
+                pool.retired,
+                pool.retries,
+                shared.pool.idle_count(),
+            );
+            if let Some(hosting) = shared.hosting.read().as_ref() {
+                hosting.render_gauges(&mut extra);
             }
         }
         Response::ok(
@@ -284,21 +256,26 @@ pub struct HttpUddiBinding {
 }
 
 impl HttpUddiBinding {
-    pub fn new(uddi: UddiClient, events: EventBus, config: HttpUddiConfig) -> Self {
-        let admission = KeyedAdmissionController::new(config.load_shed.clone());
+    /// `_events` is unused: hosted-service events fire into the bus of
+    /// the `Peer` the binding is attached to, so a listener added at
+    /// the root hears them however the binding was built. The parameter
+    /// stays for the call sites that still pass a bus.
+    pub fn new(uddi: UddiClient, _events: EventBus, config: HttpUddiConfig) -> Self {
+        let registry = telemetry::global();
         HttpUddiBinding {
             shared: Arc::new(Shared {
                 uddi,
                 host: Mutex::new(None),
                 published: RwLock::new(HashMap::new()),
                 pool: ConnectionPool::new(),
-                events,
-                admission,
-                dispatcher: RwLock::new(None),
+                hosting: RwLock::new(None),
                 registry_health: EndpointHealth::new(BreakerConfig::default()),
                 publish_series: OpSeries::named("registry.publish"),
                 unpublish_series: OpSeries::named("registry.unpublish"),
                 locate_series: OpSeries::named("registry.locate"),
+                locate_queries: registry.counter("uddi.locate.queries"),
+                locate_rtt_us: registry.histogram("uddi.locate.rtt_us"),
+                roundtrip_us: registry.histogram("http.roundtrip_us"),
                 config,
             }),
         }
@@ -365,8 +342,8 @@ impl Binding for HttpUddiBinding {
         })
     }
 
-    fn on_attach(&self, dispatcher: &Arc<Dispatcher>) {
-        *self.shared.dispatcher.write() = Some(dispatcher.clone());
+    fn on_attach(&self, hosting: &Arc<Hosting>) {
+        *self.shared.hosting.write() = Some(hosting.clone());
     }
 }
 
@@ -377,197 +354,87 @@ struct HttpDeployer {
 }
 
 impl ServiceDeployer for HttpDeployer {
-    fn deploy(
-        &self,
-        descriptor: ServiceDescriptor,
-        handler: Arc<dyn ServiceHandler>,
-    ) -> Result<DeployedService, WspError> {
+    fn port(&self, service: &str) -> Result<Port, WspError> {
         let (host, port) = self.shared.ensure_host()?;
-        let scheme = self.shared.scheme();
-        let endpoint = format!("{scheme}://{host}:{port}/{}", descriptor.name);
-        let wsdl = WsdlDocument::new(
-            descriptor.clone(),
-            vec![Port {
-                name: format!("{}Port", descriptor.name),
-                transport: self.shared.transport(),
-                location: endpoint.clone(),
-            }],
-        );
-        let wsdl_xml = wsdl.to_xml();
-        let engine = MessageEngine::new(descriptor.clone(), handler);
-        let events = self.shared.events.clone();
-        let service_name = descriptor.name.clone();
-        // `Weak`: the router (inside the host, inside `Shared`) holds
-        // this handler, so a strong `Arc<Shared>` here would be a cycle.
-        let shared = Arc::downgrade(&self.shared);
+        let transport = self.shared.transport();
+        Ok(Port {
+            name: format!("{service}Port"),
+            location: format!("{}://{host}:{port}/{service}", transport.scheme()),
+            transport,
+        })
+    }
 
-        let http_handler: wsp_http::HttpHandler = Arc::new(move |request: &Request| {
-            match request.method {
-                wsp_http::Method::Get => {
-                    // `?wsdl` (and plain GET) serve the description.
-                    Response::ok("text/xml; charset=utf-8", wsdl_xml.clone())
-                }
+    fn open(&self, hosting: &Arc<Hosting>, service: &Arc<HostedService>) {
+        self.shared
+            .hosting
+            .write()
+            .get_or_insert_with(|| hosting.clone());
+        let (hosting, hosted) = (hosting.clone(), service.clone());
+        let route: wsp_http::HttpHandler =
+            Arc::new(move |request: &Request| match request.method {
+                // `?wsdl` (and plain GET) serve the description.
+                wsp_http::Method::Get => Response::ok("text/xml; charset=utf-8", hosted.wsdl_xml()),
                 wsp_http::Method::Post => {
-                    // Adopt the caller's correlation token (if any) for
-                    // every span and event fired while serving this
-                    // request — one id reconstructs the full round trip.
+                    // What the headers carry for the pipeline: the caller's
+                    // correlation token and what is left of its budget (a
+                    // duration on the wire, re-anchored here).
                     let correlation = request
                         .headers
                         .get(CORRELATION_HEADER)
                         .and_then(|v| v.trim().parse().ok())
                         .unwrap_or(0u64);
-                    let _scope = CorrelationScope::enter(correlation);
-                    let registry = telemetry::global();
-                    let serve_started = Instant::now();
-                    if registry.is_enabled() {
-                        registry.span(
-                            correlation,
-                            "server.request",
-                            format_args!("service={service_name}"),
-                        );
-                    }
-                    // Deadline propagation: the wire carries *remaining
-                    // budget* (clock-skew safe); re-anchor it locally.
                     let deadline = overload::deadline_from_headers(&request.headers);
-                    // Admission control: gate on in-flight count, the
-                    // shared dispatcher's queue depth and an
-                    // already-expired deadline. The permit spans the
-                    // whole serve (RAII).
-                    let _permit = match shared.upgrade() {
-                        Some(shared) => {
-                            let queue_depth = shared
-                                .dispatcher
-                                .read()
-                                .as_ref()
-                                .map(|d| d.stats().queue_depth)
-                                .unwrap_or(0);
-                            match shared.admission.try_admit_at(
-                                ANONYMOUS_TENANT,
-                                queue_depth,
-                                deadline,
-                            ) {
-                                Ok(permit) => Some(permit),
-                                Err(error) => {
-                                    if registry.is_enabled() {
-                                        registry.span(
-                                            correlation,
-                                            "server.shed",
-                                            format_args!("service={service_name} error={error}"),
-                                        );
-                                    }
-                                    return overload::shed_response(&error);
-                                }
-                            }
-                        }
-                        None => None, // binding gone; serve best-effort
-                    };
-                    // Anything the handler invokes downstream inherits
-                    // what is left of the caller's budget.
-                    let _deadline = DeadlineScope::enter(deadline);
-                    let envelope = match Envelope::from_xml(&request.body_str()) {
-                        Ok(envelope) => envelope,
-                        Err(e) => {
-                            if registry.is_enabled() {
-                                registry.span(
-                                    correlation,
-                                    "server.fault",
-                                    format_args!("service={service_name} error={e}"),
-                                );
-                            }
-                            let fault = Envelope::fault(e.to_fault());
-                            let mut r = Response::new(500, "Internal Server Error");
-                            r.headers
-                                .set("Content-Type", wsp_soap::constants::CONTENT_TYPE);
-                            r.body = fault.to_xml_bytes();
-                            return r;
-                        }
-                    };
-                    // The application sees the request before the engine
-                    // (Section III, point 2).
-                    events.fire_server_with(|| ServerMessageEvent {
-                        service: service_name.clone(),
-                        phase: ServerPhase::Inbound,
-                        envelope: envelope.clone(),
-                    });
-                    match engine.process(&envelope) {
-                        Some(response) => {
-                            events.fire_server_with(|| ServerMessageEvent {
-                                service: service_name.clone(),
-                                phase: ServerPhase::Outbound,
-                                envelope: response.clone(),
-                            });
-                            let status = if response.fault_body().is_some() {
-                                500
-                            } else {
-                                200
-                            };
-                            let mut r = Response::new(
-                                status,
-                                if status == 200 {
-                                    "OK"
-                                } else {
-                                    "Internal Server Error"
-                                },
-                            );
-                            r.headers
-                                .set("Content-Type", wsp_soap::constants::CONTENT_TYPE);
-                            r.body = response.to_xml_bytes();
-                            if registry.is_enabled() {
-                                registry
-                                    .histogram("server.serve_us")
-                                    .record_micros(serve_started.elapsed());
-                                registry.span(
-                                    correlation,
-                                    "server.response",
-                                    format_args!("service={service_name} status={status}"),
-                                );
-                            }
-                            r
-                        }
-                        None => {
-                            if registry.is_enabled() {
-                                registry
-                                    .histogram("server.serve_us")
-                                    .record_micros(serve_started.elapsed());
-                                registry.span(
-                                    correlation,
-                                    "server.response",
-                                    format_args!("service={service_name} status=202"),
-                                );
-                            }
-                            Response::new(202, "Accepted") // one-way
-                        }
+                    match hosting.admit(&hosted, correlation, deadline) {
+                        Ok(permit) => soap_response(hosting.serve(
+                            &hosted,
+                            Incoming::Xml(&request.body_str()),
+                            correlation,
+                            deadline,
+                            permit,
+                        )),
+                        Err(error) => overload::shed_response(&error),
                     }
                 }
                 _ => Response::bad_request("SOAP endpoints accept GET (?wsdl) and POST"),
-            }
-        });
-
-        let host_guard = self.shared.host.lock();
-        host_guard
+            });
+        let host = self.shared.host.lock();
+        // `port` launched it; nothing takes a host down again.
+        let host = host
             .as_ref()
-            .expect("host launched above")
-            .router()
-            .deploy(&descriptor.name, http_handler);
-        Ok(DeployedService {
-            descriptor,
-            endpoints: vec![endpoint],
-            wsdl,
-        })
+            .expect("a port was named before it was opened");
+        host.router().deploy(service.name(), route);
     }
 
-    fn undeploy(&self, service: &str) -> bool {
-        self.shared
-            .host
-            .lock()
-            .as_ref()
-            .map(|h| h.router().undeploy(service))
-            .unwrap_or(false)
+    fn close(&self, service: &str) {
+        if let Some(host) = self.shared.host.lock().as_ref() {
+            host.router().undeploy(service);
+        }
     }
 
     fn kind(&self) -> &'static str {
         "http"
     }
+}
+
+/// SOAP over HTTP's reply to a served request: 200 with the response,
+/// 500 with a fault, 202 and no body for a one-way operation.
+fn soap_response(served: Served) -> Response {
+    let status = served.status();
+    let mut response = Response::new(
+        status,
+        match status {
+            200 => "OK",
+            202 => "Accepted",
+            _ => "Internal Server Error",
+        },
+    );
+    if let Some(envelope) = served.into_envelope() {
+        response
+            .headers
+            .set("Content-Type", wsp_soap::constants::CONTENT_TYPE);
+        response.body = envelope.to_xml_bytes();
+    }
+    response
 }
 
 // --- publisher -------------------------------------------------------------
@@ -651,11 +518,8 @@ fn fetch_wsdl(shared: &Shared, access_point: &str) -> Option<LocatedService> {
 
 impl ServiceLocator for UddiLocator {
     fn locate(&self, query: &ServiceQuery) -> Result<Vec<LocatedService>, WspError> {
-        let registry = telemetry::global();
         let locate_started = Instant::now();
-        if registry.is_enabled() {
-            registry.counter("uddi.locate.queries").incr();
-        }
+        self.shared.locate_queries.incr();
         let records = registry_call(&self.shared, &self.shared.locate_series, || {
             self.shared.uddi.locate(&query.to_uddi())
         })
@@ -666,37 +530,31 @@ impl ServiceLocator for UddiLocator {
             .collect();
         // With a peer dispatcher attached, fetch the per-provider WSDLs
         // in parallel on the pool; collection preserves registry order.
-        let dispatcher = self.shared.dispatcher.read().clone();
-        if let Some(dispatcher) = dispatcher.filter(|_| targets.len() > 1) {
-            let handles: Vec<_> = targets
-                .into_iter()
-                .map(|access_point| {
-                    let shared = self.shared.clone();
-                    dispatcher.submit(move || fetch_wsdl(&shared, &access_point))
-                })
-                .collect();
-            let mut found = Vec::new();
-            // A submit rejected by a shut-down dispatcher just skips
-            // that provider.
-            for handle in handles.into_iter().flatten() {
-                found.extend(handle.wait());
+        let hosting = self.shared.hosting.read().clone();
+        let found = match hosting.filter(|_| targets.len() > 1) {
+            Some(hosting) => {
+                let handles: Vec<_> = targets
+                    .into_iter()
+                    .map(|access_point| {
+                        let shared = self.shared.clone();
+                        hosting
+                            .dispatcher()
+                            .submit(move || fetch_wsdl(&shared, &access_point))
+                    })
+                    .collect();
+                // A submit rejected by a shut-down dispatcher just skips
+                // that provider.
+                let answered = handles.into_iter().flatten();
+                answered.filter_map(|handle| handle.wait()).collect()
             }
-            if registry.is_enabled() {
-                registry
-                    .histogram("uddi.locate.rtt_us")
-                    .record_micros(locate_started.elapsed());
-            }
-            return Ok(found);
-        }
-        let found = targets
-            .iter()
-            .filter_map(|access_point| fetch_wsdl(&self.shared, access_point))
-            .collect();
-        if registry.is_enabled() {
-            registry
-                .histogram("uddi.locate.rtt_us")
-                .record_micros(locate_started.elapsed());
-        }
+            None => targets
+                .iter()
+                .filter_map(|access_point| fetch_wsdl(&self.shared, access_point))
+                .collect(),
+        };
+        self.shared
+            .locate_rtt_us
+            .record_micros(locate_started.elapsed());
         Ok(found)
     }
 
@@ -738,40 +596,24 @@ impl Invoker for HttpInvoker {
         }
         // Deadline propagation: ship the *remaining* budget and cap the
         // local read wait at it — a call never outlives its deadline.
-        let mut call_timeout = None;
-        if let Some(deadline) = overload::current_deadline() {
-            match overload::remaining_ms(deadline) {
-                Some(ms) => {
-                    request
-                        .headers
-                        .set(overload::DEADLINE_HEADER, ms.to_string());
-                    call_timeout = Some(Duration::from_millis(ms));
-                }
-                None => {
-                    // Budget already gone: fail locally rather than
-                    // burn the server's time on a doomed request.
-                    return Err(WspError::Timeout {
-                        what: "deadline expired before send",
-                        millis: 0,
-                    });
-                }
-            }
+        let budget_ms = overload::send_budget(overload::current_deadline())?;
+        if let Some(ms) = budget_ms {
+            request
+                .headers
+                .set(overload::DEADLINE_HEADER, ms.to_string());
         }
+        let call_timeout = budget_ms.map(Duration::from_millis);
         let registry = telemetry::global();
         let started = Instant::now();
-        if registry.is_enabled() {
-            registry.span(
-                correlation,
-                "http.request",
-                format_args!("endpoint={} operation={operation}", service.endpoint),
-            );
-        }
+        registry.span(
+            correlation,
+            "http.request",
+            format_args!("endpoint={} operation={operation}", service.endpoint),
+        );
         let response = match self.shared.call(&service.endpoint, request, call_timeout) {
             Ok(response) => {
                 if registry.is_enabled() {
-                    registry
-                        .histogram("http.roundtrip_us")
-                        .record_micros(started.elapsed());
+                    self.shared.roundtrip_us.record_micros(started.elapsed());
                     registry.span(
                         correlation,
                         "http.response",
@@ -781,9 +623,7 @@ impl Invoker for HttpInvoker {
                 response
             }
             Err(error) => {
-                if registry.is_enabled() {
-                    registry.span(correlation, "http.error", format_args!("error={error}"));
-                }
+                registry.span(correlation, "http.error", format_args!("error={error}"));
                 return Err(error);
             }
         };

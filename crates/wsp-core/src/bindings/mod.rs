@@ -26,18 +26,24 @@ mod tests {
         Arc::new(|_op: &str, args: &[Value]| Ok(args[0].clone()))
     }
 
+    const INBOUND_THEN_OUTBOUND: [ServerPhase; 2] = [ServerPhase::Inbound, ServerPhase::Outbound];
+
+    fn server_phases(listener: &CollectingListener) -> Vec<ServerPhase> {
+        let seen = listener.server_messages.read();
+        seen.iter().map(|e| e.phase).collect()
+    }
+
     /// Figure 3: deploy → publish → locate → invoke over HTTP/UDDI.
     #[test]
     fn figure3_http_uddi_lifecycle() {
         let registry = Registry::new();
-        let events = EventBus::new();
-        let listener = CollectingListener::new();
-        events.add_listener(listener.clone());
-
         let provider_binding =
-            HttpUddiBinding::with_local_registry(registry.clone(), events.clone());
-        let provider = Peer::new();
-        provider.attach(&provider_binding);
+            HttpUddiBinding::with_local_registry(registry.clone(), EventBus::new());
+        let provider = Peer::with_binding(&provider_binding);
+        // The application listens at the root of the tree, whatever bus
+        // the binding was built around.
+        let listener = CollectingListener::new();
+        provider.add_listener(listener.clone());
         // Container-less: no HTTP server until the first deploy.
         assert!(!provider_binding.host_running());
         provider
@@ -62,13 +68,7 @@ mod tests {
         assert_eq!(result, Value::string("over http"));
 
         // The provider saw the request either side of the engine.
-        let phases: Vec<ServerPhase> = listener
-            .server_messages
-            .read()
-            .iter()
-            .map(|e| e.phase)
-            .collect();
-        assert_eq!(phases, vec![ServerPhase::Inbound, ServerPhase::Outbound]);
+        assert_eq!(server_phases(&listener), INBOUND_THEN_OUTBOUND);
     }
 
     fn p2ps_pair() -> (Peer, P2psBinding, Peer, P2psBinding) {
@@ -96,6 +96,8 @@ mod tests {
     #[test]
     fn figure4_p2ps_lifecycle() {
         let (provider, _pb, consumer, _cb) = p2ps_pair();
+        let listener = CollectingListener::new();
+        provider.add_listener(listener.clone());
         provider
             .server()
             .deploy_and_publish(ServiceDescriptor::echo(), echo_handler())
@@ -113,6 +115,9 @@ mod tests {
             .invoke(&service, "echoString", &[Value::string("over pipes")])
             .unwrap();
         assert_eq!(result, Value::string("over pipes"));
+
+        // The provider saw the request either side of the engine.
+        assert_eq!(server_phases(&listener), INBOUND_THEN_OUTBOUND);
     }
 
     /// C6: binding composition — a peer invoking over P2PS while

@@ -15,10 +15,12 @@
 //! peer delivers reaches [`on_peer_event`] on the thread that stepped
 //! the peer's machine — in practice the peer's inbox thread:
 //!
-//! * **provider**: the inbox thread decodes the request and passes
-//!   admission control; the handler runs on the dispatcher (so
-//!   queue-depth shedding, deadlines and nested calls behave as on any
-//!   other binding) and the worker sends the reply itself;
+//! * **provider**: the inbox thread decodes the request and takes it
+//!   to the edge of the peer's hosting pipeline ([`Hosting::admit`]);
+//!   the rest ([`Hosting::serve`], handler included) runs on the
+//!   dispatcher (so queue-depth shedding, deadlines and nested calls
+//!   behave as on any other binding) and the worker sends the reply
+//!   itself;
 //! * **consumer**: the inbox thread correlates the response and
 //!   completes the caller's `CallHandle`.
 //!
@@ -32,11 +34,10 @@ use crate::components::{Binding, Invoker, ServiceDeployer, ServiceLocator, Servi
 use crate::dispatch::{Completer, Dispatcher};
 use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
-use crate::events::{EventBus, ServerMessageEvent, ServerPhase};
-use crate::overload::{
-    self, DeadlineScope, KeyedAdmissionController, KeyedLoadShedPolicy, ANONYMOUS_TENANT,
-};
+use crate::events::EventBus;
+use crate::overload;
 use crate::query::ServiceQuery;
+use crate::server::{HostedService, Hosting, Incoming};
 use crate::telemetry;
 use crossbeam_channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -47,11 +48,8 @@ use wsp_p2ps::{
     decode_request, encode_response, P2psUri, PipeAdvertisement, ReceivedRequest, RpcCorrelator,
     ServiceAdvertisement, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE, P2PS_NS,
 };
-use wsp_soap::{Envelope, HeaderBlock};
-use wsp_wsdl::{
-    proxy, MessageEngine, Port, ServiceDescriptor, ServiceHandler, TransportKind, Value,
-    WsdlDocument,
-};
+use wsp_soap::{Envelope, Fault, HeaderBlock};
+use wsp_wsdl::{proxy, Port, ServiceDescriptor, TransportKind, Value, WsdlDocument};
 
 /// Timing knobs of the P2PS binding.
 #[derive(Debug, Clone)]
@@ -62,9 +60,6 @@ pub struct P2psConfig {
     pub discovery_window: Duration,
     /// How long to wait for a response on a return pipe.
     pub request_timeout: Duration,
-    /// Admission-control limits for requests this peer hosts over
-    /// pipes. Default is unlimited, the historical behaviour.
-    pub load_shed: KeyedLoadShedPolicy,
 }
 
 impl Default for P2psConfig {
@@ -72,7 +67,6 @@ impl Default for P2psConfig {
         P2psConfig {
             discovery_window: Duration::from_millis(300),
             request_timeout: Duration::from_secs(5),
-            load_shed: KeyedLoadShedPolicy::unlimited(),
         }
     }
 }
@@ -80,12 +74,6 @@ impl Default for P2psConfig {
 struct Shared {
     peer: ThreadPeer,
     config: P2psConfig,
-    events: EventBus,
-    /// Gate on every hosted-service request arriving over a pipe (one
-    /// tenant: the [`ANONYMOUS_TENANT`] slot).
-    admission: KeyedAdmissionController,
-    engines: RwLock<HashMap<String, Arc<MessageEngine>>>,
-    wsdls: RwLock<HashMap<String, String>>,
     published: RwLock<HashMap<String, ServiceAdvertisement>>,
     correlator: Mutex<RpcCorrelator>,
     /// Outstanding pipe requests, completed from the peer's delivery
@@ -94,29 +82,38 @@ struct Shared {
     /// client calls.
     pending_requests: Mutex<HashMap<u64, Completer<Envelope>>>,
     pending_queries: Mutex<HashMap<u64, Sender<Vec<ServiceAdvertisement>>>>,
-    /// The peer's shared dispatch core, installed by `on_attach`; a
-    /// standalone binding lazily creates a default one.
-    dispatcher: RwLock<Option<Arc<Dispatcher>>>,
-    /// Cached telemetry handles for the per-request path (the lookup
-    /// by name takes the registry lock and allocates the key).
+    /// The peer's hosting core — where pipe requests for hosted
+    /// services are looked up and served, and whose dispatcher all
+    /// binding work runs on — installed by `on_attach`; a standalone
+    /// binding lazily creates a default one.
+    hosting: RwLock<Option<Arc<Hosting>>>,
+    /// Cached telemetry handles for the per-call paths (the lookup by
+    /// name takes the registry lock and allocates the key).
     roundtrip_us: Arc<telemetry::Histogram>,
     unknown_pipe: Arc<telemetry::Counter>,
+    discovery_queries: Arc<telemetry::Counter>,
+    discovery_hits: Arc<telemetry::Counter>,
+    discovery_rtt_us: Arc<telemetry::Histogram>,
 }
 
 impl Shared {
-    /// The dispatcher all binding work runs on: whatever `on_attach`
-    /// installed, else a lazily-created default for standalone use.
-    fn dispatcher_handle(&self) -> Arc<Dispatcher> {
-        if let Some(dispatcher) = self.dispatcher.read().clone() {
-            return dispatcher;
+    /// Whatever `on_attach` installed, else a lazily-created default
+    /// for standalone use.
+    fn hosting(&self) -> Arc<Hosting> {
+        if let Some(hosting) = self.hosting.read().clone() {
+            return hosting;
         }
-        let mut slot = self.dispatcher.write();
-        if let Some(dispatcher) = slot.clone() {
-            return dispatcher;
+        self.hosting
+            .write()
+            .get_or_insert_with(|| Hosting::new(EventBus::new(), Dispatcher::with_defaults()))
+            .clone()
+    }
+
+    /// Send `response` down the return pipe `received` named, if any.
+    fn reply(&self, received: &ReceivedRequest, response: Envelope) {
+        if let Some((reply_pipe, wire)) = encode_response(received, response) {
+            self.peer.send_pipe(reply_pipe, wire);
         }
-        let dispatcher = Dispatcher::with_defaults();
-        *slot = Some(dispatcher.clone());
-        dispatcher
     }
 }
 
@@ -131,8 +128,11 @@ pub struct P2psBinding {
 }
 
 impl P2psBinding {
-    pub fn new(peer: ThreadPeer, events: EventBus, config: P2psConfig) -> Self {
-        let admission = KeyedAdmissionController::new(config.load_shed.clone());
+    /// `_events` is unused: hosted-service events fire into the bus of
+    /// the `Peer` the binding is attached to (see
+    /// [`crate::bindings::HttpUddiBinding::new`]).
+    pub fn new(peer: ThreadPeer, _events: EventBus, config: P2psConfig) -> Self {
+        let registry = telemetry::global();
         let shared = Arc::new_cyclic(|weak: &Weak<Shared>| {
             let binding = weak.clone();
             let installed = peer.set_sink(Box::new(move |event| {
@@ -144,17 +144,16 @@ impl P2psBinding {
             Shared {
                 peer,
                 config,
-                events,
-                admission,
-                engines: RwLock::new(HashMap::new()),
-                wsdls: RwLock::new(HashMap::new()),
                 published: RwLock::new(HashMap::new()),
                 correlator: Mutex::new(RpcCorrelator::new()),
                 pending_requests: Mutex::new(HashMap::new()),
                 pending_queries: Mutex::new(HashMap::new()),
-                dispatcher: RwLock::new(None),
-                roundtrip_us: telemetry::global().histogram("p2ps.roundtrip_us"),
-                unknown_pipe: telemetry::global().counter("p2ps.unknown_pipe"),
+                hosting: RwLock::new(None),
+                roundtrip_us: registry.histogram("p2ps.roundtrip_us"),
+                unknown_pipe: registry.counter("p2ps.unknown_pipe"),
+                discovery_queries: registry.counter("p2ps.discovery.queries"),
+                discovery_hits: registry.counter("p2ps.discovery.hits"),
+                discovery_rtt_us: registry.histogram("p2ps.discovery.rtt_us"),
             }
         });
         P2psBinding { shared }
@@ -212,10 +211,10 @@ impl Binding for P2psBinding {
         })
     }
 
-    fn on_attach(&self, dispatcher: &Arc<Dispatcher>) {
-        // Adopt the peer's shared dispatcher (replacing any lazily
-        // created default).
-        *self.shared.dispatcher.write() = Some(dispatcher.clone());
+    fn on_attach(&self, hosting: &Arc<Hosting>) {
+        // Adopt the peer's hosting core (replacing any lazily created
+        // default).
+        *self.shared.hosting.write() = Some(hosting.clone());
     }
 }
 
@@ -258,91 +257,59 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
     }
 }
 
-/// Admission-control gate for one hosted-service request: admitted work
-/// runs on the pool under its propagated deadline (expired deadlines
-/// are shed again at dequeue); a shed answers immediately with the
-/// `wsp:overloaded` busy fault and its retry hint.
+/// Server side of Figure 6, in the binding's two steps: the edge of
+/// the hosting pipeline here, on the inbox thread — a shed answers
+/// immediately with the `wsp:overloaded` busy fault and its retry hint —
+/// and the serve on the pool, under the propagated deadline (expired
+/// deadlines are shed again at dequeue), the worker sending the reply.
 fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, received: ReceivedRequest) {
-    let dispatcher = shared.dispatcher_handle();
+    let hosting = shared.hosting();
+    let name = pipe.service.as_deref().expect("checked by caller");
+    let definition = pipe.name == DEFINITION_PIPE;
+    let Some(service) = hosting.service(name) else {
+        if !definition {
+            let fault = format!("service {name:?} is not deployed on this peer");
+            shared.reply(&received, Envelope::fault(Fault::receiver(fault)));
+        }
+        return;
+    };
     let deadline = overload::deadline_from_envelope(&received.envelope);
-    // Definition-pipe reads are exempt: they are cheap metadata, and an
-    // overloaded provider must stay discoverable so consumers back off
-    // against it rather than treating it as departed.
-    let permit = if pipe.name == DEFINITION_PIPE {
-        None
-    } else {
-        match shared.admission.try_admit_at(
-            ANONYMOUS_TENANT,
-            dispatcher.stats().queue_depth,
-            deadline,
-        ) {
-            Ok(permit) => Some(permit),
-            Err(error) => {
-                let reason =
-                    overload::busy_fault_reason(error.retry_after_hint().unwrap_or_default());
-                let busy = Envelope::fault(wsp_soap::Fault::receiver(reason));
-                if let Some((reply_pipe, wire)) = encode_response(&received, busy) {
-                    shared.peer.send_pipe(reply_pipe, wire);
-                }
-                return;
-            }
+    let job_shared = shared.clone();
+    if definition {
+        // Definition-pipe reads are exempt from the gate: they are cheap
+        // metadata, and an overloaded provider must stay discoverable so
+        // consumers back off against it rather than treating it as
+        // departed. (Submits here are never refused: the handle held
+        // keeps the dispatcher running.)
+        let _ = hosting
+            .dispatcher()
+            .execute_with_deadline(deadline, move || {
+                let wsdl = Envelope::request(service.wsdl_element().clone());
+                job_shared.reply(&received, wsdl);
+            });
+        return;
+    }
+    // Pipes carry no correlation token (yet): the serve is traced
+    // under id 0, as an HTTP request without the header is.
+    let correlation = 0;
+    let permit = match hosting.admit(&service, correlation, deadline) {
+        Ok(permit) => permit,
+        Err(error) => {
+            let hint = error.retry_after_hint().unwrap_or_default();
+            let busy = Fault::receiver(overload::busy_fault_reason(hint));
+            return shared.reply(&received, Envelope::fault(busy));
         }
     };
-    // Shared with the job only so the request survives a refused
-    // submit: a dispatcher that is gone (shut down) serves inline.
-    let request = Arc::new((pipe, received));
-    let (job_shared, job_request) = (shared.clone(), request.clone());
-    let submitted = dispatcher.execute_with_deadline(deadline, move || {
-        let _permit = permit;
-        serve_request(&job_shared, &job_request.0, &job_request.1);
-    });
-    if submitted.is_err() {
-        let _deadline = DeadlineScope::enter(deadline);
-        serve_request(shared, &request.0, &request.1);
-    }
-}
-
-/// Server side of Figure 6: answer a request that arrived on one of our
-/// service pipes.
-fn serve_request(shared: &Shared, pipe: &PipeAdvertisement, received: &ReceivedRequest) {
-    let service = pipe.service.as_deref().expect("checked by caller");
-
-    let response = if pipe.name == DEFINITION_PIPE {
-        // Serve the WSDL from the definition pipe.
-        shared.wsdls.read().get(service).map(|xml| {
-            let body = wsp_xml::parse(xml).expect("stored WSDL is well-formed");
-            Envelope::request(body)
-        })
-    } else {
-        let engine = shared.engines.read().get(service).cloned();
-        match engine {
-            Some(engine) => {
-                shared.events.fire_server_with(|| ServerMessageEvent {
-                    service: service.to_owned(),
-                    phase: ServerPhase::Inbound,
-                    envelope: received.envelope.clone(),
-                });
-                let response = engine.process(&received.envelope);
-                if let Some(response) = &response {
-                    shared.events.fire_server_with(|| ServerMessageEvent {
-                        service: service.to_owned(),
-                        phase: ServerPhase::Outbound,
-                        envelope: response.clone(),
-                    });
-                }
-                response
+    let job_hosting = hosting.clone();
+    let _ = hosting
+        .dispatcher()
+        .execute_with_deadline(deadline, move || {
+            let request = Incoming::Envelope(&received.envelope);
+            let served = job_hosting.serve(&service, request, correlation, deadline, permit);
+            if let Some(response) = served.into_envelope() {
+                job_shared.reply(&received, response);
             }
-            None => Some(Envelope::fault(wsp_soap::Fault::receiver(format!(
-                "service {service:?} is not deployed on this peer"
-            )))),
-        }
-    };
-
-    if let Some(response) = response {
-        if let Some((reply_pipe, wire)) = encode_response(received, response) {
-            shared.peer.send_pipe(reply_pipe, wire);
-        }
-    }
+        });
 }
 
 // --- pipe request/response (Figure 5) ---------------------------------------
@@ -352,44 +319,33 @@ fn request_over_pipe(
     target: PipeAdvertisement,
     mut envelope: Envelope,
 ) -> Result<Envelope, WspError> {
-    let dispatcher = shared.dispatcher_handle();
+    let hosting = shared.hosting();
+    let dispatcher = hosting.dispatcher();
     let token = dispatcher.next_token();
     // Deadline propagation: ship the remaining budget as a SOAP header
     // and cap the response wait at it.
     let mut request_timeout = shared.config.request_timeout;
-    if let Some(deadline) = overload::current_deadline() {
-        match overload::remaining_ms(deadline) {
-            Some(ms) => {
-                envelope.add_header(HeaderBlock::new(
-                    wsp_xml::Element::build("", overload::DEADLINE_SOAP_HEADER)
-                        .text(ms.to_string())
-                        .finish(),
-                ));
-                request_timeout = request_timeout.min(Duration::from_millis(ms));
-            }
-            None => {
-                return Err(WspError::Timeout {
-                    what: "deadline expired before send",
-                    millis: 0,
-                });
-            }
-        }
+    if let Some(ms) = overload::send_budget(overload::current_deadline())? {
+        envelope.add_header(HeaderBlock::new(
+            wsp_xml::Element::build("", overload::DEADLINE_SOAP_HEADER)
+                .text(ms.to_string())
+                .finish(),
+        ));
+        request_timeout = request_timeout.min(Duration::from_millis(ms));
     }
     let registry = telemetry::global();
     let started = Instant::now();
-    if registry.is_enabled() {
-        // Spans land under the *caller's* correlation (the invoking
-        // job), with the pipe's own correlator token in the detail.
-        registry.span(
-            telemetry::current_correlation(),
-            "p2ps.request",
-            format_args!(
-                "pipe={}#{} rpc_token={token}",
-                target.service.as_deref().unwrap_or(""),
-                target.name
-            ),
-        );
-    }
+    // Spans land under the *caller's* correlation (the invoking job),
+    // with the pipe's own correlator token in the detail.
+    registry.span(
+        telemetry::current_correlation(),
+        "p2ps.request",
+        format_args!(
+            "pipe={}#{} rpc_token={token}",
+            target.service.as_deref().unwrap_or(""),
+            target.name
+        ),
+    );
     // Step 1-2: create a return pipe and its advertisement.
     let return_pipe = shared.peer.open_pipe(None);
     // Register the call in the correlation table; the delivery sink
@@ -427,13 +383,11 @@ fn request_over_pipe(
             // the endpoint as unhealthy.
             if let Some(fault) = envelope.fault_body() {
                 if let Some(hint) = overload::parse_busy_fault(&fault.reason) {
-                    if registry.is_enabled() {
-                        registry.span(
-                            telemetry::current_correlation(),
-                            "p2ps.shed",
-                            format_args!("rpc_token={token}"),
-                        );
-                    }
+                    registry.span(
+                        telemetry::current_correlation(),
+                        "p2ps.shed",
+                        format_args!("rpc_token={token}"),
+                    );
                     return Err(WspError::Overloaded {
                         retry_after_ms: hint,
                     });
@@ -443,13 +397,11 @@ fn request_over_pipe(
         }
         Err(handle) => {
             handle.cancel();
-            if registry.is_enabled() {
-                registry.span(
-                    telemetry::current_correlation(),
-                    "p2ps.timeout",
-                    format_args!("rpc_token={token}"),
-                );
-            }
+            registry.span(
+                telemetry::current_correlation(),
+                "p2ps.timeout",
+                format_args!("rpc_token={token}"),
+            );
             Err(WspError::Timeout {
                 what: "pipe request",
                 millis: request_timeout.as_millis() as u64,
@@ -477,43 +429,29 @@ fn advert_for(descriptor: &ServiceDescriptor, peer: wsp_p2ps::PeerId) -> Service
 }
 
 impl ServiceDeployer for P2psDeployer {
-    fn deploy(
-        &self,
-        descriptor: ServiceDescriptor,
-        handler: Arc<dyn ServiceHandler>,
-    ) -> Result<DeployedService, WspError> {
-        let advert = advert_for(&descriptor, self.shared.peer.id());
-        let endpoint = advert.uri().address();
-        let wsdl = WsdlDocument::new(
-            descriptor.clone(),
-            vec![Port {
-                name: format!("{}P2psPort", descriptor.name),
-                transport: TransportKind::P2ps,
-                location: endpoint.clone(),
-            }],
-        );
-        self.shared.engines.write().insert(
-            descriptor.name.clone(),
-            Arc::new(MessageEngine::new(descriptor.clone(), handler)),
-        );
-        self.shared
-            .wsdls
-            .write()
-            .insert(descriptor.name.clone(), wsdl.to_xml());
-        // Open the pipes locally; announcement is publish's job.
-        self.shared.peer.register(advert);
-        Ok(DeployedService {
-            descriptor,
-            endpoints: vec![endpoint],
-            wsdl,
+    fn port(&self, service: &str) -> Result<Port, WspError> {
+        let advert = ServiceAdvertisement::new(service, self.shared.peer.id());
+        Ok(Port {
+            name: format!("{service}P2psPort"),
+            transport: TransportKind::P2ps,
+            location: advert.uri().address(),
         })
     }
 
-    fn undeploy(&self, service: &str) -> bool {
-        let existed = self.shared.engines.write().remove(service).is_some();
-        self.shared.wsdls.write().remove(service);
+    fn open(&self, hosting: &Arc<Hosting>, service: &Arc<HostedService>) {
+        self.shared
+            .hosting
+            .write()
+            .get_or_insert_with(|| hosting.clone());
+        // Open the pipes locally; announcement is publish's job. What
+        // arrives on them finds `service` in the hosting core's table.
+        let descriptor = &service.deployed().descriptor;
+        let advert = advert_for(descriptor, self.shared.peer.id());
+        self.shared.peer.register(advert);
+    }
+
+    fn close(&self, service: &str) {
         self.shared.peer.unpublish(service);
-        existed
     }
 
     fn kind(&self) -> &'static str {
@@ -529,13 +467,14 @@ struct P2psPublisher {
 
 impl ServicePublisher for P2psPublisher {
     fn publish(&self, service: &DeployedService) -> Result<String, WspError> {
-        if !self.shared.engines.read().contains_key(service.name()) {
+        let advert = advert_for(&service.descriptor, self.shared.peer.id());
+        let definition_pipe = advert.definition_pipe().expect("advert_for adds it");
+        if !self.shared.peer.has_pipe(definition_pipe) {
             return Err(WspError::Publish(format!(
                 "{} is not deployed on this peer",
                 service.name()
             )));
         }
-        let advert = advert_for(&service.descriptor, self.shared.peer.id());
         let location = advert.uri().address();
         self.shared
             .published
@@ -566,17 +505,14 @@ struct P2psLocator {
 
 impl ServiceLocator for P2psLocator {
     fn locate(&self, query: &ServiceQuery) -> Result<Vec<LocatedService>, WspError> {
-        let token = self.shared.dispatcher_handle().next_token();
-        let registry = telemetry::global();
+        let token = self.shared.hosting().dispatcher().next_token();
         let discovery_started = Instant::now();
-        if registry.is_enabled() {
-            registry.counter("p2ps.discovery.queries").incr();
-            registry.span(
-                telemetry::current_correlation(),
-                "p2ps.discovery",
-                format_args!("query_token={token}"),
-            );
-        }
+        self.shared.discovery_queries.incr();
+        telemetry::global().span(
+            telemetry::current_correlation(),
+            "p2ps.discovery",
+            format_args!("query_token={token}"),
+        );
         let (tx, rx) = unbounded();
         self.shared.pending_queries.lock().insert(token, tx);
         self.shared.peer.query(token, query.to_p2ps());
@@ -630,16 +566,12 @@ impl ServiceLocator for P2psLocator {
                 BindingKind::P2ps,
             ));
         }
-        if registry.is_enabled() {
-            // Full discovery round trip: flood window plus the WSDL
-            // retrievals over definition pipes.
-            registry
-                .histogram("p2ps.discovery.rtt_us")
-                .record_micros(discovery_started.elapsed());
-            registry
-                .counter("p2ps.discovery.hits")
-                .add(found.len() as u64);
-        }
+        // Full discovery round trip: flood window plus the WSDL
+        // retrievals over definition pipes.
+        self.shared
+            .discovery_rtt_us
+            .record_micros(discovery_started.elapsed());
+        self.shared.discovery_hits.add(found.len() as u64);
         Ok(found)
     }
 

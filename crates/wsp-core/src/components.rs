@@ -9,8 +9,9 @@
 use crate::endpoint::{DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::query::ServiceQuery;
+use crate::server::{HostedService, Hosting};
 use std::sync::Arc;
-use wsp_wsdl::{ServiceDescriptor, ServiceHandler, Value};
+use wsp_wsdl::{Port, Value};
 
 /// Client-side discovery component.
 pub trait ServiceLocator: Send + Sync {
@@ -39,18 +40,25 @@ pub trait Invoker: Send + Sync {
     fn kind(&self) -> &'static str;
 }
 
-/// Server-side deployment component: "taking a code source, generating
-/// a service interface description from it, and creating an
-/// addressable endpoint".
+/// Server-side deployment component: "creating an addressable
+/// endpoint". Taking the code source and generating its description is
+/// the [`crate::Server`]'s half, the same on every substrate; a deployer
+/// is what differs — where the service can be reached, and how a request
+/// on that wire becomes [`Hosting::admit`] + [`Hosting::serve`] and the
+/// outcome a reply.
 pub trait ServiceDeployer: Send + Sync {
-    fn deploy(
-        &self,
-        descriptor: ServiceDescriptor,
-        handler: Arc<dyn ServiceHandler>,
-    ) -> Result<DeployedService, WspError>;
+    /// Name the WSDL port `service` gets on this substrate, bringing up
+    /// whatever its address depends on (the HTTP host launches here, on
+    /// the first deploy).
+    fn port(&self, service: &str) -> Result<Port, WspError>;
 
-    /// Remove a deployed service. True if it was deployed.
-    fn undeploy(&self, service: &str) -> bool;
+    /// Start carrying requests for `service` at the port named for it.
+    /// Opening a name again re-points the endpoint at the new
+    /// deployment.
+    fn open(&self, hosting: &Arc<Hosting>, service: &Arc<HostedService>);
+
+    /// Stop carrying requests for `service`.
+    fn close(&self, service: &str);
 
     fn kind(&self) -> &'static str;
 }
@@ -80,8 +88,9 @@ pub trait Binding: Send + Sync {
     fn publisher(&self) -> Arc<dyn ServicePublisher>;
 
     /// Called when the binding is plugged into a `Peer`, handing it the
-    /// peer's shared [`crate::dispatch::Dispatcher`]. Bindings that run
-    /// background work (request serving, event pumps) submit it there
-    /// instead of spawning threads of their own. Default: no-op.
-    fn on_attach(&self, _dispatcher: &Arc<crate::dispatch::Dispatcher>) {}
+    /// peer's [`Hosting`] core — and through it the shared
+    /// [`crate::dispatch::Dispatcher`]: bindings that run background
+    /// work (discovery fan-out, request serving) submit it there instead
+    /// of spawning threads of their own. Default: no-op.
+    fn on_attach(&self, _hosting: &Arc<Hosting>) {}
 }

@@ -856,6 +856,13 @@ impl Dispatcher {
         self.inner.calls.lock().table_tokens()
     }
 
+    /// Jobs queued and not yet picked up — [`DispatcherStats::queue_depth`]
+    /// alone, for per-request callers (admission) that must not pay for
+    /// the whole snapshot.
+    pub fn queue_depth(&self) -> usize {
+        self.inner.jobs_rx.len()
+    }
+
     /// Counter snapshot.
     pub fn stats(&self) -> DispatcherStats {
         let pending_calls = self.pending_tokens().len();

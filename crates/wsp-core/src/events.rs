@@ -13,16 +13,14 @@
 //! listener may call [`EventBus::add_listener`] (or fire further
 //! events) from inside its callback without deadlocking the bus. Each
 //! listener is panic-isolated — one throwing listener neither kills
-//! the delivering thread nor starves the listeners after it. Buses
-//! default to [`DeliveryMode::Immediate`] (callbacks run on the firing
-//! thread, as the paper's Java listeners do); switching to
-//! [`DeliveryMode::Queued`] defers callbacks until [`EventBus::flush`],
-//! which tests use as a deterministic barrier.
+//! the delivering thread nor starves the listeners after it. Callbacks
+//! run on the firing thread, before `fire_*` returns (as the paper's
+//! Java listeners do); [`crate::Dispatcher::flush`] is the barrier for
+//! events fired from pool workers.
 
 use crate::endpoint::LocatedService;
 use crate::error::WspError;
-use parking_lot::{Mutex, RwLock};
-use std::collections::VecDeque;
+use parking_lot::RwLock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -169,53 +167,10 @@ pub trait PeerMessageListener: Send + Sync {
     fn on_lifecycle(&self, event: &LifecycleMessageEvent) {}
 }
 
-/// When listener callbacks run relative to the `fire_*` call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// Callbacks run on the firing thread, before `fire_*` returns.
-    #[default]
-    Immediate,
-    /// Events accumulate until [`EventBus::flush`] delivers them on
-    /// the flushing thread, in fire order.
-    Queued,
-}
-
-/// One deferred event, any kind.
-enum QueuedEvent {
-    Discovery(DiscoveryMessageEvent),
-    Publish(PublishMessageEvent),
-    Client(ClientMessageEvent),
-    Server(ServerMessageEvent),
-    Deployment(DeploymentMessageEvent),
-    Resilience(ResilienceMessageEvent),
-    Lifecycle(LifecycleMessageEvent),
-}
-
 #[derive(Default)]
 struct BusInner {
     listeners: RwLock<Vec<Arc<dyn PeerMessageListener>>>,
-    mode: RwLock<DeliveryMode>,
-    queue: Mutex<VecDeque<QueuedEvent>>,
     listener_panics: AtomicUsize,
-    /// Threads currently inside [`EventBus::flush`]. A re-entrant flush
-    /// (a listener flushing from inside a queued delivery) must be a
-    /// no-op: the outer flush already drains the queue, and letting the
-    /// inner one run would deliver later events to other listeners
-    /// before they have seen the current one.
-    flushing: Mutex<Vec<std::thread::ThreadId>>,
-}
-
-/// Removes the current thread from the bus's flushing set on drop, so
-/// the marker cannot leak even if delivery unwinds.
-struct FlushGuard<'bus> {
-    inner: &'bus BusInner,
-    me: std::thread::ThreadId,
-}
-
-impl Drop for FlushGuard<'_> {
-    fn drop(&mut self) {
-        self.inner.flushing.lock().retain(|id| *id != self.me);
-    }
 }
 
 /// The event fan-out shared by every node in the interface tree.
@@ -241,116 +196,60 @@ impl EventBus {
         self.inner.listeners.read().len()
     }
 
-    /// Choose when callbacks run; takes effect for events fired after
-    /// the call.
-    pub fn set_delivery_mode(&self, mode: DeliveryMode) {
-        *self.inner.mode.write() = mode;
-    }
-
-    pub fn delivery_mode(&self) -> DeliveryMode {
-        *self.inner.mode.read()
-    }
-
     /// How many listener callbacks have panicked (and been isolated)
     /// over the bus's lifetime.
     pub fn listener_panics(&self) -> usize {
         self.inner.listener_panics.load(Ordering::SeqCst)
     }
 
-    /// Deliver every queued event (in fire order) on the calling
-    /// thread. Events fired *by listeners* during the flush are
-    /// delivered too, before `flush` returns. A listener calling
-    /// `flush` from inside a delivery is safe: the re-entrant call
-    /// returns immediately and the outer flush drains the queue, so
-    /// every event is delivered exactly once and in fire order. No-op
-    /// in [`DeliveryMode::Immediate`].
-    pub fn flush(&self) {
-        let me = std::thread::current().id();
-        {
-            let mut flushing = self.inner.flushing.lock();
-            if flushing.contains(&me) {
-                return;
-            }
-            flushing.push(me);
-        }
-        let _guard = FlushGuard {
-            inner: &self.inner,
-            me,
-        };
-        loop {
-            let Some(event) = self.inner.queue.lock().pop_front() else {
-                return;
-            };
-            self.deliver(&event);
-        }
-    }
-
-    /// Snapshot the listener set, then invoke each listener outside
-    /// any bus lock, isolating panics. The snapshot is what makes
-    /// re-entrant listeners (firing events or adding listeners from a
-    /// callback) safe.
-    fn deliver(&self, event: &QueuedEvent) {
+    /// Snapshot the listener set, then hand each listener to `call`
+    /// outside any bus lock, isolating panics. The snapshot is what
+    /// makes re-entrant listeners (firing events or adding listeners
+    /// from a callback) safe.
+    fn deliver(&self, call: impl Fn(&dyn PeerMessageListener)) {
         let snapshot: Vec<Arc<dyn PeerMessageListener>> = self.inner.listeners.read().clone();
         for listener in snapshot {
-            let delivery = catch_unwind(AssertUnwindSafe(|| match event {
-                QueuedEvent::Discovery(e) => listener.on_discovery(e),
-                QueuedEvent::Publish(e) => listener.on_publish(e),
-                QueuedEvent::Client(e) => listener.on_client_message(e),
-                QueuedEvent::Server(e) => listener.on_server_message(e),
-                QueuedEvent::Deployment(e) => listener.on_deployment(e),
-                QueuedEvent::Resilience(e) => listener.on_resilience(e),
-                QueuedEvent::Lifecycle(e) => listener.on_lifecycle(e),
-            }));
-            if delivery.is_err() {
+            if catch_unwind(AssertUnwindSafe(|| call(&*listener))).is_err() {
                 self.inner.listener_panics.fetch_add(1, Ordering::SeqCst);
             }
         }
     }
 
-    fn fire(&self, event: QueuedEvent) {
-        match self.delivery_mode() {
-            DeliveryMode::Immediate => self.deliver(&event),
-            DeliveryMode::Queued => self.inner.queue.lock().push_back(event),
-        }
-    }
-
     pub fn fire_discovery(&self, event: &DiscoveryMessageEvent) {
-        self.fire(QueuedEvent::Discovery(event.clone()));
+        self.deliver(|l| l.on_discovery(event));
     }
 
     pub fn fire_publish(&self, event: &PublishMessageEvent) {
-        self.fire(QueuedEvent::Publish(event.clone()));
+        self.deliver(|l| l.on_publish(event));
     }
 
     pub fn fire_client(&self, event: &ClientMessageEvent) {
-        self.fire(QueuedEvent::Client(event.clone()));
+        self.deliver(|l| l.on_client_message(event));
     }
 
     pub fn fire_server(&self, event: &ServerMessageEvent) {
-        self.fire_server_with(|| event.clone());
+        self.deliver(|l| l.on_server_message(event));
     }
 
     /// [`EventBus::fire_server`] for the request path, where building
     /// the event means deep-cloning an envelope: `event` is only called
-    /// if someone can see the result — a listener is registered, or
-    /// the bus is [`DeliveryMode::Queued`] and one may be by `flush`.
+    /// if a listener is registered to see the result.
     pub fn fire_server_with(&self, event: impl FnOnce() -> ServerMessageEvent) {
-        if self.delivery_mode() == DeliveryMode::Immediate && self.listener_count() == 0 {
-            return;
+        if self.listener_count() > 0 {
+            self.fire_server(&event());
         }
-        self.fire(QueuedEvent::Server(event()));
     }
 
     pub fn fire_deployment(&self, event: &DeploymentMessageEvent) {
-        self.fire(QueuedEvent::Deployment(event.clone()));
+        self.deliver(|l| l.on_deployment(event));
     }
 
     pub fn fire_resilience(&self, event: &ResilienceMessageEvent) {
-        self.fire(QueuedEvent::Resilience(event.clone()));
+        self.deliver(|l| l.on_resilience(event));
     }
 
     pub fn fire_lifecycle(&self, event: &LifecycleMessageEvent) {
-        self.fire(QueuedEvent::Lifecycle(event.clone()));
+        self.deliver(|l| l.on_lifecycle(event));
     }
 }
 
@@ -632,27 +531,6 @@ mod tests {
         assert_eq!(bus.listener_panics(), 2);
     }
 
-    #[test]
-    fn queued_mode_defers_until_flush() {
-        let bus = EventBus::new();
-        let listener = CollectingListener::new();
-        bus.add_listener(listener.clone());
-        bus.set_delivery_mode(DeliveryMode::Queued);
-        bus.fire_deployment(&deployment("A"));
-        bus.fire_deployment(&deployment("B"));
-        assert_eq!(listener.total(), 0, "nothing delivered before flush");
-        bus.flush();
-        let services: Vec<String> = listener
-            .deployments
-            .read()
-            .iter()
-            .map(|e| e.service.clone())
-            .collect();
-        assert_eq!(services, ["A", "B"], "flush delivers in fire order");
-        bus.flush();
-        assert_eq!(listener.total(), 2, "flush is idempotent when drained");
-    }
-
     fn server_event(service: &str) -> ServerMessageEvent {
         ServerMessageEvent {
             service: service.into(),
@@ -677,135 +555,5 @@ mod tests {
         bus.fire_server_with(build);
         assert_eq!(built.get(), 1);
         assert_eq!(listener.server_messages.read().len(), 1);
-    }
-
-    #[test]
-    fn lazy_server_event_is_queued_for_a_listener_added_before_flush() {
-        let bus = EventBus::new();
-        bus.set_delivery_mode(DeliveryMode::Queued);
-        // C3, "the application sees every request": nobody listens
-        // yet, but whoever does by `flush` must see this one.
-        bus.fire_server_with(|| server_event("early"));
-        let listener = CollectingListener::new();
-        bus.add_listener(listener.clone());
-        bus.flush();
-        let seen = listener.server_messages.read();
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].service, "early");
-    }
-
-    #[test]
-    fn reentrant_flush_neither_deadlocks_nor_reorders() {
-        // A listener that flushes from inside a queued delivery. Before
-        // the re-entrancy guard, the inner flush delivered event B to
-        // every listener while the listener *after* the flusher had not
-        // yet seen event A — observed order [B, A].
-        struct Flusher {
-            bus: EventBus,
-        }
-        impl PeerMessageListener for Flusher {
-            fn on_deployment(&self, _: &DeploymentMessageEvent) {
-                self.bus.flush(); // must be a harmless no-op
-            }
-        }
-        let bus = EventBus::new();
-        let seen = CollectingListener::new();
-        bus.add_listener(Arc::new(Flusher { bus: bus.clone() }));
-        bus.add_listener(seen.clone());
-        bus.set_delivery_mode(DeliveryMode::Queued);
-        bus.fire_deployment(&deployment("A"));
-        bus.fire_deployment(&deployment("B"));
-        bus.flush();
-        let services: Vec<String> = seen
-            .deployments
-            .read()
-            .iter()
-            .map(|e| e.service.clone())
-            .collect();
-        assert_eq!(services, ["A", "B"], "exactly once, in fire order");
-        bus.flush();
-        assert_eq!(seen.total(), 2, "nothing re-delivered or lost");
-    }
-
-    #[test]
-    fn listener_firing_and_flushing_during_flush_loses_nothing() {
-        // The worst case: a listener both fires a new event and calls
-        // flush from inside a delivery. The cascade must arrive exactly
-        // once, after the event that caused it.
-        struct FireAndFlush {
-            bus: EventBus,
-        }
-        impl PeerMessageListener for FireAndFlush {
-            fn on_deployment(&self, event: &DeploymentMessageEvent) {
-                if event.service == "first" {
-                    self.bus.fire_deployment(&deployment("second"));
-                    self.bus.flush();
-                }
-            }
-        }
-        let bus = EventBus::new();
-        let seen = CollectingListener::new();
-        bus.add_listener(Arc::new(FireAndFlush { bus: bus.clone() }));
-        bus.add_listener(seen.clone());
-        bus.set_delivery_mode(DeliveryMode::Queued);
-        bus.fire_deployment(&deployment("first"));
-        bus.flush();
-        let services: Vec<String> = seen
-            .deployments
-            .read()
-            .iter()
-            .map(|e| e.service.clone())
-            .collect();
-        assert_eq!(services, ["first", "second"]);
-    }
-
-    #[test]
-    fn concurrent_flushes_deliver_each_event_once() {
-        // Two threads flushing the same bus race on the queue, not on
-        // delivery: each queued event is popped (and delivered) by
-        // exactly one of them.
-        let bus = EventBus::new();
-        let seen = CollectingListener::new();
-        bus.add_listener(seen.clone());
-        bus.set_delivery_mode(DeliveryMode::Queued);
-        for i in 0..100 {
-            bus.fire_deployment(&deployment(&format!("svc-{i}")));
-        }
-        let flushers: Vec<_> = (0..2)
-            .map(|_| {
-                let bus = bus.clone();
-                std::thread::spawn(move || bus.flush())
-            })
-            .collect();
-        for f in flushers {
-            f.join().unwrap();
-        }
-        assert_eq!(seen.total(), 100);
-    }
-
-    #[test]
-    fn flush_delivers_events_fired_during_flush() {
-        struct Chain {
-            bus: EventBus,
-        }
-        impl PeerMessageListener for Chain {
-            fn on_deployment(&self, event: &DeploymentMessageEvent) {
-                if event.service == "first" {
-                    self.bus.fire_deployment(&deployment("second"));
-                }
-            }
-        }
-        let bus = EventBus::new();
-        let seen = CollectingListener::new();
-        bus.add_listener(Arc::new(Chain { bus: bus.clone() }));
-        bus.add_listener(seen.clone());
-        bus.set_delivery_mode(DeliveryMode::Queued);
-        bus.fire_deployment(&deployment("first"));
-        bus.flush();
-        assert_eq!(
-            seen.deployments.read().len(),
-            2,
-            "cascade drained in one flush"
-        );
     }
 }

@@ -52,13 +52,11 @@
 //! the listener list is snapshotted first, so re-entrant listeners may
 //! add listeners or fire further events, and each callback runs under
 //! `catch_unwind` (panics are counted via
-//! [`EventBus::listener_panics`], not propagated). Delivery is
-//! [`DeliveryMode::Immediate`] by default — callbacks run on whichever
-//! thread fires the event, typically a pool worker — or
-//! [`DeliveryMode::Queued`], which defers all callbacks to an explicit
-//! [`EventBus::flush`], a deterministic barrier for tests and batch
-//! consumers. [`Dispatcher::flush`] is the matching barrier for job
-//! completion itself.
+//! [`EventBus::listener_panics`], not propagated). Callbacks run on
+//! whichever thread fires the event — for an asynchronous call a pool
+//! worker — before the job that fired it completes, so
+//! [`Dispatcher::flush`], the barrier for job completion, is also the
+//! barrier for their events.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -100,9 +98,9 @@ pub use dispatch::{CallHandle, Completer, Dispatcher, DispatcherConfig, Dispatch
 pub use endpoint::{BindingKind, DeployedService, LocatedService};
 pub use error::WspError;
 pub use events::{
-    ClientMessageEvent, CollectingListener, DeliveryMode, DeploymentMessageEvent,
-    DiscoveryMessageEvent, EventBus, LifecycleMessageEvent, LifecyclePhase, PeerMessageListener,
-    PublishMessageEvent, ResilienceAction, ResilienceMessageEvent, ServerMessageEvent, ServerPhase,
+    ClientMessageEvent, CollectingListener, DeploymentMessageEvent, DiscoveryMessageEvent,
+    EventBus, LifecycleMessageEvent, LifecyclePhase, PeerMessageListener, PublishMessageEvent,
+    ResilienceAction, ResilienceMessageEvent, ServerMessageEvent, ServerPhase,
 };
 pub use health::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, EndpointHealth, ProbeGuard,
@@ -113,7 +111,7 @@ pub use overload::{
 pub use peer::Peer;
 pub use query::{QueryExpr, ServiceQuery};
 pub use resilience::{ResiliencePolicy, RetryClass};
-pub use server::Server;
+pub use server::{HostedService, Hosting, Server};
 pub use state::StatefulService;
 pub use telemetry::{
     CorrelationScope, Counter, Histogram, HistogramSnapshot, Telemetry, TelemetrySnapshot,

@@ -509,6 +509,23 @@ pub fn remaining_ms(deadline: Instant) -> Option<u64> {
     Some((deadline - now).as_millis().max(1) as u64)
 }
 
+/// Never send a request whose budget is gone: what a request about to
+/// leave may carry of `deadline`. `Ok(None)` without a deadline;
+/// `Ok(Some(ms))` is both the wire value ([`DEADLINE_HEADER`] or the
+/// [`DEADLINE_SOAP_HEADER`] block) and the cap on the local wait; an
+/// expired deadline fails here rather than burn the server's time on a
+/// doomed request.
+pub fn send_budget(deadline: Option<Instant>) -> Result<Option<u64>, WspError> {
+    deadline
+        .map(|deadline| {
+            remaining_ms(deadline).ok_or(WspError::Timeout {
+                what: "deadline expired before send",
+                millis: 0,
+            })
+        })
+        .transpose()
+}
+
 /// Rehydrate a wire budget — the value of [`DEADLINE_HEADER`] or the
 /// text of the [`DEADLINE_SOAP_HEADER`] block — into a local deadline.
 /// Remote input: anything but a non-negative decimal millisecond count

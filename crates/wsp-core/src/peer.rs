@@ -29,9 +29,8 @@ impl Peer {
         Peer::with_event_bus(EventBus::new())
     }
 
-    /// A peer firing into an existing bus — use this when a binding was
-    /// constructed around the same bus, so *all* five event kinds reach
-    /// one listener set.
+    /// A peer firing into an existing bus — one the application has
+    /// already registered listeners on, or shares between peers.
     pub fn with_event_bus(events: EventBus) -> Peer {
         Peer::with_parts(events, Dispatcher::new(DispatcherConfig::default()))
     }
@@ -57,14 +56,14 @@ impl Peer {
 
     /// Plug a binding's four components into the tree. May be called
     /// again (or per-component setters used) to re-bind at runtime.
-    /// Hands the binding the shared dispatcher via
-    /// [`Binding::on_attach`].
+    /// Hands the binding the server's hosting core (and with it the
+    /// shared dispatcher) via [`Binding::on_attach`].
     pub fn attach(&self, binding: &dyn Binding) {
         self.client.set_locator(binding.locator());
         self.client.add_invoker(binding.invoker());
         self.server.set_deployer(binding.deployer());
         self.server.set_publisher(binding.publisher());
-        binding.on_attach(&self.dispatcher);
+        binding.on_attach(self.server.hosting());
     }
 
     /// The shared dispatch core for this peer's whole tree.
@@ -99,7 +98,7 @@ impl Peer {
         self.events.add_listener(listener);
     }
 
-    /// The shared event bus (bindings fire server events through this).
+    /// The shared event bus every node of the tree fires into.
     pub fn events(&self) -> &EventBus {
         &self.events
     }

@@ -1,4 +1,12 @@
-//! The server side of the interface tree: deployment and publication.
+//! The server side of the interface tree: deployment, publication and
+//! the hosting pipeline.
+//!
+//! Everything about hosting that does not depend on the substrate lives
+//! here, once per peer: the table of [`HostedService`]s, the admission
+//! gate, and the pipeline every request to a hosted service runs
+//! through — [`Hosting::admit`] at the edge, then [`Hosting::serve`].
+//! A [`ServiceDeployer`] only carries: it names the port, and opens and
+//! closes the endpoint that maps its wire to those two calls.
 
 use crate::components::{ServiceDeployer, ServicePublisher};
 use crate::dispatch::Dispatcher;
@@ -6,15 +14,274 @@ use crate::endpoint::DeployedService;
 use crate::error::WspError;
 use crate::events::{
     DeploymentMessageEvent, EventBus, LifecycleMessageEvent, LifecyclePhase, PublishMessageEvent,
+    ServerMessageEvent, ServerPhase,
 };
+use crate::overload::{
+    DeadlineScope, KeyedAdmissionController, KeyedAdmissionPermit, KeyedLoadShedPolicy,
+    ANONYMOUS_TENANT,
+};
+use crate::telemetry::{self, CorrelationScope, Histogram};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
-use wsp_wsdl::{ServiceDescriptor, ServiceHandler};
+use std::fmt::Write;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
+use wsp_soap::Envelope;
+use wsp_wsdl::{MessageEngine, Port, ServiceDescriptor, ServiceHandler, WsdlDocument};
+use wsp_xml::Element;
+
+/// One deployment: the contract, the engine bound to its handler, and
+/// the description rendered once. Built by [`Server::deploy`], kept in
+/// the peer's one service table, and handed to the deployer's endpoint
+/// to be served through [`Hosting::serve`].
+pub struct HostedService {
+    deployed: DeployedService,
+    engine: MessageEngine,
+    wsdl_xml: String,
+    wsdl_element: OnceLock<Element>,
+}
+
+impl HostedService {
+    fn new(descriptor: ServiceDescriptor, handler: Arc<dyn ServiceHandler>, port: Port) -> Self {
+        let endpoint = port.location.clone();
+        let wsdl = WsdlDocument::new(descriptor.clone(), vec![port]);
+        HostedService {
+            wsdl_xml: wsdl.to_xml(),
+            wsdl_element: OnceLock::new(),
+            engine: MessageEngine::new(descriptor.clone(), handler),
+            deployed: DeployedService {
+                descriptor,
+                endpoints: vec![endpoint],
+                wsdl,
+            },
+        }
+    }
+
+    pub fn name(&self) -> &str {
+        self.deployed.name()
+    }
+
+    /// The handle the application got back from [`Server::deploy`].
+    pub fn deployed(&self) -> &DeployedService {
+        &self.deployed
+    }
+
+    /// The WSDL document as served at `endpoint?wsdl`.
+    pub fn wsdl_xml(&self) -> &str {
+        &self.wsdl_xml
+    }
+
+    /// The same document as a tree, for substrates that ship it inside
+    /// an envelope (the P2PS definition pipe). Read back from
+    /// [`Self::wsdl_xml`] on first use, so both forms are one document.
+    pub fn wsdl_element(&self) -> &Element {
+        self.wsdl_element
+            .get_or_init(|| wsp_xml::parse(&self.wsdl_xml).expect("generated WSDL is well-formed"))
+    }
+}
+
+/// A request as the substrate hands it to [`Hosting::serve`].
+pub enum Incoming<'a> {
+    /// The envelope's XML as it came off the wire.
+    Xml(&'a str),
+    /// Already decoded — a substrate that must read the SOAP headers to
+    /// route the reply (P2PS `ReplyTo`) has the tree in hand.
+    Envelope(&'a Envelope),
+}
+
+/// What serving one request produced.
+pub enum Served {
+    /// The operation's response.
+    Reply(Envelope),
+    /// A SOAP fault: the engine's (unknown operation, bad argument, the
+    /// handler's own) or, for a request that did not decode, the codec's.
+    Fault(Envelope),
+    /// A one-way operation: nothing goes back.
+    OneWay,
+}
+
+impl Served {
+    /// The SOAP-over-HTTP status of this outcome, which is also what
+    /// the `server.response` span reports on every substrate.
+    pub fn status(&self) -> u16 {
+        match self {
+            Served::Reply(_) => 200,
+            Served::Fault(_) => 500,
+            Served::OneWay => 202,
+        }
+    }
+
+    /// The envelope to send back, if any.
+    pub fn into_envelope(self) -> Option<Envelope> {
+        match self {
+            Served::Reply(envelope) | Served::Fault(envelope) => Some(envelope),
+            Served::OneWay => None,
+        }
+    }
+}
+
+/// The hosting core of one peer: its service table, its admission gate
+/// and the pipeline requests run through, against the peer's own bus
+/// and dispatcher. The [`Server`] owns it; bindings are handed it
+/// ([`crate::Binding::on_attach`], [`ServiceDeployer::open`]) and may
+/// keep it — it holds no component, so there is no cycle.
+pub struct Hosting {
+    events: EventBus,
+    dispatcher: Arc<Dispatcher>,
+    /// One gate for everything this peer hosts, whatever carried the
+    /// request here. A host is one tenant: every request is admitted
+    /// against the [`ANONYMOUS_TENANT`] slot.
+    admission: RwLock<KeyedAdmissionController>,
+    services: RwLock<HashMap<String, Arc<HostedService>>>,
+    serve_us: Arc<Histogram>,
+}
+
+impl Hosting {
+    pub(crate) fn new(events: EventBus, dispatcher: Arc<Dispatcher>) -> Arc<Hosting> {
+        Arc::new(Hosting {
+            events,
+            dispatcher,
+            admission: RwLock::new(KeyedAdmissionController::new(
+                KeyedLoadShedPolicy::unlimited(),
+            )),
+            services: RwLock::new(HashMap::new()),
+            serve_us: telemetry::global().histogram("server.serve_us"),
+        })
+    }
+
+    /// The peer's dispatch core: a substrate that receives requests on
+    /// a thread it must not block runs [`Hosting::serve`] here.
+    pub fn dispatcher(&self) -> &Arc<Dispatcher> {
+        &self.dispatcher
+    }
+
+    /// The deployment called `name`, if this peer hosts one.
+    pub fn service(&self, name: &str) -> Option<Arc<HostedService>> {
+        self.services.read().get(name).cloned()
+    }
+
+    /// The edge of the pipeline: record the request's arrival and ask
+    /// the gate — in-flight cap, the dispatcher's queue depth, an
+    /// already-expired `deadline`. The permit spans the serve (RAII); a
+    /// shed is [`WspError::Overloaded`] with the retry hint, for the
+    /// substrate to put on its wire.
+    pub fn admit(
+        &self,
+        service: &HostedService,
+        correlation: u64,
+        deadline: Option<Instant>,
+    ) -> Result<KeyedAdmissionPermit, WspError> {
+        let registry = telemetry::global();
+        let name = service.name();
+        registry.span(
+            correlation,
+            "server.request",
+            format_args!("service={name}"),
+        );
+        self.admission
+            .read()
+            .try_admit_at(ANONYMOUS_TENANT, self.dispatcher.queue_depth(), deadline)
+            .inspect_err(|error| {
+                registry.span(
+                    correlation,
+                    "server.shed",
+                    format_args!("service={name} error={error}"),
+                );
+            })
+    }
+
+    /// Serve one admitted request. Everything fired or invoked from
+    /// here runs under the caller's correlation token (one id
+    /// reconstructs the round trip) and what is left of its budget (a
+    /// nested call inherits it); the application sees the request
+    /// before the engine and the response after it (Section III,
+    /// point 2).
+    pub fn serve(
+        &self,
+        service: &HostedService,
+        request: Incoming<'_>,
+        correlation: u64,
+        deadline: Option<Instant>,
+        permit: KeyedAdmissionPermit,
+    ) -> Served {
+        let _permit = permit;
+        let _correlation = CorrelationScope::enter(correlation);
+        let _deadline = DeadlineScope::enter(deadline);
+        let registry = telemetry::global();
+        let started = Instant::now();
+        let name = service.name();
+        let decoded;
+        let envelope = match request {
+            Incoming::Envelope(envelope) => envelope,
+            Incoming::Xml(xml) => match Envelope::from_xml(xml) {
+                Ok(envelope) => {
+                    decoded = envelope;
+                    &decoded
+                }
+                Err(e) => {
+                    registry.span(
+                        correlation,
+                        "server.fault",
+                        format_args!("service={name} error={e}"),
+                    );
+                    return Served::Fault(Envelope::fault(e.to_fault()));
+                }
+            },
+        };
+        self.events.fire_server_with(|| ServerMessageEvent {
+            service: name.to_owned(),
+            phase: ServerPhase::Inbound,
+            envelope: envelope.clone(),
+        });
+        let served = match service.engine.process(envelope) {
+            Some(response) => {
+                self.events.fire_server_with(|| ServerMessageEvent {
+                    service: name.to_owned(),
+                    phase: ServerPhase::Outbound,
+                    envelope: response.clone(),
+                });
+                if response.fault_body().is_some() {
+                    Served::Fault(response)
+                } else {
+                    Served::Reply(response)
+                }
+            }
+            None => Served::OneWay,
+        };
+        self.serve_us.record_micros(started.elapsed());
+        registry.span(
+            correlation,
+            "server.response",
+            format_args!("service={name} status={}", served.status()),
+        );
+        served
+    }
+
+    /// The peer-level `/metrics` gauges: the gate and the dispatcher.
+    pub fn render_gauges(&self, out: &mut String) {
+        let admission = self.admission.read();
+        let stats = self.dispatcher.stats();
+        for (name, value) in [
+            ("admission_in_flight", admission.total_in_flight()),
+            ("admission_draining", admission.is_draining() as usize),
+            ("dispatch_submitted", stats.submitted as usize),
+            ("dispatch_completed", stats.completed as usize),
+            ("dispatch_failed", stats.failed as usize),
+            ("dispatch_cancelled", stats.cancelled as usize),
+            ("dispatch_shed", stats.shed as usize),
+            ("dispatch_queue_depth", stats.queue_depth),
+            ("dispatch_in_flight", stats.in_flight),
+            ("dispatch_pending_calls", stats.pending_calls),
+            ("dispatch_workers", stats.workers),
+        ] {
+            // Infallible: writing to a `String`.
+            let _ = writeln!(out, "{name} {value}");
+        }
+    }
+}
 
 /// The `Server` node: owns pluggable [`ServiceDeployer`] and
-/// [`ServicePublisher`] components and tracks what this peer hosts.
+/// [`ServicePublisher`] components and hosts what this peer deploys.
 ///
 /// There is no container here: the application deploys descriptors and
 /// handlers at runtime, "in effect allowing the component to become its
@@ -22,9 +289,7 @@ use wsp_wsdl::{ServiceDescriptor, ServiceHandler};
 pub struct Server {
     deployer: RwLock<Option<Arc<dyn ServiceDeployer>>>,
     publisher: RwLock<Option<Arc<dyn ServicePublisher>>>,
-    deployed: RwLock<HashMap<String, DeployedService>>,
-    events: EventBus,
-    dispatcher: Arc<Dispatcher>,
+    hosting: Arc<Hosting>,
 }
 
 impl Server {
@@ -39,16 +304,19 @@ impl Server {
         Arc::new(Server {
             deployer: RwLock::new(None),
             publisher: RwLock::new(None),
-            deployed: RwLock::new(HashMap::new()),
-            events,
-            dispatcher,
+            hosting: Hosting::new(events, dispatcher),
         })
     }
 
     /// The dispatch core shared with the rest of the peer's tree;
     /// deployed request handling submitted by bindings runs here.
     pub fn dispatcher(&self) -> &Arc<Dispatcher> {
-        &self.dispatcher
+        self.hosting.dispatcher()
+    }
+
+    /// The hosting core bindings serve through.
+    pub fn hosting(&self) -> &Arc<Hosting> {
+        &self.hosting
     }
 
     pub fn set_deployer(&self, deployer: Arc<dyn ServiceDeployer>) {
@@ -59,9 +327,18 @@ impl Server {
         *self.publisher.write() = Some(publisher);
     }
 
+    /// Install the admission limits for everything this peer hosts
+    /// (default [`KeyedLoadShedPolicy::unlimited`]) — the server-side
+    /// mirror of [`crate::Client::set_resilience_policy`]. Requests
+    /// already admitted keep their permits against the previous gate.
+    pub fn set_load_shed_policy(&self, policy: KeyedLoadShedPolicy) {
+        *self.hosting.admission.write() = KeyedAdmissionController::new(policy);
+    }
+
     /// Deploy a service: generate its description, create an
     /// addressable endpoint, and start answering. Fires a
-    /// [`DeploymentMessageEvent`].
+    /// [`DeploymentMessageEvent`]. Deploying a name again replaces the
+    /// deployment — the new handler answers from then on.
     pub fn deploy(
         &self,
         descriptor: ServiceDescriptor,
@@ -72,14 +349,20 @@ impl Server {
             .read()
             .clone()
             .ok_or_else(|| WspError::Deploy("no ServiceDeployer plugged in".into()))?;
-        let deployed = deployer.deploy(descriptor, handler)?;
-        self.deployed
+        let port = deployer.port(&descriptor.name)?;
+        let service = Arc::new(HostedService::new(descriptor, handler, port));
+        self.hosting
+            .services
             .write()
-            .insert(deployed.name().to_owned(), deployed.clone());
-        self.events.fire_deployment(&DeploymentMessageEvent {
-            service: deployed.name().to_owned(),
-            endpoints: deployed.endpoints.clone(),
-        });
+            .insert(service.name().to_owned(), service.clone());
+        deployer.open(&self.hosting, &service);
+        let deployed = service.deployed().clone();
+        self.hosting
+            .events
+            .fire_deployment(&DeploymentMessageEvent {
+                service: deployed.name().to_owned(),
+                endpoints: deployed.endpoints.clone(),
+            });
         Ok(deployed)
     }
 
@@ -91,14 +374,12 @@ impl Server {
             .read()
             .clone()
             .ok_or_else(|| WspError::Publish("no ServicePublisher plugged in".into()))?;
-        let deployed = self
-            .deployed
-            .read()
-            .get(service)
-            .cloned()
+        let hosted = self
+            .hosting
+            .service(service)
             .ok_or_else(|| WspError::Publish(format!("{service:?} is not deployed")))?;
-        let result = publisher.publish(&deployed);
-        self.events.fire_publish(&PublishMessageEvent {
+        let result = publisher.publish(hosted.deployed());
+        self.hosting.events.fire_publish(&PublishMessageEvent {
             service: service.to_owned(),
             result: result.clone(),
         });
@@ -121,7 +402,7 @@ impl Server {
     /// endpoint. True if it was deployed. Fires a deployment event with
     /// no endpoints.
     pub fn undeploy(&self, service: &str) -> bool {
-        let existed = self.deployed.write().remove(service).is_some();
+        let existed = self.hosting.services.write().remove(service).is_some();
         if !existed {
             return false;
         }
@@ -129,12 +410,14 @@ impl Server {
             publisher.unpublish(service);
         }
         if let Some(deployer) = self.deployer.read().clone() {
-            deployer.undeploy(service);
+            deployer.close(service);
         }
-        self.events.fire_deployment(&DeploymentMessageEvent {
-            service: service.to_owned(),
-            endpoints: vec![],
-        });
+        self.hosting
+            .events
+            .fire_deployment(&DeploymentMessageEvent {
+                service: service.to_owned(),
+                endpoints: vec![],
+            });
         true
     }
 
@@ -153,15 +436,15 @@ impl Server {
         if !self.undeploy(service) {
             return false;
         }
-        let stats = self.dispatcher.stats();
-        self.events.fire_lifecycle(&LifecycleMessageEvent {
+        let stats = self.dispatcher().stats();
+        self.hosting.events.fire_lifecycle(&LifecycleMessageEvent {
             subject: service.to_owned(),
             phase: LifecyclePhase::DrainStarted,
             in_flight: stats.in_flight + stats.queue_depth,
         });
-        let drained = self.dispatcher.flush_within(drain_deadline);
-        let remaining = self.dispatcher.stats();
-        self.events.fire_lifecycle(&LifecycleMessageEvent {
+        let drained = self.dispatcher().flush_within(drain_deadline);
+        let remaining = self.dispatcher().stats();
+        self.hosting.events.fire_lifecycle(&LifecycleMessageEvent {
             subject: service.to_owned(),
             phase: if drained {
                 LifecyclePhase::DrainCompleted
@@ -175,11 +458,12 @@ impl Server {
 
     /// The services this peer currently hosts.
     pub fn deployed_services(&self) -> Vec<DeployedService> {
-        self.deployed.read().values().cloned().collect()
+        let services = self.hosting.services.read();
+        services.values().map(|s| s.deployed().clone()).collect()
     }
 
     pub fn deployed_service(&self, name: &str) -> Option<DeployedService> {
-        self.deployed.read().get(name).cloned()
+        self.hosting.service(name).map(|s| s.deployed().clone())
     }
 }
 
@@ -187,26 +471,21 @@ impl Server {
 mod tests {
     use super::*;
     use crate::events::CollectingListener;
-    use wsp_wsdl::{Value, WsdlDocument};
+    use wsp_wsdl::{proxy, TransportKind, Value};
 
+    /// A substrate with no wire: it names `test://` ports and carries
+    /// nothing, so the tests below drive the pipeline by hand.
     struct StubDeployer;
     impl ServiceDeployer for StubDeployer {
-        fn deploy(
-            &self,
-            descriptor: ServiceDescriptor,
-            _handler: Arc<dyn ServiceHandler>,
-        ) -> Result<DeployedService, WspError> {
-            let endpoint = format!("test://here/{}", descriptor.name);
-            let wsdl = WsdlDocument::new(descriptor.clone(), vec![]);
-            Ok(DeployedService {
-                descriptor,
-                endpoints: vec![endpoint],
-                wsdl,
+        fn port(&self, service: &str) -> Result<Port, WspError> {
+            Ok(Port {
+                name: format!("{service}StubPort"),
+                transport: TransportKind::Http,
+                location: format!("test://here/{service}"),
             })
         }
-        fn undeploy(&self, _service: &str) -> bool {
-            true
-        }
+        fn open(&self, _hosting: &Arc<Hosting>, _service: &Arc<HostedService>) {}
+        fn close(&self, _service: &str) {}
         fn kind(&self) -> &'static str {
             "stub"
         }
@@ -354,5 +633,119 @@ mod tests {
             server.deploy(ServiceDescriptor::echo(), echo_handler()),
             Err(WspError::Deploy(_))
         ));
+    }
+
+    /// One echo request through `admit` + `serve`, as a substrate
+    /// would drive them.
+    fn echo_through(server: &Server, request: Incoming<'_>) -> Served {
+        let hosting = server.hosting();
+        let service = hosting.service("Echo").expect("deployed");
+        let permit = hosting.admit(&service, 0, None).expect("admitted");
+        hosting.serve(&service, request, 0, None, permit)
+    }
+
+    fn echo_request(text: &str) -> Envelope {
+        let descriptor = ServiceDescriptor::echo();
+        proxy::encode_request(
+            &descriptor,
+            "test://here/Echo",
+            "echoString",
+            &[Value::string(text)],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn pipeline_shows_the_application_both_sides_of_the_engine() {
+        let (server, listener) = wired_server();
+        server
+            .deploy(ServiceDescriptor::echo(), echo_handler())
+            .unwrap();
+        let request = echo_request("hi");
+        // Off the wire and already decoded are the same request.
+        for incoming in [
+            Incoming::Xml(&request.to_xml()),
+            Incoming::Envelope(&request),
+        ] {
+            let served = echo_through(&server, incoming);
+            assert_eq!(served.status(), 200);
+            let reply = served.into_envelope().expect("echo answers");
+            let value =
+                proxy::decode_response(&ServiceDescriptor::echo(), "echoString", &reply).unwrap();
+            assert_eq!(value, Value::string("hi"));
+        }
+        let phases: Vec<ServerPhase> = listener
+            .server_messages
+            .read()
+            .iter()
+            .map(|e| e.phase)
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                ServerPhase::Inbound,
+                ServerPhase::Outbound,
+                ServerPhase::Inbound,
+                ServerPhase::Outbound
+            ]
+        );
+    }
+
+    #[test]
+    fn undecodable_request_is_a_fault_and_reaches_neither_listener_nor_engine() {
+        let (server, listener) = wired_server();
+        server
+            .deploy(ServiceDescriptor::echo(), echo_handler())
+            .unwrap();
+        let served = echo_through(&server, Incoming::Xml("<probe/>"));
+        assert_eq!(served.status(), 500);
+        assert!(served.into_envelope().unwrap().fault_body().is_some());
+        assert!(listener.server_messages.read().is_empty());
+    }
+
+    #[test]
+    fn one_gate_for_the_peer_and_its_policy_is_the_servers() {
+        let (server, _listener) = wired_server();
+        server
+            .deploy(ServiceDescriptor::echo(), echo_handler())
+            .unwrap();
+        let hosting = server.hosting();
+        let service = hosting.service("Echo").unwrap();
+        // Default: unlimited.
+        drop(hosting.admit(&service, 0, None).unwrap());
+        server.set_load_shed_policy(KeyedLoadShedPolicy::bounded(1, usize::MAX));
+        let held = hosting.admit(&service, 0, None).unwrap();
+        let shed = hosting.admit(&service, 0, None).unwrap_err();
+        assert!(matches!(shed, WspError::Overloaded { .. }), "{shed:?}");
+        drop(held);
+        hosting
+            .admit(&service, 0, None)
+            .expect("the permit came back");
+    }
+
+    #[test]
+    fn redeploy_replaces_the_hosted_service_and_undeploy_empties_the_table() {
+        let (server, _listener) = wired_server();
+        server
+            .deploy(ServiceDescriptor::echo(), echo_handler())
+            .unwrap();
+        server
+            .deploy(
+                ServiceDescriptor::echo(),
+                Arc::new(|_op: &str, _args: &[Value]| Ok(Value::string("second"))),
+            )
+            .unwrap();
+        let reply = echo_through(&server, Incoming::Envelope(&echo_request("first")));
+        let value = proxy::decode_response(
+            &ServiceDescriptor::echo(),
+            "echoString",
+            &reply.into_envelope().unwrap(),
+        )
+        .unwrap();
+        assert_eq!(value, Value::string("second"));
+        assert_eq!(server.deployed_services().len(), 1);
+        assert!(server.undeploy("Echo"));
+        assert!(server.hosting().service("Echo").is_none());
+        assert!(server.deployed_service("Echo").is_none());
     }
 }

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use wsp_core::bindings::http_uddi::CORRELATION_HEADER;
 use wsp_core::dispatch::next_correlation_token;
 use wsp_core::overload::{
-    busy_fault_reason, deadline_from_envelope, deadline_from_headers, remaining_ms, shed_response,
+    busy_fault_reason, deadline_from_envelope, deadline_from_headers, send_budget, shed_response,
     ANONYMOUS_TENANT, DEADLINE_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
 };
 use wsp_core::telemetry::{self, CorrelationScope};
@@ -385,15 +385,11 @@ impl Gateway {
         let t = telemetry::global();
         let mut tried: Vec<String> = Vec::new();
         for attempt in 0..BACKEND_ATTEMPTS {
-            let budget_ms = deadline
-                .map(|deadline| {
-                    remaining_ms(deadline).ok_or_else(|| {
-                        GatewayError::Unavailable(format!(
-                            "deadline expired before a backend for {service} was called"
-                        ))
-                    })
-                })
-                .transpose()?;
+            let budget_ms = send_budget(deadline).map_err(|_| {
+                GatewayError::Unavailable(format!(
+                    "deadline expired before a backend for {service} was called"
+                ))
+            })?;
             let Some(lease) = self.inner.pools.pick(backends, &tried) else {
                 break;
             };

@@ -12,17 +12,39 @@
 
 use std::sync::Arc;
 use wsp_core::{
-    bindings::HttpUddiBinding, ClientMessageEvent, DiscoveryMessageEvent, EventBus, Peer,
-    PeerMessageListener, ServiceQuery,
+    bindings::HttpUddiBinding, ClientMessageEvent, DeploymentMessageEvent, DiscoveryMessageEvent,
+    EventBus, Peer, PeerMessageListener, PublishMessageEvent, ServerMessageEvent, ServiceQuery,
 };
 use wsp_uddi::RegistryServer;
 use wsp_wsdl::{ServiceDescriptor, Value};
 
 /// An application listener: WSPeer is event driven, so this is how an
-/// application normally consumes results.
+/// application normally consumes results. Registered at the root of a
+/// peer's tree it hears every node: the consumer's discovery and client
+/// messages, the provider's deployment, publish and server messages.
 struct Narrator;
 
 impl PeerMessageListener for Narrator {
+    fn on_deployment(&self, event: &DeploymentMessageEvent) {
+        println!(
+            "  [event] deployed {} at {:?}",
+            event.service, event.endpoints
+        );
+    }
+
+    fn on_publish(&self, event: &PublishMessageEvent) {
+        match &event.result {
+            Ok(key) => println!("  [event] published {} as {key}", event.service),
+            Err(e) => println!("  [event] publishing {} failed: {e}", event.service),
+        }
+    }
+
+    /// The provider sees every request before the messaging engine and
+    /// every response after it — the application is its own container.
+    fn on_server_message(&self, event: &ServerMessageEvent) {
+        println!("  [event] server {:?} for {}", event.phase, event.service);
+    }
+
     fn on_discovery(&self, event: &DiscoveryMessageEvent) {
         match &event.result {
             Ok(services) => println!(
@@ -55,6 +77,7 @@ fn main() {
     // --- provider ---------------------------------------------------------
     let provider_binding = HttpUddiBinding::with_registry_uri(&registry.uri(), EventBus::new());
     let provider = Peer::with_binding(&provider_binding);
+    provider.add_listener(Arc::new(Narrator));
     assert!(
         !provider_binding.host_running(),
         "no container until something is deployed"

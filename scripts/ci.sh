@@ -12,6 +12,17 @@ cd "$(dirname "$0")/.."
 echo "==> Tier-1: cargo build --release && cargo test -q"
 cargo build --release && cargo test -q
 
+# Tier-1 compiles the examples and never runs them. Run the two a
+# newcomer runs first (release builds from the step above): both must
+# finish, and quickstart's narrator — registered at the provider's
+# `Peer` root beside a binding built around a bus of its own — must
+# have heard the server either side of the messaging engine.
+echo "==> examples run: quickstart (root listener hears both server phases), p2p_network"
+quickstart_out="$(timeout 60 cargo run -q --release -p wsp-examples --bin quickstart)"
+grep -q "server Inbound for Echo" <<<"$quickstart_out"
+grep -q "server Outbound for Echo" <<<"$quickstart_out"
+timeout 60 cargo run -q --release -p wsp-examples --bin p2p_network >/dev/null
+
 # Lines of Rust per crate is a tracked number (ROADMAP aim 2): print it
 # with every run, so a PR's before/after is two CI logs.
 echo "==> lines of Rust per crate (scripts/loc.sh)"

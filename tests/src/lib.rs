@@ -78,7 +78,6 @@ pub fn p2ps_wspeer(thread_peer: ThreadPeer) -> (Peer, P2psBinding) {
         P2psConfig {
             discovery_window: Duration::from_millis(400),
             request_timeout: Duration::from_secs(3),
-            load_shed: wsp_core::KeyedLoadShedPolicy::unlimited(),
         },
     );
     (Peer::with_binding(&binding), binding)

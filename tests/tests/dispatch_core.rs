@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsp_core::bindings::HttpUddiBinding;
 use wsp_core::{
-    Client, ClientMessageEvent, CollectingListener, DeliveryMode, Dispatcher, DispatcherConfig,
-    EventBus, Invoker, LocatedService, Peer, PeerMessageListener, ServiceQuery, WspError,
+    Client, ClientMessageEvent, CollectingListener, Dispatcher, DispatcherConfig, EventBus,
+    Invoker, LocatedService, Peer, PeerMessageListener, ServiceQuery, WspError,
 };
 use wsp_wsdl::{OperationDef, ServiceDescriptor, Value, WsdlDocument, XsdType};
 
@@ -273,43 +273,6 @@ fn hostile_listeners_do_not_break_the_pipeline() {
         "listener panics never count as job failures"
     );
     assert_eq!(stats.submitted, stats.completed);
-}
-
-/// Queued delivery defers all callbacks to flush(), giving tests a
-/// deterministic barrier even for events fired from pool workers.
-#[test]
-fn queued_delivery_with_flush_barrier() {
-    let events = EventBus::new();
-    events.set_delivery_mode(DeliveryMode::Queued);
-    let listener = CollectingListener::new();
-    events.add_listener(listener.clone());
-
-    let client = Client::new(events.clone());
-    client.add_invoker(Arc::new(EchoInvoker));
-
-    let handles: Vec<_> = (0..16)
-        .map(|i| {
-            client.invoke_async(
-                test_service(),
-                "echoString",
-                vec![Value::string(format!("q{i}"))],
-            )
-        })
-        .collect();
-    // Wait for the jobs themselves (results flow through handles even
-    // though no event has been delivered yet).
-    client.dispatcher().flush();
-    assert_eq!(listener.total(), 0, "queued mode defers listener callbacks");
-    events.flush();
-    assert_eq!(listener.client_messages.read().len(), 16);
-    for handle in handles {
-        let token = handle.token();
-        assert!(
-            listener.client_message_for(token).is_some(),
-            "event for token {token}"
-        );
-        handle.wait().unwrap();
-    }
 }
 
 /// `wait_timeout` hands the handle back on timeout; `cancel` settles

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-use wsp_core::bindings::{HttpUddiBinding, HttpUddiConfig, P2psBinding, P2psConfig};
+use wsp_core::bindings::{HttpUddiBinding, P2psBinding, P2psConfig};
 use wsp_core::overload::DeadlineScope;
 use wsp_core::{
     Binding, EventBus, KeyedLoadShedPolicy, Peer, ResiliencePolicy, ServiceQuery, WspError,
@@ -33,15 +33,12 @@ fn nap_handler(naps: Arc<AtomicU32>, length: Duration) -> Arc<dyn ServiceHandler
     })
 }
 
-fn binding_with_policy(policy: KeyedLoadShedPolicy) -> HttpUddiBinding {
-    HttpUddiBinding::new(
-        wsp_uddi::UddiClient::direct(wsp_uddi::Registry::new()),
-        EventBus::new(),
-        HttpUddiConfig {
-            load_shed: policy,
-            ..HttpUddiConfig::default()
-        },
-    )
+/// A peer on the standard binding whose server admits under `policy`.
+fn peer_with_policy(policy: KeyedLoadShedPolicy) -> (HttpUddiBinding, Peer) {
+    let binding = HttpUddiBinding::with_local_registry(wsp_uddi::Registry::new(), EventBus::new());
+    let peer = Peer::with_binding(&binding);
+    peer.server().set_load_shed_policy(policy);
+    (binding, peer)
 }
 
 /// 8 callers against an in-flight budget of 1: the host must shed the
@@ -50,8 +47,7 @@ fn binding_with_policy(policy: KeyedLoadShedPolicy) -> HttpUddiBinding {
 /// goodput survives the burst and no caller hangs.
 #[test]
 fn burst_past_capacity_sheds_with_hint_and_serves_the_rest() {
-    let binding = binding_with_policy(KeyedLoadShedPolicy::bounded(1, 1024));
-    let peer = Peer::with_binding(&binding);
+    let (_binding, peer) = peer_with_policy(KeyedLoadShedPolicy::bounded(1, 1024));
     let naps = Arc::new(AtomicU32::new(0));
     peer.server()
         .deploy_and_publish(
@@ -114,8 +110,7 @@ fn burst_past_capacity_sheds_with_hint_and_serves_the_rest() {
 /// never invoked. The same service still serves live-deadline calls.
 #[test]
 fn expired_deadline_is_rejected_before_the_handler_runs() {
-    let binding = binding_with_policy(KeyedLoadShedPolicy::unlimited());
-    let peer = Peer::with_binding(&binding);
+    let (binding, peer) = peer_with_policy(KeyedLoadShedPolicy::unlimited());
     let naps = Arc::new(AtomicU32::new(0));
     peer.server()
         .deploy_and_publish(
@@ -160,8 +155,7 @@ fn expired_deadline_is_rejected_before_the_handler_runs() {
 /// timeout one call earlier — not after the flat default.
 #[test]
 fn pooled_binding_call_honours_a_short_deadline_against_a_stalled_server() {
-    let binding = binding_with_policy(KeyedLoadShedPolicy::unlimited());
-    let peer = Peer::with_binding(&binding);
+    let (binding, peer) = peer_with_policy(KeyedLoadShedPolicy::unlimited());
     let stall = Arc::new(AtomicBool::new(false));
     let stalled = stall.clone();
     peer.server()
@@ -219,17 +213,18 @@ fn p2ps_overload_surfaces_busy_fault_as_overloaded_with_hint() {
         P2psConfig {
             discovery_window: Duration::from_millis(400),
             request_timeout: Duration::from_secs(3),
-            load_shed: KeyedLoadShedPolicy::bounded(usize::MAX, 0),
         },
     );
     let provider = Peer::with_binding(&provider_binding);
+    provider
+        .server()
+        .set_load_shed_policy(KeyedLoadShedPolicy::bounded(usize::MAX, 0));
     let consumer_binding = P2psBinding::new(
         consumer_thread,
         EventBus::new(),
         P2psConfig {
             discovery_window: Duration::from_millis(400),
             request_timeout: Duration::from_secs(3),
-            load_shed: KeyedLoadShedPolicy::unlimited(),
         },
     );
     let consumer = Peer::with_binding(&consumer_binding);
