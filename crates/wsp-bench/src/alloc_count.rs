@@ -19,7 +19,13 @@ thread_local! {
     // inside the allocator neither allocates nor runs lazy set-up.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGE: Cell<u64> = const { Cell::new(0) };
 }
+
+/// What [`large_allocations`] counts as large: half a 16 KiB payload,
+/// so a payload-sized buffer counts however its growth was rounded and
+/// nothing a small message allocates does.
+const LARGE_ALLOCATION: usize = 8 * 1024;
 
 /// Count one allocation of `size` bytes against the calling thread.
 /// `try_with`: a thread's last frees and allocations can run after its
@@ -27,6 +33,9 @@ thread_local! {
 fn count(size: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
+    if size >= LARGE_ALLOCATION {
+        let _ = LARGE.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 /// Forwarding allocator that counts `alloc` and `realloc` calls.
@@ -60,6 +69,12 @@ pub fn allocations() -> u64 {
 /// Bytes requested by the calling thread.
 pub fn bytes() -> u64 {
     BYTES.with(Cell::get)
+}
+
+/// Allocations of at least 8 KiB made by the calling thread — the
+/// copies of a large message's payload.
+pub fn large_allocations() -> u64 {
+    LARGE.with(Cell::get)
 }
 
 /// Whether the counting allocator is actually installed in this

@@ -448,23 +448,26 @@ impl ServicePublisher for UddiPublisher {
         let endpoint = service
             .primary_endpoint()
             .ok_or_else(|| WspError::Publish("service has no endpoint".into()))?;
-        // The tmodel + service pair is one logical registry publish,
-        // counted once.
+        // The tModel rides in the `save_service` exchange. Its key is
+        // assigned here, not minted by the registry (nothing reads it
+        // back before the record must name it): one per endpoint, so a
+        // republish replaces its tModel instead of adding one.
         let saved = registry_call(&self.shared, &self.shared.publish_series, || {
-            let tmodel = self.shared.uddi.save_tmodel(
-                &TModel::new("", format!("{} WSDL", service.name()))
-                    .with_overview(format!("{endpoint}?wsdl")),
-            )?;
+            let tmodel = TModel::new(
+                format!("uuid:tm-wsdl:{endpoint}"),
+                format!("{} WSDL", service.name()),
+            )
+            .with_overview(format!("{endpoint}?wsdl"));
             let mut record =
                 BusinessService::new("", self.shared.config.business.clone(), service.name())
-                    .with_binding(BindingTemplate::new("", endpoint).with_tmodel(tmodel.key));
+                    .with_binding(BindingTemplate::new("", endpoint).with_tmodel(&tmodel.key));
             if let Some(doc) = &service.descriptor.documentation {
                 record = record.with_description(doc.clone());
             }
             for category in properties_to_uddi_categories(&service.descriptor.properties) {
                 record = record.with_category(category);
             }
-            self.shared.uddi.save_service(&record)
+            self.shared.uddi.save_service_with_tmodel(&tmodel, &record)
         })
         .map_err(|e| WspError::Publish(e.to_string()))?;
         self.shared

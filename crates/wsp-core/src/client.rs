@@ -143,7 +143,7 @@ impl Client {
                 Some(locator) => locator.locate(query),
                 None => Err(WspError::Locate("no ServiceLocator plugged in".into())),
             };
-            events.fire_discovery(&DiscoveryMessageEvent {
+            events.fire_discovery(|| DiscoveryMessageEvent {
                 token,
                 result: result.clone(),
             });
@@ -359,7 +359,7 @@ impl InvokeJob {
                 );
             }
         }
-        self.events.fire_client(&ClientMessageEvent {
+        self.events.fire_client(|| ClientMessageEvent {
             token: self.token,
             service: service.name().to_owned(),
             operation: operation.to_owned(),

@@ -215,16 +215,27 @@ impl EventBus {
         }
     }
 
-    pub fn fire_discovery(&self, event: &DiscoveryMessageEvent) {
-        self.deliver(|l| l.on_discovery(event));
+    /// Build an event and deliver it — only if a listener is registered
+    /// to see it. The events fired once per call carry deep copies (a
+    /// decoded result, a located service's whole WSDL, an envelope), so
+    /// with nobody listening they are not built at all.
+    fn fire_with<E>(&self, event: impl FnOnce() -> E, call: impl Fn(&dyn PeerMessageListener, &E)) {
+        if self.listener_count() > 0 {
+            let event = event();
+            self.deliver(|l| call(l, &event));
+        }
     }
 
-    pub fn fire_publish(&self, event: &PublishMessageEvent) {
-        self.deliver(|l| l.on_publish(event));
+    pub fn fire_discovery(&self, event: impl FnOnce() -> DiscoveryMessageEvent) {
+        self.fire_with(event, |l, e| l.on_discovery(e));
     }
 
-    pub fn fire_client(&self, event: &ClientMessageEvent) {
-        self.deliver(|l| l.on_client_message(event));
+    pub fn fire_publish(&self, event: impl FnOnce() -> PublishMessageEvent) {
+        self.fire_with(event, |l, e| l.on_publish(e));
+    }
+
+    pub fn fire_client(&self, event: impl FnOnce() -> ClientMessageEvent) {
+        self.fire_with(event, |l, e| l.on_client_message(e));
     }
 
     pub fn fire_server(&self, event: &ServerMessageEvent) {
@@ -235,9 +246,7 @@ impl EventBus {
     /// the event means deep-cloning an envelope: `event` is only called
     /// if a listener is registered to see the result.
     pub fn fire_server_with(&self, event: impl FnOnce() -> ServerMessageEvent) {
-        if self.listener_count() > 0 {
-            self.fire_server(&event());
-        }
+        self.fire_with(event, |l, e| l.on_server_message(e));
     }
 
     pub fn fire_deployment(&self, event: &DeploymentMessageEvent) {
@@ -354,7 +363,7 @@ mod tests {
             service: "Echo".into(),
             endpoints: vec!["http://h/Echo".into()],
         });
-        bus.fire_publish(&PublishMessageEvent {
+        bus.fire_publish(|| PublishMessageEvent {
             service: "Echo".into(),
             result: Ok("uuid:svc-1".into()),
         });
@@ -370,7 +379,7 @@ mod tests {
         let listener = CollectingListener::new();
         bus.add_listener(listener.clone());
         assert_eq!(cloned.listener_count(), 1);
-        cloned.fire_discovery(&DiscoveryMessageEvent {
+        cloned.fire_discovery(|| DiscoveryMessageEvent {
             token: 1,
             result: Ok(vec![]),
         });
@@ -384,7 +393,7 @@ mod tests {
         let b = CollectingListener::new();
         bus.add_listener(a.clone());
         bus.add_listener(b.clone());
-        bus.fire_client(&ClientMessageEvent {
+        bus.fire_client(|| ClientMessageEvent {
             token: 9,
             service: "Echo".into(),
             operation: "echoString".into(),
@@ -483,7 +492,7 @@ mod tests {
                 self.seen.on_deployment(event);
                 if event.service == "first" {
                     self.bus.add_listener(CollectingListener::new());
-                    self.bus.fire_publish(&PublishMessageEvent {
+                    self.bus.fire_publish(|| PublishMessageEvent {
                         service: event.service.clone(),
                         result: Ok("nested".into()),
                     });
@@ -537,6 +546,47 @@ mod tests {
             phase: ServerPhase::Inbound,
             envelope: wsp_soap::Envelope::request(wsp_xml::Element::new("urn:t", "op")),
         }
+    }
+
+    /// The per-call events (client, discovery, publish) deep-copy their
+    /// results: with no listener the closure that would is not run.
+    #[test]
+    fn per_call_events_are_not_built_for_nobody() {
+        let bus = EventBus::new();
+        let built = std::cell::Cell::new(0);
+        let fire_all = || {
+            bus.fire_client(|| {
+                built.set(built.get() + 1);
+                ClientMessageEvent {
+                    token: 1,
+                    service: "S".into(),
+                    operation: "op".into(),
+                    result: Ok(Value::Null),
+                }
+            });
+            bus.fire_discovery(|| {
+                built.set(built.get() + 1);
+                DiscoveryMessageEvent {
+                    token: 1,
+                    result: Ok(vec![]),
+                }
+            });
+            bus.fire_publish(|| {
+                built.set(built.get() + 1);
+                PublishMessageEvent {
+                    service: "S".into(),
+                    result: Ok("key".into()),
+                }
+            });
+        };
+        fire_all();
+        assert_eq!(built.get(), 0, "no listener, nothing to build");
+
+        let listener = CollectingListener::new();
+        bus.add_listener(listener.clone());
+        fire_all();
+        assert_eq!(built.get(), 3);
+        assert_eq!(listener.total(), 3);
     }
 
     #[test]

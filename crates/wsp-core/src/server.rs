@@ -379,7 +379,7 @@ impl Server {
             .service(service)
             .ok_or_else(|| WspError::Publish(format!("{service:?} is not deployed")))?;
         let result = publisher.publish(hosted.deployed());
-        self.hosting.events.fire_publish(&PublishMessageEvent {
+        self.hosting.events.fire_publish(|| PublishMessageEvent {
             service: service.to_owned(),
             result: result.clone(),
         });

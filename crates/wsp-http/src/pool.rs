@@ -296,11 +296,12 @@ impl ConnectionPool {
         } else {
             self.take(&authority)
         };
+        let mut settled = None;
         if let Some(conn) = pooled {
             match self.exchange(conn, &authority, &request, timeout) {
                 Ok(response) => {
                     self.hits.fetch_add(1, Relaxed);
-                    return Ok(response);
+                    settled = Some(Ok(response));
                 }
                 Err(ExchangeError::Retriable(_)) => {
                     self.retire();
@@ -308,15 +309,26 @@ impl ConnectionPool {
                 }
                 Err(ExchangeError::Fatal(e)) => {
                     self.retire();
-                    return Err(e);
+                    settled = Some(Err(e));
                 }
             }
         }
-        self.misses.fetch_add(1, Relaxed);
-        let stream =
-            TcpStream::connect((host, port)).map_err(|e| HttpError::Connect(e.to_string()))?;
-        self.exchange(PooledConn::fresh(stream), &authority, &request, timeout)
-            .map_err(ExchangeError::into_inner)
+        let result = settled.unwrap_or_else(|| {
+            self.misses.fetch_add(1, Relaxed);
+            let stream =
+                TcpStream::connect((host, port)).map_err(|e| HttpError::Connect(e.to_string()))?;
+            self.exchange(PooledConn::fresh(stream), &authority, &request, timeout)
+                .map_err(ExchangeError::into_inner)
+        });
+        // An envelope's `to_xml_bytes` is a `BufPool` buffer: hand it
+        // back, as the server does with a response body, or every call
+        // drains the pool by one and somebody regrows a fresh buffer to
+        // message size. A body too small to have come from the pool
+        // (a `GET`'s, a literal's) would only seed it with runts.
+        if request.body.capacity() >= wsp_xml::BufPool::FRESH_CAPACITY {
+            wsp_xml::BufPool::global().put(request.body);
+        }
+        result
     }
 
     /// One request/response over `conn`; on success the connection goes

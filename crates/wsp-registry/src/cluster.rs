@@ -421,7 +421,9 @@ impl RegistryCluster {
         }
     }
 
+    /// Any `tModel` children are saved first (see [`wsp_uddi::UddiApi`]).
     fn save_service(&self, node: usize, payload: &Element) -> Result<Element, Fault> {
+        self.save_global_tmodels(payload)?;
         let mut detail = Element::new(UDDI_NS, "serviceDetail");
         for svc_elem in payload.find_all(UDDI_NS, "businessService") {
             let mut svc = BusinessService::from_element(svc_elem)

@@ -88,13 +88,17 @@ impl SoapCodec {
 
     /// Serialise an envelope to wire XML (with XML declaration).
     pub fn encode(&mut self, envelope: &Envelope) -> String {
-        self.writer.write(&envelope.to_element())
+        let mut out = Vec::with_capacity(256);
+        self.encode_into(envelope, &mut out);
+        // The writer emits only `str` fragments, so the buffer is UTF-8.
+        String::from_utf8(out).expect("writer output is UTF-8")
     }
 
     /// Serialise an envelope, appending the wire bytes to `out` — the
     /// allocation-lean path used by the transports with pooled buffers.
     pub fn encode_into(&mut self, envelope: &Envelope, out: &mut Vec<u8>) {
-        self.writer.write_into(&envelope.to_element(), out);
+        self.writer
+            .write_stream_into(out, |stream| envelope.write_to(stream));
     }
 
     /// Parse wire XML into an envelope.
@@ -117,6 +121,28 @@ mod tests {
         let xml = codec.encode(&env);
         assert!(xml.contains("<env:Envelope"), "{xml}");
         assert!(xml.contains("<wsa:To"), "{xml}");
+    }
+
+    #[test]
+    fn streamed_encode_is_the_tree_writers_bytes() {
+        let payload = Element::build("urn:x", "op")
+            .attr(wsp_xml::QName::new("urn:a", "k"), "v")
+            .child(Element::build("urn:x", "arg").text("1 < 2 & 3").finish())
+            .finish();
+        let mut with_headers = Envelope::request(payload);
+        with_headers.set_addressing(crate::MessageHeaders::request("urn:to", "urn:act"));
+        let mut block = crate::HeaderBlock::mandatory(Element::new("urn:h", "Token"));
+        block.role = Some("urn:role".into());
+        with_headers.add_header(block);
+        let mut codec = SoapCodec::new();
+        for envelope in [
+            with_headers,
+            Envelope::fault(Fault::sender("no")),
+            Envelope::empty(),
+        ] {
+            let tree = codec.writer.write(&envelope.to_element());
+            assert_eq!(codec.encode(&envelope), tree);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::addressing::MessageHeaders;
 use crate::codec::{SoapCodec, SoapError};
 use crate::constants::SOAP_ENV_NS;
 use crate::fault::Fault;
-use wsp_xml::{Element, QName};
+use wsp_xml::{Element, QName, StreamWriter};
 
 /// One SOAP header block with its processing attributes.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +32,19 @@ impl HeaderBlock {
             must_understand: true,
             role: None,
         }
+    }
+
+    /// The block as it appears inside `env:Header`: the element with
+    /// its processing attributes set.
+    fn to_element(&self) -> Element {
+        let mut e = self.element.clone();
+        if self.must_understand {
+            e.set_attribute(QName::new(SOAP_ENV_NS, "mustUnderstand"), "true");
+        }
+        if let Some(role) = &self.role {
+            e.set_attribute(QName::new(SOAP_ENV_NS, "role"), role.clone());
+        }
+        e
     }
 }
 
@@ -140,20 +153,14 @@ impl Envelope {
             .collect()
     }
 
-    /// Render as the `env:Envelope` element.
+    /// Render as the `env:Envelope` element — a deep copy of headers
+    /// and payload; the wire path streams instead ([`Envelope::write_to`]).
     pub fn to_element(&self) -> Element {
         let mut envelope = Element::new(SOAP_ENV_NS, "Envelope");
         if !self.headers.is_empty() {
             let mut header = Element::new(SOAP_ENV_NS, "Header");
             for block in &self.headers {
-                let mut e = block.element.clone();
-                if block.must_understand {
-                    e.set_attribute(QName::new(SOAP_ENV_NS, "mustUnderstand"), "true");
-                }
-                if let Some(role) = &block.role {
-                    e.set_attribute(QName::new(SOAP_ENV_NS, "role"), role.clone());
-                }
-                header.push_element(e);
+                header.push_element(block.to_element());
             }
             envelope.push_element(header);
         }
@@ -165,6 +172,31 @@ impl Envelope {
         }
         envelope.push_element(body);
         envelope
+    }
+
+    /// Stream the document [`Envelope::to_element`] describes: the
+    /// envelope frame is emitted around the borrowed header and payload
+    /// trees, so encoding copies the payload once — escaped, into the
+    /// output — and not a second time into a staging tree.
+    pub(crate) fn write_to(&self, out: &mut StreamWriter<'_>) {
+        out.element(SOAP_ENV_NS, "Envelope", |out| {
+            if !self.headers.is_empty() {
+                out.element(SOAP_ENV_NS, "Header", |out| {
+                    for block in &self.headers {
+                        if block.must_understand || block.role.is_some() {
+                            out.tree(&block.to_element());
+                        } else {
+                            out.tree(&block.element);
+                        }
+                    }
+                });
+            }
+            out.element(SOAP_ENV_NS, "Body", |out| match &self.body {
+                Body::Payload(payload) => out.tree(payload),
+                Body::Fault(fault) => out.tree(&fault.to_element()),
+                Body::Empty => {}
+            });
+        });
     }
 
     /// Parse from a borrowed `env:Envelope` element.

@@ -144,7 +144,10 @@ impl UddiApi {
         Ok(detail)
     }
 
+    /// Any `tModel` children are saved first — a publish sends the WSDL
+    /// tModel with the record that references it, in one exchange.
     fn save_service(&self, payload: &Element) -> Result<Element, Fault> {
+        self.save_tmodel(payload)?;
         let mut detail = Element::new(UDDI_NS, "serviceDetail");
         for svc_elem in payload.find_all(UDDI_NS, "businessService") {
             let svc = BusinessService::from_element(svc_elem)

@@ -176,13 +176,37 @@ impl UddiClient {
 
     /// `save_service`: publish a record; returns it with assigned keys.
     pub fn save_service(&self, service: &BusinessService) -> Result<BusinessService, UddiError> {
+        self.save_service_body(None, service)
+    }
+
+    /// `save_service` carrying, ahead of the record, the tModel one of
+    /// its bindings references: the registry saves the tModel first, so
+    /// one exchange leaves what `save_tModel` then `save_service` would.
+    /// The tModel's key is the caller's to assign — the record names it.
+    pub fn save_service_with_tmodel(
+        &self,
+        tmodel: &TModel,
+        service: &BusinessService,
+    ) -> Result<BusinessService, UddiError> {
+        self.save_service_body(Some(tmodel), service)
+    }
+
+    fn save_service_body(
+        &self,
+        tmodel: Option<&TModel>,
+        service: &BusinessService,
+    ) -> Result<BusinessService, UddiError> {
         let mut save = Element::new(UDDI_NS, "save_service");
+        if let Some(tmodel) = tmodel {
+            save.push_element(tmodel.to_element());
+        }
         save.push_element(service.to_element());
-        let detail = self.call(save)?;
-        detail
-            .find(UDDI_NS, "businessService")
-            .and_then(BusinessService::from_element)
-            .ok_or_else(|| UddiError::Malformed("serviceDetail lacks businessService".into()))
+        self.call_with(save, |detail| {
+            detail
+                .find(UDDI_NS, "businessService")
+                .and_then(BusinessService::from_element)
+        })?
+        .ok_or_else(|| UddiError::Malformed("serviceDetail lacks businessService".into()))
     }
 
     /// `save_tModel`: publish a tModel (e.g. the WSDL pointer).
@@ -302,6 +326,22 @@ mod tests {
             .unwrap();
         let fetched = client.get_tmodel(&tm.key).unwrap();
         assert_eq!(fetched, tm);
+    }
+
+    #[test]
+    fn service_saved_with_its_tmodel_in_one_body() {
+        let (client, registry) = client_with_data();
+        let before = registry.tmodel_count();
+        let tm =
+            TModel::new("uuid:tm-wsdl:http://h/New", "New WSDL").with_overview("http://h/New?wsdl");
+        let record = BusinessService::new("", "biz", "New").with_binding(
+            crate::model::BindingTemplate::new("", "http://h/New").with_tmodel(&tm.key),
+        );
+        let saved = client.save_service_with_tmodel(&tm, &record).unwrap();
+        assert_eq!(client.get_tmodel(&tm.key).unwrap(), tm);
+        // Referenced by the record, so it goes when the record does.
+        assert!(client.delete_service(&saved.key).unwrap());
+        assert_eq!(registry.tmodel_count(), before);
     }
 
     #[test]

@@ -137,8 +137,8 @@ impl Value {
         if element.attribute(XSI_NS, "nil") == Some("true") {
             return Ok(Value::Null);
         }
-        let text = element.text();
-        let text = text.trim();
+        let content = element.text_ref();
+        let text = content.trim();
         match expected {
             XsdType::Boolean => match text {
                 "true" | "1" => Ok(Value::Bool(true)),
@@ -164,7 +164,7 @@ impl Value {
                         text: text.to_owned(),
                     })
             }
-            XsdType::String => Ok(Value::String(element.text())),
+            XsdType::String => Ok(Value::String(content.into_owned())),
             XsdType::Base64Binary => {
                 base64::decode(text)
                     .map(Value::Bytes)

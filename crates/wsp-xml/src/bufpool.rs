@@ -54,6 +54,12 @@ pub struct BufPool {
 }
 
 impl BufPool {
+    /// Capacity of a buffer the pool creates on a miss. A caller
+    /// deciding whether a buffer of its own is worth pooling compares
+    /// against this: anything smaller would be handed out in place of
+    /// a fresh buffer and regrown.
+    pub const FRESH_CAPACITY: usize = FRESH_CAPACITY;
+
     pub fn new() -> BufPool {
         BufPool::default()
     }

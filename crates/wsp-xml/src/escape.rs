@@ -4,50 +4,116 @@
 //! substitution and bulk-copy the clean run before it, instead of
 //! pushing char-by-char. All special bytes are ASCII, so slicing at
 //! their positions always lands on UTF-8 boundaries.
+//!
+//! The scan reads eight bytes per step: a word is loaded with
+//! `u64::from_le_bytes` from a bounds-checked sub-slice (no `unsafe`,
+//! no alignment requirement) and tested for all needles at once with
+//! the zero-byte test below. A clean word costs a dozen ALU operations
+//! and one branch, whatever its bytes are, so the loop's speed does not
+//! hang on how a one-byte compare-and-branch happens to be placed.
 
 use crate::error::{XmlError, XmlResult};
 use std::borrow::Cow;
 
-/// Position of the next byte in `bytes[from..]` that text content must
-/// escape (`&`, `<`, `>`).
-#[inline]
-fn next_text_special(bytes: &[u8], from: usize) -> Option<usize> {
-    bytes[from..]
-        .iter()
-        .position(|b| matches!(b, b'&' | b'<' | b'>'))
-        .map(|p| from + p)
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// `b` in every byte of a word.
+const fn splat(b: u8) -> u64 {
+    b as u64 * LOW_BITS
 }
 
-/// Position of the next byte in `bytes[from..]` that an attribute value
-/// must escape (text specials plus `"` and literal tab/LF/CR).
-#[inline]
-fn next_attr_special(bytes: &[u8], from: usize) -> Option<usize> {
-    bytes[from..]
-        .iter()
-        .position(|b| matches!(b, b'&' | b'<' | b'>' | b'"' | b'\t' | b'\n' | b'\r'))
-        .map(|p| from + p)
+/// The classic zero-byte test: the result has `0x80` in every byte
+/// position where `word` has a zero byte, and is zero when it has none.
+/// The subtraction borrows upwards, so positions *above* a zero byte
+/// can be flagged falsely; the lowest flagged position never is, and
+/// that is the only one the scans use.
+#[inline(always)]
+fn zero_bytes(word: u64) -> u64 {
+    word.wrapping_sub(LOW_BITS) & !word & HIGH_BITS
 }
 
-#[inline]
-fn text_replacement(b: u8) -> &'static str {
+/// Flags (see [`zero_bytes`]) the `<` and `>` bytes of `word`: they
+/// differ in one bit, so one test finds both.
+#[inline(always)]
+fn angle_brackets(word: u64) -> u64 {
+    zero_bytes((word | splat(0x02)) ^ splat(b'>'))
+}
+
+/// Flags the bytes of `word` that text content must escape.
+#[inline(always)]
+fn text_specials(word: u64) -> u64 {
+    angle_brackets(word) | zero_bytes(word ^ splat(b'&'))
+}
+
+/// Flags the bytes of `word` that an attribute value must escape. The
+/// pairs `"`/`&` and tab/CR differ in one bit each, as `<`/`>` do.
+#[inline(always)]
+fn attr_specials(word: u64) -> u64 {
+    angle_brackets(word)
+        | zero_bytes((word | splat(0x04)) ^ splat(b'&'))
+        | zero_bytes((word | splat(0x04)) ^ splat(b'\r'))
+        | zero_bytes(word ^ splat(b'\n'))
+}
+
+#[inline(always)]
+fn text_replacement(b: u8) -> Option<&'static str> {
     match b {
-        b'<' => "&lt;",
-        b'>' => "&gt;",
-        _ => "&amp;",
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'&' => Some("&amp;"),
+        _ => None,
     }
 }
 
-#[inline]
-fn attr_replacement(b: u8) -> &'static str {
+#[inline(always)]
+fn attr_replacement(b: u8) -> Option<&'static str> {
     match b {
-        b'<' => "&lt;",
-        b'>' => "&gt;",
-        b'&' => "&amp;",
-        b'"' => "&quot;",
-        b'\t' => "&#9;",
-        b'\n' => "&#10;",
-        _ => "&#13;",
+        b'"' => Some("&quot;"),
+        b'\t' => Some("&#9;"),
+        b'\n' => Some("&#10;"),
+        b'\r' => Some("&#13;"),
+        _ => text_replacement(b),
     }
+}
+
+/// The one escape loop: `specials` flags the bytes of a word that
+/// `replacement` substitutes. Whole words are skipped while clean; the
+/// sub-word tail goes byte by byte; each clean run is copied once, when
+/// the special that ends it (or the end of input) is reached.
+#[inline(always)]
+fn escape_into(
+    input: &str,
+    out: &mut Vec<u8>,
+    specials: impl Fn(u64) -> u64,
+    replacement: impl Fn(u8) -> Option<&'static str>,
+) {
+    let bytes = input.as_bytes();
+    // Once per call: the output is at least as long as the input, and
+    // only a substitution past that can make the copies below grow it.
+    out.reserve(bytes.len());
+    let mut copied = 0;
+    let mut at = 0;
+    while at < bytes.len() {
+        if let Some(word) = bytes.get(at..at + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("an eight-byte slice"));
+            let flagged = specials(word);
+            if flagged == 0 {
+                at += 8;
+                continue;
+            }
+            // Little-endian load: the lowest flagged bit is the first
+            // special byte in input order.
+            at += (flagged.trailing_zeros() / 8) as usize;
+        }
+        if let Some(replacement) = replacement(bytes[at]) {
+            out.extend_from_slice(&bytes[copied..at]);
+            out.extend_from_slice(replacement.as_bytes());
+            copied = at + 1;
+        }
+        at += 1;
+    }
+    out.extend_from_slice(&bytes[copied..]);
 }
 
 /// Escape a string for use as element character data, appending bytes.
@@ -55,14 +121,7 @@ fn attr_replacement(b: u8) -> &'static str {
 /// `<`, `&` and `>` are escaped. `>` is only mandatory inside `]]>` but
 /// escaping it unconditionally is harmless and simpler.
 pub fn escape_text_into(input: &str, out: &mut Vec<u8>) {
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while let Some(pos) = next_text_special(bytes, i) {
-        out.extend_from_slice(&bytes[i..pos]);
-        out.extend_from_slice(text_replacement(bytes[pos]).as_bytes());
-        i = pos + 1;
-    }
-    out.extend_from_slice(&bytes[i..]);
+    escape_into(input, out, text_specials, text_replacement);
 }
 
 /// Escape a string for use inside a double-quoted attribute value,
@@ -72,14 +131,7 @@ pub fn escape_text_into(input: &str, out: &mut Vec<u8>) {
 /// tab/newline/carriage-return are escaped as character references so that
 /// attribute-value normalisation cannot change them on re-parse.
 pub fn escape_attr_into(input: &str, out: &mut Vec<u8>) {
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while let Some(pos) = next_attr_special(bytes, i) {
-        out.extend_from_slice(&bytes[i..pos]);
-        out.extend_from_slice(attr_replacement(bytes[pos]).as_bytes());
-        i = pos + 1;
-    }
-    out.extend_from_slice(&bytes[i..]);
+    escape_into(input, out, attr_specials, attr_replacement);
 }
 
 /// Escape element character data into a `String` (see [`escape_text_into`]).
@@ -108,51 +160,53 @@ pub fn escape_text_owned(input: &str) -> String {
 /// `base` is the byte offset of `input` within the whole document, used
 /// for error reporting.
 pub fn unescape(input: &str, base: usize) -> XmlResult<Cow<'_, str>> {
-    // Fast path: nothing to expand, nothing to allocate.
-    let bytes = input.as_bytes();
-    let Some(first) = bytes.iter().position(|&b| b == b'&') else {
+    // Fast path: nothing to expand, nothing to allocate. `str::find`
+    // with a one-byte needle is std's word-at-a-time `memchr`.
+    let Some(first) = input.find('&') else {
         return Ok(Cow::Borrowed(input));
     };
+    // References only ever shrink, so this one reservation holds.
     let mut out = String::with_capacity(input.len());
     out.push_str(&input[..first]);
-    let mut i = first;
-    while i < input.len() {
-        if bytes[i] != b'&' {
-            // Bulk-copy the clean run up to the next reference.
-            let run_end = bytes[i..]
-                .iter()
-                .position(|&b| b == b'&')
-                .map(|p| i + p)
-                .unwrap_or(input.len());
-            out.push_str(&input[i..run_end]);
-            i = run_end;
-            continue;
-        }
-        let semi = input[i + 1..]
-            .find(';')
-            .map(|p| i + 1 + p)
-            .ok_or(XmlError::UnexpectedEof {
-                offset: base + i,
-                expecting: "';' terminating entity reference",
-            })?;
-        let entity = &input[i + 1..semi];
-        match entity {
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "amp" => out.push('&'),
-            "apos" => out.push('\''),
-            "quot" => out.push('"'),
+    // Invariant: `rest` starts at a `&`.
+    let mut rest = &input[first..];
+    loop {
+        // The five predefined entities, matched on their bytes; only a
+        // character reference (or garbage) goes looking for its `;`.
+        let (ch, len) = match rest.as_bytes() {
+            [b'&', b'l', b't', b';', ..] => ('<', 4),
+            [b'&', b'g', b't', b';', ..] => ('>', 4),
+            [b'&', b'a', b'm', b'p', b';', ..] => ('&', 5),
+            [b'&', b'q', b'u', b'o', b't', b';', ..] => ('"', 6),
+            [b'&', b'a', b'p', b'o', b's', b';', ..] => ('\'', 6),
             _ => {
+                let offset = base + (input.len() - rest.len());
+                let semi = rest.find(';').ok_or(XmlError::UnexpectedEof {
+                    offset,
+                    expecting: "';' terminating entity reference",
+                })?;
+                let entity = &rest[1..semi];
                 let ch = parse_char_ref(entity).ok_or_else(|| XmlError::BadEntity {
-                    offset: base + i,
+                    offset,
                     entity: entity.to_owned(),
                 })?;
-                out.push(ch);
+                (ch, semi + 1)
+            }
+        };
+        out.push(ch);
+        rest = &rest[len..];
+        // Bulk-copy the clean run up to the next reference.
+        match rest.find('&') {
+            Some(next) => {
+                out.push_str(&rest[..next]);
+                rest = &rest[next..];
+            }
+            None => {
+                out.push_str(rest);
+                return Ok(Cow::Owned(out));
             }
         }
-        i = semi + 1;
     }
-    Ok(Cow::Owned(out))
 }
 
 fn parse_char_ref(entity: &str) -> Option<char> {

@@ -186,14 +186,27 @@ impl Element {
 
     /// Concatenated character data of direct Text/CData children.
     pub fn text(&self) -> String {
-        let mut out = String::new();
-        for c in &self.children {
-            match c {
-                Node::Text(t) | Node::CData(t) => out.push_str(t),
-                _ => {}
+        self.text_ref().into_owned()
+    }
+
+    /// [`Element::text`] without the copy when there is nothing to
+    /// concatenate: an element whose character data is one node — every
+    /// leaf the parser builds from an unbroken run of text — lends it.
+    pub fn text_ref(&self) -> std::borrow::Cow<'_, str> {
+        let mut runs = self.children.iter().filter_map(|c| match c {
+            Node::Text(t) | Node::CData(t) => Some(t.as_str()),
+            _ => None,
+        });
+        let first = runs.next().unwrap_or("");
+        match runs.next() {
+            None => first.into(),
+            Some(second) => {
+                let mut out = String::from(first);
+                out.push_str(second);
+                runs.for_each(|t| out.push_str(t));
+                out.into()
             }
         }
-        out
     }
 
     /// Text of the first child element named `{ns}local`.
@@ -328,6 +341,20 @@ mod tests {
         e.push_element(Element::build("", "x").text("inner").finish());
         e.children_mut().push(Node::CData("b".into()));
         assert_eq!(e.text(), "ab");
+        assert!(matches!(e.text_ref(), std::borrow::Cow::Owned(_)));
+    }
+
+    #[test]
+    fn text_ref_lends_a_single_run() {
+        let leaf = Element::build("", "t").text("only").finish();
+        assert!(matches!(
+            leaf.text_ref(),
+            std::borrow::Cow::Borrowed("only")
+        ));
+        assert!(matches!(
+            Element::new("", "t").text_ref(),
+            std::borrow::Cow::Borrowed("")
+        ));
     }
 
     #[test]

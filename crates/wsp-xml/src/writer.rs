@@ -123,9 +123,9 @@ impl Writer {
         }
     }
 
-    /// Serialise a document of attribute-less elements and text without
-    /// building its [`Element`] tree first: `root` emits it through the
-    /// [`StreamWriter`] it is handed. The bytes are exactly what
+    /// Serialise a document of attribute-less elements, text and
+    /// borrowed subtrees without building its [`Element`] tree first:
+    /// `root` emits it through the [`StreamWriter`] it is handed. The bytes are exactly what
     /// [`Writer::write_into`] produces for the equivalent tree (compact
     /// form — `pretty` is a tree-writer option).
     pub fn write_stream_into(
@@ -368,6 +368,15 @@ impl StreamWriter<'_> {
     pub fn text(&mut self, text: &str) {
         escape_text_into(text, self.out);
     }
+
+    /// Emit a borrowed tree as the next child — attributes and all, as
+    /// [`Writer::write_into`] writes it at this position — so a frame
+    /// can be streamed around a subtree its caller already holds
+    /// without cloning the subtree into the frame first.
+    pub fn tree(&mut self, element: &Element) {
+        // Depth only matters to `pretty`, which the stream writer is not.
+        self.writer.write_element(element, 0, self.out);
+    }
 }
 
 #[cfg(test)]
@@ -517,6 +526,10 @@ mod tests {
 
     #[test]
     fn stream_writer_matches_tree_writer_byte_for_byte() {
+        let borrowed = Element::build("urn:z", "e")
+            .attr(QName::new("urn:x", "k"), "v\"")
+            .child(Element::build("urn:w", "f").text("a & b").finish())
+            .finish();
         let tree = Element::build("urn:x", "a")
             .child(
                 Element::build("urn:x", "b")
@@ -529,6 +542,7 @@ mod tests {
                     .child(Element::new("urn:x", "d"))
                     .finish(),
             )
+            .child(borrowed.clone())
             .finish();
         for config in [
             WriterConfig::default(),
@@ -542,6 +556,7 @@ mod tests {
                     s.element("urn:x", "b", |s| s.text("1 < 2 & \"q\" ]]> é"));
                     s.element("urn:y", "c", |s| s.text(""));
                     s.element("", "plain", |s| s.element("urn:x", "d", |_| {}));
+                    s.tree(&borrowed);
                 });
             });
             assert_eq!(String::from_utf8(out).unwrap(), expected);

@@ -74,6 +74,14 @@ cargo test -q -p wsp-integration-tests --test telemetry
 echo "==> wire-byte identity + pool concurrency"
 cargo test -q -p wsp-integration-tests --test wire_bytes --test bufpool
 
+# Word-at-a-time kernels (PR 22): the escaper and the expander do
+# arithmetic on whole words (`wrapping_sub`, shifts, `trailing_zeros`)
+# and index by its results. Tier-1 ran their unit tests, the
+# every-offset/oracle properties and the reader's byte soup with
+# overflow checks on; run them again without, as they ship.
+echo "==> wsp-xml kernels: unit + prop_escape + byte soup (release)"
+cargo test -q --release -p wsp-xml --lib --test prop_escape --test byte_soup
+
 echo "==> allocation-regression guard (release)"
 cargo test -q --release -p wsp-integration-tests --test alloc_guard
 

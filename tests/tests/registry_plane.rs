@@ -365,3 +365,95 @@ fn log_retention_is_flat_with_age_and_pinned_only_by_a_down_member() {
         }
     }
 }
+
+/// A publish is one registry exchange: the WSDL tModel rides in the
+/// `save_service` body under a key the publisher derived from the
+/// endpoint, and the registry ends where `save_tModel` + `save_service`
+/// left it — tModel present with its overview URL, referenced by the
+/// record, gone with the record on a single registry. The cluster keeps
+/// tModels outside the sharded log and never collected them; there the
+/// derived key is what stops a deploy/undeploy cycle from adding one.
+#[test]
+fn a_publish_is_one_exchange_and_carries_its_tmodel() {
+    use wsp_core::bindings::{HttpUddiBinding, HttpUddiConfig};
+    use wsp_core::{EventBus, Peer};
+    use wsp_uddi::{direct_transport, Registry, UddiClient};
+    use wsp_wsdl::{ServiceDescriptor, Value};
+
+    fn count(inner: SoapTransport) -> (UddiClient, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counter = calls.clone();
+        let transport: SoapTransport = Arc::new(move |request: &Envelope| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            inner(request)
+        });
+        (UddiClient::new(transport), calls)
+    }
+    // Deploy + publish + undeploy `cycles` times: every publish and
+    // every unpublish is exactly one exchange, and while published the
+    // record's tModel is where `lookup` looks.
+    fn cycle(
+        uddi: UddiClient,
+        calls: &AtomicUsize,
+        cycles: usize,
+        lookup: impl Fn(&str) -> Option<wsp_uddi::TModel>,
+    ) {
+        let provider = Peer::with_binding(&HttpUddiBinding::new(
+            uddi.clone(),
+            EventBus::new(),
+            HttpUddiConfig::default(),
+        ));
+        for _ in 0..cycles {
+            calls.store(0, Ordering::SeqCst);
+            let deployed = provider
+                .server()
+                .deploy_and_publish(
+                    ServiceDescriptor::echo(),
+                    Arc::new(|_: &str, args: &[Value]| Ok(args[0].clone())),
+                )
+                .expect("deploy and publish");
+            assert_eq!(calls.load(Ordering::SeqCst), 1, "one exchange per publish");
+            let endpoint = deployed.primary_endpoint().expect("an endpoint");
+            let record = uddi
+                .locate(&ServiceQuery::by_name("Echo"))
+                .expect("locate")
+                .pop()
+                .expect("the record");
+            let key = record.bindings[0].tmodel_keys[0].clone();
+            let tmodel = lookup(&key).expect("the record's tModel is in the registry");
+            assert_eq!(tmodel.overview_url, Some(format!("{endpoint}?wsdl")));
+            calls.store(0, Ordering::SeqCst);
+            assert!(provider.server().undeploy("Echo"));
+            assert_eq!(
+                calls.load(Ordering::SeqCst),
+                1,
+                "one exchange per unpublish"
+            );
+        }
+    }
+
+    let registry = Registry::new();
+    let before = registry.tmodel_count();
+    let (uddi, calls) = count(direct_transport(registry.clone()));
+    cycle(uddi, &calls, 3, |key| registry.get_tmodel(key));
+    assert_eq!(registry.tmodel_count(), before, "gone with its record");
+    assert_eq!(registry.service_count(), 0);
+
+    let plane = cluster(6);
+    let primary = plane.shard_map().route("Echo").primary;
+    let (uddi, calls) = count(plane.node_transport(primary));
+    cycle(uddi, &calls, 3, |key| {
+        let held: Vec<_> = (0..6)
+            .map(|n| plane.node_registry(n).get_tmodel(key))
+            .collect();
+        assert!(held.iter().all(Option::is_some), "on every live node");
+        held.into_iter().next().flatten()
+    });
+    for node in 0..6 {
+        assert_eq!(
+            plane.node_registry(node).tmodel_count(),
+            1,
+            "node {node}: one tModel per endpoint, however many publishes"
+        );
+    }
+}
