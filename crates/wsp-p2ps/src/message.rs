@@ -278,10 +278,10 @@ fn open_tag<'a>(tokens: &mut Tokenizer<'a>) -> Option<&'a str> {
     match tokens.next_token().ok()?? {
         Token::StartTag {
             name,
-            attrs,
+            attrs: [],
             self_closing: false,
             ..
-        } if attrs.is_empty() => Some(name),
+        } => Some(name),
         _ => None,
     }
 }
@@ -298,16 +298,13 @@ fn close_tag(tokens: &mut Tokenizer<'_>, open: &str) -> Option<()> {
 fn leaf<'a>(tokens: &mut Tokenizer<'a>, prefix: &str) -> Option<(&'a str, Cow<'a, str>)> {
     let Token::StartTag {
         name,
-        attrs,
+        attrs: [],
         self_closing,
         ..
     } = tokens.next_token().ok()??
     else {
         return None;
     };
-    if !attrs.is_empty() {
-        return None;
-    }
     let local = local_name(name, prefix)?;
     if self_closing {
         return Some((local, Cow::Borrowed("")));

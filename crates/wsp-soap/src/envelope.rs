@@ -99,6 +99,12 @@ impl Envelope {
         &self.body
     }
 
+    /// The body by value, for a receiver that is done with the
+    /// envelope and would otherwise clone the payload out of it.
+    pub fn into_body(self) -> Body {
+        self.body
+    }
+
     /// The payload element, if the body carries one.
     pub fn payload(&self) -> Option<&Element> {
         match &self.body {

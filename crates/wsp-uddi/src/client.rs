@@ -7,7 +7,7 @@ use crate::query::{ServiceQuery, FIND_SERVICE_DETAIL};
 use crate::registry::Registry;
 use std::fmt;
 use std::sync::Arc;
-use wsp_soap::{Envelope, Fault};
+use wsp_soap::{Body, Envelope, Fault};
 use wsp_xml::Element;
 
 /// A function that carries a SOAP request envelope to the registry and
@@ -76,25 +76,15 @@ impl UddiClient {
         self.endpoint.as_deref()
     }
 
-    /// One exchange; `read` sees the response body in place.
-    fn call_with<T>(
-        &self,
-        payload: Element,
-        read: impl FnOnce(&Element) -> T,
-    ) -> Result<T, UddiError> {
+    /// One exchange: the response body's payload, owned.
+    fn call(&self, payload: Element) -> Result<Element, UddiError> {
         let request = Envelope::request(payload);
         let response = (self.transport)(&request).map_err(UddiError::Transport)?;
-        if let Some(fault) = response.fault_body() {
-            return Err(UddiError::Fault(Box::new(fault.clone())));
+        match response.into_body() {
+            Body::Payload(payload) => Ok(payload),
+            Body::Fault(fault) => Err(UddiError::Fault(Box::new(fault))),
+            Body::Empty => Err(UddiError::Malformed("response body is empty".into())),
         }
-        response
-            .payload()
-            .map(read)
-            .ok_or_else(|| UddiError::Malformed("response body is empty".into()))
-    }
-
-    fn call(&self, payload: Element) -> Result<Element, UddiError> {
-        self.call_with(payload, Element::clone)
     }
 
     /// `find_service`: returns light summaries.
@@ -129,12 +119,11 @@ impl UddiClient {
     /// `find_serviceDetail`: the full records matching `query`, in one
     /// exchange.
     pub fn locate(&self, query: &ServiceQuery) -> Result<Vec<BusinessService>, UddiError> {
-        self.call_with(query.to_request(FIND_SERVICE_DETAIL), |detail| {
-            detail
-                .find_all(UDDI_NS, "businessService")
-                .filter_map(BusinessService::from_element)
-                .collect()
-        })
+        let detail = self.call(query.to_request(FIND_SERVICE_DETAIL))?;
+        Ok(detail
+            .find_all(UDDI_NS, "businessService")
+            .filter_map(BusinessService::from_element)
+            .collect())
     }
 
     /// `save_business`: register a publishing organisation.
@@ -201,12 +190,10 @@ impl UddiClient {
             save.push_element(tmodel.to_element());
         }
         save.push_element(service.to_element());
-        self.call_with(save, |detail| {
-            detail
-                .find(UDDI_NS, "businessService")
-                .and_then(BusinessService::from_element)
-        })?
-        .ok_or_else(|| UddiError::Malformed("serviceDetail lacks businessService".into()))
+        self.call(save)?
+            .find(UDDI_NS, "businessService")
+            .and_then(BusinessService::from_element)
+            .ok_or_else(|| UddiError::Malformed("serviceDetail lacks businessService".into()))
     }
 
     /// `save_tModel`: publish a tModel (e.g. the WSDL pointer).

@@ -1,6 +1,7 @@
 //! Qualified names, namespace bindings, and the name interner.
 
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -19,7 +20,7 @@ pub const XMLNS_NS: &str = "http://www.w3.org/2000/xmlns/";
 /// reader and SOAP layers do constantly (attribute dedup, header
 /// extraction, tree clones) — is a refcount bump, not a heap copy.
 #[derive(Clone)]
-enum NameStr {
+pub(crate) enum NameStr {
     Static(&'static str),
     Shared(Arc<str>),
 }
@@ -67,6 +68,13 @@ impl QName {
             namespace: namespace.into().into(),
             local: local.into().into(),
         }
+    }
+
+    /// A name from two halves the interner already handed out — the
+    /// reader interns a namespace URI where it is declared, not once
+    /// per element that uses its prefix.
+    pub(crate) fn from_interned(namespace: NameStr, local: NameStr) -> Self {
+        QName { namespace, local }
     }
 
     /// A name in no namespace.
@@ -144,65 +152,46 @@ impl fmt::Display for QName {
 
 /// The SOAP/WSA/WSDL/UDDI/P2PS vocabulary is tiny and endlessly
 /// repeated, so the table is seeded with it: interning any of these
-/// strings returns a `&'static str` and never allocates, even on the
-/// very first document a process parses.
+/// strings returns a `&'static str` and never allocates, counts against
+/// the dynamic cap or touches a reference count, even on the very first
+/// document a process parses. One whitespace-separated list per family,
+/// holding what the crates of this workspace put on the wire (the
+/// vocabulary test in `tests/tests/vocabulary.rs` parses one document
+/// of each family and fails when a name is missing here).
 const SEEDED_VOCABULARY: &[&str] = &[
-    // namespace URIs
-    "http://www.w3.org/2003/05/soap-envelope",
-    "http://www.w3.org/2005/08/addressing",
-    "http://schemas.xmlsoap.org/wsdl/",
-    "http://www.w3.org/2001/XMLSchema",
-    XML_NS,
-    XMLNS_NS,
-    // SOAP
-    "Envelope",
-    "Header",
-    "Body",
-    "Fault",
-    "Code",
-    "Subcode",
-    "Value",
-    "Reason",
-    "Text",
-    "Detail",
-    "mustUnderstand",
-    "role",
-    // WS-Addressing
-    "To",
-    "From",
-    "ReplyTo",
-    "FaultTo",
-    "Action",
-    "MessageID",
-    "RelatesTo",
-    "Address",
-    "RelationshipType",
-    // WSDL
-    "definitions",
-    "types",
-    "message",
-    "part",
-    "portType",
-    "operation",
-    "input",
-    "output",
-    "binding",
-    "service",
-    "port",
-    "name",
-    "type",
-    "element",
-    "targetNamespace",
-    "location",
-    "schema",
-    // common attribute/metadata locals
-    "id",
-    "ttl",
-    "origin",
-    "nonce",
-    "lang",
-    "key",
-    "value",
+    // Namespace URIs: SOAP 1.2, WS-Addressing (the March 2004 draft the
+    // paper used), WSDL 1.1 and its SOAP 1.2 binding, XSD, XSI, UDDI v2
+    // and this repository's own.
+    "http://www.w3.org/2003/05/soap-envelope http://schemas.xmlsoap.org/ws/2004/03/addressing
+     http://schemas.xmlsoap.org/wsdl/ http://schemas.xmlsoap.org/wsdl/soap12/
+     http://www.w3.org/2001/XMLSchema http://www.w3.org/2001/XMLSchema-instance
+     http://www.w3.org/XML/1998/namespace http://www.w3.org/2000/xmlns/
+     urn:uddi-org:api_v2 urn:wspeer:p2ps urn:wsp:registry urn:wspeer:wsdl-ext",
+    // SOAP envelope and fault.
+    "Envelope Header Body Fault Code Subcode Value Reason Text Detail mustUnderstand role lang",
+    // WS-Addressing.
+    "To From ReplyTo FaultTo Action MessageID RelatesTo Address RelationshipType
+     EndpointReference ReferenceProperties",
+    // WSDL, its SOAP binding, the schema subset and the encoded values.
+    "definitions types message part portType operation input output binding service port name
+     type element targetNamespace location schema documentation address transport style
+     complexType sequence minOccurs maxOccurs nil item return Properties Property",
+    // UDDI v2 inquiry and publication.
+    "businessService businessEntity businessKey serviceKey bindingTemplates bindingTemplate
+     bindingKey accessPoint URLType tModel tModelKey tModelInstanceDetails tModelInstanceInfo
+     categoryBag keyedReference keyName keyValue description overviewDoc overviewURL
+     find_service find_serviceDetail find_business get_serviceDetail get_tModelDetail
+     save_service save_tModel save_business delete_service discard_everything maxRows
+     serviceList serviceInfos serviceInfo serviceDetail tModelDetail businessList
+     businessInfos businessInfo businessDetail dispositionReport leaseTtlMs",
+    // P2PS adverts, queries and frames.
+    "Advertise QueryMsg QueryHit Query PipeData Ping Pong ServiceAdvertisement PipeAdvertisement
+     Peer Service Name Payload PipeName Attributes Attribute GetDefinition",
+    // The replicated registry's shard map and version vector.
+    "shardMap shard node members view epoch mapEpoch endpoint get_shardMap dataVersions
+     get_dataVersions version deleted",
+    // Attribute and metadata locals shared by several of the above.
+    "id ttl origin nonce key",
 ];
 
 /// Cap on dynamically interned entries: a hostile peer streaming
@@ -224,6 +213,39 @@ pub struct NameTable {
     // so lookups never allocate a key.
     entries: Mutex<NameTableInner>,
     hasher: std::collections::hash_map::RandomState,
+    /// True for [`NameTable::global`] alone: lookups go through the
+    /// calling thread's [`FRONT`] cache first. A cache is per thread,
+    /// not per table, so a private table answering from it would hand
+    /// out another table's entries and lose count of its own.
+    fronted: bool,
+}
+
+/// Slots in the per-thread cache in front of the global table. The
+/// whole WS vocabulary is a few hundred names; 512 keeps two hot names
+/// from sharing a slot without costing a thread more than 12 KiB.
+const FRONT_SLOTS: usize = 512;
+
+thread_local! {
+    /// Direct-mapped with the neighbouring slot as a second way: a name
+    /// has one slot, found without SipHash, and whatever was there
+    /// moves next door. A hit is decided by comparing the text, so a
+    /// collision is a miss, never a wrong name, and hostile names
+    /// cannot grow it. Empty until the thread first parses: a thread
+    /// that never does carries three words.
+    static FRONT: RefCell<Vec<NameStr>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The cache slot of `s`: length, first and last eight bytes, mixed.
+/// Cheap rather than collision-resistant — see [`FRONT`].
+fn front_slot(s: &str) -> usize {
+    let b = s.as_bytes();
+    let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+    let (head, tail) = match b.len() {
+        n @ 8.. => (word(0), word(n - 8)),
+        _ => (b.iter().fold(0, |acc, &x| acc << 8 | u64::from(x)), 0),
+    };
+    let mixed = (head ^ tail.rotate_left(29) ^ b.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> (64 - FRONT_SLOTS.trailing_zeros())) as usize
 }
 
 struct NameTableInner {
@@ -242,15 +264,19 @@ impl NameTable {
     pub fn new() -> NameTable {
         let table = NameTable {
             entries: Mutex::new(NameTableInner {
-                buckets: HashMap::with_capacity(SEEDED_VOCABULARY.len() * 2),
+                buckets: HashMap::new(),
                 len: 0,
             }),
             hasher: std::collections::hash_map::RandomState::new(),
+            fronted: false,
         };
         {
             let mut inner = table.entries.lock().expect("name table poisoned");
-            for s in SEEDED_VOCABULARY {
-                let hash = table.hash(s);
+            for s in SEEDED_VOCABULARY
+                .iter()
+                .flat_map(|f| f.split_ascii_whitespace())
+            {
+                let hash = table.hasher.hash_one(s);
                 inner
                     .buckets
                     .entry(hash)
@@ -264,18 +290,45 @@ impl NameTable {
     /// The process-wide table used by [`crate::parse`].
     pub fn global() -> &'static NameTable {
         static GLOBAL: OnceLock<NameTable> = OnceLock::new();
-        GLOBAL.get_or_init(NameTable::new)
+        GLOBAL.get_or_init(|| NameTable {
+            fronted: true,
+            ..NameTable::new()
+        })
     }
 
-    fn hash(&self, s: &str) -> u64 {
-        self.hasher.hash_one(s)
-    }
-
-    fn intern_str(&self, s: &str) -> NameStr {
+    /// The interned form of `s`: static for the seeded vocabulary and
+    /// the empty string, shared with every earlier caller otherwise.
+    pub(crate) fn intern(&self, s: &str) -> NameStr {
         if s.is_empty() {
             return NameStr::Static("");
         }
-        let hash = self.hash(s);
+        if !self.fronted {
+            return self.intern_shared(s);
+        }
+        let slot = front_slot(s);
+        FRONT
+            .try_with(|front| {
+                let mut front = front.borrow_mut();
+                if front.is_empty() {
+                    front.resize(FRONT_SLOTS, NameStr::Static(""));
+                }
+                if front[slot].as_str() != s {
+                    // What was here moves next door, so two hot names
+                    // with one slot (`Envelope` and `URLType` are such a
+                    // pair) trade places instead of evicting each other.
+                    front.swap(slot, slot ^ 1);
+                    if front[slot].as_str() != s {
+                        front[slot] = self.intern_shared(s);
+                    }
+                }
+                front[slot].clone()
+            })
+            // A thread tearing down its locals can still parse.
+            .unwrap_or_else(|_| self.intern_shared(s))
+    }
+
+    fn intern_shared(&self, s: &str) -> NameStr {
+        let hash = self.hasher.hash_one(s);
         let mut inner = self.entries.lock().expect("name table poisoned");
         if let Some(bucket) = inner.buckets.get(&hash) {
             if let Some(found) = bucket.iter().find(|e| e.as_str() == s) {
@@ -294,8 +347,8 @@ impl NameTable {
     /// previous caller; the seeded vocabulary never allocates at all.
     pub fn qname(&self, namespace: &str, local: &str) -> QName {
         QName {
-            namespace: self.intern_str(namespace),
-            local: self.intern_str(local),
+            namespace: self.intern(namespace),
+            local: self.intern(local),
         }
     }
 
@@ -326,8 +379,9 @@ impl NsBinding {
 /// Split a lexical name into `(prefix, local)`. A missing prefix yields
 /// `("", name)`.
 pub fn split_prefixed(name: &str) -> (&str, &str) {
-    match name.split_once(':') {
-        Some((p, l)) => (p, l),
+    // Names are a dozen bytes: a plain scan beats `split_once`'s searcher.
+    match name.bytes().position(|b| b == b':') {
+        Some(colon) => (&name[..colon], &name[colon + 1..]),
         None => ("", name),
     }
 }
@@ -522,6 +576,37 @@ mod tests {
         // Past the cap, names still come back correct.
         let q = table.qname("urn:late", "arrival");
         assert!(q.is("urn:late", "arrival"));
+    }
+
+    #[test]
+    fn front_cache_never_answers_with_another_name() {
+        // The slot depends on length, first and last eight bytes only,
+        // so these fifty share one: every lookup but a repeat evicts.
+        let colliding: Vec<String> = (0..50).map(|i| format!("samehead{i:04}sametail")).collect();
+        let slot = front_slot(&colliding[0]);
+        assert!(colliding.iter().all(|name| front_slot(name) == slot));
+        // And more names than there are slots, seeded ones among them.
+        let mut names: Vec<String> = (0..2 * FRONT_SLOTS).map(|i| format!("n{i}")).collect();
+        names.extend(colliding);
+        names.extend(["Envelope", "Body", "urn:uddi-org:api_v2"].map(String::from));
+        let table = NameTable::global();
+        for round in 0..3 {
+            for stride in [1, 7, 51] {
+                for i in (0..names.len()).map(|i| (i * stride + round) % names.len()) {
+                    let q = table.qname(&names[(i + 1) % names.len()], &names[i]);
+                    assert_eq!(q.local_name(), names[i]);
+                    assert_eq!(q.namespace(), names[(i + 1) % names.len()]);
+                }
+            }
+        }
+        // A private table is not fronted: it counts what it was asked.
+        let private = NameTable::new();
+        private.qname("n1", "n2");
+        assert_eq!(
+            private.dynamic_len(),
+            2,
+            "names the global table already holds"
+        );
     }
 
     #[test]

@@ -3,14 +3,31 @@
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::unescape;
-use crate::name::{split_prefixed, NameTable, NsBinding, NsStack};
+use crate::name::{split_prefixed, NameStr, NameTable, QName, XML_NS};
 use crate::tokenizer::{Token, Tokenizer};
-use crate::tree::{Element, Node};
+use crate::tree::{Attribute, Element, Node};
 
 /// Maximum element nesting depth accepted by [`parse`]. Deep enough for
 /// any real SOAP/WSDL document, shallow enough to stop stack abuse from
 /// hostile peers.
 pub const MAX_DEPTH: usize = 256;
+
+/// The namespace declarations in scope, innermost last: the prefix as
+/// the document wrote it and its URI, interned once here for every
+/// name that will resolve through it.
+type Scopes<'a> = Vec<(&'a str, NameStr)>;
+
+/// An element whose end tag has not been seen yet.
+struct Open<'a> {
+    /// The name as written; an end tag must repeat it exactly.
+    lexical: &'a str,
+    element: Element,
+    /// How many declarations were in scope outside this element.
+    outer_scopes: usize,
+    /// Layout whitespace exists only where both of these were seen.
+    has_element_child: bool,
+    has_blank_text: bool,
+}
 
 /// Parse a complete document and return its root element.
 ///
@@ -25,42 +42,49 @@ pub const MAX_DEPTH: usize = 256;
 ///   inside the tree they are preserved.
 pub fn parse(input: &str) -> XmlResult<Element> {
     let mut tokens = Tokenizer::new(input);
-    let mut ns = NsStack::new();
+    // Sized for an envelope — eight prefixes in scope, elements sixteen
+    // deep — so neither grows while one is read.
+    let mut scopes = Scopes::with_capacity(8);
     let names = NameTable::global();
-    // Stack of (lexical name, element under construction). Open-tag
-    // names borrow the input; nothing is owned until a QName is built.
-    let mut stack: Vec<(&str, Element)> = Vec::new();
+    let mut stack: Vec<Open> = Vec::with_capacity(16);
     let mut root: Option<Element> = None;
 
     while let Some(tok) = tokens.next_token()? {
         match tok {
             Token::Declaration { .. } => {}
             Token::Comment { text, .. } => {
-                if let Some((_, parent)) = stack.last_mut() {
-                    parent.children_mut().push(Node::Comment(text.to_owned()));
+                if let Some(parent) = stack.last_mut() {
+                    let comment = Node::Comment(text.to_owned());
+                    parent.element.children_mut().push(comment);
                 }
             }
             Token::Pi { target, data, .. } => {
-                if let Some((_, parent)) = stack.last_mut() {
-                    parent.children_mut().push(Node::ProcessingInstruction {
+                if let Some(parent) = stack.last_mut() {
+                    let pi = Node::ProcessingInstruction {
                         target: target.to_owned(),
                         data: data.to_owned(),
-                    });
+                    };
+                    parent.element.children_mut().push(pi);
                 }
             }
             Token::Text { raw, offset } => {
                 let text = unescape(raw, offset)?;
+                let blank = text.trim().is_empty();
                 match stack.last_mut() {
-                    Some((_, parent)) => parent.children_mut().push(Node::Text(text.into_owned())),
-                    None => {
-                        if !text.trim().is_empty() {
-                            return Err(XmlError::ContentOutsideRoot { offset });
-                        }
+                    Some(parent) => {
+                        parent.has_blank_text |= blank;
+                        let text = Node::Text(text.into_owned());
+                        parent.element.children_mut().push(text);
                     }
+                    None if blank => {}
+                    None => return Err(XmlError::ContentOutsideRoot { offset }),
                 }
             }
             Token::CData { text, offset } => match stack.last_mut() {
-                Some((_, parent)) => parent.children_mut().push(Node::CData(text.to_owned())),
+                Some(parent) => {
+                    let cdata = Node::CData(text.to_owned());
+                    parent.element.children_mut().push(cdata);
+                }
                 None => return Err(XmlError::ContentOutsideRoot { offset }),
             },
             Token::StartTag {
@@ -78,43 +102,64 @@ pub fn parse(input: &str) -> XmlResult<Element> {
                         limit: MAX_DEPTH,
                     });
                 }
-                ns.push_scope();
+                let outer_scopes = scopes.len();
                 // First pass: namespace declarations open a new scope for
                 // this very element, so collect them before resolving.
-                for (aname, raw_value) in &attrs {
-                    if let Some(binding) = ns_declaration(aname, raw_value, offset)? {
-                        ns.declare(binding);
+                let mut plain_attrs = 0;
+                for (aname, raw_value) in attrs {
+                    match declared_prefix(aname) {
+                        Some(prefix) => {
+                            let uri = unescape(raw_value, offset)?;
+                            if *aname != "xmlns" && (prefix.is_empty() || uri.is_empty()) {
+                                return Err(XmlError::BadName {
+                                    offset,
+                                    name: (*aname).to_owned(),
+                                });
+                            }
+                            scopes.push((prefix, names.intern(&uri)));
+                        }
+                        None => plain_attrs += 1,
                     }
                 }
-                let element = build_element(name, &attrs, &ns, names, offset)?;
+                // The element is built where it will wait for its end
+                // tag: a tree node is moved once, into its parent.
+                let (prefix, local) = split_prefixed(name);
+                let uri = resolve(&scopes, prefix, offset)?;
+                stack.push(Open {
+                    lexical: name,
+                    element: Element::with_name(QName::from_interned(uri, names.intern(local))),
+                    outer_scopes,
+                    has_element_child: false,
+                    has_blank_text: false,
+                });
+                if plain_attrs > 0 {
+                    let element = &mut stack.last_mut().expect("just pushed").element;
+                    read_attributes(element, attrs, plain_attrs, &scopes, names, offset)?;
+                }
                 if self_closing {
-                    ns.pop_scope();
-                    attach(&mut stack, &mut root, element);
-                } else {
-                    stack.push((name, element));
+                    close(&mut stack, &mut scopes, &mut root);
                 }
             }
             Token::EndTag { name, offset } => {
-                let (open_name, mut element) =
-                    stack.pop().ok_or(XmlError::ContentOutsideRoot { offset })?;
-                if open_name != name {
+                let open = stack
+                    .last()
+                    .ok_or(XmlError::ContentOutsideRoot { offset })?;
+                if open.lexical != name {
                     return Err(XmlError::MismatchedTag {
                         offset,
-                        open: open_name.to_owned(),
+                        open: open.lexical.to_owned(),
                         close: name.to_owned(),
                     });
                 }
-                strip_layout_whitespace(&mut element);
-                ns.pop_scope();
-                attach(&mut stack, &mut root, element);
+                close(&mut stack, &mut scopes, &mut root);
             }
         }
     }
 
-    if let Some((open_name, _)) = stack.last() {
+    if let Some(open) = stack.last() {
         return Err(XmlError::UnexpectedEof {
             offset: input.len(),
-            expecting: match open_name.is_empty() {
+            expecting: match open.lexical.is_empty() {
                 true => "closing tag",
                 false => "closing tag for open element",
             },
@@ -123,88 +168,87 @@ pub fn parse(input: &str) -> XmlResult<Element> {
     root.ok_or(XmlError::NoRootElement)
 }
 
-/// If `aname=raw_value` is a namespace declaration, return the binding.
-fn ns_declaration(aname: &str, raw_value: &str, offset: usize) -> XmlResult<Option<NsBinding>> {
-    if aname == "xmlns" {
-        let uri = unescape(raw_value, offset)?;
-        Ok(Some(NsBinding::new("", uri)))
-    } else if let Some(prefix) = aname.strip_prefix("xmlns:") {
-        let uri = unescape(raw_value, offset)?;
-        if prefix.is_empty() || uri.is_empty() {
-            return Err(XmlError::BadName {
-                offset,
-                name: aname.to_owned(),
-            });
-        }
-        Ok(Some(NsBinding::new(prefix, uri)))
-    } else {
-        Ok(None)
+/// The prefix that attribute `aname` declares: `""` for `xmlns`, `p`
+/// for `xmlns:p`, nothing for any other attribute.
+fn declared_prefix(aname: &str) -> Option<&str> {
+    match aname.strip_prefix("xmlns")? {
+        "" => Some(""),
+        rest => rest.strip_prefix(':'),
     }
 }
 
-fn build_element(
-    lexical: &str,
+/// The URI `prefix` is bound to, or the error for a prefix that is
+/// not. The empty prefix resolves to the default namespace (possibly
+/// none); `xml` is always bound.
+fn resolve(scopes: &Scopes, prefix: &str, offset: usize) -> XmlResult<NameStr> {
+    if prefix == "xml" {
+        return Ok(NameStr::Static(XML_NS));
+    }
+    match scopes.iter().rev().find(|(p, _)| *p == prefix) {
+        Some((_, uri)) => Ok(uri.clone()),
+        None if prefix.is_empty() => Ok(NameStr::Static("")),
+        None => Err(XmlError::UnboundPrefix {
+            offset,
+            prefix: prefix.to_owned(),
+        }),
+    }
+}
+
+/// Second pass over a start tag: everything that is not a declaration
+/// becomes an attribute of `element`.
+fn read_attributes(
+    element: &mut Element,
     attrs: &[(&str, &str)],
-    ns: &NsStack,
+    plain_attrs: usize,
+    scopes: &Scopes,
     names: &NameTable,
     offset: usize,
-) -> XmlResult<Element> {
-    let (prefix, local) = split_prefixed(lexical);
-    let uri = ns.resolve(prefix).ok_or_else(|| XmlError::UnboundPrefix {
-        offset,
-        prefix: prefix.to_owned(),
-    })?;
-    let mut element = Element::with_name(names.qname(uri, local));
+) -> XmlResult<()> {
+    element.attributes_mut().reserve_exact(plain_attrs);
     for (aname, raw_value) in attrs {
-        if *aname == "xmlns" || aname.starts_with("xmlns:") {
-            continue; // consumed as a declaration above
+        if declared_prefix(aname).is_some() {
+            continue; // consumed as a declaration by the first pass
         }
         let (aprefix, alocal) = split_prefixed(aname);
         // Per Namespaces-in-XML, unprefixed attributes are in *no*
         // namespace regardless of the default namespace.
-        let auri = if aprefix.is_empty() {
-            ""
-        } else {
-            ns.resolve(aprefix).ok_or_else(|| XmlError::UnboundPrefix {
-                offset,
-                prefix: aprefix.to_owned(),
-            })?
+        let auri = match aprefix {
+            "" => NameStr::Static(""),
+            _ => resolve(scopes, aprefix, offset)?,
         };
-        let qname = names.qname(auri, alocal);
+        let name = QName::from_interned(auri, names.intern(alocal));
         // The tokenizer already rejects lexically identical duplicates;
         // this catches the same *expanded* name via different prefixes.
-        // Comparing against already-built attributes avoids the `seen`
-        // staging vec the old reader kept.
-        if element.attributes().iter().any(|a| a.name == qname) {
+        if element.attributes().iter().any(|a| a.name == name) {
             return Err(XmlError::DuplicateAttribute {
                 offset,
-                name: format!("{qname:?}"),
+                name: format!("{name:?}"),
             });
         }
-        let value = unescape(raw_value, offset)?;
-        element.set_attribute(qname, value.into_owned());
+        let value = unescape(raw_value, offset)?.into_owned();
+        element.attributes_mut().push(Attribute { name, value });
     }
-    Ok(element)
+    Ok(())
 }
 
-fn attach(stack: &mut [(&str, Element)], root: &mut Option<Element>, element: Element) {
-    match stack.last_mut() {
-        Some((_, parent)) => parent.push_element(element),
-        None => *root = Some(element),
-    }
-}
-
-/// Drop whitespace-only text nodes from elements that contain element
-/// children — they are indentation, not data.
-fn strip_layout_whitespace(element: &mut Element) {
-    let has_elements = element
-        .children()
-        .iter()
-        .any(|c| matches!(c, Node::Element(_)));
-    if has_elements {
-        element
+/// The innermost open element is complete: hand it to its parent, or
+/// make it the root.
+fn close(stack: &mut Vec<Open>, scopes: &mut Scopes, root: &mut Option<Element>) {
+    let Some(mut open) = stack.pop() else { return };
+    // Whitespace-only text beside element children is indentation,
+    // not data.
+    if open.has_element_child && open.has_blank_text {
+        open.element
             .children_mut()
             .retain(|c| !matches!(c, Node::Text(t) if t.trim().is_empty()));
+    }
+    scopes.truncate(open.outer_scopes);
+    match stack.last_mut() {
+        Some(parent) => {
+            parent.has_element_child = true;
+            parent.element.push_element(open.element);
+        }
+        None => *root = Some(open.element),
     }
 }
 

@@ -3,20 +3,27 @@
 //! The tokenizer is zero-copy: every token borrows slices of the input.
 //! Entity expansion and namespace resolution are the reader's job; this
 //! layer only finds the lexical structure.
+//!
+//! It scans bytes, not chars. Every byte it stops at or steps over is
+//! ASCII (`<`, `>`, `/`, `=`, `?`, a quote, one of XML's four whitespace
+//! bytes), and in UTF-8 no byte of a multi-byte character is below
+//! 0x80 — so `pos` only ever rests on a character boundary and every
+//! slice taken between two such positions is a valid `str`.
 
 use crate::error::{XmlError, XmlResult};
 
 /// One lexical token. `offset` is the byte position of the token start,
-/// for error reporting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token<'a> {
+/// for error reporting. `'a` is the document; `'t` is the tokenizer,
+/// which lends a start tag its attribute list until the next call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Token<'a, 't> {
     /// `<?xml ... ?>` — contents are not interpreted (documents are
     /// always UTF-8 `str`s already).
     Declaration { offset: usize },
     /// `<name a="v" ...>` or `<name ... />`.
     StartTag {
         name: &'a str,
-        attrs: Vec<(&'a str, &'a str)>,
+        attrs: &'t [(&'a str, &'a str)],
         self_closing: bool,
         offset: usize,
     },
@@ -36,56 +43,54 @@ pub enum Token<'a> {
     },
 }
 
+/// XML's `S` production: exactly these four, not Unicode's `White_Space`.
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
+
 /// Iterator-style tokenizer. Call [`Tokenizer::next_token`] until it
 /// returns `Ok(None)`.
 pub struct Tokenizer<'a> {
     input: &'a str,
     pos: usize,
+    /// Attributes of the start tag returned last; one buffer for the
+    /// whole document instead of one `Vec` per tag.
+    attrs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Tokenizer<'a> {
     pub fn new(input: &'a str) -> Self {
-        Tokenizer { input, pos: 0 }
-    }
-
-    /// Current byte position (used by the reader for error offsets).
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    pub fn next_token(&mut self) -> XmlResult<Option<Token<'a>>> {
-        if self.pos >= self.input.len() {
-            return Ok(None);
-        }
-        let rest = &self.input[self.pos..];
-        if let Some(stripped) = rest.strip_prefix('<') {
-            if stripped.starts_with("!--") {
-                self.comment()
-            } else if stripped.starts_with("![CDATA[") {
-                self.cdata()
-            } else if stripped.starts_with('?') {
-                self.pi_or_decl()
-            } else if stripped.starts_with('/') {
-                self.end_tag()
-            } else if stripped.starts_with('!') {
-                // DOCTYPE and friends are deliberately unsupported: WSPeer
-                // documents never carry DTDs and external entities are a
-                // security hazard.
-                Err(XmlError::UnexpectedChar {
-                    offset: self.pos + 1,
-                    found: '!',
-                    expecting: "element, comment or CDATA (DTDs unsupported)",
-                })
-            } else {
-                self.start_tag()
-            }
-            .map(Some)
-        } else {
-            self.text().map(Some)
+        Tokenizer {
+            input,
+            pos: 0,
+            attrs: Vec::new(),
         }
     }
 
-    fn text(&mut self) -> XmlResult<Token<'a>> {
+    pub fn next_token(&mut self) -> XmlResult<Option<Token<'a, '_>>> {
+        let rest = &self.input.as_bytes()[self.pos..];
+        let token = match rest {
+            [] => return Ok(None),
+            [b'<', b'/', ..] => self.end_tag(),
+            [b'<', b'?', ..] => self.pi_or_decl(),
+            [b'<', b'!', ..] if rest.starts_with(b"<!--") => self.comment(),
+            [b'<', b'!', ..] if rest.starts_with(b"<![CDATA[") => self.cdata(),
+            // DOCTYPE and friends are deliberately unsupported: WSPeer
+            // documents never carry DTDs and external entities are a
+            // security hazard.
+            [b'<', b'!', ..] => Err(XmlError::UnexpectedChar {
+                offset: self.pos + 1,
+                found: '!',
+                expecting: "element, comment or CDATA (DTDs unsupported)",
+            }),
+            [b'<', ..] => self.start_tag(),
+            _ => self.text(),
+        };
+        token.map(Some)
+    }
+
+    fn text<'t>(&mut self) -> XmlResult<Token<'a, 't>> {
         let offset = self.pos;
         let rest = &self.input[self.pos..];
         let end = rest.find('<').unwrap_or(rest.len());
@@ -96,7 +101,7 @@ impl<'a> Tokenizer<'a> {
         })
     }
 
-    fn comment(&mut self) -> XmlResult<Token<'a>> {
+    fn comment<'t>(&mut self) -> XmlResult<Token<'a, 't>> {
         let offset = self.pos;
         let body_start = self.pos + 4; // past "<!--"
         let rest = &self.input[body_start..];
@@ -111,7 +116,7 @@ impl<'a> Tokenizer<'a> {
         })
     }
 
-    fn cdata(&mut self) -> XmlResult<Token<'a>> {
+    fn cdata<'t>(&mut self) -> XmlResult<Token<'a, 't>> {
         let offset = self.pos;
         let body_start = self.pos + 9; // past "<![CDATA["
         let rest = &self.input[body_start..];
@@ -126,7 +131,7 @@ impl<'a> Tokenizer<'a> {
         })
     }
 
-    fn pi_or_decl(&mut self) -> XmlResult<Token<'a>> {
+    fn pi_or_decl<'t>(&mut self) -> XmlResult<Token<'a, 't>> {
         let offset = self.pos;
         let body_start = self.pos + 2; // past "<?"
         let rest = &self.input[body_start..];
@@ -136,8 +141,11 @@ impl<'a> Tokenizer<'a> {
         })?;
         let body = &rest[..end];
         self.pos = body_start + end + 2;
-        let (target, data) = match body.find(|c: char| c.is_ascii_whitespace()) {
-            Some(ws) => (&body[..ws], body[ws..].trim_start()),
+        let (target, data) = match body.bytes().position(is_space) {
+            Some(ws) => (
+                &body[..ws],
+                body[ws..].trim_start_matches(|c| u8::try_from(c).is_ok_and(is_space)),
+            ),
             None => (body, ""),
         };
         if target.eq_ignore_ascii_case("xml") {
@@ -151,56 +159,46 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
-    fn end_tag(&mut self) -> XmlResult<Token<'a>> {
+    fn end_tag<'t>(&mut self) -> XmlResult<Token<'a, 't>> {
         let offset = self.pos;
         self.pos += 2; // past "</"
         let name = self.read_name()?;
         self.skip_ws();
-        self.expect('>')?;
+        self.expect(b'>', "'>'")?;
         Ok(Token::EndTag { name, offset })
     }
 
-    fn start_tag(&mut self) -> XmlResult<Token<'a>> {
+    fn start_tag(&mut self) -> XmlResult<Token<'a, '_>> {
         let offset = self.pos;
         self.pos += 1; // past "<"
         let name = self.read_name()?;
-        let mut attrs: Vec<(&'a str, &'a str)> = Vec::new();
-        loop {
+        self.attrs.clear();
+        let self_closing = loop {
             self.skip_ws();
             match self.peek() {
-                Some('>') => {
+                Some(b'>') => {
                     self.pos += 1;
-                    return Ok(Token::StartTag {
-                        name,
-                        attrs,
-                        self_closing: false,
-                        offset,
-                    });
+                    break false;
                 }
-                Some('/') => {
+                Some(b'/') => {
                     self.pos += 1;
-                    self.expect('>')?;
-                    return Ok(Token::StartTag {
-                        name,
-                        attrs,
-                        self_closing: true,
-                        offset,
-                    });
+                    self.expect(b'>', "'>'")?;
+                    break true;
                 }
                 Some(_) => {
                     let attr_offset = self.pos;
                     let aname = self.read_name()?;
                     self.skip_ws();
-                    self.expect('=')?;
+                    self.expect(b'=', "'='")?;
                     self.skip_ws();
                     let value = self.read_quoted()?;
-                    if attrs.iter().any(|(n, _)| *n == aname) {
+                    if self.attrs.iter().any(|(n, _)| *n == aname) {
                         return Err(XmlError::DuplicateAttribute {
                             offset: attr_offset,
                             name: aname.to_owned(),
                         });
                     }
-                    attrs.push((aname, value));
+                    self.attrs.push((aname, value));
                 }
                 None => {
                     return Err(XmlError::UnexpectedEof {
@@ -209,16 +207,27 @@ impl<'a> Tokenizer<'a> {
                     })
                 }
             }
-        }
+        };
+        Ok(Token::StartTag {
+            name,
+            attrs: &self.attrs,
+            self_closing,
+            offset,
+        })
     }
 
     fn read_name(&mut self) -> XmlResult<&'a str> {
         let start = self.pos;
-        let rest = &self.input[self.pos..];
+        let rest = &self.input[start..];
+        // Bytes outside 0x20..0x80 are legal in a name only as parts of
+        // a non-ASCII letter; a name that has one is looked at again.
+        let mut plain = true;
         let len = rest
-            .char_indices()
-            .find(|(_, c)| c.is_ascii_whitespace() || matches!(c, '>' | '/' | '=' | '<'))
-            .map(|(i, _)| i)
+            .bytes()
+            .position(|b| {
+                plain &= (0x20..0x80).contains(&b);
+                is_space(b) || matches!(b, b'>' | b'/' | b'=' | b'<')
+            })
             .unwrap_or(rest.len());
         if len == 0 {
             // Report the offending char inline — no String for a one-char
@@ -235,63 +244,75 @@ impl<'a> Tokenizer<'a> {
                 },
             });
         }
+        let name = &rest[..len];
+        // What Unicode calls whitespace is not XML's `S`, so it did not
+        // end the name — and no XML parser would let it be part of one.
+        if !plain && name.contains(|c: char| c.is_whitespace() || c.is_control()) {
+            return Err(XmlError::BadName {
+                offset: start,
+                name: name.to_owned(),
+            });
+        }
         self.pos += len;
-        Ok(&rest[..len])
+        Ok(name)
     }
 
     fn read_quoted(&mut self) -> XmlResult<&'a str> {
-        let quote = self.peek().ok_or(XmlError::UnexpectedEof {
-            offset: self.pos,
-            expecting: "quoted attribute value",
-        })?;
-        if quote != '"' && quote != '\'' {
-            return Err(XmlError::UnexpectedChar {
-                offset: self.pos,
-                found: quote,
-                expecting: "'\"' or '\\'' starting attribute value",
-            });
-        }
+        let quote = match self.peek() {
+            Some(quote @ (b'"' | b'\'')) => quote,
+            Some(_) => {
+                return Err(self.unexpected("'\"' or '\\'' starting attribute value"));
+            }
+            None => {
+                return Err(XmlError::UnexpectedEof {
+                    offset: self.pos,
+                    expecting: "quoted attribute value",
+                })
+            }
+        };
         self.pos += 1;
         let rest = &self.input[self.pos..];
-        let end = rest.find(quote).ok_or(XmlError::UnexpectedEof {
-            offset: self.pos,
-            expecting: "closing attribute quote",
-        })?;
-        let value = &rest[..end];
+        let end = rest
+            .find(char::from(quote))
+            .ok_or(XmlError::UnexpectedEof {
+                offset: self.pos,
+                expecting: "closing attribute quote",
+            })?;
         self.pos += end + 1;
-        Ok(value)
+        Ok(&rest[..end])
     }
 
     fn skip_ws(&mut self) {
-        let rest = &self.input[self.pos..];
-        let n = rest.len() - rest.trim_start().len();
-        self.pos += n;
+        while self.peek().is_some_and(is_space) {
+            self.pos += 1;
+        }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.input[self.pos..].chars().next()
+    fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, c: char) -> XmlResult<()> {
-        match self.peek() {
-            Some(found) if found == c => {
-                self.pos += c.len_utf8();
-                Ok(())
-            }
-            Some(found) => Err(XmlError::UnexpectedChar {
+    /// The character at `pos` where `expecting` was required.
+    fn unexpected(&self, expecting: &'static str) -> XmlError {
+        match self.input[self.pos..].chars().next() {
+            Some(found) => XmlError::UnexpectedChar {
                 offset: self.pos,
                 found,
-                expecting: match c {
-                    '>' => "'>'",
-                    '=' => "'='",
-                    _ => "specific delimiter",
-                },
-            }),
-            None => Err(XmlError::UnexpectedEof {
+                expecting,
+            },
+            None => XmlError::UnexpectedEof {
                 offset: self.pos,
                 expecting: "more input",
-            }),
+            },
         }
+    }
+
+    fn expect(&mut self, delimiter: u8, expecting: &'static str) -> XmlResult<()> {
+        if self.peek() != Some(delimiter) {
+            return Err(self.unexpected(expecting));
+        }
+        self.pos += 1;
+        Ok(())
     }
 }
 
@@ -299,11 +320,39 @@ impl<'a> Tokenizer<'a> {
 mod tests {
     use super::*;
 
-    fn all_tokens(input: &str) -> Vec<Token<'_>> {
+    /// Tokens outlive the tokenizer here, so each start tag's lent
+    /// attribute list is copied out (and leaked: these are tests).
+    fn all_tokens(input: &str) -> Vec<Token<'_, '_>> {
         let mut t = Tokenizer::new(input);
         let mut out = Vec::new();
         while let Some(tok) = t.next_token().unwrap() {
-            out.push(tok);
+            out.push(match tok {
+                Token::StartTag {
+                    name,
+                    attrs,
+                    self_closing,
+                    offset,
+                } => Token::StartTag {
+                    name,
+                    attrs: Vec::leak(attrs.to_vec()),
+                    self_closing,
+                    offset,
+                },
+                Token::Declaration { offset } => Token::Declaration { offset },
+                Token::EndTag { name, offset } => Token::EndTag { name, offset },
+                Token::Text { raw, offset } => Token::Text { raw, offset },
+                Token::CData { text, offset } => Token::CData { text, offset },
+                Token::Comment { text, offset } => Token::Comment { text, offset },
+                Token::Pi {
+                    target,
+                    data,
+                    offset,
+                } => Token::Pi {
+                    target,
+                    data,
+                    offset,
+                },
+            });
         }
         out
     }
@@ -316,7 +365,7 @@ mod tests {
             vec![
                 Token::StartTag {
                     name: "a",
-                    attrs: vec![],
+                    attrs: &[],
                     self_closing: false,
                     offset: 0
                 },
@@ -339,7 +388,7 @@ mod tests {
             toks,
             vec![Token::StartTag {
                 name: "a",
-                attrs: vec![("x", "1"), ("y", "2")],
+                attrs: &[("x", "1"), ("y", "2")],
                 self_closing: true,
                 offset: 0
             }]
@@ -350,7 +399,7 @@ mod tests {
     fn whitespace_inside_tags_tolerated() {
         let toks = all_tokens("<a  x = \"1\"  ></a >");
         assert!(
-            matches!(&toks[0], Token::StartTag { name: "a", attrs, .. } if attrs == &vec![("x", "1")])
+            matches!(&toks[0], Token::StartTag { name: "a", attrs, .. } if attrs == &[("x", "1")])
         );
         assert!(matches!(&toks[1], Token::EndTag { name: "a", .. }));
     }
@@ -419,9 +468,7 @@ mod tests {
     #[test]
     fn attribute_value_keeps_raw_entities() {
         let toks = all_tokens(r#"<a x="&amp;"/>"#);
-        assert!(
-            matches!(&toks[0], Token::StartTag { attrs, .. } if attrs == &vec![("x", "&amp;")])
-        );
+        assert!(matches!(&toks[0], Token::StartTag { attrs, .. } if attrs == &[("x", "&amp;")]));
     }
 
     #[test]
@@ -431,5 +478,40 @@ mod tests {
             Token::Text { raw: "x", offset } => assert_eq!(*offset, 6), // 'é' is 2 bytes
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn whitespace_is_xmls_four_bytes_not_unicodes() {
+        let toks = all_tokens("<a\tx\r=\n\"1\" y = '2'\n/>");
+        assert!(
+            matches!(&toks[0], Token::StartTag { attrs, .. } if attrs == &[("x", "1"), ("y", "2")])
+        );
+        let bad_name = |offset, name: &str| XmlError::BadName {
+            offset,
+            name: name.to_owned(),
+        };
+        // Each of these parsed as `a[b=1]` (the last with an attribute
+        // named `b\u{85}`) while `skip_ws` was `str::trim_start`.
+        let refused = [
+            ("<a \u{2003}b=\"1\"/>", bad_name(3, "\u{2003}b")),
+            ("<a \u{c}b=\"1\"/>", bad_name(3, "\u{c}b")),
+            (
+                "<a b =\u{a0}'1'/>",
+                XmlError::UnexpectedChar {
+                    offset: 6,
+                    found: '\u{a0}',
+                    expecting: "'\"' or '\\'' starting attribute value",
+                },
+            ),
+            ("<a b\u{85}=\u{2028}\"1\"/>", bad_name(3, "b\u{85}")),
+        ];
+        for (doc, error) in refused {
+            assert_eq!(Tokenizer::new(doc).next_token(), Err(error), "{doc:?}");
+        }
+        // Letters beyond ASCII are still names.
+        assert!(matches!(
+            all_tokens("<é:ü/>")[0],
+            Token::StartTag { name: "é:ü", .. }
+        ));
     }
 }

@@ -82,6 +82,15 @@ cargo test -q -p wsp-integration-tests --test wire_bytes --test bufpool
 echo "==> wsp-xml kernels: unit + prop_escape + byte soup (release)"
 cargo test -q --release -p wsp-xml --lib --test prop_escape --test byte_soup
 
+# Byte-scanning tokenizer and fronted interner (PR 23): positions are
+# byte arithmetic and every slice is taken between two of them, so the
+# old reader is run beside the new one on whole and damaged documents
+# once more without overflow checks, as it ships; the vocabulary test
+# rides along because the front cache's slot function is the same kind
+# of arithmetic and it needs a process of its own.
+echo "==> wsp-xml read path: reader oracle + seeded vocabulary (release)"
+cargo test -q --release -p wsp-integration-tests --test reader_oracle --test vocabulary
+
 echo "==> allocation-regression guard (release)"
 cargo test -q --release -p wsp-integration-tests --test alloc_guard
 

@@ -173,6 +173,87 @@ fn warm_large_round_trip_copies_its_payload_seven_times() {
     );
 }
 
+/// The small path, where allocations are per element and not per byte:
+/// the 700-byte addressed echo request every invocation decodes once on
+/// each side. A warm parse makes 19 allocations — the reader's element
+/// stack and scope stack, the tokenizer's attribute buffer, and the
+/// tree's own 16 (a child list per parent, a string per text run, a
+/// list and a string per attributed element) — and a decode plus
+/// re-encode 28 (44 before the reader stopped allocating for names it
+/// had seen and declarations it could borrow). The per-element budget
+/// is checked rather than read off a ladder: a declaration more costs
+/// nothing, a text-leaf element more at most two (its child list and
+/// its text) while its parent's list has room.
+#[test]
+fn warm_small_parse_allocates_for_the_tree_and_three_buffers() {
+    use std::cell::RefCell;
+    use wsp_soap::Envelope;
+    use wsp_wsdl::{ServiceDescriptor, ServiceProxy, Value};
+    let proxy = ServiceProxy::new(ServiceDescriptor::echo(), "http://127.0.0.1:8080/Echo");
+    let argument = "op-0000000000000001:abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGHIJKLMNOP";
+    let xml = proxy
+        .encode_request("echoString", &[Value::string(argument)])
+        .expect("encode")
+        .to_xml();
+    let worst_of = |f: &dyn Fn()| {
+        (0..30).for_each(|_| f());
+        let count = || {
+            let before = alloc_count::allocations();
+            f();
+            alloc_count::allocations() - before
+        };
+        (0..20).map(|_| count()).max().unwrap_or(0)
+    };
+    let parse = |doc: &str| worst_of(&|| drop(wsp_xml::parse(doc).expect("parse")));
+
+    let plain = parse(&xml);
+    assert!(
+        plain <= 20,
+        "warm parse of the echo request allocated {plain} times"
+    );
+    let out = RefCell::new(Vec::with_capacity(2 * xml.len()));
+    let round_trip = worst_of(&|| {
+        let envelope = Envelope::from_xml(&xml).expect("decode");
+        out.borrow_mut().clear();
+        envelope.to_xml_into(&mut out.borrow_mut());
+    });
+    assert!(
+        round_trip <= 30,
+        "warm decode + encode allocated {round_trip} times"
+    );
+
+    // Four more declarations, two on the root and two on the body.
+    let declared = xml
+        .replacen(
+            "<env:Envelope ",
+            "<env:Envelope xmlns:a=\"urn:a\" xmlns:b=\"urn:b\" ",
+            1,
+        )
+        .replacen(
+            "<env:Body>",
+            "<env:Body xmlns:c=\"urn:c\" xmlns=\"urn:d\">",
+            1,
+        );
+    assert_eq!(
+        declared.matches("xmlns").count(),
+        xml.matches("xmlns").count() + 4
+    );
+    let with_declarations = parse(&declared);
+    assert!(
+        with_declarations <= plain,
+        "four more xmlns declarations: {with_declarations} allocations, {plain} without"
+    );
+    // Three more text leaves beside the argument.
+    let more = format!("{}</ns0:echoString>", "<ns0:more>v</ns0:more>".repeat(3));
+    let leaves = xml.replacen("</ns0:echoString>", &more, 1);
+    assert_eq!(leaves.len(), xml.len() + 3 * "<ns0:more>v</ns0:more>".len());
+    let with_leaves = parse(&leaves);
+    assert!(
+        with_leaves <= plain + 2 * 3,
+        "three more text leaves: {with_leaves} allocations, {plain} without"
+    );
+}
+
 /// `PipeData` — the one P2PS message every invocation pays for, twice —
 /// skips the tree on both sides: a warm encode into a pooled buffer
 /// allocates nothing, and the decode allocates only what the decoded
