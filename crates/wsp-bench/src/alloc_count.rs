@@ -9,10 +9,18 @@
 //! allocated itself, so a verdict does not depend on what sibling
 //! threads (parallel tests, server workers) happen to allocate
 //! meanwhile. Every measurement loop here is single-threaded, which is
-//! exactly what a per-thread count is exact for.
+//! exactly what a per-thread count is exact for. An operation that
+//! crosses threads (an invocation: caller, reactor, inbox, worker) is
+//! counted process-wide instead ([`process_allocations`]); what siblings
+//! allocate meanwhile only ever adds to that, so the least of many
+//! samples is the operation's own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Every thread's allocations. A statistic: it orders nothing.
+static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // `const` initialisers and no destructors: touching these from
@@ -31,6 +39,7 @@ const LARGE_ALLOCATION: usize = 8 * 1024;
 /// `try_with`: a thread's last frees and allocations can run after its
 /// locals are torn down, and those need not be counted.
 fn count(size: usize) {
+    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
     if size >= LARGE_ALLOCATION {
@@ -64,6 +73,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// Heap allocations (alloc + realloc calls) made by the calling thread.
 pub fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Heap allocations made by every thread of the process.
+pub fn process_allocations() -> u64 {
+    PROCESS_ALLOCATIONS.load(Ordering::Relaxed)
 }
 
 /// Bytes requested by the calling thread.

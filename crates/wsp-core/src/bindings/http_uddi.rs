@@ -21,7 +21,7 @@ use wsp_http::{
     guard_router, ConnectionPool, HttpUri, HttpgCredential, Request, Response, ServerConfig,
     TcpServer, DEFAULT_CLIENT_TIMEOUT,
 };
-use wsp_soap::Envelope;
+use wsp_soap::{Envelope, MessageHeaders};
 use wsp_uddi::{BindingTemplate, BusinessService, TModel, UddiClient};
 use wsp_wsdl::{proxy, Port, TransportKind, Value, WsdlDocument};
 
@@ -141,11 +141,10 @@ impl Shared {
     /// propagation so a call never outlives its remaining budget.
     fn call(
         &self,
-        endpoint: &str,
+        uri: &HttpUri,
         mut request: Request,
         timeout: Option<Duration>,
     ) -> Result<Response, WspError> {
-        let uri = HttpUri::parse(endpoint).map_err(|e| WspError::Invoke(e.to_string()))?;
         if uri.is_httpg() {
             let credential = self
                 .config
@@ -388,6 +387,7 @@ impl ServiceDeployer for HttpDeployer {
                         Ok(permit) => soap_response(hosting.serve(
                             &hosted,
                             Incoming::Xml(&request.body_str()),
+                            None,
                             correlation,
                             deadline,
                             permit,
@@ -428,11 +428,11 @@ fn soap_response(served: Served) -> Response {
             _ => "Internal Server Error",
         },
     );
-    if let Some(envelope) = served.into_envelope() {
+    if let Some(bytes) = served.into_bytes() {
         response
             .headers
             .set("Content-Type", wsp_soap::constants::CONTENT_TYPE);
-        response.body = envelope.to_xml_bytes();
+        response.body = bytes;
     }
     response
 }
@@ -501,13 +501,9 @@ struct UddiLocator {
 /// Fetch the WSDL behind one UDDI access point. Providers that have
 /// gone away (or answer garbage) are skipped, not fatal.
 fn fetch_wsdl(shared: &Shared, access_point: &str) -> Option<LocatedService> {
-    let request = Request::get(format!(
-        "{}?wsdl",
-        HttpUri::parse(access_point)
-            .map(|u| u.target)
-            .unwrap_or_else(|_| "/".into())
-    ));
-    let response = shared.call(access_point, request, None).ok()?;
+    let uri = HttpUri::parse(access_point).ok()?;
+    let request = Request::get(format!("{}?wsdl", uri.target));
+    let response = shared.call(&uri, request, None).ok()?;
     if !response.is_success() {
         return None;
     }
@@ -580,15 +576,15 @@ impl Invoker for HttpInvoker {
         args: &[Value],
     ) -> Result<Value, WspError> {
         let descriptor = &service.wsdl.descriptor;
-        let envelope = proxy::encode_request(descriptor, &service.endpoint, operation, args)?;
-        let target = HttpUri::parse(&service.endpoint)
-            .map(|u| u.target)
-            .unwrap_or_else(|_| "/".into());
-        let mut request = Request::post(
-            target,
-            wsp_soap::constants::CONTENT_TYPE,
-            envelope.to_xml_bytes(),
-        );
+        let endpoint = service.endpoint.as_str();
+        // Straight to bytes: the request `proxy::encode_request` would
+        // build, written without building it.
+        let headers = MessageHeaders::request(endpoint, descriptor.action_uri(endpoint, operation));
+        let mut body = wsp_xml::BufPool::global().take();
+        proxy::write_request(descriptor, &[], &headers, operation, args, &mut body)?;
+        let uri = HttpUri::parse(endpoint).map_err(|e| WspError::Invoke(e.to_string()))?;
+        let mut request =
+            Request::post(uri.target.clone(), wsp_soap::constants::CONTENT_TYPE, body);
         // Thread the caller's correlation token through the wire so the
         // serving peer's spans line up with ours in one trace.
         let correlation = telemetry::current_correlation();
@@ -613,7 +609,7 @@ impl Invoker for HttpInvoker {
             "http.request",
             format_args!("endpoint={} operation={operation}", service.endpoint),
         );
-        let response = match self.shared.call(&service.endpoint, request, call_timeout) {
+        let response = match self.shared.call(&uri, request, call_timeout) {
             Ok(response) => {
                 if registry.is_enabled() {
                     self.shared.roundtrip_us.record_micros(started.elapsed());
@@ -671,7 +667,13 @@ impl Invoker for HttpInvoker {
                 WspError::Invoke(why)
             });
         }
-        let envelope = Envelope::from_xml(&response.body_str())
+        // And straight from them — a fault, or any document the typed
+        // reader does not know, is parsed as an envelope.
+        let xml = response.body_str();
+        if let Some(value) = proxy::read_response(descriptor, operation, &xml) {
+            return Ok(value);
+        }
+        let envelope = Envelope::from_xml(&xml)
             .map_err(|e| WspError::Invoke(format!("unparseable response: {e}")))?;
         Ok(proxy::decode_response(descriptor, operation, &envelope)?)
     }

@@ -15,14 +15,16 @@
 //! peer delivers reaches [`on_peer_event`] on the thread that stepped
 //! the peer's machine — in practice the peer's inbox thread:
 //!
-//! * **provider**: the inbox thread decodes the request and takes it
-//!   to the edge of the peer's hosting pipeline ([`Hosting::admit`]);
+//! * **provider**: the inbox thread reads the request
+//!   ([`Hosting::read`]) and takes it to the edge of the peer's hosting
+//!   pipeline ([`Hosting::admit`]);
 //!   the rest ([`Hosting::serve`], handler included) runs on the
 //!   dispatcher (so queue-depth shedding, deadlines and nested calls
 //!   behave as on any other binding) and the worker sends the reply
 //!   itself;
-//! * **consumer**: the inbox thread correlates the response and
-//!   completes the caller's `CallHandle`.
+//! * **consumer**: the inbox thread correlates the response by its
+//!   headers and completes the caller's `CallHandle` with the payload,
+//!   which the caller decodes.
 //!
 //! One request/response is caller → provider inbox → worker → consumer
 //! inbox → caller. The sink is entered with no peer lock held, so it
@@ -45,11 +47,12 @@ use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use wsp_p2ps::{
-    decode_request, encode_response, P2psUri, PipeAdvertisement, ReceivedRequest, RpcCorrelator,
+    decode_request, encode_response, P2psUri, PipeAdvertisement, RpcCorrelator,
     ServiceAdvertisement, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE, P2PS_NS,
 };
-use wsp_soap::{Envelope, Fault, HeaderBlock};
+use wsp_soap::{Envelope, Fault, HeaderBlock, MessageHeaders};
 use wsp_wsdl::{proxy, Port, ServiceDescriptor, TransportKind, Value, WsdlDocument};
+use wsp_xml::Element;
 
 /// Timing knobs of the P2PS binding.
 #[derive(Debug, Clone)]
@@ -79,8 +82,9 @@ struct Shared {
     /// Outstanding pipe requests, completed from the peer's delivery
     /// sink when the correlated response arrives on the return pipe.
     /// Tokens come from the dispatcher, so they share one space with
-    /// client calls.
-    pending_requests: Mutex<HashMap<u64, Completer<Envelope>>>,
+    /// client calls. What completes a call is the response as it
+    /// arrived; the caller knows what it asked and decodes it.
+    pending_requests: Mutex<HashMap<u64, Completer<String>>>,
     pending_queries: Mutex<HashMap<u64, Sender<Vec<ServiceAdvertisement>>>>,
     /// The peer's hosting core — where pipe requests for hosted
     /// services are looked up and served, and whose dispatcher all
@@ -109,10 +113,12 @@ impl Shared {
             .clone()
     }
 
-    /// Send `response` down the return pipe `received` named, if any.
-    fn reply(&self, received: &ReceivedRequest, response: Envelope) {
-        if let Some((reply_pipe, wire)) = encode_response(received, response) {
-            self.peer.send_pipe(reply_pipe, wire);
+    /// Send `response` where [`encode_response`] routes it: down the
+    /// return pipe its request named, if it named one.
+    fn reply(&self, route: Option<(PipeAdvertisement, MessageHeaders)>, mut response: Envelope) {
+        if let Some((reply_pipe, headers)) = route {
+            response.set_addressing(headers);
+            self.peer.send_pipe(reply_pipe, response.to_xml());
         }
     }
 }
@@ -218,6 +224,11 @@ impl Binding for P2psBinding {
     }
 }
 
+/// A pipe carries text; what the writers fill is a byte buffer.
+fn wire_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("writer output is UTF-8")
+}
+
 // --- delivery sink ------------------------------------------------------------
 
 /// Everything the peer delivers, on the thread that stepped its
@@ -231,21 +242,19 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
         }
         ThreadPeerEvent::PipeDelivery { pipe, payload, .. } => {
             if pipe.service.is_some() {
-                // Hosted-service traffic: decoded once here so
-                // admission sees the propagated deadline, admitted (or
-                // shed) before it is queued, then served on the worker
-                // pool so the inbox never blocks on a handler.
-                if let Some(received) = decode_request(&payload) {
-                    admit_and_serve(shared, pipe, received);
-                }
+                // Hosted-service traffic: read once here so admission
+                // sees the propagated deadline, admitted (or shed)
+                // before it is queued, then served on the worker pool
+                // so the inbox never blocks on a handler.
+                admit_and_serve(shared, pipe, &payload);
             } else {
                 // A return pipe: correlate with an outstanding call
                 // and complete its handle.
                 let correlated = shared.correlator.lock().accept_response(&payload);
-                if let Some((token, envelope)) = correlated {
+                if let Some(token) = correlated {
                     let completer = shared.pending_requests.lock().remove(&token);
                     if let Some(completer) = completer {
-                        completer.complete(envelope);
+                        completer.complete(payload);
                     }
                 }
             }
@@ -262,33 +271,48 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
 /// immediately with the `wsp:overloaded` busy fault and its retry hint —
 /// and the serve on the pool, under the propagated deadline (expired
 /// deadlines are shed again at dequeue), the worker sending the reply.
-fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, received: ReceivedRequest) {
+fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: &str) {
     let hosting = shared.hosting();
     let name = pipe.service.as_deref().expect("checked by caller");
     let definition = pipe.name == DEFINITION_PIPE;
-    let Some(service) = hosting.service(name) else {
-        if !definition {
-            let fault = format!("service {name:?} is not deployed on this peer");
-            shared.reply(&received, Envelope::fault(Fault::receiver(fault)));
+    // The first deadline block among the headers that are not
+    // WS-Addressing's, whichever reader shows them.
+    let mut budget = None;
+    let mut foreign = |block: &Element| budget = budget.or_else(|| overload::deadline_in(block));
+    let service = match hosting.service(name) {
+        Some(service) if !definition => service,
+        // No engine to read a body for: the headers say where to answer.
+        hosted => {
+            let Some(headers) = decode_request(payload, &mut foreign) else {
+                return;
+            };
+            let route = encode_response(&headers);
+            let Some(service) = hosted else {
+                if !definition {
+                    let fault = format!("service {name:?} is not deployed on this peer");
+                    shared.reply(route, Envelope::fault(Fault::receiver(fault)));
+                }
+                return;
+            };
+            // Definition-pipe reads are exempt from the gate: they are
+            // cheap metadata, and an overloaded provider must stay
+            // discoverable so consumers back off against it rather than
+            // treating it as departed. (Submits here are never refused:
+            // the handle held keeps the dispatcher running.)
+            let job_shared = shared.clone();
+            let _ = (hosting.dispatcher()).execute_with_deadline(budget.flatten(), move || {
+                let wsdl = Envelope::request(service.wsdl_element().clone());
+                job_shared.reply(route, wsdl);
+            });
+            return;
         }
+    };
+    // A request that does not read as an envelope is dropped.
+    let Ok(request) = hosting.read(&service, payload, &mut foreign) else {
         return;
     };
-    let deadline = overload::deadline_from_envelope(&received.envelope);
-    let job_shared = shared.clone();
-    if definition {
-        // Definition-pipe reads are exempt from the gate: they are cheap
-        // metadata, and an overloaded provider must stay discoverable so
-        // consumers back off against it rather than treating it as
-        // departed. (Submits here are never refused: the handle held
-        // keeps the dispatcher running.)
-        let _ = hosting
-            .dispatcher()
-            .execute_with_deadline(deadline, move || {
-                let wsdl = Envelope::request(service.wsdl_element().clone());
-                job_shared.reply(&received, wsdl);
-            });
-        return;
-    }
+    let deadline = budget.flatten();
+    let route = encode_response(&request.headers());
     // Pipes carry no correlation token (yet): the serve is traced
     // under id 0, as an HTTP request without the header is.
     let correlation = 0;
@@ -297,40 +321,43 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, received: Rece
         Err(error) => {
             let hint = error.retry_after_hint().unwrap_or_default();
             let busy = Fault::receiver(overload::busy_fault_reason(hint));
-            return shared.reply(&received, Envelope::fault(busy));
+            return shared.reply(route, Envelope::fault(busy));
         }
     };
-    let job_hosting = hosting.clone();
+    let (job_shared, job_hosting) = (shared.clone(), hosting.clone());
     let _ = hosting
         .dispatcher()
         .execute_with_deadline(deadline, move || {
-            let request = Incoming::Envelope(&received.envelope);
-            let served = job_hosting.serve(&service, request, correlation, deadline, permit);
-            if let Some(response) = served.into_envelope() {
-                job_shared.reply(&received, response);
+            let readdress = route.as_ref().map(|(_, headers)| headers);
+            let request = Incoming::Read(request);
+            let served =
+                job_hosting.serve(&service, request, readdress, correlation, deadline, permit);
+            if let (Some(bytes), Some((reply_pipe, _))) = (served.into_bytes(), route) {
+                job_shared.peer.send_pipe(reply_pipe, wire_text(bytes));
             }
         });
 }
 
 // --- pipe request/response (Figure 5) ---------------------------------------
 
+/// One request down `target` and what came back up the return pipe
+/// opened for it, with its correlator token (for the caller's spans).
+/// `write` renders the request: leading header blocks, then addressing.
 fn request_over_pipe(
     shared: &Shared,
     target: PipeAdvertisement,
-    mut envelope: Envelope,
-) -> Result<Envelope, WspError> {
+    write: impl FnOnce(&[Element], &MessageHeaders) -> Result<Vec<u8>, WspError>,
+) -> Result<(u64, String), WspError> {
     let hosting = shared.hosting();
     let dispatcher = hosting.dispatcher();
     let token = dispatcher.next_token();
     // Deadline propagation: ship the remaining budget as a SOAP header
     // and cap the response wait at it.
     let mut request_timeout = shared.config.request_timeout;
+    let mut leading = Vec::new();
     if let Some(ms) = overload::send_budget(overload::current_deadline())? {
-        envelope.add_header(HeaderBlock::new(
-            wsp_xml::Element::build("", overload::DEADLINE_SOAP_HEADER)
-                .text(ms.to_string())
-                .finish(),
-        ));
+        let budget = Element::build("", overload::DEADLINE_SOAP_HEADER).text(ms.to_string());
+        leading.push(budget.finish());
         request_timeout = request_timeout.min(Duration::from_millis(ms));
     }
     let registry = telemetry::global();
@@ -350,25 +377,25 @@ fn request_over_pipe(
     let return_pipe = shared.peer.open_pipe(None);
     // Register the call in the correlation table; the delivery sink
     // completes it when the response arrives.
-    let (handle, completer) = dispatcher.register::<Envelope>(token);
+    let (handle, completer) = dispatcher.register::<String>(token);
     shared.pending_requests.lock().insert(token, completer);
     // Step 3-5: serialise the advert into ReplyTo and send the request.
-    let wire = shared
-        .correlator
-        .lock()
-        .encode_request(token, &target, &return_pipe, envelope);
-    shared.peer.send_pipe(target, wire);
-    // Step 6: await the response (helping the pool while waiting, so a
-    // worker making a nested call still serves incoming requests).
-    let result = handle.wait_timeout(request_timeout);
+    let headers = (shared.correlator.lock()).encode_request(token, &target, &return_pipe);
+    let result = write(&leading, &headers).map(|wire| {
+        shared.peer.send_pipe(target, wire_text(wire));
+        // Step 6: await the response (helping the pool while waiting,
+        // so a worker making a nested call still serves incoming
+        // requests).
+        handle.wait_timeout(request_timeout)
+    });
     shared.pending_requests.lock().remove(&token);
     // Closing the return pipe abandons any request still correlated to
     // it: on the timeout path the response never arrived, and without
     // this the MessageID → token entry leaked forever.
     shared.correlator.lock().pipe_closed(&return_pipe);
     shared.peer.close_pipe(return_pipe);
-    match result {
-        Ok(envelope) => {
+    match result? {
+        Ok(payload) => {
             if registry.is_enabled() {
                 shared.roundtrip_us.record_micros(started.elapsed());
                 registry.span(
@@ -377,23 +404,7 @@ fn request_over_pipe(
                     format_args!("rpc_token={token}"),
                 );
             }
-            // A `wsp:overloaded` receiver fault is a shed, not an
-            // application fault: surface it as `Overloaded` so the
-            // retry loop honours the server's hint without counting
-            // the endpoint as unhealthy.
-            if let Some(fault) = envelope.fault_body() {
-                if let Some(hint) = overload::parse_busy_fault(&fault.reason) {
-                    registry.span(
-                        telemetry::current_correlation(),
-                        "p2ps.shed",
-                        format_args!("rpc_token={token}"),
-                    );
-                    return Err(WspError::Overloaded {
-                        retry_after_ms: hint,
-                    });
-                }
-            }
-            Ok(envelope)
+            Ok((token, payload))
         }
         Err(handle) => {
             handle.cancel();
@@ -408,6 +419,27 @@ fn request_over_pipe(
             })
         }
     }
+}
+
+/// The envelope the response to request `token` is, for whoever could
+/// not read it typed. A `wsp:overloaded` receiver fault is a shed, not
+/// an application fault: it surfaces as `Overloaded`, so the retry loop
+/// honours the server's hint without counting the endpoint unhealthy.
+fn parsed_response(token: u64, payload: &str) -> Result<Envelope, WspError> {
+    let envelope = Envelope::from_xml(payload)
+        .map_err(|e| WspError::Invoke(format!("unparseable response: {e}")))?;
+    let busy = envelope.fault_body();
+    if let Some(hint) = busy.and_then(|fault| overload::parse_busy_fault(&fault.reason)) {
+        telemetry::global().span(
+            telemetry::current_correlation(),
+            "p2ps.shed",
+            format_args!("rpc_token={token}"),
+        );
+        return Err(WspError::Overloaded {
+            retry_after_ms: hint,
+        });
+    }
+    Ok(envelope)
 }
 
 // --- deployer ----------------------------------------------------------------
@@ -550,8 +582,17 @@ impl ServiceLocator for P2psLocator {
             let Some(definition_pipe) = advert.definition_pipe() else {
                 continue;
             };
-            let get = Envelope::request(wsp_xml::Element::new(P2PS_NS, "GetDefinition"));
-            let Ok(response) = request_over_pipe(&self.shared, definition_pipe.clone(), get) else {
+            let get = |leading: &[Element], headers: &MessageHeaders| {
+                let mut get = Envelope::request(Element::new(P2PS_NS, "GetDefinition"));
+                for block in leading {
+                    get.add_header(HeaderBlock::new(block.clone()));
+                }
+                get.set_addressing(headers.clone());
+                Ok(get.to_xml_bytes())
+            };
+            let Ok(response) = request_over_pipe(&self.shared, definition_pipe.clone(), get)
+                .and_then(|(token, payload)| parsed_response(token, &payload))
+            else {
                 continue; // provider vanished mid-discovery
             };
             let Some(defs) = response.payload() else {
@@ -597,19 +638,24 @@ impl Invoker for P2psInvoker {
         // One pipe per operation: the fragment is the operation name.
         let target = PipeAdvertisement::new(uri.peer, uri.service, operation.to_owned());
         let descriptor = &service.wsdl.descriptor;
-        let envelope = proxy::encode_request(descriptor, &service.endpoint, operation, args)?;
-        let expects_response = descriptor
-            .find_operation(operation)
-            .map(|op| op.expects_response())
-            .unwrap_or(true);
-        if !expects_response {
+        let op = proxy::check_request(descriptor, operation, args)?;
+        // Straight to bytes, as over HTTP; `check_request` has passed.
+        let write = |leading: &[Element], headers: &MessageHeaders| {
+            let mut wire = wsp_xml::BufPool::global().take();
+            proxy::write_request(descriptor, leading, headers, operation, args, &mut wire)?;
+            Ok(wire)
+        };
+        if !op.expects_response() {
             // One-way: no return pipe, fire and forget.
-            let mut envelope = envelope;
-            envelope.set_addressing(wsp_p2ps::request_headers(&target));
-            self.shared.peer.send_pipe(target, envelope.to_xml());
+            let wire = write(&[], &wsp_p2ps::request_headers(&target))?;
+            self.shared.peer.send_pipe(target, wire_text(wire));
             return Ok(Value::Null);
         }
-        let response = request_over_pipe(&self.shared, target, envelope)?;
+        let (token, payload) = request_over_pipe(&self.shared, target, write)?;
+        if let Some(value) = proxy::read_response(descriptor, operation, &payload) {
+            return Ok(value);
+        }
+        let response = parsed_response(token, &payload)?;
         Ok(proxy::decode_response(descriptor, operation, &response)?)
     }
 

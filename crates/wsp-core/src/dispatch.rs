@@ -145,7 +145,9 @@ struct Inner {
     in_flight: AtomicUsize,
     /// Queued + running jobs; [`Dispatcher::flush`] waits for zero.
     jobs_pending: AtomicUsize,
-    idle_lock: Mutex<()>,
+    /// How many flushers are parked on `idle_cv`. A job that ends
+    /// notifies only if there is one: a notify is a system call.
+    parked_flushers: Mutex<usize>,
     idle_cv: Condvar,
     workers: usize,
     /// Cached telemetry handles — recording through them is a single
@@ -191,9 +193,7 @@ impl Inner {
             self.shed.fetch_add(1, Ordering::SeqCst);
             self.shed_expired.incr();
             drop(job.run);
-            self.jobs_pending.fetch_sub(1, Ordering::SeqCst);
-            let _idle = self.idle_lock.lock();
-            self.idle_cv.notify_all();
+            self.job_ended();
             return;
         }
         // One clock read serves as both queue-wait end and run start.
@@ -229,20 +229,38 @@ impl Inner {
             Ok(_) => self.completed.fetch_add(1, Ordering::SeqCst),
             Err(_) => self.failed.fetch_add(1, Ordering::SeqCst),
         };
-        self.jobs_pending.fetch_sub(1, Ordering::SeqCst);
-        let _idle = self.idle_lock.lock();
-        self.idle_cv.notify_all();
+        self.job_ended();
         outcome
+    }
+
+    /// One job fewer is pending: wake the flushers waiting for none.
+    /// A flusher holds the lock from its last look at `jobs_pending`
+    /// until it is parked, so it saw this job gone or is counted here.
+    fn job_ended(&self) {
+        self.jobs_pending.fetch_sub(1, Ordering::SeqCst);
+        if *self.parked_flushers.lock() > 0 {
+            self.idle_cv.notify_all();
+        }
+    }
+
+    /// Park the calling flusher until a job ends or `timeout` passes;
+    /// `false`, without waiting, if nothing is pending any more.
+    fn park_flusher(&self, timeout: Duration) -> bool {
+        let mut parked = self.parked_flushers.lock();
+        if self.jobs_pending.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
+        *parked += 1;
+        self.idle_cv.wait_for(&mut parked, timeout);
+        *parked -= 1;
+        true
     }
 
     /// Step the correlation machine under its lock and return the
     /// effects. Composite operations that must write a mailbox in the
     /// same critical section lock `calls` themselves instead.
     fn step_call(&self, event: CorrelationEvent) -> Vec<CorrelationEffect> {
-        let mut calls = self.calls.lock();
-        let (next, effects) = self.machine.step(&calls, &event);
-        *calls = next;
-        effects
+        self.machine.step_in_place(&mut self.calls.lock(), &event)
     }
 }
 
@@ -313,11 +331,8 @@ impl<T: Send + 'static> CallHandle<T> {
     /// call is still pending. Lock order: machine, then mailbox.
     fn try_take(&self) -> Option<T> {
         let mut calls = self.inner.calls.lock();
-        let (next, effects) = self
-            .inner
-            .machine
-            .step(&calls, &CorrelationEvent::Take(self.token));
-        *calls = next;
+        let effects =
+            (self.inner.machine).step_in_place(&mut calls, &CorrelationEvent::Take(self.token));
         match effects.first() {
             Some(CorrelationEffect::YieldValue(_)) => {
                 let mail = self.state.mail.lock().take();
@@ -471,11 +486,8 @@ impl<T: Send + 'static> Completer<T> {
         // so a waiter whose Take was answered with YieldValue always
         // finds its mail.
         let mut calls = self.inner.calls.lock();
-        let (next, effects) = self
-            .inner
-            .machine
-            .step(&calls, &CorrelationEvent::Complete(self.token));
-        *calls = next;
+        let effects =
+            (self.inner.machine).step_in_place(&mut calls, &CorrelationEvent::Complete(self.token));
         if effects
             .iter()
             .any(|e| matches!(e, CorrelationEffect::DeliverValue(_)))
@@ -491,11 +503,8 @@ impl<T: Send + 'static> Completer<T> {
 
     fn poison(self, message: String) {
         let mut calls = self.inner.calls.lock();
-        let (next, effects) = self
-            .inner
-            .machine
-            .step(&calls, &CorrelationEvent::Poison(self.token));
-        *calls = next;
+        let effects =
+            (self.inner.machine).step_in_place(&mut calls, &CorrelationEvent::Poison(self.token));
         if effects
             .iter()
             .any(|e| matches!(e, CorrelationEffect::DeliverPoison(_)))
@@ -538,7 +547,7 @@ impl Dispatcher {
             shed: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
             jobs_pending: AtomicUsize::new(0),
-            idle_lock: Mutex::new(()),
+            parked_flushers: Mutex::new(0),
             idle_cv: Condvar::new(),
             workers,
             queue_wait_us: telemetry::global().histogram("dispatch.queue_wait_us"),
@@ -658,7 +667,7 @@ impl Dispatcher {
         {
             let mut calls = inner.calls.lock();
             for event in [delivery, CorrelationEvent::Take(token)] {
-                *calls = inner.machine.step(&calls, &event).0;
+                inner.machine.step_in_place(&mut calls, &event);
             }
             debug_assert_eq!(calls.phase(token), None, "caller-run call left the table");
         }
@@ -809,14 +818,8 @@ impl Dispatcher {
             if self.inner.jobs_pending.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            if !self.inner.try_run_one() {
-                let mut idle = self.inner.idle_lock.lock();
-                if self.inner.jobs_pending.load(Ordering::SeqCst) == 0 {
-                    return;
-                }
-                self.inner
-                    .idle_cv
-                    .wait_for(&mut idle, Duration::from_millis(5));
+            if !self.inner.try_run_one() && !self.inner.park_flusher(Duration::from_millis(5)) {
+                return;
             }
         }
     }
@@ -836,13 +839,9 @@ impl Dispatcher {
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return false;
             };
-            let mut idle = self.inner.idle_lock.lock();
-            if self.inner.jobs_pending.load(Ordering::SeqCst) == 0 {
+            if !(self.inner).park_flusher(remaining.min(Duration::from_millis(5))) {
                 return true;
             }
-            self.inner
-                .idle_cv
-                .wait_for(&mut idle, remaining.min(Duration::from_millis(5)));
         }
     }
 
@@ -1196,6 +1195,30 @@ mod tests {
         d.flush();
         assert_eq!(counter.load(Ordering::SeqCst), 32);
         assert_eq!(d.stats().queue_depth, 0);
+    }
+
+    /// A job that ends notifies only a flusher it can count; the one
+    /// parked while the last job still runs is counted, and let go.
+    #[test]
+    fn a_flusher_parked_behind_the_last_job_is_woken_by_it() {
+        let d = small();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        d.execute(move || held.recv().expect("released, not dropped"))
+            .unwrap();
+        let flusher = {
+            let d = d.clone();
+            std::thread::spawn(move || d.flush_within(Duration::from_secs(30)))
+        };
+        // The job cannot end before it is released, so the flusher has
+        // nothing to do but park; wait until it is seen parked.
+        while *d.inner.parked_flushers.lock() == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(d.stats().completed, 0);
+        release.send(()).unwrap();
+        assert!(flusher.join().unwrap(), "the pool went idle in time");
+        assert_eq!(*d.inner.parked_flushers.lock(), 0);
+        assert_eq!(d.stats().completed, 1);
     }
 
     #[test]

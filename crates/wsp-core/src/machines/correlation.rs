@@ -127,10 +127,19 @@ impl Machine for CorrelationMachine {
         state: &CorrelationState,
         event: &CorrelationEvent,
     ) -> (CorrelationState, Vec<CorrelationEffect>) {
+        let mut next = state.clone();
+        let effects = self.step_in_place(&mut next, event);
+        (next, effects)
+    }
+
+    fn step_in_place(
+        &self,
+        next: &mut CorrelationState,
+        event: &CorrelationEvent,
+    ) -> Vec<CorrelationEffect> {
         use CallPhase::*;
         use CorrelationEffect::*;
-        let mut next = state.clone();
-        let effects = match *event {
+        match *event {
             CorrelationEvent::Register(t) => {
                 // Tokens are allocated process-unique; re-registering a
                 // live one is a shell bug, modeled as a no-op.
@@ -174,8 +183,7 @@ impl Machine for CorrelationMachine {
                 Some(Pending) => vec![StillPending(t)],
                 None => vec![],
             },
-        };
-        (next, effects)
+        }
     }
 }
 

@@ -544,8 +544,17 @@ pub fn deadline_from_headers(headers: &Headers) -> Option<Instant> {
 /// The propagated deadline of a request that arrived over a pipe: the
 /// [`DEADLINE_SOAP_HEADER`] block, if present.
 pub fn deadline_from_envelope(envelope: &Envelope) -> Option<Instant> {
-    let header = envelope.find_header("", DEADLINE_SOAP_HEADER)?;
-    parse_deadline(&header.element.text())
+    let mut blocks = envelope.headers().iter();
+    blocks
+        .find_map(|block| deadline_in(&block.element))
+        .flatten()
+}
+
+/// [`deadline_from_envelope`] one header block at a time: `Some` if
+/// `block` is the [`DEADLINE_SOAP_HEADER`] (the first one counts).
+pub fn deadline_in(block: &wsp_xml::Element) -> Option<Option<Instant>> {
+    let named = block.name().is("", DEADLINE_SOAP_HEADER);
+    named.then(|| parse_deadline(&block.text()))
 }
 
 /// Map an admission-control rejection to the wire: `503` with a

@@ -22,12 +22,16 @@ use crate::overload::{
 };
 use crate::telemetry::{self, CorrelationScope, Histogram};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use wsp_soap::Envelope;
-use wsp_wsdl::{MessageEngine, Port, ServiceDescriptor, ServiceHandler, WsdlDocument};
+use wsp_soap::codec::SoapError;
+use wsp_soap::{Envelope, MessageHeaders};
+use wsp_wsdl::{
+    MessageEngine, Port, ServiceDescriptor, ServiceHandler, TypedRequest, WsdlDocument,
+};
 use wsp_xml::Element;
 
 /// One deployment: the contract, the engine bound to its handler, and
@@ -80,22 +84,44 @@ impl HostedService {
     }
 }
 
+/// A request read off the wire by [`Hosting::read`].
+pub enum Request {
+    /// Read with no tree, as far as the handler call: nobody listens,
+    /// and [`MessageEngine::read_request`] knows the document's shape.
+    Typed(TypedRequest),
+    /// The parsed envelope, for the application to see either side of
+    /// the engine — and for every document the typed reader declined.
+    Envelope(Envelope),
+}
+
+impl Request {
+    /// The request's WS-Addressing headers, which a substrate that
+    /// routes replies by them (P2PS `ReplyTo`) reads before it serves.
+    pub fn headers(&self) -> Cow<'_, MessageHeaders> {
+        match self {
+            Request::Typed(typed) => Cow::Borrowed(&typed.headers),
+            Request::Envelope(envelope) => Cow::Owned(envelope.addressing().unwrap_or_default()),
+        }
+    }
+}
+
 /// A request as the substrate hands it to [`Hosting::serve`].
+#[allow(clippy::large_enum_variant)] // moved once; a box would be an allocation per request
 pub enum Incoming<'a> {
     /// The envelope's XML as it came off the wire.
     Xml(&'a str),
-    /// Already decoded — a substrate that must read the SOAP headers to
-    /// route the reply (P2PS `ReplyTo`) has the tree in hand.
-    Envelope(&'a Envelope),
+    /// Already read — by a substrate that had to see the headers first.
+    Read(Request),
 }
 
 /// What serving one request produced.
 pub enum Served {
-    /// The operation's response.
-    Reply(Envelope),
+    /// The operation's response: wire bytes in a pooled buffer, written
+    /// from the envelope the application saw or (typed) without one.
+    Reply(Vec<u8>),
     /// A SOAP fault: the engine's (unknown operation, bad argument, the
     /// handler's own) or, for a request that did not decode, the codec's.
-    Fault(Envelope),
+    Fault(Vec<u8>),
     /// A one-way operation: nothing goes back.
     OneWay,
 }
@@ -111,10 +137,10 @@ impl Served {
         }
     }
 
-    /// The envelope to send back, if any.
-    pub fn into_envelope(self) -> Option<Envelope> {
+    /// What to send back, if anything.
+    pub fn into_bytes(self) -> Option<Vec<u8>> {
         match self {
-            Served::Reply(envelope) | Served::Fault(envelope) => Some(envelope),
+            Served::Reply(bytes) | Served::Fault(bytes) => Some(bytes),
             Served::OneWay => None,
         }
     }
@@ -190,16 +216,41 @@ impl Hosting {
             })
     }
 
+    /// Read a request to `service` off the wire. The one place a codec
+    /// is chosen, by what can be observed here: with no listener on the
+    /// peer's bus nobody will ask for the envelope, so the typed reader
+    /// has the first go; with one, or for a document that reader
+    /// declines, the envelope is parsed for [`Hosting::serve`] to show.
+    /// `foreign` sees the header blocks outside WS-Addressing, maybe twice.
+    pub fn read(
+        &self,
+        service: &HostedService,
+        xml: &str,
+        foreign: &mut dyn FnMut(&Element),
+    ) -> Result<Request, SoapError> {
+        if self.events.listener_count() == 0 {
+            if let Some(typed) = service.engine.read_request(xml, foreign) {
+                return Ok(Request::Typed(typed));
+            }
+        }
+        let envelope = Envelope::from_xml(xml)?;
+        wsp_soap::typed::show_foreign(&envelope, foreign);
+        Ok(Request::Envelope(envelope))
+    }
+
     /// Serve one admitted request. Everything fired or invoked from
     /// here runs under the caller's correlation token (one id
     /// reconstructs the round trip) and what is left of its budget (a
     /// nested call inherits it); the application sees the request
     /// before the engine and the response after it (Section III,
-    /// point 2).
+    /// point 2). A substrate that addresses replies itself passes its
+    /// headers as `readdress`: they replace the engine's on what comes
+    /// back, after the application has seen the engine's.
     pub fn serve(
         &self,
         service: &HostedService,
         request: Incoming<'_>,
+        readdress: Option<&MessageHeaders>,
         correlation: u64,
         deadline: Option<Instant>,
         permit: KeyedAdmissionPermit,
@@ -210,43 +261,30 @@ impl Hosting {
         let registry = telemetry::global();
         let started = Instant::now();
         let name = service.name();
-        let decoded;
-        let envelope = match request {
-            Incoming::Envelope(envelope) => envelope,
-            Incoming::Xml(xml) => match Envelope::from_xml(xml) {
-                Ok(envelope) => {
-                    decoded = envelope;
-                    &decoded
-                }
+        let request = match request {
+            Incoming::Read(request) => request,
+            Incoming::Xml(xml) => match self.read(service, xml, &mut |_| {}) {
+                Ok(request) => request,
                 Err(e) => {
                     registry.span(
                         correlation,
                         "server.fault",
                         format_args!("service={name} error={e}"),
                     );
-                    return Served::Fault(Envelope::fault(e.to_fault()));
+                    return Served::Fault(Envelope::fault(e.to_fault()).to_xml_bytes());
                 }
             },
         };
-        self.events.fire_server_with(|| ServerMessageEvent {
-            service: name.to_owned(),
-            phase: ServerPhase::Inbound,
-            envelope: envelope.clone(),
-        });
-        let served = match service.engine.process(envelope) {
-            Some(response) => {
-                self.events.fire_server_with(|| ServerMessageEvent {
-                    service: name.to_owned(),
-                    phase: ServerPhase::Outbound,
-                    envelope: response.clone(),
-                });
-                if response.fault_body().is_some() {
-                    Served::Fault(response)
-                } else {
-                    Served::Reply(response)
+        let served = match request {
+            Request::Typed(typed) => {
+                let mut bytes = wsp_xml::BufPool::global().take();
+                match service.engine.answer(&typed, readdress, &mut bytes) {
+                    Some(false) => Served::Reply(bytes),
+                    Some(true) => Served::Fault(bytes),
+                    None => Served::OneWay,
                 }
             }
-            None => Served::OneWay,
+            Request::Envelope(envelope) => self.process(service, envelope, readdress),
         };
         self.serve_us.record_micros(started.elapsed());
         registry.span(
@@ -255,6 +293,37 @@ impl Hosting {
             format_args!("service={name} status={}", served.status()),
         );
         served
+    }
+
+    /// The engine, with the application shown the message either side
+    /// of it.
+    fn process(
+        &self,
+        service: &HostedService,
+        envelope: Envelope,
+        readdress: Option<&MessageHeaders>,
+    ) -> Served {
+        let name = service.name();
+        self.events.fire_server_with(|| ServerMessageEvent {
+            service: name.to_owned(),
+            phase: ServerPhase::Inbound,
+            envelope: envelope.clone(),
+        });
+        let Some(mut response) = service.engine.process(&envelope) else {
+            return Served::OneWay;
+        };
+        self.events.fire_server_with(|| ServerMessageEvent {
+            service: name.to_owned(),
+            phase: ServerPhase::Outbound,
+            envelope: response.clone(),
+        });
+        if let Some(headers) = readdress {
+            response.set_addressing(headers.clone());
+        }
+        match response.fault_body() {
+            Some(_) => Served::Fault(response.to_xml_bytes()),
+            None => Served::Reply(response.to_xml_bytes()),
+        }
     }
 
     /// The peer-level `/metrics` gauges: the gate and the dispatcher.
@@ -641,7 +710,12 @@ mod tests {
         let hosting = server.hosting();
         let service = hosting.service("Echo").expect("deployed");
         let permit = hosting.admit(&service, 0, None).expect("admitted");
-        hosting.serve(&service, request, 0, None, permit)
+        hosting.serve(&service, request, None, 0, None, permit)
+    }
+
+    fn envelope_of(served: Served) -> Envelope {
+        let bytes = served.into_bytes().expect("an answer");
+        Envelope::from_xml(std::str::from_utf8(&bytes).expect("UTF-8")).expect("an envelope")
     }
 
     fn echo_request(text: &str) -> Envelope {
@@ -665,11 +739,11 @@ mod tests {
         // Off the wire and already decoded are the same request.
         for incoming in [
             Incoming::Xml(&request.to_xml()),
-            Incoming::Envelope(&request),
+            Incoming::Read(Request::Envelope(request.clone())),
         ] {
             let served = echo_through(&server, incoming);
             assert_eq!(served.status(), 200);
-            let reply = served.into_envelope().expect("echo answers");
+            let reply = envelope_of(served);
             let value =
                 proxy::decode_response(&ServiceDescriptor::echo(), "echoString", &reply).unwrap();
             assert_eq!(value, Value::string("hi"));
@@ -699,8 +773,40 @@ mod tests {
             .unwrap();
         let served = echo_through(&server, Incoming::Xml("<probe/>"));
         assert_eq!(served.status(), 500);
-        assert!(served.into_envelope().unwrap().fault_body().is_some());
+        assert!(envelope_of(served).fault_body().is_some());
         assert!(listener.server_messages.read().is_empty());
+    }
+
+    #[test]
+    fn with_nobody_listening_the_request_is_read_typed() {
+        let server = Server::new(EventBus::new());
+        server.set_deployer(Arc::new(StubDeployer));
+        server
+            .deploy(ServiceDescriptor::echo(), echo_handler())
+            .unwrap();
+        let hosting = server.hosting();
+        let service = hosting.service("Echo").expect("deployed");
+        let request = echo_request("hi").to_xml();
+        let read = |xml: &str| hosting.read(&service, xml, &mut |_| {});
+        assert!(matches!(read(&request), Ok(Request::Typed(_))));
+        // A document the typed reader declines is served from its tree.
+        let odd = request.replacen("<env:Body>", "<env:Header/><env:Body>", 1);
+        assert!(matches!(read(&odd), Ok(Request::Envelope(_))));
+        let echo = ServiceDescriptor::echo();
+        for xml in [request, odd] {
+            let reply = envelope_of(echo_through(&server, Incoming::Xml(&xml)));
+            let value = proxy::decode_response(&echo, "echoString", &reply);
+            assert_eq!(value, Ok(Value::string("hi")));
+        }
+        // With somebody listening, so is every other.
+        server
+            .hosting()
+            .events
+            .add_listener(CollectingListener::new());
+        assert!(matches!(
+            read(&echo_request("hi").to_xml()),
+            Ok(Request::Envelope(_))
+        ));
     }
 
     #[test]
@@ -735,13 +841,10 @@ mod tests {
                 Arc::new(|_op: &str, _args: &[Value]| Ok(Value::string("second"))),
             )
             .unwrap();
-        let reply = echo_through(&server, Incoming::Envelope(&echo_request("first")));
-        let value = proxy::decode_response(
-            &ServiceDescriptor::echo(),
-            "echoString",
-            &reply.into_envelope().unwrap(),
-        )
-        .unwrap();
+        let request = echo_request("first").to_xml();
+        let reply = envelope_of(echo_through(&server, Incoming::Xml(&request)));
+        let value =
+            proxy::decode_response(&ServiceDescriptor::echo(), "echoString", &reply).unwrap();
         assert_eq!(value, Value::string("second"));
         assert_eq!(server.deployed_services().len(), 1);
         assert!(server.undeploy("Echo"));

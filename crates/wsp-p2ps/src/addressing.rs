@@ -71,14 +71,7 @@ pub(crate) fn reply_pipe_in(headers: &MessageHeaders) -> Option<PipeAdvertisemen
 /// the `To`/`Action` headers plus the copied `PipeName` reference
 /// property.
 pub fn target_pipe_of(request: &Envelope) -> Option<PipeAdvertisement> {
-    target_pipe_in(request, &request.addressing()?)
-}
-
-/// [`target_pipe_of`] over headers the caller has already extracted.
-pub(crate) fn target_pipe_in(
-    request: &Envelope,
-    headers: &MessageHeaders,
-) -> Option<PipeAdvertisement> {
+    let headers = request.addressing()?;
     let uri = P2psUri::parse(headers.to.as_deref()?).ok()?;
     // The pipe name arrives either as a copied ReferenceProperty header
     // or as the fragment of the Action URI.

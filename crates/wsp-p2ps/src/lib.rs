@@ -47,7 +47,7 @@ pub use message::P2psMessage;
 pub use pipe_tcp::{pipe_call, read_frame, write_frame, PipeTcpConfig, PipeTcpServer};
 pub use query::P2psQuery;
 pub use resolver::{ChainResolver, EndpointResolver, TableResolver};
-pub use rpc::{decode_request, encode_response, ReceivedRequest, RpcCorrelator};
+pub use rpc::{decode_request, encode_response, RpcCorrelator};
 pub use rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
 pub use sim_driver::{
     add_peer, build_overlay, peer_id_for, Directory, P2psHandle, P2psSimNode, PeerCommand,

@@ -7,13 +7,19 @@
 //! service's pipe; the provider (5) converts the `ReplyTo` back to a
 //! pipe advertisement, resolves it, and (6) returns the response down
 //! it. Correlation uses `MessageID`/`RelatesTo`.
+//!
+//! Everything here deals in [`MessageHeaders`]: what a message says
+//! about where it goes and what it answers. Whoever holds the body
+//! writes the wire form around them — streamed, or as an [`Envelope`].
 
-use crate::addressing::{reply_pipe_in, request_headers, target_pipe_in, with_reply_pipe};
+use crate::addressing::{reply_pipe_in, request_headers, with_reply_pipe};
 use crate::advert::PipeAdvertisement;
 use crate::rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
 use std::collections::HashMap;
 use wsp_simnet::step_mut;
-use wsp_soap::{Envelope, MessageHeaders, WSA_NS};
+use wsp_soap::typed::{read_envelope, show_foreign};
+use wsp_soap::{Envelope, MessageHeaders};
+use wsp_xml::Element;
 
 /// Consumer-side correlation of responses to outstanding requests.
 ///
@@ -84,21 +90,19 @@ impl RpcCorrelator {
         abandoned
     }
 
-    /// Build the wire form of a request to `target`, replying to
-    /// `reply_pipe`, and remember it under `token`.
+    /// The headers of a request to `target` that is to be answered
+    /// down `reply_pipe`, remembered under `token`.
     pub fn encode_request(
         &mut self,
         token: u64,
         target: &PipeAdvertisement,
         reply_pipe: &PipeAdvertisement,
-        mut envelope: Envelope,
-    ) -> String {
+    ) -> MessageHeaders {
         let headers = with_reply_pipe(request_headers(target), reply_pipe);
         let message_id = headers
             .message_id
             .clone()
             .expect("requests carry MessageID");
-        envelope.set_addressing(headers);
         let pipe = self.pipe_id(reply_pipe);
         let effects = step_mut(
             &self.machine,
@@ -114,29 +118,25 @@ impl RpcCorrelator {
         );
         self.token_of_msg.insert(message_id.clone(), token);
         self.msg_of_token.insert(token, message_id);
-        envelope.to_xml()
+        headers
     }
 
-    /// Interpret data that arrived on a return pipe: if it is a response
-    /// to one of our requests, yield `(token, envelope)`.
-    pub fn accept_response(&mut self, payload: &str) -> Option<(u64, Envelope)> {
-        let envelope = Envelope::from_xml(payload).ok()?;
-        // Only `RelatesTo` matters here; extracting the full header set
-        // would copy every other header for nothing.
-        let relates_to = envelope.find_header(WSA_NS, "RelatesTo")?.element.text();
-        let token = *self.token_of_msg.get(relates_to.trim())?;
+    /// Interpret data that arrived on a return pipe: if it is the
+    /// response to one of our requests, yield that request's token.
+    /// The body is the caller's to read; here it is only known to be
+    /// the body of a well-formed envelope.
+    pub fn accept_response(&mut self, payload: &str) -> Option<u64> {
+        let relates_to = decode_request(payload, &mut |_| {})?.relates_to?;
+        let token = *self.token_of_msg.get(&relates_to)?;
         let effects = step_mut(
             &self.machine,
             &mut self.state,
             &RpcEvent::ResponseArrived(token),
         );
         self.purge(token);
-        match effects.first() {
-            Some(RpcEffect::DeliverReply { .. }) => Some((token, envelope)),
-            // Late response for a token whose pipe already closed (or
-            // that was forgotten): drop it.
-            _ => None,
-        }
+        // Not delivered: a late response for a token whose pipe already
+        // closed (or that was forgotten).
+        matches!(effects.first(), Some(RpcEffect::DeliverReply { .. })).then_some(token)
     }
 
     /// Outstanding request count (for timeout sweeps).
@@ -167,51 +167,33 @@ impl RpcCorrelator {
     }
 }
 
-/// Provider-side view of one received request.
-#[derive(Debug)]
-pub struct ReceivedRequest {
-    pub envelope: Envelope,
-    /// The local pipe the request addressed.
-    pub target: Option<PipeAdvertisement>,
-    /// Where the response should go (Figure 6, step 4).
-    pub reply_pipe: Option<PipeAdvertisement>,
-    /// The request's WS-Addressing headers, extracted once: the two
-    /// pipes above are read from them and the response relates to them.
-    headers: MessageHeaders,
-}
-
-/// Parse a request arriving on a service input pipe.
-pub fn decode_request(payload: &str) -> Option<ReceivedRequest> {
+/// Read what a message arriving on a pipe says of itself, whatever it
+/// carries: its WS-Addressing headers, with every other header block
+/// shown to `foreign` (at least once) and the body passed over — off
+/// the reader where that knows the envelope's shape, from the parsed
+/// envelope where it does not.
+pub fn decode_request(payload: &str, foreign: &mut dyn FnMut(&Element)) -> Option<MessageHeaders> {
+    if let Some((headers, ())) = read_envelope(payload, foreign, |body| body.skip().ok()) {
+        return Some(headers);
+    }
     let envelope = Envelope::from_xml(payload).ok()?;
-    let extracted = envelope.addressing();
-    let target = extracted
-        .as_ref()
-        .and_then(|headers| target_pipe_in(&envelope, headers));
-    let reply_pipe = extracted.as_ref().and_then(reply_pipe_in);
-    Some(ReceivedRequest {
-        envelope,
-        target,
-        reply_pipe,
-        headers: extracted.unwrap_or_default(),
-    })
+    show_foreign(&envelope, foreign);
+    Some(envelope.addressing().unwrap_or_default())
 }
 
-/// Build the wire form of the response to `request`, addressed back
-/// down its reply pipe. Returns `None` for one-way requests (no
-/// `ReplyTo`).
-pub fn encode_response(
-    request: &ReceivedRequest,
-    mut response: Envelope,
-) -> Option<(PipeAdvertisement, String)> {
-    let reply_pipe = request.reply_pipe.clone()?;
+/// Where the response to the request carrying `request` goes (Figure
+/// 6, step 4) and the headers it goes under. `None` for a one-way
+/// request (no `ReplyTo`).
+pub fn encode_response(request: &MessageHeaders) -> Option<(PipeAdvertisement, MessageHeaders)> {
+    let reply_pipe = reply_pipe_in(request)?;
     let action = format!("{}#response", reply_pipe.uri().address());
-    response.set_addressing(MessageHeaders::response_to(&request.headers, action));
-    Some((reply_pipe, response.to_xml()))
+    Some((reply_pipe, MessageHeaders::response_to(request, action)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addressing::target_pipe_of;
     use crate::id::PeerId;
     use wsp_xml::Element;
 
@@ -223,61 +205,78 @@ mod tests {
         PipeAdvertisement::new(PeerId(0xBB), None, "return-1")
     }
 
-    fn request_envelope(text: &str) -> Envelope {
-        Envelope::request(
-            Element::build("urn:demo", "echoString")
-                .text(text.to_owned())
-                .finish(),
-        )
+    fn addressed(mut envelope: Envelope, headers: MessageHeaders) -> String {
+        envelope.set_addressing(headers);
+        envelope.to_xml()
+    }
+
+    fn request(correlator: &mut RpcCorrelator, token: u64, text: &str) -> String {
+        let payload = Element::build("urn:demo", "echoString")
+            .text(text.to_owned())
+            .finish();
+        let headers = correlator.encode_request(token, &service_pipe(), &return_pipe());
+        addressed(Envelope::request(payload), headers)
+    }
+
+    /// The provider's answer to `wire`: an empty body down the reply pipe.
+    fn response_to(wire: &str) -> Option<(PipeAdvertisement, String)> {
+        let (pipe, headers) = encode_response(&decode_request(wire, &mut |_| {})?)?;
+        Some((pipe, addressed(Envelope::empty(), headers)))
     }
 
     #[test]
     fn full_figures_5_6_round_trip() {
         let mut correlator = RpcCorrelator::new();
         // Consumer side (Figure 5).
-        let wire =
-            correlator.encode_request(42, &service_pipe(), &return_pipe(), request_envelope("hi"));
+        let wire = request(&mut correlator, 42, "hi");
         assert_eq!(correlator.pending(), 1);
 
         // Provider side (Figure 6).
-        let received = decode_request(&wire).expect("parse request");
-        assert_eq!(received.target.as_ref(), Some(&service_pipe()));
-        assert_eq!(received.reply_pipe.as_ref(), Some(&return_pipe()));
-        assert_eq!(received.envelope.payload().unwrap().text(), "hi");
+        let mut foreign = Vec::new();
+        let received = decode_request(&wire, &mut |block| foreign.push(block.text()));
+        let received = received.expect("parse request");
+        assert_eq!(foreign, ["in"], "the copied PipeName reference property");
+        assert_eq!(reply_pipe_in(&received), Some(return_pipe()));
+        let envelope = Envelope::from_xml(&wire).unwrap();
+        assert_eq!(target_pipe_of(&envelope), Some(service_pipe()));
 
-        let reply = Envelope::request(
-            Element::build("urn:demo", "echoStringResponse")
-                .text("hi")
-                .finish(),
-        );
-        let (pipe, response_wire) = encode_response(&received, reply).expect("has reply pipe");
+        let (pipe, response_wire) = response_to(&wire).expect("has reply pipe");
         assert_eq!(pipe, return_pipe());
 
         // Back at the consumer.
-        let (token, envelope) = correlator
-            .accept_response(&response_wire)
-            .expect("correlates");
-        assert_eq!(token, 42);
-        assert_eq!(envelope.payload().unwrap().text(), "hi");
+        assert_eq!(correlator.accept_response(&response_wire), Some(42));
         assert_eq!(correlator.pending(), 0);
+    }
+
+    #[test]
+    fn a_request_the_reader_declines_is_routed_from_its_tree() {
+        let mut correlator = RpcCorrelator::new();
+        let wire = request(&mut correlator, 7, "x");
+        // A second Header is not a shape the typed reader knows.
+        let odd = wire.replacen("<env:Body>", "<env:Header/><env:Body>", 1);
+        assert!(read_envelope(&odd, &mut |_| {}, |body| body.skip().ok()).is_none());
+        let typed = decode_request(&wire, &mut |_| {}).unwrap();
+        assert_eq!(decode_request(&odd, &mut |_| {}), Some(typed));
+        assert!(decode_request(&wire[..wire.len() - 3], &mut |_| {}).is_none());
     }
 
     #[test]
     fn uncorrelated_response_ignored() {
         let mut correlator = RpcCorrelator::new();
-        let mut stray = Envelope::request(Element::new("urn:demo", "r"));
-        stray.set_addressing(MessageHeaders {
-            relates_to: Some("urn:wsp:msg:unknown".into()),
-            ..MessageHeaders::default()
-        });
-        assert!(correlator.accept_response(&stray.to_xml()).is_none());
+        let stray = addressed(
+            Envelope::request(Element::new("urn:demo", "r")),
+            MessageHeaders {
+                relates_to: Some("urn:wsp:msg:unknown".into()),
+                ..MessageHeaders::default()
+            },
+        );
+        assert!(correlator.accept_response(&stray).is_none());
     }
 
     #[test]
     fn response_without_relates_to_ignored() {
         let mut correlator = RpcCorrelator::new();
-        let _ =
-            correlator.encode_request(1, &service_pipe(), &return_pipe(), request_envelope("x"));
+        let _ = request(&mut correlator, 1, "x");
         let unrelated = Envelope::request(Element::new("urn:demo", "r")).to_xml();
         assert!(correlator.accept_response(&unrelated).is_none());
         assert_eq!(correlator.pending(), 1);
@@ -285,40 +284,34 @@ mod tests {
 
     #[test]
     fn one_way_request_has_no_response() {
-        let mut plain = Envelope::request(Element::new("urn:demo", "notify"));
-        plain.set_addressing(request_headers(&service_pipe())); // no ReplyTo
-        let received = decode_request(&plain.to_xml()).unwrap();
-        assert!(encode_response(&received, Envelope::empty()).is_none());
+        let plain = addressed(
+            Envelope::request(Element::new("urn:demo", "notify")),
+            request_headers(&service_pipe()), // no ReplyTo
+        );
+        assert!(response_to(&plain).is_none());
     }
 
     #[test]
     fn forget_times_out_requests() {
         let mut correlator = RpcCorrelator::new();
-        let wire =
-            correlator.encode_request(9, &service_pipe(), &return_pipe(), request_envelope("x"));
-        let request = Envelope::from_xml(&wire).unwrap();
-        let id = request.addressing().unwrap().message_id.unwrap();
-        assert!(correlator.forget(&id));
+        let wire = request(&mut correlator, 9, "x");
+        let id = decode_request(&wire, &mut |_| {}).unwrap().message_id;
+        assert!(correlator.forget(&id.unwrap()));
         assert_eq!(correlator.pending(), 0);
         // A late response no longer correlates.
-        let received = decode_request(&wire).unwrap();
-        let (_, response_wire) = encode_response(&received, Envelope::empty()).unwrap();
+        let (_, response_wire) = response_to(&wire).unwrap();
         assert!(correlator.accept_response(&response_wire).is_none());
     }
 
     #[test]
     fn two_outstanding_requests_correlate_independently() {
         let mut correlator = RpcCorrelator::new();
-        let wire_a =
-            correlator.encode_request(1, &service_pipe(), &return_pipe(), request_envelope("a"));
-        let wire_b =
-            correlator.encode_request(2, &service_pipe(), &return_pipe(), request_envelope("b"));
-        let ra = decode_request(&wire_a).unwrap();
-        let rb = decode_request(&wire_b).unwrap();
+        let wire_a = request(&mut correlator, 1, "a");
+        let wire_b = request(&mut correlator, 2, "b");
         // Answer b first.
-        let (_, resp_b) = encode_response(&rb, Envelope::empty()).unwrap();
-        let (_, resp_a) = encode_response(&ra, Envelope::empty()).unwrap();
-        assert_eq!(correlator.accept_response(&resp_b).unwrap().0, 2);
-        assert_eq!(correlator.accept_response(&resp_a).unwrap().0, 1);
+        let (_, resp_b) = response_to(&wire_b).unwrap();
+        let (_, resp_a) = response_to(&wire_a).unwrap();
+        assert_eq!(correlator.accept_response(&resp_b), Some(2));
+        assert_eq!(correlator.accept_response(&resp_a), Some(1));
     }
 }

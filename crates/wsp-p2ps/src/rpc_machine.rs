@@ -87,9 +87,14 @@ impl Machine for RpcMachine {
     }
 
     fn step(&self, state: &RpcState, event: &RpcEvent) -> (RpcState, Vec<RpcEffect>) {
-        use RpcEffect as E;
         let mut next = state.clone();
-        let effects = match *event {
+        let effects = self.step_in_place(&mut next, event);
+        (next, effects)
+    }
+
+    fn step_in_place(&self, next: &mut RpcState, event: &RpcEvent) -> Vec<RpcEffect> {
+        use RpcEffect as E;
+        match *event {
             RpcEvent::OpenPipe(p) => {
                 next.open_pipes.insert(p);
                 vec![]
@@ -111,7 +116,7 @@ impl Machine for RpcMachine {
                     .collect()
             }
             RpcEvent::SendRequest { token, reply_pipe } => {
-                if !state.open_pipes.contains(&reply_pipe) {
+                if !next.open_pipes.contains(&reply_pipe) {
                     vec![E::RejectSendNoPipe(token)]
                 } else {
                     // Tokens are allocated process-unique; re-sending a
@@ -120,8 +125,8 @@ impl Machine for RpcMachine {
                     vec![]
                 }
             }
-            RpcEvent::ResponseArrived(token) => match state.pending.get(&token) {
-                Some(&pipe) if state.open_pipes.contains(&pipe) => {
+            RpcEvent::ResponseArrived(token) => match next.pending.get(&token) {
+                Some(&pipe) if next.open_pipes.contains(&pipe) => {
                     next.pending.remove(&token);
                     vec![E::DeliverReply {
                         token,
@@ -144,8 +149,7 @@ impl Machine for RpcMachine {
                     vec![]
                 }
             }
-        };
-        (next, effects)
+        }
     }
 }
 

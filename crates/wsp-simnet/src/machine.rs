@@ -47,14 +47,23 @@ pub trait Machine {
     /// The transition function: consume one event in `state`, produce
     /// the successor state and the effects the shell must carry out.
     fn step(&self, state: &Self::State, event: &Self::Event) -> (Self::State, Vec<Self::Effect>);
+
+    /// The same transition applied to a state its caller owns. A
+    /// machine whose state is a collection (a map of live calls)
+    /// implements this one, so that a step costs what its event touches
+    /// and not a copy of everything held, and writes `step` as a clone
+    /// stepped in place — explorers and shells then run one function.
+    fn step_in_place(&self, state: &mut Self::State, event: &Self::Event) -> Vec<Self::Effect> {
+        let (next, effects) = self.step(state, event);
+        *state = next;
+        effects
+    }
 }
 
 /// Convenience for shells that own a current state: step in place and
 /// return just the effects.
 pub fn step_mut<M: Machine>(machine: &M, state: &mut M::State, event: &M::Event) -> Vec<M::Effect> {
-    let (next, effects) = machine.step(state, event);
-    *state = next;
-    effects
+    machine.step_in_place(state, event)
 }
 
 #[cfg(test)]

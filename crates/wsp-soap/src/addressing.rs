@@ -8,8 +8,9 @@
 
 use crate::constants::WSA_NS;
 use crate::envelope::{Envelope, HeaderBlock};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wsp_xml::Element;
+use wsp_xml::{Element, StreamWriter};
 
 /// An abstract reference to an endpoint: a mandatory address URI plus
 /// arbitrary protocol-defined reference properties.
@@ -53,6 +54,18 @@ impl EndpointReference {
             e.push_element(props);
         }
         e
+    }
+
+    /// Stream what [`EndpointReference::to_element`] builds.
+    pub(crate) fn write_to(&self, local: &str, out: &mut StreamWriter<'_>) {
+        out.element(WSA_NS, local, |out| {
+            out.element(WSA_NS, "Address", |out| out.text(&self.address));
+            if !self.reference_properties.is_empty() {
+                out.element(WSA_NS, "ReferenceProperties", |out| {
+                    self.reference_properties.iter().for_each(|p| out.tree(p));
+                });
+            }
+        });
     }
 
     /// Parse an EPR element (any element containing `wsa:Address`).
@@ -180,6 +193,37 @@ impl MessageHeaders {
         }
     }
 
+    /// Stream the header blocks [`MessageHeaders::apply_to`] appends.
+    pub(crate) fn write_to(&self, out: &mut StreamWriter<'_>) {
+        const MANDATORY: &[(&str, &str, &str)] =
+            &[(crate::constants::SOAP_ENV_NS, "mustUnderstand", "true")];
+        for (local, value, attributes) in [
+            ("To", &self.to, MANDATORY),
+            ("Action", &self.action, MANDATORY),
+            ("MessageID", &self.message_id, &[]),
+            ("RelatesTo", &self.relates_to, &[]),
+        ] {
+            if let Some(value) = value {
+                out.element_with(WSA_NS, local, attributes, |out| out.text(value));
+            }
+        }
+        for (local, epr) in [
+            ("ReplyTo", &self.reply_to),
+            ("FaultTo", &self.fault_to),
+            ("From", &self.from),
+        ] {
+            if let Some(epr) = epr {
+                epr.write_to(local, out);
+            }
+        }
+        self.destination_properties.iter().for_each(|p| out.tree(p));
+    }
+
+    /// True if there is no header to write.
+    pub fn is_empty(&self) -> bool {
+        *self == MessageHeaders::default()
+    }
+
     /// Extract WS-Addressing headers from an envelope, if any WSA header
     /// is present at all.
     pub fn extract(envelope: &Envelope) -> Option<MessageHeaders> {
@@ -203,14 +247,7 @@ impl MessageHeaders {
             from: epr("From"),
             destination_properties: Vec::new(),
         };
-        let any = headers.to.is_some()
-            || headers.action.is_some()
-            || headers.message_id.is_some()
-            || headers.relates_to.is_some()
-            || headers.reply_to.is_some()
-            || headers.fault_to.is_some()
-            || headers.from.is_some();
-        any.then_some(headers)
+        (!headers.is_empty()).then_some(headers)
     }
 }
 
@@ -225,7 +262,12 @@ pub fn generate_message_id() -> String {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos())
         .unwrap_or(0);
-    format!("urn:wsp:msg:{nanos:x}-{n:x}")
+    // Sized for the longest id, so it is one allocation: 12 bytes of
+    // prefix, a 128-bit and a 64-bit number in hex, a dash.
+    let mut id = String::with_capacity(12 + 32 + 1 + 16);
+    // Infallible: writing to a `String`.
+    let _ = write!(id, "urn:wsp:msg:{nanos:x}-{n:x}");
+    id
 }
 
 #[cfg(test)]

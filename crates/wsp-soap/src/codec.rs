@@ -56,7 +56,7 @@ impl From<XmlError> for SoapError {
 /// Holding one per connection/worker amortises the writer's buffer across
 /// messages (perf-book guidance: reuse workhorse buffers).
 pub struct SoapCodec {
-    writer: Writer,
+    pub(crate) writer: Writer,
 }
 
 impl Default for SoapCodec {

@@ -33,6 +33,7 @@ pub mod codec;
 pub mod constants;
 pub mod envelope;
 pub mod fault;
+pub mod typed;
 
 pub use addressing::{EndpointReference, MessageHeaders};
 pub use codec::SoapCodec;

@@ -5,23 +5,48 @@
 //! checking, operation dispatch, argument decoding, handler invocation
 //! and result/fault encoding. WSPeer's lightweight host calls this after
 //! giving the application a chance to intercept the raw message
-//! (Section III, point 2).
+//! (Section III, point 2). With no application looking,
+//! [`MessageEngine::read_request`] and [`MessageEngine::answer`] go from
+//! the request's XML to the response's bytes without either envelope.
 
 use crate::service::{ServiceDescriptor, ServiceHandler};
-use crate::value::{value_element, Value};
+use crate::value::{read_members, value_element, write_value, Value};
 use std::sync::Arc;
+use wsp_soap::typed::{at_plain, next_tag, read_envelope, write_envelope};
 use wsp_soap::{constants, Envelope, Fault, FaultCode, MessageHeaders};
-use wsp_xml::QName;
+use wsp_xml::{Element, Pull, QName};
 
 /// Server-side engine binding a contract to a handler.
 pub struct MessageEngine {
     descriptor: ServiceDescriptor,
     handler: Arc<dyn ServiceHandler>,
+    /// The header blocks this node understands: WS-Addressing's.
+    understood: Vec<QName>,
+    fault_action: String,
+    /// Per operation, its response's `Action`:
+    /// `{namespace}#{operation}Response`; after the `#`, its wrapper.
+    response_actions: Vec<String>,
+}
+
+/// A request as [`MessageEngine::read_request`] read it: addressed,
+/// dispatched and its arguments decoded, the handler not yet called.
+pub struct TypedRequest {
+    pub headers: MessageHeaders,
+    operation: usize,
+    args: Vec<Value>,
 }
 
 impl MessageEngine {
     pub fn new(descriptor: ServiceDescriptor, handler: Arc<dyn ServiceHandler>) -> Self {
+        let namespace = &descriptor.namespace;
         MessageEngine {
+            understood: ("To Action MessageID RelatesTo ReplyTo FaultTo From".split(' '))
+                .map(|local| QName::new(constants::WSA_NS, local))
+                .collect(),
+            fault_action: format!("{namespace}#fault"),
+            response_actions: (descriptor.operations.iter())
+                .map(|op| format!("{namespace}#{}Response", op.name))
+                .collect(),
             descriptor,
             handler,
         }
@@ -31,13 +56,19 @@ impl MessageEngine {
         &self.descriptor
     }
 
+    /// The response's `Action` and the local name of its wrapper.
+    fn response_names(&self, operation: usize) -> (&str, &str) {
+        let action = self.response_actions[operation].as_str();
+        (action, &action[self.descriptor.namespace.len() + 1..])
+    }
+
     /// Process one request envelope into a response envelope.
     ///
     /// One-way operations return `None` (nothing goes back); everything
     /// else — results and faults alike — returns `Some`.
     pub fn process(&self, request: &Envelope) -> Option<Envelope> {
         let request_headers = request.addressing().unwrap_or_default();
-        let respond = |body: Result<Envelope, Fault>, action: String| -> Envelope {
+        let respond = |body: Result<Envelope, Fault>, action: &str| -> Envelope {
             let mut env = match body {
                 Ok(env) => env,
                 Err(fault) => Envelope::fault(fault),
@@ -48,28 +79,29 @@ impl MessageEngine {
 
         // mustUnderstand: we understand WS-Addressing and our own
         // namespace; any other mandatory header is a fault.
-        let understood = self.understood_headers();
-        if let Some(block) = request.not_understood(&understood).first() {
+        if let Some(block) = request.not_understood(&self.understood).first() {
             let fault = Fault::new(
                 FaultCode::MustUnderstand,
                 format!("mandatory header {:?} not understood", block.element.name()),
             );
-            return Some(respond(Err(fault), self.fault_action()));
+            return Some(respond(Err(fault), &self.fault_action));
         }
 
         let Some(payload) = request.payload() else {
             let fault = Fault::sender("request body carries no operation element");
-            return Some(respond(Err(fault), self.fault_action()));
+            return Some(respond(Err(fault), &self.fault_action));
         };
-        let op_name = payload.name().local_name().to_owned();
-        let Some(op) = self.descriptor.find_operation(&op_name) else {
+        let op_name = payload.name().local_name();
+        let operations = &self.descriptor.operations;
+        let Some(at) = operations.iter().position(|op| op.name == op_name) else {
             let fault = Fault::sender(format!(
                 "service {} has no operation {op_name:?}",
                 self.descriptor.name
             ))
             .with_subcode(QName::new("urn:wspeer:faults", "NoSuchOperation"));
-            return Some(respond(Err(fault), self.fault_action()));
+            return Some(respond(Err(fault), &self.fault_action));
         };
+        let op = &operations[at];
 
         // Decode arguments in declaration order.
         let mut args = Vec::with_capacity(op.inputs.len());
@@ -82,54 +114,111 @@ impl MessageEngine {
                     Ok(v) => args.push(v),
                     Err(e) => {
                         let fault = Fault::sender(format!("argument {:?}: {e}", param.name));
-                        return Some(respond(Err(fault), self.fault_action()));
+                        return Some(respond(Err(fault), &self.fault_action));
                     }
                 },
                 None if param.optional => args.push(Value::Null),
                 None => {
                     let fault =
                         Fault::sender(format!("missing required argument {:?}", param.name));
-                    return Some(respond(Err(fault), self.fault_action()));
+                    return Some(respond(Err(fault), &self.fault_action));
                 }
             }
         }
 
-        let result = self.handler.invoke(&op_name, &args);
+        let result = self.handler.invoke(op_name, &args);
         if !op.expects_response() {
             // One-way: nothing to send, even on handler error (the error
             // is the host's to log).
             return None;
         }
 
-        let action = self
-            .descriptor
-            .action_uri(&self.descriptor.namespace, &format!("{op_name}Response"));
+        let (action, wrapper) = self.response_names(at);
         let body = result.map(|value| {
             let ns = self.descriptor.namespace.as_str();
-            let mut wrapper = wsp_xml::Element::new(ns.to_owned(), format!("{op_name}Response"));
+            let mut wrapper = Element::new(ns.to_owned(), wrapper.to_owned());
             wrapper.push_element(value_element(ns, "return", &value));
             Envelope::request(wrapper)
         });
         Some(respond(body, action))
     }
 
-    fn understood_headers(&self) -> Vec<QName> {
-        [
-            "To",
-            "Action",
-            "MessageID",
-            "RelatesTo",
-            "ReplyTo",
-            "FaultTo",
-            "From",
-        ]
-        .iter()
-        .map(|l| QName::new(constants::WSA_NS, l.to_string()))
-        .collect()
+    /// Read a request's XML as far as [`MessageEngine::process`] goes
+    /// before it calls the handler, with no tree; `foreign` is shown the
+    /// header blocks that are not WS-Addressing's. `None` for whatever
+    /// [`read_envelope`] or [`read_members`] declines and for every
+    /// request `process` answers with a fault of its own: parsed and
+    /// processed, such a request gets the answer it always got.
+    pub fn read_request(
+        &self,
+        xml: &str,
+        foreign: &mut dyn FnMut(&Element),
+    ) -> Option<TypedRequest> {
+        let (headers, (operation, args)) = read_envelope(xml, foreign, |reader| {
+            let ns = self.descriptor.namespace.as_str();
+            let wrapper = next_tag(reader)? == Pull::Start;
+            let local = reader.local_name();
+            let operations = &self.descriptor.operations;
+            let at = operations.iter().position(|op| op.name == local)?;
+            if !(wrapper && at_plain(reader, ns, local)) {
+                return None;
+            }
+            let args = read_members(reader, &operations[at].inputs, Some(ns), None)?;
+            (next_tag(reader)? == Pull::End).then_some((at, args))
+        })?;
+        Some(TypedRequest {
+            headers,
+            operation,
+            args,
+        })
     }
 
-    fn fault_action(&self) -> String {
-        format!("{}#fault", self.descriptor.namespace)
+    /// The rest of [`MessageEngine::process`] for such a request: call
+    /// the handler and append the response's wire bytes to `out`.
+    /// `Some(true)` if they are a fault's, `None` — nothing written —
+    /// for a one-way operation. With `readdress`, the bytes are those
+    /// of the engine's envelope after `set_addressing(readdress)`.
+    pub fn answer(
+        &self,
+        request: &TypedRequest,
+        readdress: Option<&MessageHeaders>,
+        out: &mut Vec<u8>,
+    ) -> Option<bool> {
+        let op = &self.descriptor.operations[request.operation];
+        let result = self.handler.invoke(&op.name, &request.args);
+        if !op.expects_response() {
+            return None;
+        }
+        let (action, wrapper) = self.response_names(request.operation);
+        let own = |action| MessageHeaders::response_to(&request.headers, action);
+        match result {
+            Ok(value) => {
+                let ns = self.descriptor.namespace.as_str();
+                let body = |out: &mut wsp_xml::StreamWriter<'_>| {
+                    out.element(ns, wrapper, |out| write_value(out, ns, "return", &value));
+                };
+                // What `set_addressing` keeps of the engine's own
+                // headers: the reference properties of `ReplyTo`.
+                let reply_to = request.headers.reply_to.as_ref();
+                let kept = reply_to.map_or(&[][..], |r| &r.reference_properties);
+                match readdress {
+                    Some(headers) => write_envelope(out, kept, headers, body),
+                    None => write_envelope(out, &[], &own(action), body),
+                }
+                Some(false)
+            }
+            // Faults are rare and carry trees of their own. (The
+            // handler's go out under the response's action.)
+            Err(fault) => {
+                let mut envelope = Envelope::fault(fault);
+                envelope.set_addressing(own(action));
+                if let Some(headers) = readdress {
+                    envelope.set_addressing(headers.clone());
+                }
+                envelope.to_xml_into(out);
+                Some(true)
+            }
+        }
     }
 }
 

@@ -36,7 +36,7 @@ pub mod service;
 pub mod value;
 pub mod xsd;
 
-pub use engine::MessageEngine;
+pub use engine::{MessageEngine, TypedRequest};
 pub use model::{Port, TransportKind, WsdlDocument, WsdlError, WSDL_NS, WSDL_SOAP_NS};
 pub use proxy::{ProxyError, ServiceProxy};
 pub use service::{OperationDef, OperationRouter, Param, ServiceDescriptor, ServiceHandler};

@@ -6,14 +6,17 @@
 //! runtime. The proxy validates calls against the contract, encodes
 //! request envelopes and decodes response envelopes; actual transport is
 //! supplied by the caller, keeping the proxy binding-agnostic (the same
-//! proxy drives HTTP and P2PS invocations).
+//! proxy drives HTTP and P2PS invocations). [`write_request`] and
+//! [`read_response`] are the "directly to bytes" form: no envelope built.
 
 use crate::model::WsdlDocument;
+use crate::service::OperationDef;
 use crate::service::ServiceDescriptor;
-use crate::value::{decode_typed, value_element, Value};
+use crate::value::{decode_typed, read_value, value_element, write_value, Value};
 use std::fmt;
+use wsp_soap::typed::{at_plain, next_tag, read_envelope, write_envelope};
 use wsp_soap::{Envelope, Fault, MessageHeaders};
-use wsp_xml::Element;
+use wsp_xml::{Element, Pull};
 
 /// Errors raised on the client side of an invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,15 +136,13 @@ impl ServiceProxy {
     }
 }
 
-/// [`ServiceProxy::encode_request`] over a borrowed contract — for
-/// callers that already hold the descriptor (a located service's WSDL)
-/// and would otherwise deep-copy it into a proxy per call.
-pub fn encode_request(
-    descriptor: &ServiceDescriptor,
-    endpoint: &str,
+/// The operation a call names, once its arguments are known to fit
+/// it — what [`encode_request`] and [`write_request`] check first.
+pub fn check_request<'d>(
+    descriptor: &'d ServiceDescriptor,
     operation: &str,
     args: &[Value],
-) -> Result<Envelope, ProxyError> {
+) -> Result<&'d OperationDef, ProxyError> {
     let op = descriptor
         .find_operation(operation)
         .ok_or_else(|| ProxyError::NoSuchOperation(operation.to_owned()))?;
@@ -154,9 +155,6 @@ pub fn encode_request(
             got: args.len(),
         });
     }
-
-    let ns = descriptor.namespace.as_str();
-    let mut wrapper = Element::new(ns.to_owned(), operation.to_owned());
     for (param, arg) in op.inputs.iter().zip(args) {
         if !arg.conforms_to(&param.ty) {
             return Err(ProxyError::TypeMismatch {
@@ -165,18 +163,60 @@ pub fn encode_request(
                 expected: param.ty.type_ref(),
             });
         }
-        if matches!(arg, Value::Null) && param.optional {
-            continue; // omitted optional argument
-        }
-        wrapper.push_element(value_element(ns, &param.name, arg));
     }
+    Ok(op)
+}
 
+/// The parameters a request carries: all but omitted optional ones.
+fn sent<'c>(op: &'c OperationDef, args: &'c [Value]) -> impl Iterator<Item = (&'c str, &'c Value)> {
+    let pairs = op.inputs.iter().zip(args);
+    pairs
+        .filter(|(param, arg)| !(param.optional && matches!(arg, Value::Null)))
+        .map(|(param, arg)| (param.name.as_str(), arg))
+}
+
+/// [`ServiceProxy::encode_request`] over a borrowed contract — for
+/// callers that already hold the descriptor (a located service's WSDL)
+/// and would otherwise deep-copy it into a proxy per call.
+pub fn encode_request(
+    descriptor: &ServiceDescriptor,
+    endpoint: &str,
+    operation: &str,
+    args: &[Value],
+) -> Result<Envelope, ProxyError> {
+    let op = check_request(descriptor, operation, args)?;
+    let ns = descriptor.namespace.as_str();
+    let mut wrapper = Element::new(ns.to_owned(), operation.to_owned());
+    for (name, arg) in sent(op, args) {
+        wrapper.push_element(value_element(ns, name, arg));
+    }
     let mut envelope = Envelope::request(wrapper);
     envelope.set_addressing(MessageHeaders::request(
         endpoint.to_owned(),
         descriptor.action_uri(endpoint, operation),
     ));
     Ok(envelope)
+}
+
+/// The wire bytes of [`encode_request`]'s envelope once it carries
+/// `leading` and then `headers` as its header blocks, appended to `out`
+/// with no envelope built.
+pub fn write_request(
+    descriptor: &ServiceDescriptor,
+    leading: &[Element],
+    headers: &MessageHeaders,
+    operation: &str,
+    args: &[Value],
+    out: &mut Vec<u8>,
+) -> Result<(), ProxyError> {
+    let op = check_request(descriptor, operation, args)?;
+    let ns = descriptor.namespace.as_str();
+    write_envelope(out, leading, headers, |out| {
+        out.element(ns, operation, |out| {
+            sent(op, args).for_each(|(name, arg)| write_value(out, ns, name, arg));
+        });
+    });
+    Ok(())
 }
 
 /// [`ServiceProxy::decode_response`] over a borrowed contract.
@@ -209,6 +249,30 @@ pub fn decode_response(
         .ok_or_else(|| ProxyError::BadResponse("response lacks return element".to_owned()))?;
     decode_typed(ret, &output.ty, &descriptor.schema)
         .map_err(|e| ProxyError::BadResponse(e.to_string()))
+}
+
+/// [`decode_response`] of the envelope `xml` is, read with no tree —
+/// for the response the contract promises: `None` for a fault, a
+/// one-way operation, and whatever [`read_envelope`] or [`read_value`]
+/// declines or [`decode_response`] refuses; the caller then parses the
+/// envelope and gets the result or the error from there.
+pub fn read_response(descriptor: &ServiceDescriptor, operation: &str, xml: &str) -> Option<Value> {
+    let output = descriptor.find_operation(operation)?.output.as_ref()?;
+    let (_, value) = read_envelope(xml, &mut |_| {}, |reader| {
+        let wrapper = next_tag(reader)? == Pull::Start;
+        let local = reader.local_name();
+        let named = local.strip_suffix("Response") == Some(operation);
+        if !(wrapper && named && at_plain(reader, &descriptor.namespace, local)) {
+            return None;
+        }
+        if next_tag(reader)? != Pull::Start || reader.local_name() != "return" {
+            return None;
+        }
+        let value = read_value(reader, &output.ty, Some(&descriptor.schema))?;
+        let closed = next_tag(reader)? == Pull::End && next_tag(reader)? == Pull::End;
+        closed.then_some(value)
+    })?;
+    Some(value)
 }
 
 #[cfg(test)]

@@ -13,32 +13,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use wsp_soap::Fault;
 
-/// One named, typed parameter.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Param {
-    pub name: String,
-    pub ty: XsdType,
-    /// Optional parameters decode to `Value::Null` when absent.
-    pub optional: bool,
-}
-
-impl Param {
-    pub fn new(name: impl Into<String>, ty: XsdType) -> Self {
-        Param {
-            name: name.into(),
-            ty,
-            optional: false,
-        }
-    }
-
-    pub fn optional(name: impl Into<String>, ty: XsdType) -> Self {
-        Param {
-            name: name.into(),
-            ty,
-            optional: true,
-        }
-    }
-}
+/// One named, typed parameter; an optional one decodes to
+/// `Value::Null` when absent. The same three things as a field of a
+/// complex type, and read off the wire by the same code.
+pub type Param = crate::xsd::FieldDef;
 
 /// One operation: a name, input parameters and an optional output.
 /// `output: None` models a WSDL one-way operation.

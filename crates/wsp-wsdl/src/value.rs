@@ -6,9 +6,11 @@
 //! application handlers receive as arguments and return as results.
 
 use crate::base64;
-use crate::xsd::XsdType;
+use crate::xsd::{FieldDef, Schema, XsdType};
+use std::borrow::Cow;
 use std::fmt;
-use wsp_xml::{Element, QName};
+use wsp_soap::typed::{next_tag, read_text};
+use wsp_xml::{Element, Pull, PullReader, QName, StreamWriter};
 
 /// XML Schema instance namespace (for `xsi:nil`).
 pub const XSI_NS: &str = "http://www.w3.org/2001/XMLSchema-instance";
@@ -99,6 +101,20 @@ impl Value {
         }
     }
 
+    /// The lexical form of a simple value; `None` for nil, arrays and
+    /// structs, which are elements and attributes, not text.
+    fn lexical(&self) -> Option<Cow<'_, str>> {
+        Some(match self {
+            Value::Null | Value::Array(_) | Value::Struct(_) => return None,
+            Value::Bool(true) => "true".into(),
+            Value::Bool(false) => "false".into(),
+            Value::Int(i) => i.to_string().into(),
+            Value::Double(d) => format_double(*d).into(),
+            Value::String(s) => Cow::Borrowed(s.as_str()),
+            Value::Bytes(b) => base64::encode(b).into(),
+        })
+    }
+
     /// Encode this value as the contents of `element` (text children for
     /// simple types, child elements for structs/arrays).
     pub fn encode_into(&self, ns: &str, element: &mut Element) {
@@ -106,11 +122,6 @@ impl Value {
             Value::Null => {
                 element.set_attribute(QName::new(XSI_NS, "nil"), "true");
             }
-            Value::Bool(b) => element.push_text(if *b { "true" } else { "false" }),
-            Value::Int(i) => element.push_text(i.to_string()),
-            Value::Double(d) => element.push_text(format_double(*d)),
-            Value::String(s) => element.push_text(s.clone()),
-            Value::Bytes(b) => element.push_text(base64::encode(b)),
             Value::Array(items) => {
                 for item in items {
                     let mut child = Element::new(ns.to_owned(), "item");
@@ -125,6 +136,7 @@ impl Value {
                     element.push_element(child);
                 }
             }
+            simple => element.push_text(simple.lexical().expect("a simple value")),
         }
     }
 
@@ -138,41 +150,8 @@ impl Value {
             return Ok(Value::Null);
         }
         let content = element.text_ref();
-        let text = content.trim();
         match expected {
-            XsdType::Boolean => match text {
-                "true" | "1" => Ok(Value::Bool(true)),
-                "false" | "0" => Ok(Value::Bool(false)),
-                other => Err(ValueError::BadLexical {
-                    ty: "boolean",
-                    text: other.to_owned(),
-                }),
-            },
-            XsdType::Int | XsdType::Long => {
-                text.parse::<i64>()
-                    .map(Value::Int)
-                    .map_err(|_| ValueError::BadLexical {
-                        ty: "integer",
-                        text: text.to_owned(),
-                    })
-            }
-            XsdType::Double => {
-                parse_double(text)
-                    .map(Value::Double)
-                    .ok_or_else(|| ValueError::BadLexical {
-                        ty: "double",
-                        text: text.to_owned(),
-                    })
-            }
             XsdType::String => Ok(Value::String(content.into_owned())),
-            XsdType::Base64Binary => {
-                base64::decode(text)
-                    .map(Value::Bytes)
-                    .ok_or_else(|| ValueError::BadLexical {
-                        ty: "base64Binary",
-                        text: text.to_owned(),
-                    })
-            }
             XsdType::Array(item_ty) => {
                 let mut items = Vec::new();
                 for child in element.child_elements() {
@@ -181,6 +160,33 @@ impl Value {
                 Ok(Value::Array(items))
             }
             XsdType::AnyType | XsdType::Complex(_) => Ok(Value::decode_untyped(element)),
+            simple => {
+                let text = content.trim();
+                Value::from_lexical(simple, text).ok_or_else(|| ValueError::BadLexical {
+                    ty: match simple {
+                        XsdType::Boolean => "boolean",
+                        XsdType::Double => "double",
+                        XsdType::Base64Binary => "base64Binary",
+                        _ => "integer",
+                    },
+                    text: text.to_owned(),
+                })
+            }
+        }
+    }
+
+    /// The value `text` spells in the lexical space of the simple type
+    /// `ty` (strings aside: they are not trimmed, nor ever refused).
+    fn from_lexical(ty: &XsdType, text: &str) -> Option<Value> {
+        match ty {
+            XsdType::Boolean => match text {
+                "true" | "1" => Some(Value::Bool(true)),
+                "false" | "0" => Some(Value::Bool(false)),
+                _ => None,
+            },
+            XsdType::Double => parse_double(text).map(Value::Double),
+            XsdType::Base64Binary => base64::decode(text).map(Value::Bytes),
+            _ => text.parse().ok().map(Value::Int),
         }
     }
 
@@ -343,6 +349,133 @@ pub fn value_element(ns: &str, name: &str, value: &Value) -> Element {
     let mut e = Element::new(ns.to_owned(), name.to_owned());
     value.encode_into(ns, &mut e);
     e
+}
+
+/// Stream the element [`value_element`] builds.
+pub fn write_value(out: &mut StreamWriter<'_>, ns: &str, name: &str, value: &Value) {
+    match value {
+        Value::Null => out.element_with(ns, name, &[(XSI_NS, "nil", "true")], |_| {}),
+        Value::Array(items) => out.element(ns, name, |out| {
+            items.iter().for_each(|i| write_value(out, ns, "item", i));
+        }),
+        Value::Struct(fields) => out.element(ns, name, |out| {
+            fields.iter().for_each(|(n, v)| write_value(out, ns, n, v));
+        }),
+        simple => out.element(ns, name, |out| {
+            out.text(&simple.lexical().expect("a simple value"));
+        }),
+    }
+}
+
+/// Read the element whose start tag the cursor rests on, through its
+/// end tag, as `expected` — what [`decode_typed`] makes of its tree
+/// when there is a `schema`, what [`Value::decode`] makes of it when
+/// there is none. `None` where the tree decoders fail, and for the
+/// shapes this reader leaves to them: an attribute other than
+/// `xsi:nil="true"`, a nil element with content, text beside child
+/// elements, struct fields repeated or out of declaration order, a
+/// complex type the schema does not define.
+pub fn read_value(
+    reader: &mut PullReader<'_>,
+    expected: &XsdType,
+    schema: Option<&Schema>,
+) -> Option<Value> {
+    let complex = match (expected, schema) {
+        (XsdType::Complex(name), Some(schema)) => Some(schema.get(name)?),
+        _ => None,
+    };
+    if reader.attribute_count() > 0 {
+        let mut nil = true;
+        reader
+            .attributes(|ns, local, value| nil &= (ns, local, &*value) == (XSI_NS, "nil", "true"));
+        let only = nil && reader.attribute_count() == 1;
+        return (only && reader.next().ok()? == Pull::End).then_some(Value::Null);
+    }
+    Some(match expected {
+        XsdType::Array(item) => {
+            let mut items = Vec::new();
+            while next_tag(reader)? == Pull::Start {
+                items.push(read_value(reader, item, schema)?);
+            }
+            Value::Array(items)
+        }
+        XsdType::AnyType | XsdType::Complex(_) => match complex {
+            Some(complex) => {
+                let values = read_members(reader, &complex.fields, None, schema)?;
+                let names = complex.fields.iter().map(|f| f.name.clone());
+                Value::Struct(names.zip(values).collect())
+            }
+            None => read_untyped(reader)?,
+        },
+        XsdType::String => Value::String(read_text(reader)?.into_owned()),
+        simple => Value::from_lexical(simple, read_text(reader)?.trim())?,
+    })
+}
+
+/// [`Value::decode_untyped`] off the cursor. Attributes decline, since
+/// the tree decoder does not look at them — `xsi:nil` included.
+fn read_untyped(reader: &mut PullReader<'_>) -> Option<Value> {
+    let mut text = String::new();
+    let mut children = Vec::new();
+    loop {
+        match reader.next().ok()? {
+            Pull::Text(run) => text.push_str(&run),
+            Pull::Start if reader.attribute_count() == 0 => {
+                children.push((reader.local_name().to_owned(), read_untyped(reader)?));
+            }
+            Pull::End => break,
+            Pull::Start | Pull::Eof => return None,
+        }
+    }
+    Some(if children.is_empty() {
+        Value::String(text)
+    } else if !text.trim().is_empty() {
+        return None;
+    } else if children.iter().all(|(name, _)| name == "item") {
+        Value::Array(children.into_iter().map(|(_, value)| value).collect())
+    } else {
+        Value::Struct(children)
+    })
+}
+
+/// Read the children of the element the cursor is in, through its end
+/// tag, as `members` — an operation's parameters (in `ns`) or a complex
+/// type's fields (in any namespace): one value per member, `Null` for
+/// an optional one left out. Declined: a child that is not the next
+/// member or a later one (repeated, out of order, unknown); a required
+/// member left out; members sharing a name (the tree decoders give
+/// them all the first child of that name).
+pub fn read_members(
+    reader: &mut PullReader<'_>,
+    members: &[FieldDef],
+    ns: Option<&str>,
+    schema: Option<&Schema>,
+) -> Option<Vec<Value>> {
+    let shared = |(i, m): (usize, &FieldDef)| members[..i].iter().any(|e| e.name == m.name);
+    if members.iter().enumerate().any(shared) {
+        return None;
+    }
+    let mut values = Vec::with_capacity(members.len());
+    while next_tag(reader)? == Pull::Start {
+        let local = reader.local_name();
+        if ns.is_some_and(|ns| !reader.is(ns, local)) {
+            return None;
+        }
+        let found = members[values.len()..]
+            .iter()
+            .position(|m| m.name == local)?;
+        let at = values.len() + found;
+        if members[values.len()..at].iter().any(|m| !m.optional) {
+            return None;
+        }
+        values.resize(at, Value::Null);
+        values.push(read_value(reader, &members[at].ty, schema)?);
+    }
+    let rest = &members[values.len()..];
+    rest.iter().all(|m| m.optional).then(|| {
+        values.resize(members.len(), Value::Null);
+        values
+    })
 }
 
 /// True if the element is marked `xsi:nil`.

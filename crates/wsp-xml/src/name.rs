@@ -27,7 +27,7 @@ pub(crate) enum NameStr {
 
 impl NameStr {
     #[inline]
-    fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         match self {
             NameStr::Static(s) => s,
             NameStr::Shared(s) => s,

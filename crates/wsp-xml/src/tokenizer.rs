@@ -68,6 +68,17 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
+    /// The length of the document, for errors that point at its end.
+    pub(crate) fn input_len(&self) -> usize {
+        self.input.len()
+    }
+
+    /// The attributes of the start tag returned last, as that token
+    /// lent them.
+    pub fn attrs(&self) -> &[(&'a str, &'a str)] {
+        &self.attrs
+    }
+
     pub fn next_token(&mut self) -> XmlResult<Option<Token<'a, '_>>> {
         let rest = &self.input.as_bytes()[self.pos..];
         let token = match rest {

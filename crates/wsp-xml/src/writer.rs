@@ -123,8 +123,8 @@ impl Writer {
         }
     }
 
-    /// Serialise a document of attribute-less elements, text and
-    /// borrowed subtrees without building its [`Element`] tree first:
+    /// Serialise a document of elements, text and borrowed subtrees
+    /// without building its [`Element`] tree first:
     /// `root` emits it through the [`StreamWriter`] it is handed. The bytes are exactly what
     /// [`Writer::write_into`] produces for the equivalent tree (compact
     /// form — `pretty` is a tree-writer option).
@@ -153,11 +153,8 @@ impl Writer {
         let (ns, local) = (element.name().namespace(), element.name().local_name());
         self.push_open_tag(ns, local, out);
         for attr in element.attributes() {
-            out.push(b' ');
-            self.push_attr_name(attr.name.namespace(), attr.name.local_name(), out);
-            out.extend_from_slice(b"=\"");
-            escape_attr_into(&attr.value, out);
-            out.push(b'"');
+            let name = &attr.name;
+            self.push_attribute(name.namespace(), name.local_name(), &attr.value, out);
         }
 
         if element.children().is_empty() {
@@ -298,8 +295,9 @@ impl Writer {
         out.extend_from_slice(local.as_bytes());
     }
 
-    /// Emit an attribute's lexical name (see [`Writer::push_element_tag`]).
-    fn push_attr_name(&self, ns: &str, local: &str, out: &mut Vec<u8>) {
+    /// Emit ` name="value"` (see [`Writer::push_element_tag`]).
+    fn push_attribute(&self, ns: &str, local: &str, value: &str, out: &mut Vec<u8>) {
+        out.push(b' ');
         if !ns.is_empty() {
             let prefix = self
                 .ns
@@ -310,6 +308,9 @@ impl Writer {
             out.push(b':');
         }
         out.extend_from_slice(local.as_bytes());
+        out.extend_from_slice(b"=\"");
+        escape_attr_into(value, out);
+        out.push(b'"');
     }
 
     /// Fill `self.scratch` with the next free `nsN` prefix.
@@ -346,9 +347,29 @@ impl StreamWriter<'_> {
     /// whose children emit nothing is self-closed, as the tree writer
     /// does for an element without child nodes.
     pub fn element(&mut self, ns: &str, local: &str, children: impl FnOnce(&mut Self)) {
+        self.element_with(ns, local, &[], children);
+    }
+
+    /// [`StreamWriter::element`] with attributes, each `(namespace,
+    /// local name, value)`, declared and written as the tree writer
+    /// does for an element holding them in this order.
+    pub fn element_with(
+        &mut self,
+        ns: &str,
+        local: &str,
+        attributes: &[(&str, &str, &str)],
+        children: impl FnOnce(&mut Self),
+    ) {
         self.writer.ns.push_scope();
         self.writer.prepare_element_ns(ns);
+        for (attr_ns, ..) in attributes {
+            self.writer.prepare_attr_ns(attr_ns);
+        }
         self.writer.push_open_tag(ns, local, self.out);
+        for (attr_ns, attr_local, value) in attributes {
+            self.writer
+                .push_attribute(attr_ns, attr_local, value, self.out);
+        }
         self.out.push(b'>');
         let body_start = self.out.len();
         children(self);
@@ -538,6 +559,13 @@ mod tests {
             )
             .child(Element::build("urn:y", "c").text("").finish())
             .child(
+                Element::build("urn:x", "n")
+                    .attr(QName::new("urn:i", "nil"), "t<\"")
+                    .attr_str("plain", "p")
+                    .attr(QName::new("urn:x", "own"), "o")
+                    .finish(),
+            )
+            .child(
                 Element::build("", "plain")
                     .child(Element::new("urn:x", "d"))
                     .finish(),
@@ -555,6 +583,12 @@ mod tests {
                 s.element("urn:x", "a", |s| {
                     s.element("urn:x", "b", |s| s.text("1 < 2 & \"q\" ]]> é"));
                     s.element("urn:y", "c", |s| s.text(""));
+                    let attributes = [
+                        ("urn:i", "nil", "t<\""),
+                        ("", "plain", "p"),
+                        ("urn:x", "own", "o"),
+                    ];
+                    s.element_with("urn:x", "n", &attributes, |_| {});
                     s.element("", "plain", |s| s.element("urn:x", "d", |_| {}));
                     s.tree(&borrowed);
                 });

@@ -2,10 +2,52 @@
 //! with a tree or an error and never panics (no slice off a character
 //! boundary, no index past the end, no unbounded recursion) — and
 //! whatever tree the writer is handed, hostile text and attribute
-//! values included, comes back from the reader as it went in.
+//! values included, comes back from the reader as it went in. The same
+//! for the pull reader under it, however it is driven: it reaches the
+//! end of exactly the documents `parse` accepts.
 
 use proptest::prelude::*;
-use wsp_xml::{parse, Element, QName};
+use wsp_xml::{parse, Element, Pull, PullReader, QName, XmlResult};
+
+/// Read `input` to its end through the pull reader, taking each start
+/// tag as `steer` says — descend, build its subtree, or skip it — and
+/// asking of every one what a caller may ask.
+fn pull(input: &str, mut steer: u64) -> XmlResult<()> {
+    let mut reader = PullReader::new(input);
+    loop {
+        match reader.next()? {
+            Pull::Eof => return Ok(()),
+            Pull::Text(_) | Pull::End => {}
+            Pull::Start => {
+                let local = reader.local_name();
+                assert!(!reader.is("urn:no-such", local));
+                let mut shown = 0;
+                reader.attributes(|_, _, _| shown += 1);
+                assert_eq!(reader.attribute_count(), shown);
+                match steer % 3 {
+                    0 => {}
+                    1 => drop(reader.read_subtree()?),
+                    _ => reader.skip()?,
+                }
+                steer /= 3;
+            }
+        }
+    }
+}
+
+/// The pull reader never panics on `input`, and — descending,
+/// building, skipping or any mix of them — ends where `parse` does: at
+/// the end of the document, or at an error.
+fn pulls_as_it_parses(input: &str, steer: u64) {
+    let parsed = parse(input).is_ok();
+    for steer in [0, steer, u64::MAX] {
+        assert_eq!(
+            pull(input, steer).is_ok(),
+            parsed,
+            "steer {steer}: {input:?}"
+        );
+    }
+}
 
 /// Arbitrary strings: fragments a tokenizer can trip over, mixed with
 /// text drawn from the whole of Unicode, control characters included.
@@ -131,6 +173,33 @@ proptest! {
         let _ = parse(&String::from_utf8_lossy(&bytes[..at]));
         bytes[at] = byte;
         let _ = parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn arbitrary_strings_never_panic_the_pull_reader(s in markup_soup(), steer in any::<u64>()) {
+        pulls_as_it_parses(&s, steer);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_pull_reader(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        steer in any::<u64>(),
+    ) {
+        pulls_as_it_parses(&String::from_utf8_lossy(&bytes), steer);
+    }
+
+    #[test]
+    fn damaged_documents_never_panic_the_pull_reader(
+        tree in hostile_tree(),
+        cut in any::<usize>(),
+        byte in any::<u8>(),
+        steer in any::<u64>(),
+    ) {
+        let mut bytes = tree.to_xml().into_bytes();
+        let at = cut % bytes.len();
+        pulls_as_it_parses(&String::from_utf8_lossy(&bytes[..at]), steer);
+        bytes[at] = byte;
+        pulls_as_it_parses(&String::from_utf8_lossy(&bytes), steer);
     }
 
     #[test]

@@ -91,6 +91,17 @@ cargo test -q --release -p wsp-xml --lib --test prop_escape --test byte_soup
 echo "==> wsp-xml read path: reader oracle + seeded vocabulary (release)"
 cargo test -q --release -p wsp-integration-tests --test reader_oracle --test vocabulary
 
+# Typed codec (PR 24): an invocation is read off the pull reader into
+# `Value`s and written from them into bytes, beside the envelope path
+# that listeners and odd documents take. The two must not differ by a
+# byte or a value — Tier-1 ran the generated and the damaged documents
+# with overflow checks on (the readers slice the input by offsets they
+# computed); run them again without, as they ship. The allocation guard
+# below carries the budgets of a whole invoke: 100 over HTTP, 16 of them
+# the server's, 220 over P2PS.
+echo "==> typed codec = tree codec, on whole and damaged messages (release)"
+cargo test -q --release -p wsp-integration-tests --test typed_codec
+
 echo "==> allocation-regression guard (release)"
 cargo test -q --release -p wsp-integration-tests --test alloc_guard
 

@@ -175,6 +175,48 @@ fn root_listener_hears_all_five_kinds_over_p2ps() {
     five_kinds_reach_the_root(p2ps_world(), "HeardPipes");
 }
 
+/// C3: with nobody listening the provider answers without building
+/// either envelope; a listener attached at its root still sees both,
+/// whole, either side of the engine — and the caller cannot tell.
+fn a_listener_sees_both_envelopes_and_the_reply_is_the_same(world: World, name: &str) {
+    world.deploy(name, "heard");
+    let service = world.locate(name);
+    let unobserved = world.say(&service).unwrap();
+
+    let listener = CollectingListener::new();
+    world.provider.add_listener(listener.clone());
+    let observed = world.say(&service).unwrap();
+    assert_eq!(observed, unobserved);
+    assert_eq!(observed, Value::string("heard"));
+
+    let seen = listener.server_messages.read();
+    let phases: Vec<ServerPhase> = seen.iter().map(|e| e.phase).collect();
+    assert_eq!(phases, [ServerPhase::Inbound, ServerPhase::Outbound]);
+    let (request, response) = (&seen[0].envelope, &seen[1].envelope);
+    let argument = request.payload().expect("the operation element");
+    assert!(argument.name().is("urn:wspeer:test:hosting", "say"));
+    assert_eq!(argument.find_local("what").unwrap().text(), "anything");
+    let result = response.payload().expect("the response element");
+    assert!(result.name().is("urn:wspeer:test:hosting", "sayResponse"));
+    assert_eq!(result.find_local("return").unwrap().text(), "heard");
+    let asked = request.addressing().expect("an addressed request");
+    let answered = response.addressing().expect("an addressed response");
+    assert!(asked.to.is_some() && asked.action.is_some());
+    assert_eq!(answered.relates_to, asked.message_id);
+}
+
+#[test]
+fn a_root_listener_sees_full_envelopes_over_http_uddi() {
+    let _turn = serial();
+    a_listener_sees_both_envelopes_and_the_reply_is_the_same(http_uddi_world(), "SeenHttp");
+}
+
+#[test]
+fn a_root_listener_sees_full_envelopes_over_p2ps() {
+    let _turn = serial();
+    a_listener_sees_both_envelopes_and_the_reply_is_the_same(p2ps_world(), "SeenPipes");
+}
+
 // --- (b) a pipe-hosted call is timed and traced --------------------------------
 
 #[test]
