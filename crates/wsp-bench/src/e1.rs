@@ -8,11 +8,12 @@
 //! grow proportionately with the overall number of nodes").
 
 use crate::common::{mean, percentile_f64};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::rc::Rc;
 use wsp_http::{HttpSimServer, Request, Router, SimHttpClient};
 use wsp_simnet::{Context, Dur, LinkSpec, Node, NodeEvent, NodeId, SimNet, Time};
-use wsp_uddi::registry_handler;
+use wsp_uddi::{registry_handler, UddiOp, UddiRequest};
 
 /// One row of the E1 table.
 #[derive(Debug, Clone)]
@@ -91,10 +92,12 @@ pub fn run(clients: usize, horizon_secs: u64, service_ms: u64, workers: u32, see
 
     let horizon = Time::secs(horizon_secs);
     let latencies = Rc::new(RefCell::new(Vec::new()));
-    let query_body =
-        wsp_soap::Envelope::request(wsp_uddi::ServiceQuery::by_name("Echo%").to_element())
-            .to_xml()
-            .into_bytes();
+    let query = wsp_uddi::ServiceQuery::by_name("Echo%");
+    let mut query_body = Vec::new();
+    wsp_uddi::wire::write_request(
+        &UddiRequest::new(UddiOp::FindService(Cow::Borrowed(&query))),
+        &mut query_body,
+    );
     for _ in 0..clients {
         net.add_node(Box::new(ClosedLoopClient {
             registry: server,

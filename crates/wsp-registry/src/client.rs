@@ -39,18 +39,19 @@
 //! (`registry.locate.routed` / `.scattered` say which kind it was). The
 //! series' handles are resolved once per client, not per call.
 
-use crate::shard::{ShardMap, REGISTRY_NS};
+use crate::shard::ShardMap;
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 use wsp_core::telemetry::{self, Counter, Histogram};
 use wsp_core::{Admission, BreakerConfig, EndpointHealth, ResiliencePolicy};
-use wsp_soap::{Envelope, Fault};
+use wsp_soap::Fault;
+pub use wsp_uddi::DataVersions;
 use wsp_uddi::{
-    BusinessService, ServiceQuery, SoapTransport, UddiError, FIND_SERVICE_DETAIL, UDDI_NS,
+    BusinessService, ServiceQuery, UddiError, UddiOp, UddiRequest, UddiResponse, UddiTransport,
 };
-use wsp_xml::Element;
 
 /// Errors from the sharded discovery plane.
 #[derive(Debug)]
@@ -78,34 +79,12 @@ impl From<UddiError> for RegistryError {
     }
 }
 
-/// Snapshot of the plane's per-shard data versions, stamped with the
-/// map epoch it was read at. A shard whose version is unchanged since
-/// the last snapshot has committed no save, delete, or lease expiry —
-/// cached locate results for it are still exact. This is what the
-/// mediation gateway polls on its revalidation interval instead of
-/// waiting out cache TTLs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataVersions {
-    pub epoch: u64,
-    /// Indexed by shard id.
-    pub versions: Vec<u64>,
-}
-
-fn parse_data_versions(body: &Element) -> Option<DataVersions> {
-    if body.name().local_name() != "dataVersions" {
-        return None;
+/// The shard map `transport`'s node answers `get_shardMap` with.
+fn fetch_map(transport: &UddiTransport) -> Option<ShardMap> {
+    match transport(&UddiRequest::new(UddiOp::GetShardMap)).ok()? {
+        UddiResponse::Other(map) => ShardMap::from_element(&map),
+        _ => None,
     }
-    let epoch = body.attribute_local("epoch")?.parse().ok()?;
-    let mut versions = Vec::new();
-    for shard in body.find_all(REGISTRY_NS, "shard") {
-        let id = shard.attribute_local("id")?.parse::<usize>().ok()?;
-        let version = shard.attribute_local("version")?.parse::<u64>().ok()?;
-        if versions.len() <= id {
-            versions.resize(id + 1, 0);
-        }
-        versions[id] = version;
-    }
-    Some(DataVersions { epoch, versions })
 }
 
 /// What a routed call's fault told us to do next.
@@ -156,7 +135,7 @@ impl Series {
 
 /// A UDDI client that speaks to the whole discovery plane.
 pub struct ShardedUddiClient {
-    transports: Vec<SoapTransport>,
+    transports: Vec<UddiTransport>,
     endpoints: Vec<String>,
     map: RwLock<Arc<ShardMap>>,
     policy: ResiliencePolicy,
@@ -167,19 +146,9 @@ pub struct ShardedUddiClient {
 impl ShardedUddiClient {
     /// Connect over per-node transports, bootstrapping the shard map
     /// from the first node that answers `get_shardMap`.
-    pub fn connect(transports: Vec<SoapTransport>) -> Result<ShardedUddiClient, RegistryError> {
+    pub fn connect(transports: Vec<UddiTransport>) -> Result<ShardedUddiClient, RegistryError> {
         assert!(!transports.is_empty(), "need at least one node transport");
-        let mut bootstrap = None;
-        for transport in &transports {
-            let request = Envelope::request(crate::cluster::get_shard_map_request());
-            if let Ok(response) = transport(&request) {
-                if let Some(map) = response.payload().and_then(ShardMap::from_element) {
-                    bootstrap = Some(map);
-                    break;
-                }
-            }
-        }
-        let map = bootstrap.ok_or_else(|| {
+        let map = transports.iter().find_map(fetch_map).ok_or_else(|| {
             RegistryError::Unavailable("no node answered get_shardMap".to_owned())
         })?;
         let endpoints = map.nodes().to_vec();
@@ -223,17 +192,12 @@ impl ShardedUddiClient {
 
     /// Fetch a fresh map from any answering node.
     pub fn refresh_map(&self) -> Result<Arc<ShardMap>, RegistryError> {
-        for transport in &self.transports {
-            let request = Envelope::request(crate::cluster::get_shard_map_request());
-            if let Ok(response) = transport(&request) {
-                if let Some(map) = response.payload().and_then(ShardMap::from_element) {
-                    return Ok(self.adopt(map));
-                }
-            }
+        match self.transports.iter().find_map(fetch_map) {
+            Some(map) => Ok(self.adopt(map)),
+            None => Err(RegistryError::Unavailable(
+                "no node answered get_shardMap".to_owned(),
+            )),
         }
-        Err(RegistryError::Unavailable(
-            "no node answered get_shardMap".to_owned(),
-        ))
     }
 
     /// The shard the cached map places `name` on.
@@ -244,17 +208,17 @@ impl ShardedUddiClient {
     /// Fetch the per-shard data versions from any answering node — the
     /// cheap revalidation probe caching consumers run between TTLs.
     pub fn data_versions(&self) -> Result<DataVersions, RegistryError> {
-        for transport in &self.transports {
-            let request = Envelope::request(crate::cluster::get_data_versions_request());
-            if let Ok(response) = transport(&request) {
-                if let Some(parsed) = response.payload().and_then(parse_data_versions) {
-                    return Ok(parsed);
-                }
-            }
-        }
-        Err(RegistryError::Unavailable(
-            "no node answered get_dataVersions".to_owned(),
-        ))
+        let request = UddiRequest::new(UddiOp::GetDataVersions);
+        let answered = self
+            .transports
+            .iter()
+            .find_map(|transport| match transport(&request) {
+                Ok(UddiResponse::DataVersions(versions)) => Some(versions),
+                _ => None,
+            });
+        answered.ok_or_else(|| {
+            RegistryError::Unavailable("no node answered get_dataVersions".to_owned())
+        })
     }
 
     fn adopt(&self, map: ShardMap) -> Arc<ShardMap> {
@@ -276,20 +240,14 @@ impl ShardedUddiClient {
         }
         let started = Instant::now();
         let shard = self.map.read().shard_of(&service.name);
-        let result = self.routed_write_to_shard(
-            shard,
-            |epoch| {
-                let mut save = Element::new(UDDI_NS, "save_service");
-                crate::cluster::stamp_epoch(&mut save, epoch);
-                save.push_element(service.to_element());
-                save
-            },
-            |detail| {
-                detail
-                    .find(UDDI_NS, "businessService")
-                    .and_then(BusinessService::from_element)
-            },
-        );
+        let save = UddiRequest::new(UddiOp::SaveService {
+            tmodels: Cow::Borrowed(&[]),
+            services: Cow::Borrowed(std::slice::from_ref(service)),
+        });
+        let result = self.routed_write_to_shard(shard, save, |response| match response {
+            UddiResponse::ServiceDetail(saved) => saved.into_iter().next(),
+            _ => None,
+        });
         match &result {
             Ok(_) => {
                 self.series.publish.incr();
@@ -309,30 +267,21 @@ impl ShardedUddiClient {
         let Some(shard) = crate::cluster::shard_of_key(key) else {
             return Ok(false);
         };
-        self.routed_write_to_shard(
-            shard,
-            |epoch| {
-                let mut del = Element::new(UDDI_NS, "delete_service");
-                crate::cluster::stamp_epoch(&mut del, epoch);
-                del.push_element(
-                    Element::build(UDDI_NS, "serviceKey")
-                        .text(key.to_owned())
-                        .finish(),
-                );
-                del
-            },
-            |report| report.attribute_local("deleted") == Some("1"),
-        )
+        let delete = UddiRequest::new(UddiOp::DeleteService(Cow::Owned(vec![key.to_owned()])));
+        self.routed_write_to_shard(shard, delete, |response| {
+            matches!(response, UddiResponse::Disposition { deleted: 1 })
+        })
     }
 
     /// The failover write loop: primary first, then backups; versioned
-    /// redirects refresh the cached map and restart the route. `read`
-    /// takes what the caller needs out of the response body.
+    /// redirects refresh the cached map and restart the route. `request`
+    /// goes out stamped with the epoch of the map it was routed by;
+    /// `read` takes what the caller needs out of the answer.
     fn routed_write_to_shard<T>(
         &self,
         shard: u32,
-        build: impl Fn(u64) -> Element,
-        read: impl Fn(&Element) -> T,
+        mut request: UddiRequest<'_>,
+        read: impl Fn(UddiResponse) -> T,
     ) -> Result<T, RegistryError> {
         let attempts = self.policy.schedule().len().max(1) + 1;
         let mut last_err = "no replica reachable".to_owned();
@@ -344,7 +293,8 @@ impl ShardedUddiClient {
                 if hop > 0 {
                     self.series.publish_failovers.incr();
                 }
-                match self.call_node(node, build(map.epoch()), &read) {
+                request.map_epoch = Some(map.epoch());
+                match self.call_node(node, &request, &read) {
                     Ok(body) => return Ok(body),
                     Err(CallError::Recover(Recovery::Rerouted)) => {
                         self.series.publish_redirects.incr();
@@ -369,13 +319,13 @@ impl ShardedUddiClient {
         Err(RegistryError::Unavailable(last_err))
     }
 
-    /// One SOAP call to `node`, classified for the failover loop; `read`
-    /// sees the response body in place.
+    /// One exchange with `node`, classified for the failover loop; `read`
+    /// takes the answer unless it is a fault.
     fn call_node<T>(
         &self,
         node: usize,
-        payload: Element,
-        read: impl FnOnce(&Element) -> T,
+        request: &UddiRequest<'_>,
+        read: impl FnOnce(UddiResponse) -> T,
     ) -> Result<T, CallError> {
         let endpoint = &self.endpoints[node];
         let breaker = self.health.breaker(endpoint);
@@ -383,29 +333,20 @@ impl ShardedUddiClient {
         if matches!(breaker.try_acquire(now), Admission::Rejected) {
             return Err(CallError::Recover(Recovery::NextReplica));
         }
-        let request = Envelope::request(payload);
-        match (self.transports[node])(&request) {
-            Err(_) => {
-                breaker.on_failure(Instant::now());
-                Err(CallError::Recover(Recovery::NextReplica))
-            }
-            Ok(response) => {
-                breaker.on_success(Instant::now());
-                if let Some(fault) = response.fault_body() {
-                    return Err(self.classify_fault(fault));
-                }
-                response.payload().map(read).ok_or_else(|| {
-                    CallError::Fatal(RegistryError::Uddi(UddiError::Malformed(
-                        "response body is empty".into(),
-                    )))
-                })
-            }
+        let Ok(response) = (self.transports[node])(request) else {
+            breaker.on_failure(Instant::now());
+            return Err(CallError::Recover(Recovery::NextReplica));
+        };
+        breaker.on_success(Instant::now());
+        match response {
+            UddiResponse::Fault(fault) => Err(self.classify_fault(fault)),
+            response => Ok(read(response)),
         }
     }
 
     /// Versioned redirects carry the fresh map in the fault detail;
     /// adopt it and re-route. Quorum loss is terminal for this call.
-    fn classify_fault(&self, fault: &Fault) -> CallError {
+    fn classify_fault(&self, fault: Fault) -> CallError {
         let redirect = fault.reason.contains("wsp:staleShardMap")
             || fault.reason.contains("wsp:notPrimary")
             || fault.reason.contains("wsp:notMember");
@@ -418,11 +359,9 @@ impl ShardedUddiClient {
             return CallError::Recover(Recovery::Rerouted);
         }
         if fault.reason.contains("wsp:unavailable") {
-            return CallError::Fatal(RegistryError::Unavailable(fault.reason.clone()));
+            return CallError::Fatal(RegistryError::Unavailable(fault.reason));
         }
-        CallError::Fatal(RegistryError::Uddi(UddiError::Fault(Box::new(
-            fault.clone(),
-        ))))
+        CallError::Fatal(RegistryError::Uddi(UddiError::Fault(Box::new(fault))))
     }
 
     /// Locate services matching `query`: routed to the owning shard for
@@ -512,15 +451,21 @@ impl ShardedUddiClient {
         node: usize,
         found: &mut Vec<BusinessService>,
     ) -> Result<(), CallError> {
-        let mut find = query.to_request(FIND_SERVICE_DETAIL);
-        crate::cluster::stamp_epoch(&mut find, epoch);
-        self.call_node(node, find, |detail| {
-            found.extend(
-                detail
-                    .find_all(UDDI_NS, "businessService")
-                    .filter_map(BusinessService::from_element),
-            )
-        })
+        let find = UddiRequest::new(UddiOp::FindServiceDetail(Cow::Borrowed(query))).stamped(epoch);
+        let read = |response: UddiResponse| {
+            match response {
+                UddiResponse::ServiceDetail(records) if found.is_empty() => *found = records,
+                UddiResponse::ServiceDetail(records) => found.extend(records),
+                _ => return false,
+            }
+            true
+        };
+        match self.call_node(node, &find, read)? {
+            true => Ok(()),
+            false => Err(CallError::Fatal(RegistryError::Uddi(UddiError::Malformed(
+                "the answer to find_serviceDetail is not a serviceDetail".into(),
+            )))),
+        }
     }
 }
 
@@ -711,34 +656,23 @@ mod tests {
         let server_epoch = Arc::new(AtomicU64::new(0));
         let max_served = Arc::new(AtomicU64::new(0));
 
-        let transport: SoapTransport = {
+        let transport: UddiTransport = {
             let server_epoch = server_epoch.clone();
             let max_served = max_served.clone();
             let endpoints = endpoints.clone();
-            Arc::new(move |request: &Envelope| {
+            Arc::new(move |request: &UddiRequest<'_>| {
                 let map_at = |epoch: u64| ShardMap::build(endpoints.clone(), 2, 1, epoch);
-                let payload = request.payload().expect("request has a body");
-                match payload.name().local_name() {
-                    "get_shardMap" => {
-                        // Each refresh observes a (possibly) newer map.
-                        let e = server_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-                        max_served.fetch_max(e, Ordering::SeqCst);
-                        Ok(Envelope::request(map_at(e).to_element()))
-                    }
-                    "get_dataVersions" => Ok(Envelope::request(wsp_xml::Element::new(
-                        REGISTRY_NS,
-                        "dataVersions",
-                    ))),
-                    _ => {
-                        // Every write is refused with a stale-map
-                        // redirect quoting a bumped epoch in the detail.
-                        let e = server_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-                        max_served.fetch_max(e, Ordering::SeqCst);
-                        Ok(Envelope::fault(
-                            Fault::sender(format!("wsp:staleShardMap epoch={e}"))
-                                .with_detail(map_at(e).to_element()),
-                        ))
-                    }
+                // Each refresh observes a (possibly) newer map.
+                let e = server_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+                max_served.fetch_max(e, Ordering::SeqCst);
+                match request.op {
+                    UddiOp::GetShardMap => Ok(UddiResponse::Other(map_at(e).to_element())),
+                    // Every write is refused with a stale-map redirect
+                    // quoting a bumped epoch in the detail.
+                    _ => Ok(UddiResponse::Fault(
+                        Fault::sender(format!("wsp:staleShardMap epoch={e}"))
+                            .with_detail(map_at(e).to_element()),
+                    )),
                 }
             })
         };

@@ -4,8 +4,8 @@
 //! `wsp_uddi::Registry` stores.
 //!
 //! The shell owns everything the pure machine refuses to: clocks (a
-//! logical clock in virtual time drives the lease sweeps), sockets
-//! (per-node [`SoapTransport`]s and an HTTP handler), and crash faults
+//! logical clock in virtual time drives the lease sweeps), transports
+//! (per-node [`UddiTransport`]s and an HTTP handler), and crash faults
 //! (a node marked down drops every message addressed to it, exactly
 //! like the checker's `Crash` event prunes the net). Because the same
 //! transition runs here and under `wsp-check`'s exhaustive exploration
@@ -32,7 +32,7 @@ use crate::replication::{
     step_replica_in_place, ReplEffect, ReplEvent, ReplMsg, ReplicaId, ReplicaMachine, ReplicaState,
     Status,
 };
-use crate::shard::{ShardMap, REGISTRY_NS};
+use crate::shard::ShardMap;
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,22 +40,27 @@ use std::sync::Arc;
 use wsp_core::telemetry::{self, Counter, Histogram};
 use wsp_http::{HttpHandler, Request, Response};
 use wsp_simnet::{Dur, Time};
-use wsp_soap::{Envelope, Fault};
+use wsp_soap::Fault;
 use wsp_uddi::{
-    BusinessEntity, BusinessService, Registry, SoapTransport, TModel, UddiApi, UDDI_NS,
+    BusinessEntity, BusinessService, DataVersions, Registry, TModel, UddiApi, UddiOp, UddiRequest,
+    UddiResponse, UddiTransport,
 };
-use wsp_xml::{Element, QName};
+
+/// The longest lease a publisher may ask for (`leaseTtlMs`), a year:
+/// the cluster refuses a longer one where it admits the record, so the
+/// lease arithmetic never sees a remote number it cannot hold.
+/// Permanence is asked for by sending no lease at all.
+pub const MAX_LEASE_TTL_MS: u64 = 365 * 24 * 3_600 * 1_000;
 
 /// The replicated op, generic payload of [`step_replica_in_place`].
-/// Service records travel as their canonical XML so the op stays
-/// `Eq + Hash` (the checker's requirement) while carrying the full
-/// record, lease TTL attribute included. The XML is shared, not owned:
-/// the op is cloned into every `Prepare` and every replica's log.
+/// A save carries the record itself — every key minted, the lease
+/// admitted — so a replica applying it stores it and parses nothing.
+/// The record is shared, not owned: the op is cloned into every
+/// `Prepare` and every replica's log.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ClusterOp {
     Save {
-        /// `businessService` element, key already minted.
-        service_xml: Arc<str>,
+        service: Arc<BusinessService>,
         /// Virtual-time stamp (µs) the shard primary granted the lease
         /// at; keeps expiry deterministic across replicas and runs.
         granted_at_us: u64,
@@ -136,7 +141,8 @@ struct Inner {
     clock_us: AtomicU64,
     /// Per-shard key mint for deterministic service keys.
     key_seqs: Vec<AtomicU64>,
-    /// Mint for globally replicated records (tModels, businesses).
+    /// Mint for globally replicated records (tModels, businesses) and
+    /// for binding keys.
     global_seq: AtomicU64,
     /// Per-shard *data* version: bumped once per committed Save/Delete
     /// and per lease expiry sweep that dropped something. Orthogonal to
@@ -315,13 +321,14 @@ impl RegistryCluster {
         self.inner.data_versions[shard as usize].fetch_add(1, Ordering::SeqCst);
     }
 
-    // -- the SOAP front ----------------------------------------------------
+    // -- the registry front ------------------------------------------------
 
-    /// A [`SoapTransport`] landing on `node`, for `UddiClient` and the
-    /// sharded client. Errors like a dead socket while the node is down.
-    pub fn node_transport(&self, node: usize) -> SoapTransport {
+    /// A [`UddiTransport`] landing on `node`, for `UddiClient` and the
+    /// sharded client: the request is answered in process, as it is.
+    /// Errors like a dead socket while the node is down.
+    pub fn node_transport(&self, node: usize) -> UddiTransport {
         let cluster = self.clone();
-        Arc::new(move |request: &Envelope| {
+        Arc::new(move |request: &UddiRequest<'_>| {
             if !cluster.is_up(node) {
                 return Err(format!("connection refused: registry node {node} is down"));
             }
@@ -337,169 +344,162 @@ impl RegistryCluster {
             if !cluster.is_up(node) {
                 return Response::new(503, "Service Unavailable");
             }
-            let Ok(envelope) = Envelope::from_xml(&request.body_str()) else {
-                return Response::bad_request("body is not a SOAP envelope");
-            };
-            let response = cluster.process(node, &envelope);
-            let is_fault = response.fault_body().is_some();
-            let body = response.to_xml();
-            let mut http = if is_fault {
-                let mut r = Response::new(500, "Internal Server Error");
-                r.body = body.into_bytes();
-                r
-            } else {
-                Response::ok(wsp_soap::constants::CONTENT_TYPE, body)
-            };
-            http.headers
-                .set("Content-Type", wsp_soap::constants::CONTENT_TYPE);
-            http
+            wsp_uddi::serve_http(request, |request| cluster.process(node, request))
         })
     }
 
-    /// Process one request envelope arriving at `node`.
-    pub fn process(&self, node: usize, request: &Envelope) -> Envelope {
-        let Some(payload) = request.payload() else {
-            return Envelope::fault(Fault::sender("UDDI request carries no body"));
-        };
-        let result = match payload.name().local_name() {
-            "get_shardMap" => Ok(self.shard_map().to_element()),
-            "get_dataVersions" => Ok(self.data_versions_element()),
-            "save_service" => self
-                .epoch_guard(payload)
-                .and_then(|()| self.save_service(node, payload)),
-            "delete_service" => self
-                .epoch_guard(payload)
-                .and_then(|()| self.delete_service(node, payload)),
-            "save_tModel" => self.save_global_tmodels(payload),
-            "save_business" => self.save_global_businesses(payload),
+    /// Answer one request arriving at `node`.
+    pub fn process(&self, node: usize, request: &UddiRequest<'_>) -> UddiResponse {
+        self.answer(node, request)
+            .unwrap_or_else(UddiResponse::Fault)
+    }
+
+    fn answer(&self, node: usize, request: &UddiRequest<'_>) -> Result<UddiResponse, Fault> {
+        let guard = || self.epoch_guard(request.map_epoch);
+        Ok(match &request.op {
+            UddiOp::GetShardMap => UddiResponse::Other(self.shard_map().to_element()),
+            UddiOp::GetDataVersions => {
+                let epoch = self.shard_map().epoch();
+                let versions = self.data_versions();
+                UddiResponse::DataVersions(DataVersions { epoch, versions })
+            }
+            UddiOp::SaveTModel(tmodels) => {
+                UddiResponse::TModelDetail(self.save_global_tmodels(tmodels))
+            }
+            UddiOp::SaveBusiness(entities) => {
+                UddiResponse::BusinessDetail(self.save_global_businesses(entities))
+            }
+            UddiOp::SaveService { tmodels, services } => {
+                guard()?;
+                self.save_service(node, tmodels, services)?
+            }
+            UddiOp::DeleteService(keys) => {
+                guard()?;
+                self.delete_service(node, keys)?
+            }
             // Inquiry is served from the local replica: reads tolerate
             // bounded staleness, that is the soft-state bargain.
             _ => {
-                if let Err(fault) = self.epoch_guard(payload) {
-                    Err(fault)
-                } else {
-                    return self.inner.nodes[node].api.process(request);
-                }
+                guard()?;
+                self.inner.nodes[node].api.process(request)
             }
-        };
-        match result {
-            Ok(body) => Envelope::request(body),
-            Err(fault) => Envelope::fault(fault),
-        }
-    }
-
-    /// `get_dataVersions` response body: the map epoch plus one
-    /// `<shard id=… version=…/>` child per shard.
-    fn data_versions_element(&self) -> Element {
-        let mut root = Element::build(REGISTRY_NS, "dataVersions")
-            .attr_str("epoch", self.shard_map().epoch().to_string())
-            .finish();
-        for (shard, version) in self.data_versions().into_iter().enumerate() {
-            root.push_element(
-                Element::build(REGISTRY_NS, "shard")
-                    .attr_str("id", shard.to_string())
-                    .attr_str("version", version.to_string())
-                    .finish(),
-            );
-        }
-        root
+        })
     }
 
     /// The versioned redirect: a request quoting a stale map epoch is
     /// refused with the fresh map in the fault detail.
-    fn epoch_guard(&self, payload: &Element) -> Result<(), Fault> {
-        let Some(quoted) = payload.attribute_local("mapEpoch") else {
+    fn epoch_guard(&self, quoted: Option<u64>) -> Result<(), Fault> {
+        let Some(quoted) = quoted else {
             return Ok(());
         };
         let map = self.shard_map();
-        match quoted.parse::<u64>() {
-            Ok(epoch) if epoch == map.epoch() => Ok(()),
-            _ => Err(
-                Fault::sender(format!("wsp:staleShardMap epoch={}", map.epoch()))
-                    .with_detail(map.to_element()),
-            ),
+        if quoted == map.epoch() {
+            return Ok(());
         }
+        Err(
+            Fault::sender(format!("wsp:staleShardMap epoch={}", map.epoch()))
+                .with_detail(map.to_element()),
+        )
     }
 
-    /// Any `tModel` children are saved first (see [`wsp_uddi::UddiApi`]).
-    fn save_service(&self, node: usize, payload: &Element) -> Result<Element, Fault> {
-        self.save_global_tmodels(payload)?;
-        let mut detail = Element::new(UDDI_NS, "serviceDetail");
-        for svc_elem in payload.find_all(UDDI_NS, "businessService") {
-            let mut svc = BusinessService::from_element(svc_elem)
-                .ok_or_else(|| Fault::sender("malformed businessService"))?;
-            if svc.name.is_empty() {
+    /// Any tModels are saved first (see [`wsp_uddi::UddiApi`]), then
+    /// each record, admitted, through its shard's log.
+    fn save_service(
+        &self,
+        node: usize,
+        tmodels: &[TModel],
+        services: &[BusinessService],
+    ) -> Result<UddiResponse, Fault> {
+        self.save_global_tmodels(tmodels);
+        let mut saved = Vec::with_capacity(services.len());
+        for service in services {
+            if service.name.is_empty() {
                 return Err(Fault::sender("businessService needs a name to shard on"));
             }
-            let shard = self.shard_map().shard_of(&svc.name);
-            if svc.key.is_empty() {
-                svc.key = self.mint_service_key(shard);
-            }
-            if svc.lease_ttl_ms.is_none() {
-                svc.lease_ttl_ms = self.inner.cfg.default_ttl.map(|d| d.as_micros() / 1_000);
-            }
+            let shard = self.shard_map().shard_of(&service.name);
+            let record = self.admit(shard, service)?;
             let op = ClusterOp::Save {
-                service_xml: svc.to_element().to_xml().into(),
+                service: Arc::new(record.clone()),
                 granted_at_us: self.inner.clock_us.load(Ordering::SeqCst),
             };
             self.submit(shard, node, op)?;
-            detail.push_element(svc.to_element());
+            saved.push(record);
         }
-        Ok(detail)
+        Ok(UddiResponse::ServiceDetail(saved))
     }
 
-    fn delete_service(&self, node: usize, payload: &Element) -> Result<Element, Fault> {
+    /// The record the cluster logs for `service`: every key minted here
+    /// — the service's from its shard's sequence, each unkeyed binding's
+    /// from the cluster's — so that the replicas applying the op mint
+    /// nothing and hold what the publisher is told; the lease defaulted,
+    /// or refused past [`MAX_LEASE_TTL_MS`].
+    fn admit(&self, shard: u32, service: &BusinessService) -> Result<BusinessService, Fault> {
+        let mut record = service.clone();
+        if record.key.is_empty() {
+            record.key = self.mint_service_key(shard);
+        }
+        for binding in record.bindings.iter_mut().filter(|b| b.key.is_empty()) {
+            binding.key = self.mint_global("bind");
+        }
+        match record.lease_ttl_ms {
+            None => record.lease_ttl_ms = self.inner.cfg.default_ttl.map(|d| d.as_micros() / 1_000),
+            Some(ttl) if ttl > MAX_LEASE_TTL_MS => {
+                return Err(Fault::sender(format!(
+                    "leaseTtlMs={ttl} is longer than the longest lease, {MAX_LEASE_TTL_MS} ms"
+                )))
+            }
+            Some(_) => {}
+        }
+        Ok(record)
+    }
+
+    fn delete_service(&self, node: usize, keys: &[String]) -> Result<UddiResponse, Fault> {
         let mut deleted = 0usize;
-        for key_elem in payload.find_all(UDDI_NS, "serviceKey") {
-            let key = key_elem.text().trim().to_owned();
-            let Some(shard) = shard_of_key(&key) else {
+        for key in keys {
+            let key = key.trim();
+            let Some(shard) = shard_of_key(key) else {
                 continue; // not a cluster-minted key: nothing to delete
             };
-            if self.inner.nodes[node].registry.get_service(&key).is_none() {
+            if self.inner.nodes[node].registry.get_service(key).is_none() {
                 continue;
             }
+            let key = key.to_owned();
             self.submit(shard, node, ClusterOp::Delete { key })?;
             deleted += 1;
         }
-        Ok(Element::build(UDDI_NS, "dispositionReport")
-            .attr_str("deleted", deleted.to_string())
-            .finish())
+        Ok(UddiResponse::Disposition { deleted })
     }
 
     /// tModels (WSDL pointers) are tiny global metadata: replicated to
     /// every live node outside the sharded log.
-    fn save_global_tmodels(&self, payload: &Element) -> Result<Element, Fault> {
-        let mut detail = Element::new(UDDI_NS, "tModelDetail");
-        for tm_elem in payload.find_all(UDDI_NS, "tModel") {
-            let mut tm =
-                TModel::from_element(tm_elem).ok_or_else(|| Fault::sender("malformed tModel"))?;
-            if tm.key.is_empty() {
-                let seq = self.inner.global_seq.fetch_add(1, Ordering::SeqCst);
-                tm.key = format!("uuid:tm-c{seq:06x}");
+    fn save_global_tmodels(&self, tmodels: &[TModel]) -> Vec<TModel> {
+        let saved = tmodels.iter().map(|tmodel| {
+            let mut tmodel = tmodel.clone();
+            if tmodel.key.is_empty() {
+                tmodel.key = self.mint_global("tm");
             }
             for slot in self.live_nodes() {
-                self.inner.nodes[slot].registry.save_tmodel(tm.clone());
+                self.inner.nodes[slot].registry.save_tmodel(tmodel.clone());
             }
-            detail.push_element(tm.to_element());
-        }
-        Ok(detail)
+            tmodel
+        });
+        saved.collect()
     }
 
-    fn save_global_businesses(&self, payload: &Element) -> Result<Element, Fault> {
-        let mut detail = Element::new(UDDI_NS, "businessDetail");
-        for biz_elem in payload.find_all(UDDI_NS, "businessEntity") {
-            let mut biz = BusinessEntity::from_element(biz_elem)
-                .ok_or_else(|| Fault::sender("malformed businessEntity"))?;
-            if biz.key.is_empty() {
-                let seq = self.inner.global_seq.fetch_add(1, Ordering::SeqCst);
-                biz.key = format!("uuid:biz-c{seq:06x}");
+    fn save_global_businesses(&self, entities: &[BusinessEntity]) -> Vec<BusinessEntity> {
+        let saved = entities.iter().map(|entity| {
+            let mut entity = entity.clone();
+            if entity.key.is_empty() {
+                entity.key = self.mint_global("biz");
             }
             for slot in self.live_nodes() {
-                self.inner.nodes[slot].registry.save_business(biz.clone());
+                self.inner.nodes[slot]
+                    .registry
+                    .save_business(entity.clone());
             }
-            detail.push_element(biz.to_element());
-        }
-        Ok(detail)
+            entity
+        });
+        saved.collect()
     }
 
     fn live_nodes(&self) -> Vec<usize> {
@@ -511,6 +511,13 @@ impl RegistryCluster {
     fn mint_service_key(&self, shard: u32) -> String {
         let seq = self.inner.key_seqs[shard as usize].fetch_add(1, Ordering::SeqCst);
         format!("uuid:svc-s{shard:02x}-{seq:06x}")
+    }
+
+    /// A key from the cluster-wide sequence: tModels, businesses and
+    /// bindings.
+    fn mint_global(&self, prefix: &str) -> String {
+        let seq = self.inner.global_seq.fetch_add(1, Ordering::SeqCst);
+        format!("uuid:{prefix}-c{seq:06x}")
     }
 
     // -- replication plumbing ----------------------------------------------
@@ -720,19 +727,12 @@ impl RegistryCluster {
         }
         match op {
             ClusterOp::Save {
-                service_xml,
+                service,
                 granted_at_us,
             } => {
-                let Some(svc) = wsp_xml::parse(service_xml)
-                    .ok()
-                    .as_ref()
-                    .and_then(BusinessService::from_element)
-                else {
-                    return; // unreachable: ops are minted by this shell
-                };
-                registry.save_service(svc.clone());
+                registry.put_service(BusinessService::clone(service));
                 if first_applier {
-                    if let Some(ttl_ms) = svc.lease_ttl_ms {
+                    if let Some(ttl_ms) = service.lease_ttl_ms {
                         // Shed anything due strictly before the grant,
                         // then arm at the primary's stamped instant.
                         let granted_at = Time(*granted_at_us);
@@ -742,7 +742,7 @@ impl RegistryCluster {
                                 self.inner.nodes[m].registry.remove_service_record(key);
                             }
                         }
-                        group.leases.grant(&svc.key, Dur(ttl_ms * 1_000));
+                        group.leases.grant(&service.key, Dur::millis(ttl_ms));
                     }
                 }
             }
@@ -765,25 +765,10 @@ pub fn shard_of_key(key: &str) -> Option<u32> {
     u32::from_str_radix(shard_hex, 16).ok()
 }
 
-/// `get_shardMap` request body, understood by [`RegistryCluster::process`].
-pub fn get_shard_map_request() -> Element {
-    Element::new(REGISTRY_NS, "get_shardMap")
-}
-
-/// `get_dataVersions` request body: asks a node for the per-shard data
-/// versions (plus the map epoch), the gateway's revalidation probe.
-pub fn get_data_versions_request() -> Element {
-    Element::new(REGISTRY_NS, "get_dataVersions")
-}
-
-/// Stamp a routed request with the epoch the client believes in.
-pub fn stamp_epoch(payload: &mut Element, epoch: u64) {
-    payload.set_attribute(QName::local("mapEpoch"), epoch.to_string());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
     use wsp_uddi::{BindingTemplate, ServiceQuery, UddiClient};
 
     fn cluster() -> RegistryCluster {
@@ -795,24 +780,32 @@ mod tests {
         })
     }
 
+    /// `save_service` of `record` at `node`, stamped with `epoch`.
+    fn save(
+        c: &RegistryCluster,
+        node: usize,
+        record: BusinessService,
+        epoch: Option<u64>,
+    ) -> Result<BusinessService, Fault> {
+        let services = [record];
+        let request = UddiRequest {
+            op: UddiOp::SaveService {
+                tmodels: Cow::Borrowed(&[]),
+                services: Cow::Borrowed(&services),
+            },
+            map_epoch: epoch,
+        };
+        match c.process(node, &request) {
+            UddiResponse::ServiceDetail(saved) => Ok(saved.into_iter().next().unwrap()),
+            UddiResponse::Fault(fault) => Err(fault),
+            other => panic!("{other:?}"),
+        }
+    }
+
     fn publish(c: &RegistryCluster, node: usize, name: &str) -> Result<BusinessService, Fault> {
         let svc = BusinessService::new("", "biz", name)
             .with_binding(BindingTemplate::new("", format!("http://h/{name}")));
-        let mut save = Element::new(UDDI_NS, "save_service");
-        stamp_epoch(&mut save, c.shard_map().epoch());
-        save.push_element(svc.to_element());
-        let response = c.process(node, &Envelope::request(save));
-        if let Some(fault) = response.fault_body() {
-            return Err(fault.clone());
-        }
-        Ok(BusinessService::from_element(
-            response
-                .payload()
-                .unwrap()
-                .find(UDDI_NS, "businessService")
-                .unwrap(),
-        )
-        .unwrap())
+        save(c, node, svc, Some(c.shard_map().epoch()))
     }
 
     fn primary_node(c: &RegistryCluster, name: &str) -> usize {
@@ -850,11 +843,7 @@ mod tests {
     #[test]
     fn stale_epoch_gets_versioned_redirect() {
         let c = cluster();
-        let mut save = Element::new(UDDI_NS, "save_service");
-        stamp_epoch(&mut save, 999);
-        save.push_element(BusinessService::new("", "biz", "X").to_element());
-        let response = c.process(0, &Envelope::request(save));
-        let fault = response.fault_body().unwrap();
+        let fault = save(&c, 0, BusinessService::new("", "biz", "X"), Some(999)).unwrap_err();
         assert!(
             fault.reason.contains("wsp:staleShardMap epoch=0"),
             "{}",
@@ -915,18 +904,7 @@ mod tests {
         let name = "LeasedService";
         let route = c.shard_map().route(name);
         let svc = BusinessService::new("", "biz", name).with_lease_ttl_ms(500);
-        let mut save = Element::new(UDDI_NS, "save_service");
-        save.push_element(svc.to_element());
-        let response = c.process(route.primary, &Envelope::request(save));
-        assert!(response.fault_body().is_none());
-        let saved = BusinessService::from_element(
-            response
-                .payload()
-                .unwrap()
-                .find(UDDI_NS, "businessService")
-                .unwrap(),
-        )
-        .unwrap();
+        let saved = save(&c, route.primary, svc, None).unwrap();
 
         c.advance_to(Time::millis(400));
         assert!(c
@@ -948,25 +926,11 @@ mod tests {
         let name = "RefreshedService";
         let route = c.shard_map().route(name);
         let svc = BusinessService::new("", "biz", name).with_lease_ttl_ms(500);
-        let mut save = Element::new(UDDI_NS, "save_service");
-        save.push_element(svc.to_element());
-        let saved = BusinessService::from_element(
-            c.process(route.primary, &Envelope::request(save))
-                .payload()
-                .unwrap()
-                .find(UDDI_NS, "businessService")
-                .unwrap(),
-        )
-        .unwrap();
+        let saved = save(&c, route.primary, svc, None).unwrap();
 
         // Refresh at t=300 by republishing the same record (same key).
         c.advance_to(Time::millis(300));
-        let mut refresh = Element::new(UDDI_NS, "save_service");
-        refresh.push_element(saved.to_element());
-        assert!(c
-            .process(route.primary, &Envelope::request(refresh))
-            .fault_body()
-            .is_none());
+        save(&c, route.primary, saved.clone(), None).unwrap();
         c.advance_to(Time::millis(600));
         assert!(
             c.node_registry(route.primary)

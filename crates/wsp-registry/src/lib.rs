@@ -19,7 +19,8 @@
 //!   exhaustively explored by `wsp-check`;
 //! * [`cluster`] — the thin runtime shell: N in-process registry nodes,
 //!   a synchronous message pump executing the pure machine's effects,
-//!   SOAP fronts per node for the HTTP and P2PS bindings;
+//!   a front per node that answers `wsp_uddi` requests — in process, or
+//!   as SOAP over the HTTP and P2PS bindings;
 //! * [`client`] — [`ShardedUddiClient`]: shard-map routing (an
 //!   exact-name locate is one exchange with the owning shard, only
 //!   patterns scatter), primary→backup failover through
@@ -34,8 +35,7 @@ pub mod shard;
 
 pub use client::{DataVersions, RegistryError, ShardedUddiClient};
 pub use cluster::{
-    get_data_versions_request, get_shard_map_request, shard_of_key, stamp_epoch, ClusterConfig,
-    ClusterOp, LogFootprint, RegistryCluster,
+    shard_of_key, ClusterConfig, ClusterOp, LogFootprint, RegistryCluster, MAX_LEASE_TTL_MS,
 };
 pub use lease::{
     LeaseAction, LeaseEffect, LeaseEvent, LeaseMachine, LeaseState, LeaseStatus, LeaseTable,

@@ -14,11 +14,8 @@
 //! way (`ShardMapChanged`).
 
 use wsp_simnet::{fnv1a, fnv1a_fold};
+pub use wsp_uddi::REGISTRY_NS;
 use wsp_xml::{Element, QName};
-
-/// Namespace of the registry-plane control messages (`get_shardMap`,
-/// the map document, redirect fault details).
-pub const REGISTRY_NS: &str = "urn:wsp:registry";
 
 /// Virtual tokens per node on the placement ring. Plenty for the node
 /// counts we shard across while keeping map construction trivial.

@@ -1,20 +1,22 @@
 //! Registry client: the consumer side of the UDDI protocol, over a
-//! pluggable SOAP transport.
+//! pluggable transport.
 
-use crate::api::ServiceInfo;
-use crate::model::{BusinessService, TModel, UDDI_NS};
-use crate::query::{ServiceQuery, FIND_SERVICE_DETAIL};
+use crate::model::{BusinessEntity, BusinessService, TModel};
+use crate::query::ServiceQuery;
 use crate::registry::Registry;
+use crate::wire::{ServiceInfo, UddiOp, UddiRequest, UddiResponse};
+use std::borrow::Cow;
 use std::fmt;
+use std::slice;
 use std::sync::Arc;
-use wsp_soap::{Body, Envelope, Fault};
-use wsp_xml::Element;
+use wsp_soap::Fault;
 
-/// A function that carries a SOAP request envelope to the registry and
-/// returns the response envelope. Implementations exist for in-process
-/// registries ([`direct_transport`]) and HTTP ([`http_transport`]);
-/// wsp-core's simulation binding supplies its own.
-pub type SoapTransport = Arc<dyn Fn(&Envelope) -> Result<Envelope, String> + Send + Sync>;
+/// A function that carries a registry request to the registry and
+/// returns its answer. Implementations exist for in-process registries
+/// ([`direct_transport`], which hands the request over as it is) and
+/// HTTP ([`http_transport`], which writes and reads the SOAP envelopes).
+pub type UddiTransport =
+    Arc<dyn Fn(&UddiRequest<'_>) -> Result<UddiResponse, String> + Send + Sync>;
 
 /// Errors from registry interactions.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,14 +41,14 @@ impl std::error::Error for UddiError {}
 /// A UDDI registry client.
 #[derive(Clone)]
 pub struct UddiClient {
-    transport: SoapTransport,
+    transport: UddiTransport,
     /// Where this client's transport lands, for per-endpoint circuit
     /// breakers and telemetry labels. `None` for anonymous transports.
     endpoint: Option<String>,
 }
 
 impl UddiClient {
-    pub fn new(transport: SoapTransport) -> Self {
+    pub fn new(transport: UddiTransport) -> Self {
         UddiClient {
             transport,
             endpoint: None,
@@ -76,96 +78,57 @@ impl UddiClient {
         self.endpoint.as_deref()
     }
 
-    /// One exchange: the response body's payload, owned.
-    fn call(&self, payload: Element) -> Result<Element, UddiError> {
-        let request = Envelope::request(payload);
-        let response = (self.transport)(&request).map_err(UddiError::Transport)?;
-        match response.into_body() {
-            Body::Payload(payload) => Ok(payload),
-            Body::Fault(fault) => Err(UddiError::Fault(Box::new(fault))),
-            Body::Empty => Err(UddiError::Malformed("response body is empty".into())),
+    /// One exchange: the registry's answer, a fault as an error.
+    fn call(&self, op: UddiOp<'_>) -> Result<UddiResponse, UddiError> {
+        match (self.transport)(&UddiRequest::new(op)).map_err(UddiError::Transport)? {
+            UddiResponse::Fault(fault) => Err(UddiError::Fault(Box::new(fault))),
+            response => Ok(response),
         }
     }
 
     /// `find_service`: returns light summaries.
     pub fn find_services(&self, query: &ServiceQuery) -> Result<Vec<ServiceInfo>, UddiError> {
-        let list = self.call(query.to_element())?;
-        let infos = list
-            .find(UDDI_NS, "serviceInfos")
-            .ok_or_else(|| UddiError::Malformed("serviceList lacks serviceInfos".into()))?;
-        Ok(infos
-            .find_all(UDDI_NS, "serviceInfo")
-            .filter_map(ServiceInfo::from_element)
-            .collect())
-    }
-
-    /// `get_serviceDetail`: full records for the given keys.
-    pub fn get_service_details(&self, keys: &[String]) -> Result<Vec<BusinessService>, UddiError> {
-        let mut get = Element::new(UDDI_NS, "get_serviceDetail");
-        for key in keys {
-            get.push_element(
-                Element::build(UDDI_NS, "serviceKey")
-                    .text(key.clone())
-                    .finish(),
-            );
+        match self.call(UddiOp::FindService(Cow::Borrowed(query)))? {
+            UddiResponse::ServiceList(infos) => Ok(infos),
+            _ => Err(malformed("serviceList lacks serviceInfos")),
         }
-        let detail = self.call(get)?;
-        Ok(detail
-            .find_all(UDDI_NS, "businessService")
-            .filter_map(BusinessService::from_element)
-            .collect())
     }
 
     /// `find_serviceDetail`: the full records matching `query`, in one
     /// exchange.
     pub fn locate(&self, query: &ServiceQuery) -> Result<Vec<BusinessService>, UddiError> {
-        let detail = self.call(query.to_request(FIND_SERVICE_DETAIL))?;
-        Ok(detail
-            .find_all(UDDI_NS, "businessService")
-            .filter_map(BusinessService::from_element)
-            .collect())
+        self.service_detail(UddiOp::FindServiceDetail(Cow::Borrowed(query)))
+    }
+
+    fn service_detail(&self, op: UddiOp<'_>) -> Result<Vec<BusinessService>, UddiError> {
+        match self.call(op)? {
+            UddiResponse::ServiceDetail(found) => Ok(found),
+            _ => Err(malformed("the answer is not a serviceDetail")),
+        }
     }
 
     /// `save_business`: register a publishing organisation.
-    pub fn save_business(
-        &self,
-        business: &crate::model::BusinessEntity,
-    ) -> Result<crate::model::BusinessEntity, UddiError> {
-        let mut save = Element::new(UDDI_NS, "save_business");
-        save.push_element(business.to_element());
-        let detail = self.call(save)?;
-        detail
-            .find(UDDI_NS, "businessEntity")
-            .and_then(crate::model::BusinessEntity::from_element)
-            .ok_or_else(|| UddiError::Malformed("businessDetail lacks businessEntity".into()))
+    pub fn save_business(&self, business: &BusinessEntity) -> Result<BusinessEntity, UddiError> {
+        let op = UddiOp::SaveBusiness(Cow::Borrowed(slice::from_ref(business)));
+        let saved = match self.call(op)? {
+            UddiResponse::BusinessDetail(saved) => saved.into_iter().next(),
+            _ => None,
+        };
+        saved.ok_or_else(|| malformed("businessDetail lacks businessEntity"))
     }
 
     /// `find_business`: `(key, name)` summaries of businesses whose name
     /// matches `pattern` (`%` wildcards).
     pub fn find_businesses(&self, pattern: &str) -> Result<Vec<(String, String)>, UddiError> {
-        let mut find = Element::new(UDDI_NS, "find_business");
-        find.push_element(
-            Element::build(UDDI_NS, "name")
-                .text(pattern.to_owned())
-                .finish(),
-        );
-        let list = self.call(find)?;
-        let infos = list
-            .find(UDDI_NS, "businessInfos")
-            .ok_or_else(|| UddiError::Malformed("businessList lacks businessInfos".into()))?;
-        Ok(infos
-            .find_all(UDDI_NS, "businessInfo")
-            .filter_map(|i| {
-                let key = i.attribute_local("businessKey")?.to_owned();
-                let name = i.child_text(UDDI_NS, "name")?;
-                Some((key, name))
-            })
-            .collect())
+        match self.call(UddiOp::FindBusiness(Cow::Borrowed(pattern)))? {
+            UddiResponse::BusinessList(found) => Ok(found),
+            _ => Err(malformed("businessList lacks businessInfos")),
+        }
     }
 
     /// `save_service`: publish a record; returns it with assigned keys.
     pub fn save_service(&self, service: &BusinessService) -> Result<BusinessService, UddiError> {
-        self.save_service_body(None, service)
+        self.save_service_body(&[], service)
     }
 
     /// `save_service` carrying, ahead of the record, the tModel one of
@@ -177,81 +140,71 @@ impl UddiClient {
         tmodel: &TModel,
         service: &BusinessService,
     ) -> Result<BusinessService, UddiError> {
-        self.save_service_body(Some(tmodel), service)
+        self.save_service_body(slice::from_ref(tmodel), service)
     }
 
     fn save_service_body(
         &self,
-        tmodel: Option<&TModel>,
+        tmodels: &[TModel],
         service: &BusinessService,
     ) -> Result<BusinessService, UddiError> {
-        let mut save = Element::new(UDDI_NS, "save_service");
-        if let Some(tmodel) = tmodel {
-            save.push_element(tmodel.to_element());
-        }
-        save.push_element(service.to_element());
-        self.call(save)?
-            .find(UDDI_NS, "businessService")
-            .and_then(BusinessService::from_element)
-            .ok_or_else(|| UddiError::Malformed("serviceDetail lacks businessService".into()))
+        let services = Cow::Borrowed(slice::from_ref(service));
+        let op = UddiOp::SaveService {
+            tmodels: Cow::Borrowed(tmodels),
+            services,
+        };
+        let saved = self.service_detail(op)?.into_iter().next();
+        saved.ok_or_else(|| malformed("serviceDetail lacks businessService"))
     }
 
     /// `save_tModel`: publish a tModel (e.g. the WSDL pointer).
     pub fn save_tmodel(&self, tmodel: &TModel) -> Result<TModel, UddiError> {
-        let mut save = Element::new(UDDI_NS, "save_tModel");
-        save.push_element(tmodel.to_element());
-        let detail = self.call(save)?;
-        detail
-            .find(UDDI_NS, "tModel")
-            .and_then(TModel::from_element)
-            .ok_or_else(|| UddiError::Malformed("tModelDetail lacks tModel".into()))
+        self.tmodel(UddiOp::SaveTModel(Cow::Borrowed(slice::from_ref(tmodel))))
     }
 
     /// `get_tModelDetail` for a single key.
     pub fn get_tmodel(&self, key: &str) -> Result<TModel, UddiError> {
-        let mut get = Element::new(UDDI_NS, "get_tModelDetail");
-        get.push_element(
-            Element::build(UDDI_NS, "tModelKey")
-                .text(key.to_owned())
-                .finish(),
-        );
-        let detail = self.call(get)?;
-        detail
-            .find(UDDI_NS, "tModel")
-            .and_then(TModel::from_element)
-            .ok_or_else(|| UddiError::Malformed("tModelDetail lacks tModel".into()))
+        self.tmodel(UddiOp::GetTModelDetail(Cow::Owned(vec![key.to_owned()])))
+    }
+
+    fn tmodel(&self, op: UddiOp<'_>) -> Result<TModel, UddiError> {
+        let tmodel = match self.call(op)? {
+            UddiResponse::TModelDetail(found) => found.into_iter().next(),
+            _ => None,
+        };
+        tmodel.ok_or_else(|| malformed("tModelDetail lacks tModel"))
     }
 
     /// `delete_service` for a single key. Returns whether it existed.
     pub fn delete_service(&self, key: &str) -> Result<bool, UddiError> {
-        let mut del = Element::new(UDDI_NS, "delete_service");
-        del.push_element(
-            Element::build(UDDI_NS, "serviceKey")
-                .text(key.to_owned())
-                .finish(),
-        );
-        let report = self.call(del)?;
-        Ok(report.attribute_local("deleted") == Some("1"))
+        let keys = Cow::Owned(vec![key.to_owned()]);
+        match self.call(UddiOp::DeleteService(keys))? {
+            UddiResponse::Disposition { deleted } => Ok(deleted == 1),
+            _ => Err(malformed("the answer is not a dispositionReport")),
+        }
     }
 }
 
-/// Transport that hands envelopes straight to an in-process registry.
-pub fn direct_transport(registry: Registry) -> SoapTransport {
-    let api = crate::api::UddiApi::new(registry);
-    Arc::new(move |request: &Envelope| Ok(api.process(request)))
+fn malformed(why: &str) -> UddiError {
+    UddiError::Malformed(why.to_owned())
 }
 
-/// Transport that POSTs envelopes to a registry URI, serialising through
-/// the full SOAP + HTTP codecs. The transport owns a keep-alive pool, so
-/// consecutive registry calls share a connection.
-pub fn http_transport(uri: String) -> SoapTransport {
+/// Transport that hands requests straight to an in-process registry:
+/// no tree, no bytes.
+pub fn direct_transport(registry: Registry) -> UddiTransport {
+    let api = crate::api::UddiApi::new(registry);
+    Arc::new(move |request: &UddiRequest<'_>| Ok(api.process(request)))
+}
+
+/// Transport that POSTs requests to a registry URI as SOAP envelopes,
+/// written and read by [`crate::wire`]. The transport owns a keep-alive
+/// pool, so consecutive registry calls share a connection.
+pub fn http_transport(uri: String) -> UddiTransport {
     let pool = wsp_http::ConnectionPool::new();
-    Arc::new(move |request: &Envelope| {
-        let http_request = wsp_http::Request::post(
-            "/",
-            wsp_soap::constants::CONTENT_TYPE,
-            request.to_xml_bytes(),
-        );
+    Arc::new(move |request: &UddiRequest<'_>| {
+        let mut body = wsp_xml::BufPool::global().take();
+        crate::wire::write_request(request, &mut body);
+        let http_request = wsp_http::Request::post("/", wsp_soap::constants::CONTENT_TYPE, body);
         let response = pool
             .call_uri(&uri, http_request, wsp_http::DEFAULT_CLIENT_TIMEOUT)
             .map_err(|e| e.to_string())?;
@@ -259,7 +212,7 @@ pub fn http_transport(uri: String) -> SoapTransport {
             // 500 carries SOAP faults; anything else is transport-level.
             return Err(format!("registry answered HTTP {}", response.status));
         }
-        Envelope::from_xml(&response.body_str()).map_err(|e| e.to_string())
+        crate::wire::read_response(&response.body_str())
     })
 }
 
@@ -348,7 +301,7 @@ mod tests {
 
     #[test]
     fn transport_error_surfaces() {
-        let client = UddiClient::new(Arc::new(|_e: &Envelope| Err("cable cut".to_string())));
+        let client = UddiClient::new(Arc::new(|_: &UddiRequest<'_>| Err("cable cut".to_string())));
         let err = client.find_services(&ServiceQuery::all()).unwrap_err();
         assert_eq!(err, UddiError::Transport("cable cut".into()));
     }

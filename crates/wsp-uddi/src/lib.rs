@@ -3,11 +3,13 @@
 //! A UDDI-style registry: the discovery substrate of WSPeer's standard
 //! HTTP implementation (paper Section IV.A). Provides the v2-flavoured
 //! data model (business entities, services, binding templates, tModels),
-//! a thread-safe, name-indexed [`Registry`] store, the SOAP
-//! inquiry/publish [`api`] (two-step `find_service` + `get_serviceDetail`
-//! and the single-exchange `find_serviceDetail`), a [`UddiClient`] over
-//! pluggable transports, and hosting glue to run a registry on the
-//! lightweight HTTP server — real TCP or the simulator.
+//! a thread-safe, name-indexed [`Registry`] store, the registry's
+//! requests and answers as values ([`wire`], which also streams and
+//! reads their SOAP envelopes), the inquiry/publish [`api`] (two-step
+//! `find_service` + `get_serviceDetail` and the single-exchange
+//! `find_serviceDetail`), a [`UddiClient`] over pluggable transports,
+//! and hosting glue to run a registry on the lightweight HTTP server —
+//! real TCP or the simulator.
 //!
 //! The registry is deliberately *centralised*: it is the client/server
 //! discovery mechanism whose bottleneck and single-point-of-failure
@@ -32,12 +34,14 @@ pub mod model;
 pub mod query;
 pub mod registry;
 pub mod server;
+pub mod wire;
 
-pub use api::{ServiceInfo, UddiApi};
-pub use client::{direct_transport, http_transport, SoapTransport, UddiClient, UddiError};
+pub use api::UddiApi;
+pub use client::{direct_transport, http_transport, UddiClient, UddiError, UddiTransport};
 pub use model::{
     BindingTemplate, BusinessEntity, BusinessService, KeyedReference, TModel, UDDI_NS,
 };
 pub use query::{fold, wildcard_match, ServiceQuery, FIND_SERVICE, FIND_SERVICE_DETAIL};
 pub use registry::Registry;
-pub use server::{registry_handler, RegistryServer, REGISTRY_PATH};
+pub use server::{registry_handler, serve_http, RegistryServer, REGISTRY_PATH};
+pub use wire::{DataVersions, ServiceInfo, UddiOp, UddiRequest, UddiResponse, REGISTRY_NS};

@@ -13,7 +13,7 @@ use wsp_xml::{Element, QName};
 pub const UDDI_NS: &str = "urn:uddi-org:api_v2";
 
 /// A keyed reference: categorisation metadata on services.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct KeyedReference {
     pub tmodel_key: String,
     pub key_name: String,
@@ -51,7 +51,7 @@ impl KeyedReference {
 }
 
 /// A concrete endpoint of a service.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BindingTemplate {
     pub key: String,
     /// The endpoint URI a client connects to.
@@ -116,7 +116,7 @@ impl BindingTemplate {
     }
 }
 
-fn url_type(uri: &str) -> &'static str {
+pub(crate) fn url_type(uri: &str) -> &'static str {
     if uri.starts_with("https") || uri.starts_with("httpg") {
         "other"
     } else if uri.starts_with("http") {
@@ -127,7 +127,7 @@ fn url_type(uri: &str) -> &'static str {
 }
 
 /// A published service.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BusinessService {
     pub key: String,
     pub business_key: String,

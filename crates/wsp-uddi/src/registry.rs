@@ -191,8 +191,14 @@ impl Registry {
                 binding.key = self.generate_key("bind");
             }
         }
-        self.inner.services.write().save(service.clone());
+        self.put_service(service.clone());
         service
+    }
+
+    /// Insert or replace a record keyed elsewhere, as it is: a shard
+    /// replica stores the record its group logged, keys and all.
+    pub fn put_service(&self, service: BusinessService) {
+        self.inner.services.write().save(service);
     }
 
     /// Save (insert or replace) a tModel. Empty key → minted.

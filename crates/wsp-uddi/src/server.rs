@@ -3,37 +3,41 @@
 
 use crate::api::UddiApi;
 use crate::registry::Registry;
+use crate::wire::{read_request, write_response, UddiRequest, UddiResponse};
 use std::sync::Arc;
 use wsp_http::{HttpHandler, Request, Response, Router, TcpServer};
-use wsp_soap::Envelope;
 
 /// Conventional path of the registry service on its host.
 pub const REGISTRY_PATH: &str = "uddi";
 
 /// Build an HTTP handler exposing `registry` over SOAP.
-///
-/// SOAP faults are carried on HTTP 500 per the SOAP HTTP binding;
-/// non-SOAP requests get 400.
 pub fn registry_handler(registry: Registry) -> HttpHandler {
     let api = UddiApi::new(registry);
-    Arc::new(move |request: &Request| {
-        let Ok(envelope) = Envelope::from_xml(&request.body_str()) else {
-            return Response::bad_request("body is not a SOAP envelope");
-        };
-        let response = api.process(&envelope);
-        let is_fault = response.fault_body().is_some();
-        let body = response.to_xml();
-        let mut http = if is_fault {
-            let mut r = Response::new(500, "Internal Server Error");
-            r.body = body.into_bytes();
-            r
-        } else {
-            Response::ok(wsp_soap::constants::CONTENT_TYPE, body)
-        };
-        http.headers
-            .set("Content-Type", wsp_soap::constants::CONTENT_TYPE);
-        http
-    })
+    Arc::new(move |request: &Request| serve_http(request, |request| api.process(request)))
+}
+
+/// One SOAP-over-HTTP exchange with a registry that answers a request
+/// as `answer` does: the body read as a request, the answer written
+/// back. SOAP faults are carried on HTTP 500 per the SOAP HTTP binding;
+/// non-SOAP requests get 400.
+pub fn serve_http(
+    request: &Request,
+    answer: impl FnOnce(&UddiRequest<'_>) -> UddiResponse,
+) -> Response {
+    let response = match read_request(&request.body_str()) {
+        None => return Response::bad_request("body is not a SOAP envelope"),
+        Some(Ok(request)) => answer(&request),
+        Some(Err(fault)) => UddiResponse::Fault(fault),
+    };
+    let mut http = match response {
+        UddiResponse::Fault(_) => Response::new(500, "Internal Server Error"),
+        _ => Response::new(200, "OK"),
+    };
+    http.body = wsp_xml::BufPool::global().take();
+    write_response(&response, &mut http.body);
+    http.headers
+        .set("Content-Type", wsp_soap::constants::CONTENT_TYPE);
+    http
 }
 
 /// A registry running on its own lightweight TCP host.

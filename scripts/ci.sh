@@ -96,10 +96,15 @@ cargo test -q --release -p wsp-integration-tests --test reader_oracle --test voc
 # that listeners and odd documents take. The two must not differ by a
 # byte or a value — Tier-1 ran the generated and the damaged documents
 # with overflow checks on (the readers slice the input by offsets they
-# computed); run them again without, as they ship. The allocation guard
-# below carries the budgets of a whole invoke: 100 over HTTP, 16 of them
-# the server's, 220 over P2PS.
-echo "==> typed codec = tree codec, on whole and damaged messages (release)"
+# computed); run them again without, as they ship. The same binary holds
+# the registry vocabulary to the same standard: every request
+# and answer streamed as the tree writer writes it, read as the tree
+# decoders read it or declined, whole, damaged, reshaped or soup. The
+# allocation guard below carries the budgets of a whole invoke (100 over
+# HTTP, 16 of them the server's, 220 over P2PS) and of the registry
+# plane (an exact-name locate: 11 in process, 78 over HTTP; a republish
+# through three replicas: 51).
+echo "==> typed codec = tree codec, invocations and registry messages (release)"
 cargo test -q --release -p wsp-integration-tests --test typed_codec
 
 echo "==> allocation-regression guard (release)"

@@ -10,9 +10,9 @@ use std::time::Duration;
 use wsp_p2ps::{pipe_call, P2psMessage, PeerId, PipeAdvertisement, PipeTcpConfig, PipeTcpServer};
 use wsp_registry::{ClusterConfig, LeaseTrace, RegistryCluster, RegistryError, ShardedUddiClient};
 use wsp_simnet::{Dur, Time};
-use wsp_soap::Envelope;
-use wsp_uddi::client::{http_transport, SoapTransport};
-use wsp_uddi::{BusinessService, ServiceQuery};
+use wsp_uddi::client::{http_transport, UddiTransport};
+use wsp_uddi::wire::{read_request, read_response, write_request, write_response};
+use wsp_uddi::{BusinessService, ServiceQuery, UddiRequest, UddiResponse};
 
 fn fault_seed() -> u64 {
     std::env::var("WSP_FAULT_SEED")
@@ -36,7 +36,7 @@ fn svc(name: &str) -> BusinessService {
 
 /// A client whose breakers re-probe immediately: these tests crash and
 /// revive nodes faster than any wall-clock cooldown.
-fn eager_client(transports: Vec<SoapTransport>) -> ShardedUddiClient {
+fn eager_client(transports: Vec<UddiTransport>) -> ShardedUddiClient {
     ShardedUddiClient::connect(transports)
         .expect("bootstrap shard map")
         .with_breaker_config(wsp_core::health::BreakerConfig {
@@ -109,7 +109,7 @@ fn quorum_loss_is_an_error_not_a_lie() {
 fn stale_epoch_client_refreshes_over_http() {
     let cluster = test_cluster();
     let mut servers = Vec::new();
-    let mut transports: Vec<SoapTransport> = Vec::new();
+    let mut transports: Vec<UddiTransport> = Vec::new();
     for n in 0..6 {
         let router = wsp_http::Router::new();
         router.deploy("uddi", cluster.node_http_handler(n));
@@ -159,7 +159,7 @@ fn stale_epoch_client_refreshes_over_p2ps() {
     let cluster = test_cluster();
     let peer = PeerId::random(&mut StdRng::seed_from_u64(fault_seed()));
     let mut servers = Vec::new();
-    let mut transports: Vec<SoapTransport> = Vec::new();
+    let mut transports: Vec<UddiTransport> = Vec::new();
     for n in 0..6 {
         let cluster_n = cluster.clone();
         let server = PipeTcpServer::launch(
@@ -169,10 +169,15 @@ fn stale_epoch_client_refreshes_over_p2ps() {
                     if !cluster_n.is_up(n) {
                         return None;
                     }
-                    let envelope = Envelope::from_xml(&payload).ok()?;
+                    let response = match read_request(&payload)? {
+                        Ok(request) => cluster_n.process(n, &request),
+                        Err(fault) => UddiResponse::Fault(fault),
+                    };
+                    let mut answer = Vec::new();
+                    write_response(&response, &mut answer);
                     Some(P2psMessage::PipeData {
                         to,
-                        payload: cluster_n.process(n, &envelope).to_xml(),
+                        payload: String::from_utf8(answer).ok()?,
                     })
                 }
                 _ => None,
@@ -182,19 +187,19 @@ fn stale_epoch_client_refreshes_over_p2ps() {
         .expect("launch pipe host");
         let addr = server.addr();
         let pipe = PipeAdvertisement::new(peer, Some("uddi".into()), format!("registry-{n}"));
-        transports.push(Arc::new(move |request: &Envelope| {
+        transports.push(Arc::new(move |request: &UddiRequest<'_>| {
+            let mut envelope = Vec::new();
+            write_request(request, &mut envelope);
             let message = P2psMessage::PipeData {
                 to: pipe.clone(),
-                payload: request.to_xml(),
+                payload: String::from_utf8(envelope).map_err(|e| e.to_string())?,
             };
             // A down node never replies; the read timeout is the
             // client's only failure signal, so keep it short.
             let reply = pipe_call(addr, &message, Duration::from_millis(400))
                 .map_err(|e| format!("pipe error: {e}"))?;
             match reply {
-                P2psMessage::PipeData { payload, .. } => {
-                    Envelope::from_xml(&payload).map_err(|e| e.to_string())
-                }
+                P2psMessage::PipeData { payload, .. } => read_response(&payload),
                 other => Err(format!("unexpected pipe reply: {other:?}")),
             }
         }));

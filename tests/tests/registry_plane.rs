@@ -8,9 +8,13 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-use wsp_registry::{ClusterConfig, RegistryCluster, ShardMap, ShardedUddiClient};
-use wsp_soap::Envelope;
-use wsp_uddi::{BindingTemplate, BusinessService, ServiceQuery, SoapTransport};
+use wsp_registry::{
+    ClusterConfig, RegistryCluster, RegistryError, ShardMap, ShardedUddiClient, MAX_LEASE_TTL_MS,
+};
+use wsp_simnet::Time;
+use wsp_uddi::{
+    BindingTemplate, BusinessService, ServiceQuery, UddiError, UddiOp, UddiRequest, UddiTransport,
+};
 
 fn cluster(nodes: usize) -> RegistryCluster {
     RegistryCluster::new(ClusterConfig {
@@ -27,17 +31,17 @@ fn svc(name: &str, access_point: &str) -> BusinessService {
 }
 
 /// Node transports that count the exchanges they carry.
-fn counted(cluster: &RegistryCluster) -> (Vec<SoapTransport>, Arc<Vec<AtomicUsize>>) {
+fn counted(cluster: &RegistryCluster) -> (Vec<UddiTransport>, Arc<Vec<AtomicUsize>>) {
     let nodes = cluster.endpoints().len();
     let calls: Arc<Vec<AtomicUsize>> = Arc::new((0..nodes).map(|_| AtomicUsize::new(0)).collect());
     let transports = (0..nodes)
         .map(|n| {
             let inner = cluster.node_transport(n);
             let calls = calls.clone();
-            Arc::new(move |request: &Envelope| {
+            Arc::new(move |request: &UddiRequest<'_>| {
                 calls[n].fetch_add(1, Ordering::SeqCst);
                 inner(request)
-            }) as SoapTransport
+            }) as UddiTransport
         })
         .collect();
     (transports, calls)
@@ -179,11 +183,12 @@ fn a_record_deleted_behind_an_answer_cannot_fault_the_locate() {
         .map(|n| {
             let inner = plane.node_transport(n);
             let (owner, records) = (owner.clone(), records.clone());
-            Arc::new(move |request: &Envelope| {
+            Arc::new(move |request: &UddiRequest<'_>| {
                 let response = inner(request);
-                let inquiry = request
-                    .payload()
-                    .is_some_and(|p| p.name().local_name().starts_with("find_service"));
+                let inquiry = matches!(
+                    request.op,
+                    UddiOp::FindService(_) | UddiOp::FindServiceDetail(_)
+                );
                 if inquiry {
                     for record in records.lock().iter_mut() {
                         assert!(owner.delete(&record.key).expect("delete"));
@@ -193,7 +198,7 @@ fn a_record_deleted_behind_an_answer_cannot_fault_the_locate() {
                     }
                 }
                 response
-            }) as SoapTransport
+            }) as UddiTransport
         })
         .collect();
     let reader = ShardedUddiClient::connect(transports).expect("bootstrap");
@@ -380,10 +385,10 @@ fn a_publish_is_one_exchange_and_carries_its_tmodel() {
     use wsp_uddi::{direct_transport, Registry, UddiClient};
     use wsp_wsdl::{ServiceDescriptor, Value};
 
-    fn count(inner: SoapTransport) -> (UddiClient, Arc<AtomicUsize>) {
+    fn count(inner: UddiTransport) -> (UddiClient, Arc<AtomicUsize>) {
         let calls = Arc::new(AtomicUsize::new(0));
         let counter = calls.clone();
-        let transport: SoapTransport = Arc::new(move |request: &Envelope| {
+        let transport: UddiTransport = Arc::new(move |request: &UddiRequest<'_>| {
             counter.fetch_add(1, Ordering::SeqCst);
             inner(request)
         });
@@ -456,4 +461,62 @@ fn a_publish_is_one_exchange_and_carries_its_tmodel() {
             "node {node}: one tModel per endpoint, however many publishes"
         );
     }
+}
+
+/// The cluster keys a record once, where it admits it — the service
+/// and every binding that came without a key — so the op its replicas
+/// apply mints nothing: each holds the record the publisher was told
+/// about, and a locate returns that record too.
+#[test]
+fn every_replica_holds_the_record_the_publisher_was_told_about() {
+    let plane = cluster(6);
+    let client = ShardedUddiClient::for_cluster(&plane).expect("bootstrap");
+    let record = svc("Keyed", "http://h/keyed")
+        .with_binding(BindingTemplate::new("", "http://h/keyed-too"))
+        .with_binding(BindingTemplate::new("binding-kept", "http://h/keyed-three"));
+    let saved = client.publish(&record).expect("publish");
+    let keys: Vec<&str> = saved.bindings.iter().map(|b| b.key.as_str()).collect();
+    assert!(keys.iter().all(|key| !key.is_empty()), "{keys:?}");
+    assert_ne!(keys[0], keys[1]);
+    assert_eq!(keys[2], "binding-kept", "a key the publisher chose stays");
+    let shard = plane.shard_map().shard(client.shard_of("Keyed")).clone();
+    for &member in &shard.members {
+        let held = plane.node_registry(member).get_service(&saved.key);
+        assert_eq!(held.as_ref(), Some(&saved), "node {member}");
+    }
+    let found = client
+        .locate(&ServiceQuery::by_name("Keyed"))
+        .expect("locate");
+    assert_eq!(found, [saved]);
+}
+
+/// `leaseTtlMs` comes off the wire: a lease longer than the longest the
+/// plane grants is refused where the record is admitted, before any
+/// replica applies anything, and the longest one it grants is armed
+/// without overflowing — in debug and release alike.
+#[test]
+fn a_lease_longer_than_the_longest_is_refused_at_publish() {
+    let plane = cluster(3);
+    let client = ShardedUddiClient::for_cluster(&plane).expect("bootstrap");
+    for ttl in [18_446_744_073_709_552, u64::MAX, MAX_LEASE_TTL_MS + 1] {
+        let record = svc("Forever", "http://h/forever").with_lease_ttl_ms(ttl);
+        match client.publish(&record) {
+            Err(RegistryError::Uddi(UddiError::Fault(fault))) => {
+                assert!(fault.reason.contains("leaseTtlMs"), "{fault}");
+            }
+            other => panic!("leaseTtlMs={ttl}: {other:?}"),
+        }
+    }
+    for node in 0..3 {
+        assert_eq!(plane.node_registry(node).service_count(), 0, "node {node}");
+    }
+    let longest = svc("Forever", "http://h/forever").with_lease_ttl_ms(MAX_LEASE_TTL_MS);
+    let saved = client
+        .publish(&longest)
+        .expect("the longest lease is granted");
+    plane.advance_to(Time::millis(1));
+    let found = client
+        .locate(&ServiceQuery::by_name("Forever"))
+        .expect("locate");
+    assert_eq!(found, [saved]);
 }

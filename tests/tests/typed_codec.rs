@@ -1,6 +1,8 @@
 //! The typed codec against the tree codec: an invocation read off the
 //! tokenizer into `Value`s and written from `Value`s into bytes must be
-//! the invocation the envelope path reads and writes.
+//! the invocation the envelope path reads and writes — and a registry
+//! exchange read into records and written from records must be the one
+//! the tree decoders and writers make of it (the last section).
 //!
 //! Writers: the streamed bytes *are* the tree writer's, for generated
 //! contracts and arguments, under both bindings' header sets. Readers:
@@ -15,17 +17,27 @@
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use std::borrow::Cow;
 use std::sync::Arc;
 use wsp_p2ps::{
     decode_request, encode_response, request_headers, with_reply_pipe, PeerId, PipeAdvertisement,
 };
+use wsp_registry::ShardMap;
 use wsp_soap::typed::read_envelope;
 use wsp_soap::{Envelope, Fault, HeaderBlock, MessageHeaders, SOAP_ENV_NS, WSA_NS};
+use wsp_uddi::wire::{
+    read_request, read_request_typed, read_response, read_response_typed, write_request,
+    write_response,
+};
+use wsp_uddi::{
+    BindingTemplate, BusinessEntity, BusinessService, DataVersions, KeyedReference, ServiceInfo,
+    ServiceQuery, TModel, UddiOp, UddiRequest, UddiResponse, REGISTRY_NS, UDDI_NS,
+};
 use wsp_wsdl::{
     proxy, ComplexType, FieldDef, MessageEngine, OperationDef, Schema, ServiceDescriptor, Value,
     XsdType,
 };
-use wsp_xml::Element;
+use wsp_xml::{Element, Node, QName};
 
 const NAMESPACE: &str = "urn:wspeer:test:typed";
 const ENDPOINT: &str = "http://127.0.0.1:8080/Typed";
@@ -646,5 +658,569 @@ fn the_named_shapes_are_served_typed() {
             let decoded = decoded_alike(&case, &response);
             assert_eq!(decoded, case.reply.clone().ok(), "{response}");
         }
+    }
+}
+
+// --- the registry vocabulary ------------------------------------------------------
+
+fn keyed_reference(rng: &mut TestRng) -> KeyedReference {
+    KeyedReference::new(
+        tricky_text(rng, 3),
+        tricky_text(rng, 2),
+        tricky_text(rng, 3),
+    )
+}
+
+fn list<T>(rng: &mut TestRng, item: impl Fn(&mut TestRng) -> T) -> Vec<T> {
+    (0..rng.below(4)).map(|_| item(rng)).collect()
+}
+
+/// A number as the registry's documents carry them: small, or anywhere
+/// in the range.
+fn number(rng: &mut TestRng) -> u64 {
+    rng.next_u64() >> rng.below(65).min(63)
+}
+
+fn record(rng: &mut TestRng) -> BusinessService {
+    let mut record = BusinessService::new(
+        tricky_text(rng, 3),
+        tricky_text(rng, 2),
+        tricky_text(rng, 4),
+    );
+    if rng.chance(1, 2) {
+        record.description = Some(tricky_text(rng, 5));
+    }
+    record.categories = list(rng, keyed_reference);
+    record.bindings = list(rng, |rng| {
+        let scheme = [
+            "http://h:8080/",
+            "https://h/",
+            "httpg://h/",
+            "p2ps://00bb/",
+            "",
+        ];
+        let scheme = scheme[rng.below(5) as usize];
+        let access_point = format!("{scheme}{}", tricky_text(rng, 3));
+        let mut binding = BindingTemplate::new(tricky_text(rng, 2), access_point);
+        binding.tmodel_keys = list(rng, |rng| tricky_text(rng, 2));
+        binding
+    });
+    if rng.chance(1, 2) {
+        record.lease_ttl_ms = Some(number(rng));
+    }
+    record
+}
+
+fn tmodel(rng: &mut TestRng) -> TModel {
+    let tmodel = TModel::new(tricky_text(rng, 3), tricky_text(rng, 3));
+    match rng.chance(1, 2) {
+        true => tmodel.with_overview(tricky_text(rng, 3)),
+        false => tmodel,
+    }
+}
+
+fn entity(rng: &mut TestRng) -> BusinessEntity {
+    let mut entity = BusinessEntity::new(tricky_text(rng, 3), tricky_text(rng, 3));
+    if rng.chance(1, 2) {
+        entity.description = Some(tricky_text(rng, 4));
+    }
+    entity
+}
+
+fn query(rng: &mut TestRng) -> ServiceQuery {
+    ServiceQuery {
+        name_pattern: rng.chance(3, 4).then(|| tricky_text(rng, 3)),
+        categories: list(rng, keyed_reference),
+        max_rows: match rng.below(3) {
+            0 => 0,
+            1 => rng.below(10) as usize,
+            _ => number(rng) as usize,
+        },
+    }
+}
+
+fn shard_map(rng: &mut TestRng) -> Element {
+    let nodes = (0..1 + rng.below(4)).map(|n| format!("wsp://registry/{n}"));
+    ShardMap::build(nodes.collect(), 1 + rng.below(4) as u32, 3, number(rng)).to_element()
+}
+
+/// Any registry request: every operation, stamped or not.
+struct Requests;
+
+impl Strategy for Requests {
+    type Value = UddiRequest<'static>;
+
+    fn generate(&self, rng: &mut TestRng) -> UddiRequest<'static> {
+        let keys = |rng: &mut TestRng| Cow::Owned(list(rng, |rng| tricky_text(rng, 3)));
+        let op = match rng.below(11) {
+            0 => UddiOp::FindService(Cow::Owned(query(rng))),
+            1 => UddiOp::FindServiceDetail(Cow::Owned(query(rng))),
+            2 => UddiOp::GetServiceDetail(keys(rng)),
+            3 => UddiOp::SaveService {
+                tmodels: Cow::Owned(list(rng, tmodel)),
+                services: Cow::Owned(list(rng, record)),
+            },
+            4 => UddiOp::SaveTModel(Cow::Owned(list(rng, tmodel))),
+            5 => UddiOp::GetTModelDetail(keys(rng)),
+            6 => UddiOp::DeleteService(keys(rng)),
+            7 => UddiOp::SaveBusiness(Cow::Owned(list(rng, entity))),
+            8 => UddiOp::FindBusiness(Cow::Owned(tricky_text(rng, 3))),
+            9 => UddiOp::GetShardMap,
+            _ => UddiOp::GetDataVersions,
+        };
+        let map_epoch = rng.chance(1, 2).then(|| number(rng));
+        UddiRequest { op, map_epoch }
+    }
+}
+
+/// Any registry answer, a fault carrying the shard map among them.
+struct Responses;
+
+impl Strategy for Responses {
+    type Value = UddiResponse;
+
+    fn generate(&self, rng: &mut TestRng) -> UddiResponse {
+        match rng.below(9) {
+            0 => UddiResponse::ServiceList(list(rng, |rng| ServiceInfo {
+                key: tricky_text(rng, 3),
+                name: tricky_text(rng, 3),
+                business_key: tricky_text(rng, 2),
+            })),
+            1 => UddiResponse::ServiceDetail(list(rng, record)),
+            2 => UddiResponse::TModelDetail(list(rng, tmodel)),
+            3 => UddiResponse::BusinessDetail(list(rng, entity)),
+            4 => UddiResponse::BusinessList(list(rng, |rng| {
+                (tricky_text(rng, 3), tricky_text(rng, 3))
+            })),
+            5 => UddiResponse::Disposition {
+                deleted: number(rng) as usize,
+            },
+            6 => UddiResponse::DataVersions(DataVersions {
+                epoch: number(rng),
+                versions: list(rng, number),
+            }),
+            7 => UddiResponse::Other(shard_map(rng)),
+            _ => {
+                let reason = tricky_text(rng, 4);
+                let fault = match rng.chance(1, 2) {
+                    true => Fault::sender(reason),
+                    false => Fault::receiver(reason),
+                };
+                UddiResponse::Fault(fault.with_detail(shard_map(rng)))
+            }
+        }
+    }
+}
+
+/// The tree writer's `request`: the document the registry client used
+/// to build, the model's trees under the operation's element.
+fn registry_request_tree(request: &UddiRequest<'_>) -> Element {
+    let (ns, local) = request.op.name();
+    let mut e = match &request.op {
+        UddiOp::FindService(query) | UddiOp::FindServiceDetail(query) => query.to_request(local),
+        _ => Element::new(ns, local),
+    };
+    let text = |local: &'static str, value: &str| {
+        Element::build(UDDI_NS, local)
+            .text(value.to_owned())
+            .finish()
+    };
+    let children: Vec<Element> = match &request.op {
+        UddiOp::GetServiceDetail(keys) | UddiOp::DeleteService(keys) => {
+            keys.iter().map(|key| text("serviceKey", key)).collect()
+        }
+        UddiOp::GetTModelDetail(keys) => keys.iter().map(|key| text("tModelKey", key)).collect(),
+        UddiOp::SaveService { tmodels, services } => (tmodels.iter().map(TModel::to_element))
+            .chain(services.iter().map(BusinessService::to_element))
+            .collect(),
+        UddiOp::SaveTModel(tmodels) => tmodels.iter().map(TModel::to_element).collect(),
+        UddiOp::SaveBusiness(entities) => entities.iter().map(BusinessEntity::to_element).collect(),
+        UddiOp::FindBusiness(pattern) => vec![text("name", pattern)],
+        _ => Vec::new(),
+    };
+    children.into_iter().for_each(|child| e.push_element(child));
+    if let Some(epoch) = request.map_epoch {
+        e.set_attribute(QName::local("mapEpoch"), epoch.to_string());
+    }
+    e
+}
+
+/// The tree writer's `response`: the envelope the registries used to
+/// build.
+fn registry_response_tree(response: &UddiResponse) -> Envelope {
+    let detail = |local: &'static str, children: Vec<Element>| {
+        Element::build(UDDI_NS, local).children(children).finish()
+    };
+    let list = |local: &'static str, infos: &'static str, children: Vec<Element>| {
+        Element::build(UDDI_NS, local)
+            .child(detail(infos, children))
+            .finish()
+    };
+    let named = |local: &'static str, keys: &[(&'static str, &str)], name: &str| {
+        let mut e = Element::new(UDDI_NS, local);
+        for (attribute, value) in keys {
+            e.set_attribute(QName::local(*attribute), value.to_string());
+        }
+        e.push_element(
+            Element::build(UDDI_NS, "name")
+                .text(name.to_owned())
+                .finish(),
+        );
+        e
+    };
+    let payload = match response {
+        UddiResponse::ServiceList(infos) => list(
+            "serviceList",
+            "serviceInfos",
+            (infos.iter())
+                .map(|info| {
+                    let keys = [
+                        ("serviceKey", info.key.as_str()),
+                        ("businessKey", &info.business_key),
+                    ];
+                    named("serviceInfo", &keys, &info.name)
+                })
+                .collect(),
+        ),
+        UddiResponse::ServiceDetail(services) => detail(
+            "serviceDetail",
+            services.iter().map(BusinessService::to_element).collect(),
+        ),
+        UddiResponse::TModelDetail(tmodels) => detail(
+            "tModelDetail",
+            tmodels.iter().map(TModel::to_element).collect(),
+        ),
+        UddiResponse::BusinessDetail(entities) => detail(
+            "businessDetail",
+            entities.iter().map(BusinessEntity::to_element).collect(),
+        ),
+        UddiResponse::BusinessList(found) => list(
+            "businessList",
+            "businessInfos",
+            (found.iter())
+                .map(|(key, name)| named("businessInfo", &[("businessKey", key)], name))
+                .collect(),
+        ),
+        UddiResponse::Disposition { deleted } => Element::build(UDDI_NS, "dispositionReport")
+            .attr_str("deleted", deleted.to_string())
+            .finish(),
+        UddiResponse::DataVersions(versions) => {
+            let mut root = Element::build(REGISTRY_NS, "dataVersions")
+                .attr_str("epoch", versions.epoch.to_string())
+                .finish();
+            for (shard, version) in versions.versions.iter().enumerate() {
+                root.push_element(
+                    Element::build(REGISTRY_NS, "shard")
+                        .attr_str("id", shard.to_string())
+                        .attr_str("version", version.to_string())
+                        .finish(),
+                );
+            }
+            root
+        }
+        UddiResponse::Other(payload) => payload.clone(),
+        UddiResponse::Fault(fault) => return Envelope::fault(fault.clone()),
+    };
+    Envelope::request(payload)
+}
+
+/// `request` streamed, checked against the tree writer's bytes.
+fn registry_request_xml(request: &UddiRequest<'_>) -> String {
+    let mut out = Vec::new();
+    write_request(request, &mut out);
+    let typed = String::from_utf8(out).expect("UTF-8");
+    let tree = Envelope::request(registry_request_tree(request)).to_xml();
+    assert_eq!(typed, tree, "{request:?}");
+    typed
+}
+
+/// `response` streamed, checked against the tree writer's bytes.
+fn registry_response_xml(response: &UddiResponse) -> String {
+    let mut out = Vec::new();
+    write_response(response, &mut out);
+    let typed = String::from_utf8(out).expect("UTF-8");
+    assert_eq!(
+        typed,
+        registry_response_tree(response).to_xml(),
+        "{response:?}"
+    );
+    typed
+}
+
+/// Both readers on one request document: the typed one declines, or
+/// reads what the tree decoder decodes. Returns the typed reading.
+fn request_read_alike(xml: &str) -> Option<UddiRequest<'static>> {
+    let typed = read_request_typed(xml);
+    let tree = Envelope::from_xml(xml).map(|envelope| match envelope.payload() {
+        Some(payload) => UddiRequest::from_payload(payload),
+        None => Err(Fault::sender("UDDI request carries no body")),
+    });
+    if let Some(typed) = &typed {
+        assert_eq!(tree, Ok(Ok(typed.clone())), "read {xml}");
+    }
+    let either = read_request(xml);
+    assert_eq!(either, tree.ok(), "the reader is the two of them: {xml}");
+    typed
+}
+
+/// The same for a response document.
+fn response_read_alike(xml: &str) -> Option<UddiResponse> {
+    let typed = read_response_typed(xml);
+    let tree = Envelope::from_xml(xml).map(UddiResponse::from_envelope);
+    if let Some(typed) = &typed {
+        assert_eq!(tree, Ok(Ok(typed.clone())), "read {xml}");
+    }
+    match (read_response(xml), tree) {
+        (Ok(either), Ok(Ok(tree))) => assert_eq!(either, tree, "{xml}"),
+        (either, tree) => assert!(either.is_err() && !matches!(tree, Ok(Ok(_))), "{xml}"),
+    }
+    typed
+}
+
+/// `payload` with `edit` applied to its `n`-th element in document
+/// order; `None` past the last.
+fn edited(payload: &Element, n: usize, edit: &dyn Fn(&mut Element)) -> Option<Element> {
+    fn walk(e: &mut Element, n: &mut usize, edit: &dyn Fn(&mut Element)) -> bool {
+        if *n == 0 {
+            edit(e);
+            return true;
+        }
+        *n -= 1;
+        e.children_mut().iter_mut().any(|child| match child {
+            Node::Element(child) => walk(child, n, edit),
+            _ => false,
+        })
+    }
+    let mut payload = payload.clone();
+    walk(&mut payload, &mut { n }, edit).then_some(payload)
+}
+
+/// Every text and attribute value under `e` with a mark appended.
+fn marked(e: &mut Element) {
+    e.attributes_mut()
+        .iter_mut()
+        .for_each(|a| a.value.push('1'));
+    for child in e.children_mut() {
+        match child {
+            Node::Element(child) => marked(child),
+            Node::Text(text) => text.push('1'),
+            _ => {}
+        }
+    }
+    if e.children().is_empty() {
+        e.push_text("1");
+    }
+}
+
+/// Every child list and attribute list under `e` reversed.
+fn reversed(e: &mut Element) {
+    e.children_mut().reverse();
+    e.attributes_mut().reverse();
+    for child in e.children_mut() {
+        if let Node::Element(child) = child {
+            reversed(child);
+        }
+    }
+}
+
+/// Writers: the bytes are the tree writer's for every request and
+/// answer. Readers, on those documents: the typed reader reads every
+/// request and every answer but a fault and the shard map, and reads
+/// each as the value that was written — which the tree decoders decode
+/// too.
+#[test]
+fn registry_documents_are_written_and_read_alike() {
+    let mut rng = TestRng::for_test("typed_codec::registry_documents");
+    for _ in 0..256 {
+        let request = Requests.generate(&mut rng);
+        let xml = registry_request_xml(&request);
+        assert_eq!(request_read_alike(&xml), Some(request), "{xml}");
+
+        let response = Responses.generate(&mut rng);
+        let xml = registry_response_xml(&response);
+        let typed = response_read_alike(&xml);
+        match response {
+            UddiResponse::Fault(_) | UddiResponse::Other(_) => {
+                assert_eq!(typed, None, "{xml}");
+                assert_eq!(read_response(&xml), Ok(response), "{xml}");
+            }
+            response => assert_eq!(typed, Some(response), "{xml}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Cut or damaged at every offset, a request and an answer are still
+    /// declined or read alike — never read differently.
+    #[test]
+    fn damaged_registry_documents_are_declined_or_read_alike(
+        request in Requests,
+        response in Responses,
+    ) {
+        for document in damaged(&registry_request_xml(&request)) {
+            request_read_alike(&document);
+        }
+        for document in damaged(&registry_response_xml(&response)) {
+            response_read_alike(&document);
+        }
+    }
+
+    /// Shapes by name. Children and attributes in another order, a child
+    /// repeated, an attribute left out: read alike, and layout and order
+    /// are not shape — still read typed. A foreign attribute or child anywhere
+    /// in the document: declined. A fault, an unknown operation, an
+    /// empty body, SOAP 1.1: declined, and the tree decoders answer.
+    #[test]
+    fn registry_shapes_outside_the_typed_readers_are_declined(
+        request in Requests,
+        response in Responses,
+    ) {
+        let request_payload = registry_request_tree(&request);
+        let response_payload = match registry_response_tree(&response).into_body() {
+            wsp_soap::Body::Payload(payload) => payload,
+            _ => Element::new("urn:wspeer:test:not-registry", "fault"),
+        };
+        let typed_request = |payload: Element| {
+            request_read_alike(&Envelope::request(payload).to_xml())
+        };
+        let typed_response = |payload: Element| {
+            response_read_alike(&Envelope::request(payload).to_xml())
+        };
+        let mut backwards = request_payload.clone();
+        reversed(&mut backwards);
+        prop_assert!(typed_request(backwards).is_some(), "{request:?}");
+        let pretty = Envelope::request(request_payload.clone()).to_element().to_pretty_xml();
+        prop_assert!(request_read_alike(&pretty).is_some(), "{pretty}");
+        let canonical = typed_response(response_payload.clone()).is_some();
+        let mut backwards = response_payload.clone();
+        reversed(&mut backwards);
+        prop_assert_eq!(typed_response(backwards).is_some(), canonical, "{:?}", response);
+
+        let foreign_attribute = |e: &mut Element| e.set_attribute(QName::new("urn:f", "x"), "1");
+        let plain_attribute = |e: &mut Element| e.set_attribute(QName::local("extra"), "1");
+        let foreign_child = |e: &mut Element| e.push_element(Element::new(UDDI_NS, "extra"));
+        // The `k`-th child element repeated at the end, its text and
+        // attribute values changed: which of the two a reader takes shows.
+        let repeated = |k: usize| {
+            move |e: &mut Element| {
+                let mut child = e.child_elements().nth(k).cloned();
+                child.iter_mut().for_each(marked);
+                child.into_iter().for_each(|child| e.push_element(child));
+            }
+        };
+        // The `k`-th attribute left out.
+        let dropped = |k: usize| {
+            move |e: &mut Element| {
+                if k < e.attributes().len() {
+                    e.attributes_mut().remove(k);
+                }
+            }
+        };
+        for n in 0.. {
+            let Some(variant) = edited(&request_payload, n, &foreign_attribute) else { break };
+            prop_assert!(typed_request(variant).is_none(), "{request:?} #{n}");
+            let variant = edited(&request_payload, n, &plain_attribute).expect("as many");
+            typed_request(variant);
+            let variant = edited(&request_payload, n, &foreign_child).expect("as many");
+            prop_assert!(typed_request(variant).is_none(), "{request:?} #{n}");
+            for k in 0..8 {
+                typed_request(edited(&request_payload, n, &repeated(k)).expect("as many"));
+                typed_request(edited(&request_payload, n, &dropped(k)).expect("as many"));
+            }
+        }
+        for n in 0.. {
+            let Some(variant) = edited(&response_payload, n, &foreign_attribute) else { break };
+            prop_assert!(typed_response(variant).is_none(), "{response:?} #{n}");
+            let variant = edited(&response_payload, n, &plain_attribute).expect("as many");
+            prop_assert!(typed_response(variant).is_none(), "{response:?} #{n}");
+            let variant = edited(&response_payload, n, &foreign_child).expect("as many");
+            prop_assert!(typed_response(variant).is_none(), "{response:?} #{n}");
+            for k in 0..8 {
+                typed_response(edited(&response_payload, n, &repeated(k)).expect("as many"));
+                typed_response(edited(&response_payload, n, &dropped(k)).expect("as many"));
+            }
+        }
+
+        let unknown = Envelope::request(Element::new(UDDI_NS, "discard_everything")).to_xml();
+        prop_assert!(request_read_alike(&unknown).is_none());
+        prop_assert!(read_request(&unknown).is_some_and(|refused| refused.is_err()));
+        let empty = Envelope::empty().to_xml();
+        prop_assert!(request_read_alike(&empty).is_none() && response_read_alike(&empty).is_none());
+        let soap11 = registry_request_xml(&request)
+            .replace(wsp_soap::SOAP_ENV_NS, "http://schemas.xmlsoap.org/soap/envelope/");
+        prop_assert!(request_read_alike(&soap11).is_none() && read_request(&soap11).is_none());
+    }
+}
+
+/// Soup for the registry readers: pieces of the documents they read —
+/// tags of the vocabulary, the envelope's, attributes, numbers good
+/// and bad — tricky text, and raw bytes made text.
+struct RegistrySoup;
+
+impl Strategy for RegistrySoup {
+    type Value = String;
+
+    fn generate(&self, rng: &mut TestRng) -> String {
+        const PIECES: [&str; 24] = [
+            "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\">",
+            "</env:Envelope>",
+            "<env:Body>",
+            "</env:Body>",
+            "<env:Header/>",
+            "<u:serviceDetail xmlns:u=\"urn:uddi-org:api_v2\">",
+            "<u:businessService serviceKey=\"k\" leaseTtlMs=\"",
+            "<u:bindingTemplates><u:bindingTemplate bindingKey=\"b\">",
+            "<u:accessPoint URLType=\"http\">",
+            "<u:categoryBag><u:keyedReference tModelKey=\"t\" keyValue=\"v\"/>",
+            "<u:name>",
+            "</u:name>",
+            "<u:find_serviceDetail xmlns:u=\"urn:uddi-org:api_v2\" maxRows=\"",
+            "<r:dataVersions xmlns:r=\"urn:wsp:registry\" epoch=\"1\"><r:shard id=\"",
+            "\" version=\"",
+            "\" mapEpoch=\"",
+            "<u:dispositionReport deleted=\"",
+            "18446744073709551616",
+            "99999999999",
+            "-1",
+            "\">",
+            "\"/>",
+            "</",
+            ">",
+        ];
+        let mut soup = String::new();
+        for _ in 0..rng.below(24) {
+            match rng.below(4) {
+                0 => soup.push_str(&tricky_text(rng, 2)),
+                1 => {
+                    let bytes: Vec<u8> = (0..rng.below(6)).map(|_| rng.next_u64() as u8).collect();
+                    soup.push_str(&String::from_utf8_lossy(&bytes));
+                }
+                _ => soup.push_str(PIECES[rng.below(PIECES.len() as u64) as usize]),
+            }
+        }
+        soup
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Whatever arrives, the registry readers answer — a value, a
+    /// refusal, a decline — and never panic; where the typed reader does
+    /// answer, the tree decoders answer the same.
+    #[test]
+    fn registry_readers_never_panic_on_soup(soup in RegistrySoup, request in Requests) {
+        request_read_alike(&soup);
+        response_read_alike(&soup);
+        // Soup spliced into a whole document, where the readers go deep.
+        let xml = registry_request_xml(&request);
+        let at = (soup.len() % xml.len().max(1)..xml.len())
+            .find(|&at| xml.is_char_boundary(at))
+            .unwrap_or(xml.len());
+        let spliced = format!("{}{soup}{}", &xml[..at], &xml[at..]);
+        request_read_alike(&spliced);
+        response_read_alike(&spliced);
     }
 }

@@ -10,13 +10,15 @@
 //! `SEEDED_VOCABULARY` is a reference-counted entry on every message
 //! that carries it and one of 4 096 slots hostile peers compete for.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use wsp_p2ps::{advert_to_epr, P2psMessage, PeerId, PipeAdvertisement, ServiceAdvertisement};
 use wsp_registry::{ClusterConfig, RegistryCluster};
 use wsp_soap::{Envelope, MessageHeaders};
+use wsp_uddi::wire::{write_request, write_response};
 use wsp_uddi::{
     BindingTemplate, BusinessService, KeyedReference, Registry, ServiceQuery, TModel, UddiApi,
-    FIND_SERVICE_DETAIL, UDDI_NS,
+    UddiOp, UddiRequest,
 };
 use wsp_wsdl::{Port, ServiceDescriptor, ServiceProxy, TransportKind, Value, WsdlDocument};
 use wsp_xml::{Element, NameTable, Node};
@@ -62,17 +64,23 @@ fn documents() -> Vec<(&'static str, String)> {
         .with_lease_ttl_ms(30_000)
         .with_category(KeyedReference::new("uddi:wspeer:cat", "domain", "demo"))
         .with_binding(BindingTemplate::new("", "http://h/Echo").with_tmodel("uddi:wspeer:tm:echo"));
-    let mut save = Element::new(UDDI_NS, "save_service");
-    save.push_element(tmodel.to_element());
-    save.push_element(record.to_element());
+    let (tmodels, services) = ([tmodel], [record]);
+    let save = UddiOp::SaveService {
+        tmodels: Cow::Borrowed(&tmodels),
+        services: Cow::Borrowed(&services),
+    };
     let find = ServiceQuery::by_name("Echo")
         .with_category(KeyedReference::new("uddi:wspeer:cat", "domain", "demo"))
-        .with_max_rows(5)
-        .to_request(FIND_SERVICE_DETAIL);
-    for (label, payload) in [("save_service", save), ("find_serviceDetail", find)] {
-        let request = Envelope::request(payload);
-        documents.push((label, request.to_xml()));
-        documents.push((label, api.process(&request).to_xml()));
+        .with_max_rows(5);
+    let find = UddiOp::FindServiceDetail(Cow::Borrowed(&find));
+    for (label, op) in [("save_service", save), ("find_serviceDetail", find)] {
+        let request = UddiRequest::new(op);
+        let (mut asked, mut answered) = (Vec::new(), Vec::new());
+        write_request(&request, &mut asked);
+        write_response(&api.process(&request), &mut answered);
+        for bytes in [asked, answered] {
+            documents.push((label, String::from_utf8(bytes).expect("UTF-8")));
+        }
     }
 
     let advert = ServiceAdvertisement::new("Echo", PeerId(0xBE01))
