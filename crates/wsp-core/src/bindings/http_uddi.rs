@@ -21,7 +21,7 @@ use wsp_http::{
     guard_router, ConnectionPool, HttpUri, HttpgCredential, Request, Response, ServerConfig,
     TcpServer, DEFAULT_CLIENT_TIMEOUT,
 };
-use wsp_soap::{Envelope, MessageHeaders};
+use wsp_soap::MessageHeaders;
 use wsp_uddi::{BindingTemplate, BusinessService, TModel, UddiClient};
 use wsp_wsdl::{proxy, Port, TransportKind, Value, WsdlDocument};
 
@@ -667,15 +667,13 @@ impl Invoker for HttpInvoker {
                 WspError::Invoke(why)
             });
         }
-        // And straight from them — a fault, or any document the typed
-        // reader does not know, is parsed as an envelope.
-        let xml = response.body_str();
-        if let Some(value) = proxy::read_response(descriptor, operation, &xml) {
-            return Ok(value);
-        }
-        let envelope = Envelope::from_xml(&xml)
-            .map_err(|e| WspError::Invoke(format!("unparseable response: {e}")))?;
-        Ok(proxy::decode_response(descriptor, operation, &envelope)?)
+        // And straight from them: the result, or the fault the service
+        // answered with.
+        Ok(proxy::read_response(
+            descriptor,
+            operation,
+            &response.body_str(),
+        )?)
     }
 
     fn handles(&self, endpoint: &str) -> bool {

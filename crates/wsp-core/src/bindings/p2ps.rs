@@ -50,8 +50,9 @@ use wsp_p2ps::{
     decode_request, encode_response, P2psUri, PipeAdvertisement, RpcCorrelator,
     ServiceAdvertisement, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE, P2PS_NS,
 };
+use wsp_soap::typed::{read_envelope, Payload};
 use wsp_soap::{Envelope, Fault, HeaderBlock, MessageHeaders};
-use wsp_wsdl::{proxy, Port, ServiceDescriptor, TransportKind, Value, WsdlDocument};
+use wsp_wsdl::{proxy, Port, ProxyError, ServiceDescriptor, TransportKind, Value, WsdlDocument};
 use wsp_xml::Element;
 
 /// Timing knobs of the P2PS binding.
@@ -246,7 +247,7 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
                 // sees the propagated deadline, admitted (or shed)
                 // before it is queued, then served on the worker pool
                 // so the inbox never blocks on a handler.
-                admit_and_serve(shared, pipe, &payload);
+                admit_and_serve(shared, pipe, payload);
             } else {
                 // A return pipe: correlate with an outstanding call
                 // and complete its handle.
@@ -271,19 +272,21 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
 /// immediately with the `wsp:overloaded` busy fault and its retry hint —
 /// and the serve on the pool, under the propagated deadline (expired
 /// deadlines are shed again at dequeue), the worker sending the reply.
-fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: &str) {
+fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: String) {
     let hosting = shared.hosting();
     let name = pipe.service.as_deref().expect("checked by caller");
     let definition = pipe.name == DEFINITION_PIPE;
     // The first deadline block among the headers that are not
-    // WS-Addressing's, whichever reader shows them.
+    // WS-Addressing's.
     let mut budget = None;
-    let mut foreign = |block: &Element| budget = budget.or_else(|| overload::deadline_in(block));
+    let mut foreign = |block: &HeaderBlock| {
+        budget = budget.or_else(|| overload::deadline_in(&block.element));
+    };
     let service = match hosting.service(name) {
         Some(service) if !definition => service,
         // No engine to read a body for: the headers say where to answer.
         hosted => {
-            let Some(headers) = decode_request(payload, &mut foreign) else {
+            let Some(headers) = decode_request(&payload, &mut foreign) else {
                 return;
             };
             let route = encode_response(&headers);
@@ -308,11 +311,11 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: &str)
         }
     };
     // A request that does not read as an envelope is dropped.
-    let Ok(request) = hosting.read(&service, payload, &mut foreign) else {
+    let Ok(request) = hosting.read(&service, &payload, &mut foreign) else {
         return;
     };
     let deadline = budget.flatten();
-    let route = encode_response(&request.headers());
+    let route = encode_response(&request.headers);
     // Pipes carry no correlation token (yet): the serve is traced
     // under id 0, as an HTTP request without the header is.
     let correlation = 0;
@@ -329,7 +332,7 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: &str)
         .dispatcher()
         .execute_with_deadline(deadline, move || {
             let readdress = route.as_ref().map(|(_, headers)| headers);
-            let request = Incoming::Read(request);
+            let request = Incoming::Read(request, &payload);
             let served =
                 job_hosting.serve(&service, request, readdress, correlation, deadline, permit);
             if let (Some(bytes), Some((reply_pipe, _))) = (served.into_bytes(), route) {
@@ -421,25 +424,37 @@ fn request_over_pipe(
     }
 }
 
-/// The envelope the response to request `token` is, for whoever could
-/// not read it typed. A `wsp:overloaded` receiver fault is a shed, not
-/// an application fault: it surfaces as `Overloaded`, so the retry loop
-/// honours the server's hint without counting the endpoint unhealthy.
-fn parsed_response(token: u64, payload: &str) -> Result<Envelope, WspError> {
-    let envelope = Envelope::from_xml(payload)
-        .map_err(|e| WspError::Invoke(format!("unparseable response: {e}")))?;
-    let busy = envelope.fault_body();
-    if let Some(hint) = busy.and_then(|fault| overload::parse_busy_fault(&fault.reason)) {
-        telemetry::global().span(
-            telemetry::current_correlation(),
-            "p2ps.shed",
-            format_args!("rpc_token={token}"),
-        );
-        return Err(WspError::Overloaded {
-            retry_after_ms: hint,
-        });
+/// What the response to request `token` refused the call with. A
+/// `wsp:overloaded` fault is a shed, not an application fault: it
+/// surfaces as `Overloaded`, so the retry loop honours the server's hint
+/// without counting the endpoint unhealthy.
+fn refusal(token: u64, error: ProxyError) -> WspError {
+    let busy = match &error {
+        ProxyError::Fault(fault) => overload::parse_busy_fault(&fault.reason),
+        _ => None,
+    };
+    let Some(hint) = busy else {
+        return error.into();
+    };
+    telemetry::global().span(
+        telemetry::current_correlation(),
+        "p2ps.shed",
+        format_args!("rpc_token={token}"),
+    );
+    WspError::Overloaded {
+        retry_after_ms: hint,
     }
-    Ok(envelope)
+}
+
+/// The WSDL a definition pipe answered with — a document by nature,
+/// read as a tree — if it answered with one.
+fn definition_in(payload: &str) -> Option<WsdlDocument> {
+    let (_, read) = read_envelope(payload, &mut |_| {}, |body| match body {
+        Payload::Element(reader) => Ok(reader.read_subtree()?),
+        _ => Err(Fault::sender("no definition").into()),
+    })
+    .ok()?;
+    WsdlDocument::from_element(&read.ok()?).ok()
 }
 
 // --- deployer ----------------------------------------------------------------
@@ -590,15 +605,12 @@ impl ServiceLocator for P2psLocator {
                 get.set_addressing(headers.clone());
                 Ok(get.to_xml_bytes())
             };
-            let Ok(response) = request_over_pipe(&self.shared, definition_pipe.clone(), get)
-                .and_then(|(token, payload)| parsed_response(token, &payload))
+            let answered = request_over_pipe(&self.shared, definition_pipe.clone(), get);
+            // A provider that vanished mid-discovery, or answered garbage.
+            let Some(wsdl) = answered
+                .ok()
+                .and_then(|(_, payload)| definition_in(&payload))
             else {
-                continue; // provider vanished mid-discovery
-            };
-            let Some(defs) = response.payload() else {
-                continue;
-            };
-            let Ok(wsdl) = WsdlDocument::from_element(defs) else {
                 continue;
             };
             found.push(LocatedService::new(
@@ -652,11 +664,7 @@ impl Invoker for P2psInvoker {
             return Ok(Value::Null);
         }
         let (token, payload) = request_over_pipe(&self.shared, target, write)?;
-        if let Some(value) = proxy::read_response(descriptor, operation, &payload) {
-            return Ok(value);
-        }
-        let response = parsed_response(token, &payload)?;
-        Ok(proxy::decode_response(descriptor, operation, &response)?)
+        proxy::read_response(descriptor, operation, &payload).map_err(|e| refusal(token, e))
     }
 
     fn handles(&self, endpoint: &str) -> bool {

@@ -49,7 +49,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsp_http::{Headers, Response};
 use wsp_simnet::Machine;
-use wsp_soap::Envelope;
 
 /// Request header carrying the caller's *remaining* call budget in
 /// milliseconds. Relative (a duration) rather than absolute so clock
@@ -541,16 +540,8 @@ pub fn deadline_from_headers(headers: &Headers) -> Option<Instant> {
     headers.get(DEADLINE_HEADER).and_then(parse_deadline)
 }
 
-/// The propagated deadline of a request that arrived over a pipe: the
-/// [`DEADLINE_SOAP_HEADER`] block, if present.
-pub fn deadline_from_envelope(envelope: &Envelope) -> Option<Instant> {
-    let mut blocks = envelope.headers().iter();
-    blocks
-        .find_map(|block| deadline_in(&block.element))
-        .flatten()
-}
-
-/// [`deadline_from_envelope`] one header block at a time: `Some` if
+/// The propagated deadline of a request that arrived over a pipe, one
+/// header block at a time as the envelope reader shows them: `Some` if
 /// `block` is the [`DEADLINE_SOAP_HEADER`] (the first one counts).
 pub fn deadline_in(block: &wsp_xml::Element) -> Option<Option<Instant>> {
     let named = block.name().is("", DEADLINE_SOAP_HEADER);

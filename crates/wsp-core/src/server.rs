@@ -22,13 +22,12 @@ use crate::overload::{
 };
 use crate::telemetry::{self, CorrelationScope, Histogram};
 use parking_lot::RwLock;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use wsp_soap::codec::SoapError;
-use wsp_soap::{Envelope, MessageHeaders};
+use wsp_soap::{Envelope, HeaderBlock, MessageHeaders};
 use wsp_wsdl::{
     MessageEngine, Port, ServiceDescriptor, ServiceHandler, TypedRequest, WsdlDocument,
 };
@@ -84,34 +83,14 @@ impl HostedService {
     }
 }
 
-/// A request read off the wire by [`Hosting::read`].
-pub enum Request {
-    /// Read with no tree, as far as the handler call: nobody listens,
-    /// and [`MessageEngine::read_request`] knows the document's shape.
-    Typed(TypedRequest),
-    /// The parsed envelope, for the application to see either side of
-    /// the engine — and for every document the typed reader declined.
-    Envelope(Envelope),
-}
-
-impl Request {
-    /// The request's WS-Addressing headers, which a substrate that
-    /// routes replies by them (P2PS `ReplyTo`) reads before it serves.
-    pub fn headers(&self) -> Cow<'_, MessageHeaders> {
-        match self {
-            Request::Typed(typed) => Cow::Borrowed(&typed.headers),
-            Request::Envelope(envelope) => Cow::Owned(envelope.addressing().unwrap_or_default()),
-        }
-    }
-}
-
 /// A request as the substrate hands it to [`Hosting::serve`].
 #[allow(clippy::large_enum_variant)] // moved once; a box would be an allocation per request
 pub enum Incoming<'a> {
     /// The envelope's XML as it came off the wire.
     Xml(&'a str),
-    /// Already read — by a substrate that had to see the headers first.
-    Read(Request),
+    /// Already read, by a substrate that had to see the headers first,
+    /// from the XML beside it (which a listener is shown).
+    Read(TypedRequest, &'a str),
 }
 
 /// What serving one request produced.
@@ -216,26 +195,19 @@ impl Hosting {
             })
     }
 
-    /// Read a request to `service` off the wire. The one place a codec
-    /// is chosen, by what can be observed here: with no listener on the
-    /// peer's bus nobody will ask for the envelope, so the typed reader
-    /// has the first go; with one, or for a document that reader
-    /// declines, the envelope is parsed for [`Hosting::serve`] to show.
-    /// `foreign` sees the header blocks outside WS-Addressing, maybe twice.
+    /// Read a request to `service` off the wire — one reader, whoever
+    /// listens. `foreign` sees every header block that is not a
+    /// WS-Addressing header the engine reads, once. A request the engine
+    /// refuses still carries the headers it was read under, so a
+    /// substrate that routes replies by them (P2PS `ReplyTo`) routes its
+    /// fault; `Err` is a document that is not a SOAP envelope at all.
     pub fn read(
         &self,
         service: &HostedService,
         xml: &str,
-        foreign: &mut dyn FnMut(&Element),
-    ) -> Result<Request, SoapError> {
-        if self.events.listener_count() == 0 {
-            if let Some(typed) = service.engine.read_request(xml, foreign) {
-                return Ok(Request::Typed(typed));
-            }
-        }
-        let envelope = Envelope::from_xml(xml)?;
-        wsp_soap::typed::show_foreign(&envelope, foreign);
-        Ok(Request::Envelope(envelope))
+        foreign: &mut dyn FnMut(&HeaderBlock),
+    ) -> Result<TypedRequest, SoapError> {
+        service.engine.read_request(xml, foreign)
     }
 
     /// Serve one admitted request. Everything fired or invoked from
@@ -261,10 +233,10 @@ impl Hosting {
         let registry = telemetry::global();
         let started = Instant::now();
         let name = service.name();
-        let request = match request {
-            Incoming::Read(request) => request,
+        let (request, xml) = match request {
+            Incoming::Read(request, xml) => (request, xml),
             Incoming::Xml(xml) => match self.read(service, xml, &mut |_| {}) {
-                Ok(request) => request,
+                Ok(request) => (request, xml),
                 Err(e) => {
                     registry.span(
                         correlation,
@@ -275,17 +247,7 @@ impl Hosting {
                 }
             },
         };
-        let served = match request {
-            Request::Typed(typed) => {
-                let mut bytes = wsp_xml::BufPool::global().take();
-                match service.engine.answer(&typed, readdress, &mut bytes) {
-                    Some(false) => Served::Reply(bytes),
-                    Some(true) => Served::Fault(bytes),
-                    None => Served::OneWay,
-                }
-            }
-            Request::Envelope(envelope) => self.process(service, envelope, readdress),
-        };
+        let served = self.answer(service, &request, xml, readdress);
         self.serve_us.record_micros(started.elapsed());
         registry.span(
             correlation,
@@ -295,34 +257,46 @@ impl Hosting {
         served
     }
 
-    /// The engine, with the application shown the message either side
-    /// of it.
-    fn process(
+    /// The engine, the application shown the message either side of it
+    /// when it listens: the request as parsed from `xml`, the response
+    /// as parsed from the bytes the engine wrote under its own headers —
+    /// and written a second time under `readdress`, if there is one, for
+    /// the wire. Nobody listening, nothing is parsed and the response is
+    /// written once.
+    fn answer(
         &self,
         service: &HostedService,
-        envelope: Envelope,
+        request: &TypedRequest,
+        xml: &str,
         readdress: Option<&MessageHeaders>,
     ) -> Served {
-        let name = service.name();
-        self.events.fire_server_with(|| ServerMessageEvent {
+        let (engine, name) = (&service.engine, service.name());
+        let view = |phase, xml: &str| ServerMessageEvent {
             service: name.to_owned(),
-            phase: ServerPhase::Inbound,
-            envelope: envelope.clone(),
-        });
-        let Some(mut response) = service.engine.process(&envelope) else {
+            phase,
+            envelope: Envelope::from_xml(xml).expect("what the engine read or wrote parses"),
+        };
+        self.events
+            .fire_server_with(|| view(ServerPhase::Inbound, xml));
+        let Some(outcome) = engine.call(request) else {
             return Served::OneWay;
         };
-        self.events.fire_server_with(|| ServerMessageEvent {
-            service: name.to_owned(),
-            phase: ServerPhase::Outbound,
-            envelope: response.clone(),
-        });
-        if let Some(headers) = readdress {
-            response.set_addressing(headers.clone());
+        let watched = self.events.listener_count() > 0;
+        let mut bytes = wsp_xml::BufPool::global().take();
+        let first = if watched { None } else { readdress };
+        let fault = engine.write_response(request, &outcome, first, &mut bytes);
+        if watched {
+            let written = std::str::from_utf8(&bytes).expect("writer output is UTF-8");
+            self.events
+                .fire_server(&view(ServerPhase::Outbound, written));
+            if let Some(headers) = readdress {
+                bytes.clear();
+                engine.write_response(request, &outcome, Some(headers), &mut bytes);
+            }
         }
-        match response.fault_body() {
-            Some(_) => Served::Fault(response.to_xml_bytes()),
-            None => Served::Reply(response.to_xml_bytes()),
+        match fault {
+            true => Served::Fault(bytes),
+            false => Served::Reply(bytes),
         }
     }
 
@@ -540,6 +514,7 @@ impl Server {
 mod tests {
     use super::*;
     use crate::events::CollectingListener;
+    use wsp_soap::typed::Rule;
     use wsp_wsdl::{proxy, TransportKind, Value};
 
     /// A substrate with no wire: it names `test://` ports and carries
@@ -713,20 +688,25 @@ mod tests {
         hosting.serve(&service, request, None, 0, None, permit)
     }
 
-    fn envelope_of(served: Served) -> Envelope {
+    /// What the client reads of `served`, an answer to `operation` of
+    /// `descriptor`.
+    fn answered(served: Served, descriptor: &ServiceDescriptor, operation: &str) -> Reply {
         let bytes = served.into_bytes().expect("an answer");
-        Envelope::from_xml(std::str::from_utf8(&bytes).expect("UTF-8")).expect("an envelope")
+        let xml = std::str::from_utf8(&bytes).expect("UTF-8");
+        proxy::read_response(descriptor, operation, xml)
     }
 
-    fn echo_request(text: &str) -> Envelope {
+    type Reply = Result<Value, wsp_wsdl::ProxyError>;
+
+    fn echoed(served: Served) -> Reply {
+        answered(served, &ServiceDescriptor::echo(), "echoString")
+    }
+
+    fn echo_request(text: &str) -> String {
         let descriptor = ServiceDescriptor::echo();
-        proxy::encode_request(
-            &descriptor,
-            "test://here/Echo",
-            "echoString",
-            &[Value::string(text)],
-        )
-        .unwrap()
+        let args = [Value::string(text)];
+        let request = proxy::encode_request(&descriptor, "test://here/Echo", "echoString", &args);
+        request.unwrap().to_xml()
     }
 
     #[test]
@@ -736,24 +716,17 @@ mod tests {
             .deploy(ServiceDescriptor::echo(), echo_handler())
             .unwrap();
         let request = echo_request("hi");
-        // Off the wire and already decoded are the same request.
-        for incoming in [
-            Incoming::Xml(&request.to_xml()),
-            Incoming::Read(Request::Envelope(request.clone())),
-        ] {
+        let hosting = server.hosting();
+        let service = hosting.service("Echo").unwrap();
+        let read = hosting.read(&service, &request, &mut |_| {}).unwrap();
+        // Off the wire and already read are the same request.
+        for incoming in [Incoming::Xml(&request), Incoming::Read(read, &request)] {
             let served = echo_through(&server, incoming);
             assert_eq!(served.status(), 200);
-            let reply = envelope_of(served);
-            let value =
-                proxy::decode_response(&ServiceDescriptor::echo(), "echoString", &reply).unwrap();
-            assert_eq!(value, Value::string("hi"));
+            assert_eq!(echoed(served), Ok(Value::string("hi")));
         }
-        let phases: Vec<ServerPhase> = listener
-            .server_messages
-            .read()
-            .iter()
-            .map(|e| e.phase)
-            .collect();
+        let seen = listener.server_messages.read();
+        let phases: Vec<ServerPhase> = seen.iter().map(|e| e.phase).collect();
         assert_eq!(
             phases,
             [
@@ -763,6 +736,10 @@ mod tests {
                 ServerPhase::Outbound
             ]
         );
+        // The views: the request as it came, the response as written.
+        assert_eq!(seen[0].envelope, Envelope::from_xml(&request).unwrap());
+        let response = seen[1].envelope.payload().expect("a result");
+        assert_eq!(response.find_local("return").unwrap().text(), "hi");
     }
 
     #[test]
@@ -773,10 +750,16 @@ mod tests {
             .unwrap();
         let served = echo_through(&server, Incoming::Xml("<probe/>"));
         assert_eq!(served.status(), 500);
-        assert!(envelope_of(served).fault_body().is_some());
+        assert!(matches!(
+            echoed(served),
+            Err(wsp_wsdl::ProxyError::Fault(_))
+        ));
         assert!(listener.server_messages.read().is_empty());
     }
 
+    /// One reader whoever listens: a listener watches, it does not
+    /// steer. A request that breaks a shape rule earns that rule's fault
+    /// either way, and the listener sees it and its answer.
     #[test]
     fn with_nobody_listening_the_request_is_read_typed() {
         let server = Server::new(EventBus::new());
@@ -784,29 +767,71 @@ mod tests {
         server
             .deploy(ServiceDescriptor::echo(), echo_handler())
             .unwrap();
-        let hosting = server.hosting();
-        let service = hosting.service("Echo").expect("deployed");
-        let request = echo_request("hi").to_xml();
-        let read = |xml: &str| hosting.read(&service, xml, &mut |_| {});
-        assert!(matches!(read(&request), Ok(Request::Typed(_))));
-        // A document the typed reader declines is served from its tree.
+        let request = echo_request("hi");
         let odd = request.replacen("<env:Body>", "<env:Header/><env:Body>", 1);
-        assert!(matches!(read(&odd), Ok(Request::Envelope(_))));
-        let echo = ServiceDescriptor::echo();
-        for xml in [request, odd] {
-            let reply = envelope_of(echo_through(&server, Incoming::Xml(&xml)));
-            let value = proxy::decode_response(&echo, "echoString", &reply);
-            assert_eq!(value, Ok(Value::string("hi")));
+        let listener = CollectingListener::new();
+        for watched in [false, true] {
+            if watched {
+                server.hosting().events.add_listener(listener.clone());
+            }
+            let served = echo_through(&server, Incoming::Xml(&request));
+            assert_eq!(echoed(served), Ok(Value::string("hi")));
+            let refused = echo_through(&server, Incoming::Xml(&odd));
+            assert_eq!(refused.status(), 500);
+            let Err(wsp_wsdl::ProxyError::Fault(fault)) = echoed(refused) else {
+                panic!("a second Header is refused");
+            };
+            assert_eq!(Rule::of(&fault), Some(Rule::Repeated), "{fault}");
         }
-        // With somebody listening, so is every other.
-        server
-            .hosting()
-            .events
-            .add_listener(CollectingListener::new());
-        assert!(matches!(
-            read(&echo_request("hi").to_xml()),
-            Ok(Request::Envelope(_))
-        ));
+        assert_eq!(listener.server_messages.read().len(), 4);
+    }
+
+    /// A block outside WS-Addressing is shown to `foreign` once: here a
+    /// P2PS request carrying the propagated deadline whose parameters
+    /// arrive out of declaration order — a shape the engine reads.
+    #[test]
+    fn a_foreign_block_is_shown_once() {
+        use wsp_p2ps::{request_headers, with_reply_pipe, PeerId, PipeAdvertisement};
+        use wsp_wsdl::{OperationDef, XsdType};
+        let descriptor = ServiceDescriptor::new("Pair", "urn:wspeer:test:pair").operation(
+            OperationDef::new("join")
+                .input("a", XsdType::String)
+                .input("b", XsdType::String)
+                .returns(XsdType::String),
+        );
+        let server = Server::new(EventBus::new());
+        server.set_deployer(Arc::new(StubDeployer));
+        let join = |_op: &str, args: &[Value]| {
+            let [a, b] = [&args[0], &args[1]].map(|v| v.as_str().unwrap_or_default().to_owned());
+            Ok(Value::string(a + &b))
+        };
+        server.deploy(descriptor.clone(), Arc::new(join)).unwrap();
+        let args = [Value::string("x"), Value::string("y")];
+        let request = proxy::encode_request(&descriptor, "test://here/Pair", "join", &args);
+        let mut payload = request.unwrap().payload().unwrap().clone();
+        payload.children_mut().reverse();
+        let mut request = Envelope::request(payload);
+        let budget = Element::build("", crate::overload::DEADLINE_SOAP_HEADER).text("250");
+        request.add_header(HeaderBlock::new(budget.finish()));
+        let target = PipeAdvertisement::new(PeerId(0xAA), Some("Pair".into()), "join");
+        let reply = PipeAdvertisement::new(PeerId(0xBB), None, "return-1");
+        request.set_addressing(with_reply_pipe(request_headers(&target), &reply));
+        let xml = request.to_xml();
+
+        let hosting = server.hosting();
+        let service = hosting.service("Pair").unwrap();
+        let mut shown = 0;
+        let mut foreign = |block: &HeaderBlock| {
+            shown += usize::from(crate::overload::deadline_in(&block.element).is_some());
+        };
+        let read = hosting.read(&service, &xml, &mut foreign).unwrap();
+        assert_eq!(shown, 1, "the deadline block, once");
+        let permit = hosting.admit(&service, 0, None).unwrap();
+        let served = hosting.serve(&service, Incoming::Read(read, &xml), None, 0, None, permit);
+        assert_eq!(
+            answered(served, &descriptor, "join"),
+            Ok(Value::string("xy"))
+        );
     }
 
     #[test]
@@ -841,11 +866,9 @@ mod tests {
                 Arc::new(|_op: &str, _args: &[Value]| Ok(Value::string("second"))),
             )
             .unwrap();
-        let request = echo_request("first").to_xml();
-        let reply = envelope_of(echo_through(&server, Incoming::Xml(&request)));
-        let value =
-            proxy::decode_response(&ServiceDescriptor::echo(), "echoString", &reply).unwrap();
-        assert_eq!(value, Value::string("second"));
+        let request = echo_request("first");
+        let reply = echoed(echo_through(&server, Incoming::Xml(&request)));
+        assert_eq!(reply, Ok(Value::string("second")));
         assert_eq!(server.deployed_services().len(), 1);
         assert!(server.undeploy("Echo"));
         assert!(server.hosting().service("Echo").is_none());

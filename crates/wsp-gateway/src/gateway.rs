@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use wsp_core::bindings::http_uddi::CORRELATION_HEADER;
 use wsp_core::dispatch::next_correlation_token;
 use wsp_core::overload::{
-    busy_fault_reason, deadline_from_envelope, deadline_from_headers, send_budget, shed_response,
+    busy_fault_reason, deadline_from_headers, deadline_in, send_budget, shed_response,
     ANONYMOUS_TENANT, DEADLINE_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
 };
 use wsp_core::telemetry::{self, CorrelationScope};
@@ -47,7 +47,8 @@ use wsp_http::{
 use wsp_p2ps::{P2psMessage, PipeTcpConfig, PipeTcpServer};
 use wsp_registry::{RegistryError, ShardedUddiClient};
 use wsp_simnet::fnv1a;
-use wsp_soap::{constants::CONTENT_TYPE, Envelope, Fault};
+use wsp_soap::typed::{read_envelope, Payload};
+use wsp_soap::{constants::CONTENT_TYPE, Envelope, Fault, HeaderBlock};
 use wsp_uddi::ServiceQuery;
 
 /// Distinct backends tried before a request is failed over to
@@ -249,20 +250,26 @@ impl Gateway {
             .admission
             .try_admit(tenant, deadline)
             .map_err(shed_of)?;
+        let (operation, _, _) = peek(raw)?;
+        self.mediate(tenant, service, raw, operation, deadline)
+    }
 
-        let text = std::str::from_utf8(raw)
-            .map_err(|_| GatewayError::BadRequest("request is not UTF-8".into()))?;
-        let envelope = Envelope::from_xml(text)
-            .map_err(|e| GatewayError::BadRequest(format!("not a SOAP envelope: {e:?}")))?;
-        let operation = envelope
-            .payload()
-            .map(|p| p.name().local_name().to_owned())
+    /// The pipeline from the response cache on, for an admitted request
+    /// whose body's first element is `operation`.
+    fn mediate(
+        &self,
+        tenant: &str,
+        service: &str,
+        raw: &[u8],
+        operation: Option<&str>,
+        deadline: Option<Instant>,
+    ) -> Result<GatewayReply, GatewayError> {
+        let operation = operation
             .ok_or_else(|| GatewayError::BadRequest("envelope carries no operation".into()))?;
-
-        let cacheable = self.inner.idempotent.contains(service, &operation);
+        let cacheable = self.inner.idempotent.contains(service, operation);
         let key = ResponseKey {
             service: service.to_owned(),
-            operation,
+            operation: operation.to_owned(),
             body_hash: fnv1a(raw),
         };
         if cacheable {
@@ -594,32 +601,59 @@ impl Gateway {
             .clone()
             .filter(|s| !s.is_empty())
             .unwrap_or_else(|| to.name.clone());
-        let reply = match Envelope::from_xml(&payload) {
-            Err(_) => Envelope::fault(Fault::sender("not a SOAP envelope")).to_xml(),
-            Ok(envelope) => {
-                let tenant = envelope
-                    .find_header("", TENANT_SOAP_HEADER)
-                    .map(|h| h.element.text().trim().to_owned())
-                    .filter(|t| !t.is_empty())
-                    .unwrap_or_else(|| ANONYMOUS_TENANT.to_owned());
-                let deadline = deadline_from_envelope(&envelope);
-                match self.invoke(&tenant, &service, payload.as_bytes(), deadline) {
-                    Ok(reply) => String::from_utf8_lossy(&reply.body).into_owned(),
-                    Err(GatewayError::Shed { retry_after_ms }) => Envelope::fault(Fault::receiver(
-                        busy_fault_reason(Duration::from_millis(retry_after_ms)),
-                    ))
-                    .to_xml(),
-                    Err(GatewayError::Unavailable(why)) => {
-                        Envelope::fault(Fault::receiver(format!("wsp:unavailable {why}"))).to_xml()
-                    }
-                    Err(GatewayError::BadRequest(why)) => {
-                        Envelope::fault(Fault::sender(why)).to_xml()
-                    }
-                }
+        let raw = payload.as_bytes();
+        let mediated = peek(raw).and_then(|(operation, tenant, deadline)| {
+            let tenant = tenant.as_deref().unwrap_or(ANONYMOUS_TENANT);
+            self.maybe_revalidate();
+            let admitted = self.inner.admission.try_admit(tenant, deadline);
+            let _permit = admitted.map_err(shed_of)?;
+            self.mediate(tenant, &service, raw, operation, deadline)
+        });
+        let reply = match mediated {
+            Ok(reply) => String::from_utf8_lossy(&reply.body).into_owned(),
+            Err(GatewayError::Shed { retry_after_ms }) => Envelope::fault(Fault::receiver(
+                busy_fault_reason(Duration::from_millis(retry_after_ms)),
+            ))
+            .to_xml(),
+            Err(GatewayError::Unavailable(why)) => {
+                Envelope::fault(Fault::receiver(format!("wsp:unavailable {why}"))).to_xml()
             }
+            Err(GatewayError::BadRequest(why)) => Envelope::fault(Fault::sender(why)).to_xml(),
         };
         Some(P2psMessage::PipeData { to, payload: reply })
     }
+}
+
+/// What mediation reads of a request, in one pass of the pull reader:
+/// the local name of the body's first element (`None` for an empty body
+/// or a fault), the first `Tenant` block's text (if it has any) and the
+/// propagated deadline. The body is passed over unjudged — it is the
+/// backend's to read — and so is a block marked `mustUnderstand`.
+type Peek<'a> = (Option<&'a str>, Option<String>, Option<Instant>);
+
+fn peek(raw: &[u8]) -> Result<Peek<'_>, GatewayError> {
+    let text = std::str::from_utf8(raw)
+        .map_err(|_| GatewayError::BadRequest("request is not UTF-8".into()))?;
+    let (mut tenant, mut deadline) = (None, None);
+    let mut foreign = |block: &HeaderBlock| {
+        let element = &block.element;
+        if tenant.is_none() && element.name().is("", TENANT_SOAP_HEADER) {
+            tenant = Some(element.text().trim().to_owned());
+        }
+        deadline = deadline.or_else(|| deadline_in(element));
+    };
+    let read = read_envelope(text, &mut foreign, |body| match body {
+        Payload::Element(reader) => Ok(Some(reader.local_name())),
+        _ => Ok(None),
+    });
+    let (_, operation) =
+        read.map_err(|e| GatewayError::BadRequest(format!("not a SOAP envelope: {e:?}")))?;
+    let operation = operation.map_err(|refused| GatewayError::BadRequest(refused.reason))?;
+    Ok((
+        operation,
+        tenant.filter(|t| !t.is_empty()),
+        deadline.flatten(),
+    ))
 }
 
 fn shed_of(err: WspError) -> GatewayError {

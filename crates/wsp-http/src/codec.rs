@@ -265,10 +265,7 @@ pub fn frame_len(input: &[u8], body_start: usize) -> Result<usize, HttpError> {
         }
         let value = std::str::from_utf8(&line[colon + 1..])
             .map_err(|_| HttpError::Malformed("bad Content-Length"))?;
-        let parsed: usize = value
-            .trim()
-            .parse()
-            .map_err(|_| HttpError::Malformed("bad Content-Length"))?;
+        let parsed = body_len(value)?;
         match length {
             None => length = Some(parsed),
             Some(existing) if existing == parsed => {}
@@ -277,7 +274,24 @@ pub fn frame_len(input: &[u8], body_start: usize) -> Result<usize, HttpError> {
             }
         }
     }
-    Ok(body_start + length.unwrap_or(0))
+    (body_start.checked_add(length.unwrap_or(0))).ok_or(HttpError::Malformed("bad Content-Length"))
+}
+
+/// The longest body either end of a connection accepts. A peer declares
+/// a body's length before sending it, and what it declares is reserved
+/// for; above this, the message is refused instead. Far above any body
+/// this workspace sends — a 16 KiB echo, a WSDL document, the 1 MiB
+/// response of the reactor's backpressure test.
+pub const MAX_BODY_LEN: usize = 64 << 20;
+
+/// One `Content-Length` value, within [`MAX_BODY_LEN`].
+fn body_len(value: &str) -> Result<usize, HttpError> {
+    let length: usize =
+        (value.trim().parse()).map_err(|_| HttpError::Malformed("bad Content-Length"))?;
+    match length <= MAX_BODY_LEN {
+        true => Ok(length),
+        false => Err(HttpError::Malformed("Content-Length above MAX_BODY_LEN")),
+    }
 }
 
 /// Locate the end of the header section. Returns the head slice (without
@@ -319,10 +333,7 @@ fn content_length(headers: &Headers) -> Result<usize, HttpError> {
         if !name.eq_ignore_ascii_case("content-length") {
             continue;
         }
-        let parsed: usize = value
-            .trim()
-            .parse()
-            .map_err(|_| HttpError::Malformed("bad Content-Length"))?;
+        let parsed = body_len(value)?;
         match length {
             None => length = Some(parsed),
             Some(existing) if existing == parsed => {}

@@ -34,6 +34,7 @@ pub mod uri;
 
 pub use codec::{
     encode_request, encode_response, frame_len, parse_request, parse_response, HeadScan, HttpError,
+    MAX_BODY_LEN,
 };
 pub use conn::{ConnEffect, ConnEvent, ConnMachine, ConnState, Phase, TimerKind};
 pub use drain::{DrainEffect, DrainEvent, DrainMachine, DrainState, Lifecycle};

@@ -867,6 +867,23 @@ mod pool_tests {
         (port, requests, join)
     }
 
+    /// A peer's `Content-Length` is what the client reserves for the
+    /// body: one far past any body, or past what a `usize` adds up to,
+    /// is refused rather than reserved or summed.
+    #[test]
+    fn a_declared_length_past_the_bound_is_refused_not_reserved() {
+        for length in ["100000000000000", "18446744073709551615"] {
+            let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {length}\r\n\r\nx");
+            let (port, _requests, join) = scripted_server(vec![vec![head.leak()]]);
+            let refused = http_call("127.0.0.1", port, Request::get("/")).unwrap_err();
+            assert!(
+                matches!(refused, HttpError::Malformed(_)),
+                "{length}: {refused:?}"
+            );
+            drop(join);
+        }
+    }
+
     #[test]
     fn absent_connection_header_defaults_to_reuse_on_http11() {
         // HTTP/1.1 without any Connection header: persistent by

@@ -367,6 +367,67 @@ mod tests {
         assert!(decode_frame(&mut junk).is_err(), "unparseable XML");
     }
 
+    /// Byte soup for the frame reader: a stream of valid frames cut into
+    /// any pieces decodes into the messages it decodes into whole; the
+    /// same stream damaged at a byte, or plain soup, is read until it
+    /// waits for more or is refused — never with a panic.
+    #[test]
+    fn frame_reader_reads_any_split_and_survives_any_soup() {
+        use proptest::test_runner::TestRng;
+        const TEXT: [&str; 8] = [
+            "<",
+            "&",
+            "<![CDATA[x]]>",
+            "é",
+            "\u{1F600}",
+            "x",
+            "</x>",
+            "\0",
+        ];
+        let mut rng = TestRng::for_test("pipe_tcp::frame_soup");
+        let next = |rng: &mut TestRng| match rng.below(3) {
+            0 => P2psMessage::Ping {
+                nonce: rng.next_u64(),
+            },
+            _ => P2psMessage::PipeData {
+                to: PipeAdvertisement::new(PeerId(rng.next_u64()), None, "soup"),
+                payload: (0..rng.below(6))
+                    .map(|_| TEXT[rng.below(TEXT.len() as u64) as usize])
+                    .collect(),
+            },
+        };
+        let drain = |buf: &mut Vec<u8>| {
+            let mut read = Vec::new();
+            while let Ok(Some(message)) = decode_frame(buf) {
+                read.push(message);
+            }
+            read
+        };
+        for _ in 0..2_000 {
+            let messages: Vec<P2psMessage> = (0..rng.below(4)).map(|_| next(&mut rng)).collect();
+            let stream: Vec<u8> = messages.iter().flat_map(encode_frame).collect();
+            let (mut buf, mut read, mut at) = (Vec::new(), Vec::new(), 0);
+            while at < stream.len() {
+                let step = 1 + rng.below(stream.len() as u64) as usize;
+                let end = (at + step).min(stream.len());
+                buf.extend_from_slice(&stream[at..end]);
+                read.extend(drain(&mut buf));
+                at = end;
+            }
+            assert_eq!(read, messages);
+            assert!(buf.is_empty());
+            let mut damaged = stream.clone();
+            if let Some(byte) = damaged.get_mut(rng.below(stream.len() as u64 + 1) as usize) {
+                *byte = rng.next_u64() as u8;
+            }
+            drain(&mut damaged);
+            // A short length, so the bytes behind it are read as a frame.
+            let mut soup = (rng.below(16) as u32).to_be_bytes().to_vec();
+            soup.extend((0..rng.below(16)).map(|_| rng.next_u64() as u8));
+            drain(&mut soup);
+        }
+    }
+
     #[test]
     fn server_answers_pipe_calls_over_the_reactor() {
         let server = PipeTcpServer::launch(

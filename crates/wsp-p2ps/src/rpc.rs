@@ -10,16 +10,16 @@
 //!
 //! Everything here deals in [`MessageHeaders`]: what a message says
 //! about where it goes and what it answers. Whoever holds the body
-//! writes the wire form around them — streamed, or as an [`Envelope`].
+//! writes the wire form around them — streamed, or as a
+//! [`wsp_soap::Envelope`].
 
 use crate::addressing::{reply_pipe_in, request_headers, with_reply_pipe};
 use crate::advert::PipeAdvertisement;
 use crate::rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
 use std::collections::HashMap;
 use wsp_simnet::step_mut;
-use wsp_soap::typed::{read_envelope, show_foreign};
-use wsp_soap::{Envelope, MessageHeaders};
-use wsp_xml::Element;
+use wsp_soap::typed::read_envelope;
+use wsp_soap::{HeaderBlock, MessageHeaders};
 
 /// Consumer-side correlation of responses to outstanding requests.
 ///
@@ -169,16 +169,16 @@ impl RpcCorrelator {
 
 /// Read what a message arriving on a pipe says of itself, whatever it
 /// carries: its WS-Addressing headers, with every other header block
-/// shown to `foreign` (at least once) and the body passed over — off
-/// the reader where that knows the envelope's shape, from the parsed
-/// envelope where it does not.
-pub fn decode_request(payload: &str, foreign: &mut dyn FnMut(&Element)) -> Option<MessageHeaders> {
-    if let Some((headers, ())) = read_envelope(payload, foreign, |body| body.skip().ok()) {
-        return Some(headers);
-    }
-    let envelope = Envelope::from_xml(payload).ok()?;
-    show_foreign(&envelope, foreign);
-    Some(envelope.addressing().unwrap_or_default())
+/// shown to `foreign` once and the body passed over. A message that
+/// breaks a shape rule still says where it came from and what it
+/// answers, as far as its headers were read; `None` for one that is not
+/// a SOAP envelope at all.
+pub fn decode_request(
+    payload: &str,
+    foreign: &mut dyn FnMut(&HeaderBlock),
+) -> Option<MessageHeaders> {
+    let read = read_envelope(payload, foreign, |_| Ok(()));
+    read.ok().map(|(headers, _)| headers)
 }
 
 /// Where the response to the request carrying `request` goes (Figure
@@ -195,6 +195,7 @@ mod tests {
     use super::*;
     use crate::addressing::target_pipe_of;
     use crate::id::PeerId;
+    use wsp_soap::Envelope;
     use wsp_xml::Element;
 
     fn service_pipe() -> PipeAdvertisement {
@@ -233,7 +234,7 @@ mod tests {
 
         // Provider side (Figure 6).
         let mut foreign = Vec::new();
-        let received = decode_request(&wire, &mut |block| foreign.push(block.text()));
+        let received = decode_request(&wire, &mut |block| foreign.push(block.element.text()));
         let received = received.expect("parse request");
         assert_eq!(foreign, ["in"], "the copied PipeName reference property");
         assert_eq!(reply_pipe_in(&received), Some(return_pipe()));
@@ -249,12 +250,14 @@ mod tests {
     }
 
     #[test]
-    fn a_request_the_reader_declines_is_routed_from_its_tree() {
+    fn a_request_that_breaks_a_shape_rule_is_still_routed() {
         let mut correlator = RpcCorrelator::new();
         let wire = request(&mut correlator, 7, "x");
-        // A second Header is not a shape the typed reader knows.
+        // A second Header breaks the frame's shape; the headers before
+        // it were read, and the request is answered where they say.
         let odd = wire.replacen("<env:Body>", "<env:Header/><env:Body>", 1);
-        assert!(read_envelope(&odd, &mut |_| {}, |body| body.skip().ok()).is_none());
+        let (_, read) = read_envelope(&odd, &mut |_| {}, |_| Ok(())).unwrap();
+        assert!(read.is_err());
         let typed = decode_request(&wire, &mut |_| {}).unwrap();
         assert_eq!(decode_request(&odd, &mut |_| {}), Some(typed));
         assert!(decode_request(&wire[..wire.len() - 3], &mut |_| {}).is_none());

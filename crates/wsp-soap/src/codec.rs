@@ -15,6 +15,9 @@ pub enum SoapError {
     VersionMismatch { found: String },
     /// The envelope had no `env:Body`.
     MissingBody,
+    /// The message earns its sender this fault: a shape
+    /// [`crate::typed::Rule`] it breaks, or what a body reader refused.
+    Fault(Fault),
 }
 
 impl SoapError {
@@ -27,6 +30,18 @@ impl SoapError {
                 format!("unsupported envelope {found}; this node speaks SOAP 1.2"),
             ),
             SoapError::MissingBody => Fault::new(FaultCode::Sender, "envelope has no Body"),
+            SoapError::Fault(fault) => fault.clone(),
+        }
+    }
+
+    /// A fault's reason prefixed with where it was found.
+    pub fn within(self, place: impl fmt::Display) -> SoapError {
+        match self {
+            SoapError::Fault(mut fault) => {
+                fault.reason = format!("{place}: {}", fault.reason);
+                SoapError::Fault(fault)
+            }
+            other => other,
         }
     }
 }
@@ -39,6 +54,7 @@ impl fmt::Display for SoapError {
                 write!(f, "not a SOAP 1.2 envelope (root {found})")
             }
             SoapError::MissingBody => write!(f, "envelope has no Body"),
+            SoapError::Fault(fault) => write!(f, "{fault}"),
         }
     }
 }
@@ -48,6 +64,12 @@ impl std::error::Error for SoapError {}
 impl From<XmlError> for SoapError {
     fn from(e: XmlError) -> Self {
         SoapError::Xml(e)
+    }
+}
+
+impl From<Fault> for SoapError {
+    fn from(fault: Fault) -> Self {
+        SoapError::Fault(fault)
     }
 }
 

@@ -18,6 +18,10 @@ pub const ROLE_ULTIMATE_RECEIVER: &str =
 /// SOAP 1.2 "next" role: every node on the message path.
 pub const ROLE_NEXT: &str = "http://www.w3.org/2003/05/soap-envelope/role/next";
 
+/// Namespace of the subcodes this workspace gives its own faults
+/// (`NoSuchOperation`, the shape rules of [`crate::typed::Rule`]).
+pub const FAULTS_NS: &str = "urn:wspeer:faults";
+
 /// Media type for SOAP 1.2 messages.
 pub const CONTENT_TYPE: &str = "application/soap+xml; charset=utf-8";
 

@@ -99,12 +99,6 @@ impl Envelope {
         &self.body
     }
 
-    /// The body by value, for a receiver that is done with the
-    /// envelope and would otherwise clone the payload out of it.
-    pub fn into_body(self) -> Body {
-        self.body
-    }
-
     /// The payload element, if the body carries one.
     pub fn payload(&self) -> Option<&Element> {
         match &self.body {
@@ -205,20 +199,9 @@ impl Envelope {
         });
     }
 
-    /// Parse from a borrowed `env:Envelope` element.
-    ///
-    /// Clones what it keeps; when the caller is done with the parsed
-    /// tree anyway (the codec decode path), [`Envelope::from_root`]
-    /// takes the tree by value and moves the payload out instead.
-    pub fn from_element(root: &Element) -> Result<Envelope, SoapError> {
-        Self::from_root(root.clone())
-    }
-
-    /// Parse from an owned `env:Envelope` element, consuming it.
-    ///
-    /// The payload and header elements are moved out of the tree
-    /// rather than deep-cloned — on the wire path this is the
-    /// difference between one tree allocation per decode and two.
+    /// Parse from an owned `env:Envelope` element, consuming it: the
+    /// payload and header elements are moved out of the tree, not
+    /// deep-cloned.
     pub fn from_root(mut root: Element) -> Result<Envelope, SoapError> {
         if !root.name().is(SOAP_ENV_NS, "Envelope") {
             return Err(SoapError::VersionMismatch {

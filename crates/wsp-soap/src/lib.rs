@@ -36,7 +36,7 @@ pub mod fault;
 pub mod typed;
 
 pub use addressing::{EndpointReference, MessageHeaders};
-pub use codec::SoapCodec;
+pub use codec::{SoapCodec, SoapError};
 pub use constants::{SOAP_ENV_NS, WSA_NS};
 pub use envelope::{Body, Envelope, HeaderBlock};
 pub use fault::{Fault, FaultCode};

@@ -40,14 +40,6 @@ impl KeyedReference {
             .attr_str("keyValue", self.key_value.clone())
             .finish()
     }
-
-    pub fn from_element(e: &Element) -> Option<KeyedReference> {
-        Some(KeyedReference {
-            tmodel_key: e.attribute_local("tModelKey")?.to_owned(),
-            key_name: e.attribute_local("keyName").unwrap_or("").to_owned(),
-            key_value: e.attribute_local("keyValue")?.to_owned(),
-        })
-    }
 }
 
 /// A concrete endpoint of a service.
@@ -95,24 +87,6 @@ impl BindingTemplate {
             e.push_element(infos);
         }
         e
-    }
-
-    pub fn from_element(e: &Element) -> Option<BindingTemplate> {
-        let key = e.attribute_local("bindingKey")?.to_owned();
-        let access_point = e.child_text(UDDI_NS, "accessPoint")?;
-        let tmodel_keys = e
-            .find(UDDI_NS, "tModelInstanceDetails")
-            .map(|d| {
-                d.find_all(UDDI_NS, "tModelInstanceInfo")
-                    .filter_map(|i| i.attribute_local("tModelKey").map(str::to_owned))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Some(BindingTemplate {
-            key,
-            access_point,
-            tmodel_keys,
-        })
     }
 }
 
@@ -214,39 +188,6 @@ impl BusinessService {
         }
         e
     }
-
-    pub fn from_element(e: &Element) -> Option<BusinessService> {
-        let key = e.attribute_local("serviceKey")?.to_owned();
-        let business_key = e.attribute_local("businessKey").unwrap_or("").to_owned();
-        let name = e.child_text(UDDI_NS, "name")?;
-        let description = e.child_text(UDDI_NS, "description");
-        let bindings = e
-            .find(UDDI_NS, "bindingTemplates")
-            .map(|bts| {
-                bts.find_all(UDDI_NS, "bindingTemplate")
-                    .filter_map(BindingTemplate::from_element)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let categories = e
-            .find(UDDI_NS, "categoryBag")
-            .map(|bag| {
-                bag.find_all(UDDI_NS, "keyedReference")
-                    .filter_map(KeyedReference::from_element)
-                    .collect()
-            })
-            .unwrap_or_default();
-        let lease_ttl_ms = e.attribute_local("leaseTtlMs").and_then(|v| v.parse().ok());
-        Some(BusinessService {
-            key,
-            business_key,
-            name,
-            description,
-            categories,
-            bindings,
-            lease_ttl_ms,
-        })
-    }
 }
 
 /// A publishing organisation.
@@ -282,14 +223,6 @@ impl BusinessEntity {
             );
         }
         e
-    }
-
-    pub fn from_element(e: &Element) -> Option<BusinessEntity> {
-        Some(BusinessEntity {
-            key: e.attribute_local("businessKey")?.to_owned(),
-            name: e.child_text(UDDI_NS, "name")?,
-            description: e.child_text(UDDI_NS, "description"),
-        })
     }
 }
 
@@ -337,21 +270,12 @@ impl TModel {
         }
         e
     }
-
-    pub fn from_element(e: &Element) -> Option<TModel> {
-        Some(TModel {
-            key: e.attribute_local("tModelKey")?.to_owned(),
-            name: e.child_text(UDDI_NS, "name")?,
-            overview_url: e
-                .find(UDDI_NS, "overviewDoc")
-                .and_then(|d| d.child_text(UDDI_NS, "overviewURL")),
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{read_response, write_response, UddiResponse};
 
     fn sample_service() -> BusinessService {
         BusinessService::new("svc-1", "biz-1", "Echo")
@@ -362,48 +286,59 @@ mod tests {
             )
     }
 
+    /// `answer` written and read back, as a client reads a registry's.
+    fn read_back(answer: &UddiResponse) -> (String, UddiResponse) {
+        let mut xml = Vec::new();
+        write_response(answer, &mut xml);
+        let xml = String::from_utf8(xml).unwrap();
+        let read = read_response(&xml).unwrap();
+        (xml, read)
+    }
+
+    fn services(services: &[BusinessService]) -> UddiResponse {
+        UddiResponse::ServiceDetail(services.to_vec())
+    }
+
     #[test]
     fn service_round_trip() {
-        let svc = sample_service();
-        let xml = svc.to_element().to_xml();
-        let parsed = BusinessService::from_element(&wsp_xml::parse(&xml).unwrap()).unwrap();
-        assert_eq!(parsed, svc);
+        let detail = services(&[sample_service()]);
+        assert_eq!(read_back(&detail).1, detail);
     }
 
     #[test]
     fn minimal_service_round_trip() {
-        let svc = BusinessService::new("s", "b", "Name only");
-        let parsed = BusinessService::from_element(&svc.to_element()).unwrap();
-        assert_eq!(parsed, svc);
+        let detail = services(&[BusinessService::new("s", "b", "Name only")]);
+        assert_eq!(read_back(&detail).1, detail);
     }
 
     #[test]
     fn lease_ttl_round_trips_and_stays_off_the_wire_when_absent() {
-        let leased = sample_service().with_lease_ttl_ms(30_000);
-        let parsed = BusinessService::from_element(&leased.to_element()).unwrap();
-        assert_eq!(parsed.lease_ttl_ms, Some(30_000));
-        assert_eq!(parsed, leased);
+        let leased = services(&[sample_service().with_lease_ttl_ms(30_000)]);
+        assert_eq!(read_back(&leased).1, leased);
         // Permanent registrations serialize exactly as before the lease
         // field existed — no attribute, identical bytes.
-        let permanent = sample_service();
-        assert!(!permanent.to_element().to_xml().contains("leaseTtlMs"));
+        let (xml, _) = read_back(&services(&[sample_service()]));
+        assert!(!xml.contains("leaseTtlMs"));
+        assert!(!sample_service()
+            .to_element()
+            .to_xml()
+            .contains("leaseTtlMs"));
     }
 
     #[test]
     fn entity_round_trip() {
         let mut biz = BusinessEntity::new("biz-1", "Cardiff");
         biz.description = Some("School of Computer Science".into());
-        let parsed = BusinessEntity::from_element(&biz.to_element()).unwrap();
-        assert_eq!(parsed, biz);
+        let detail = UddiResponse::BusinessDetail(vec![biz]);
+        assert_eq!(read_back(&detail).1, detail);
     }
 
     #[test]
     fn tmodel_round_trip() {
         let tm = TModel::new("tm-1", "Echo WSDL").with_overview("http://h/Echo?wsdl");
-        let parsed = TModel::from_element(&tm.to_element()).unwrap();
-        assert_eq!(parsed, tm);
         let bare = TModel::new("tm-2", "no url");
-        assert_eq!(TModel::from_element(&bare.to_element()).unwrap(), bare);
+        let detail = UddiResponse::TModelDetail(vec![tm, bare]);
+        assert_eq!(read_back(&detail).1, detail);
     }
 
     #[test]
@@ -424,12 +359,19 @@ mod tests {
         );
     }
 
+    /// A record without its key or its name is refused — the tree
+    /// decoder skipped it, and the answer lost a record unannounced.
     #[test]
-    fn from_element_rejects_missing_fields() {
-        let no_key = Element::new(UDDI_NS, "businessService");
-        assert!(BusinessService::from_element(&no_key).is_none());
-        let mut no_name = Element::new(UDDI_NS, "businessService");
-        no_name.set_attribute(QName::local("serviceKey"), "k");
-        assert!(BusinessService::from_element(&no_name).is_none());
+    fn a_record_missing_its_key_or_name_is_refused() {
+        let record = BusinessService::new("k", "b", "n").to_element();
+        let mut no_key = record.clone();
+        (no_key.attributes_mut()).retain(|a| a.name.local_name() != "serviceKey");
+        let mut no_name = record;
+        no_name.children_mut().clear();
+        for (odd, missing) in [(no_key, "serviceKey"), (no_name, "name")] {
+            let detail = Element::build(UDDI_NS, "serviceDetail").child(odd).finish();
+            let xml = wsp_soap::Envelope::request(detail).to_xml();
+            assert_eq!(read_response(&xml), Err(format!("Missing: {missing}")));
+        }
     }
 }

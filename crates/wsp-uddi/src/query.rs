@@ -108,28 +108,6 @@ impl ServiceQuery {
         }
         e
     }
-
-    /// Parse a `find_service` or `find_serviceDetail` element.
-    pub fn from_element(e: &Element) -> Option<ServiceQuery> {
-        if !e.name().is(UDDI_NS, FIND_SERVICE) && !e.name().is(UDDI_NS, FIND_SERVICE_DETAIL) {
-            return None;
-        }
-        Some(ServiceQuery {
-            name_pattern: e.child_text(UDDI_NS, "name"),
-            categories: e
-                .find(UDDI_NS, "categoryBag")
-                .map(|bag| {
-                    bag.find_all(UDDI_NS, "keyedReference")
-                        .filter_map(KeyedReference::from_element)
-                        .collect()
-                })
-                .unwrap_or_default(),
-            max_rows: e
-                .attribute_local("maxRows")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0),
-        })
-    }
 }
 
 /// Case-insensitive match of `pattern` (with `%` wildcards) against
@@ -237,20 +215,24 @@ mod tests {
 
     #[test]
     fn query_round_trip() {
+        use crate::wire::{read_request, write_request, UddiOp, UddiRequest};
+        use std::borrow::Cow;
         let q = ServiceQuery::by_name("Ech%")
             .with_category(KeyedReference::new("uddi:types", "kind", "wspeer"))
             .with_max_rows(5);
-        for op in [FIND_SERVICE, FIND_SERVICE_DETAIL] {
-            let xml = q.to_request(op).to_xml();
-            assert!(xml.contains(op));
-            let parsed = ServiceQuery::from_element(&wsp_xml::parse(&xml).unwrap()).unwrap();
-            assert_eq!(parsed, q);
+        let detail = UddiOp::FindServiceDetail(Cow::Borrowed(&q));
+        for op in [UddiOp::FindService(Cow::Borrowed(&q)), detail] {
+            let (_, local) = op.name();
+            let request = UddiRequest::new(op);
+            let mut xml = Vec::new();
+            write_request(&request, &mut xml);
+            let xml = String::from_utf8(xml).unwrap();
+            assert_eq!(
+                xml,
+                wsp_soap::Envelope::request(q.to_request(local)).to_xml()
+            );
+            assert_eq!(read_request(&xml), Some(Ok(request)));
         }
         assert_eq!(q.to_element(), q.to_request(FIND_SERVICE));
-    }
-
-    #[test]
-    fn from_element_rejects_other_elements() {
-        assert!(ServiceQuery::from_element(&Element::new(UDDI_NS, "find_business")).is_none());
     }
 }

@@ -7,14 +7,13 @@
 //! makes of the same document, and [`read_request`] / [`read_response`]
 //! read it back off the pull reader.
 //!
-//! The typed readers know what the writers write, give or take layout
-//! and the order of attributes and children, and decline everything
-//! else to the tree decoders ([`UddiRequest::from_payload`],
-//! [`UddiResponse::from_envelope`]), which answer as the registry always
-//! has: a fault, the shard map, an attribute or a child the vocabulary
-//! does not define, a second child where one is read, a required one
-//! missing, a number that does not parse, stray text, any XML error.
-//! Only one of the two answers a document, so they cannot disagree.
+//! The readers read what the writers write, in any layout and with
+//! attributes and children in any order, a fault and the shard map (as
+//! a tree) among the answers. Everything else is refused: an unknown
+//! operation and an empty body with the registry's faults for them, and
+//! an attribute or child the vocabulary does not define, a second child
+//! where one is read, a required one missing, a number that does not
+//! parse or stray text by the shape [`Rule`] it breaks (DESIGN.md §11).
 
 use crate::model::{
     url_type, BindingTemplate, BusinessEntity, BusinessService, KeyedReference, TModel, UDDI_NS,
@@ -22,8 +21,10 @@ use crate::model::{
 use crate::query::{ServiceQuery, FIND_SERVICE, FIND_SERVICE_DETAIL};
 use std::borrow::Cow;
 use std::io::Write;
-use wsp_soap::typed::{next_tag, read_envelope, read_text, write_envelope};
-use wsp_soap::{Body, Envelope, Fault, MessageHeaders};
+use wsp_soap::typed::{name_of, next_tag, only, plain, read_envelope, read_parts, read_text};
+use wsp_soap::typed::{required, write_envelope};
+use wsp_soap::typed::{Payload, Rule};
+use wsp_soap::{Fault, MessageHeaders, SoapError};
 use wsp_xml::{Element, Pull, PullReader, StreamWriter};
 
 /// Namespace of the registry-plane control messages (`get_shardMap`,
@@ -100,7 +101,7 @@ pub enum UddiResponse {
         deleted: usize,
     },
     DataVersions(DataVersions),
-    /// A document outside the vocabulary, as its tree: the shard map.
+    /// The shard map (`{urn:wsp:registry}shardMap`), as its tree.
     Other(Element),
     Fault(Fault),
 }
@@ -117,70 +118,6 @@ impl<'a> UddiRequest<'a> {
     pub fn stamped(mut self, epoch: u64) -> Self {
         self.map_epoch = Some(epoch);
         self
-    }
-}
-
-impl UddiRequest<'static> {
-    /// The tree decoder: what the request document `payload` asks for,
-    /// or the fault a registry answers it with.
-    pub fn from_payload(payload: &Element) -> Result<Self, Fault> {
-        let texts = |local| {
-            Cow::Owned(
-                payload
-                    .find_all(UDDI_NS, local)
-                    .map(Element::text)
-                    .collect(),
-            )
-        };
-        fn all<T: Clone>(
-            payload: &Element,
-            local: &str,
-            decode: fn(&Element) -> Option<T>,
-        ) -> Result<Cow<'static, [T]>, Fault> {
-            let decoded = payload.find_all(UDDI_NS, local).map(decode);
-            let all = decoded.collect::<Option<Vec<T>>>();
-            all.map(Cow::Owned)
-                .ok_or_else(|| Fault::sender(format!("malformed {local}")))
-        }
-        let name = payload.name();
-        let local = name.local_name();
-        let query = || {
-            let query = ServiceQuery::from_element(payload);
-            query
-                .map(Cow::Owned)
-                .ok_or_else(|| Fault::sender(format!("malformed {local}")))
-        };
-        let op = match (name.namespace(), local) {
-            (UDDI_NS, FIND_SERVICE) => UddiOp::FindService(query()?),
-            (UDDI_NS, FIND_SERVICE_DETAIL) => UddiOp::FindServiceDetail(query()?),
-            (UDDI_NS, "get_serviceDetail") => UddiOp::GetServiceDetail(texts("serviceKey")),
-            (UDDI_NS, "save_service") => UddiOp::SaveService {
-                tmodels: all(payload, "tModel", TModel::from_element)?,
-                services: all(payload, "businessService", BusinessService::from_element)?,
-            },
-            (UDDI_NS, "save_tModel") => {
-                UddiOp::SaveTModel(all(payload, "tModel", TModel::from_element)?)
-            }
-            (UDDI_NS, "get_tModelDetail") => UddiOp::GetTModelDetail(texts("tModelKey")),
-            (UDDI_NS, "delete_service") => UddiOp::DeleteService(texts("serviceKey")),
-            (UDDI_NS, "save_business") => UddiOp::SaveBusiness(all(
-                payload,
-                "businessEntity",
-                BusinessEntity::from_element,
-            )?),
-            (UDDI_NS, "find_business") => {
-                let pattern = payload.child_text(UDDI_NS, "name");
-                UddiOp::FindBusiness(Cow::Owned(pattern.unwrap_or_else(|| "%".to_owned())))
-            }
-            (REGISTRY_NS, "get_shardMap") => UddiOp::GetShardMap,
-            (REGISTRY_NS, "get_dataVersions") => UddiOp::GetDataVersions,
-            _ => return Err(Fault::sender(format!("unknown UDDI operation {local:?}"))),
-        };
-        let epoch = payload.attribute_local("mapEpoch").map(str::parse);
-        let map_epoch = epoch
-            .transpose()
-            .map_err(|_| Fault::sender("malformed mapEpoch"))?;
-        Ok(UddiRequest { op, map_epoch })
     }
 }
 
@@ -204,16 +141,6 @@ impl UddiOp<'_> {
     }
 }
 
-impl ServiceInfo {
-    pub fn from_element(e: &Element) -> Option<ServiceInfo> {
-        Some(ServiceInfo {
-            key: e.attribute_local("serviceKey")?.to_owned(),
-            name: e.child_text(UDDI_NS, "name").unwrap_or_default(),
-            business_key: e.attribute_local("businessKey").unwrap_or("").to_owned(),
-        })
-    }
-}
-
 impl From<BusinessService> for ServiceInfo {
     fn from(service: BusinessService) -> Self {
         ServiceInfo {
@@ -221,87 +148,6 @@ impl From<BusinessService> for ServiceInfo {
             name: service.name,
             business_key: service.business_key,
         }
-    }
-}
-
-impl DataVersions {
-    fn at(epoch: u64) -> Self {
-        let versions = Vec::new();
-        DataVersions { epoch, versions }
-    }
-
-    /// Record `version` for shard `id`; `None` past 65 536 shards: the
-    /// ids come off the wire and index a vector this grows.
-    fn place(&mut self, id: usize, version: u64) -> Option<()> {
-        if id >= 1 << 16 {
-            return None;
-        }
-        if self.versions.len() <= id {
-            self.versions.resize(id + 1, 0);
-        }
-        self.versions[id] = version;
-        Some(())
-    }
-
-    pub fn from_element(e: &Element) -> Option<DataVersions> {
-        let epoch = e.attribute_local("epoch")?.parse().ok()?;
-        let mut versions = DataVersions::at(epoch);
-        for shard in e.find_all(REGISTRY_NS, "shard") {
-            let id = shard.attribute_local("id")?.parse().ok()?;
-            versions.place(id, shard.attribute_local("version")?.parse().ok()?)?;
-        }
-        Some(versions)
-    }
-}
-
-impl UddiResponse {
-    /// The tree decoder: a document of the vocabulary decoded leniently,
-    /// as the registry always has (an entry that does not decode is passed
-    /// over), anything else as its tree; `Err` for an empty body.
-    pub fn from_envelope(envelope: Envelope) -> Result<Self, String> {
-        let payload = match envelope.into_body() {
-            Body::Payload(payload) => payload,
-            Body::Fault(fault) => return Ok(UddiResponse::Fault(fault)),
-            Body::Empty => return Err("registry response body is empty".to_owned()),
-        };
-        fn all<T>(e: &Element, local: &str, decode: fn(&Element) -> Option<T>) -> Vec<T> {
-            e.find_all(UDDI_NS, local).filter_map(decode).collect()
-        }
-        let business = |info: &Element| {
-            let key = info.attribute_local("businessKey")?.to_owned();
-            Some((key, info.child_text(UDDI_NS, "name")?))
-        };
-        let name = payload.name();
-        let decoded = match (name.namespace(), name.local_name()) {
-            (UDDI_NS, "serviceList") => (payload.find(UDDI_NS, "serviceInfos")).map(|infos| {
-                UddiResponse::ServiceList(all(infos, "serviceInfo", ServiceInfo::from_element))
-            }),
-            (UDDI_NS, "serviceDetail") => Some(UddiResponse::ServiceDetail(all(
-                &payload,
-                "businessService",
-                BusinessService::from_element,
-            ))),
-            (UDDI_NS, "tModelDetail") => Some(UddiResponse::TModelDetail(all(
-                &payload,
-                "tModel",
-                TModel::from_element,
-            ))),
-            (UDDI_NS, "businessDetail") => Some(UddiResponse::BusinessDetail(all(
-                &payload,
-                "businessEntity",
-                BusinessEntity::from_element,
-            ))),
-            (UDDI_NS, "businessList") => (payload.find(UDDI_NS, "businessInfos"))
-                .map(|infos| UddiResponse::BusinessList(all(infos, "businessInfo", business))),
-            (UDDI_NS, "dispositionReport") => (payload.attribute_local("deleted"))
-                .and_then(|deleted| deleted.parse().ok())
-                .map(|deleted| UddiResponse::Disposition { deleted }),
-            (REGISTRY_NS, "dataVersions") => {
-                DataVersions::from_element(&payload).map(UddiResponse::DataVersions)
-            }
-            _ => None,
-        };
-        Ok(decoded.unwrap_or(UddiResponse::Other(payload)))
     }
 }
 
@@ -505,64 +351,39 @@ fn write_entity(out: &mut StreamWriter<'_>, entity: &BusinessEntity) {
 
 // --- reading -------------------------------------------------------------------
 
-/// What a registry makes of request bytes: the request, the fault it
-/// answers it with, or `None` for a body that is not a SOAP envelope.
+/// What a registry makes of request bytes: the request, or the fault it
+/// answers it with; `None` for a body that is not a SOAP envelope.
 pub fn read_request(xml: &str) -> Option<Result<UddiRequest<'static>, Fault>> {
-    if let Some(request) = read_request_typed(xml) {
-        return Some(Ok(request));
-    }
-    let envelope = Envelope::from_xml(xml).ok()?;
-    let payload = envelope.payload();
-    let payload = payload.ok_or_else(|| Fault::sender("UDDI request carries no body"));
-    Some(payload.and_then(UddiRequest::from_payload))
+    let read = read_envelope(xml, &mut |_| {}, |payload| match payload {
+        Payload::Element(r) => read_request_payload(r),
+        _ => Err(Fault::sender("UDDI request carries no body").into()),
+    });
+    Some(read.ok()?.1)
 }
 
-/// What a client makes of response bytes; `Err` for a body that is not
-/// a SOAP envelope or answers nothing.
+/// What a client makes of response bytes: the answer, a fault among
+/// them, or why there is none.
 pub fn read_response(xml: &str) -> Result<UddiResponse, String> {
-    match read_response_typed(xml) {
-        Some(response) => Ok(response),
-        None => UddiResponse::from_envelope(Envelope::from_xml(xml).map_err(|e| e.to_string())?),
-    }
+    let read = read_envelope(xml, &mut |_| {}, |payload| match payload {
+        Payload::Element(r) => read_response_payload(r),
+        Payload::Fault(fault) => Ok(UddiResponse::Fault(fault)),
+        Payload::Empty => Err(Fault::sender("registry response body is empty").into()),
+    });
+    let (_, read) = read.map_err(|e| e.to_string())?;
+    read.map_err(|refused| refused.reason)
 }
 
-/// The typed half of [`read_request`]: `None` for whatever it leaves to
-/// the tree decoder (module doc).
-pub fn read_request_typed(xml: &str) -> Option<UddiRequest<'static>> {
-    read_body(xml, read_request_payload)
-}
-
-/// The typed half of [`read_response`].
-pub fn read_response_typed(xml: &str) -> Option<UddiResponse> {
-    read_body(xml, read_response_payload)
-}
-
-/// Read `xml` as an envelope whose body is one element, read by
-/// `payload` with the cursor on its start tag, through its end tag.
-fn read_body<T>(xml: &str, payload: fn(&mut PullReader<'_>) -> Option<T>) -> Option<T> {
-    let (_, value) = read_envelope(xml, &mut |_| {}, |r| {
-        if next_tag(r)? != Pull::Start {
-            return None;
-        }
-        let value = payload(r)?;
-        (next_tag(r)? == Pull::End).then_some(value)
-    })?;
-    Some(value)
-}
-
-fn read_request_payload(r: &mut PullReader<'_>) -> Option<UddiRequest<'static>> {
-    let [epoch, rows] = attributes(r, ["mapEpoch", "maxRows"])?;
-    let map_epoch = number(epoch)?;
-    let max_rows = number(rows)?;
+fn read_request_payload(r: &mut PullReader<'_>) -> Result<UddiRequest<'static>, SoapError> {
     let local = r.local_name();
-    let uddi = r.is(UDDI_NS, local);
-    if max_rows.is_some() && !(uddi && matches!(local, FIND_SERVICE | FIND_SERVICE_DETAIL)) {
-        return None;
+    let (uddi, registry) = (r.is(UDDI_NS, local), r.is(REGISTRY_NS, local));
+    let [epoch, rows] = attributes(r, ["mapEpoch", "maxRows"])?;
+    if rows.is_some() && !(uddi && matches!(local, FIND_SERVICE | FIND_SERVICE_DETAIL)) {
+        return Err(Rule::UnknownAttribute.refuse(format_args!("maxRows on {local}")));
     }
-    fn keys(r: &mut PullReader<'_>, local: &str) -> Option<Cow<'static, [String]>> {
-        read_all(r, local, text).map(Cow::Owned)
-    }
-    let op = match (uddi, r.is(REGISTRY_NS, local), local) {
+    let map_epoch = epoch.map(|v| number(v, "mapEpoch")).transpose()?;
+    let max_rows = rows.map(|v| number(v, "maxRows")).transpose()?;
+    let keys = |r, local| read_all(r, local, text).map(Cow::Owned);
+    let op = match (uddi, registry, local) {
         (true, _, FIND_SERVICE) => UddiOp::FindService(Cow::Owned(read_query(r, max_rows)?)),
         (true, _, FIND_SERVICE_DETAIL) => {
             UddiOp::FindServiceDetail(Cow::Owned(read_query(r, max_rows)?))
@@ -572,14 +393,13 @@ fn read_request_payload(r: &mut PullReader<'_>) -> Option<UddiRequest<'static>> 
         (true, _, "get_tModelDetail") => UddiOp::GetTModelDetail(keys(r, "tModelKey")?),
         (true, _, "save_service") => {
             let (mut tmodels, mut services) = (Vec::new(), Vec::new());
-            children(r, |r| {
-                match child(r, UDDI_NS) {
+            while next_tag(r)? == Pull::Start {
+                match child(r, UDDI_NS)? {
                     "tModel" => tmodels.push(read_tmodel(r)?),
                     "businessService" => services.push(read_service(r)?),
-                    _ => return None,
+                    other => return Err(Rule::UnknownElement.refuse(other)),
                 }
-                Some(())
-            })?;
+            }
             let (tmodels, services) = (Cow::Owned(tmodels), Cow::Owned(services));
             UddiOp::SaveService { tmodels, services }
         }
@@ -590,34 +410,39 @@ fn read_request_payload(r: &mut PullReader<'_>) -> Option<UddiRequest<'static>> 
             UddiOp::SaveBusiness(Cow::Owned(read_all(r, "businessEntity", read_entity)?))
         }
         (true, _, "find_business") => {
-            let (pattern, None) = read_naming(r)? else {
-                return None;
-            };
-            let pattern = pattern.unwrap_or_else(|| "%".to_owned());
+            let mut pattern = "%".to_owned();
+            read_parts(r, UDDI_NS, &["name"], |r, _| {
+                pattern = text(r)?;
+                Ok(())
+            })?;
             UddiOp::FindBusiness(Cow::Owned(pattern))
         }
         (_, true, "get_shardMap") => empty(r).map(|()| UddiOp::GetShardMap)?,
         (_, true, "get_dataVersions") => empty(r).map(|()| UddiOp::GetDataVersions)?,
-        _ => return None,
+        _ => return Err(Fault::sender(format!("unknown UDDI operation {local:?}")).into()),
     };
-    Some(UddiRequest { op, map_epoch })
+    Ok(UddiRequest { op, map_epoch })
 }
 
-fn read_response_payload(r: &mut PullReader<'_>) -> Option<UddiResponse> {
+fn read_response_payload(r: &mut PullReader<'_>) -> Result<UddiResponse, SoapError> {
     let local = r.local_name();
-    if r.is(REGISTRY_NS, local) && local == "dataVersions" {
-        return read_data_versions(r).map(UddiResponse::DataVersions);
+    if r.is(REGISTRY_NS, local) {
+        return match local {
+            "dataVersions" => read_data_versions(r).map(UddiResponse::DataVersions),
+            "shardMap" => Ok(UddiResponse::Other(r.read_subtree()?)),
+            _ => Err(Rule::UnknownElement.refuse(name_of(r))),
+        };
     }
     if !r.is(UDDI_NS, local) {
-        return None;
+        return Err(Rule::UnknownElement.refuse(name_of(r)));
     }
     if local == "dispositionReport" {
         let [deleted] = attributes(r, ["deleted"])?;
-        let deleted = deleted?.parse().ok()?;
+        let deleted = number(required(deleted, "deleted")?, "deleted")?;
         return empty(r).map(|()| UddiResponse::Disposition { deleted });
     }
     plain(r)?;
-    Some(match local {
+    Ok(match local {
         "serviceDetail" => {
             UddiResponse::ServiceDetail(read_all(r, "businessService", read_service)?)
         }
@@ -634,16 +459,16 @@ fn read_response_payload(r: &mut PullReader<'_>) -> Option<UddiResponse> {
             "businessInfo",
             read_business,
         )?),
-        _ => return None,
+        _ => return Err(Rule::UnknownElement.refuse(name_of(r))),
     })
 }
 
 /// The values of the start tag's attributes named `names` (in no
-/// namespace), by position; `None` if it has any other attribute.
+/// namespace), by position; any other attribute is refused.
 fn attributes<'a, const N: usize>(
     r: &PullReader<'a>,
     names: [&str; N],
-) -> Option<[Option<Cow<'a, str>>; N]> {
+) -> Result<[Option<Cow<'a, str>>; N], SoapError> {
     let mut values = [const { None }; N];
     let mut foreign = false;
     r.attributes(
@@ -652,56 +477,42 @@ fn attributes<'a, const N: usize>(
             _ => foreign = true,
         },
     );
-    (!foreign).then_some(values)
-}
-
-/// An optional numeric attribute: `Some(None)` when absent, `None` when
-/// present and not a number.
-fn number<T: std::str::FromStr>(value: Option<Cow<'_, str>>) -> Option<Option<T>> {
-    value.map_or(Some(None), |value| value.parse().ok().map(Some))
-}
-
-/// `Some` if the start tag under the cursor has no attributes.
-fn plain(r: &PullReader<'_>) -> Option<()> {
-    (r.attribute_count() == 0).then_some(())
-}
-
-/// The local name of the start tag under the cursor if it is in `ns`,
-/// `""` — no name of the vocabulary — if it is not.
-fn child<'a>(r: &PullReader<'a>, ns: &str) -> &'a str {
-    Some(r.local_name())
-        .filter(|&local| r.is(ns, local))
-        .unwrap_or("")
-}
-
-/// Pass `each` every child element of the element whose start tag the
-/// cursor rests on, the cursor on the child's start tag; `each` reads
-/// through the child's end tag. Ends after the element's own end tag.
-fn children<'a>(
-    r: &mut PullReader<'a>,
-    mut each: impl FnMut(&mut PullReader<'a>) -> Option<()>,
-) -> Option<()> {
-    while next_tag(r)? == Pull::Start {
-        each(r)?;
+    match foreign {
+        false => Ok(values),
+        true => Err(Rule::UnknownAttribute.refuse(format_args!("on {}", name_of(r)))),
     }
-    Some(())
 }
 
-/// Children that are all `{UDDI_NS}local`, each read by `read`.
+/// A numeric attribute's value.
+fn number<T: std::str::FromStr>(value: Cow<'_, str>, name: &str) -> Result<T, SoapError> {
+    value.parse().map_err(|_| Rule::BadValue.refuse(name))
+}
+
+/// The local name of the start tag under the cursor, which must be in
+/// `ns`.
+fn child<'a>(r: &PullReader<'a>, ns: &str) -> Result<&'a str, SoapError> {
+    let local = r.local_name();
+    match r.is(ns, local) {
+        true => Ok(local),
+        false => Err(Rule::UnknownElement.refuse(name_of(r))),
+    }
+}
+
+/// Children that are all `{UDDI_NS}local`, each read by `read`, through
+/// the parent's end tag.
 fn read_all<'a, T>(
     r: &mut PullReader<'a>,
     local: &str,
-    mut read: impl FnMut(&mut PullReader<'a>) -> Option<T>,
-) -> Option<Vec<T>> {
+    mut read: impl FnMut(&mut PullReader<'a>) -> Result<T, SoapError>,
+) -> Result<Vec<T>, SoapError> {
     let mut all = Vec::new();
-    children(r, |r| {
-        if child(r, UDDI_NS) != local {
-            return None;
+    while next_tag(r)? == Pull::Start {
+        if child(r, UDDI_NS)? != local {
+            return Err(Rule::UnknownElement.refuse(name_of(r)));
         }
         all.push(read(r)?);
-        Some(())
-    })?;
-    Some(all)
+    }
+    Ok(all)
 }
 
 /// The items of a list document: its one `{wrapper}` child's children,
@@ -710,187 +521,177 @@ fn read_list<T>(
     r: &mut PullReader<'_>,
     wrapper: &str,
     item: &str,
-    read: fn(&mut PullReader<'_>) -> Option<T>,
-) -> Option<Vec<T>> {
-    let mut items = None;
-    children(r, |r| {
-        if child(r, UDDI_NS) != wrapper {
-            return None;
-        }
-        once(&mut items, || {
-            plain(r).and_then(|()| read_all(r, item, read))
-        })
-    })?;
-    items
-}
-
-/// Fill `slot` from `read`, unless it is full: the tree decoders read
-/// the first of two children where one is expected, the typed ones
-/// decline.
-fn once<T>(slot: &mut Option<T>, read: impl FnOnce() -> Option<T>) -> Option<()> {
-    *slot = Some(slot.is_none().then(read)??);
-    Some(())
+    read: fn(&mut PullReader<'_>) -> Result<T, SoapError>,
+) -> Result<Vec<T>, SoapError> {
+    only(r, UDDI_NS, wrapper, |r| {
+        plain(r)?;
+        read_all(r, item, read)
+    })
 }
 
 /// The end tag of an element that has no content.
-fn empty(r: &mut PullReader<'_>) -> Option<()> {
-    (next_tag(r)? == Pull::End).then_some(())
+fn empty(r: &mut PullReader<'_>) -> Result<(), SoapError> {
+    match next_tag(r)? {
+        Pull::Start => Err(Rule::UnknownElement.refuse(name_of(r))),
+        _ => Ok(()),
+    }
 }
 
 /// The character data of an attribute-less element.
-fn text(r: &mut PullReader<'_>) -> Option<String> {
+fn text(r: &mut PullReader<'_>) -> Result<String, SoapError> {
     plain(r)?;
     read_text(r).map(Cow::into_owned)
 }
 
-fn read_query(r: &mut PullReader<'_>, max_rows: Option<usize>) -> Option<ServiceQuery> {
-    let (mut name, mut categories) = (None, None);
-    children(r, |r| match child(r, UDDI_NS) {
-        "name" => once(&mut name, || text(r)),
-        "categoryBag" => once(&mut categories, || read_categories(r)),
-        _ => None,
+fn read_query(r: &mut PullReader<'_>, max_rows: Option<usize>) -> Result<ServiceQuery, SoapError> {
+    let mut query = ServiceQuery::all().with_max_rows(max_rows.unwrap_or(0));
+    read_parts(r, UDDI_NS, &["name", "categoryBag"], |r, part| {
+        match part {
+            0 => query.name_pattern = Some(text(r)?),
+            _ => query.categories = read_categories(r)?,
+        }
+        Ok(())
     })?;
-    Some(ServiceQuery {
-        name_pattern: name,
-        categories: categories.unwrap_or_default(),
-        max_rows: max_rows.unwrap_or(0),
-    })
+    Ok(query)
 }
 
-fn read_categories(r: &mut PullReader<'_>) -> Option<Vec<KeyedReference>> {
+fn read_categories(r: &mut PullReader<'_>) -> Result<Vec<KeyedReference>, SoapError> {
     plain(r)?;
     read_all(r, "keyedReference", |r| {
         let [tmodel, name, value] = attributes(r, ["tModelKey", "keyName", "keyValue"])?;
         empty(r)?;
-        Some(KeyedReference::new(
-            tmodel?,
+        Ok(KeyedReference::new(
+            required(tmodel, "tModelKey")?,
             name.unwrap_or_default(),
-            value?,
+            required(value, "keyValue")?,
         ))
     })
 }
 
-fn read_service(r: &mut PullReader<'_>) -> Option<BusinessService> {
+fn read_service(r: &mut PullReader<'_>) -> Result<BusinessService, SoapError> {
     let [key, business, lease] = attributes(r, ["serviceKey", "businessKey", "leaseTtlMs"])?;
-    let mut service = BusinessService::new(key?, business.unwrap_or_default(), "");
-    service.lease_ttl_ms = number(lease)?;
-    let (mut name, mut bindings, mut categories) = (None, None, None);
-    children(r, |r| match child(r, UDDI_NS) {
-        "name" => once(&mut name, || text(r)),
-        "description" => once(&mut service.description, || text(r)),
-        "bindingTemplates" => once(&mut bindings, || {
-            plain(r)?;
-            read_all(r, "bindingTemplate", read_binding)
-        }),
-        "categoryBag" => once(&mut categories, || read_categories(r)),
-        _ => None,
+    let key = required(key, "serviceKey")?;
+    let mut service = BusinessService::new(key, business.unwrap_or_default(), "");
+    service.lease_ttl_ms = lease.map(|v| number(v, "leaseTtlMs")).transpose()?;
+    let mut name = None;
+    let parts = ["name", "description", "bindingTemplates", "categoryBag"];
+    read_parts(r, UDDI_NS, &parts, |r, part| {
+        match part {
+            0 => name = Some(text(r)?),
+            1 => service.description = Some(text(r)?),
+            2 => {
+                plain(r)?;
+                service.bindings = read_all(r, "bindingTemplate", read_binding)?;
+            }
+            _ => service.categories = read_categories(r)?,
+        }
+        Ok(())
     })?;
-    service.name = name?;
-    service.bindings = bindings.unwrap_or_default();
-    service.categories = categories.unwrap_or_default();
-    Some(service)
+    service.name = required(name, "name")?;
+    Ok(service)
 }
 
-fn read_binding(r: &mut PullReader<'_>) -> Option<BindingTemplate> {
+fn read_binding(r: &mut PullReader<'_>) -> Result<BindingTemplate, SoapError> {
     let [key] = attributes(r, ["bindingKey"])?;
-    let (mut access_point, mut tmodel_keys) = (None, None);
-    children(r, |r| match child(r, UDDI_NS) {
-        "accessPoint" => once(&mut access_point, || {
-            attributes(r, ["URLType"])?;
-            read_text(r).map(Cow::into_owned)
-        }),
-        "tModelInstanceDetails" => once(&mut tmodel_keys, || {
-            plain(r)?;
-            read_all(r, "tModelInstanceInfo", |r| {
-                let [key] = attributes(r, ["tModelKey"])?;
-                empty(r)?;
-                key.map(Cow::into_owned)
-            })
-        }),
-        _ => None,
-    })?;
-    Some(BindingTemplate {
-        key: key?.into_owned(),
-        access_point: access_point?,
-        tmodel_keys: tmodel_keys.unwrap_or_default(),
-    })
+    let mut binding = BindingTemplate::new(required(key, "bindingKey")?, "");
+    let mut access_point = None;
+    read_parts(
+        r,
+        UDDI_NS,
+        &["accessPoint", "tModelInstanceDetails"],
+        |r, part| {
+            match part {
+                // `URLType` is written from the access point; it reads as nothing.
+                0 => {
+                    attributes(r, ["URLType"])?;
+                    access_point = Some(read_text(r)?.into_owned());
+                }
+                _ => {
+                    plain(r)?;
+                    binding.tmodel_keys = read_all(r, "tModelInstanceInfo", |r| {
+                        let [key] = attributes(r, ["tModelKey"])?;
+                        empty(r)?;
+                        required(key, "tModelKey").map(Cow::into_owned)
+                    })?;
+                }
+            }
+            Ok(())
+        },
+    )?;
+    binding.access_point = required(access_point, "accessPoint")?;
+    Ok(binding)
 }
 
-fn read_tmodel(r: &mut PullReader<'_>) -> Option<TModel> {
+fn read_tmodel(r: &mut PullReader<'_>) -> Result<TModel, SoapError> {
     let [key] = attributes(r, ["tModelKey"])?;
-    let (mut name, mut overview) = (None, None);
-    children(r, |r| match child(r, UDDI_NS) {
-        "name" => once(&mut name, || text(r)),
-        "overviewDoc" => once(&mut overview, || {
-            plain(r)?;
-            let mut url = None;
-            children(r, |r| match child(r, UDDI_NS) {
-                "overviewURL" => once(&mut url, || text(r)),
-                _ => None,
-            })?;
-            Some(url)
-        }),
-        _ => None,
+    let mut tmodel = TModel::new(required(key, "tModelKey")?, "");
+    let mut name = None;
+    read_parts(r, UDDI_NS, &["name", "overviewDoc"], |r, part| {
+        match part {
+            0 => name = Some(text(r)?),
+            _ => {
+                plain(r)?;
+                tmodel.overview_url = Some(only(r, UDDI_NS, "overviewURL", text)?);
+            }
+        }
+        Ok(())
     })?;
-    Some(TModel {
-        key: key?.into_owned(),
-        name: name?,
-        overview_url: overview.flatten(),
-    })
+    tmodel.name = required(name, "name")?;
+    Ok(tmodel)
 }
 
-fn read_entity(r: &mut PullReader<'_>) -> Option<BusinessEntity> {
+fn read_entity(r: &mut PullReader<'_>) -> Result<BusinessEntity, SoapError> {
     let [key] = attributes(r, ["businessKey"])?;
-    let (name, description) = read_naming(r)?;
-    Some(BusinessEntity {
-        key: key?.into_owned(),
-        name: name?,
-        description,
-    })
+    let mut entity = BusinessEntity::new(required(key, "businessKey")?, "");
+    let mut name = None;
+    read_parts(r, UDDI_NS, &["name", "description"], |r, part| {
+        match part {
+            0 => name = Some(text(r)?),
+            _ => entity.description = Some(text(r)?),
+        }
+        Ok(())
+    })?;
+    entity.name = required(name, "name")?;
+    Ok(entity)
 }
 
-fn read_info(r: &mut PullReader<'_>) -> Option<ServiceInfo> {
+fn read_info(r: &mut PullReader<'_>) -> Result<ServiceInfo, SoapError> {
     let [key, business] = attributes(r, ["serviceKey", "businessKey"])?;
-    let (name, None) = read_naming(r)? else {
-        return None;
-    };
-    Some(ServiceInfo {
-        key: key?.into_owned(),
-        name: name.unwrap_or_default(),
+    Ok(ServiceInfo {
+        key: required(key, "serviceKey")?.into_owned(),
         business_key: business.unwrap_or_default().into_owned(),
+        name: only(r, UDDI_NS, "name", text)?,
     })
 }
 
-fn read_business(r: &mut PullReader<'_>) -> Option<(String, String)> {
+fn read_business(r: &mut PullReader<'_>) -> Result<(String, String), SoapError> {
     let [key] = attributes(r, ["businessKey"])?;
-    let (Some(name), None) = read_naming(r)? else {
-        return None;
-    };
-    Some((key?.into_owned(), name))
+    let key = required(key, "businessKey")?.into_owned();
+    Ok((key, only(r, UDDI_NS, "name", text)?))
 }
 
-/// The children of an element that holds a `name` and a `description`,
-/// each at most once.
-fn read_naming(r: &mut PullReader<'_>) -> Option<(Option<String>, Option<String>)> {
-    let (mut name, mut description) = (None, None);
-    children(r, |r| match child(r, UDDI_NS) {
-        "name" => once(&mut name, || text(r)),
-        "description" => once(&mut description, || text(r)),
-        _ => None,
-    })?;
-    Some((name, description))
-}
-
-fn read_data_versions(r: &mut PullReader<'_>) -> Option<DataVersions> {
+/// `dataVersions`: one `shard` per shard id from zero, in any order.
+fn read_data_versions(r: &mut PullReader<'_>) -> Result<DataVersions, SoapError> {
     let [epoch] = attributes(r, ["epoch"])?;
-    let mut versions = DataVersions::at(epoch?.parse().ok()?);
-    children(r, |r| {
-        if child(r, REGISTRY_NS) != "shard" {
-            return None;
+    let epoch = number(required(epoch, "epoch")?, "epoch")?;
+    let mut shards: Vec<(usize, u64)> = Vec::new();
+    while next_tag(r)? == Pull::Start {
+        if child(r, REGISTRY_NS)? != "shard" {
+            return Err(Rule::UnknownElement.refuse(name_of(r)));
         }
         let [id, version] = attributes(r, ["id", "version"])?;
+        let id = number(required(id, "id")?, "id")?;
+        shards.push((id, number(required(version, "version")?, "version")?));
         empty(r)?;
-        versions.place(id?.parse().ok()?, version?.parse().ok()?)
-    })?;
-    Some(versions)
+    }
+    shards.sort_unstable();
+    for (at, &(id, _)) in shards.iter().enumerate() {
+        match id.cmp(&at) {
+            std::cmp::Ordering::Less => return Err(Rule::Repeated.refuse("shard id")),
+            std::cmp::Ordering::Greater => return Err(Rule::Missing.refuse("shard id")),
+            std::cmp::Ordering::Equal => {}
+        }
+    }
+    let versions = shards.into_iter().map(|(_, version)| version).collect();
+    Ok(DataVersions { epoch, versions })
 }

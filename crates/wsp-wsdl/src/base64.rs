@@ -57,6 +57,16 @@ pub fn decode(text: &str) -> Option<Vec<u8>> {
                 | (u32::from(quad[1]) << 12)
                 | (u32::from(quad[2]) << 6)
                 | u32::from(quad[3]);
+            // The bits a padded quantum leaves over must be zero: text
+            // that sets them spells no bytes [`encode`] would write.
+            let spare = match pad {
+                1 => 0xFF,
+                2 => 0xFFFF,
+                _ => 0,
+            };
+            if n & spare != 0 {
+                return None;
+            }
             out.push((n >> 16) as u8);
             if pad < 2 {
                 out.push((n >> 8) as u8);
@@ -117,6 +127,7 @@ mod tests {
         assert!(decode("Zg=").is_none()); // truncated quantum
         assert!(decode("Zg==Zg==x").is_none());
         assert!(decode("Z=g=").is_none()); // data after padding
+        assert!(decode("Zh==").is_none()); // padding bits set
     }
 
     #[test]

@@ -1,48 +1,52 @@
 //! The server-side message engine — the Axis substitute.
 //!
-//! Given a service contract and a handler, [`MessageEngine::process`]
-//! turns a request envelope into a response envelope: mustUnderstand
-//! checking, operation dispatch, argument decoding, handler invocation
-//! and result/fault encoding. WSPeer's lightweight host calls this after
-//! giving the application a chance to intercept the raw message
-//! (Section III, point 2). With no application looking,
-//! [`MessageEngine::read_request`] and [`MessageEngine::answer`] go from
-//! the request's XML to the response's bytes without either envelope.
+//! Given a service contract and a handler, the engine reads a request
+//! off its XML ([`MessageEngine::read_request`]: mustUnderstand
+//! checking, operation dispatch, argument decoding — or the fault the
+//! request earns), calls the handler ([`MessageEngine::call`]) and
+//! writes the response's bytes ([`MessageEngine::write_response`]), no
+//! envelope built on the way. WSPeer's lightweight host shows the
+//! application the message either side of the engine (Section III,
+//! point 2) by parsing a view of the bytes when somebody listens.
 
 use crate::service::{ServiceDescriptor, ServiceHandler};
-use crate::value::{read_members, value_element, write_value, Value};
+use crate::value::{read_members, read_value, write_value, Value};
 use std::sync::Arc;
-use wsp_soap::typed::{at_plain, next_tag, read_envelope, write_envelope};
-use wsp_soap::{constants, Envelope, Fault, FaultCode, MessageHeaders};
-use wsp_xml::{Element, Pull, QName};
+use wsp_soap::constants::FAULTS_NS;
+use wsp_soap::typed::{name_of, plain, read_envelope, write_envelope, Payload, Rule};
+use wsp_soap::{Envelope, Fault, FaultCode, HeaderBlock, MessageHeaders, SoapError};
+use wsp_xml::{QName, StreamWriter};
 
 /// Server-side engine binding a contract to a handler.
 pub struct MessageEngine {
     descriptor: ServiceDescriptor,
     handler: Arc<dyn ServiceHandler>,
-    /// The header blocks this node understands: WS-Addressing's.
-    understood: Vec<QName>,
     fault_action: String,
     /// Per operation, its response's `Action`:
     /// `{namespace}#{operation}Response`; after the `#`, its wrapper.
     response_actions: Vec<String>,
 }
 
-/// A request as [`MessageEngine::read_request`] read it: addressed,
-/// dispatched and its arguments decoded, the handler not yet called.
+/// A request as [`MessageEngine::read_request`] read it: its headers,
+/// and the operation with its arguments decoded — or the fault the
+/// engine answers it with — the handler not yet called.
 pub struct TypedRequest {
     pub headers: MessageHeaders,
-    operation: usize,
-    args: Vec<Value>,
+    call: Result<(usize, Vec<Value>), Fault>,
+}
+
+/// What the handler made of a request, before it is written: the
+/// operation's result, or a fault (the handler's, or the engine's for a
+/// request it refused).
+pub struct Outcome {
+    operation: Option<usize>,
+    result: Result<Value, Fault>,
 }
 
 impl MessageEngine {
     pub fn new(descriptor: ServiceDescriptor, handler: Arc<dyn ServiceHandler>) -> Self {
         let namespace = &descriptor.namespace;
         MessageEngine {
-            understood: ("To Action MessageID RelatesTo ReplyTo FaultTo From".split(' '))
-                .map(|local| QName::new(constants::WSA_NS, local))
-                .collect(),
             fault_action: format!("{namespace}#fault"),
             response_actions: (descriptor.operations.iter())
                 .map(|op| format!("{namespace}#{}Response", op.name))
@@ -56,169 +60,149 @@ impl MessageEngine {
         &self.descriptor
     }
 
-    /// The response's `Action` and the local name of its wrapper.
-    fn response_names(&self, operation: usize) -> (&str, &str) {
-        let action = self.response_actions[operation].as_str();
-        (action, &action[self.descriptor.namespace.len() + 1..])
-    }
-
-    /// Process one request envelope into a response envelope.
-    ///
-    /// One-way operations return `None` (nothing goes back); everything
-    /// else — results and faults alike — returns `Some`.
-    pub fn process(&self, request: &Envelope) -> Option<Envelope> {
-        let request_headers = request.addressing().unwrap_or_default();
-        let respond = |body: Result<Envelope, Fault>, action: &str| -> Envelope {
-            let mut env = match body {
-                Ok(env) => env,
-                Err(fault) => Envelope::fault(fault),
-            };
-            env.set_addressing(MessageHeaders::response_to(&request_headers, action));
-            env
-        };
-
-        // mustUnderstand: we understand WS-Addressing and our own
-        // namespace; any other mandatory header is a fault.
-        if let Some(block) = request.not_understood(&self.understood).first() {
-            let fault = Fault::new(
-                FaultCode::MustUnderstand,
-                format!("mandatory header {:?} not understood", block.element.name()),
-            );
-            return Some(respond(Err(fault), &self.fault_action));
-        }
-
-        let Some(payload) = request.payload() else {
-            let fault = Fault::sender("request body carries no operation element");
-            return Some(respond(Err(fault), &self.fault_action));
-        };
-        let op_name = payload.name().local_name();
-        let operations = &self.descriptor.operations;
-        let Some(at) = operations.iter().position(|op| op.name == op_name) else {
-            let fault = Fault::sender(format!(
-                "service {} has no operation {op_name:?}",
-                self.descriptor.name
-            ))
-            .with_subcode(QName::new("urn:wspeer:faults", "NoSuchOperation"));
-            return Some(respond(Err(fault), &self.fault_action));
-        };
-        let op = &operations[at];
-
-        // Decode arguments in declaration order.
-        let mut args = Vec::with_capacity(op.inputs.len());
-        for param in &op.inputs {
-            match payload
-                .find(self.descriptor.namespace.as_str(), &param.name)
-                .or_else(|| payload.find_local(&param.name))
-            {
-                Some(el) => match Value::decode(el, &param.ty) {
-                    Ok(v) => args.push(v),
-                    Err(e) => {
-                        let fault = Fault::sender(format!("argument {:?}: {e}", param.name));
-                        return Some(respond(Err(fault), &self.fault_action));
-                    }
-                },
-                None if param.optional => args.push(Value::Null),
-                None => {
-                    let fault =
-                        Fault::sender(format!("missing required argument {:?}", param.name));
-                    return Some(respond(Err(fault), &self.fault_action));
-                }
-            }
-        }
-
-        let result = self.handler.invoke(op_name, &args);
-        if !op.expects_response() {
-            // One-way: nothing to send, even on handler error (the error
-            // is the host's to log).
-            return None;
-        }
-
-        let (action, wrapper) = self.response_names(at);
-        let body = result.map(|value| {
-            let ns = self.descriptor.namespace.as_str();
-            let mut wrapper = Element::new(ns.to_owned(), wrapper.to_owned());
-            wrapper.push_element(value_element(ns, "return", &value));
-            Envelope::request(wrapper)
-        });
-        Some(respond(body, action))
-    }
-
-    /// Read a request's XML as far as [`MessageEngine::process`] goes
-    /// before it calls the handler, with no tree; `foreign` is shown the
-    /// header blocks that are not WS-Addressing's. `None` for whatever
-    /// [`read_envelope`] or [`read_members`] declines and for every
-    /// request `process` answers with a fault of its own: parsed and
-    /// processed, such a request gets the answer it always got.
+    /// Read a request's XML as far as the handler call, with no tree;
+    /// `foreign` is shown every header block that is not a WS-Addressing
+    /// header this node reads. The first such block marked
+    /// `mustUnderstand` is a `MustUnderstand` fault, whatever the body
+    /// says; then an empty body, an unknown operation (subcode
+    /// `NoSuchOperation`), a missing or badly typed argument and the
+    /// shape [`Rule`]s earn their sender faults. `Err` only for what
+    /// parsing the envelope refuses.
     pub fn read_request(
         &self,
         xml: &str,
-        foreign: &mut dyn FnMut(&Element),
-    ) -> Option<TypedRequest> {
-        let (headers, (operation, args)) = read_envelope(xml, foreign, |reader| {
-            let ns = self.descriptor.namespace.as_str();
-            let wrapper = next_tag(reader)? == Pull::Start;
-            let local = reader.local_name();
-            let operations = &self.descriptor.operations;
-            let at = operations.iter().position(|op| op.name == local)?;
-            if !(wrapper && at_plain(reader, ns, local)) {
-                return None;
+        foreign: &mut dyn FnMut(&HeaderBlock),
+    ) -> Result<TypedRequest, SoapError> {
+        let mut not_understood = None;
+        let mut watch = |block: &HeaderBlock| {
+            if block.must_understand && not_understood.is_none() {
+                not_understood = Some(block.element.name().clone());
             }
-            let args = read_members(reader, &operations[at].inputs, Some(ns), None)?;
-            (next_tag(reader)? == Pull::End).then_some((at, args))
-        })?;
-        Some(TypedRequest {
-            headers,
-            operation,
-            args,
-        })
+            foreign(block);
+        };
+        let (headers, call) = read_envelope(xml, &mut watch, |payload| self.read_call(payload))?;
+        let call = match not_understood {
+            Some(name) => Err(Fault::new(
+                FaultCode::MustUnderstand,
+                format!("mandatory header {name:?} not understood"),
+            )),
+            None => call,
+        };
+        Ok(TypedRequest { headers, call })
     }
 
-    /// The rest of [`MessageEngine::process`] for such a request: call
-    /// the handler and append the response's wire bytes to `out`.
-    /// `Some(true)` if they are a fault's, `None` — nothing written —
-    /// for a one-way operation. With `readdress`, the bytes are those
-    /// of the engine's envelope after `set_addressing(readdress)`.
+    /// The body of a request: which operation, with which arguments.
+    fn read_call(&self, payload: Payload<'_, '_>) -> Result<(usize, Vec<Value>), SoapError> {
+        let Payload::Element(reader) = payload else {
+            return Err(Fault::sender("request body carries no operation element").into());
+        };
+        let ns = self.descriptor.namespace.as_str();
+        let local = reader.local_name();
+        let operations = &self.descriptor.operations;
+        let Some(at) = operations.iter().position(|op| op.name == local) else {
+            let service = &self.descriptor.name;
+            let fault = Fault::sender(format!("service {service} has no operation {local:?}"));
+            return Err(fault
+                .with_subcode(QName::new(FAULTS_NS, "NoSuchOperation"))
+                .into());
+        };
+        if !reader.is(ns, local) {
+            return Err(Rule::UnknownElement.refuse(name_of(reader)));
+        }
+        plain(reader)?;
+        let args = read_members(
+            reader,
+            &operations[at].inputs,
+            ns,
+            |reader, param| {
+                let value = read_value(reader, ns, &param.ty, None);
+                value.map_err(|e| e.within(format_args!("argument {:?}", param.name)))
+            },
+            |param| Fault::sender(format!("missing required argument {:?}", param.name)),
+        )?;
+        Ok((at, args))
+    }
+
+    /// Call the handler on a request that was read: its outcome, `None`
+    /// for a one-way operation. A refused request's outcome is its fault.
+    pub fn call(&self, request: &TypedRequest) -> Option<Outcome> {
+        let outcome = |operation, result| Outcome { operation, result };
+        match &request.call {
+            Err(fault) => Some(outcome(None, Err(fault.clone()))),
+            Ok((at, args)) => {
+                let op = &self.descriptor.operations[*at];
+                let result = self.handler.invoke(&op.name, args);
+                op.expects_response().then(|| outcome(Some(*at), result))
+            }
+        }
+    }
+
+    /// Append the response `outcome` is to `out`, under the engine's own
+    /// headers — `response_to` the request's, the action its operation's
+    /// response's (a refused request's: the service's fault action) —
+    /// or, with `readdress`, under those, after what `set_addressing`
+    /// keeps of the engine's own: the reference properties of the
+    /// request's `ReplyTo`. True if the bytes are a fault's.
+    pub fn write_response(
+        &self,
+        request: &TypedRequest,
+        outcome: &Outcome,
+        readdress: Option<&MessageHeaders>,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let ns = self.descriptor.namespace.as_str();
+        let (action, wrapper) = match outcome.operation {
+            Some(at) => {
+                let action = self.response_actions[at].as_str();
+                (action, &action[ns.len() + 1..])
+            }
+            None => (self.fault_action.as_str(), ""),
+        };
+        let body = |out: &mut StreamWriter<'_>| match &outcome.result {
+            Ok(value) => out.element(ns, wrapper, |out| write_value(out, ns, "return", value)),
+            Err(fault) => out.tree(&fault.to_element()),
+        };
+        match readdress {
+            Some(headers) => {
+                let reply_to = request.headers.reply_to.as_ref();
+                let kept = reply_to.map_or(&[][..], |r| &r.reference_properties);
+                write_envelope(out, kept, headers, body);
+            }
+            None => {
+                let own = MessageHeaders::response_to(&request.headers, action);
+                write_envelope(out, &[], &own, body);
+            }
+        }
+        outcome.result.is_err()
+    }
+
+    /// [`MessageEngine::call`], then [`MessageEngine::write_response`]:
+    /// `Some(true)` if a fault was written, `None` — nothing written —
+    /// for a one-way operation.
     pub fn answer(
         &self,
         request: &TypedRequest,
         readdress: Option<&MessageHeaders>,
         out: &mut Vec<u8>,
     ) -> Option<bool> {
-        let op = &self.descriptor.operations[request.operation];
-        let result = self.handler.invoke(&op.name, &request.args);
-        if !op.expects_response() {
-            return None;
-        }
-        let (action, wrapper) = self.response_names(request.operation);
-        let own = |action| MessageHeaders::response_to(&request.headers, action);
-        match result {
-            Ok(value) => {
-                let ns = self.descriptor.namespace.as_str();
-                let body = |out: &mut wsp_xml::StreamWriter<'_>| {
-                    out.element(ns, wrapper, |out| write_value(out, ns, "return", &value));
-                };
-                // What `set_addressing` keeps of the engine's own
-                // headers: the reference properties of `ReplyTo`.
-                let reply_to = request.headers.reply_to.as_ref();
-                let kept = reply_to.map_or(&[][..], |r| &r.reference_properties);
-                match readdress {
-                    Some(headers) => write_envelope(out, kept, headers, body),
-                    None => write_envelope(out, &[], &own(action), body),
-                }
-                Some(false)
-            }
-            // Faults are rare and carry trees of their own. (The
-            // handler's go out under the response's action.)
-            Err(fault) => {
-                let mut envelope = Envelope::fault(fault);
-                envelope.set_addressing(own(action));
-                if let Some(headers) = readdress {
-                    envelope.set_addressing(headers.clone());
-                }
-                envelope.to_xml_into(out);
-                Some(true)
-            }
-        }
+        let outcome = self.call(request)?;
+        Some(self.write_response(request, &outcome, readdress, out))
+    }
+
+    /// The engine over envelopes, for `bench/`, whose ladder times it:
+    /// `request` written out, read and answered, the answer parsed back.
+    /// One-way operations return `None`. ROADMAP item 3 ports `bench/`
+    /// to [`MessageEngine::read_request`] + [`MessageEngine::answer`]
+    /// and deletes this.
+    pub fn process(&self, request: &Envelope) -> Option<Envelope> {
+        let request = match self.read_request(&request.to_xml(), &mut |_| {}) {
+            Ok(request) => request,
+            Err(e) => return Some(Envelope::fault(e.to_fault())),
+        };
+        let mut out = Vec::new();
+        self.answer(&request, None, &mut out)?;
+        let xml = String::from_utf8(out).expect("writer output is UTF-8");
+        Some(Envelope::from_xml(&xml).expect("the engine writes envelopes"))
     }
 }
 

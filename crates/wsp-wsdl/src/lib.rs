@@ -15,17 +15,26 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use wsp_wsdl::{MessageEngine, ServiceDescriptor, ServiceProxy, Value};
+//! use wsp_soap::MessageHeaders;
+//! use wsp_wsdl::{proxy, MessageEngine, ServiceDescriptor, Value};
 //!
+//! let echo = ServiceDescriptor::echo();
 //! let engine = MessageEngine::new(
-//!     ServiceDescriptor::echo(),
+//!     echo.clone(),
 //!     Arc::new(|_op: &str, args: &[Value]| Ok(args[0].clone())),
 //! );
-//! let proxy = ServiceProxy::new(ServiceDescriptor::echo(), "http://host/Echo");
-//! let request = proxy.encode_request("echoString", &[Value::string("hi")]).unwrap();
-//! let response = engine.process(&request).unwrap();
-//! assert_eq!(proxy.decode_response("echoString", &response).unwrap(),
-//!            Value::string("hi"));
+//! // The client writes the request's bytes...
+//! let headers = MessageHeaders::request("http://host/Echo", "http://host/Echo#echoString");
+//! let mut request = Vec::new();
+//! proxy::write_request(&echo, &[], &headers, "echoString", &[Value::string("hi")], &mut request)
+//!     .unwrap();
+//! // ...the engine reads them and writes the response's...
+//! let request = engine.read_request(std::str::from_utf8(&request).unwrap(), &mut |_| {}).unwrap();
+//! let mut response = Vec::new();
+//! assert_eq!(engine.answer(&request, None, &mut response), Some(false));
+//! // ...and the client reads the result.
+//! let response = std::str::from_utf8(&response).unwrap();
+//! assert_eq!(proxy::read_response(&echo, "echoString", response), Ok(Value::string("hi")));
 //! ```
 
 pub mod base64;
@@ -40,5 +49,5 @@ pub use engine::{MessageEngine, TypedRequest};
 pub use model::{Port, TransportKind, WsdlDocument, WsdlError, WSDL_NS, WSDL_SOAP_NS};
 pub use proxy::{ProxyError, ServiceProxy};
 pub use service::{OperationDef, OperationRouter, Param, ServiceDescriptor, ServiceHandler};
-pub use value::{decode_typed, Value, ValueError};
+pub use value::Value;
 pub use xsd::{ComplexType, FieldDef, Schema, XsdType, XSD_NS};

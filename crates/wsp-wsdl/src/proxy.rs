@@ -4,19 +4,21 @@
 //! generate them "directly to bytes". The Rust equivalent constructs a
 //! [`ServiceProxy`] from a parsed WSDL (or a local descriptor) at
 //! runtime. The proxy validates calls against the contract, encodes
-//! request envelopes and decodes response envelopes; actual transport is
-//! supplied by the caller, keeping the proxy binding-agnostic (the same
-//! proxy drives HTTP and P2PS invocations). [`write_request`] and
-//! [`read_response`] are the "directly to bytes" form: no envelope built.
+//! requests and reads responses; actual transport is supplied by the
+//! caller, keeping the proxy binding-agnostic (the same proxy drives
+//! HTTP and P2PS invocations). [`write_request`] and [`read_response`]
+//! are the "directly to bytes" form: no envelope built.
 
 use crate::model::WsdlDocument;
 use crate::service::OperationDef;
 use crate::service::ServiceDescriptor;
-use crate::value::{decode_typed, read_value, value_element, write_value, Value};
+use crate::value::{read_value, value_element, write_value, Value};
+use crate::xsd::XsdType;
 use std::fmt;
-use wsp_soap::typed::{at_plain, next_tag, read_envelope, write_envelope};
-use wsp_soap::{Envelope, Fault, MessageHeaders};
-use wsp_xml::{Element, Pull};
+use wsp_soap::typed::{name_of, next_tag, plain, read_envelope, write_envelope};
+use wsp_soap::typed::{Payload, Rule};
+use wsp_soap::{Envelope, Fault, MessageHeaders, SoapError};
+use wsp_xml::{Element, Pull, PullReader};
 
 /// Errors raised on the client side of an invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,15 +126,15 @@ impl ServiceProxy {
         encode_request(&self.descriptor, &self.endpoint, operation, args)
     }
 
-    /// Decode the response to `operation`: a fault becomes
-    /// [`ProxyError::Fault`]; a result is decoded against the declared
-    /// output type (resolving complex types through the service schema).
+    /// [`read_response`] over an envelope, for `bench/`, whose ladder
+    /// times it: `response` written out, then read. ROADMAP item 3 ports
+    /// `bench/` to [`read_response`] and deletes this.
     pub fn decode_response(
         &self,
         operation: &str,
         response: &Envelope,
     ) -> Result<Value, ProxyError> {
-        decode_response(&self.descriptor, operation, response)
+        read_response(&self.descriptor, operation, &response.to_xml())
     }
 }
 
@@ -219,60 +221,65 @@ pub fn write_request(
     Ok(())
 }
 
-/// [`ServiceProxy::decode_response`] over a borrowed contract.
-pub fn decode_response(
+/// The result of `operation` that the response `xml` carries, read
+/// with no tree: the value, decoded against the declared output type
+/// (complex types resolved through the service schema); a fault as
+/// [`ProxyError::Fault`]; `Null` for a one-way operation; anything the
+/// contract does not promise — a document that is no envelope, another
+/// wrapper, no `return`, a value outside its type, a shape [`Rule`] —
+/// as [`ProxyError::BadResponse`].
+pub fn read_response(
     descriptor: &ServiceDescriptor,
     operation: &str,
-    response: &Envelope,
+    xml: &str,
 ) -> Result<Value, ProxyError> {
-    if let Some(fault) = response.fault_body() {
-        return Err(ProxyError::Fault(Box::new(fault.clone())));
-    }
     let op = descriptor
         .find_operation(operation)
         .ok_or_else(|| ProxyError::NoSuchOperation(operation.to_owned()))?;
-    let Some(output) = &op.output else {
-        return Ok(Value::Null); // one-way: nothing to decode
-    };
-    let payload = response
-        .payload()
-        .ok_or_else(|| ProxyError::BadResponse("response body is empty".to_owned()))?;
-    let expected_wrapper = format!("{operation}Response");
-    if payload.name().local_name() != expected_wrapper {
-        return Err(ProxyError::BadResponse(format!(
-            "expected {expected_wrapper} wrapper, found {:?}",
-            payload.name()
-        )));
+    let read = read_envelope(xml, &mut |_| {}, |payload| match (payload, &op.output) {
+        (Payload::Fault(fault), _) => Ok(Err(fault)),
+        (_, None) => Ok(Ok(Value::Null)),
+        (Payload::Empty, _) => Err(Fault::sender("response body is empty").into()),
+        (Payload::Element(reader), Some(output)) => {
+            read_result(reader, descriptor, operation, &output.ty).map(Ok)
+        }
+    });
+    let (_, read) = read.map_err(|e| ProxyError::BadResponse(e.to_string()))?;
+    match read {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(fault)) => Err(fault.into()),
+        Err(refused) => Err(ProxyError::BadResponse(refused.reason)),
     }
-    let ret = payload
-        .find_local("return")
-        .ok_or_else(|| ProxyError::BadResponse("response lacks return element".to_owned()))?;
-    decode_typed(ret, &output.ty, &descriptor.schema)
-        .map_err(|e| ProxyError::BadResponse(e.to_string()))
 }
 
-/// [`decode_response`] of the envelope `xml` is, read with no tree —
-/// for the response the contract promises: `None` for a fault, a
-/// one-way operation, and whatever [`read_envelope`] or [`read_value`]
-/// declines or [`decode_response`] refuses; the caller then parses the
-/// envelope and gets the result or the error from there.
-pub fn read_response(descriptor: &ServiceDescriptor, operation: &str, xml: &str) -> Option<Value> {
-    let output = descriptor.find_operation(operation)?.output.as_ref()?;
-    let (_, value) = read_envelope(xml, &mut |_| {}, |reader| {
-        let wrapper = next_tag(reader)? == Pull::Start;
-        let local = reader.local_name();
-        let named = local.strip_suffix("Response") == Some(operation);
-        if !(wrapper && named && at_plain(reader, &descriptor.namespace, local)) {
-            return None;
+/// The `{operation}Response` wrapper under the cursor and the one
+/// `return` in it.
+fn read_result(
+    reader: &mut PullReader<'_>,
+    descriptor: &ServiceDescriptor,
+    operation: &str,
+    ty: &XsdType,
+) -> Result<Value, SoapError> {
+    let ns = descriptor.namespace.as_str();
+    let wrapper = reader.local_name();
+    if wrapper.strip_suffix("Response") != Some(operation) {
+        let found = name_of(reader);
+        let expected = format!("expected {operation}Response wrapper, found {found}");
+        return Err(Fault::sender(expected).into());
+    }
+    if !reader.is(ns, wrapper) {
+        return Err(Rule::UnknownElement.refuse(name_of(reader)));
+    }
+    plain(reader)?;
+    let mut value = None;
+    while next_tag(reader)? == Pull::Start {
+        match (reader.is(ns, "return"), &value) {
+            (true, None) => value = Some(read_value(reader, ns, ty, Some(&descriptor.schema))?),
+            (true, Some(_)) => return Err(Rule::Repeated.refuse("return")),
+            (false, _) => return Err(Rule::UnknownElement.refuse(name_of(reader))),
         }
-        if next_tag(reader)? != Pull::Start || reader.local_name() != "return" {
-            return None;
-        }
-        let value = read_value(reader, &output.ty, Some(&descriptor.schema))?;
-        let closed = next_tag(reader)? == Pull::End && next_tag(reader)? == Pull::End;
-        closed.then_some(value)
-    })?;
-    Some(value)
+    }
+    value.ok_or_else(|| Fault::sender("response lacks return element").into())
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 use crate::base64;
 use crate::xsd::{FieldDef, Schema, XsdType};
 use std::borrow::Cow;
-use std::fmt;
-use wsp_soap::typed::{next_tag, read_text};
+use wsp_soap::typed::{name_of, next_tag, read_text, Rule};
+use wsp_soap::{Fault, SoapError};
 use wsp_xml::{Element, Pull, PullReader, QName, StreamWriter};
 
 /// XML Schema instance namespace (for `xsi:nil`).
@@ -140,41 +140,6 @@ impl Value {
         }
     }
 
-    /// Decode an element's contents as `expected`.
-    ///
-    /// Complex (`Complex`) types must be resolved by the caller (the
-    /// schema layer) before calling this; here they decode as structs of
-    /// whatever children are present.
-    pub fn decode(element: &Element, expected: &XsdType) -> Result<Value, ValueError> {
-        if element.attribute(XSI_NS, "nil") == Some("true") {
-            return Ok(Value::Null);
-        }
-        let content = element.text_ref();
-        match expected {
-            XsdType::String => Ok(Value::String(content.into_owned())),
-            XsdType::Array(item_ty) => {
-                let mut items = Vec::new();
-                for child in element.child_elements() {
-                    items.push(Value::decode(child, item_ty)?);
-                }
-                Ok(Value::Array(items))
-            }
-            XsdType::AnyType | XsdType::Complex(_) => Ok(Value::decode_untyped(element)),
-            simple => {
-                let text = content.trim();
-                Value::from_lexical(simple, text).ok_or_else(|| ValueError::BadLexical {
-                    ty: match simple {
-                        XsdType::Boolean => "boolean",
-                        XsdType::Double => "double",
-                        XsdType::Base64Binary => "base64Binary",
-                        _ => "integer",
-                    },
-                    text: text.to_owned(),
-                })
-            }
-        }
-    }
-
     /// The value `text` spells in the lexical space of the simple type
     /// `ty` (strings aside: they are not trimmed, nor ever refused).
     fn from_lexical(ty: &XsdType, text: &str) -> Option<Value> {
@@ -188,25 +153,6 @@ impl Value {
             XsdType::Base64Binary => base64::decode(text).map(Value::Bytes),
             _ => text.parse().ok().map(Value::Int),
         }
-    }
-
-    /// Best-effort decode with no schema: elements with children become
-    /// structs (or arrays when every child is named `item`), leaves
-    /// become strings.
-    pub fn decode_untyped(element: &Element) -> Value {
-        let children: Vec<&Element> = element.child_elements().collect();
-        if children.is_empty() {
-            return Value::String(element.text());
-        }
-        if children.iter().all(|c| c.name().local_name() == "item") {
-            return Value::Array(children.into_iter().map(Value::decode_untyped).collect());
-        }
-        Value::Struct(
-            children
-                .into_iter()
-                .map(|c| (c.name().local_name().to_owned(), Value::decode_untyped(c)))
-                .collect(),
-        )
     }
 
     /// True when this value is acceptable where `expected` is required.
@@ -274,76 +220,6 @@ fn parse_double(text: &str) -> Option<f64> {
     }
 }
 
-/// Decode an element against `ty`, resolving named complex types through
-/// `schema`: struct fields are decoded per their declared types, missing
-/// optional fields become `Null`, and missing required fields are errors.
-pub fn decode_typed(
-    element: &Element,
-    ty: &XsdType,
-    schema: &crate::xsd::Schema,
-) -> Result<Value, ValueError> {
-    match ty {
-        XsdType::Complex(name) => {
-            let Some(complex) = schema.get(name) else {
-                // Unknown named type: fall back to the untyped heuristic.
-                return Ok(Value::decode_untyped(element));
-            };
-            if is_nil(element) {
-                return Ok(Value::Null);
-            }
-            let mut fields = Vec::with_capacity(complex.fields.len());
-            for field in &complex.fields {
-                match element.find_local(&field.name) {
-                    Some(child) => {
-                        fields.push((field.name.clone(), decode_typed(child, &field.ty, schema)?))
-                    }
-                    None if field.optional => fields.push((field.name.clone(), Value::Null)),
-                    None => {
-                        return Err(ValueError::MissingField {
-                            ty: name.clone(),
-                            field: field.name.clone(),
-                        })
-                    }
-                }
-            }
-            Ok(Value::Struct(fields))
-        }
-        XsdType::Array(item_ty) => {
-            if is_nil(element) {
-                return Ok(Value::Null);
-            }
-            let mut items = Vec::new();
-            for child in element.child_elements() {
-                items.push(decode_typed(child, item_ty, schema)?);
-            }
-            Ok(Value::Array(items))
-        }
-        simple => Value::decode(element, simple),
-    }
-}
-
-/// Errors produced while decoding values.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValueError {
-    BadLexical { ty: &'static str, text: String },
-    MissingField { ty: String, field: String },
-}
-
-impl fmt::Display for ValueError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValueError::BadLexical { ty, text } => {
-                write!(f, "{text:?} is not a valid xsd:{ty}")
-            }
-            ValueError::MissingField { ty, field } => {
-                write!(f, "complex type {ty} is missing required field {field:?}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ValueError {}
-
 /// Convenience: wrap a value as a named element in `ns`.
 pub fn value_element(ns: &str, name: &str, value: &Value) -> Element {
     let mut e = Element::new(ns.to_owned(), name.to_owned());
@@ -368,69 +244,111 @@ pub fn write_value(out: &mut StreamWriter<'_>, ns: &str, name: &str, value: &Val
 }
 
 /// Read the element whose start tag the cursor rests on, through its
-/// end tag, as `expected` — what [`decode_typed`] makes of its tree
-/// when there is a `schema`, what [`Value::decode`] makes of it when
-/// there is none. `None` where the tree decoders fail, and for the
-/// shapes this reader leaves to them: an attribute other than
-/// `xsi:nil="true"`, a nil element with content, text beside child
-/// elements, struct fields repeated or out of declaration order, a
-/// complex type the schema does not define.
+/// end tag, as `expected` — its children in `ns`, named complex types
+/// resolved through `schema` where there is one (a type it does not
+/// define, or no schema at all, is read untyped). `xsi:nil="true"` on
+/// an empty element is `Null`; a lexical form outside its type is the
+/// sender's fault; other shapes are refused by the [`Rule`] they break:
+/// another attribute, content beside the nil mark, an element where text
+/// goes or text beside elements, an array item not named `item`, a child
+/// outside `ns`, a struct field repeated or unknown.
 pub fn read_value(
     reader: &mut PullReader<'_>,
+    ns: &str,
     expected: &XsdType,
     schema: Option<&Schema>,
-) -> Option<Value> {
+) -> Result<Value, SoapError> {
+    if reader.attribute_count() > 0 {
+        return read_nil(reader);
+    }
     let complex = match (expected, schema) {
-        (XsdType::Complex(name), Some(schema)) => Some(schema.get(name)?),
+        (XsdType::Complex(name), Some(schema)) => schema.get(name).map(|c| (name, c)),
         _ => None,
     };
-    if reader.attribute_count() > 0 {
-        let mut nil = true;
-        reader
-            .attributes(|ns, local, value| nil &= (ns, local, &*value) == (XSI_NS, "nil", "true"));
-        let only = nil && reader.attribute_count() == 1;
-        return (only && reader.next().ok()? == Pull::End).then_some(Value::Null);
-    }
-    Some(match expected {
-        XsdType::Array(item) => {
+    Ok(match (expected, complex) {
+        (XsdType::Array(item), _) => {
             let mut items = Vec::new();
             while next_tag(reader)? == Pull::Start {
-                items.push(read_value(reader, item, schema)?);
+                if !reader.is(ns, "item") {
+                    return Err(Rule::UnknownElement.refuse(name_of(reader)));
+                }
+                items.push(read_value(reader, ns, item, schema)?);
             }
             Value::Array(items)
         }
-        XsdType::AnyType | XsdType::Complex(_) => match complex {
-            Some(complex) => {
-                let values = read_members(reader, &complex.fields, None, schema)?;
-                let names = complex.fields.iter().map(|f| f.name.clone());
-                Value::Struct(names.zip(values).collect())
-            }
-            None => read_untyped(reader)?,
-        },
-        XsdType::String => Value::String(read_text(reader)?.into_owned()),
-        simple => Value::from_lexical(simple, read_text(reader)?.trim())?,
+        (_, Some((name, complex))) => {
+            let fields = &complex.fields;
+            let values = read_members(
+                reader,
+                fields,
+                ns,
+                |reader, field| read_value(reader, ns, &field.ty, schema),
+                |field| {
+                    let field = &field.name;
+                    Fault::sender(format!(
+                        "complex type {name} is missing required field {field:?}"
+                    ))
+                },
+            )?;
+            Value::Struct(fields.iter().map(|f| f.name.clone()).zip(values).collect())
+        }
+        (XsdType::AnyType | XsdType::Complex(_), None) => read_untyped(reader, ns)?,
+        (XsdType::String, _) => Value::String(read_text(reader)?.into_owned()),
+        (simple, _) => {
+            let text = read_text(reader)?;
+            let text = text.trim();
+            Value::from_lexical(simple, text).ok_or_else(|| {
+                let ty = match simple {
+                    XsdType::Boolean => "boolean",
+                    XsdType::Double => "double",
+                    XsdType::Base64Binary => "base64Binary",
+                    _ => "integer",
+                };
+                Fault::sender(format!("{text:?} is not a valid xsd:{ty}"))
+            })?
+        }
     })
 }
 
-/// [`Value::decode_untyped`] off the cursor. Attributes decline, since
-/// the tree decoder does not look at them — `xsi:nil` included.
-fn read_untyped(reader: &mut PullReader<'_>) -> Option<Value> {
+/// An element whose only attribute is `xsi:nil="true"` and which has no
+/// content: `Null`.
+fn read_nil(reader: &mut PullReader<'_>) -> Result<Value, SoapError> {
+    let mut nil = reader.attribute_count() == 1;
+    reader.attributes(|ns, local, value| nil &= (ns, local, &*value) == (XSI_NS, "nil", "true"));
+    if !nil {
+        return Err(Rule::UnknownAttribute.refuse(format_args!("on {}", name_of(reader))));
+    }
+    match reader.next()? {
+        Pull::End => Ok(Value::Null),
+        _ => Err(Rule::UnknownElement.refuse("content beside xsi:nil")),
+    }
+}
+
+/// A value read without a type: character data alone is a string;
+/// child elements are a struct of them by name — or an array, when
+/// every one is an `item`.
+fn read_untyped(reader: &mut PullReader<'_>, ns: &str) -> Result<Value, SoapError> {
     let mut text = String::new();
     let mut children = Vec::new();
     loop {
-        match reader.next().ok()? {
+        match reader.next()? {
             Pull::Text(run) => text.push_str(&run),
-            Pull::Start if reader.attribute_count() == 0 => {
-                children.push((reader.local_name().to_owned(), read_untyped(reader)?));
+            Pull::Start if reader.is(ns, reader.local_name()) => {
+                let name = reader.local_name().to_owned();
+                let value = match reader.attribute_count() {
+                    0 => read_untyped(reader, ns)?,
+                    _ => read_nil(reader)?,
+                };
+                children.push((name, value));
             }
-            Pull::End => break,
-            Pull::Start | Pull::Eof => return None,
+            Pull::Start => return Err(Rule::UnknownElement.refuse(name_of(reader))),
+            Pull::End | Pull::Eof => break,
         }
     }
-    Some(if children.is_empty() {
+    Ok(if children.is_empty() {
         Value::String(text)
     } else if !text.trim().is_empty() {
-        return None;
+        return Err(Rule::StrayText.refuse("beside elements"));
     } else if children.iter().all(|(name, _)| name == "item") {
         Value::Array(children.into_iter().map(|(_, value)| value).collect())
     } else {
@@ -438,60 +356,75 @@ fn read_untyped(reader: &mut PullReader<'_>) -> Option<Value> {
     })
 }
 
-/// Read the children of the element the cursor is in, through its end
-/// tag, as `members` — an operation's parameters (in `ns`) or a complex
-/// type's fields (in any namespace): one value per member, `Null` for
-/// an optional one left out. Declined: a child that is not the next
-/// member or a later one (repeated, out of order, unknown); a required
-/// member left out; members sharing a name (the tree decoders give
-/// them all the first child of that name).
-pub fn read_members(
-    reader: &mut PullReader<'_>,
+/// Read the children of the element whose start tag the cursor rests
+/// on, through its end tag, as `members` — an operation's parameters or
+/// a complex type's fields, in `ns` and in any order: the `k`-th child
+/// of a name is the `k`-th member of that name, read by `read`. A
+/// member left out is `Null` if optional and `missing`'s fault if not;
+/// a child with no member left to be is refused.
+pub fn read_members<'a>(
+    reader: &mut PullReader<'a>,
     members: &[FieldDef],
-    ns: Option<&str>,
-    schema: Option<&Schema>,
-) -> Option<Vec<Value>> {
-    let shared = |(i, m): (usize, &FieldDef)| members[..i].iter().any(|e| e.name == m.name);
-    if members.iter().enumerate().any(shared) {
-        return None;
-    }
-    let mut values = Vec::with_capacity(members.len());
+    ns: &str,
+    mut read: impl FnMut(&mut PullReader<'a>, &FieldDef) -> Result<Value, SoapError>,
+    missing: impl Fn(&FieldDef) -> Fault,
+) -> Result<Vec<Value>, SoapError> {
+    let mut values: Vec<Option<Value>> = vec![None; members.len()];
     while next_tag(reader)? == Pull::Start {
         let local = reader.local_name();
-        if ns.is_some_and(|ns| !reader.is(ns, local)) {
-            return None;
+        if !reader.is(ns, local) {
+            return Err(Rule::UnknownElement.refuse(name_of(reader)));
         }
-        let found = members[values.len()..]
-            .iter()
-            .position(|m| m.name == local)?;
-        let at = values.len() + found;
-        if members[values.len()..at].iter().any(|m| !m.optional) {
-            return None;
-        }
-        values.resize(at, Value::Null);
-        values.push(read_value(reader, &members[at].ty, schema)?);
+        let mut named = members.iter().zip(&values).enumerate();
+        let Some((at, _)) = named.find(|(_, (m, v))| m.name == local && v.is_none()) else {
+            let known = members.iter().any(|m| m.name == local);
+            let rule = if known {
+                Rule::Repeated
+            } else {
+                Rule::UnknownElement
+            };
+            return Err(rule.refuse(local));
+        };
+        values[at] = Some(read(reader, &members[at])?);
     }
-    let rest = &members[values.len()..];
-    rest.iter().all(|m| m.optional).then(|| {
-        values.resize(members.len(), Value::Null);
-        values
-    })
-}
-
-/// True if the element is marked `xsi:nil`.
-pub fn is_nil(element: &Element) -> bool {
-    element.attribute(XSI_NS, "nil") == Some("true")
+    let mut left_out = members.iter().zip(&values);
+    if let Some((member, _)) = left_out.find(|(m, v)| v.is_none() && !m.optional) {
+        return Err(missing(member).into());
+    }
+    // An `Option<Value>` is the size of a `Value`: collected in place.
+    Ok(values
+        .into_iter()
+        .map(|value| value.unwrap_or(Value::Null))
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `xml`'s root read as `ty`, its children in `ns`.
+    fn read(
+        xml: &str,
+        ns: &str,
+        ty: &XsdType,
+        schema: Option<&Schema>,
+    ) -> Result<Value, SoapError> {
+        let mut reader = PullReader::new(xml);
+        assert_eq!(reader.next(), Ok(Pull::Start));
+        read_value(&mut reader, ns, ty, schema)
+    }
+
     fn round_trip(value: &Value, ty: &XsdType) -> Value {
-        let e = value_element("urn:t", "v", value);
-        let xml = e.to_xml();
-        let parsed = wsp_xml::parse(&xml).unwrap();
-        Value::decode(&parsed, ty).unwrap()
+        let xml = value_element("urn:t", "v", value).to_xml();
+        read(&xml, "urn:t", ty, None).unwrap()
+    }
+
+    /// The reason of a value the reader refused with a fault.
+    fn refused(read: Result<Value, SoapError>) -> Fault {
+        match read {
+            Err(SoapError::Fault(fault)) => fault,
+            other => panic!("not a fault: {other:?}"),
+        }
     }
 
     #[test]
@@ -528,6 +461,9 @@ mod tests {
     #[test]
     fn null_round_trips_via_nil() {
         assert_eq!(round_trip(&Value::Null, &XsdType::String), Value::Null);
+        // Inside an untyped value too.
+        let untyped = Value::Struct(vec![("a".into(), Value::Null)]);
+        assert_eq!(round_trip(&untyped, &XsdType::AnyType), untyped);
     }
 
     #[test]
@@ -550,9 +486,7 @@ mod tests {
             ("name".into(), Value::string("cactus")),
             ("step".into(), Value::string("7")),
         ]);
-        let e = value_element("urn:t", "v", &v);
-        let parsed = wsp_xml::parse(&e.to_xml()).unwrap();
-        assert_eq!(Value::decode_untyped(&parsed), v);
+        assert_eq!(round_trip(&v, &XsdType::AnyType), v);
     }
 
     #[test]
@@ -561,32 +495,40 @@ mod tests {
             "frames".into(),
             Value::Array(vec![Value::string("a"), Value::string("b")]),
         )]);
-        let e = value_element("urn:t", "v", &v);
-        let parsed = wsp_xml::parse(&e.to_xml()).unwrap();
-        let got = Value::decode_untyped(&parsed);
+        let got = round_trip(&v, &XsdType::AnyType);
         // Untyped arrays inside structs decode as struct field with array.
         assert_eq!(got.field("frames").unwrap().as_array().unwrap().len(), 2);
     }
 
     #[test]
     fn bad_lexical_forms_rejected() {
-        let e = wsp_xml::parse("<v>not a value!</v>").unwrap();
-        assert!(Value::decode(&e, &XsdType::Int).is_err());
-        assert!(Value::decode(&e, &XsdType::Boolean).is_err());
-        assert!(Value::decode(&e, &XsdType::Double).is_err());
-        assert!(Value::decode(&e, &XsdType::Base64Binary).is_err());
+        for ty in [
+            XsdType::Int,
+            XsdType::Boolean,
+            XsdType::Double,
+            XsdType::Base64Binary,
+        ] {
+            let fault = refused(read("<v>not a value!</v>", "", &ty, None));
+            assert!(fault.reason.contains("is not a valid xsd:"), "{fault}");
+            assert_eq!(
+                Rule::of(&fault),
+                None,
+                "the sender's fault, not a shape rule"
+            );
+        }
+        // A base64 quantum whose padding bits are set spells nothing.
+        assert!(read("<v>AQ==</v>", "", &XsdType::Base64Binary, None).is_ok());
+        refused(read("<v>Ax==</v>", "", &XsdType::Base64Binary, None));
     }
 
     #[test]
     fn boolean_accepts_numeric_forms() {
-        let e = wsp_xml::parse("<v>1</v>").unwrap();
         assert_eq!(
-            Value::decode(&e, &XsdType::Boolean).unwrap(),
+            read("<v>1</v>", "", &XsdType::Boolean, None).unwrap(),
             Value::Bool(true)
         );
-        let e = wsp_xml::parse("<v>0</v>").unwrap();
         assert_eq!(
-            Value::decode(&e, &XsdType::Boolean).unwrap(),
+            read("<v>0</v>", "", &XsdType::Boolean, None).unwrap(),
             Value::Bool(false)
         );
     }
@@ -623,6 +565,7 @@ mod tests {
     }
 }
 
+/// The typed decode: values read against the service schema.
 #[cfg(test)]
 mod decode_typed_tests {
     use super::*;
@@ -647,19 +590,33 @@ mod decode_typed_tests {
         schema
     }
 
+    fn read(xml: &str, ty: &str, schema: &Schema) -> Result<Value, SoapError> {
+        let mut reader = PullReader::new(xml);
+        assert_eq!(reader.next(), Ok(Pull::Start));
+        read_value(&mut reader, "", &XsdType::Complex(ty.into()), Some(schema))
+    }
+
     #[test]
     fn missing_required_field_is_error() {
-        let e = wsp_xml::parse(r#"<f><label>only</label></f>"#).unwrap();
-        let err = decode_typed(&e, &XsdType::Complex("Frame".into()), &frame_schema()).unwrap_err();
-        assert!(matches!(err, ValueError::MissingField { field, .. } if field == "step"));
+        let err = read("<f><label>only</label></f>", "Frame", &frame_schema()).unwrap_err();
+        assert!(
+            matches!(&err, SoapError::Fault(f) if f.reason.contains("missing required field \"step\"")),
+            "{err:?}"
+        );
     }
 
     #[test]
     fn missing_optional_field_becomes_null() {
-        let e = wsp_xml::parse(r#"<f><step>3</step></f>"#).unwrap();
-        let v = decode_typed(&e, &XsdType::Complex("Frame".into()), &frame_schema()).unwrap();
+        // Fields in any order; the one left out is `Null`.
+        let v = read("<f><step>3</step></f>", "Frame", &frame_schema()).unwrap();
         assert_eq!(v.field("step").unwrap().as_int(), Some(3));
         assert_eq!(v.field("label"), Some(&Value::Null));
+        let v = read(
+            "<f><label>l</label><step>3</step></f>",
+            "Frame",
+            &frame_schema(),
+        );
+        assert_eq!(v.unwrap().field("step").unwrap().as_int(), Some(3));
     }
 
     #[test]
@@ -677,31 +634,35 @@ mod decode_typed_tests {
                 ]),
             ]),
         )]);
-        let e = value_element("urn:t", "b", &batch);
-        let parsed = wsp_xml::parse(&e.to_xml()).unwrap();
-        let v = decode_typed(&parsed, &XsdType::Complex("Batch".into()), &frame_schema()).unwrap();
-        let frames = v.field("frames").unwrap().as_array().unwrap();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[1].field("step").unwrap().as_int(), Some(2));
+        let xml = value_element("", "b", &batch).to_xml();
+        let v = read(&xml, "Batch", &frame_schema()).unwrap();
+        assert_eq!(v, batch);
+        // A field given twice is refused.
+        let twice = xml.replacen("<step>1</step>", "<step>1</step><step>9</step>", 1);
+        let err = read(&twice, "Batch", &frame_schema()).unwrap_err();
+        assert!(matches!(&err, SoapError::Fault(f) if Rule::of(f) == Some(Rule::Repeated)));
     }
 
     #[test]
     fn unknown_complex_type_falls_back_to_untyped() {
-        let e = wsp_xml::parse(r#"<x><a>1</a></x>"#).unwrap();
-        let v = decode_typed(&e, &XsdType::Complex("Ghost".into()), &Schema::new()).unwrap();
+        let v = read("<x><a>1</a></x>", "Ghost", &Schema::new()).unwrap();
         assert_eq!(v.field("a").unwrap().as_str(), Some("1"));
     }
 
     #[test]
     fn nil_complex_and_array_are_null() {
-        let e = wsp_xml::parse(&format!(r#"<x xmlns:xsi="{XSI_NS}" xsi:nil="true"/>"#)).unwrap();
+        let nil = format!(r#"<x xmlns:xsi="{XSI_NS}" xsi:nil="true"/>"#);
+        assert_eq!(read(&nil, "Frame", &frame_schema()).unwrap(), Value::Null);
+        let mut reader = PullReader::new(&nil);
+        reader.next().unwrap();
+        let array = XsdType::Array(Box::new(XsdType::Int));
         assert_eq!(
-            decode_typed(&e, &XsdType::Complex("Frame".into()), &frame_schema()).unwrap(),
+            read_value(&mut reader, "", &array, None).unwrap(),
             Value::Null
         );
-        assert_eq!(
-            decode_typed(&e, &XsdType::Array(Box::new(XsdType::Int)), &frame_schema()).unwrap(),
-            Value::Null
-        );
+        // Any other attribute is refused by its rule.
+        let odd = nil.replace("nil=\"true\"", "nil=\"false\"");
+        let err = read(&odd, "Frame", &frame_schema()).unwrap_err();
+        assert!(matches!(&err, SoapError::Fault(f) if Rule::of(f) == Some(Rule::UnknownAttribute)));
     }
 }

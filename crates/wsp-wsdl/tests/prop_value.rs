@@ -1,9 +1,10 @@
-//! Property tests: every well-typed `Value` survives encode → wire →
-//! decode against its schema type, and contracts round-trip through
+//! Property tests: every well-typed `Value` survives write → wire →
+//! read against its schema type, and contracts round-trip through
 //! WSDL text.
 
 use proptest::prelude::*;
-use wsp_wsdl::value::value_element;
+use wsp_soap::SoapError;
+use wsp_wsdl::value::{read_value, value_element};
 use wsp_wsdl::{
     ComplexType, FieldDef, OperationDef, Param, Port, Schema, ServiceDescriptor, TransportKind,
     Value, WsdlDocument, XsdType,
@@ -35,6 +36,13 @@ fn typed_value() -> impl Strategy<Value = (XsdType, Value)> {
     ]
 }
 
+/// `xml`'s root read as `ty`, its children in `urn:prop`.
+fn read(xml: &str, ty: &XsdType, schema: Option<&Schema>) -> Result<Value, SoapError> {
+    let mut reader = wsp_xml::PullReader::new(xml);
+    reader.next()?;
+    read_value(&mut reader, "urn:prop", ty, schema)
+}
+
 fn ncname() -> impl Strategy<Value = String> {
     "[A-Za-z][A-Za-z0-9_]{0,8}"
 }
@@ -62,11 +70,9 @@ proptest! {
 
     #[test]
     fn typed_values_round_trip((ty, value) in typed_value()) {
-        let element = value_element("urn:prop", "v", &value);
-        let xml = element.to_xml();
-        let parsed = wsp_xml::parse(&xml).unwrap();
-        let decoded = Value::decode(&parsed, &ty).expect("well-typed value decodes");
-        prop_assert_eq!(decoded, value, "wire: {}", xml);
+        let xml = value_element("urn:prop", "v", &value).to_xml();
+        let read = read(&xml, &ty, None).expect("a well-typed value reads");
+        prop_assert_eq!(read, value, "wire: {}", xml);
     }
 
     #[test]
@@ -87,11 +93,9 @@ proptest! {
             ),
         );
         let value = Value::Struct(fields.iter().map(|(n, (_, v))| (n.clone(), v.clone())).collect());
-        let element = value_element("urn:prop", "t", &value);
-        let parsed = wsp_xml::parse(&element.to_xml()).unwrap();
-        let decoded = wsp_wsdl::decode_typed(&parsed, &XsdType::Complex("T".into()), &schema)
-            .expect("struct decodes");
-        prop_assert_eq!(decoded, value);
+        let xml = value_element("urn:prop", "t", &value).to_xml();
+        let read = read(&xml, &XsdType::Complex("T".into()), Some(&schema));
+        prop_assert_eq!(read.expect("struct reads"), value);
     }
 
     #[test]
@@ -124,10 +128,20 @@ proptest! {
 
     #[test]
     fn decode_never_panics_on_arbitrary_xml(body in "[ -~]{0,64}") {
-        if let Ok(e) = wsp_xml::parse(&format!("<v>{body}</v>")) {
-            for ty in [XsdType::Boolean, XsdType::Int, XsdType::Double, XsdType::Base64Binary] {
-                let _ = Value::decode(&e, &ty);
-            }
+        let xml = format!("<v xmlns=\"urn:prop\">{body}</v>");
+        let mut schema = Schema::new();
+        schema.define("T", ComplexType::new(vec![FieldDef::optional("item", XsdType::Int)]));
+        for ty in [
+            XsdType::Boolean,
+            XsdType::Int,
+            XsdType::Double,
+            XsdType::Base64Binary,
+            XsdType::String,
+            XsdType::AnyType,
+            XsdType::Array(Box::new(XsdType::Int)),
+            XsdType::Complex("T".into()),
+        ] {
+            let _ = read(&xml, &ty, Some(&schema));
         }
     }
 }

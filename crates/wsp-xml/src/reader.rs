@@ -262,6 +262,18 @@ impl<'a> PullReader<'a> {
         self.start.as_ref().map_or("", |s| s.local)
     }
 
+    /// Its namespace (`""` anywhere else).
+    pub fn namespace(&self) -> &str {
+        self.start.as_ref().map_or("", |s| s.namespace.as_str())
+    }
+
+    /// How many elements are open around the cursor, the one whose start
+    /// tag it rests on included: reading on until it falls back to `n`
+    /// leaves the cursor just past the end tag of an element at depth `n`.
+    pub fn depth(&self) -> usize {
+        self.open.len() + usize::from(self.start.is_some())
+    }
+
     /// How many attributes it has, namespace declarations aside.
     pub fn attribute_count(&self) -> usize {
         self.start.as_ref().map_or(0, |s| s.plain_attrs)
@@ -700,6 +712,25 @@ mod tests {
         assert_eq!(r.next(), Ok(Pull::Text("\n".into())));
         assert_eq!(r.next(), Ok(Pull::End));
         assert_eq!(r.next(), Ok(Pull::Eof));
+    }
+
+    #[test]
+    fn pull_reader_depth_counts_the_start_tag_it_rests_on() {
+        let mut r = PullReader::new(ORDER);
+        assert_eq!(r.depth(), 0);
+        assert_eq!(r.next(), Ok(Pull::Start));
+        assert_eq!((r.depth(), r.namespace()), (1, "urn:o"));
+        r.next().unwrap(); // layout
+        assert_eq!(r.next(), Ok(Pull::Start));
+        assert_eq!(r.depth(), 2);
+        // Read on until the cursor is back at depth 1: past `item`.
+        while r.depth() > 1 {
+            r.next().unwrap();
+        }
+        assert_eq!(r.next(), Ok(Pull::Start));
+        assert_eq!((r.local_name(), r.namespace()), ("note", "urn:n"));
+        r.skip().unwrap();
+        assert_eq!((r.depth(), r.namespace()), (1, ""));
     }
 
     #[test]

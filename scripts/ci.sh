@@ -91,21 +91,30 @@ cargo test -q --release -p wsp-xml --lib --test prop_escape --test byte_soup
 echo "==> wsp-xml read path: reader oracle + seeded vocabulary (release)"
 cargo test -q --release -p wsp-integration-tests --test reader_oracle --test vocabulary
 
-# Typed codec (PR 24): an invocation is read off the pull reader into
-# `Value`s and written from them into bytes, beside the envelope path
-# that listeners and odd documents take. The two must not differ by a
-# byte or a value — Tier-1 ran the generated and the damaged documents
-# with overflow checks on (the readers slice the input by offsets they
-# computed); run them again without, as they ship. The same binary holds
-# the registry vocabulary to the same standard: every request
-# and answer streamed as the tree writer writes it, read as the tree
-# decoders read it or declined, whole, damaged, reshaped or soup. The
+# Typed codec: every invocation and registry message is read
+# off the pull reader by its one reader and written from values into
+# bytes. The writers must be the tree writers' bytes; the readers are
+# held to their own oracle — read(write(v)) == v, and a document they
+# accept, whole, damaged at every offset, reshaped or soup, written back
+# is the same tree (or refused by the rule named for its shape). Tier-1
+# ran this with overflow checks on (the readers slice the input by
+# offsets they computed); run it again without, as it ships. The
 # allocation guard below carries the budgets of a whole invoke (100 over
-# HTTP, 16 of them the server's, 220 over P2PS) and of the registry
-# plane (an exact-name locate: 11 in process, 78 over HTTP; a republish
-# through three replicas: 51).
-echo "==> typed codec = tree codec, invocations and registry messages (release)"
+# HTTP, 16 of them the server's, 220 over P2PS; a 16 KiB echo copies its
+# payload 3 times) and of the registry plane (an exact-name locate: 11
+# in process, 78 over HTTP; a republish through three replicas: 51).
+echo "==> typed codec: one reader per vocabulary, held to its oracle (release)"
 cargo test -q --release -p wsp-integration-tests --test typed_codec
+
+# The byte readers at the socket's edge: `HeadScan` over any
+# split of soup finds the body where one scan of the whole does, and
+# `frame_len` refuses a declared length past `MAX_BODY_LEN` instead of
+# reserving it; the P2PS frame reader decodes a stream split anywhere as
+# it decodes it whole and survives soup. Release, as they ship.
+echo "==> socket-edge byte soup: HTTP heads and P2PS frames (release)"
+cargo test -q --release -p wsp-http --test byte_soup
+cargo test -q --release -p wsp-http --lib a_declared_length_past_the_bound
+cargo test -q --release -p wsp-p2ps --lib frame_reader_reads_any_split
 
 echo "==> allocation-regression guard (release)"
 cargo test -q --release -p wsp-integration-tests --test alloc_guard

@@ -1,43 +1,45 @@
-//! The typed codec against the tree codec: an invocation read off the
-//! tokenizer into `Value`s and written from `Value`s into bytes must be
-//! the invocation the envelope path reads and writes — and a registry
-//! exchange read into records and written from records must be the one
-//! the tree decoders and writers make of it (the last section).
+//! The typed codec held to its own oracle. Every message this
+//! workspace exchanges has one reader and one writer (the tree writers
+//! stay as the byte references), and they are held to this:
 //!
-//! Writers: the streamed bytes *are* the tree writer's, for generated
-//! contracts and arguments, under both bindings' header sets. Readers:
-//! for those documents — whole, cut or damaged at every offset, with
-//! parameters reordered or repeated, a foreign `mustUnderstand` block,
-//! an empty body, a SOAP 1.1 envelope — the typed reader either
-//! declines (and the caller takes the tree path, so there is nothing to
-//! compare) or answers exactly what the tree path answers: the same
-//! handler call, the same response bytes but for the `MessageID` each
-//! response is given, the same decoded `Value`.
+//! 1. The streamed bytes are the tree writer's — `proxy::encode_request`,
+//!    an `Envelope`, the model's `to_element`s — for generated contracts,
+//!    arguments, handler outcomes and registry messages, under both
+//!    bindings' header sets.
+//! 2. `read(write(v)) == v`: a request is read as the call written
+//!    (complex arguments as the untyped values the server reads them
+//!    as), a response as the handler's outcome, a registry message as
+//!    itself.
+//! 3. A reader that accepts a document reads what it says: the value
+//!    written back is the same document as a `wsp_xml::parse` tree, up
+//!    to what DESIGN.md §11 says carries no meaning ([`canon`]) — on
+//!    whole documents, on documents cut or overwritten at every offset,
+//!    on the named shapes and on soup.
+//! 4. The named shapes: each is read, or refused as the tree path
+//!    refused it, or refused by the §11 rule its table names.
+//! 5. No document panics a reader.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::borrow::Cow;
 use std::sync::Arc;
-use wsp_p2ps::{
-    decode_request, encode_response, request_headers, with_reply_pipe, PeerId, PipeAdvertisement,
-};
+use wsp_p2ps::{encode_response, request_headers, with_reply_pipe, PeerId, PipeAdvertisement};
 use wsp_registry::ShardMap;
-use wsp_soap::typed::read_envelope;
-use wsp_soap::{Envelope, Fault, HeaderBlock, MessageHeaders, SOAP_ENV_NS, WSA_NS};
-use wsp_uddi::wire::{
-    read_request, read_request_typed, read_response, read_response_typed, write_request,
-    write_response,
-};
+use wsp_soap::codec::SoapError;
+use wsp_soap::typed::{read_envelope, write_envelope, Payload, Rule};
+use wsp_soap::{Body, Envelope, Fault, FaultCode, HeaderBlock, MessageHeaders, SOAP_ENV_NS};
+use wsp_uddi::wire::{read_request, read_response, write_request, write_response};
 use wsp_uddi::{
     BindingTemplate, BusinessEntity, BusinessService, DataVersions, KeyedReference, ServiceInfo,
     ServiceQuery, TModel, UddiOp, UddiRequest, UddiResponse, REGISTRY_NS, UDDI_NS,
 };
+use wsp_wsdl::value::value_element;
 use wsp_wsdl::{
-    proxy, ComplexType, FieldDef, MessageEngine, OperationDef, Schema, ServiceDescriptor, Value,
-    XsdType,
+    proxy, ComplexType, FieldDef, MessageEngine, OperationDef, ProxyError, Schema,
+    ServiceDescriptor, Value, XsdType,
 };
-use wsp_xml::{Element, Node, QName};
+use wsp_xml::{Element, Node, QName, XML_NS};
 
 const NAMESPACE: &str = "urn:wspeer:test:typed";
 const ENDPOINT: &str = "http://127.0.0.1:8080/Typed";
@@ -282,7 +284,7 @@ impl Wire {
 }
 
 /// `proxy::encode_request`'s envelope under `wire`'s headers — the
-/// tree path of both invokers — and those headers.
+/// tree writer of a request — and those headers.
 fn request_tree(case: &Case, wire: Wire) -> Result<(Envelope, MessageHeaders), String> {
     let (descriptor, operation) = (&case.descriptor, case.operation.as_str());
     let mut envelope = proxy::encode_request(descriptor, ENDPOINT, operation, &case.args)
@@ -301,34 +303,49 @@ fn request_tree(case: &Case, wire: Wire) -> Result<(Envelope, MessageHeaders), S
     Ok((envelope, headers))
 }
 
-fn request_xml(case: &Case, wire: Wire) -> Result<String, String> {
-    request_tree(case, wire).map(|(envelope, _)| envelope.to_xml())
-}
-
-fn request_typed(case: &Case, wire: Wire, headers: &MessageHeaders) -> Result<String, String> {
+/// The request of `case` under `wire` as the invokers stream it —
+/// checked against the tree writer's bytes — and its headers.
+fn request(case: &Case, wire: Wire) -> Result<(String, MessageHeaders), String> {
+    let (envelope, headers) = request_tree(case, wire)?;
     let (leading, _) = wire.request_headers(&case.operation);
-    let mut out = Vec::new();
     let (descriptor, operation) = (&case.descriptor, case.operation.as_str());
+    let mut out = Vec::new();
     proxy::write_request(
-        descriptor, &leading, headers, operation, &case.args, &mut out,
+        descriptor, &leading, &headers, operation, &case.args, &mut out,
     )
     .map_err(|e| e.to_string())?;
-    Ok(String::from_utf8(out).expect("UTF-8"))
+    let typed = String::from_utf8(out).expect("UTF-8");
+    assert_eq!(typed, envelope.to_xml(), "{wire:?} {case:?}");
+    Ok((typed, headers))
 }
 
-// --- the server, both ways ----------------------------------------------------
-
-/// An engine whose handler answers `case.reply` and writes down what
-/// it was called with.
-fn engine_for(case: &Case) -> (MessageEngine, Arc<Mutex<Vec<String>>>) {
-    let calls = Arc::new(Mutex::new(Vec::new()));
-    let (log, reply) = (calls.clone(), case.reply.clone());
-    let handler = move |op: &str, args: &[Value]| {
-        log.lock().push(format!("{op}{args:?}"));
-        reply.clone()
+/// The response the tree engine built for `case`'s outcome to a request
+/// under `request`'s headers, re-addressed as the substrate does — the
+/// byte reference of the engine's writer. No `MessageID`s.
+fn response_tree(
+    case: &Case,
+    request: &MessageHeaders,
+    readdress: Option<&MessageHeaders>,
+) -> Option<String> {
+    let op = case.descriptor.find_operation(&case.operation)?;
+    if !op.expects_response() {
+        return None;
+    }
+    let ns = case.descriptor.namespace.as_str();
+    let mut envelope = match &case.reply {
+        Ok(value) => Envelope::request(
+            Element::build(ns.to_owned(), format!("{}Response", op.name))
+                .child(value_element(ns, "return", value))
+                .finish(),
+        ),
+        Err(fault) => Envelope::fault(fault.clone()),
     };
-    let engine = MessageEngine::new(case.descriptor.clone(), Arc::new(handler));
-    (engine, calls)
+    let action = format!("{ns}#{}Response", op.name);
+    envelope.set_addressing(MessageHeaders::response_to(request, action));
+    if let Some(headers) = readdress {
+        envelope.set_addressing(headers.clone());
+    }
+    Some(without_message_ids(&envelope.to_xml()))
 }
 
 /// `xml` with the text of every `wsa:MessageID` blanked: each response
@@ -348,37 +365,209 @@ fn without_message_ids(xml: &str) -> String {
     out + rest
 }
 
-/// What came of serving one document: the handler's calls, and the
-/// response (no `MessageID`s), none for a one-way operation.
-type Served = (Vec<String>, Option<String>);
+// --- what a reader makes of a value -------------------------------------------
 
-/// The listener path: parse, process, re-address, serialise. `Err` is
-/// the codec's refusal of the document.
-fn serve_tree(
-    engine: &MessageEngine,
-    calls: &Mutex<Vec<String>>,
-    wire: Wire,
-    xml: &str,
-) -> Result<Served, String> {
-    let request = Envelope::from_xml(xml).map_err(|e| e.to_string())?;
-    let readdress = wire.readdress(&request.addressing().unwrap_or_default());
-    let response = engine.process(&request).map(|mut response| {
-        if let Some(headers) = readdress {
-            response.set_addressing(headers);
+/// What a reader makes of `value` written as `ty`: itself, but with a
+/// struct of a schema type completed (an optional field left out reads
+/// as `Null`) and — where no schema types it, as for the arguments the
+/// server reads — a complex or `anyType` value as untyped text and
+/// elements.
+fn as_read(value: &Value, ty: &XsdType, schema: Option<&Schema>) -> Value {
+    let complex = match ty {
+        XsdType::Complex(name) => schema.and_then(|schema| schema.get(name)),
+        _ => None,
+    };
+    match (value, ty, complex) {
+        (Value::Null, _, _) => Value::Null,
+        (Value::Array(items), XsdType::Array(item), _) => {
+            Value::Array(items.iter().map(|v| as_read(v, item, schema)).collect())
         }
-        without_message_ids(&response.to_xml())
-    });
-    Ok((std::mem::take(&mut calls.lock()), response))
+        (Value::Struct(fields), _, Some(complex)) => Value::Struct(
+            (complex.fields.iter())
+                .map(|field| {
+                    let given = fields.iter().find(|(name, _)| *name == field.name);
+                    let value = given.map_or(Value::Null, |(_, v)| as_read(v, &field.ty, schema));
+                    (field.name.clone(), value)
+                })
+                .collect(),
+        ),
+        (_, XsdType::AnyType | XsdType::Complex(_), None) => untyped(value),
+        (value, _, _) => value.clone(),
+    }
 }
 
-/// The fast path; `None` when the typed reader declines the document.
-fn serve_typed(
-    engine: &MessageEngine,
-    calls: &Mutex<Vec<String>>,
-    wire: Wire,
-    xml: &str,
-) -> Option<Served> {
-    let request = engine.read_request(xml, &mut |_| {})?;
+/// `value` as a reader that knows no type reads it back.
+fn untyped(value: &Value) -> Value {
+    let children: Vec<(String, Value)> = match value {
+        Value::Null => return Value::Null,
+        Value::Array(items) => items.iter().map(|v| ("item".into(), untyped(v))).collect(),
+        Value::Struct(fields) => fields
+            .iter()
+            .map(|(n, v)| (n.clone(), untyped(v)))
+            .collect(),
+        simple => return Value::String(value_element("", "v", simple).text()),
+    };
+    if children.is_empty() {
+        Value::String(String::new())
+    } else if children.iter().all(|(name, _)| name == "item") {
+        Value::Array(children.into_iter().map(|(_, v)| v).collect())
+    } else {
+        Value::Struct(children)
+    }
+}
+
+/// `Debug`, because a NaN is not equal to itself.
+fn same<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
+// --- reading what a document says ---------------------------------------------
+
+/// A parsed element as DESIGN.md §11 says a reader takes it: the
+/// envelope's processing attributes on a header block, `xml:lang` on a
+/// fault's text, `URLType` (written from the access point) and
+/// attributes left at their default (empty) carry nothing; neither do
+/// the prefix of a fault code, the lexical form of a number, an element
+/// marked `xsi:nil` (an optional member given as nil and one left out
+/// are one `Null`; `read(write(v)) == v` checks where nils stand) or
+/// the order of differently named children — nor of `shard`s, which
+/// carry their ids. Layout and prefixes `parse` takes away itself.
+#[derive(Debug, PartialEq)]
+struct Canon {
+    name: String,
+    attributes: Vec<(String, String)>,
+    text: String,
+    children: Vec<Canon>,
+}
+
+fn canon(e: &Element) -> Canon {
+    let meaningful = |a: &&wsp_xml::Attribute| {
+        let name = &a.name;
+        !(a.value.is_empty()
+            || name.namespace() == SOAP_ENV_NS
+            || name.is(XML_NS, "lang")
+            || name.is("", "URLType"))
+    };
+    let number = |value: &str| match value.bytes().all(|b| b.is_ascii_digit()) {
+        true if !value.is_empty() => value.trim_start_matches('0').to_owned(),
+        _ => value.to_owned(),
+    };
+    let mut attributes: Vec<(String, String)> = (e.attributes().iter())
+        .filter(meaningful)
+        .map(|a| (format!("{:?}", a.name), number(&a.value)))
+        .collect();
+    attributes.sort();
+    let nil = |c: &Element| (c.attributes().iter()).any(|a| a.name.local_name() == "nil");
+    let mut text = String::new();
+    let mut children = Vec::new();
+    for node in e.children() {
+        match node {
+            Node::Text(run) | Node::CData(run) => text.push_str(run),
+            Node::Element(child) if !nil(child) => children.push(canon(child)),
+            _ => {}
+        }
+    }
+    if e.name().is(SOAP_ENV_NS, "Value") {
+        text = text
+            .rsplit(':')
+            .next()
+            .unwrap_or_default()
+            .trim()
+            .to_owned();
+    }
+    let key = |c: &Canon| {
+        let id = c.attributes.iter().find(|(name, _)| name == "id");
+        let shard = c.name == format!("{{{REGISTRY_NS}}}shard");
+        (
+            c.name.clone(),
+            id.filter(|_| shard).map(|(_, id)| id.clone()),
+        )
+    };
+    children.sort_by_key(key);
+    Canon {
+        name: format!("{:?}", e.name()),
+        attributes,
+        text,
+        children,
+    }
+}
+
+/// The canonical `Header` of an envelope, or its `Body`'s first child.
+fn part(xml: &str, local: &str) -> Option<Canon> {
+    let envelope = wsp_xml::parse(xml).expect("a reader took it: it parses");
+    let child = envelope.find(SOAP_ENV_NS, local)?;
+    match local {
+        "Body" => child.child_elements().next().map(canon),
+        _ => Some(canon(child)),
+    }
+}
+
+/// `body` as the body of `xml` would be, canonical.
+fn body_of(body: &Element) -> Option<Canon> {
+    Some(canon(&wsp_xml::parse(&body.to_xml()).expect("written")))
+}
+
+/// Where the envelope reader takes `xml` whole, the header it read —
+/// addressing and blocks — written back is the document's.
+fn frame_read_alike(xml: &str) {
+    let mut blocks = Vec::new();
+    let mut foreign = |block: &HeaderBlock| blocks.push(block.element.clone());
+    let Ok((headers, Ok(()))) = read_envelope(xml, &mut foreign, |_| Ok(())) else {
+        return;
+    };
+    let mut out = Vec::new();
+    write_envelope(&mut out, &blocks, &headers, |_| {});
+    let written = String::from_utf8(out).expect("UTF-8");
+    assert_eq!(part(&written, "Header"), part(xml, "Header"), "{xml}");
+}
+
+// --- the server -----------------------------------------------------------------
+
+/// What the engine made of one request document.
+#[derive(Debug)]
+struct Served {
+    headers: MessageHeaders,
+    /// The header blocks shown to `foreign`.
+    blocks: Vec<HeaderBlock>,
+    /// The handler's call, if it was called.
+    call: Option<(String, Vec<Value>)>,
+    /// The response, `MessageID`s blanked; none for a one-way call.
+    response: Option<String>,
+}
+
+impl Served {
+    /// The fault the engine refused the request with, if it did.
+    fn refusal(&self) -> Option<Fault> {
+        if self.call.is_some() {
+            return None;
+        }
+        let response = self.response.as_deref()?;
+        let read = read_envelope(response, &mut |_| {}, |payload| match payload {
+            Payload::Fault(fault) => Ok(Some(fault)),
+            _ => Ok(None),
+        });
+        read.ok()?.1.ok()?
+    }
+
+    /// The rule the engine refused the request by, if it did.
+    fn rule(&self) -> Option<Rule> {
+        self.refusal().and_then(|fault| Rule::of(&fault))
+    }
+}
+
+/// Serve `xml` with an engine whose handler answers `case.reply`; where
+/// the engine takes the request, the call it read written back is the
+/// document.
+fn served_alike(case: &Case, wire: Wire, xml: &str) -> Result<Served, SoapError> {
+    let calls = Arc::new(Mutex::new(Vec::new()));
+    let (log, reply) = (calls.clone(), case.reply.clone());
+    let handler = move |op: &str, args: &[Value]| {
+        log.lock().push((op.to_owned(), args.to_vec()));
+        reply.clone()
+    };
+    let engine = MessageEngine::new(case.descriptor.clone(), Arc::new(handler));
+    let mut blocks = Vec::new();
+    let request = engine.read_request(xml, &mut |block| blocks.push(block.clone()))?;
     assert!(calls.lock().is_empty(), "the reader called the handler");
     let readdress = wire.readdress(&request.headers);
     let mut out = Vec::new();
@@ -388,55 +577,51 @@ fn serve_typed(
         assert_eq!(fault, xml.contains("<env:Fault>"), "{xml}");
         without_message_ids(&xml)
     });
-    Some((std::mem::take(&mut calls.lock()), response))
-}
-
-/// Both paths on one document: the typed one declines, or the two
-/// agree. Returns what the typed path made of it.
-fn served_alike(case: &Case, wire: Wire, xml: &str) -> Option<Served> {
-    let (engine, calls) = engine_for(case);
-    let typed = serve_typed(&engine, &calls, wire, xml);
-    if let Some(typed) = &typed {
-        let tree = serve_tree(&engine, &calls, wire, xml);
-        assert_eq!(Ok(typed), tree.as_ref(), "{wire:?} served {xml}");
+    let mut calls = std::mem::take(&mut *calls.lock());
+    assert!(calls.len() <= 1, "{calls:?}");
+    let call = calls.pop();
+    if let Some((operation, args)) = &call {
+        frame_read_alike(xml);
+        let body = call_element(&case.descriptor, operation, args);
+        assert_eq!(body_of(&body), part(xml, "Body"), "{xml}");
     }
-    typed
+    Ok(Served {
+        headers: request.headers,
+        blocks,
+        call,
+        response,
+    })
 }
 
-/// The same for the client's half: `read_response` declines or decodes
-/// what `decode_response` decodes.
-fn decoded_alike(case: &Case, xml: &str) -> Option<Value> {
+/// The operation element of a call, as the invokers write it.
+fn call_element(descriptor: &ServiceDescriptor, operation: &str, args: &[Value]) -> Element {
+    let ns = descriptor.namespace.as_str();
+    let op = descriptor.find_operation(operation).expect("called");
+    let mut element = Element::new(ns.to_owned(), operation.to_owned());
+    for (param, arg) in op.inputs.iter().zip(args) {
+        if !(param.optional && *arg == Value::Null) {
+            element.push_element(value_element(ns, &param.name, arg));
+        }
+    }
+    element
+}
+
+/// What the client reads of the response `xml`; where it takes the
+/// outcome, the outcome written back is the document's body.
+fn decoded_alike(case: &Case, xml: &str) -> Result<Value, ProxyError> {
     let (descriptor, operation) = (&case.descriptor, case.operation.as_str());
-    let typed = proxy::read_response(descriptor, operation, xml);
-    if let Some(typed) = &typed {
-        let envelope = Envelope::from_xml(xml);
-        let tree =
-            envelope.map(|envelope| proxy::decode_response(descriptor, operation, &envelope));
-        // `Debug`: a NaN is not equal to itself.
-        let same = format!("{:?}", Ok::<_, ()>(Ok::<_, ()>(typed)));
-        assert_eq!(same, format!("{tree:?}"), "decoded {xml}");
-    }
-    typed
-}
-
-/// And for what a pipe reads of a message before anyone decodes it:
-/// the typed header reader declines, or finds the envelope's addressing
-/// and shows the envelope's other blocks.
-fn routed_alike(xml: &str) {
-    let mut shown = Vec::new();
-    let mut foreign = |block: &Element| shown.push((block.name().clone(), block.text()));
-    let Some((headers, ())) = read_envelope(xml, &mut foreign, |body| body.skip().ok()) else {
-        return;
+    let read = proxy::read_response(descriptor, operation, xml);
+    let ns = descriptor.namespace.as_str();
+    let body = match &read {
+        Ok(value) => Element::build(ns.to_owned(), format!("{operation}Response"))
+            .child(value_element(ns, "return", value))
+            .finish(),
+        Err(ProxyError::Fault(fault)) => fault.to_element(),
+        Err(_) => return read,
     };
-    let envelope = Envelope::from_xml(xml).expect("the typed reader took it");
-    assert_eq!(headers, envelope.addressing().unwrap_or_default(), "{xml}");
-    let others = envelope.headers().iter().map(|block| &block.element);
-    let others: Vec<_> = others
-        .filter(|e| e.name().namespace() != WSA_NS)
-        .map(|e| (e.name().clone(), e.text()))
-        .collect();
-    assert_eq!(shown, others, "{xml}");
-    assert_eq!(decode_request(xml, &mut |_| {}), Some(headers));
+    frame_read_alike(xml);
+    assert_eq!(body_of(&body), part(xml, "Body"), "{xml}");
+    read
 }
 
 /// Every document that differs from `xml` by a cut at a character
@@ -453,125 +638,155 @@ fn damaged(xml: &str) -> impl Iterator<Item = String> + '_ {
 
 // --- properties -----------------------------------------------------------------
 
-/// Writers: the bytes are the tree writer's. Readers, on those
-/// canonical documents: agreement — and not a vacuous one, the typed
-/// path is the one that runs for most of them (it leaves `xsi:nil`
-/// inside untyped values, and little else, to the tree).
+/// Whole messages: the bytes are the tree writer's; the request is read
+/// as the call written, under the headers written, the blocks shown
+/// once; the response is the tree engine's bytes and reads as the
+/// outcome.
 #[test]
 fn whole_messages_are_written_and_read_alike() {
     let mut rng = TestRng::for_test("typed_codec::whole_messages");
-    let (mut typed_served, mut tree_only) = (0, 0);
     for _ in 0..256 {
         let case = Cases.generate(&mut rng);
+        let op = case
+            .descriptor
+            .find_operation(&case.operation)
+            .expect("its own");
+        let args: Vec<Value> = (op.inputs.iter().enumerate())
+            .map(|(at, param)| {
+                let sent = case.args.get(at);
+                sent.map_or(Value::Null, |v| as_read(v, &param.ty, None))
+            })
+            .collect();
         for wire in WIRES {
-            let tree = request_tree(&case, wire);
-            let headers = match &tree {
-                Ok((_, headers)) => headers.clone(),
-                Err(_) => wire.request_headers(&case.operation).1,
+            let Ok((request, headers)) = request(&case, wire) else {
+                continue;
             };
-            let typed = request_typed(&case, wire, &headers);
-            let tree = tree.map(|(envelope, _)| envelope.to_xml());
-            assert_eq!(typed, tree, "{wire:?} {case:?}");
-            let Ok(request) = typed else { continue };
-            routed_alike(&request);
+            let served = served_alike(&case, wire, &request).expect("an envelope");
+            let call = Some((case.operation.clone(), args.clone()));
+            assert!(same(&served.call, &call), "{served:?} {case:?}");
+            let mut sent = headers.clone();
+            sent.destination_properties.clear();
+            assert_eq!(served.headers, sent);
+            let (leading, _) = wire.request_headers(&case.operation);
+            let shown: Vec<Element> = served.blocks.iter().map(|b| b.element.clone()).collect();
+            assert_eq!(shown, [leading, headers.destination_properties].concat());
 
-            match served_alike(&case, wire, &request) {
-                Some(_) => typed_served += 1,
-                None => tree_only += 1,
-            }
-            // The response the client reads is the tree path's, which
-            // the typed path's equals wherever there is one.
-            let (engine, calls) = engine_for(&case);
-            let (_, response) = serve_tree(&engine, &calls, wire, &request).expect("canonical");
-            if let Some(response) = response {
-                routed_alike(&response);
-                let decoded = decoded_alike(&case, &response);
-                assert!(
-                    case.reply.is_ok() || decoded.is_none(),
-                    "a fault read typed"
-                );
-            }
+            let readdress = wire.readdress(&served.headers);
+            let expected = response_tree(&case, &served.headers, readdress.as_ref());
+            assert_eq!(served.response, expected, "{wire:?} {case:?}");
+            let (Some(response), Some(output)) = (&served.response, &op.output) else {
+                continue;
+            };
+            let schema = Some(&case.descriptor.schema);
+            let outcome = (case.reply.as_ref())
+                .map(|value| as_read(value, &output.ty, schema))
+                .map_err(|fault| ProxyError::Fault(Box::new(fault.clone())));
+            let decoded = decoded_alike(&case, response);
+            assert!(same(&decoded, &outcome), "{decoded:?} from {response}");
         }
     }
-    assert!(
-        typed_served > 4 * tree_only,
-        "{typed_served} served typed, {tree_only} declined"
-    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Cut or damaged at every offset, a request and its response are
-    /// still declined or read alike — never read differently.
+    /// refused, or read as what they say — never as something else.
     #[test]
     fn damaged_messages_are_declined_or_read_alike(case in Cases, pick in 0usize..3) {
         let wire = WIRES[pick];
-        let Ok(request) = request_xml(&case, wire) else { continue };
+        let Ok((request, _)) = request(&case, wire) else { continue };
         for document in damaged(&request) {
-            served_alike(&case, wire, &document);
-            routed_alike(&document);
+            let _ = served_alike(&case, wire, &document);
+            frame_read_alike(&document);
         }
-        let (engine, calls) = engine_for(&case);
-        let (_, response) = serve_tree(&engine, &calls, wire, &request).expect("canonical");
-        for document in damaged(&response.unwrap_or_default()) {
-            decoded_alike(&case, &document);
-            routed_alike(&document);
+        let served = served_alike(&case, wire, &request).expect("canonical");
+        for document in damaged(&served.response.unwrap_or_default()) {
+            let _ = decoded_alike(&case, &document);
+            frame_read_alike(&document);
         }
     }
 
-    /// Shapes the typed reader leaves to the tree, by name: each is
-    /// declined, and the tree path answers it as it always did.
+    /// Shapes by name. Each is served as the tree path served it, or
+    /// refused as it refused it, or refused by the §11 rule named here
+    /// where the tree decoder applied a private rule of its own.
     #[test]
     fn shapes_outside_the_typed_readers_are_declined(case in Cases, pick in 0usize..3) {
         let wire = WIRES[pick];
         let Ok((request, _)) = request_tree(&case, wire) else { continue };
+        let canonical = served_alike(&case, wire, &request.to_xml()).expect("canonical");
         let variant = |edit: &dyn Fn(&mut Element)| {
             let mut payload = request.payload().expect("a request").clone();
             edit(&mut payload);
             let mut variant = Envelope::request(payload);
             request.headers().iter().for_each(|block| variant.add_header(block.clone()));
-            variant
+            served_alike(&case, wire, &variant.to_xml()).expect("an envelope")
         };
-        let declined = |what: &str, xml: &str| {
-            prop_assert_eq!(served_alike(&case, wire, xml), None, "{} served typed: {}", what, xml);
-        };
+        let op = case.descriptor.find_operation(&case.operation).expect("its own");
         let parameters = request.payload().expect("a request").children().len();
         if parameters >= 2 {
-            declined("reordered", &variant(&|payload| payload.children_mut().reverse()).to_xml());
+            // Another order: read, as the tree read it.
+            let reordered = variant(&|payload| payload.children_mut().reverse());
+            prop_assert!(same(&reordered.call, &canonical.call), "{reordered:?}");
         }
         if parameters >= 1 {
+            // The tree read the first of two.
             let repeated = variant(&|payload| {
                 let first = payload.children()[0].clone();
                 payload.children_mut().push(first);
             });
-            declined("a repeated parameter", &repeated.to_xml());
+            prop_assert_eq!(repeated.rule(), Some(Rule::Repeated));
+            // The tree read it whatever its namespace.
+            let elsewhere = variant(&|payload| {
+                let first = payload.child_elements().next().expect("a parameter");
+                let name = first.name().local_name().to_owned();
+                payload.children_mut()[0] = Node::Element(Element::new("urn:elsewhere", name));
+            });
+            prop_assert_eq!(elsewhere.rule(), Some(Rule::UnknownElement));
         }
+        if let Some(at) = op.inputs.iter().take(parameters).position(|p| !p.optional) {
+            // Faulted alike.
+            let missing = variant(&|payload| drop(payload.children_mut().remove(at)));
+            let fault = missing.refusal().expect("refused");
+            prop_assert!(fault.reason.starts_with("missing required argument"), "{}", fault);
+        }
+        // The tree passed over a parameter the operation does not have,
+        // and an attribute on the wrapper.
+        let stranger = variant(&|payload| payload.push_element(Element::new(NAMESPACE, "zz")));
+        prop_assert_eq!(stranger.rule(), Some(Rule::UnknownElement));
+        let attributed = variant(&|payload| payload.set_attribute(QName::local("id"), "w"));
+        prop_assert_eq!(attributed.rule(), Some(Rule::UnknownAttribute));
+
+        // Faulted alike: a block nobody here reads marked mandatory, an
+        // operation the service does not have, an empty body.
         let mut mandatory = request.clone();
         mandatory.add_header(HeaderBlock::mandatory(Element::new("urn:strange", "Security")));
-        declined("a foreign mustUnderstand block", &mandatory.to_xml());
-        let (engine, calls) = engine_for(&case);
-        let (called, fault) = serve_tree(&engine, &calls, wire, &mandatory.to_xml()).unwrap();
-        prop_assert!(called.is_empty() && fault.unwrap().contains("env:MustUnderstand"));
-
+        let served = served_alike(&case, wire, &mandatory.to_xml()).expect("an envelope");
+        let fault = served.refusal().expect("a fault, the handler not called");
+        prop_assert_eq!(fault.code, FaultCode::MustUnderstand);
+        let unknown = variant(&|payload| *payload = Element::new(NAMESPACE, "nope"));
+        let subcode = unknown.refusal().and_then(|fault| fault.subcode);
+        prop_assert_eq!(subcode.map(|s| s.local_name().to_owned()).as_deref(), Some("NoSuchOperation"));
         let mut empty = Envelope::empty();
         request.headers().iter().for_each(|block| empty.add_header(block.clone()));
-        declined("an empty body", &empty.to_xml());
+        let served = served_alike(&case, wire, &empty.to_xml()).expect("an envelope");
+        let fault = served.refusal().expect("a fault");
+        prop_assert!(fault.reason.contains("carries no operation"), "{}", fault);
+        // Refused alike: SOAP 1.1.
         let soap11 = request.to_xml().replace(SOAP_ENV_NS, "http://schemas.xmlsoap.org/soap/envelope/");
-        declined("a SOAP 1.1 envelope", &soap11);
-        let (engine, calls) = engine_for(&case);
-        prop_assert!(serve_tree(&engine, &calls, wire, &soap11).is_err());
+        let refused = served_alike(&case, wire, &soap11).unwrap_err();
+        prop_assert!(matches!(refused, SoapError::VersionMismatch { .. }), "{refused}");
 
-        // Layout is not shape: indented, the request is still typed
-        // wherever it was, and still served alike.
+        // Layout is not shape: indented, the request is the same call.
         let pretty = request.to_element().to_pretty_xml();
-        let compact = served_alike(&case, wire, &request.to_xml());
-        prop_assert_eq!(served_alike(&case, wire, &pretty).is_some(), compact.is_some(), "{}", pretty);
+        let indented = served_alike(&case, wire, &pretty).expect("an envelope");
+        prop_assert!(same(&indented.call, &canonical.call), "{pretty}");
     }
 }
 
-/// The shapes the issue names, spelled out: each is served typed, and
-/// answers what the tree path answers.
+/// The shapes the typed codec was built for, spelled out: each is
+/// served, read as written, and answered with what the client reads as
+/// the outcome.
 #[test]
 fn the_named_shapes_are_served_typed() {
     let array_of = |ty| XsdType::Array(Box::new(ty));
@@ -622,6 +837,7 @@ fn the_named_shapes_are_served_typed() {
             Value::Array(vec![]),
         ]),
         frame(Value::string("t=0.7")),
+        // Untyped, a struct of `item`s is an array.
         Value::Struct(vec![
             ("item".into(), Value::string("x")),
             ("item".into(), Value::string("y")),
@@ -648,15 +864,26 @@ fn the_named_shapes_are_served_typed() {
             args,
             reply,
         };
+        let op = descriptor.find_operation(operation).expect("declared");
+        let args: Vec<Value> = (op.inputs.iter().enumerate())
+            .map(|(at, p)| {
+                case.args
+                    .get(at)
+                    .map_or(Value::Null, |v| as_read(v, &p.ty, None))
+            })
+            .collect();
         for wire in WIRES {
-            let request = request_xml(&case, wire).expect("valid call");
-            let (called, response) = served_alike(&case, wire, &request)
-                .unwrap_or_else(|| panic!("{wire:?} declined {request}"));
-            assert_eq!(called.len(), 1);
-            assert_eq!(response.is_some(), operation != "notify");
-            let Some(response) = response else { continue };
+            let (request, _) = request(&case, wire).expect("valid call");
+            let served = served_alike(&case, wire, &request).expect("an envelope");
+            let call = Some((operation.to_owned(), args.clone()));
+            assert!(same(&served.call, &call), "{wire:?} {served:?}");
+            assert_eq!(served.response.is_some(), operation != "notify");
+            let Some(response) = served.response else {
+                continue;
+            };
             let decoded = decoded_alike(&case, &response);
-            assert_eq!(decoded, case.reply.clone().ok(), "{response}");
+            let outcome = (case.reply.clone()).map_err(|fault| ProxyError::Fault(Box::new(fault)));
+            assert_eq!(decoded, outcome, "{response}");
         }
     }
 }
@@ -947,34 +1174,67 @@ fn registry_response_xml(response: &UddiResponse) -> String {
     typed
 }
 
-/// Both readers on one request document: the typed one declines, or
-/// reads what the tree decoder decodes. Returns the typed reading.
-fn request_read_alike(xml: &str) -> Option<UddiRequest<'static>> {
-    let typed = read_request_typed(xml);
-    let tree = Envelope::from_xml(xml).map(|envelope| match envelope.payload() {
-        Some(payload) => UddiRequest::from_payload(payload),
-        None => Err(Fault::sender("UDDI request carries no body")),
-    });
-    if let Some(typed) = &typed {
-        assert_eq!(tree, Ok(Ok(typed.clone())), "read {xml}");
-    }
-    let either = read_request(xml);
-    assert_eq!(either, tree.ok(), "the reader is the two of them: {xml}");
-    typed
+/// What a registry reader made of a document.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// Read — as what it says: written back, the body is the document's.
+    Read,
+    /// Refused by a §11 rule.
+    Rule(Rule),
+    /// Refused as the registry always refused it.
+    Refused(String),
+    /// Not a SOAP envelope (a registry answers it with a 400).
+    NotSoap,
 }
 
-/// The same for a response document.
-fn response_read_alike(xml: &str) -> Option<UddiResponse> {
-    let typed = read_response_typed(xml);
-    let tree = Envelope::from_xml(xml).map(UddiResponse::from_envelope);
-    if let Some(typed) = &typed {
-        assert_eq!(tree, Ok(Ok(typed.clone())), "read {xml}");
+/// The rule a refusal's reason names: its first word.
+fn rule_named(reason: &str) -> Option<Rule> {
+    let rules = [
+        Rule::Repeated,
+        Rule::UnknownElement,
+        Rule::UnknownAttribute,
+        Rule::StrayText,
+        Rule::Missing,
+        Rule::BadValue,
+    ];
+    let named = |rule: &Rule| reason.starts_with(&format!("{rule:?}: "));
+    rules.into_iter().find(named)
+}
+
+fn request_verdict(xml: &str) -> Verdict {
+    match read_request(xml) {
+        None => Verdict::NotSoap,
+        Some(Ok(request)) => {
+            let mut out = Vec::new();
+            write_request(&request, &mut out);
+            let written = String::from_utf8(out).expect("UTF-8");
+            assert_eq!(part(&written, "Body"), part(xml, "Body"), "{xml}");
+            Verdict::Read
+        }
+        Some(Err(fault)) => Rule::of(&fault).map_or(Verdict::Refused(fault.reason), Verdict::Rule),
     }
-    match (read_response(xml), tree) {
-        (Ok(either), Ok(Ok(tree))) => assert_eq!(either, tree, "{xml}"),
-        (either, tree) => assert!(either.is_err() && !matches!(tree, Ok(Ok(_))), "{xml}"),
+}
+
+fn response_verdict(xml: &str) -> Verdict {
+    match read_response(xml) {
+        Ok(response) => {
+            let mut out = Vec::new();
+            write_response(&response, &mut out);
+            let written = String::from_utf8(out).expect("UTF-8");
+            assert_eq!(part(&written, "Body"), part(xml, "Body"), "{xml}");
+            Verdict::Read
+        }
+        Err(reason) => rule_named(&reason).map_or(Verdict::Refused(reason), Verdict::Rule),
     }
-    typed
+}
+
+/// Read, or refused by one of `rules`.
+fn read_or(verdict: Verdict, rules: &[Rule]) -> Result<(), String> {
+    match verdict {
+        Verdict::Read => Ok(()),
+        Verdict::Rule(rule) if rules.contains(&rule) => Ok(()),
+        other => Err(format!("{other:?}, not one of {rules:?}")),
+    }
 }
 
 /// `payload` with `edit` applied to its `n`-th element in document
@@ -1024,79 +1284,70 @@ fn reversed(e: &mut Element) {
 }
 
 /// Writers: the bytes are the tree writer's for every request and
-/// answer. Readers, on those documents: the typed reader reads every
-/// request and every answer but a fault and the shard map, and reads
-/// each as the value that was written — which the tree decoders decode
-/// too.
+/// answer. Readers: every request and every answer — a fault, the shard
+/// map — read as the value written, and as what the document says.
 #[test]
 fn registry_documents_are_written_and_read_alike() {
     let mut rng = TestRng::for_test("typed_codec::registry_documents");
     for _ in 0..256 {
         let request = Requests.generate(&mut rng);
         let xml = registry_request_xml(&request);
-        assert_eq!(request_read_alike(&xml), Some(request), "{xml}");
+        assert_eq!(read_request(&xml), Some(Ok(request)), "{xml}");
+        assert_eq!(request_verdict(&xml), Verdict::Read);
 
         let response = Responses.generate(&mut rng);
         let xml = registry_response_xml(&response);
-        let typed = response_read_alike(&xml);
-        match response {
-            UddiResponse::Fault(_) | UddiResponse::Other(_) => {
-                assert_eq!(typed, None, "{xml}");
-                assert_eq!(read_response(&xml), Ok(response), "{xml}");
-            }
-            response => assert_eq!(typed, Some(response), "{xml}"),
-        }
+        assert_eq!(read_response(&xml), Ok(response), "{xml}");
+        assert_eq!(response_verdict(&xml), Verdict::Read);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Cut or damaged at every offset, a request and an answer are still
-    /// declined or read alike — never read differently.
+    /// Cut or damaged at every offset, a request and an answer are
+    /// refused, or read as what they say — never as something else.
     #[test]
     fn damaged_registry_documents_are_declined_or_read_alike(
         request in Requests,
         response in Responses,
     ) {
         for document in damaged(&registry_request_xml(&request)) {
-            request_read_alike(&document);
+            request_verdict(&document);
         }
         for document in damaged(&registry_response_xml(&response)) {
-            response_read_alike(&document);
+            response_verdict(&document);
         }
     }
 
-    /// Shapes by name. Children and attributes in another order, a child
-    /// repeated, an attribute left out: read alike, and layout and order
-    /// are not shape — still read typed. A foreign attribute or child anywhere
-    /// in the document: declined. A fault, an unknown operation, an
-    /// empty body, SOAP 1.1: declined, and the tree decoders answer.
+    /// Shapes by name. Children and attributes in another order and
+    /// layout are not shape: read. Where the tree decoders applied a
+    /// private rule — an attribute or child they ignored, the first of
+    /// two children, an entry without a required attribute skipped — the
+    /// document is read as what it says or refused by that rule. An
+    /// unknown operation, an empty body, SOAP 1.1: refused as before.
     #[test]
     fn registry_shapes_outside_the_typed_readers_are_declined(
         request in Requests,
         response in Responses,
     ) {
         let request_payload = registry_request_tree(&request);
-        let response_payload = match registry_response_tree(&response).into_body() {
-            wsp_soap::Body::Payload(payload) => payload,
-            _ => Element::new("urn:wspeer:test:not-registry", "fault"),
+        let response_payload = match registry_response_tree(&response).body() {
+            Body::Payload(payload) => payload.clone(),
+            Body::Fault(fault) => fault.to_element(),
+            Body::Empty => unreachable!("every answer has a body"),
         };
-        let typed_request = |payload: Element| {
-            request_read_alike(&Envelope::request(payload).to_xml())
-        };
-        let typed_response = |payload: Element| {
-            response_read_alike(&Envelope::request(payload).to_xml())
-        };
+        let of_request = |payload: Element| request_verdict(&Envelope::request(payload).to_xml());
+        let of_response = |payload: Element| response_verdict(&Envelope::request(payload).to_xml());
+
         let mut backwards = request_payload.clone();
         reversed(&mut backwards);
-        prop_assert!(typed_request(backwards).is_some(), "{request:?}");
+        prop_assert_eq!(of_request(backwards), Verdict::Read, "{:?}", request);
         let pretty = Envelope::request(request_payload.clone()).to_element().to_pretty_xml();
-        prop_assert!(request_read_alike(&pretty).is_some(), "{pretty}");
-        let canonical = typed_response(response_payload.clone()).is_some();
+        prop_assert_eq!(read_request(&pretty), Some(Ok(request.clone())));
         let mut backwards = response_payload.clone();
         reversed(&mut backwards);
-        prop_assert_eq!(typed_response(backwards).is_some(), canonical, "{:?}", response);
+        prop_assert_eq!(of_response(backwards), Verdict::Read, "{:?}", response);
 
         let foreign_attribute = |e: &mut Element| e.set_attribute(QName::new("urn:f", "x"), "1");
         let plain_attribute = |e: &mut Element| e.set_attribute(QName::local("extra"), "1");
@@ -1118,39 +1369,42 @@ proptest! {
                 }
             }
         };
-        for n in 0.. {
-            let Some(variant) = edited(&request_payload, n, &foreign_attribute) else { break };
-            prop_assert!(typed_request(variant).is_none(), "{request:?} #{n}");
-            let variant = edited(&request_payload, n, &plain_attribute).expect("as many");
-            typed_request(variant);
-            let variant = edited(&request_payload, n, &foreign_child).expect("as many");
-            prop_assert!(typed_request(variant).is_none(), "{request:?} #{n}");
-            for k in 0..8 {
-                typed_request(edited(&request_payload, n, &repeated(k)).expect("as many"));
-                typed_request(edited(&request_payload, n, &dropped(k)).expect("as many"));
-            }
-        }
-        for n in 0.. {
-            let Some(variant) = edited(&response_payload, n, &foreign_attribute) else { break };
-            prop_assert!(typed_response(variant).is_none(), "{response:?} #{n}");
-            let variant = edited(&response_payload, n, &plain_attribute).expect("as many");
-            prop_assert!(typed_response(variant).is_none(), "{response:?} #{n}");
-            let variant = edited(&response_payload, n, &foreign_child).expect("as many");
-            prop_assert!(typed_response(variant).is_none(), "{response:?} #{n}");
-            for k in 0..8 {
-                typed_response(edited(&response_payload, n, &repeated(k)).expect("as many"));
-                typed_response(edited(&response_payload, n, &dropped(k)).expect("as many"));
+        let attributes = [Rule::UnknownAttribute];
+        // A second `Detail` child is repeated rather than unknown.
+        let children = [Rule::UnknownElement, Rule::Repeated];
+        // A repeated entry is marked: a number of it may overflow or
+        // name a shard twice, an element of it that holds nothing gain
+        // text.
+        let repeats = [Rule::Repeated, Rule::BadValue, Rule::StrayText];
+        let (payloads, verdicts): ([&Element; 2], [&dyn Fn(Element) -> Verdict; 2]) =
+            ([&request_payload, &response_payload], [&of_request, &of_response]);
+        for (payload, verdict) in payloads.into_iter().zip(verdicts) {
+            for n in 0.. {
+                let Some(variant) = edited(payload, n, &foreign_attribute) else { break };
+                let edit = |edit: &dyn Fn(&mut Element)| {
+                    verdict(edited(payload, n, edit).expect("as many"))
+                };
+                read_or(verdict(variant), &attributes).map_err(|e| format!("#{n}: {e}")).unwrap();
+                read_or(edit(&plain_attribute), &attributes).unwrap();
+                read_or(edit(&foreign_child), &children).unwrap();
+                for k in 0..8 {
+                    read_or(edit(&repeated(k)), &repeats).unwrap();
+                    read_or(edit(&dropped(k)), &[Rule::Missing]).unwrap();
+                }
             }
         }
 
         let unknown = Envelope::request(Element::new(UDDI_NS, "discard_everything")).to_xml();
-        prop_assert!(request_read_alike(&unknown).is_none());
-        prop_assert!(read_request(&unknown).is_some_and(|refused| refused.is_err()));
+        let refused = request_verdict(&unknown);
+        prop_assert!(matches!(&refused, Verdict::Refused(why) if why.contains("unknown UDDI operation")));
         let empty = Envelope::empty().to_xml();
-        prop_assert!(request_read_alike(&empty).is_none() && response_read_alike(&empty).is_none());
+        prop_assert_eq!(request_verdict(&empty), Verdict::Refused("UDDI request carries no body".into()));
+        let nothing = Verdict::Refused("registry response body is empty".into());
+        prop_assert_eq!(response_verdict(&empty), nothing);
         let soap11 = registry_request_xml(&request)
-            .replace(wsp_soap::SOAP_ENV_NS, "http://schemas.xmlsoap.org/soap/envelope/");
-        prop_assert!(request_read_alike(&soap11).is_none() && read_request(&soap11).is_none());
+            .replace(SOAP_ENV_NS, "http://schemas.xmlsoap.org/soap/envelope/");
+        prop_assert_eq!(request_verdict(&soap11), Verdict::NotSoap);
+        prop_assert!(read_response(&soap11).is_err());
     }
 }
 
@@ -1208,19 +1462,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     /// Whatever arrives, the registry readers answer — a value, a
-    /// refusal, a decline — and never panic; where the typed reader does
-    /// answer, the tree decoders answer the same.
+    /// refusal — and never panic; what they read, they read as what it
+    /// says.
     #[test]
     fn registry_readers_never_panic_on_soup(soup in RegistrySoup, request in Requests) {
-        request_read_alike(&soup);
-        response_read_alike(&soup);
+        request_verdict(&soup);
+        response_verdict(&soup);
         // Soup spliced into a whole document, where the readers go deep.
         let xml = registry_request_xml(&request);
         let at = (soup.len() % xml.len().max(1)..xml.len())
             .find(|&at| xml.is_char_boundary(at))
             .unwrap_or(xml.len());
         let spliced = format!("{}{soup}{}", &xml[..at], &xml[at..]);
-        request_read_alike(&spliced);
-        response_read_alike(&spliced);
+        request_verdict(&spliced);
+        response_verdict(&spliced);
     }
 }
