@@ -13,7 +13,7 @@ use crate::query::{properties_to_uddi_categories, ServiceQuery};
 use crate::server::{HostedService, Hosting, Incoming, Served};
 use crate::telemetry::{self, Counter, Histogram};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -23,7 +23,7 @@ use wsp_http::{
 };
 use wsp_soap::MessageHeaders;
 use wsp_uddi::{BindingTemplate, BusinessService, TModel, UddiClient};
-use wsp_wsdl::{proxy, Port, TransportKind, Value, WsdlDocument};
+use wsp_wsdl::{proxy, Port, ServiceDescriptor, TransportKind, Value, WsdlDocument};
 
 /// Wire header carrying the caller's correlation token; the serving
 /// peer adopts it so client- and server-side spans share one trace id.
@@ -68,6 +68,9 @@ struct Shared {
     /// service name → UDDI service key (for unpublish).
     published: RwLock<HashMap<String, String>>,
     pool: ConnectionPool,
+    /// Interfaces this consumer fetched and verified, by digest, their
+    /// names blanked: at most [`KNOWN_INTERFACES`].
+    interfaces: Mutex<VecDeque<(u64, ServiceDescriptor)>>,
     /// The peer's hosting core, installed by `on_attach` (or adopted
     /// from the first `open`): its dispatcher fans WSDL retrieval out
     /// during discovery, its gauges go on `/metrics`.
@@ -267,6 +270,7 @@ impl HttpUddiBinding {
                 host: Mutex::new(None),
                 published: RwLock::new(HashMap::new()),
                 pool: ConnectionPool::new(),
+                interfaces: Mutex::new(VecDeque::new()),
                 hosting: RwLock::new(None),
                 registry_health: EndpointHealth::new(BreakerConfig::default()),
                 publish_series: OpSeries::named("registry.publish"),
@@ -356,11 +360,8 @@ impl ServiceDeployer for HttpDeployer {
     fn port(&self, service: &str) -> Result<Port, WspError> {
         let (host, port) = self.shared.ensure_host()?;
         let transport = self.shared.transport();
-        Ok(Port {
-            name: format!("{service}Port"),
-            location: format!("{}://{host}:{port}/{service}", transport.scheme()),
-            transport,
-        })
+        let location = format!("{}://{host}:{port}/{service}", transport.scheme());
+        Ok(Port::hosted(service, transport, location))
     }
 
     fn open(&self, hosting: &Arc<Hosting>, service: &Arc<HostedService>) {
@@ -451,15 +452,23 @@ impl ServicePublisher for UddiPublisher {
         // The tModel rides in the `save_service` exchange. Its key is
         // assigned here, not minted by the registry (nothing reads it
         // back before the record must name it): one per endpoint, so a
-        // republish replaces its tModel instead of adding one.
+        // republish replaces its tModel instead of adding one, and it
+        // names the interface, so a consumer that holds it need not
+        // fetch the WSDL. A republish replaces the record the first
+        // publish made, under the key the registry gave it.
+        let key = (self.shared.published.read())
+            .get(service.name())
+            .cloned()
+            .unwrap_or_default();
         let saved = registry_call(&self.shared, &self.shared.publish_series, || {
+            let digest = service.descriptor.interface_digest();
             let tmodel = TModel::new(
-                format!("uuid:tm-wsdl:{endpoint}"),
+                format!("{WSDL_TMODEL}{digest:016x}:{endpoint}"),
                 format!("{} WSDL", service.name()),
             )
             .with_overview(format!("{endpoint}?wsdl"));
             let mut record =
-                BusinessService::new("", self.shared.config.business.clone(), service.name())
+                BusinessService::new(key, self.shared.config.business.clone(), service.name())
                     .with_binding(BindingTemplate::new("", endpoint).with_tmodel(&tmodel.key));
             if let Some(doc) = &service.descriptor.documentation {
                 record = record.with_description(doc.clone());
@@ -498,9 +507,82 @@ struct UddiLocator {
     shared: Arc<Shared>,
 }
 
-/// Fetch the WSDL behind one UDDI access point. Providers that have
-/// gone away (or answer garbage) are skipped, not fatal.
-fn fetch_wsdl(shared: &Shared, access_point: &str) -> Option<LocatedService> {
+/// Prefix of the WSDL tModel keys the publisher assigns:
+/// `uuid:tm-wsdl:{interface digest:016x}:{endpoint}`.
+const WSDL_TMODEL: &str = "uuid:tm-wsdl:";
+
+/// How many verified interfaces a consumer keeps, oldest out first.
+const KNOWN_INTERFACES: usize = 64;
+
+/// The interface digest a binding's WSDL tModel key claims, for a
+/// binding served over plain HTTP. An `httpg://` binding claims none:
+/// fetching its WSDL at locate is its credential check.
+fn claimed_interface(binding: &BindingTemplate) -> Option<u64> {
+    if !binding.access_point.starts_with("http://") {
+        return None;
+    }
+    binding.tmodel_keys.iter().find_map(|key| {
+        let claim = key.strip_prefix(WSDL_TMODEL)?;
+        let digest = claim.strip_suffix(binding.access_point.as_str())?;
+        u64::from_str_radix(digest.strip_suffix(':')?, 16).ok()
+    })
+}
+
+impl Shared {
+    /// The service `name` at `access_point` whose interface is `digest`,
+    /// built without contacting it — if this consumer has verified that
+    /// interface before.
+    fn known(&self, digest: u64, name: &str, access_point: &str) -> Option<LocatedService> {
+        let interfaces = self.interfaces.lock();
+        let (_, template) = interfaces.iter().find(|(known, _)| *known == digest)?;
+        let wsdl = WsdlDocument::rebuild(template, name, TransportKind::Http, access_point);
+        Some(LocatedService::new(
+            wsdl,
+            access_point,
+            BindingKind::HttpUddi,
+        ))
+    }
+
+    /// Keep the interface of `wsdl`, fetched from `access_point` for a
+    /// record named `name` that claims `digest` — only if it has that
+    /// digest and rebuilding it from the record gives `wsdl` back
+    /// exactly (one HTTP port, so named, at that location): a later hit
+    /// is then what the fetch would have returned.
+    fn learn(&self, digest: u64, name: &str, access_point: &str, wsdl: &WsdlDocument) {
+        if wsdl.descriptor.interface_digest() != digest {
+            return;
+        }
+        let template = ServiceDescriptor {
+            name: String::new(),
+            ..wsdl.descriptor.clone()
+        };
+        if WsdlDocument::rebuild(&template, name, TransportKind::Http, access_point) != *wsdl {
+            return;
+        }
+        let mut interfaces = self.interfaces.lock();
+        if interfaces.iter().all(|(known, _)| *known != digest) {
+            if interfaces.len() == KNOWN_INTERFACES {
+                interfaces.pop_front();
+            }
+            interfaces.push_back((digest, template));
+        }
+    }
+}
+
+/// Fetch and read the WSDL behind one UDDI access point: how a located
+/// service is made when its interface is not known yet. A provider that
+/// has gone away (or answers garbage) is left out, not fatal. `claim`
+/// is what the record says — the interface digest, the service's name —
+/// and if the document bears it out, the interface is kept
+/// ([`Shared::learn`]). Later locates of any service with that
+/// interface contact no provider, so a dead one whose record remains is
+/// returned like a live one: an invoke under a retrying policy fails
+/// over past it.
+fn fetch_wsdl(
+    shared: &Shared,
+    access_point: &str,
+    claim: Option<&(u64, String)>,
+) -> Option<LocatedService> {
     let uri = HttpUri::parse(access_point).ok()?;
     let request = Request::get(format!("{}?wsdl", uri.target));
     let response = shared.call(&uri, request, None).ok()?;
@@ -508,6 +590,9 @@ fn fetch_wsdl(shared: &Shared, access_point: &str) -> Option<LocatedService> {
         return None;
     }
     let wsdl = WsdlDocument::from_xml(&response.body_str()).ok()?;
+    if let Some((digest, name)) = claim {
+        shared.learn(*digest, name, access_point, &wsdl);
+    }
     Some(LocatedService::new(
         wsdl,
         access_point.to_owned(),
@@ -523,38 +608,54 @@ impl ServiceLocator for UddiLocator {
             self.shared.uddi.locate(&query.to_uddi())
         })
         .map_err(|e| WspError::Locate(e.to_string()))?;
-        let targets: Vec<String> = records
-            .iter()
-            .flat_map(|record| record.bindings.iter().map(|b| b.access_point.clone()))
-            .collect();
-        // With a peer dispatcher attached, fetch the per-provider WSDLs
-        // in parallel on the pool; collection preserves registry order.
+        // One slot per binding, in registry order: a known interface
+        // fills its slot here, the rest are fetched.
+        let mut found = Vec::new();
+        let mut misses = Vec::new();
+        for record in &records {
+            for binding in &record.bindings {
+                let claim = claimed_interface(binding);
+                let hit = claim.and_then(|digest| {
+                    (self.shared).known(digest, &record.name, &binding.access_point)
+                });
+                if hit.is_none() {
+                    let claim = claim.map(|digest| (digest, record.name.clone()));
+                    misses.push((found.len(), binding.access_point.clone(), claim));
+                }
+                found.push(hit);
+            }
+        }
+        // With a peer dispatcher attached, fetch the WSDLs in parallel
+        // on the pool.
         let hosting = self.shared.hosting.read().clone();
-        let found = match hosting.filter(|_| targets.len() > 1) {
+        match hosting.filter(|_| misses.len() > 1) {
             Some(hosting) => {
-                let handles: Vec<_> = targets
+                let handles: Vec<_> = misses
                     .into_iter()
-                    .map(|access_point| {
+                    .map(|(slot, access_point, claim)| {
                         let shared = self.shared.clone();
-                        hosting
-                            .dispatcher()
-                            .submit(move || fetch_wsdl(&shared, &access_point))
+                        let fetch = move || fetch_wsdl(&shared, &access_point, claim.as_ref());
+                        (slot, hosting.dispatcher().submit(fetch))
                     })
                     .collect();
                 // A submit rejected by a shut-down dispatcher just skips
                 // that provider.
-                let answered = handles.into_iter().flatten();
-                answered.filter_map(|handle| handle.wait()).collect()
+                for (slot, handle) in handles {
+                    if let Ok(handle) = handle {
+                        found[slot] = handle.wait();
+                    }
+                }
             }
-            None => targets
-                .iter()
-                .filter_map(|access_point| fetch_wsdl(&self.shared, access_point))
-                .collect(),
-        };
+            None => {
+                for (slot, access_point, claim) in misses {
+                    found[slot] = fetch_wsdl(&self.shared, &access_point, claim.as_ref());
+                }
+            }
+        }
         self.shared
             .locate_rtt_us
             .record_micros(locate_started.elapsed());
-        Ok(found)
+        Ok(found.into_iter().flatten().collect())
     }
 
     fn kind(&self) -> &'static str {

@@ -24,6 +24,7 @@ use crate::telemetry::{self, CorrelationScope, Histogram};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use wsp_soap::codec::SoapError;
@@ -34,14 +35,17 @@ use wsp_wsdl::{
 use wsp_xml::Element;
 
 /// One deployment: the contract, the engine bound to its handler, and
-/// the description rendered once. Built by [`Server::deploy`], kept in
-/// the peer's one service table, and handed to the deployer's endpoint
-/// to be served through [`Hosting::serve`].
+/// the description, rendered the first time someone asks for it. Built
+/// by [`Server::deploy`], kept in the peer's one service table, and
+/// handed to the deployer's endpoint to be served through
+/// [`Hosting::serve`].
 pub struct HostedService {
     deployed: DeployedService,
     engine: MessageEngine,
-    wsdl_xml: String,
+    wsdl_xml: OnceLock<String>,
     wsdl_element: OnceLock<Element>,
+    /// Published by [`Server::publish`] (and not withdrawn since).
+    published: AtomicBool,
 }
 
 impl HostedService {
@@ -49,8 +53,9 @@ impl HostedService {
         let endpoint = port.location.clone();
         let wsdl = WsdlDocument::new(descriptor.clone(), vec![port]);
         HostedService {
-            wsdl_xml: wsdl.to_xml(),
+            wsdl_xml: OnceLock::new(),
             wsdl_element: OnceLock::new(),
+            published: AtomicBool::new(false),
             engine: MessageEngine::new(descriptor.clone(), handler),
             deployed: DeployedService {
                 descriptor,
@@ -69,9 +74,11 @@ impl HostedService {
         &self.deployed
     }
 
-    /// The WSDL document as served at `endpoint?wsdl`.
+    /// The WSDL document as served at `endpoint?wsdl`, rendered on
+    /// first use: a consumer that already holds the interface never
+    /// asks for it.
     pub fn wsdl_xml(&self) -> &str {
-        &self.wsdl_xml
+        self.wsdl_xml.get_or_init(|| self.deployed.wsdl.to_xml())
     }
 
     /// The same document as a tree, for substrates that ship it inside
@@ -79,7 +86,7 @@ impl HostedService {
     /// [`Self::wsdl_xml`] on first use, so both forms are one document.
     pub fn wsdl_element(&self) -> &Element {
         self.wsdl_element
-            .get_or_init(|| wsp_xml::parse(&self.wsdl_xml).expect("generated WSDL is well-formed"))
+            .get_or_init(|| wsp_xml::parse(self.wsdl_xml()).expect("generated WSDL is well-formed"))
     }
 }
 
@@ -378,10 +385,12 @@ impl Server {
         *self.hosting.admission.write() = KeyedAdmissionController::new(policy);
     }
 
-    /// Deploy a service: generate its description, create an
-    /// addressable endpoint, and start answering. Fires a
-    /// [`DeploymentMessageEvent`]. Deploying a name again replaces the
-    /// deployment — the new handler answers from then on.
+    /// Deploy a service: describe it, create an addressable endpoint,
+    /// and start answering. Fires a [`DeploymentMessageEvent`].
+    /// Deploying a name again replaces the deployment — the new handler
+    /// answers from then on. If the replaced one was published and the
+    /// interface changed, the new one is published in its place: a
+    /// record never names an interface its endpoint no longer serves.
     pub fn deploy(
         &self,
         descriptor: ServiceDescriptor,
@@ -394,7 +403,8 @@ impl Server {
             .ok_or_else(|| WspError::Deploy("no ServiceDeployer plugged in".into()))?;
         let port = deployer.port(&descriptor.name)?;
         let service = Arc::new(HostedService::new(descriptor, handler, port));
-        self.hosting
+        let replaced = self
+            .hosting
             .services
             .write()
             .insert(service.name().to_owned(), service.clone());
@@ -406,6 +416,14 @@ impl Server {
                 service: deployed.name().to_owned(),
                 endpoints: deployed.endpoints.clone(),
             });
+        if let Some(replaced) = replaced.filter(|r| r.published.load(Ordering::Relaxed)) {
+            let digest = |s: &HostedService| s.deployed.descriptor.interface_digest();
+            if digest(&replaced) == digest(&service) {
+                service.published.store(true, Ordering::Relaxed);
+            } else {
+                self.publish(service.name())?;
+            }
+        }
         Ok(deployed)
     }
 
@@ -422,6 +440,9 @@ impl Server {
             .service(service)
             .ok_or_else(|| WspError::Publish(format!("{service:?} is not deployed")))?;
         let result = publisher.publish(hosted.deployed());
+        if result.is_ok() {
+            hosted.published.store(true, Ordering::Relaxed);
+        }
         self.hosting.events.fire_publish(|| PublishMessageEvent {
             service: service.to_owned(),
             result: result.clone(),

@@ -90,17 +90,18 @@ impl ServiceStore {
         orphaned
     }
 
-    /// Insert or replace. A republish that changes neither the name nor
-    /// the tModel references — a lease refresh, a moved access point —
+    /// Insert or replace; returns the tModels a replace left
+    /// unreferenced. A republish that changes neither the name nor the
+    /// tModel references — a lease refresh, a moved access point —
     /// touches neither derived map and folds nothing.
-    fn save(&mut self, service: BusinessService) {
+    fn save(&mut self, service: BusinessService) -> Vec<String> {
         match self.records.get_mut(&service.key) {
             Some(slot) => {
                 let renamed = slot.name != service.name;
                 let rebound = !tmodel_keys(slot).eq(tmodel_keys(&service));
                 if !renamed && !rebound {
                     *slot = service;
-                    return;
+                    return Vec::new();
                 }
                 let old = std::mem::replace(slot, service.clone());
                 if renamed {
@@ -108,8 +109,10 @@ impl ServiceStore {
                     self.index_name(&service.name, &service.key);
                 }
                 if rebound {
-                    self.drop_refs(&old);
+                    // Count the new references first: a tModel both
+                    // name is kept.
                     self.add_refs(&service);
+                    return self.drop_refs(&old);
                 }
             }
             None => {
@@ -118,6 +121,7 @@ impl ServiceStore {
                 self.records.insert(service.key.clone(), service);
             }
         }
+        Vec::new()
     }
 
     /// Remove a record and its index entries; returns the tModels it
@@ -181,7 +185,9 @@ impl Registry {
         business
     }
 
-    /// Save (insert or replace) a service. Empty keys are minted.
+    /// Save (insert or replace) a service. Empty keys are minted. A
+    /// replace that rebinds the record drops the tModels nothing
+    /// references any more, as [`Registry::delete_service`] does.
     pub fn save_service(&self, mut service: BusinessService) -> BusinessService {
         if service.key.is_empty() {
             service.key = self.generate_key("svc");
@@ -191,12 +197,15 @@ impl Registry {
                 binding.key = self.generate_key("bind");
             }
         }
-        self.put_service(service.clone());
+        let mut services = self.inner.services.write();
+        let orphaned = services.save(service.clone());
+        self.drop_tmodels(&orphaned);
         service
     }
 
     /// Insert or replace a record keyed elsewhere, as it is: a shard
-    /// replica stores the record its group logged, keys and all.
+    /// replica stores the record its group logged, keys and all. Like
+    /// [`Registry::remove_service_record`] it leaves the tModels be.
     pub fn put_service(&self, service: BusinessService) {
         self.inner.services.write().save(service);
     }
@@ -223,15 +232,20 @@ impl Registry {
         let Some(orphaned) = services.remove(key) else {
             return false;
         };
+        self.drop_tmodels(&orphaned);
+        true
+    }
+
+    /// Remove tModels the service records stopped referencing. Called
+    /// under the services lock: a concurrent save cannot start
+    /// referencing one between the count and the drop.
+    fn drop_tmodels(&self, orphaned: &[String]) {
         if !orphaned.is_empty() {
-            // Still under the services lock: a concurrent save cannot
-            // start referencing a tModel between the count and the drop.
             let mut tmodels = self.inner.tmodels.write();
-            for tmodel in &orphaned {
+            for tmodel in orphaned {
                 tmodels.remove(tmodel);
             }
         }
-        true
     }
 
     /// Remove a service record and nothing else. For stores that hold
@@ -399,6 +413,42 @@ mod tests {
                 .with_binding(BindingTemplate::new("", "http://h/X").with_tmodel(&lone.key)),
         );
         assert!(r.remove_service_record(&svc.key));
+        assert!(r.get_tmodel(&lone.key).is_some());
+    }
+
+    #[test]
+    fn a_replace_that_rebinds_drops_the_tmodels_it_orphaned() {
+        let r = Registry::new();
+        let shared = r.save_tmodel(TModel::new("", "shared interface"));
+        let record = |wsdl: &TModel| {
+            BusinessService::new("svc-1", "b", "S").with_binding(
+                BindingTemplate::new("", "http://h/S")
+                    .with_tmodel(&wsdl.key)
+                    .with_tmodel(&shared.key),
+            )
+        };
+        let first = r.save_tmodel(TModel::new("", "S WSDL, first interface"));
+        r.save_service(record(&first));
+        let baseline = r.tmodel_count();
+        for i in 0..10 {
+            // What a republish under a changed interface does: the same
+            // record, bound to the new interface's WSDL tModel.
+            let next = r.save_tmodel(TModel::new("", format!("S WSDL, interface {i}")));
+            r.save_service(record(&next));
+            assert_eq!(r.service_count(), 1);
+            assert_eq!(r.tmodel_count(), baseline, "rebind {i} leaked a tModel");
+            assert!(r.get_tmodel(&next.key).is_some());
+        }
+        assert!(r.get_tmodel(&first.key).is_none());
+        assert!(
+            r.get_tmodel(&shared.key).is_some(),
+            "a tModel the new binding still references survives"
+        );
+        // A replica's put leaves tModels to whoever holds them all.
+        let lone = r.save_tmodel(TModel::new("", "lone"));
+        r.put_service(record(&lone));
+        let last = r.save_tmodel(TModel::new("", "last"));
+        r.put_service(record(&last));
         assert!(r.get_tmodel(&lone.key).is_some());
     }
 

@@ -1,10 +1,11 @@
 //! The registry's derived maps against the scan they replaced.
 //!
 //! `Registry` answers `%`-free name queries from a folded-name index and
-//! finds orphaned tModels from a reference count. Here both are checked
-//! against the brute-force reference — a filter over all records, kept
-//! in this test only — across generated histories of saves, renames
-//! under an unchanged key, deletes and record-only removals.
+//! finds orphaned tModels — of a delete, and of a replace that rebinds —
+//! from a reference count. Here both are checked against the
+//! brute-force reference — a filter over all records, kept in this test
+//! only — across generated histories of saves, renames under an
+//! unchanged key, deletes and record-only removals.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -97,6 +98,22 @@ fn referenced(records: &BTreeMap<String, BusinessService>, tmodel: &str) -> bool
         .any(|b| b.tmodel_keys.iter().any(|k| k == tmodel))
 }
 
+/// A replaced or deleted record takes with it the tModels it
+/// referenced that no record left does.
+fn drop_orphans(
+    records: &BTreeMap<String, BusinessService>,
+    gone: Option<&BusinessService>,
+    tmodels: &mut BTreeSet<String>,
+) {
+    for binding in gone.iter().flat_map(|s| &s.bindings) {
+        for tm in &binding.tmodel_keys {
+            if !referenced(records, tm) {
+                tmodels.remove(tm);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -115,18 +132,13 @@ proptest! {
             match op {
                 Op::Save(svc) => {
                     registry.save_service(svc.clone());
-                    records.insert(svc.key.clone(), svc);
+                    let replaced = records.insert(svc.key.clone(), svc);
+                    drop_orphans(&records, replaced.as_ref(), &mut tmodels);
                 }
                 Op::Delete(key) => {
                     let removed = records.remove(&key);
                     prop_assert_eq!(registry.delete_service(&key), removed.is_some());
-                    for binding in removed.iter().flat_map(|s| &s.bindings) {
-                        for tm in &binding.tmodel_keys {
-                            if !referenced(&records, tm) {
-                                tmodels.remove(tm);
-                            }
-                        }
-                    }
+                    drop_orphans(&records, removed.as_ref(), &mut tmodels);
                 }
                 Op::RemoveRecord(key) => {
                     let existed = records.remove(&key).is_some();

@@ -76,6 +76,19 @@ pub struct Port {
     pub location: String,
 }
 
+impl Port {
+    /// The port an HTTP(G) host names for `service` at `location`:
+    /// `{service}Port`. The host and a consumer rebuilding its
+    /// description ([`WsdlDocument::rebuild`]) both name it here.
+    pub fn hosted(service: &str, transport: TransportKind, location: impl Into<String>) -> Port {
+        Port {
+            name: format!("{service}Port"),
+            transport,
+            location: location.into(),
+        }
+    }
+}
+
 /// A parsed or generated WSDL document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WsdlDocument {
@@ -87,6 +100,23 @@ impl WsdlDocument {
     /// Describe `descriptor` with concrete endpoints.
     pub fn new(descriptor: ServiceDescriptor, ports: Vec<Port>) -> Self {
         WsdlDocument { descriptor, ports }
+    }
+
+    /// The description an HTTP(G) host serves for the interface
+    /// `template` (its name ignored) deployed as `name` at `location`:
+    /// one [`Port::hosted`] port. What a consumer that holds the
+    /// interface builds from a registry record instead of fetching it.
+    pub fn rebuild(
+        template: &ServiceDescriptor,
+        name: &str,
+        transport: TransportKind,
+        location: &str,
+    ) -> WsdlDocument {
+        let descriptor = ServiceDescriptor {
+            name: name.to_owned(),
+            ..template.clone()
+        };
+        WsdlDocument::new(descriptor, vec![Port::hosted(name, transport, location)])
     }
 
     /// The first port on a given transport.

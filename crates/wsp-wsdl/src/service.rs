@@ -129,6 +129,36 @@ impl ServiceDescriptor {
         format!("{endpoint}#{operation}")
     }
 
+    /// A digest of the interface: everything the generated WSDL carries
+    /// but the service's name — namespace, documentation, properties,
+    /// schema and operations. FNV-1a 64 over a length-prefixed encoding
+    /// of those fields, so it is the same in every process and build: a
+    /// publisher puts it in a registry record, and a consumer compares
+    /// it with the digest of a description it already holds.
+    pub fn interface_digest(&self) -> u64 {
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        h.str(&self.namespace);
+        h.opt_str(self.documentation.as_deref());
+        h.len(self.properties.len());
+        for (key, value) in &self.properties {
+            h.str(key);
+            h.str(value);
+        }
+        h.len(self.schema.types.len());
+        for (name, ty) in &self.schema.types {
+            h.str(name);
+            h.params(&ty.fields);
+        }
+        h.len(self.operations.len());
+        for op in &self.operations {
+            h.str(&op.name);
+            h.params(&op.inputs);
+            h.params(op.output.as_slice());
+            h.opt_str(op.documentation.as_deref());
+        }
+        h.0
+    }
+
     /// The classic demo service used throughout the paper's examples:
     /// `Echo` with an `echoString` operation.
     pub fn echo() -> Self {
@@ -139,6 +169,43 @@ impl ServiceDescriptor {
                     .input("text", XsdType::String)
                     .returns(XsdType::String),
             )
+    }
+}
+
+/// FNV-1a 64, fed length-prefixed fields: no two distinct sequences of
+/// fields feed it the same bytes.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn len(&mut self, n: usize) {
+        self.bytes(&(n as u64).to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
+        self.bytes(s.as_bytes());
+    }
+
+    fn opt_str(&mut self, s: Option<&str>) {
+        self.bytes(&[u8::from(s.is_some())]);
+        self.str(s.unwrap_or_default());
+    }
+
+    /// Each parameter as the WSDL writes it: name, type reference,
+    /// optionality.
+    fn params(&mut self, params: &[Param]) {
+        self.len(params.len());
+        for param in params {
+            self.str(&param.name);
+            self.str(&param.ty.type_ref());
+            self.bytes(&[u8::from(param.optional)]);
+        }
     }
 }
 
@@ -236,6 +303,42 @@ mod tests {
             d.action_uri("p2ps://1234/Echo", "echoString"),
             "p2ps://1234/Echo#echoString"
         );
+    }
+
+    /// The digest covers the interface, not the name, and is pinned: a
+    /// publisher and a consumer in different processes or builds compute
+    /// the same one.
+    #[test]
+    fn interface_digest_ignores_the_name_and_nothing_else() {
+        let echo = ServiceDescriptor::echo();
+        assert_eq!(echo.interface_digest(), 0x043f_75f9_d529_a221);
+        let renamed = ServiceDescriptor {
+            name: "Other".into(),
+            ..echo.clone()
+        };
+        assert_eq!(renamed.interface_digest(), echo.interface_digest());
+        let mut schema = crate::xsd::Schema::new();
+        schema.define("T", crate::xsd::ComplexType::default());
+        let variants = [
+            ServiceDescriptor::new("Echo", "urn:other"),
+            echo.clone().doc("other"),
+            echo.clone().property("k", "v"),
+            echo.clone().with_schema(schema),
+            echo.clone().operation(OperationDef::new("stop").one_way()),
+            echo.clone()
+                .operation(OperationDef::new("f").optional_input("x", XsdType::Int)),
+            echo.clone()
+                .operation(OperationDef::new("f").input("x", XsdType::Int)),
+            echo.clone().operation(
+                OperationDef::new("f").input("x", XsdType::Array(Box::new(XsdType::Int))),
+            ),
+        ];
+        let mut seen = vec![echo.interface_digest()];
+        for variant in &variants {
+            let digest = variant.interface_digest();
+            assert!(!seen.contains(&digest), "{variant:?}");
+            seen.push(digest);
+        }
     }
 
     #[test]

@@ -102,7 +102,8 @@ cargo test -q --release -p wsp-integration-tests --test reader_oracle --test voc
 # allocation guard below carries the budgets of a whole invoke (100 over
 # HTTP, 16 of them the server's, 220 over P2PS; a 16 KiB echo copies its
 # payload 3 times) and of the registry plane (an exact-name locate: 11
-# in process, 78 over HTTP; a republish through three replicas: 51).
+# in process, 78 over HTTP; a republish through three replicas: 51; a
+# binding's locate of an interface it holds, over HTTP: 102).
 echo "==> typed codec: one reader per vocabulary, held to its oracle (release)"
 cargo test -q --release -p wsp-integration-tests --test typed_codec
 
@@ -167,6 +168,15 @@ echo "==> P2PS threading stress (lifecycle_p2ps + cross_binding, 20x, release)"
 timeout 600 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-integration-tests --test lifecycle_p2ps --test cross_binding || exit 1
 done'
+
+# Locate from the record: a consumer that has verified an interface
+# builds the next HTTP/UDDI service with it from the registry record,
+# without `GET ?wsdl`. Release, as it ships: the rebuilt service equals
+# the fetched one over generated interfaces, one fetch per interface,
+# records their fetch contradicts never fill the cache, and the
+# republish, failover and httpg promises of the lifecycle suite.
+echo "==> located interfaces + HTTP/UDDI lifecycle (release)"
+cargo test -q --release -p wsp-integration-tests --test located_interfaces --test lifecycle_http
 
 # Graceful drain (PR 17): a connection admitted but not yet read when
 # the drain lands used to be closed as idle and its request lost —

@@ -4,11 +4,11 @@
 
 use std::sync::Arc;
 use wsp_core::bindings::{HttpUddiBinding, HttpUddiConfig};
-use wsp_core::{EventBus, Peer, ServiceQuery, WspError};
+use wsp_core::{EventBus, Peer, ResiliencePolicy, ServiceQuery, WspError};
 use wsp_http::HttpgCredential;
 use wsp_integration_tests::{calc_descriptor, calc_handler};
 use wsp_uddi::{RegistryServer, UddiClient};
-use wsp_wsdl::Value;
+use wsp_wsdl::{OperationDef, ServiceDescriptor, Value, XsdType};
 
 fn networked_pair() -> (RegistryServer, Peer, Peer) {
     let registry = RegistryServer::launch(0).unwrap();
@@ -211,15 +211,33 @@ fn httpg_transport_requires_credentials() {
     assert_eq!(sum, Value::Double(5.0));
 
     // A consumer with the wrong credential is rejected at the transport.
-    let bad = Peer::with_binding(&HttpUddiBinding::new(
+    let bad_binding = HttpUddiBinding::new(
         UddiClient::http(registry.uri()),
         EventBus::new(),
         HttpUddiConfig {
             httpg: Some(HttpgCredential::new("wrong-secret", "/CN=mallory")),
             ..HttpUddiConfig::default()
         },
+    );
+    let bad = Peer::with_binding(&bad_binding);
+    // It learns the interface from a plain-HTTP provider of it: a second
+    // locate there is built from the record, no fetch.
+    let plain = Peer::with_binding(&HttpUddiBinding::with_registry_uri(
+        &registry.uri(),
+        EventBus::new(),
     ));
-    // Discovery already fails: the WSDL fetch is guarded too.
+    (plain.server())
+        .deploy_and_publish(renamed(calc_descriptor(), "PlainCalc"), calc_handler())
+        .unwrap();
+    let calls = || bad_binding.pool_stats().hits + bad_binding.pool_stats().misses;
+    for fetches in [1, 0] {
+        let before = calls();
+        let plain = bad.client().locate(&ServiceQuery::by_name("PlainCalc"));
+        assert_eq!(plain.unwrap().len(), 1);
+        assert_eq!(calls() - before, fetches);
+    }
+    // Discovery still fails: an `httpg://` record is never built from
+    // what the consumer holds — its WSDL fetch is the guarded step.
     assert!(bad
         .client()
         .locate(&ServiceQuery::by_name("Calc"))
@@ -258,5 +276,119 @@ fn two_providers_same_name_both_located() {
     assert_eq!(hits.len(), 2);
     let endpoints: std::collections::HashSet<_> = hits.iter().map(|h| h.endpoint.clone()).collect();
     assert_eq!(endpoints.len(), 2, "distinct providers");
+    registry.shutdown();
+}
+
+fn renamed(descriptor: ServiceDescriptor, name: &str) -> ServiceDescriptor {
+    ServiceDescriptor {
+        name: name.to_owned(),
+        ..descriptor
+    }
+}
+
+/// A second publish of a deployed name replaces its record instead of
+/// adding one, and undeploy leaves the registry as it found it — no
+/// record, no tModel.
+#[test]
+fn republish_replaces_the_record_and_undeploy_leaves_the_registry_as_it_was() {
+    let (registry, provider, _consumer) = networked_pair();
+    let store = &registry.registry;
+    let baseline = (store.service_count(), store.tmodel_count());
+    provider
+        .server()
+        .deploy_and_publish(calc_descriptor(), calc_handler())
+        .unwrap();
+    let first = store.service_count();
+    let key = provider.server().publish("Calc").unwrap();
+    assert_eq!(provider.server().publish("Calc").unwrap(), key);
+    assert_eq!(store.service_count(), first);
+    assert_eq!(
+        (store.service_count(), store.tmodel_count()),
+        (baseline.0 + 1, baseline.1 + 1)
+    );
+    assert!(provider.server().undeploy("Calc"));
+    assert_eq!((store.service_count(), store.tmodel_count()), baseline);
+    registry.shutdown();
+}
+
+/// Redeploying a published name with another interface republishes it:
+/// a consumer that built `Calc` from the interface it held sees the new
+/// one on its next locate, and the registry still holds one record and
+/// one tModel for it.
+#[test]
+fn a_changed_interface_is_republished_and_located_afresh() {
+    let (registry, provider, consumer) = networked_pair();
+    provider
+        .server()
+        .deploy_and_publish(calc_descriptor(), calc_handler())
+        .unwrap();
+    for _ in 0..2 {
+        let located = consumer.client().locate_one(&ServiceQuery::by_name("Calc"));
+        assert_eq!(located.unwrap().wsdl.descriptor, calc_descriptor());
+    }
+    let changed = calc_descriptor().operation(
+        OperationDef::new("negate")
+            .input("x", XsdType::Double)
+            .returns(XsdType::Double),
+    );
+    let negate = |_: &str, args: &[Value]| Ok(Value::Double(-args[0].as_double().unwrap()));
+    provider
+        .server()
+        .deploy(changed.clone(), Arc::new(negate))
+        .unwrap();
+    let located = consumer
+        .client()
+        .locate_one(&ServiceQuery::by_name("Calc"))
+        .unwrap();
+    assert_eq!(located.wsdl.descriptor, changed);
+    let negated = consumer
+        .client()
+        .invoke(&located, "negate", &[Value::Double(2.0)]);
+    assert_eq!(negated.unwrap(), Value::Double(-2.0));
+    let store = &registry.registry;
+    assert_eq!((store.service_count(), store.tmodel_count()), (1, 1));
+    registry.shutdown();
+}
+
+/// Two providers of one interface under one name, and one host shut
+/// down with its record left behind: a consumer that holds the interface
+/// contacts neither at locate, so the dead one is located too. One
+/// attempt (the client's policy out of the box) fails against it; a
+/// client whose policy retries fails over to the live one.
+#[test]
+fn a_dead_provider_is_located_and_invoke_fails_over_past_it() {
+    let registry = RegistryServer::launch(0).unwrap();
+    let provider = || {
+        let provider = Peer::with_binding(&HttpUddiBinding::with_registry_uri(
+            &registry.uri(),
+            EventBus::new(),
+        ));
+        let deployed = provider
+            .server()
+            .deploy_and_publish(calc_descriptor(), calc_handler())
+            .unwrap();
+        (provider, deployed.endpoints[0].clone())
+    };
+    let ((doomed, dead), (_survivor, live)) = (provider(), provider());
+    let binding = HttpUddiBinding::with_registry_uri(&registry.uri(), EventBus::new());
+    let consumer = Peer::with_binding(&binding);
+    let query = ServiceQuery::by_name("Calc");
+    assert_eq!(consumer.client().locate(&query).unwrap().len(), 2);
+    drop(doomed); // its host goes down; `undeploy` would have unpublished
+    let calls = || binding.pool_stats().hits + binding.pool_stats().misses;
+    let before = calls();
+    let located = consumer.client().locate(&query).unwrap();
+    assert_eq!(calls(), before, "neither provider was contacted");
+    let endpoints: Vec<&str> = located.iter().map(|s| s.endpoint.as_str()).collect();
+    assert!(endpoints.contains(&dead.as_str()) && endpoints.contains(&live.as_str()));
+    let stale = located.iter().find(|s| s.endpoint == dead).unwrap();
+    let args = [Value::Double(2.0), Value::Double(3.0)];
+    let once = consumer.client().invoke(stale, "add", &args);
+    assert!(matches!(once, Err(WspError::Transport(_))), "{once:?}");
+    consumer
+        .client()
+        .set_resilience_policy(ResiliencePolicy::retrying(2));
+    let sum = consumer.client().invoke(stale, "add", &args);
+    assert_eq!(sum.unwrap(), Value::Double(5.0));
     registry.shutdown();
 }
