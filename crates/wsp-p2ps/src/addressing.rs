@@ -5,7 +5,7 @@
 
 use crate::advert::{PipeAdvertisement, P2PS_NS};
 use crate::uri::P2psUri;
-use wsp_soap::{EndpointReference, Envelope, MessageHeaders};
+use wsp_soap::{EndpointReference, MessageHeaders};
 use wsp_xml::Element;
 
 /// Serialise a pipe advertisement to an `EndpointReference` per the
@@ -56,45 +56,17 @@ pub fn with_reply_pipe(headers: MessageHeaders, reply_pipe: &PipeAdvertisement) 
     headers.with_reply_to(advert_to_epr(reply_pipe))
 }
 
-/// Provider side of Figures 5/6: extract the consumer's return pipe from
-/// a request envelope's `ReplyTo` header.
-pub fn reply_pipe_of(request: &Envelope) -> Option<PipeAdvertisement> {
-    reply_pipe_in(&request.addressing()?)
-}
-
-/// [`reply_pipe_of`] over headers the caller has already extracted.
+/// Provider side of Figures 5/6: the consumer's return pipe, from the
+/// `ReplyTo` header of a request as [`crate::decode_request`] read it.
 pub(crate) fn reply_pipe_in(headers: &MessageHeaders) -> Option<PipeAdvertisement> {
     epr_to_advert(headers.reply_to.as_ref()?)
-}
-
-/// Provider side: which local pipe is the request addressed to? Reads
-/// the `To`/`Action` headers plus the copied `PipeName` reference
-/// property.
-pub fn target_pipe_of(request: &Envelope) -> Option<PipeAdvertisement> {
-    let headers = request.addressing()?;
-    let uri = P2psUri::parse(headers.to.as_deref()?).ok()?;
-    // The pipe name arrives either as a copied ReferenceProperty header
-    // or as the fragment of the Action URI.
-    let from_property = request
-        .find_header(P2PS_NS, "PipeName")
-        .map(|h| h.element.text());
-    let from_action = headers
-        .action
-        .as_deref()
-        .and_then(|a| P2psUri::parse(a).ok())
-        .and_then(|u| u.pipe);
-    let name = from_property.or(from_action)?;
-    Some(PipeAdvertisement {
-        peer: uri.peer,
-        service: uri.service,
-        name,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::id::PeerId;
+    use crate::rpc::decode_request;
     use wsp_soap::Envelope;
 
     fn service_pipe() -> PipeAdvertisement {
@@ -145,32 +117,27 @@ mod tests {
 
         // Over the wire…
         let wire = request.to_xml();
-        let received = Envelope::from_xml(&wire).unwrap();
+        let mut pipe_names = Vec::new();
+        let mut foreign = |block: &wsp_soap::HeaderBlock| {
+            assert!(block.element.name().is(P2PS_NS, "PipeName"));
+            pipe_names.push(block.element.text());
+        };
+        let received = decode_request(&wire, &mut foreign).unwrap();
 
-        // Provider: resolve target pipe and return pipe.
-        let target = target_pipe_of(&received).unwrap();
-        assert_eq!(target, service_pipe());
-        let reply = reply_pipe_of(&received).unwrap();
-        assert_eq!(reply, return_pipe());
-    }
-
-    #[test]
-    fn target_pipe_falls_back_to_action_fragment() {
-        // A minimal conforming peer that only sets To and Action.
-        let mut request = Envelope::request(Element::new("urn:demo", "op"));
-        request.set_addressing(MessageHeaders::request(
-            "p2ps://0000000000001234/Echo",
-            "p2ps://0000000000001234/Echo#echoString",
-        ));
-        let target = target_pipe_of(&request).unwrap();
-        assert_eq!(target, service_pipe());
+        // Provider: the target pipe's address and copied name, and the
+        // return pipe.
+        let target = service_pipe();
+        assert_eq!(received.to, Some(target.uri().address()));
+        assert_eq!(pipe_names, [target.name]);
+        assert_eq!(reply_pipe_in(&received), Some(return_pipe()));
     }
 
     #[test]
     fn missing_reply_pipe_is_none() {
         let mut request = Envelope::request(Element::new("urn:demo", "op"));
         request.set_addressing(request_headers(&service_pipe()));
-        assert!(reply_pipe_of(&request).is_none());
+        let received = decode_request(&request.to_xml(), &mut |_| {}).unwrap();
+        assert!(reply_pipe_in(&received).is_none());
     }
 
     #[test]

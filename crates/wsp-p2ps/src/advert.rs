@@ -63,17 +63,6 @@ impl PipeAdvertisement {
         );
         e
     }
-
-    pub fn from_element(e: &Element) -> Option<PipeAdvertisement> {
-        let peer = PeerId::from_hex(e.child_text(P2PS_NS, "Peer")?.trim())?;
-        let service = e.child_text(P2PS_NS, "Service");
-        let name = e.child_text(P2PS_NS, "Name")?;
-        Some(PipeAdvertisement {
-            peer,
-            service,
-            name,
-        })
-    }
 }
 
 /// An advertisement for a service: named pipes plus searchable
@@ -166,35 +155,12 @@ impl ServiceAdvertisement {
         }
         e
     }
-
-    pub fn from_element(e: &Element) -> Option<ServiceAdvertisement> {
-        let name = e.child_text(P2PS_NS, "Name")?;
-        let peer = PeerId::from_hex(e.child_text(P2PS_NS, "Peer")?.trim())?;
-        let pipes = e
-            .find_all(P2PS_NS, "PipeAdvertisement")
-            .filter_map(PipeAdvertisement::from_element)
-            .collect();
-        let attributes = e
-            .find(P2PS_NS, "Attributes")
-            .map(|attrs| {
-                attrs
-                    .find_all(P2PS_NS, "Attribute")
-                    .filter_map(|a| a.attribute_local("name").map(|n| (n.to_owned(), a.text())))
-                    .collect()
-            })
-            .unwrap_or_default();
-        Some(ServiceAdvertisement {
-            name,
-            peer,
-            pipes,
-            attributes,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::P2psMessage;
 
     fn peer() -> PeerId {
         PeerId(0xfeed_beef_cafe_0001)
@@ -208,19 +174,27 @@ mod tests {
             .with_attribute("version", "1.0")
     }
 
+    /// `message` written and read back.
+    fn over_the_wire(message: P2psMessage) -> Option<P2psMessage> {
+        P2psMessage::from_xml(&message.to_xml())
+    }
+
     #[test]
     fn service_advert_round_trip() {
-        let advert = sample();
-        let xml = advert.to_element().to_xml();
-        let parsed = ServiceAdvertisement::from_element(&wsp_xml::parse(&xml).unwrap()).unwrap();
-        assert_eq!(parsed, advert);
+        let advert = P2psMessage::Advertise {
+            advert: sample(),
+            ttl: 1,
+        };
+        assert_eq!(over_the_wire(advert.clone()), Some(advert));
     }
 
     #[test]
     fn pipe_advert_round_trip() {
-        let pipe = PipeAdvertisement::new(peer(), None, "return-7");
-        let parsed = PipeAdvertisement::from_element(&pipe.to_element()).unwrap();
-        assert_eq!(parsed, pipe);
+        let data = P2psMessage::PipeData {
+            to: PipeAdvertisement::new(peer(), None, "return-7"),
+            payload: String::new(),
+        };
+        assert_eq!(over_the_wire(data.clone()), Some(data));
     }
 
     #[test]
@@ -251,9 +225,18 @@ mod tests {
     }
 
     #[test]
-    fn from_element_requires_core_fields() {
-        let empty = Element::new(P2PS_NS, "ServiceAdvertisement");
-        assert!(ServiceAdvertisement::from_element(&empty).is_none());
+    fn an_advert_without_its_name_or_peer_is_refused() {
+        let wire = P2psMessage::Advertise {
+            advert: sample(),
+            ttl: 1,
+        }
+        .to_xml();
+        let name = "<ns0:Name>Echo</ns0:Name>";
+        let peer = format!("<ns0:Peer>{}</ns0:Peer>", peer().to_hex());
+        for part in [name, &peer] {
+            assert!(wire.contains(part), "{wire}");
+            assert_eq!(P2psMessage::from_xml(&wire.replacen(part, "", 1)), None);
+        }
     }
 
     #[test]

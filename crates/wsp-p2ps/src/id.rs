@@ -7,8 +7,8 @@ use std::fmt;
 /// A peer's logical identifier.
 ///
 /// "Peers are identified by a logical id, not physical address"
-/// (Section IV.B). Resolution of a `PeerId` to something routable is an
-//  `EndpointResolver` concern.
+/// (Section IV.B). Resolving a `PeerId` to something routable is the
+/// driver's: the simulation's `Directory`, the threaded network's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeerId(pub u64);
 

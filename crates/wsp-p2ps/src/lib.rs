@@ -4,8 +4,8 @@
 //! implementation (paper Section IV.B), rebuilt in Rust from the
 //! behaviour the paper describes (see `DESIGN.md`):
 //!
-//! * logical [`PeerId`]s resolved by [`EndpointResolver`]s, never raw
-//!   addresses;
+//! * logical [`PeerId`]s, never raw addresses — each driver routes
+//!   them through its own directory;
 //! * unidirectional pipes described by XML [`PipeAdvertisement`]s,
 //!   grouped into [`ServiceAdvertisement`]s (with WSPeer's *definition
 //!   pipe* for WSDL retrieval and attributes for attribute-based search);
@@ -29,16 +29,13 @@ pub mod machine;
 pub mod message;
 pub mod pipe_tcp;
 pub mod query;
-pub mod resolver;
 pub mod rpc;
 pub mod rpc_machine;
 pub mod sim_driver;
 pub mod thread_driver;
 pub mod uri;
 
-pub use addressing::{
-    advert_to_epr, epr_to_advert, reply_pipe_of, request_headers, target_pipe_of, with_reply_pipe,
-};
+pub use addressing::{advert_to_epr, epr_to_advert, request_headers, with_reply_pipe};
 pub use advert::{PipeAdvertisement, ServiceAdvertisement, DEFINITION_PIPE, P2PS_NS};
 pub use cache::{AdvertCache, AdvertCacheStats};
 pub use id::PeerId;
@@ -46,7 +43,6 @@ pub use machine::{PeerConfig, PeerMachine, PeerOutput};
 pub use message::P2psMessage;
 pub use pipe_tcp::{pipe_call, read_frame, write_frame, PipeTcpConfig, PipeTcpServer};
 pub use query::P2psQuery;
-pub use resolver::{ChainResolver, EndpointResolver, TableResolver};
 pub use rpc::{decode_request, encode_response, RpcCorrelator};
 pub use rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
 pub use sim_driver::{

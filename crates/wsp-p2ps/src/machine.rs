@@ -54,7 +54,7 @@ impl PeerConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub enum PeerOutput {
     /// Transmit a protocol message to another peer (the driver resolves
-    /// the peer id to a transport address — the `EndpointResolver` role).
+    /// the peer id to a transport address).
     Send { to: PeerId, message: P2psMessage },
     /// A query this peer originated produced (more) results.
     QueryResult {
@@ -423,8 +423,8 @@ impl PeerMachine {
         if to.peer == self.config.id {
             self.deliver_pipe_data(from, to, payload)
         } else {
-            // Acting as a relay (the EndpointResolver found us on the
-            // path); forward towards the owner.
+            // Acting as a relay (the driver routed it through us);
+            // forward towards the owner.
             vec![PeerOutput::Send {
                 to: to.peer,
                 message: P2psMessage::PipeData { to, payload },

@@ -1,13 +1,23 @@
 //! The P2PS wire protocol: the messages peers exchange, with XML
 //! serialisation so the simulated wire carries the same bytes a real
 //! deployment would.
+//!
+//! [`P2psMessage::from_xml`] is the one reader of that wire. It reads
+//! what [`P2psMessage::to_xml`] writes off the pull reader — with any
+//! prefix, in any layout, CDATA as text, the parts of an element in any
+//! order, a peer id with layout around it — and refuses the rest by the
+//! shape [`Rule`] it breaks (DESIGN.md §11): a foreign element or
+//! attribute, markup in a text leaf, a single part repeated or a
+//! required one missing, a bad number or peer id, anything after the
+//! root.
 
 use crate::advert::{PipeAdvertisement, ServiceAdvertisement, P2PS_NS};
 use crate::id::PeerId;
 use crate::query::P2psQuery;
 use std::borrow::Cow;
-use wsp_xml::escape::unescape;
-use wsp_xml::{Element, Token, Tokenizer};
+use wsp_soap::typed::{name_of, next_tag, only, plain, read_parts, read_text, required, Rule};
+use wsp_soap::SoapError;
+use wsp_xml::{Element, Pull, PullReader};
 
 /// Messages between peers.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,203 +141,207 @@ impl P2psMessage {
         }
     }
 
-    /// Parse the wire form. A `PipeData` frame in the shape
-    /// [`P2psMessage::to_xml_into`] writes is read straight off the
-    /// tokenizer; every other document goes through the tree reader.
+    /// Parse the wire form: `None` for a document that is not what
+    /// [`P2psMessage::to_xml`] writes (see the module docs).
     pub fn from_xml(xml: &str) -> Option<P2psMessage> {
-        if let Some(message) = pipe_data_from_tokens(xml) {
-            return Some(message);
-        }
-        let root = wsp_xml::parse(xml).ok()?;
-        P2psMessage::from_element(&root)
-    }
-
-    pub fn from_element(e: &Element) -> Option<P2psMessage> {
-        if e.name().namespace() != P2PS_NS {
-            return None;
-        }
-        match e.name().local_name() {
-            "Advertise" => Some(P2psMessage::Advertise {
-                advert: ServiceAdvertisement::from_element(
-                    e.find(P2PS_NS, "ServiceAdvertisement")?,
-                )?,
-                ttl: e.attribute_local("ttl")?.parse().ok()?,
-            }),
-            "QueryMsg" => Some(P2psMessage::Query {
-                id: e.attribute_local("id")?.parse().ok()?,
-                origin: PeerId::from_hex(e.attribute_local("origin")?)?,
-                query: P2psQuery::from_element(e.find(P2PS_NS, "Query")?)?,
-                ttl: e.attribute_local("ttl")?.parse().ok()?,
-            }),
-            "QueryHit" => Some(P2psMessage::QueryHit {
-                id: e.attribute_local("id")?.parse().ok()?,
-                origin: PeerId::from_hex(e.attribute_local("origin")?)?,
-                adverts: e
-                    .find_all(P2PS_NS, "ServiceAdvertisement")
-                    .filter_map(ServiceAdvertisement::from_element)
-                    .collect(),
-            }),
-            "PipeData" => Some(P2psMessage::PipeData {
-                to: PipeAdvertisement::from_element(e.find(P2PS_NS, "PipeAdvertisement")?)?,
-                payload: e.child_text(P2PS_NS, "Payload").unwrap_or_default(),
-            }),
-            "Ping" => Some(P2psMessage::Ping {
-                nonce: e.attribute_local("nonce")?.parse().ok()?,
-            }),
-            "Pong" => Some(P2psMessage::Pong {
-                nonce: e.attribute_local("nonce")?.parse().ok()?,
-            }),
-            _ => None,
-        }
-    }
-
-    /// Approximate wire size without serialising.
-    pub fn approx_wire_size(&self) -> usize {
-        match self {
-            P2psMessage::Advertise { advert, .. } => 120 + advert_size(advert),
-            P2psMessage::Query { query, .. } => {
-                160 + query.name_pattern.as_deref().map(str::len).unwrap_or(0)
-                    + query
-                        .attributes
-                        .iter()
-                        .map(|(k, v)| k.len() + v.len() + 40)
-                        .sum::<usize>()
-            }
-            P2psMessage::QueryHit { adverts, .. } => {
-                120 + adverts.iter().map(advert_size).sum::<usize>()
-            }
-            P2psMessage::PipeData { payload, .. } => 200 + payload.len(),
-            P2psMessage::Ping { .. } | P2psMessage::Pong { .. } => 60,
-        }
+        let reader = &mut PullReader::new(xml);
+        reader.next().ok()?;
+        let message = read_message(reader).ok()?;
+        (reader.next().ok()? == Pull::Eof).then_some(message)
     }
 }
 
-/// Decode a `PipeData` frame without building its tree. Accepts exactly
-/// the shape the encoder emits — one prefix declared on the root bound
-/// to [`P2PS_NS`], attribute-less children in writer order, nothing
-/// around the root — and answers `None` for anything else, valid or
-/// not: the caller then asks the tree reader, so the two decoders
-/// cannot disagree on a document.
-fn pipe_data_from_tokens(xml: &str) -> Option<P2psMessage> {
-    let mut tokens = Tokenizer::new(xml);
-    let Token::StartTag {
-        name: root,
-        attrs,
-        self_closing: false,
-        ..
-    } = tokens.next_token().ok()??
-    else {
-        return None;
-    };
-    let (prefix, "PipeData") = root.split_once(':')? else {
-        return None;
-    };
-    // `xml` is bound by the XML spec itself, whatever the document says.
-    if prefix.is_empty() || prefix == "xml" {
-        return None;
-    }
-    let [(declared, P2PS_NS)] = attrs[..] else {
-        return None;
-    };
-    if declared.strip_prefix("xmlns:")? != prefix {
-        return None;
-    }
-
-    let advert = open_tag(&mut tokens)?;
-    if local_name(advert, prefix)? != "PipeAdvertisement" {
-        return None;
-    }
-    let ("Peer", peer) = leaf(&mut tokens, prefix)? else {
-        return None;
-    };
-    let peer = PeerId::from_hex(peer.trim())?;
-    let (service, name) = match leaf(&mut tokens, prefix)? {
-        ("Service", service) => match leaf(&mut tokens, prefix)? {
-            ("Name", name) => (Some(service.into_owned()), name),
-            _ => return None,
-        },
-        ("Name", name) => (None, name),
-        _ => return None,
-    };
-    close_tag(&mut tokens, advert)?;
-    let ("Payload", payload) = leaf(&mut tokens, prefix)? else {
-        return None;
-    };
-    close_tag(&mut tokens, root)?;
-    if tokens.next_token().ok()?.is_some() {
-        return None;
-    }
-    Some(P2psMessage::PipeData {
-        to: PipeAdvertisement {
-            peer,
-            service,
-            name: name.into_owned(),
-        },
-        payload: payload.into_owned(),
+/// The message whose root start tag the cursor rests on, through its
+/// end tag.
+fn read_message(r: &mut PullReader<'_>) -> Result<P2psMessage, SoapError> {
+    let local = r.local_name();
+    Ok(match local {
+        _ if !r.is(P2PS_NS, local) => return Err(Rule::UnknownElement.refuse(name_of(r))),
+        "PipeData" => {
+            plain(r)?;
+            let (mut to, mut payload) = (None, None);
+            read_parts(r, P2PS_NS, &["PipeAdvertisement", "Payload"], |r, part| {
+                match part {
+                    0 => to = Some(read_pipe(r)?),
+                    _ => payload = Some(leaf(r)?.into_owned()),
+                }
+                Ok(())
+            })?;
+            P2psMessage::PipeData {
+                to: required(to, "PipeAdvertisement")?,
+                payload: required(payload, "Payload")?,
+            }
+        }
+        "Advertise" => {
+            let [ttl] = attributes(r, ["ttl"])?;
+            let ttl = number(ttl, "ttl")?;
+            let advert = only(r, P2PS_NS, "ServiceAdvertisement", read_service)?;
+            P2psMessage::Advertise { advert, ttl }
+        }
+        "QueryMsg" => {
+            let [id, origin, ttl] = attributes(r, ["id", "origin", "ttl"])?;
+            let (id, ttl) = (number(id, "id")?, number(ttl, "ttl")?);
+            let origin = peer_id(origin.as_deref(), "origin")?;
+            let query = only(r, P2PS_NS, "Query", read_query)?;
+            P2psMessage::Query {
+                id,
+                origin,
+                query,
+                ttl,
+            }
+        }
+        "QueryHit" => {
+            let [id, origin] = attributes(r, ["id", "origin"])?;
+            let (id, origin) = (number(id, "id")?, peer_id(origin.as_deref(), "origin")?);
+            let mut adverts = Vec::new();
+            read_children(r, &["ServiceAdvertisement"], |r, _| {
+                adverts.push(read_service(r)?);
+                Ok(())
+            })?;
+            P2psMessage::QueryHit {
+                id,
+                origin,
+                adverts,
+            }
+        }
+        "Ping" | "Pong" => {
+            let [nonce] = attributes(r, ["nonce"])?;
+            let nonce = number(nonce, "nonce")?;
+            read_parts(r, P2PS_NS, &[], |_, _| Ok(()))?;
+            match local {
+                "Ping" => P2psMessage::Ping { nonce },
+                _ => P2psMessage::Pong { nonce },
+            }
+        }
+        _ => return Err(Rule::UnknownElement.refuse(name_of(r))),
     })
 }
 
-/// The local part of `name` if it carries exactly `prefix`.
-fn local_name<'a>(name: &'a str, prefix: &str) -> Option<&'a str> {
-    name.strip_prefix(prefix)?.strip_prefix(':')
-}
-
-/// Next token must be an attribute-less, non-empty open tag; returns
-/// its lexical name.
-fn open_tag<'a>(tokens: &mut Tokenizer<'a>) -> Option<&'a str> {
-    match tokens.next_token().ok()?? {
-        Token::StartTag {
-            name,
-            attrs: [],
-            self_closing: false,
-            ..
-        } => Some(name),
-        _ => None,
-    }
-}
-
-fn close_tag(tokens: &mut Tokenizer<'_>, open: &str) -> Option<()> {
-    match tokens.next_token().ok()?? {
-        Token::EndTag { name, .. } if name == open => Some(()),
-        _ => None,
-    }
-}
-
-/// Next tokens must form an attribute-less text-only element under
-/// `prefix`; returns its local name and unescaped text.
-fn leaf<'a>(tokens: &mut Tokenizer<'a>, prefix: &str) -> Option<(&'a str, Cow<'a, str>)> {
-    let Token::StartTag {
-        name,
-        attrs: [],
-        self_closing,
-        ..
-    } = tokens.next_token().ok()??
-    else {
-        return None;
-    };
-    let local = local_name(name, prefix)?;
-    if self_closing {
-        return Some((local, Cow::Borrowed("")));
-    }
-    let text = match tokens.next_token().ok()?? {
-        Token::Text { raw, offset } => {
-            let text = unescape(raw, offset).ok()?;
-            close_tag(tokens, name)?;
-            text
+fn read_pipe(r: &mut PullReader<'_>) -> Result<PipeAdvertisement, SoapError> {
+    plain(r)?;
+    let (mut peer, mut service, mut name) = (None, None, None);
+    read_parts(r, P2PS_NS, &["Peer", "Service", "Name"], |r, part| {
+        match part {
+            0 => peer = Some(peer_id(Some(&leaf(r)?), "Peer")?),
+            1 => service = Some(leaf(r)?.into_owned()),
+            _ => name = Some(leaf(r)?.into_owned()),
         }
-        Token::EndTag { name: close, .. } if close == name => Cow::Borrowed(""),
-        _ => return None,
-    };
-    Some((local, text))
+        Ok(())
+    })?;
+    Ok(PipeAdvertisement {
+        peer: required(peer, "Peer")?,
+        service,
+        name: required(name, "Name")?,
+    })
 }
 
-fn advert_size(a: &ServiceAdvertisement) -> usize {
-    80 + a.name.len()
-        + a.pipes.iter().map(|p| 90 + p.name.len()).sum::<usize>()
-        + a.attributes
-            .iter()
-            .map(|(k, v)| k.len() + v.len() + 40)
-            .sum::<usize>()
+fn read_service(r: &mut PullReader<'_>) -> Result<ServiceAdvertisement, SoapError> {
+    plain(r)?;
+    let (mut name, mut peer, mut pipes, mut attrs) = (None, None, Vec::new(), Vec::new());
+    let parts = ["Name", "Peer", "Attributes", "PipeAdvertisement"];
+    read_children(r, &parts, |r, part| {
+        match part {
+            0 => name = Some(leaf(r)?.into_owned()),
+            1 => peer = Some(peer_id(Some(&leaf(r)?), "Peer")?),
+            2 => {
+                plain(r)?;
+                read_children(r, &["Attribute"], |r, _| {
+                    attrs.push(read_attribute(r)?);
+                    Ok(())
+                })?;
+            }
+            _ => pipes.push(read_pipe(r)?),
+        }
+        Ok(())
+    })?;
+    Ok(ServiceAdvertisement {
+        name: required(name, "Name")?,
+        peer: required(peer, "Peer")?,
+        pipes,
+        attributes: attrs,
+    })
+}
+
+fn read_query(r: &mut PullReader<'_>) -> Result<P2psQuery, SoapError> {
+    plain(r)?;
+    let mut query = P2psQuery::any();
+    read_children(r, &["Name", "Attribute"], |r, part| {
+        match part {
+            0 => query.name_pattern = Some(leaf(r)?.into_owned()),
+            _ => query.attributes.push(read_attribute(r)?),
+        }
+        Ok(())
+    })?;
+    Ok(query)
+}
+
+/// `<Attribute name="k">v</Attribute>`, of an advert or a query.
+fn read_attribute(r: &mut PullReader<'_>) -> Result<(String, String), SoapError> {
+    let [key] = attributes(r, ["name"])?;
+    Ok((
+        required(key, "name")?.into_owned(),
+        read_text(r)?.into_owned(),
+    ))
+}
+
+/// The children of the element whose start tag the cursor rests on,
+/// through its end tag: each is one of `names` in [`P2PS_NS`] — the
+/// last any number of times, the others at most once — read by `read`
+/// with its index in `names`.
+fn read_children<'a>(
+    r: &mut PullReader<'a>,
+    names: &[&str],
+    mut read: impl FnMut(&mut PullReader<'a>, usize) -> Result<(), SoapError>,
+) -> Result<(), SoapError> {
+    let mut seen = 0u64;
+    while next_tag(r)? == Pull::Start {
+        let Some(at) = names.iter().position(|name| r.is(P2PS_NS, name)) else {
+            return Err(Rule::UnknownElement.refuse(name_of(r)));
+        };
+        if at + 1 < names.len() && seen & 1 << at != 0 {
+            return Err(Rule::Repeated.refuse(names[at]));
+        }
+        seen |= 1 << at;
+        read(r, at)?;
+    }
+    Ok(())
+}
+
+/// The text of an attribute-less element.
+fn leaf<'a>(r: &mut PullReader<'a>) -> Result<Cow<'a, str>, SoapError> {
+    plain(r)?;
+    read_text(r)
+}
+
+/// The values of the start tag's attributes named `names` (in no
+/// namespace), by position; any other attribute is refused.
+fn attributes<'a, const N: usize>(
+    r: &PullReader<'a>,
+    names: [&str; N],
+) -> Result<[Option<Cow<'a, str>>; N], SoapError> {
+    let mut values = [const { None }; N];
+    let mut foreign = false;
+    r.attributes(
+        |ns, local, value| match names.iter().position(|&n| n == local) {
+            Some(at) if ns.is_empty() => values[at] = Some(value),
+            _ => foreign = true,
+        },
+    );
+    match foreign {
+        false => Ok(values),
+        true => Err(Rule::UnknownAttribute.refuse(format_args!("on {}", name_of(r)))),
+    }
+}
+
+/// A required numeric attribute.
+fn number<T: std::str::FromStr>(value: Option<Cow<'_, str>>, name: &str) -> Result<T, SoapError> {
+    let value = required(value, name)?;
+    value.parse().map_err(|_| Rule::BadValue.refuse(name))
+}
+
+/// A required peer id, layout around it passed over.
+fn peer_id(hex: Option<&str>, name: &str) -> Result<PeerId, SoapError> {
+    PeerId::from_hex(required(hex, name)?.trim()).ok_or_else(|| Rule::BadValue.refuse(name))
 }
 
 #[cfg(test)]
@@ -401,27 +415,9 @@ mod tests {
     fn garbage_rejected() {
         assert!(P2psMessage::from_xml("<nope/>").is_none());
         assert!(P2psMessage::from_xml("<<<").is_none());
-        let wrong_ns = Element::new("urn:other", "Ping");
-        assert!(P2psMessage::from_element(&wrong_ns).is_none());
-    }
-
-    #[test]
-    fn wire_size_tracks_payload() {
-        let small = P2psMessage::PipeData {
-            to: PipeAdvertisement::new(PeerId(1), None, "p"),
-            payload: "x".into(),
-        };
-        let large = P2psMessage::PipeData {
-            to: PipeAdvertisement::new(PeerId(1), None, "p"),
-            payload: "x".repeat(10_000),
-        };
-        assert!(large.approx_wire_size() > small.approx_wire_size() + 9_000);
-        // The estimate is within 2x of the real serialised size.
-        let actual = small.to_xml().len();
-        let estimate = small.approx_wire_size();
-        assert!(
-            estimate >= actual / 2 && estimate <= actual * 2,
-            "{estimate} vs {actual}"
-        );
+        let wrong_ns = Element::build("urn:other", "Ping")
+            .attr_str("nonce", "7")
+            .finish();
+        assert!(P2psMessage::from_xml(&wrong_ns.to_xml()).is_none());
     }
 }

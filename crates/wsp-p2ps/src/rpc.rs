@@ -65,13 +65,6 @@ impl RpcCorrelator {
         }
     }
 
-    /// Note that `pipe` is open and listening for replies.
-    /// (`encode_request` opens its reply pipe implicitly; explicit
-    /// calls are only needed to model a pipe with no traffic yet.)
-    pub fn pipe_opened(&mut self, pipe: &PipeAdvertisement) {
-        self.pipe_id(pipe);
-    }
-
     /// The return pipe was torn down: abandon every request still
     /// expecting its reply there (their responses can never arrive).
     /// Returns how many requests were abandoned.
@@ -193,7 +186,6 @@ pub fn encode_response(request: &MessageHeaders) -> Option<(PipeAdvertisement, M
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addressing::target_pipe_of;
     use crate::id::PeerId;
     use wsp_soap::Envelope;
     use wsp_xml::Element;
@@ -238,8 +230,7 @@ mod tests {
         let received = received.expect("parse request");
         assert_eq!(foreign, ["in"], "the copied PipeName reference property");
         assert_eq!(reply_pipe_in(&received), Some(return_pipe()));
-        let envelope = Envelope::from_xml(&wire).unwrap();
-        assert_eq!(target_pipe_of(&envelope), Some(service_pipe()));
+        assert_eq!(received.to, Some(service_pipe().uri().address()));
 
         let (pipe, response_wire) = response_to(&wire).expect("has reply pipe");
         assert_eq!(pipe, return_pipe());

@@ -85,8 +85,8 @@ pub enum PeerEvent {
     },
 }
 
-/// The peer-id ⇄ node-id directory — the simulation's
-/// `EndpointResolver`.
+/// The peer-id ⇄ node-id directory: how the simulation resolves a
+/// peer's logical id.
 #[derive(Clone, Default)]
 pub struct Directory {
     forward: Rc<RefCell<HashMap<PeerId, NodeId>>>,

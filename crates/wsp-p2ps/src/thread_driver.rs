@@ -1,6 +1,6 @@
 //! Threaded driver: the same [`PeerMachine`] running on real threads —
-//! messages routed through a shared directory (the `EndpointResolver`
-//! role), the XML wire format on every hop.
+//! messages routed through a shared directory that resolves peer ids,
+//! the XML wire format on every hop.
 //!
 //! # Threading
 //!

@@ -140,9 +140,8 @@ impl MessageEngine {
     /// Append the response `outcome` is to `out`, under the engine's own
     /// headers — `response_to` the request's, the action its operation's
     /// response's (a refused request's: the service's fault action) —
-    /// or, with `readdress`, under those, after what `set_addressing`
-    /// keeps of the engine's own: the reference properties of the
-    /// request's `ReplyTo`. True if the bytes are a fault's.
+    /// or, with `readdress`, under those instead. True if the bytes are
+    /// a fault's.
     pub fn write_response(
         &self,
         request: &TypedRequest,
@@ -163,11 +162,7 @@ impl MessageEngine {
             Err(fault) => out.tree(&fault.to_element()),
         };
         match readdress {
-            Some(headers) => {
-                let reply_to = request.headers.reply_to.as_ref();
-                let kept = reply_to.map_or(&[][..], |r| &r.reference_properties);
-                write_envelope(out, kept, headers, body);
-            }
+            Some(headers) => write_envelope(out, &[], headers, body),
             None => {
                 let own = MessageHeaders::response_to(&request.headers, action);
                 write_envelope(out, &[], &own, body);

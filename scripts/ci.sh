@@ -66,11 +66,10 @@ WSP_FAULT_SEED=7 cargo test -q -p wsp-integration-tests --test fault_injection h
 echo "==> /metrics smoke check (telemetry integration suite)"
 cargo test -q -p wsp-integration-tests --test telemetry
 
-# Wire-path guards (PR 5): the single-pass writer must stay
-# byte-identical to the vendored pre-PR-5 writer on every document
-# family, the buffer pool must hold up under concurrency, and the
-# allocation ceilings (counting global allocator, release mode so the
-# numbers match EXPERIMENTS.md §E12) must not regress.
+# Wire-path guards (PR 5): the single-pass writer stays byte-identical
+# to the vendored pre-PR-5 writer on every document family, and the
+# buffer pool holds up under concurrency. `wire_bytes` also carries the
+# P2PS reader's oracle, run again in release below.
 echo "==> wire-byte identity + pool concurrency"
 cargo test -q -p wsp-integration-tests --test wire_bytes --test bufpool
 
@@ -91,7 +90,7 @@ cargo test -q --release -p wsp-xml --lib --test prop_escape --test byte_soup
 echo "==> wsp-xml read path: reader oracle + seeded vocabulary (release)"
 cargo test -q --release -p wsp-integration-tests --test reader_oracle --test vocabulary
 
-# Typed codec: every invocation and registry message is read
+# Typed codec: every invocation, registry and P2PS message is read
 # off the pull reader by its one reader and written from values into
 # bytes. The writers must be the tree writers' bytes; the readers are
 # held to their own oracle — read(write(v)) == v, and a document they
@@ -106,6 +105,8 @@ cargo test -q --release -p wsp-integration-tests --test reader_oracle --test voc
 # binding's locate of an interface it holds, over HTTP: 102).
 echo "==> typed codec: one reader per vocabulary, held to its oracle (release)"
 cargo test -q --release -p wsp-integration-tests --test typed_codec
+cargo test -q --release -p wsp-integration-tests --test wire_bytes pipe_data::
+cargo test -q --release -p wsp-p2ps --test prop_wire
 
 # The byte readers at the socket's edge: `HeadScan` over any
 # split of soup finds the body where one scan of the whole does, and

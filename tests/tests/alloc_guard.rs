@@ -254,9 +254,10 @@ fn warm_small_parse_allocates_for_the_tree_and_three_buffers() {
 /// `PipeData` — the one P2PS message every invocation pays for, twice —
 /// skips the tree on both sides: a warm encode into a pooled buffer
 /// allocates nothing, and the decode allocates only what the decoded
-/// message owns (service, pipe name, payload) plus the tokenizer's
-/// attribute list for the root tag. The tree codec it replaced paid
-/// 15 + 20 for the same frame; the bound fails well short of that.
+/// message owns (service, pipe name, payload) plus the pull reader's
+/// own: the tokenizer's attribute list for the root tag, the scope and
+/// open-element stacks. The tree codec it replaced paid 15 + 20 for the
+/// same frame; the bound fails well short of that.
 #[test]
 fn warm_pipe_data_codec_allocates_only_the_decoded_fields() {
     use wsp_p2ps::{P2psMessage, PeerId, PipeAdvertisement};

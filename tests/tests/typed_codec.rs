@@ -340,11 +340,10 @@ fn response_tree(
         ),
         Err(fault) => Envelope::fault(fault.clone()),
     };
+    // A substrate's headers replace the engine's.
     let action = format!("{ns}#{}Response", op.name);
-    envelope.set_addressing(MessageHeaders::response_to(request, action));
-    if let Some(headers) = readdress {
-        envelope.set_addressing(headers.clone());
-    }
+    let own = MessageHeaders::response_to(request, action);
+    envelope.set_addressing(readdress.cloned().unwrap_or(own));
     Some(without_message_ids(&envelope.to_xml()))
 }
 
