@@ -81,17 +81,20 @@ pub struct LegacyEnvelope {
 }
 
 impl LegacyEnvelope {
+    /// The header blocks are read off [`Envelope::to_element`], which
+    /// renders the WS-Addressing headers as blocks too.
     pub fn from_current(envelope: &Envelope) -> Self {
+        let tree = envelope.to_element();
+        let header = tree.find(SOAP_ENV_NS, "Header");
         LegacyEnvelope {
-            headers: envelope
-                .headers()
-                .iter()
-                .map(|h| {
-                    (
-                        to_legacy_element(&h.element),
-                        h.must_understand,
-                        h.role.clone(),
-                    )
+            headers: (header.into_iter().flat_map(|h| h.child_elements()))
+                .map(|e| {
+                    let must_understand =
+                        e.attribute(SOAP_ENV_NS, "mustUnderstand") == Some("true");
+                    let role = e.attribute(SOAP_ENV_NS, "role").map(str::to_owned);
+                    let mut element = to_legacy_element(e);
+                    legacy_strip_env_attrs(&mut element);
+                    (element, must_understand, role)
                 })
                 .collect(),
             payload: envelope.payload().map(to_legacy_element),

@@ -25,7 +25,7 @@ use crate::telemetry;
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use wsp_wsdl::Value;
 
@@ -315,6 +315,16 @@ fn count_attempt(counters: &AttemptCounters, registry: &telemetry::Telemetry, en
         .incr();
 }
 
+/// `breaker.trips`, `breaker.probes` and `breaker.recoveries`, resolved
+/// once: a transition neither takes the registry lock nor builds a name.
+fn breaker_counters() -> &'static [Arc<telemetry::Counter>; 3] {
+    static COUNTERS: OnceLock<[Arc<telemetry::Counter>; 3]> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let registry = telemetry::global();
+        ["trips", "probes", "recoveries"].map(|n| registry.counter(format!("breaker.{n}")))
+    })
+}
+
 /// One invocation, whichever thread runs it: the resilient attempt
 /// loop, the latency sample, the error span and the client event.
 struct InvokeJob {
@@ -394,10 +404,11 @@ impl ResilientAttempts<'_> {
                 ResilienceAction::BreakerRecovered => "resilience.breaker_recovered",
                 ResilienceAction::DeadlineExceeded { .. } => "resilience.deadline_exceeded",
             };
+            let [trips, probes, recoveries] = breaker_counters();
             match &action {
-                ResilienceAction::BreakerTripped => registry.counter("breaker.trips").incr(),
-                ResilienceAction::BreakerProbe => registry.counter("breaker.probes").incr(),
-                ResilienceAction::BreakerRecovered => registry.counter("breaker.recoveries").incr(),
+                ResilienceAction::BreakerTripped => trips.incr(),
+                ResilienceAction::BreakerProbe => probes.incr(),
+                ResilienceAction::BreakerRecovered => recoveries.incr(),
                 _ => {}
             }
             registry.span(

@@ -265,11 +265,11 @@ impl Hosting {
     }
 
     /// The engine, the application shown the message either side of it
-    /// when it listens: the request as parsed from `xml`, the response
-    /// as parsed from the bytes the engine wrote under its own headers —
-    /// and written a second time under `readdress`, if there is one, for
-    /// the wire. Nobody listening, nothing is parsed and the response is
-    /// written once.
+    /// when it listens: the request as parsed from `xml` (one the reader
+    /// refused, as that refusal), the response as parsed from the bytes
+    /// the engine wrote under its own headers — and written a second
+    /// time under `readdress`, if there is one, for the wire. Nobody
+    /// listening, nothing is parsed and the response is written once.
     fn answer(
         &self,
         service: &HostedService,
@@ -281,7 +281,7 @@ impl Hosting {
         let view = |phase, xml: &str| ServerMessageEvent {
             service: name.to_owned(),
             phase,
-            envelope: Envelope::from_xml(xml).expect("what the engine read or wrote parses"),
+            envelope: Envelope::from_xml(xml).unwrap_or_else(|e| Envelope::fault(e.to_fault())),
         };
         self.events
             .fire_server_with(|| view(ServerPhase::Inbound, xml));

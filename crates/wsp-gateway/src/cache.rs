@@ -26,12 +26,12 @@
 //! buffers through the wire-path [`BufPool`], so cache-hit responses
 //! are assembled from pooled buffers instead of fresh allocations.
 
+use crate::bump;
 use crate::pool::Backend;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wsp_core::telemetry;
 use wsp_registry::DataVersions;
 use wsp_simnet::{EventKey, EventWheel, Time};
 use wsp_xml::BufPool;
@@ -120,10 +120,6 @@ pub struct GatewayCaches {
     cfg: GatewayCacheConfig,
     started: Instant,
     inner: Mutex<CacheInner>,
-}
-
-fn bump(name: &str) {
-    telemetry::global().counter(name).incr();
 }
 
 impl GatewayCaches {

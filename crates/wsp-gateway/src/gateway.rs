@@ -26,6 +26,7 @@
 //! ([`Gateway::launch_pipe`], tenant in the `Tenant` SOAP header), both
 //! served by the reactor-backed servers underneath.
 
+use crate::bump;
 use crate::cache::{CachedResponse, GatewayCacheConfig, GatewayCaches, ResponseKey};
 use crate::pool::{Backend, BackendPools};
 use parking_lot::Mutex;
@@ -401,7 +402,7 @@ impl Gateway {
                 break;
             };
             if attempt > 0 {
-                t.counter("gateway.backend.failovers").incr();
+                bump("gateway.backend.failovers");
             }
             let backend = &backends[lease.index()];
             let mut request = Request::post(backend.target(), CONTENT_TYPE, raw.to_vec());
@@ -431,7 +432,7 @@ impl Gateway {
                 }
                 Err(_) => {
                     lease.fail();
-                    t.counter("gateway.backend.errors").incr();
+                    bump("gateway.backend.errors");
                     tried.push(lease.endpoint().to_owned());
                 }
             }

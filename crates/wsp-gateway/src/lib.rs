@@ -34,3 +34,18 @@ pub use pool::{BackendLease, BackendPools};
 /// The response-cache key hashes a request body with the workspace's
 /// one FNV-1a (shard placement uses the same function).
 pub use wsp_simnet::fnv1a;
+
+use std::{cell::RefCell, collections::HashMap, sync::Arc};
+use wsp_core::telemetry::{self, Counter};
+
+/// Count `name`, by a handle resolved once per thread (DESIGN.md §8):
+/// counting takes no registry lock and builds no name.
+fn bump(name: &'static str) {
+    thread_local! {
+        static COUNTERS: RefCell<HashMap<&'static str, Arc<Counter>>> = RefCell::default();
+    }
+    COUNTERS.with_borrow_mut(|counters| {
+        let resolve = || telemetry::global().counter(name);
+        counters.entry(name).or_insert_with(resolve).incr();
+    });
+}

@@ -15,7 +15,8 @@ use crate::advert::{PipeAdvertisement, ServiceAdvertisement, P2PS_NS};
 use crate::id::PeerId;
 use crate::query::P2psQuery;
 use std::borrow::Cow;
-use wsp_soap::typed::{name_of, next_tag, only, plain, read_parts, read_text, required, Rule};
+use wsp_soap::typed::{attributes, name_of, next_tag, number, only, plain, read_parts, read_text};
+use wsp_soap::typed::{required, Rule};
 use wsp_soap::SoapError;
 use wsp_xml::{Element, Pull, PullReader};
 
@@ -174,13 +175,16 @@ fn read_message(r: &mut PullReader<'_>) -> Result<P2psMessage, SoapError> {
         }
         "Advertise" => {
             let [ttl] = attributes(r, ["ttl"])?;
-            let ttl = number(ttl, "ttl")?;
+            let ttl = number(required(ttl, "ttl")?, "ttl")?;
             let advert = only(r, P2PS_NS, "ServiceAdvertisement", read_service)?;
             P2psMessage::Advertise { advert, ttl }
         }
         "QueryMsg" => {
             let [id, origin, ttl] = attributes(r, ["id", "origin", "ttl"])?;
-            let (id, ttl) = (number(id, "id")?, number(ttl, "ttl")?);
+            let (id, ttl) = (
+                number(required(id, "id")?, "id")?,
+                number(required(ttl, "ttl")?, "ttl")?,
+            );
             let origin = peer_id(origin.as_deref(), "origin")?;
             let query = only(r, P2PS_NS, "Query", read_query)?;
             P2psMessage::Query {
@@ -192,7 +196,10 @@ fn read_message(r: &mut PullReader<'_>) -> Result<P2psMessage, SoapError> {
         }
         "QueryHit" => {
             let [id, origin] = attributes(r, ["id", "origin"])?;
-            let (id, origin) = (number(id, "id")?, peer_id(origin.as_deref(), "origin")?);
+            let (id, origin) = (
+                number(required(id, "id")?, "id")?,
+                peer_id(origin.as_deref(), "origin")?,
+            );
             let mut adverts = Vec::new();
             read_children(r, &["ServiceAdvertisement"], |r, _| {
                 adverts.push(read_service(r)?);
@@ -206,7 +213,7 @@ fn read_message(r: &mut PullReader<'_>) -> Result<P2psMessage, SoapError> {
         }
         "Ping" | "Pong" => {
             let [nonce] = attributes(r, ["nonce"])?;
-            let nonce = number(nonce, "nonce")?;
+            let nonce = number(required(nonce, "nonce")?, "nonce")?;
             read_parts(r, P2PS_NS, &[], |_, _| Ok(()))?;
             match local {
                 "Ping" => P2psMessage::Ping { nonce },
@@ -311,32 +318,6 @@ fn read_children<'a>(
 fn leaf<'a>(r: &mut PullReader<'a>) -> Result<Cow<'a, str>, SoapError> {
     plain(r)?;
     read_text(r)
-}
-
-/// The values of the start tag's attributes named `names` (in no
-/// namespace), by position; any other attribute is refused.
-fn attributes<'a, const N: usize>(
-    r: &PullReader<'a>,
-    names: [&str; N],
-) -> Result<[Option<Cow<'a, str>>; N], SoapError> {
-    let mut values = [const { None }; N];
-    let mut foreign = false;
-    r.attributes(
-        |ns, local, value| match names.iter().position(|&n| n == local) {
-            Some(at) if ns.is_empty() => values[at] = Some(value),
-            _ => foreign = true,
-        },
-    );
-    match foreign {
-        false => Ok(values),
-        true => Err(Rule::UnknownAttribute.refuse(format_args!("on {}", name_of(r)))),
-    }
-}
-
-/// A required numeric attribute.
-fn number<T: std::str::FromStr>(value: Option<Cow<'_, str>>, name: &str) -> Result<T, SoapError> {
-    let value = required(value, name)?;
-    value.parse().map_err(|_| Rule::BadValue.refuse(name))
 }
 
 /// A required peer id, layout around it passed over.

@@ -252,13 +252,11 @@ impl RegistryCluster {
         self.inner.nodes[node].up.store(true, Ordering::SeqCst);
     }
 
-    /// The deterministic lease trace of one shard's group.
+    /// The deterministic lease trace of one shard's group: its newest
+    /// [`crate::lease::LEASE_TRACE_CAPACITY`] records.
     pub fn lease_trace(&self, shard: u32) -> Vec<LeaseTrace> {
-        self.inner.groups[shard as usize]
-            .lock()
-            .leases
-            .trace()
-            .to_vec()
+        let group = self.inner.groups[shard as usize].lock();
+        group.leases.trace().cloned().collect()
     }
 
     /// What each member of `shard`'s group (preference order) holds of

@@ -13,7 +13,7 @@
 //! expired lease is never resurrected by a stale refresh" is checkable
 //! on every reachable edge.
 
-use std::collections::HashMap;
+use std::collections::{vec_deque, HashMap, VecDeque};
 use wsp_simnet::{Dur, EventKey, EventWheel, Machine, Time};
 
 /// What happened to a lease, as recorded in the deterministic trace.
@@ -34,12 +34,19 @@ pub struct LeaseTrace {
     pub action: LeaseAction,
 }
 
+/// Most records a [`LeaseTable`]'s trace keeps: the newest, the older
+/// ones dropped and counted, so a long-lived group's trace does not
+/// grow with every publish it ever leased. A seeded run of E16's full
+/// grid records at most 416 per group.
+pub const LEASE_TRACE_CAPACITY: usize = 1024;
+
 /// The wheel-driven lease sweep for one replication group.
 #[derive(Default)]
 pub struct LeaseTable {
     wheel: EventWheel<String>,
     armed: HashMap<String, EventKey>,
-    trace: Vec<LeaseTrace>,
+    trace: VecDeque<LeaseTrace>,
+    dropped: u64,
 }
 
 impl LeaseTable {
@@ -60,11 +67,7 @@ impl LeaseTable {
             // Only still-armed keys count: a cancelled entry never pops
             // (exact cancellation), so anything popped is live.
             if self.armed.remove(&key).is_some() {
-                self.trace.push(LeaseTrace {
-                    at,
-                    key: key.clone(),
-                    action: LeaseAction::Expired,
-                });
+                self.record(at, &key, LeaseAction::Expired);
                 expired.push(key);
             }
         }
@@ -85,11 +88,7 @@ impl LeaseTable {
         };
         let armed = self.wheel.schedule_after(ttl, key.to_owned());
         self.armed.insert(key.to_owned(), armed);
-        self.trace.push(LeaseTrace {
-            at: self.wheel.now(),
-            key: key.to_owned(),
-            action,
-        });
+        self.record(self.wheel.now(), key, action);
         action
     }
 
@@ -97,11 +96,7 @@ impl LeaseTable {
     pub fn cancel(&mut self, key: &str) {
         if let Some(prior) = self.armed.remove(key) {
             self.wheel.cancel(prior);
-            self.trace.push(LeaseTrace {
-                at: self.wheel.now(),
-                key: key.to_owned(),
-                action: LeaseAction::Cancelled,
-            });
+            self.record(self.wheel.now(), key, LeaseAction::Cancelled);
         }
     }
 
@@ -109,9 +104,24 @@ impl LeaseTable {
         self.armed.contains_key(key)
     }
 
-    /// The full deterministic trace so far.
-    pub fn trace(&self) -> &[LeaseTrace] {
-        &self.trace
+    /// The newest [`LEASE_TRACE_CAPACITY`] records of the deterministic
+    /// trace, oldest first.
+    pub fn trace(&self) -> vec_deque::Iter<'_, LeaseTrace> {
+        self.trace.iter()
+    }
+
+    /// How many older records fell off the trace.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    fn record(&mut self, at: Time, key: &str, action: LeaseAction) {
+        if self.trace.len() == LEASE_TRACE_CAPACITY {
+            self.trace.pop_front();
+            self.dropped += 1;
+        }
+        let key = key.to_owned();
+        self.trace.push_back(LeaseTrace { at, key, action });
     }
 }
 
@@ -255,6 +265,20 @@ mod tests {
     }
 
     #[test]
+    fn the_trace_keeps_the_newest_records() {
+        let mut leases = LeaseTable::new();
+        let n = LEASE_TRACE_CAPACITY;
+        for i in 0..3 * n {
+            leases.grant(&format!("svc-{i}"), Dur::millis(100));
+        }
+        assert_eq!(leases.trace().len(), n);
+        assert_eq!(leases.dropped(), 2 * n as u64);
+        let keys: Vec<&str> = leases.trace().map(|t| t.key.as_str()).collect();
+        let newest: Vec<String> = (2 * n..3 * n).map(|i| format!("svc-{i}")).collect();
+        assert_eq!(keys, newest);
+    }
+
+    #[test]
     fn expiry_order_is_deterministic() {
         let run = || {
             let mut leases = LeaseTable::new();
@@ -264,7 +288,7 @@ mod tests {
             leases.advance_to(Time::millis(30));
             leases.grant("b", Dur::millis(50));
             leases.advance_to(Time::millis(500));
-            leases.trace().to_vec()
+            leases.trace().cloned().collect::<Vec<_>>()
         };
         let first = run();
         assert_eq!(first, run(), "same schedule, same trace");

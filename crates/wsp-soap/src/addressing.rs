@@ -7,7 +7,7 @@
 //! and sends it as the `ReplyTo` header (Figures 5 and 6).
 
 use crate::constants::WSA_NS;
-use crate::envelope::{Envelope, HeaderBlock};
+use crate::envelope::HeaderBlock;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wsp_xml::{Element, StreamWriter};
@@ -66,19 +66,6 @@ impl EndpointReference {
                 });
             }
         });
-    }
-
-    /// Parse an EPR element (any element containing `wsa:Address`).
-    pub fn from_element(element: &Element) -> Option<EndpointReference> {
-        let address = element.child_text(WSA_NS, "Address")?.trim().to_owned();
-        let reference_properties = element
-            .find(WSA_NS, "ReferenceProperties")
-            .map(|props| props.child_elements().cloned().collect())
-            .unwrap_or_default();
-        Some(EndpointReference {
-            address,
-            reference_properties,
-        })
     }
 }
 
@@ -162,38 +149,34 @@ impl MessageHeaders {
         self
     }
 
-    /// Append these headers to an envelope. `To` and `Action` are marked
-    /// `mustUnderstand` as the binding requires.
-    pub fn apply_to(&self, envelope: &mut Envelope) {
-        let mut push_text = |local: &'static str, value: &Option<String>, mandatory: bool| {
-            if let Some(v) = value {
-                let e = Element::build(WSA_NS, local).text(v.clone()).finish();
-                envelope.add_header(if mandatory {
-                    HeaderBlock::mandatory(e)
-                } else {
-                    HeaderBlock::new(e)
-                });
-            }
+    /// The header blocks [`MessageHeaders::write_to`] streams, as
+    /// trees. `To` and `Action` are marked `mustUnderstand` as the
+    /// binding requires.
+    pub(crate) fn blocks(&self) -> Vec<HeaderBlock> {
+        let text = |local, value: &Option<String>| {
+            (value.clone()).map(|value| Element::build(WSA_NS, local).text(value).finish())
         };
-        push_text("To", &self.to, true);
-        push_text("Action", &self.action, true);
-        push_text("MessageID", &self.message_id, false);
-        push_text("RelatesTo", &self.relates_to, false);
-        for (local, epr) in [
+        let mandatory = [text("To", &self.to), text("Action", &self.action)];
+        let optional = [
+            text("MessageID", &self.message_id),
+            text("RelatesTo", &self.relates_to),
+        ];
+        let references = [
             ("ReplyTo", &self.reply_to),
             ("FaultTo", &self.fault_to),
             ("From", &self.from),
-        ] {
-            if let Some(epr) = epr {
-                envelope.add_header(HeaderBlock::new(epr.to_element(local)));
-            }
-        }
-        for p in &self.destination_properties {
-            envelope.add_header(HeaderBlock::new(p.clone()));
-        }
+        ];
+        let references =
+            references.map(|(local, epr)| epr.as_ref().map(|epr| epr.to_element(local)));
+        let optional = optional.into_iter().chain(references).flatten();
+        let optional = optional.chain(self.destination_properties.iter().cloned());
+        let mandatory = mandatory.into_iter().flatten().map(HeaderBlock::mandatory);
+        mandatory.chain(optional.map(HeaderBlock::new)).collect()
     }
 
-    /// Stream the header blocks [`MessageHeaders::apply_to`] appends.
+    /// Stream the header blocks, in order: `To`, `Action`, `MessageID`,
+    /// `RelatesTo`, `ReplyTo`, `FaultTo`, `From`, then the destination's
+    /// reference properties.
     pub(crate) fn write_to(&self, out: &mut StreamWriter<'_>) {
         const MANDATORY: &[(&str, &str, &str)] =
             &[(crate::constants::SOAP_ENV_NS, "mustUnderstand", "true")];
@@ -223,32 +206,6 @@ impl MessageHeaders {
     pub fn is_empty(&self) -> bool {
         *self == MessageHeaders::default()
     }
-
-    /// Extract WS-Addressing headers from an envelope, if any WSA header
-    /// is present at all.
-    pub fn extract(envelope: &Envelope) -> Option<MessageHeaders> {
-        let text = |local: &str| -> Option<String> {
-            envelope
-                .find_header(WSA_NS, local)
-                .map(|h| h.element.text().trim().to_owned())
-        };
-        let epr = |local: &str| -> Option<EndpointReference> {
-            envelope
-                .find_header(WSA_NS, local)
-                .and_then(|h| EndpointReference::from_element(&h.element))
-        };
-        let headers = MessageHeaders {
-            to: text("To"),
-            action: text("Action"),
-            message_id: text("MessageID"),
-            relates_to: text("RelatesTo"),
-            reply_to: epr("ReplyTo"),
-            fault_to: epr("FaultTo"),
-            from: epr("From"),
-            destination_properties: Vec::new(),
-        };
-        (!headers.is_empty()).then_some(headers)
-    }
 }
 
 /// Generate a process-unique message id URI.
@@ -273,10 +230,19 @@ pub fn generate_message_id() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::SoapError;
     use crate::envelope::Envelope;
+    use crate::typed::Rule;
 
     fn payload() -> Element {
         Element::build("urn:demo", "op").finish()
+    }
+
+    /// `reply_to` as the `ReplyTo` of a request, read back.
+    fn replied_to(reply_to: EndpointReference) -> Result<Envelope, SoapError> {
+        let mut env = Envelope::request(payload());
+        env.set_addressing(MessageHeaders::default().with_reply_to(reply_to));
+        Envelope::from_xml(&env.to_xml())
     }
 
     #[test]
@@ -294,15 +260,20 @@ mod tests {
                 .text("echoString")
                 .finish(),
         );
-        let elem = epr.to_element("ReplyTo");
-        let back = EndpointReference::from_element(&elem).unwrap();
-        assert_eq!(back, epr);
+        let back = replied_to(epr.clone()).unwrap();
+        assert_eq!(back.addressing().unwrap().reply_to, Some(epr));
     }
 
     #[test]
-    fn epr_without_address_is_none() {
-        let e = Element::new(WSA_NS, "ReplyTo");
-        assert!(EndpointReference::from_element(&e).is_none());
+    fn epr_without_address_is_refused() {
+        let xml = replied_to(EndpointReference::new("urn:gone"))
+            .unwrap()
+            .to_xml()
+            .replacen("<wsa:Address>urn:gone</wsa:Address>", "", 1);
+        let Err(SoapError::Fault(fault)) = Envelope::from_xml(&xml) else {
+            panic!("an EPR without Address read: {xml}");
+        };
+        assert_eq!(Rule::of(&fault), Some(Rule::Missing));
     }
 
     #[test]
@@ -317,20 +288,19 @@ mod tests {
         assert_eq!(got.to.as_deref(), Some("urn:to"));
         assert_eq!(got.action.as_deref(), Some("urn:action"));
         assert_eq!(got.message_id, hdrs.message_id);
-        assert_eq!(got.reply_to.unwrap().address, "urn:reply");
-        assert_eq!(got.from.unwrap().address, "urn:me");
+        assert_eq!(got.reply_to.as_ref().unwrap().address, "urn:reply");
+        assert_eq!(got.from.as_ref().unwrap().address, "urn:me");
     }
 
     #[test]
     fn to_and_action_are_must_understand() {
-        let mut env = Envelope::request(payload());
-        env.set_addressing(MessageHeaders::request("urn:to", "urn:action"));
-        assert!(env.find_header(WSA_NS, "To").unwrap().must_understand);
-        assert!(env.find_header(WSA_NS, "Action").unwrap().must_understand);
-        assert!(
-            !env.find_header(WSA_NS, "MessageID")
-                .unwrap()
-                .must_understand
+        let blocks = MessageHeaders::request("urn:to", "urn:action").blocks();
+        let marks: Vec<(&str, bool)> = (blocks.iter())
+            .map(|b| (b.element.name().local_name(), b.must_understand))
+            .collect();
+        assert_eq!(
+            marks,
+            [("To", true), ("Action", true), ("MessageID", false)]
         );
     }
 
@@ -344,6 +314,7 @@ mod tests {
         // The pipe name surfaces as an ordinary header for P2PS to read.
         let h = back.find_header("urn:p2ps", "PipeName").unwrap();
         assert_eq!(h.element.text(), "in");
+        assert!(back.addressing().unwrap().destination_properties.is_empty());
     }
 
     #[test]
@@ -366,17 +337,14 @@ mod tests {
         let got = env.addressing().unwrap();
         assert_eq!(got.to.as_deref(), Some("urn:second"));
         // No duplicated To headers.
-        let to_count = env
-            .headers()
-            .iter()
-            .filter(|h| h.element.name().is(WSA_NS, "To"))
-            .count();
-        assert_eq!(to_count, 1);
+        assert_eq!(env.to_xml().matches("<wsa:To").count(), 1);
     }
 
     #[test]
     fn extract_returns_none_without_wsa_headers() {
         let env = Envelope::request(payload());
         assert!(env.addressing().is_none());
+        let back = Envelope::from_xml(&env.to_xml()).unwrap();
+        assert!(back.addressing().is_none());
     }
 }

@@ -1,4 +1,5 @@
-//! Wire codec: envelope ⇄ XML text, plus the SOAP-level error type.
+//! Wire codec: the writer behind envelope → XML text, plus the
+//! SOAP-level error type (the reader is [`crate::typed::read_envelope`]).
 
 use crate::constants::{SOAP_ENV_NS, WSA_NS};
 use crate::envelope::Envelope;
@@ -73,7 +74,7 @@ impl From<Fault> for SoapError {
     }
 }
 
-/// Reusable encoder/decoder with conventional prefixes (`env`, `wsa`).
+/// Reusable encoder with conventional prefixes (`env`, `wsa`).
 ///
 /// Holding one per connection/worker amortises the writer's buffer across
 /// messages (perf-book guidance: reuse workhorse buffers).
@@ -98,7 +99,7 @@ impl SoapCodec {
     }
 
     /// Run `f` against a per-thread codec, amortising the writer across
-    /// every encode/decode on this thread. This is the codec behind
+    /// every encode on this thread. This is the codec behind
     /// [`Envelope::to_xml`] and friends.
     pub fn with_thread_local<R>(f: impl FnOnce(&mut SoapCodec) -> R) -> R {
         thread_local! {
@@ -121,12 +122,6 @@ impl SoapCodec {
     pub fn encode_into(&mut self, envelope: &Envelope, out: &mut Vec<u8>) {
         self.writer
             .write_stream_into(out, |stream| envelope.write_to(stream));
-    }
-
-    /// Parse wire XML into an envelope.
-    pub fn decode(&mut self, xml: &str) -> Result<Envelope, SoapError> {
-        let root = wsp_xml::parse(xml)?;
-        Envelope::from_root(root)
     }
 }
 
@@ -169,15 +164,13 @@ mod tests {
 
     #[test]
     fn decode_errors_map_to_faults() {
-        let mut codec = SoapCodec::new();
-        let xml_err = codec.decode("<<<").unwrap_err();
+        let xml_err = Envelope::from_xml("<<<").unwrap_err();
         assert_eq!(xml_err.to_fault().code, FaultCode::Sender);
 
-        let version = codec.decode("<a/>").unwrap_err();
+        let version = Envelope::from_xml("<a/>").unwrap_err();
         assert_eq!(version.to_fault().code, FaultCode::VersionMismatch);
 
-        let missing = codec
-            .decode(&format!(r#"<env:Envelope xmlns:env="{SOAP_ENV_NS}"/>"#))
+        let missing = Envelope::from_xml(&format!(r#"<env:Envelope xmlns:env="{SOAP_ENV_NS}"/>"#))
             .unwrap_err();
         assert_eq!(missing.to_fault().code, FaultCode::Sender);
     }
@@ -189,7 +182,8 @@ mod tests {
             let env =
                 Envelope::request(Element::build("urn:x", "op").text(format!("{i}")).finish());
             let xml = codec.encode(&env);
-            let back = codec.decode(&xml).unwrap();
+            assert_eq!(xml, env.to_xml());
+            let back = Envelope::from_xml(&xml).unwrap();
             assert_eq!(back.payload().unwrap().text(), format!("{i}"));
         }
     }

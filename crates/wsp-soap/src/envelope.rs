@@ -1,9 +1,11 @@
-//! SOAP envelope: header blocks plus a body carrying a payload or fault.
+//! SOAP envelope: header blocks, the WS-Addressing headers, and a body
+//! carrying a payload or fault.
 
 use crate::addressing::MessageHeaders;
 use crate::codec::{SoapCodec, SoapError};
 use crate::constants::SOAP_ENV_NS;
 use crate::fault::Fault;
+use crate::typed::{read_envelope, Payload};
 use wsp_xml::{Element, QName, StreamWriter};
 
 /// One SOAP header block with its processing attributes.
@@ -59,38 +61,41 @@ pub enum Body {
     Empty,
 }
 
-/// A SOAP message: ordered header blocks and a body.
+/// A SOAP message: header blocks, the WS-Addressing headers and a body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Envelope {
+    /// Every header block but the WS-Addressing ones, in order.
     headers: Vec<HeaderBlock>,
+    addressing: MessageHeaders,
     body: Body,
 }
 
 impl Envelope {
-    /// An envelope carrying an application payload.
-    pub fn request(payload: Element) -> Self {
+    fn with_body(body: Body) -> Self {
         Envelope {
             headers: Vec::new(),
-            body: Body::Payload(payload),
+            addressing: MessageHeaders::default(),
+            body,
         }
+    }
+
+    /// An envelope carrying an application payload.
+    pub fn request(payload: Element) -> Self {
+        Envelope::with_body(Body::Payload(payload))
     }
 
     /// An envelope carrying a fault.
     pub fn fault(fault: Fault) -> Self {
-        Envelope {
-            headers: Vec::new(),
-            body: Body::Fault(fault),
-        }
+        Envelope::with_body(Body::Fault(fault))
     }
 
     /// An envelope with an empty body.
     pub fn empty() -> Self {
-        Envelope {
-            headers: Vec::new(),
-            body: Body::Empty,
-        }
+        Envelope::with_body(Body::Empty)
     }
 
+    /// The header blocks other than the WS-Addressing headers
+    /// ([`Envelope::addressing`]).
     pub fn headers(&self) -> &[HeaderBlock] {
         &self.headers
     }
@@ -115,53 +120,37 @@ impl Envelope {
         }
     }
 
-    /// Append a header block.
+    /// Append a header block. It is written before the WS-Addressing
+    /// headers, wherever it was added.
     pub fn add_header(&mut self, block: HeaderBlock) {
         self.headers.push(block);
     }
 
-    /// First header element named `{ns}local`.
+    /// First header block named `{ns}local`, other than the
+    /// WS-Addressing headers.
     pub fn find_header(&self, ns: &str, local: &str) -> Option<&HeaderBlock> {
         self.headers.iter().find(|h| h.element.name().is(ns, local))
     }
 
-    /// Remove all headers named `{ns}local`, returning how many were cut.
-    pub fn remove_headers(&mut self, ns: &str, local: &str) -> usize {
-        let before = self.headers.len();
-        self.headers.retain(|h| !h.element.name().is(ns, local));
-        before - self.headers.len()
-    }
-
     /// Replace the WS-Addressing headers with `headers`.
     pub fn set_addressing(&mut self, headers: MessageHeaders) {
-        self.headers
-            .retain(|h| h.element.name().namespace() != crate::constants::WSA_NS);
-        headers.apply_to(self);
+        self.addressing = headers;
     }
 
-    /// Extract WS-Addressing headers, if any are present.
-    pub fn addressing(&self) -> Option<MessageHeaders> {
-        MessageHeaders::extract(self)
-    }
-
-    /// Header blocks marked `mustUnderstand` whose expanded names are not
-    /// in `understood`. A conforming node faults if this is non-empty.
-    pub fn not_understood<'a>(&'a self, understood: &'a [QName]) -> Vec<&'a HeaderBlock> {
-        self.headers
-            .iter()
-            .filter(|h| h.must_understand && !understood.contains(h.element.name()))
-            .collect()
+    /// The WS-Addressing headers, if there are any.
+    pub fn addressing(&self) -> Option<&MessageHeaders> {
+        (!self.addressing.is_empty()).then_some(&self.addressing)
     }
 
     /// Render as the `env:Envelope` element — a deep copy of headers
     /// and payload; the wire path streams instead ([`Envelope::write_to`]).
     pub fn to_element(&self) -> Element {
         let mut envelope = Element::new(SOAP_ENV_NS, "Envelope");
-        if !self.headers.is_empty() {
-            let mut header = Element::new(SOAP_ENV_NS, "Header");
-            for block in &self.headers {
-                header.push_element(block.to_element());
-            }
+        let mut header = Element::new(SOAP_ENV_NS, "Header");
+        for block in self.headers.iter().chain(&self.addressing.blocks()) {
+            header.push_element(block.to_element());
+        }
+        if !header.children().is_empty() {
             envelope.push_element(header);
         }
         let mut body = Element::new(SOAP_ENV_NS, "Body");
@@ -179,81 +168,16 @@ impl Envelope {
     /// trees, so encoding copies the payload once — escaped, into the
     /// output — and not a second time into a staging tree.
     pub(crate) fn write_to(&self, out: &mut StreamWriter<'_>) {
-        out.element(SOAP_ENV_NS, "Envelope", |out| {
-            if !self.headers.is_empty() {
-                out.element(SOAP_ENV_NS, "Header", |out| {
-                    for block in &self.headers {
-                        if block.must_understand || block.role.is_some() {
-                            out.tree(&block.to_element());
-                        } else {
-                            out.tree(&block.element);
-                        }
-                    }
-                });
-            }
-            out.element(SOAP_ENV_NS, "Body", |out| match &self.body {
-                Body::Payload(payload) => out.tree(payload),
-                Body::Fault(fault) => out.tree(&fault.to_element()),
-                Body::Empty => {}
-            });
-        });
-    }
-
-    /// Parse from an owned `env:Envelope` element, consuming it: the
-    /// payload and header elements are moved out of the tree, not
-    /// deep-cloned.
-    pub fn from_root(mut root: Element) -> Result<Envelope, SoapError> {
-        if !root.name().is(SOAP_ENV_NS, "Envelope") {
-            return Err(SoapError::VersionMismatch {
-                found: format!("{:?}", root.name()),
-            });
-        }
-        let mut headers = Vec::new();
-        let mut saw_header = false;
-        let mut body = None;
-        for node in std::mem::take(root.children_mut()) {
-            let wsp_xml::Node::Element(mut child) = node else {
-                continue;
-            };
-            if child.name().is(SOAP_ENV_NS, "Header") && !saw_header {
-                saw_header = true;
-                for hnode in std::mem::take(child.children_mut()) {
-                    let wsp_xml::Node::Element(mut element) = hnode else {
-                        continue;
-                    };
-                    let must_understand = matches!(
-                        element.attribute(SOAP_ENV_NS, "mustUnderstand"),
-                        Some("true") | Some("1")
-                    );
-                    let role = element.attribute(SOAP_ENV_NS, "role").map(str::to_owned);
-                    // The processing attributes live on the block, not in
-                    // the application view of the header element.
-                    strip_env_attrs(&mut element);
-                    headers.push(HeaderBlock {
-                        element,
-                        must_understand,
-                        role,
-                    });
-                }
-            } else if child.name().is(SOAP_ENV_NS, "Body") && body.is_none() {
-                let first =
-                    std::mem::take(child.children_mut())
-                        .into_iter()
-                        .find_map(|n| match n {
-                            wsp_xml::Node::Element(e) => Some(e),
-                            _ => None,
-                        });
-                body = Some(match first {
-                    None => Body::Empty,
-                    Some(first) => match Fault::from_element(&first) {
-                        Some(fault) => Body::Fault(fault),
-                        None => Body::Payload(first),
-                    },
-                });
-            }
-        }
-        let body = body.ok_or(SoapError::MissingBody)?;
-        Ok(Envelope { headers, body })
+        let block = |block: &HeaderBlock, out: &mut StreamWriter<'_>| match &block.role {
+            None if !block.must_understand => out.tree(&block.element),
+            _ => out.tree(&block.to_element()),
+        };
+        let body = |out: &mut StreamWriter<'_>| match &self.body {
+            Body::Payload(payload) => out.tree(payload),
+            Body::Fault(fault) => out.tree(&fault.to_element()),
+            Body::Empty => {}
+        };
+        write_frame(out, &self.headers, block, &self.addressing, body);
     }
 
     /// Serialise to wire XML. Uses the thread-local [`SoapCodec`] and a
@@ -280,16 +204,48 @@ impl Envelope {
         out
     }
 
-    /// Parse wire XML.
+    /// Parse wire XML: the view [`read_envelope`] reads of it — the
+    /// WS-Addressing headers typed, every other header block, the
+    /// payload and a fault's detail as trees. A document that breaks a
+    /// shape rule (DESIGN.md §11) is its [`SoapError::Fault`].
     pub fn from_xml(xml: &str) -> Result<Envelope, SoapError> {
-        SoapCodec::with_thread_local(|codec| codec.decode(xml))
+        let mut headers = Vec::new();
+        let (addressing, body) =
+            read_envelope(xml, &mut |block| headers.push(block.clone()), |payload| {
+                Ok(match payload {
+                    Payload::Empty => Body::Empty,
+                    Payload::Fault(fault) => Body::Fault(fault),
+                    Payload::Element(reader) => Body::Payload(reader.read_subtree()?),
+                })
+            })?;
+        Ok(Envelope {
+            headers,
+            addressing,
+            body: body?,
+        })
     }
 }
 
-fn strip_env_attrs(element: &mut Element) {
-    element
-        .attributes_mut()
-        .retain(|a| a.name.namespace() != SOAP_ENV_NS);
+/// The envelope frame, whoever writes it: an `env:Header` holding
+/// `blocks`, each written by `block`, then the WS-Addressing headers
+/// — left out when both are empty — and an `env:Body` holding what
+/// `body` emits.
+pub(crate) fn write_frame<B>(
+    out: &mut StreamWriter<'_>,
+    blocks: &[B],
+    block: impl Fn(&B, &mut StreamWriter<'_>),
+    addressing: &MessageHeaders,
+    body: impl FnOnce(&mut StreamWriter<'_>),
+) {
+    out.element(SOAP_ENV_NS, "Envelope", |out| {
+        if !(blocks.is_empty() && addressing.is_empty()) {
+            out.element(SOAP_ENV_NS, "Header", |out| {
+                blocks.iter().for_each(|b| block(b, out));
+                addressing.write_to(out);
+            });
+        }
+        out.element(SOAP_ENV_NS, "Body", body);
+    });
 }
 
 #[cfg(test)]
@@ -349,24 +305,56 @@ mod tests {
         assert!(env.find_header("urn:t", "H").unwrap().must_understand);
     }
 
+    /// The addressing is a field: `headers()` does not show it, and it
+    /// is written after the other blocks whenever they were added.
     #[test]
-    fn not_understood_reports_unknown_mandatory_headers() {
+    fn addressing_is_held_typed_and_written_after_the_other_blocks() {
         let mut env = Envelope::request(payload());
-        env.add_header(HeaderBlock::mandatory(Element::new("urn:h", "A")));
-        env.add_header(HeaderBlock::new(Element::new("urn:h", "B"))); // optional
-        let known = [QName::new("urn:h", "B")];
-        let missing = env.not_understood(&known);
-        assert_eq!(missing.len(), 1);
-        assert!(missing[0].element.name().is("urn:h", "A"));
+        env.set_addressing(MessageHeaders::request("urn:to", "urn:act"));
+        env.add_header(HeaderBlock::new(Element::new("urn:h", "Late")));
+        assert_eq!(env.headers().len(), 1);
+        assert!(env.find_header(crate::WSA_NS, "To").is_none());
+        let xml = env.to_xml();
+        assert!(
+            xml.find("Late").unwrap() < xml.find("<wsa:To").unwrap(),
+            "{xml}"
+        );
+        let back = Envelope::from_xml(&xml).unwrap();
+        assert_eq!(back, env);
     }
 
+    /// What the one reader refuses, `from_xml` refuses by its rule.
     #[test]
-    fn remove_headers_counts() {
+    fn shapes_outside_the_reader_are_refused_by_their_rule() {
+        use crate::typed::Rule;
         let mut env = Envelope::request(payload());
-        env.add_header(HeaderBlock::new(Element::new("urn:h", "X")));
-        env.add_header(HeaderBlock::new(Element::new("urn:h", "X")));
-        assert_eq!(env.remove_headers("urn:h", "X"), 2);
-        assert!(env.headers().is_empty());
+        env.set_addressing(
+            MessageHeaders::request("urn:to", "urn:act")
+                .with_reply_to(crate::EndpointReference::new("urn:reply")),
+        );
+        let xml = env.to_xml();
+        let address = "<wsa:Address>urn:reply</wsa:Address>";
+        let again = format!(
+            "<wsa:To xmlns:wsa=\"{}\">urn:again</wsa:To><wsa:Action",
+            crate::WSA_NS
+        );
+        for (odd, rule) in [
+            (
+                xml.replacen("</env:Body>", "<more/></env:Body>", 1),
+                Rule::Repeated,
+            ),
+            (xml.replacen("<wsa:Action", &again, 1), Rule::Repeated),
+            (
+                xml.replacen("urn:act<", "urn:<b/>act<", 1),
+                Rule::UnknownElement,
+            ),
+            (xml.replacen(address, "", 1), Rule::Missing),
+        ] {
+            let Err(SoapError::Fault(fault)) = Envelope::from_xml(&odd) else {
+                panic!("read: {odd}");
+            };
+            assert_eq!(Rule::of(&fault), Some(rule), "{odd}");
+        }
     }
 
     #[test]

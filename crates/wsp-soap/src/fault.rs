@@ -128,46 +128,6 @@ impl Fault {
         }
         fault
     }
-
-    /// Parse an `env:Fault` element. Returns `None` if the element is not
-    /// a fault at all; malformed faults come back as a generic `Receiver`
-    /// fault so a broken peer cannot crash the client.
-    pub fn from_element(element: &Element) -> Option<Fault> {
-        if !element.name().is(SOAP_ENV_NS, "Fault") {
-            return None;
-        }
-        let code_text = element
-            .path(SOAP_ENV_NS, &["Code", "Value"])
-            .map(Element::text)
-            .unwrap_or_default();
-        let local = code_text.rsplit(':').next().unwrap_or("").trim().to_owned();
-        let code = FaultCode::from_local_name(&local).unwrap_or(FaultCode::Receiver);
-
-        let subcode = element
-            .path(SOAP_ENV_NS, &["Code", "Subcode", "Value"])
-            .map(|v| {
-                let ns = v.attribute_local("ns").unwrap_or("").to_owned();
-                QName::new(ns, v.text().trim().to_owned())
-            });
-
-        let reason = element
-            .path(SOAP_ENV_NS, &["Reason", "Text"])
-            .map(Element::text)
-            .unwrap_or_else(|| "unspecified fault".to_owned());
-
-        let detail = element
-            .find(SOAP_ENV_NS, "Detail")
-            .and_then(|d| d.child_elements().next())
-            .cloned()
-            .map(Box::new);
-
-        Some(Fault {
-            code,
-            subcode,
-            reason,
-            detail,
-        })
-    }
 }
 
 impl fmt::Display for Fault {
@@ -185,6 +145,8 @@ impl std::error::Error for Fault {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::typed::Rule;
+    use crate::{Envelope, SoapError};
 
     #[test]
     fn code_names_round_trip() {
@@ -200,13 +162,18 @@ mod tests {
         assert_eq!(FaultCode::from_local_name("Nope"), None);
     }
 
+    /// `xml`'s body as the one reader reads it.
+    fn read(xml: &str) -> Result<Envelope, SoapError> {
+        Envelope::from_xml(xml)
+    }
+
     #[test]
     fn fault_element_round_trip() {
         let fault = Fault::sender("bad request")
             .with_subcode(QName::new("urn:wsp", "NoSuchOperation"))
             .with_detail(Element::build("urn:wsp", "op").text("missing").finish());
-        let elem = fault.to_element();
-        let back = Fault::from_element(&elem).unwrap();
+        let back = read(&Envelope::fault(fault.clone()).to_xml()).unwrap();
+        let back = back.fault_body().unwrap();
         assert_eq!(back.code, FaultCode::Sender);
         assert_eq!(back.reason, "bad request");
         assert_eq!(
@@ -214,30 +181,38 @@ mod tests {
             "NoSuchOperation"
         );
         assert_eq!(back.detail.as_ref().unwrap().text(), "missing");
+        assert_eq!(back, &fault);
     }
 
     #[test]
     fn fault_survives_wire_round_trip() {
-        let fault = Fault::receiver("boom");
-        let xml = fault.to_element().to_xml();
-        let parsed = wsp_xml::parse(&xml).unwrap();
-        let back = Fault::from_element(&parsed).unwrap();
+        // Written by the plain tree writer, not the SOAP codec.
+        let xml = Envelope::fault(Fault::receiver("boom"))
+            .to_element()
+            .to_xml();
+        let back = read(&xml).unwrap();
+        let back = back.fault_body().unwrap();
         assert_eq!(back.code, FaultCode::Receiver);
         assert_eq!(back.reason, "boom");
     }
 
     #[test]
     fn non_fault_element_yields_none() {
-        let e = Element::new("urn:x", "NotAFault");
-        assert!(Fault::from_element(&e).is_none());
+        let back = read(&Envelope::request(Element::new("urn:x", "NotAFault")).to_xml()).unwrap();
+        assert!(back.fault_body().is_none());
+        assert!(back.payload().is_some());
     }
 
     #[test]
-    fn malformed_fault_degrades_to_receiver() {
-        let e = Element::new(SOAP_ENV_NS, "Fault"); // no code, no reason
-        let f = Fault::from_element(&e).unwrap();
-        assert_eq!(f.code, FaultCode::Receiver);
-        assert!(!f.reason.is_empty());
+    fn malformed_fault_is_refused() {
+        // No code, no reason.
+        let xml = format!(
+            r#"<env:Envelope xmlns:env="{SOAP_ENV_NS}"><env:Body><env:Fault/></env:Body></env:Envelope>"#
+        );
+        let Err(SoapError::Fault(refusal)) = read(&xml) else {
+            panic!("a fault without Code read");
+        };
+        assert_eq!(Rule::of(&refusal), Some(Rule::Missing));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::addressing::{EndpointReference, MessageHeaders};
 use crate::codec::{SoapCodec, SoapError};
 use crate::constants::{FAULTS_NS, SOAP_ENV_NS, WSA_NS};
-use crate::envelope::HeaderBlock;
+use crate::envelope::{write_frame, HeaderBlock};
 use crate::fault::{Fault, FaultCode};
 use std::borrow::Cow;
 use std::fmt;
@@ -83,18 +83,10 @@ pub fn write_envelope(
     headers: &MessageHeaders,
     body: impl FnOnce(&mut StreamWriter<'_>),
 ) {
+    let block = |block: &Element, out: &mut StreamWriter<'_>| out.tree(block);
     SoapCodec::with_thread_local(|codec| {
-        codec.writer.write_stream_into(out, |out| {
-            out.element(SOAP_ENV_NS, "Envelope", |out| {
-                if !(leading.is_empty() && headers.is_empty()) {
-                    out.element(SOAP_ENV_NS, "Header", |out| {
-                        leading.iter().for_each(|block| out.tree(block));
-                        headers.write_to(out);
-                    });
-                }
-                out.element(SOAP_ENV_NS, "Body", body);
-            });
-        });
+        (codec.writer)
+            .write_stream_into(out, |out| write_frame(out, leading, block, headers, body));
     });
 }
 
@@ -431,6 +423,31 @@ pub fn required<T>(part: Option<T>, name: &str) -> Result<T, SoapError> {
     part.ok_or_else(|| Rule::Missing.refuse(name))
 }
 
+/// The values of the start tag's attributes named `names` (in no
+/// namespace), by position; any other attribute is refused.
+pub fn attributes<'a, const N: usize>(
+    reader: &PullReader<'a>,
+    names: [&str; N],
+) -> Result<[Option<Cow<'a, str>>; N], SoapError> {
+    let mut values = [const { None }; N];
+    let mut foreign = false;
+    reader.attributes(
+        |ns, local, value| match names.iter().position(|&n| n == local) {
+            Some(at) if ns.is_empty() => values[at] = Some(value),
+            _ => foreign = true,
+        },
+    );
+    match foreign {
+        false => Ok(values),
+        true => Err(Rule::UnknownAttribute.refuse(format_args!("on {}", name_of(reader)))),
+    }
+}
+
+/// A numeric attribute's value.
+pub fn number<T: std::str::FromStr>(value: Cow<'_, str>, name: &str) -> Result<T, SoapError> {
+    value.parse().map_err(|_| Rule::BadValue.refuse(name))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,18 +554,16 @@ mod tests {
             let (_, refused) = read(&odd).unwrap_or_else(|e| panic!("{e}: {odd}"));
             assert_eq!(Rule::of(&refused.unwrap_err()), Some(rule), "{odd}");
         }
-        // What parsing the tree refuses, refused alike.
+        // Not a SOAP 1.2 envelope, no body, not XML: refused as such.
         let soap11 = xml.replace(SOAP_ENV_NS, "http://schemas.xmlsoap.org/soap/envelope/");
+        let refused = read(&soap11).map(|_| ());
+        assert!(matches!(refused, Err(SoapError::VersionMismatch { .. })));
         let missing = xml[..body].to_owned() + "</env:Envelope>";
-        for odd in [
-            soap11,
-            missing,
-            xml[..xml.len() - 1].to_owned(),
-            format!("{xml}<more/>"),
-        ] {
-            let tree = Envelope::from_xml(&odd).map(|_| ());
-            assert_eq!(read(&odd).map(|_| ()), tree, "{odd}");
-            assert!(tree.is_err());
+        assert_eq!(read(&missing).map(|_| ()), Err(SoapError::MissingBody));
+        for odd in [xml[..xml.len() - 1].to_owned(), format!("{xml}<more/>")] {
+            let parsed = wsp_xml::parse(&odd).map(|_| ()).map_err(SoapError::Xml);
+            assert!(parsed.is_err());
+            assert_eq!(read(&odd).map(|_| ()), parsed, "{odd}");
         }
         // Not shape: layout, an optional stranger, `mustUnderstand` and
         // `role` on a header this node reads; a mandatory stranger is

@@ -21,8 +21,8 @@ use crate::model::{
 use crate::query::{ServiceQuery, FIND_SERVICE, FIND_SERVICE_DETAIL};
 use std::borrow::Cow;
 use std::io::Write;
-use wsp_soap::typed::{name_of, next_tag, only, plain, read_envelope, read_parts, read_text};
-use wsp_soap::typed::{required, write_envelope};
+use wsp_soap::typed::{attributes, name_of, next_tag, number, only, plain, read_envelope};
+use wsp_soap::typed::{read_parts, read_text, required, write_envelope};
 use wsp_soap::typed::{Payload, Rule};
 use wsp_soap::{Fault, MessageHeaders, SoapError};
 use wsp_xml::{Element, Pull, PullReader, StreamWriter};
@@ -461,31 +461,6 @@ fn read_response_payload(r: &mut PullReader<'_>) -> Result<UddiResponse, SoapErr
         )?),
         _ => return Err(Rule::UnknownElement.refuse(name_of(r))),
     })
-}
-
-/// The values of the start tag's attributes named `names` (in no
-/// namespace), by position; any other attribute is refused.
-fn attributes<'a, const N: usize>(
-    r: &PullReader<'a>,
-    names: [&str; N],
-) -> Result<[Option<Cow<'a, str>>; N], SoapError> {
-    let mut values = [const { None }; N];
-    let mut foreign = false;
-    r.attributes(
-        |ns, local, value| match names.iter().position(|&n| n == local) {
-            Some(at) if ns.is_empty() => values[at] = Some(value),
-            _ => foreign = true,
-        },
-    );
-    match foreign {
-        false => Ok(values),
-        true => Err(Rule::UnknownAttribute.refuse(format_args!("on {}", name_of(r)))),
-    }
-}
-
-/// A numeric attribute's value.
-fn number<T: std::str::FromStr>(value: Cow<'_, str>, name: &str) -> Result<T, SoapError> {
-    value.parse().map_err(|_| Rule::BadValue.refuse(name))
 }
 
 /// The local name of the start tag under the cursor, which must be in

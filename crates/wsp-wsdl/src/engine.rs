@@ -238,7 +238,7 @@ mod tests {
         let request = proxy()
             .encode_request("echoString", &[Value::string("x")])
             .unwrap();
-        let req_id = request.addressing().unwrap().message_id;
+        let req_id = request.addressing().unwrap().message_id.clone();
         let response = engine.process(&request).unwrap();
         assert_eq!(response.addressing().unwrap().relates_to, req_id);
     }

@@ -90,21 +90,24 @@ cargo test -q --release -p wsp-xml --lib --test prop_escape --test byte_soup
 echo "==> wsp-xml read path: reader oracle + seeded vocabulary (release)"
 cargo test -q --release -p wsp-integration-tests --test reader_oracle --test vocabulary
 
-# Typed codec: every invocation, registry and P2PS message is read
-# off the pull reader by its one reader and written from values into
-# bytes. The writers must be the tree writers' bytes; the readers are
-# held to their own oracle — read(write(v)) == v, and a document they
-# accept, whole, damaged at every offset, reshaped or soup, written back
-# is the same tree (or refused by the rule named for its shape). Tier-1
-# ran this with overflow checks on (the readers slice the input by
-# offsets they computed); run it again without, as it ships. The
-# allocation guard below carries the budgets of a whole invoke (100 over
-# HTTP, 16 of them the server's, 220 over P2PS; a 16 KiB echo copies its
-# payload 3 times) and of the registry plane (an exact-name locate: 11
-# in process, 78 over HTTP; a republish through three replicas: 51; a
-# binding's locate of an interface it holds, over HTTP: 102).
+# Typed codec: every SOAP envelope, invocation, registry and P2PS
+# document is read off the pull reader by its one reader and written
+# from values into bytes; `Envelope::from_xml`, the tree a listener is
+# shown, is that reader's view. The writers must be the tree writers'
+# bytes; the readers are held to their own oracle — read(write(v)) ==
+# v, and a document they accept, whole, damaged at every offset,
+# reshaped or soup, written back is the same tree (or refused by the
+# rule named for its shape). Tier-1 ran this with overflow checks on
+# (the readers slice the input by offsets they computed); run it again
+# without, as it ships. The allocation guard below carries the budgets
+# of a whole invoke (100 over HTTP, 16 of them the server's, 220 over
+# P2PS; a 16 KiB echo copies its payload 3 times), of the registry
+# plane (an exact-name locate: 11 in process, 78 over HTTP; a republish
+# through three replicas: 51; a binding's locate of an interface it
+# holds, over HTTP: 102) and of a gateway response-cache hit (1).
 echo "==> typed codec: one reader per vocabulary, held to its oracle (release)"
 cargo test -q --release -p wsp-integration-tests --test typed_codec
+cargo test -q --release -p wsp-soap --test prop_envelope
 cargo test -q --release -p wsp-integration-tests --test wire_bytes pipe_data::
 cargo test -q --release -p wsp-p2ps --test prop_wire
 

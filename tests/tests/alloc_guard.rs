@@ -85,12 +85,13 @@ fn warm_single_pass_writer_is_allocation_free() {
 }
 
 /// The full envelope encode streams the envelope frame around the
-/// borrowed payload and headers; the one staging copy left is of the
-/// header blocks that carry `env:mustUnderstand` (WS-Addressing's `To`
-/// and `Action`), cloned to be given the attribute — 8 allocations for
-/// an addressed request, whatever its payload (28 when the whole
-/// envelope was staged through `to_element`). The bound fails if the
-/// writer, the pool or the payload start allocating again on top of it.
+/// borrowed payload and headers, and the WS-Addressing headers from
+/// the envelope's typed `MessageHeaders`: an addressed request encodes
+/// with no allocation, whatever its payload (8 while `To` and `Action`
+/// were header trees cloned to be given `env:mustUnderstand`, 28 when
+/// the whole envelope was staged through `to_element`). Only a foreign
+/// block with `mustUnderstand` or `role` is still copied. The bound
+/// fails if the writer, the pool or the payload start allocating again.
 #[test]
 fn warm_pooled_envelope_encode_pays_only_the_staging_tree() {
     let (_, envelope) = e12::corpus().swap_remove(0);
@@ -176,8 +177,10 @@ fn warm_large_round_trip_copies_its_payload_three_times() {
 /// stack and scope stack, the tokenizer's attribute buffer, and the
 /// tree's own 16 (a child list per parent, a string per text run, a
 /// list and a string per attributed element) — and a decode plus
-/// re-encode 28 (44 before the reader stopped allocating for names it
-/// had seen and declarations it could borrow). The per-element budget
+/// re-encode 10, now that `Envelope::from_xml` reads the addressing
+/// typed and only the payload as a tree (28 through the tree decoder,
+/// 44 before the reader stopped allocating for names it had seen and
+/// declarations it could borrow). The per-element budget
 /// is checked rather than read off a ladder: a declaration more costs
 /// nothing, a text-leaf element more at most two (its child list and
 /// its text) while its parent's list has room.
@@ -295,6 +298,46 @@ fn warm_pipe_data_codec_allocates_only_the_decoded_fields() {
         worst_decode <= 6,
         "warm PipeData decode allocated {worst_decode} times"
     );
+}
+
+/// A warm response-cache hit — the gateway's whole answer on the
+/// `gateway_hit` path: the body is copied into a pooled buffer and the
+/// hit counter's handle was resolved once, so the one allocation is
+/// the content-type string the hit returns. Looking the counter up by
+/// name on every hit cost a second, the name. Least of the samples: a
+/// sibling test holding every pooled buffer costs this one a fresh one.
+#[test]
+fn warm_response_cache_hit_allocates_only_its_content_type() {
+    use wsp_gateway::{GatewayCacheConfig, GatewayCaches, ResponseKey};
+    let caches = GatewayCaches::new(GatewayCacheConfig::default());
+    let key = ResponseKey {
+        service: "Echo".into(),
+        operation: "echoString".into(),
+        body_hash: 7,
+    };
+    let request = b"<ask/>".to_vec();
+    let body = b"<reply/>".to_vec();
+    caches.put_response(
+        key.clone(),
+        request.clone(),
+        200,
+        "text/xml".into(),
+        body,
+        0,
+    );
+    let pool = wsp_xml::BufPool::global();
+    let hit = || {
+        let before = alloc_count::allocations();
+        let hit = caches.get_response(&key, &request).expect("a fresh hit");
+        let during = alloc_count::allocations() - before;
+        pool.put(hit.body);
+        during
+    };
+    (0..50).for_each(|_| {
+        hit();
+    });
+    let least = (0..20).map(|_| hit()).min().unwrap_or(0);
+    assert_eq!(least, 1, "a warm cache hit allocated {least} times");
 }
 
 /// The benchmark's plane (6 nodes, 4 shards, 3 replicas) holding the

@@ -16,8 +16,11 @@ use wsp_core::{
     telemetry, CollectingListener, EventBus, KeyedLoadShedPolicy, Peer, ResiliencePolicy,
     ServerPhase, ServiceQuery, WspError,
 };
+use wsp_http::{http_call_uri, Request};
 use wsp_integration_tests::{p2ps_star, wait_until};
-use wsp_wsdl::{OperationDef, ServiceDescriptor, ServiceHandler, Value, XsdType};
+use wsp_soap::constants::CONTENT_TYPE;
+use wsp_soap::typed::Rule;
+use wsp_wsdl::{proxy, OperationDef, ServiceDescriptor, ServiceHandler, Value, XsdType};
 
 fn serial() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
@@ -215,6 +218,37 @@ fn a_root_listener_sees_full_envelopes_over_http_uddi() {
 fn a_root_listener_sees_full_envelopes_over_p2ps() {
     let _turn = serial();
     a_listener_sees_both_envelopes_and_the_reply_is_the_same(p2ps_world(), "SeenPipes");
+}
+
+/// C3 for a request the one reader refuses — here one with two
+/// `wsa:To` headers: a listener sees it as its refusal, then the fault
+/// that answers it.
+#[test]
+fn a_root_listener_sees_a_refused_request_as_its_refusal() {
+    let _turn = serial();
+    let world = http_uddi_world();
+    world.deploy("RefusedHttp", "never");
+    let service = world.locate("RefusedHttp");
+    let listener = CollectingListener::new();
+    world.provider.add_listener(listener.clone());
+
+    let args = [Value::string("anything")];
+    let request = proxy::encode_request(service.descriptor(), &service.endpoint, "say", &args);
+    let request = request.unwrap().to_xml();
+    let to = request.find("<wsa:To").unwrap();
+    let end = to + request[to..].find("</wsa:To>").unwrap() + "</wsa:To>".len();
+    let twice = format!("{}{}", &request[..end], &request[to..]);
+    let path = format!("/{}", service.name());
+    let response = http_call_uri(&service.endpoint, Request::post(path, CONTENT_TYPE, twice));
+    assert_eq!(response.unwrap().status, 500);
+
+    let seen = listener.server_messages.read();
+    let phases: Vec<ServerPhase> = seen.iter().map(|e| e.phase).collect();
+    assert_eq!(phases, [ServerPhase::Inbound, ServerPhase::Outbound]);
+    for event in seen.iter() {
+        let fault = event.envelope.fault_body().expect("a fault, both ways");
+        assert_eq!(Rule::of(fault), Some(Rule::Repeated), "{fault}");
+    }
 }
 
 // --- (b) a pipe-hosted call is timed and traced --------------------------------

@@ -18,6 +18,9 @@
 //! 4. The named shapes: each is read, or refused as the tree path
 //!    refused it, or refused by the §11 rule its table names.
 //! 5. No document panics a reader.
+//! 6. `Envelope::from_xml`, the view a listener is shown, takes what
+//!    the envelope reader takes and reads it alike; the rest it refuses
+//!    as the reader does.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -293,7 +296,7 @@ fn request_tree(case: &Case, wire: Wire) -> Result<(Envelope, MessageHeaders), S
     // Under HTTP the envelope's own headers are the ones to write:
     // only the generated `MessageID` could differ.
     let headers = match wire {
-        Wire::Http => envelope.addressing().expect("addressed"),
+        Wire::Http => envelope.addressing().expect("addressed").clone(),
         Wire::Pipes { .. } => headers,
     };
     for block in leading {
@@ -506,6 +509,40 @@ fn body_of(body: &Element) -> Option<Canon> {
     Some(canon(&wsp_xml::parse(&body.to_xml()).expect("written")))
 }
 
+/// `Envelope::from_xml` is the view [`read_envelope`] reads: it takes
+/// what the reader takes — with the same addressing, the other blocks
+/// shown to `foreign`, the same fault or the payload as `parse` builds
+/// it — and refuses the rest with the reader's error or fault.
+fn view_alike(xml: &str) {
+    let mut blocks = Vec::new();
+    let mut foreign = |block: &HeaderBlock| blocks.push(block.clone());
+    let read = read_envelope(xml, &mut foreign, |payload| {
+        Ok(match payload {
+            Payload::Empty => Body::Empty,
+            Payload::Fault(fault) => Body::Fault(fault),
+            // Passed over here: the view's is checked against `parse`.
+            Payload::Element(_) => Body::Payload(Element::new("", "unread")),
+        })
+    });
+    let view = Envelope::from_xml(xml);
+    let (addressing, body) = match read {
+        Err(e) => return assert_eq!(view, Err(e), "{xml}"),
+        Ok((_, Err(fault))) => return assert_eq!(view, Err(SoapError::Fault(fault)), "{xml}"),
+        Ok((addressing, Ok(body))) => (addressing, body),
+    };
+    let view = view.unwrap_or_else(|e| panic!("the reader took it, the view did not: {e}: {xml}"));
+    assert_eq!(view.addressing().cloned().unwrap_or_default(), addressing);
+    assert_eq!(view.headers(), &blocks[..], "{xml}");
+    match body {
+        Body::Payload(_) => {
+            let tree = wsp_xml::parse(xml).expect("the reader took it: it parses");
+            let first = (tree.find(SOAP_ENV_NS, "Body")).and_then(|b| b.child_elements().next());
+            assert_eq!(view.payload(), first, "{xml}");
+        }
+        body => assert_eq!(view.body(), &body, "{xml}"),
+    }
+}
+
 /// Where the envelope reader takes `xml` whole, the header it read —
 /// addressing and blocks — written back is the document's.
 fn frame_read_alike(xml: &str) {
@@ -558,6 +595,7 @@ impl Served {
 /// the engine takes the request, the call it read written back is the
 /// document.
 fn served_alike(case: &Case, wire: Wire, xml: &str) -> Result<Served, SoapError> {
+    view_alike(xml);
     let calls = Arc::new(Mutex::new(Vec::new()));
     let (log, reply) = (calls.clone(), case.reply.clone());
     let handler = move |op: &str, args: &[Value]| {
@@ -608,6 +646,7 @@ fn call_element(descriptor: &ServiceDescriptor, operation: &str, args: &[Value])
 /// What the client reads of the response `xml`; where it takes the
 /// outcome, the outcome written back is the document's body.
 fn decoded_alike(case: &Case, xml: &str) -> Result<Value, ProxyError> {
+    view_alike(xml);
     let (descriptor, operation) = (&case.descriptor, case.operation.as_str());
     let read = proxy::read_response(descriptor, operation, xml);
     let ns = descriptor.namespace.as_str();
@@ -719,6 +758,7 @@ proptest! {
             edit(&mut payload);
             let mut variant = Envelope::request(payload);
             request.headers().iter().for_each(|block| variant.add_header(block.clone()));
+            variant.set_addressing(request.addressing().cloned().unwrap_or_default());
             served_alike(&case, wire, &variant.to_xml()).expect("an envelope")
         };
         let op = case.descriptor.find_operation(&case.operation).expect("its own");
@@ -768,6 +808,7 @@ proptest! {
         prop_assert_eq!(subcode.map(|s| s.local_name().to_owned()).as_deref(), Some("NoSuchOperation"));
         let mut empty = Envelope::empty();
         request.headers().iter().for_each(|block| empty.add_header(block.clone()));
+        empty.set_addressing(request.addressing().cloned().unwrap_or_default());
         let served = served_alike(&case, wire, &empty.to_xml()).expect("an envelope");
         let fault = served.refusal().expect("a fault");
         prop_assert!(fault.reason.contains("carries no operation"), "{}", fault);
@@ -1201,6 +1242,7 @@ fn rule_named(reason: &str) -> Option<Rule> {
 }
 
 fn request_verdict(xml: &str) -> Verdict {
+    view_alike(xml);
     match read_request(xml) {
         None => Verdict::NotSoap,
         Some(Ok(request)) => {
@@ -1215,6 +1257,7 @@ fn request_verdict(xml: &str) -> Verdict {
 }
 
 fn response_verdict(xml: &str) -> Verdict {
+    view_alike(xml);
     match read_response(xml) {
         Ok(response) => {
             let mut out = Vec::new();

@@ -58,7 +58,7 @@ fn documents() -> Vec<(&'static str, String)> {
     );
     let asked = request.addressing().expect("addressed");
     response.set_addressing(MessageHeaders::response_to(
-        &asked,
+        asked,
         format!("{ns}#echoStringResponse"),
     ));
     documents.push(("echo response", response.to_xml()));
