@@ -89,7 +89,6 @@ pub mod query;
 pub mod resilience;
 pub mod server;
 pub mod state;
-pub mod telemetry;
 pub mod workflow;
 
 pub use client::Client;
@@ -118,3 +117,4 @@ pub use telemetry::{
     TraceEvent,
 };
 pub use workflow::{Stage, Workflow, WorkflowRun};
+pub use wsp_telemetry as telemetry;

@@ -531,14 +531,9 @@ impl Gateway {
     }
 
     fn handle_http(&self, service: &str, req: &Request) -> Response {
-        let tenant = req
-            .headers
-            .get(TENANT_HEADER)
-            .filter(|t| !t.is_empty())
-            .unwrap_or(ANONYMOUS_TENANT)
-            .to_owned();
+        let tenant = tenant_of(req.headers.get(TENANT_HEADER));
         if req.query() == Some("wsdl") {
-            return to_http(self.wsdl(&tenant, service));
+            return to_http(self.wsdl(tenant, service));
         }
         let deadline = deadline_from_headers(&req.headers);
         // Adopt the caller's correlation id for everything this request
@@ -548,7 +543,7 @@ impl Gateway {
             .get(CORRELATION_HEADER)
             .and_then(|v| v.trim().parse::<u64>().ok())
             .map(CorrelationScope::enter);
-        to_http(self.invoke(&tenant, service, &req.body, deadline))
+        to_http(self.invoke(tenant, service, &req.body, deadline))
     }
 
     /// The `/metrics` body: registry counters/histograms plus the
@@ -604,7 +599,7 @@ impl Gateway {
             .unwrap_or_else(|| to.name.clone());
         let raw = payload.as_bytes();
         let mediated = peek(raw).and_then(|(operation, tenant, deadline)| {
-            let tenant = tenant.as_deref().unwrap_or(ANONYMOUS_TENANT);
+            let tenant = tenant_of(tenant.as_deref());
             self.maybe_revalidate();
             let admitted = self.inner.admission.try_admit(tenant, deadline);
             let _permit = admitted.map_err(shed_of)?;
@@ -625,9 +620,19 @@ impl Gateway {
     }
 }
 
+/// The tenant a front accounts a request to: the name it claims if that
+/// is a token — 1 to 64 bytes of `[A-Za-z0-9._:-]` — else
+/// [`ANONYMOUS_TENANT`]. A tenant's name goes into counter names and
+/// `/metrics` lines, so a peer must not choose their shape.
+fn tenant_of(claimed: Option<&str>) -> &str {
+    let token_byte = |b: u8| b.is_ascii_alphanumeric() || b"._:-".contains(&b);
+    (claimed.filter(|t| (1..=64).contains(&t.len()) && t.bytes().all(token_byte)))
+        .unwrap_or(ANONYMOUS_TENANT)
+}
+
 /// What mediation reads of a request, in one pass of the pull reader:
 /// the local name of the body's first element (`None` for an empty body
-/// or a fault), the first `Tenant` block's text (if it has any) and the
+/// or a fault), the first `Tenant` block's text and the
 /// propagated deadline. The body is passed over unjudged — it is the
 /// backend's to read — and so is a block marked `mustUnderstand`.
 type Peek<'a> = (Option<&'a str>, Option<String>, Option<Instant>);
@@ -650,11 +655,7 @@ fn peek(raw: &[u8]) -> Result<Peek<'_>, GatewayError> {
     let (_, operation) =
         read.map_err(|e| GatewayError::BadRequest(format!("not a SOAP envelope: {e:?}")))?;
     let operation = operation.map_err(|refused| GatewayError::BadRequest(refused.reason))?;
-    Ok((
-        operation,
-        tenant.filter(|t| !t.is_empty()),
-        deadline.flatten(),
-    ))
+    Ok((operation, tenant, deadline.flatten()))
 }
 
 fn shed_of(err: WspError) -> GatewayError {

@@ -11,10 +11,12 @@
 //! accounting — increment on an admitted accept, decrement when the
 //! connection closes — is part of the same transition function the
 //! runtime executes and the model checker explores. The shell
-//! ([`crate::server::TcpServer`]) holds a `Mutex<DrainState>`, feeds in
-//! [`DrainEvent`]s from the reactor's accept and close hooks and from
-//! `shutdown`, and executes the returned [`DrainEffect`]s (serve,
-//! reject with `503`, stop the listener).
+//! ([`ServerState`], run by both reactor listeners: the HTTP
+//! [`crate::server::TcpServer`] and the P2PS pipe endpoint) holds a
+//! `Mutex<DrainState>`, feeds in [`DrainEvent`]s from the reactor's
+//! accept and close hooks and from its own `shutdown`/`stop`, and its
+//! owner executes the returned [`DrainEffect`]s (serve, reject with
+//! `503` — a pipe just drops —, stop the listener).
 //!
 //! Invariants the model checker enforces (`wsp-check`):
 //!
@@ -29,6 +31,8 @@
 //! * **no admission past drain** — [`DrainEffect::Serve`] is never
 //!   emitted once the lifecycle has left `Accepting`.
 
+use crate::reactor::Reactor;
+use std::time::Instant;
 use wsp_simnet::Machine;
 
 /// Where the server is in its lifecycle.
@@ -164,6 +168,92 @@ impl Machine for DrainMachine {
             },
         };
         (next, effects)
+    }
+}
+
+/// The one shell around the machine, shared by a listener's handle,
+/// hooks and connections, with the listener's own `config` beside it.
+/// Flag reads (`stopped`, drain latch, active count) are uncontended
+/// `Mutex` peeks, so the machine costs nothing observable.
+pub struct ServerState<C> {
+    pub config: C,
+    machine: DrainMachine,
+    drain: parking_lot::Mutex<DrainState>,
+    /// Signalled on every drain-machine step, so a shutdown can sleep
+    /// on connection-count changes instead of busy-polling.
+    cv: parking_lot::Condvar,
+}
+
+impl<C> ServerState<C> {
+    pub fn new(max_connections: Option<usize>, config: C) -> ServerState<C> {
+        let machine = DrainMachine {
+            max_connections: max_connections.map(|cap| cap as u64),
+        };
+        ServerState {
+            config,
+            drain: parking_lot::Mutex::new(machine.initial()),
+            machine,
+            cv: parking_lot::Condvar::new(),
+        }
+    }
+
+    pub fn step(&self, event: DrainEvent) -> Vec<DrainEffect> {
+        let mut drain = self.drain.lock();
+        let effects = wsp_simnet::step_mut(&self.machine, &mut drain, &event);
+        self.cv.notify_all();
+        effects
+    }
+
+    /// Hard stop observed: the reactor threads exit and every live
+    /// connection is released, even mid-keep-alive.
+    pub fn stopped(&self) -> bool {
+        self.drain.lock().stopped()
+    }
+
+    /// Graceful drain observed (latched): new connections are
+    /// rejected, idle keep-alive connections close, requests already
+    /// being read or handled run to completion.
+    pub fn drain_began(&self) -> bool {
+        self.drain.lock().drain_began()
+    }
+
+    /// Live connections (accepted, not yet closed).
+    pub fn active(&self) -> u64 {
+        self.drain.lock().active
+    }
+
+    /// Graceful drain of `reactor`'s listener: refuse newcomers, wake
+    /// the reactor so idle connections see the drain now, sleep on the
+    /// condvar (signalled by every `ConnClosed`) until no connection is
+    /// live or `deadline` passes, then [`stop`](Self::stop). `true` when
+    /// every connection closed in time.
+    pub fn shutdown(&self, reactor: &Reactor, deadline: Instant) -> bool {
+        self.step(DrainEvent::BeginDrain);
+        reactor.wake();
+        let drained = {
+            let mut drain = self.drain.lock();
+            loop {
+                if drain.active == 0 {
+                    break true;
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    break false;
+                }
+                self.cv.wait_for(&mut drain, deadline - now);
+            }
+        };
+        self.stop(reactor);
+        drained
+    }
+
+    /// Stop now: the reactor's threads release every connection and
+    /// exit, and this returns once they have. A second stop is a no-op,
+    /// so re-entry (shutdown → drop) is safe.
+    pub fn stop(&self, reactor: &Reactor) {
+        self.step(DrainEvent::Stop);
+        reactor.wake();
+        reactor.join();
     }
 }
 

@@ -64,7 +64,7 @@ use std::io::{self, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -73,6 +73,7 @@ use sys::{
     EPOLLOUT, EPOLLRDHUP,
 };
 use wsp_simnet::{Dur, EventKey, EventWheel, Time};
+use wsp_telemetry::{Counter, Gauge};
 
 /// Work a protocol dispatches: runs on a reactor thread with no lock
 /// held, returns the bytes to write (and whether to close after
@@ -263,33 +264,6 @@ pub struct ReactorConfig {
     pub workers: usize,
 }
 
-/// Process-wide reactor counters (every reactor in the process adds to
-/// them), for `/metrics`. `wsp-http` sits below the telemetry registry
-/// in the crate graph, so these are plain atomics read at scrape time,
-/// like the buffer pool's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReactorStats {
-    /// Jobs run by the thread that parsed them (no hand-off).
-    pub jobs_on_reader: u64,
-    /// Jobs that went through the pending list.
-    pub jobs_queued: u64,
-    /// Threads inside a handler right now.
-    pub handlers_busy: u64,
-}
-
-static JOBS_ON_READER: AtomicU64 = AtomicU64::new(0);
-static JOBS_QUEUED: AtomicU64 = AtomicU64::new(0);
-static HANDLERS_BUSY: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide reactor counters.
-pub fn stats() -> ReactorStats {
-    ReactorStats {
-        jobs_on_reader: JOBS_ON_READER.load(Ordering::Relaxed),
-        jobs_queued: JOBS_QUEUED.load(Ordering::Relaxed),
-        handlers_busy: HANDLERS_BUSY.load(Ordering::Relaxed),
-    }
-}
-
 /// Handle to a spawned reactor: wake it (after flipping lifecycle
 /// flags in the hooks) and join it once stopped.
 pub struct Reactor {
@@ -320,6 +294,7 @@ impl Reactor {
 
         let max_handlers = config.workers.max(1);
         let threads = max_handlers + 1;
+        let registry = wsp_telemetry::global();
         let shared = Arc::new(Shared {
             epoll,
             waker: Arc::clone(&waker),
@@ -342,6 +317,9 @@ impl Reactor {
             }),
             max_handlers,
             live_threads: AtomicUsize::new(threads),
+            jobs_on_reader: registry.counter("reactor.jobs_on_reader"),
+            jobs_queued: registry.counter("reactor.jobs_queued"),
+            handlers_busy: registry.gauge("reactor.handlers_busy"),
         });
 
         let handles = (0..threads)
@@ -491,6 +469,12 @@ struct Shared {
     gate: Mutex<Gate>,
     max_handlers: usize,
     live_threads: AtomicUsize,
+    /// Jobs run by the thread that parsed them (no hand-off).
+    jobs_on_reader: Arc<Counter>,
+    /// Jobs that went through the pending list.
+    jobs_queued: Arc<Counter>,
+    /// Threads inside a handler right now.
+    handlers_busy: Arc<Gauge>,
 }
 
 impl Shared {
@@ -1012,8 +996,8 @@ impl Shared {
             self.waker.notify();
         }
         if let Some(work) = mine {
-            HANDLERS_BUSY.fetch_add(1, Ordering::Relaxed);
-            JOBS_ON_READER.fetch_add(1, Ordering::Relaxed);
+            self.handlers_busy.add(1);
+            self.jobs_on_reader.incr();
             self.run_chain(work);
         }
     }
@@ -1033,8 +1017,8 @@ impl Shared {
         if wake {
             self.waker.notify();
         }
-        HANDLERS_BUSY.fetch_add(1, Ordering::Relaxed);
-        JOBS_QUEUED.fetch_add(1, Ordering::Relaxed);
+        self.handlers_busy.add(1);
+        self.jobs_queued.incr();
         self.run_chain(work);
     }
 
@@ -1058,7 +1042,7 @@ impl Shared {
                 // The usual follow-on: this connection's pipelined
                 // request, nothing else waiting.
                 drop(gate);
-                JOBS_ON_READER.fetch_add(1, Ordering::Relaxed);
+                self.jobs_on_reader.incr();
                 work.job = next.remove(0);
                 continue;
             }
@@ -1068,7 +1052,7 @@ impl Shared {
             let Some(parked) = gate.pending.pop_front() else {
                 gate.busy -= 1;
                 drop(gate);
-                HANDLERS_BUSY.fetch_sub(1, Ordering::Relaxed);
+                self.handlers_busy.add(-1);
                 return;
             };
             let wake = !gate.pending.is_empty() && gate.busy < self.max_handlers;
@@ -1076,7 +1060,7 @@ impl Shared {
             if wake {
                 self.waker.notify();
             }
-            JOBS_QUEUED.fetch_add(1, Ordering::Relaxed);
+            self.jobs_queued.incr();
             work = parked;
         }
     }
@@ -1491,7 +1475,10 @@ pub(crate) mod tests {
         // accepted and parsed (its job waits on the pending list), and a
         // fourth connection's EOF is still noticed.
         let (reactor, hooks, seen, port) = spawn_serial(2);
-        let before = super::stats();
+        let registry = wsp_telemetry::global();
+        let on_reader = registry.counter("reactor.jobs_on_reader");
+        let queued = registry.counter("reactor.jobs_queued");
+        let before = (on_reader.get(), queued.get());
         let mut parked: Vec<StdTcpStream> = (0..2).map(|_| connect(port)).collect();
         for c in &mut parked {
             c.write_all(b"!park\n").unwrap();
@@ -1514,9 +1501,8 @@ pub(crate) mod tests {
         for c in &mut parked {
             assert_eq!(read_line(c), b"!PARK\n");
         }
-        let after = super::stats();
-        assert!(after.jobs_on_reader >= before.jobs_on_reader + 2);
-        assert!(after.jobs_queued > before.jobs_queued);
+        assert!(on_reader.get() >= before.0 + 2);
+        assert!(queued.get() > before.1);
         stop(&reactor, &hooks);
         assert_eq!(hooks.closed.load(Ordering::SeqCst), 4);
     }

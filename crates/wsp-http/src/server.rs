@@ -18,7 +18,7 @@
 
 use crate::codec::{encode_response, encode_response_into, frame_len, parse_request, HeadScan};
 use crate::conn::{ConnEffect, ConnEvent, ConnMachine, ConnState, Phase, TimerKind};
-use crate::drain::{DrainEffect, DrainEvent, DrainMachine, DrainState};
+use crate::drain::{DrainEffect, DrainEvent, ServerState};
 use crate::message::{Request, Response};
 use crate::reactor::{Admit, ConnProtocol, Io, JobResult, Listener, Reactor, ReactorConfig};
 use crate::router::Router;
@@ -72,68 +72,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared between the handle and the reactor's hooks and connections.
-///
-/// All lifecycle and slot accounting lives in the pure
-/// [`DrainMachine`] ([`crate::drain`]); this shell feeds it events
-/// (accepts, connection closes, drain, stop) and executes the returned
-/// effects. Flag reads (`stopped`, drain latch, active count) are
-/// uncontended `Mutex` peeks, so the machine costs nothing observable.
-struct ServerState {
-    config: ServerConfig,
-    machine: DrainMachine,
-    drain: parking_lot::Mutex<DrainState>,
-    /// Signalled on every drain-machine step, so
-    /// [`TcpServer::shutdown`] can sleep on connection-count changes
-    /// instead of busy-polling.
-    cv: parking_lot::Condvar,
-}
-
-impl ServerState {
-    fn new(config: ServerConfig) -> Arc<ServerState> {
-        let machine = DrainMachine {
-            max_connections: config.max_connections.map(|cap| cap as u64),
-        };
-        Arc::new(ServerState {
-            config,
-            drain: parking_lot::Mutex::new(machine.initial()),
-            machine,
-            cv: parking_lot::Condvar::new(),
-        })
-    }
-
-    fn step(&self, event: DrainEvent) -> Vec<DrainEffect> {
-        let mut drain = self.drain.lock();
-        let effects = wsp_simnet::step_mut(&self.machine, &mut drain, &event);
-        self.cv.notify_all();
-        effects
-    }
-
-    /// Hard stop observed: the reactor threads exit and every live
-    /// connection is released, even mid-keep-alive.
-    fn stopped(&self) -> bool {
-        self.drain.lock().stopped()
-    }
-
-    /// Graceful drain observed (latched): new connections are
-    /// rejected, idle keep-alive connections close, requests already
-    /// being read or handled run to completion (their response carries
-    /// `Connection: close`).
-    fn drain_began(&self) -> bool {
-        self.drain.lock().drain_began()
-    }
-
-    /// Live connections (accepted, not yet closed).
-    fn active(&self) -> u64 {
-        self.drain.lock().active
-    }
-}
-
 /// A running lightweight HTTP server.
 pub struct TcpServer {
     addr: SocketAddr,
     router: Router,
-    state: Arc<ServerState>,
+    state: Arc<ServerState<ServerConfig>>,
     reactor: Reactor,
 }
 
@@ -157,7 +100,7 @@ impl TcpServer {
         } else {
             config.workers
         };
-        let state = ServerState::new(config);
+        let state = Arc::new(ServerState::new(config.max_connections, config));
         let hooks = Arc::new(HttpHooks {
             state: Arc::clone(&state),
             router: router.clone(),
@@ -213,43 +156,15 @@ impl TcpServer {
     /// off abruptly, exactly as [`shutdown_now`](TcpServer::shutdown_now)
     /// would.
     pub fn shutdown(&self) -> bool {
-        self.state.step(DrainEvent::BeginDrain);
-        // Wake the reactor so idle keep-alive connections observe the
-        // drain now, not at their next readiness event.
-        self.reactor.wake();
-        // Sleep on the drain condvar (signalled by every ConnClosed)
-        // instead of spinning on 1 ms polls.
         let deadline = Instant::now() + self.state.config.drain_deadline;
-        let drained = {
-            let mut drain = self.state.drain.lock();
-            loop {
-                if drain.active == 0 {
-                    break true;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break false;
-                }
-                self.state.cv.wait_for(&mut drain, deadline - now);
-            }
-        };
-        self.stop_accepting();
-        drained
+        self.state.shutdown(&self.reactor, deadline)
     }
 
     /// Abrupt stop: no drain. Live connections are cut off as soon as
     /// the reactor observes the stop flag; this is the only path that
     /// drops admitted work.
     pub fn shutdown_now(&self) {
-        self.stop_accepting();
-    }
-
-    fn stop_accepting(&self) {
-        // StopListening is the join below; a second Stop is a no-op and
-        // returns no effects, so re-entry (shutdown → Drop) is safe.
-        self.state.step(DrainEvent::Stop);
-        self.reactor.wake();
-        self.reactor.join();
+        self.state.stop(&self.reactor);
     }
 
     /// (schedules, cancels) the reactor's shared wheel has seen.
@@ -261,7 +176,7 @@ impl TcpServer {
 
 impl Drop for TcpServer {
     fn drop(&mut self) {
-        self.stop_accepting();
+        self.state.stop(&self.reactor);
     }
 }
 
@@ -283,7 +198,7 @@ fn reject_bytes(config: &ServerConfig, why: &str) -> Vec<u8> {
 /// Admission policy for the reactor: one `Accept` event into the drain
 /// machine decides serve/reject.
 struct HttpHooks {
-    state: Arc<ServerState>,
+    state: Arc<ServerState<ServerConfig>>,
     router: Router,
 }
 
@@ -334,7 +249,7 @@ fn canned_close(mut response: Response) -> Vec<u8> {
 /// on the reactor [`Io`].
 struct HttpProto {
     router: Router,
-    state: Arc<ServerState>,
+    state: Arc<ServerState<ServerConfig>>,
     conn: ConnState,
     /// Incremental head-terminator scanner: each chunk is scanned
     /// once, so a dripped head is not O(n²).
@@ -348,7 +263,7 @@ struct HttpProto {
 }
 
 impl HttpProto {
-    fn new(router: Router, state: Arc<ServerState>) -> HttpProto {
+    fn new(router: Router, state: Arc<ServerState<ServerConfig>>) -> HttpProto {
         HttpProto {
             router,
             state,
@@ -490,7 +405,7 @@ impl HttpProto {
 /// have begun while the handler ran), serialise into a pooled buffer.
 fn run_handler(
     router: &Router,
-    state: &ServerState,
+    state: &ServerState<ServerConfig>,
     request: Request,
     client_close: bool,
 ) -> JobResult {
@@ -618,7 +533,7 @@ mod tests {
 
     #[test]
     fn drain_begun_before_the_first_read_still_serves_every_admitted_connection() {
-        let state = ServerState::new(ServerConfig::default());
+        let state = Arc::new(ServerState::new(None, ServerConfig::default()));
         let hooks = Arc::new(StagedHooks {
             inner: HttpHooks {
                 state: Arc::clone(&state),
@@ -670,8 +585,6 @@ mod tests {
         drop(decoys);
         drop(pit);
         wait_for("every slot to be released", || state.active() == 0);
-        state.step(DrainEvent::Stop);
-        reactor.wake();
-        reactor.join();
+        state.stop(&reactor);
     }
 }

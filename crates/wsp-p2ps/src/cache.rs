@@ -4,49 +4,20 @@
 use crate::advert::ServiceAdvertisement;
 use crate::id::PeerId;
 use crate::query::P2psQuery;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use wsp_simnet::Time;
+use wsp_telemetry::Counter;
 
-/// Process-global advert-cache counters, summed across every cache
-/// instance (a host runs one peer; the simulator's thousands of peers
-/// share them, which is fine — they exist for the `/metrics` route).
-/// `wsp-core`'s metrics renderer splices these in next to the buffer
-/// pool stats, the same cross-crate pattern, because this crate sits
-/// below the telemetry registry in the dependency order.
-#[derive(Debug, Default)]
-pub struct AdvertCacheStats {
-    /// Lookups answered with at least one live advert.
-    pub hits: AtomicU64,
-    /// Lookups that found nothing (after sweeping expired entries).
-    pub misses: AtomicU64,
-    /// Entries dropped because their TTL deadline passed.
-    pub expired: AtomicU64,
-    /// Entries dropped by capacity pressure.
-    pub evicted: AtomicU64,
-}
-
-impl AdvertCacheStats {
-    pub fn global() -> &'static AdvertCacheStats {
-        static GLOBAL: OnceLock<AdvertCacheStats> = OnceLock::new();
-        GLOBAL.get_or_init(AdvertCacheStats::default)
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    pub fn expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
-    }
-
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
+/// `advert_cache_{hits,misses,expired,evicted}`, summed over every cache
+/// in the process: lookups with and without a live advert, entries
+/// dropped by their TTL and by capacity pressure.
+fn counters() -> &'static [Arc<Counter>; 4] {
+    static COUNTERS: OnceLock<[Arc<Counter>; 4]> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let registry = wsp_telemetry::global();
+        ["hits", "misses", "expired", "evicted"]
+            .map(|n| registry.counter(format!("advert_cache_{n}")))
+    })
 }
 
 /// Key identifying an advert in the cache: publisher + service name.
@@ -112,9 +83,8 @@ impl AdvertCache {
                 .map(|(i, _)| i)
             {
                 self.entries.swap_remove(victim);
-                AdvertCacheStats::global()
-                    .evicted
-                    .fetch_add(1, Ordering::Relaxed);
+                let [.., evicted] = counters();
+                evicted.incr();
             } else {
                 return; // full of permanent entries: drop the newcomer
             }
@@ -129,9 +99,8 @@ impl AdvertCache {
             .retain(|e| e.expires.map(|t| t > now).unwrap_or(true));
         let dropped = (before - self.entries.len()) as u64;
         if dropped > 0 {
-            AdvertCacheStats::global()
-                .expired
-                .fetch_add(dropped, Ordering::Relaxed);
+            let [_, _, expired, _] = counters();
+            expired.add(dropped);
         }
     }
 
@@ -144,11 +113,11 @@ impl AdvertCache {
             .filter(|e| query.matches(&e.advert))
             .map(|e| e.advert.clone())
             .collect();
-        let stats = AdvertCacheStats::global();
+        let [hits, misses, ..] = counters();
         if found.is_empty() {
-            stats.misses.fetch_add(1, Ordering::Relaxed);
+            misses.incr();
         } else {
-            stats.hits.fetch_add(1, Ordering::Relaxed);
+            hits.incr();
         }
         found
     }
@@ -258,27 +227,24 @@ mod tests {
 
     #[test]
     fn stats_count_hits_misses_expiry_and_eviction() {
-        let stats = AdvertCacheStats::global();
-        let (h0, m0, x0, v0) = (
-            stats.hits(),
-            stats.misses(),
-            stats.expired(),
-            stats.evicted(),
-        );
+        let registry = wsp_telemetry::global();
+        let [hits, misses, expired, evicted] = ["hits", "misses", "expired", "evicted"]
+            .map(|n| registry.counter(format!("advert_cache_{n}")));
+        let (h0, m0, x0, v0) = (hits.get(), misses.get(), expired.get(), evicted.get());
         let mut cache = AdvertCache::with_capacity(1);
         cache.insert(advert(1, "Echo"), Some(Time::secs(10)));
         assert_eq!(cache.find(&P2psQuery::by_name("Echo"), Time::ZERO).len(), 1);
-        assert!(stats.hits() > h0);
+        assert!(hits.get() > h0);
         assert!(cache
             .find(&P2psQuery::by_name("Nope"), Time::ZERO)
             .is_empty());
-        assert!(stats.misses() > m0);
+        assert!(misses.get() > m0);
         // Capacity pressure evicts the held entry...
         cache.insert(advert(2, "Math"), Some(Time::secs(10)));
-        assert!(stats.evicted() > v0);
+        assert!(evicted.get() > v0);
         // ...and the survivor expires off the clock.
         cache.sweep(Time::secs(11));
-        assert!(stats.expired() > x0);
+        assert!(expired.get() > x0);
         assert!(cache.is_empty());
     }
 

@@ -37,7 +37,7 @@ pub mod uri;
 
 pub use addressing::{advert_to_epr, epr_to_advert, request_headers, with_reply_pipe};
 pub use advert::{PipeAdvertisement, ServiceAdvertisement, DEFINITION_PIPE, P2PS_NS};
-pub use cache::{AdvertCache, AdvertCacheStats};
+pub use cache::AdvertCache;
 pub use id::PeerId;
 pub use machine::{PeerConfig, PeerMachine, PeerOutput};
 pub use message::P2psMessage;

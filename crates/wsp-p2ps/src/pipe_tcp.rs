@@ -15,10 +15,10 @@
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use wsp_http::drain::{DrainEffect, DrainEvent, ServerState};
 use wsp_http::reactor::{
     Admit, ConnProtocol, Io, JobResult, Listener, Reactor, ReactorConfig, ServerHooks,
 };
@@ -87,38 +87,36 @@ fn decode_frame(buf: &mut Vec<u8>) -> Result<Option<P2psMessage>, ()> {
     Ok(Some(message))
 }
 
+/// The HTTP server's drain lifecycle, uncapped; a pipe has no canned
+/// reply, so every refusal drops.
 struct PipeHooks {
     handler: PipeHandler,
-    config: PipeTcpConfig,
-    stopped: AtomicBool,
-    draining: AtomicBool,
-    active: AtomicUsize,
+    state: ServerState<PipeTcpConfig>,
 }
 
 impl ServerHooks for PipeHooks {
     fn on_accept(&self) -> Admit {
-        if self.stopped.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
-            return Admit::Drop;
+        match self.state.step(DrainEvent::Accept).first() {
+            Some(DrainEffect::Serve) => Admit::Serve(Box::new(PipeProto {
+                handler: Arc::clone(&self.handler),
+                config: self.state.config.clone(),
+                in_flight: 0,
+                mid_frame: false,
+            })),
+            _ => Admit::Drop,
         }
-        self.active.fetch_add(1, Ordering::SeqCst);
-        Admit::Serve(Box::new(PipeProto {
-            handler: Arc::clone(&self.handler),
-            config: self.config.clone(),
-            in_flight: 0,
-            mid_frame: false,
-        }))
     }
 
     fn on_conn_closed(&self) {
-        self.active.fetch_sub(1, Ordering::SeqCst);
+        self.state.step(DrainEvent::ConnClosed);
     }
 
     fn stopped(&self) -> bool {
-        self.stopped.load(Ordering::SeqCst)
+        self.state.stopped()
     }
 
     fn drain_began(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.state.drain_began()
     }
 }
 
@@ -242,10 +240,7 @@ impl PipeTcpServer {
         let workers = config.workers.max(1);
         let hooks = Arc::new(PipeHooks {
             handler: Arc::new(handler),
-            config,
-            stopped: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
+            state: ServerState::new(None, config),
         });
         let reactor = Reactor::spawn(
             vec![Listener {
@@ -268,20 +263,20 @@ impl PipeTcpServer {
 
     /// Live (accepted, not yet closed) pipe connections.
     pub fn active_connections(&self) -> usize {
-        self.hooks.active.load(Ordering::SeqCst)
+        self.hooks.state.active() as usize
     }
 
-    /// Stop accepting, let in-flight handlers answer, then stop.
+    /// Stop accepting, let in-flight handlers answer (for up to 5 s),
+    /// then stop.
     pub fn shutdown(&self) {
-        self.hooks.draining.store(true, Ordering::SeqCst);
-        self.reactor.wake();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while self.hooks.active.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        self.hooks.stopped.store(true, Ordering::SeqCst);
-        self.reactor.wake();
-        self.reactor.join();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        self.hooks.state.shutdown(&self.reactor, deadline);
+    }
+}
+
+impl Drop for PipeTcpServer {
+    fn drop(&mut self) {
+        self.hooks.state.stop(&self.reactor);
     }
 }
 
@@ -525,5 +520,68 @@ mod tests {
         let n = stream.read(&mut probe).unwrap();
         assert_eq!(n, 0, "idle connection closed by the reaper");
         server.shutdown();
+    }
+
+    #[test]
+    fn a_dropped_server_frees_its_port() {
+        let server = PipeTcpServer::launch("127.0.0.1:0", Some, PipeTcpConfig::default()).unwrap();
+        let addr = server.addr();
+        drop(server);
+        TcpListener::bind(addr).expect("the dropped server's port is free");
+    }
+
+    #[test]
+    fn shutdown_answers_the_parked_call_and_drops_newcomers() {
+        let (entered, wait_entered) = std::sync::mpsc::channel::<()>();
+        let (release, wait_release) = std::sync::mpsc::channel::<()>();
+        let (entered, wait_release) = (
+            parking_lot::Mutex::new(entered),
+            parking_lot::Mutex::new(wait_release),
+        );
+        let server = Arc::new(
+            PipeTcpServer::launch(
+                "127.0.0.1:0",
+                move |message| {
+                    entered.lock().send(()).unwrap();
+                    (wait_release.lock())
+                        .recv_timeout(Duration::from_secs(10))
+                        .expect("released by the test");
+                    Some(message)
+                },
+                PipeTcpConfig::default(),
+            )
+            .unwrap(),
+        );
+        let timeout = Some(Duration::from_secs(10));
+        let mut parked = TcpStream::connect(server.addr()).unwrap();
+        parked.set_read_timeout(timeout).unwrap();
+        write_frame(&mut parked, &sample("parked")).unwrap();
+        wait_entered.recv_timeout(Duration::from_secs(10)).unwrap();
+
+        let stopping = Arc::clone(&server);
+        let shutdown = std::thread::spawn(move || stopping.shutdown());
+        while !server.hooks.state.drain_began() {
+            std::thread::yield_now();
+        }
+        let mut late = TcpStream::connect(server.addr()).unwrap();
+        late.set_read_timeout(timeout).unwrap();
+        let _ = write_frame(&mut late, &sample("late"));
+        match late.read(&mut [0u8; 1]) {
+            Ok(n) => assert_eq!(n, 0, "a latecomer is never served"),
+            Err(e) => assert_eq!(
+                e.kind(),
+                io::ErrorKind::ConnectionReset,
+                "closed, not ignored"
+            ),
+        }
+        assert!(
+            !shutdown.is_finished(),
+            "shutdown waits for the parked call"
+        );
+
+        release.send(()).unwrap();
+        assert_eq!(payload_of(&read_frame(&mut parked).unwrap()), "parked");
+        shutdown.join().unwrap();
+        assert_eq!(server.active_connections(), 0);
     }
 }

@@ -1,0 +1,6 @@
+//! The one metrics and trace registry, a leaf of the crate graph: every
+//! WSPeer layer records its own series into [`global`], and `/metrics`
+//! renders that registry alone. `wsp-core` re-exports it as
+//! `wsp_core::telemetry`.
+mod telemetry;
+pub use telemetry::*;

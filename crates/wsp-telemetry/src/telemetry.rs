@@ -2,10 +2,11 @@
 //!
 //! `wsp_simnet::metrics::Summary` sorts a copy of every sample and is
 //! explicitly "intended for end-of-run reporting, not hot paths". This
-//! module is the hot-path counterpart, shared by the dispatch core, the
-//! client's resilience loop and both bindings:
+//! module is the hot-path counterpart, shared by every layer from the
+//! buffer pool and the reactor up to the bindings and the gateway:
 //!
 //! * **[`Counter`]** — one relaxed `fetch_add` per event.
+//! * **[`Gauge`]** — a level that rises and falls, recorded always.
 //! * **[`Histogram`]** — a fixed-size log-bucketed latency histogram
 //!   (HdrHistogram-style): values below 16 get exact unit buckets,
 //!   larger values get 16 sub-buckets per power of two, so recording is
@@ -27,13 +28,14 @@
 //! container" stance (claim C3).
 //!
 //! Disabling the registry ([`Telemetry::set_enabled`]) reduces every
-//! record to a single relaxed load, which is what the E10 bench
-//! compares against to bound instrumentation overhead.
+//! counter, histogram and span record to a single relaxed load, which
+//! is what the E10 bench compares against to bound instrumentation
+//! overhead.
 
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -98,6 +100,31 @@ impl Counter {
     }
 
     pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
+/// A counter of its own: always enabled, in no registry.
+impl Default for Counter {
+    fn default() -> Counter {
+        Counter::new(Arc::new(AtomicBool::new(true)))
+    }
+}
+
+/// A level that rises and falls. It records whether or not the
+/// registry is enabled: a rise counted while its fall is skipped would
+/// leave the level wrong for good.
+#[derive(Default)]
+pub struct Gauge {
+    value: AtomicI64,
+}
+
+impl Gauge {
+    pub fn add(&self, delta: i64) {
+        self.value.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -369,11 +396,15 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// One-line rendering used by `/metrics` and the E10 bench.
+    /// One-line rendering used by `/metrics` and the E10 bench. A detail
+    /// can carry a name a peer chose, so control characters become `?`.
     pub fn render(&self) -> String {
+        let detail: String = (self.detail.as_str().chars())
+            .map(|c| if c.is_ascii_control() { '?' } else { c })
+            .collect();
         format!(
-            "trace seq={} corr={} t_us={} stage={} {}",
-            self.seq, self.token, self.at_micros, self.stage, self.detail
+            "trace seq={} corr={} t_us={} stage={} {detail}",
+            self.seq, self.token, self.at_micros, self.stage
         )
     }
 }
@@ -392,6 +423,7 @@ pub struct Telemetry {
     enabled: Arc<AtomicBool>,
     started: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
+    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
     trace: Mutex<VecDeque<TraceEvent>>,
     trace_seq: AtomicU64,
@@ -410,6 +442,7 @@ impl Telemetry {
             enabled: Arc::new(AtomicBool::new(true)),
             started: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
+            gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
             trace: Mutex::new(VecDeque::with_capacity(TRACE_CAPACITY)),
             trace_seq: AtomicU64::new(0),
@@ -436,6 +469,11 @@ impl Telemetry {
             .entry(name.into())
             .or_insert_with(|| Arc::new(Counter::new(self.enabled.clone())))
             .clone()
+    }
+
+    /// The gauge named `name`, created on first touch.
+    pub fn gauge(&self, name: impl Into<String>) -> Arc<Gauge> {
+        self.gauges.lock().entry(name.into()).or_default().clone()
     }
 
     /// The histogram named `name`, created on first touch. Cache the
@@ -517,13 +555,16 @@ impl Telemetry {
         self.dropped_spans.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time copy of every counter and histogram.
+    /// A point-in-time copy of every counter, gauge and histogram.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let counters = self
             .counters
             .lock()
             .iter()
             .map(|(name, c)| (name.clone(), c.get()))
+            .collect();
+        let gauges = (self.gauges.lock().iter())
+            .map(|(name, g)| (name.clone(), g.get()))
             .collect();
         let histograms = self
             .histograms
@@ -533,6 +574,7 @@ impl Telemetry {
             .collect();
         TelemetrySnapshot {
             counters,
+            gauges,
             histograms,
         }
     }
@@ -542,15 +584,19 @@ impl Telemetry {
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     pub counters: BTreeMap<String, u64>,
+    pub gauges: BTreeMap<String, i64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl TelemetrySnapshot {
-    /// Sum counters and merge histograms name-wise (for aggregating
-    /// per-shard or per-process snapshots).
+    /// Sum counters and gauges and merge histograms name-wise (for
+    /// aggregating per-shard or per-process snapshots).
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
         for (name, value) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += value;
+        }
+        for (name, value) in &other.gauges {
+            *self.gauges.entry(name.clone()).or_insert(0) += value;
         }
         for (name, histogram) in &other.histograms {
             self.histograms
@@ -568,11 +614,14 @@ impl TelemetrySnapshot {
         self.histograms.get(name)
     }
 
-    /// Plain-text rendering: one `name value` line per counter, and
-    /// `name_{count,sum,max,mean,p50,p90,p99}` lines per histogram.
+    /// Plain-text rendering: one `name value` line per counter and gauge,
+    /// and `name_{count,sum,max,mean,p50,p90,p99}` lines per histogram.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.counters {
+            out.push_str(&format!("{name} {value}\n"));
+        }
+        for (name, value) in &self.gauges {
             out.push_str(&format!("{name} {value}\n"));
         }
         for (name, h) in &self.histograms {
@@ -603,36 +652,13 @@ pub fn render_metrics(registry: &Telemetry) -> String {
 }
 
 /// [`render_metrics`] with extra `name value\n` lines spliced in before
-/// the trace section — bindings use this to report gauges the registry
-/// does not own (connection-pool counters, dispatcher queue stats).
-/// Wire-path buffer-pool counters and the reactor's hand-off counters
-/// (`wsp-http` sits below this registry, so it keeps them as
-/// process-wide atomics) are always included, next to the registry's
-/// own numbers, so operators can see envelope-buffer reuse and where
-/// handlers run without any binding-specific plumbing.
+/// the trace section — bindings and the gateway use this to report the
+/// state of one object of theirs (a connection pool, a dispatcher's
+/// queue, an admission controller). Process-wide series are not extra:
+/// each layer records its own into the registry.
 pub fn render_metrics_with(registry: &Telemetry, extra: &str) -> String {
     let mut out = registry.snapshot().render_text();
     out.push_str(extra);
-    let bufs = wsp_xml::BufPool::global().stats();
-    out.push_str(&format!("bufpool_hits {}\n", bufs.hits));
-    out.push_str(&format!("bufpool_misses {}\n", bufs.misses));
-    out.push_str(&format!("bufpool_returns {}\n", bufs.returns));
-    out.push_str(&format!("bufpool_bytes_reused {}\n", bufs.bytes_reused));
-    let reactor = wsp_http::reactor::stats();
-    out.push_str(&format!(
-        "reactor.jobs_on_reader {}\n",
-        reactor.jobs_on_reader
-    ));
-    out.push_str(&format!("reactor.jobs_queued {}\n", reactor.jobs_queued));
-    out.push_str(&format!(
-        "reactor.handlers_busy {}\n",
-        reactor.handlers_busy
-    ));
-    let adverts = wsp_p2ps::AdvertCacheStats::global();
-    out.push_str(&format!("advert_cache_hits {}\n", adverts.hits()));
-    out.push_str(&format!("advert_cache_misses {}\n", adverts.misses()));
-    out.push_str(&format!("advert_cache_expired {}\n", adverts.expired()));
-    out.push_str(&format!("advert_cache_evicted {}\n", adverts.evicted()));
     out.push_str(&format!(
         "telemetry_trace_dropped {}\n",
         registry.dropped_spans()
@@ -792,25 +818,54 @@ mod tests {
     }
 
     #[test]
-    fn render_includes_buffer_pool_counters() {
-        // Exercise the pool so the counters are live, not just present.
-        let pool = wsp_xml::BufPool::global();
-        pool.put(pool.take());
+    fn gauge_rises_falls_and_is_rendered() {
+        let t = Telemetry::new();
+        let busy = t.gauge("busy");
+        busy.add(2);
+        busy.add(-1);
+        assert_eq!(busy.get(), 1);
+        assert_eq!(t.gauge("busy").get(), 1, "one gauge per name");
+        assert_eq!(t.snapshot().gauges["busy"], 1);
+        t.counter("requests").incr();
+        let text = render_metrics(&t);
+        assert!(
+            text.contains("requests 1\nbusy 1\n"),
+            "after the counters:\n{text}"
+        );
+        busy.add(-1);
+        assert!(render_metrics(&t).contains("busy 0\n"));
+    }
+
+    #[test]
+    fn gauges_merge_by_sum_and_record_while_disabled() {
+        let (a, b) = (Telemetry::new(), Telemetry::new());
+        a.set_enabled(false);
+        let up = a.gauge("level");
+        up.add(3);
+        a.set_enabled(true);
+        up.add(-1);
+        assert_eq!(up.get(), 2, "the rise made while disabled stays counted");
+        b.gauge("level").add(5);
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged.gauges["level"], 7);
+    }
+
+    #[test]
+    fn a_private_registry_renders_no_process_wide_series() {
+        global().counter("bufpool_hits").incr();
+        global().gauge("reactor.handlers_busy").add(0);
         let text = render_metrics(&Telemetry::new());
-        for line in [
-            "bufpool_hits ",
-            "bufpool_misses ",
-            "bufpool_returns ",
-            "bufpool_bytes_reused ",
-        ] {
-            assert!(text.contains(line), "missing {line} in:\n{text}");
-        }
-        let returns: u64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("bufpool_returns "))
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(returns >= 1);
+        assert!(!text.contains("bufpool_"), "{text}");
+        assert!(!text.contains("reactor."), "{text}");
+        assert_eq!(text.lines().next(), Some("telemetry_trace_dropped 0"));
+    }
+
+    #[test]
+    fn a_rendered_span_is_one_line() {
+        let t = Telemetry::new();
+        t.span(1, "stage", format_args!("service=a\nforged 7\r\u{7f}"));
+        let line = t.trace_for(1)[0].render();
+        assert!(line.ends_with("stage=stage service=a?forged 7??"), "{line}");
     }
 }

@@ -14,8 +14,8 @@
 //! socket. `String`s ride along via `String::into_bytes` /
 //! `String::from_utf8`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
+use wsp_telemetry::Counter;
 
 /// Most buffers the pool will retain; extra returns are dropped.
 const MAX_POOLED: usize = 64;
@@ -28,7 +28,7 @@ const HIGH_WATER: usize = 64 * 1024;
 /// roomy enough for a typical SOAP envelope without a regrow.
 const FRESH_CAPACITY: usize = 4 * 1024;
 
-/// Counters describing pool behaviour since process start.
+/// Counters describing pool behaviour since the pool was made.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// `take` calls satisfied from the freelist.
@@ -43,14 +43,16 @@ pub struct PoolStats {
 }
 
 /// Thread-safe freelist of `Vec<u8>` buffers. See the module docs for
-/// the intended take/put lifecycle.
+/// the intended take/put lifecycle. The global pool counts into the
+/// telemetry registry (`bufpool_*`); any other pool has counters of its
+/// own.
 #[derive(Default)]
 pub struct BufPool {
     free: Mutex<Vec<Vec<u8>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    returns: AtomicU64,
-    bytes_reused: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    returns: Arc<Counter>,
+    bytes_reused: Arc<Counter>,
 }
 
 impl BufPool {
@@ -67,7 +69,16 @@ impl BufPool {
     /// The process-wide pool used by the SOAP codec and both transports.
     pub fn global() -> &'static BufPool {
         static GLOBAL: OnceLock<BufPool> = OnceLock::new();
-        GLOBAL.get_or_init(BufPool::new)
+        GLOBAL.get_or_init(|| {
+            let registry = wsp_telemetry::global();
+            BufPool {
+                free: Mutex::default(),
+                hits: registry.counter("bufpool_hits"),
+                misses: registry.counter("bufpool_misses"),
+                returns: registry.counter("bufpool_returns"),
+                bytes_reused: registry.counter("bufpool_bytes_reused"),
+            }
+        })
     }
 
     /// Take a cleared buffer, reusing a pooled one when available.
@@ -76,13 +87,12 @@ impl BufPool {
         match reused {
             Some(buf) => {
                 debug_assert!(buf.is_empty());
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_reused
-                    .fetch_add(buf.capacity() as u64, Ordering::Relaxed);
+                self.hits.incr();
+                self.bytes_reused.add(buf.capacity() as u64);
                 buf
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.incr();
                 Vec::with_capacity(FRESH_CAPACITY)
             }
         }
@@ -104,7 +114,7 @@ impl BufPool {
         let mut free = self.free.lock().expect("buffer pool poisoned");
         if free.len() < MAX_POOLED {
             free.push(buf);
-            self.returns.fetch_add(1, Ordering::Relaxed);
+            self.returns.incr();
         }
     }
 
@@ -116,10 +126,10 @@ impl BufPool {
     /// Snapshot of the counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            returns: self.returns.load(Ordering::Relaxed),
-            bytes_reused: self.bytes_reused.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            returns: self.returns.get(),
+            bytes_reused: self.bytes_reused.get(),
         }
     }
 

@@ -1,6 +1,7 @@
 //! # wsp-xml
 //!
-//! A small, dependency-free, namespace-aware XML 1.0 reader and writer.
+//! A small, namespace-aware XML 1.0 reader and writer. Its one
+//! dependency is `wsp-telemetry`, which its buffer pool counts into.
 //!
 //! The WSPeer paper's entire data plane is XML: SOAP envelopes, WSDL
 //! descriptions, UDDI registry records and P2PS advertisements. The Rust

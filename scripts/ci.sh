@@ -23,6 +23,15 @@ grep -q "server Inbound for Echo" <<<"$quickstart_out"
 grep -q "server Outbound for Echo" <<<"$quickstart_out"
 timeout 60 cargo run -q --release -p wsp-examples --bin p2p_network >/dev/null
 
+# The telemetry registry is a leaf: every layer records into it, so it
+# may depend on no other wsp-* crate, or the lower layers could not.
+echo "==> wsp-telemetry is a leaf of the crate graph"
+telemetry_deps="$(cargo tree --offline -p wsp-telemetry -e normal --prefix none)"
+if grep '^wsp-' <<<"$telemetry_deps" | grep -v '^wsp-telemetry '; then
+  echo "wsp-telemetry depends on the wsp-* crates above" >&2
+  exit 1
+fi
+
 # Lines of Rust per crate is a tracked number (ROADMAP aim 2): print it
 # with every run, so a PR's before/after is two CI logs.
 echo "==> lines of Rust per crate (scripts/loc.sh)"
@@ -32,7 +41,9 @@ scripts/loc.sh
 # above compiles it: an API removal that breaks the benchmark would
 # otherwise surface in the benchmark pipeline, not here. `manifest`
 # builds it and prints the workload list without running anything.
-# The build rewrites bench/Cargo.lock; put it back.
+# The build rewrites bench/Cargo.lock — among other things it adds a
+# `wsp-telemetry` entry, which that lockfile predates —; put it back,
+# and never commit the rewritten one.
 echo "==> wspeer-bench builds against this workspace (bench/run.sh manifest)"
 bench/run.sh manifest >/dev/null
 git checkout -- bench/Cargo.lock
@@ -62,9 +73,14 @@ WSP_FAULT_SEED=7 cargo test -q -p wsp-integration-tests --test fault_injection h
 # Telemetry smoke-check: deploys a service on the container-less host,
 # invokes it over real HTTP, and scrapes /metrics — counters,
 # histograms, pool/dispatcher gauges and correlated trace lines must
-# all be present (plus the fault-run reconstruction test).
-echo "==> /metrics smoke check (telemetry integration suite)"
+# all be present (plus the fault-run reconstruction test). Every series
+# comes from the one registry, and each layer owns its own (the buffer
+# pool's, the reactor's, the advert cache's — DESIGN.md §8). The
+# exposition test holds the page's shape against callers: a tenant or
+# service name sent over either gateway front never adds a line.
+echo "==> /metrics smoke check (telemetry integration suite + exposition)"
 cargo test -q -p wsp-integration-tests --test telemetry
+cargo test -q -p wsp-integration-tests --test gateway tenant_and_service_names_cannot_forge_metrics_lines
 
 # Wire-path guards (PR 5): the single-pass writer stays byte-identical
 # to the vendored pre-PR-5 writer on every document family, and the

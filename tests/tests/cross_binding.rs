@@ -154,6 +154,17 @@ fn provider_serves_both_worlds_simultaneously() {
         Value::Double(6.0)
     );
     assert_ne!(via_http.endpoint, via_p2ps.endpoint);
+
+    // The advert cache records into the one registry, so after a P2PS
+    // lookup the HTTP host's `/metrics` shows its series.
+    let port = http_binding
+        .host_port()
+        .expect("deployment launched the host");
+    let metrics = wsp_http::http_call("127.0.0.1", port, wsp_http::Request::get("/metrics"))
+        .expect("metrics endpoint");
+    for series in ["advert_cache_hits ", "advert_cache_misses "] {
+        assert!(metrics.body_str().contains(series), "no {series}line");
+    }
 }
 
 /// Stateful object exposed through BOTH bindings shares one state.

@@ -960,8 +960,9 @@ fn p2ps_front_mediates_and_sheds_with_busy_faults() {
 // ---------------------------------------------------------------------------
 
 /// `/metrics` on the gateway front reports the cache counters, the
-/// per-tenant gauges, and the advert-cache lines from the shared
-/// telemetry splice.
+/// per-tenant gauges, and the series lower layers record into the one
+/// registry (the buffer pool's here; a gateway-only process never
+/// touches an advert cache, so it shows no `advert_cache_*` lines).
 #[test]
 fn metrics_report_cache_counters_and_tenant_gauges() {
     let cluster = test_cluster();
@@ -999,8 +1000,6 @@ fn metrics_report_cache_counters_and_tenant_gauges() {
         "gateway_backend_pool_retries",
         "gateway_backend_pool_idle 1",
         "gateway.backend.connects",
-        "advert_cache_hits",
-        "advert_cache_misses",
         "bufpool_hits",
     ] {
         assert!(
@@ -1008,6 +1007,66 @@ fn metrics_report_cache_counters_and_tenant_gauges() {
             "metrics must report {needle}\n{text}"
         );
     }
+    front.shutdown();
+    server.shutdown();
+}
+
+/// A caller cannot write lines into `/metrics`: a tenant name that is
+/// not a token — from either front — is accounted to `anonymous`, and a
+/// service name a peer chose stays inside its trace line.
+#[test]
+fn tenant_and_service_names_cannot_forge_metrics_lines() {
+    let cluster = test_cluster();
+    let (server, uri, _) = backend("Forged", "f");
+    publish(&eager_client(&cluster), "Forged", &[&uri]);
+    let gateway = Gateway::new(eager_client(&cluster), GatewayConfig::default());
+    let front = gateway.launch_http(0).expect("launch gateway http front");
+    let pipe_front = gateway
+        .launch_pipe("127.0.0.1:0")
+        .expect("launch pipe front");
+
+    let forged_tenant = "x 0\ninjected_metric 42\ny";
+    for service in ["Forged", "Nope\ninjected_svc 7"] {
+        let mut envelope = Envelope::request(Element::build("urn:itest", "ask").text("x").finish());
+        envelope.add_header(HeaderBlock::new(
+            Element::build("", "Tenant").text(forged_tenant).finish(),
+        ));
+        let message = P2psMessage::PipeData {
+            to: PipeAdvertisement::new(PeerId(0xF0), Some(service.into()), "gw-in"),
+            payload: envelope.to_xml(),
+        };
+        pipe_call(pipe_front.addr(), &message, Duration::from_secs(2)).expect("pipe call");
+    }
+    let mut request = Request::post(
+        "/",
+        "application/soap+xml; charset=utf-8",
+        soap_request("quoted"),
+    );
+    request.headers.set(TENANT_HEADER, "a b\"}");
+    let reply = http_call_uri(&front.service_uri("Forged"), request).expect("transport ok");
+    assert_eq!(reply.status, 200);
+
+    assert_eq!(gateway.admission().tenants(), ["anonymous"]);
+    let metrics = http_call_uri(&front.service_uri("metrics"), Request::get("/"))
+        .expect("metrics endpoint")
+        .body;
+    let text = String::from_utf8(metrics).expect("utf-8 metrics");
+    let (series, trace) = text.split_once("# trace").expect("a trace section");
+    for line in series.lines() {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        assert!(
+            fields.len() == 2 && fields[1].parse::<f64>().is_ok(),
+            "not a `name value` line: {line:?}\n{text}"
+        );
+        assert!(!line.starts_with("injected"), "forged line {line:?}");
+    }
+    for line in trace.lines().skip(1) {
+        assert!(
+            line.starts_with("trace seq="),
+            "forged line {line:?}\n{text}"
+        );
+    }
+    pipe_front.shutdown();
     front.shutdown();
     server.shutdown();
 }
