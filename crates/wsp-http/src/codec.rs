@@ -3,6 +3,7 @@
 
 use crate::message::{Headers, Method, Request, Response};
 use std::fmt;
+use wsp_xml::scan::Needles;
 
 /// Codec errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,6 +204,8 @@ pub fn parse_response(input: &[u8]) -> Result<(Response, usize), HttpError> {
     ))
 }
 
+const NEWLINE: Needles = Needles::new(b"\n");
+
 /// Incremental search for the end of an HTTP head (`\r\n\r\n`, or
 /// `\n\n` for bare-LF peers).
 ///
@@ -231,17 +234,15 @@ impl HeadScan {
     /// Scan any bytes not yet examined; returns the body offset (just
     /// past the terminator) once the head is complete.
     pub fn find(&mut self, buf: &[u8]) -> Option<usize> {
-        let start = self.scanned.saturating_sub(3);
-        for i in start..buf.len() {
-            if buf[i] != b'\n' {
-                continue;
-            }
+        let mut from = self.scanned.saturating_sub(3);
+        while let Some(i) = NEWLINE.find(buf, from) {
             // Earliest terminator of either flavour wins, so every
             // parser that walks these bytes agrees where the body
             // starts.
             if (i >= 3 && &buf[i - 3..i] == b"\r\n\r") || (i >= 1 && buf[i - 1] == b'\n') {
                 return Some(i + 1);
             }
+            from = i + 1;
         }
         self.scanned = buf.len();
         None

@@ -35,7 +35,8 @@ pub enum XmlError {
     /// The document contained no root element at all.
     NoRootElement,
     /// An entity reference that is neither predefined nor a valid
-    /// character reference.
+    /// character reference. `entity` is what stood between its `&` and
+    /// `;`, cut to at most 64 bytes at a character boundary.
     BadEntity { offset: usize, entity: String },
     /// A prefixed name whose prefix has no in-scope namespace declaration.
     UnboundPrefix { offset: usize, prefix: String },

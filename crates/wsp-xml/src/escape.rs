@@ -1,92 +1,66 @@
 //! Escaping and entity expansion for character data and attribute values.
 //!
-//! The escapers are scan-ahead: they locate the next byte that needs a
-//! substitution and bulk-copy the clean run before it, instead of
-//! pushing char-by-char. All special bytes are ASCII, so slicing at
-//! their positions always lands on UTF-8 boundaries.
-//!
-//! The scan reads eight bytes per step: a word is loaded with
-//! `u64::from_le_bytes` from a bounds-checked sub-slice (no `unsafe`,
-//! no alignment requirement) and tested for all needles at once with
-//! the zero-byte test below. A clean word costs a dozen ALU operations
-//! and one branch, whatever its bytes are, so the loop's speed does not
-//! hang on how a one-byte compare-and-branch happens to be placed.
+//! Every scan here is the one block classifier of [`crate::scan`]: the
+//! input is read sixteen bytes at a time into an exact mask of the bytes
+//! that matter — the specials an escaper substitutes, the `&` that
+//! starts a reference — and every flagged byte of a block is handled
+//! from that mask before the next block is loaded. Clean runs between
+//! them are copied whole, so text pays per block, and text dense with
+//! specials pays per special without a fresh scan for each. All those
+//! bytes are ASCII, so slicing at their positions always lands on UTF-8
+//! boundaries.
 
 use crate::error::{XmlError, XmlResult};
+use crate::scan::{self, Needles, BLOCK};
 use std::borrow::Cow;
 
-const LOW_BITS: u64 = 0x0101_0101_0101_0101;
-const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+/// The bytes text content must escape.
+const TEXT_SPECIALS: Needles = Needles::new(b"<>&");
+/// The bytes an attribute value must escape: the text specials, the
+/// quote, and the whitespace that attribute-value normalisation would
+/// otherwise change — seven bytes, so two needle sets.
+const ATTR_SPECIALS: [Needles; 2] = [Needles::new(b"<>&\""), Needles::new(b"\t\n\r")];
+const AMPERSAND: Needles = Needles::new(b"&");
+const SEMICOLON: Needles = Needles::new(b";");
 
-/// `b` in every byte of a word.
-const fn splat(b: u8) -> u64 {
-    b as u64 * LOW_BITS
-}
+/// How much of a reference it could not expand an error quotes: far more
+/// than the longest one a writer emits (`&#x10FFFF;` names eight bytes),
+/// and bounded, so that a peer that sends a megabyte of garbage after a
+/// `&` does not get it reflected back in a fault.
+const QUOTED_REFERENCE: usize = 64;
 
-/// The classic zero-byte test: the result has `0x80` in every byte
-/// position where `word` has a zero byte, and is zero when it has none.
-/// The subtraction borrows upwards, so positions *above* a zero byte
-/// can be flagged falsely; the lowest flagged position never is, and
-/// that is the only one the scans use.
+/// Append the replacement of text special `b`. One constant-length
+/// append per arm, so none of them is a library call.
 #[inline(always)]
-fn zero_bytes(word: u64) -> u64 {
-    word.wrapping_sub(LOW_BITS) & !word & HIGH_BITS
-}
-
-/// Flags (see [`zero_bytes`]) the `<` and `>` bytes of `word`: they
-/// differ in one bit, so one test finds both.
-#[inline(always)]
-fn angle_brackets(word: u64) -> u64 {
-    zero_bytes((word | splat(0x02)) ^ splat(b'>'))
-}
-
-/// Flags the bytes of `word` that text content must escape.
-#[inline(always)]
-fn text_specials(word: u64) -> u64 {
-    angle_brackets(word) | zero_bytes(word ^ splat(b'&'))
-}
-
-/// Flags the bytes of `word` that an attribute value must escape. The
-/// pairs `"`/`&` and tab/CR differ in one bit each, as `<`/`>` do.
-#[inline(always)]
-fn attr_specials(word: u64) -> u64 {
-    angle_brackets(word)
-        | zero_bytes((word | splat(0x04)) ^ splat(b'&'))
-        | zero_bytes((word | splat(0x04)) ^ splat(b'\r'))
-        | zero_bytes(word ^ splat(b'\n'))
-}
-
-#[inline(always)]
-fn text_replacement(b: u8) -> Option<&'static str> {
+fn push_text_replacement(b: u8, out: &mut Vec<u8>) {
     match b {
-        b'<' => Some("&lt;"),
-        b'>' => Some("&gt;"),
-        b'&' => Some("&amp;"),
-        _ => None,
+        b'<' => out.extend_from_slice(b"&lt;"),
+        b'>' => out.extend_from_slice(b"&gt;"),
+        b'&' => out.extend_from_slice(b"&amp;"),
+        _ => unreachable!("the classifier flags only the specials"),
     }
 }
 
 #[inline(always)]
-fn attr_replacement(b: u8) -> Option<&'static str> {
+fn push_attr_replacement(b: u8, out: &mut Vec<u8>) {
     match b {
-        b'"' => Some("&quot;"),
-        b'\t' => Some("&#9;"),
-        b'\n' => Some("&#10;"),
-        b'\r' => Some("&#13;"),
-        _ => text_replacement(b),
+        b'"' => out.extend_from_slice(b"&quot;"),
+        b'\t' => out.extend_from_slice(b"&#9;"),
+        b'\n' => out.extend_from_slice(b"&#10;"),
+        b'\r' => out.extend_from_slice(b"&#13;"),
+        _ => push_text_replacement(b, out),
     }
 }
 
-/// The one escape loop: `specials` flags the bytes of a word that
-/// `replacement` substitutes. Whole words are skipped while clean; the
-/// sub-word tail goes byte by byte; each clean run is copied once, when
-/// the special that ends it (or the end of input) is reached.
+/// The one escape loop: `specials` flags the bytes of a block that
+/// `push_replacement` substitutes. Each clean run is copied once, when the
+/// special that ends it (or the end of input) is reached.
 #[inline(always)]
 fn escape_into(
     input: &str,
     out: &mut Vec<u8>,
-    specials: impl Fn(u64) -> u64,
-    replacement: impl Fn(u8) -> Option<&'static str>,
+    specials: impl Fn(&[u8; BLOCK]) -> u16,
+    push_replacement: impl Fn(u8, &mut Vec<u8>),
 ) {
     let bytes = input.as_bytes();
     // Once per call: the output is at least as long as the input, and
@@ -95,23 +69,15 @@ fn escape_into(
     let mut copied = 0;
     let mut at = 0;
     while at < bytes.len() {
-        if let Some(word) = bytes.get(at..at + 8) {
-            let word = u64::from_le_bytes(word.try_into().expect("an eight-byte slice"));
-            let flagged = specials(word);
-            if flagged == 0 {
-                at += 8;
-                continue;
-            }
-            // Little-endian load: the lowest flagged bit is the first
-            // special byte in input order.
-            at += (flagged.trailing_zeros() / 8) as usize;
+        let (base, mut flagged) = scan::block(bytes, at, &specials);
+        while flagged != 0 {
+            let special = base + flagged.trailing_zeros() as usize;
+            out.extend_from_slice(&bytes[copied..special]);
+            push_replacement(bytes[special], out);
+            copied = special + 1;
+            flagged &= flagged - 1;
         }
-        if let Some(replacement) = replacement(bytes[at]) {
-            out.extend_from_slice(&bytes[copied..at]);
-            out.extend_from_slice(replacement.as_bytes());
-            copied = at + 1;
-        }
-        at += 1;
+        at = base + BLOCK;
     }
     out.extend_from_slice(&bytes[copied..]);
 }
@@ -121,7 +87,7 @@ fn escape_into(
 /// `<`, `&` and `>` are escaped. `>` is only mandatory inside `]]>` but
 /// escaping it unconditionally is harmless and simpler.
 pub fn escape_text_into(input: &str, out: &mut Vec<u8>) {
-    escape_into(input, out, text_specials, text_replacement);
+    escape_into(input, out, |b| TEXT_SPECIALS.mask(b), push_text_replacement);
 }
 
 /// Escape a string for use inside a double-quoted attribute value,
@@ -131,17 +97,27 @@ pub fn escape_text_into(input: &str, out: &mut Vec<u8>) {
 /// tab/newline/carriage-return are escaped as character references so that
 /// attribute-value normalisation cannot change them on re-parse.
 pub fn escape_attr_into(input: &str, out: &mut Vec<u8>) {
-    escape_into(input, out, attr_specials, attr_replacement);
+    let [marks, spaces] = ATTR_SPECIALS;
+    escape_into(
+        input,
+        out,
+        |b| marks.mask(b) | spaces.mask(b),
+        push_attr_replacement,
+    );
 }
 
 /// Escape element character data into a `String` (see [`escape_text_into`]).
 pub fn escape_text(input: &str, out: &mut String) {
-    // Escapes only ever insert ASCII, so the buffer stays valid UTF-8.
+    // SAFETY: the escaper appends `input`, a `str`, cut only before and
+    // after ASCII bytes, and ASCII replacements for those bytes, so
+    // `out` holds valid UTF-8 again when the borrow ends.
     escape_text_into(input, unsafe { out.as_mut_vec() });
 }
 
 /// Escape an attribute value into a `String` (see [`escape_attr_into`]).
 pub fn escape_attr(input: &str, out: &mut String) {
+    // SAFETY: as in `escape_text`: `input` cut only at ASCII bytes,
+    // plus ASCII replacements, keeps `out` valid UTF-8.
     escape_attr_into(input, unsafe { out.as_mut_vec() });
 }
 
@@ -160,53 +136,63 @@ pub fn escape_text_owned(input: &str) -> String {
 /// `base` is the byte offset of `input` within the whole document, used
 /// for error reporting.
 pub fn unescape(input: &str, base: usize) -> XmlResult<Cow<'_, str>> {
-    // Fast path: nothing to expand, nothing to allocate. `str::find`
-    // with a one-byte needle is std's word-at-a-time `memchr`.
-    let Some(first) = input.find('&') else {
+    let bytes = input.as_bytes();
+    let Some(first) = AMPERSAND.find(bytes, 0) else {
         return Ok(Cow::Borrowed(input));
     };
     // References only ever shrink, so this one reservation holds.
     let mut out = String::with_capacity(input.len());
-    out.push_str(&input[..first]);
-    // Invariant: `rest` starts at a `&`.
-    let mut rest = &input[first..];
-    loop {
-        // The five predefined entities, matched on their bytes; only a
-        // character reference (or garbage) goes looking for its `;`.
-        let (ch, len) = match rest.as_bytes() {
-            [b'&', b'l', b't', b';', ..] => ('<', 4),
-            [b'&', b'g', b't', b';', ..] => ('>', 4),
-            [b'&', b'a', b'm', b'p', b';', ..] => ('&', 5),
-            [b'&', b'q', b'u', b'o', b't', b';', ..] => ('"', 6),
-            [b'&', b'a', b'p', b'o', b's', b';', ..] => ('\'', 6),
-            _ => {
-                let offset = base + (input.len() - rest.len());
-                let semi = rest.find(';').ok_or(XmlError::UnexpectedEof {
+    // `input[..copied]` is in `out`, expanded.
+    let mut copied = 0;
+    let mut at = first;
+    while at < bytes.len() {
+        let (block, mut references) = scan::block(bytes, at, |b| AMPERSAND.mask(b));
+        while references != 0 {
+            let amp = block + references.trailing_zeros() as usize;
+            references &= references - 1;
+            // A `&` inside a reference already read is part of it.
+            if amp < copied {
+                continue;
+            }
+            out.push_str(&input[copied..amp]);
+            let (ch, len) = reference(input, amp, base)?;
+            out.push(ch);
+            copied = amp + len;
+        }
+        at = copied.max(block + BLOCK);
+    }
+    out.push_str(&input[copied..]);
+    Ok(Cow::Owned(out))
+}
+
+/// The character the reference at `input[amp..]` stands for, and the
+/// reference's length.
+#[inline(always)]
+fn reference(input: &str, amp: usize, base: usize) -> XmlResult<(char, usize)> {
+    // The five predefined entities, matched on their bytes; only a
+    // character reference (or garbage) goes looking for its `;`.
+    Ok(match &input.as_bytes()[amp..] {
+        [b'&', b'l', b't', b';', ..] => ('<', 4),
+        [b'&', b'g', b't', b';', ..] => ('>', 4),
+        [b'&', b'a', b'm', b'p', b';', ..] => ('&', 5),
+        [b'&', b'q', b'u', b'o', b't', b';', ..] => ('"', 6),
+        [b'&', b'a', b'p', b'o', b's', b';', ..] => ('\'', 6),
+        _ => {
+            let offset = base + amp;
+            let semi = SEMICOLON
+                .find(input.as_bytes(), amp)
+                .ok_or(XmlError::UnexpectedEof {
                     offset,
                     expecting: "';' terminating entity reference",
                 })?;
-                let entity = &rest[1..semi];
-                let ch = parse_char_ref(entity).ok_or_else(|| XmlError::BadEntity {
-                    offset,
-                    entity: entity.to_owned(),
-                })?;
-                (ch, semi + 1)
-            }
-        };
-        out.push(ch);
-        rest = &rest[len..];
-        // Bulk-copy the clean run up to the next reference.
-        match rest.find('&') {
-            Some(next) => {
-                out.push_str(&rest[..next]);
-                rest = &rest[next..];
-            }
-            None => {
-                out.push_str(rest);
-                return Ok(Cow::Owned(out));
-            }
+            let entity = &input[amp + 1..semi];
+            let ch = parse_char_ref(entity).ok_or_else(|| XmlError::BadEntity {
+                offset,
+                entity: entity[..entity.floor_char_boundary(QUOTED_REFERENCE)].to_owned(),
+            })?;
+            (ch, semi + 1 - amp)
         }
-    }
+    })
 }
 
 fn parse_char_ref(entity: &str) -> Option<char> {

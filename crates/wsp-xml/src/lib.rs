@@ -38,6 +38,7 @@ pub mod error;
 pub mod escape;
 pub mod name;
 pub mod reader;
+pub mod scan;
 pub mod tokenizer;
 pub mod tree;
 pub mod writer;

@@ -8,9 +8,12 @@
 //! ASCII (`<`, `>`, `/`, `=`, `?`, a quote, one of XML's four whitespace
 //! bytes), and in UTF-8 no byte of a multi-byte character is below
 //! 0x80 — so `pos` only ever rests on a character boundary and every
-//! slice taken between two such positions is a valid `str`.
+//! slice taken between two such positions is a valid `str`. The long
+//! runs, text and attribute values, are found sixteen bytes at a time by
+//! the block classifier of [`crate::scan`].
 
 use crate::error::{XmlError, XmlResult};
+use crate::scan::Needles;
 
 /// One lexical token. `offset` is the byte position of the token start,
 /// for error reporting. `'a` is the document; `'t` is the tokenizer,
@@ -42,6 +45,9 @@ pub enum Token<'a, 't> {
         offset: usize,
     },
 }
+
+/// What ends a text run.
+const MARKUP: Needles = Needles::new(b"<");
 
 /// XML's `S` production: exactly these four, not Unicode's `White_Space`.
 #[inline]
@@ -103,11 +109,10 @@ impl<'a> Tokenizer<'a> {
 
     fn text<'t>(&mut self) -> XmlResult<Token<'a, 't>> {
         let offset = self.pos;
-        let rest = &self.input[self.pos..];
-        let end = rest.find('<').unwrap_or(rest.len());
-        self.pos += end;
+        let bytes = self.input.as_bytes();
+        self.pos = MARKUP.find(bytes, offset).unwrap_or(bytes.len());
         Ok(Token::Text {
-            raw: &rest[..end],
+            raw: &self.input[offset..self.pos],
             offset,
         })
     }
@@ -281,16 +286,15 @@ impl<'a> Tokenizer<'a> {
                 })
             }
         };
-        self.pos += 1;
-        let rest = &self.input[self.pos..];
-        let end = rest
-            .find(char::from(quote))
+        let start = self.pos + 1;
+        let end = Needles::new(&[quote])
+            .find(self.input.as_bytes(), start)
             .ok_or(XmlError::UnexpectedEof {
-                offset: self.pos,
+                offset: start,
                 expecting: "closing attribute quote",
             })?;
-        self.pos += end + 1;
-        Ok(&rest[..end])
+        self.pos = end + 1;
+        Ok(&self.input[start..end])
     }
 
     fn skip_ws(&mut self) {

@@ -89,13 +89,16 @@ cargo test -q -p wsp-integration-tests --test gateway tenant_and_service_names_c
 echo "==> wire-byte identity + pool concurrency"
 cargo test -q -p wsp-integration-tests --test wire_bytes --test bufpool
 
-# Word-at-a-time kernels (PR 22): the escaper and the expander do
-# arithmetic on whole words (`wrapping_sub`, shifts, `trailing_zeros`)
-# and index by its results. Tier-1 ran their unit tests, the
-# every-offset/oracle properties and the reader's byte soup with
-# overflow checks on; run them again without, as they ship.
-echo "==> wsp-xml kernels: unit + prop_escape + byte soup (release)"
-cargo test -q --release -p wsp-xml --lib --test prop_escape --test byte_soup
+# Block kernels: every per-byte scan of the codecs (tokenizer text and
+# attribute values, the expander's `&` and `;`, both escapers, the HTTP
+# head scan) is `wsp_xml::scan`'s 16-byte classifier, which has two
+# bodies — SSE2 on x86_64, a two-word exact zero-byte test everywhere
+# else — and the scans index by the masks it returns. Tier-1 ran the
+# unit tests, the block-edge oracle (both bodies, every needle at every
+# offset), the every-offset/oracle properties and the reader's byte
+# soup with overflow checks on; run them again without, as they ship.
+echo "==> wsp-xml kernels: unit + scan_edges + prop_escape + byte soup (release)"
+cargo test -q --release -p wsp-xml --lib --test scan_edges --test prop_escape --test byte_soup
 
 # Byte-scanning tokenizer and fronted interner (PR 23): positions are
 # byte arithmetic and every slice is taken between two of them, so the

@@ -251,6 +251,34 @@ fn a_root_listener_sees_a_refused_request_as_its_refusal() {
     }
 }
 
+/// A reference the reader cannot expand is quoted in the fault that
+/// refuses it, but only its first 64 bytes: `&`, a mebibyte of `&` and a
+/// `;` used to come back as a 5 MiB fault.
+#[test]
+fn a_bad_reference_is_not_reflected_back_at_length() {
+    let _turn = serial();
+    let world = http_uddi_world();
+    world.deploy("ReflectedHttp", "never");
+    let service = world.locate("ReflectedHttp");
+
+    let args = [Value::string("anything")];
+    let request = proxy::encode_request(service.descriptor(), &service.endpoint, "say", &args);
+    let garbage = format!("&{};", "&".repeat(1 << 20));
+    let request = request.unwrap().to_xml().replacen("anything", &garbage, 1);
+    let path = format!("/{}", service.name());
+    let response = http_call_uri(
+        &service.endpoint,
+        Request::post(path, CONTENT_TYPE, request),
+    );
+    let response = response.unwrap();
+    assert_eq!(response.status, 500);
+    assert!(
+        response.body.len() < 4096,
+        "a {}-byte fault",
+        response.body.len()
+    );
+}
+
 // --- (b) a pipe-hosted call is timed and traced --------------------------------
 
 #[test]
