@@ -13,23 +13,27 @@
 //! [`ThreadPeer`] (holding a `Weak` back-reference, so the peer handle
 //! and the binding do not keep each other alive), and everything the
 //! peer delivers reaches [`on_peer_event`] on the thread that stepped
-//! the peer's machine — in practice the peer's inbox thread:
+//! the peer's machine: the sending peer's thread when this peer was
+//! idle, else this peer's inbox thread (see `wsp_p2ps::thread_driver`).
+//! Either way the sink runs as an inbox thread would, under
+//! correlation 0 and no deadline scope, so a caller's context never
+//! leaks into a provider's admission, job or spans:
 //!
-//! * **provider**: the inbox thread reads the request
-//!   ([`Hosting::read`]) and takes it to the edge of the peer's hosting
-//!   pipeline ([`Hosting::admit`]);
+//! * **provider**: the delivering thread — mostly the consumer's
+//!   caller — reads the request ([`Hosting::read`]) and takes it to the
+//!   edge of the peer's hosting pipeline ([`Hosting::admit`]);
 //!   the rest ([`Hosting::serve`], handler included) runs on the
 //!   dispatcher (so queue-depth shedding, deadlines and nested calls
 //!   behave as on any other binding) and the worker sends the reply
 //!   itself;
-//! * **consumer**: the inbox thread correlates the response by its
-//!   headers and completes the caller's `CallHandle` with the payload,
-//!   which the caller decodes.
+//! * **consumer**: the delivering thread — mostly the provider's
+//!   worker — correlates the response by its headers and completes the
+//!   caller's `CallHandle` with the payload, which the caller decodes.
 //!
-//! One request/response is caller → provider inbox → worker → consumer
-//! inbox → caller. The sink is entered with no peer lock held, so it
-//! may send (the busy-fault reply of a shed request goes out from
-//! inside the delivery); it never waits on anything the inbox thread
+//! One request/response is caller → provider worker → caller: two
+//! wake-ups. The sink is entered with no peer lock held, so it may send
+//! (the busy-fault reply of a shed request goes out from inside the
+//! delivery); it never waits on anything its sender or an inbox thread
 //! would have to produce.
 
 use crate::components::{Binding, Invoker, ServiceDeployer, ServiceLocator, ServicePublisher};
@@ -37,10 +41,10 @@ use crate::dispatch::{Completer, Dispatcher};
 use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::events::EventBus;
-use crate::overload;
+use crate::overload::{self, DeadlineScope};
 use crate::query::ServiceQuery;
 use crate::server::{HostedService, Hosting, Incoming};
-use crate::telemetry;
+use crate::telemetry::{self, CorrelationScope};
 use crossbeam_channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -143,6 +147,11 @@ impl P2psBinding {
         let shared = Arc::new_cyclic(|weak: &Weak<Shared>| {
             let binding = weak.clone();
             let installed = peer.set_sink(Box::new(move |event| {
+                // A delivery may run on another peer's thread (a caller
+                // or a worker): serve it in the context an inbox thread
+                // has, with no caller's correlation or deadline in it.
+                let _correlation = CorrelationScope::enter(0);
+                let _deadline = DeadlineScope::enter(None);
                 if let Some(shared) = binding.upgrade() {
                     on_peer_event(&shared, event);
                 }
@@ -233,7 +242,8 @@ fn wire_text(bytes: Vec<u8>) -> String {
 // --- delivery sink ------------------------------------------------------------
 
 /// Everything the peer delivers, on the thread that stepped its
-/// machine (see the module docs). Must not block on the inbox thread.
+/// machine (see the module docs). Must not block on its sender or on
+/// the inbox thread.
 fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
     match event {
         ThreadPeerEvent::QueryResult { token, adverts } => {
@@ -246,7 +256,7 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
                 // Hosted-service traffic: read once here so admission
                 // sees the propagated deadline, admitted (or shed)
                 // before it is queued, then served on the worker pool
-                // so the inbox never blocks on a handler.
+                // so the delivering thread never blocks on a handler.
                 admit_and_serve(shared, pipe, payload);
             } else {
                 // A return pipe: correlate with an outstanding call
@@ -268,7 +278,7 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
 }
 
 /// Server side of Figure 6, in the binding's two steps: the edge of
-/// the hosting pipeline here, on the inbox thread — a shed answers
+/// the hosting pipeline here, on the delivering thread — a shed answers
 /// immediately with the `wsp:overloaded` busy fault and its retry hint —
 /// and the serve on the pool, under the propagated deadline (expired
 /// deadlines are shed again at dequeue), the worker sending the reply.

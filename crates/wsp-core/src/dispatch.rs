@@ -51,6 +51,7 @@ use crate::overload::DeadlineScope;
 use crate::telemetry::{self, CorrelationScope, Counter, Histogram};
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -100,7 +101,63 @@ pub struct DispatcherStats {
     pub workers: usize,
 }
 
-type BoxedFn = Box<dyn FnOnce() + Send>;
+/// A job gets the books of its own run, to settle before it hands a
+/// result to anyone (see [`Settle`]).
+type BoxedFn = Box<dyn FnOnce(&Settle<'_>) + Send>;
+
+/// The books of one running job: `in_flight` back down, `completed` or
+/// `failed` up, its run time recorded. Settled once — by a call's job
+/// just before it delivers its value or poison, so whoever observes
+/// the outcome through the handle also observes it counted; by the
+/// dispatcher once any other job has returned or unwound.
+struct Settle<'a> {
+    inner: &'a Inner,
+    started: Option<Instant>,
+    settled: Cell<bool>,
+}
+
+impl Settle<'_> {
+    fn settle(&self, ok: bool) {
+        if self.settled.replace(true) {
+            return;
+        }
+        if let Some(started) = self.started {
+            self.inner.run_us.record_micros(started.elapsed());
+        }
+        self.inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+        let outcome = if ok {
+            &self.inner.completed
+        } else {
+            &self.inner.failed
+        };
+        outcome.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// The job of call `token`: `f` inside the token's correlation scope
+/// (the token doubles as the correlation id, so every span the job
+/// records, directly or via bindings, carries it), then its outcome
+/// settled and delivered — the value, or the panic's message as
+/// poison. The panic stops here; the worker survives it.
+fn call_job<T, F>(token: u64, completer: Completer<T>, f: F) -> BoxedFn
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    Box::new(move |settle: &Settle<'_>| {
+        let _correlation = CorrelationScope::enter(token);
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(value) => {
+                settle.settle(true);
+                completer.complete(value);
+            }
+            Err(payload) => {
+                settle.settle(false);
+                completer.poison(panic_message(payload));
+            }
+        }
+    })
+}
 
 /// One queued unit of work. `enqueued_at` is set at submission while
 /// telemetry is enabled; [`Inner::run_job`] then records queue-wait and
@@ -202,7 +259,7 @@ impl Inner {
             (now, now.saturating_duration_since(enqueued_at))
         });
         // Backstop isolation for fire-and-forget jobs; call-producing
-        // jobs already poison their own handle before unwinding here.
+        // jobs catch their own panic and poison their handle.
         let _ = self.run_counted(timing, job.run);
     }
 
@@ -210,25 +267,24 @@ impl Inner {
     /// accounting every job gets, queued or caller-run: `in_flight`
     /// around it, `completed`/`failed` after it, queue-wait and run time
     /// into the cached histograms when `timing` (run start, time spent
-    /// queued) is given. The panic, if any, is returned, not resumed.
+    /// queued) is given — settled by `f` itself if it settles first
+    /// (see [`Settle`]). The panic, if any, is returned, not resumed.
     fn run_counted<R>(
         &self,
         timing: Option<(Instant, Duration)>,
-        f: impl FnOnce() -> R,
+        f: impl FnOnce(&Settle<'_>) -> R,
     ) -> std::thread::Result<R> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         if let Some((_, waited)) = timing {
             self.queue_wait_us.record_micros(waited);
         }
-        let outcome = catch_unwind(AssertUnwindSafe(f));
-        if let Some((started, _)) = timing {
-            self.run_us.record_micros(started.elapsed());
-        }
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        match outcome {
-            Ok(_) => self.completed.fetch_add(1, Ordering::SeqCst),
-            Err(_) => self.failed.fetch_add(1, Ordering::SeqCst),
+        let settle = Settle {
+            inner: self,
+            started: timing.map(|(started, _)| started),
+            settled: Cell::new(false),
         };
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(&settle)));
+        settle.settle(outcome.is_ok());
         self.job_ended();
         outcome
     }
@@ -605,24 +661,7 @@ impl Dispatcher {
         F: FnOnce() -> T + Send + 'static,
     {
         let (handle, completer) = self.register::<T>(token);
-        let job: BoxedFn = Box::new(move || {
-            // The token doubles as the correlation id: every span the
-            // job records (directly or via bindings) carries it.
-            let _correlation = CorrelationScope::enter(token);
-            match catch_unwind(AssertUnwindSafe(f)) {
-                Ok(value) => {
-                    completer.complete(value);
-                }
-                Err(payload) => {
-                    let message = panic_message(payload);
-                    completer.poison(message.clone());
-                    // Re-raise so run_job counts the failure; the worker
-                    // catches it again and survives.
-                    std::panic::panic_any(message);
-                }
-            }
-        });
-        match self.enqueue(job, true, None) {
+        match self.enqueue(call_job(token, completer, f), true, None) {
             Ok(()) => Ok(handle),
             // On failure `handle` drops here: its Cancel event removes
             // the just-registered correlation entry eagerly.
@@ -653,7 +692,7 @@ impl Dispatcher {
         let timing = telemetry::global()
             .is_enabled()
             .then(|| (Instant::now(), Duration::ZERO));
-        let outcome = inner.run_counted(timing, || {
+        let outcome = inner.run_counted(timing, |_| {
             let _correlation = CorrelationScope::enter(token);
             f()
         });
@@ -700,7 +739,7 @@ impl Dispatcher {
     {
         let parent = telemetry::current_correlation();
         self.enqueue(
-            Box::new(move || {
+            Box::new(move |_: &Settle<'_>| {
                 let _correlation = CorrelationScope::enter(parent);
                 let _deadline = DeadlineScope::enter(deadline);
                 f()
@@ -719,20 +758,7 @@ impl Dispatcher {
     {
         let token = self.next_token();
         let (handle, completer) = self.register::<T>(token);
-        let job: BoxedFn = Box::new(move || {
-            let _correlation = CorrelationScope::enter(token);
-            match catch_unwind(AssertUnwindSafe(f)) {
-                Ok(value) => {
-                    completer.complete(value);
-                }
-                Err(payload) => {
-                    let message = panic_message(payload);
-                    completer.poison(message.clone());
-                    std::panic::panic_any(message);
-                }
-            }
-        });
-        match self.enqueue(job, false, None) {
+        match self.enqueue(call_job(token, completer, f), false, None) {
             Ok(()) => Ok(handle),
             Err(e) => Err(e),
         }

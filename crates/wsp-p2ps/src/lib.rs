@@ -19,7 +19,8 @@
 //! The protocol logic is one sans-IO [`PeerMachine`]; two drivers run it:
 //! [`sim_driver`] (deterministic simnet, for the scaling/churn
 //! experiments) and [`thread_driver`] (real threads: callers step their
-//! own peer, one inbox thread per peer takes the wire traffic).
+//! own peer, a sender delivers to an idle peer on its own thread, and
+//! one inbox thread per peer takes the wire traffic that found it busy).
 
 pub mod addressing;
 pub mod advert;
@@ -50,6 +51,6 @@ pub use sim_driver::{
     PeerEvent, RQ_RESEND_TAG, RQ_TIMEOUT_TAG, WAKE_TAG,
 };
 pub use thread_driver::{
-    DeliverySink, ThreadNetwork, ThreadNetworkStats, ThreadPeer, ThreadPeerEvent,
+    DeliverySink, ThreadNetwork, ThreadNetworkStats, ThreadPeer, ThreadPeerEvent, MAX_INLINE_DEPTH,
 };
 pub use uri::{P2psUri, P2psUriError};

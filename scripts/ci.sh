@@ -180,15 +180,22 @@ for seed in 2005 7; do
   done'
 done
 
-# Run-to-completion P2PS pipes (PR 16): a peer's machine is stepped by
-# its callers and by its inbox thread, deliveries reach the binding on
-# whichever thread stepped it, and a worker sends the reply itself — a
-# race here shows up as a hang, not a wrong answer, hence `timeout`.
-# Twenty release runs of the suites that cross those threads: the
-# 4-thread x 500 nested-invoke storm and teardown checks in
-# lifecycle_p2ps, and the same application code over both bindings.
-echo "==> P2PS threading stress (lifecycle_p2ps + cross_binding, 20x, release)"
-timeout 600 bash -c 'for i in $(seq 1 20); do
+# Run-to-completion P2PS pipes: a peer's machine is stepped by its
+# callers, by the sending peer's thread when the peer is idle (a
+# delivery runs on the sender's stack, at most four deep, and that
+# sender also takes the first message queued behind it) and by its
+# inbox thread for the rest; deliveries reach the binding on whichever
+# thread stepped it, and a worker sends the reply itself — a race here
+# shows up as a hang or a reordering, not a wrong answer, hence
+# `timeout`. Twenty release runs of the suites that cross those
+# threads: the driver's own tests (two senders' order at one receiver,
+# the depth bound down a 64-peer chain, a panicking sink closing its
+# inbox), the 4-thread x 500 nested-invoke storm, scope and teardown
+# checks in lifecycle_p2ps, and the same application code over both
+# bindings.
+echo "==> P2PS threading stress (thread_driver + lifecycle_p2ps + cross_binding, 20x, release)"
+timeout 900 bash -c 'for i in $(seq 1 20); do
+  cargo test -q --release -p wsp-p2ps --lib thread_driver || exit 1
   cargo test -q --release -p wsp-integration-tests --test lifecycle_p2ps --test cross_binding || exit 1
 done'
 

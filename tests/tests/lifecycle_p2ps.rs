@@ -3,8 +3,12 @@
 //! one-way operations and provider departure.
 
 use std::sync::Arc;
-use std::time::Duration;
-use wsp_core::{BindingKind, DeployedService, LocatedService, ServiceQuery, WspError};
+use std::time::{Duration, Instant};
+use wsp_core::overload::current_deadline;
+use wsp_core::{
+    telemetry, BindingKind, CorrelationScope, DeadlineScope, DeployedService, LocatedService,
+    ServiceQuery, WspError,
+};
 use wsp_integration_tests::{calc_descriptor, calc_handler, p2ps_star, p2ps_wspeer, wait_until};
 use wsp_p2ps::{PeerConfig, PeerId, PipeAdvertisement, ThreadNetwork};
 use wsp_wsdl::{ServiceHandler, Value};
@@ -369,4 +373,70 @@ fn dropping_a_peer_frees_its_binding_and_leaves_the_network() {
         .invoke(&service, "log", &[Value::string("anyone?")])
         .unwrap();
     assert_eq!(network.stats().dropped, 1);
+}
+
+/// A request to an idle provider is delivered on the consumer's calling
+/// thread, inside the caller's correlation and deadline scopes. The
+/// provider sees neither: its handler runs on its own dispatcher under
+/// the budget the request carried, and its serve spans stay under
+/// correlation 0, as when its inbox thread delivers.
+#[test]
+fn a_callers_scopes_stop_at_the_provider() {
+    let network = ThreadNetwork::new();
+    let (provider, _pb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xE1))));
+    let (consumer, _cb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xE2))));
+    telemetry::global().set_enabled(true);
+
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let record = seen.clone();
+    let calc = calc_handler();
+    let handler: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
+        let thread = std::thread::current().name().unwrap_or("").to_owned();
+        (record.lock()).push((telemetry::current_correlation(), current_deadline(), thread));
+        calc.invoke(op, args)
+    });
+    let mut descriptor = calc_descriptor();
+    descriptor.name = "ScopedCalc".into();
+    let service = located(&provider.server().deploy(descriptor, handler).unwrap());
+
+    let caller = consumer.dispatcher().next_token();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let sum = {
+        let _correlation = CorrelationScope::enter(caller);
+        let _deadline = DeadlineScope::enter(Some(deadline));
+        consumer
+            .client()
+            .invoke(&service, "add", &[Value::Double(2.0), Value::Double(3.0)])
+    };
+    assert_eq!(sum.unwrap(), Value::Double(5.0));
+
+    // Request and response, each delivered on the thread that sent it.
+    let stats = network.stats();
+    assert_eq!((stats.routed, stats.inline), (2, 2), "{stats:?}");
+    let seen = seen.lock();
+    let [(correlation, budget, thread)] = seen.as_slice() else {
+        panic!("one call served: {:?}", seen.as_slice());
+    };
+    assert_eq!(*correlation, 0);
+    assert!(
+        thread.starts_with("wsp-worker-"),
+        "handler ran on {thread:?}"
+    );
+    // The propagated budget, re-based on the provider's clock: within
+    // a second of the caller's deadline, not the caller's scope itself.
+    let budget = budget.expect("the request carried a budget");
+    let skew = budget.max(deadline) - budget.min(deadline);
+    assert!(skew < Duration::from_secs(1), "{skew:?}");
+    let spans = telemetry::global().recent_trace(4096);
+    let served: Vec<_> = spans
+        .iter()
+        .filter(|span| span.detail.as_str().contains("service=ScopedCalc"))
+        .filter(|span| span.stage.starts_with("server."))
+        .map(|span| (span.token, span.stage))
+        .collect();
+    assert_eq!(served, [(0, "server.request"), (0, "server.response")]);
+    assert!(telemetry::global()
+        .trace_for(caller)
+        .iter()
+        .all(|span| !span.stage.starts_with("server.")));
 }
