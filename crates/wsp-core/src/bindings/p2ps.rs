@@ -27,8 +27,9 @@
 //!   behave as on any other binding) and the worker sends the reply
 //!   itself;
 //! * **consumer**: the delivering thread — mostly the provider's
-//!   worker — correlates the response by its headers and completes the
-//!   caller's `CallHandle` with the payload, which the caller decodes.
+//!   worker — reads the response once: its `RelatesTo` names the call,
+//!   whose own reader decodes the body in the same pass, and the
+//!   caller's `CallHandle` is completed with the value.
 //!
 //! One request/response is caller → provider worker → caller: two
 //! wake-ups. The sink is entered with no peer lock held, so it may send
@@ -47,6 +48,7 @@ use crate::server::{HostedService, Hosting, Incoming};
 use crate::telemetry::{self, CorrelationScope};
 use crossbeam_channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -54,8 +56,8 @@ use wsp_p2ps::{
     decode_request, encode_response, P2psUri, PipeAdvertisement, RpcCorrelator,
     ServiceAdvertisement, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE, P2PS_NS,
 };
-use wsp_soap::typed::{read_envelope, Payload};
-use wsp_soap::{Envelope, Fault, HeaderBlock, MessageHeaders};
+use wsp_soap::typed::{read_envelope_with, Payload};
+use wsp_soap::{Envelope, Fault, HeaderBlock, MessageHeaders, SoapError};
 use wsp_wsdl::{proxy, Port, ProxyError, ServiceDescriptor, TransportKind, Value, WsdlDocument};
 use wsp_xml::Element;
 
@@ -87,9 +89,10 @@ struct Shared {
     /// Outstanding pipe requests, completed from the peer's delivery
     /// sink when the correlated response arrives on the return pipe.
     /// Tokens come from the dispatcher, so they share one space with
-    /// client calls. What completes a call is the response as it
-    /// arrived; the caller knows what it asked and decodes it.
-    pending_requests: Mutex<HashMap<u64, Completer<String>>>,
+    /// client calls. Each call brings the reader of the body it
+    /// expects: the sink reads a response once, and what completes the
+    /// call is the decoded value.
+    pending_requests: Mutex<HashMap<u64, Arc<dyn PendingCall>>>,
     pending_queries: Mutex<HashMap<u64, Sender<Vec<ServiceAdvertisement>>>>,
     /// The peer's hosting core — where pipe requests for hosted
     /// services are looked up and served, and whose dispatcher all
@@ -259,15 +262,7 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
                 // so the delivering thread never blocks on a handler.
                 admit_and_serve(shared, pipe, payload);
             } else {
-                // A return pipe: correlate with an outstanding call
-                // and complete its handle.
-                let correlated = shared.correlator.lock().accept_response(&payload);
-                if let Some(token) = correlated {
-                    let completer = shared.pending_requests.lock().remove(&token);
-                    if let Some(completer) = completer {
-                        completer.complete(payload);
-                    }
-                }
+                deliver_response(shared, &payload);
             }
         }
         // Typically a response that arrived after its caller timed out
@@ -275,6 +270,48 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
         ThreadPeerEvent::UnknownPipe { .. } => shared.unknown_pipe.incr(),
         ThreadPeerEvent::Pong { .. } => {}
     }
+}
+
+/// A message on a return pipe, read once: its `RelatesTo` names the
+/// call it answers, whose reader decodes the body in the same pass. The
+/// call is settled and completed only once the whole envelope has read —
+/// with the value, or with the fault a broken shape rule earned. A
+/// message that is no envelope, or that answers no outstanding call, is
+/// ignored (its body passed over). No lock is held while a body is read.
+fn deliver_response(shared: &Shared, payload: &str) {
+    let mut answered = None;
+    let read = read_envelope_with(payload, &mut |_| {}, |headers, body| {
+        answered = awaiting(shared, headers);
+        match &answered {
+            Some((_, call)) => call.read(body).map(Some),
+            None => Ok(None),
+        }
+    });
+    let Ok((headers, read)) = read else {
+        return;
+    };
+    // A header that broke a rule ended the read before the body.
+    let Some((token, call)) = answered.or_else(|| awaiting(shared, &headers)) else {
+        return;
+    };
+    let Some(read) = read.transpose() else {
+        return;
+    };
+    if shared.correlator.lock().settle(token) {
+        shared.pending_requests.lock().remove(&token);
+        call.complete(read);
+    }
+}
+
+/// The outstanding call a response under `headers` answers, with its
+/// token.
+fn awaiting(shared: &Shared, headers: &MessageHeaders) -> Option<(u64, Arc<dyn PendingCall>)> {
+    let token = shared
+        .correlator
+        .lock()
+        .awaiting(headers.relates_to.as_deref()?)?;
+    let call = shared.pending_requests.lock().get(&token)?.clone();
+    Some((token, call))
 }
 
 /// Server side of Figure 6, in the binding's two steps: the edge of
@@ -353,14 +390,50 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: Strin
 
 // --- pipe request/response (Figure 5) ---------------------------------------
 
-/// One request down `target` and what came back up the return pipe
-/// opened for it, with its correlator token (for the caller's spans).
-/// `write` renders the request: leading header blocks, then addressing.
-fn request_over_pipe(
+/// A pipe call awaiting its response, as the delivery sink sees it: the
+/// reader of the body the call expects, and the caller's handle.
+trait PendingCall: Send + Sync {
+    /// Read the body of a response to the call with the call's reader.
+    fn read(&self, body: Payload<'_, '_>) -> Result<Box<dyn Any + Send>, SoapError>;
+    /// Complete the caller's handle with what [`PendingCall::read`]
+    /// returned, or with the fault the envelope was refused with.
+    fn complete(&self, read: Result<Box<dyn Any + Send>, Fault>);
+}
+
+/// The [`PendingCall`] of a call whose response body `R` reads as a `T`.
+struct PipeCall<T, R> {
+    read: R,
+    completer: Mutex<Option<Completer<Result<T, Fault>>>>,
+}
+
+impl<T, R> PendingCall for PipeCall<T, R>
+where
+    T: Send + 'static,
+    R: Fn(Payload<'_, '_>) -> Result<T, SoapError> + Send + Sync,
+{
+    fn read(&self, body: Payload<'_, '_>) -> Result<Box<dyn Any + Send>, SoapError> {
+        Ok(Box::new((self.read)(body)?))
+    }
+
+    fn complete(&self, read: Result<Box<dyn Any + Send>, Fault>) {
+        let read = read.map(|value| *value.downcast::<T>().expect("read by this call"));
+        if let Some(completer) = self.completer.lock().take() {
+            completer.complete(read);
+        }
+    }
+}
+
+/// One request down `target`, and its response as `read` decoded its
+/// body on the thread that delivered it — or the fault the response was
+/// refused with — with the call's correlator token (for the caller's
+/// spans). `write` renders the request: leading header blocks, then
+/// addressing.
+fn request_over_pipe<T: Send + 'static>(
     shared: &Shared,
     target: PipeAdvertisement,
     write: impl FnOnce(&[Element], &MessageHeaders) -> Result<Vec<u8>, WspError>,
-) -> Result<(u64, String), WspError> {
+    read: impl Fn(Payload<'_, '_>) -> Result<T, SoapError> + Send + Sync + 'static,
+) -> Result<(u64, Result<T, Fault>), WspError> {
     let hosting = shared.hosting();
     let dispatcher = hosting.dispatcher();
     let token = dispatcher.next_token();
@@ -377,21 +450,20 @@ fn request_over_pipe(
     let started = Instant::now();
     // Spans land under the *caller's* correlation (the invoking job),
     // with the pipe's own correlator token in the detail.
-    registry.span(
-        telemetry::current_correlation(),
-        "p2ps.request",
-        format_args!(
-            "pipe={}#{} rpc_token={token}",
-            target.service.as_deref().unwrap_or(""),
-            target.name
-        ),
-    );
+    registry.span_with(telemetry::current_correlation(), "p2ps.request", |d| {
+        let service = target.service.as_deref().unwrap_or("");
+        d.push("pipe=").push(service).push("#").push(&target.name);
+        d.push(" rpc_token=").push_u64(token);
+    });
     // Step 1-2: create a return pipe and its advertisement.
     let return_pipe = shared.peer.open_pipe(None);
-    // Register the call in the correlation table; the delivery sink
-    // completes it when the response arrives.
-    let (handle, completer) = dispatcher.register::<String>(token);
-    shared.pending_requests.lock().insert(token, completer);
+    // Register the call, and the reader of its response, in the
+    // correlation table; the delivery sink completes it when the
+    // response arrives.
+    let (handle, completer) = dispatcher.register(token);
+    let completer = Mutex::new(Some(completer));
+    let call = Arc::new(PipeCall { read, completer });
+    shared.pending_requests.lock().insert(token, call);
     // Step 3-5: serialise the advert into ReplyTo and send the request.
     let headers = (shared.correlator.lock()).encode_request(token, &target, &return_pipe);
     let result = write(&leading, &headers).map(|wire| {
@@ -408,16 +480,14 @@ fn request_over_pipe(
     shared.correlator.lock().pipe_closed(&return_pipe);
     shared.peer.close_pipe(return_pipe);
     match result? {
-        Ok(payload) => {
+        Ok(read) => {
             if registry.is_enabled() {
                 shared.roundtrip_us.record_micros(started.elapsed());
-                registry.span(
-                    telemetry::current_correlation(),
-                    "p2ps.response",
-                    format_args!("rpc_token={token}"),
-                );
+                registry.span_with(telemetry::current_correlation(), "p2ps.response", |d| {
+                    d.push("rpc_token=").push_u64(token);
+                });
             }
-            Ok((token, payload))
+            Ok((token, read))
         }
         Err(handle) => {
             handle.cancel();
@@ -456,15 +526,14 @@ fn refusal(token: u64, error: ProxyError) -> WspError {
     }
 }
 
-/// The WSDL a definition pipe answered with — a document by nature,
-/// read as a tree — if it answered with one.
-fn definition_in(payload: &str) -> Option<WsdlDocument> {
-    let (_, read) = read_envelope(payload, &mut |_| {}, |body| match body {
-        Payload::Element(reader) => Ok(reader.read_subtree()?),
-        _ => Err(Fault::sender("no definition").into()),
-    })
-    .ok()?;
-    WsdlDocument::from_element(&read.ok()?).ok()
+/// The WSDL a definition pipe answers with: a document by nature, read
+/// as a tree.
+fn read_definition(body: Payload<'_, '_>) -> Result<WsdlDocument, SoapError> {
+    let Payload::Element(reader) = body else {
+        return Err(Fault::sender("no definition").into());
+    };
+    let wsdl = reader.read_subtree()?;
+    WsdlDocument::from_element(&wsdl).map_err(|e| Fault::sender(e.to_string()).into())
 }
 
 // --- deployer ----------------------------------------------------------------
@@ -615,12 +684,10 @@ impl ServiceLocator for P2psLocator {
                 get.set_addressing(headers.clone());
                 Ok(get.to_xml_bytes())
             };
-            let answered = request_over_pipe(&self.shared, definition_pipe.clone(), get);
+            let answered =
+                request_over_pipe(&self.shared, definition_pipe.clone(), get, read_definition);
             // A provider that vanished mid-discovery, or answered garbage.
-            let Some(wsdl) = answered
-                .ok()
-                .and_then(|(_, payload)| definition_in(&payload))
-            else {
+            let Ok((_, Ok(wsdl))) = answered else {
                 continue;
             };
             found.push(LocatedService::new(
@@ -673,8 +740,10 @@ impl Invoker for P2psInvoker {
             self.shared.peer.send_pipe(target, wire_text(wire));
             return Ok(Value::Null);
         }
-        let (token, payload) = request_over_pipe(&self.shared, target, write)?;
-        proxy::read_response(descriptor, operation, &payload).map_err(|e| refusal(token, e))
+        let reader = proxy::ResponseReader::new(descriptor, op);
+        let read = move |body: Payload<'_, '_>| reader.read(body);
+        let (token, read) = request_over_pipe(&self.shared, target, write, read)?;
+        proxy::response_value(read).map_err(|e| refusal(token, e))
     }
 
     fn handles(&self, endpoint: &str) -> bool {

@@ -5,6 +5,7 @@
 
 use crate::advert::{PipeAdvertisement, P2PS_NS};
 use crate::uri::P2psUri;
+use wsp_soap::addressing::generate_message_id;
 use wsp_soap::{EndpointReference, MessageHeaders};
 use wsp_xml::Element;
 
@@ -16,8 +17,7 @@ use wsp_xml::Element;
 /// 2. `ReferenceProperties` carry the remaining advert fields — here the
 ///    pipe name.
 pub fn advert_to_epr(advert: &PipeAdvertisement) -> EndpointReference {
-    let address = advert.uri().address();
-    EndpointReference::new(address).with_property(
+    EndpointReference::new(advert.address()).with_property(
         Element::build(P2PS_NS, "PipeName")
             .text(advert.name.clone())
             .finish(),
@@ -45,8 +45,16 @@ pub fn epr_to_advert(epr: &EndpointReference) -> Option<PipeAdvertisement> {
 /// `target` (rule 3: `To` = the Address URI, `Action` = Address plus the
 /// pipe-name fragment, reference properties copied into the header).
 pub fn request_headers(target: &PipeAdvertisement) -> MessageHeaders {
+    // `MessageHeaders::to_endpoint`, the reference moved in, not copied:
+    // it was built for this message.
     let epr = advert_to_epr(target);
-    MessageHeaders::to_endpoint(&epr, target.uri().action())
+    MessageHeaders {
+        to: Some(epr.address),
+        action: Some(target.action()),
+        message_id: Some(generate_message_id()),
+        destination_properties: epr.reference_properties,
+        ..MessageHeaders::default()
+    }
 }
 
 /// Attach a return pipe to a request (rule 4: the header "can contain a
@@ -105,6 +113,10 @@ mod tests {
         );
         // Reference properties copied into the header set.
         assert_eq!(headers.destination_properties.len(), 1);
+        let epr = advert_to_epr(&service_pipe());
+        let mut expected = MessageHeaders::to_endpoint(&epr, service_pipe().uri().action());
+        expected.message_id = headers.message_id.clone();
+        assert_eq!(headers, expected);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! P2PS).
 
 use crate::id::PeerId;
-use crate::uri::P2psUri;
+use crate::uri::{address_with, P2psUri};
 use wsp_xml::Element;
 
 /// Namespace of P2PS advertisements and protocol messages.
@@ -35,6 +35,18 @@ impl PipeAdvertisement {
             service,
             name: name.into(),
         }
+    }
+
+    /// The address form of [`PipeAdvertisement::uri`] — peer and
+    /// service, no pipe name — written without building the URI.
+    pub fn address(&self) -> String {
+        address_with(self.peer, self.service.as_deref(), None)
+    }
+
+    /// The action form of [`PipeAdvertisement::uri`]: the address, `#`,
+    /// the pipe name.
+    pub fn action(&self) -> String {
+        address_with(self.peer, self.service.as_deref(), Some(&self.name))
     }
 
     /// The `p2ps://` URI identifying this pipe.
@@ -207,6 +219,10 @@ mod tests {
             echo.uri().to_string(),
             format!("p2ps://{}/Echo#echoString", peer().to_hex())
         );
+        for pipe in [echo, &PipeAdvertisement::new(peer(), None, "return-7")] {
+            assert_eq!(pipe.address(), pipe.uri().address());
+            assert_eq!(pipe.action(), pipe.uri().action());
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ impl PeerId {
     /// The canonical textual form: 16 lowercase hex digits (the "host"
     /// component of `p2ps://` URIs).
     pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
+        self.hex_into(&mut [0; 16]).to_owned()
     }
 
     /// [`PeerId::to_hex`] into a caller-supplied buffer, for encoders
@@ -34,18 +34,29 @@ impl PeerId {
         std::str::from_utf8(buf).expect("hex digits are ASCII")
     }
 
-    /// Parse the canonical form.
+    /// Parse the canonical form, and only it: exactly 16 of
+    /// `[0-9a-f]`, so an id has one spelling and a URI built from the
+    /// parsed id is the URI that was read.
     pub fn from_hex(s: &str) -> Option<PeerId> {
         if s.len() != 16 {
             return None;
         }
-        u64::from_str_radix(s, 16).ok().map(PeerId)
+        s.bytes()
+            .try_fold(0, |id, digit| {
+                let nibble = match digit {
+                    b'0'..=b'9' => digit - b'0',
+                    b'a'..=b'f' => digit - b'a' + 10,
+                    _ => return None,
+                };
+                Some(id << 4 | u64::from(nibble))
+            })
+            .map(PeerId)
     }
 }
 
 impl fmt::Display for PeerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
+        f.write_str(self.hex_into(&mut [0; 16]))
     }
 }
 
@@ -81,6 +92,16 @@ mod tests {
         assert_eq!(PeerId::from_hex("short"), None);
         assert_eq!(PeerId::from_hex("zzzzzzzzzzzzzzzz"), None);
         assert_eq!(PeerId::from_hex("123456789abcdef01"), None);
+    }
+
+    #[test]
+    fn only_the_canonical_spelling_is_an_id() {
+        // `u64::from_str_radix` reads the first two as peer abcd.
+        for other in ["+00000000000abcd", "000000000000ABCD", "-00000000000abcd"] {
+            assert_eq!(PeerId::from_hex(other), None, "{other}");
+        }
+        assert_eq!(PeerId::from_hex("000000000000abcd"), Some(PeerId(0xabcd)));
+        assert_eq!(PeerId::from_hex("ffffffffffffffff"), Some(PeerId(u64::MAX)));
     }
 
     #[test]

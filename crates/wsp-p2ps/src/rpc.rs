@@ -16,6 +16,7 @@
 use crate::addressing::{reply_pipe_in, request_headers, with_reply_pipe};
 use crate::advert::PipeAdvertisement;
 use crate::rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
+use crate::uri::address_with;
 use std::collections::HashMap;
 use wsp_simnet::step_mut;
 use wsp_soap::typed::read_envelope;
@@ -117,19 +118,32 @@ impl RpcCorrelator {
     /// Interpret data that arrived on a return pipe: if it is the
     /// response to one of our requests, yield that request's token.
     /// The body is the caller's to read; here it is only known to be
-    /// the body of a well-formed envelope.
+    /// the body of a well-formed envelope. [`RpcCorrelator::awaiting`]
+    /// then [`RpcCorrelator::settle`], for a caller that has read the
+    /// headers itself.
     pub fn accept_response(&mut self, payload: &str) -> Option<u64> {
         let relates_to = decode_request(payload, &mut |_| {})?.relates_to?;
-        let token = *self.token_of_msg.get(&relates_to)?;
+        let token = self.awaiting(&relates_to)?;
+        self.settle(token).then_some(token)
+    }
+
+    /// The token of the request whose response names `relates_to`, if
+    /// it is outstanding: a lookup, no step of the machine.
+    pub fn awaiting(&self, relates_to: &str) -> Option<u64> {
+        self.token_of_msg.get(relates_to).copied()
+    }
+
+    /// The response to `token` arrived: settle the request. False if it
+    /// was no longer awaited — a late response for a token whose pipe
+    /// already closed (or that was forgotten), or a second response.
+    pub fn settle(&mut self, token: u64) -> bool {
         let effects = step_mut(
             &self.machine,
             &mut self.state,
             &RpcEvent::ResponseArrived(token),
         );
         self.purge(token);
-        // Not delivered: a late response for a token whose pipe already
-        // closed (or that was forgotten).
-        matches!(effects.first(), Some(RpcEffect::DeliverReply { .. })).then_some(token)
+        matches!(effects.first(), Some(RpcEffect::DeliverReply { .. }))
     }
 
     /// Outstanding request count (for timeout sweeps).
@@ -179,7 +193,8 @@ pub fn decode_request(
 /// request (no `ReplyTo`).
 pub fn encode_response(request: &MessageHeaders) -> Option<(PipeAdvertisement, MessageHeaders)> {
     let reply_pipe = reply_pipe_in(request)?;
-    let action = format!("{}#response", reply_pipe.uri().address());
+    let service = reply_pipe.service.as_deref();
+    let action = address_with(reply_pipe.peer, service, Some("response"));
     Some((reply_pipe, MessageHeaders::response_to(request, action)))
 }
 

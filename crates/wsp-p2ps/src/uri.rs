@@ -73,20 +73,30 @@ impl P2psUri {
     /// The address form without the fragment — what goes in
     /// `wsa:Address`.
     pub fn address(&self) -> String {
-        match &self.service {
-            Some(s) => format!("p2ps://{}/{}", self.peer, s),
-            None => format!("p2ps://{}", self.peer),
-        }
+        address_with(self.peer, self.service.as_deref(), None)
     }
 
     /// The action form: address plus `#pipe` — what goes in
     /// `wsa:Action`.
     pub fn action(&self) -> String {
-        match &self.pipe {
-            Some(p) => format!("{}#{}", self.address(), p),
-            None => self.address(),
+        address_with(self.peer, self.service.as_deref(), self.pipe.as_deref())
+    }
+}
+
+/// `p2ps://{peer}[/{service}][#{fragment}]`, in one allocation.
+pub(crate) fn address_with(peer: PeerId, service: Option<&str>, fragment: Option<&str>) -> String {
+    let parts = [('/', service), ('#', fragment)];
+    let len = parts.iter().flat_map(|(_, part)| part.map(|p| 1 + p.len()));
+    let mut uri = String::with_capacity(7 + 16 + len.sum::<usize>());
+    uri.push_str("p2ps://");
+    uri.push_str(peer.hex_into(&mut [0; 16]));
+    for (mark, part) in parts {
+        if let Some(part) = part {
+            uri.push(mark);
+            uri.push_str(part);
         }
     }
+    uri
 }
 
 impl fmt::Display for P2psUri {
@@ -171,6 +181,9 @@ mod tests {
         assert!(P2psUri::parse("http://h/x").is_err());
         assert!(P2psUri::parse("p2ps://nothex/Echo").is_err());
         assert!(P2psUri::parse("p2ps://").is_err());
+        // Another spelling of peer abcd is not its id.
+        assert!(P2psUri::parse("p2ps://+00000000000abcd/Echo").is_err());
+        assert!(P2psUri::parse("p2ps://000000000000ABCD/Echo").is_err());
     }
 
     #[test]

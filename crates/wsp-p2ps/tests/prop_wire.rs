@@ -66,6 +66,18 @@ fn query() -> impl Strategy<Value = P2psQuery> {
         })
 }
 
+/// Hosts around the canonical peer id: the id itself, spellings
+/// `u64::from_str_radix` would also read as an id, and near misses.
+fn host() -> impl Strategy<Value = String> {
+    let hex = any::<u64>().prop_map(|id| PeerId(id).to_hex());
+    prop_oneof![
+        hex.clone(),
+        hex.clone().prop_map(|hex| hex.to_uppercase()),
+        hex.prop_map(|hex| format!("+{}", &hex[1..])),
+        "[0-9a-fA-F+]{15,17}",
+    ]
+}
+
 /// `message` written and read back.
 fn over_the_wire(message: &P2psMessage) -> P2psMessage {
     let xml = message.to_xml();
@@ -141,6 +153,31 @@ proptest! {
         if let Some(p) = pipe { uri = uri.with_pipe(p); }
         let text = uri.action();
         prop_assert_eq!(P2psUri::parse(&text).unwrap(), uri);
+    }
+
+    /// What the parser takes, the URI writes back as it was read — so
+    /// a reply's `To` is the `ReplyTo` its request named. (An empty
+    /// path or fragment reads as absent, and is not written.)
+    #[test]
+    fn every_uri_the_parser_takes_is_written_back_as_read(
+        host in host(),
+        service in proptest::option::of("[A-Za-z0-9/_-]{0,8}"),
+        pipe in proptest::option::of("[A-Za-z0-9/#_-]{0,8}"),
+    ) {
+        let parts = [('/', service), ('#', pipe)];
+        let (mut text, mut canonical) = (format!("p2ps://{host}"), format!("p2ps://{host}"));
+        for (mark, part) in &parts {
+            let Some(part) = part else { continue };
+            text.push(*mark);
+            text.push_str(part);
+            if !part.is_empty() {
+                canonical.push(*mark);
+                canonical.push_str(part);
+            }
+        }
+        if let Ok(uri) = P2psUri::parse(&text) {
+            prop_assert_eq!(uri.action(), canonical);
+        }
     }
 
     #[test]

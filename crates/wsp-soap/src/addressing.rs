@@ -8,7 +8,6 @@
 
 use crate::constants::WSA_NS;
 use crate::envelope::HeaderBlock;
-use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wsp_xml::{Element, StreamWriter};
 
@@ -222,9 +221,21 @@ pub fn generate_message_id() -> String {
     // Sized for the longest id, so it is one allocation: 12 bytes of
     // prefix, a 128-bit and a 64-bit number in hex, a dash.
     let mut id = String::with_capacity(12 + 32 + 1 + 16);
-    // Infallible: writing to a `String`.
-    let _ = write!(id, "urn:wsp:msg:{nanos:x}-{n:x}");
+    id.push_str("urn:wsp:msg:");
+    push_hex(&mut id, nanos);
+    id.push('-');
+    push_hex(&mut id, n.into());
     id
+}
+
+/// `n` in lowercase hex with no leading zeros, as `{n:x}` prints it.
+fn push_hex(out: &mut String, n: u128) {
+    let digits = (128 - n.leading_zeros()).div_ceil(4).max(1);
+    for at in (0..digits).rev() {
+        out.push(char::from(
+            b"0123456789abcdef"[(n >> (4 * at)) as usize & 0xf],
+        ));
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +254,15 @@ mod tests {
         let mut env = Envelope::request(payload());
         env.set_addressing(MessageHeaders::default().with_reply_to(reply_to));
         Envelope::from_xml(&env.to_xml())
+    }
+
+    #[test]
+    fn push_hex_prints_as_format_does() {
+        for n in [0, 1, 0xf, 0x10, 0xabc, u128::from(u64::MAX), u128::MAX] {
+            let mut out = String::new();
+            push_hex(&mut out, n);
+            assert_eq!(out, format!("{n:x}"));
+        }
     }
 
     #[test]

@@ -169,6 +169,17 @@ pub fn read_envelope<'a, T>(
     foreign: &mut dyn FnMut(&HeaderBlock),
     body: impl FnOnce(Payload<'_, 'a>) -> Result<T, SoapError>,
 ) -> Result<(MessageHeaders, Result<T, Fault>), SoapError> {
+    read_envelope_with(xml, foreign, |_, payload| body(payload))
+}
+
+/// [`read_envelope`], the body reader given the WS-Addressing headers
+/// read before the body: a reader chosen by what the message answers
+/// (`RelatesTo`) reads the body in the same pass.
+pub fn read_envelope_with<'a, T>(
+    xml: &'a str,
+    foreign: &mut dyn FnMut(&HeaderBlock),
+    body: impl FnOnce(&MessageHeaders, Payload<'_, 'a>) -> Result<T, SoapError>,
+) -> Result<(MessageHeaders, Result<T, Fault>), SoapError> {
     let reader = &mut PullReader::new(xml);
     reader.next()?;
     if !reader.is(SOAP_ENV_NS, "Envelope") {
@@ -199,7 +210,7 @@ fn read_frame<'a, T>(
     headers: &mut MessageHeaders,
     bodies: &mut usize,
     foreign: &mut dyn FnMut(&HeaderBlock),
-    body: impl FnOnce(Payload<'_, 'a>) -> Result<T, SoapError>,
+    body: impl FnOnce(&MessageHeaders, Payload<'_, 'a>) -> Result<T, SoapError>,
 ) -> Result<T, SoapError> {
     plain(reader)?;
     let mut tag = next_tag(reader)?;
@@ -215,10 +226,13 @@ fn read_frame<'a, T>(
     }
     *bodies += 1;
     plain(reader)?;
+    let headers = &*headers;
     let value = match next_tag(reader)? {
-        Pull::Start if reader.is(SOAP_ENV_NS, "Fault") => body(Payload::Fault(read_fault(reader)?)),
-        Pull::Start => body(Payload::Element(&mut *reader)),
-        _ => return body(Payload::Empty).and_then(|value| end(reader).map(|()| value)),
+        Pull::Start if reader.is(SOAP_ENV_NS, "Fault") => {
+            body(headers, Payload::Fault(read_fault(reader)?))
+        }
+        Pull::Start => body(headers, Payload::Element(&mut *reader)),
+        _ => return body(headers, Payload::Empty).and_then(|value| end(reader).map(|()| value)),
     }?;
     while reader.depth() > 2 {
         reader.next()?;
@@ -504,6 +518,19 @@ mod tests {
         // No header at all: no `env:Header` either.
         let (bare, _) = round_trip(&[], &MessageHeaders::default());
         assert!(!bare.contains("Header"), "{bare}");
+    }
+
+    #[test]
+    fn the_body_reader_is_given_the_headers_read_before_it() {
+        let sent = MessageHeaders::request("urn:to", "urn:act");
+        let (xml, _) = round_trip(&[], &sent);
+        let (read, body) = read_envelope_with(&xml, &mut |_| {}, |before, payload| {
+            Ok((before.clone(), op_text(payload)?))
+        })
+        .expect("an envelope");
+        let (before, text) = body.expect("the body reads");
+        assert_eq!(before.message_id, sent.message_id);
+        assert_eq!((before, text.as_str()), (read, "a < b"));
     }
 
     /// Each shape outside the vocabulary is refused by its rule; what

@@ -13,7 +13,7 @@ use crate::model::WsdlDocument;
 use crate::service::OperationDef;
 use crate::service::ServiceDescriptor;
 use crate::value::{read_value, value_element, write_value, Value};
-use crate::xsd::XsdType;
+use crate::xsd::{Schema, XsdType};
 use std::fmt;
 use wsp_soap::typed::{name_of, next_tag, plain, read_envelope, write_envelope};
 use wsp_soap::typed::{Payload, Rule};
@@ -236,15 +236,48 @@ pub fn read_response(
     let op = descriptor
         .find_operation(operation)
         .ok_or_else(|| ProxyError::NoSuchOperation(operation.to_owned()))?;
-    let read = read_envelope(xml, &mut |_| {}, |payload| match (payload, &op.output) {
-        (Payload::Fault(fault), _) => Ok(Err(fault)),
-        (_, None) => Ok(Ok(Value::Null)),
-        (Payload::Empty, _) => Err(Fault::sender("response body is empty").into()),
-        (Payload::Element(reader), Some(output)) => {
-            read_result(reader, descriptor, operation, &output.ty).map(Ok)
-        }
+    let output = op.output.as_ref().map(|output| &output.ty);
+    let ns = descriptor.namespace.as_str();
+    let read = read_envelope(xml, &mut |_| {}, |payload| {
+        read_reply(ns, operation, output, &descriptor.schema, payload)
     });
     let (_, read) = read.map_err(|e| ProxyError::BadResponse(e.to_string()))?;
+    response_value(read)
+}
+
+/// What [`read_response`] reads of a response's body, holding its part
+/// of the contract — the schema shared with the descriptor, not copied —
+/// so that whichever thread a response arrives on reads it.
+#[derive(Debug, Clone)]
+pub struct ResponseReader {
+    namespace: String,
+    operation: String,
+    output: Option<XsdType>,
+    schema: Schema,
+}
+
+impl ResponseReader {
+    /// The reader of responses to `op`, an operation of `descriptor`.
+    pub fn new(descriptor: &ServiceDescriptor, op: &OperationDef) -> Self {
+        ResponseReader {
+            namespace: descriptor.namespace.clone(),
+            operation: op.name.clone(),
+            output: op.output.as_ref().map(|output| output.ty.clone()),
+            schema: descriptor.schema.clone(),
+        }
+    }
+
+    /// A response's body: the result, or the fault the service answered
+    /// with; [`response_value`] takes it from there.
+    pub fn read(&self, payload: Payload<'_, '_>) -> Result<Result<Value, Fault>, SoapError> {
+        let (ns, operation) = (self.namespace.as_str(), self.operation.as_str());
+        read_reply(ns, operation, self.output.as_ref(), &self.schema, payload)
+    }
+}
+
+/// The outcome of a call whose response read as `read`: the result, the
+/// service's fault, or — the envelope refused — a bad response.
+pub fn response_value(read: Result<Result<Value, Fault>, Fault>) -> Result<Value, ProxyError> {
     match read {
         Ok(Ok(value)) => Ok(value),
         Ok(Err(fault)) => Err(fault.into()),
@@ -252,15 +285,34 @@ pub fn read_response(
     }
 }
 
+/// The body of a response to `operation` in `ns`, whose result is an
+/// `output`.
+fn read_reply(
+    ns: &str,
+    operation: &str,
+    output: Option<&XsdType>,
+    schema: &Schema,
+    payload: Payload<'_, '_>,
+) -> Result<Result<Value, Fault>, SoapError> {
+    match (payload, output) {
+        (Payload::Fault(fault), _) => Ok(Err(fault)),
+        (_, None) => Ok(Ok(Value::Null)),
+        (Payload::Empty, _) => Err(Fault::sender("response body is empty").into()),
+        (Payload::Element(reader), Some(ty)) => {
+            read_result(reader, ns, operation, ty, schema).map(Ok)
+        }
+    }
+}
+
 /// The `{operation}Response` wrapper under the cursor and the one
 /// `return` in it.
 fn read_result(
     reader: &mut PullReader<'_>,
-    descriptor: &ServiceDescriptor,
+    ns: &str,
     operation: &str,
     ty: &XsdType,
+    schema: &Schema,
 ) -> Result<Value, SoapError> {
-    let ns = descriptor.namespace.as_str();
     let wrapper = reader.local_name();
     if wrapper.strip_suffix("Response") != Some(operation) {
         let found = name_of(reader);
@@ -274,7 +326,7 @@ fn read_result(
     let mut value = None;
     while next_tag(reader)? == Pull::Start {
         match (reader.is(ns, "return"), &value) {
-            (true, None) => value = Some(read_value(reader, ns, ty, Some(&descriptor.schema))?),
+            (true, None) => value = Some(read_value(reader, ns, ty, Some(schema))?),
             (true, Some(_)) => return Err(Rule::Repeated.refuse("return")),
             (false, _) => return Err(Rule::UnknownElement.refuse(name_of(reader))),
         }
@@ -287,7 +339,7 @@ mod tests {
     use super::*;
     use crate::model::{Port, TransportKind};
     use crate::service::OperationDef;
-    use crate::xsd::{ComplexType, FieldDef, Schema, XsdType};
+    use crate::xsd::{ComplexType, FieldDef};
 
     fn echo_proxy() -> ServiceProxy {
         ServiceProxy::new(ServiceDescriptor::echo(), "http://h:1/Echo")
@@ -380,6 +432,39 @@ mod tests {
         let got = proxy.decode_response("next", &response).unwrap();
         assert_eq!(got.field("step").unwrap().as_int(), Some(7));
         assert_eq!(got.field("label").unwrap().as_str(), Some("t=0.7"));
+    }
+
+    /// A response read by the owned reader comes to what
+    /// `read_response` makes of it: value, fault or bad response.
+    #[test]
+    fn response_reader_reads_as_read_response_does() {
+        let descriptor = ServiceDescriptor::echo();
+        let op = descriptor.find_operation("echoString").unwrap();
+        let reader = ResponseReader::new(&descriptor, op);
+        let answer = |name: &str, text: &str| {
+            let mut wrapper = Element::new("urn:wspeer:echo", name.to_owned());
+            let value = Value::string(text);
+            wrapper.push_element(value_element("urn:wspeer:echo", "return", &value));
+            Envelope::request(wrapper).to_xml()
+        };
+        let twice = answer("echoStringResponse", "x").replacen(
+            "</ns0:echoStringResponse>",
+            "<ns0:return>y</ns0:return></ns0:echoStringResponse>",
+            1,
+        );
+        for xml in [
+            answer("echoStringResponse", "a < b"),
+            answer("otherResponse", "x"),
+            twice.clone(),
+            Envelope::fault(Fault::receiver("kaput")).to_xml(),
+            Envelope::empty().to_xml(),
+        ] {
+            let (_, read) = read_envelope(&xml, &mut |_| {}, |body| reader.read(body)).unwrap();
+            let expected = read_response(&descriptor, "echoString", &xml);
+            assert_eq!(response_value(read), expected, "{xml}");
+        }
+        let (_, read) = read_envelope(&twice, &mut |_| {}, |body| reader.read(body)).unwrap();
+        assert_eq!(Rule::of(&read.unwrap_err()), Some(Rule::Repeated));
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl ServiceDescriptor {
             h.str(value);
         }
         h.len(self.schema.types.len());
-        for (name, ty) in &self.schema.types {
+        for (name, ty) in self.schema.types.iter() {
             h.str(name);
             h.params(&ty.fields);
         }

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use wsp_xml::Element;
 
 /// XML Schema namespace.
@@ -121,9 +122,11 @@ impl ComplexType {
 }
 
 /// The schema section of a service description: named complex types.
+/// Its clones share the types until one of them defines another, so a
+/// response reader can hold its contract's schema without copying it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
-    pub types: BTreeMap<String, ComplexType>,
+    pub types: Arc<BTreeMap<String, ComplexType>>,
 }
 
 impl Schema {
@@ -132,7 +135,7 @@ impl Schema {
     }
 
     pub fn define(&mut self, name: impl Into<String>, ty: ComplexType) -> &mut Self {
-        self.types.insert(name.into(), ty);
+        Arc::make_mut(&mut self.types).insert(name.into(), ty);
         self
     }
 
@@ -147,7 +150,7 @@ impl Schema {
             wsp_xml::QName::local("targetNamespace"),
             target_ns.to_owned(),
         );
-        for (name, ty) in &self.types {
+        for (name, ty) in self.types.iter() {
             let mut seq = Element::new(XSD_NS, "sequence");
             for field in &ty.fields {
                 let mut el = Element::new(XSD_NS, "element");

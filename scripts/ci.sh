@@ -119,7 +119,7 @@ cargo test -q --release -p wsp-integration-tests --test reader_oracle --test voc
 # rule named for its shape). Tier-1 ran this with overflow checks on
 # (the readers slice the input by offsets they computed); run it again
 # without, as it ships. The allocation guard below carries the budgets
-# of a whole invoke (100 over HTTP, 16 of them the server's, 220 over
+# of a whole invoke (100 over HTTP, 16 of them the server's, 109 over
 # P2PS; a 16 KiB echo copies its payload 3 times), of the registry
 # plane (an exact-name locate: 11 in process, 78 over HTTP; a republish
 # through three replicas: 51; a binding's locate of an interface it
@@ -187,15 +187,19 @@ done
 # inbox thread for the rest; deliveries reach the binding on whichever
 # thread stepped it, and a worker sends the reply itself — a race here
 # shows up as a hang or a reordering, not a wrong answer, hence
-# `timeout`. Twenty release runs of the suites that cross those
-# threads: the driver's own tests (two senders' order at one receiver,
-# the depth bound down a 64-peer chain, a panicking sink closing its
-# inbox), the 4-thread x 500 nested-invoke storm, scope and teardown
-# checks in lifecycle_p2ps, and the same application code over both
-# bindings.
-echo "==> P2PS threading stress (thread_driver + lifecycle_p2ps + cross_binding, 20x, release)"
+# `timeout`. The thread that delivers a response reads it once: it
+# looks the call up by `RelatesTo` and settles it in the correlator
+# under two short locks, the body read between them with no lock held.
+# Twenty release runs of the suites that cross those threads: the
+# driver's own tests (two senders' order at one receiver, the depth
+# bound down a 64-peer chain, a panicking sink closing its inbox), the
+# correlator's, the 4-thread x 500 nested-invoke storm, scope, teardown
+# and return-pipe checks in lifecycle_p2ps, and the same application
+# code over both bindings.
+echo "==> P2PS threading stress (thread_driver + rpc + lifecycle_p2ps + cross_binding, 20x, release)"
 timeout 900 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-p2ps --lib thread_driver || exit 1
+  cargo test -q --release -p wsp-p2ps --lib rpc || exit 1
   cargo test -q --release -p wsp-integration-tests --test lifecycle_p2ps --test cross_binding || exit 1
 done'
 

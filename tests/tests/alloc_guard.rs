@@ -610,13 +610,14 @@ fn warm_serve_of_the_echo_request_allocates_sixteen_times_at_most() {
     provider.server().undeploy("Echo");
 }
 
-/// The same invoke over P2PS: caller, the provider's inbox thread, a
-/// worker, the consumer's inbox thread — two `PipeData` frames, four
-/// machine steps on pipes and calls, the return pipe opened and closed
-/// around it. 300 when each of the four passes went through an
-/// envelope.
+/// The same invoke over P2PS: the caller, then the provider's worker,
+/// then the caller again — two `PipeData` frames, each envelope read
+/// once (the request by the provider, the response by the thread that
+/// delivers it, with the reader its call registered), the return pipe
+/// opened and closed around it. 89 measured; 113 when the consumer read
+/// each response twice, 300 when every pass went through an envelope.
 #[test]
-fn warm_p2ps_invoke_stays_within_two_hundred_and_twenty_allocations() {
+fn warm_p2ps_invoke_stays_within_one_hundred_and_nine_allocations() {
     use wsp_core::bindings::{P2psBinding, P2psConfig};
     use wsp_core::{EventBus, Peer, ServiceQuery};
     use wsp_p2ps::{PeerConfig, PeerId, ThreadNetwork};
@@ -645,10 +646,10 @@ fn warm_p2ps_invoke_stays_within_two_hundred_and_twenty_allocations() {
         .find_map(|_| consumer.client().locate_one(&query).ok())
         .expect("located within a hundred discovery windows");
     let argument = [Value::string(SMALL_ARGUMENT)];
-    let least = least_process_allocations(220, || {
+    let least = least_process_allocations(109, || {
         let reply = consumer.client().invoke(&service, "echoString", &argument);
         assert_eq!(reply.ok().as_ref(), Some(&argument[0]));
     });
-    assert!(least <= 220, "a warm P2PS invoke allocated {least} times");
+    assert!(least <= 109, "a warm P2PS invoke allocated {least} times");
     provider.server().undeploy("Echo");
 }

@@ -4,14 +4,20 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wsp_core::overload::current_deadline;
+use wsp_core::bindings::{P2psBinding, P2psConfig};
+use wsp_core::overload::{self, current_deadline};
 use wsp_core::{
-    telemetry, BindingKind, CorrelationScope, DeadlineScope, DeployedService, LocatedService,
-    ServiceQuery, WspError,
+    telemetry, BindingKind, CorrelationScope, DeadlineScope, DeployedService, EventBus,
+    LocatedService, Peer, ServiceQuery, WspError,
 };
 use wsp_integration_tests::{calc_descriptor, calc_handler, p2ps_star, p2ps_wspeer, wait_until};
-use wsp_p2ps::{PeerConfig, PeerId, PipeAdvertisement, ThreadNetwork};
-use wsp_wsdl::{ServiceHandler, Value};
+use wsp_p2ps::{
+    decode_request, encode_response, PeerConfig, PeerId, PipeAdvertisement, ServiceAdvertisement,
+    ThreadNetwork, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE,
+};
+use wsp_soap::{Envelope, MessageHeaders};
+use wsp_wsdl::{Port, ServiceHandler, TransportKind, Value, WsdlDocument};
+use wsp_xml::Element;
 
 #[test]
 fn full_lifecycle_over_pipes() {
@@ -439,4 +445,223 @@ fn a_callers_scopes_stop_at_the_provider() {
         .trace_for(caller)
         .iter()
         .all(|span| !span.stage.starts_with("server.")));
+}
+
+// --- the return pipe's contracts, against a provider driven by hand ----------
+
+/// A consumer whose calls give up after `timeout`.
+fn consumer_timing_out_after(peer: ThreadPeer, timeout: Duration) -> (Peer, P2psBinding) {
+    let config = P2psConfig {
+        discovery_window: Duration::from_millis(400),
+        request_timeout: timeout,
+    };
+    let binding = P2psBinding::new(peer, EventBus::new(), config);
+    (Peer::with_binding(&binding), binding)
+}
+
+/// `Calc`'s advert on a provider with no binding: its pipes open, and
+/// whatever arrives on them left for the test to read and answer.
+fn hand_driven_calc(provider: &ThreadPeer) -> ServiceAdvertisement {
+    let mut advert = ServiceAdvertisement::new("Calc", provider.id());
+    for op in &calc_descriptor().operations {
+        advert = advert.with_pipe(op.name.clone());
+    }
+    let advert = advert.with_definition_pipe();
+    provider.register(advert.clone());
+    advert
+}
+
+/// The next request to reach `provider`, on which pipe: where its
+/// response goes, and under which headers.
+fn next_request(provider: &ThreadPeer) -> (String, PipeAdvertisement, MessageHeaders) {
+    loop {
+        let event = provider.recv_event(Duration::from_secs(5));
+        if let Some(ThreadPeerEvent::PipeDelivery { pipe, payload, .. }) = event {
+            let headers = decode_request(&payload, &mut |_| {}).expect("a request envelope");
+            let (reply_pipe, response) = encode_response(&headers).expect("a ReplyTo");
+            return (pipe.name, reply_pipe, response);
+        }
+        assert!(event.is_some(), "no request reached the provider");
+    }
+}
+
+/// `body` sent under `headers`, as it travels.
+fn under(headers: &MessageHeaders, mut body: Envelope) -> String {
+    body.set_addressing(headers.clone());
+    body.to_xml()
+}
+
+/// The body of an answer to `add`, its `return` elements holding
+/// `values`.
+fn add_response(values: &[&str]) -> Envelope {
+    let ns = calc_descriptor().namespace;
+    let results = values
+        .iter()
+        .map(|v| Element::build(ns.clone(), "return").text(*v).finish());
+    Envelope::request(
+        Element::build(ns.clone(), "addResponse")
+            .children(results)
+            .finish(),
+    )
+}
+
+/// `add(20, 22)` from a consumer giving up after two seconds, the
+/// provider answering its request with what `answers` writes under the
+/// response's headers — in order, down the return pipe the request
+/// named — and how long the call took.
+fn add_answered_with(
+    answers: impl FnOnce(&MessageHeaders) -> Vec<String> + Send,
+) -> (Result<Value, WspError>, Duration) {
+    let network = ThreadNetwork::new();
+    let provider = network.spawn(PeerConfig::ordinary(PeerId(0xA1)));
+    let advert = hand_driven_calc(&provider);
+    let (consumer, _binding) = consumer_timing_out_after(
+        network.spawn(PeerConfig::ordinary(PeerId(0xA2))),
+        Duration::from_secs(2),
+    );
+    let wsdl = WsdlDocument::new(calc_descriptor(), Vec::new());
+    let service = LocatedService::new(wsdl, advert.uri().address(), BindingKind::P2ps);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (pipe, reply_pipe, headers) = next_request(&provider);
+            assert_eq!(pipe, "add");
+            for answer in answers(&headers) {
+                provider.send_pipe(reply_pipe.clone(), answer);
+            }
+        });
+        let started = Instant::now();
+        let args = [Value::Double(20.0), Value::Double(22.0)];
+        let sum = consumer.client().invoke(&service, "add", &args);
+        (sum, started.elapsed())
+    })
+}
+
+#[test]
+fn a_response_to_no_outstanding_call_is_passed_over() {
+    let (sum, _) = add_answered_with(|headers| {
+        let stray = MessageHeaders {
+            relates_to: Some("urn:wsp:msg:answers-nothing".into()),
+            ..headers.clone()
+        };
+        vec![
+            under(&stray, add_response(&["1"])),
+            under(headers, add_response(&["42"])),
+        ]
+    });
+    assert_eq!(sum.unwrap(), Value::Double(42.0));
+}
+
+#[test]
+fn a_message_that_is_no_envelope_is_passed_over() {
+    let (sum, _) = add_answered_with(|headers| {
+        let whole = under(headers, add_response(&["42"]));
+        vec![
+            "not XML at all".to_owned(),
+            "<env:Envelope/>".to_owned(),
+            whole[..whole.len() - 4].to_owned(),
+            whole,
+        ]
+    });
+    assert_eq!(sum.unwrap(), Value::Double(42.0));
+}
+
+#[test]
+fn a_response_that_breaks_a_shape_rule_is_a_bad_response_not_a_timeout() {
+    let (sum, took) = add_answered_with(|headers| vec![under(headers, add_response(&["1", "2"]))]);
+    let error = sum.unwrap_err();
+    assert!(
+        matches!(&error, WspError::Invoke(why) if why.starts_with("malformed response: Repeated")),
+        "{error:?}"
+    );
+    assert!(took < Duration::from_secs(1), "waited {took:?}");
+}
+
+/// A body that reads cleanly does not settle its call before the rest
+/// of the envelope has: a second body child makes it a bad response.
+#[test]
+fn a_response_with_more_after_its_result_is_a_bad_response() {
+    let (sum, _) = add_answered_with(|headers| {
+        let xml = under(headers, add_response(&["42"]));
+        let more = "<more/></env:Body>";
+        assert!(xml.contains("</env:Body>"), "{xml}");
+        vec![xml.replacen("</env:Body>", more, 1)]
+    });
+    let error = sum.unwrap_err();
+    assert!(
+        matches!(&error, WspError::Invoke(why) if why.starts_with("malformed response: Repeated")),
+        "{error:?}"
+    );
+}
+
+/// A header after `RelatesTo` that breaks a rule ends the read before
+/// the body; the call it names still learns why.
+#[test]
+fn a_response_whose_header_breaks_a_shape_rule_is_a_bad_response() {
+    let (sum, took) = add_answered_with(|headers| {
+        let xml = under(headers, add_response(&["42"]));
+        let (start, end) = (xml.find("<wsa:RelatesTo"), xml.find("</wsa:RelatesTo>"));
+        let (Some(start), Some(end)) = (start, end) else {
+            panic!("no RelatesTo in {xml}");
+        };
+        let end = end + "</wsa:RelatesTo>".len();
+        vec![format!("{}{}", &xml[..end], &xml[start..])]
+    });
+    let error = sum.unwrap_err();
+    assert!(
+        matches!(&error, WspError::Invoke(why) if why.starts_with("malformed response: Repeated")),
+        "{error:?}"
+    );
+    assert!(took < Duration::from_secs(1), "waited {took:?}");
+}
+
+#[test]
+fn a_busy_fault_down_the_return_pipe_is_overloaded_with_its_hint() {
+    let (sum, _) = add_answered_with(|headers| {
+        let reason = overload::busy_fault_reason(Duration::from_millis(250));
+        vec![under(
+            headers,
+            Envelope::fault(wsp_soap::Fault::receiver(reason)),
+        )]
+    });
+    let error = sum.unwrap_err();
+    assert!(
+        matches!(
+            error,
+            WspError::Overloaded {
+                retry_after_ms: Some(250)
+            }
+        ),
+        "{error:?}"
+    );
+}
+
+#[test]
+fn a_located_service_brings_the_wsdl_its_definition_pipe_answered_with() {
+    let (_network, _rv, mut peers) = p2ps_star(2);
+    let (consumer, _binding) =
+        consumer_timing_out_after(peers.pop().unwrap(), Duration::from_secs(2));
+    let provider = peers.pop().unwrap();
+    let advert = hand_driven_calc(&provider);
+    provider.publish(advert.clone());
+    std::thread::sleep(Duration::from_millis(150));
+    let location = advert.uri().address();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (pipe, reply_pipe, headers) = next_request(&provider);
+            assert_eq!(pipe, DEFINITION_PIPE);
+            let port = Port {
+                name: "CalcP2psPort".into(),
+                transport: TransportKind::P2ps,
+                location: location.clone(),
+            };
+            let wsdl = WsdlDocument::new(calc_descriptor(), vec![port]).to_element();
+            provider.send_pipe(reply_pipe, under(&headers, Envelope::request(wsdl)));
+        });
+        let located = (consumer.client())
+            .locate_one(&ServiceQuery::by_name("Calc"))
+            .unwrap();
+        assert_eq!(located.endpoint, location);
+        assert_eq!(located.wsdl.descriptor, calc_descriptor());
+        assert_eq!(located.wsdl.ports[0].location, location);
+    });
 }
