@@ -48,7 +48,6 @@ use crate::server::{HostedService, Hosting, Incoming};
 use crate::telemetry::{self, CorrelationScope};
 use crossbeam_channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -283,8 +282,8 @@ fn deliver_response(shared: &Shared, payload: &str) {
     let read = read_envelope_with(payload, &mut |_| {}, |headers, body| {
         answered = awaiting(shared, headers);
         match &answered {
-            Some((_, call)) => call.read(body).map(Some),
-            None => Ok(None),
+            Some((_, call)) => call.read(body).map(|()| true),
+            None => Ok(false),
         }
     });
     let Ok((headers, read)) = read else {
@@ -294,12 +293,14 @@ fn deliver_response(shared: &Shared, payload: &str) {
     let Some((token, call)) = answered.or_else(|| awaiting(shared, &headers)) else {
         return;
     };
-    let Some(read) = read.transpose() else {
-        return;
+    let refused = match read {
+        Ok(false) => return,
+        Ok(true) => None,
+        Err(fault) => Some(fault),
     };
     if shared.correlator.lock().settle(token) {
         shared.pending_requests.lock().remove(&token);
-        call.complete(read);
+        call.complete(refused);
     }
 }
 
@@ -393,16 +394,18 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: Strin
 /// A pipe call awaiting its response, as the delivery sink sees it: the
 /// reader of the body the call expects, and the caller's handle.
 trait PendingCall: Send + Sync {
-    /// Read the body of a response to the call with the call's reader.
-    fn read(&self, body: Payload<'_, '_>) -> Result<Box<dyn Any + Send>, SoapError>;
-    /// Complete the caller's handle with what [`PendingCall::read`]
-    /// returned, or with the fault the envelope was refused with.
-    fn complete(&self, read: Result<Box<dyn Any + Send>, Fault>);
+    /// Read the body of a response to the call with the call's reader,
+    /// keeping the value for [`PendingCall::complete`].
+    fn read(&self, body: Payload<'_, '_>) -> Result<(), SoapError>;
+    /// Complete the caller's handle with the value read, or with the
+    /// fault the envelope was `refused` with.
+    fn complete(&self, refused: Option<Fault>);
 }
 
 /// The [`PendingCall`] of a call whose response body `R` reads as a `T`.
 struct PipeCall<T, R> {
     read: R,
+    value: Mutex<Option<T>>,
     completer: Mutex<Option<Completer<Result<T, Fault>>>>,
 }
 
@@ -411,12 +414,17 @@ where
     T: Send + 'static,
     R: Fn(Payload<'_, '_>) -> Result<T, SoapError> + Send + Sync,
 {
-    fn read(&self, body: Payload<'_, '_>) -> Result<Box<dyn Any + Send>, SoapError> {
-        Ok(Box::new((self.read)(body)?))
+    fn read(&self, body: Payload<'_, '_>) -> Result<(), SoapError> {
+        let value = (self.read)(body)?;
+        *self.value.lock() = Some(value);
+        Ok(())
     }
 
-    fn complete(&self, read: Result<Box<dyn Any + Send>, Fault>) {
-        let read = read.map(|value| *value.downcast::<T>().expect("read by this call"));
+    fn complete(&self, refused: Option<Fault>) {
+        let value = self.value.lock().take();
+        let Some(read) = refused.map(Err).or(value.map(Ok)) else {
+            return;
+        };
         if let Some(completer) = self.completer.lock().take() {
             completer.complete(read);
         }
@@ -461,8 +469,11 @@ fn request_over_pipe<T: Send + 'static>(
     // correlation table; the delivery sink completes it when the
     // response arrives.
     let (handle, completer) = dispatcher.register(token);
-    let completer = Mutex::new(Some(completer));
-    let call = Arc::new(PipeCall { read, completer });
+    let call = Arc::new(PipeCall {
+        read,
+        value: Mutex::new(None),
+        completer: Mutex::new(Some(completer)),
+    });
     shared.pending_requests.lock().insert(token, call);
     // Step 3-5: serialise the advert into ReplyTo and send the request.
     let headers = (shared.correlator.lock()).encode_request(token, &target, &return_pipe);

@@ -5,7 +5,6 @@
 
 use crate::advert::{PipeAdvertisement, P2PS_NS};
 use crate::uri::P2psUri;
-use wsp_soap::addressing::generate_message_id;
 use wsp_soap::{EndpointReference, MessageHeaders};
 use wsp_xml::Element;
 
@@ -45,16 +44,7 @@ pub fn epr_to_advert(epr: &EndpointReference) -> Option<PipeAdvertisement> {
 /// `target` (rule 3: `To` = the Address URI, `Action` = Address plus the
 /// pipe-name fragment, reference properties copied into the header).
 pub fn request_headers(target: &PipeAdvertisement) -> MessageHeaders {
-    // `MessageHeaders::to_endpoint`, the reference moved in, not copied:
-    // it was built for this message.
-    let epr = advert_to_epr(target);
-    MessageHeaders {
-        to: Some(epr.address),
-        action: Some(target.action()),
-        message_id: Some(generate_message_id()),
-        destination_properties: epr.reference_properties,
-        ..MessageHeaders::default()
-    }
+    MessageHeaders::to_endpoint(advert_to_epr(target), target.action())
 }
 
 /// Attach a return pipe to a request (rule 4: the header "can contain a
@@ -113,10 +103,6 @@ mod tests {
         );
         // Reference properties copied into the header set.
         assert_eq!(headers.destination_properties.len(), 1);
-        let epr = advert_to_epr(&service_pipe());
-        let mut expected = MessageHeaders::to_endpoint(&epr, service_pipe().uri().action());
-        expected.message_id = headers.message_id.clone();
-        assert_eq!(headers, expected);
     }
 
     #[test]

@@ -110,12 +110,12 @@ impl MessageHeaders {
     /// Headers for a message addressed at a full EPR: the EPR's address
     /// becomes `To` and its reference properties are copied into the
     /// header (the paper's mapping, step 3).
-    pub fn to_endpoint(epr: &EndpointReference, action: impl Into<String>) -> Self {
+    pub fn to_endpoint(epr: EndpointReference, action: impl Into<String>) -> Self {
         MessageHeaders {
-            to: Some(epr.address.clone()),
+            to: Some(epr.address),
             action: Some(action.into()),
             message_id: Some(generate_message_id()),
-            destination_properties: epr.reference_properties.clone(),
+            destination_properties: epr.reference_properties,
             ..MessageHeaders::default()
         }
     }
@@ -329,7 +329,7 @@ mod tests {
         let epr = EndpointReference::new("p2ps://peer/Svc")
             .with_property(Element::build("urn:p2ps", "PipeName").text("in").finish());
         let mut env = Envelope::request(payload());
-        env.set_addressing(MessageHeaders::to_endpoint(&epr, "urn:act"));
+        env.set_addressing(MessageHeaders::to_endpoint(epr, "urn:act"));
         let back = Envelope::from_xml(&env.to_xml()).unwrap();
         // The pipe name surfaces as an ordinary header for P2PS to read.
         let h = back.find_header("urn:p2ps", "PipeName").unwrap();

@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn streamed_envelope_is_the_tree_writers_and_reads_back() {
         let leading = [Element::build("", "budget").text("250").finish()];
-        let headers = MessageHeaders::to_endpoint(&reply_to(), "urn:act")
+        let headers = MessageHeaders::to_endpoint(reply_to(), "urn:act")
             .with_reply_to(reply_to())
             .with_from(EndpointReference::new("urn:me"));
         let (xml, seen) = round_trip(&leading, &headers);

@@ -119,7 +119,7 @@ cargo test -q --release -p wsp-integration-tests --test reader_oracle --test voc
 # rule named for its shape). Tier-1 ran this with overflow checks on
 # (the readers slice the input by offsets they computed); run it again
 # without, as it ships. The allocation guard below carries the budgets
-# of a whole invoke (100 over HTTP, 16 of them the server's, 109 over
+# of a whole invoke (100 over HTTP, 16 of them the server's, 108 over
 # P2PS; a 16 KiB echo copies its payload 3 times), of the registry
 # plane (an exact-name locate: 11 in process, 78 over HTTP; a republish
 # through three replicas: 51; a binding's locate of an interface it

@@ -614,10 +614,10 @@ fn warm_serve_of_the_echo_request_allocates_sixteen_times_at_most() {
 /// then the caller again — two `PipeData` frames, each envelope read
 /// once (the request by the provider, the response by the thread that
 /// delivers it, with the reader its call registered), the return pipe
-/// opened and closed around it. 89 measured; 113 when the consumer read
+/// opened and closed around it. 88 measured; 113 when the consumer read
 /// each response twice, 300 when every pass went through an envelope.
 #[test]
-fn warm_p2ps_invoke_stays_within_one_hundred_and_nine_allocations() {
+fn warm_p2ps_invoke_stays_within_one_hundred_and_eight_allocations() {
     use wsp_core::bindings::{P2psBinding, P2psConfig};
     use wsp_core::{EventBus, Peer, ServiceQuery};
     use wsp_p2ps::{PeerConfig, PeerId, ThreadNetwork};
@@ -646,10 +646,10 @@ fn warm_p2ps_invoke_stays_within_one_hundred_and_nine_allocations() {
         .find_map(|_| consumer.client().locate_one(&query).ok())
         .expect("located within a hundred discovery windows");
     let argument = [Value::string(SMALL_ARGUMENT)];
-    let least = least_process_allocations(109, || {
+    let least = least_process_allocations(108, || {
         let reply = consumer.client().invoke(&service, "echoString", &argument);
         assert_eq!(reply.ok().as_ref(), Some(&argument[0]));
     });
-    assert!(least <= 109, "a warm P2PS invoke allocated {least} times");
+    assert!(least <= 108, "a warm P2PS invoke allocated {least} times");
     provider.server().undeploy("Echo");
 }

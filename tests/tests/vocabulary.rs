@@ -42,7 +42,7 @@ fn documents() -> Vec<(&'static str, String)> {
         .encode_request("echoString", &[Value::string("hello")])
         .expect("encode echo request");
     request.set_addressing(
-        MessageHeaders::to_endpoint(&advert_to_epr(&pipe), "urn:wspeer:echo#echoString")
+        MessageHeaders::to_endpoint(advert_to_epr(&pipe), "urn:wspeer:echo#echoString")
             .with_reply_to(advert_to_epr(&pipe))
             .with_from(advert_to_epr(&pipe)),
     );
