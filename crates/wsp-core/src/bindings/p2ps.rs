@@ -12,7 +12,7 @@
 //! The binding owns no thread. It installs a delivery sink on its
 //! [`ThreadPeer`] (holding a `Weak` back-reference, so the peer handle
 //! and the binding do not keep each other alive), and everything the
-//! peer delivers reaches [`on_peer_event`] on the thread that stepped
+//! peer delivers reaches `on_peer_event` on the thread that stepped
 //! the peer's machine: the sending peer's thread when this peer was
 //! idle, else this peer's inbox thread (see `wsp_p2ps::thread_driver`).
 //! Either way the sink runs as an inbox thread would, under

@@ -168,8 +168,8 @@ impl IdleSet {
 /// peer closed or reset it) is detected by a non-blocking peek and
 /// retired before any request bytes are written to it. A pooled
 /// connection that fails *mid-exchange* gets exactly one retry on a
-/// fresh connection. The pool holds at most [`MAX_IDLE`] idle sockets
-/// (oldest evicted first) and retires any idle past [`MAX_IDLE_AGE`].
+/// fresh connection. The pool holds at most `MAX_IDLE` idle sockets
+/// (oldest evicted first) and retires any idle past `MAX_IDLE_AGE`.
 #[derive(Default)]
 pub struct ConnectionPool {
     pub(crate) idle: parking_lot::Mutex<IdleSet>,

@@ -11,10 +11,11 @@
 //! inside handlers at once). Every per-connection decision is a pure
 //! [`ConnMachine`] transition with header/body/idle deadlines on the
 //! reactor's timer wheel, and the server's lifecycle — admit, reject at
-//! the cap, drain, stop — is the pure [`DrainMachine`]. This module is
-//! the shell that feeds both machines events and carries out their
-//! effects, so what `wsp-check` proves about them holds for every
-//! request the server can serve.
+//! the cap, drain, stop — is the pure
+//! [`DrainMachine`](crate::drain::DrainMachine). This module is the
+//! shell that feeds both machines events and carries out their effects,
+//! so what `wsp-check` proves about them holds for every request the
+//! server can serve.
 
 use crate::codec::{encode_response, encode_response_into, frame_len, parse_request, HeadScan};
 use crate::conn::{ConnEffect, ConnEvent, ConnMachine, ConnState, Phase, TimerKind};

@@ -9,7 +9,6 @@
 
 use crate::id::PeerId;
 use crate::uri::{address_with, P2psUri};
-use wsp_xml::Element;
 
 /// Namespace of P2PS advertisements and protocol messages.
 pub const P2PS_NS: &str = "urn:wspeer:p2ps";
@@ -56,24 +55,6 @@ impl PipeAdvertisement {
             uri = uri.with_service(s.clone());
         }
         uri
-    }
-
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new(P2PS_NS, "PipeAdvertisement");
-        e.push_element(
-            Element::build(P2PS_NS, "Peer")
-                .text(self.peer.to_hex())
-                .finish(),
-        );
-        if let Some(s) = &self.service {
-            e.push_element(Element::build(P2PS_NS, "Service").text(s.clone()).finish());
-        }
-        e.push_element(
-            Element::build(P2PS_NS, "Name")
-                .text(self.name.clone())
-                .finish(),
-        );
-        e
     }
 }
 
@@ -136,36 +117,6 @@ impl ServiceAdvertisement {
     /// The service's `p2ps://` address.
     pub fn uri(&self) -> P2psUri {
         P2psUri::new(self.peer).with_service(self.name.clone())
-    }
-
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new(P2PS_NS, "ServiceAdvertisement");
-        e.push_element(
-            Element::build(P2PS_NS, "Name")
-                .text(self.name.clone())
-                .finish(),
-        );
-        e.push_element(
-            Element::build(P2PS_NS, "Peer")
-                .text(self.peer.to_hex())
-                .finish(),
-        );
-        for pipe in &self.pipes {
-            e.push_element(pipe.to_element());
-        }
-        if !self.attributes.is_empty() {
-            let mut attrs = Element::new(P2PS_NS, "Attributes");
-            for (k, v) in &self.attributes {
-                attrs.push_element(
-                    Element::build(P2PS_NS, "Attribute")
-                        .attr_str("name", k.clone())
-                        .text(v.clone())
-                        .finish(),
-                );
-            }
-            e.push_element(attrs);
-        }
-        e
     }
 }
 

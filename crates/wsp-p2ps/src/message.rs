@@ -2,14 +2,15 @@
 //! serialisation so the simulated wire carries the same bytes a real
 //! deployment would.
 //!
-//! [`P2psMessage::from_xml`] is the one reader of that wire. It reads
-//! what [`P2psMessage::to_xml`] writes off the pull reader — with any
-//! prefix, in any layout, CDATA as text, the parts of an element in any
-//! order, a peer id with layout around it — and refuses the rest by the
-//! shape [`Rule`] it breaks (DESIGN.md §11): a foreign element or
-//! attribute, markup in a text leaf, a single part repeated or a
-//! required one missing, a bad number or peer id, anything after the
-//! root.
+//! [`P2psMessage::to_xml`] is the one writer of that wire: it streams
+//! every message, gossip and pipe data alike. [`P2psMessage::from_xml`]
+//! is the one reader. It reads what the writer writes off the pull
+//! reader — with any prefix, in any layout, CDATA as text, the parts of
+//! an element in any order, a peer id with layout around it — and
+//! refuses the rest by the shape [`Rule`] it breaks (DESIGN.md §11): a
+//! foreign element or attribute, markup in a text leaf, a single part
+//! repeated or a required one missing, a bad number or peer id,
+//! anything after the root.
 
 use crate::advert::{PipeAdvertisement, ServiceAdvertisement, P2PS_NS};
 use crate::id::PeerId;
@@ -18,7 +19,7 @@ use std::borrow::Cow;
 use wsp_soap::typed::{attributes, name_of, next_tag, number, only, plain, read_parts, read_text};
 use wsp_soap::typed::{required, Rule};
 use wsp_soap::SoapError;
-use wsp_xml::{Element, Pull, PullReader};
+use wsp_xml::{decimal, Pull, PullReader, StreamWriter};
 
 /// Messages between peers.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,80 +66,63 @@ impl P2psMessage {
         String::from_utf8(out).expect("writer output is UTF-8")
     }
 
-    /// Serialise to the wire form, appending to `out`. `PipeData` — the
-    /// one message every invocation pays for, twice — streams through
-    /// the writer without an [`Element`] tree or a copy of its payload;
-    /// the bytes are those of [`P2psMessage::to_element`] through the
-    /// tree writer, which the rarer variants still use.
+    /// Serialise to the wire form, appending to `out`. Every message
+    /// streams through the writer without a [`wsp_xml::Element`] tree or
+    /// a copy of its payload, so a warm write into a pooled buffer
+    /// allocates nothing.
     pub fn to_xml_into(&self, out: &mut Vec<u8>) {
         thread_local! {
             static WRITER: std::cell::RefCell<wsp_xml::Writer> =
                 std::cell::RefCell::new(wsp_xml::Writer::new(wsp_xml::WriterConfig::default()));
         }
-        WRITER.with(|w| {
-            let mut writer = w.borrow_mut();
-            match self {
-                P2psMessage::PipeData { to, payload } => writer.write_stream_into(out, |s| {
-                    s.element(P2PS_NS, "PipeData", |s| {
-                        s.element(P2PS_NS, "PipeAdvertisement", |s| {
-                            s.element(P2PS_NS, "Peer", |s| s.text(to.peer.hex_into(&mut [0; 16])));
-                            if let Some(service) = &to.service {
-                                s.element(P2PS_NS, "Service", |s| s.text(service));
-                            }
-                            s.element(P2PS_NS, "Name", |s| s.text(&to.name));
-                        });
-                        s.element(P2PS_NS, "Payload", |s| s.text(payload));
-                    });
-                }),
-                other => writer.write_into(&other.to_element(), out),
-            }
-        });
+        WRITER.with(|w| w.borrow_mut().write_stream_into(out, |s| self.write(s)));
     }
 
-    pub fn to_element(&self) -> Element {
+    fn write(&self, s: &mut StreamWriter<'_>) {
+        let (mut first, mut second, mut hex) = ([0; 20], [0; 20], [0; 16]);
         match self {
-            P2psMessage::Advertise { advert, ttl } => Element::build(P2PS_NS, "Advertise")
-                .attr_str("ttl", ttl.to_string())
-                .child(advert.to_element())
-                .finish(),
+            P2psMessage::Advertise { advert, ttl } => {
+                let ttl = [("", "ttl", decimal(u64::from(*ttl), &mut first))];
+                s.element_with(P2PS_NS, "Advertise", &ttl, |s| write_service(s, advert));
+            }
             P2psMessage::Query {
                 id,
                 origin,
                 query,
                 ttl,
-            } => Element::build(P2PS_NS, "QueryMsg")
-                .attr_str("id", id.to_string())
-                .attr_str("origin", origin.to_hex())
-                .attr_str("ttl", ttl.to_string())
-                .child(query.to_element())
-                .finish(),
+            } => {
+                let attributes = [
+                    ("", "id", decimal(*id, &mut first)),
+                    ("", "origin", origin.hex_into(&mut hex)),
+                    ("", "ttl", decimal(u64::from(*ttl), &mut second)),
+                ];
+                s.element_with(P2PS_NS, "QueryMsg", &attributes, |s| write_query(s, query));
+            }
             P2psMessage::QueryHit {
                 id,
                 origin,
                 adverts,
             } => {
-                let mut e = Element::new(P2PS_NS, "QueryHit");
-                e.set_attribute(wsp_xml::QName::local("id"), id.to_string());
-                e.set_attribute(wsp_xml::QName::local("origin"), origin.to_hex());
-                for a in adverts {
-                    e.push_element(a.to_element());
-                }
-                e
+                let attributes = [
+                    ("", "id", decimal(*id, &mut first)),
+                    ("", "origin", origin.hex_into(&mut hex)),
+                ];
+                s.element_with(P2PS_NS, "QueryHit", &attributes, |s| {
+                    adverts.iter().for_each(|advert| write_service(s, advert));
+                });
             }
-            P2psMessage::PipeData { to, payload } => Element::build(P2PS_NS, "PipeData")
-                .child(to.to_element())
-                .child(
-                    Element::build(P2PS_NS, "Payload")
-                        .text(payload.clone())
-                        .finish(),
-                )
-                .finish(),
-            P2psMessage::Ping { nonce } => Element::build(P2PS_NS, "Ping")
-                .attr_str("nonce", nonce.to_string())
-                .finish(),
-            P2psMessage::Pong { nonce } => Element::build(P2PS_NS, "Pong")
-                .attr_str("nonce", nonce.to_string())
-                .finish(),
+            P2psMessage::PipeData { to, payload } => s.element(P2PS_NS, "PipeData", |s| {
+                write_pipe(s, to);
+                s.element(P2PS_NS, "Payload", |s| s.text(payload));
+            }),
+            P2psMessage::Ping { nonce } => {
+                let nonce = [("", "nonce", decimal(*nonce, &mut first))];
+                s.element_with(P2PS_NS, "Ping", &nonce, |_| {});
+            }
+            P2psMessage::Pong { nonce } => {
+                let nonce = [("", "nonce", decimal(*nonce, &mut first))];
+                s.element_with(P2PS_NS, "Pong", &nonce, |_| {});
+            }
         }
     }
 
@@ -149,6 +133,50 @@ impl P2psMessage {
         reader.next().ok()?;
         let message = read_message(reader).ok()?;
         (reader.next().ok()? == Pull::Eof).then_some(message)
+    }
+}
+
+fn write_pipe(s: &mut StreamWriter<'_>, pipe: &PipeAdvertisement) {
+    s.element(P2PS_NS, "PipeAdvertisement", |s| {
+        s.element(P2PS_NS, "Peer", |s| {
+            s.text(pipe.peer.hex_into(&mut [0; 16]))
+        });
+        if let Some(service) = &pipe.service {
+            s.element(P2PS_NS, "Service", |s| s.text(service));
+        }
+        s.element(P2PS_NS, "Name", |s| s.text(&pipe.name));
+    });
+}
+
+fn write_service(s: &mut StreamWriter<'_>, advert: &ServiceAdvertisement) {
+    s.element(P2PS_NS, "ServiceAdvertisement", |s| {
+        s.element(P2PS_NS, "Name", |s| s.text(&advert.name));
+        s.element(P2PS_NS, "Peer", |s| {
+            s.text(advert.peer.hex_into(&mut [0; 16]))
+        });
+        advert.pipes.iter().for_each(|pipe| write_pipe(s, pipe));
+        if !advert.attributes.is_empty() {
+            s.element(P2PS_NS, "Attributes", |s| {
+                write_attributes(s, &advert.attributes)
+            });
+        }
+    });
+}
+
+fn write_query(s: &mut StreamWriter<'_>, query: &P2psQuery) {
+    s.element(P2PS_NS, "Query", |s| {
+        if let Some(pattern) = &query.name_pattern {
+            s.element(P2PS_NS, "Name", |s| s.text(pattern));
+        }
+        write_attributes(s, &query.attributes);
+    });
+}
+
+/// `<Attribute name="k">v</Attribute>` per pair, of an advert or a query.
+fn write_attributes(s: &mut StreamWriter<'_>, attributes: &[(String, String)]) {
+    for (key, value) in attributes {
+        let name = [("", "name", key.as_str())];
+        s.element_with(P2PS_NS, "Attribute", &name, |s| s.text(value));
     }
 }
 
@@ -328,6 +356,7 @@ fn peer_id(hex: Option<&str>, name: &str) -> Result<PeerId, SoapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wsp_xml::Element;
 
     fn advert() -> ServiceAdvertisement {
         ServiceAdvertisement::new("Echo", PeerId(0xabc))

@@ -5,8 +5,8 @@
 //! be extended to support attribute-based search, as opposed to the
 //! key-based search employed by DHT systems".
 
-use crate::advert::{ServiceAdvertisement, P2PS_NS};
-use wsp_xml::Element;
+use crate::advert::ServiceAdvertisement;
+use wsp_soap::wildcard_match;
 
 /// A query against published service advertisements.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -46,50 +46,6 @@ impl P2psQuery {
             .iter()
             .all(|(k, v)| advert.attribute(k) == Some(v.as_str()))
     }
-
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new(P2PS_NS, "Query");
-        if let Some(p) = &self.name_pattern {
-            e.push_element(Element::build(P2PS_NS, "Name").text(p.clone()).finish());
-        }
-        for (k, v) in &self.attributes {
-            e.push_element(
-                Element::build(P2PS_NS, "Attribute")
-                    .attr_str("name", k.clone())
-                    .text(v.clone())
-                    .finish(),
-            );
-        }
-        e
-    }
-}
-
-/// Case-insensitive `%`-wildcard matcher (same semantics as the UDDI
-/// layer, so WSPeer's `ServiceQuery` abstraction maps onto both).
-pub fn wildcard_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().flat_map(|c| c.to_lowercase()).collect();
-    let t: Vec<char> = text.chars().flat_map(|c| c.to_lowercase()).collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None;
-    while ti < t.len() {
-        if pi < p.len() && p[pi] == t[ti] {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            pi = sp + 1;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
 }
 
 #[cfg(test)]

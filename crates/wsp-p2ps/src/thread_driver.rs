@@ -41,7 +41,7 @@
 //! [`ThreadPeer::recv_event`].
 //!
 //! **Lock rule:** the machine lock is held for the step alone — never
-//! across [`ThreadNetwork::route`] and never across a sink call — so a
+//! across `ThreadNetwork::route` and never across a sink call — so a
 //! sink may re-enter the peer (`send_pipe` from inside a delivery), two
 //! peers may send to each other concurrently, and a loopback send
 //! delivers on the caller's own stack. Since a sink may run on another

@@ -87,6 +87,13 @@ fn fetch_map(transport: &UddiTransport) -> Option<ShardMap> {
     }
 }
 
+/// Whether every member of every shard of `map` is one of the first
+/// `nodes` nodes: the client indexes its endpoints and transports by
+/// member.
+fn members_within(map: &ShardMap, nodes: usize) -> bool {
+    (0..map.shard_count()).all(|s| map.shard(s).members.iter().all(|&m| m < nodes))
+}
+
 /// What a routed call's fault told us to do next.
 enum Recovery {
     /// Fresh map adopted; re-route and retry.
@@ -145,12 +152,21 @@ pub struct ShardedUddiClient {
 
 impl ShardedUddiClient {
     /// Connect over per-node transports, bootstrapping the shard map
-    /// from the first node that answers `get_shardMap`.
+    /// from the first node that answers `get_shardMap`. A map with a
+    /// member past the transports given is refused: the client could
+    /// not reach that node.
     pub fn connect(transports: Vec<UddiTransport>) -> Result<ShardedUddiClient, RegistryError> {
         assert!(!transports.is_empty(), "need at least one node transport");
         let map = transports.iter().find_map(fetch_map).ok_or_else(|| {
             RegistryError::Unavailable("no node answered get_shardMap".to_owned())
         })?;
+        if !members_within(&map, transports.len()) {
+            return Err(RegistryError::Unavailable(format!(
+                "the shard map places shards on {} nodes, {} transports given",
+                map.nodes().len(),
+                transports.len()
+            )));
+        }
         let endpoints = map.nodes().to_vec();
         Ok(ShardedUddiClient {
             transports,
@@ -221,9 +237,16 @@ impl ShardedUddiClient {
         })
     }
 
+    /// Cache `map` unless it is older than the cached one or the client
+    /// cannot route by it: a member past the client's endpoints, or
+    /// another shard count than the cached map's (a key names its shard,
+    /// and a call in flight keeps the shard it chose). A refused map
+    /// leaves the cached one in place.
     fn adopt(&self, map: ShardMap) -> Arc<ShardMap> {
+        let nodes = self.endpoints.len().min(self.transports.len());
         let mut cached = self.map.write();
-        if map.epoch() >= cached.epoch() {
+        let routable = map.shard_count() == cached.shard_count() && members_within(&map, nodes);
+        if routable && map.epoch() >= cached.epoch() {
             *cached = Arc::new(map);
         }
         cached.clone()
@@ -262,9 +285,11 @@ impl ShardedUddiClient {
         })
     }
 
-    /// Unregister by key (cluster-minted keys embed their shard).
+    /// Unregister by key (cluster-minted keys embed their shard). A key
+    /// that names no shard of the map was never minted here: `Ok(false)`.
     pub fn delete(&self, key: &str) -> Result<bool, RegistryError> {
-        let Some(shard) = crate::cluster::shard_of_key(key) else {
+        let shard = crate::cluster::shard_of_key(key);
+        let Some(shard) = shard.filter(|&s| s < self.map.read().shard_count()) else {
             return Ok(false);
         };
         let delete = UddiRequest::new(UddiOp::DeleteService(Cow::Owned(vec![key.to_owned()])));
@@ -589,6 +614,67 @@ mod tests {
             .unwrap()
             .is_empty());
         assert!(!client.delete(&saved.key).unwrap());
+    }
+
+    #[test]
+    fn a_key_naming_a_shard_past_the_map_deletes_nothing() {
+        let (_cluster, client) = plane();
+        assert!(!client.delete("uuid:svc-sff-0").unwrap());
+        assert!(!client.delete("uuid:svc-s4-0").unwrap());
+    }
+
+    /// A node serving a map the client cannot route by — members past
+    /// its endpoints, or another shard count — leaves the cached map in
+    /// place, and calls keep routing by it.
+    #[test]
+    fn a_map_the_client_cannot_route_by_is_not_adopted() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let served = Arc::new(AtomicU64::new(0));
+        let transport: UddiTransport = {
+            let served = served.clone();
+            Arc::new(move |request: &UddiRequest<'_>| match &request.op {
+                UddiOp::GetShardMap => {
+                    let epoch = served.fetch_add(1, Ordering::SeqCst) + 1;
+                    let (nodes, shards) = match epoch {
+                        1 => (1, 2),
+                        2 => (3, 2),
+                        _ => (1, 3),
+                    };
+                    let nodes = (0..nodes).map(|n| format!("wsp://registry/{n}"));
+                    let map = ShardMap::build(nodes.collect(), shards, 3, epoch);
+                    Ok(UddiResponse::Other(map.to_element()))
+                }
+                UddiOp::SaveService { services, .. } => {
+                    Ok(UddiResponse::ServiceDetail(services.to_vec()))
+                }
+                _ => Err("not served".to_owned()),
+            })
+        };
+        let client = ShardedUddiClient::connect(vec![transport]).unwrap();
+        assert_eq!(client.cached_epoch(), 1);
+        for _ in 0..2 {
+            assert_eq!(client.refresh_map().unwrap().epoch(), 1);
+            assert_eq!(client.publish(&svc("Routed")).unwrap().name, "Routed");
+        }
+        assert_eq!(
+            served.load(Ordering::SeqCst),
+            3,
+            "both odd maps were served"
+        );
+    }
+
+    #[test]
+    fn a_map_past_the_transports_given_is_refused_at_connect() {
+        let transport: UddiTransport = Arc::new(|request: &UddiRequest<'_>| match request.op {
+            UddiOp::GetShardMap => {
+                let nodes = (0..3).map(|n| format!("wsp://registry/{n}"));
+                let map = ShardMap::build(nodes.collect(), 4, 3, 1);
+                Ok(UddiResponse::Other(map.to_element()))
+            }
+            _ => Err("not served".to_owned()),
+        });
+        let refused = ShardedUddiClient::connect(vec![transport]).err();
+        assert!(matches!(refused, Some(RegistryError::Unavailable(_))));
     }
 
     #[test]

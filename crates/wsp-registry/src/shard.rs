@@ -205,21 +205,24 @@ impl ShardMap {
         e
     }
 
+    /// Read a map back: `None` unless every part of it parses, node and
+    /// shard ids each run 0..n, and every member names a listed node — a
+    /// client indexes its endpoints by member.
     pub fn from_element(e: &Element) -> Option<ShardMap> {
         let epoch = e.attribute_local("epoch")?.parse().ok()?;
         let mut nodes: Vec<(usize, String)> = e
             .find_all(REGISTRY_NS, "node")
-            .filter_map(|n| {
+            .map(|n| {
                 Some((
                     n.attribute_local("id")?.parse().ok()?,
                     n.attribute_local("endpoint")?.to_owned(),
                 ))
             })
-            .collect();
+            .collect::<Option<_>>()?;
         nodes.sort_by_key(|(id, _)| *id);
         let mut shards: Vec<(usize, ShardInfo)> = e
             .find_all(REGISTRY_NS, "shard")
-            .filter_map(|s| {
+            .map(|s| {
                 let id = s.attribute_local("id")?.parse().ok()?;
                 let view = s.attribute_local("view")?.parse().ok()?;
                 let members = s
@@ -230,9 +233,16 @@ impl ShardMap {
                     .ok()?;
                 Some((id, ShardInfo { members, view }))
             })
-            .collect();
+            .collect::<Option<_>>()?;
         shards.sort_by_key(|(id, _)| *id);
-        if nodes.is_empty() || shards.is_empty() {
+        if nodes.is_empty()
+            || shards.is_empty()
+            || !nodes.iter().map(|(id, _)| *id).eq(0..nodes.len())
+            || !shards.iter().map(|(id, _)| *id).eq(0..shards.len())
+            || shards
+                .iter()
+                .any(|(_, s)| s.members.iter().any(|&m| m >= nodes.len()))
+        {
             return None;
         }
         Some(ShardMap {
@@ -362,6 +372,37 @@ mod tests {
         let map = ShardMap::build(endpoints(3), 4, 2, 42).with_view(2, 1);
         let parsed = ShardMap::from_element(&map.to_element()).unwrap();
         assert_eq!(parsed, map);
+    }
+
+    /// A map a client cannot route by is refused: ids with gaps or
+    /// twins, a member naming no listed node, a part that does not parse.
+    #[test]
+    fn a_map_with_gaps_or_strangers_is_refused() {
+        let map = ShardMap::build(endpoints(3), 4, 2, 42).to_element();
+        let edits: [(&str, &str, &str, &str); 5] = [
+            ("node", "id", "2", "5"),
+            ("node", "id", "2", "1"),
+            ("shard", "id", "3", "7"),
+            ("shard", "members", "", "0,9"),
+            ("node", "id", "2", "two"),
+        ];
+        for (local, attribute, from, to) in edits {
+            let mut odd = map.clone();
+            let target = (odd.children_mut().iter_mut())
+                .filter_map(|c| match c {
+                    wsp_xml::Node::Element(e) if e.name().is(REGISTRY_NS, local) => Some(e),
+                    _ => None,
+                })
+                .find(|e| from.is_empty() || e.attribute_local(attribute) == Some(from))
+                .expect("the edited element is in the map");
+            target.set_attribute(QName::local(attribute), to);
+            assert_eq!(
+                ShardMap::from_element(&odd),
+                None,
+                "{local} {attribute}={to}"
+            );
+        }
+        assert!(ShardMap::from_element(&map).is_some());
     }
 
     #[test]

@@ -143,7 +143,7 @@ impl Envelope {
     }
 
     /// Render as the `env:Envelope` element — a deep copy of headers
-    /// and payload; the wire path streams instead ([`Envelope::write_to`]).
+    /// and payload; the wire path streams instead (`Envelope::write_to`).
     pub fn to_element(&self) -> Element {
         let mut envelope = Element::new(SOAP_ENV_NS, "Envelope");
         let mut header = Element::new(SOAP_ENV_NS, "Header");

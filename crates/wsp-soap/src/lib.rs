@@ -33,6 +33,7 @@ pub mod codec;
 pub mod constants;
 pub mod envelope;
 pub mod fault;
+pub mod pattern;
 pub mod typed;
 
 pub use addressing::{EndpointReference, MessageHeaders};
@@ -40,3 +41,4 @@ pub use codec::{SoapCodec, SoapError};
 pub use constants::{SOAP_ENV_NS, WSA_NS};
 pub use envelope::{Body, Envelope, HeaderBlock};
 pub use fault::{Fault, FaultCode};
+pub use pattern::{fold, wildcard_match};

@@ -1,13 +1,11 @@
 //! UDDI data model: business entities, services, binding templates and
-//! tModels, with XML (de)serialisation.
+//! tModels. [`crate::wire`] writes and reads them.
 //!
 //! Modelled on the UDDI v2 structures the paper's standard
 //! implementation publishes to and searches: a service belongs to a
 //! business, carries category references, and exposes binding templates
 //! whose access points are endpoint URIs. A tModel with an overview URL
 //! is the conventional way to point at the WSDL document.
-
-use wsp_xml::{Element, QName};
 
 /// Namespace of our UDDI messages and structures.
 pub const UDDI_NS: &str = "urn:uddi-org:api_v2";
@@ -31,14 +29,6 @@ impl KeyedReference {
             key_name: key_name.into(),
             key_value: key_value.into(),
         }
-    }
-
-    pub fn to_element(&self) -> Element {
-        Element::build(UDDI_NS, "keyedReference")
-            .attr_str("tModelKey", self.tmodel_key.clone())
-            .attr_str("keyName", self.key_name.clone())
-            .attr_str("keyValue", self.key_value.clone())
-            .finish()
     }
 }
 
@@ -64,29 +54,6 @@ impl BindingTemplate {
     pub fn with_tmodel(mut self, key: impl Into<String>) -> Self {
         self.tmodel_keys.push(key.into());
         self
-    }
-
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new(UDDI_NS, "bindingTemplate");
-        e.set_attribute(QName::local("bindingKey"), self.key.clone());
-        e.push_element(
-            Element::build(UDDI_NS, "accessPoint")
-                .attr_str("URLType", url_type(&self.access_point))
-                .text(self.access_point.clone())
-                .finish(),
-        );
-        if !self.tmodel_keys.is_empty() {
-            let mut infos = Element::new(UDDI_NS, "tModelInstanceDetails");
-            for key in &self.tmodel_keys {
-                infos.push_element(
-                    Element::build(UDDI_NS, "tModelInstanceInfo")
-                        .attr_str("tModelKey", key.clone())
-                        .finish(),
-                );
-            }
-            e.push_element(infos);
-        }
-        e
     }
 }
 
@@ -152,42 +119,6 @@ impl BusinessService {
         self.bindings.push(b);
         self
     }
-
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new(UDDI_NS, "businessService");
-        e.set_attribute(QName::local("serviceKey"), self.key.clone());
-        e.set_attribute(QName::local("businessKey"), self.business_key.clone());
-        if let Some(ttl) = self.lease_ttl_ms {
-            e.set_attribute(QName::local("leaseTtlMs"), ttl.to_string());
-        }
-        e.push_element(
-            Element::build(UDDI_NS, "name")
-                .text(self.name.clone())
-                .finish(),
-        );
-        if let Some(d) = &self.description {
-            e.push_element(
-                Element::build(UDDI_NS, "description")
-                    .text(d.clone())
-                    .finish(),
-            );
-        }
-        if !self.bindings.is_empty() {
-            let mut bts = Element::new(UDDI_NS, "bindingTemplates");
-            for b in &self.bindings {
-                bts.push_element(b.to_element());
-            }
-            e.push_element(bts);
-        }
-        if !self.categories.is_empty() {
-            let mut bag = Element::new(UDDI_NS, "categoryBag");
-            for c in &self.categories {
-                bag.push_element(c.to_element());
-            }
-            e.push_element(bag);
-        }
-        e
-    }
 }
 
 /// A publishing organisation.
@@ -205,24 +136,6 @@ impl BusinessEntity {
             name: name.into(),
             description: None,
         }
-    }
-
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new(UDDI_NS, "businessEntity");
-        e.set_attribute(QName::local("businessKey"), self.key.clone());
-        e.push_element(
-            Element::build(UDDI_NS, "name")
-                .text(self.name.clone())
-                .finish(),
-        );
-        if let Some(d) = &self.description {
-            e.push_element(
-                Element::build(UDDI_NS, "description")
-                    .text(d.clone())
-                    .finish(),
-            );
-        }
-        e
     }
 }
 
@@ -247,28 +160,6 @@ impl TModel {
     pub fn with_overview(mut self, url: impl Into<String>) -> Self {
         self.overview_url = Some(url.into());
         self
-    }
-
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new(UDDI_NS, "tModel");
-        e.set_attribute(QName::local("tModelKey"), self.key.clone());
-        e.push_element(
-            Element::build(UDDI_NS, "name")
-                .text(self.name.clone())
-                .finish(),
-        );
-        if let Some(url) = &self.overview_url {
-            e.push_element(
-                Element::build(UDDI_NS, "overviewDoc")
-                    .child(
-                        Element::build(UDDI_NS, "overviewURL")
-                            .text(url.clone())
-                            .finish(),
-                    )
-                    .finish(),
-            );
-        }
-        e
     }
 }
 
@@ -319,10 +210,6 @@ mod tests {
         // field existed — no attribute, identical bytes.
         let (xml, _) = read_back(&services(&[sample_service()]));
         assert!(!xml.contains("leaseTtlMs"));
-        assert!(!sample_service()
-            .to_element()
-            .to_xml()
-            .contains("leaseTtlMs"));
     }
 
     #[test]
@@ -343,35 +230,34 @@ mod tests {
 
     #[test]
     fn binding_url_types() {
-        let http = BindingTemplate::new("b", "http://h/x").to_element();
-        assert_eq!(
-            http.find(UDDI_NS, "accessPoint")
-                .unwrap()
-                .attribute_local("URLType"),
-            Some("http")
-        );
-        let p2ps = BindingTemplate::new("b", "p2ps://peer/Svc").to_element();
-        assert_eq!(
-            p2ps.find(UDDI_NS, "accessPoint")
-                .unwrap()
-                .attribute_local("URLType"),
-            Some("other")
-        );
+        for (access_point, url_type) in [("http://h/x", "http"), ("p2ps://peer/Svc", "other")] {
+            let record = BusinessService::new("s", "b", "n")
+                .with_binding(BindingTemplate::new("b", access_point));
+            let (xml, _) = read_back(&services(&[record]));
+            let envelope = wsp_soap::Envelope::from_xml(&xml).unwrap();
+            let written = (envelope.payload())
+                .and_then(|detail| detail.find(UDDI_NS, "businessService"))
+                .and_then(|record| record.find(UDDI_NS, "bindingTemplates"))
+                .and_then(|bindings| bindings.find(UDDI_NS, "bindingTemplate"))
+                .and_then(|binding| binding.find(UDDI_NS, "accessPoint"));
+            assert_eq!(written.unwrap().attribute_local("URLType"), Some(url_type));
+        }
     }
 
     /// A record without its key or its name is refused — the tree
     /// decoder skipped it, and the answer lost a record unannounced.
     #[test]
     fn a_record_missing_its_key_or_name_is_refused() {
-        let record = BusinessService::new("k", "b", "n").to_element();
-        let mut no_key = record.clone();
-        (no_key.attributes_mut()).retain(|a| a.name.local_name() != "serviceKey");
-        let mut no_name = record;
-        no_name.children_mut().clear();
+        let (xml, _) = read_back(&services(&[BusinessService::new("k", "b", "n")]));
+        let no_key = xml.replacen(r#" serviceKey="k""#, "", 1);
+        let mut no_name = xml.clone();
+        let text = xml.find(">n</").unwrap();
+        let open = xml[..text].rfind('<').unwrap();
+        let close = text + xml[text..].find("name>").unwrap() + "name>".len();
+        no_name.replace_range(open..close, "");
         for (odd, missing) in [(no_key, "serviceKey"), (no_name, "name")] {
-            let detail = Element::build(UDDI_NS, "serviceDetail").child(odd).finish();
-            let xml = wsp_soap::Envelope::request(detail).to_xml();
-            assert_eq!(read_response(&xml), Err(format!("Missing: {missing}")));
+            assert_ne!(odd, xml);
+            assert_eq!(read_response(&odd), Err(format!("Missing: {missing}")));
         }
     }
 }

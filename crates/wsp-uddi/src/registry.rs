@@ -1,7 +1,7 @@
 //! The registry proper: a thread-safe store with publish and inquiry
 //! operations.
 //!
-//! Services live in one [`ServiceStore`] under one lock: the records by
+//! Services live in one `ServiceStore` under one lock: the records by
 //! key, and two derived maps that every write keeps in step with them so
 //! that no inquiry or undeploy has to walk the records —
 //!

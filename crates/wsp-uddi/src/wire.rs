@@ -3,9 +3,11 @@
 //!
 //! Clients and registries meet on these values. In process a request is
 //! handed over as it is; at the HTTP edges [`write_request`] /
-//! [`write_response`] stream a value into the bytes the tree writer
-//! makes of the same document, and [`read_request`] / [`read_response`]
-//! read it back off the pull reader.
+//! [`write_response`] stream a value into its envelope's bytes, and
+//! [`read_request`] / [`read_response`] read it back off the pull
+//! reader. These writers are the vocabulary's only ones; the tree
+//! writers they replaced live on as byte references in the integration
+//! tests (`tests/src/reference.rs`).
 //!
 //! The readers read what the writers write, in any layout and with
 //! attributes and children in any order, a fault and the shard map (as
@@ -20,12 +22,11 @@ use crate::model::{
 };
 use crate::query::{ServiceQuery, FIND_SERVICE, FIND_SERVICE_DETAIL};
 use std::borrow::Cow;
-use std::io::Write;
 use wsp_soap::typed::{attributes, name_of, next_tag, number, only, plain, read_envelope};
 use wsp_soap::typed::{read_parts, read_text, required, write_envelope};
 use wsp_soap::typed::{Payload, Rule};
 use wsp_soap::{Fault, MessageHeaders, SoapError};
-use wsp_xml::{Element, Pull, PullReader, StreamWriter};
+use wsp_xml::{decimal, Element, Pull, PullReader, StreamWriter};
 
 /// Namespace of the registry-plane control messages (`get_shardMap`,
 /// `get_dataVersions`, the shard map and version documents).
@@ -153,8 +154,7 @@ impl From<BusinessService> for ServiceInfo {
 
 // --- writing -------------------------------------------------------------------
 
-/// Append `request`'s envelope to `out`: the bytes the tree writer makes
-/// of the same document.
+/// Append `request`'s envelope to `out`.
 pub fn write_request(request: &UddiRequest<'_>, out: &mut Vec<u8>) {
     let (ns, local) = request.op.name();
     let (mut rows, mut epoch) = ([0; 20], [0; 20]);
@@ -197,8 +197,7 @@ pub fn write_request(request: &UddiRequest<'_>, out: &mut Vec<u8>) {
     });
 }
 
-/// Append `response`'s envelope to `out`: the bytes the tree writer makes
-/// of the same document.
+/// Append `response`'s envelope to `out`.
 pub fn write_response(response: &UddiResponse, out: &mut Vec<u8>) {
     let headers = MessageHeaders::default();
     write_envelope(out, &[], &headers, |out| match response {
@@ -256,14 +255,6 @@ pub fn write_response(response: &UddiResponse, out: &mut Vec<u8>) {
         UddiResponse::Other(payload) => out.tree(payload),
         UddiResponse::Fault(fault) => out.tree(&fault.to_element()),
     });
-}
-
-/// `n` in decimal, formatted into `digits` — no allocation.
-fn decimal(n: u64, digits: &mut [u8; 20]) -> &str {
-    let mut rest = &mut digits[..];
-    write!(rest, "{n}").expect("twenty digits hold any u64");
-    let len = 20 - rest.len();
-    std::str::from_utf8(&digits[..len]).expect("ASCII digits")
 }
 
 fn text_element(out: &mut StreamWriter<'_>, local: &str, text: &str) {

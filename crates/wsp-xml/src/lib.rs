@@ -49,4 +49,4 @@ pub use name::{NameTable, NsBinding, QName, XMLNS_NS, XML_NS};
 pub use reader::{parse, Pull, PullReader};
 pub use tokenizer::{Token, Tokenizer};
 pub use tree::{Attribute, Element, ElementBuilder, Node};
-pub use writer::{StreamWriter, Writer, WriterConfig};
+pub use writer::{decimal, StreamWriter, Writer, WriterConfig};

@@ -315,10 +315,11 @@ impl Writer {
 
     /// Fill `self.scratch` with the next free `nsN` prefix.
     fn generate_prefix(&mut self) {
-        use std::fmt::Write as _;
         loop {
             self.scratch.clear();
-            let _ = write!(self.scratch, "ns{}", self.generated);
+            self.scratch.push_str("ns");
+            self.scratch
+                .push_str(decimal(self.generated as u64, &mut [0; 20]));
             self.generated += 1;
             if !self.ns.is_bound(&self.scratch) && self.scratch != "xml" {
                 return;
@@ -332,6 +333,21 @@ impl Writer {
             out.extend_from_slice(self.config.indent.as_bytes());
         }
     }
+}
+
+/// `n` in decimal, written into the end of `digits` — no allocation and
+/// no `core::fmt`. Twenty digits hold any `u64`.
+pub fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&digits[at..]).expect("ASCII digits")
 }
 
 /// The emitting end of [`Writer::write_stream_into`]: nested
@@ -405,6 +421,24 @@ mod tests {
     use super::*;
     use crate::name::QName;
     use crate::reader::parse;
+
+    #[test]
+    fn decimal_is_the_formatted_number() {
+        let mut numbers = vec![0, 9, 10, u64::MAX, u64::MAX - 1];
+        numbers.extend((0..20).map(|e| 10u64.pow(e)));
+        numbers.extend((1..20).map(|e| 10u64.pow(e) - 1));
+        // A fixed-seed xorshift walk, spread over every width.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            numbers.push(x >> (x % 64));
+        }
+        for n in numbers {
+            assert_eq!(decimal(n, &mut [0; 20]), format!("{n}"));
+        }
+    }
 
     #[test]
     fn no_namespace_stays_plain() {

@@ -308,6 +308,11 @@ WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --
 echo "==> E17 artifact (target/BENCH_E17.json, quick)"
 timeout 300 cargo run -q --release -p wsp-bench --bin e17 -- quick
 
+# Tier-1 compiles no doc links: a doc comment that links a method a
+# change deleted, or a private item, only shows when rustdoc runs.
+echo "==> rustdoc, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -1,5 +1,7 @@
 //! Shared fixtures for the cross-crate integration tests.
 
+pub mod reference;
+
 use std::sync::Arc;
 use std::time::Duration;
 use wsp_core::bindings::{P2psBinding, P2psConfig};

@@ -300,6 +300,48 @@ fn warm_pipe_data_codec_allocates_only_the_decoded_fields() {
     );
 }
 
+/// Gossip streams as `PipeData` does: a warm encode of an `Advertise`,
+/// or of a `QueryHit` carrying two adverts with pipes and attributes,
+/// into a pooled buffer allocates nothing.
+#[test]
+fn warm_gossip_encode_allocates_nothing() {
+    use wsp_p2ps::{P2psMessage, PeerId, ServiceAdvertisement};
+    let advert = |name: &str, peer| {
+        ServiceAdvertisement::new(name, PeerId(peer))
+            .with_pipe("echoString")
+            .with_definition_pipe()
+            .with_attribute("domain", "demo & <test>")
+            .with_attribute("version", "2")
+    };
+    let messages = [
+        P2psMessage::Advertise {
+            advert: advert("Echo", 0xBE01),
+            ttl: 3,
+        },
+        P2psMessage::QueryHit {
+            id: 42,
+            origin: PeerId(0x99),
+            adverts: vec![advert("Echo", 0xBE01), advert("EchoToo", 0xBE02)],
+        },
+    ];
+    let pool = wsp_xml::BufPool::new();
+    for message in &messages {
+        let encode = || {
+            let mut buf = pool.take();
+            let before = alloc_count::allocations();
+            message.to_xml_into(&mut buf);
+            let encoded = alloc_count::allocations() - before;
+            pool.put(buf);
+            encoded
+        };
+        for _ in 0..50 {
+            encode();
+        }
+        let worst = (0..20).map(|_| encode()).max().unwrap();
+        assert_eq!(worst, 0, "warm encode of {message:?} allocated");
+    }
+}
+
 /// A warm response-cache hit — the gateway's whole answer on the
 /// `gateway_hit` path: the body is copied into a pooled buffer and the
 /// hit counter's handle was resolved once, so the one allocation is

@@ -1,9 +1,10 @@
 //! The typed codec held to its own oracle. Every message this
-//! workspace exchanges has one reader and one writer (the tree writers
-//! stay as the byte references), and they are held to this:
+//! workspace exchanges has one reader and one writer (tree writers stay
+//! as the byte references), and they are held to this:
 //!
 //! 1. The streamed bytes are the tree writer's — `proxy::encode_request`,
-//!    an `Envelope`, the model's `to_element`s — for generated contracts,
+//!    an `Envelope`, the registry records' trees in
+//!    `wsp_integration_tests::reference` — for generated contracts,
 //!    arguments, handler outcomes and registry messages, under both
 //!    bindings' header sets.
 //! 2. `read(write(v)) == v`: a request is read as the call written
@@ -27,6 +28,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::borrow::Cow;
 use std::sync::Arc;
+use wsp_integration_tests::reference;
 use wsp_p2ps::{encode_response, request_headers, with_reply_pipe, PeerId, PipeAdvertisement};
 use wsp_registry::ShardMap;
 use wsp_soap::codec::SoapError;
@@ -1084,7 +1086,9 @@ impl Strategy for Responses {
 fn registry_request_tree(request: &UddiRequest<'_>) -> Element {
     let (ns, local) = request.op.name();
     let mut e = match &request.op {
-        UddiOp::FindService(query) | UddiOp::FindServiceDetail(query) => query.to_request(local),
+        UddiOp::FindService(query) | UddiOp::FindServiceDetail(query) => {
+            reference::query_request(query, local)
+        }
         _ => Element::new(ns, local),
     };
     let text = |local: &'static str, value: &str| {
@@ -1097,11 +1101,11 @@ fn registry_request_tree(request: &UddiRequest<'_>) -> Element {
             keys.iter().map(|key| text("serviceKey", key)).collect()
         }
         UddiOp::GetTModelDetail(keys) => keys.iter().map(|key| text("tModelKey", key)).collect(),
-        UddiOp::SaveService { tmodels, services } => (tmodels.iter().map(TModel::to_element))
-            .chain(services.iter().map(BusinessService::to_element))
+        UddiOp::SaveService { tmodels, services } => (tmodels.iter().map(reference::tmodel))
+            .chain(services.iter().map(reference::business_service))
             .collect(),
-        UddiOp::SaveTModel(tmodels) => tmodels.iter().map(TModel::to_element).collect(),
-        UddiOp::SaveBusiness(entities) => entities.iter().map(BusinessEntity::to_element).collect(),
+        UddiOp::SaveTModel(tmodels) => tmodels.iter().map(reference::tmodel).collect(),
+        UddiOp::SaveBusiness(entities) => entities.iter().map(reference::business_entity).collect(),
         UddiOp::FindBusiness(pattern) => vec![text("name", pattern)],
         _ => Vec::new(),
     };
@@ -1151,15 +1155,15 @@ fn registry_response_tree(response: &UddiResponse) -> Envelope {
         ),
         UddiResponse::ServiceDetail(services) => detail(
             "serviceDetail",
-            services.iter().map(BusinessService::to_element).collect(),
+            services.iter().map(reference::business_service).collect(),
         ),
         UddiResponse::TModelDetail(tmodels) => detail(
             "tModelDetail",
-            tmodels.iter().map(TModel::to_element).collect(),
+            tmodels.iter().map(reference::tmodel).collect(),
         ),
         UddiResponse::BusinessDetail(entities) => detail(
             "businessDetail",
-            entities.iter().map(BusinessEntity::to_element).collect(),
+            entities.iter().map(reference::business_entity).collect(),
         ),
         UddiResponse::BusinessList(found) => list(
             "businessList",

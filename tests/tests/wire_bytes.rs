@@ -6,11 +6,16 @@
 //! `wsp_bench::e12_legacy`; trees are deep-converted into its tree
 //! model and serialised under an equivalent configuration.
 
+use std::borrow::Cow;
 use wsp_bench::e12::{self, to_legacy_element, LegacyEnvelope};
 use wsp_bench::e12_legacy as legacy;
-use wsp_integration_tests::calc_descriptor;
-use wsp_soap::{SOAP_ENV_NS, WSA_NS};
-use wsp_uddi::{BindingTemplate, BusinessService, KeyedReference, ServiceQuery};
+use wsp_integration_tests::{calc_descriptor, reference};
+use wsp_soap::{Envelope, SOAP_ENV_NS, WSA_NS};
+use wsp_uddi::wire::{write_request, write_response};
+use wsp_uddi::{
+    BindingTemplate, BusinessService, KeyedReference, ServiceQuery, UddiOp, UddiRequest,
+    UddiResponse, UDDI_NS,
+};
 use wsp_wsdl::{Port, TransportKind, WsdlDocument};
 use wsp_xml::{Element, Writer, WriterConfig};
 
@@ -77,8 +82,13 @@ fn wsdl_contracts_are_byte_identical() {
     );
 }
 
+/// The registry plane's streamed writers against the old writer, each
+/// over the envelope of the document's reference tree.
 #[test]
 fn uddi_messages_are_byte_identical() {
+    let legacy = |payload: Element| {
+        e12::legacy_encode(&LegacyEnvelope::from_current(&Envelope::request(payload)))
+    };
     let service = BusinessService::new("svc-1", "biz-9", "Calc")
         .with_description("adds & subtracts <doubles>")
         .with_category(KeyedReference::new("uddi:tmodel:types", "type", "calc"))
@@ -86,10 +96,24 @@ fn uddi_messages_are_byte_identical() {
             BindingTemplate::new("bind-1", "http://127.0.0.1:9001/services/Calc")
                 .with_tmodel("uddi:tmodel:http"),
         );
-    assert_identity("uddi businessService", &service.to_element(), &[]);
+    let mut written = Vec::new();
+    write_response(
+        &UddiResponse::ServiceDetail(vec![service.clone()]),
+        &mut written,
+    );
+    let detail = Element::build(UDDI_NS, "serviceDetail")
+        .child(reference::business_service(&service))
+        .finish();
+    assert_eq!(legacy(detail).as_bytes(), written, "uddi serviceDetail");
 
     let query = ServiceQuery::by_name("Calc%");
-    assert_identity("uddi find_service", &query.to_element(), &[]);
+    let mut written = Vec::new();
+    write_request(
+        &UddiRequest::new(UddiOp::FindService(Cow::Borrowed(&query))),
+        &mut written,
+    );
+    let find = reference::service_query(&query);
+    assert_eq!(legacy(find).as_bytes(), written, "uddi find_service");
 }
 
 #[test]
@@ -130,7 +154,7 @@ fn hostile_documents_are_byte_identical() {
 
 #[test]
 fn addressed_fault_envelope_is_byte_identical() {
-    use wsp_soap::{Envelope, Fault, FaultCode, MessageHeaders};
+    use wsp_soap::{Fault, FaultCode, MessageHeaders};
     let mut envelope = Envelope::fault(Fault::new(FaultCode::Receiver, "boom & <bust> \"quoted\""));
     envelope.set_addressing(MessageHeaders::request("urn:to", "urn:action"));
     // The fault path goes through Fault::to_element inside
@@ -147,6 +171,7 @@ fn addressed_fault_envelope_is_byte_identical() {
 
 mod pipe_data {
     use proptest::prelude::*;
+    use wsp_integration_tests::reference;
     use wsp_p2ps::{
         P2psMessage, P2psQuery, PeerId, PipeAdvertisement, ServiceAdvertisement, P2PS_NS,
     };
@@ -154,7 +179,7 @@ mod pipe_data {
 
     /// The tree writer, the byte reference of every message.
     fn tree_encode(message: &P2psMessage) -> String {
-        Writer::new(WriterConfig::default()).write(&message.to_element())
+        Writer::new(WriterConfig::default()).write(&reference::message(message))
     }
 
     /// A parsed element as the reader takes it: text and CDATA runs are
@@ -443,7 +468,7 @@ mod pipe_data {
                 _ => false,
             })
         }
-        let mut tree = message.to_element();
+        let mut tree = reference::message(message);
         let found = walk(&mut tree, &mut { n }, edit);
         found.then(|| Writer::new(WriterConfig::default()).write(&tree))
     }
@@ -510,7 +535,7 @@ mod pipe_data {
                     prop_assert_eq!(read_as_it_says(&wire[..cut]), None);
                 }
 
-                let elements = message.to_element().subtree_size();
+                let elements = reference::message(message).subtree_size();
                 let n = at % elements;
                 let reshaped = edited(message, n, &reversed).expect("n is in the tree");
                 prop_assert!(read_as_it_says(&reshaped).is_some(), "{}", reshaped);
