@@ -113,7 +113,7 @@ impl P2psMessage {
             }
             P2psMessage::PipeData { to, payload } => s.element(P2PS_NS, "PipeData", |s| {
                 write_pipe(s, to);
-                s.element(P2PS_NS, "Payload", |s| s.text(payload));
+                write_leaf(s, "Payload", payload);
             }),
             P2psMessage::Ping { nonce } => {
                 let nonce = [("", "nonce", decimal(*nonce, &mut first))];
@@ -138,22 +138,18 @@ impl P2psMessage {
 
 fn write_pipe(s: &mut StreamWriter<'_>, pipe: &PipeAdvertisement) {
     s.element(P2PS_NS, "PipeAdvertisement", |s| {
-        s.element(P2PS_NS, "Peer", |s| {
-            s.text(pipe.peer.hex_into(&mut [0; 16]))
-        });
+        write_leaf(s, "Peer", pipe.peer.hex_into(&mut [0; 16]));
         if let Some(service) = &pipe.service {
-            s.element(P2PS_NS, "Service", |s| s.text(service));
+            write_leaf(s, "Service", service);
         }
-        s.element(P2PS_NS, "Name", |s| s.text(&pipe.name));
+        write_leaf(s, "Name", &pipe.name);
     });
 }
 
 fn write_service(s: &mut StreamWriter<'_>, advert: &ServiceAdvertisement) {
     s.element(P2PS_NS, "ServiceAdvertisement", |s| {
-        s.element(P2PS_NS, "Name", |s| s.text(&advert.name));
-        s.element(P2PS_NS, "Peer", |s| {
-            s.text(advert.peer.hex_into(&mut [0; 16]))
-        });
+        write_leaf(s, "Name", &advert.name);
+        write_leaf(s, "Peer", advert.peer.hex_into(&mut [0; 16]));
         advert.pipes.iter().for_each(|pipe| write_pipe(s, pipe));
         if !advert.attributes.is_empty() {
             s.element(P2PS_NS, "Attributes", |s| {
@@ -166,10 +162,14 @@ fn write_service(s: &mut StreamWriter<'_>, advert: &ServiceAdvertisement) {
 fn write_query(s: &mut StreamWriter<'_>, query: &P2psQuery) {
     s.element(P2PS_NS, "Query", |s| {
         if let Some(pattern) = &query.name_pattern {
-            s.element(P2PS_NS, "Name", |s| s.text(pattern));
+            write_leaf(s, "Name", pattern);
         }
         write_attributes(s, &query.attributes);
     });
+}
+
+fn write_leaf(s: &mut StreamWriter<'_>, local: &str, text: &str) {
+    s.element(P2PS_NS, local, |s| s.text(text));
 }
 
 /// `<Attribute name="k">v</Attribute>` per pair, of an advert or a query.
