@@ -25,7 +25,9 @@
 //!   the rest ([`Hosting::serve`], handler included) runs on the
 //!   dispatcher (so queue-depth shedding, deadlines and nested calls
 //!   behave as on any other binding) and the worker sends the reply
-//!   itself;
+//!   itself; a request that finds the dispatcher's queue full is
+//!   answered with the busy fault, never helped along by the
+//!   delivering thread;
 //! * **consumer**: the delivering thread — mostly the provider's
 //!   worker — reads the response once: its `RelatesTo` names the call,
 //!   whose own reader decodes the body in the same pass, and the
@@ -46,9 +48,9 @@ use crate::overload::{self, DeadlineScope};
 use crate::query::ServiceQuery;
 use crate::server::{HostedService, Hosting, Incoming};
 use crate::telemetry::{self, CorrelationScope};
-use crossbeam_channel::{unbounded, Sender};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use wsp_p2ps::{
@@ -79,6 +81,12 @@ impl Default for P2psConfig {
         }
     }
 }
+
+/// Where a response goes: the return pipe and addressing of [`encode_response`].
+type Route = Option<(PipeAdvertisement, MessageHeaders)>;
+
+/// The retry hint of a request shed because the dispatcher's queue was full.
+const QUEUE_FULL_RETRY: Duration = Duration::from_millis(100);
 
 struct Shared {
     peer: ThreadPeer,
@@ -122,11 +130,17 @@ impl Shared {
 
     /// Send `response` where [`encode_response`] routes it: down the
     /// return pipe its request named, if it named one.
-    fn reply(&self, route: Option<(PipeAdvertisement, MessageHeaders)>, mut response: Envelope) {
+    fn reply(&self, route: Route, mut response: Envelope) {
         if let Some((reply_pipe, headers)) = route {
             response.set_addressing(headers);
             self.peer.send_pipe(reply_pipe, response.to_xml());
         }
+    }
+
+    /// Answer a shed request with the busy fault and its retry hint.
+    fn shed(&self, route: Route, retry_after: Duration) {
+        let busy = Fault::receiver(overload::busy_fault_reason(retry_after));
+        self.reply(route, Envelope::fault(busy));
     }
 }
 
@@ -320,6 +334,8 @@ fn awaiting(shared: &Shared, headers: &MessageHeaders) -> Option<(u64, Arc<dyn P
 /// immediately with the `wsp:overloaded` busy fault and its retry hint —
 /// and the serve on the pool, under the propagated deadline (expired
 /// deadlines are shed again at dequeue), the worker sending the reply.
+/// The delivering thread never runs a queued job: a request that finds
+/// the pool's queue full is shed with the busy fault too.
 fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: String) {
     let hosting = shared.hosting();
     let name = pipe.service.as_deref().expect("checked by caller");
@@ -348,13 +364,13 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: Strin
             // Definition-pipe reads are exempt from the gate: they are
             // cheap metadata, and an overloaded provider must stay
             // discoverable so consumers back off against it rather than
-            // treating it as departed. (Submits here are never refused:
-            // the handle held keeps the dispatcher running.)
-            let job_shared = shared.clone();
-            let _ = (hosting.dispatcher()).execute_with_deadline(budget.flatten(), move || {
-                let wsdl = Envelope::request(service.wsdl_element().clone());
-                job_shared.reply(route, wsdl);
-            });
+            // treating it as departed. They run no application code, so
+            // a full queue has them answered here.
+            let read = (shared.clone(), service, route);
+            let queued = (hosting.dispatcher()).try_execute(budget.flatten(), read, send_wsdl);
+            if let Err(read) = queued {
+                send_wsdl(read);
+            }
             return;
         }
     };
@@ -369,24 +385,28 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: Strin
     let correlation = 0;
     let permit = match hosting.admit(&service, correlation, deadline) {
         Ok(permit) => permit,
-        Err(error) => {
-            let hint = error.retry_after_hint().unwrap_or_default();
-            let busy = Fault::receiver(overload::busy_fault_reason(hint));
-            return shared.reply(route, Envelope::fault(busy));
-        }
+        Err(error) => return shared.shed(route, error.retry_after_hint().unwrap_or_default()),
     };
     let (job_shared, job_hosting) = (shared.clone(), hosting.clone());
-    let _ = hosting
-        .dispatcher()
-        .execute_with_deadline(deadline, move || {
-            let readdress = route.as_ref().map(|(_, headers)| headers);
-            let request = Incoming::Read(request, &payload);
-            let served =
-                job_hosting.serve(&service, request, readdress, correlation, deadline, permit);
-            if let (Some(bytes), Some((reply_pipe, _))) = (served.into_bytes(), route) {
-                job_shared.peer.send_pipe(reply_pipe, wire_text(bytes));
-            }
-        });
+    let serve = move |route: Route| {
+        let readdress = route.as_ref().map(|(_, headers)| headers);
+        let request = Incoming::Read(request, &payload);
+        let served = job_hosting.serve(&service, request, readdress, correlation, deadline, permit);
+        if let (Some(bytes), Some((reply_pipe, _))) = (served.into_bytes(), route) {
+            job_shared.peer.send_pipe(reply_pipe, wire_text(bytes));
+        }
+    };
+    let queued =
+        (hosting.dispatcher()).try_execute(deadline, (route, serve), |(route, serve)| serve(route));
+    if let Err((route, unserved)) = queued {
+        drop(unserved); // the permit, before the fault goes out
+        shared.shed(route, QUEUE_FULL_RETRY);
+    }
+}
+
+/// Answer a definition-pipe read with the service's WSDL.
+fn send_wsdl((shared, service, route): (Arc<Shared>, Arc<HostedService>, Route)) {
+    shared.reply(route, Envelope::request(service.wsdl_element().clone()));
 }
 
 // --- pipe request/response (Figure 5) ---------------------------------------
@@ -650,7 +670,7 @@ impl ServiceLocator for P2psLocator {
             "p2ps.discovery",
             format_args!("query_token={token}"),
         );
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.shared.pending_queries.lock().insert(token, tx);
         self.shared.peer.query(token, query.to_p2ps());
 

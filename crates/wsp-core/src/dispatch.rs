@@ -30,6 +30,10 @@
 //! (the waiter re-panics with the message; `wait_timeout` reports it
 //! as an error) and bumps the `failed` counter, but the worker thread
 //! survives.
+//!
+//! The queue is the dispatcher's own `Mutex<VecDeque<Job>>` and one
+//! condvar, on which an idle worker sleeps with no timeout until a job
+//! is queued or the queue closes.
 
 //! The token lifecycle itself — registered → completed/poisoned/
 //! cancelled → taken — lives in the pure
@@ -49,11 +53,11 @@ use crate::machines::correlation::{
 };
 use crate::overload::DeadlineScope;
 use crate::telemetry::{self, CorrelationScope, Counter, Histogram};
-use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsp_simnet::Machine;
@@ -172,6 +176,17 @@ struct Job {
     deadline: Option<Instant>,
 }
 
+/// [`Dispatcher::execute`]'s job: `f` under the submitter's correlation
+/// id, inside a [`DeadlineScope`] of `deadline`.
+fn scoped_job(deadline: Option<Instant>, f: impl FnOnce() + Send + 'static) -> BoxedFn {
+    let parent = telemetry::current_correlation();
+    Box::new(move |_: &Settle<'_>| {
+        let _correlation = CorrelationScope::enter(parent);
+        let _deadline = DeadlineScope::enter(deadline);
+        f()
+    })
+}
+
 /// What a completed (or poisoned) call leaves in its mailbox. The
 /// *authority* on whether mail may be read or written is the
 /// correlation machine; the mailbox is dumb storage plus a condvar.
@@ -187,9 +202,15 @@ struct CallState<T> {
 }
 
 struct Inner {
-    /// `None` once shutdown has begun; taking it disconnects workers.
-    jobs_tx: Mutex<Option<Sender<Job>>>,
-    jobs_rx: Receiver<Job>,
+    /// At most `capacity` jobs, oldest first.
+    queue: Mutex<VecDeque<Job>>,
+    capacity: usize,
+    /// Set under `queue`'s lock: a worker cannot miss it between its
+    /// look at the queue and its wait, and a caller-run call reads it
+    /// without the lock.
+    closed: AtomicBool,
+    /// Signalled when a job is queued or the queue closes.
+    job_ready: Condvar,
     machine: CorrelationMachine,
     /// The correlation table: the pure machine's state, stepped under
     /// this mutex. Always locked BEFORE any call's mailbox.
@@ -232,13 +253,69 @@ impl Inner {
     /// of the helping protocol — workers, waiters and submitters all
     /// drain the queue through this.
     fn try_run_one(&self) -> bool {
-        match self.jobs_rx.try_recv() {
-            Ok(job) => {
-                self.run_job(job);
-                true
+        let Some(job) = self.queue.lock().pop_front() else {
+            return false;
+        };
+        self.run_job(job);
+        true
+    }
+
+    /// A worker: run jobs until the queue is closed and empty.
+    fn work(&self) {
+        let mut queue = self.queue.lock();
+        while !queue.is_empty() || !self.closed.load(Ordering::SeqCst) {
+            match queue.pop_front() {
+                Some(job) => {
+                    drop(queue);
+                    self.run_job(job);
+                    queue = self.queue.lock();
+                }
+                None => self.job_ready.wait(&mut queue),
             }
-            Err(_) => false,
         }
+    }
+
+    /// Why [`Inner::push`] refused a job.
+    fn refusal(&self) -> WspError {
+        WspError::Dispatch(if self.closed.load(Ordering::SeqCst) {
+            "dispatcher is shut down".into()
+        } else {
+            format!("dispatch queue is full ({} jobs)", self.queue.lock().len())
+        })
+    }
+
+    /// Queue the job `make(input)` builds — timestamped only while
+    /// telemetry is on — and wake a worker; a closed or full queue hands
+    /// `input` back unbuilt.
+    fn push<I>(
+        &self,
+        input: I,
+        deadline: Option<Instant>,
+        make: impl FnOnce(I) -> BoxedFn,
+    ) -> Result<(), I> {
+        let mut queue = self.queue.lock();
+        if queue.len() >= self.capacity || self.closed.load(Ordering::SeqCst) {
+            return Err(input);
+        }
+        self.jobs_pending.fetch_add(1, Ordering::SeqCst);
+        self.submitted.fetch_add(1, Ordering::SeqCst);
+        queue.push_back(Job {
+            run: make(input),
+            enqueued_at: telemetry::global().is_enabled().then(Instant::now),
+            deadline,
+        });
+        self.queue_depth.record(queue.len() as u64);
+        drop(queue);
+        self.job_ready.notify_one();
+        Ok(())
+    }
+
+    /// Accept no more jobs; wake the idle workers to drain and exit.
+    fn close(&self) {
+        let queue = self.queue.lock();
+        self.closed.store(true, Ordering::SeqCst);
+        drop(queue);
+        self.job_ready.notify_all();
     }
 
     fn run_job(&self, job: Job) {
@@ -590,10 +667,12 @@ pub struct Dispatcher {
 impl Dispatcher {
     pub fn new(config: DispatcherConfig) -> Arc<Dispatcher> {
         let workers = config.workers.max(1);
-        let (jobs_tx, jobs_rx) = bounded::<Job>(config.queue_capacity.max(1));
+        let capacity = config.queue_capacity.max(1);
         let inner = Arc::new(Inner {
-            jobs_tx: Mutex::new(Some(jobs_tx)),
-            jobs_rx,
+            queue: Mutex::new(VecDeque::new()),
+            capacity,
+            closed: AtomicBool::new(false),
+            job_ready: Condvar::new(),
             machine: CorrelationMachine,
             calls: Mutex::new(CorrelationMachine.initial()),
             submitted: AtomicU64::new(0),
@@ -616,11 +695,7 @@ impl Dispatcher {
             let inner = inner.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("wsp-worker-{index}"))
-                .spawn(move || {
-                    while let Ok(job) = inner.jobs_rx.recv() {
-                        inner.run_job(job);
-                    }
-                })
+                .spawn(move || inner.work())
                 .expect("spawn dispatcher worker");
             handles.push(handle);
         }
@@ -661,12 +736,10 @@ impl Dispatcher {
         F: FnOnce() -> T + Send + 'static,
     {
         let (handle, completer) = self.register::<T>(token);
-        match self.enqueue(call_job(token, completer, f), true, None) {
-            Ok(()) => Ok(handle),
-            // On failure `handle` drops here: its Cancel event removes
-            // the just-registered correlation entry eagerly.
-            Err(e) => Err(e),
-        }
+        // On failure `handle` drops here: its Cancel event removes the
+        // just-registered correlation entry eagerly.
+        self.enqueue(call_job(token, completer, f), None)?;
+        Ok(handle)
     }
 
     /// The synchronous form of [`Dispatcher::submit_with_token`]: run
@@ -683,8 +756,8 @@ impl Dispatcher {
     /// it with the error `submit` gives.
     pub fn run_with_token<T>(&self, token: u64, f: impl FnOnce() -> T) -> Result<T, WspError> {
         let inner = &self.inner;
-        if inner.jobs_tx.lock().is_none() {
-            return Err(WspError::Dispatch("dispatcher is shut down".into()));
+        if inner.closed.load(Ordering::SeqCst) {
+            return Err(inner.refusal());
         }
         inner.step_call(CorrelationEvent::Register(token));
         inner.jobs_pending.fetch_add(1, Ordering::SeqCst);
@@ -737,16 +810,22 @@ impl Dispatcher {
     where
         F: FnOnce() + Send + 'static,
     {
-        let parent = telemetry::current_correlation();
-        self.enqueue(
-            Box::new(move |_: &Settle<'_>| {
-                let _correlation = CorrelationScope::enter(parent);
-                let _deadline = DeadlineScope::enter(deadline);
-                f()
-            }),
-            true,
-            deadline,
-        )
+        self.enqueue(scoped_job(deadline, f), deadline)
+    }
+
+    /// [`Dispatcher::execute_with_deadline`] of `run(data)`, except that
+    /// the caller never helps: a full or shut-down queue hands `data`
+    /// back. For the P2PS delivery sink, which must not run application
+    /// code (it may be another peer's caller or worker).
+    pub(crate) fn try_execute<D: Send + 'static>(
+        &self,
+        deadline: Option<Instant>,
+        data: D,
+        run: fn(D),
+    ) -> Result<(), D> {
+        (self.inner).push(data, deadline, |data| {
+            scoped_job(deadline, move || run(data))
+        })
     }
 
     /// Non-blocking submit: errors instead of helping when the queue is
@@ -758,58 +837,25 @@ impl Dispatcher {
     {
         let token = self.next_token();
         let (handle, completer) = self.register::<T>(token);
-        match self.enqueue(call_job(token, completer, f), false, None) {
-            Ok(()) => Ok(handle),
-            Err(e) => Err(e),
-        }
+        let job = call_job(token, completer, f);
+        let queued = self.inner.push(job, None, |job| job);
+        queued.map(|()| handle).map_err(|_| self.inner.refusal())
     }
 
-    fn enqueue(
-        &self,
-        run: BoxedFn,
-        help_when_full: bool,
-        deadline: Option<Instant>,
-    ) -> Result<(), WspError> {
-        // Timestamp for queue-wait/run-time measurement only while
-        // telemetry is on: a disabled registry costs nothing but this
-        // one check.
-        let mut job = Job {
-            run,
-            enqueued_at: telemetry::global().is_enabled().then(Instant::now),
-            deadline,
-        };
+    /// Queue `job`, helping while the queue is full: drain one job on
+    /// this thread, then retry. The queue being full guarantees work
+    /// exists.
+    fn enqueue(&self, mut job: BoxedFn, deadline: Option<Instant>) -> Result<(), WspError> {
         loop {
-            let Some(tx) = self.inner.jobs_tx.lock().clone() else {
-                return Err(WspError::Dispatch("dispatcher is shut down".into()));
+            job = match self.inner.push(job, deadline, |job| job) {
+                Ok(()) => return Ok(()),
+                Err(job) => job,
             };
-            self.inner.jobs_pending.fetch_add(1, Ordering::SeqCst);
-            match tx.try_send(job) {
-                Ok(()) => {
-                    self.inner.submitted.fetch_add(1, Ordering::SeqCst);
-                    self.inner
-                        .queue_depth
-                        .record(self.inner.jobs_rx.len() as u64);
-                    return Ok(());
-                }
-                Err(TrySendError::Full(returned)) => {
-                    self.inner.jobs_pending.fetch_sub(1, Ordering::SeqCst);
-                    if !help_when_full {
-                        return Err(WspError::Dispatch(format!(
-                            "dispatch queue is full ({} jobs)",
-                            self.inner.jobs_rx.len()
-                        )));
-                    }
-                    // Backpressure: drain one job on this thread, then
-                    // retry. The queue being full guarantees work exists.
-                    job = returned;
-                    if !self.inner.try_run_one() {
-                        std::thread::yield_now();
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.inner.jobs_pending.fetch_sub(1, Ordering::SeqCst);
-                    return Err(WspError::Dispatch("dispatcher is shut down".into()));
-                }
+            if self.inner.closed.load(Ordering::SeqCst) {
+                return Err(self.inner.refusal());
+            }
+            if !self.inner.try_run_one() {
+                std::thread::yield_now();
             }
         }
     }
@@ -885,19 +931,19 @@ impl Dispatcher {
     /// alone, for per-request callers (admission) that must not pay for
     /// the whole snapshot.
     pub fn queue_depth(&self) -> usize {
-        self.inner.jobs_rx.len()
+        self.inner.queue.lock().len()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> DispatcherStats {
-        let pending_calls = self.pending_tokens().len();
+        let pending_calls = self.inner.calls.lock().pending_count();
         DispatcherStats {
             submitted: self.inner.submitted.load(Ordering::SeqCst),
             completed: self.inner.completed.load(Ordering::SeqCst),
             failed: self.inner.failed.load(Ordering::SeqCst),
             cancelled: self.inner.cancelled.load(Ordering::SeqCst),
             shed: self.inner.shed.load(Ordering::SeqCst),
-            queue_depth: self.inner.jobs_rx.len(),
+            queue_depth: self.queue_depth(),
             in_flight: self.inner.in_flight.load(Ordering::SeqCst),
             pending_calls,
             workers: self.inner.workers,
@@ -907,14 +953,14 @@ impl Dispatcher {
 
 impl Drop for Dispatcher {
     fn drop(&mut self) {
-        // Disconnect the queue; workers drain remaining jobs and exit.
-        self.inner.jobs_tx.lock().take();
+        // Close the queue; workers drain remaining jobs and exit.
+        self.inner.close();
         let me = std::thread::current().id();
         for handle in self.worker_handles.lock().drain(..) {
             // A job may own the last reference to the dispatcher (a
             // binding's serve closure outliving its peer), so this can
             // run on a worker — which cannot join itself; it exits on
-            // its own once the job returns to the disconnected queue.
+            // its own once the job returns to the closed queue.
             if handle.thread().id() != me {
                 let _ = handle.join();
             }
@@ -1192,7 +1238,7 @@ mod tests {
     #[test]
     fn shut_down_dispatcher_refuses_both_forms_with_the_same_error() {
         let d = small();
-        d.inner.jobs_tx.lock().take();
+        d.inner.close();
         let queued = d.submit(|| 1u32).unwrap_err().to_string();
         let ran = std::cell::Cell::new(false);
         let caller = d
@@ -1362,8 +1408,8 @@ mod tests {
     #[test]
     fn last_reference_dropped_inside_a_job_does_not_join_its_own_worker() {
         let dispatcher = small();
-        let (done_tx, done_rx) = crossbeam_channel::unbounded::<()>();
-        let (go_tx, go_rx) = crossbeam_channel::unbounded::<()>();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
         let owned = dispatcher.clone();
         dispatcher
             .execute(move || {

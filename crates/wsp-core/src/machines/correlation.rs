@@ -63,6 +63,14 @@ impl CorrelationState {
             .collect()
     }
 
+    /// How many tokens [`Self::table_tokens`] would list.
+    pub fn pending_count(&self) -> usize {
+        self.calls
+            .values()
+            .filter(|p| **p == CallPhase::Pending)
+            .count()
+    }
+
     pub fn phase(&self, token: u64) -> Option<CallPhase> {
         self.calls.get(&token).copied()
     }

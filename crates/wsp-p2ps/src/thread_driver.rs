@@ -52,12 +52,12 @@ use crate::id::PeerId;
 use crate::machine::{PeerConfig, PeerMachine, PeerOutput};
 use crate::message::P2psMessage;
 use crate::query::P2psQuery;
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 use wsp_simnet::Time;
@@ -337,7 +337,7 @@ impl ThreadNetwork {
     /// removes the peer and joins the thread.
     pub fn spawn(&self, config: PeerConfig) -> ThreadPeer {
         let id = config.id;
-        let (event_tx, event_rx) = unbounded::<ThreadPeerEvent>();
+        let (event_tx, event_rx) = channel::<ThreadPeerEvent>();
         let core = Arc::new(PeerCore {
             id,
             network: self.clone(),
@@ -359,7 +359,7 @@ impl ThreadNetwork {
         };
         ThreadPeer {
             core,
-            events: event_rx,
+            events: Mutex::new(event_rx),
             join: Some(join),
         }
     }
@@ -512,7 +512,8 @@ fn inbox_loop(core: &PeerCore) {
 /// Application handle for one threaded peer.
 pub struct ThreadPeer {
     core: Arc<PeerCore>,
-    events: Receiver<ThreadPeerEvent>,
+    /// Locked because a `ThreadPeer` is `Sync` and a `Receiver` is not.
+    events: Mutex<Receiver<ThreadPeerEvent>>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -587,12 +588,12 @@ impl ThreadPeer {
 
     /// Block for the next event, up to `timeout`.
     pub fn recv_event(&self, timeout: Duration) -> Option<ThreadPeerEvent> {
-        self.events.recv_timeout(timeout).ok()
+        self.events.lock().recv_timeout(timeout).ok()
     }
 
     /// Non-blocking event poll.
     pub fn try_event(&self) -> Option<ThreadPeerEvent> {
-        self.events.try_recv().ok()
+        self.events.lock().try_recv().ok()
     }
 }
 
@@ -767,7 +768,7 @@ mod tests {
         let loopback = provider.open_pipe(Some("loop".into()));
         let return_pipe = consumer.open_pipe(None);
 
-        let (seen_tx, seen_rx) = unbounded::<String>();
+        let (seen_tx, seen_rx) = channel::<String>();
         let (weak, reply_to, via) = (
             Arc::downgrade(&provider),
             return_pipe.clone(),
@@ -834,7 +835,7 @@ mod tests {
         let b = network.spawn(PeerConfig::ordinary(PeerId(2)));
         let b_pipe = b.open_pipe(None);
         let slot = Arc::new(Mutex::new(None::<ThreadPeer>));
-        let (gone_tx, gone_rx) = unbounded::<()>();
+        let (gone_tx, gone_rx) = channel::<()>();
         let in_sink = slot.clone();
         assert!(b.set_sink(Box::new(move |_| {
             drop(in_sink.lock().take()); // runs on b's inbox thread
@@ -879,7 +880,7 @@ mod tests {
         let network = ThreadNetwork::new();
         let a = network.spawn(PeerConfig::ordinary(PeerId(1)));
         let mut b = network.spawn(PeerConfig::ordinary(PeerId(2)));
-        let (ran_on_tx, ran_on_rx) = unbounded::<Option<String>>();
+        let (ran_on_tx, ran_on_rx) = channel::<Option<String>>();
         assert!(b.set_sink(Box::new(move |_| {
             let _ = ran_on_tx.send(std::thread::current().name().map(str::to_owned));
             panic!("deliberate sink panic");
@@ -915,16 +916,17 @@ mod tests {
         let network = ThreadNetwork::new();
         let a = network.spawn(PeerConfig::ordinary(PeerId(1)));
         let b = network.spawn(PeerConfig::ordinary(PeerId(2)));
-        let (entered_tx, entered_rx) = unbounded::<()>();
-        let (release_tx, release_rx) = unbounded::<()>();
-        let (seen_tx, seen_rx) = unbounded::<(String, std::thread::ThreadId)>();
+        let (entered_tx, entered_rx) = channel::<()>();
+        let (release_tx, release_rx) = channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let (seen_tx, seen_rx) = channel::<(String, std::thread::ThreadId)>();
         assert!(b.set_sink(Box::new(move |event| {
             let ThreadPeerEvent::PipeDelivery { payload, .. } = event else {
                 return;
             };
             if payload == "hold" {
                 entered_tx.send(()).unwrap();
-                release_rx.recv().unwrap();
+                release_rx.lock().recv().unwrap();
             }
             seen_tx
                 .send((payload, std::thread::current().id()))
@@ -968,7 +970,7 @@ mod tests {
             network.spawn(PeerConfig::ordinary(PeerId(2))),
             network.spawn(PeerConfig::ordinary(PeerId(3))),
         ];
-        let (seen_tx, seen_rx) = unbounded::<(PeerId, u64)>();
+        let (seen_tx, seen_rx) = channel::<(PeerId, u64)>();
         let inside = AtomicU64::new(0);
         let overlaps = Arc::new(AtomicU64::new(0));
         let overlapped = overlaps.clone();

@@ -203,6 +203,20 @@ timeout 900 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-integration-tests --test lifecycle_p2ps --test cross_binding || exit 1
 done'
 
+# The dispatcher's own queue: every worker pool in the tree sits on one
+# `Mutex<VecDeque<Job>>` and one condvar, and an idle worker waits on
+# it with no timeout. The vendored channel it replaced re-checked every
+# 50 ms, so a lost wake-up cost 50 ms; now it hangs, hence `timeout`.
+# Twenty release runs of the dispatcher's unit tests (helping waits,
+# backpressure, flush, drain-on-drop), the idle-workers count and the
+# sync/async parity suite.
+echo "==> dispatcher stress (dispatch + idle_workers + dispatch_core, 20x, release)"
+timeout 900 bash -c 'for i in $(seq 1 20); do
+  cargo test -q --release -p wsp-core --lib dispatch || exit 1
+  cargo test -q --release -p wsp-core --test idle_workers || exit 1
+  cargo test -q --release -p wsp-integration-tests --test dispatch_core || exit 1
+done'
+
 # Locate from the record: a consumer that has verified an interface
 # builds the next HTTP/UDDI service with it from the registry record,
 # without `GET ?wsdl`. Release, as it ships: the rebuilt service equals

@@ -2,13 +2,13 @@
 //! definition pipe, request/response over unidirectional pipes, faults,
 //! one-way operations and provider departure.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use wsp_core::bindings::{P2psBinding, P2psConfig};
 use wsp_core::overload::{self, current_deadline};
 use wsp_core::{
-    telemetry, BindingKind, CorrelationScope, DeadlineScope, DeployedService, EventBus,
-    LocatedService, Peer, ServiceQuery, WspError,
+    telemetry, BindingKind, CorrelationScope, DeadlineScope, DeployedService, Dispatcher,
+    DispatcherConfig, EventBus, LocatedService, Peer, ServiceQuery, WspError,
 };
 use wsp_integration_tests::{calc_descriptor, calc_handler, p2ps_star, p2ps_wspeer, wait_until};
 use wsp_p2ps::{
@@ -260,8 +260,8 @@ fn nested_invokes_from_four_threads_leave_nothing_behind() {
     let (backend, _backend_binding) = spawn(0xC2);
 
     // backend: the calculator, with a gate the first call waits at.
-    let (entered_tx, entered_rx) = crossbeam_channel::unbounded::<()>();
-    let (release_tx, release_rx) = crossbeam_channel::unbounded::<()>();
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
     let gate = parking_lot::Mutex::new(Some((entered_tx, release_rx)));
     let calc = calc_handler();
     let gated: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
@@ -332,6 +332,50 @@ fn nested_invokes_from_four_threads_leave_nothing_behind() {
     }
     // The relay's handler holds the relay's own client: break the cycle.
     relay.server().undeploy("Calc");
+}
+
+/// A request that finds the provider's dispatcher queue full is shed
+/// with the busy fault on the thread that delivered it — here the
+/// consumer's caller — which never helps by running a queued job (that
+/// would hold the call until the job's gate opened).
+#[test]
+fn a_full_provider_queue_sheds_instead_of_running_a_job_on_the_caller() {
+    let network = ThreadNetwork::new();
+    let config = DispatcherConfig {
+        workers: 1,
+        queue_capacity: 1,
+    };
+    let dispatcher = Dispatcher::new(config);
+    let provider = Peer::with_parts(EventBus::new(), dispatcher.clone());
+    let peer = network.spawn(PeerConfig::ordinary(PeerId(0xD0)));
+    let provider_binding = P2psBinding::new(peer, EventBus::new(), P2psConfig::default());
+    provider.attach(&provider_binding);
+    let (consumer, _cb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xD1))));
+    let deployed = provider.server().deploy(calc_descriptor(), calc_handler());
+    let calc = located(&deployed.unwrap());
+
+    // One gated job holds the worker, another the queue's one slot.
+    let hold = |gate: mpsc::Receiver<()>| move || gate.recv().unwrap();
+    let (open_worker, worker_gate) = mpsc::channel();
+    let (open_slot, slot_gate) = mpsc::channel();
+    dispatcher.execute(hold(worker_gate)).unwrap();
+    let busy = || dispatcher.stats().in_flight == 1;
+    assert!(wait_until(Duration::from_secs(5), busy));
+    dispatcher.execute(hold(slot_gate)).unwrap();
+
+    let (answered, answer) = mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let args = [Value::Double(1.0), Value::Double(2.0)];
+        answered.send(consumer.client().invoke(&calc, "add", &args))
+    });
+    let sum = answer.recv_timeout(Duration::from_secs(10));
+    open_worker.send(()).unwrap();
+    open_slot.send(()).unwrap();
+    caller.join().unwrap().unwrap();
+    let err = sum.expect("returned while the queue was full").unwrap_err();
+    let hint = err.retry_after_hint();
+    assert!(matches!(err, WspError::Overloaded { .. }), "{err:?}");
+    assert_eq!(hint, Some(Duration::from_millis(100)));
 }
 
 /// The binding's sink holds only a weak reference back: dropping the
