@@ -18,10 +18,11 @@
 //!
 //! * **Helping waits.** A thread blocked in [`CallHandle::wait`] (or
 //!   [`Dispatcher::flush`], or a submitter facing a full queue) does
-//!   not just sleep — it pops queued jobs and runs them inline. A
-//!   worker that performs a nested synchronous call therefore makes
-//!   progress even when every pool thread is waiting, and a full
-//!   queue drains through the very threads pushing into it.
+//!   not just sleep — it pops queued jobs and runs them inline, and a
+//!   push that finds no idle worker wakes it. A worker that performs a
+//!   nested call therefore makes progress even when every pool thread
+//!   is waiting, and a full queue drains through the very threads
+//!   pushing into it.
 //! * **External completions.** Calls whose result arrives from the
 //!   outside world (a P2PS response pipe, say) register a token and
 //!   get a [`Completer`]; no worker is parked waiting for the network.
@@ -31,21 +32,23 @@
 //! as an error) and bumps the `failed` counter, but the worker thread
 //! survives.
 //!
-//! The queue is the dispatcher's own `Mutex<VecDeque<Job>>` and one
-//! condvar, on which an idle worker sleeps with no timeout until a job
-//! is queued or the queue closes.
-
+//! Every wait sleeps until the event that ends it, or the caller's own
+//! deadline, and on nothing else. A waiting thread leaves its
+//! [`Thread`] where that event will find it, looks once more, then
+//! parks: a push wakes one idle worker, else one helping waiter (which
+//! runs a job first); a completion or poison wakes that call's waiter;
+//! the job that leaves none pending wakes the flushers; closing the
+//! queue wakes the idle workers to drain it and exit.
+//!
 //! The token lifecycle itself — registered → completed/poisoned/
 //! cancelled → taken — lives in the pure
 //! [`crate::machines::correlation::CorrelationMachine`]; this module is
 //! its runtime shell. Every lifecycle transition steps the machine
 //! under one mutex (the machine state *is* the correlation table);
 //! values and panic messages travel through per-call mailboxes the
-//! effects point at. Lock order is always machine → mailbox, and
-//! waiters re-check their mailbox on a short condvar timeout, so a
-//! missed notify can only delay a wake, never lose one. `wsp-check`
-//! exhaustively explores the machine; the tests here exercise the
-//! shell around it.
+//! effects point at. Lock order is always machine → mailbox.
+//! `wsp-check` exhaustively explores the machine; the tests here
+//! exercise the shell around it.
 
 use crate::error::WspError;
 use crate::machines::correlation::{
@@ -53,12 +56,13 @@ use crate::machines::correlation::{
 };
 use crate::overload::DeadlineScope;
 use crate::telemetry::{self, CorrelationScope, Counter, Histogram};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 use wsp_simnet::Machine;
 
@@ -172,12 +176,12 @@ struct Job {
     enqueued_at: Option<Instant>,
     /// Shed the job unrun if this has passed by the time it is popped:
     /// the caller's propagated deadline, checked at dequeue (see
-    /// [`Dispatcher::execute_with_deadline`]).
+    /// [`Dispatcher::try_execute`]).
     deadline: Option<Instant>,
 }
 
-/// [`Dispatcher::execute`]'s job: `f` under the submitter's correlation
-/// id, inside a [`DeadlineScope`] of `deadline`.
+/// A job with no handle: `f` under the submitter's correlation id,
+/// inside a [`DeadlineScope`] of `deadline`.
 fn scoped_job(deadline: Option<Instant>, f: impl FnOnce() + Send + 'static) -> BoxedFn {
     let parent = telemetry::current_correlation();
     Box::new(move |_: &Settle<'_>| {
@@ -189,28 +193,44 @@ fn scoped_job(deadline: Option<Instant>, f: impl FnOnce() + Send + 'static) -> B
 
 /// What a completed (or poisoned) call leaves in its mailbox. The
 /// *authority* on whether mail may be read or written is the
-/// correlation machine; the mailbox is dumb storage plus a condvar.
+/// correlation machine; the mailbox is dumb storage.
 enum Mail<T> {
     Value(T),
     /// The job producing this result panicked; the message survives.
     Poison(String),
 }
 
+/// One call's mailbox, and the thread parked until mail arrives.
 struct CallState<T> {
-    mail: Mutex<Option<Mail<T>>>,
-    cv: Condvar,
+    mail: Option<Mail<T>>,
+    waiter: Option<Thread>,
+}
+
+/// The jobs and the threads parked for them, under one lock.
+#[derive(Default)]
+struct Queue {
+    /// At most `capacity` jobs, oldest first.
+    jobs: VecDeque<Job>,
+    /// Workers with nothing to run; a push wakes one.
+    idle: Vec<Thread>,
+    /// Parked helping waiters; a push that finds no idle worker wakes one.
+    helpers: Vec<Thread>,
+}
+
+/// Take `me` off a list of parked threads; `false` if its waker already
+/// did.
+fn unlist(list: &mut Vec<Thread>, me: &Thread) -> bool {
+    let found = list.iter().position(|thread| thread.id() == me.id());
+    found.map(|at| list.swap_remove(at)).is_some()
 }
 
 struct Inner {
-    /// At most `capacity` jobs, oldest first.
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     capacity: usize,
     /// Set under `queue`'s lock: a worker cannot miss it between its
-    /// look at the queue and its wait, and a caller-run call reads it
+    /// look at the queue and its park, and a caller-run call reads it
     /// without the lock.
     closed: AtomicBool,
-    /// Signalled when a job is queued or the queue closes.
-    job_ready: Condvar,
     machine: CorrelationMachine,
     /// The correlation table: the pure machine's state, stepped under
     /// this mutex. Always locked BEFORE any call's mailbox.
@@ -223,10 +243,8 @@ struct Inner {
     in_flight: AtomicUsize,
     /// Queued + running jobs; [`Dispatcher::flush`] waits for zero.
     jobs_pending: AtomicUsize,
-    /// How many flushers are parked on `idle_cv`. A job that ends
-    /// notifies only if there is one: a notify is a system call.
-    parked_flushers: Mutex<usize>,
-    idle_cv: Condvar,
+    /// Parked flushers; the job that leaves none pending wakes them.
+    flushers: Mutex<Vec<Thread>>,
     workers: usize,
     /// Cached telemetry handles — recording through them is a single
     /// relaxed load when the global registry is disabled.
@@ -253,24 +271,30 @@ impl Inner {
     /// of the helping protocol — workers, waiters and submitters all
     /// drain the queue through this.
     fn try_run_one(&self) -> bool {
-        let Some(job) = self.queue.lock().pop_front() else {
+        let Some(job) = self.queue.lock().jobs.pop_front() else {
             return false;
         };
         self.run_job(job);
         true
     }
 
-    /// A worker: run jobs until the queue is closed and empty.
+    /// A worker: run jobs until the queue is closed and empty, parked
+    /// on the idle list whenever there is none.
     fn work(&self) {
-        let mut queue = self.queue.lock();
-        while !queue.is_empty() || !self.closed.load(Ordering::SeqCst) {
-            match queue.pop_front() {
-                Some(job) => {
-                    drop(queue);
-                    self.run_job(job);
-                    queue = self.queue.lock();
-                }
-                None => self.job_ready.wait(&mut queue),
+        let me = thread::current();
+        loop {
+            let mut queue = self.queue.lock();
+            // Still listed only after a wake-up that was not a push's.
+            unlist(&mut queue.idle, &me);
+            if let Some(job) = queue.jobs.pop_front() {
+                drop(queue);
+                self.run_job(job);
+            } else if self.closed.load(Ordering::SeqCst) {
+                return;
+            } else {
+                queue.idle.push(me.clone());
+                drop(queue);
+                thread::park();
             }
         }
     }
@@ -280,13 +304,13 @@ impl Inner {
         WspError::Dispatch(if self.closed.load(Ordering::SeqCst) {
             "dispatcher is shut down".into()
         } else {
-            format!("dispatch queue is full ({} jobs)", self.queue.lock().len())
+            format!("dispatch queue is full ({} jobs)", self.capacity)
         })
     }
 
     /// Queue the job `make(input)` builds — timestamped only while
-    /// telemetry is on — and wake a worker; a closed or full queue hands
-    /// `input` back unbuilt.
+    /// telemetry is on — and wake one thread to run it; a closed or
+    /// full queue hands `input` back unbuilt.
     fn push<I>(
         &self,
         input: I,
@@ -294,28 +318,30 @@ impl Inner {
         make: impl FnOnce(I) -> BoxedFn,
     ) -> Result<(), I> {
         let mut queue = self.queue.lock();
-        if queue.len() >= self.capacity || self.closed.load(Ordering::SeqCst) {
+        if queue.jobs.len() >= self.capacity || self.closed.load(Ordering::SeqCst) {
             return Err(input);
         }
         self.jobs_pending.fetch_add(1, Ordering::SeqCst);
         self.submitted.fetch_add(1, Ordering::SeqCst);
-        queue.push_back(Job {
+        queue.jobs.push_back(Job {
             run: make(input),
             enqueued_at: telemetry::global().is_enabled().then(Instant::now),
             deadline,
         });
-        self.queue_depth.record(queue.len() as u64);
+        self.queue_depth.record(queue.jobs.len() as u64);
+        let woken = queue.idle.pop().or_else(|| queue.helpers.pop());
         drop(queue);
-        self.job_ready.notify_one();
+        if let Some(thread) = woken {
+            thread.unpark();
+        }
         Ok(())
     }
 
     /// Accept no more jobs; wake the idle workers to drain and exit.
     fn close(&self) {
-        let queue = self.queue.lock();
+        let mut queue = self.queue.lock();
         self.closed.store(true, Ordering::SeqCst);
-        drop(queue);
-        self.job_ready.notify_all();
+        queue.idle.drain(..).for_each(|worker| worker.unpark());
     }
 
     fn run_job(&self, job: Job) {
@@ -366,27 +392,65 @@ impl Inner {
         outcome
     }
 
-    /// One job fewer is pending: wake the flushers waiting for none.
-    /// A flusher holds the lock from its last look at `jobs_pending`
-    /// until it is parked, so it saw this job gone or is counted here.
+    /// One job fewer is pending; the one that leaves none wakes the
+    /// parked flushers. A flusher lists itself before its last look at
+    /// `jobs_pending`, so it saw this job gone or is woken here.
     fn job_ended(&self) {
-        self.jobs_pending.fetch_sub(1, Ordering::SeqCst);
-        if *self.parked_flushers.lock() > 0 {
-            self.idle_cv.notify_all();
+        if self.jobs_pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.flushers.lock().drain(..).for_each(|f| f.unpark());
         }
     }
 
-    /// Park the calling flusher until a job ends or `timeout` passes;
-    /// `false`, without waiting, if nothing is pending any more.
-    fn park_flusher(&self, timeout: Duration) -> bool {
-        let mut parked = self.parked_flushers.lock();
-        if self.jobs_pending.load(Ordering::SeqCst) == 0 {
-            return false;
+    /// The one wait loop, until `done` yields or `deadline` passes. A
+    /// waiter that `help`s runs queued jobs. With none to run, `listen`
+    /// leaves `me` where the awaited event finds it (`false`: it came
+    /// already), a helper lists itself for pushes, and the thread parks
+    /// until that event, a push or the deadline. A helper a push picked
+    /// runs a job first, so the push is not lost on it.
+    fn wait<R>(
+        &self,
+        deadline: Option<Instant>,
+        help: bool,
+        mut done: impl FnMut() -> Option<R>,
+        listen: impl Fn(&Thread) -> bool,
+    ) -> Option<R> {
+        let me = thread::current();
+        loop {
+            if let Some(result) = done() {
+                return Some(result);
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
+            if (help && self.try_run_one()) || !listen(&me) {
+                continue;
+            }
+            if help {
+                let mut queue = self.queue.lock();
+                if !queue.jobs.is_empty() {
+                    continue;
+                }
+                queue.helpers.push(me.clone());
+            }
+            match deadline {
+                Some(d) => thread::park_timeout(d.saturating_duration_since(Instant::now())),
+                None => thread::park(),
+            }
+            if help && !unlist(&mut self.queue.lock().helpers, &me) {
+                self.try_run_one();
+            }
         }
-        *parked += 1;
-        self.idle_cv.wait_for(&mut parked, timeout);
-        *parked -= 1;
-        true
+    }
+
+    /// Step `Cancel` for `token`; `true` (and counted) if that
+    /// cancelled a pending call.
+    fn cancel(&self, token: u64) -> bool {
+        let effects = self.step_call(CorrelationEvent::Cancel(token));
+        let cancelled = effects.contains(&CorrelationEffect::CountCancelled(token));
+        if cancelled {
+            self.cancelled.fetch_add(1, Ordering::SeqCst);
+        }
+        cancelled
     }
 
     /// Step the correlation machine under its lock and return the
@@ -414,7 +478,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// events with the handles they hold.
 pub struct CallHandle<T> {
     token: u64,
-    state: Arc<CallState<T>>,
+    state: Arc<Mutex<CallState<T>>>,
     inner: Arc<Inner>,
 }
 
@@ -427,7 +491,7 @@ impl<T: Send + 'static> CallHandle<T> {
 
     /// Has a result arrived (or the call been poisoned)?
     pub fn is_complete(&self) -> bool {
-        self.state.mail.lock().is_some()
+        self.state.lock().mail.is_some()
     }
 
     /// Non-blocking snapshot of the result, leaving it in place.
@@ -435,7 +499,7 @@ impl<T: Send + 'static> CallHandle<T> {
     where
         T: Clone,
     {
-        match &*self.state.mail.lock() {
+        match &self.state.lock().mail {
             Some(Mail::Value(value)) => Some(value.clone()),
             _ => None,
         }
@@ -445,17 +509,15 @@ impl<T: Send + 'static> CallHandle<T> {
     /// jobs in the meantime (so waiting inside a worker cannot
     /// deadlock the pool). Panics if the producing job panicked.
     pub fn wait(self) -> T {
-        match self.wait_until(None) {
-            Ok(value) => value,
-            Err(_) => unreachable!("wait_until without deadline cannot time out"),
-        }
+        let waited = self.wait_until(None, true);
+        waited.unwrap_or_else(|_| unreachable!("a wait without deadline cannot time out"))
     }
 
     /// Like [`CallHandle::wait`] but gives up after `timeout`,
     /// returning the handle back so the caller may keep waiting or
     /// [`CallHandle::cancel`].
     pub fn wait_timeout(self, timeout: Duration) -> Result<T, CallHandle<T>> {
-        self.wait_until(Some(Instant::now() + timeout))
+        self.wait_until(Some(Instant::now() + timeout), true)
     }
 
     /// Step a `Take` event through the correlation machine. Returns the
@@ -463,86 +525,41 @@ impl<T: Send + 'static> CallHandle<T> {
     /// (with every lock released first), and returns `None` while the
     /// call is still pending. Lock order: machine, then mailbox.
     fn try_take(&self) -> Option<T> {
+        use CorrelationEffect::{PanicWaiter, YieldValue};
         let mut calls = self.inner.calls.lock();
         let effects =
             (self.inner.machine).step_in_place(&mut calls, &CorrelationEvent::Take(self.token));
-        match effects.first() {
-            Some(CorrelationEffect::YieldValue(_)) => {
-                let mail = self.state.mail.lock().take();
-                drop(calls);
-                match mail {
-                    Some(Mail::Value(value)) => Some(value),
-                    _ => unreachable!("machine yielded a value the mailbox never received"),
-                }
-            }
-            Some(CorrelationEffect::PanicWaiter(_)) => {
-                let mail = self.state.mail.lock().take();
-                drop(calls);
-                let message = match mail {
-                    Some(Mail::Poison(message)) => message,
-                    _ => "job panicked".to_owned(),
-                };
-                panic!("call {} panicked: {message}", self.token);
-            }
-            _ => None,
+        if !matches!(effects.first(), Some(YieldValue(_) | PanicWaiter(_))) {
+            return None;
+        }
+        let mail = self.state.lock().mail.take();
+        drop(calls);
+        match mail.expect("the machine let a call be taken that never received mail") {
+            Mail::Value(value) => Some(value),
+            Mail::Poison(message) => panic!("call {} panicked: {message}", self.token),
         }
     }
 
-    fn wait_until(self, deadline: Option<Instant>) -> Result<T, CallHandle<T>> {
-        loop {
-            if let Some(value) = self.try_take() {
-                return Ok(value);
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(self);
-            }
-            // Help: run one queued job; only sleep when the queue is
-            // empty, and then only briefly so external completions are
-            // picked up promptly (and a notify racing this check is
-            // recovered by the timeout).
-            if !self.inner.try_run_one() {
-                let mut mail = self.state.mail.lock();
-                if mail.is_none() {
-                    self.state.cv.wait_for(&mut mail, Duration::from_millis(5));
-                }
-            }
-        }
-    }
-
-    /// Deadline-bounded wait that does NOT help run queued jobs: the
-    /// waiter only parks on the completion condvar, so even if the
-    /// awaited job itself is slow the deadline is honoured. Must be
-    /// called from an application thread, not a pool worker (a worker
-    /// parked here is one worker fewer to run the job it waits for).
-    fn wait_until_passive(self, deadline: Instant) -> Result<T, CallHandle<T>> {
-        loop {
-            if let Some(value) = self.try_take() {
-                return Ok(value);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(self);
-            }
-            let mut mail = self.state.mail.lock();
-            if mail.is_none() {
-                self.state.cv.wait_for(&mut mail, deadline - now);
-            }
-        }
+    /// Wait for the result until `deadline`, if any. A waiter that
+    /// `help`s runs queued jobs meanwhile, and wakes for a push as well
+    /// as for its completion; [`CallHandle::wait_within`]'s does not —
+    /// it could pull the very job it watches onto its own thread.
+    fn wait_until(self, deadline: Option<Instant>, help: bool) -> Result<T, CallHandle<T>> {
+        let listen = |me: &Thread| {
+            let mut state = self.state.lock();
+            state.waiter = Some(me.clone());
+            state.mail.is_none()
+        };
+        let value = self.inner.wait(deadline, help, || self.try_take(), listen);
+        value.ok_or(self)
     }
 
     /// Abandon the call. A result arriving later is dropped. Returns
     /// `false` if the call had already completed.
     pub fn cancel(self) -> bool {
-        let effects = self.inner.step_call(CorrelationEvent::Cancel(self.token));
-        let cancelled = effects
-            .iter()
-            .any(|e| matches!(e, CorrelationEffect::CountCancelled(_)));
-        if cancelled {
-            self.inner.cancelled.fetch_add(1, Ordering::SeqCst);
-        }
         // Dropping `self` now steps a second Cancel, which the machine
         // treats as a no-op: the token is already gone.
-        cancelled
+        self.inner.cancel(self.token)
     }
 }
 
@@ -554,13 +571,7 @@ impl<T> Drop for CallHandle<T> {
     /// way. After `wait`/`cancel` consumed the call, the machine sees
     /// an unknown token and this is a no-op.
     fn drop(&mut self) {
-        let effects = self.inner.step_call(CorrelationEvent::Cancel(self.token));
-        if effects
-            .iter()
-            .any(|e| matches!(e, CorrelationEffect::CountCancelled(_)))
-        {
-            self.inner.cancelled.fetch_add(1, Ordering::SeqCst);
-        }
+        self.inner.cancel(self.token);
     }
 }
 
@@ -578,16 +589,14 @@ impl<T: Send + 'static> CallHandle<Result<T, WspError>> {
     /// threads, not from inside a pool worker.
     pub fn wait_within(self, timeout: Duration) -> Result<T, WspError> {
         let millis = timeout.as_millis() as u64;
-        match self.wait_until_passive(Instant::now() + timeout) {
-            Ok(result) => result,
-            Err(handle) => {
-                handle.cancel();
-                Err(WspError::Timeout {
-                    what: "call deadline",
-                    millis,
-                })
-            }
-        }
+        let waited = self.wait_until(Some(Instant::now() + timeout), false);
+        waited.unwrap_or_else(|handle| {
+            handle.cancel();
+            Err(WspError::Timeout {
+                what: "call deadline",
+                millis,
+            })
+        })
     }
 }
 
@@ -603,49 +612,40 @@ impl<T> std::fmt::Debug for CallHandle<T> {
 /// [`Dispatcher::register`]). Single-shot: completing consumes it.
 pub struct Completer<T> {
     token: u64,
-    state: Arc<CallState<T>>,
+    state: Arc<Mutex<CallState<T>>>,
     inner: Arc<Inner>,
 }
 
 impl<T: Send + 'static> Completer<T> {
-    pub fn token(&self) -> u64 {
-        self.token
-    }
-
     /// Deliver the result. Returns `false` if the call was cancelled
     /// or already completed (the value is dropped in that case).
     pub fn complete(self, value: T) -> bool {
-        // The mailbox is written while still holding the machine lock,
-        // so a waiter whose Take was answered with YieldValue always
-        // finds its mail.
-        let mut calls = self.inner.calls.lock();
-        let effects =
-            (self.inner.machine).step_in_place(&mut calls, &CorrelationEvent::Complete(self.token));
-        if effects
-            .iter()
-            .any(|e| matches!(e, CorrelationEffect::DeliverValue(_)))
-        {
-            let mut mail = self.state.mail.lock();
-            *mail = Some(Mail::Value(value));
-            self.state.cv.notify_all();
-            true
-        } else {
-            false
-        }
+        self.deliver(CorrelationEvent::Complete(self.token), Mail::Value(value))
     }
 
     fn poison(self, message: String) {
+        self.deliver(CorrelationEvent::Poison(self.token), Mail::Poison(message));
+    }
+
+    /// Step `event`; if the machine lets it deliver, leave `mail` and
+    /// wake the call's waiter. The mailbox is written while still
+    /// holding the machine lock, so a waiter whose Take was answered
+    /// with a value always finds its mail.
+    fn deliver(&self, event: CorrelationEvent, mail: Mail<T>) -> bool {
+        use CorrelationEffect::{DeliverPoison, DeliverValue};
         let mut calls = self.inner.calls.lock();
-        let effects =
-            (self.inner.machine).step_in_place(&mut calls, &CorrelationEvent::Poison(self.token));
-        if effects
-            .iter()
-            .any(|e| matches!(e, CorrelationEffect::DeliverPoison(_)))
-        {
-            let mut mail = self.state.mail.lock();
-            *mail = Some(Mail::Poison(message));
-            self.state.cv.notify_all();
+        let effects = (self.inner.machine).step_in_place(&mut calls, &event);
+        if !matches!(effects.first(), Some(DeliverValue(_) | DeliverPoison(_))) {
+            return false;
         }
+        let mut state = self.state.lock();
+        state.mail = Some(mail);
+        let waiter = state.waiter.take();
+        drop((state, calls));
+        if let Some(waiter) = waiter {
+            waiter.unpark();
+        }
+        true
     }
 }
 
@@ -669,10 +669,9 @@ impl Dispatcher {
         let workers = config.workers.max(1);
         let capacity = config.queue_capacity.max(1);
         let inner = Arc::new(Inner {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             capacity,
             closed: AtomicBool::new(false),
-            job_ready: Condvar::new(),
             machine: CorrelationMachine,
             calls: Mutex::new(CorrelationMachine.initial()),
             submitted: AtomicU64::new(0),
@@ -682,8 +681,7 @@ impl Dispatcher {
             shed: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
             jobs_pending: AtomicUsize::new(0),
-            parked_flushers: Mutex::new(0),
-            idle_cv: Condvar::new(),
+            flushers: Mutex::new(Vec::new()),
             workers,
             queue_wait_us: telemetry::global().histogram("dispatch.queue_wait_us"),
             run_us: telemetry::global().histogram("dispatch.run_us"),
@@ -797,26 +795,15 @@ impl Dispatcher {
     where
         F: FnOnce() + Send + 'static,
     {
-        self.execute_with_deadline(None, f)
+        self.enqueue(scoped_job(None, f), None)
     }
 
-    /// [`Dispatcher::execute`] with a propagated call deadline: if the
-    /// deadline passes while the job is still queued it is shed unrun
-    /// (counted in [`DispatcherStats::shed`] and the
-    /// `dispatch.shed_expired` telemetry counter); if the job does run,
-    /// it runs inside a [`DeadlineScope`] so nested work can see the
-    /// remaining budget. The server-side half of deadline propagation.
-    pub fn execute_with_deadline<F>(&self, deadline: Option<Instant>, f: F) -> Result<(), WspError>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.enqueue(scoped_job(deadline, f), deadline)
-    }
-
-    /// [`Dispatcher::execute_with_deadline`] of `run(data)`, except that
-    /// the caller never helps: a full or shut-down queue hands `data`
-    /// back. For the P2PS delivery sink, which must not run application
-    /// code (it may be another peer's caller or worker).
+    /// [`Dispatcher::execute`] of `run(data)` under a propagated call
+    /// deadline — shed unrun ([`DispatcherStats::shed`]) if it passes
+    /// in the queue, else run inside a [`DeadlineScope`] of it — whose
+    /// caller never helps: a full or shut-down queue hands `data` back.
+    /// For the P2PS delivery sink, which must not run application code
+    /// (it may be another peer's caller or worker).
     pub(crate) fn try_execute<D: Send + 'static>(
         &self,
         deadline: Option<Instant>,
@@ -864,10 +851,10 @@ impl Dispatcher {
     /// delivered through the returned [`Completer`] (e.g. by a binding
     /// when a response arrives off the network), not by a pool job.
     pub fn register<T: Send + 'static>(&self, token: u64) -> (CallHandle<T>, Completer<T>) {
-        let state = Arc::new(CallState {
-            mail: Mutex::new(None),
-            cv: Condvar::new(),
-        });
+        let state = Arc::new(Mutex::new(CallState {
+            mail: None,
+            waiter: None,
+        }));
         self.inner.step_call(CorrelationEvent::Register(token));
         (
             CallHandle {
@@ -886,14 +873,7 @@ impl Dispatcher {
     /// Block until every job submitted so far has finished, helping run
     /// them. The barrier the tests use instead of sleep-and-poll loops.
     pub fn flush(&self) {
-        loop {
-            if self.inner.jobs_pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            if !self.inner.try_run_one() && !self.inner.park_flusher(Duration::from_millis(5)) {
-                return;
-            }
-        }
+        self.flush_until(None, true);
     }
 
     /// [`flush`](Dispatcher::flush) with a deadline: block until
@@ -903,23 +883,23 @@ impl Dispatcher {
     /// jobs: a job that never finishes must not capture the draining
     /// thread past its deadline, so the wait stays observational.
     pub fn flush_within(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.inner.jobs_pending.load(Ordering::SeqCst) == 0 {
-                return true;
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            if !(self.inner).park_flusher(remaining.min(Duration::from_millis(5))) {
-                return true;
-            }
-        }
+        self.flush_until(Some(Instant::now() + timeout), false)
     }
 
-    /// Run one queued job on the calling thread, if any is waiting.
-    pub fn try_run_one(&self) -> bool {
-        self.inner.try_run_one()
+    /// Wait until no job is pending or `deadline` passes; `true` if none
+    /// is. A flusher that `help`s runs queued jobs meanwhile.
+    fn flush_until(&self, deadline: Option<Instant>, help: bool) -> bool {
+        let inner = &self.inner;
+        let idle = || (inner.jobs_pending.load(Ordering::SeqCst) == 0).then_some(());
+        let listen = |me: &Thread| {
+            let mut flushers = inner.flushers.lock();
+            unlist(&mut flushers, me);
+            flushers.push(me.clone());
+            idle().is_none()
+        };
+        let drained = inner.wait(deadline, help, idle, listen).is_some();
+        unlist(&mut inner.flushers.lock(), &thread::current());
+        drained
     }
 
     /// Tokens still awaiting results (the live correlation table).
@@ -931,7 +911,7 @@ impl Dispatcher {
     /// alone, for per-request callers (admission) that must not pay for
     /// the whole snapshot.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().len()
+        self.inner.queue.lock().jobs.len()
     }
 
     /// Counter snapshot.
@@ -1127,6 +1107,30 @@ mod tests {
         assert_eq!(outer.wait(), 6);
     }
 
+    /// The only worker waits, helping, on a call that only a job queued
+    /// behind it completes: the push must wake that waiter, as no
+    /// worker is idle and no timer would. On a side thread, so a hang
+    /// fails the test instead of stalling it.
+    #[test]
+    fn a_push_wakes_the_only_worker_parked_in_a_helping_wait() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let side = std::thread::spawn(move || {
+            let d = Dispatcher::new(DispatcherConfig {
+                workers: 1,
+                queue_capacity: 8,
+            });
+            let (handle, completer) = d.register::<u32>(d.next_token());
+            d.execute(move || done_tx.send(handle.wait() + 1).unwrap())
+                .unwrap();
+            while d.inner.queue.lock().helpers.is_empty() {
+                std::thread::yield_now();
+            }
+            d.execute(move || assert!(completer.complete(5))).unwrap();
+        });
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(1)), Ok(6));
+        side.join().unwrap();
+    }
+
     /// What one finished call leaves behind in the books.
     fn delta(before: DispatcherStats, after: DispatcherStats) -> [u64; 5] {
         [
@@ -1283,13 +1287,13 @@ mod tests {
         };
         // The job cannot end before it is released, so the flusher has
         // nothing to do but park; wait until it is seen parked.
-        while *d.inner.parked_flushers.lock() == 0 {
+        while d.inner.flushers.lock().is_empty() {
             std::thread::yield_now();
         }
         assert_eq!(d.stats().completed, 0);
         release.send(()).unwrap();
         assert!(flusher.join().unwrap(), "the pool went idle in time");
-        assert_eq!(*d.inner.parked_flushers.lock(), 0);
+        assert!(d.inner.flushers.lock().is_empty());
         assert_eq!(d.stats().completed, 1);
     }
 
@@ -1363,13 +1367,10 @@ mod tests {
         };
         let ran = Arc::new(AtomicBool::new(false));
         let deadline = Instant::now() + Duration::from_millis(20);
-        {
-            let ran = ran.clone();
-            d.execute_with_deadline(Some(deadline), move || {
-                ran.store(true, Ordering::SeqCst);
-            })
-            .unwrap();
-        }
+        let queued = d.try_execute(Some(deadline), ran.clone(), |ran| {
+            ran.store(true, Ordering::SeqCst);
+        });
+        assert!(queued.is_ok());
         // Let the deadline expire while the job is still queued.
         std::thread::sleep(Duration::from_millis(40));
         gate.store(true, Ordering::SeqCst);
@@ -1389,13 +1390,10 @@ mod tests {
         let d = small();
         let deadline = Instant::now() + Duration::from_secs(30);
         let seen = Arc::new(Mutex::new(None));
-        {
-            let seen = seen.clone();
-            d.execute_with_deadline(Some(deadline), move || {
-                *seen.lock() = Some(crate::overload::current_deadline());
-            })
-            .unwrap();
-        }
+        let queued = d.try_execute(Some(deadline), seen.clone(), |seen| {
+            *seen.lock() = Some(crate::overload::current_deadline());
+        });
+        assert!(queued.is_ok());
         d.flush();
         assert_eq!(
             *seen.lock(),

@@ -27,8 +27,9 @@
 //! * The **dispatch core** ([`Dispatcher`]): every peer owns one
 //!   bounded-queue worker pool plus a token → pending-call correlation
 //!   table, shared by its client, server and bindings. Sync and async
-//!   invocation are a single pipeline — [`Client::invoke`] is
-//!   `invoke_async(..).wait()`.
+//!   invocation are a single pipeline — [`Client::invoke`] runs the job
+//!   `invoke_async` queues, on the calling thread
+//!   ([`Dispatcher::run_with_token`]).
 //!
 //! ## Asynchrony: `CallHandle` and event delivery
 //!
@@ -39,8 +40,8 @@
 //! Handle semantics:
 //!
 //! * [`wait`](CallHandle::wait) blocks for the result; while blocked
-//!   the thread *helps* — it runs queued jobs inline, so nested sync
-//!   calls from inside a pool worker cannot deadlock the pool.
+//!   the thread *helps* — it runs queued jobs inline, so a pool worker
+//!   waiting on a nested asynchronous call cannot deadlock the pool.
 //! * [`wait_timeout`](CallHandle::wait_timeout) returns `Err(handle)`
 //!   on timeout so the caller can keep waiting or
 //!   [`cancel`](CallHandle::cancel); a cancelled call drops any late

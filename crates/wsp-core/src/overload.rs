@@ -427,18 +427,6 @@ impl KeyedAdmissionController {
             "permit released with nothing in flight"
         );
     }
-
-    /// Block until every tenant's work has finished or `deadline`
-    /// passes; returns the total still in flight (0 on success).
-    pub fn await_idle(&self, deadline: Instant) -> usize {
-        loop {
-            let in_flight = self.total_in_flight();
-            if in_flight == 0 || Instant::now() >= deadline {
-                return in_flight;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
 }
 
 /// RAII proof of admission: holds one of its tenant's in-flight slots,
@@ -662,8 +650,7 @@ mod tests {
             "drain leaves in-flight work alone"
         );
         drop(permit);
-        let idle_by = Instant::now() + Duration::from_secs(1);
-        assert_eq!(ctl.await_idle(idle_by), 0);
+        assert_eq!(ctl.total_in_flight(), 0);
         ctl.stop_draining();
         assert!(ctl.try_admit(HOST, None).is_ok());
     }
@@ -831,7 +818,7 @@ mod tests {
         ctl.stop_draining();
         let permit = ctl.try_admit("t", None).unwrap();
         drop(permit);
-        assert_eq!(ctl.await_idle(Instant::now() + Duration::from_secs(1)), 0);
+        assert_eq!(ctl.total_in_flight(), 0);
     }
 
     #[test]

@@ -486,9 +486,10 @@ impl Server {
     }
 
     /// Drain-mode undeploy: withdraw the publication and the endpoint
-    /// first — no *new* work can arrive — then wait (helping run jobs)
-    /// for everything already submitted to the shared dispatcher to
-    /// finish, up to `drain_deadline`. Nothing admitted is dropped;
+    /// first — no *new* work can arrive — then wait, without running
+    /// any job itself ([`Dispatcher::flush_within`]), for everything
+    /// already submitted to the shared dispatcher to finish, up to
+    /// `drain_deadline`. Nothing admitted is dropped;
     /// plain [`undeploy`](Server::undeploy) remains the abrupt path.
     ///
     /// Fires [`LifecycleMessageEvent`]s around the wait

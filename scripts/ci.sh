@@ -203,13 +203,15 @@ timeout 900 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-integration-tests --test lifecycle_p2ps --test cross_binding || exit 1
 done'
 
-# The dispatcher's own queue: every worker pool in the tree sits on one
-# `Mutex<VecDeque<Job>>` and one condvar, and an idle worker waits on
-# it with no timeout. The vendored channel it replaced re-checked every
-# 50 ms, so a lost wake-up cost 50 ms; now it hangs, hence `timeout`.
-# Twenty release runs of the dispatcher's unit tests (helping waits,
-# backpressure, flush, drain-on-drop), the idle-workers count and the
-# sync/async parity suite.
+# The dispatcher's waits: an idle worker, a waiter on a call and a
+# flusher all park until the event that ends their wait (or their
+# caller's own deadline), with no timed re-check behind them. A lost
+# wake-up used to cost a 50 ms (workers) or 5 ms (waiters, drains)
+# poll; now it hangs, hence `timeout`. Twenty release runs of the
+# dispatcher's unit tests (helping waits, the push that wakes a
+# helping waiter, backpressure, flush, drain-on-drop), the idle-workers
+# target (idle workers, a timed wait, a timed flush: context switches
+# counted) and the sync/async parity suite.
 echo "==> dispatcher stress (dispatch + idle_workers + dispatch_core, 20x, release)"
 timeout 900 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-core --lib dispatch || exit 1
