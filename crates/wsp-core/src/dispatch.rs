@@ -1022,6 +1022,20 @@ mod tests {
     }
 
     #[test]
+    fn try_poll_peeks_without_blocking_or_consuming() {
+        let d = small();
+        let (handle, completer) = d.register::<u32>(d.next_token());
+        assert_eq!(handle.try_poll(), None, "pending");
+        assert!(completer.complete(7));
+        assert_eq!(handle.try_poll(), Some(7));
+        assert_eq!(handle.wait(), 7, "the peek left the value in place");
+
+        let (handle, completer) = d.register::<u32>(d.next_token());
+        completer.poison("job panicked".to_owned());
+        assert_eq!(handle.try_poll(), None, "a poisoned call has no value");
+    }
+
+    #[test]
     fn wait_within_times_out_with_classified_error_and_cancels() {
         let d = small();
         let (handle, completer) = d.register::<Result<u32, WspError>>(d.next_token());

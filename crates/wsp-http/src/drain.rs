@@ -11,12 +11,13 @@
 //! accounting — increment on an admitted accept, decrement when the
 //! connection closes — is part of the same transition function the
 //! runtime executes and the model checker explores. The shell
-//! ([`ServerState`], run by both reactor listeners: the HTTP
-//! [`crate::server::TcpServer`] and the P2PS pipe endpoint) holds a
-//! `Mutex<DrainState>`, feeds in [`DrainEvent`]s from the reactor's
-//! accept and close hooks and from its own `shutdown`/`stop`, and its
-//! owner executes the returned [`DrainEffect`]s (serve, reject with
-//! `503` — a pipe just drops —, stop the listener).
+//! ([`ServerState`]) holds a `Mutex<DrainState>`; the reactor owns it,
+//! feeds in [`DrainEvent`]s from its accepts and releases and from its
+//! handle's `shutdown`/`stop`, and executes the returned
+//! [`DrainEffect`]s (serve, refuse — HTTP with a canned `503`, a pipe
+//! by dropping the socket —, stop the listener). The same reactor code
+//! runs it for the HTTP [`crate::server::TcpServer`] and for the P2PS
+//! pipe endpoint.
 //!
 //! Invariants the model checker enforces (`wsp-check`):
 //!
@@ -31,7 +32,6 @@
 //! * **no admission past drain** — [`DrainEffect::Serve`] is never
 //!   emitted once the lifecycle has left `Accepting`.
 
-use crate::reactor::Reactor;
 use std::time::Instant;
 use wsp_simnet::Machine;
 
@@ -171,12 +171,12 @@ impl Machine for DrainMachine {
     }
 }
 
-/// The one shell around the machine, shared by a listener's handle,
-/// hooks and connections, with the listener's own `config` beside it.
-/// Flag reads (`stopped`, drain latch, active count) are uncontended
-/// `Mutex` peeks, so the machine costs nothing observable.
-pub struct ServerState<C> {
-    pub config: C,
+/// The one shell around the machine. The reactor owns it and steps
+/// it on every accept and every release of a served connection; its
+/// handle steps `BeginDrain` and `Stop`. Flag reads (`stopped`, drain
+/// latch, active count) are uncontended `Mutex` peeks, so the machine
+/// costs nothing observable.
+pub struct ServerState {
     machine: DrainMachine,
     drain: parking_lot::Mutex<DrainState>,
     /// Signalled on every drain-machine step, so a shutdown can sleep
@@ -184,13 +184,12 @@ pub struct ServerState<C> {
     cv: parking_lot::Condvar,
 }
 
-impl<C> ServerState<C> {
-    pub fn new(max_connections: Option<usize>, config: C) -> ServerState<C> {
+impl ServerState {
+    pub fn new(max_connections: Option<usize>) -> ServerState {
         let machine = DrainMachine {
             max_connections: max_connections.map(|cap| cap as u64),
         };
         ServerState {
-            config,
             drain: parking_lot::Mutex::new(machine.initial()),
             machine,
             cv: parking_lot::Condvar::new(),
@@ -222,38 +221,20 @@ impl<C> ServerState<C> {
         self.drain.lock().active
     }
 
-    /// Graceful drain of `reactor`'s listener: refuse newcomers, wake
-    /// the reactor so idle connections see the drain now, sleep on the
-    /// condvar (signalled by every `ConnClosed`) until no connection is
-    /// live or `deadline` passes, then [`stop`](Self::stop). `true` when
-    /// every connection closed in time.
-    pub fn shutdown(&self, reactor: &Reactor, deadline: Instant) -> bool {
-        self.step(DrainEvent::BeginDrain);
-        reactor.wake();
-        let drained = {
-            let mut drain = self.drain.lock();
-            loop {
-                if drain.active == 0 {
-                    break true;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break false;
-                }
-                self.cv.wait_for(&mut drain, deadline - now);
+    /// Sleep on the condvar (signalled by every step) until no
+    /// connection is live or `deadline` passes. `true` when none is.
+    pub fn wait_idle(&self, deadline: Instant) -> bool {
+        let mut drain = self.drain.lock();
+        loop {
+            if drain.active == 0 {
+                return true;
             }
-        };
-        self.stop(reactor);
-        drained
-    }
-
-    /// Stop now: the reactor's threads release every connection and
-    /// exit, and this returns once they have. A second stop is a no-op,
-    /// so re-entry (shutdown → drop) is safe.
-    pub fn stop(&self, reactor: &Reactor) {
-        self.step(DrainEvent::Stop);
-        reactor.wake();
-        reactor.join();
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            self.cv.wait_for(&mut drain, deadline - now);
+        }
     }
 }
 

@@ -8,7 +8,8 @@
 //!   simulated [`sim::HttpSimServer`] (the same router serves both).
 //!   `TcpServer` has one transport core, the epoll [`reactor`], whose
 //!   every decision is a pure machine ([`conn`], [`drain`]) that
-//!   `wsp-check` explores;
+//!   `wsp-check` explores; the reactor serves one listener and runs
+//!   its drain lifecycle itself, for HTTP and for P2PS pipes alike;
 //! * the blocking client: a keep-alive [`pool::ConnectionPool`], with
 //!   [`http_call`] as connection-per-call through the same code;
 //! * [`httpg`], the simulated Globus-style authenticated transport.
@@ -41,9 +42,7 @@ pub use drain::{DrainEffect, DrainEvent, DrainMachine, DrainState, Lifecycle};
 pub use httpg::{guard_router, guarded, HttpgCredential, HttpgError};
 pub use message::{Headers, Method, Request, Response};
 pub use pool::{http_call, http_call_uri, ConnectionPool, DEFAULT_CLIENT_TIMEOUT};
-pub use reactor::{
-    Admit, ConnProtocol, Io, Job, JobResult, Listener, Reactor, ReactorConfig, ServerHooks,
-};
+pub use reactor::{ConnProtocol, Io, Job, JobResult, Reactor, ReactorConfig};
 pub use router::{HttpHandler, Interceptor, Router};
 pub use server::{ServerConfig, TcpServer};
 pub use sim::{

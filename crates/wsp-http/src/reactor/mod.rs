@@ -5,7 +5,7 @@
 //! ```text
 //!   every reactor thread (workers + 1 of them, all alike):
 //!
-//!   epoll_wait(1) ─┬─ listener ──► accept ─► ServerHooks ─► install (or canned 503)
+//!   epoll_wait(1) ─┬─ listener ──► accept ─► DrainMachine ─► install (or refusal)
 //!                  ├─ timerfd ───► pop due wheel entries ─► on_timer
 //!                  ├─ eventfd ───► lifecycle flags: stop / drain broadcast
 //!                  └─ connection (EPOLLONESHOT: this thread's alone)
@@ -48,20 +48,25 @@
 //! is programmed into one timerfd, so a deadline armed while every
 //! other thread sleeps still wakes one of them on time.
 //!
-//! Listeners are admitted through [`ServerHooks`], which wraps the
-//! drain lifecycle ([`crate::drain::DrainMachine`] for HTTP): accept →
-//! serve / canned-reject / drop, close → slot release, plus the
-//! stopped/drain flags read on every [`Reactor::wake`]. Several
-//! listeners (HTTP and P2PS) can share one reactor — one I/O core for
-//! both bindings.
+//! A reactor serves one listener and runs its lifecycle itself: it
+//! owns the listener's [`ServerState`] and steps the
+//! [`crate::drain::DrainMachine`] on every accept (serve / refuse /
+//! drop) and every release of a served connection, and reads the
+//! stopped and drain flags on every wake-up. A protocol supplies only
+//! what differs: how to open a [`ConnProtocol`] for an admitted
+//! connection, and the bytes of a refusal (HTTP's canned `503`; a pipe
+//! has none and is dropped). The HTTP and P2PS servers are that pair
+//! of closures on the same core; the returned [`Reactor`] is the
+//! handle both delegate to.
 
 pub mod sys;
 
 use crate::conn::TimerKind;
+use crate::drain::{DrainEffect, DrainEvent, ServerState};
 use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -88,32 +93,15 @@ pub struct JobResult {
     pub close: bool,
 }
 
-/// What to do with a freshly accepted socket.
-pub enum Admit {
-    /// Serve it with this protocol. The accept consumed a tracked slot,
-    /// released through [`ServerHooks::on_conn_closed`].
-    Serve(Box<dyn ConnProtocol>),
-    /// Write these bytes, then close (canned rejection — 503s don't
-    /// hold drain slots).
-    Reject(Vec<u8>),
-    /// Drop the socket silently (listener already stopped).
-    Drop,
-}
+/// Opens the protocol of a connection the drain machine admitted; it
+/// is handed the listener's lifecycle, for work that must see a drain
+/// begin.
+type Open = Box<dyn Fn(&Arc<ServerState>) -> Box<dyn ConnProtocol> + Send + Sync>;
 
-/// A listener's policy surface: admission, slot accounting and the
-/// lifecycle flags. For HTTP this wraps the
-/// [`crate::drain::DrainMachine`].
-pub trait ServerHooks: Send + Sync {
-    fn on_accept(&self) -> Admit;
-    /// A served connection fully closed.
-    fn on_conn_closed(&self);
-    /// The threads exit once every listener's hooks report stopped.
-    fn stopped(&self) -> bool;
-    /// Latched graceful-drain flag; on the rising edge the reactor
-    /// calls [`ConnProtocol::on_drain`] on each of this listener's
-    /// connections.
-    fn drain_began(&self) -> bool;
-}
+/// The bytes written to a connection the drain machine refused (`why`
+/// is the refusing effect) before it closes; empty drops it unanswered.
+/// A refused connection holds no drain slot.
+type Refusal = Box<dyn Fn(DrainEffect) -> Vec<u8> + Send + Sync>;
 
 /// Per-connection protocol logic, driven by the reactor with an [`Io`]
 /// context for its decisions. Implementations keep their *decision*
@@ -136,7 +124,7 @@ pub trait ConnProtocol: Send {
     /// Everything written during the last callback (or queued behind a
     /// full socket buffer) is on the wire.
     fn on_write_flushed(&mut self, _io: &mut Io<'_>) {}
-    /// This listener began a graceful drain.
+    /// The listener began a graceful drain.
     fn on_drain(&mut self, _io: &mut Io<'_>) {}
 }
 
@@ -216,7 +204,7 @@ impl Io<'_> {
         self.actions.abort = true;
     }
 
-    /// Has this listener begun a graceful drain?
+    /// Has the listener begun a graceful drain?
     pub fn draining(&self) -> bool {
         self.draining
     }
@@ -252,45 +240,51 @@ struct Actions {
     failed: bool,
 }
 
-/// One listening socket plus its admission policy.
-pub struct Listener {
-    pub socket: TcpListener,
-    pub hooks: Arc<dyn ServerHooks>,
-}
-
 pub struct ReactorConfig {
     /// Most handlers running at once. The reactor starts `workers + 1`
     /// threads so one is always outside a handler, free for I/O.
     pub workers: usize,
+    /// Cap on concurrently served connections, the drain machine's
+    /// one tunable; `None` = uncapped.
+    pub max_connections: Option<usize>,
 }
 
-/// Handle to a spawned reactor: wake it (after flipping lifecycle
-/// flags in the hooks) and join it once stopped.
+/// Handle to a spawned reactor and its listener's lifecycle: the
+/// address, the live count, a graceful `shutdown` and an abrupt
+/// `stop`. Dropping it stops the reactor.
 pub struct Reactor {
+    addr: SocketAddr,
+    state: Arc<ServerState>,
     waker: Arc<EventFd>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// The threads own the shared state (and with it the listening
-    /// sockets, which close when the last thread exits); tests peek.
+    /// socket, which closes when the last thread exits); tests peek.
     #[cfg(test)]
     shared: std::sync::Weak<Shared>,
 }
 
 impl Reactor {
-    pub fn spawn(listeners: Vec<Listener>, config: ReactorConfig) -> io::Result<Reactor> {
-        assert!(listeners.len() <= MAX_LISTENERS, "too many listeners");
+    /// Serve `listener` on `workers + 1` threads: `open` speaks to each
+    /// admitted connection, `refusal` answers each refused one.
+    pub fn spawn(
+        listener: TcpListener,
+        config: ReactorConfig,
+        open: impl Fn(&Arc<ServerState>) -> Box<dyn ConnProtocol> + Send + Sync + 'static,
+        refusal: impl Fn(DrainEffect) -> Vec<u8> + Send + Sync + 'static,
+    ) -> io::Result<Reactor> {
+        let addr = listener.local_addr()?;
         let epoll = Epoll::new()?;
         let waker = Arc::new(EventFd::new()?);
         let timer_fd = TimerFd::new()?;
         epoll.add(waker.raw_fd(), EPOLLIN | EPOLLEXCLUSIVE, TOKEN_WAKER)?;
         epoll.add(timer_fd.raw_fd(), EPOLLIN | EPOLLEXCLUSIVE, TOKEN_TIMER)?;
-        for (k, l) in listeners.iter().enumerate() {
-            l.socket.set_nonblocking(true)?;
-            epoll.add(
-                l.socket.as_raw_fd(),
-                EPOLLIN | EPOLLEXCLUSIVE,
-                TOKEN_LISTENER_BASE + k as u64,
-            )?;
-        }
+        listener.set_nonblocking(true)?;
+        epoll.add(
+            listener.as_raw_fd(),
+            EPOLLIN | EPOLLEXCLUSIVE,
+            TOKEN_LISTENER,
+        )?;
+        let state = Arc::new(ServerState::new(config.max_connections));
 
         let max_handlers = config.workers.max(1);
         let threads = max_handlers + 1;
@@ -299,8 +293,11 @@ impl Reactor {
             epoll,
             waker: Arc::clone(&waker),
             timer_fd,
-            drained: listeners.iter().map(|_| AtomicBool::new(false)).collect(),
-            listeners,
+            listener,
+            state: Arc::clone(&state),
+            open: Box::new(open),
+            refusal: Box::new(refusal),
+            drained: AtomicBool::new(false),
             cells: RwLock::new(Vec::new()),
             free: Mutex::new(Vec::new()),
             next_gen: AtomicU32::new(0),
@@ -320,6 +317,7 @@ impl Reactor {
             jobs_on_reader: registry.counter("reactor.jobs_on_reader"),
             jobs_queued: registry.counter("reactor.jobs_queued"),
             handlers_busy: registry.gauge("reactor.handlers_busy"),
+            accept_refused: registry.counter("reactor.accept_refused"),
         });
 
         let handles = (0..threads)
@@ -333,6 +331,8 @@ impl Reactor {
             .collect();
 
         Ok(Reactor {
+            addr,
+            state,
             waker,
             threads: Mutex::new(handles),
             #[cfg(test)]
@@ -340,17 +340,52 @@ impl Reactor {
         })
     }
 
-    /// Have one thread re-read the hooks' lifecycle flags.
-    pub fn wake(&self) {
-        self.waker.notify();
+    /// The listener's bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
     }
 
-    /// Wait for every thread to exit. Call after the hooks report
-    /// stopped and a [`Reactor::wake`].
-    pub fn join(&self) {
+    /// Live connections (accepted, not yet closed).
+    pub fn active(&self) -> usize {
+        self.state.active() as usize
+    }
+
+    /// True once a graceful drain has begun (latched through the stop).
+    pub fn is_draining(&self) -> bool {
+        self.state.drain_began()
+    }
+
+    /// Graceful drain: refuse newcomers, have idle connections close
+    /// and admitted work finish, wait until no connection is live or
+    /// `deadline` passes, then [`stop`](Self::stop). `true` when every
+    /// connection closed in time.
+    pub fn shutdown(&self, deadline: Instant) -> bool {
+        self.begin_drain();
+        let drained = self.state.wait_idle(deadline);
+        self.stop();
+        drained
+    }
+
+    /// Stop now: the threads release every connection and exit, and
+    /// this returns once they have. A second stop is a no-op, so
+    /// re-entry (shutdown → drop) is safe.
+    pub fn stop(&self) {
+        self.state.step(DrainEvent::Stop);
+        self.wake();
         for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
         }
+    }
+
+    /// Latch the drain and wake a thread to broadcast it.
+    pub(crate) fn begin_drain(&self) {
+        self.state.step(DrainEvent::BeginDrain);
+        self.wake();
+    }
+
+    /// Have one thread re-read the lifecycle flags.
+    pub(crate) fn wake(&self) {
+        self.waker.notify();
     }
 
     /// Wheel schedules and cancels so far — what the timer-churn test
@@ -363,12 +398,17 @@ impl Reactor {
     }
 }
 
+impl Drop for Reactor {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 /// Tokens with the top bit set name the reactor's own fds; connection
 /// tokens are `generation << 32 | index` with a 31-bit generation.
 const TOKEN_WAKER: u64 = u64::MAX;
 const TOKEN_TIMER: u64 = u64::MAX - 1;
-const TOKEN_LISTENER_BASE: u64 = 1 << 63;
-const MAX_LISTENERS: usize = 64;
+const TOKEN_LISTENER: u64 = u64::MAX - 2;
 const GEN_MASK: u32 = (1 << 31) - 1;
 
 fn conn_token(idx: usize, gen: u32) -> u64 {
@@ -402,13 +442,11 @@ const ACCEPT_BATCH: usize = 64;
 
 struct Slot {
     stream: TcpStream,
-    /// Index into `Shared::listeners` — whose hooks govern this conn.
-    owner: usize,
     /// Fences stale events, deadlines and job results after the index
     /// is reused.
     gen: u32,
-    /// `None` for canned-reject connections (write bytes, close; they
-    /// hold no slot, so closing them notifies nobody).
+    /// `None` for refused connections (write the refusal, close; they
+    /// hold no drain slot, so closing them releases none).
     proto: Option<Box<dyn ConnProtocol>>,
     read_buf: Vec<u8>,
     /// Only what the socket would not take; `write_pos..` is unsent.
@@ -455,9 +493,12 @@ struct Shared {
     epoll: Epoll,
     waker: Arc<EventFd>,
     timer_fd: TimerFd,
-    listeners: Vec<Listener>,
-    /// Per-listener: drain broadcast already delivered.
-    drained: Vec<AtomicBool>,
+    listener: TcpListener,
+    state: Arc<ServerState>,
+    open: Open,
+    refusal: Refusal,
+    /// The drain broadcast was delivered.
+    drained: AtomicBool,
     /// Connection cells by index; a cell outlives its connections and
     /// is reused through `free`.
     cells: RwLock<Vec<Arc<Cell>>>,
@@ -475,6 +516,8 @@ struct Shared {
     jobs_queued: Arc<Counter>,
     /// Threads inside a handler right now.
     handlers_busy: Arc<Gauge>,
+    /// Accepts the drain machine refused (draining or at the cap).
+    accept_refused: Arc<Counter>,
 }
 
 impl Shared {
@@ -490,16 +533,14 @@ impl Shared {
             match token {
                 TOKEN_WAKER => {
                     self.waker.drain();
-                    if self.all_stopped() {
+                    if self.state.stopped() {
                         break;
                     }
-                    self.check_drain_edges();
+                    self.broadcast_drain();
                     self.run_pending();
                 }
                 TOKEN_TIMER => self.fire_due_timers(),
-                _ if token >= TOKEN_LISTENER_BASE => {
-                    self.accept_ready((token - TOKEN_LISTENER_BASE) as usize)
-                }
+                TOKEN_LISTENER => self.accept_ready(),
                 _ => self.conn_ready(token, ready),
             }
         }
@@ -511,12 +552,8 @@ impl Shared {
         }
     }
 
-    fn all_stopped(&self) -> bool {
-        self.listeners.iter().all(|l| l.hooks.stopped())
-    }
-
-    /// Last thread out: release every connection (served ones notify
-    /// their hooks) and drop work nobody will run.
+    /// Last thread out: release every connection (served ones give
+    /// their drain slot back) and drop work nobody will run.
     fn teardown(&self) {
         let cells = self.cells.read().clone();
         for (idx, cell) in cells.iter().enumerate() {
@@ -535,25 +572,28 @@ impl Shared {
 
     // --- connections ------------------------------------------------------
 
-    fn accept_ready(&self, owner: usize) {
-        let Some(listener) = self.listeners.get(owner) else {
-            return;
-        };
+    fn accept_ready(&self) {
         let mut batch = Vec::new();
         for _ in 0..ACCEPT_BATCH {
-            match listener.socket.accept() {
+            match self.listener.accept() {
                 Ok((stream, _addr)) => {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    match listener.hooks.on_accept() {
-                        Admit::Serve(proto) => {
-                            self.install(stream, owner, Some(proto), Vec::new(), &mut batch)
+                    match self.state.step(DrainEvent::Accept).first() {
+                        Some(DrainEffect::Serve) => {
+                            let proto = (self.open)(&self.state);
+                            self.install(stream, Some(proto), Vec::new(), &mut batch)
                         }
-                        Admit::Reject(bytes) => {
-                            self.install(stream, owner, None, bytes, &mut batch)
+                        Some(&why) => {
+                            self.accept_refused.incr();
+                            let refusal = (self.refusal)(why);
+                            if !refusal.is_empty() {
+                                self.install(stream, None, refusal, &mut batch)
+                            }
                         }
-                        Admit::Drop => drop(stream),
+                        // Stopped while this accept raced the flag.
+                        None => {}
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -571,7 +611,6 @@ impl Shared {
     fn install(
         &self,
         stream: TcpStream,
-        owner: usize,
         proto: Option<Box<dyn ConnProtocol>>,
         reject: Vec<u8>,
         batch: &mut Vec<Work>,
@@ -591,7 +630,6 @@ impl Shared {
             let mut guard = cell.lock();
             let slot = guard.insert(Slot {
                 stream,
-                owner,
                 gen,
                 close_after_flush: proto.is_none(),
                 proto,
@@ -632,9 +670,11 @@ impl Shared {
         }
         drop(slot.stream);
         if slot.proto.is_some() {
-            if let Some(l) = self.listeners.get(slot.owner) {
-                l.hooks.on_conn_closed();
-            }
+            let effects = self.state.step(DrainEvent::ConnClosed);
+            debug_assert!(
+                !effects.contains(&DrainEffect::SlotUnderflow),
+                "reactor connection closed without a held slot"
+            );
         }
         self.free.lock().push(idx);
     }
@@ -830,10 +870,7 @@ impl Shared {
             write_buf: &mut slot.write_buf,
             write_pos: slot.write_pos,
             stream: &slot.stream,
-            draining: self
-                .drained
-                .get(slot.owner)
-                .is_some_and(|d| d.load(Ordering::SeqCst)),
+            draining: self.drained.load(Ordering::SeqCst),
             jobs,
             actions: Actions::default(),
         };
@@ -949,22 +986,20 @@ impl Shared {
 
     // --- lifecycle --------------------------------------------------------
 
-    /// Detect rising drain edges and broadcast them to the affected
-    /// listener's connections (idle keep-alives close, in-flight work
-    /// finishes behind a `Connection: close`). A connection installed
-    /// after the flag flips sees it in `on_open` instead.
-    fn check_drain_edges(&self) {
+    /// On the drain's rising edge, tell every connection (idle
+    /// keep-alives close, in-flight work finishes behind a
+    /// `Connection: close`). A connection installed after the flag
+    /// flips sees it in `on_open` instead.
+    fn broadcast_drain(&self) {
+        if !self.state.drain_began() || self.drained.swap(true, Ordering::SeqCst) {
+            return;
+        }
         let mut batch = Vec::new();
-        for (k, listener) in self.listeners.iter().enumerate() {
-            if !listener.hooks.drain_began() || self.drained[k].swap(true, Ordering::SeqCst) {
-                continue;
-            }
-            let installed = self.cells.read().len();
-            for idx in 0..installed {
-                self.visit_in_batch(idx, None, &mut batch, |shared, slot, jobs| {
-                    slot.owner != k || shared.call(idx, slot, jobs, |proto, io| proto.on_drain(io))
-                });
-            }
+        let installed = self.cells.read().len();
+        for idx in 0..installed {
+            self.visit_in_batch(idx, None, &mut batch, |shared, slot, jobs| {
+                shared.call(idx, slot, jobs, |proto, io| proto.on_drain(io))
+            });
         }
         self.submit(batch);
     }
@@ -1089,46 +1124,7 @@ pub(crate) mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpStream as StdTcpStream;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    struct TestHooks {
-        stopped: AtomicBool,
-        draining: AtomicBool,
-        open: AtomicUsize,
-        closed: AtomicUsize,
-    }
-
-    impl TestHooks {
-        fn new() -> Arc<TestHooks> {
-            Arc::new(TestHooks {
-                stopped: AtomicBool::new(false),
-                draining: AtomicBool::new(false),
-                open: AtomicUsize::new(0),
-                closed: AtomicUsize::new(0),
-            })
-        }
-    }
-
-    struct EchoHooks {
-        hooks: Arc<TestHooks>,
-        idle: Option<Duration>,
-    }
-
-    impl ServerHooks for EchoHooks {
-        fn on_accept(&self) -> Admit {
-            self.hooks.open.fetch_add(1, Ordering::SeqCst);
-            Admit::Serve(Box::new(EchoProto { idle: self.idle }))
-        }
-        fn on_conn_closed(&self) {
-            self.hooks.closed.fetch_add(1, Ordering::SeqCst);
-        }
-        fn stopped(&self) -> bool {
-            self.hooks.stopped.load(Ordering::SeqCst)
-        }
-        fn drain_began(&self) -> bool {
-            self.hooks.draining.load(Ordering::SeqCst)
-        }
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Newline-framed echo: each line is dispatched as a job, which
     /// uppercases it.
@@ -1164,34 +1160,28 @@ pub(crate) mod tests {
         }
     }
 
-    fn spawn_echo(idle: Option<Duration>) -> (Reactor, Arc<TestHooks>, u16) {
+    /// A reactor on an ephemeral loopback port, `workers` permits,
+    /// no cap; its refusals drop the socket.
+    fn spawn(
+        workers: usize,
+        open: impl Fn(&Arc<ServerState>) -> Box<dyn ConnProtocol> + Send + Sync + 'static,
+    ) -> Reactor {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let hooks = TestHooks::new();
-        let reactor = Reactor::spawn(
-            vec![Listener {
-                socket: listener,
-                hooks: Arc::new(EchoHooks {
-                    hooks: Arc::clone(&hooks),
-                    idle,
-                }),
-            }],
-            ReactorConfig { workers: 2 },
-        )
-        .unwrap();
-        (reactor, hooks, port)
+        let config = ReactorConfig {
+            workers,
+            max_connections: None,
+        };
+        Reactor::spawn(listener, config, open, |_| Vec::new()).unwrap()
     }
 
-    fn stop(reactor: &Reactor, hooks: &TestHooks) {
-        hooks.stopped.store(true, Ordering::SeqCst);
-        reactor.wake();
-        reactor.join();
+    fn spawn_echo(idle: Option<Duration>) -> Reactor {
+        spawn(2, move |_| Box::new(EchoProto { idle }))
     }
 
     #[test]
     fn echo_round_trip_through_worker_pool() {
-        let (reactor, hooks, port) = spawn_echo(None);
-        let mut c = StdTcpStream::connect(("127.0.0.1", port)).unwrap();
+        let reactor = spawn_echo(None);
+        let mut c = connect(reactor.addr().port());
         c.write_all(b"hello\n").unwrap();
         let mut buf = [0u8; 16];
         let n = c.read(&mut buf).unwrap();
@@ -1200,66 +1190,19 @@ pub(crate) mod tests {
         c.write_all(b"again\n").unwrap();
         let n = c.read(&mut buf).unwrap();
         assert_eq!(&buf[..n], b"AGAIN\n");
-        stop(&reactor, &hooks);
-        assert_eq!(hooks.open.load(Ordering::SeqCst), 1);
-        assert_eq!(
-            hooks.closed.load(Ordering::SeqCst),
-            1,
-            "teardown released the slot"
-        );
+        assert_eq!(reactor.active(), 1);
+        reactor.stop();
+        assert_eq!(reactor.active(), 0, "teardown released the slot");
     }
 
     #[test]
     fn idle_timer_reaps_quiet_connections() {
-        let (reactor, hooks, port) = spawn_echo(Some(Duration::from_millis(50)));
-        let mut c = StdTcpStream::connect(("127.0.0.1", port)).unwrap();
-        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let reactor = spawn_echo(Some(Duration::from_millis(50)));
+        let mut c = connect(reactor.addr().port());
         let mut buf = [0u8; 8];
         // The reactor reaps us via the wheel; read returns EOF.
         assert_eq!(c.read(&mut buf).unwrap(), 0);
-        stop(&reactor, &hooks);
-        assert_eq!(hooks.closed.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn two_listeners_share_one_reactor() {
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l2 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (p1, p2) = (
-            l1.local_addr().unwrap().port(),
-            l2.local_addr().unwrap().port(),
-        );
-        let hooks = TestHooks::new();
-        let reactor = Reactor::spawn(
-            vec![
-                Listener {
-                    socket: l1,
-                    hooks: Arc::new(EchoHooks {
-                        hooks: Arc::clone(&hooks),
-                        idle: None,
-                    }),
-                },
-                Listener {
-                    socket: l2,
-                    hooks: Arc::new(EchoHooks {
-                        hooks: Arc::clone(&hooks),
-                        idle: None,
-                    }),
-                },
-            ],
-            ReactorConfig { workers: 2 },
-        )
-        .unwrap();
-        for port in [p1, p2] {
-            let mut c = StdTcpStream::connect(("127.0.0.1", port)).unwrap();
-            c.write_all(b"ping\n").unwrap();
-            let mut buf = [0u8; 8];
-            let n = c.read(&mut buf).unwrap();
-            assert_eq!(&buf[..n], b"PING\n");
-        }
-        stop(&reactor, &hooks);
-        assert_eq!(hooks.open.load(Ordering::SeqCst), 2);
-        assert_eq!(hooks.closed.load(Ordering::SeqCst), 2);
+        wait_for("the reaped slot's release", || reactor.active() == 0);
     }
 
     /// One line at a time, like HTTP: the next line is dispatched only
@@ -1274,6 +1217,7 @@ pub(crate) mod tests {
 
     #[derive(Default)]
     struct Seen {
+        opened: AtomicUsize,
         on_data: AtomicUsize,
         on_eof: AtomicUsize,
         parked: AtomicUsize,
@@ -1348,29 +1292,7 @@ pub(crate) mod tests {
 
     type MakeProto = fn(&Arc<Seen>) -> Box<dyn ConnProtocol>;
 
-    struct SerialHooks {
-        hooks: Arc<TestHooks>,
-        seen: Arc<Seen>,
-        make: MakeProto,
-    }
-
-    impl ServerHooks for SerialHooks {
-        fn on_accept(&self) -> Admit {
-            self.hooks.open.fetch_add(1, Ordering::SeqCst);
-            Admit::Serve((self.make)(&self.seen))
-        }
-        fn on_conn_closed(&self) {
-            self.hooks.closed.fetch_add(1, Ordering::SeqCst);
-        }
-        fn stopped(&self) -> bool {
-            self.hooks.stopped.load(Ordering::SeqCst)
-        }
-        fn drain_began(&self) -> bool {
-            self.hooks.draining.load(Ordering::SeqCst)
-        }
-    }
-
-    fn spawn_serial(workers: usize) -> (Reactor, Arc<TestHooks>, Arc<Seen>, u16) {
+    fn spawn_serial(workers: usize) -> (Reactor, Arc<Seen>, u16) {
         spawn_with(workers, |seen| {
             Box::new(SerialProto {
                 busy: false,
@@ -1380,24 +1302,15 @@ pub(crate) mod tests {
         })
     }
 
-    fn spawn_with(workers: usize, make: MakeProto) -> (Reactor, Arc<TestHooks>, Arc<Seen>, u16) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let hooks = TestHooks::new();
+    fn spawn_with(workers: usize, make: MakeProto) -> (Reactor, Arc<Seen>, u16) {
         let seen = Arc::new(Seen::default());
-        let reactor = Reactor::spawn(
-            vec![Listener {
-                socket: listener,
-                hooks: Arc::new(SerialHooks {
-                    hooks: Arc::clone(&hooks),
-                    seen: Arc::clone(&seen),
-                    make,
-                }),
-            }],
-            ReactorConfig { workers },
-        )
-        .unwrap();
-        (reactor, hooks, seen, port)
+        let opened = Arc::clone(&seen);
+        let reactor = spawn(workers, move |_| {
+            opened.opened.fetch_add(1, Ordering::SeqCst);
+            make(&opened)
+        });
+        let port = reactor.addr().port();
+        (reactor, seen, port)
     }
 
     pub(crate) fn connect(port: u16) -> StdTcpStream {
@@ -1428,7 +1341,7 @@ pub(crate) mod tests {
 
     #[test]
     fn request_buffered_during_handling_needs_no_further_readiness() {
-        let (reactor, hooks, seen, port) = spawn_serial(2);
+        let (reactor, seen, port) = spawn_serial(2);
         let mut c = connect(port);
         c.write_all(b"!first\n").unwrap();
         wait_for("first job to park", || {
@@ -1448,12 +1361,12 @@ pub(crate) mod tests {
             2,
             "the buffered request was served off the flush, not a new event"
         );
-        stop(&reactor, &hooks);
+        reactor.stop();
     }
 
     #[test]
     fn peer_eof_during_handling_still_gets_the_reply_then_close() {
-        let (reactor, hooks, seen, port) = spawn_serial(2);
+        let (reactor, seen, port) = spawn_serial(2);
         let mut c = connect(port);
         c.write_all(b"!held\n").unwrap();
         wait_for("job to park", || seen.parked.load(Ordering::SeqCst) == 1);
@@ -1465,8 +1378,7 @@ pub(crate) mod tests {
         let mut all = Vec::new();
         c.read_to_end(&mut all).unwrap();
         assert_eq!(all, b"!HELD\n", "reply, then the server's close");
-        wait_for("slot release", || hooks.closed.load(Ordering::SeqCst) == 1);
-        stop(&reactor, &hooks);
+        wait_for("slot release", || reactor.active() == 0);
     }
 
     #[test]
@@ -1474,7 +1386,7 @@ pub(crate) mod tests {
         // Both permits taken by parked jobs: a third connection is still
         // accepted and parsed (its job waits on the pending list), and a
         // fourth connection's EOF is still noticed.
-        let (reactor, hooks, seen, port) = spawn_serial(2);
+        let (reactor, seen, port) = spawn_serial(2);
         let registry = wsp_telemetry::global();
         let on_reader = registry.counter("reactor.jobs_on_reader");
         let queued = registry.counter("reactor.jobs_queued");
@@ -1493,9 +1405,8 @@ pub(crate) mod tests {
         });
         drop(connect(port));
         wait_for("fourth connection's EOF", || {
-            hooks.closed.load(Ordering::SeqCst) == 1
+            seen.opened.load(Ordering::SeqCst) == 4 && reactor.active() == 3
         });
-        assert_eq!(hooks.open.load(Ordering::SeqCst), 4);
         seen.open_gate();
         assert_eq!(read_line(&mut third), b"QUEUED\n");
         for c in &mut parked {
@@ -1503,8 +1414,8 @@ pub(crate) mod tests {
         }
         assert!(on_reader.get() >= before.0 + 2);
         assert!(queued.get() > before.1);
-        stop(&reactor, &hooks);
-        assert_eq!(hooks.closed.load(Ordering::SeqCst), 4);
+        reactor.stop();
+        assert_eq!(reactor.active(), 0);
     }
 
     /// Dispatches from `on_drain`, which no shipped protocol does: the
@@ -1540,7 +1451,7 @@ pub(crate) mod tests {
 
     #[test]
     fn a_job_dispatched_by_the_drain_broadcast_does_not_hold_up_the_rest_of_it() {
-        let (reactor, hooks, seen, port) = spawn_with(2, |seen| {
+        let (reactor, seen, port) = spawn_with(2, |seen| {
             Box::new(DrainJobProto {
                 seen: Arc::clone(seen),
             })
@@ -1552,8 +1463,7 @@ pub(crate) mod tests {
         wait_for("all three to be installed", || {
             seen.on_data.load(Ordering::SeqCst) == 3
         });
-        hooks.draining.store(true, Ordering::SeqCst);
-        reactor.wake();
+        reactor.begin_drain();
         // Every connection hears the drain although the first one's job
         // parks the moment it runs.
         for c in &mut conns {
@@ -1563,12 +1473,12 @@ pub(crate) mod tests {
         for c in &mut conns {
             assert_eq!(read_line(c), b"done\n");
         }
-        stop(&reactor, &hooks);
+        reactor.stop();
     }
 
     #[test]
     fn panicking_job_closes_only_its_connection() {
-        let (reactor, hooks, _seen, port) = spawn_serial(2);
+        let (reactor, _seen, port) = spawn_serial(2);
         let mut bad = connect(port);
         let mut good = connect(port);
         bad.write_all(b"panic\n").unwrap();
@@ -1577,22 +1487,19 @@ pub(crate) mod tests {
         assert!(rest.is_empty(), "no reply, just the close");
         good.write_all(b"fine\n").unwrap();
         assert_eq!(read_line(&mut good), b"FINE\n");
-        stop(&reactor, &hooks);
+        reactor.stop();
     }
 
     #[test]
     fn a_reused_index_serves_its_new_connection() {
         // Close one connection and open another: the new one reuses the
         // index under a new generation and must be served normally.
-        let (reactor, hooks, _seen, port) = spawn_serial(1);
+        let (reactor, _seen, port) = spawn_serial(1);
         for round in 0..50 {
             let mut c = connect(port);
             c.write_all(b"ping\n").unwrap();
             assert_eq!(read_line(&mut c), b"PING\n", "round {round}");
         }
-        wait_for("every slot to be released", || {
-            hooks.closed.load(Ordering::SeqCst) == 50
-        });
-        stop(&reactor, &hooks);
+        wait_for("every slot to be released", || reactor.active() == 0);
     }
 }

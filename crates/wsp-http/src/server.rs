@@ -12,16 +12,17 @@
 //! [`ConnMachine`] transition with header/body/idle deadlines on the
 //! reactor's timer wheel, and the server's lifecycle — admit, reject at
 //! the cap, drain, stop — is the pure
-//! [`DrainMachine`](crate::drain::DrainMachine). This module is the
-//! shell that feeds both machines events and carries out their effects,
-//! so what `wsp-check` proves about them holds for every request the
-//! server can serve.
+//! [`DrainMachine`](crate::drain::DrainMachine), which the reactor
+//! steps itself. This module is the shell that feeds the connection
+//! machine events and carries out its effects, plus the canned `503`
+//! the reactor sends a refused connection, so what `wsp-check` proves
+//! about both machines holds for every request the server can serve.
 
 use crate::codec::{encode_response, encode_response_into, frame_len, parse_request, HeadScan};
 use crate::conn::{ConnEffect, ConnEvent, ConnMachine, ConnState, Phase, TimerKind};
-use crate::drain::{DrainEffect, DrainEvent, ServerState};
+use crate::drain::{DrainEffect, ServerState};
 use crate::message::{Request, Response};
-use crate::reactor::{Admit, ConnProtocol, Io, JobResult, Listener, Reactor, ReactorConfig};
+use crate::reactor::{ConnProtocol, Io, JobResult, Reactor, ReactorConfig};
 use crate::router::Router;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -75,9 +76,8 @@ impl Default for ServerConfig {
 
 /// A running lightweight HTTP server.
 pub struct TcpServer {
-    addr: SocketAddr,
     router: Router,
-    state: Arc<ServerState<ServerConfig>>,
+    drain_deadline: Duration,
     reactor: Reactor,
 }
 
@@ -95,38 +95,38 @@ impl TcpServer {
         config: ServerConfig,
     ) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
-        let addr = listener.local_addr()?;
-        let workers = if config.workers == 0 {
-            4
-        } else {
-            config.workers
+        let reactor_config = ReactorConfig {
+            workers: if config.workers == 0 {
+                4
+            } else {
+                config.workers
+            },
+            max_connections: config.max_connections,
         };
-        let state = Arc::new(ServerState::new(config.max_connections, config));
-        let hooks = Arc::new(HttpHooks {
-            state: Arc::clone(&state),
-            router: router.clone(),
-        });
+        let (drain_deadline, retry_after) = (config.drain_deadline, config.retry_after);
+        let (routes, config) = (router.clone(), Arc::new(config));
         let reactor = Reactor::spawn(
-            vec![Listener {
-                socket: listener,
-                hooks,
-            }],
-            ReactorConfig { workers },
+            listener,
+            reactor_config,
+            move |state| {
+                let (config, state) = (Arc::clone(&config), Arc::clone(state));
+                Box::new(HttpProto::new(routes.clone(), config, state))
+            },
+            move |why| reject_bytes(retry_after, why),
         )?;
         Ok(TcpServer {
-            addr,
             router,
-            state,
+            drain_deadline,
             reactor,
         })
     }
 
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     pub fn port(&self) -> u16 {
-        self.addr.port()
+        self.addr().port()
     }
 
     pub fn router(&self) -> &Router {
@@ -135,17 +135,17 @@ impl TcpServer {
 
     /// Base URI of a service deployed at `/name`.
     pub fn service_uri(&self, name: &str) -> String {
-        format!("http://127.0.0.1:{}/{}", self.addr.port(), name)
+        format!("http://127.0.0.1:{}/{}", self.port(), name)
     }
 
     /// Connections currently being served.
     pub fn active_connections(&self) -> usize {
-        self.state.active() as usize
+        self.reactor.active()
     }
 
     /// True once [`shutdown`](TcpServer::shutdown) has begun draining.
     pub fn is_draining(&self) -> bool {
-        self.state.drain_began()
+        self.reactor.is_draining()
     }
 
     /// Graceful drain: stop taking new connections (latecomers get a
@@ -157,15 +157,14 @@ impl TcpServer {
     /// off abruptly, exactly as [`shutdown_now`](TcpServer::shutdown_now)
     /// would.
     pub fn shutdown(&self) -> bool {
-        let deadline = Instant::now() + self.state.config.drain_deadline;
-        self.state.shutdown(&self.reactor, deadline)
+        self.reactor.shutdown(Instant::now() + self.drain_deadline)
     }
 
     /// Abrupt stop: no drain. Live connections are cut off as soon as
     /// the reactor observes the stop flag; this is the only path that
     /// drops admitted work.
     pub fn shutdown_now(&self) {
-        self.state.stop(&self.reactor);
+        self.reactor.stop();
     }
 
     /// (schedules, cancels) the reactor's shared wheel has seen.
@@ -175,67 +174,21 @@ impl TcpServer {
     }
 }
 
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.state.stop(&self.reactor);
-    }
-}
-
-/// The canned `503` + `Retry-After` wire bytes for a shed connection.
-fn reject_bytes(config: &ServerConfig, why: &str) -> Vec<u8> {
-    let mut response = Response::unavailable(why);
-    response.headers.set(
-        "Retry-After",
-        config.retry_after.as_secs().max(1).to_string(),
-    );
-    response.headers.set(
-        "X-WSP-Retry-After-Ms",
-        config.retry_after.as_millis().to_string(),
-    );
+/// The canned `503` + `Retry-After` wire bytes for a connection the
+/// drain machine refused.
+fn reject_bytes(retry_after: Duration, why: DrainEffect) -> Vec<u8> {
+    let mut response = Response::unavailable(match why {
+        DrainEffect::RejectDraining => "server draining",
+        _ => "connection limit reached",
+    });
+    response
+        .headers
+        .set("Retry-After", retry_after.as_secs().max(1).to_string());
+    response
+        .headers
+        .set("X-WSP-Retry-After-Ms", retry_after.as_millis().to_string());
     response.headers.set("Connection", "close");
     encode_response(&response)
-}
-
-/// Admission policy for the reactor: one `Accept` event into the drain
-/// machine decides serve/reject.
-struct HttpHooks {
-    state: Arc<ServerState<ServerConfig>>,
-    router: Router,
-}
-
-impl crate::reactor::ServerHooks for HttpHooks {
-    fn on_accept(&self) -> Admit {
-        match self.state.step(DrainEvent::Accept).first() {
-            Some(DrainEffect::Serve) => Admit::Serve(Box::new(HttpProto::new(
-                self.router.clone(),
-                Arc::clone(&self.state),
-            ))),
-            Some(DrainEffect::RejectDraining) => {
-                Admit::Reject(reject_bytes(&self.state.config, "server draining"))
-            }
-            Some(DrainEffect::RejectAtCapacity) => {
-                Admit::Reject(reject_bytes(&self.state.config, "connection limit reached"))
-            }
-            // Stopped while this accept raced the flag: drop it.
-            _ => Admit::Drop,
-        }
-    }
-
-    fn on_conn_closed(&self) {
-        let effects = self.state.step(DrainEvent::ConnClosed);
-        debug_assert!(
-            !effects.contains(&DrainEffect::SlotUnderflow),
-            "reactor connection closed without a held slot"
-        );
-    }
-
-    fn stopped(&self) -> bool {
-        self.state.stopped()
-    }
-
-    fn drain_began(&self) -> bool {
-        self.state.drain_began()
-    }
 }
 
 /// A canned error response, always closing the connection.
@@ -250,7 +203,10 @@ fn canned_close(mut response: Response) -> Vec<u8> {
 /// on the reactor [`Io`].
 struct HttpProto {
     router: Router,
-    state: Arc<ServerState<ServerConfig>>,
+    config: Arc<ServerConfig>,
+    /// The listener's lifecycle: a handler's reply closes once a drain
+    /// has begun.
+    state: Arc<ServerState>,
     conn: ConnState,
     /// Incremental head-terminator scanner: each chunk is scanned
     /// once, so a dripped head is not O(n²).
@@ -264,9 +220,10 @@ struct HttpProto {
 }
 
 impl HttpProto {
-    fn new(router: Router, state: Arc<ServerState<ServerConfig>>) -> HttpProto {
+    fn new(router: Router, config: Arc<ServerConfig>, state: Arc<ServerState>) -> HttpProto {
         HttpProto {
             router,
+            config,
             state,
             conn: ConnMachine.initial(),
             scan: HeadScan::new(),
@@ -277,7 +234,7 @@ impl HttpProto {
     }
 
     fn deadline(&self, kind: TimerKind) -> Option<Duration> {
-        let config = &self.state.config;
+        let config = &self.config;
         match kind {
             TimerKind::Head => Some(config.header_read_deadline),
             TimerKind::Body => Some(config.body_read_deadline),
@@ -406,7 +363,7 @@ impl HttpProto {
 /// have begun while the handler ran), serialise into a pooled buffer.
 fn run_handler(
     router: &Router,
-    state: &ServerState<ServerConfig>,
+    state: &ServerState,
     request: Request,
     client_close: bool,
 ) -> JobResult {
@@ -482,8 +439,8 @@ mod tests {
 
     use super::*;
     use crate::codec::encode_request;
+    use crate::drain::DrainEvent;
     use crate::reactor::tests::{connect, wait_for};
-    use crate::reactor::ServerHooks;
     use crate::tcp::{echo_router, response_then_eof};
     use std::io::Write;
     use std::net::TcpStream;
@@ -491,76 +448,53 @@ mod tests {
 
     const SOCKETS: usize = 8;
 
-    /// [`HttpHooks`] with the accepting threads under the test's
+    /// The HTTP protocol with the accepting threads under the test's
     /// control, to stage what a loaded machine does once in a while:
     /// connections admitted, their requests already in the socket, and
     /// the drain broadcast reaching them before their first read.
-    struct StagedHooks {
-        inner: HttpHooks,
-        accepts: AtomicUsize,
-        /// The first accept parks its thread here until the test is
-        /// over, so the other reactor thread takes every event in order.
-        pit: parking_lot::Mutex<()>,
-        /// The second accept waits here while the test lines up the
-        /// sockets and queues the wake-up ahead of their readiness.
-        hold: parking_lot::Mutex<()>,
-    }
-
-    impl ServerHooks for StagedHooks {
-        fn on_accept(&self) -> Admit {
-            let admit = self.inner.on_accept();
-            match self.accepts.fetch_add(1, Ordering::SeqCst) {
-                0 => drop(self.pit.lock()),
-                1 => drop(self.hold.lock()),
-                // The last of the lined-up sockets is admitted: drain,
-                // before this thread can get back to epoll and read any.
-                n if n == 1 + SOCKETS => {
-                    self.inner.state.step(DrainEvent::BeginDrain);
-                }
-                _ => {}
-            }
-            admit
-        }
-        fn on_conn_closed(&self) {
-            self.inner.on_conn_closed()
-        }
-        fn stopped(&self) -> bool {
-            self.inner.stopped()
-        }
-        fn drain_began(&self) -> bool {
-            self.inner.drain_began()
-        }
-    }
-
     #[test]
     fn drain_begun_before_the_first_read_still_serves_every_admitted_connection() {
-        let state = Arc::new(ServerState::new(None, ServerConfig::default()));
-        let hooks = Arc::new(StagedHooks {
-            inner: HttpHooks {
-                state: Arc::clone(&state),
-                router: echo_router(),
-            },
-            accepts: AtomicUsize::new(0),
-            pit: parking_lot::Mutex::new(()),
-            hold: parking_lot::Mutex::new(()),
-        });
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
+        let accepts = Arc::new(AtomicUsize::new(0));
+        // The first accept parks its thread in the pit until the test is
+        // over, so the other reactor thread takes every event in order.
+        let pit = Arc::new(parking_lot::Mutex::new(()));
+        // The second accept waits in the hold while the test lines up
+        // the sockets and queues the wake-up ahead of their readiness.
+        let hold = Arc::new(parking_lot::Mutex::new(()));
+        let (router, config) = (echo_router(), Arc::new(ServerConfig::default()));
+        let staged = (Arc::clone(&accepts), Arc::clone(&pit), Arc::clone(&hold));
         let reactor = Reactor::spawn(
-            vec![Listener {
-                socket: listener,
-                hooks: Arc::clone(&hooks) as Arc<dyn ServerHooks>,
-            }],
-            ReactorConfig { workers: 1 },
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            ReactorConfig {
+                workers: 1,
+                max_connections: None,
+            },
+            move |state| {
+                let proto = HttpProto::new(router.clone(), Arc::clone(&config), Arc::clone(state));
+                let (accepts, pit, hold) = &staged;
+                match accepts.fetch_add(1, Ordering::SeqCst) {
+                    0 => drop(pit.lock()),
+                    1 => drop(hold.lock()),
+                    // The last of the lined-up sockets is admitted: drain,
+                    // before this thread can get back to epoll and read any.
+                    n if n == 1 + SOCKETS => {
+                        state.step(DrainEvent::BeginDrain);
+                    }
+                    _ => {}
+                }
+                Box::new(proto)
+            },
+            |_| Vec::new(),
         )
         .unwrap();
+        let port = reactor.addr().port();
         // One of the two reactor threads parks in the pit, the other in
         // the hold; neither decoy ever sends a byte.
-        let pit = hooks.pit.lock();
-        let hold = hooks.hold.lock();
+        let pit = pit.lock();
+        let hold = hold.lock();
         let decoys = [connect(port), connect(port)];
         wait_for("both reactor threads to be parked", || {
-            hooks.accepts.load(Ordering::SeqCst) == 2
+            accepts.load(Ordering::SeqCst) == 2
         });
         let mut sockets: Vec<TcpStream> = (0..SOCKETS)
             .map(|i| {
@@ -585,7 +519,6 @@ mod tests {
         // The decoys were admitted too and never spoke: EOF ends them.
         drop(decoys);
         drop(pit);
-        wait_for("every slot to be released", || state.active() == 0);
-        state.stop(&reactor);
+        wait_for("every slot to be released", || reactor.active() == 0);
     }
 }

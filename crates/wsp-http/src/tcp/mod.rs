@@ -125,6 +125,8 @@ mod tests {
         };
         let server = TcpServer::launch_with(0, router, config).unwrap();
         let port = server.port();
+        let refused = wsp_telemetry::global().counter("reactor.accept_refused");
+        let refused_before = refused.get();
         let holder = std::thread::spawn(move || {
             http_call("127.0.0.1", port, Request::get("/Slow")).unwrap()
         });
@@ -137,6 +139,7 @@ mod tests {
         assert_eq!(shed.headers.get("retry-after"), Some("1"));
         assert_eq!(shed.headers.get("x-wsp-retry-after-ms"), Some("1500"));
         assert_eq!(shed.headers.get("connection"), Some("close"));
+        assert!(refused.get() > refused_before, "the refusal is counted");
         assert!(holder.join().unwrap().is_success());
         server.shutdown();
     }

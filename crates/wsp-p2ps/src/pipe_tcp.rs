@@ -4,8 +4,11 @@
 //! this module gives pipes a real wire form so a peer can host many
 //! inbound pipe connections without a thread each. Framing is minimal —
 //! a 4-byte big-endian length prefix followed by the message's XML —
-//! and the I/O runs on the same readiness-driven [`Reactor`] that
-//! serves the HTTP binding, so one core multiplexes both transports.
+//! and the I/O runs on the same readiness-driven [`Reactor`] code that
+//! serves the HTTP binding. The reactor runs the listener's drain
+//! lifecycle as it does for HTTP; a pipe supplies only its
+//! [`ConnProtocol`], and a refused pipe connection gets no reply: it is
+//! dropped.
 //!
 //! Pipes are unidirectional in P2PS; request/response is built from a
 //! pipe pair via `ReplyTo` (see [`crate::rpc`]). At the framing layer we
@@ -18,10 +21,7 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use wsp_http::drain::{DrainEffect, DrainEvent, ServerState};
-use wsp_http::reactor::{
-    Admit, ConnProtocol, Io, JobResult, Listener, Reactor, ReactorConfig, ServerHooks,
-};
+use wsp_http::reactor::{ConnProtocol, Io, JobResult, Reactor, ReactorConfig};
 use wsp_http::TimerKind;
 
 use crate::message::P2psMessage;
@@ -85,39 +85,6 @@ fn decode_frame(buf: &mut Vec<u8>) -> Result<Option<P2psMessage>, ()> {
     let message = P2psMessage::from_xml(xml).ok_or(())?;
     buf.drain(..4 + len);
     Ok(Some(message))
-}
-
-/// The HTTP server's drain lifecycle, uncapped; a pipe has no canned
-/// reply, so every refusal drops.
-struct PipeHooks {
-    handler: PipeHandler,
-    state: ServerState<PipeTcpConfig>,
-}
-
-impl ServerHooks for PipeHooks {
-    fn on_accept(&self) -> Admit {
-        match self.state.step(DrainEvent::Accept).first() {
-            Some(DrainEffect::Serve) => Admit::Serve(Box::new(PipeProto {
-                handler: Arc::clone(&self.handler),
-                config: self.state.config.clone(),
-                in_flight: 0,
-                mid_frame: false,
-            })),
-            _ => Admit::Drop,
-        }
-    }
-
-    fn on_conn_closed(&self) {
-        self.state.step(DrainEvent::ConnClosed);
-    }
-
-    fn stopped(&self) -> bool {
-        self.state.stopped()
-    }
-
-    fn drain_began(&self) -> bool {
-        self.state.drain_began()
-    }
 }
 
 /// One inbound pipe connection. Decision state is two booleans — is a
@@ -221,8 +188,6 @@ impl ConnProtocol for PipeProto {
 
 /// A reactor-hosted endpoint accepting framed pipe connections.
 pub struct PipeTcpServer {
-    addr: std::net::SocketAddr,
-    hooks: Arc<PipeHooks>,
     reactor: Reactor,
 }
 
@@ -235,48 +200,42 @@ impl PipeTcpServer {
         A: ToSocketAddrs,
         F: Fn(P2psMessage) -> Option<P2psMessage> + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let hooks = Arc::new(PipeHooks {
-            handler: Arc::new(handler),
-            state: ServerState::new(None, config),
-        });
+        let handler: PipeHandler = Arc::new(handler);
+        let reactor_config = ReactorConfig {
+            workers: config.workers.max(1),
+            max_connections: None,
+        };
         let reactor = Reactor::spawn(
-            vec![Listener {
-                socket: listener,
-                hooks: hooks.clone() as Arc<dyn ServerHooks>,
-            }],
-            ReactorConfig { workers },
+            TcpListener::bind(addr)?,
+            reactor_config,
+            move |_| {
+                Box::new(PipeProto {
+                    handler: Arc::clone(&handler),
+                    config: config.clone(),
+                    in_flight: 0,
+                    mid_frame: false,
+                })
+            },
+            |_| Vec::new(),
         )?;
-        Ok(PipeTcpServer {
-            addr,
-            hooks,
-            reactor,
-        })
+        Ok(PipeTcpServer { reactor })
     }
 
     /// The bound address (useful after binding port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// Live (accepted, not yet closed) pipe connections.
     pub fn active_connections(&self) -> usize {
-        self.hooks.state.active() as usize
+        self.reactor.active()
     }
 
     /// Stop accepting, let in-flight handlers answer (for up to 5 s),
     /// then stop.
     pub fn shutdown(&self) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        self.hooks.state.shutdown(&self.reactor, deadline);
-    }
-}
-
-impl Drop for PipeTcpServer {
-    fn drop(&mut self) {
-        self.hooks.state.stop(&self.reactor);
+        self.reactor
+            .shutdown(Instant::now() + Duration::from_secs(5));
     }
 }
 
@@ -530,43 +489,48 @@ mod tests {
         TcpListener::bind(addr).expect("the dropped server's port is free");
     }
 
-    #[test]
-    fn shutdown_answers_the_parked_call_and_drops_newcomers() {
+    /// A server whose handler signals `entered` and then holds its
+    /// reply until the test sends on `release`.
+    fn held_server() -> (
+        Arc<PipeTcpServer>,
+        std::sync::mpsc::Receiver<()>,
+        std::sync::mpsc::Sender<()>,
+    ) {
         let (entered, wait_entered) = std::sync::mpsc::channel::<()>();
         let (release, wait_release) = std::sync::mpsc::channel::<()>();
         let (entered, wait_release) = (
             parking_lot::Mutex::new(entered),
             parking_lot::Mutex::new(wait_release),
         );
-        let server = Arc::new(
-            PipeTcpServer::launch(
-                "127.0.0.1:0",
-                move |message| {
-                    entered.lock().send(()).unwrap();
-                    (wait_release.lock())
-                        .recv_timeout(Duration::from_secs(10))
-                        .expect("released by the test");
-                    Some(message)
-                },
-                PipeTcpConfig::default(),
-            )
-            .unwrap(),
-        );
-        let timeout = Some(Duration::from_secs(10));
-        let mut parked = TcpStream::connect(server.addr()).unwrap();
-        parked.set_read_timeout(timeout).unwrap();
-        write_frame(&mut parked, &sample("parked")).unwrap();
-        wait_entered.recv_timeout(Duration::from_secs(10)).unwrap();
+        let server = PipeTcpServer::launch(
+            "127.0.0.1:0",
+            move |message| {
+                entered.lock().send(()).unwrap();
+                (wait_release.lock())
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("released by the test");
+                Some(message)
+            },
+            PipeTcpConfig::default(),
+        )
+        .unwrap();
+        (Arc::new(server), wait_entered, release)
+    }
 
-        let stopping = Arc::clone(&server);
-        let shutdown = std::thread::spawn(move || stopping.shutdown());
-        while !server.hooks.state.drain_began() {
-            std::thread::yield_now();
-        }
-        let mut late = TcpStream::connect(server.addr()).unwrap();
-        late.set_read_timeout(timeout).unwrap();
-        let _ = write_frame(&mut late, &sample("late"));
-        match late.read(&mut [0u8; 1]) {
+    /// Open a pipe with a 10 s read timeout and send it one frame.
+    fn send_one(server: &PipeTcpServer, name: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let _ = write_frame(&mut stream, &sample(name));
+        stream
+    }
+
+    /// A refused pipe gets no reply: EOF, or a reset if the frame it
+    /// sent was still unread when the server dropped it.
+    fn assert_closed_unanswered(stream: &mut TcpStream) {
+        match stream.read(&mut [0u8; 1]) {
             Ok(n) => assert_eq!(n, 0, "a latecomer is never served"),
             Err(e) => assert_eq!(
                 e.kind(),
@@ -574,6 +538,20 @@ mod tests {
                 "closed, not ignored"
             ),
         }
+    }
+
+    #[test]
+    fn shutdown_answers_the_parked_call_and_drops_newcomers() {
+        let (server, wait_entered, release) = held_server();
+        let mut parked = send_one(&server, "parked");
+        wait_entered.recv_timeout(Duration::from_secs(10)).unwrap();
+
+        let stopping = Arc::clone(&server);
+        let shutdown = std::thread::spawn(move || stopping.shutdown());
+        while !server.reactor.is_draining() {
+            std::thread::yield_now();
+        }
+        assert_closed_unanswered(&mut send_one(&server, "late"));
         assert!(
             !shutdown.is_finished(),
             "shutdown waits for the parked call"
@@ -582,6 +560,34 @@ mod tests {
         release.send(()).unwrap();
         assert_eq!(payload_of(&read_frame(&mut parked).unwrap()), "parked");
         shutdown.join().unwrap();
+        assert_eq!(server.active_connections(), 0);
+    }
+
+    #[test]
+    fn a_drain_answers_the_held_frame_refuses_the_late_pipe_and_reports_clean() {
+        let (server, wait_entered, release) = held_server();
+        let mut held = send_one(&server, "held");
+        wait_entered.recv_timeout(Duration::from_secs(10)).unwrap();
+        let refused = wsp_telemetry::global().counter("reactor.accept_refused");
+        let refused_before = refused.get();
+
+        let stopping = Arc::clone(&server);
+        let drain = std::thread::spawn(move || {
+            (stopping.reactor).shutdown(Instant::now() + Duration::from_secs(10))
+        });
+        while !server.reactor.is_draining() {
+            std::thread::yield_now();
+        }
+        let mut late = send_one(&server, "late");
+        assert_closed_unanswered(&mut late);
+        assert!(refused.get() > refused_before, "the refusal is counted");
+
+        release.send(()).unwrap();
+        assert_eq!(payload_of(&read_frame(&mut held).unwrap()), "held");
+        assert!(
+            drain.join().unwrap(),
+            "every pipe closed inside the deadline"
+        );
         assert_eq!(server.active_connections(), 0);
     }
 }

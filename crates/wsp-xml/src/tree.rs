@@ -209,11 +209,6 @@ impl Element {
         }
     }
 
-    /// Text of the first child element named `{ns}local`.
-    pub fn child_text(&self, ns: &str, local: &str) -> Option<String> {
-        self.find(ns, local).map(Element::text)
-    }
-
     /// True if the element has neither attributes nor children.
     pub fn is_empty(&self) -> bool {
         self.attributes.is_empty() && self.children.is_empty()
@@ -261,14 +256,6 @@ impl ElementBuilder {
     /// Append a child element.
     pub fn child(mut self, child: Element) -> Self {
         self.element.push_element(child);
-        self
-    }
-
-    /// Append an optional child element.
-    pub fn child_opt(mut self, child: Option<Element>) -> Self {
-        if let Some(c) = child {
-            self.element.push_element(c);
-        }
         self
     }
 

@@ -170,13 +170,20 @@ WSP_FAULT_SEED=7 timeout 300 cargo test -q --release -p wsp-integration-tests --
 
 # Run-to-completion reactor (PR 15): every reactor thread reads,
 # serves and writes, so connection state is touched from all of them.
-# Loop the 8-client mixed-traffic test (keep-alive, pipelined bursts,
-# abrupt closes against 2 handler permits; one response per request,
-# active_connections() back to 0) ten times per seed in release.
-echo "==> reactor stress (8 clients x mixed traffic, 10x, seed 2005 / seed 7, release)"
+# The reactor also runs its listener's drain lifecycle for both
+# servers: it steps ConnClosed on every release of a served
+# connection, and one lost step hangs `shutdown` until its deadline
+# (the pipe server's has no other bound), hence `timeout`. Loop the
+# 8-client mixed-traffic test (keep-alive, pipelined bursts, abrupt
+# closes against 2 handler permits; one response per request,
+# active_connections() back to 0) and the pipe server's suite (held
+# frames across a drain, refused latecomers, idle reaping) ten times
+# per seed in release.
+echo "==> reactor stress (8 clients x mixed traffic + pipe_tcp, 10x, seed 2005 / seed 7, release)"
 for seed in 2005 7; do
   WSP_FAULT_SEED=$seed timeout 300 bash -c 'for i in 1 2 3 4 5 6 7 8 9 10; do
     cargo test -q --release -p wsp-integration-tests --test overload eight_clients || exit 1
+    cargo test -q --release -p wsp-p2ps --lib pipe_tcp || exit 1
   done'
 done
 
