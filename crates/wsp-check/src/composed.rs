@@ -6,10 +6,10 @@
 //! ([`BreakerMachine`]), then server-side admission control
 //! (the one-tenant [`KeyedAdmissionMachine`] a host runs) — a shed while
 //! holding the breaker's half-open probe aborts the probe, exactly as
-//! the runtime's `ProbeGuard` does — and only then registers a
-//! correlation-table token ([`CorrelationMachine`]). Completion releases the permit,
-//! reports the outcome to the breaker, and delivers through the
-//! correlation machine. Time is a logical clock advanced by an
+//! the runtime's dropped, unreported `BreakerPermit` does — and only
+//! then registers a correlation-table token ([`CorrelationMachine`]).
+//! Completion releases the admission permit, reports the outcome to
+//! the breaker, and delivers through the correlation machine. Time is a logical clock advanced by an
 //! explicit [`ComposedEvent::Tick`].
 //!
 //! The point of composing is the *cross-machine* invariants no single
@@ -87,7 +87,7 @@ pub enum ComposedEvent {
     /// A running call's job finished with a counted failure.
     Fail(u64),
     /// A running call's job panicked: the handle is poisoned and, if
-    /// this was the probe, the `ProbeGuard` aborts it.
+    /// this was the probe, the unwound `BreakerPermit` aborts it.
     PanicCall(u64),
     /// The waiter claims a settled result.
     Take(u64),
@@ -181,7 +181,7 @@ impl Machine for ComposedMachine {
                             } else {
                                 out.push(E::ShedByAdmission(t));
                                 if is_probe {
-                                    // ProbeGuard: a shed probe is aborted,
+                                    // BreakerPermit: a shed probe is aborted,
                                     // never stranded.
                                     breaker(
                                         &mut next,
@@ -224,7 +224,7 @@ impl Machine for ComposedMachine {
                     let now = state.clock;
                     calls(&mut next, CorrelationEvent::Poison(t), &mut out);
                     if was_probe {
-                        // The runtime's ProbeGuard unwinds with the panic.
+                        // The runtime's BreakerPermit unwinds with the panic.
                         breaker(&mut next, BreakerEvent::ProbeAborted { now }, &mut out);
                     }
                     admission(

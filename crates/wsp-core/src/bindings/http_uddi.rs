@@ -7,7 +7,7 @@ use crate::components::{Binding, Invoker, ServiceDeployer, ServiceLocator, Servi
 use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::events::EventBus;
-use crate::health::{Admission, BreakerConfig, BreakerState, EndpointHealth};
+use crate::health::{BreakerConfig, BreakerState, EndpointHealth};
 use crate::overload;
 use crate::query::{properties_to_uddi_categories, ServiceQuery};
 use crate::server::{HostedService, Hosting, Incoming, Served};
@@ -181,30 +181,29 @@ fn registry_call<T>(
     call: impl FnOnce() -> Result<T, wsp_uddi::UddiError>,
 ) -> Result<T, WspError> {
     let endpoint = shared.uddi.endpoint_hint().unwrap_or("uddi:anonymous");
-    let breaker = shared.registry_health.breaker(endpoint);
     let started = Instant::now();
-    if matches!(breaker.try_acquire(started), Admission::Rejected) {
+    let Some(permit) = shared.registry_health.admit(endpoint, started) else {
         series.errors.incr();
         return Err(WspError::Transport(format!(
             "registry {endpoint} circuit breaker open"
         )));
-    }
+    };
     match call() {
         Ok(value) => {
-            breaker.on_success(Instant::now());
+            permit.succeed();
             series.ok.incr();
             series.rtt_us.record_micros(started.elapsed());
             Ok(value)
         }
         Err(wsp_uddi::UddiError::Transport(why)) => {
-            breaker.on_failure(Instant::now());
+            permit.fail();
             series.errors.incr();
             Err(WspError::Transport(why))
         }
         Err(other) => {
             // The registry answered; the error is semantic, not a
             // liveness signal — the breaker records a success.
-            breaker.on_success(Instant::now());
+            permit.succeed();
             series.errors.incr();
             Err(WspError::Invoke(other.to_string()))
         }

@@ -17,7 +17,7 @@ use crate::error::WspError;
 use crate::events::{
     ClientMessageEvent, DiscoveryMessageEvent, EventBus, ResilienceAction, ResilienceMessageEvent,
 };
-use crate::health::{Admission, EndpointHealth, ProbeGuard};
+use crate::health::EndpointHealth;
 use crate::overload::{self, DeadlineScope};
 use crate::query::{QueryExpr, ServiceQuery};
 use crate::resilience::ResiliencePolicy;
@@ -437,22 +437,13 @@ impl ResilientAttempts<'_> {
         if registry.is_enabled() {
             count_attempt(self.attempt_counters, registry, &service.endpoint);
         }
-        let breaker = self.health.breaker(&service.endpoint);
-        let admission = breaker.try_acquire(Instant::now());
-        if admission == Admission::Rejected {
+        let Some(permit) = self.health.admit(&service.endpoint, Instant::now()) else {
             return Err(WspError::CircuitOpen {
                 endpoint: service.endpoint.clone(),
             });
-        }
-        // If this attempt is the half-open probe, guard it: a panic in
-        // the invoker (or any path that skips the outcome report below)
-        // must not strand the probe slot — the guard's Drop routes a
-        // ProbeAborted event and the breaker re-opens for a fresh
-        // cooldown.
-        let mut probe_guard = None;
-        if admission == Admission::Probe {
+        };
+        if permit.is_probe() {
             self.fire(service, ResilienceAction::BreakerProbe);
-            probe_guard = Some(ProbeGuard::arm(breaker.clone()));
         }
         let result = match self.invokers.iter().find(|i| i.handles(&service.endpoint)) {
             Some(invoker) => {
@@ -480,23 +471,18 @@ impl ResilientAttempts<'_> {
         };
         match &result {
             Ok(_) => {
-                if let Some(guard) = probe_guard.take() {
-                    guard.disarm();
-                }
-                if breaker.on_success(Instant::now()) {
+                if permit.succeed() {
                     self.fire(service, ResilienceAction::BreakerRecovered);
                 }
             }
             Err(e) if e.counts_against_endpoint() => {
-                if let Some(guard) = probe_guard.take() {
-                    guard.disarm();
-                }
-                if breaker.on_failure(Instant::now()) {
+                if permit.fail() {
                     self.fire(service, ResilienceAction::BreakerTripped);
                 }
             }
-            // Non-counting errors report no outcome: a still-armed
-            // probe guard drops here and aborts the probe.
+            // Non-counting errors report no outcome: the permit drops
+            // here and aborts the probe if it held it. So does a panic
+            // in the invoker, unwinding past this frame.
             Err(_) => {}
         }
         result
@@ -640,6 +626,7 @@ mod tests {
     use super::*;
     use crate::endpoint::BindingKind;
     use crate::events::CollectingListener;
+    use crate::health::Admission;
     use wsp_wsdl::{ServiceDescriptor, WsdlDocument};
 
     struct FixedLocator(Vec<LocatedService>);
@@ -956,7 +943,7 @@ mod tests {
     fn panicking_probe_reopens_the_breaker_instead_of_stranding_it() {
         // Trip the breaker with transport failures, wait out a short
         // cooldown, then have the half-open probe attempt panic inside
-        // the invoker. The ProbeGuard must route ProbeAborted so the
+        // the invoker. The unwound permit must route ProbeAborted so the
         // breaker re-opens with the probe slot free — not stay wedged
         // with probe_in_flight=true rejecting every future caller.
         use std::sync::atomic::{AtomicU32, Ordering};
@@ -1008,7 +995,7 @@ mod tests {
         let handle = client.invoke_async(service.clone(), "echoString", vec![]);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()));
         assert!(unwound.is_err(), "poisoned handle re-panics the waiter");
-        // The guard freed the probe slot and re-opened the breaker.
+        // The permit freed the probe slot and re-opened the breaker.
         assert!(!breaker.probe_in_flight(), "probe slot must not strand");
         assert_eq!(breaker.state(Instant::now()), crate::BreakerState::Open);
         // After a fresh cooldown the breaker admits a new probe.

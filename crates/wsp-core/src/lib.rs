@@ -82,7 +82,6 @@ pub mod dispatch;
 pub mod endpoint;
 pub mod error;
 pub mod events;
-pub mod health;
 pub mod machines;
 pub mod overload;
 pub mod peer;
@@ -103,7 +102,7 @@ pub use events::{
     ResilienceAction, ResilienceMessageEvent, ServerMessageEvent, ServerPhase,
 };
 pub use health::{
-    Admission, BreakerConfig, BreakerState, CircuitBreaker, EndpointHealth, ProbeGuard,
+    Admission, BreakerConfig, BreakerPermit, BreakerState, CircuitBreaker, EndpointHealth,
 };
 pub use overload::{
     DeadlineScope, KeyedAdmissionController, KeyedAdmissionPermit, KeyedLoadShedPolicy,
@@ -118,4 +117,5 @@ pub use telemetry::{
     TraceEvent,
 };
 pub use workflow::{Stage, Workflow, WorkflowRun};
+pub use wsp_http::health;
 pub use wsp_telemetry as telemetry;

@@ -25,10 +25,9 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use wsp_core::{Admission, BreakerConfig, CircuitBreaker, EndpointHealth};
+use wsp_http::health::{BreakerConfig, BreakerPermit, EndpointHealth};
 use wsp_http::HttpUri;
 
 /// One backend of a located service: the access point exactly as the
@@ -113,13 +112,11 @@ impl BackendPools {
     /// Least-loaded breaker-admitted candidate not in `exclude`, leased.
     ///
     /// Candidates are ranked by load *first* and only then asked for a
-    /// breaker admission, in rank order, taking the first that admits.
-    /// `try_acquire` is stateful — on a half-open breaker it consumes
-    /// the single probe slot — so it must only ever be called on an
-    /// endpoint that will actually be leased; acquiring during the scan
-    /// would strand the probe slot of any candidate that then lost the
-    /// load comparison, removing a recovered backend from rotation
-    /// forever.
+    /// breaker permit, in rank order, taking the first that admits.
+    /// Admission is stateful — on a half-open breaker it takes the
+    /// single probe slot — so only an endpoint that will actually be
+    /// leased is asked; admitting during the scan would take the probe
+    /// of a candidate that then lost the load comparison.
     pub fn pick<E: AsRef<str>>(
         &self,
         candidates: &[E],
@@ -137,18 +134,14 @@ impl BackendPools {
         ranked.sort_unstable();
         for (_, index) in ranked {
             let endpoint = candidates[index].as_ref();
-            let breaker = self.health.breaker(endpoint);
-            let admission = breaker.try_acquire(now);
-            if matches!(admission, Admission::Rejected) {
+            let Some(permit) = self.health.admit(endpoint, now) else {
                 continue;
-            }
+            };
             *state.active.entry(endpoint.to_owned()).or_insert(0) += 1;
             return Some(BackendLease {
                 endpoint: endpoint.to_owned(),
                 index,
-                probe: admission == Admission::Probe,
-                reported: AtomicBool::new(false),
-                breaker,
+                permit: Mutex::new(Some(permit)),
                 state: self.state.clone(),
             });
         }
@@ -162,13 +155,10 @@ pub struct BackendLease {
     /// Position of the leased endpoint in the `candidates` it was
     /// picked from.
     index: usize,
-    /// This lease holds the breaker's single half-open probe slot.
-    probe: bool,
-    /// Whether [`succeed`](BackendLease::succeed)/[`fail`](BackendLease::fail)
-    /// has been called; a probe lease dropped unreported must abort the
-    /// probe or the slot strands and the breaker rejects forever.
-    reported: AtomicBool,
-    breaker: Arc<CircuitBreaker>,
+    /// The breaker's permit until [`succeed`](BackendLease::succeed) or
+    /// [`fail`](BackendLease::fail) reports it; a lease dropped
+    /// unreported drops it, which aborts a probe it held.
+    permit: Mutex<Option<BreakerPermit>>,
     state: Arc<Mutex<PoolState>>,
 }
 
@@ -184,21 +174,20 @@ impl BackendLease {
     }
 
     pub fn succeed(&self) {
-        self.reported.store(true, Ordering::Relaxed);
-        self.breaker.on_success(Instant::now());
+        if let Some(permit) = self.permit.lock().take() {
+            permit.succeed();
+        }
     }
 
     pub fn fail(&self) {
-        self.reported.store(true, Ordering::Relaxed);
-        self.breaker.on_failure(Instant::now());
+        if let Some(permit) = self.permit.lock().take() {
+            permit.fail();
+        }
     }
 }
 
 impl Drop for BackendLease {
     fn drop(&mut self) {
-        if self.probe && !self.reported.load(Ordering::Relaxed) {
-            self.breaker.on_probe_aborted(Instant::now());
-        }
         let mut state = self.state.lock();
         if let Some(n) = state.active.get_mut(&self.endpoint) {
             *n = n.saturating_sub(1);

@@ -4,6 +4,7 @@
 //! half-open — with the *stored* state being just two shapes:
 //! `Closed { failures }` and `Tripped { since, probe_in_flight }`.
 //! Half-open is derived: a tripped breaker whose cooldown has elapsed.
+//! Its runtime shell is [`crate::health`].
 //!
 //! Invariants the model checker enforces (`wsp-check`):
 //!
@@ -37,7 +38,8 @@ pub enum BreakerState {
     Tripped { since: u64, probe_in_flight: bool },
 }
 
-/// The observable phase at logical time `now` (what callers see).
+/// The observable phase at logical time `now`: what callers see, as
+/// [`crate::health::BreakerState`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     Closed,
@@ -58,7 +60,8 @@ pub enum BreakerEvent {
     ProbeAborted { now: u64 },
 }
 
-/// Admission verdicts handed back on [`BreakerEvent::Acquire`].
+/// Admission verdicts handed back on [`BreakerEvent::Acquire`]; the
+/// shell hands them on as [`crate::health::Admission`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admit {
     /// Closed: go ahead.

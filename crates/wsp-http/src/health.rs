@@ -7,29 +7,29 @@
 //!
 //! * **Closed** — requests flow; consecutive failures are counted.
 //! * **Open** — after `failure_threshold` consecutive failures the
-//!   breaker rejects immediately (callers see
-//!   [`crate::WspError::CircuitOpen`] and can fail over) until
-//!   `cooldown` elapses.
+//!   breaker rejects immediately (the caller fails over, or reports the
+//!   circuit open) until `cooldown` elapses.
 //! * **Half-open** — after the cooldown exactly **one** probe call is
 //!   admitted; its success closes the breaker, its failure re-opens it
 //!   for another cooldown. Concurrent callers during the probe are
 //!   rejected, so all callers observe one consistent state.
 //!
-//! All methods take an explicit `now: Instant` so transitions are unit
-//! testable without sleeping.
+//! A caller asks [`EndpointHealth::admit`] and gets a [`BreakerPermit`]
+//! or nothing. The permit reports the outcome once; dropped unreported
+//! — a panic, or an error that says nothing about the endpoint — it
+//! aborts the half-open probe if it held it, so no probe slot strands.
 //!
 //! Every transition decision lives in the pure
-//! [`crate::machines::breaker::BreakerMachine`]; this module is its
-//! runtime shell. The shell converts `Instant`s to logical ticks
-//! (nanoseconds since a per-breaker epoch), feeds events through
-//! [`wsp_simnet::Machine::step`] under one mutex, and translates the
-//! returned effects back into the boolean/`Admission` results the
-//! callers expect. `wsp-check` exhaustively explores the machine; the
-//! tests here exercise the shell around it.
+//! [`crate::breaker::BreakerMachine`]; this module is its runtime
+//! shell. The shell converts `Instant`s to logical ticks (nanoseconds
+//! since a per-breaker epoch), feeds events through
+//! [`wsp_simnet::Machine::step`] under one mutex, and hands the
+//! machine's verdicts and phases back. The breaker's event methods
+//! take an explicit `now: Instant`, so transitions are unit testable
+//! without sleeping; `wsp-check` exhaustively explores the machine.
 
-use crate::machines::breaker::{
-    Admit, BreakerEffect, BreakerEvent, BreakerMachine, BreakerState as MachineState, Phase,
-};
+pub use crate::breaker::{Admit as Admission, Phase as BreakerState};
+use crate::breaker::{BreakerEffect, BreakerEvent, BreakerMachine, BreakerState as MachineState};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,25 +52,6 @@ impl Default for BreakerConfig {
             cooldown: Duration::from_secs(5),
         }
     }
-}
-
-/// Observable breaker state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    Closed,
-    Open,
-    HalfOpen,
-}
-
-/// Outcome of asking the breaker for permission to attempt a call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Closed: go ahead.
-    Allowed,
-    /// Half-open: go ahead, and this attempt is *the* probe.
-    Probe,
-    /// Open (or half-open with the probe already taken): do not call.
-    Rejected,
 }
 
 /// One endpoint's circuit breaker: the runtime shell around
@@ -112,11 +93,7 @@ impl CircuitBreaker {
 
     /// The state an observer at `now` sees.
     pub fn state(&self, now: Instant) -> BreakerState {
-        match self.machine.phase(&self.state.lock(), self.ticks(now)) {
-            Phase::Closed => BreakerState::Closed,
-            Phase::Open => BreakerState::Open,
-            Phase::HalfOpen => BreakerState::HalfOpen,
-        }
+        self.machine.phase(&self.state.lock(), self.ticks(now))
     }
 
     /// Ask to attempt a call at `now`.
@@ -125,8 +102,7 @@ impl CircuitBreaker {
             now: self.ticks(now),
         });
         match effects.first() {
-            Some(BreakerEffect::Admit(Admit::Allowed)) => Admission::Allowed,
-            Some(BreakerEffect::Admit(Admit::Probe)) => Admission::Probe,
+            Some(BreakerEffect::Admit(admission)) => *admission,
             _ => Admission::Rejected,
         }
     }
@@ -184,42 +160,43 @@ impl CircuitBreaker {
     }
 }
 
-/// RAII guard for an admitted half-open probe.
-///
-/// Armed when the breaker grants [`Admission::Probe`]; if the attempt
-/// unwinds (panics) — or otherwise returns without reporting an
-/// outcome — the guard's `Drop` routes a
-/// [`crate::machines::breaker::BreakerEvent::ProbeAborted`] through the
-/// machine, re-opening the breaker for a fresh cooldown instead of
-/// stranding `probe_in_flight` and rejecting every future caller.
-/// Call [`disarm`](ProbeGuard::disarm) right before reporting
-/// success/failure normally.
-#[must_use = "dropping immediately would abort the probe it guards"]
-pub struct ProbeGuard {
+/// RAII proof that a breaker admitted one call (see
+/// [`EndpointHealth::admit`]). Dropped without
+/// [`succeed`](BreakerPermit::succeed) or [`fail`](BreakerPermit::fail),
+/// it aborts the half-open probe if it holds it (the breaker re-opens
+/// for a fresh cooldown), and does nothing otherwise.
+#[must_use = "dropping a permit unreported aborts the probe it may hold"]
+#[derive(Debug)]
+pub struct BreakerPermit {
     breaker: Arc<CircuitBreaker>,
-    armed: bool,
+    probe: bool,
 }
 
-impl ProbeGuard {
-    /// Arm a guard for a probe just admitted by `breaker`.
-    pub fn arm(breaker: Arc<CircuitBreaker>) -> Self {
-        ProbeGuard {
-            breaker,
-            armed: true,
-        }
+impl BreakerPermit {
+    /// This call is the half-open breaker's single probe.
+    pub fn is_probe(&self) -> bool {
+        self.probe
     }
 
-    /// The outcome is about to be reported through
-    /// [`CircuitBreaker::on_success`]/[`on_failure`](CircuitBreaker::on_failure):
-    /// the guard stands down.
-    pub fn disarm(mut self) {
-        self.armed = false;
+    /// The call succeeded. Returns `true` if that closed a tripped
+    /// breaker (the probe recovered it).
+    pub fn succeed(mut self) -> bool {
+        self.probe = false;
+        self.breaker.on_success(Instant::now())
+    }
+
+    /// The call failed against the endpoint. Returns `true` if that
+    /// tripped the breaker (closed → open, or a failed probe
+    /// re-opening it).
+    pub fn fail(mut self) -> bool {
+        self.probe = false;
+        self.breaker.on_failure(Instant::now())
     }
 }
 
-impl Drop for ProbeGuard {
+impl Drop for BreakerPermit {
     fn drop(&mut self) {
-        if self.armed {
+        if self.probe {
             self.breaker.on_probe_aborted(Instant::now());
         }
     }
@@ -292,12 +269,29 @@ impl EndpointHealth {
         all
     }
 
+    /// Ask `endpoint`'s breaker to admit one call at `now`: a permit,
+    /// or `None` while the breaker is open or its probe is taken.
+    pub fn admit(&self, endpoint: &str, now: Instant) -> Option<BreakerPermit> {
+        let breaker = self.breaker(endpoint);
+        let probe = match breaker.try_acquire(now) {
+            Admission::Allowed => false,
+            Admission::Probe => true,
+            Admission::Rejected => return None,
+        };
+        Some(BreakerPermit { breaker, probe })
+    }
+
     /// Is `endpoint` currently admitting calls (closed, or half-open
-    /// with the probe slot free)? Does not consume the probe slot.
+    /// with the probe slot free)? A peek: it neither consumes the probe
+    /// slot nor starts tracking an endpoint it has not seen, which
+    /// admits.
     pub fn is_admitting(&self, endpoint: &str, now: Instant) -> bool {
-        match self.breaker(endpoint).state(now) {
+        let Some(breaker) = self.breakers.read().get(endpoint).cloned() else {
+            return true;
+        };
+        match breaker.state(now) {
             BreakerState::Closed => true,
-            BreakerState::HalfOpen => !self.breaker(endpoint).probe_in_flight(),
+            BreakerState::HalfOpen => !breaker.probe_in_flight(),
             BreakerState::Open => false,
         }
     }
@@ -492,18 +486,27 @@ mod tests {
         assert!(!b.on_probe_aborted(abort_at + Duration::from_millis(130)));
     }
 
+    /// Trip `endpoint` and wait out [`quick_config`]'s cooldown: its
+    /// next admission is the probe.
+    fn half_open(health: &EndpointHealth, endpoint: &str) -> Arc<CircuitBreaker> {
+        let breaker = health.breaker(endpoint);
+        for _ in 0..3 {
+            breaker.on_failure(Instant::now());
+        }
+        std::thread::sleep(Duration::from_millis(150));
+        breaker
+    }
+
     #[test]
     fn probe_guard_dropped_by_panic_reopens_the_breaker() {
-        let b = Arc::new(CircuitBreaker::new(quick_config()));
-        let t0 = Instant::now();
-        for _ in 0..3 {
-            b.on_failure(t0);
-        }
-        let probe_at = t0 + Duration::from_millis(150);
-        assert_eq!(b.try_acquire(probe_at), Admission::Probe);
-        let guard = ProbeGuard::arm(b.clone());
+        // The permit is the probe's guard: unwound with a panic before
+        // it reported, it aborts the probe instead of stranding it.
+        let health = EndpointHealth::new(quick_config());
+        let b = half_open(&health, "http://a/S");
+        let permit = health.admit("http://a/S", Instant::now()).unwrap();
+        assert!(permit.is_probe());
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            let _guard = guard;
+            let _permit = permit;
             panic!("probe attempt died");
         }));
         assert!(unwound.is_err());
@@ -520,21 +523,54 @@ mod tests {
 
     #[test]
     fn disarmed_probe_guard_is_inert() {
-        let b = Arc::new(CircuitBreaker::new(quick_config()));
-        let t0 = Instant::now();
-        for _ in 0..3 {
-            b.on_failure(t0);
-        }
-        let probe_at = t0 + Duration::from_millis(150);
-        assert_eq!(b.try_acquire(probe_at), Admission::Probe);
-        let guard = ProbeGuard::arm(b.clone());
-        guard.disarm();
+        // A permit that reported no longer guards anything: its outcome
+        // is the report, and nothing is aborted after it.
+        let health = EndpointHealth::new(quick_config());
+        let b = half_open(&health, "http://a/S");
+        let permit = health.admit("http://a/S", Instant::now()).unwrap();
+        assert!(permit.is_probe());
+        assert!(b.probe_in_flight());
+        assert!(permit.succeed(), "probe success recovers");
+        assert_eq!(b.state(Instant::now()), BreakerState::Closed);
+        // A permit admitted while closed holds no probe: dropped
+        // unreported, it changes nothing.
+        let permit = health.admit("http://a/S", Instant::now()).unwrap();
+        assert!(!permit.is_probe());
+        drop(permit);
+        assert_eq!(b.state(Instant::now()), BreakerState::Closed);
+    }
+
+    #[test]
+    fn a_failed_probe_permit_trips_and_the_open_breaker_admits_nobody() {
+        let health = EndpointHealth::new(quick_config());
+        let b = half_open(&health, "http://a/S");
+        let probe = health.admit("http://a/S", Instant::now()).unwrap();
         assert!(
-            b.probe_in_flight(),
-            "disarm reports nothing; the caller's outcome report does"
+            health.admit("http://a/S", Instant::now()).is_none(),
+            "the probe slot is taken"
         );
-        assert!(b.on_success(probe_at), "probe success closes normally");
-        assert_eq!(b.state(probe_at), BreakerState::Closed);
+        assert!(probe.fail(), "a failed probe re-trips");
+        assert!(!b.probe_in_flight());
+        assert!(health.admit("http://a/S", Instant::now()).is_none(), "open");
+        let closed = health.admit("http://b/S", Instant::now()).unwrap();
+        assert!(!closed.fail(), "one failure of three trips nothing");
+    }
+
+    #[test]
+    fn is_admitting_peeks_without_tracking_unknown_endpoints() {
+        let health = EndpointHealth::new(quick_config());
+        let now = Instant::now();
+        assert!(health.is_admitting("http://never-called/S", now));
+        assert!(health.snapshot(now).is_empty(), "a peek tracks nothing");
+        let b = half_open(&health, "http://a/S");
+        let now = Instant::now();
+        assert!(
+            health.is_admitting("http://a/S", now),
+            "half-open, slot free"
+        );
+        let _probe = health.admit("http://a/S", now).unwrap();
+        assert!(!health.is_admitting("http://a/S", now), "slot taken");
+        assert!(b.probe_in_flight(), "peeking took nothing");
     }
 
     #[test]

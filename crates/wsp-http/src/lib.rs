@@ -12,6 +12,8 @@
 //!   its drain lifecycle itself, for HTTP and for P2PS pipes alike;
 //! * the blocking client: a keep-alive [`pool::ConnectionPool`], with
 //!   [`http_call`] as connection-per-call through the same code;
+//! * per-endpoint circuit breakers ([`health`], over the pure
+//!   [`breaker`] machine), asked for a permit before every remote call;
 //! * [`httpg`], the simulated Globus-style authenticated transport.
 //!
 //! The paper's host launches its HTTP server only when the first service
@@ -19,9 +21,11 @@
 //! application before the messaging engine sees it; `Router` +
 //! `TcpServer` implement exactly that contract.
 
+pub mod breaker;
 pub mod codec;
 pub mod conn;
 pub mod drain;
+pub mod health;
 pub mod httpg;
 pub mod message;
 pub mod pool;

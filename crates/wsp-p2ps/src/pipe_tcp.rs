@@ -186,6 +186,9 @@ impl ConnProtocol for PipeProto {
     }
 }
 
+/// How long [`PipeTcpServer::shutdown`] lets in-flight handlers answer.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
 /// A reactor-hosted endpoint accepting framed pipe connections.
 pub struct PipeTcpServer {
     reactor: Reactor,
@@ -232,10 +235,10 @@ impl PipeTcpServer {
     }
 
     /// Stop accepting, let in-flight handlers answer (for up to 5 s),
-    /// then stop.
-    pub fn shutdown(&self) {
-        self.reactor
-            .shutdown(Instant::now() + Duration::from_secs(5));
+    /// then stop. Returns `true` when every pipe closed inside the
+    /// deadline; on `false` the stragglers were cut off.
+    pub fn shutdown(&self) -> bool {
+        self.reactor.shutdown(Instant::now() + DRAIN_DEADLINE)
     }
 }
 
@@ -572,9 +575,7 @@ mod tests {
         let refused_before = refused.get();
 
         let stopping = Arc::clone(&server);
-        let drain = std::thread::spawn(move || {
-            (stopping.reactor).shutdown(Instant::now() + Duration::from_secs(10))
-        });
+        let drain = std::thread::spawn(move || stopping.shutdown());
         while !server.reactor.is_draining() {
             std::thread::yield_now();
         }

@@ -33,7 +33,7 @@
 //!   shard's backups in preference order, whose write path runs the
 //!   view change server-side.
 //!
-//! Retry counts come from the session [`ResiliencePolicy`]; every
+//! A write makes at most three passes over its shard's members; every
 //! publish/locate lands in the `registry.publish` / `registry.locate`
 //! telemetry series the `/metrics` endpoint exports
 //! (`registry.locate.routed` / `.scattered` say which kind it was). The
@@ -45,9 +45,9 @@ use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
-use wsp_core::telemetry::{self, Counter, Histogram};
-use wsp_core::{Admission, BreakerConfig, EndpointHealth, ResiliencePolicy};
+use wsp_http::health::{BreakerConfig, EndpointHealth};
 use wsp_soap::Fault;
+use wsp_telemetry::{self as telemetry, Counter, Histogram};
 pub use wsp_uddi::DataVersions;
 use wsp_uddi::{
     BusinessService, ServiceQuery, UddiError, UddiOp, UddiRequest, UddiResponse, UddiTransport,
@@ -93,6 +93,10 @@ fn fetch_map(transport: &UddiTransport) -> Option<ShardMap> {
 fn members_within(map: &ShardMap, nodes: usize) -> bool {
     (0..map.shard_count()).all(|s| map.shard(s).members.iter().all(|&m| m < nodes))
 }
+
+/// Passes a write makes over its shard's members — primary, then
+/// backups — before it reports the shard unavailable.
+const WRITE_ROUNDS: usize = 3;
 
 /// What a routed call's fault told us to do next.
 enum Recovery {
@@ -145,7 +149,6 @@ pub struct ShardedUddiClient {
     transports: Vec<UddiTransport>,
     endpoints: Vec<String>,
     map: RwLock<Arc<ShardMap>>,
-    policy: ResiliencePolicy,
     health: EndpointHealth,
     series: Series,
 }
@@ -172,7 +175,6 @@ impl ShardedUddiClient {
             transports,
             endpoints,
             map: RwLock::new(Arc::new(map)),
-            policy: ResiliencePolicy::retrying(3),
             health: EndpointHealth::new(BreakerConfig::default()),
             series: Series::resolve(),
         })
@@ -308,9 +310,8 @@ impl ShardedUddiClient {
         mut request: UddiRequest<'_>,
         read: impl Fn(UddiResponse) -> T,
     ) -> Result<T, RegistryError> {
-        let attempts = self.policy.schedule().len().max(1) + 1;
         let mut last_err = "no replica reachable".to_owned();
-        for _ in 0..attempts {
+        for _ in 0..WRITE_ROUNDS {
             let map = self.cached_map();
             let order = map.shard(shard).failover_order();
             let mut rerouted = false;
@@ -353,16 +354,14 @@ impl ShardedUddiClient {
         read: impl FnOnce(UddiResponse) -> T,
     ) -> Result<T, CallError> {
         let endpoint = &self.endpoints[node];
-        let breaker = self.health.breaker(endpoint);
-        let now = Instant::now();
-        if matches!(breaker.try_acquire(now), Admission::Rejected) {
-            return Err(CallError::Recover(Recovery::NextReplica));
-        }
-        let Ok(response) = (self.transports[node])(request) else {
-            breaker.on_failure(Instant::now());
+        let Some(permit) = self.health.admit(endpoint, Instant::now()) else {
             return Err(CallError::Recover(Recovery::NextReplica));
         };
-        breaker.on_success(Instant::now());
+        let Ok(response) = (self.transports[node])(request) else {
+            permit.fail();
+            return Err(CallError::Recover(Recovery::NextReplica));
+        };
+        permit.succeed();
         match response {
             UddiResponse::Fault(fault) => Err(self.classify_fault(fault)),
             response => Ok(read(response)),
@@ -825,5 +824,82 @@ mod tests {
         // The replication shell samples the primary's retained log at
         // every commit, and the publish above committed.
         assert!(t.histogram("registry.replication.log_len").count() > 0);
+    }
+
+    #[test]
+    fn a_probe_that_panics_in_the_transport_reopens_the_breaker() {
+        use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+        use std::time::Duration;
+        const PASS: u8 = 0;
+        const FAIL: u8 = 1;
+        const PANIC_ONCE: u8 = 2;
+        let cluster = RegistryCluster::new(ClusterConfig {
+            nodes: 1,
+            shard_count: 1,
+            replication: 1,
+            default_ttl: None,
+        });
+        let inner = cluster.node_transport(0);
+        let mode = Arc::new(AtomicU8::new(PASS));
+        let exchanges = Arc::new(AtomicUsize::new(0));
+        let (m, n) = (mode.clone(), exchanges.clone());
+        let transport: UddiTransport = Arc::new(move |request: &UddiRequest<'_>| {
+            if request.op == UddiOp::GetShardMap {
+                return inner(request);
+            }
+            n.fetch_add(1, Ordering::SeqCst);
+            match m.load(Ordering::SeqCst) {
+                FAIL => Err("connection refused".to_owned()),
+                PANIC_ONCE => {
+                    m.store(PASS, Ordering::SeqCst);
+                    panic!("transport died mid-probe");
+                }
+                _ => inner(request),
+            }
+        });
+        let cooldown = Duration::from_millis(250);
+        let client = ShardedUddiClient::connect(vec![transport])
+            .unwrap()
+            .with_breaker_config(BreakerConfig {
+                failure_threshold: 1,
+                cooldown,
+            });
+        let node0 = client.health().breaker(&client.cached_map().nodes()[0]);
+        let query = ServiceQuery::by_name("Echo");
+
+        mode.store(FAIL, Ordering::SeqCst);
+        assert!(client.locate(&query).is_err());
+        std::thread::sleep(cooldown + Duration::from_millis(10));
+        assert_eq!(
+            node0.state(Instant::now()),
+            wsp_http::health::BreakerState::HalfOpen
+        );
+
+        mode.store(PANIC_ONCE, Ordering::SeqCst);
+        let unwound =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client.locate(&query)));
+        assert!(unwound.is_err(), "the probe's transport panicked");
+        assert!(!node0.probe_in_flight(), "the probe slot is not stranded");
+        assert_eq!(
+            node0.state(Instant::now()),
+            wsp_http::health::BreakerState::Open,
+            "re-opened for a fresh cooldown"
+        );
+        let before = exchanges.load(Ordering::SeqCst);
+        assert!(client.locate(&query).is_err(), "open: node 0 is not asked");
+        assert_eq!(exchanges.load(Ordering::SeqCst), before);
+
+        std::thread::sleep(cooldown + Duration::from_millis(10));
+        assert!(client.locate(&query).unwrap().is_empty());
+        assert_eq!(
+            exchanges.load(Ordering::SeqCst),
+            before + 1,
+            "one probe reached node 0"
+        );
+        assert_eq!(
+            node0.state(Instant::now()),
+            wsp_http::health::BreakerState::Closed,
+            "the probe recovered the breaker"
+        );
     }
 }

@@ -37,10 +37,10 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use wsp_core::telemetry::{self, Counter, Histogram};
 use wsp_http::{HttpHandler, Request, Response};
 use wsp_simnet::{Dur, Time};
 use wsp_soap::Fault;
+use wsp_telemetry::{self as telemetry, Counter, Histogram};
 use wsp_uddi::{
     BusinessEntity, BusinessService, DataVersions, Registry, TModel, UddiApi, UddiOp, UddiRequest,
     UddiResponse, UddiTransport,

@@ -23,9 +23,9 @@
 //!   as SOAP over the HTTP and P2PS bindings;
 //! * [`client`] — [`ShardedUddiClient`]: shard-map routing (an
 //!   exact-name locate is one exchange with the owning shard, only
-//!   patterns scatter), primary→backup failover through
-//!   `ResiliencePolicy` and the per-endpoint circuit breakers, map
-//!   refresh on redirect.
+//!   patterns scatter), primary→backup failover through the
+//!   per-endpoint circuit breakers of `wsp_http::health`, map refresh
+//!   on redirect.
 
 pub mod client;
 pub mod cluster;

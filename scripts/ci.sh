@@ -32,6 +32,15 @@ if grep '^wsp-' <<<"$telemetry_deps" | grep -v '^wsp-telemetry '; then
   exit 1
 fi
 
+# The discovery plane sits below the WSPeer core: it takes its breakers
+# from wsp-http and its telemetry from wsp-telemetry, so the HTTP/UDDI
+# binding in wsp-core can come to depend on wsp-registry.
+echo "==> wsp-registry does not depend on wsp-core"
+if cargo tree --offline -p wsp-registry -e normal --prefix none | grep '^wsp-core '; then
+  echo "wsp-registry depends on wsp-core" >&2
+  exit 1
+fi
+
 # Lines of Rust per crate is a tracked number (ROADMAP aim 2): print it
 # with every run, so a PR's before/after is two CI logs.
 echo "==> lines of Rust per crate (scripts/loc.sh)"
