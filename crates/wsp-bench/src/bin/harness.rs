@@ -459,6 +459,25 @@ fn main() {
             &rows,
         )
     );
+    let passes = if quick { 8 } else { 40 };
+    let rows: Vec<Vec<String>> = e12::p2ps_codec_steps(passes)
+        .iter()
+        .map(|r| {
+            let allocs = match r.counted {
+                true => format!("{:.1}", r.allocs_per_call),
+                false => "NO".to_string(),
+            };
+            vec![r.step.to_string(), format!("{:.0}", r.ns_per_call), allocs]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &format!("E12 codec steps of one P2PS echo (least of {passes} batches of 50)"),
+            &["step", "ns/call", "allocs/call"],
+            &rows,
+        )
+    );
     let calls = if quick { 20 } else { 100 };
     let rows: Vec<Vec<String>> = e12::invoke_rows(calls)
         .iter()

@@ -395,6 +395,135 @@ pub fn allocations(rounds: u64) -> Vec<E12Allocs> {
         .collect()
 }
 
+/// The six codec steps of one P2PS echo, in the order the echo takes
+/// them: the consumer writes the request envelope and frames it, the
+/// provider unframes and reads it, writes the response, and the
+/// consumer reads it. (The response's own `PipeData` frame repeats
+/// steps 2 and 3.)
+pub const P2PS_STEPS: [&str; 6] = [
+    "request write",
+    "PipeData encode",
+    "PipeData decode",
+    "request read",
+    "response write",
+    "response read",
+];
+
+/// One codec step of a P2PS echo: time and heap allocations per call.
+#[derive(Debug, Clone)]
+pub struct E12Step {
+    pub step: &'static str,
+    /// The least of the batch means: on a shared guest whose speed
+    /// swings, the least is the step's own cost with the least noise.
+    pub ns_per_call: f64,
+    /// Heap allocations per call; meaningless unless `counted`.
+    pub allocs_per_call: f64,
+    pub counted: bool,
+}
+
+/// [`P2PS_STEPS`] on the echo `bench/`'s `p2ps_invoke` sends (64-byte
+/// argument, `ReplyTo` pipe, the provider's response readdressed to
+/// it), each step in `passes` batches of 50 calls. The steps take
+/// turns batch by batch, in an order that reverses every pass (ABBA,
+/// as [`latency`] interleaves its two modes), so all six sample the
+/// same allocator and scheduler conditions.
+pub fn p2ps_codec_steps(passes: usize) -> Vec<E12Step> {
+    use wsp_p2ps::{P2psMessage, PeerId, PipeAdvertisement};
+    use wsp_wsdl::{proxy, MessageEngine, ServiceDescriptor, ServiceHandler, Value};
+    const BATCH: usize = 50;
+    let descriptor = ServiceDescriptor::echo();
+    let handler: std::sync::Arc<dyn ServiceHandler> =
+        std::sync::Arc::new(|_: &str, args: &[Value]| Ok(args[0].clone()));
+    let engine = MessageEngine::new(descriptor.clone(), handler);
+    let args = [Value::string(
+        "op-0000000000000001:abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGH",
+    )];
+    let target = PipeAdvertisement::new(PeerId(0xBE01), Some("Echo".into()), "echoString");
+    let reply = PipeAdvertisement::new(PeerId(0xBE02), None, "return-1");
+    let headers = wsp_p2ps::with_reply_pipe(wsp_p2ps::request_headers(&target), &reply);
+    // Each step's input is the output of the one before it.
+    let mut request = Vec::new();
+    let write_request = |out: &mut Vec<u8>| {
+        proxy::write_request(&descriptor, &[], &headers, "echoString", &args, out)
+            .expect("the echo request is well typed");
+    };
+    write_request(&mut request);
+    let request = String::from_utf8(request).expect("UTF-8");
+    let frame = P2psMessage::PipeData {
+        to: target.clone(),
+        payload: request.clone(),
+    };
+    let framed = frame.to_xml();
+    let typed = engine
+        .read_request(&request, &mut |_| {})
+        .expect("a request");
+    let outcome = engine.call(&typed).expect("echo answers");
+    let (_, readdress) = wsp_p2ps::encode_response(&typed.headers).expect("a reply pipe");
+    let mut response = Vec::new();
+    engine.write_response(&typed, &outcome, Some(&readdress), &mut response);
+    let response = String::from_utf8(response).expect("UTF-8");
+    assert_eq!(
+        proxy::read_response(&descriptor, "echoString", &response).as_ref(),
+        Ok(&args[0])
+    );
+
+    let pool = wsp_xml::BufPool::global();
+    let step = |at: usize| match at {
+        0 => {
+            let mut out = pool.take();
+            write_request(&mut out);
+            pool.put(black_box(out));
+        }
+        1 => {
+            let mut out = pool.take();
+            frame.to_xml_into(&mut out);
+            pool.put(black_box(out));
+        }
+        2 => drop(black_box(P2psMessage::from_xml(black_box(&framed)))),
+        3 => drop(black_box(
+            engine.read_request(black_box(&request), &mut |_| {}),
+        )),
+        4 => {
+            let mut out = pool.take();
+            engine.write_response(&typed, &outcome, Some(&readdress), &mut out);
+            pool.put(black_box(out));
+        }
+        _ => drop(black_box(proxy::read_response(
+            &descriptor,
+            "echoString",
+            black_box(&response),
+        ))),
+    };
+    let counted = alloc_count::is_installed();
+    let mut least = [f64::INFINITY; 6];
+    let mut allocs = [0.0; 6];
+    for (at, allocs) in allocs.iter_mut().enumerate() {
+        *allocs = allocs_per_call(BATCH as u64, || step(at));
+    }
+    for pass in 0..passes {
+        for turn in 0..P2PS_STEPS.len() {
+            let at = match pass % 2 {
+                0 => turn,
+                _ => P2PS_STEPS.len() - 1 - turn,
+            };
+            let start = Instant::now();
+            for _ in 0..BATCH {
+                step(at);
+            }
+            let ns = start.elapsed().as_secs_f64() * 1e9 / BATCH as f64;
+            least[at] = least[at].min(ns);
+        }
+    }
+    (P2PS_STEPS.iter().enumerate())
+        .map(|(at, &step)| E12Step {
+            step,
+            ns_per_call: least[at],
+            allocs_per_call: allocs[at],
+            counted,
+        })
+        .collect()
+}
+
 /// End-to-end invoke latency through the current (fast-path) stack,
 /// on E7's real-socket rig — the row EXPERIMENTS.md compares against
 /// E7's pre-PR-5 numbers for the no-regression criterion.
@@ -432,6 +561,14 @@ mod tests {
             assert_eq!(pair[0].wire_bytes, pair[1].wire_bytes);
             assert!(pair.iter().all(|r| r.encode_p99_ns >= r.encode_p50_ns));
         }
+    }
+
+    #[test]
+    fn p2ps_step_rows_cover_the_six_steps() {
+        let rows = p2ps_codec_steps(2);
+        let steps: Vec<_> = rows.iter().map(|r| r.step).collect();
+        assert_eq!(steps, P2PS_STEPS);
+        assert!(rows.iter().all(|r| r.ns_per_call > 0.0 && !r.counted));
     }
 
     #[test]

@@ -484,16 +484,16 @@ pub fn current_deadline() -> Option<Instant> {
     CURRENT_DEADLINE.with(|cell| cell.get())
 }
 
-/// Remaining budget of `deadline` in whole milliseconds — what goes on
-/// the wire. `None` when already expired (send nothing; the server
-/// would only shed it, and the local attempt is about to time out
-/// anyway).
+/// Remaining budget of `deadline` in whole milliseconds, rounded down —
+/// what goes on the wire and what the local wait is capped at. `None`
+/// when less than a millisecond is left: that deadline counts as
+/// expired (send nothing; a budget rounded up to 1 ms would let the
+/// callee run past the caller's deadline).
 pub fn remaining_ms(deadline: Instant) -> Option<u64> {
-    let now = Instant::now();
-    if now >= deadline {
-        return None;
-    }
-    Some((deadline - now).as_millis().max(1) as u64)
+    let left = deadline
+        .saturating_duration_since(Instant::now())
+        .as_millis();
+    u64::try_from(left).ok().filter(|&ms| ms > 0)
 }
 
 /// Never send a request whose budget is gone: what a request about to
@@ -711,6 +711,22 @@ mod tests {
         assert!(rehydrated <= deadline + slop);
         let expired = Instant::now() - Duration::from_millis(1);
         assert_eq!(remaining_ms(expired), None);
+    }
+
+    #[test]
+    fn a_budget_under_a_millisecond_is_refused_before_send() {
+        let soon = Instant::now() + Duration::from_micros(500);
+        assert!(matches!(
+            send_budget(Some(soon)),
+            Err(WspError::Timeout { millis: 0, .. })
+        ));
+        assert_eq!(send_budget(None).ok(), Some(None));
+        let later = Instant::now() + Duration::from_millis(1500);
+        let ms = send_budget(Some(later))
+            .ok()
+            .flatten()
+            .expect("budget left");
+        assert!((1000..1500).contains(&ms), "{ms} rounds down");
     }
 
     #[test]

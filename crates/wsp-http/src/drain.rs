@@ -179,8 +179,8 @@ impl Machine for DrainMachine {
 pub struct ServerState {
     machine: DrainMachine,
     drain: parking_lot::Mutex<DrainState>,
-    /// Signalled on every drain-machine step, so a shutdown can sleep
-    /// on connection-count changes instead of busy-polling.
+    /// Signalled by every step that leaves no connection live, so a
+    /// shutdown sleeps until the count reaches zero instead of polling.
     cv: parking_lot::Condvar,
 }
 
@@ -199,7 +199,9 @@ impl ServerState {
     pub fn step(&self, event: DrainEvent) -> Vec<DrainEffect> {
         let mut drain = self.drain.lock();
         let effects = wsp_simnet::step_mut(&self.machine, &mut drain, &event);
-        self.cv.notify_all();
+        if drain.active == 0 {
+            self.cv.notify_all();
+        }
         effects
     }
 
@@ -221,8 +223,8 @@ impl ServerState {
         self.drain.lock().active
     }
 
-    /// Sleep on the condvar (signalled by every step) until no
-    /// connection is live or `deadline` passes. `true` when none is.
+    /// Sleep on the condvar until no connection is live or `deadline`
+    /// passes. `true` when none is.
     pub fn wait_idle(&self, deadline: Instant) -> bool {
         let mut drain = self.drain.lock();
         loop {
@@ -247,6 +249,30 @@ mod tests {
         DrainMachine {
             max_connections: Some(cap),
         }
+    }
+
+    #[test]
+    fn wait_idle_returns_when_the_last_connection_closes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let state = std::sync::Arc::new(ServerState::new(None));
+        state.step(DrainEvent::Accept);
+        state.step(DrainEvent::Accept);
+        let idle = std::sync::Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (state, idle) = (state.clone(), idle.clone());
+            std::thread::spawn(move || {
+                let far = Instant::now() + std::time::Duration::from_secs(30);
+                let drained = state.wait_idle(far);
+                idle.store(true, Ordering::SeqCst);
+                drained
+            })
+        };
+        state.step(DrainEvent::ConnClosed);
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert!(!idle.load(Ordering::SeqCst), "one connection is still live");
+        state.step(DrainEvent::ConnClosed);
+        assert!(waiter.join().expect("the waiter returns"));
+        assert!(idle.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -209,15 +209,19 @@ impl MessageHeaders {
 
 /// Generate a process-unique message id URI.
 ///
-/// Uniqueness comes from wall-clock nanoseconds plus a process-wide
-/// counter; no RNG needed and ids remain readable in logs.
+/// Uniqueness comes from the wall-clock nanoseconds at the process's
+/// first id plus a process-wide counter: no RNG and no clock read per
+/// message, and ids remain readable in logs.
 pub fn generate_message_id() -> String {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
+    static BASE: std::sync::OnceLock<u128> = std::sync::OnceLock::new();
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
+    let nanos = *BASE.get_or_init(|| {
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos())
+            .unwrap_or(0)
+    });
     // Sized for the longest id, so it is one allocation: 12 bytes of
     // prefix, a 128-bit and a 64-bit number in hex, a dash.
     let mut id = String::with_capacity(12 + 32 + 1 + 16);
@@ -271,6 +275,27 @@ mod tests {
         let b = generate_message_id();
         assert_ne!(a, b);
         assert!(a.starts_with("urn:wsp:msg:"));
+    }
+
+    #[test]
+    fn message_ids_from_four_threads_are_all_distinct() {
+        let threads: Vec<_> = (0..4)
+            .map(|_| std::thread::spawn(|| (0..10_000).map(|_| generate_message_id()).collect()))
+            .collect();
+        let mut ids = std::collections::HashSet::new();
+        for thread in threads {
+            let made: Vec<String> = thread.join().expect("a generating thread");
+            for id in made {
+                let (base, n) = id["urn:wsp:msg:".len()..]
+                    .split_once('-')
+                    .expect("two parts");
+                assert!(
+                    u128::from_str_radix(base, 16).is_ok() && u64::from_str_radix(n, 16).is_ok()
+                );
+                assert!(ids.insert(id));
+            }
+        }
+        assert_eq!(ids.len(), 40_000);
     }
 
     #[test]

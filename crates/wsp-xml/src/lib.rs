@@ -45,7 +45,7 @@ pub mod writer;
 
 pub use bufpool::{BufPool, PoolStats};
 pub use error::{XmlError, XmlResult};
-pub use name::{NameTable, NsBinding, QName, XMLNS_NS, XML_NS};
+pub use name::{NameTable, QName, XMLNS_NS, XML_NS};
 pub use reader::{parse, Pull, PullReader};
 pub use tokenizer::{Token, Tokenizer};
 pub use tree::{Attribute, Element, ElementBuilder, Node};

@@ -71,8 +71,8 @@ impl QName {
     }
 
     /// A name from two halves the interner already handed out — the
-    /// reader interns a namespace URI where it is declared, not once
-    /// per element that uses its prefix.
+    /// reader interns a namespace URI once per declaration, where a
+    /// tree first names it, not once per element that uses its prefix.
     pub(crate) fn from_interned(namespace: NameStr, local: NameStr) -> Self {
         QName { namespace, local }
     }
@@ -358,24 +358,6 @@ impl NameTable {
     }
 }
 
-/// A single prefix-to-URI binding as found in `xmlns`/`xmlns:p` attributes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NsBinding {
-    /// The bound prefix; empty string for the default namespace.
-    pub prefix: String,
-    /// The namespace URI; empty string un-declares the default namespace.
-    pub uri: String,
-}
-
-impl NsBinding {
-    pub fn new(prefix: impl Into<String>, uri: impl Into<String>) -> Self {
-        NsBinding {
-            prefix: prefix.into(),
-            uri: uri.into(),
-        }
-    }
-}
-
 /// Split a lexical name into `(prefix, local)`. A missing prefix yields
 /// `("", name)`.
 pub fn split_prefixed(name: &str) -> (&str, &str) {
@@ -398,17 +380,26 @@ pub fn is_valid_ncname(name: &str) -> bool {
     chars.all(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.' | '\u{B7}'))
 }
 
-/// A lexically scoped stack of namespace bindings used by the reader and
-/// writer. `push_scope`/`pop_scope` bracket each element.
+/// The writer's lexically scoped namespace bindings: `push_scope` /
+/// `pop_scope` bracket each element.
 #[derive(Debug, Default)]
 pub struct NsStack {
-    // (depth, binding) entries; lookup walks backwards so inner scopes win.
-    entries: Vec<(usize, NsBinding)>,
+    /// The bindings in scope, innermost last: the first `live`. Those
+    /// behind them are retired and lend their strings to the next
+    /// declaration, which copies nothing when it binds what the retired
+    /// one bound — the same vocabulary, document after document.
+    bindings: Vec<Binding>,
+    live: usize,
     depth: usize,
-    // Bindings retired by `pop_scope`, recycled by `declare_ref` so a
-    // long-lived stack (the writer's, the reader's) reaches a steady
-    // state where declaring a namespace allocates nothing.
-    spare: Vec<NsBinding>,
+}
+
+#[derive(Debug, Default)]
+struct Binding {
+    depth: usize,
+    prefix: String,
+    uri: String,
+    /// ` xmlns:prefix="uri"` as written, escaped once.
+    declaration: Vec<u8>,
 }
 
 impl NsStack {
@@ -422,35 +413,39 @@ impl NsStack {
 
     pub fn pop_scope(&mut self) {
         debug_assert!(self.depth > 0, "pop without matching push");
-        while matches!(self.entries.last(), Some((d, _)) if *d == self.depth) {
-            if let Some((_, binding)) = self.entries.pop() {
-                if self.spare.len() < 32 {
-                    self.spare.push(binding);
-                }
-            }
+        while self.live > 0 && self.bindings[self.live - 1].depth == self.depth {
+            self.live -= 1;
         }
         self.depth -= 1;
     }
 
-    /// Declare a binding in the current scope.
-    pub fn declare(&mut self, binding: NsBinding) {
-        self.entries.push((self.depth, binding));
-    }
-
-    /// Declare a binding in the current scope from borrowed parts,
-    /// reusing a retired binding's string capacity when one is spare —
-    /// the allocation-free path for steady-state serialisation.
-    pub fn declare_ref(&mut self, prefix: &str, uri: &str) {
-        match self.spare.pop() {
-            Some(mut binding) => {
-                binding.prefix.clear();
-                binding.prefix.push_str(prefix);
-                binding.uri.clear();
-                binding.uri.push_str(uri);
-                self.entries.push((self.depth, binding));
-            }
-            None => self.declare(NsBinding::new(prefix, uri)),
+    /// Bind `prefix` to `uri` in the current scope; returns the
+    /// binding's index.
+    pub fn declare(&mut self, prefix: &str, uri: &str) -> usize {
+        let at = self.live;
+        if at == self.bindings.len() {
+            self.bindings.push(Binding::default());
         }
+        self.live += 1;
+        let binding = &mut self.bindings[at];
+        binding.depth = self.depth;
+        if binding.prefix != prefix || binding.uri != uri {
+            binding.prefix.clear();
+            binding.prefix.push_str(prefix);
+            binding.uri.clear();
+            binding.uri.push_str(uri);
+            let declaration = &mut binding.declaration;
+            declaration.clear();
+            declaration.extend_from_slice(b" xmlns");
+            if !prefix.is_empty() {
+                declaration.push(b':');
+                declaration.extend_from_slice(prefix.as_bytes());
+            }
+            declaration.extend_from_slice(b"=\"");
+            crate::escape::escape_attr_into(uri, declaration);
+            declaration.push(b'"');
+        }
+        at
     }
 
     /// Resolve a prefix to its URI. The empty prefix resolves to the
@@ -459,43 +454,48 @@ impl NsStack {
         if prefix == "xml" {
             return Some(XML_NS);
         }
-        for (_, b) in self.entries.iter().rev() {
-            if b.prefix == prefix {
-                return Some(&b.uri);
-            }
-        }
-        if prefix.is_empty() {
-            Some("") // no default declaration => no namespace
-        } else {
-            None
+        match self.live().iter().rev().find(|b| b.prefix == prefix) {
+            Some(b) => Some(&b.uri),
+            None => prefix.is_empty().then_some(""),
         }
     }
 
-    /// Find an in-scope prefix currently bound to `uri`, preferring the
-    /// innermost binding, and skipping prefixes that were re-bound to
-    /// something else in a closer scope.
-    pub fn prefix_for(&self, uri: &str) -> Option<&str> {
-        for (_, b) in self.entries.iter().rev() {
-            if b.uri == uri && self.resolve(&b.prefix) == Some(uri) {
-                return Some(&b.prefix);
-            }
-        }
-        None
+    /// The innermost binding of a non-empty prefix to `uri` that no
+    /// closer scope re-binds.
+    pub fn bound(&self, uri: &str) -> Option<usize> {
+        let live = self.live();
+        (0..live.len()).rev().find(|&at| {
+            let b = &live[at];
+            !b.prefix.is_empty()
+                && b.uri == uri
+                && live[at + 1..].iter().all(|inner| inner.prefix != b.prefix)
+        })
+    }
+
+    /// The prefix of binding `at`.
+    pub fn prefix(&self, at: usize) -> &str {
+        &self.bindings[at].prefix
     }
 
     /// True if `prefix` is already bound in any live scope.
     pub fn is_bound(&self, prefix: &str) -> bool {
-        self.entries.iter().any(|(_, b)| b.prefix == prefix)
+        self.live().iter().any(|b| b.prefix == prefix)
     }
 
-    /// Bindings declared in the innermost open scope, in declaration
-    /// order. The writer emits `xmlns` attributes straight from here,
-    /// so declarations need no separate staging storage.
-    pub fn current_scope_bindings(&self) -> impl Iterator<Item = &NsBinding> {
-        self.entries
-            .iter()
-            .filter(move |(d, _)| *d == self.depth)
-            .map(|(_, b)| b)
+    /// How many bindings are in scope; those declared from now on are
+    /// the ones `declarations` shows.
+    pub fn in_scope(&self) -> usize {
+        self.live
+    }
+
+    /// The `xmlns` attributes of the bindings made since there were
+    /// `since`, in declaration order.
+    pub fn declarations(&self, since: usize) -> impl Iterator<Item = &[u8]> {
+        self.live()[since..].iter().map(|b| &b.declaration[..])
+    }
+
+    fn live(&self) -> &[Binding] {
+        &self.bindings[..self.live]
     }
 }
 
@@ -629,10 +629,10 @@ mod tests {
     fn ns_stack_scoping() {
         let mut st = NsStack::new();
         st.push_scope();
-        st.declare(NsBinding::new("a", "urn:one"));
+        st.declare("a", "urn:one");
         assert_eq!(st.resolve("a"), Some("urn:one"));
         st.push_scope();
-        st.declare(NsBinding::new("a", "urn:two"));
+        st.declare("a", "urn:two");
         assert_eq!(st.resolve("a"), Some("urn:two"));
         st.pop_scope();
         assert_eq!(st.resolve("a"), Some("urn:one"));
@@ -644,10 +644,10 @@ mod tests {
     fn default_namespace_undeclaration() {
         let mut st = NsStack::new();
         st.push_scope();
-        st.declare(NsBinding::new("", "urn:default"));
+        st.declare("", "urn:default");
         assert_eq!(st.resolve(""), Some("urn:default"));
         st.push_scope();
-        st.declare(NsBinding::new("", ""));
+        st.declare("", "");
         assert_eq!(st.resolve(""), Some(""));
         st.pop_scope();
         assert_eq!(st.resolve(""), Some("urn:default"));
@@ -663,11 +663,11 @@ mod tests {
     fn prefix_for_skips_shadowed_bindings() {
         let mut st = NsStack::new();
         st.push_scope();
-        st.declare(NsBinding::new("p", "urn:one"));
+        st.declare("p", "urn:one");
         st.push_scope();
-        st.declare(NsBinding::new("p", "urn:two"));
+        st.declare("p", "urn:two");
         // "p" now means urn:two, so urn:one has no usable prefix.
-        assert_eq!(st.prefix_for("urn:one"), None);
-        assert_eq!(st.prefix_for("urn:two"), Some("p"));
+        assert_eq!(st.bound("urn:one"), None);
+        assert_eq!(st.bound("urn:two").map(|at| st.prefix(at)), Some("p"));
     }
 }

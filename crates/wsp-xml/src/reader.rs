@@ -8,23 +8,47 @@ use crate::name::{split_prefixed, NameStr, NameTable, QName, XML_NS};
 use crate::tokenizer::{Token, Tokenizer};
 use crate::tree::{Attribute, Element, Node};
 use std::borrow::Cow;
+use std::cell::Cell;
+use std::mem::take;
 
 /// Maximum element nesting depth accepted by [`parse`]. Deep enough for
 /// any real SOAP/WSDL document, shallow enough to stop stack abuse from
 /// hostile peers.
 pub const MAX_DEPTH: usize = 256;
 
-/// The namespace declarations in scope, innermost last: the prefix as
-/// the document wrote it and its URI, interned once here for every
-/// name that will resolve through it.
-struct Scopes<'a>(Vec<(&'a str, NameStr)>);
+/// Where a resolved name's namespace is: none, the `xml` prefix's, or
+/// that of the declaration at this index of [`Scopes::decls`].
+#[derive(Clone, Copy)]
+enum Ns {
+    None,
+    Xml,
+    Declared(usize),
+}
+
+/// A namespace declaration in scope: the prefix as the document wrote
+/// it and its URI, borrowed from the document unless it held a
+/// reference. The URI is interned only when a tree names it, once.
+struct Decl<'a> {
+    prefix: &'a str,
+    uri: Cow<'a, str>,
+    interned: Option<NameStr>,
+}
+
+/// What the reader knows of the names in scope.
+#[derive(Default)]
+struct Scopes<'a> {
+    /// The declarations in scope, innermost last.
+    decls: Vec<Decl<'a>>,
+    /// The attributes of the start tag read last, declarations aside:
+    /// namespace, local name and unescaped value, checked on arrival.
+    attrs: Vec<(Ns, &'a str, Cow<'a, str>)>,
+}
 
 impl<'a> Scopes<'a> {
     /// A start tag's declarations come into scope, for this very
     /// element. Returns how many of `attrs` are not declarations.
     #[inline(always)]
     fn declare(&mut self, attrs: &[(&'a str, &'a str)], offset: usize) -> XmlResult<usize> {
-        let names = NameTable::global();
         let mut plain_attrs = 0;
         for (aname, raw_value) in attrs {
             match declared_prefix(aname) {
@@ -36,7 +60,11 @@ impl<'a> Scopes<'a> {
                             name: (*aname).to_owned(),
                         });
                     }
-                    self.0.push((prefix, names.intern(&uri)));
+                    self.decls.push(Decl {
+                        prefix,
+                        uri,
+                        interned: None,
+                    });
                 }
                 None => plain_attrs += 1,
             }
@@ -44,16 +72,16 @@ impl<'a> Scopes<'a> {
         Ok(plain_attrs)
     }
 
-    /// The URI `prefix` is bound to, or the error for a prefix that is
-    /// not. The empty prefix resolves to the default namespace
+    /// The namespace `prefix` is bound to, or the error for a prefix
+    /// that is not. The empty prefix resolves to the default namespace
     /// (possibly none); `xml` is always bound.
-    fn resolve(&self, prefix: &str, offset: usize) -> XmlResult<NameStr> {
+    fn resolve(&self, prefix: &str, offset: usize) -> XmlResult<Ns> {
         if prefix == "xml" {
-            return Ok(NameStr::Static(XML_NS));
+            return Ok(Ns::Xml);
         }
-        match self.0.iter().rev().find(|(p, _)| *p == prefix) {
-            Some((_, uri)) => Ok(uri.clone()),
-            None if prefix.is_empty() => Ok(NameStr::Static("")),
+        match self.decls.iter().rposition(|d| d.prefix == prefix) {
+            Some(at) => Ok(Ns::Declared(at)),
+            None if prefix.is_empty() => Ok(Ns::None),
             None => Err(XmlError::UnboundPrefix {
                 offset,
                 prefix: prefix.to_owned(),
@@ -61,13 +89,53 @@ impl<'a> Scopes<'a> {
         }
     }
 
-    /// The expanded name of attribute `aname`: unprefixed, it is in
-    /// *no* namespace, whatever the default namespace.
-    fn resolve_attribute(&self, aname: &'a str, offset: usize) -> XmlResult<(NameStr, &'a str)> {
-        match split_prefixed(aname) {
-            ("", local) => Ok((NameStr::Static(""), local)),
-            (prefix, local) => Ok((self.resolve(prefix, offset)?, local)),
+    fn uri(&self, ns: Ns) -> &str {
+        match ns {
+            Ns::None => "",
+            Ns::Xml => XML_NS,
+            Ns::Declared(at) => &self.decls[at].uri,
         }
+    }
+
+    /// [`Scopes::uri`], interned.
+    fn interned(&mut self, ns: Ns) -> NameStr {
+        match ns {
+            Ns::None => NameStr::Static(""),
+            Ns::Xml => NameStr::Static(XML_NS),
+            Ns::Declared(at) => {
+                let Decl { uri, interned, .. } = &mut self.decls[at];
+                (interned.get_or_insert_with(|| NameTable::global().intern(uri))).clone()
+            }
+        }
+    }
+
+    /// Resolve, check and unescape the plain attributes of a start tag
+    /// (at `offset`) whose declarations are in scope, into `self.attrs`
+    /// — or return what the tag is refused for.
+    fn read_attributes(&mut self, attrs: &[(&'a str, &'a str)], offset: usize) -> XmlResult<()> {
+        for (aname, raw_value) in attrs {
+            if declared_prefix(aname).is_some() {
+                continue;
+            }
+            let (ns, local) = match split_prefixed(aname) {
+                ("", local) => (Ns::None, local),
+                (prefix, local) => (self.resolve(prefix, offset)?, local),
+            };
+            // The tokenizer already rejects lexically identical
+            // duplicates; this catches the same *expanded* name via
+            // different prefixes.
+            let uri = self.uri(ns);
+            if (self.attrs.iter()).any(|(other, l, _)| *l == local && self.uri(*other) == uri) {
+                let name = QName::new(uri.to_owned(), local.to_owned());
+                return Err(XmlError::DuplicateAttribute {
+                    offset,
+                    name: format!("{name:?}"),
+                });
+            }
+            let value = unescape(raw_value, offset)?;
+            self.attrs.push((ns, local, value));
+        }
+        Ok(())
     }
 }
 
@@ -80,18 +148,16 @@ fn declared_prefix(aname: &str) -> Option<&str> {
     }
 }
 
-/// A start tag with its declarations in scope and its name resolved.
+/// A start tag with its declarations in scope, its name resolved and
+/// its attributes in [`Scopes::attrs`].
 struct StartTag<'a> {
     /// The name as written; an end tag must repeat it exactly.
     lexical: &'a str,
-    namespace: NameStr,
+    namespace: Ns,
     local: &'a str,
-    offset: usize,
     self_closing: bool,
     /// How many declarations were in scope outside this element.
     outer_scopes: usize,
-    /// Attributes that are not declarations.
-    plain_attrs: usize,
 }
 
 impl<'a> StartTag<'a> {
@@ -111,17 +177,20 @@ impl<'a> StartTag<'a> {
                 limit: MAX_DEPTH,
             });
         }
-        let outer_scopes = scopes.0.len();
+        let outer_scopes = scopes.decls.len();
         let plain_attrs = scopes.declare(attrs, offset)?;
         let (prefix, local) = split_prefixed(name);
+        let namespace = scopes.resolve(prefix, offset)?;
+        scopes.attrs.clear();
+        if plain_attrs > 0 {
+            scopes.read_attributes(attrs, offset)?;
+        }
         Ok(StartTag {
             lexical: name,
-            namespace: scopes.resolve(prefix, offset)?,
+            namespace,
             local,
-            offset,
             self_closing,
             outer_scopes,
-            plain_attrs,
         })
     }
 }
@@ -135,6 +204,28 @@ struct Open<'a> {
     /// Layout whitespace exists only where both of these were seen.
     has_element_child: bool,
     has_blank_text: bool,
+}
+
+/// A reader's stacks, which its thread keeps between documents: reading
+/// one allocates none of them once the thread has read one like it.
+#[derive(Default)]
+struct Stacks<'a> {
+    /// The tokenizer's attribute list.
+    attrs: Vec<(&'a str, &'a str)>,
+    scopes: Scopes<'a>,
+    open: Vec<(&'a str, usize)>,
+    building: Vec<Open<'a>>,
+}
+
+thread_local! {
+    static SPARE: Cell<Stacks<'static>> = Default::default();
+}
+
+/// `v`'s allocation, emptied, as a vector of `U`: a collect in place,
+/// which copies nothing where `T` and `U` differ only in lifetimes.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
 }
 
 /// What [`PullReader::next`] found.
@@ -163,8 +254,7 @@ pub struct PullReader<'a> {
     /// The elements the cursor is inside: the name as written and how
     /// many declarations were in scope outside it.
     open: Vec<(&'a str, usize)>,
-    /// The start tag the cursor rests on; its attributes are still the
-    /// tokenizer's.
+    /// The start tag the cursor rests on.
     start: Option<StartTag<'a>>,
     /// The open elements of the tree [`PullReader::read_subtree`] is
     /// building; empty between calls.
@@ -174,14 +264,16 @@ pub struct PullReader<'a> {
 
 impl<'a> PullReader<'a> {
     pub fn new(input: &'a str) -> Self {
+        // The thread's stacks, or new ones if another reader holds them.
+        let stacks: Stacks<'a> = SPARE.try_with(Cell::take).unwrap_or_default();
+        let mut tokens = Tokenizer::new(input);
+        tokens.attrs = stacks.attrs;
         PullReader {
-            tokens: Tokenizer::new(input),
-            // Sized for an envelope — eight prefixes in scope — so it
-            // does not grow while one is read.
-            scopes: Scopes(Vec::with_capacity(8)),
-            open: Vec::new(),
+            tokens,
+            scopes: stacks.scopes,
+            open: stacks.open,
             start: None,
-            building: Vec::new(),
+            building: stacks.building,
             root_seen: false,
         }
     }
@@ -192,7 +284,7 @@ impl<'a> PullReader<'a> {
     pub fn next(&mut self) -> XmlResult<Pull<'a>> {
         if let Some(start) = self.start.take() {
             if start.self_closing {
-                self.scopes.0.truncate(start.outer_scopes);
+                self.scopes.decls.truncate(start.outer_scopes);
                 return Ok(Pull::End);
             }
             self.open.push((start.lexical, start.outer_scopes));
@@ -225,13 +317,10 @@ impl<'a> PullReader<'a> {
                         return Err(XmlError::ContentOutsideRoot { offset });
                     }
                     let depth = self.open.len();
+                    // Whoever passes over the tag is told what a tree
+                    // built from it would have been refused for.
                     let start =
                         StartTag::read(&mut self.scopes, depth, name, attrs, self_closing, offset)?;
-                    // Whoever passes over the tag must be told what a
-                    // tree built from it would have been refused for.
-                    if start.plain_attrs > 0 {
-                        attributes(attrs, offset, &self.scopes, |_, _, _| {})?;
-                    }
                     self.start = Some(start);
                     return Ok(Pull::Start);
                 }
@@ -240,7 +329,7 @@ impl<'a> PullReader<'a> {
                     let (lexical, outer_scopes) =
                         open.ok_or(XmlError::ContentOutsideRoot { offset })?;
                     check_end_tag(lexical, name, offset)?;
-                    self.scopes.0.truncate(outer_scopes);
+                    self.scopes.decls.truncate(outer_scopes);
                     return Ok(Pull::End);
                 }
             }
@@ -254,7 +343,8 @@ impl<'a> PullReader<'a> {
 
     /// True if the cursor rests on the start tag of `{ns}local`.
     pub fn is(&self, ns: &str, local: &str) -> bool {
-        (self.start.as_ref()).is_some_and(|s| s.local == local && s.namespace.as_str() == ns)
+        (self.start.as_ref())
+            .is_some_and(|s| s.local == local && self.scopes.uri(s.namespace) == ns)
     }
 
     /// The local name of that start tag (`""` anywhere else).
@@ -264,7 +354,9 @@ impl<'a> PullReader<'a> {
 
     /// Its namespace (`""` anywhere else).
     pub fn namespace(&self) -> &str {
-        self.start.as_ref().map_or("", |s| s.namespace.as_str())
+        self.start
+            .as_ref()
+            .map_or("", |s| self.scopes.uri(s.namespace))
     }
 
     /// How many elements are open around the cursor, the one whose start
@@ -276,16 +368,15 @@ impl<'a> PullReader<'a> {
 
     /// How many attributes it has, namespace declarations aside.
     pub fn attribute_count(&self) -> usize {
-        self.start.as_ref().map_or(0, |s| s.plain_attrs)
+        self.start.as_ref().map_or(0, |_| self.scopes.attrs.len())
     }
 
     /// Show `visit` each of them: namespace, local name, unescaped value.
     pub fn attributes(&self, mut visit: impl FnMut(&str, &'a str, Cow<'a, str>)) {
-        if let Some(start) = self.start.as_ref().filter(|s| s.plain_attrs > 0) {
-            let attrs = self.tokens.attrs();
-            let _checked_on_arrival = attributes(attrs, start.offset, &self.scopes, |uri, l, v| {
-                visit(uri.as_str(), l, v);
-            });
+        if self.start.is_some() {
+            for (ns, local, value) in &self.scopes.attrs {
+                visit(self.scopes.uri(*ns), local, value.clone());
+            }
         }
     }
 
@@ -309,17 +400,29 @@ impl<'a> PullReader<'a> {
     /// document's, and leave the cursor after its end tag.
     pub fn read_subtree(&mut self) -> XmlResult<Element> {
         let start = (self.start.take()).expect("read_subtree is called on a start tag");
-        // Sized for an envelope — elements sixteen deep.
-        if self.building.capacity() == 0 {
-            self.building = Vec::with_capacity(16);
-        }
         let depth = self.open.len();
         let (tokens, scopes) = (&mut self.tokens, &mut self.scopes);
         build_tree(tokens, scopes, &mut self.building, depth, Some(start))
     }
 }
 
-/// The tree builder: the tree of `start`, whose attributes `tokens`
+/// The reader leaves its stacks, emptied, to its thread's next reader.
+impl Drop for PullReader<'_> {
+    fn drop(&mut self) {
+        let spare = Stacks {
+            attrs: recycle(take(&mut self.tokens.attrs)),
+            scopes: Scopes {
+                decls: recycle(take(&mut self.scopes.decls)),
+                attrs: recycle(take(&mut self.scopes.attrs)),
+            },
+            open: recycle(take(&mut self.open)),
+            building: recycle(take(&mut self.building)),
+        };
+        let _ = SPARE.try_with(|slot| slot.set(spare));
+    }
+}
+
+/// The tree builder: the tree of `start`, whose attributes `scopes`
 /// still holds and around which `depth` elements are open — or, given
 /// none and a fresh tokenizer, of the whole document, read to its end.
 /// `building` holds the tree's open elements; empty between calls.
@@ -335,7 +438,7 @@ fn build_tree<'a>(
     let names = NameTable::global();
     let mut root = None;
     if let Some(start) = start {
-        open_element(building, scopes, tokens.attrs(), start, names, &mut root)?;
+        open_element(building, scopes, start, names, &mut root);
     }
     while whole_document || root.is_none() {
         let Some(token) = tokens.next_token()? else {
@@ -390,7 +493,7 @@ fn build_tree<'a>(
                 }
                 let depth = depth + building.len();
                 let start = StartTag::read(scopes, depth, name, attrs, self_closing, offset)?;
-                open_element(building, scopes, attrs, start, names, &mut root)?;
+                open_element(building, scopes, start, names, &mut root);
             }
             Token::EndTag { name, offset } => {
                 let parent = parent.ok_or(XmlError::ContentOutsideRoot { offset })?;
@@ -406,40 +509,40 @@ fn build_tree<'a>(
     }
 }
 
-/// Open `start`, whose attributes are `attrs`, as the innermost element
-/// of the tree being built. The element is built where it will wait
-/// for its end tag: a tree node is moved once, into its parent.
+/// Open `start`, whose attributes `scopes` holds, as the innermost
+/// element of the tree being built. The element is built where it will
+/// wait for its end tag: a tree node is moved once, into its parent.
 #[inline(always)]
 fn open_element<'a>(
     building: &mut Vec<Open<'a>>,
     scopes: &mut Scopes<'a>,
-    attrs: &[(&'a str, &'a str)],
     start: StartTag<'a>,
     names: &NameTable,
     root: &mut Option<Element>,
-) -> XmlResult<()> {
-    let name = QName::from_interned(start.namespace, names.intern(start.local));
+) {
+    let name = QName::from_interned(scopes.interned(start.namespace), names.intern(start.local));
+    let mut element = Element::with_name(name);
+    if !scopes.attrs.is_empty() {
+        let mut attrs = std::mem::take(&mut scopes.attrs);
+        element.attributes_mut().reserve_exact(attrs.len());
+        for (ns, local, value) in attrs.drain(..) {
+            element.attributes_mut().push(Attribute {
+                name: QName::from_interned(scopes.interned(ns), names.intern(local)),
+                value: value.into_owned(),
+            });
+        }
+        scopes.attrs = attrs;
+    }
     building.push(Open {
         lexical: start.lexical,
-        element: Element::with_name(name),
+        element,
         outer_scopes: start.outer_scopes,
         has_element_child: false,
         has_blank_text: false,
     });
-    if start.plain_attrs > 0 {
-        let element = &mut building.last_mut().expect("just pushed").element;
-        element.attributes_mut().reserve_exact(start.plain_attrs);
-        attributes(attrs, start.offset, scopes, |uri, local, value| {
-            element.attributes_mut().push(Attribute {
-                name: QName::from_interned(uri, names.intern(local)),
-                value: value.into_owned(),
-            });
-        })?;
-    }
     if start.self_closing {
         close_element(building, scopes, root);
     }
-    Ok(())
 }
 
 /// The innermost element of the tree being built is complete: hand it
@@ -460,7 +563,7 @@ fn close_element<'a>(
             .children_mut()
             .retain(|c| !matches!(c, Node::Text(t) if t.trim().is_empty()));
     }
-    scopes.0.truncate(open.outer_scopes);
+    scopes.decls.truncate(open.outer_scopes);
     match building.last_mut() {
         Some(parent) => {
             parent.has_element_child = true;
@@ -500,41 +603,9 @@ fn check_end_tag(open: &str, close: &str, offset: usize) -> XmlResult<()> {
 /// * Comments and processing instructions around the root are discarded;
 ///   inside the tree they are preserved.
 pub fn parse(input: &str) -> XmlResult<Element> {
-    let mut tokens = Tokenizer::new(input);
-    // Sized for an envelope — eight prefixes in scope, elements sixteen
-    // deep — so neither grows while one is read.
-    let mut scopes = Scopes(Vec::with_capacity(8));
-    let mut building = Vec::with_capacity(16);
-    build_tree(&mut tokens, &mut scopes, &mut building, 0, None)
-}
-
-/// Visit what of a start tag (at `offset`) is not a declaration: each
-/// attribute's namespace, local name and unescaped value — or return
-/// what the tag is refused for.
-fn attributes<'a>(
-    attrs: &[(&'a str, &'a str)],
-    offset: usize,
-    scopes: &Scopes<'a>,
-    mut visit: impl FnMut(NameStr, &'a str, Cow<'a, str>),
-) -> XmlResult<()> {
-    let plain = || attrs.iter().filter(|(a, _)| declared_prefix(a).is_none());
-    for (at, (aname, raw_value)) in plain().enumerate() {
-        let (uri, local) = scopes.resolve_attribute(aname, offset)?;
-        // The tokenizer already rejects lexically identical duplicates;
-        // this catches the same *expanded* name via different prefixes.
-        for (earlier, _) in plain().take(at) {
-            let (earlier_uri, earlier_local) = scopes.resolve_attribute(earlier, offset)?;
-            if earlier_local == local && earlier_uri.as_str() == uri.as_str() {
-                let name = QName::from_interned(uri, NameTable::global().intern(local));
-                return Err(XmlError::DuplicateAttribute {
-                    offset,
-                    name: format!("{name:?}"),
-                });
-            }
-        }
-        visit(uri, local, unescape(raw_value, offset)?);
-    }
-    Ok(())
+    let reader = &mut PullReader::new(input);
+    let (tokens, scopes) = (&mut reader.tokens, &mut reader.scopes);
+    build_tree(tokens, scopes, &mut reader.building, 0, None)
 }
 
 #[cfg(test)]

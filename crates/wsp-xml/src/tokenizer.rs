@@ -51,9 +51,28 @@ const MARKUP: Needles = Needles::new(b"<");
 
 /// XML's `S` production: exactly these four, not Unicode's `White_Space`.
 #[inline]
-fn is_space(b: u8) -> bool {
+const fn is_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | b'\r' | b'\n')
 }
+
+/// [`NAME_BYTES`] classes: a byte that ends a name (XML's `S`, `>`,
+/// `/`, `=`, `<`), and one outside `0x20..0x80`.
+const NAME_END: u8 = 1;
+const NOT_PLAIN: u8 = 2;
+
+/// The class of every byte, for [`Tokenizer::read_name`]'s loop.
+static NAME_BYTES: [u8; 256] = {
+    let mut classes = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        let byte = b as u8;
+        let ends = is_space(byte) || matches!(byte, b'>' | b'/' | b'=' | b'<');
+        let plain = 0x20 <= byte && byte < 0x80;
+        classes[b] = if ends { NAME_END } else { 0 } | if plain { 0 } else { NOT_PLAIN };
+        b += 1;
+    }
+    classes
+};
 
 /// Iterator-style tokenizer. Call [`Tokenizer::next_token`] until it
 /// returns `Ok(None)`.
@@ -61,8 +80,9 @@ pub struct Tokenizer<'a> {
     input: &'a str,
     pos: usize,
     /// Attributes of the start tag returned last; one buffer for the
-    /// whole document instead of one `Vec` per tag.
-    attrs: Vec<(&'a str, &'a str)>,
+    /// whole document instead of one `Vec` per tag (and, under a
+    /// [`crate::PullReader`], for every document its thread reads).
+    pub(crate) attrs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Tokenizer<'a> {
@@ -77,12 +97,6 @@ impl<'a> Tokenizer<'a> {
     /// The length of the document, for errors that point at its end.
     pub(crate) fn input_len(&self) -> usize {
         self.input.len()
-    }
-
-    /// The attributes of the start tag returned last, as that token
-    /// lent them.
-    pub fn attrs(&self) -> &[(&'a str, &'a str)] {
-        &self.attrs
     }
 
     pub fn next_token(&mut self) -> XmlResult<Option<Token<'a, '_>>> {
@@ -237,14 +251,16 @@ impl<'a> Tokenizer<'a> {
         let rest = &self.input[start..];
         // Bytes outside 0x20..0x80 are legal in a name only as parts of
         // a non-ASCII letter; a name that has one is looked at again.
-        let mut plain = true;
-        let len = rest
-            .bytes()
-            .position(|b| {
-                plain &= (0x20..0x80).contains(&b);
-                is_space(b) || matches!(b, b'>' | b'/' | b'=' | b'<')
-            })
-            .unwrap_or(rest.len());
+        let (mut len, mut seen) = (0, 0);
+        for &b in rest.as_bytes() {
+            let class = NAME_BYTES[usize::from(b)];
+            if class & NAME_END != 0 {
+                break;
+            }
+            seen |= class;
+            len += 1;
+        }
+        let plain = seen & NOT_PLAIN == 0;
         if len == 0 {
             // Report the offending char inline — no String for a one-char
             // diagnostic on a path tests exercise constantly.

@@ -3,16 +3,18 @@
 //!
 //! The writer is single-pass: it serialises directly into a
 //! caller-supplied `Vec<u8>` ([`Writer::write_into`]) with no per-tag
-//! temporary strings. Each element is handled in two phases — first any
-//! namespace declarations it needs are decided (mutating the scope
-//! stack), then the tag, declarations and attributes are emitted via
-//! pure lookups against that stack. The phases agree byte-for-byte with
-//! the old collect-then-join writer; `tests/wire_bytes.rs` pins that
-//! equivalence against a verbatim copy of the old implementation.
+//! temporary strings. Each name is decided once (`Writer::decide`):
+//! written unprefixed or with the prefix of a binding in scope,
+//! declared there and then if none will do; the end tag copies the
+//! start tag's bytes. The tree writer and the stream writer open every
+//! element through that one decision, and `tests/wire_bytes.rs` pins
+//! their bytes against a verbatim copy of the old collect-then-join
+//! writer.
 
 use crate::escape::{escape_attr_into, escape_text_into};
 use crate::name::NsStack;
 use crate::tree::{Element, Node};
+use std::ops::Range;
 
 /// The configured prefix for `ns`, borrowed — kept as a free function
 /// so callers can hold the result while mutating the scope stack
@@ -84,6 +86,13 @@ pub struct Writer {
     // Reused by `generate_prefix` so `nsN` candidates cost no
     // allocation after the first write.
     scratch: String,
+    /// Per open element: where its namespace's text lies (address and
+    /// length) and how its name was decided. A child naming the same
+    /// text is decided alike: nothing between them re-binds a prefix.
+    open: Vec<(usize, usize, Option<usize>)>,
+    /// The decisions for the qualified attributes of the tag being
+    /// opened, in order.
+    qualified: Vec<Option<usize>>,
 }
 
 impl Writer {
@@ -93,6 +102,8 @@ impl Writer {
             ns: NsStack::new(),
             generated: 0,
             scratch: String::new(),
+            open: Vec::new(),
+            qualified: Vec::new(),
         }
     }
 
@@ -139,28 +150,11 @@ impl Writer {
     }
 
     fn write_element(&mut self, element: &Element, depth: usize, out: &mut Vec<u8>) {
-        self.ns.push_scope();
-
-        // Phase 1: decide declarations (element first, then attributes,
-        // matching the old writer's prefix-generation order). They land
-        // in the scope stack, which doubles as the staging area.
-        self.prepare_element_ns(element.name().namespace());
-        for attr in element.attributes() {
-            self.prepare_attr_ns(attr.name.namespace());
-        }
-
-        // Phase 2: emit. All names are now resolvable by pure lookup.
-        let (ns, local) = (element.name().namespace(), element.name().local_name());
-        self.push_open_tag(ns, local, out);
-        for attr in element.attributes() {
-            let name = &attr.name;
-            self.push_attribute(name.namespace(), name.local_name(), &attr.value, out);
-        }
-
+        let (name, attributes) = (element.name(), element.attributes().iter());
+        let attributes = attributes.map(|a| (a.name.namespace(), a.name.local_name(), &*a.value));
+        let tag = self.open_tag(name.namespace(), name.local_name(), attributes, out);
         if element.children().is_empty() {
-            out.extend_from_slice(b"/>");
-            self.ns.pop_scope();
-            return;
+            return self.close_tag(None, out);
         }
         out.push(b'>');
 
@@ -207,110 +201,109 @@ impl Writer {
         if block {
             self.newline_indent(depth, out);
         }
-        out.extend_from_slice(b"</");
-        // The element's scope is still open, so the lookups reproduce
-        // exactly the tag written above.
-        self.push_element_tag(ns, local, out);
-        out.push(b'>');
+        self.close_tag(Some(tag), out);
+    }
+
+    /// Open element `{ns}local`: `<`, its tag, the declarations its
+    /// names need and its attributes, each `(namespace, local name,
+    /// value)`. Returns where the tag lies in `out`, for the end tag.
+    fn open_tag<'x>(
+        &mut self,
+        ns: &str,
+        local: &str,
+        attributes: impl Iterator<Item = (&'x str, &'x str, &'x str)> + Clone,
+        out: &mut Vec<u8>,
+    ) -> Range<usize> {
+        self.ns.push_scope();
+        let outer = self.ns.in_scope();
+        let decided = self.decide(ns, true);
+        out.push(b'<');
+        let start = out.len();
+        self.push_name(decided, local, out);
+        let tag = start..out.len();
+        self.open.push((ns.as_ptr() as usize, ns.len(), decided));
+        self.qualified.clear();
+        for (attr_ns, ..) in attributes.clone() {
+            if !attr_ns.is_empty() {
+                let decided = self.decide(attr_ns, false);
+                self.qualified.push(decided);
+            }
+        }
+        for declaration in self.ns.declarations(outer) {
+            out.extend_from_slice(declaration);
+        }
+        let mut qualified = self.qualified.iter();
+        for (attr_ns, attr_local, value) in attributes {
+            out.push(b' ');
+            let decided = match attr_ns {
+                "" => None,
+                _ => qualified.next().copied().flatten(),
+            };
+            self.push_name(decided, attr_local, out);
+            out.extend_from_slice(b"=\"");
+            escape_attr_into(value, out);
+            out.push(b'"');
+        }
+        tag
+    }
+
+    /// Close the element opened last: with `</tag>`, copying the start
+    /// tag's bytes at `tag`, or with `/>`.
+    fn close_tag(&mut self, tag: Option<Range<usize>>, out: &mut Vec<u8>) {
+        match tag {
+            Some(tag) => {
+                out.extend_from_slice(b"</");
+                out.extend_from_within(tag);
+                out.push(b'>');
+            }
+            None => out.extend_from_slice(b"/>"),
+        }
+        self.open.pop();
         self.ns.pop_scope();
     }
 
-    /// Emit `<tag` plus the namespace declarations the prepare phase
-    /// left in the current scope.
-    fn push_open_tag(&self, ns: &str, local: &str, out: &mut Vec<u8>) {
-        out.push(b'<');
-        self.push_element_tag(ns, local, out);
-        for d in self.ns.current_scope_bindings() {
-            out.push(b' ');
-            if d.prefix.is_empty() {
-                out.extend_from_slice(b"xmlns=\"");
-            } else {
-                out.extend_from_slice(b"xmlns:");
-                out.extend_from_slice(d.prefix.as_bytes());
-                out.extend_from_slice(b"=\"");
+    /// The one decision of how a name in `ns` is written where the
+    /// writer stands: unprefixed (`None`), or with the prefix of binding
+    /// `at` — declared now if no binding in scope will do: the
+    /// configured prefix if it is free, else the next `nsN`. An element
+    /// takes the default namespace where it is `ns` (and must, in no
+    /// namespace); an attribute never does.
+    fn decide(&mut self, ns: &str, element: bool) -> Option<usize> {
+        if element {
+            match self.open.last() {
+                Some(&(at, len, parent)) if (at, len) == (ns.as_ptr() as usize, ns.len()) => {
+                    return parent;
+                }
+                _ if self.ns.resolve("") == Some(ns) => return None,
+                _ if ns.is_empty() => {
+                    self.ns.declare("", "");
+                    return None;
+                }
+                _ => {}
             }
-            escape_attr_into(&d.uri, out);
-            out.push(b'"');
+        } else if ns.is_empty() {
+            return None;
         }
-    }
-
-    /// Declare whatever namespace the element's tag needs. Elements
-    /// prefer the default namespace. The preferred-prefix path borrows
-    /// both the prefix and the URI (`declare_ref`), so steady-state
-    /// writes of recurring vocabularies allocate nothing here.
-    fn prepare_element_ns(&mut self, ns: &str) {
-        if ns.is_empty() {
-            // Must be in *no* namespace: undeclare any inherited default.
-            if self.ns.resolve("") != Some("") {
-                self.ns.declare_ref("", "");
-            }
-            return;
+        if let Some(at) = self.ns.bound(ns) {
+            return Some(at);
         }
-        if self.ns.resolve("") == Some(ns) {
-            return;
-        }
-        if self.ns.prefix_for(ns).filter(|p| !p.is_empty()).is_some() {
-            return;
-        }
-        match preferred_of(&self.config, ns) {
-            Some(p) if !self.ns.is_bound(p) => self.ns.declare_ref(p, ns),
+        let at = match preferred_of(&self.config, ns) {
+            Some(p) if (element || !p.is_empty()) && !self.ns.is_bound(p) => self.ns.declare(p, ns),
             _ => {
                 self.generate_prefix();
-                self.ns.declare_ref(&self.scratch, ns);
+                self.ns.declare(&self.scratch, ns)
             }
-        }
+        };
+        Some(at).filter(|&at| !self.ns.prefix(at).is_empty())
     }
 
-    /// Declare whatever namespace a qualified attribute needs. Qualified
-    /// attributes always need a non-empty prefix.
-    fn prepare_attr_ns(&mut self, ns: &str) {
-        if ns.is_empty() {
-            return;
-        }
-        if self.ns.prefix_for(ns).filter(|p| !p.is_empty()).is_some() {
-            return;
-        }
-        match preferred_of(&self.config, ns) {
-            Some(p) if !p.is_empty() && !self.ns.is_bound(p) => self.ns.declare_ref(p, ns),
-            _ => {
-                self.generate_prefix();
-                self.ns.declare_ref(&self.scratch, ns);
-            }
-        }
-    }
-
-    /// Emit the element's lexical tag. After the prepare phase the name
-    /// is guaranteed resolvable: either the default namespace matches or
-    /// a non-empty prefix is in scope.
-    fn push_element_tag(&self, ns: &str, local: &str, out: &mut Vec<u8>) {
-        if !ns.is_empty() && self.ns.resolve("") != Some(ns) {
-            let prefix = self
-                .ns
-                .prefix_for(ns)
-                .filter(|p| !p.is_empty())
-                .expect("element namespace declared in prepare phase");
-            out.extend_from_slice(prefix.as_bytes());
+    /// Emit a name as [`Writer::decide`] decided it.
+    fn push_name(&self, decided: Option<usize>, local: &str, out: &mut Vec<u8>) {
+        if let Some(at) = decided {
+            out.extend_from_slice(self.ns.prefix(at).as_bytes());
             out.push(b':');
         }
         out.extend_from_slice(local.as_bytes());
-    }
-
-    /// Emit ` name="value"` (see [`Writer::push_element_tag`]).
-    fn push_attribute(&self, ns: &str, local: &str, value: &str, out: &mut Vec<u8>) {
-        out.push(b' ');
-        if !ns.is_empty() {
-            let prefix = self
-                .ns
-                .prefix_for(ns)
-                .filter(|p| !p.is_empty())
-                .expect("attribute namespace declared in prepare phase");
-            out.extend_from_slice(prefix.as_bytes());
-            out.push(b':');
-        }
-        out.extend_from_slice(local.as_bytes());
-        out.extend_from_slice(b"=\"");
-        escape_attr_into(value, out);
-        out.push(b'"');
     }
 
     /// Fill `self.scratch` with the next free `nsN` prefix.
@@ -376,28 +369,15 @@ impl StreamWriter<'_> {
         attributes: &[(&str, &str, &str)],
         children: impl FnOnce(&mut Self),
     ) {
-        self.writer.ns.push_scope();
-        self.writer.prepare_element_ns(ns);
-        for (attr_ns, ..) in attributes {
-            self.writer.prepare_attr_ns(attr_ns);
-        }
-        self.writer.push_open_tag(ns, local, self.out);
-        for (attr_ns, attr_local, value) in attributes {
-            self.writer
-                .push_attribute(attr_ns, attr_local, value, self.out);
-        }
+        let tag = (self.writer).open_tag(ns, local, attributes.iter().copied(), self.out);
         self.out.push(b'>');
         let body_start = self.out.len();
         children(self);
-        if self.out.len() == body_start {
+        let tag = (self.out.len() > body_start).then_some(tag);
+        if tag.is_none() {
             self.out.pop();
-            self.out.extend_from_slice(b"/>");
-        } else {
-            self.out.extend_from_slice(b"</");
-            self.writer.push_element_tag(ns, local, self.out);
-            self.out.push(b'>');
         }
-        self.writer.ns.pop_scope();
+        self.writer.close_tag(tag, self.out);
     }
 
     /// Emit escaped character data (empty text emits nothing, matching

@@ -2,7 +2,7 @@
 //! must survive write → parse unchanged.
 
 use proptest::prelude::*;
-use wsp_xml::{Element, Node, QName};
+use wsp_xml::{Element, Node, QName, StreamWriter, Writer, WriterConfig};
 
 /// Strategy for XML local names (simplified NCName production).
 fn ncname() -> impl Strategy<Value = String> {
@@ -68,6 +68,57 @@ fn tree() -> impl Strategy<Value = Element> {
     })
 }
 
+/// [`tree`] with qualified attributes, one element at a time by the
+/// bits of `bits`: an attribute in the element's own namespace, one in
+/// `urn:b` (declared by the attribute where no element declared it).
+fn qualify(e: &mut Element, bits: &mut u64) {
+    *bits ^= *bits << 13;
+    *bits ^= *bits >> 7;
+    *bits ^= *bits << 17;
+    let own = e.name().namespace().to_owned();
+    if *bits & 1 == 1 && !own.is_empty() {
+        e.set_attribute(QName::new(own, "own"), "o");
+    }
+    if *bits & 6 == 6 {
+        e.set_attribute(QName::new("urn:b", "other"), "b\"<");
+    }
+    for child in e.children_mut() {
+        if let Node::Element(child) = child {
+            qualify(child, bits);
+        }
+    }
+}
+
+/// Preferred prefixes, drawn so that the writer meets each of its
+/// cases: the default prefix (an element in no namespace under it
+/// undeclares it), one prefix wanted by two namespaces (the second
+/// finds it bound outside and must not re-bind it: it gets `nsN`), and
+/// a prefix the writer would generate itself.
+fn preferences() -> impl Strategy<Value = Vec<(String, String)>> {
+    let prefix = prop_oneof![Just(""), Just("p"), Just("ns0"), Just("ns1")];
+    proptest::collection::vec((namespace(), prefix.prop_map(String::from)), 0..4)
+}
+
+/// Emit `e` through the stream writer: element by element, and every
+/// child whose local name has a length divisible by three handed over
+/// whole as a borrowed tree.
+fn replay(s: &mut StreamWriter<'_>, e: &Element) {
+    let name = e.name();
+    let attributes: Vec<(&str, &str, &str)> = (e.attributes().iter())
+        .map(|a| (a.name.namespace(), a.name.local_name(), a.value.as_str()))
+        .collect();
+    s.element_with(name.namespace(), name.local_name(), &attributes, |s| {
+        for child in e.children() {
+            match child {
+                Node::Element(c) if c.name().local_name().len() % 3 == 0 => s.tree(c),
+                Node::Element(c) => replay(s, c),
+                Node::Text(t) => s.text(t),
+                other => unreachable!("tree() makes no {other:?}"),
+            }
+        }
+    });
+}
+
 /// Normalise adjacent text nodes so structural comparison is fair: the
 /// writer concatenates adjacent text, so `["a", "b"]` parses back as
 /// `["ab"]`.
@@ -106,6 +157,21 @@ proptest! {
         let xml = original.to_xml();
         let parsed = wsp_xml::parse(&xml).expect("generated XML must parse");
         prop_assert_eq!(normalise(&parsed), normalise(&original), "wire form: {}", xml);
+    }
+
+    #[test]
+    fn stream_writer_replaying_a_tree_writes_the_tree_writers_bytes(
+        mut original in tree(),
+        mut bits in 1u64..u64::MAX,
+        prefers in preferences(),
+    ) {
+        qualify(&mut original, &mut bits);
+        let config = (prefers.iter()).fold(WriterConfig::default(), |c, (ns, p)| c.prefer(ns, p));
+        let mut writer = Writer::new(config);
+        let expected = writer.write(&original);
+        let mut streamed = Vec::new();
+        writer.write_stream_into(&mut streamed, |s| replay(s, &original));
+        prop_assert_eq!(String::from_utf8(streamed).unwrap(), expected);
     }
 
     #[test]
