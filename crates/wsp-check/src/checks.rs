@@ -79,48 +79,26 @@ where
         }
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &ClockedState,
+        state: &mut ClockedState,
         event: &ClockedEvent,
-    ) -> (ClockedState, Vec<BreakerEffect>) {
-        let mut next = *state;
+        out: &mut Vec<BreakerEffect>,
+    ) {
         let now = state.clock;
-        let effects = match event {
+        let event = match event {
             ClockedEvent::Tick => {
-                if next.clock < self.max_ticks {
-                    next.clock += 1;
+                if state.clock < self.max_ticks {
+                    state.clock += 1;
                 }
-                vec![]
+                return;
             }
-            ClockedEvent::Acquire => {
-                let (s, e) = self
-                    .inner
-                    .step(&state.breaker, &BreakerEvent::Acquire { now });
-                next.breaker = s;
-                e
-            }
-            ClockedEvent::Success => {
-                let (s, e) = self.inner.step(&state.breaker, &BreakerEvent::Success);
-                next.breaker = s;
-                e
-            }
-            ClockedEvent::Failure => {
-                let (s, e) = self
-                    .inner
-                    .step(&state.breaker, &BreakerEvent::Failure { now });
-                next.breaker = s;
-                e
-            }
-            ClockedEvent::ProbeAborted => {
-                let (s, e) = self
-                    .inner
-                    .step(&state.breaker, &BreakerEvent::ProbeAborted { now });
-                next.breaker = s;
-                e
-            }
+            ClockedEvent::Acquire => BreakerEvent::Acquire { now },
+            ClockedEvent::Success => BreakerEvent::Success,
+            ClockedEvent::Failure => BreakerEvent::Failure { now },
+            ClockedEvent::ProbeAborted => BreakerEvent::ProbeAborted { now },
         };
-        (next, effects)
+        self.inner.step_into(&mut state.breaker, &event, out);
     }
 }
 

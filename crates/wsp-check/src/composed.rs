@@ -123,18 +123,17 @@ impl Machine for ComposedMachine {
         }
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &ComposedState,
+        next: &mut ComposedState,
         event: &ComposedEvent,
-    ) -> (ComposedState, Vec<ComposedEffect>) {
+        out: &mut Vec<ComposedEffect>,
+    ) {
         use ComposedEffect as E;
-        let mut next = state.clone();
-        let mut out = Vec::new();
         // Helpers threading sub-machine steps through the product state.
         let breaker = |next: &mut ComposedState, ev: BreakerEvent, out: &mut Vec<E>| {
-            let (s, effects) = self.breaker.step(&next.breaker, &ev);
-            next.breaker = s;
+            let mut effects = Vec::new();
+            self.breaker.step_into(&mut next.breaker, &ev, &mut effects);
             let admit = effects.iter().find_map(|e| match e {
                 BreakerEffect::Admit(verdict) => Some(*verdict),
                 _ => None,
@@ -143,15 +142,16 @@ impl Machine for ComposedMachine {
             admit
         };
         let admission = |next: &mut ComposedState, ev: KeyedAdmissionEvent, out: &mut Vec<E>| {
-            let (s, effects) = self.admission.step(&next.admission, &ev);
-            next.admission = s;
+            let mut effects = Vec::new();
+            self.admission
+                .step_into(&mut next.admission, &ev, &mut effects);
             let admitted = effects.contains(&KeyedAdmissionEffect::Admitted { tenant: 0 });
             out.extend(effects.into_iter().map(E::Admission));
             admitted
         };
         let calls = |next: &mut ComposedState, ev: CorrelationEvent, out: &mut Vec<E>| {
-            let (s, effects) = self.calls.step(&next.calls, &ev);
-            next.calls = s;
+            let mut effects = Vec::new();
+            self.calls.step_into(&mut next.calls, &ev, &mut effects);
             out.extend(effects.into_iter().map(E::Call));
         };
 
@@ -164,9 +164,9 @@ impl Machine for ComposedMachine {
             ComposedEvent::StartCall(t) => {
                 // A used token (running, or settled-but-unclaimed) is a
                 // modelling error; treat as a no-op to stay total.
-                if !state.running.contains_key(&t) && state.calls.phase(t).is_none() {
-                    let now = state.clock;
-                    match breaker(&mut next, BreakerEvent::Acquire { now }, &mut out) {
+                if !next.running.contains_key(&t) && next.calls.phase(t).is_none() {
+                    let now = next.clock;
+                    match breaker(next, BreakerEvent::Acquire { now }, out) {
                         Some(Admit::Rejected) | None => out.push(E::RejectedByBreaker(t)),
                         Some(verdict @ (Admit::Allowed | Admit::Probe)) => {
                             let is_probe = verdict == Admit::Probe;
@@ -175,19 +175,15 @@ impl Machine for ComposedMachine {
                                 queue_depth: 0,
                                 deadline_expired: false,
                             };
-                            if admission(&mut next, admit, &mut out) {
-                                calls(&mut next, CorrelationEvent::Register(t), &mut out);
+                            if admission(next, admit, out) {
+                                calls(next, CorrelationEvent::Register(t), out);
                                 next.running.insert(t, is_probe);
                             } else {
                                 out.push(E::ShedByAdmission(t));
                                 if is_probe {
                                     // BreakerPermit: a shed probe is aborted,
                                     // never stranded.
-                                    breaker(
-                                        &mut next,
-                                        BreakerEvent::ProbeAborted { now },
-                                        &mut out,
-                                    );
+                                    breaker(next, BreakerEvent::ProbeAborted { now }, out);
                                 }
                             }
                         }
@@ -196,52 +192,39 @@ impl Machine for ComposedMachine {
             }
             ComposedEvent::Succeed(t) => {
                 if next.running.remove(&t).is_some() {
-                    calls(&mut next, CorrelationEvent::Complete(t), &mut out);
-                    breaker(&mut next, BreakerEvent::Success, &mut out);
-                    admission(
-                        &mut next,
-                        KeyedAdmissionEvent::Release { tenant: 0 },
-                        &mut out,
-                    );
+                    calls(next, CorrelationEvent::Complete(t), out);
+                    breaker(next, BreakerEvent::Success, out);
+                    admission(next, KeyedAdmissionEvent::Release { tenant: 0 }, out);
                 }
             }
             ComposedEvent::Fail(t) => {
                 if next.running.remove(&t).is_some() {
-                    let now = state.clock;
+                    let now = next.clock;
                     // A failed call still completes its handle (with the
                     // error as its result) — only the breaker counts it.
-                    calls(&mut next, CorrelationEvent::Complete(t), &mut out);
-                    breaker(&mut next, BreakerEvent::Failure { now }, &mut out);
-                    admission(
-                        &mut next,
-                        KeyedAdmissionEvent::Release { tenant: 0 },
-                        &mut out,
-                    );
+                    calls(next, CorrelationEvent::Complete(t), out);
+                    breaker(next, BreakerEvent::Failure { now }, out);
+                    admission(next, KeyedAdmissionEvent::Release { tenant: 0 }, out);
                 }
             }
             ComposedEvent::PanicCall(t) => {
                 if let Some(was_probe) = next.running.remove(&t) {
-                    let now = state.clock;
-                    calls(&mut next, CorrelationEvent::Poison(t), &mut out);
+                    let now = next.clock;
+                    calls(next, CorrelationEvent::Poison(t), out);
                     if was_probe {
                         // The runtime's BreakerPermit unwinds with the panic.
-                        breaker(&mut next, BreakerEvent::ProbeAborted { now }, &mut out);
+                        breaker(next, BreakerEvent::ProbeAborted { now }, out);
                     }
-                    admission(
-                        &mut next,
-                        KeyedAdmissionEvent::Release { tenant: 0 },
-                        &mut out,
-                    );
+                    admission(next, KeyedAdmissionEvent::Release { tenant: 0 }, out);
                 }
             }
-            ComposedEvent::Take(t) => calls(&mut next, CorrelationEvent::Take(t), &mut out),
+            ComposedEvent::Take(t) => calls(next, CorrelationEvent::Take(t), out),
             ComposedEvent::DropHandle(t) => {
                 // The job (if still running) keeps its permit and will
                 // still report to the breaker; only the correlation
                 // entry leaves eagerly.
-                calls(&mut next, CorrelationEvent::Cancel(t), &mut out);
+                calls(next, CorrelationEvent::Cancel(t), out);
             }
         }
-        (next, out)
     }
 }

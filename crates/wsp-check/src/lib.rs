@@ -349,9 +349,9 @@ mod tests {
             0
         }
 
-        fn step(&self, state: &u8, event: &i8) -> (u8, Vec<u8>) {
-            let next = (*state as i8 + event).clamp(0, 3) as u8;
-            (next, vec![next])
+        fn step_into(&self, state: &mut u8, event: &i8, out: &mut Vec<u8>) {
+            *state = (*state as i8 + event).clamp(0, 3) as u8;
+            out.push(*state);
         }
     }
 

@@ -32,16 +32,17 @@ impl Machine for SkipHalfOpenReset {
         self.0.initial()
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &BreakerState,
+        state: &mut BreakerState,
         event: &BreakerEvent,
-    ) -> (BreakerState, Vec<Self::Effect>) {
+        out: &mut Vec<Self::Effect>,
+    ) {
         if matches!(state, BreakerState::Tripped { .. }) && matches!(event, BreakerEvent::Success) {
             // The bug: swallow the success instead of closing.
-            return (*state, vec![]);
+            return;
         }
-        self.0.step(state, event)
+        self.0.step_into(state, event, out)
     }
 }
 
@@ -59,27 +60,27 @@ impl Machine for ComposedSkipHalfOpenReset {
         self.0.initial()
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &ComposedState,
+        state: &mut ComposedState,
         event: &ComposedEvent,
-    ) -> (ComposedState, Vec<Self::Effect>) {
+        out: &mut Vec<Self::Effect>,
+    ) {
         if let ComposedEvent::Succeed(t) = event {
             if matches!(state.breaker, BreakerState::Tripped { .. })
                 && state.running.contains_key(t)
             {
                 // The bug: deliver the result and release the permit,
                 // but never tell the breaker.
-                let (mut next, effects) = self.0.step(state, event);
-                next.breaker = state.breaker;
-                let effects = effects
-                    .into_iter()
-                    .filter(|e| !matches!(e, crate::composed::ComposedEffect::Breaker(_)))
-                    .collect();
-                return (next, effects);
+                let (breaker, mut effects) = (state.breaker, Vec::new());
+                self.0.step_into(state, event, &mut effects);
+                state.breaker = breaker;
+                let told = |e: &_| matches!(e, crate::composed::ComposedEffect::Breaker(_));
+                out.extend(effects.into_iter().filter(|e| !told(e)));
+                return;
             }
         }
-        self.0.step(state, event)
+        self.0.step_into(state, event, out)
     }
 }
 
@@ -98,13 +99,14 @@ impl Machine for LeakSlotOnReject {
         self.0.initial()
     }
 
-    fn step(&self, state: &DrainState, event: &DrainEvent) -> (DrainState, Vec<DrainEffect>) {
-        let (mut next, effects) = self.0.step(state, event);
+    fn step_into(&self, state: &mut DrainState, event: &DrainEvent, out: &mut Vec<DrainEffect>) {
+        let mut effects = Vec::new();
+        self.0.step_into(state, event, &mut effects);
         if effects.contains(&DrainEffect::RejectAtCapacity) {
             // The bug: the reject path forgot it never took a slot.
-            next.active += 1;
+            state.active += 1;
         }
-        (next, effects)
+        out.extend(effects);
     }
 }
 
@@ -124,15 +126,17 @@ impl Machine for StickyHeadTimer {
         self.0.initial()
     }
 
-    fn step(&self, state: &ConnState, event: &ConnEvent) -> (ConnState, Vec<ConnEffect>) {
-        let (mut next, mut effects) = self.0.step(state, event);
-        if state.phase == Phase::ReadingHead && matches!(event, ConnEvent::RequestDone) {
+    fn step_into(&self, state: &mut ConnState, event: &ConnEvent, out: &mut Vec<ConnEffect>) {
+        let reading_head = state.phase == Phase::ReadingHead;
+        let mut effects = Vec::new();
+        self.0.step_into(state, event, &mut effects);
+        if reading_head && matches!(event, ConnEvent::RequestDone) {
             // The bug: dispatch the request but leave the header
             // deadline ticking on the wheel.
-            next.head_timer = true;
+            state.head_timer = true;
             effects.retain(|fx| *fx != ConnEffect::CancelTimer(TimerKind::Head));
         }
-        (next, effects)
+        out.extend(effects);
     }
 }
 
@@ -152,17 +156,13 @@ impl Machine for DrainClosesUnread {
         self.0.initial()
     }
 
-    fn step(&self, state: &ConnState, event: &ConnEvent) -> (ConnState, Vec<ConnEffect>) {
+    fn step_into(&self, state: &mut ConnState, event: &ConnEvent, out: &mut Vec<ConnEffect>) {
         if state.phase == Phase::Idle && state.fresh && matches!(event, ConnEvent::DrainBegan) {
             // The bug: no "accepted, nothing read yet" distinction, so
             // the connection is torn down like any keep-alive idle one.
-            let as_idle = ConnState {
-                fresh: false,
-                ..*state
-            };
-            return self.0.step(&as_idle, event);
+            state.fresh = false;
         }
-        self.0.step(state, event)
+        self.0.step_into(state, event, out)
     }
 }
 
@@ -182,12 +182,14 @@ impl Machine for IgnoreReserve {
         self.0.initial()
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &KeyedAdmissionState,
+        state: &mut KeyedAdmissionState,
         event: &KeyedAdmissionEvent,
-    ) -> (KeyedAdmissionState, Vec<KeyedAdmissionEffect>) {
-        let (next, effects) = self.0.step(state, event);
+        out: &mut Vec<KeyedAdmissionEffect>,
+    ) {
+        let mut effects = Vec::new();
+        self.0.step_into(state, event, &mut effects);
         if let [KeyedAdmissionEffect::Shed {
             tenant,
             reason: KeyedShedReason::FairShareReserve,
@@ -195,12 +197,12 @@ impl Machine for IgnoreReserve {
         {
             if state.total() < self.0.global_cap {
                 // The bug: "there's room under the cap" — admit the
-                // borrower without leaving the reserve intact.
-                let mut next = state.clone();
-                next.in_flight[tenant] += 1;
-                return (next, vec![KeyedAdmissionEffect::Admitted { tenant }]);
+                // borrower without leaving the reserve intact. (A shed
+                // left the state as it was.)
+                state.in_flight[tenant] += 1;
+                effects = vec![KeyedAdmissionEffect::Admitted { tenant }];
             }
         }
-        (next, effects)
+        out.extend(effects);
     }
 }

@@ -44,9 +44,10 @@
 //! cancelled → taken — lives in the pure
 //! [`crate::machines::correlation::CorrelationMachine`]; this module is
 //! its runtime shell. Every lifecycle transition steps the machine
-//! under one mutex (the machine state *is* the correlation table);
-//! values and panic messages travel through per-call mailboxes the
-//! effects point at. Lock order is always machine → mailbox.
+//! under one mutex (the machine state *is* the correlation table), into
+//! an effect buffer kept under the same mutex; values and panic
+//! messages travel through per-call mailboxes the effects point at.
+//! Lock order is always machine → mailbox.
 //! `wsp-check` exhaustively explores the machine; the tests here
 //! exercise the shell around it.
 
@@ -231,10 +232,9 @@ struct Inner {
     /// look at the queue and its park, and a caller-run call reads it
     /// without the lock.
     closed: AtomicBool,
-    machine: CorrelationMachine,
-    /// The correlation table: the pure machine's state, stepped under
-    /// this mutex. Always locked BEFORE any call's mailbox.
-    calls: Mutex<CorrelationState>,
+    /// The correlation table, stepped under this mutex. Always locked
+    /// BEFORE any call's mailbox.
+    calls: Mutex<CallTable>,
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
@@ -445,19 +445,31 @@ impl Inner {
     /// Step `Cancel` for `token`; `true` (and counted) if that
     /// cancelled a pending call.
     fn cancel(&self, token: u64) -> bool {
-        let effects = self.step_call(CorrelationEvent::Cancel(token));
-        let cancelled = effects.contains(&CorrelationEffect::CountCancelled(token));
+        let cancelled = (self.calls.lock().step(CorrelationEvent::Cancel(token)))
+            .contains(&CorrelationEffect::CountCancelled(token));
         if cancelled {
             self.cancelled.fetch_add(1, Ordering::SeqCst);
         }
         cancelled
     }
+}
 
-    /// Step the correlation machine under its lock and return the
-    /// effects. Composite operations that must write a mailbox in the
-    /// same critical section lock `calls` themselves instead.
-    fn step_call(&self, event: CorrelationEvent) -> Vec<CorrelationEffect> {
-        self.machine.step_in_place(&mut self.calls.lock(), &event)
+/// The correlation machine's state, and the buffer every step writes
+/// its effects into.
+#[derive(Default)]
+struct CallTable {
+    state: CorrelationState,
+    effects: Vec<CorrelationEffect>,
+}
+
+impl CallTable {
+    /// The table's one step point. Callers hold `Inner::calls`, so a
+    /// composite operation writes a mailbox in the same critical
+    /// section as the step that let it.
+    fn step(&mut self, event: CorrelationEvent) -> &[CorrelationEffect] {
+        self.effects.clear();
+        CorrelationMachine.step_into(&mut self.state, &event, &mut self.effects);
+        &self.effects
     }
 }
 
@@ -527,8 +539,7 @@ impl<T: Send + 'static> CallHandle<T> {
     fn try_take(&self) -> Option<T> {
         use CorrelationEffect::{PanicWaiter, YieldValue};
         let mut calls = self.inner.calls.lock();
-        let effects =
-            (self.inner.machine).step_in_place(&mut calls, &CorrelationEvent::Take(self.token));
+        let effects = calls.step(CorrelationEvent::Take(self.token));
         if !matches!(effects.first(), Some(YieldValue(_) | PanicWaiter(_))) {
             return None;
         }
@@ -634,7 +645,7 @@ impl<T: Send + 'static> Completer<T> {
     fn deliver(&self, event: CorrelationEvent, mail: Mail<T>) -> bool {
         use CorrelationEffect::{DeliverPoison, DeliverValue};
         let mut calls = self.inner.calls.lock();
-        let effects = (self.inner.machine).step_in_place(&mut calls, &event);
+        let effects = calls.step(event);
         if !matches!(effects.first(), Some(DeliverValue(_) | DeliverPoison(_))) {
             return false;
         }
@@ -672,8 +683,7 @@ impl Dispatcher {
             queue: Mutex::new(Queue::default()),
             capacity,
             closed: AtomicBool::new(false),
-            machine: CorrelationMachine,
-            calls: Mutex::new(CorrelationMachine.initial()),
+            calls: Mutex::new(CallTable::default()),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
@@ -757,7 +767,7 @@ impl Dispatcher {
         if inner.closed.load(Ordering::SeqCst) {
             return Err(inner.refusal());
         }
-        inner.step_call(CorrelationEvent::Register(token));
+        inner.calls.lock().step(CorrelationEvent::Register(token));
         inner.jobs_pending.fetch_add(1, Ordering::SeqCst);
         inner.submitted.fetch_add(1, Ordering::SeqCst);
         let timing = telemetry::global()
@@ -777,9 +787,13 @@ impl Dispatcher {
         {
             let mut calls = inner.calls.lock();
             for event in [delivery, CorrelationEvent::Take(token)] {
-                inner.machine.step_in_place(&mut calls, &event);
+                calls.step(event);
             }
-            debug_assert_eq!(calls.phase(token), None, "caller-run call left the table");
+            debug_assert_eq!(
+                calls.state.phase(token),
+                None,
+                "caller-run call left the table"
+            );
         }
         match outcome {
             Ok(value) => Ok(value),
@@ -855,7 +869,10 @@ impl Dispatcher {
             mail: None,
             waiter: None,
         }));
-        self.inner.step_call(CorrelationEvent::Register(token));
+        self.inner
+            .calls
+            .lock()
+            .step(CorrelationEvent::Register(token));
         (
             CallHandle {
                 token,
@@ -904,7 +921,7 @@ impl Dispatcher {
 
     /// Tokens still awaiting results (the live correlation table).
     pub fn pending_tokens(&self) -> Vec<u64> {
-        self.inner.calls.lock().table_tokens()
+        self.inner.calls.lock().state.table_tokens()
     }
 
     /// Jobs queued and not yet picked up — [`DispatcherStats::queue_depth`]
@@ -916,7 +933,7 @@ impl Dispatcher {
 
     /// Counter snapshot.
     pub fn stats(&self) -> DispatcherStats {
-        let pending_calls = self.inner.calls.lock().pending_count();
+        let pending_calls = self.inner.calls.lock().state.pending_count();
         DispatcherStats {
             submitted: self.inner.submitted.load(Ordering::SeqCst),
             completed: self.inner.completed.load(Ordering::SeqCst),

@@ -130,21 +130,12 @@ impl Machine for CorrelationMachine {
         CorrelationState::default()
     }
 
-    fn step(
-        &self,
-        state: &CorrelationState,
-        event: &CorrelationEvent,
-    ) -> (CorrelationState, Vec<CorrelationEffect>) {
-        let mut next = state.clone();
-        let effects = self.step_in_place(&mut next, event);
-        (next, effects)
-    }
-
-    fn step_in_place(
+    fn step_into(
         &self,
         next: &mut CorrelationState,
         event: &CorrelationEvent,
-    ) -> Vec<CorrelationEffect> {
+        out: &mut Vec<CorrelationEffect>,
+    ) {
         use CallPhase::*;
         use CorrelationEffect::*;
         match *event {
@@ -152,44 +143,37 @@ impl Machine for CorrelationMachine {
                 // Tokens are allocated process-unique; re-registering a
                 // live one is a shell bug, modeled as a no-op.
                 next.calls.entry(t).or_insert(Pending);
-                vec![]
             }
-            CorrelationEvent::Complete(t) => match next.calls.get(&t) {
-                Some(Pending) => {
-                    next.calls.insert(t, Ready);
-                    vec![DeliverValue(t), RemoveEntry(t)]
+            CorrelationEvent::Complete(t) => match next.calls.get_mut(&t) {
+                Some(phase @ Pending) => {
+                    *phase = Ready;
+                    out.extend([DeliverValue(t), RemoveEntry(t)]);
                 }
-                _ => vec![DropLateValue(t)],
+                _ => out.push(DropLateValue(t)),
             },
-            CorrelationEvent::Poison(t) => match next.calls.get(&t) {
-                Some(Pending) => {
-                    next.calls.insert(t, Poisoned);
-                    vec![DeliverPoison(t), RemoveEntry(t)]
+            CorrelationEvent::Poison(t) => match next.calls.get_mut(&t) {
+                Some(phase @ Pending) => {
+                    *phase = Poisoned;
+                    out.extend([DeliverPoison(t), RemoveEntry(t)]);
                 }
-                _ => vec![DropLateValue(t)],
+                _ => out.push(DropLateValue(t)),
             },
-            CorrelationEvent::Cancel(t) => match next.calls.get(&t) {
-                Some(Pending) => {
-                    next.calls.remove(&t);
-                    vec![RemoveEntry(t), CountCancelled(t)]
-                }
-                Some(Ready) | Some(Poisoned) => {
-                    next.calls.remove(&t);
-                    vec![DropUnclaimed(t)]
-                }
-                None => vec![],
+            CorrelationEvent::Cancel(t) => match next.calls.remove(&t) {
+                Some(Pending) => out.extend([RemoveEntry(t), CountCancelled(t)]),
+                Some(Ready | Poisoned) => out.push(DropUnclaimed(t)),
+                None => {}
             },
             CorrelationEvent::Take(t) => match next.calls.get(&t) {
                 Some(Ready) => {
                     next.calls.remove(&t);
-                    vec![YieldValue(t)]
+                    out.push(YieldValue(t));
                 }
                 Some(Poisoned) => {
                     next.calls.remove(&t);
-                    vec![PanicWaiter(t)]
+                    out.push(PanicWaiter(t));
                 }
-                Some(Pending) => vec![StillPending(t)],
-                None => vec![],
+                Some(Pending) => out.push(StillPending(t)),
+                None => {}
             },
         }
     }

@@ -121,19 +121,19 @@ impl KeyedAdmissionMachine {
         shares
     }
 
-    /// [`Machine::step`] with the apportionment supplied by the caller.
-    /// `guaranteed` must equal [`Self::guaranteed`]`()` for the current
-    /// weight vector — the shell caches it and recomputes only when a
-    /// tenant is interned, so the per-admission work under its lock
-    /// stays O(tenants) instead of O(tenants log tenants).
+    /// [`Machine::step_into`] with the apportionment supplied by the
+    /// caller. `guaranteed` must equal [`Self::guaranteed`]`()` for the
+    /// current weight vector — the shell caches it and recomputes only
+    /// when a tenant is interned, so the per-admission work under its
+    /// lock stays O(tenants) instead of O(tenants log tenants).
     pub fn step_apportioned(
         &self,
         guaranteed: &[u64],
-        state: &KeyedAdmissionState,
+        state: &mut KeyedAdmissionState,
         event: &KeyedAdmissionEvent,
-    ) -> (KeyedAdmissionState, Vec<KeyedAdmissionEffect>) {
+        out: &mut Vec<KeyedAdmissionEffect>,
+    ) {
         use KeyedAdmissionEffect::*;
-        let mut next = state.clone();
         match *event {
             KeyedAdmissionEvent::Admit {
                 tenant,
@@ -177,28 +177,22 @@ impl KeyedAdmissionMachine {
                     }
                 };
                 match shed {
-                    Some(reason) => (next, vec![Shed { tenant, reason }]),
+                    Some(reason) => out.push(Shed { tenant, reason }),
                     None => {
-                        next.in_flight[tenant] += 1;
-                        (next, vec![Admitted { tenant }])
+                        state.in_flight[tenant] += 1;
+                        out.push(Admitted { tenant });
                     }
                 }
             }
-            KeyedAdmissionEvent::Release { tenant } => {
-                if state.in_flight[tenant] == 0 {
-                    return (next, vec![PermitUnderflow]);
+            KeyedAdmissionEvent::Release { tenant } => match &mut state.in_flight[tenant] {
+                0 => out.push(PermitUnderflow),
+                held => {
+                    *held -= 1;
+                    out.push(Released { tenant });
                 }
-                next.in_flight[tenant] -= 1;
-                (next, vec![Released { tenant }])
-            }
-            KeyedAdmissionEvent::BeginDrain => {
-                next.draining = true;
-                (next, vec![])
-            }
-            KeyedAdmissionEvent::EndDrain => {
-                next.draining = false;
-                (next, vec![])
-            }
+            },
+            KeyedAdmissionEvent::BeginDrain => state.draining = true,
+            KeyedAdmissionEvent::EndDrain => state.draining = false,
         }
     }
 }
@@ -278,12 +272,13 @@ impl Machine for KeyedAdmissionMachine {
         }
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &KeyedAdmissionState,
+        state: &mut KeyedAdmissionState,
         event: &KeyedAdmissionEvent,
-    ) -> (KeyedAdmissionState, Vec<KeyedAdmissionEffect>) {
-        self.step_apportioned(&self.guaranteed(), state, event)
+        out: &mut Vec<KeyedAdmissionEffect>,
+    ) {
+        self.step_apportioned(&self.guaranteed(), state, event, out)
     }
 }
 

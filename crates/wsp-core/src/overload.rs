@@ -194,6 +194,8 @@ struct KeyedSync {
     index: HashMap<String, usize>,
     /// `machine.guaranteed()` for the current weight vector.
     guaranteed: Vec<u64>,
+    /// The buffer every step writes its effects into.
+    effects: Vec<KeyedAdmissionEffect>,
     /// `<prefix>.<tenant>.shed` per slot, resolved once at interning so
     /// a shed — the path that must answer fast under overload — neither
     /// formats a name nor takes the registry lock.
@@ -236,12 +238,23 @@ impl KeyedSync {
         self.intern(tenant, 1, &policy.counter_prefix)
     }
 
-    fn step(&mut self, event: KeyedAdmissionEvent) -> Vec<KeyedAdmissionEffect> {
-        let (next, effects) = self
-            .machine
-            .step_apportioned(&self.guaranteed, &self.state, &event);
-        self.state = next;
-        effects
+    /// The controller's one step point: `event` through the machine,
+    /// and the effect it emitted — the admission machine emits at most
+    /// one per event.
+    fn step(&mut self, event: KeyedAdmissionEvent) -> Option<KeyedAdmissionEffect> {
+        self.effects.clear();
+        (self.machine).step_apportioned(
+            &self.guaranteed,
+            &mut self.state,
+            &event,
+            &mut self.effects,
+        );
+        debug_assert!(
+            self.effects.len() <= 1,
+            "{event:?} emitted {:?}",
+            self.effects
+        );
+        self.effects.first().copied()
     }
 }
 
@@ -277,6 +290,7 @@ impl KeyedAdmissionController {
             tenants: Vec::new(),
             index: HashMap::new(),
             guaranteed: Vec::new(),
+            effects: Vec::new(),
             shed_counters: Vec::new(),
         };
         let prefix = &policy.counter_prefix;
@@ -368,12 +382,12 @@ impl KeyedAdmissionController {
         let deadline_expired = deadline.is_some_and(|d| Instant::now() >= d);
         let mut sync = self.inner.sync.lock();
         let t = sync.tenant_index(tenant, &self.inner.policy);
-        let effects = sync.step(KeyedAdmissionEvent::Admit {
+        let effect = sync.step(KeyedAdmissionEvent::Admit {
             tenant: t,
             queue_depth: queue_depth as u64,
             deadline_expired,
         });
-        match effects.first() {
+        match effect {
             Some(KeyedAdmissionEffect::Admitted { .. }) => {
                 drop(sync);
                 self.inner.admitted.incr();
@@ -383,14 +397,14 @@ impl KeyedAdmissionController {
                 })
             }
             Some(KeyedAdmissionEffect::Shed { reason, .. }) => {
-                let hint = self.retry_hint_locked(&sync, t, *reason);
+                let hint = self.retry_hint_locked(&sync, t, reason);
                 // Counted against the *interned* slot, so junk tenant
                 // names beyond `max_tenants` all land on the anonymous
                 // bucket instead of minting fresh series.
                 sync.shed_counters[t].incr();
                 drop(sync);
                 self.inner.shed.incr();
-                if *reason == KeyedShedReason::DeadlineExpired {
+                if reason == KeyedShedReason::DeadlineExpired {
                     self.inner.shed_expired.incr();
                 }
                 Err(WspError::Overloaded {
@@ -417,13 +431,10 @@ impl KeyedAdmissionController {
     }
 
     fn release(&self, tenant: usize) {
-        let effects = self
-            .inner
-            .sync
-            .lock()
-            .step(KeyedAdmissionEvent::Release { tenant });
-        debug_assert!(
-            !effects.contains(&KeyedAdmissionEffect::PermitUnderflow),
+        let effect = (self.inner.sync.lock()).step(KeyedAdmissionEvent::Release { tenant });
+        debug_assert_ne!(
+            effect,
+            Some(KeyedAdmissionEffect::PermitUnderflow),
             "permit released with nothing in flight"
         );
     }

@@ -74,6 +74,9 @@ impl AsRef<str> for Backend {
 }
 
 struct PoolState {
+    /// In-flight calls per endpoint. Endpoints come from registry
+    /// answers — remote input —, so one leaves the map with its last
+    /// lease: the map holds only endpoints with a call in flight.
     active: HashMap<String, u64>,
 }
 
@@ -189,8 +192,12 @@ impl BackendLease {
 impl Drop for BackendLease {
     fn drop(&mut self) {
         let mut state = self.state.lock();
-        if let Some(n) = state.active.get_mut(&self.endpoint) {
-            *n = n.saturating_sub(1);
+        let Some(n) = state.active.get_mut(&self.endpoint) else {
+            return;
+        };
+        *n = n.saturating_sub(1);
+        if *n == 0 {
+            state.active.remove(&self.endpoint);
         }
     }
 }
@@ -217,6 +224,20 @@ mod tests {
         drop(a1);
         assert_eq!(pools.active("http://a"), 0, "lease drop releases");
         drop(b1);
+    }
+
+    #[test]
+    fn an_endpoint_leaves_the_load_map_with_its_last_lease() {
+        let pools = BackendPools::default();
+        for i in 0..10_000 {
+            let endpoint = [format!("http://10.9.{}.{}:8080/S", i / 256, i % 256)];
+            let lease = pools.pick(&endpoint, &[]).expect("a fresh breaker admits");
+            lease.succeed();
+        }
+        assert!(
+            pools.state.lock().active.is_empty(),
+            "dropped leases left their endpoints"
+        );
     }
 
     #[test]

@@ -113,61 +113,56 @@ impl Machine for BreakerMachine {
         BreakerState::Closed { failures: 0 }
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &BreakerState,
+        state: &mut BreakerState,
         event: &BreakerEvent,
-    ) -> (BreakerState, Vec<BreakerEffect>) {
+        out: &mut Vec<BreakerEffect>,
+    ) {
         use BreakerEffect as E;
         match (*state, *event) {
             // --- admission ------------------------------------------------
-            (s @ BreakerState::Closed { .. }, BreakerEvent::Acquire { .. }) => {
-                (s, vec![E::Admit(Admit::Allowed)])
+            (BreakerState::Closed { .. }, BreakerEvent::Acquire { .. }) => {
+                out.push(E::Admit(Admit::Allowed))
             }
             (
-                s @ BreakerState::Tripped {
+                BreakerState::Tripped {
                     since,
                     probe_in_flight,
                 },
                 BreakerEvent::Acquire { now },
             ) => {
-                if now.saturating_sub(since) < self.cooldown {
-                    return (s, vec![E::Admit(Admit::Rejected)]);
-                }
-                if probe_in_flight {
-                    (s, vec![E::Admit(Admit::Rejected)])
+                if now.saturating_sub(since) < self.cooldown || probe_in_flight {
+                    out.push(E::Admit(Admit::Rejected));
                 } else {
-                    (
-                        BreakerState::Tripped {
-                            since,
-                            probe_in_flight: true,
-                        },
-                        vec![E::Admit(Admit::Probe)],
-                    )
+                    *state = BreakerState::Tripped {
+                        since,
+                        probe_in_flight: true,
+                    };
+                    out.push(E::Admit(Admit::Probe));
                 }
             }
 
             // --- outcome reports ------------------------------------------
             (BreakerState::Closed { .. }, BreakerEvent::Success) => {
-                (BreakerState::Closed { failures: 0 }, vec![])
+                *state = BreakerState::Closed { failures: 0 };
             }
             (BreakerState::Tripped { .. }, BreakerEvent::Success) => {
                 // Any success while tripped — the probe, or a straggler
                 // admitted before the trip — closes the breaker.
-                (BreakerState::Closed { failures: 0 }, vec![E::Recovered])
+                *state = BreakerState::Closed { failures: 0 };
+                out.push(E::Recovered);
             }
             (BreakerState::Closed { failures }, BreakerEvent::Failure { now }) => {
                 let failures = failures + 1;
                 if failures >= self.failure_threshold {
-                    (
-                        BreakerState::Tripped {
-                            since: now,
-                            probe_in_flight: false,
-                        },
-                        vec![E::Tripped],
-                    )
+                    *state = BreakerState::Tripped {
+                        since: now,
+                        probe_in_flight: false,
+                    };
+                    out.push(E::Tripped);
                 } else {
-                    (BreakerState::Closed { failures }, vec![])
+                    *state = BreakerState::Closed { failures };
                 }
             }
             (
@@ -178,18 +173,13 @@ impl Machine for BreakerMachine {
             ) => {
                 // A failure while tripped restarts the cooldown; if it
                 // was the probe, that is a (re-)trip worth reporting.
-                let effects = if probe_in_flight {
-                    vec![E::Tripped]
-                } else {
-                    vec![]
+                *state = BreakerState::Tripped {
+                    since: now,
+                    probe_in_flight: false,
                 };
-                (
-                    BreakerState::Tripped {
-                        since: now,
-                        probe_in_flight: false,
-                    },
-                    effects,
-                )
+                if probe_in_flight {
+                    out.push(E::Tripped);
+                }
             }
 
             // --- aborted probes -------------------------------------------
@@ -199,15 +189,15 @@ impl Machine for BreakerMachine {
                     ..
                 },
                 BreakerEvent::ProbeAborted { now },
-            ) => (
-                BreakerState::Tripped {
+            ) => {
+                *state = BreakerState::Tripped {
                     since: now,
                     probe_in_flight: false,
-                },
-                vec![E::ProbeDiscarded],
-            ),
+                };
+                out.push(E::ProbeDiscarded);
+            }
             // No probe in flight (or already closed): nothing to abort.
-            (s, BreakerEvent::ProbeAborted { .. }) => (s, vec![]),
+            (_, BreakerEvent::ProbeAborted { .. }) => {}
         }
     }
 }

@@ -207,17 +207,15 @@ impl ConnMachine {
     }
 
     /// Close from any live phase, cancelling whatever timer is armed.
-    fn teardown(state: &ConnState, effects: &mut Vec<ConnEffect>) -> ConnState {
-        let mut next = *state;
+    fn teardown(next: &mut ConnState, effects: &mut Vec<ConnEffect>) {
         for kind in [TimerKind::Head, TimerKind::Body, TimerKind::Idle] {
-            if state.timer(kind) {
+            if next.timer(kind) {
                 effects.push(ConnEffect::CancelTimer(kind));
                 next.set_timer(kind, false);
             }
         }
         next.phase = Phase::Closed;
         effects.push(ConnEffect::Close);
-        next
     }
 }
 
@@ -238,28 +236,25 @@ impl Machine for ConnMachine {
         }
     }
 
-    fn step(&self, state: &ConnState, event: &ConnEvent) -> (ConnState, Vec<ConnEffect>) {
+    fn step_into(&self, next: &mut ConnState, event: &ConnEvent, effects: &mut Vec<ConnEffect>) {
         use ConnEffect as Fx;
         use ConnEvent as Ev;
         use Phase as P;
 
-        let mut next = *state;
-        let mut effects = Vec::new();
-
         // Terminal: a closed connection reacts to nothing — late handler
         // completions, stale flushes and repeated stops are all dropped.
-        if state.phase == P::Closed {
-            return (next, effects);
+        if next.phase == P::Closed {
+            return;
         }
 
-        match (state.phase, event) {
+        match (next.phase, event) {
             (P::New, Ev::Open) => {
                 next.phase = P::Idle;
                 next.idle_timer = true;
                 effects.push(Fx::ArmTimer(TimerKind::Idle));
             }
 
-            (P::Idle, Ev::FirstByte) => ConnMachine::start_request(&mut next, &mut effects),
+            (P::Idle, Ev::FirstByte) => ConnMachine::start_request(next, effects),
 
             (P::ReadingHead, Ev::HeadDone) => {
                 effects.push(Fx::CancelTimer(TimerKind::Head));
@@ -301,14 +296,14 @@ impl Machine for ConnMachine {
 
             (P::Handling, Ev::HandlerDone { close }) => {
                 next.phase = P::Writing {
-                    close_after: *close || state.draining || state.half_closed,
+                    close_after: *close || next.draining || next.half_closed,
                 };
                 effects.push(Fx::StartWrite);
             }
 
             (P::Writing { close_after }, Ev::WriteFlushed) => {
-                if close_after || state.half_closed || state.draining {
-                    next = ConnMachine::teardown(state, &mut effects);
+                if close_after || next.half_closed || next.draining {
+                    ConnMachine::teardown(next, effects);
                 } else {
                     next.phase = P::Idle;
                     next.idle_timer = true;
@@ -333,7 +328,7 @@ impl Machine for ConnMachine {
             }
             (P::Idle, Ev::Deadline(TimerKind::Idle)) => {
                 next.idle_timer = false;
-                next = ConnMachine::teardown(&next, &mut effects);
+                ConnMachine::teardown(next, effects);
             }
             // A stale deadline for a stage we already left: exact wheel
             // cancellation makes this unreachable from the shell; in
@@ -347,13 +342,10 @@ impl Machine for ConnMachine {
                 next.half_closed = true;
             }
             // EOF anywhere else (idle, or mid-request before dispatch)
-            // ends the connection; a partial request gets no response.
-            (_, Ev::Eof) => {
-                next = ConnMachine::teardown(state, &mut effects);
-            }
-
-            (_, Ev::IoError) | (_, Ev::Stopped) => {
-                next = ConnMachine::teardown(state, &mut effects);
+            // ends the connection, as an error or a stop does anywhere;
+            // a partial request gets no response.
+            (_, Ev::Eof | Ev::IoError | Ev::Stopped) => {
+                ConnMachine::teardown(next, effects);
             }
 
             (_, Ev::DrainBegan) => {
@@ -365,11 +357,11 @@ impl Machine for ConnMachine {
                 // and its request may be sitting in the socket: it gets
                 // the head deadline to deliver it, and `draining` closes
                 // the connection behind that one response.
-                if state.phase == P::Idle {
-                    if state.fresh {
-                        ConnMachine::start_request(&mut next, &mut effects);
+                if next.phase == P::Idle {
+                    if next.fresh {
+                        ConnMachine::start_request(next, effects);
                     } else {
-                        next = ConnMachine::teardown(&next, &mut effects);
+                        ConnMachine::teardown(next, effects);
                     }
                 }
             }
@@ -379,8 +371,6 @@ impl Machine for ConnMachine {
             // enabled alphabet.
             _ => {}
         }
-
-        (next, effects)
     }
 }
 

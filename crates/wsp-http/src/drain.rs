@@ -11,13 +11,13 @@
 //! accounting — increment on an admitted accept, decrement when the
 //! connection closes — is part of the same transition function the
 //! runtime executes and the model checker explores. The shell
-//! ([`ServerState`]) holds a `Mutex<DrainState>`; the reactor owns it,
-//! feeds in [`DrainEvent`]s from its accepts and releases and from its
-//! handle's `shutdown`/`stop`, and executes the returned
-//! [`DrainEffect`]s (serve, refuse — HTTP with a canned `503`, a pipe
-//! by dropping the socket —, stop the listener). The same reactor code
-//! runs it for the HTTP [`crate::server::TcpServer`] and for the P2PS
-//! pipe endpoint.
+//! ([`ServerState`]) holds the state and its effect buffer under one
+//! mutex; the reactor owns it, feeds in [`DrainEvent`]s from its
+//! accepts and releases and from its handle's `shutdown`/`stop`, and
+//! executes the [`DrainEffect`]s (serve, refuse — HTTP with a canned
+//! `503`, a pipe by dropping the socket —, stop the listener). The
+//! same reactor code runs it for the HTTP [`crate::server::TcpServer`]
+//! and for the P2PS pipe endpoint.
 //!
 //! Invariants the model checker enforces (`wsp-check`):
 //!
@@ -121,53 +121,46 @@ impl Machine for DrainMachine {
         }
     }
 
-    fn step(&self, state: &DrainState, event: &DrainEvent) -> (DrainState, Vec<DrainEffect>) {
+    fn step_into(&self, state: &mut DrainState, event: &DrainEvent, out: &mut Vec<DrainEffect>) {
         use DrainEffect as E;
-        let mut next = *state;
-        let effects = match event {
+        match event {
             DrainEvent::Accept => match state.lifecycle {
                 Lifecycle::Accepting => {
                     if self.max_connections.is_some_and(|cap| state.active >= cap) {
-                        vec![E::RejectAtCapacity]
+                        out.push(E::RejectAtCapacity);
                     } else {
-                        next.active += 1;
-                        vec![E::Serve]
+                        state.active += 1;
+                        out.push(E::Serve);
                     }
                 }
-                Lifecycle::Draining => vec![E::RejectDraining],
+                Lifecycle::Draining => out.push(E::RejectDraining),
                 // The listener has stopped; a straggling accept is
                 // dropped on the floor (the socket is already closed).
-                Lifecycle::Stopped { .. } => vec![],
+                Lifecycle::Stopped { .. } => {}
             },
             DrainEvent::ConnClosed => {
                 if state.active == 0 {
-                    vec![E::SlotUnderflow]
+                    out.push(E::SlotUnderflow);
                 } else {
-                    next.active -= 1;
-                    vec![]
+                    state.active -= 1;
                 }
             }
-            DrainEvent::BeginDrain => match state.lifecycle {
-                Lifecycle::Accepting => {
-                    next.lifecycle = Lifecycle::Draining;
-                    vec![]
-                }
+            DrainEvent::BeginDrain => {
                 // Already draining or stopped: latched, no-op.
-                Lifecycle::Draining | Lifecycle::Stopped { .. } => vec![],
-            },
-            DrainEvent::Stop => match state.lifecycle {
-                Lifecycle::Accepting => {
-                    next.lifecycle = Lifecycle::Stopped { drained: false };
-                    vec![E::StopListening]
+                if state.lifecycle == Lifecycle::Accepting {
+                    state.lifecycle = Lifecycle::Draining;
                 }
-                Lifecycle::Draining => {
-                    next.lifecycle = Lifecycle::Stopped { drained: true };
-                    vec![E::StopListening]
-                }
-                Lifecycle::Stopped { .. } => vec![],
-            },
-        };
-        (next, effects)
+            }
+            DrainEvent::Stop => {
+                let drained = match state.lifecycle {
+                    Lifecycle::Accepting => false,
+                    Lifecycle::Draining => true,
+                    Lifecycle::Stopped { .. } => return,
+                };
+                state.lifecycle = Lifecycle::Stopped { drained };
+                out.push(E::StopListening);
+            }
+        }
     }
 }
 
@@ -178,7 +171,9 @@ impl Machine for DrainMachine {
 /// costs nothing observable.
 pub struct ServerState {
     machine: DrainMachine,
-    drain: parking_lot::Mutex<DrainState>,
+    /// The machine's state, and the buffer every step writes its
+    /// effects into.
+    drain: parking_lot::Mutex<(DrainState, Vec<DrainEffect>)>,
     /// Signalled by every step that leaves no connection live, so a
     /// shutdown sleeps until the count reaches zero instead of polling.
     cv: parking_lot::Condvar,
@@ -190,37 +185,43 @@ impl ServerState {
             max_connections: max_connections.map(|cap| cap as u64),
         };
         ServerState {
-            drain: parking_lot::Mutex::new(machine.initial()),
+            drain: parking_lot::Mutex::new((machine.initial(), Vec::new())),
             machine,
             cv: parking_lot::Condvar::new(),
         }
     }
 
-    pub fn step(&self, event: DrainEvent) -> Vec<DrainEffect> {
-        let mut drain = self.drain.lock();
-        let effects = wsp_simnet::step_mut(&self.machine, &mut drain, &event);
+    /// The one step point: `event` through the machine under the
+    /// lock, and the effect it emitted — the drain machine emits at
+    /// most one per event.
+    pub fn step(&self, event: DrainEvent) -> Option<DrainEffect> {
+        let mut locked = self.drain.lock();
+        let (drain, effects) = &mut *locked;
+        effects.clear();
+        self.machine.step_into(drain, &event, effects);
+        debug_assert!(effects.len() <= 1, "{event:?} emitted {effects:?}");
         if drain.active == 0 {
             self.cv.notify_all();
         }
-        effects
+        effects.first().copied()
     }
 
     /// Hard stop observed: the reactor threads exit and every live
     /// connection is released, even mid-keep-alive.
     pub fn stopped(&self) -> bool {
-        self.drain.lock().stopped()
+        self.drain.lock().0.stopped()
     }
 
     /// Graceful drain observed (latched): new connections are
     /// rejected, idle keep-alive connections close, requests already
     /// being read or handled run to completion.
     pub fn drain_began(&self) -> bool {
-        self.drain.lock().drain_began()
+        self.drain.lock().0.drain_began()
     }
 
     /// Live connections (accepted, not yet closed).
     pub fn active(&self) -> u64 {
-        self.drain.lock().active
+        self.drain.lock().0.active
     }
 
     /// Sleep on the condvar until no connection is live or `deadline`
@@ -228,7 +229,7 @@ impl ServerState {
     pub fn wait_idle(&self, deadline: Instant) -> bool {
         let mut drain = self.drain.lock();
         loop {
-            if drain.active == 0 {
+            if drain.0.active == 0 {
                 return true;
             }
             let now = Instant::now();

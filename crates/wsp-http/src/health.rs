@@ -23,10 +23,11 @@
 //! [`crate::breaker::BreakerMachine`]; this module is its runtime
 //! shell. The shell converts `Instant`s to logical ticks (nanoseconds
 //! since a per-breaker epoch), feeds events through
-//! [`wsp_simnet::Machine::step`] under one mutex, and hands the
-//! machine's verdicts and phases back. The breaker's event methods
-//! take an explicit `now: Instant`, so transitions are unit testable
-//! without sleeping; `wsp-check` exhaustively explores the machine.
+//! [`wsp_simnet::Machine::step_into`] under one mutex, into an effect
+//! buffer kept under the same mutex, and hands the machine's verdicts
+//! and phases back. The breaker's event methods take an explicit `now:
+//! Instant`, so transitions are unit testable without sleeping;
+//! `wsp-check` exhaustively explores the machine.
 
 pub use crate::breaker::{Admit as Admission, Phase as BreakerState};
 use crate::breaker::{BreakerEffect, BreakerEvent, BreakerMachine, BreakerState as MachineState};
@@ -63,7 +64,9 @@ pub struct CircuitBreaker {
     /// Wall-clock origin for logical ticks: `Instant`s are converted to
     /// nanoseconds since this epoch before entering the pure machine.
     epoch: Instant,
-    state: Mutex<MachineState>,
+    /// The machine's state, and the buffer every step writes its
+    /// effects into: one allocation for the breaker's life.
+    state: Mutex<(MachineState, Vec<BreakerEffect>)>,
 }
 
 impl CircuitBreaker {
@@ -72,7 +75,7 @@ impl CircuitBreaker {
             failure_threshold: config.failure_threshold,
             cooldown: config.cooldown.as_nanos() as u64,
         };
-        let state = Mutex::new(machine.initial());
+        let state = Mutex::new((machine.initial(), Vec::new()));
         CircuitBreaker {
             machine,
             epoch: Instant::now(),
@@ -84,44 +87,49 @@ impl CircuitBreaker {
         now.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    fn step(&self, event: BreakerEvent) -> Vec<BreakerEffect> {
-        let mut state = self.state.lock();
-        let (next, effects) = self.machine.step(&state, &event);
-        *state = next;
-        effects
+    /// The breaker's one step point: `event` through the machine under
+    /// the lock, and the effect it emitted — the breaker machine emits
+    /// at most one per event.
+    fn step(&self, event: BreakerEvent) -> Option<BreakerEffect> {
+        let mut locked = self.state.lock();
+        let (state, effects) = &mut *locked;
+        effects.clear();
+        self.machine.step_into(state, &event, effects);
+        debug_assert!(effects.len() <= 1, "{event:?} emitted {effects:?}");
+        effects.first().copied()
     }
 
     /// The state an observer at `now` sees.
     pub fn state(&self, now: Instant) -> BreakerState {
-        self.machine.phase(&self.state.lock(), self.ticks(now))
+        self.machine.phase(&self.state.lock().0, self.ticks(now))
     }
 
     /// Ask to attempt a call at `now`.
     pub fn try_acquire(&self, now: Instant) -> Admission {
-        let effects = self.step(BreakerEvent::Acquire {
-            now: self.ticks(now),
-        });
-        match effects.first() {
-            Some(BreakerEffect::Admit(admission)) => *admission,
+        let now = self.ticks(now);
+        match self.step(BreakerEvent::Acquire { now }) {
+            Some(BreakerEffect::Admit(admission)) => admission,
             _ => Admission::Rejected,
         }
     }
 
     /// Report a successful attempt. Returns `true` if this success
-    /// *closed* a tripped breaker (the half-open probe succeeded).
+    /// *closed* a tripped breaker (the half-open probe succeeded). A
+    /// success does not depend on when it happened: `_now` is unread.
     pub fn on_success(&self, _now: Instant) -> bool {
-        self.step(BreakerEvent::Success)
-            .contains(&BreakerEffect::Recovered)
+        self.succeeded()
+    }
+
+    fn succeeded(&self) -> bool {
+        self.step(BreakerEvent::Success) == Some(BreakerEffect::Recovered)
     }
 
     /// Report a failed attempt. Returns `true` if this failure tripped
     /// the breaker (closed → open, or a failed half-open probe
     /// re-opening).
     pub fn on_failure(&self, now: Instant) -> bool {
-        self.step(BreakerEvent::Failure {
-            now: self.ticks(now),
-        })
-        .contains(&BreakerEffect::Tripped)
+        let now = self.ticks(now);
+        self.step(BreakerEvent::Failure { now }) == Some(BreakerEffect::Tripped)
     }
 
     /// Report that an admitted half-open probe unwound (panicked)
@@ -129,15 +137,13 @@ impl CircuitBreaker {
     /// cooldown instead of stranding the probe slot. Returns `true` if
     /// a probe was actually discarded.
     pub fn on_probe_aborted(&self, now: Instant) -> bool {
-        self.step(BreakerEvent::ProbeAborted {
-            now: self.ticks(now),
-        })
-        .contains(&BreakerEffect::ProbeDiscarded)
+        let now = self.ticks(now);
+        self.step(BreakerEvent::ProbeAborted { now }) == Some(BreakerEffect::ProbeDiscarded)
     }
 
     /// Consecutive failures recorded while closed.
     pub fn consecutive_failures(&self) -> u32 {
-        match *self.state.lock() {
+        match self.state.lock().0 {
             MachineState::Closed { failures } => failures,
             MachineState::Tripped { .. } => 0,
         }
@@ -145,13 +151,13 @@ impl CircuitBreaker {
 
     /// Closed with no failure counted: what a newly created breaker is.
     fn is_fresh(&self) -> bool {
-        *self.state.lock() == MachineState::Closed { failures: 0 }
+        self.state.lock().0 == MachineState::Closed { failures: 0 }
     }
 
     /// Is a half-open probe currently admitted and unreported?
     pub fn probe_in_flight(&self) -> bool {
         matches!(
-            *self.state.lock(),
+            self.state.lock().0,
             MachineState::Tripped {
                 probe_in_flight: true,
                 ..
@@ -179,10 +185,10 @@ impl BreakerPermit {
     }
 
     /// The call succeeded. Returns `true` if that closed a tripped
-    /// breaker (the probe recovered it).
+    /// breaker (the probe recovered it). Reads no clock.
     pub fn succeed(mut self) -> bool {
         self.probe = false;
-        self.breaker.on_success(Instant::now())
+        self.breaker.succeeded()
     }
 
     /// The call failed against the endpoint. Returns `true` if that

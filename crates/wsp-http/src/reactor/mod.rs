@@ -580,12 +580,12 @@ impl Shared {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    match self.state.step(DrainEvent::Accept).first() {
+                    match self.state.step(DrainEvent::Accept) {
                         Some(DrainEffect::Serve) => {
                             let proto = (self.open)(&self.state);
                             self.install(stream, Some(proto), Vec::new(), &mut batch)
                         }
-                        Some(&why) => {
+                        Some(why) => {
                             self.accept_refused.incr();
                             let refusal = (self.refusal)(why);
                             if !refusal.is_empty() {
@@ -670,9 +670,10 @@ impl Shared {
         }
         drop(slot.stream);
         if slot.proto.is_some() {
-            let effects = self.state.step(DrainEvent::ConnClosed);
-            debug_assert!(
-                !effects.contains(&DrainEffect::SlotUnderflow),
+            let effect = self.state.step(DrainEvent::ConnClosed);
+            debug_assert_ne!(
+                effect,
+                Some(DrainEffect::SlotUnderflow),
                 "reactor connection closed without a held slot"
             );
         }

@@ -199,8 +199,8 @@ fn canned_close(mut response: Response) -> Vec<u8> {
 
 /// One HTTP connection: the byte-level shell around the
 /// pure [`ConnMachine`]. Readiness happenings become [`ConnEvent`]s;
-/// the returned [`ConnEffect`]s become timer/dispatch/write/close calls
-/// on the reactor [`Io`].
+/// the [`ConnEffect`]s they emit become timer/dispatch/write/close
+/// calls on the reactor [`Io`].
 struct HttpProto {
     router: Router,
     config: Arc<ServerConfig>,
@@ -208,6 +208,9 @@ struct HttpProto {
     /// has begun.
     state: Arc<ServerState>,
     conn: ConnState,
+    /// The buffer every step of `conn` writes its effects into, kept
+    /// for the connection's life.
+    effects: Vec<ConnEffect>,
     /// Incremental head-terminator scanner: each chunk is scanned
     /// once, so a dripped head is not O(n²).
     scan: HeadScan,
@@ -226,6 +229,7 @@ impl HttpProto {
             config,
             state,
             conn: ConnMachine.initial(),
+            effects: Vec::new(),
             scan: HeadScan::new(),
             body_start: None,
             expected: None,
@@ -242,10 +246,13 @@ impl HttpProto {
         }
     }
 
-    /// Feed one event through the machine and execute its effects.
+    /// The connection's one step point: feed one event through the
+    /// machine and execute its effects. The buffer is out of `self`
+    /// while they run and goes back, cleared, for the next step.
     fn step(&mut self, io: &mut Io<'_>, event: ConnEvent) {
-        let effects = wsp_simnet::step_mut(&ConnMachine, &mut self.conn, &event);
-        for effect in effects {
+        let mut effects = std::mem::take(&mut self.effects);
+        ConnMachine.step_into(&mut self.conn, &event, &mut effects);
+        for effect in effects.drain(..) {
             match effect {
                 ConnEffect::ArmTimer(kind) => {
                     if let Some(after) = self.deadline(kind) {
@@ -276,6 +283,7 @@ impl HttpProto {
                 ConnEffect::Close => io.close(),
             }
         }
+        self.effects = effects;
     }
 
     /// Drive the parse pipeline as far as the buffered bytes allow:

@@ -18,7 +18,7 @@ use crate::advert::PipeAdvertisement;
 use crate::rpc_machine::{RpcEffect, RpcEvent, RpcMachine, RpcState};
 use crate::uri::address_with;
 use std::collections::HashMap;
-use wsp_simnet::step_mut;
+use wsp_simnet::Machine;
 use wsp_soap::typed::read_envelope;
 use wsp_soap::{HeaderBlock, MessageHeaders};
 
@@ -33,6 +33,8 @@ use wsp_soap::{HeaderBlock, MessageHeaders};
 pub struct RpcCorrelator {
     machine: RpcMachine,
     state: RpcState,
+    /// The buffer every step writes its effects into.
+    effects: Vec<RpcEffect>,
     token_of_msg: HashMap<String, u64>,
     msg_of_token: HashMap<u64, String>,
     /// Open return pipes → their abstract id in the machine. Entries
@@ -48,6 +50,14 @@ impl RpcCorrelator {
         RpcCorrelator::default()
     }
 
+    /// The correlator's one step point: `event` through the machine,
+    /// and the effects it emitted, valid until the next step.
+    fn step(&mut self, event: RpcEvent) -> &[RpcEffect] {
+        self.effects.clear();
+        (self.machine).step_into(&mut self.state, &event, &mut self.effects);
+        &self.effects
+    }
+
     fn pipe_id(&mut self, pipe: &PipeAdvertisement) -> u64 {
         if let Some(&id) = self.pipe_ids.get(pipe) {
             return id;
@@ -55,7 +65,7 @@ impl RpcCorrelator {
         let id = self.next_pipe_id;
         self.next_pipe_id += 1;
         self.pipe_ids.insert(pipe.clone(), id);
-        step_mut(&self.machine, &mut self.state, &RpcEvent::OpenPipe(id));
+        self.step(RpcEvent::OpenPipe(id));
         id
     }
 
@@ -73,14 +83,16 @@ impl RpcCorrelator {
         let Some(id) = self.pipe_ids.remove(pipe) else {
             return 0;
         };
-        let effects = step_mut(&self.machine, &mut self.state, &RpcEvent::ClosePipe(id));
+        self.step(RpcEvent::ClosePipe(id));
+        let effects = std::mem::take(&mut self.effects);
         let mut abandoned = 0;
-        for effect in effects {
+        for &effect in &effects {
             if let RpcEffect::AbandonRequest(token) = effect {
                 self.purge(token);
                 abandoned += 1;
             }
         }
+        self.effects = effects;
         abandoned
     }
 
@@ -98,16 +110,12 @@ impl RpcCorrelator {
             .clone()
             .expect("requests carry MessageID");
         let pipe = self.pipe_id(reply_pipe);
-        let effects = step_mut(
-            &self.machine,
-            &mut self.state,
-            &RpcEvent::SendRequest {
-                token,
-                reply_pipe: pipe,
-            },
-        );
+        let sent = self.step(RpcEvent::SendRequest {
+            token,
+            reply_pipe: pipe,
+        });
         debug_assert!(
-            !effects.contains(&RpcEffect::RejectSendNoPipe(token)),
+            !sent.contains(&RpcEffect::RejectSendNoPipe(token)),
             "pipe_id just opened the pipe"
         );
         self.token_of_msg.insert(message_id.clone(), token);
@@ -137,13 +145,12 @@ impl RpcCorrelator {
     /// was no longer awaited — a late response for a token whose pipe
     /// already closed (or that was forgotten), or a second response.
     pub fn settle(&mut self, token: u64) -> bool {
-        let effects = step_mut(
-            &self.machine,
-            &mut self.state,
-            &RpcEvent::ResponseArrived(token),
+        let delivered = matches!(
+            self.step(RpcEvent::ResponseArrived(token)).first(),
+            Some(RpcEffect::DeliverReply { .. })
         );
         self.purge(token);
-        matches!(effects.first(), Some(RpcEffect::DeliverReply { .. }))
+        delivered
     }
 
     /// Outstanding request count (for timeout sweeps).
@@ -163,9 +170,10 @@ impl RpcCorrelator {
     /// Forget a request by its app token (timeout). Returns true if it
     /// was pending.
     pub fn forget_token(&mut self, token: u64) -> bool {
-        let effects = step_mut(&self.machine, &mut self.state, &RpcEvent::Forget(token));
+        let abandoned =
+            (self.step(RpcEvent::Forget(token))).contains(&RpcEffect::AbandonRequest(token));
         self.purge(token);
-        effects.contains(&RpcEffect::AbandonRequest(token))
+        abandoned
     }
 
     /// The pure machine state (for bisimulation tests and debugging).

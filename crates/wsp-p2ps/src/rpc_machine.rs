@@ -86,67 +86,44 @@ impl Machine for RpcMachine {
         RpcState::default()
     }
 
-    fn step(&self, state: &RpcState, event: &RpcEvent) -> (RpcState, Vec<RpcEffect>) {
-        let mut next = state.clone();
-        let effects = self.step_in_place(&mut next, event);
-        (next, effects)
-    }
-
-    fn step_in_place(&self, next: &mut RpcState, event: &RpcEvent) -> Vec<RpcEffect> {
+    fn step_into(&self, next: &mut RpcState, event: &RpcEvent, out: &mut Vec<RpcEffect>) {
         use RpcEffect as E;
         match *event {
             RpcEvent::OpenPipe(p) => {
                 next.open_pipes.insert(p);
-                vec![]
             }
             RpcEvent::ClosePipe(p) => {
                 next.open_pipes.remove(&p);
-                let abandoned: Vec<u64> = next
-                    .pending
-                    .iter()
-                    .filter(|(_, &pipe)| pipe == p)
-                    .map(|(&t, _)| t)
-                    .collect();
-                abandoned
-                    .into_iter()
-                    .map(|t| {
-                        next.pending.remove(&t);
-                        E::AbandonRequest(t)
-                    })
-                    .collect()
+                next.pending.retain(|&t, &mut pipe| {
+                    if pipe == p {
+                        out.push(E::AbandonRequest(t));
+                    }
+                    pipe != p
+                });
             }
             RpcEvent::SendRequest { token, reply_pipe } => {
                 if !next.open_pipes.contains(&reply_pipe) {
-                    vec![E::RejectSendNoPipe(token)]
+                    out.push(E::RejectSendNoPipe(token));
                 } else {
                     // Tokens are allocated process-unique; re-sending a
                     // live one is a shell bug, modeled as a no-op.
                     next.pending.entry(token).or_insert(reply_pipe);
-                    vec![]
                 }
             }
-            RpcEvent::ResponseArrived(token) => match next.pending.get(&token) {
-                Some(&pipe) if next.open_pipes.contains(&pipe) => {
-                    next.pending.remove(&token);
-                    vec![E::DeliverReply {
-                        token,
-                        reply_pipe: pipe,
-                    }]
-                }
-                Some(&pipe) => {
-                    next.pending.remove(&token);
-                    vec![E::DropClosedPipe {
-                        token,
-                        reply_pipe: pipe,
-                    }]
-                }
-                None => vec![E::DropUncorrelated(token)],
+            RpcEvent::ResponseArrived(token) => match next.pending.remove(&token) {
+                Some(pipe) if next.open_pipes.contains(&pipe) => out.push(E::DeliverReply {
+                    token,
+                    reply_pipe: pipe,
+                }),
+                Some(pipe) => out.push(E::DropClosedPipe {
+                    token,
+                    reply_pipe: pipe,
+                }),
+                None => out.push(E::DropUncorrelated(token)),
             },
             RpcEvent::Forget(token) => {
                 if next.pending.remove(&token).is_some() {
-                    vec![E::AbandonRequest(token)]
-                } else {
-                    vec![]
+                    out.push(E::AbandonRequest(token));
                 }
             }
         }

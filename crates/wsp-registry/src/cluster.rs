@@ -9,10 +9,9 @@
 //! (a node marked down drops every message addressed to it, exactly
 //! like the checker's `Crash` event prunes the net). Because the same
 //! transition runs here and under `wsp-check`'s exhaustive exploration
-//! — the pump calls `step_replica_in_place` on the states it owns, the
-//! checker the clone-then-that-call `step_replica` — the failover
-//! behaviour the checker proves is the failover behaviour the cluster
-//! executes.
+//! — the pump and the checker's machine both call `step_replica_into`
+//! — the failover behaviour the checker proves is the failover
+//! behaviour the cluster executes.
 //!
 //! A replicated write costs what its own op costs: the pump mutates the
 //! replicas in place, and each replica's log keeps only the slots behind
@@ -29,7 +28,7 @@
 
 use crate::lease::{LeaseTable, LeaseTrace};
 use crate::replication::{
-    step_replica_in_place, ReplEffect, ReplEvent, ReplMsg, ReplicaId, ReplicaMachine, ReplicaState,
+    step_replica_into, ReplEffect, ReplEvent, ReplMsg, ReplicaId, ReplicaMachine, ReplicaState,
     Status,
 };
 use crate::shard::ShardMap;
@@ -52,7 +51,7 @@ use wsp_uddi::{
 /// Permanence is asked for by sending no lease at all.
 pub const MAX_LEASE_TTL_MS: u64 = 365 * 24 * 3_600 * 1_000;
 
-/// The replicated op, generic payload of [`step_replica_in_place`].
+/// The replicated op, generic payload of [`step_replica_into`].
 /// A save carries the record itself — every key minted, the lease
 /// admitted — so a replica applying it stores it and parses nothing.
 /// The record is shared, not owned: the op is cloned into every
@@ -110,6 +109,9 @@ struct Group {
     /// How many log slots have had their group-level (once-per-op)
     /// side effects executed: lease grants/cancels.
     group_applied: u32,
+    /// The buffer every step of a member's replica writes its effects
+    /// into, lent to the pump while it runs.
+    effects: Vec<ReplEffect<ClusterOp>>,
 }
 
 /// What one member of a shard's group currently holds of the op log.
@@ -194,6 +196,7 @@ impl RegistryCluster {
                     members,
                     leases: LeaseTable::new(),
                     group_applied: 0,
+                    effects: Vec::new(),
                 })
             })
             .collect();
@@ -661,6 +664,7 @@ impl RegistryCluster {
     /// applies, acks) until the group quiesces.
     fn pump(&self, group: &mut Group, member: usize, event: ReplEvent<ClusterOp>) -> PumpOut {
         let mut out = PumpOut::default();
+        let mut effects = std::mem::take(&mut group.effects);
         let mut inbox: VecDeque<(usize, ReplEvent<ClusterOp>)> = VecDeque::new();
         inbox.push_back((member, event));
         while let Some((at, event)) = inbox.pop_front() {
@@ -668,7 +672,12 @@ impl RegistryCluster {
                 continue;
             }
             let kept_before = group.states[at].log_start;
-            let effects = step_replica_in_place(&group.machines[at], &mut group.states[at], &event);
+            step_replica_into(
+                &group.machines[at],
+                &mut group.states[at],
+                &event,
+                &mut effects,
+            );
             let dropped = group.states[at].log_start - kept_before;
             if dropped > 0 {
                 self.inner.truncated.add(dropped as u64);
@@ -678,7 +687,7 @@ impl RegistryCluster {
             let elected = effects
                 .iter()
                 .any(|e| matches!(e, ReplEffect::BecamePrimary { .. }));
-            for effect in effects {
+            for effect in effects.drain(..) {
                 match effect {
                     ReplEffect::Send { to, msg } => {
                         let to = to as usize;
@@ -710,6 +719,7 @@ impl RegistryCluster {
                 }
             }
         }
+        group.effects = effects;
         out
     }
 

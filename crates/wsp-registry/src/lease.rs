@@ -194,50 +194,44 @@ impl Machine for LeaseMachine {
         }
     }
 
-    fn step(&self, state: &LeaseState, event: &LeaseEvent) -> (LeaseState, Vec<LeaseEffect>) {
-        let mut next = *state;
-        let effects = match event {
+    fn step_into(&self, next: &mut LeaseState, event: &LeaseEvent, out: &mut Vec<LeaseEffect>) {
+        match event {
             LeaseEvent::Tick => {
                 next.clock += 1;
                 if next.status == LeaseStatus::Active && next.clock >= next.expires_at {
                     next.status = LeaseStatus::Expired;
-                    vec![LeaseEffect::Expired {
+                    out.push(LeaseEffect::Expired {
                         generation: next.generation,
-                    }]
-                } else {
-                    vec![]
+                    });
                 }
             }
             LeaseEvent::Grant => {
                 next.generation += 1;
                 next.status = LeaseStatus::Active;
                 next.expires_at = next.clock + self.ttl;
-                vec![LeaseEffect::Granted {
+                out.push(LeaseEffect::Granted {
                     generation: next.generation,
-                }]
+                });
             }
             LeaseEvent::Refresh { generation } => {
                 if next.status == LeaseStatus::Active && *generation == next.generation {
                     next.expires_at = next.clock + self.ttl;
-                    vec![LeaseEffect::Renewed {
+                    out.push(LeaseEffect::Renewed {
                         generation: next.generation,
-                    }]
+                    });
                 } else {
                     // Stale generation, or the lease already expired:
                     // a refresh never resurrects it.
-                    vec![LeaseEffect::RefreshRejected]
+                    out.push(LeaseEffect::RefreshRejected);
                 }
             }
             LeaseEvent::Cancel => {
                 if next.status == LeaseStatus::Active {
                     next.status = LeaseStatus::Idle;
-                    vec![LeaseEffect::Cancelled]
-                } else {
-                    vec![]
+                    out.push(LeaseEffect::Cancelled);
                 }
             }
-        };
-        (next, effects)
+        }
     }
 }
 

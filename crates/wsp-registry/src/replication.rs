@@ -50,9 +50,9 @@
 //! `wsp-check` explore every interleaving of a bounded configuration
 //! via [`GroupMachine`], and lets the runtime shell in [`crate::cluster`]
 //! and the E16 simulation drive the *same* transitions:
-//! [`step_replica_in_place`] is the transition function, the shell calls
-//! it on the state it owns, and [`step_replica`] — what the checker
-//! explores — is a clone followed by that very call.
+//! [`step_replica_into`] is the transition function, the shell calls it
+//! on the state it owns, and the [`Machine`] the checker explores calls
+//! it too.
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -485,37 +485,27 @@ impl Machine for ReplicaMachine {
         self.initial_state()
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &ReplicaState<u64>,
+        state: &mut ReplicaState<u64>,
         event: &ReplEvent<u64>,
-    ) -> (ReplicaState<u64>, Vec<ReplEffect<u64>>) {
-        step_replica(self, state, event)
+        out: &mut Vec<ReplEffect<u64>>,
+    ) {
+        step_replica_into(self, state, event, out)
     }
-}
-
-/// The transition function in the `Machine` shape `wsp-check` explores:
-/// a copy of `state`, stepped by [`step_replica_in_place`].
-pub fn step_replica<Op: Clone + Eq + Hash + Debug>(
-    m: &ReplicaMachine,
-    state: &ReplicaState<Op>,
-    event: &ReplEvent<Op>,
-) -> (ReplicaState<Op>, Vec<ReplEffect<Op>>) {
-    let mut next = state.clone();
-    let effects = step_replica_in_place(m, &mut next, event);
-    (next, effects)
 }
 
 /// The transition function itself, generic over the op payload so the
 /// checker (compact `u64` ops) and the runtime shell (real registry
-/// ops) drive identical logic. Mutates `state`: a step costs what its
-/// event touches, not what the replica holds.
-pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
+/// ops) drive identical logic. Mutates `state` and appends to `effects`
+/// (never reading it): a step costs what its event touches, not what
+/// the replica holds.
+pub fn step_replica_into<Op: Clone + Eq + Hash + Debug>(
     m: &ReplicaMachine,
     state: &mut ReplicaState<Op>,
     event: &ReplEvent<Op>,
-) -> Vec<ReplEffect<Op>> {
-    let mut effects = Vec::new();
+    effects: &mut Vec<ReplEffect<Op>>,
+) {
     match event {
         ReplEvent::Client(op) => {
             if m.is_primary(state, state.view) {
@@ -524,10 +514,10 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
                 if m.n == 1 {
                     // Degenerate single-node group: commit immediately
                     // (and, being the whole group, keep nothing).
-                    m.advance_commits(state, &mut effects);
+                    m.advance_commits(state, effects);
                 } else {
                     m.broadcast(
-                        &mut effects,
+                        effects,
                         &ReplMsg::Prepare {
                             view: state.view,
                             op_num,
@@ -548,7 +538,7 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
             // Can't suspect ourselves while we are the Normal primary.
             if !m.is_primary(state, state.view) {
                 let view = state.view + 1;
-                m.enter_view_change(state, view, None, &mut effects);
+                m.enter_view_change(state, view, None, effects);
             }
         }
         ReplEvent::Recv { from, msg } => match msg {
@@ -592,7 +582,7 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
                             },
                         });
                     }
-                    ReplicaMachine::apply_up_to(state, *commit_num, &mut effects);
+                    ReplicaMachine::apply_up_to(state, *commit_num, effects);
                     state.discard_through((*stable).min(state.commit_num));
                 }
             }
@@ -600,7 +590,7 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
                 if m.is_primary(state, *view) {
                     let mark = &mut state.acked[*from as usize];
                     *mark = (*mark).max(*op_num);
-                    let announced = m.advance_commits(state, &mut effects);
+                    let announced = m.advance_commits(state, effects);
                     if !announced && *op_num <= state.commit_num {
                         // Stale ack for an already-committed slot: the
                         // backup's Prepare outran the Commit broadcast
@@ -623,13 +613,13 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
                 stable,
             } => {
                 if state.status == Status::Normal && *view == state.view {
-                    ReplicaMachine::apply_up_to(state, *commit_num, &mut effects);
+                    ReplicaMachine::apply_up_to(state, *commit_num, effects);
                     state.discard_through((*stable).min(state.commit_num));
                 }
             }
             ReplMsg::StartViewChange { view, from } => {
                 if *view > state.view {
-                    m.enter_view_change(state, *view, Some(*from), &mut effects);
+                    m.enter_view_change(state, *view, Some(*from), effects);
                 } else if *view == state.view && state.status == Status::ViewChange {
                     let before = state.svc_votes.len();
                     if !state.svc_votes.contains(from) {
@@ -637,7 +627,7 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
                         state.svc_votes.sort_unstable();
                     }
                     if before < m.quorum() {
-                        m.maybe_do_view_change(state, &mut effects);
+                        m.maybe_do_view_change(state, effects);
                     }
                 }
             }
@@ -646,11 +636,11 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
                     if *view > state.view {
                         // Others are ahead of us: join the view change
                         // we are supposed to lead.
-                        m.enter_view_change(state, *view, None, &mut effects);
+                        m.enter_view_change(state, *view, None, effects);
                     }
                     if *view == state.view && state.status == Status::ViewChange {
                         ReplicaMachine::record_dvc(state, offer.clone());
-                        m.maybe_start_view(state, &mut effects);
+                        m.maybe_start_view(state, effects);
                     }
                 }
             }
@@ -686,7 +676,7 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
                     state.svc_votes.clear();
                     state.dvc.clear();
                     effects.push(ReplEffect::AdoptedView { view: *view });
-                    ReplicaMachine::apply_up_to(state, *commit_num, &mut effects);
+                    ReplicaMachine::apply_up_to(state, *commit_num, effects);
                     // Per VR: acknowledge what the adopted log holds
                     // beyond the commit point (one cumulative ack). The
                     // new primary reset its marks when the view started,
@@ -724,7 +714,6 @@ pub fn step_replica_in_place<Op: Clone + Eq + Hash + Debug>(
             }
         },
     }
-    effects
 }
 
 // ---------------------------------------------------------------------------
@@ -821,16 +810,17 @@ where
         event: &ReplEvent<u64>,
         out: &mut Vec<GroupEffect>,
     ) {
-        let (next, effects) =
-            self.members[replica as usize].step(&state.replicas[replica as usize], event);
+        let member = &mut state.replicas[replica as usize];
+        let commit_before = member.commit_num;
+        let mut effects = Vec::new();
+        self.members[replica as usize].step_into(member, event, &mut effects);
         let applied = effects
             .iter()
             .filter(|e| matches!(e, ReplEffect::Apply { .. }))
             .count() as u32;
-        if next.commit_num > state.replicas[replica as usize].commit_num + applied {
+        if member.commit_num > commit_before + applied {
             out.push(GroupEffect::ApplySkipped { replica });
         }
-        state.replicas[replica as usize] = next;
         for effect in effects {
             match &effect {
                 // Messages to crashed members are pruned eagerly: they
@@ -921,19 +911,18 @@ where
         }
     }
 
-    fn step(
+    fn step_into(
         &self,
-        group: &GroupState<u64>,
+        next: &mut GroupState<u64>,
         event: &GroupEvent,
-    ) -> (GroupState<u64>, Vec<GroupEffect>) {
-        let mut next = group.clone();
-        let mut out = Vec::new();
+        out: &mut Vec<GroupEffect>,
+    ) {
         match event {
             GroupEvent::Submit { to } => {
                 if !next.crashed[*to as usize] && (next.ops_submitted as usize) < self.ops.len() {
                     let op = self.ops[next.ops_submitted as usize];
                     next.ops_submitted += 1;
-                    self.dispatch(&mut next, *to, &ReplEvent::Client(op), &mut out);
+                    self.dispatch(next, *to, &ReplEvent::Client(op), out);
                 }
             }
             GroupEvent::Deliver { index } => {
@@ -941,12 +930,7 @@ where
                 if index < next.net.len() {
                     let (dst, src, msg) = next.net.remove(index);
                     if !next.crashed[dst as usize] {
-                        self.dispatch(
-                            &mut next,
-                            dst,
-                            &ReplEvent::Recv { from: src, msg },
-                            &mut out,
-                        );
+                        self.dispatch(next, dst, &ReplEvent::Recv { from: src, msg }, out);
                     }
                 }
             }
@@ -959,13 +943,12 @@ where
             }
             GroupEvent::Timeout { replica } => {
                 if !next.crashed[*replica as usize] {
-                    self.dispatch(&mut next, *replica, &ReplEvent::PrimaryTimeout, &mut out);
+                    self.dispatch(next, *replica, &ReplEvent::PrimaryTimeout, out);
                 }
             }
         }
         next.net
             .sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        (next, out)
     }
 }
 
@@ -989,21 +972,24 @@ impl Machine for SkipLogCatchup {
         self.0.initial()
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &ReplicaState<u64>,
+        next: &mut ReplicaState<u64>,
         event: &ReplEvent<u64>,
-    ) -> (ReplicaState<u64>, Vec<ReplEffect<u64>>) {
-        let (mut next, mut effects) = self.0.step(state, event);
+        out: &mut Vec<ReplEffect<u64>>,
+    ) {
+        let prior = next.clone();
+        let mut effects = Vec::new();
+        self.0.step_into(next, event, &mut effects);
         let won = effects
             .iter()
             .any(|e| matches!(e, ReplEffect::BecamePrimary { .. }));
         if won {
             // Pretend our own log was the best offer: drop the adopted
             // log and re-announce the view with ours.
-            next.log_start = state.log_start;
-            next.log = state.log.clone();
-            next.commit_num = state.commit_num;
+            next.log_start = prior.log_start;
+            next.log = prior.log;
+            next.commit_num = prior.commit_num;
             for effect in &mut effects {
                 if let ReplEffect::Send {
                     msg:
@@ -1024,7 +1010,7 @@ impl Machine for SkipLogCatchup {
             // The catch-up Applies never happen either.
             effects.retain(|e| !matches!(e, ReplEffect::Apply { .. }));
         }
-        (next, effects)
+        out.extend(effects);
     }
 }
 
@@ -1045,14 +1031,14 @@ impl Machine for TruncateToOwnCommit {
         self.0.initial()
     }
 
-    fn step(
+    fn step_into(
         &self,
-        state: &ReplicaState<u64>,
+        state: &mut ReplicaState<u64>,
         event: &ReplEvent<u64>,
-    ) -> (ReplicaState<u64>, Vec<ReplEffect<u64>>) {
-        let (mut next, effects) = self.0.step(state, event);
-        next.discard_through(next.commit_num);
-        (next, effects)
+        out: &mut Vec<ReplEffect<u64>>,
+    ) {
+        self.0.step_into(state, event, out);
+        state.discard_through(state.commit_num);
     }
 }
 

@@ -4,12 +4,14 @@
 //! control, dispatcher correlation, HTTP drain lifecycle, P2PS
 //! reply-pipe routing — is expressed as an implementation of
 //! [`Machine`]: a *pure* transition function
-//! `step(&state, &event) -> (state, effects)` with **no wall-clock, no
-//! locks, no I/O**. The runtime code that used to own these state
-//! machines is now a thin shell: it converts real-world happenings
-//! (a socket accept, a permit drop, an `Instant` comparison) into
-//! events, feeds them through `step`, and executes the returned
-//! effects (store a value, wake a condvar, write a 503).
+//! `step_into(&mut state, &event, &mut effects)` with **no wall-clock, no
+//! locks, no I/O**, which advances the state in place and appends the
+//! effects to a buffer its caller owns. The runtime code that used to
+//! own these state machines is now a thin shell: it converts
+//! real-world happenings (a socket accept, a permit drop, an `Instant`
+//! comparison) into events, feeds them through its one step point into
+//! the one buffer it reuses, and executes the effects (store a value,
+//! wake a condvar, write a 503).
 //!
 //! Because transitions are pure and states are `Eq + Hash`, small
 //! configurations can be *exhaustively explored* — the `wsp-check`
@@ -28,9 +30,9 @@ use std::hash::Hash;
 ///
 /// The machine value itself holds only *configuration* (thresholds,
 /// caps, cooldowns); all mutable protocol state lives in
-/// `Self::State`. `step` must be a pure function of `(config, state,
-/// event)`: same inputs, same `(state, effects)` out — no clocks, no
-/// randomness, no interior mutability.
+/// `Self::State`. `step_into` must be a pure function of `(config,
+/// state, event)`: same inputs, same successor state and same effects
+/// appended — no clocks, no randomness, no interior mutability.
 pub trait Machine {
     /// The protocol state. `Eq + Hash` so explorers can deduplicate
     /// visited states; `Clone` so shells can snapshot for comparison.
@@ -44,26 +46,27 @@ pub trait Machine {
     /// The state a freshly constructed instance starts in.
     fn initial(&self) -> Self::State;
 
-    /// The transition function: consume one event in `state`, produce
-    /// the successor state and the effects the shell must carry out.
-    fn step(&self, state: &Self::State, event: &Self::Event) -> (Self::State, Vec<Self::Effect>);
+    /// The transition function: consume one event, advancing `state`
+    /// in place, and append the effects the shell must carry out to
+    /// `out`. It never reads `out`, so a shell can hand it the same
+    /// buffer on every step and a step costs what its event touches.
+    fn step_into(&self, state: &mut Self::State, event: &Self::Event, out: &mut Vec<Self::Effect>);
 
-    /// The same transition applied to a state its caller owns. A
-    /// machine whose state is a collection (a map of live calls)
-    /// implements this one, so that a step costs what its event touches
-    /// and not a copy of everything held, and writes `step` as a clone
-    /// stepped in place — explorers and shells then run one function.
-    fn step_in_place(&self, state: &mut Self::State, event: &Self::Event) -> Vec<Self::Effect> {
-        let (next, effects) = self.step(state, event);
-        *state = next;
-        effects
+    /// The same transition as a pure function of a borrowed state: the
+    /// successor and the effects, fresh. What explorers walk.
+    fn step(&self, state: &Self::State, event: &Self::Event) -> (Self::State, Vec<Self::Effect>) {
+        let (mut next, mut out) = (state.clone(), Vec::new());
+        self.step_into(&mut next, event, &mut out);
+        (next, out)
     }
 }
 
-/// Convenience for shells that own a current state: step in place and
-/// return just the effects.
+/// Step in place and return just the effects, in a fresh vector: a
+/// convenience for tests and simulations, never for a shell.
 pub fn step_mut<M: Machine>(machine: &M, state: &mut M::State, event: &M::Event) -> Vec<M::Effect> {
-    machine.step_in_place(state, event)
+    let mut out = Vec::new();
+    machine.step_into(state, event, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -82,9 +85,17 @@ mod tests {
             false
         }
 
-        fn step(&self, state: &bool, _event: &()) -> (bool, Vec<bool>) {
-            (!*state, vec![!*state])
+        fn step_into(&self, state: &mut bool, _event: &(), out: &mut Vec<bool>) {
+            *state = !*state;
+            out.push(*state);
         }
+    }
+
+    #[test]
+    fn step_returns_the_successor_and_leaves_the_state_alone() {
+        let state = false;
+        assert_eq!(Toggle.step(&state, &()), (true, vec![true]));
+        assert!(!state);
     }
 
     #[test]

@@ -129,11 +129,12 @@ cargo test -q --release -p wsp-integration-tests --test reader_oracle --test voc
 # rule named for its shape). Tier-1 ran this with overflow checks on
 # (the readers slice the input by offsets they computed); run it again
 # without, as it ships. The allocation guard below carries the budgets
-# of a whole invoke (100 over HTTP, 16 of them the server's, 108 over
+# of a whole invoke (89 over HTTP, 14 of them the server's, 98 over
 # P2PS; a 16 KiB echo copies its payload 3 times), of the registry
-# plane (an exact-name locate: 11 in process, 70 over HTTP; a republish
-# through three replicas: 51; a binding's locate of an interface it
-# holds, over HTTP: 94) and of a gateway response-cache hit (1).
+# plane (an exact-name locate: 10 in process, 65 over HTTP; a republish
+# through three replicas: 43; a binding's locate of an interface it
+# holds, over HTTP: 87), of a gateway response-cache hit (1) and of a
+# warm machine step in its shell (0: breaker, keyed admission, drain).
 echo "==> typed codec: one reader per vocabulary, held to its oracle (release)"
 cargo test -q --release -p wsp-integration-tests --test typed_codec
 cargo test -q --release -p wsp-soap --test prop_envelope
@@ -240,12 +241,14 @@ done'
 # dispatcher's unit tests (helping waits, the push that wakes a
 # helping waiter, backpressure, flush, drain-on-drop), the idle-workers
 # target (idle workers, a timed wait, a timed flush: context switches
-# counted) and the sync/async parity suite.
-echo "==> dispatcher stress (dispatch + idle_workers + dispatch_core, 20x, release)"
+# counted) and the sync/async parity suite. Every shell's lock guards
+# the effect buffer its steps reuse as well as the machine's state, so
+# the shells' bisimulation against their machines rides along.
+echo "==> dispatcher stress (dispatch + idle_workers + dispatch_core + machine_bisim, 20x, release)"
 timeout 900 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-core --lib dispatch || exit 1
   cargo test -q --release -p wsp-core --test idle_workers || exit 1
-  cargo test -q --release -p wsp-integration-tests --test dispatch_core || exit 1
+  cargo test -q --release -p wsp-integration-tests --test dispatch_core --test machine_bisim || exit 1
 done'
 
 # Locate from the record: a consumer that has verified an interface

@@ -435,10 +435,11 @@ fn warm_exact_name_locate_allocates_for_the_record_it_returns() {
         locate();
     }
     let worst = (0..20).map(|_| locate()).max().unwrap_or(0);
-    // Measured 10, in release and in debug alike; the ceiling is that
+    // Measured 9, in release and in debug alike (10 while the breaker's
+    // admit allocated its effect); the ceiling fell with it, from 10
     // plus 10 %.
     assert!(
-        worst <= 11,
+        worst <= 10,
         "warm exact-name locate allocated {worst} times"
     );
 }
@@ -466,17 +467,19 @@ fn warm_exact_name_locate_over_http_stays_within_its_budget() {
         .collect();
     let client = ShardedUddiClient::connect(transports).expect("bootstrap over HTTP");
     let query = ServiceQuery::by_name("svc-0500");
-    let least = least_process_allocations(70, || {
+    let least = least_process_allocations(65, || {
         assert_eq!(client.locate(&query).expect("locate").len(), 1);
     });
     for server in &servers {
         server.shutdown();
     }
-    // Measured 64 (71 before the readers kept their stacks per thread,
-    // 116 when each side built, wrote, re-parsed and dropped two
-    // trees); the ceiling is that plus 10 %.
+    // Measured 59: 64 while the client's breaker admit and the node's
+    // four connection steps each allocated their effects, 71 before the
+    // readers kept their stacks per thread, 116 when each side built,
+    // wrote, re-parsed and dropped two trees. The ceiling fell by the
+    // 5 with the measurement, from 64 plus 10 %.
     assert!(
-        least <= 70,
+        least <= 65,
         "a warm exact-name locate over HTTP allocated {least} times"
     );
 }
@@ -504,16 +507,19 @@ fn warm_republish_through_three_replicas_stays_within_its_budget() {
         republish();
     }
     let worst = (0..20).map(|_| republish()).max().unwrap_or(0);
-    // Measured 47 (178 when the op carried the record's XML); the
-    // ceiling is that plus 10 %.
-    assert!(worst <= 51, "a warm republish allocated {worst} times");
+    // Measured 38: 46 while every replica step returned a fresh effect
+    // vector and the breaker's admit allocated its verdict, 178 when
+    // the op carried the record's XML. The ceiling fell by the 8 with
+    // the measurement, from 47 plus 10 %.
+    assert!(worst <= 43, "a warm republish allocated {worst} times");
 }
 
 /// The least number of allocations the whole process made around one
 /// warm call of `op`. Sibling tests allocate on their own threads
 /// meanwhile; that only adds, so the least sample is the operation's
-/// own count — sampled until one is within `ceiling`, or for as long as
-/// the siblings could possibly take.
+/// own count — the least of twenty samples, and of more while that
+/// least is above `ceiling`, for as long as the siblings could possibly
+/// take.
 fn least_process_allocations(ceiling: u64, mut op: impl FnMut()) -> u64 {
     (0..50).for_each(|_| op());
     let mut sample = || {
@@ -522,11 +528,58 @@ fn least_process_allocations(ceiling: u64, mut op: impl FnMut()) -> u64 {
         alloc_count::process_allocations() - before
     };
     let patience = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let mut least = sample();
+    let mut least = (0..20).map(|_| sample()).min().unwrap_or(0);
     while least > ceiling && std::time::Instant::now() < patience {
         least = least.min(sample());
     }
     least
+}
+
+/// Every shell steps its machine into an effect buffer it keeps beside
+/// the state, so a warm step allocates nothing: a breaker admit and its
+/// report, a keyed admission and its release, a drain accept and its
+/// close, each the least of twenty samples on this thread. Each
+/// allocated its effect vector (and keyed admission a copy of its
+/// in-flight vector too) while steps returned fresh vectors.
+#[test]
+fn warm_shell_steps_allocate_nothing() {
+    use std::time::Instant;
+    use wsp_core::overload::{KeyedAdmissionController, KeyedLoadShedPolicy, ANONYMOUS_TENANT};
+    use wsp_http::drain::{DrainEvent, ServerState};
+    use wsp_http::health::{BreakerConfig, EndpointHealth};
+    fn least(mut op: impl FnMut()) -> u64 {
+        (0..50).for_each(|_| op());
+        let mut sample = || {
+            let before = alloc_count::allocations();
+            op();
+            alloc_count::allocations() - before
+        };
+        (0..20).map(|_| sample()).min().unwrap_or(0)
+    }
+    let health = EndpointHealth::new(BreakerConfig::default());
+    let breaker = least(|| {
+        let permit = health.admit("http://10.0.0.7:8080/Echo", Instant::now());
+        assert!(!permit.expect("a closed breaker admits").succeed());
+    });
+    let admission = KeyedAdmissionController::new(KeyedLoadShedPolicy::bounded(4, 4));
+    let keyed = least(|| {
+        drop(
+            admission
+                .try_admit(ANONYMOUS_TENANT, None)
+                .expect("admitted"),
+        );
+    });
+    let server = ServerState::new(None);
+    let drain = least(|| {
+        server.step(DrainEvent::Accept);
+        assert_eq!(server.active(), 1, "served");
+        server.step(DrainEvent::ConnClosed);
+    });
+    assert_eq!(
+        (breaker, keyed, drain),
+        (0, 0, 0),
+        "warm (breaker admit + report, keyed admit + release, drain accept + close) allocated"
+    );
 }
 
 /// A warm exact-name `Client::locate` of a service whose interface the
@@ -552,7 +605,7 @@ fn warm_locate_of_a_known_interface_is_one_registry_exchange() {
     let locate = || assert_eq!(consumer.client().locate(&query).expect("locate").len(), 1);
     locate();
     let fetches = consumer_binding.pool_stats();
-    let least = least_process_allocations(94, locate);
+    let least = least_process_allocations(87, locate);
     assert_eq!(
         consumer_binding.pool_stats(),
         fetches,
@@ -560,11 +613,14 @@ fn warm_locate_of_a_known_interface_is_one_registry_exchange() {
     );
     provider.server().undeploy("Echo");
     registry.shutdown();
-    // Measured 86 (93 before the readers kept their stacks per thread,
-    // 196 when each locate fetched and parsed the WSDL); the ceiling is
-    // that plus 10 %.
+    // Measured 79: 86 while machine steps allocated their effects (the
+    // client's breaker admit, the registry's four connection steps and
+    // its keyed admit and release), 93 before the readers kept their
+    // stacks per thread, 196 when each locate fetched and parsed the
+    // WSDL. The ceiling fell by the 7 with the measurement, from 86
+    // plus 10 %.
     assert!(
-        least <= 94,
+        least <= 87,
         "a warm locate of a known interface allocated {least} times"
     );
 }
@@ -582,9 +638,13 @@ fn echo_handler() -> std::sync::Arc<dyn wsp_wsdl::ServiceHandler> {
 /// and consumer in this process, every thread counted — the caller
 /// (dispatch, resilience, the request written to bytes, the response
 /// read from them), the connection pool, the reactor thread, the
-/// hosting pipeline. 76 measured (82 before the readers kept their
-/// stacks per thread), 192 when each side built, wrote, re-parsed and
-/// dropped two envelopes; the ceiling is ROADMAP's.
+/// hosting pipeline. 65 measured; 76 while every machine step returned
+/// a fresh effect vector — 11 of them: the breaker's admit, the
+/// correlation table's Complete and Take, keyed admission's admit and
+/// release (each also copying the in-flight vector) and four steps of
+/// the server connection —, 82 before the readers kept their stacks
+/// per thread, 192 when each side built, wrote, re-parsed and dropped
+/// two envelopes. The ceiling is ROADMAP's 100 less those 11.
 #[test]
 fn warm_http_invoke_stays_within_one_hundred_allocations() {
     use wsp_core::bindings::HttpUddiBinding;
@@ -606,20 +666,23 @@ fn warm_http_invoke_stays_within_one_hundred_allocations() {
         .locate_one(&ServiceQuery::by_name("Echo"))
         .expect("locate");
     let argument = [Value::string(SMALL_ARGUMENT)];
-    let least = least_process_allocations(100, || {
+    let least = least_process_allocations(89, || {
         let reply = consumer.client().invoke(&service, "echoString", &argument);
         assert_eq!(reply.ok().as_ref(), Some(&argument[0]));
     });
-    assert!(least <= 100, "a warm HTTP invoke allocated {least} times");
+    assert!(least <= 89, "a warm HTTP invoke allocated {least} times");
     provider.server().undeploy("Echo");
 }
 
 /// The server's share of that invoke: `Hosting::serve` from the echo
 /// request's XML to the response's bytes, on this thread — the reader's
 /// three buffers, the addressing it keeps, the argument, the handler's
-/// clone of it, the response's headers: 11 measured (14 before the
-/// reader kept its stacks per thread), 76 when the request was parsed
-/// into an envelope, processed into another and that one serialised.
+/// clone of it, the response's headers: 9 measured; 11 while the
+/// admission permit's release, which runs inside the counted window,
+/// copied the in-flight vector and returned a fresh effect vector, 14
+/// before the reader kept its stacks per thread, 76 when the request
+/// was parsed into an envelope, processed into another and that one
+/// serialised. The ceiling fell by those 2, from 16.
 #[test]
 fn warm_serve_of_the_echo_request_allocates_sixteen_times_at_most() {
     use wsp_core::bindings::HttpUddiBinding;
@@ -653,7 +716,7 @@ fn warm_serve_of_the_echo_request_allocates_sixteen_times_at_most() {
         serve();
     });
     let worst = (0..20).map(|_| serve()).max().unwrap_or(0);
-    assert!(worst <= 16, "a warm serve allocated {worst} times");
+    assert!(worst <= 14, "a warm serve allocated {worst} times");
     provider.server().undeploy("Echo");
 }
 
@@ -661,9 +724,14 @@ fn warm_serve_of_the_echo_request_allocates_sixteen_times_at_most() {
 /// then the caller again — two `PipeData` frames, each envelope read
 /// once (the request by the provider, the response by the thread that
 /// delivers it, with the reader its call registered), the return pipe
-/// opened and closed around it. 74 measured (88 before the readers kept
-/// their stacks per thread); 113 when the consumer read each response
-/// twice, 300 when every pass went through an envelope.
+/// opened and closed around it. 63 measured; 73 while every machine
+/// step returned a fresh effect vector — 10 of them: the breaker's
+/// admit, keyed admission's admit and release (each also copying the
+/// in-flight vector), Complete and Take for both the caller's call and
+/// the pipe call it waits on, and the RPC machine's delivery —, 88
+/// before the readers kept their stacks per thread, 113 when the
+/// consumer read each response twice, 300 when every pass went through
+/// an envelope. The ceiling fell by those 10, from 108.
 #[test]
 fn warm_p2ps_invoke_stays_within_one_hundred_and_eight_allocations() {
     use wsp_core::bindings::{P2psBinding, P2psConfig};
@@ -694,10 +762,10 @@ fn warm_p2ps_invoke_stays_within_one_hundred_and_eight_allocations() {
         .find_map(|_| consumer.client().locate_one(&query).ok())
         .expect("located within a hundred discovery windows");
     let argument = [Value::string(SMALL_ARGUMENT)];
-    let least = least_process_allocations(108, || {
+    let least = least_process_allocations(98, || {
         let reply = consumer.client().invoke(&service, "echoString", &argument);
         assert_eq!(reply.ok().as_ref(), Some(&argument[0]));
     });
-    assert!(least <= 108, "a warm P2PS invoke allocated {least} times");
+    assert!(least <= 98, "a warm P2PS invoke allocated {least} times");
     provider.server().undeploy("Echo");
 }
