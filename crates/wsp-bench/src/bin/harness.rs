@@ -478,6 +478,41 @@ fn main() {
             &rows,
         )
     );
+    let rows: Vec<Vec<String>> = e12::text_kernels(passes)
+        .iter()
+        .map(|r| {
+            vec![
+                r.input.to_string(),
+                r.bytes.to_string(),
+                format!("{:.0}", r.escape_blocks_ns),
+                format!("{:.0}", r.escape_windows_ns),
+                format!("{:.2}", r.escape_windows_ns / r.escape_blocks_ns),
+                format!("{:.0}", r.expand_blocks_ns),
+                format!("{:.0}", r.expand_windows_ns),
+                format!("{:.2}", r.expand_windows_ns / r.expand_blocks_ns),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &format!(
+                "E12 text kernels, 16-byte blocks vs 64-byte windows, ns per call \
+                 (least of {passes} batches of 50)"
+            ),
+            &[
+                "input",
+                "bytes",
+                "esc blocks",
+                "esc windows",
+                "ratio",
+                "exp blocks",
+                "exp windows",
+                "ratio",
+            ],
+            &rows,
+        )
+    );
     let calls = if quick { 20 } else { 100 };
     let rows: Vec<Vec<String>> = e12::invoke_rows(calls)
         .iter()

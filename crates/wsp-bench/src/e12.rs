@@ -421,6 +421,44 @@ pub struct E12Step {
     pub counted: bool,
 }
 
+/// The echo `bench/`'s `p2ps_invoke` sends: a 64-byte argument to the
+/// provider's `Echo` pipe, with a `ReplyTo` pipe.
+struct P2psEcho {
+    descriptor: wsp_wsdl::ServiceDescriptor,
+    target: wsp_p2ps::PipeAdvertisement,
+    headers: wsp_soap::MessageHeaders,
+    args: [wsp_wsdl::Value; 1],
+}
+
+impl P2psEcho {
+    fn new() -> P2psEcho {
+        use wsp_p2ps::{PeerId, PipeAdvertisement};
+        let target = PipeAdvertisement::new(PeerId(0xBE01), Some("Echo".into()), "echoString");
+        let reply = PipeAdvertisement::new(PeerId(0xBE02), None, "return-1");
+        P2psEcho {
+            descriptor: wsp_wsdl::ServiceDescriptor::echo(),
+            headers: wsp_p2ps::with_reply_pipe(wsp_p2ps::request_headers(&target), &reply),
+            target,
+            args: [wsp_wsdl::Value::string(
+                "op-0000000000000001:abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGH",
+            )],
+        }
+    }
+
+    fn write_request(&self, out: &mut Vec<u8>) {
+        let (descriptor, headers) = (&self.descriptor, &self.headers);
+        wsp_wsdl::proxy::write_request(descriptor, &[], headers, "echoString", &self.args, out)
+            .expect("the echo request is well typed");
+    }
+
+    /// The request envelope, as a `PipeData` frame carries it.
+    fn request(&self) -> String {
+        let mut out = Vec::new();
+        self.write_request(&mut out);
+        String::from_utf8(out).expect("UTF-8")
+    }
+}
+
 /// [`P2PS_STEPS`] on the echo `bench/`'s `p2ps_invoke` sends (64-byte
 /// argument, `ReplyTo` pipe, the provider's response readdressed to
 /// it), each step in `passes` batches of 50 calls. The steps take
@@ -428,27 +466,21 @@ pub struct E12Step {
 /// as [`latency`] interleaves its two modes), so all six sample the
 /// same allocator and scheduler conditions.
 pub fn p2ps_codec_steps(passes: usize) -> Vec<E12Step> {
-    use wsp_p2ps::{P2psMessage, PeerId, PipeAdvertisement};
-    use wsp_wsdl::{proxy, MessageEngine, ServiceDescriptor, ServiceHandler, Value};
+    use wsp_p2ps::P2psMessage;
+    use wsp_wsdl::{proxy, MessageEngine, ServiceHandler, Value};
     const BATCH: usize = 50;
-    let descriptor = ServiceDescriptor::echo();
+    let echo = P2psEcho::new();
+    let P2psEcho {
+        descriptor,
+        target,
+        args,
+        ..
+    } = &echo;
     let handler: std::sync::Arc<dyn ServiceHandler> =
         std::sync::Arc::new(|_: &str, args: &[Value]| Ok(args[0].clone()));
     let engine = MessageEngine::new(descriptor.clone(), handler);
-    let args = [Value::string(
-        "op-0000000000000001:abcdefghijklmnopqrstuvwxyz0123456789ABCDEFGH",
-    )];
-    let target = PipeAdvertisement::new(PeerId(0xBE01), Some("Echo".into()), "echoString");
-    let reply = PipeAdvertisement::new(PeerId(0xBE02), None, "return-1");
-    let headers = wsp_p2ps::with_reply_pipe(wsp_p2ps::request_headers(&target), &reply);
     // Each step's input is the output of the one before it.
-    let mut request = Vec::new();
-    let write_request = |out: &mut Vec<u8>| {
-        proxy::write_request(&descriptor, &[], &headers, "echoString", &args, out)
-            .expect("the echo request is well typed");
-    };
-    write_request(&mut request);
-    let request = String::from_utf8(request).expect("UTF-8");
+    let request = echo.request();
     let frame = P2psMessage::PipeData {
         to: target.clone(),
         payload: request.clone(),
@@ -463,7 +495,7 @@ pub fn p2ps_codec_steps(passes: usize) -> Vec<E12Step> {
     engine.write_response(&typed, &outcome, Some(&readdress), &mut response);
     let response = String::from_utf8(response).expect("UTF-8");
     assert_eq!(
-        proxy::read_response(&descriptor, "echoString", &response).as_ref(),
+        proxy::read_response(descriptor, "echoString", &response).as_ref(),
         Ok(&args[0])
     );
 
@@ -471,7 +503,7 @@ pub fn p2ps_codec_steps(passes: usize) -> Vec<E12Step> {
     let step = |at: usize| match at {
         0 => {
             let mut out = pool.take();
-            write_request(&mut out);
+            echo.write_request(&mut out);
             pool.put(black_box(out));
         }
         1 => {
@@ -489,7 +521,7 @@ pub fn p2ps_codec_steps(passes: usize) -> Vec<E12Step> {
             pool.put(black_box(out));
         }
         _ => drop(black_box(proxy::read_response(
-            &descriptor,
+            descriptor,
             "echoString",
             black_box(&response),
         ))),
@@ -520,6 +552,116 @@ pub fn p2ps_codec_steps(passes: usize) -> Vec<E12Step> {
             ns_per_call: least[at],
             allocs_per_call: allocs[at],
             counted,
+        })
+        .collect()
+}
+
+/// One input of E12's text-kernel table: ns per call of each kernel,
+/// the pre-window one ([`crate::e12_blocks`]) and `wsp_xml::escape`'s.
+#[derive(Debug, Clone)]
+pub struct E12Kernel {
+    pub input: &'static str,
+    /// The raw text's length; the expanders read its escaped form.
+    pub bytes: usize,
+    pub escape_blocks_ns: f64,
+    pub escape_windows_ns: f64,
+    pub expand_blocks_ns: f64,
+    pub expand_windows_ns: f64,
+}
+
+/// `len` bytes of text in the shape of `bench/`'s `invoke_large`
+/// payload: letters and digits, and `per_mille` of the bytes drawn
+/// from `<>&"'`, from a seeded generator.
+pub fn payload_text(len: usize, per_mille: u64, seed: u64) -> String {
+    const PLAIN: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+    const SPECIAL: &[u8] = b"<>&\"'";
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let r = z ^ (z >> 31);
+            let byte = match (r >> 40) % 1000 < per_mille {
+                true => SPECIAL[(r % SPECIAL.len() as u64) as usize],
+                false => PLAIN[(r % PLAIN.len() as u64) as usize],
+            };
+            char::from(byte)
+        })
+        .collect()
+}
+
+/// The texts E12's kernel table escapes: the 16 KiB payload with ~3 %
+/// specials, the same length clean, clean but for one `&`, and the
+/// P2PS echo's request envelope, as a `PipeData` frame escapes it.
+pub fn text_kernel_inputs() -> Vec<(&'static str, String)> {
+    let clean = payload_text(16 * 1024, 0, 41);
+    let mut one = clean.clone();
+    one.replace_range(100..101, "&");
+    vec![
+        ("16 KiB, 3 % specials", payload_text(16 * 1024, 30, 41)),
+        ("16 KiB clean", clean),
+        ("16 KiB, one &", one),
+        ("P2PS echo request", P2psEcho::new().request()),
+    ]
+}
+
+/// Escape and expand, each by both kernels, on [`text_kernel_inputs`]:
+/// the four take turns batch by batch in an order that reverses every
+/// pass (ABBA, as [`p2ps_codec_steps`]), and each reports the least of
+/// its `passes` batch means. Asserts first that both kernels write the
+/// same bytes and expand to the same text.
+pub fn text_kernels(passes: usize) -> Vec<E12Kernel> {
+    use crate::e12_blocks as blocks;
+    use wsp_xml::escape;
+    const BATCH: usize = 50;
+    text_kernel_inputs()
+        .into_iter()
+        .map(|(input, text)| {
+            let mut escaped = Vec::new();
+            escape::escape_text_into(&text, &mut escaped);
+            let mut old = Vec::new();
+            blocks::escape_text_into(&text, &mut old);
+            assert_eq!(escaped, old, "the escapers differ on {input}");
+            let escaped = String::from_utf8(escaped).expect("UTF-8");
+            let expanded = escape::unescape(&escaped, 0).expect("well-formed");
+            assert_eq!(Some(&expanded), blocks::unescape(&escaped).as_ref());
+            assert_eq!(expanded, text);
+            let mut out = Vec::with_capacity(2 * escaped.len());
+            let mut kernel = |at: usize| match at {
+                0 => {
+                    out.clear();
+                    blocks::escape_text_into(black_box(&text), &mut out);
+                }
+                1 => {
+                    out.clear();
+                    escape::escape_text_into(black_box(&text), &mut out);
+                }
+                2 => drop(black_box(blocks::unescape(black_box(&escaped)))),
+                _ => drop(black_box(escape::unescape(black_box(&escaped), 0))),
+            };
+            let mut least = [f64::INFINITY; 4];
+            for pass in 0..passes {
+                for turn in 0..4 {
+                    let at = if pass % 2 == 0 { turn } else { 3 - turn };
+                    let start = Instant::now();
+                    for _ in 0..BATCH {
+                        kernel(at);
+                    }
+                    let ns = start.elapsed().as_secs_f64() * 1e9 / BATCH as f64;
+                    least[at] = least[at].min(ns);
+                }
+            }
+            E12Kernel {
+                input,
+                bytes: text.len(),
+                escape_blocks_ns: least[0],
+                escape_windows_ns: least[1],
+                expand_blocks_ns: least[2],
+                expand_windows_ns: least[3],
+            }
         })
         .collect()
 }
@@ -569,6 +711,21 @@ mod tests {
         let steps: Vec<_> = rows.iter().map(|r| r.step).collect();
         assert_eq!(steps, P2PS_STEPS);
         assert!(rows.iter().all(|r| r.ns_per_call > 0.0 && !r.counted));
+    }
+
+    #[test]
+    fn text_kernel_rows_cover_every_input() {
+        let rows = text_kernels(2);
+        let inputs: Vec<_> = rows.iter().map(|r| r.input).collect();
+        let expected: Vec<_> = text_kernel_inputs().iter().map(|(name, _)| *name).collect();
+        assert_eq!(inputs, expected);
+        assert!(rows
+            .iter()
+            .all(|r| r.escape_windows_ns > 0.0 && r.expand_windows_ns > 0.0));
+        // The payload's shape: ~3 % of its bytes are specials.
+        let payload = payload_text(16 * 1024, 30, 41);
+        let specials = payload.bytes().filter(|b| b"<>&\"'".contains(b)).count();
+        assert!((300..700).contains(&specials), "{specials} specials");
     }
 
     #[test]

@@ -20,6 +20,7 @@ pub mod e1;
 pub mod e10;
 pub mod e11;
 pub mod e12;
+pub mod e12_blocks;
 pub mod e12_legacy;
 pub mod e14;
 pub mod e15;

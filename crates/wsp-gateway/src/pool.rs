@@ -127,20 +127,28 @@ impl BackendPools {
     ) -> Option<BackendLease> {
         let now = Instant::now();
         let mut state = self.state.lock();
-        let mut ranked: Vec<(u64, usize)> = candidates
-            .iter()
-            .enumerate()
-            .filter(|(_, endpoint)| !exclude.iter().any(|tried| tried == endpoint.as_ref()))
-            .map(|(i, endpoint)| (state.active.get(endpoint.as_ref()).copied().unwrap_or(0), i))
-            .collect();
-        // (load, index): ties break on candidate order.
-        ranked.sort_unstable();
-        for (_, index) in ranked {
+        // (load, index): ties break on candidate order. The loads hold
+        // still under the lock, so taking the least rank above the last
+        // one asked, each time, asks in sorted order without sorting.
+        let mut asked = None;
+        loop {
+            let rank = (candidates.iter().enumerate())
+                .filter(|(_, endpoint)| !exclude.iter().any(|tried| tried == endpoint.as_ref()))
+                .map(|(i, endpoint)| (state.active.get(endpoint.as_ref()).copied().unwrap_or(0), i))
+                .filter(|&rank| asked.is_none_or(|last| rank > last))
+                .min()?;
+            asked = Some(rank);
+            let index = rank.1;
             let endpoint = candidates[index].as_ref();
             let Some(permit) = self.health.admit(endpoint, now) else {
                 continue;
             };
-            *state.active.entry(endpoint.to_owned()).or_insert(0) += 1;
+            // The map's key is allocated only for an endpoint not yet in it.
+            if let Some(load) = state.active.get_mut(endpoint) {
+                *load += 1;
+            } else {
+                state.active.insert(endpoint.to_owned(), 1);
+            }
             return Some(BackendLease {
                 endpoint: endpoint.to_owned(),
                 index,
@@ -148,7 +156,6 @@ impl BackendPools {
                 state: self.state.clone(),
             });
         }
-        None
     }
 }
 
@@ -313,6 +320,24 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(40));
         let retry = pools.pick(&only, &[]).expect("fresh probe after abort");
         retry.succeed();
+    }
+
+    #[test]
+    fn an_open_breaker_passes_the_pick_to_the_next_least_loaded() {
+        let pools = BackendPools::default();
+        let candidates = eps(&["http://a", "http://b", "http://c"]);
+        // Loads (1, 0, 0), and b's breaker open.
+        let a = pools.pick(&candidates[..1], &[]).unwrap();
+        for _ in 0..32 {
+            match pools.pick(&candidates[1..2], &[]) {
+                Some(lease) => lease.fail(),
+                None => break,
+            }
+        }
+        assert_eq!(pools.active("http://b"), 0);
+        let lease = pools.pick(&candidates, &[]).expect("c admits");
+        assert_eq!((lease.endpoint(), lease.index()), ("http://c", 2));
+        drop(a);
     }
 
     #[test]

@@ -1,17 +1,25 @@
 //! Escaping and entity expansion for character data and attribute values.
 //!
-//! Every scan here is the one block classifier of [`crate::scan`]: the
-//! input is read sixteen bytes at a time into an exact mask of the bytes
-//! that matter — the specials an escaper substitutes, the `&` that
-//! starts a reference — and every flagged byte of a block is handled
-//! from that mask before the next block is loaded. Clean runs between
-//! them are copied whole, so text pays per block, and text dense with
-//! specials pays per special without a fresh scan for each. All those
-//! bytes are ASCII, so slicing at their positions always lands on UTF-8
-//! boundaries.
+//! Every scan here is the one classifier of [`crate::scan`]: the input
+//! is read 64 bytes at a time — a window of four 16-byte blocks — into
+//! an exact mask of the bytes that matter, the specials an escaper
+//! substitutes and the `&` that starts a reference, and every flagged
+//! byte of a window is handled from that mask before the next window is
+//! loaded. Less than a window from the end, the walk goes on a block at
+//! a time. Text pays per window, and text dense with specials pays per
+//! special without a fresh scan for each. All those bytes are ASCII, so
+//! slicing at their positions always lands on UTF-8 boundaries; a
+//! window edge may not, and nothing is cut there as a `str`.
+//!
+//! An escaper given two windows or more stores each clean run with one
+//! 64-byte copy, and each replacement with one 8-byte copy, into zeroed
+//! room reserved past the written end, then cuts `out` back to what it
+//! wrote: the copies have a fixed width, so none is a library call. The
+//! last stretch, less than two windows, and every input shorter than
+//! that, appends run by run as before.
 
 use crate::error::{XmlError, XmlResult};
-use crate::scan::{self, Needles, BLOCK};
+use crate::scan::{self, Needles, BLOCK, WINDOW};
 use std::borrow::Cow;
 
 /// The bytes text content must escape.
@@ -52,9 +60,84 @@ fn push_attr_replacement(b: u8, out: &mut Vec<u8>) {
     }
 }
 
+/// The replacements of both escapers' specials, each padded to eight
+/// bytes, for one fixed-width copy, with its length; indexed by the
+/// special itself, as every one of them is below 64. The text
+/// classifier flags a subset of the attribute specials, so both
+/// escapers share the table.
+const PADDED: [([u8; 8], usize); 64] = {
+    const fn pad(replacement: &[u8]) -> ([u8; 8], usize) {
+        let mut padded = [0; 8];
+        let mut i = 0;
+        while i < replacement.len() {
+            padded[i] = replacement[i];
+            i += 1;
+        }
+        (padded, replacement.len())
+    }
+    let mut table = [([0; 8], 0); 64];
+    table[b'<' as usize] = pad(b"&lt;");
+    table[b'>' as usize] = pad(b"&gt;");
+    table[b'&' as usize] = pad(b"&amp;");
+    table[b'"' as usize] = pad(b"&quot;");
+    table[b'\t' as usize] = pad(b"&#9;");
+    table[b'\n' as usize] = pad(b"&#10;");
+    table[b'\r' as usize] = pad(b"&#13;");
+    table
+};
+
+/// The room a window may write past the written end: every byte a
+/// special with the longest replacement (`&quot;`), then the 64-byte
+/// copy of the run after the last of them.
+const WINDOW_ROOM: usize = 6 * WINDOW + WINDOW;
+
+/// [`escape_into`]'s window loop: escapes `bytes` a window at a time
+/// while a second window follows the one at hand, and returns how many
+/// bytes it escaped. The run before each special, and the one after
+/// the last, is copied 64 bytes wide from where it starts; the copy
+/// reads at most into the next window, which is there, and writes into
+/// the room reserved ahead, where the next store overwrites what lies
+/// past the run. `out` ends cut back to what was written. Out of line,
+/// so that short input compiles to the block loop alone.
+#[inline(never)]
+fn escape_windows(
+    bytes: &[u8],
+    out: &mut Vec<u8>,
+    specials: impl Fn(&[u8; BLOCK]) -> u16,
+) -> usize {
+    let mut written = out.len();
+    let mut at = 0;
+    while bytes.len() - at >= 2 * WINDOW {
+        if out.len() - written < WINDOW_ROOM {
+            // The rest at a byte per byte, and the worst window: text
+            // with few specials grows it a few times per input.
+            out.resize(written + (bytes.len() - at) + WINDOW_ROOM, 0);
+        }
+        let mut flagged = scan::window(bytes, at, &specials);
+        let mut copied = at;
+        while flagged != 0 {
+            let special = at + flagged.trailing_zeros() as usize;
+            out[written..][..WINDOW].copy_from_slice(&bytes[copied..][..WINDOW]);
+            written += special - copied;
+            let (padded, len) = PADDED[usize::from(bytes[special] % 64)];
+            out[written..][..8].copy_from_slice(&padded);
+            written += len;
+            copied = special + 1;
+            flagged &= flagged - 1;
+        }
+        out[written..][..WINDOW].copy_from_slice(&bytes[copied..][..WINDOW]);
+        written += at + WINDOW - copied;
+        at += WINDOW;
+    }
+    out.truncate(written);
+    at
+}
+
 /// The one escape loop: `specials` flags the bytes of a block that
-/// `push_replacement` substitutes. Each clean run is copied once, when the
-/// special that ends it (or the end of input) is reached.
+/// `push_replacement` substitutes. Input of two windows or more goes
+/// through [`escape_windows`] first; what is left, each clean run is
+/// copied once, when the special that ends it (or the end of input) is
+/// reached.
 #[inline(always)]
 fn escape_into(
     input: &str,
@@ -62,7 +145,10 @@ fn escape_into(
     specials: impl Fn(&[u8; BLOCK]) -> u16,
     push_replacement: impl Fn(u8, &mut Vec<u8>),
 ) {
-    let bytes = input.as_bytes();
+    let mut bytes = input.as_bytes();
+    if bytes.len() >= 2 * WINDOW {
+        bytes = &bytes[escape_windows(bytes, out, &specials)..];
+    }
     // Once per call: the output is at least as long as the input, and
     // only a substitution past that can make the copies below grow it.
     out.reserve(bytes.len());
@@ -110,14 +196,18 @@ pub fn escape_attr_into(input: &str, out: &mut Vec<u8>) {
 pub fn escape_text(input: &str, out: &mut String) {
     // SAFETY: the escaper appends `input`, a `str`, cut only before and
     // after ASCII bytes, and ASCII replacements for those bytes, so
-    // `out` holds valid UTF-8 again when the borrow ends.
+    // `out` holds valid UTF-8 again when the borrow ends. The window
+    // loop's fixed-width copies also store bytes past the written end,
+    // part of a character among them, but it cuts `out` back to the
+    // written end before it returns.
     escape_text_into(input, unsafe { out.as_mut_vec() });
 }
 
 /// Escape an attribute value into a `String` (see [`escape_attr_into`]).
 pub fn escape_attr(input: &str, out: &mut String) {
     // SAFETY: as in `escape_text`: `input` cut only at ASCII bytes,
-    // plus ASCII replacements, keeps `out` valid UTF-8.
+    // plus ASCII replacements, keeps `out` valid UTF-8 once the window
+    // loop has cut off what it stored past the written end.
     escape_attr_into(input, unsafe { out.as_mut_vec() });
 }
 
@@ -140,11 +230,13 @@ pub fn unescape(input: &str, base: usize) -> XmlResult<Cow<'_, str>> {
     let Some(first) = AMPERSAND.find(bytes, 0) else {
         return Ok(Cow::Borrowed(input));
     };
-    // References only ever shrink, so this one reservation holds.
-    let mut out = String::with_capacity(input.len());
     // `input[..copied]` is in `out`, expanded.
-    let mut copied = 0;
-    let mut at = first;
+    let (mut out, mut copied) = match bytes.len() - first >= 2 * WINDOW {
+        true => expand_windows(input, first, base)?,
+        // References only ever shrink, so this one reservation holds.
+        false => (String::with_capacity(input.len()), 0),
+    };
+    let mut at = copied.max(first);
     while at < bytes.len() {
         let (block, mut references) = scan::block(bytes, at, |b| AMPERSAND.mask(b));
         while references != 0 {
@@ -163,6 +255,58 @@ pub fn unescape(input: &str, base: usize) -> XmlResult<Cow<'_, str>> {
     }
     out.push_str(&input[copied..]);
     Ok(Cow::Owned(out))
+}
+
+/// [`unescape`]'s window loop, from the first `&`, at `first`: expands
+/// `input` a window at a time while a second window follows the one at
+/// hand, and returns the expansion so far, in a `String` with room for
+/// the rest, and how far it got — to a character boundary, where the
+/// block loop goes on. The buffer is zeroed to the input's length,
+/// which no expansion outgrows: every reference is longer than its
+/// character by three bytes at least — `&#9;` stands for one byte,
+/// `&#128;` for two, `&#2048;` for three, `&#65536;` for four.
+/// The run before each reference is copied 64 bytes wide and its
+/// character stored four wide, all inside the room the input left; a
+/// reference that straddles a window edge is read whole, and the next
+/// window starts past its end. Out of line: compiled apart from the
+/// block loop, the window loop keeps more of its state in registers.
+#[inline(never)]
+fn expand_windows(input: &str, first: usize, base: usize) -> XmlResult<(String, usize)> {
+    let bytes = input.as_bytes();
+    let mut out = Vec::with_capacity(input.len());
+    out.extend_from_slice(&bytes[..first]);
+    out.resize(bytes.len(), 0);
+    let (mut written, mut copied, mut at) = (first, first, first);
+    while bytes.len() - at >= 2 * WINDOW {
+        let mut references = scan::window(bytes, at, |b| AMPERSAND.mask(b));
+        while references != 0 {
+            let amp = at + references.trailing_zeros() as usize;
+            references &= references - 1;
+            if amp < copied {
+                continue;
+            }
+            out[written..][..WINDOW].copy_from_slice(&bytes[copied..][..WINDOW]);
+            written += amp - copied;
+            let (ch, len) = reference(input, amp, base)?;
+            let mut encoded = [0; 4];
+            ch.encode_utf8(&mut encoded);
+            out[written..][..4].copy_from_slice(&encoded);
+            written += ch.len_utf8();
+            copied = amp + len;
+        }
+        if copied < at + WINDOW {
+            out[written..][..WINDOW].copy_from_slice(&bytes[copied..][..WINDOW]);
+            written += at + WINDOW - copied;
+            copied = at + WINDOW;
+        }
+        at = copied;
+    }
+    // A window edge may cut a character; the bytes of its start were
+    // copied as they are, so the block loop can take them again.
+    let cut = copied - input.floor_char_boundary(copied);
+    out.truncate(written - cut);
+    let out = String::from_utf8(out).expect("runs cut at characters, and whole characters");
+    Ok((out, copied - cut))
 }
 
 /// The character the reference at `input[amp..]` stands for, and the

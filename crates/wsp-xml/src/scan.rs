@@ -3,9 +3,11 @@
 //! and `;`, both escapers, and the HTTP head scan.
 //!
 //! [`Needles::mask`] returns the exact bitmask of the positions of a
-//! 16-byte block that hold one of up to four needle bytes; [`block`]
-//! walks a classifier over a haystack and [`Needles::find`] stops that
-//! walk at the first hit. The body is chosen by the target alone:
+//! 16-byte block that hold one of up to four needle bytes. [`window`]
+//! folds four blocks into one 64-bit mask, so that a walk over long
+//! input branches once per 64 bytes; [`block`] classifies what is left
+//! when less than a window remains, and [`Needles::find`] walks both
+//! to the first hit. The body is chosen by the target alone:
 //!
 //! * **x86_64:** SSE2 — one unaligned load, a byte compare per needle,
 //!   one `movemask`. SSE2 is in the x86_64 baseline, so every CPU of the
@@ -15,11 +17,15 @@
 //!   0x80…`, borrows across bytes and may flag the byte above a match.
 //!
 //! Both masks are exact, so a caller may act on every flagged bit of a
-//! block — the escapers and the expander consume a block's whole mask
-//! before loading the next — and not only on the lowest.
+//! block or a window — the escapers and the expander consume a whole
+//! mask before loading the next — and not only on the lowest.
 
 /// The width of a block, in bytes.
 pub const BLOCK: usize = 16;
+
+/// The width of a window, in bytes: four blocks, one bit each of a
+/// `u64`.
+pub const WINDOW: usize = 4 * BLOCK;
 
 /// One to four bytes to look for. Unused slots repeat the first needle:
 /// comparing with it again flags nothing new, and the compiler folds the
@@ -113,15 +119,12 @@ impl Needles {
     #[inline(always)]
     pub fn find(self, hay: &[u8], from: usize) -> Option<usize> {
         let mut at = from;
-        // Four blocks per branch while they last.
-        while let Some(run) = hay.get(at..at + 4 * BLOCK) {
-            let hits = run.chunks_exact(BLOCK).rev().fold(0u64, |hits, bytes| {
-                hits << BLOCK | u64::from(self.mask(bytes.try_into().expect("a block")))
-            });
+        while let Some(bytes) = hay.get(at..at + WINDOW) {
+            let hits = window(bytes, 0, |b| self.mask(b));
             if hits != 0 {
                 return Some(at + hits.trailing_zeros() as usize);
             }
-            at += 4 * BLOCK;
+            at += WINDOW;
         }
         while at < hay.len() {
             let (base, hits) = block(hay, at, |b| self.mask(b));
@@ -132,6 +135,17 @@ impl Needles {
         }
         None
     }
+}
+
+/// The window of `hay` that starts at `at`, classified: bit `i` of the
+/// result stands for `hay[at + i]` and is set if `classify` flags it.
+/// Panics unless a whole window remains: `at + WINDOW <= hay.len()`.
+#[inline(always)]
+pub fn window(hay: &[u8], at: usize, classify: impl Fn(&[u8; BLOCK]) -> u16) -> u64 {
+    let bytes: &[u8; WINDOW] = hay[at..at + WINDOW].try_into().expect("a window");
+    bytes.chunks_exact(BLOCK).rev().fold(0, |hits, bytes| {
+        hits << BLOCK | u64::from(classify(bytes.try_into().expect("a block")))
+    })
 }
 
 /// The block of `hay` that starts at `at`, classified: `(base, mask)`,

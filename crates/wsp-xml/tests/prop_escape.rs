@@ -414,3 +414,208 @@ proptest! {
         prop_assert_eq!(parsed.attribute_local("a"), Some(attr.as_str()));
     }
 }
+
+// Long inputs. Input of two 64-byte windows or more takes the window
+// loops (`scan::WINDOW`): the escapers from the start of the input, the
+// expander from its first `&`, each until less than two windows are
+// left. Everything above stays below that, so these properties hold
+// the window loops, their edges and the hand-over to the block loops
+// to the same oracles.
+
+/// Offsets a special takes in a long input: every offset of the first
+/// three windows — 62–66 and 126–130 straddle the first two edges —
+/// and of the last 130 bytes, where the window loop hands over.
+fn long_offsets(len: usize) -> impl Iterator<Item = usize> {
+    (0..len.min(3 * 64)).chain(len.saturating_sub(130).max(3 * 64)..len)
+}
+
+#[test]
+fn a_special_at_every_window_offset_of_long_inputs() {
+    for filler in FILLERS {
+        for len in [128, 130, 191, 192, 255, 320, 2048] {
+            let chars = len / filler.len();
+            let clean = filler.repeat(chars);
+            assert_escapes_like_the_reference(&clean);
+            for at in long_offsets(chars) {
+                let (head, tail) = clean.split_at(at * filler.len());
+                for special in SPECIALS {
+                    assert_escapes_like_the_reference(&format!("{head}{special}{tail}"));
+                }
+            }
+        }
+    }
+}
+
+/// A special at every offset mod 64 of every window of a 2 KiB input,
+/// all at once: 32 windows, each with its specials in another place.
+#[test]
+fn specials_at_every_offset_mod_64_in_one_long_input() {
+    for filler in ["a", "é"] {
+        for lead in 0..64 {
+            let mut s = filler.repeat(lead);
+            for window in 0..32 {
+                s.push(SPECIALS[window % SPECIALS.len()]);
+                s.push_str(&filler.repeat(63 - window % 7));
+            }
+            assert_escapes_like_the_reference(&s);
+        }
+    }
+}
+
+/// Windows of nothing but specials — the room a window can need, one
+/// `&quot;` per byte, and every mix — after every lead, then expanded
+/// back: the expander's windows dense with references.
+#[test]
+fn long_runs_of_nothing_but_specials() {
+    let cycle: String = SPECIALS.iter().cycle().take(300).collect();
+    for lead in 0..70 {
+        let head = "é".repeat(lead / 2) + &"a".repeat(lead % 2);
+        for special in SPECIALS {
+            let run = special.to_string().repeat(300);
+            assert_escapes_like_the_reference(&format!("{head}{run}"));
+        }
+        let s = format!("{head}{cycle}{head}");
+        assert_escapes_like_the_reference(&s);
+        let (mut text, mut attr) = (String::new(), String::new());
+        escape_text(&s, &mut text);
+        escape_attr(&s, &mut attr);
+        assert_unescapes_like_the_oracle(&text, 1);
+        assert_unescapes_like_the_oracle(&attr, 1);
+    }
+}
+
+/// `unescape` against the oracle on `input`: value, borrowed or owned,
+/// error variant, offset and quoted entity.
+fn assert_unescapes_like_the_oracle(input: &str, base: usize) {
+    let (new, old) = (unescape(input, base), quoted(old_unescape(input, base)));
+    assert_eq!(
+        matches!(new, Ok(Cow::Borrowed(_))),
+        matches!(old, Ok(Cow::Borrowed(_))),
+        "borrowing differs on {input:?}"
+    );
+    assert_eq!(new, old, "{input:?}");
+}
+
+/// References, good and bad, whose result or bytes straddle a window
+/// edge: `&#x10FFFF;` and the other multi-byte results among them.
+const LONG_REFERENCES: [&str; 14] = [
+    "&lt;",
+    "&amp;",
+    "&quot;",
+    "&apos;",
+    "&#9;",
+    "&#x80;",
+    "&#x20AC;",
+    "&#65536;",
+    "&#x10FFFF;",
+    "&#1114111;",
+    "&nope;",
+    "&#x110000;",
+    "&#xD800;",
+    "&amp",
+];
+
+/// Each reference at every offset of the first three windows after
+/// the first `&` and of the last ones, in fillers of every width (a
+/// window edge cuts their characters), followed by more text or by
+/// nothing: a reference at the very end, an unterminated one there.
+#[test]
+fn references_across_window_edges_expand_like_the_oracle() {
+    for filler in FILLERS {
+        for lead in ["&amp;", "x&lt;", "&#x10FFFF;"] {
+            for pad in 0..=200 {
+                let head = format!("{lead}{}", filler.repeat(pad / filler.len()));
+                for reference in LONG_REFERENCES {
+                    for tail_len in [0, 1, 63, 64, 65, 127, 128, 129, 200] {
+                        let tail = filler.repeat(tail_len / filler.len());
+                        assert_unescapes_like_the_oracle(&format!("{head}{reference}{tail}"), 9);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A lone `&`, a `;`-less reference, and garbage just before each of
+/// the first window edges and at the very end of a long input.
+#[test]
+fn bad_references_before_window_edges_and_at_the_end() {
+    let bad = ["&", "&amp", "&#x20AC", "&nope;", "&#;", "& ;", "&#x;"];
+    for filler in FILLERS {
+        let body = filler.repeat(400 / filler.len());
+        for cut in (120..=136)
+            .chain(184..=200)
+            .chain(body.len() - 8..=body.len())
+        {
+            let cut = body.floor_char_boundary(cut);
+            for garbage in bad {
+                let input = format!("&lt;{}{garbage}{}", &body[..cut], &body[cut..]);
+                assert_unescapes_like_the_oracle(&input, 0);
+                assert_unescapes_like_the_oracle(&format!("&lt;{}{garbage}", &body[..cut]), 3);
+            }
+        }
+    }
+}
+
+/// 128 to ~2048 bytes of plain runs, specials and scalars of every
+/// UTF-8 width.
+fn long_word_spanning() -> impl Strategy<Value = String> {
+    proptest::collection::vec(word_spanning(), 3..40)
+        .prop_map(|parts| parts.concat())
+        .prop_filter("two windows at least", |s| (128..=2048).contains(&s.len()))
+}
+
+/// 128 to ~2048 bytes of character data as a hostile peer might send
+/// it, references good and bad among multi-byte text.
+fn long_reference_soup() -> impl Strategy<Value = String> {
+    (
+        "[a-z€\u{10348}]{0,70}",
+        proptest::collection::vec(
+            prop_oneof![
+                "[ -%'-~]{1,80}",
+                "[ -%'-~]{1,80}",
+                "[é€\u{10348}]{1,30}",
+                Just("&lt;".to_string()),
+                Just("&amp;".to_string()),
+                Just("&quot;".to_string()),
+                Just("&#x10FFFF;".to_string()),
+                "&#[0-9]{1,7};",
+                "&#x[0-9a-fA-F]{1,6};",
+                Just("&".to_string()),
+                Just("&#".to_string()),
+                "&[a-z]{1,5};",
+                "&[a-z#;&]{1,4}",
+            ],
+            4..60,
+        ),
+    )
+        .prop_map(|(lead, tokens)| lead + &tokens.concat())
+        .prop_filter("two windows at least", |s| (128..=2048).contains(&s.len()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn both_escapers_match_the_reference_on_long_inputs(s in long_word_spanning()) {
+        assert_escapes_like_the_reference(&s);
+    }
+
+    #[test]
+    fn unescape_matches_the_oracle_on_long_inputs(
+        s in long_reference_soup(),
+        base in 0usize..4096,
+    ) {
+        assert_unescapes_like_the_oracle(&s, base);
+    }
+
+    #[test]
+    fn long_inputs_escape_and_expand_back(s in long_word_spanning()) {
+        let (mut text, mut attr) = (String::new(), String::new());
+        escape_text(&s, &mut text);
+        escape_attr(&s, &mut attr);
+        assert_unescapes_like_the_oracle(&text, 0);
+        assert_unescapes_like_the_oracle(&attr, 0);
+        prop_assert_eq!(unescape(&attr, 0).expect("well-formed").as_ref(), s.as_str());
+    }
+}

@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 use wsp_xml::escape::{escape_attr, escape_text, unescape};
-use wsp_xml::scan::{self, Needles, BLOCK};
+use wsp_xml::scan::{self, Needles, BLOCK, WINDOW};
 use wsp_xml::{Token, Tokenizer};
 
 /// Every needle set a scan of the codecs classifies with.
@@ -262,4 +262,52 @@ proptest! {
         scans_like_str_find(&s);
         scans_like_str_find(&format!("<a k=\"{s}"));
     }
+}
+
+/// `scan::window` through `body`, against the reference: the mask of
+/// every window of `hay`, wherever it starts.
+fn windows_match_the_reference(body: fn(Needles, &[u8; BLOCK]) -> u16, set: &[u8], hay: &[u8]) {
+    let needles = Needles::new(set);
+    for at in 0..=hay.len() - WINDOW {
+        let expected = (0..WINDOW)
+            .filter(|&i| set.contains(&hay[at + i]))
+            .fold(0u64, |mask, i| mask | 1 << i);
+        let mask = scan::window(hay, at, |b| body(needles, b));
+        assert_eq!(mask, expected, "{set:?} in {hay:?} at {at}");
+    }
+}
+
+/// Every needle of every set at every offset of haystacks of one to
+/// three windows, each window of each read wherever it starts.
+fn every_needle_in_every_window(body: fn(Needles, &[u8; BLOCK]) -> u16) {
+    for set in SETS {
+        for len in [
+            WINDOW,
+            WINDOW + 1,
+            2 * WINDOW - 1,
+            2 * WINDOW,
+            2 * WINDOW + 1,
+            3 * WINDOW,
+        ] {
+            let clean = filler(len, set);
+            windows_match_the_reference(body, set, &clean);
+            for offset in 0..len {
+                for &needle in set {
+                    let mut hay = clean.clone();
+                    hay[offset] = needle;
+                    windows_match_the_reference(body, set, &hay);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn window_masks_are_exact_on_the_body_this_target_runs() {
+    every_needle_in_every_window(Needles::mask);
+}
+
+#[test]
+fn window_masks_are_exact_on_the_portable_body() {
+    every_needle_in_every_window(Needles::mask_portable);
 }

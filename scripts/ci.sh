@@ -102,10 +102,15 @@ cargo test -q -p wsp-integration-tests --test wire_bytes --test bufpool
 # attribute values, the expander's `&` and `;`, both escapers, the HTTP
 # head scan) is `wsp_xml::scan`'s 16-byte classifier, which has two
 # bodies — SSE2 on x86_64, a two-word exact zero-byte test everywhere
-# else — and the scans index by the masks it returns. Tier-1 ran the
-# unit tests, the block-edge oracle (both bodies, every needle at every
-# offset), the every-offset/oracle properties and the reader's byte
-# soup with overflow checks on; run them again without, as they ship.
+# else — and the scans index by the masks it returns. Long input is
+# walked a 64-byte window (four blocks) at a time: the escapers from
+# 128 bytes on, the expander from its first `&`, with fixed-width run
+# copies; shorter input and the last stretch take the block loops.
+# Tier-1 ran the unit tests, the block-edge and window oracles (both
+# bodies, every needle at every offset), the every-offset/oracle
+# properties, the long-input properties past the 128-byte cutover and
+# the reader's byte soup with overflow checks on; run them again
+# without, as they ship.
 echo "==> wsp-xml kernels: unit + scan_edges + prop_escape + byte soup (release)"
 cargo test -q --release -p wsp-xml --lib --test scan_edges --test prop_escape --test byte_soup
 

@@ -383,6 +383,56 @@ fn warm_response_cache_hit_allocates_only_its_content_type() {
     assert_eq!(least, 1, "a warm cache hit allocated {least} times");
 }
 
+/// A warm backend pick allocates only what its lease owns: the leased
+/// endpoint's name, and the load map's key for it when no other lease
+/// is out on that endpoint. Ranking the candidates in a vector cost one
+/// more per pick.
+#[test]
+fn warm_backend_pick_allocates_only_what_the_lease_owns() {
+    use wsp_gateway::BackendPools;
+    let pools = BackendPools::default();
+    let candidates = [
+        "http://10.0.0.1:8080/Echo",
+        "http://10.0.0.2:8080/Echo",
+        "http://10.0.0.3:8080/Echo",
+        "http://10.0.0.4:8080/Echo",
+    ];
+    let least = |op: &mut dyn FnMut()| {
+        (0..50).for_each(|_| op());
+        let mut sample = || {
+            let before = alloc_count::allocations();
+            op();
+            alloc_count::allocations() - before
+        };
+        (0..20).map(|_| sample()).min().unwrap_or(0)
+    };
+    let mut pick = || {
+        let lease = pools
+            .pick(&candidates, &[])
+            .expect("a closed breaker admits");
+        lease.succeed();
+    };
+    let first_lease = least(&mut pick);
+    // A lease out on every candidate: the next pick's endpoint is
+    // already a key of the load map.
+    let held: Vec<_> = (0..candidates.len())
+        .map(|_| pools.pick(&candidates, &[]).expect("admitted"))
+        .collect();
+    let mut pick = || {
+        let lease = pools
+            .pick(&candidates, &[])
+            .expect("a closed breaker admits");
+        lease.succeed();
+    };
+    let another_lease = least(&mut pick);
+    drop(held);
+    assert_eq!(
+        (first_lease, another_lease),
+        (2, 1),
+        "warm pick (no lease out, a lease out on every candidate) allocated"
+    );
+}
+
 /// The benchmark's plane (6 nodes, 4 shards, 3 replicas) holding the
 /// 1 000 records `svc-0000` … `svc-0999`, published in process; the
 /// client that published them; the records with their minted keys.
