@@ -3,7 +3,8 @@
 //!
 //! A provider is dual-homed: its P2PS endpoint is published into both
 //! worlds (an advert in the overlay, a record in the registry). We
-//! measure the full locate+invoke path three ways.
+//! measure the full locate+invoke path three ways, the pure-P2PS way
+//! with both locate forms: the exhaustive flood and the first hit.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,6 +13,10 @@ use wsp_core::{Binding, BindingKind, EventBus, LocatedService, Peer, ServiceQuer
 use wsp_p2ps::{PeerConfig, PeerId, ThreadNetwork};
 use wsp_uddi::Registry;
 use wsp_wsdl::{OperationDef, ServiceDescriptor, Value, XsdType};
+
+/// The consumer's P2PS discovery window: how long its exhaustive
+/// locate collects hits, and the most its first-hit locate may take.
+pub const DISCOVERY_WINDOW: Duration = Duration::from_millis(400);
 
 /// One mode's locate+invoke timing.
 #[derive(Debug, Clone)]
@@ -86,7 +91,7 @@ pub fn run() -> Vec<E8Row> {
         consumer_peer,
         EventBus::new(),
         P2psConfig {
-            discovery_window: Duration::from_millis(400),
+            discovery_window: DISCOVERY_WINDOW,
             ..P2psConfig::default()
         },
     );
@@ -98,20 +103,31 @@ pub fn run() -> Vec<E8Row> {
     let payload = Value::string("mixed-mode payload");
     let mut rows = Vec::new();
 
-    // Mode 1: pure P2PS — locate by flooding, invoke over pipes.
-    {
+    // Mode 1: pure P2PS — locate by flooding, invoke over pipes. An
+    // exhaustive locate waits out the discovery window; a first-hit
+    // locate returns with the first service it locates.
+    for (mode, first_hit) in [
+        ("pure p2ps (flood locate, pipe invoke)", false),
+        ("pure p2ps (first-hit locate, pipe invoke)", true),
+    ] {
+        let query = ServiceQuery::by_name("MixBench");
         let start = Instant::now();
-        let service = consumer
-            .client()
-            .locate_one(&ServiceQuery::by_name("MixBench"))
-            .expect("p2ps locate");
+        let service = if first_hit {
+            consumer.client().locate_one(&query).expect("p2ps locate")
+        } else {
+            let found = consumer.client().locate(&query).expect("p2ps locate");
+            found
+                .into_iter()
+                .next()
+                .expect("p2ps locate found MixBench")
+        };
         let locate_ms = start.elapsed().as_secs_f64() * 1000.0;
         let start = Instant::now();
         let out = consumer
             .client()
             .invoke(&service, "echo", std::slice::from_ref(&payload));
         rows.push(E8Row {
-            mode: "pure p2ps (flood locate, pipe invoke)",
+            mode,
             locate_ms,
             invoke_ms: start.elapsed().as_secs_f64() * 1000.0,
             ok: out.is_ok(),
@@ -175,25 +191,35 @@ mod tests {
     #[test]
     fn all_three_modes_succeed() {
         let rows = run();
-        assert_eq!(rows.len(), 3);
+        // Pure P2PS with either locate form, mixed, pure HTTP.
+        assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.ok, "{row:?}");
         }
     }
 
+    fn row<'a>(rows: &'a [E8Row], mode: &str) -> &'a E8Row {
+        rows.iter().find(|r| r.mode.starts_with(mode)).unwrap()
+    }
+
     #[test]
     fn mixed_locate_beats_flood_locate() {
         let rows = run();
-        let pure_p2ps = rows
-            .iter()
-            .find(|r| r.mode.starts_with("pure p2ps"))
-            .unwrap();
-        let mixed = rows.iter().find(|r| r.mode.starts_with("mixed")).unwrap();
+        let flood = row(&rows, "pure p2ps (flood");
+        let mixed = row(&rows, "mixed");
         // Flood locate waits out the discovery window; a registry
         // lookup doesn't.
         assert!(
-            mixed.locate_ms < pure_p2ps.locate_ms,
-            "mixed {mixed:?} vs pure {pure_p2ps:?}"
+            mixed.locate_ms < flood.locate_ms,
+            "mixed {mixed:?} vs flood {flood:?}"
         );
+    }
+
+    #[test]
+    fn first_hit_locate_returns_within_the_window() {
+        let rows = run();
+        let first_hit = row(&rows, "pure p2ps (first-hit");
+        let window_ms = DISCOVERY_WINDOW.as_secs_f64() * 1000.0;
+        assert!(first_hit.locate_ms < window_ms, "{first_hit:?}");
     }
 }

@@ -65,9 +65,11 @@ use wsp_xml::Element;
 /// Timing knobs of the P2PS binding.
 #[derive(Debug, Clone)]
 pub struct P2psConfig {
-    /// How long a locate call collects query hits before returning —
-    /// P2P discovery has no single authoritative answer, so the locator
-    /// gathers what the network returns within this window.
+    /// How long a locate call collects query hits — P2P discovery has
+    /// no single authoritative answer, so an uncapped `locate` gathers
+    /// what the network returns within this window. For `locate_first`
+    /// and a capped query it bounds the wait for hits: they return once
+    /// they have located the services they asked for.
     pub discovery_window: Duration,
     /// How long to wait for a response on a return pipe.
     pub request_timeout: Duration,
@@ -205,6 +207,11 @@ impl P2psBinding {
     /// nor been given up on.
     pub fn outstanding_requests(&self) -> usize {
         self.shared.correlator.lock().pending()
+    }
+
+    /// Discovery queries from this peer still collecting hits.
+    pub fn outstanding_queries(&self) -> usize {
+        self.shared.pending_queries.lock().len()
     }
 
     /// True if `pipe` is open on this peer — a hosted service's pipe, or
@@ -660,80 +667,104 @@ struct P2psLocator {
     shared: Arc<Shared>,
 }
 
-impl ServiceLocator for P2psLocator {
-    fn locate(&self, query: &ServiceQuery) -> Result<Vec<LocatedService>, WspError> {
-        let token = self.shared.hosting().dispatcher().next_token();
+impl P2psLocator {
+    /// Flood `query` and resolve its hits through their definition
+    /// pipes, each as it arrives and in arrival order, until `cap`
+    /// services are located or the discovery window has closed and every
+    /// advert taken while it was open has been tried. The pending query
+    /// goes on return; hits that arrive for it later are dropped.
+    fn discover(&self, query: &ServiceQuery, cap: usize) -> Vec<LocatedService> {
+        let shared = &self.shared;
+        let token = shared.hosting().dispatcher().next_token();
         let discovery_started = Instant::now();
-        self.shared.discovery_queries.incr();
+        shared.discovery_queries.incr();
         telemetry::global().span(
             telemetry::current_correlation(),
             "p2ps.discovery",
             format_args!("query_token={token}"),
         );
         let (tx, rx) = channel();
-        self.shared.pending_queries.lock().insert(token, tx);
-        self.shared.peer.query(token, query.to_p2ps());
+        shared.pending_queries.lock().insert(token, tx);
+        shared.peer.query(token, query.to_p2ps());
 
-        // Collect hits for the discovery window — or, for a capped
-        // query, until that many distinct services have answered.
+        let deadline = Instant::now() + shared.config.discovery_window;
+        // Distinct adverts in arrival order, the first `tried` of them
+        // resolved (or given up on) already.
+        let mut adverts: Vec<ServiceAdvertisement> = Vec::new();
+        let mut tried = 0;
+        let mut found = Vec::new();
+        while found.len() < cap {
+            // While the window is open, take what has arrived, waiting
+            // for more only when there is nothing left to try.
+            let batch = match deadline.checked_duration_since(Instant::now()) {
+                Some(remaining) if tried == adverts.len() => rx.recv_timeout(remaining).ok(),
+                Some(_) => rx.try_recv().ok(),
+                None => None,
+            };
+            if let Some(batch) = batch {
+                for advert in batch {
+                    if !adverts
+                        .iter()
+                        .any(|a| a.peer == advert.peer && a.name == advert.name)
+                    {
+                        adverts.push(advert);
+                    }
+                }
+                continue;
+            }
+            let Some(advert) = adverts.get(tried) else {
+                break; // the window closed with nothing left to try
+            };
+            tried += 1;
+            found.extend(resolve(shared, advert));
+        }
+        shared.pending_queries.lock().remove(&token);
+        // Full discovery round trip: the flood plus the WSDL retrievals
+        // over definition pipes.
+        shared
+            .discovery_rtt_us
+            .record_micros(discovery_started.elapsed());
+        shared.discovery_hits.add(found.len() as u64);
+        found
+    }
+}
+
+/// The located service behind `advert`: its WSDL, retrieved through its
+/// definition pipe. None for a provider that vanished mid-discovery, or
+/// answered garbage.
+fn resolve(shared: &Shared, advert: &ServiceAdvertisement) -> Option<LocatedService> {
+    let definition_pipe = advert.definition_pipe()?;
+    let get = |leading: &[Element], headers: &MessageHeaders| {
+        let mut get = Envelope::request(Element::new(P2PS_NS, "GetDefinition"));
+        for block in leading {
+            get.add_header(HeaderBlock::new(block.clone()));
+        }
+        get.set_addressing(headers.clone());
+        Ok(get.to_xml_bytes())
+    };
+    let answered = request_over_pipe(shared, definition_pipe.clone(), get, read_definition);
+    let Ok((_, Ok(wsdl))) = answered else {
+        return None;
+    };
+    let endpoint = advert.uri().address();
+    Some(LocatedService::new(wsdl, endpoint, BindingKind::P2ps))
+}
+
+impl ServiceLocator for P2psLocator {
+    /// Every service that answers within the discovery window — or, for
+    /// a query capped at `max_results`, the first that many located.
+    fn locate(&self, query: &ServiceQuery) -> Result<Vec<LocatedService>, WspError> {
         let cap = match query.max_results {
             0 => usize::MAX,
             n => n,
         };
-        let deadline = Instant::now() + self.shared.config.discovery_window;
-        let mut adverts: Vec<ServiceAdvertisement> = Vec::new();
-        while adverts.len() < cap {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            let Ok(batch) = rx.recv_timeout(remaining) else {
-                break;
-            };
-            for advert in batch {
-                if !adverts
-                    .iter()
-                    .any(|a| a.peer == advert.peer && a.name == advert.name)
-                {
-                    adverts.push(advert);
-                }
-            }
-        }
-        adverts.truncate(cap);
-        self.shared.pending_queries.lock().remove(&token);
+        Ok(self.discover(query, cap))
+    }
 
-        // Retrieve each hit's WSDL through its definition pipe.
-        let mut found = Vec::new();
-        for advert in adverts {
-            let Some(definition_pipe) = advert.definition_pipe() else {
-                continue;
-            };
-            let get = |leading: &[Element], headers: &MessageHeaders| {
-                let mut get = Envelope::request(Element::new(P2PS_NS, "GetDefinition"));
-                for block in leading {
-                    get.add_header(HeaderBlock::new(block.clone()));
-                }
-                get.set_addressing(headers.clone());
-                Ok(get.to_xml_bytes())
-            };
-            let answered =
-                request_over_pipe(&self.shared, definition_pipe.clone(), get, read_definition);
-            // A provider that vanished mid-discovery, or answered garbage.
-            let Ok((_, Ok(wsdl))) = answered else {
-                continue;
-            };
-            found.push(LocatedService::new(
-                wsdl,
-                advert.uri().address(),
-                BindingKind::P2ps,
-            ));
-        }
-        // Full discovery round trip: flood window plus the WSDL
-        // retrievals over definition pipes.
-        self.shared
-            .discovery_rtt_us
-            .record_micros(discovery_started.elapsed());
-        self.shared.discovery_hits.add(found.len() as u64);
-        Ok(found)
+    /// The first service located, as soon as it is: the window bounds
+    /// the wait for hits, it is not waited out.
+    fn locate_first(&self, query: &ServiceQuery) -> Result<Option<LocatedService>, WspError> {
+        Ok(self.discover(query, 1).pop())
     }
 
     fn kind(&self) -> &'static str {

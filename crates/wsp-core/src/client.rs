@@ -131,7 +131,14 @@ impl Client {
     }
 
     /// The locate job, shared by the queued and the caller-run form.
-    fn locate_job(&self, token: u64) -> impl Fn(&ServiceQuery) -> LocateResult + Send + 'static {
+    /// A `first` job asks the locator for its first service only
+    /// ([`ServiceLocator::locate_first`]), and its result holds that
+    /// one service or none.
+    fn locate_job(
+        &self,
+        token: u64,
+        first: bool,
+    ) -> impl Fn(&ServiceQuery) -> LocateResult + Send + 'static {
         let locator = self.locator.read().clone();
         let events = self.events.clone();
         move |query| {
@@ -140,6 +147,7 @@ impl Client {
                 registry.span(token, "client.locate", format_args!("query={query:?}"));
             }
             let result = match &locator {
+                Some(locator) if first => locator.locate_first(query).map(Vec::from_iter),
                 Some(locator) => locator.locate(query),
                 None => Err(WspError::Locate("no ServiceLocator plugged in".into())),
             };
@@ -156,7 +164,7 @@ impl Client {
     /// [`DiscoveryMessageEvent`] carrying the handle's token.
     pub fn locate_async(&self, query: ServiceQuery) -> CallHandle<LocateResult> {
         let token = self.dispatcher.next_token();
-        let job = self.locate_job(token);
+        let job = self.locate_job(token, false);
         match self
             .dispatcher
             .submit_with_token(token, move || job(&query))
@@ -170,8 +178,13 @@ impl Client {
     /// the calling thread. Fires a [`DiscoveryMessageEvent`] as well as
     /// returning the result.
     pub fn locate(&self, query: &ServiceQuery) -> LocateResult {
+        self.locate_on_caller(query, false)
+    }
+
+    /// The locate job, `first` or not, run on the calling thread.
+    fn locate_on_caller(&self, query: &ServiceQuery, first: bool) -> LocateResult {
         let token = self.dispatcher.next_token();
-        let job = self.locate_job(token);
+        let job = self.locate_job(token, first);
         self.dispatcher.run_with_token(token, || job(query))?
     }
 
@@ -187,9 +200,15 @@ impl Client {
             .collect())
     }
 
-    /// Convenience: the first match, or an error.
+    /// The first service [`Client::locate`] would return, or an error if
+    /// none matches. The locator may stop as soon as it has that service
+    /// ([`ServiceLocator::locate_first`]): over P2PS this returns at the
+    /// first advert whose WSDL arrives through its definition pipe,
+    /// waiting for hits no longer than the discovery window, while
+    /// `locate` waits out the whole window. Same job, span and [`DiscoveryMessageEvent`]
+    /// as `locate`; the event carries the one service or none.
     pub fn locate_one(&self, query: &ServiceQuery) -> Result<LocatedService, WspError> {
-        self.locate(query)?
+        self.locate_on_caller(query, true)?
             .into_iter()
             .next()
             .ok_or_else(|| WspError::Locate(format!("no service matches {query:?}")))
@@ -681,6 +700,21 @@ mod tests {
         let found = client.locate(&ServiceQuery::by_name("Echo")).unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(listener.discoveries.read().len(), 1);
+    }
+
+    #[test]
+    fn locate_one_asks_for_the_first_service_and_its_event_carries_it() {
+        let (client, listener) = wired_client();
+        let mut other = test_service();
+        other.endpoint = "test://elsewhere/Echo".into();
+        client.set_locator(Arc::new(FixedLocator(vec![test_service(), other])));
+        let service = client.locate_one(&ServiceQuery::by_name("Echo")).unwrap();
+        assert_eq!(service.endpoint, test_service().endpoint);
+        let events = listener.discoveries.read();
+        assert_eq!(events.len(), 1);
+        let carried = events[0].result.as_ref().unwrap();
+        assert_eq!(carried.len(), 1);
+        assert_eq!(carried[0].endpoint, service.endpoint);
     }
 
     #[test]

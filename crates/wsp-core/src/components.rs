@@ -19,6 +19,13 @@ pub trait ServiceLocator: Send + Sync {
     /// timeout; the `Client` wraps this for asynchronous use.
     fn locate(&self, query: &ServiceQuery) -> Result<Vec<LocatedService>, WspError>;
 
+    /// The first service `locate(query)` would return, or none. A
+    /// locator that gathers answers over time (P2PS) overrides this to
+    /// return as soon as it has one; the default asks `locate`.
+    fn locate_first(&self, query: &ServiceQuery) -> Result<Option<LocatedService>, WspError> {
+        Ok(self.locate(query)?.into_iter().next())
+    }
+
     /// Short label for diagnostics ("uddi", "p2ps", …).
     fn kind(&self) -> &'static str;
 }

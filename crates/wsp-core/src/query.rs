@@ -13,7 +13,11 @@ pub struct ServiceQuery {
     pub name_pattern: Option<String>,
     /// Key/value constraints: UDDI category bags or P2PS attributes.
     pub properties: Vec<(String, String)>,
-    /// Cap on results; 0 = no cap.
+    /// Cap on results; 0 = no cap. Over HTTP/UDDI it is the registry's
+    /// `maxRows`. Over P2PS a capped locate returns once it has located
+    /// that many services — counted after their definition pipes have
+    /// answered, not as adverts — instead of waiting out the discovery
+    /// window, which stays the bound on its wait for hits.
     pub max_results: usize,
 }
 

@@ -74,7 +74,7 @@ pub enum PeerOutput {
 }
 
 /// Upper bound on remembered query ids (reverse-path state).
-const SEEN_QUERY_CAP: usize = 16_384;
+pub(crate) const SEEN_QUERY_CAP: usize = 16_384;
 
 /// The peer state machine.
 pub struct PeerMachine {

@@ -49,7 +49,7 @@
 
 use crate::advert::{PipeAdvertisement, ServiceAdvertisement};
 use crate::id::PeerId;
-use crate::machine::{PeerConfig, PeerMachine, PeerOutput};
+use crate::machine::{PeerConfig, PeerMachine, PeerOutput, SEEN_QUERY_CAP};
 use crate::message::P2psMessage;
 use crate::query::P2psQuery;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
@@ -345,6 +345,7 @@ impl ThreadNetwork {
             stepped: Mutex::new(Stepped {
                 machine: PeerMachine::new(config),
                 tokens: HashMap::new(),
+                token_order: VecDeque::new(),
             }),
             sink: OnceLock::new(),
             events: event_tx,
@@ -370,6 +371,11 @@ impl ThreadNetwork {
 struct Stepped {
     machine: PeerMachine,
     tokens: HashMap<u64, u64>,
+    /// The ids in `tokens`, oldest first. The machine remembers at most
+    /// `SEEN_QUERY_CAP` query ids and forgets the oldest first, so an id
+    /// with that many of this peer's own queries after it is forgotten,
+    /// and no hit for it can come up any more.
+    token_order: VecDeque<u64>,
 }
 
 /// The part of a peer shared between its handle, its inbox thread and
@@ -556,6 +562,12 @@ impl ThreadPeer {
         self.core.step(|s, now| {
             let (id, outputs) = s.machine.query(now, query, None);
             s.tokens.insert(id, token);
+            s.token_order.push_back(id);
+            if s.token_order.len() > SEEN_QUERY_CAP {
+                if let Some(forgotten) = s.token_order.pop_front() {
+                    s.tokens.remove(&forgotten);
+                }
+            }
             outputs
         });
     }
@@ -653,6 +665,22 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn query_tokens_are_forgotten_with_their_ids() {
+        let network = ThreadNetwork::new();
+        let peer = network.spawn(PeerConfig::ordinary(PeerId(1)));
+        let issued = SEEN_QUERY_CAP + 100;
+        for token in 0..issued as u64 {
+            peer.query(token, P2psQuery::by_name("Echo"));
+        }
+        let stepped = peer.core.stepped.lock();
+        assert_eq!(stepped.tokens.len(), SEEN_QUERY_CAP);
+        assert_eq!(stepped.token_order.len(), SEEN_QUERY_CAP);
+        // The newest queries keep their tokens.
+        let newest = stepped.token_order.back().expect("queries were issued");
+        assert_eq!(stepped.tokens[newest], issued as u64 - 1);
     }
 
     #[test]

@@ -947,8 +947,7 @@ where
                 }
             }
         }
-        next.net
-            .sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        next.net.sort_by_cached_key(|m| format!("{m:?}"));
     }
 }
 

@@ -5,7 +5,7 @@ pub mod reference;
 use std::sync::Arc;
 use std::time::Duration;
 use wsp_core::bindings::{P2psBinding, P2psConfig};
-use wsp_core::{EventBus, Peer};
+use wsp_core::{EventBus, LocatedService, Peer, ServiceQuery};
 use wsp_p2ps::{PeerConfig, PeerId, ThreadNetwork, ThreadPeer};
 use wsp_wsdl::{OperationDef, ServiceDescriptor, ServiceHandler, Value, XsdType};
 
@@ -83,6 +83,22 @@ pub fn p2ps_wspeer(thread_peer: ThreadPeer) -> (Peer, P2psBinding) {
         },
     );
     (Peer::with_binding(&binding), binding)
+}
+
+/// The service `consumer` locates first for `query`, asked again until
+/// one is found, for up to five seconds: the barrier in front of a
+/// locate whose advert may still be on its way to the rendezvous.
+/// Panics with the last answer if nothing was found.
+pub fn locate_until_found(consumer: &Peer, query: &ServiceQuery) -> LocatedService {
+    let mut answer = None;
+    wait_until(Duration::from_secs(5), || {
+        answer = Some(consumer.client().locate_one(query));
+        matches!(answer, Some(Ok(_)))
+    });
+    match answer.expect("asked at least once") {
+        Ok(service) => service,
+        Err(error) => panic!("nothing located for {query:?}: {error}"),
+    }
 }
 
 /// Wait until `predicate` is true, up to `timeout`. Returns whether it

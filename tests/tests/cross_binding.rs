@@ -6,22 +6,20 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsp_core::bindings::HttpUddiBinding;
 use wsp_core::{EventBus, Peer, ServiceQuery};
-use wsp_integration_tests::{calc_descriptor, calc_handler, p2ps_star, p2ps_wspeer};
+use wsp_integration_tests::{
+    calc_descriptor, calc_handler, locate_until_found, p2ps_star, p2ps_wspeer,
+};
 use wsp_uddi::Registry;
 use wsp_wsdl::Value;
 
 /// The application, written once against the WSPeer API. It has no idea
 /// whether HTTP/UDDI or P2PS sits underneath.
-fn application(provider: &Peer, consumer: &Peer, settle: Duration) -> Value {
+fn application(provider: &Peer, consumer: &Peer) -> Value {
     provider
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .expect("deploy+publish");
-    std::thread::sleep(settle);
-    let service = consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("Calc"))
-        .expect("locate");
+    let service = locate_until_found(consumer, &ServiceQuery::by_name("Calc"));
     consumer
         .client()
         .invoke(&service, "add", &[Value::Double(19.0), Value::Double(23.0)])
@@ -39,10 +37,7 @@ fn same_code_over_http_uddi() {
         registry,
         EventBus::new(),
     ));
-    assert_eq!(
-        application(&provider, &consumer, Duration::ZERO),
-        Value::Double(42.0)
-    );
+    assert_eq!(application(&provider, &consumer), Value::Double(42.0));
 }
 
 #[test]
@@ -50,10 +45,7 @@ fn same_code_over_p2ps() {
     let (_network, _rv, mut peers) = p2ps_star(2);
     let (provider, _pb) = p2ps_wspeer(peers.pop().unwrap());
     let (consumer, _cb) = p2ps_wspeer(peers.pop().unwrap());
-    assert_eq!(
-        application(&provider, &consumer, Duration::from_millis(200)),
-        Value::Double(42.0)
-    );
+    assert_eq!(application(&provider, &consumer), Value::Double(42.0));
 }
 
 /// C6 in the other direction from the bindings::tests version: a P2PS
@@ -122,7 +114,6 @@ fn provider_serves_both_worlds_simultaneously() {
         .server()
         .deploy_and_publish(calc_descriptor(), handler)
         .unwrap();
-    std::thread::sleep(Duration::from_millis(200));
 
     // HTTP-side client.
     let http_consumer = Peer::with_binding(&HttpUddiBinding::with_local_registry(
@@ -142,10 +133,7 @@ fn provider_serves_both_worlds_simultaneously() {
     );
 
     // P2PS-side client.
-    let via_p2ps = p2ps_consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("Calc"))
-        .unwrap();
+    let via_p2ps = locate_until_found(&p2ps_consumer, &ServiceQuery::by_name("Calc"));
     assert_eq!(
         p2ps_consumer
             .client()
@@ -199,7 +187,6 @@ fn shared_stateful_object_across_bindings() {
         .server()
         .deploy_and_publish(descriptor, handler)
         .unwrap();
-    std::thread::sleep(Duration::from_millis(200));
 
     let http_consumer = Peer::with_binding(&HttpUddiBinding::with_local_registry(
         registry,
@@ -209,10 +196,7 @@ fn shared_stateful_object_across_bindings() {
         .client()
         .locate_one(&ServiceQuery::by_name("Counter"))
         .unwrap();
-    let via_p2ps = p2ps_consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("Counter"))
-        .unwrap();
+    let via_p2ps = locate_until_found(&p2ps_consumer, &ServiceQuery::by_name("Counter"));
 
     assert_eq!(
         http_consumer

@@ -10,7 +10,9 @@ use wsp_core::{
     telemetry, BindingKind, CorrelationScope, DeadlineScope, DeployedService, Dispatcher,
     DispatcherConfig, EventBus, LocatedService, Peer, ServiceQuery, WspError,
 };
-use wsp_integration_tests::{calc_descriptor, calc_handler, p2ps_star, p2ps_wspeer, wait_until};
+use wsp_integration_tests::{
+    calc_descriptor, calc_handler, locate_until_found, p2ps_star, p2ps_wspeer, wait_until,
+};
 use wsp_p2ps::{
     decode_request, encode_response, PeerConfig, PeerId, PipeAdvertisement, ServiceAdvertisement,
     ThreadNetwork, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE,
@@ -31,12 +33,8 @@ fn full_lifecycle_over_pipes() {
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
 
-    let service = consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("Calc"))
-        .unwrap();
+    let service = locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
     assert!(service.endpoint.starts_with("p2ps://"));
     // WSDL came through the definition pipe with the full contract.
     assert_eq!(service.wsdl.descriptor.operations.len(), 4);
@@ -57,12 +55,8 @@ fn fault_travels_back_down_return_pipe() {
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
 
-    let service = consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("Calc"))
-        .unwrap();
+    let service = locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
     let err = consumer.client().invoke(&service, "fail", &[]).unwrap_err();
     assert!(
         matches!(&err, WspError::Fault(f) if f.reason == "deliberate failure"),
@@ -79,12 +73,8 @@ fn one_way_is_fire_and_forget() {
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
 
-    let service = consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("Calc"))
-        .unwrap();
+    let service = locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
     let started = std::time::Instant::now();
     let out = consumer
         .client()
@@ -104,7 +94,7 @@ fn attribute_discovery_over_pipes() {
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
+    locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
 
     let hit = consumer
         .client()
@@ -128,12 +118,8 @@ fn departed_provider_times_out_not_hangs() {
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
 
-    let service = consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("Calc"))
-        .unwrap();
+    let service = locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
     // The provider (and its peer thread) leaves the network. The
     // binding's demultiplexer shuts down asynchronously; give it a
     // moment to disappear from the directory.
@@ -162,7 +148,7 @@ fn unpublished_service_ages_out_of_discovery() {
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
+    locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
     assert_eq!(
         consumer
             .client()
@@ -195,11 +181,7 @@ fn concurrent_invocations_multiplex_one_peer() {
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .unwrap();
-    std::thread::sleep(Duration::from_millis(150));
-    let service = consumer
-        .client()
-        .locate_one(&ServiceQuery::by_name("Calc"))
-        .unwrap();
+    let service = locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
 
     // Several async invocations in flight at once over one peer; each
     // gets its own return pipe and correlates independently through
@@ -687,7 +669,6 @@ fn a_located_service_brings_the_wsdl_its_definition_pipe_answered_with() {
     let provider = peers.pop().unwrap();
     let advert = hand_driven_calc(&provider);
     provider.publish(advert.clone());
-    std::thread::sleep(Duration::from_millis(150));
     let location = advert.uri().address();
     std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -701,11 +682,109 @@ fn a_located_service_brings_the_wsdl_its_definition_pipe_answered_with() {
             let wsdl = WsdlDocument::new(calc_descriptor(), vec![port]).to_element();
             provider.send_pipe(reply_pipe, under(&headers, Envelope::request(wsdl)));
         });
-        let located = (consumer.client())
-            .locate_one(&ServiceQuery::by_name("Calc"))
-            .unwrap();
+        let located = locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
         assert_eq!(located.endpoint, location);
         assert_eq!(located.wsdl.descriptor, calc_descriptor());
         assert_eq!(located.wsdl.ports[0].location, location);
     });
+}
+
+// --- discovery ends when the caller has its answer ---------------------------
+
+/// A `Calc` provider published on `peer`, with its endpoint.
+fn calc_provider(peer: ThreadPeer) -> (Peer, P2psBinding, String) {
+    let (provider, binding) = p2ps_wspeer(peer);
+    let deployed = (provider.server())
+        .deploy_and_publish(calc_descriptor(), calc_handler())
+        .unwrap();
+    let endpoint = deployed.endpoints[0].clone();
+    (provider, binding, endpoint)
+}
+
+fn endpoints(services: &[LocatedService]) -> Vec<&str> {
+    services.iter().map(|s| s.endpoint.as_str()).collect()
+}
+
+#[test]
+fn locate_one_returns_at_its_first_located_service_not_at_the_window() {
+    let (_network, _rv, mut peers) = p2ps_star(3);
+    let patient = P2psConfig {
+        discovery_window: Duration::from_secs(30),
+        request_timeout: Duration::from_secs(3),
+    };
+    let binding = P2psBinding::new(peers.pop().unwrap(), EventBus::new(), patient);
+    let consumer = Peer::with_binding(&binding);
+    let (probe, _probe_binding) = p2ps_wspeer(peers.pop().unwrap());
+    let (_provider, _pb, endpoint) = calc_provider(peers.pop().unwrap());
+    // The advert is at the rendezvous: a short-window peer sees it.
+    locate_until_found(&probe, &ServiceQuery::by_name("Calc"));
+
+    let started = Instant::now();
+    let service = (consumer.client())
+        .locate_one(&ServiceQuery::by_name("Calc"))
+        .unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "{:?}",
+        started.elapsed()
+    );
+    assert_eq!(service.endpoint, endpoint);
+    // The early return took the pending query with it.
+    assert_eq!(binding.outstanding_queries(), 0);
+}
+
+#[test]
+fn locate_one_passes_over_an_advert_whose_definition_pipe_is_gone() {
+    let (_network, _rv, mut peers) = p2ps_star(3);
+    let (consumer, _cb) =
+        consumer_timing_out_after(peers.pop().unwrap(), Duration::from_millis(500));
+    let (first, _fb, first_endpoint) = calc_provider(peers.pop().unwrap());
+    let (_second, _sb, second_endpoint) = calc_provider(peers.pop().unwrap());
+    let query = ServiceQuery::by_name("Calc");
+    assert!(wait_until(Duration::from_secs(5), || {
+        consumer.client().locate(&query).unwrap().len() == 2
+    }));
+    // Adverts arrive in the order they were published, and locate_one
+    // returns what locate returns first.
+    let all = consumer.client().locate(&query).unwrap();
+    assert_eq!(endpoints(&all), [&first_endpoint, &second_endpoint]);
+    assert_eq!(
+        consumer.client().locate_one(&query).unwrap().endpoint,
+        first_endpoint
+    );
+
+    // The first provider leaves; its advert stays cached (soft state),
+    // but its definition pipe answers no more.
+    first.server().undeploy("Calc");
+    let one = consumer.client().locate_one(&query).unwrap();
+    assert_eq!(one.endpoint, second_endpoint);
+    let all = consumer.client().locate(&query).unwrap();
+    assert_eq!(endpoints(&all), [&second_endpoint]);
+}
+
+#[test]
+fn a_capped_locate_counts_located_services() {
+    let (_network, _rv, mut peers) = p2ps_star(4);
+    let (consumer, consumer_binding) =
+        consumer_timing_out_after(peers.pop().unwrap(), Duration::from_millis(500));
+    let providers: Vec<_> = peers.into_iter().map(calc_provider).collect();
+    let query = ServiceQuery::by_name("Calc");
+    assert!(wait_until(Duration::from_secs(5), || {
+        consumer.client().locate(&query).unwrap().len() == 3
+    }));
+    let all = consumer.client().locate(&query).unwrap();
+
+    let capped = (consumer.client())
+        .locate(&query.clone().with_max_results(2))
+        .unwrap();
+    assert_eq!(endpoints(&capped), endpoints(&all[..2]));
+    assert_eq!(consumer_binding.outstanding_queries(), 0);
+
+    // With the first provider gone, the cap is still met: it counts
+    // located services, not adverts.
+    providers[0].0.server().undeploy("Calc");
+    let capped = (consumer.client())
+        .locate(&query.with_max_results(2))
+        .unwrap();
+    assert_eq!(endpoints(&capped), [&providers[1].2, &providers[2].2]);
 }
