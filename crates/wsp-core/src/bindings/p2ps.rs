@@ -699,7 +699,12 @@ impl P2psLocator {
             let batch = match deadline.checked_duration_since(Instant::now()) {
                 Some(remaining) if tried == adverts.len() => rx.recv_timeout(remaining).ok(),
                 Some(_) => rx.try_recv().ok(),
-                None => None,
+                // The window has closed: take no more hits, but try
+                // every one that came while it was open.
+                None => {
+                    shared.pending_queries.lock().remove(&token);
+                    rx.try_recv().ok()
+                }
             };
             if let Some(batch) = batch {
                 for advert in batch {

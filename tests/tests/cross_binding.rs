@@ -13,13 +13,18 @@ use wsp_uddi::Registry;
 use wsp_wsdl::Value;
 
 /// The application, written once against the WSPeer API. It has no idea
-/// whether HTTP/UDDI or P2PS sits underneath.
-fn application(provider: &Peer, consumer: &Peer) -> Value {
+/// whether HTTP/UDDI or P2PS sits underneath. `settle` returns once the
+/// published service can be found.
+fn application(provider: &Peer, consumer: &Peer, settle: impl FnOnce()) -> Value {
     provider
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .expect("deploy+publish");
-    let service = locate_until_found(consumer, &ServiceQuery::by_name("Calc"));
+    settle();
+    let service = consumer
+        .client()
+        .locate_one(&ServiceQuery::by_name("Calc"))
+        .expect("locate");
     consumer
         .client()
         .invoke(&service, "add", &[Value::Double(19.0), Value::Double(23.0)])
@@ -37,15 +42,26 @@ fn same_code_over_http_uddi() {
         registry,
         EventBus::new(),
     ));
-    assert_eq!(application(&provider, &consumer), Value::Double(42.0));
+    assert_eq!(
+        application(&provider, &consumer, || ()),
+        Value::Double(42.0)
+    );
 }
 
 #[test]
 fn same_code_over_p2ps() {
-    let (_network, _rv, mut peers) = p2ps_star(2);
+    let (_network, _rv, mut peers) = p2ps_star(3);
     let (provider, _pb) = p2ps_wspeer(peers.pop().unwrap());
     let (consumer, _cb) = p2ps_wspeer(peers.pop().unwrap());
-    assert_eq!(application(&provider, &consumer), Value::Double(42.0));
+    let (probe, _probe_binding) = p2ps_wspeer(peers.pop().unwrap());
+    // The advert has reached the rendezvous once another peer finds it.
+    let settle = || {
+        locate_until_found(&probe, &ServiceQuery::by_name("Calc"));
+    };
+    assert_eq!(
+        application(&provider, &consumer, settle),
+        Value::Double(42.0)
+    );
 }
 
 /// C6 in the other direction from the bindings::tests version: a P2PS

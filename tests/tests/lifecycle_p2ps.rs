@@ -87,14 +87,18 @@ fn one_way_is_fire_and_forget() {
 
 #[test]
 fn attribute_discovery_over_pipes() {
-    let (_network, _rv, mut peers) = p2ps_star(2);
+    let (_network, _rv, mut peers) = p2ps_star(3);
     let (provider, _pb) = p2ps_wspeer(peers.pop().unwrap());
     let (consumer, _cb) = p2ps_wspeer(peers.pop().unwrap());
+    let (probe, _probe_binding) = p2ps_wspeer(peers.pop().unwrap());
     provider
         .server()
         .deploy_and_publish(calc_descriptor(), calc_handler())
         .unwrap();
-    locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
+    // The advert is at the rendezvous once another peer finds it; the
+    // consumer's own cache stays empty, so its hit has to come from the
+    // rendezvous matching the attribute.
+    locate_until_found(&probe, &ServiceQuery::by_name("Calc"));
 
     let hit = consumer
         .client()
@@ -760,6 +764,63 @@ fn locate_one_passes_over_an_advert_whose_definition_pipe_is_gone() {
     assert_eq!(one.endpoint, second_endpoint);
     let all = consumer.client().locate(&query).unwrap();
     assert_eq!(endpoints(&all), [&second_endpoint]);
+}
+
+/// Keeps `rendezvous` busy for `pause` on the next message to a pipe
+/// it opens: a query that reaches it meanwhile waits, and its hits come
+/// back that much later. Call the returned function to hold it once;
+/// it returns when the rendezvous has started its pause.
+fn rendezvous_holder(rendezvous: &ThreadPeer, sender: ThreadPeer, pause: Duration) -> impl Fn() {
+    let (started_tx, started_rx) = mpsc::channel();
+    assert!(rendezvous.set_sink(Box::new(move |event| {
+        if let ThreadPeerEvent::PipeDelivery { .. } = event {
+            let _ = started_tx.send(());
+            std::thread::sleep(pause);
+        }
+    })));
+    let pipe = rendezvous.open_pipe(None);
+    let sender = Arc::new(sender);
+    move || {
+        let (sender, pipe) = (sender.clone(), pipe.clone());
+        std::thread::spawn(move || sender.send_pipe(pipe, "hold".into()));
+        started_rx.recv().unwrap();
+    }
+}
+
+#[test]
+fn a_new_provider_is_found_past_a_departed_one_the_consumer_cached() {
+    let (_network, rv, mut peers) = p2ps_star(5);
+    // Giving up on the departed provider takes longer than the window.
+    let (consumer, consumer_binding) =
+        consumer_timing_out_after(peers.pop().unwrap(), Duration::from_secs(1));
+    let (probe, _probe_binding) =
+        consumer_timing_out_after(peers.pop().unwrap(), Duration::from_millis(200));
+    let query = ServiceQuery::by_name("Calc");
+    let (departed, _db, departed_endpoint) = calc_provider(peers.pop().unwrap());
+    assert_eq!(
+        locate_until_found(&consumer, &query).endpoint,
+        departed_endpoint
+    );
+
+    // The consumer's own cache holds the departed provider's advert
+    // only; the new provider's is at the rendezvous, where the probe,
+    // which has cached nothing of it, finds it.
+    departed.server().undeploy("Calc");
+    let (_new, _nb, new_endpoint) = calc_provider(peers.pop().unwrap());
+    assert_eq!(locate_until_found(&probe, &query).endpoint, new_endpoint);
+
+    // The cached advert comes back at once and is tried first. The
+    // rendezvous answers 150 ms later, inside the window, while that
+    // try is still timing out past the window's end: its hits are
+    // tried next.
+    let hold = rendezvous_holder(&rv, peers.pop().unwrap(), Duration::from_millis(150));
+    hold();
+    let one = consumer.client().locate_one(&query).unwrap();
+    assert_eq!(one.endpoint, new_endpoint);
+    hold();
+    let all = consumer.client().locate(&query).unwrap();
+    assert_eq!(endpoints(&all), [&new_endpoint]);
+    assert_eq!(consumer_binding.outstanding_queries(), 0);
 }
 
 #[test]
