@@ -8,15 +8,15 @@ use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::events::EventBus;
 use crate::health::{BreakerConfig, BreakerState, EndpointHealth};
-use crate::overload;
+use crate::overload::{self, Deadline};
 use crate::query::{properties_to_uddi_categories, ServiceQuery};
 use crate::server::{HostedService, Hosting, Incoming, Served};
-use crate::telemetry::{self, Counter, Histogram};
+use crate::telemetry::{self, clock, Counter, Histogram};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write;
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wsp_http::{
     guard_router, ConnectionPool, HttpUri, HttpgCredential, Request, Response, ServerConfig,
     TcpServer, DEFAULT_CLIENT_TIMEOUT,
@@ -181,7 +181,7 @@ fn registry_call<T>(
     call: impl FnOnce() -> Result<T, wsp_uddi::UddiError>,
 ) -> Result<T, WspError> {
     let endpoint = shared.uddi.endpoint_hint().unwrap_or("uddi:anonymous");
-    let started = Instant::now();
+    let started = clock::now();
     let Some(permit) = shared.registry_health.admit(endpoint, started) else {
         series.errors.incr();
         return Err(WspError::Transport(format!(
@@ -192,7 +192,7 @@ fn registry_call<T>(
         Ok(value) => {
             permit.succeed();
             series.ok.incr();
-            series.rtt_us.record_micros(started.elapsed());
+            series.rtt_us.record_since(started);
             Ok(value)
         }
         Err(wsp_uddi::UddiError::Transport(why)) => {
@@ -223,7 +223,7 @@ fn metrics_handler(shared: Weak<Shared>) -> wsp_http::HttpHandler {
             let pool = shared.pool.stats();
             let open = shared
                 .registry_health
-                .snapshot(Instant::now())
+                .snapshot(clock::now())
                 .iter()
                 .filter(|(_, state)| *state != BreakerState::Closed)
                 .count();
@@ -382,7 +382,8 @@ impl ServiceDeployer for HttpDeployer {
                         .get(CORRELATION_HEADER)
                         .and_then(|v| v.trim().parse().ok())
                         .unwrap_or(0u64);
-                    let deadline = overload::deadline_from_headers(&request.headers);
+                    let deadline =
+                        (request.headers.get(overload::DEADLINE_HEADER)).and_then(Deadline::parse);
                     match hosting.admit(&hosted, correlation, deadline) {
                         Ok(permit) => soap_response(hosting.serve(
                             &hosted,
@@ -601,7 +602,7 @@ fn fetch_wsdl(
 
 impl ServiceLocator for UddiLocator {
     fn locate(&self, query: &ServiceQuery) -> Result<Vec<LocatedService>, WspError> {
-        let locate_started = Instant::now();
+        let locate_started = clock::now();
         self.shared.locate_queries.incr();
         let records = registry_call(&self.shared, &self.shared.locate_series, || {
             self.shared.uddi.locate(&query.to_uddi())
@@ -651,9 +652,7 @@ impl ServiceLocator for UddiLocator {
                 }
             }
         }
-        self.shared
-            .locate_rtt_us
-            .record_micros(locate_started.elapsed());
+        self.shared.locate_rtt_us.record_since(locate_started);
         Ok(found.into_iter().flatten().collect())
     }
 
@@ -695,7 +694,8 @@ impl Invoker for HttpInvoker {
         }
         // Deadline propagation: ship the *remaining* budget and cap the
         // local read wait at it — a call never outlives its deadline.
-        let budget_ms = overload::send_budget(overload::current_deadline())?;
+        let budget_ms = overload::current_deadline().map(|at| Deadline(at).budget_ms());
+        let budget_ms = budget_ms.transpose()?;
         if let Some(ms) = budget_ms {
             request
                 .headers
@@ -703,7 +703,7 @@ impl Invoker for HttpInvoker {
         }
         let call_timeout = budget_ms.map(Duration::from_millis);
         let registry = telemetry::global();
-        let started = Instant::now();
+        let started = clock::now();
         registry.span(
             correlation,
             "http.request",
@@ -712,7 +712,7 @@ impl Invoker for HttpInvoker {
         let response = match self.shared.call(&uri, request, call_timeout) {
             Ok(response) => {
                 if registry.is_enabled() {
-                    self.shared.roundtrip_us.record_micros(started.elapsed());
+                    self.shared.roundtrip_us.record_since(started);
                     registry.span(
                         correlation,
                         "http.response",
@@ -751,7 +751,7 @@ impl Invoker for HttpInvoker {
                         .headers
                         .get("Retry-After")
                         .and_then(|v| v.trim().parse::<u64>().ok())
-                        .map(|secs| secs * 1000)
+                        .map(|secs| secs.saturating_mul(1000))
                 });
             return Err(WspError::Overloaded {
                 retry_after_ms: hint,

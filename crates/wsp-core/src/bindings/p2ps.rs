@@ -44,15 +44,15 @@ use crate::dispatch::{Completer, Dispatcher};
 use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::events::EventBus;
-use crate::overload::{self, DeadlineScope};
+use crate::overload::{self, Deadline, DeadlineScope};
 use crate::query::ServiceQuery;
 use crate::server::{HostedService, Hosting, Incoming};
-use crate::telemetry::{self, CorrelationScope};
+use crate::telemetry::{self, clock, CorrelationScope};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wsp_p2ps::{
     decode_request, encode_response, P2psUri, PipeAdvertisement, RpcCorrelator,
     ServiceAdvertisement, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE, P2PS_NS,
@@ -351,7 +351,7 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: Strin
     // WS-Addressing's.
     let mut budget = None;
     let mut foreign = |block: &HeaderBlock| {
-        budget = budget.or_else(|| overload::deadline_in(&block.element));
+        budget = budget.or_else(|| Deadline::in_block(&block.element));
     };
     let service = match hosting.service(name) {
         Some(service) if !definition => service,
@@ -476,13 +476,14 @@ fn request_over_pipe<T: Send + 'static>(
     // and cap the response wait at it.
     let mut request_timeout = shared.config.request_timeout;
     let mut leading = Vec::new();
-    if let Some(ms) = overload::send_budget(overload::current_deadline())? {
+    let budget = overload::current_deadline().map(|at| Deadline(at).budget_ms());
+    if let Some(ms) = budget.transpose()? {
         let budget = Element::build("", overload::DEADLINE_SOAP_HEADER).text(ms.to_string());
         leading.push(budget.finish());
         request_timeout = request_timeout.min(Duration::from_millis(ms));
     }
     let registry = telemetry::global();
-    let started = Instant::now();
+    let started = clock::now();
     // Spans land under the *caller's* correlation (the invoking job),
     // with the pipe's own correlator token in the detail.
     registry.span_with(telemetry::current_correlation(), "p2ps.request", |d| {
@@ -520,7 +521,7 @@ fn request_over_pipe<T: Send + 'static>(
     match result? {
         Ok(read) => {
             if registry.is_enabled() {
-                shared.roundtrip_us.record_micros(started.elapsed());
+                shared.roundtrip_us.record_since(started);
                 registry.span_with(telemetry::current_correlation(), "p2ps.response", |d| {
                     d.push("rpc_token=").push_u64(token);
                 });
@@ -676,7 +677,7 @@ impl P2psLocator {
     fn discover(&self, query: &ServiceQuery, cap: usize) -> Vec<LocatedService> {
         let shared = &self.shared;
         let token = shared.hosting().dispatcher().next_token();
-        let discovery_started = Instant::now();
+        let discovery_started = clock::now();
         shared.discovery_queries.incr();
         telemetry::global().span(
             telemetry::current_correlation(),
@@ -687,7 +688,7 @@ impl P2psLocator {
         shared.pending_queries.lock().insert(token, tx);
         shared.peer.query(token, query.to_p2ps());
 
-        let deadline = Instant::now() + shared.config.discovery_window;
+        let window = Deadline::after(shared.config.discovery_window);
         // Distinct adverts in arrival order, the first `tried` of them
         // resolved (or given up on) already.
         let mut adverts: Vec<ServiceAdvertisement> = Vec::new();
@@ -696,7 +697,8 @@ impl P2psLocator {
         while found.len() < cap {
             // While the window is open, take what has arrived, waiting
             // for more only when there is nothing left to try.
-            let batch = match deadline.checked_duration_since(Instant::now()) {
+            let open = Some(window.remaining()).filter(|left| !left.is_zero());
+            let batch = match open {
                 Some(remaining) if tried == adverts.len() => rx.recv_timeout(remaining).ok(),
                 Some(_) => rx.try_recv().ok(),
                 // The window has closed: take no more hits, but try
@@ -726,9 +728,7 @@ impl P2psLocator {
         shared.pending_queries.lock().remove(&token);
         // Full discovery round trip: the flood plus the WSDL retrievals
         // over definition pipes.
-        shared
-            .discovery_rtt_us
-            .record_micros(discovery_started.elapsed());
+        shared.discovery_rtt_us.record_since(discovery_started);
         shared.discovery_hits.add(found.len() as u64);
         found
     }

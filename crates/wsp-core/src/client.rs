@@ -18,15 +18,15 @@ use crate::events::{
     ClientMessageEvent, DiscoveryMessageEvent, EventBus, ResilienceAction, ResilienceMessageEvent,
 };
 use crate::health::EndpointHealth;
-use crate::overload::{self, DeadlineScope};
+use crate::overload::{self, Deadline, DeadlineScope};
 use crate::query::{QueryExpr, ServiceQuery};
 use crate::resilience::ResiliencePolicy;
-use crate::telemetry;
+use crate::telemetry::{self, clock};
 use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wsp_wsdl::Value;
 
 /// The `Client` node: owns a pluggable [`ServiceLocator`] and a set of
@@ -284,7 +284,7 @@ impl Client {
     /// call — so the policy deadline counts from here, queued or not.
     fn invoke_job(&self, token: u64, policy: ResiliencePolicy) -> InvokeJob {
         InvokeJob {
-            deadline: policy.deadline.map(|d| Instant::now() + d),
+            deadline: policy.deadline.map(Deadline::after),
             policy,
             health: self.health.clone(),
             invokers: self.invokers.read().clone(),
@@ -355,7 +355,7 @@ struct InvokeJob {
     attempt_counters: Arc<AttemptCounters>,
     invoke_us: Arc<telemetry::Histogram>,
     token: u64,
-    deadline: Option<Instant>,
+    deadline: Option<Deadline>,
 }
 
 impl InvokeJob {
@@ -366,7 +366,7 @@ impl InvokeJob {
         args: &[Value],
     ) -> Result<Value, WspError> {
         let registry = telemetry::global();
-        let started = Instant::now();
+        let started = clock::now();
         let attempts = ResilientAttempts {
             policy: &self.policy,
             health: &self.health,
@@ -378,7 +378,7 @@ impl InvokeJob {
             deadline: self.deadline,
         };
         let result = attempts.run(service, operation, args);
-        self.invoke_us.record_micros(started.elapsed());
+        self.invoke_us.record_since(started);
         if registry.is_enabled() {
             if let Err(error) = &result {
                 registry.span(
@@ -408,7 +408,7 @@ struct ResilientAttempts<'a> {
     events: &'a EventBus,
     attempt_counters: &'a AttemptCounters,
     token: u64,
-    deadline: Option<Instant>,
+    deadline: Option<Deadline>,
 }
 
 impl ResilientAttempts<'_> {
@@ -456,7 +456,7 @@ impl ResilientAttempts<'_> {
         if registry.is_enabled() {
             count_attempt(self.attempt_counters, registry, &service.endpoint);
         }
-        let Some(permit) = self.health.admit(&service.endpoint, Instant::now()) else {
+        let Some(permit) = self.health.admit(&service.endpoint, clock::now()) else {
             return Err(WspError::CircuitOpen {
                 endpoint: service.endpoint.clone(),
             });
@@ -472,11 +472,12 @@ impl ResilientAttempts<'_> {
                 // deadline is the tighter of this call's own deadline
                 // and any inherited one — a handler making a nested
                 // outbound call cannot outlive its caller's budget.
-                let effective = match (self.deadline, overload::current_deadline()) {
+                let inherited = overload::current_deadline().map(Deadline);
+                let effective = match (self.deadline, inherited) {
                     (Some(own), Some(inherited)) => Some(own.min(inherited)),
                     (own, inherited) => own.or(inherited),
                 };
-                let _deadline = DeadlineScope::enter(effective);
+                let _deadline = DeadlineScope::enter(effective.map(|d| d.0));
                 invoker.invoke(service, operation, args)
             }
             None => Err(WspError::NoBindingFor {
@@ -519,7 +520,7 @@ impl ResilientAttempts<'_> {
         let candidates = locator
             .locate(&ServiceQuery::by_name(service.name()))
             .ok()?;
-        let now = Instant::now();
+        let now = clock::now();
         candidates.into_iter().find(|c| {
             c.endpoint != service.endpoint
                 && !tried.contains(&c.endpoint)
@@ -610,12 +611,10 @@ impl ResilientAttempts<'_> {
             // is a floor under our own schedule — retrying sooner than
             // the server asked would feed the very overload it is
             // shedding.
-            let delay = match error.retry_after_hint() {
-                Some(hint) => delay.max(hint),
-                None => delay,
-            };
+            let hint = error.retry_after_hint();
+            let delay = delay.max(hint.unwrap_or_default());
             if let Some(deadline) = self.deadline {
-                if Instant::now() + delay >= deadline {
+                if deadline.expired_after(delay) {
                     self.fire(
                         service,
                         ResilienceAction::DeadlineExceeded {
@@ -633,8 +632,12 @@ impl ResilientAttempts<'_> {
                     });
                 }
             }
+            // A hint past any wait worth making ends the call.
+            if hint.is_some_and(|hint| hint > overload::MAX_RETRY_HINT) {
+                return Err(error);
+            }
             if !delay.is_zero() {
-                std::thread::sleep(delay);
+                clock::sleep(delay);
             }
         }
     }
@@ -646,6 +649,7 @@ mod tests {
     use crate::endpoint::BindingKind;
     use crate::events::CollectingListener;
     use crate::health::Admission;
+    use std::time::Instant;
     use wsp_wsdl::{ServiceDescriptor, WsdlDocument};
 
     struct FixedLocator(Vec<LocatedService>);
@@ -1183,6 +1187,62 @@ mod tests {
             started.elapsed() >= Duration::from_millis(60),
             "retry must wait out the server's 60ms hint, took {:?}",
             started.elapsed()
+        );
+    }
+
+    /// A server's hint is remote input: near `u64::MAX`, against a call
+    /// with a deadline, it is past the deadline, not an overflow.
+    #[test]
+    fn an_overlong_hint_under_a_deadline_is_deadline_exceeded() {
+        let client = Client::new(EventBus::new());
+        client.add_invoker(Arc::new(SheddingInvoker {
+            sheds: 1,
+            hint_ms: u64::MAX,
+            calls: std::sync::atomic::AtomicU32::new(0),
+        }));
+        let policy = instant_policy(3).with_deadline(Duration::from_secs(5));
+        let out = client.invoke_with_policy(&test_service(), "echoString", &[], policy);
+        assert!(
+            matches!(
+                out,
+                Err(WspError::Timeout {
+                    what: "call deadline",
+                    ..
+                })
+            ),
+            "{out:?}"
+        );
+    }
+
+    /// Without a deadline, a hint past `MAX_RETRY_HINT` ends the retry
+    /// loop with the server's shed instead of parking the caller. The
+    /// call runs on its own thread, watched, so a sleep fails the test
+    /// instead of hanging it.
+    #[test]
+    fn an_overlong_hint_without_a_deadline_returns_the_shed() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let client = Client::new(EventBus::new());
+            client.add_invoker(Arc::new(SheddingInvoker {
+                sheds: 1,
+                hint_ms: u64::MAX,
+                calls: std::sync::atomic::AtomicU32::new(0),
+            }));
+            let service = test_service();
+            let _ =
+                tx.send(client.invoke_with_policy(&service, "echoString", &[], instant_policy(3)));
+        });
+        let out = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the call returns instead of sleeping out the hint");
+        assert!(
+            matches!(
+                out,
+                Err(WspError::Overloaded {
+                    retry_after_ms: Some(u64::MAX)
+                })
+            ),
+            "{out:?}"
         );
     }
 

@@ -55,7 +55,8 @@ use crate::error::WspError;
 use crate::machines::correlation::{
     CorrelationEffect, CorrelationEvent, CorrelationMachine, CorrelationState,
 };
-use crate::overload::DeadlineScope;
+use crate::overload::{Deadline, DeadlineScope};
+use crate::telemetry::clock::{self, ClockScope, VirtualClock};
 use crate::telemetry::{self, CorrelationScope, Counter, Histogram};
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -131,7 +132,7 @@ impl Settle<'_> {
             return;
         }
         if let Some(started) = self.started {
-            self.inner.run_us.record_micros(started.elapsed());
+            self.inner.run_us.record_since(started);
         }
         self.inner.in_flight.fetch_sub(1, Ordering::SeqCst);
         let outcome = if ok {
@@ -178,16 +179,18 @@ struct Job {
     /// Shed the job unrun if this has passed by the time it is popped:
     /// the caller's propagated deadline, checked at dequeue (see
     /// [`Dispatcher::try_execute`]).
-    deadline: Option<Instant>,
+    deadline: Option<Deadline>,
+    /// The submitter's clock, for the dequeue check and the job alike.
+    clock: Option<VirtualClock>,
 }
 
 /// A job with no handle: `f` under the submitter's correlation id,
 /// inside a [`DeadlineScope`] of `deadline`.
-fn scoped_job(deadline: Option<Instant>, f: impl FnOnce() + Send + 'static) -> BoxedFn {
+fn scoped_job(deadline: Option<Deadline>, f: impl FnOnce() + Send + 'static) -> BoxedFn {
     let parent = telemetry::current_correlation();
     Box::new(move |_: &Settle<'_>| {
         let _correlation = CorrelationScope::enter(parent);
-        let _deadline = DeadlineScope::enter(deadline);
+        let _deadline = DeadlineScope::enter(deadline.map(|d| d.0));
         f()
     })
 }
@@ -314,7 +317,7 @@ impl Inner {
     fn push<I>(
         &self,
         input: I,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
         make: impl FnOnce(I) -> BoxedFn,
     ) -> Result<(), I> {
         let mut queue = self.queue.lock();
@@ -325,8 +328,9 @@ impl Inner {
         self.submitted.fetch_add(1, Ordering::SeqCst);
         queue.jobs.push_back(Job {
             run: make(input),
-            enqueued_at: telemetry::global().is_enabled().then(Instant::now),
+            enqueued_at: telemetry::global().is_enabled().then(clock::now),
             deadline,
+            clock: clock::current(),
         });
         self.queue_depth.record(queue.jobs.len() as u64);
         let woken = queue.idle.pop().or_else(|| queue.helpers.pop());
@@ -349,7 +353,8 @@ impl Inner {
         // while the job sat in the queue, nobody is waiting for the
         // answer — dropping the closure (releasing any admission permit
         // it holds) beats computing a response for a hung-up caller.
-        if job.deadline.is_some_and(|d| Instant::now() >= d) {
+        let _clock = ClockScope::enter(job.clock);
+        if job.deadline.is_some_and(Deadline::expired) {
             self.shed.fetch_add(1, Ordering::SeqCst);
             self.shed_expired.incr();
             drop(job.run);
@@ -358,8 +363,8 @@ impl Inner {
         }
         // One clock read serves as both queue-wait end and run start.
         let timing = job.enqueued_at.map(|enqueued_at| {
-            let now = Instant::now();
-            (now, now.saturating_duration_since(enqueued_at))
+            let now = clock::now();
+            (now, now - enqueued_at)
         });
         // Backstop isolation for fire-and-forget jobs; call-producing
         // jobs catch their own panic and poison their handle.
@@ -379,7 +384,7 @@ impl Inner {
     ) -> std::thread::Result<R> {
         self.in_flight.fetch_add(1, Ordering::SeqCst);
         if let Some((_, waited)) = timing {
-            self.queue_wait_us.record_micros(waited);
+            self.queue_wait_us.record(waited.as_micros() as u64);
         }
         let settle = Settle {
             inner: self,
@@ -409,7 +414,7 @@ impl Inner {
     /// runs a job first, so the push is not lost on it.
     fn wait<R>(
         &self,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
         help: bool,
         mut done: impl FnMut() -> Option<R>,
         listen: impl Fn(&Thread) -> bool,
@@ -419,7 +424,7 @@ impl Inner {
             if let Some(result) = done() {
                 return Some(result);
             }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
+            if deadline.is_some_and(|d| d.remaining().is_zero()) {
                 return None;
             }
             if (help && self.try_run_one()) || !listen(&me) {
@@ -433,7 +438,7 @@ impl Inner {
                 queue.helpers.push(me.clone());
             }
             match deadline {
-                Some(d) => thread::park_timeout(d.saturating_duration_since(Instant::now())),
+                Some(d) => thread::park_timeout(d.remaining()),
                 None => thread::park(),
             }
             if help && !unlist(&mut self.queue.lock().helpers, &me) {
@@ -529,7 +534,7 @@ impl<T: Send + 'static> CallHandle<T> {
     /// returning the handle back so the caller may keep waiting or
     /// [`CallHandle::cancel`].
     pub fn wait_timeout(self, timeout: Duration) -> Result<T, CallHandle<T>> {
-        self.wait_until(Some(Instant::now() + timeout), true)
+        self.wait_until(Some(Deadline::after(timeout)), true)
     }
 
     /// Step a `Take` event through the correlation machine. Returns the
@@ -555,7 +560,7 @@ impl<T: Send + 'static> CallHandle<T> {
     /// `help`s runs queued jobs meanwhile, and wakes for a push as well
     /// as for its completion; [`CallHandle::wait_within`]'s does not —
     /// it could pull the very job it watches onto its own thread.
-    fn wait_until(self, deadline: Option<Instant>, help: bool) -> Result<T, CallHandle<T>> {
+    fn wait_until(self, deadline: Option<Deadline>, help: bool) -> Result<T, CallHandle<T>> {
         let listen = |me: &Thread| {
             let mut state = self.state.lock();
             state.waiter = Some(me.clone());
@@ -600,7 +605,7 @@ impl<T: Send + 'static> CallHandle<Result<T, WspError>> {
     /// threads, not from inside a pool worker.
     pub fn wait_within(self, timeout: Duration) -> Result<T, WspError> {
         let millis = timeout.as_millis() as u64;
-        let waited = self.wait_until(Some(Instant::now() + timeout), false);
+        let waited = self.wait_until(Some(Deadline::after(timeout)), false);
         waited.unwrap_or_else(|handle| {
             handle.cancel();
             Err(WspError::Timeout {
@@ -772,7 +777,7 @@ impl Dispatcher {
         inner.submitted.fetch_add(1, Ordering::SeqCst);
         let timing = telemetry::global()
             .is_enabled()
-            .then(|| (Instant::now(), Duration::ZERO));
+            .then(|| (clock::now(), Duration::ZERO));
         let outcome = inner.run_counted(timing, |_| {
             let _correlation = CorrelationScope::enter(token);
             f()
@@ -820,7 +825,7 @@ impl Dispatcher {
     /// (it may be another peer's caller or worker).
     pub(crate) fn try_execute<D: Send + 'static>(
         &self,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
         data: D,
         run: fn(D),
     ) -> Result<(), D> {
@@ -846,7 +851,7 @@ impl Dispatcher {
     /// Queue `job`, helping while the queue is full: drain one job on
     /// this thread, then retry. The queue being full guarantees work
     /// exists.
-    fn enqueue(&self, mut job: BoxedFn, deadline: Option<Instant>) -> Result<(), WspError> {
+    fn enqueue(&self, mut job: BoxedFn, deadline: Option<Deadline>) -> Result<(), WspError> {
         loop {
             job = match self.inner.push(job, deadline, |job| job) {
                 Ok(()) => return Ok(()),
@@ -900,12 +905,12 @@ impl Dispatcher {
     /// jobs: a job that never finishes must not capture the draining
     /// thread past its deadline, so the wait stays observational.
     pub fn flush_within(&self, timeout: Duration) -> bool {
-        self.flush_until(Some(Instant::now() + timeout), false)
+        self.flush_until(Some(Deadline::after(timeout)), false)
     }
 
     /// Wait until no job is pending or `deadline` passes; `true` if none
     /// is. A flusher that `help`s runs queued jobs meanwhile.
-    fn flush_until(&self, deadline: Option<Instant>, help: bool) -> bool {
+    fn flush_until(&self, deadline: Option<Deadline>, help: bool) -> bool {
         let inner = &self.inner;
         let idle = || (inner.jobs_pending.load(Ordering::SeqCst) == 0).then_some(());
         let listen = |me: &Thread| {
@@ -1385,7 +1390,9 @@ mod tests {
     #[test]
     fn expired_deadline_job_is_shed_at_dequeue() {
         // One worker, pinned by a blocker while a deadline job waits in
-        // the queue past its budget: the handler must never run.
+        // the queue past its budget: the handler must never run. The
+        // budget passes on a virtual clock, so only a worker that reads
+        // the submitter's clock sees it gone.
         let d = Dispatcher::new(DispatcherConfig {
             workers: 1,
             queue_capacity: 8,
@@ -1396,17 +1403,20 @@ mod tests {
             d.submit(move || while !gate.load(Ordering::SeqCst) {})
                 .unwrap()
         };
+        let clock = VirtualClock::default();
+        let _clock = clock.enter();
         let ran = Arc::new(AtomicBool::new(false));
-        let deadline = Instant::now() + Duration::from_millis(20);
+        let deadline = Deadline::after(Duration::from_secs(20));
         let queued = d.try_execute(Some(deadline), ran.clone(), |ran| {
             ran.store(true, Ordering::SeqCst);
         });
         assert!(queued.is_ok());
         // Let the deadline expire while the job is still queued.
-        std::thread::sleep(Duration::from_millis(40));
+        clock.advance(Duration::from_secs(40));
         gate.store(true, Ordering::SeqCst);
+        // A waiter that does not help: the worker dequeues the job.
+        assert!(d.flush_within(Duration::from_secs(30)));
         blocker.wait();
-        d.flush();
         assert!(
             !ran.load(Ordering::SeqCst),
             "expired job must be shed, not run"
@@ -1419,10 +1429,10 @@ mod tests {
     #[test]
     fn live_deadline_job_runs_inside_a_deadline_scope() {
         let d = small();
-        let deadline = Instant::now() + Duration::from_secs(30);
+        let deadline = Deadline::after(Duration::from_secs(30));
         let seen = Arc::new(Mutex::new(None));
         let queued = d.try_execute(Some(deadline), seen.clone(), |seen| {
-            *seen.lock() = Some(crate::overload::current_deadline());
+            *seen.lock() = Some(crate::overload::current_deadline().map(Deadline));
         });
         assert!(queued.is_ok());
         d.flush();

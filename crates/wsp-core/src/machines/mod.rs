@@ -13,8 +13,8 @@
 //!
 //! Time never enters a machine through a clock: events that depend on
 //! elapsed time carry an explicit `now` in **logical ticks** (the
-//! shell converts `Instant`s relative to a private epoch; the model
-//! checker uses small integers).
+//! shell converts `Instant`s relative to the process origin of
+//! [`crate::telemetry::clock`]; the model checker uses small integers).
 
 pub mod correlation;
 pub mod keyed_admission;

@@ -41,13 +41,13 @@ use crate::machines::keyed_admission::{
     KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine, KeyedAdmissionState,
     KeyedShedReason,
 };
-use crate::telemetry::{self, Counter};
+use crate::telemetry::{self, clock, Counter};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wsp_http::{Headers, Response};
+use wsp_http::Response;
 use wsp_simnet::Machine;
 
 /// Request header carrying the caller's *remaining* call budget in
@@ -360,7 +360,7 @@ impl KeyedAdmissionController {
     pub fn try_admit(
         &self,
         tenant: &str,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
     ) -> Result<KeyedAdmissionPermit, WspError> {
         self.try_admit_at(tenant, 0, deadline)
     }
@@ -377,9 +377,9 @@ impl KeyedAdmissionController {
         &self,
         tenant: &str,
         queue_depth: usize,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
     ) -> Result<KeyedAdmissionPermit, WspError> {
-        let deadline_expired = deadline.is_some_and(|d| Instant::now() >= d);
+        let deadline_expired = deadline.is_some_and(Deadline::expired);
         let mut sync = self.inner.sync.lock();
         let t = sync.tenant_index(tenant, &self.inner.policy);
         let effect = sync.step(KeyedAdmissionEvent::Admit {
@@ -467,6 +467,70 @@ thread_local! {
     static CURRENT_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
 }
 
+/// Where a longer budget, local or from the wire, saturates.
+const MAX_BUDGET: Duration = Duration::from_secs(86_400 * 365 * 30);
+
+/// The longest server retry hint a client waits out; a longer one ends
+/// its retry loop with the server's [`WspError::Overloaded`].
+pub const MAX_RETRY_HINT: Duration = Duration::from_secs(60);
+
+/// When a caller stops waiting, on this thread's [`clock`]: the one owner
+/// of the deadline rule. A hop forwards the whole milliseconds left,
+/// rounded down, on either carrier ([`DEADLINE_HEADER`], the
+/// [`DEADLINE_SOAP_HEADER`] block), and a remnant under 1 ms is expired.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Deadline(pub Instant);
+
+impl Deadline {
+    /// `budget` from now; a longer one than 30 years saturates there.
+    pub fn after(budget: Duration) -> Deadline {
+        Deadline(clock::now() + budget.min(MAX_BUDGET))
+    }
+
+    /// What is left; zero once passed.
+    pub fn remaining(self) -> Duration {
+        self.0.saturating_duration_since(clock::now())
+    }
+
+    /// Is less than a whole millisecond left once `wait` has passed?
+    pub fn expired_after(self, wait: Duration) -> bool {
+        self.remaining().saturating_sub(wait) < Duration::from_millis(1)
+    }
+
+    pub fn expired(self) -> bool {
+        self.expired_after(Duration::ZERO)
+    }
+
+    /// What a request about to leave carries: the whole milliseconds
+    /// left, both the wire value and the cap on the local wait. An
+    /// expired deadline fails here, before the send.
+    pub fn budget_ms(self) -> Result<u64, WspError> {
+        match self.remaining().as_millis() as u64 {
+            0 => Err(WspError::Timeout {
+                what: "deadline expired before send",
+                millis: 0,
+            }),
+            ms => Ok(ms),
+        }
+    }
+
+    /// Rehydrate a wire budget ([`DEADLINE_HEADER`]'s value). Remote
+    /// input: anything but a decimal `u64` of ms (whitespace aside) is no
+    /// deadline.
+    pub fn parse(budget: &str) -> Option<Deadline> {
+        let ms = budget.trim().parse().ok()?;
+        Some(Deadline::after(Duration::from_millis(ms)))
+    }
+
+    /// The propagated deadline of a request over a pipe, one header
+    /// block at a time as the envelope reader shows them: `Some` if
+    /// `block` is the [`DEADLINE_SOAP_HEADER`] (the first one counts).
+    pub fn in_block(block: &wsp_xml::Element) -> Option<Option<Deadline>> {
+        let named = block.name().is("", DEADLINE_SOAP_HEADER);
+        named.then(|| Deadline::parse(&block.text()))
+    }
+}
+
 /// Scopes a call deadline to the current thread, mirroring
 /// [`crate::telemetry::CorrelationScope`]: the client retry loop enters
 /// one around each attempt so transports can serialise the remaining
@@ -493,58 +557,6 @@ impl Drop for DeadlineScope {
 /// The deadline scoped to the current thread, if any.
 pub fn current_deadline() -> Option<Instant> {
     CURRENT_DEADLINE.with(|cell| cell.get())
-}
-
-/// Remaining budget of `deadline` in whole milliseconds, rounded down —
-/// what goes on the wire and what the local wait is capped at. `None`
-/// when less than a millisecond is left: that deadline counts as
-/// expired (send nothing; a budget rounded up to 1 ms would let the
-/// callee run past the caller's deadline).
-pub fn remaining_ms(deadline: Instant) -> Option<u64> {
-    let left = deadline
-        .saturating_duration_since(Instant::now())
-        .as_millis();
-    u64::try_from(left).ok().filter(|&ms| ms > 0)
-}
-
-/// Never send a request whose budget is gone: what a request about to
-/// leave may carry of `deadline`. `Ok(None)` without a deadline;
-/// `Ok(Some(ms))` is both the wire value ([`DEADLINE_HEADER`] or the
-/// [`DEADLINE_SOAP_HEADER`] block) and the cap on the local wait; an
-/// expired deadline fails here rather than burn the server's time on a
-/// doomed request.
-pub fn send_budget(deadline: Option<Instant>) -> Result<Option<u64>, WspError> {
-    deadline
-        .map(|deadline| {
-            remaining_ms(deadline).ok_or(WspError::Timeout {
-                what: "deadline expired before send",
-                millis: 0,
-            })
-        })
-        .transpose()
-}
-
-/// Rehydrate a wire budget — the value of [`DEADLINE_HEADER`] or the
-/// text of the [`DEADLINE_SOAP_HEADER`] block — into a local deadline.
-/// Remote input: anything but a non-negative decimal millisecond count
-/// that fits the clock yields `None` (no deadline), never a deadline
-/// in the past.
-pub fn parse_deadline(budget: &str) -> Option<Instant> {
-    let ms = budget.trim().parse::<u64>().ok()?;
-    Instant::now().checked_add(Duration::from_millis(ms))
-}
-
-/// The propagated deadline of an HTTP request, if it carries one.
-pub fn deadline_from_headers(headers: &Headers) -> Option<Instant> {
-    headers.get(DEADLINE_HEADER).and_then(parse_deadline)
-}
-
-/// The propagated deadline of a request that arrived over a pipe, one
-/// header block at a time as the envelope reader shows them: `Some` if
-/// `block` is the [`DEADLINE_SOAP_HEADER`] (the first one counts).
-pub fn deadline_in(block: &wsp_xml::Element) -> Option<Option<Instant>> {
-    let named = block.name().is("", DEADLINE_SOAP_HEADER);
-    named.then(|| parse_deadline(&block.text()))
 }
 
 /// Map an admission-control rejection to the wire: `503` with a
@@ -637,12 +649,12 @@ mod tests {
     #[test]
     fn expired_deadline_is_shed_on_arrival() {
         let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::unlimited());
-        let expired = Instant::now() - Duration::from_millis(1);
+        let expired = Deadline(Instant::now() - Duration::from_millis(1));
         assert!(matches!(
             ctl.try_admit(HOST, Some(expired)),
             Err(WspError::Overloaded { .. })
         ));
-        let live = Instant::now() + Duration::from_secs(5);
+        let live = Deadline::after(Duration::from_secs(5));
         assert!(ctl.try_admit(HOST, Some(live)).is_ok());
     }
 
@@ -713,31 +725,40 @@ mod tests {
 
     #[test]
     fn wire_budget_round_trips() {
-        let deadline = Instant::now() + Duration::from_millis(500);
-        let ms = remaining_ms(deadline).expect("budget remains");
-        assert!(ms > 0 && ms <= 500, "{ms}");
-        let rehydrated = parse_deadline(&ms.to_string()).expect("a plain budget parses");
-        // The rehydrated deadline is within transit slop of the original.
-        let slop = Duration::from_millis(50);
-        assert!(rehydrated <= deadline + slop);
-        let expired = Instant::now() - Duration::from_millis(1);
-        assert_eq!(remaining_ms(expired), None);
+        let clock = clock::VirtualClock::default();
+        let _clock = clock.enter();
+        let deadline = Deadline::after(Duration::from_micros(500_700));
+        let ms = deadline.budget_ms().expect("budget remains");
+        assert_eq!(ms, 500, "rounded down");
+        let rehydrated = Deadline::parse(&ms.to_string()).expect("a plain budget parses");
+        assert!(rehydrated <= deadline);
+        clock.advance(Duration::from_micros(499_800));
+        assert!(deadline.expired(), "900 us left");
+        assert!(deadline.budget_ms().is_err());
     }
 
     #[test]
     fn a_budget_under_a_millisecond_is_refused_before_send() {
-        let soon = Instant::now() + Duration::from_micros(500);
+        let clock = clock::VirtualClock::default();
+        let _clock = clock.enter();
+        let soon = Deadline::after(Duration::from_micros(500));
         assert!(matches!(
-            send_budget(Some(soon)),
+            soon.budget_ms(),
             Err(WspError::Timeout { millis: 0, .. })
         ));
-        assert_eq!(send_budget(None).ok(), Some(None));
-        let later = Instant::now() + Duration::from_millis(1500);
-        let ms = send_budget(Some(later))
-            .ok()
-            .flatten()
-            .expect("budget left");
-        assert!((1000..1500).contains(&ms), "{ms} rounds down");
+        let later = Deadline::after(Duration::from_millis(1500));
+        clock.advance(Duration::from_micros(1));
+        assert_eq!(later.budget_ms().ok(), Some(1499), "rounds down");
+        assert!(!later.expired_after(Duration::from_millis(1498)));
+        assert!(later.expired_after(Duration::from_millis(1499)));
+    }
+
+    #[test]
+    fn deadline_arithmetic_saturates() {
+        let far = Deadline::after(Duration::MAX);
+        assert!(far.budget_ms().unwrap() >= MAX_BUDGET.as_millis() as u64 - 1000);
+        assert!(far.expired_after(Duration::MAX), "a wait past any deadline");
+        assert!(Deadline::parse(&u64::MAX.to_string()).is_some_and(|d| !d.expired()));
     }
 
     #[test]
@@ -837,7 +858,7 @@ mod tests {
     #[test]
     fn keyed_expired_deadline_sheds_and_draining_refuses() {
         let ctl = KeyedAdmissionController::new(KeyedLoadShedPolicy::fair(8));
-        let expired = Instant::now() - Duration::from_millis(1);
+        let expired = Deadline(Instant::now() - Duration::from_millis(1));
         assert!(ctl.try_admit("t", Some(expired)).is_err());
         ctl.start_draining();
         assert!(ctl.is_draining());

@@ -17,16 +17,16 @@ use crate::events::{
     ServerMessageEvent, ServerPhase,
 };
 use crate::overload::{
-    DeadlineScope, KeyedAdmissionController, KeyedAdmissionPermit, KeyedLoadShedPolicy,
+    Deadline, DeadlineScope, KeyedAdmissionController, KeyedAdmissionPermit, KeyedLoadShedPolicy,
     ANONYMOUS_TENANT,
 };
-use crate::telemetry::{self, CorrelationScope, Histogram};
+use crate::telemetry::{self, clock, CorrelationScope, Histogram};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wsp_soap::codec::SoapError;
 use wsp_soap::{Envelope, HeaderBlock, MessageHeaders};
 use wsp_wsdl::{
@@ -181,7 +181,7 @@ impl Hosting {
         &self,
         service: &HostedService,
         correlation: u64,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
     ) -> Result<KeyedAdmissionPermit, WspError> {
         let registry = telemetry::global();
         let name = service.name();
@@ -231,14 +231,14 @@ impl Hosting {
         request: Incoming<'_>,
         readdress: Option<&MessageHeaders>,
         correlation: u64,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
         permit: KeyedAdmissionPermit,
     ) -> Served {
         let _permit = permit;
         let _correlation = CorrelationScope::enter(correlation);
-        let _deadline = DeadlineScope::enter(deadline);
+        let _deadline = DeadlineScope::enter(deadline.map(|d| d.0));
         let registry = telemetry::global();
-        let started = Instant::now();
+        let started = clock::now();
         let name = service.name();
         let (request, xml) = match request {
             Incoming::Read(request, xml) => (request, xml),
@@ -255,7 +255,7 @@ impl Hosting {
             },
         };
         let served = self.answer(service, &request, xml, readdress);
-        self.serve_us.record_micros(started.elapsed());
+        self.serve_us.record_since(started);
         registry.span(
             correlation,
             "server.response",
@@ -844,7 +844,7 @@ mod tests {
         let service = hosting.service("Pair").unwrap();
         let mut shown = 0;
         let mut foreign = |block: &HeaderBlock| {
-            shown += usize::from(crate::overload::deadline_in(&block.element).is_some());
+            shown += usize::from(crate::overload::Deadline::in_block(&block.element).is_some());
         };
         let read = hosting.read(&service, &xml, &mut foreign).unwrap();
         assert_eq!(shown, 1, "the deadline block, once");

@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 use wsp_core::overload::{
-    busy_fault_reason, deadline_from_headers, parse_busy_fault, parse_deadline, BUSY_FAULT_PREFIX,
-    DEADLINE_HEADER,
+    busy_fault_reason, parse_busy_fault, Deadline, BUSY_FAULT_PREFIX, DEADLINE_HEADER,
 };
 use wsp_http::Headers;
 
@@ -22,7 +21,7 @@ proptest! {
 
     /// A budget is honoured exactly when it is a plain `u64` (modulo
     /// surrounding whitespace); the deadline it yields is never in the
-    /// past, whatever the magnitude.
+    /// past, whatever the magnitude: a far-future budget saturates.
     #[test]
     fn deadline_budget_is_a_u64_or_nothing(
         junk in soup(),
@@ -33,18 +32,16 @@ proptest! {
             let before = Instant::now();
             let mut headers = Headers::default();
             headers.set(DEADLINE_HEADER, value.clone());
-            let deadline = deadline_from_headers(&headers);
-            prop_assert_eq!(deadline.is_some(), parse_deadline(&value).is_some());
+            let deadline = headers.get(DEADLINE_HEADER).and_then(Deadline::parse);
+            prop_assert_eq!(deadline.is_some(), Deadline::parse(&value).is_some());
             match value.trim().parse::<u64>() {
-                // The clock may be unable to represent a far-future
-                // budget; then there is no deadline, not a wrapped one.
-                Ok(_) => prop_assert!(deadline.is_none_or(|d| d >= before), "{value:?}"),
+                Ok(_) => prop_assert!(deadline.is_some_and(|d| d.0 >= before), "{value:?}"),
                 Err(_) => prop_assert!(deadline.is_none(), "{value:?} is not a budget"),
             }
         }
         let before = Instant::now();
-        let exact = parse_deadline(&(ms % 86_400_000).to_string()).expect("a day fits the clock");
-        prop_assert!(exact >= before);
+        let exact = Deadline::parse(&(ms % 86_400_000).to_string()).expect("a day fits the clock");
+        prop_assert!(exact.0 >= before);
     }
 
     /// Only reasons carrying the prefix are busy faults; the hint is a

@@ -6,9 +6,9 @@
 //! its [`EventKey`]; every replace or invalidation cancels the old key
 //! (the wheel's exactness contract means a cancelled key never fires),
 //! so any expiry event that *does* pop refers to a live entry and can
-//! drop it without re-checking. The wheel runs on gateway-relative
-//! virtual time (`Instant` elapsed since construction, in µs), advanced
-//! lazily at the top of every cache operation.
+//! drop it without re-checking. The wheel runs on the µs of
+//! [`wsp_core::telemetry::clock::micros`], advanced lazily at the top of
+//! every cache operation.
 //!
 //! TTL expiry is the backstop, not the invalidation path. Freshness
 //! comes from the registry's version stamps, piggybacked two ways:
@@ -31,7 +31,8 @@ use crate::pool::Backend;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use wsp_core::telemetry::clock;
 use wsp_registry::DataVersions;
 use wsp_simnet::{EventKey, EventWheel, Time};
 use wsp_xml::BufPool;
@@ -118,7 +119,6 @@ struct CacheInner {
 
 pub struct GatewayCaches {
     cfg: GatewayCacheConfig,
-    started: Instant,
     inner: Mutex<CacheInner>,
 }
 
@@ -126,7 +126,6 @@ impl GatewayCaches {
     pub fn new(cfg: GatewayCacheConfig) -> GatewayCaches {
         GatewayCaches {
             cfg,
-            started: Instant::now(),
             inner: Mutex::new(CacheInner {
                 wheel: EventWheel::new(),
                 locate: HashMap::new(),
@@ -143,17 +142,14 @@ impl GatewayCaches {
         &self.cfg
     }
 
-    fn now(&self) -> Time {
-        Time(self.started.elapsed().as_micros() as u64)
-    }
-
     fn dur(d: Duration) -> wsp_simnet::Dur {
         wsp_simnet::Dur(d.as_micros() as u64)
     }
 
-    /// Fire every expiry due by `now`. Popped events always refer to
+    /// Fire every expiry due by now. Popped events always refer to
     /// live entries (replaced/invalidated entries cancelled theirs).
-    fn sweep(inner: &mut CacheInner, now: Time) {
+    fn sweep(inner: &mut CacheInner) {
+        let now = Time(clock::micros());
         while let Some(t) = inner.wheel.next_time() {
             if t > now {
                 break;
@@ -190,7 +186,7 @@ impl GatewayCaches {
     /// fresh.
     pub fn get_locate(&self, service: &str) -> Option<(Arc<[Backend]>, u32)> {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         match inner.locate.get(service) {
             Some(entry) => {
                 bump("gateway.cache.locate.hit");
@@ -205,7 +201,7 @@ impl GatewayCaches {
 
     pub fn put_locate(&self, service: &str, backends: Arc<[Backend]>, shard: u32) {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         let key = inner.wheel.schedule_after(
             Self::dur(self.cfg.locate_ttl),
             Expiry::Locate(service.to_owned()),
@@ -226,7 +222,7 @@ impl GatewayCaches {
 
     pub fn get_wsdl(&self, service: &str) -> Option<String> {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         match inner.wsdl.get(service) {
             Some(entry) => {
                 bump("gateway.cache.wsdl.hit");
@@ -241,7 +237,7 @@ impl GatewayCaches {
 
     pub fn put_wsdl(&self, service: &str, body: String, shard: u32) {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         let key = inner.wheel.schedule_after(
             Self::dur(self.cfg.wsdl_ttl),
             Expiry::Wsdl(service.to_owned()),
@@ -260,7 +256,7 @@ impl GatewayCaches {
     /// The returned body is assembled from a pooled buffer.
     pub fn get_response(&self, key: &ResponseKey, request: &[u8]) -> Option<CachedResponse> {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         match inner.response.get(key) {
             Some(entry) if entry.request == request => {
                 bump("gateway.cache.response.hit");
@@ -289,7 +285,7 @@ impl GatewayCaches {
         shard: u32,
     ) {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         // Replacing an existing key does not grow the cache, so only a
         // genuinely new key may need to evict a FIFO victim.
         if !inner.response.contains_key(&key) {
@@ -333,7 +329,7 @@ impl GatewayCaches {
     /// (used when every backend attempt failed — stale endpoints).
     pub fn invalidate_service(&self, service: &str) {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         Self::drop_service_locked(&mut inner, service);
     }
 
@@ -368,7 +364,7 @@ impl GatewayCaches {
     /// services had entries dropped.
     pub fn revalidate(&self, dv: &DataVersions) -> usize {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         let mut dropped = 0;
         if dv.epoch != inner.epoch {
             let services: HashSet<String> = inner
@@ -433,7 +429,7 @@ impl GatewayCaches {
     /// Gauge lines for the `/metrics` splice.
     pub fn metrics_lines(&self) -> String {
         let mut inner = self.inner.lock();
-        Self::sweep(&mut inner, self.now());
+        Self::sweep(&mut inner);
         format!(
             "gateway_locate_entries {}\ngateway_wsdl_entries {}\ngateway_response_entries {}\n",
             inner.locate.len(),

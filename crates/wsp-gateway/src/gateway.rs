@@ -37,9 +37,10 @@ use std::time::{Duration, Instant};
 use wsp_core::bindings::http_uddi::CORRELATION_HEADER;
 use wsp_core::dispatch::next_correlation_token;
 use wsp_core::overload::{
-    busy_fault_reason, deadline_from_headers, deadline_in, send_budget, shed_response,
-    ANONYMOUS_TENANT, DEADLINE_HEADER, TENANT_HEADER, TENANT_SOAP_HEADER,
+    busy_fault_reason, shed_response, Deadline, ANONYMOUS_TENANT, DEADLINE_HEADER, TENANT_HEADER,
+    TENANT_SOAP_HEADER,
 };
+use wsp_core::telemetry::clock;
 use wsp_core::telemetry::{self, CorrelationScope};
 use wsp_core::{KeyedAdmissionController, KeyedLoadShedPolicy, WspError};
 use wsp_http::{
@@ -180,7 +181,7 @@ impl Gateway {
                 connects_reported: AtomicU64::new(0),
                 idempotent: cfg.idempotent.clone(),
                 revalidate_interval: cfg.revalidate_interval,
-                last_revalidate: Mutex::new(Instant::now()),
+                last_revalidate: Mutex::new(clock::now()),
             }),
         }
     }
@@ -222,8 +223,9 @@ impl Gateway {
     fn maybe_revalidate(&self) {
         let due = {
             let mut last = self.inner.last_revalidate.lock();
-            if last.elapsed() >= self.inner.revalidate_interval {
-                *last = Instant::now();
+            let now = clock::now();
+            if now - *last >= self.inner.revalidate_interval {
+                *last = now;
                 true
             } else {
                 false
@@ -243,7 +245,7 @@ impl Gateway {
         tenant: &str,
         service: &str,
         raw: &[u8],
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
     ) -> Result<GatewayReply, GatewayError> {
         self.maybe_revalidate();
         let _permit = self
@@ -263,7 +265,7 @@ impl Gateway {
         service: &str,
         raw: &[u8],
         operation: Option<&str>,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
     ) -> Result<GatewayReply, GatewayError> {
         let operation = operation
             .ok_or_else(|| GatewayError::BadRequest("envelope carries no operation".into()))?;
@@ -388,12 +390,12 @@ impl Gateway {
         backends: &[Backend],
         raw: &[u8],
         correlation: u64,
-        deadline: Option<Instant>,
+        deadline: Option<Deadline>,
     ) -> Result<(u16, String, Vec<u8>), GatewayError> {
         let t = telemetry::global();
         let mut tried: Vec<String> = Vec::new();
         for attempt in 0..BACKEND_ATTEMPTS {
-            let budget_ms = send_budget(deadline).map_err(|_| {
+            let budget_ms = deadline.map(Deadline::budget_ms).transpose().map_err(|_| {
                 GatewayError::Unavailable(format!(
                     "deadline expired before a backend for {service} was called"
                 ))
@@ -535,7 +537,7 @@ impl Gateway {
         if req.query() == Some("wsdl") {
             return to_http(self.wsdl(tenant, service));
         }
-        let deadline = deadline_from_headers(&req.headers);
+        let deadline = req.headers.get(DEADLINE_HEADER).and_then(Deadline::parse);
         // Adopt the caller's correlation id for everything this request
         // does on this thread, the backend call included.
         let _scope = req
@@ -588,7 +590,9 @@ impl Gateway {
         )
     }
 
-    fn handle_pipe(&self, msg: P2psMessage) -> Option<P2psMessage> {
+    /// Mediate one message of the P2PS front: the reply to a pipe
+    /// request, `None` for anything else.
+    pub fn handle_pipe(&self, msg: P2psMessage) -> Option<P2psMessage> {
         let P2psMessage::PipeData { to, payload } = msg else {
             return None;
         };
@@ -635,7 +639,7 @@ fn tenant_of(claimed: Option<&str>) -> &str {
 /// or a fault), the first `Tenant` block's text and the
 /// propagated deadline. The body is passed over unjudged — it is the
 /// backend's to read — and so is a block marked `mustUnderstand`.
-type Peek<'a> = (Option<&'a str>, Option<String>, Option<Instant>);
+type Peek<'a> = (Option<&'a str>, Option<String>, Option<Deadline>);
 
 fn peek(raw: &[u8]) -> Result<Peek<'_>, GatewayError> {
     let text = std::str::from_utf8(raw)
@@ -646,7 +650,7 @@ fn peek(raw: &[u8]) -> Result<Peek<'_>, GatewayError> {
         if tenant.is_none() && element.name().is("", TENANT_SOAP_HEADER) {
             tenant = Some(element.text().trim().to_owned());
         }
-        deadline = deadline.or_else(|| deadline_in(element));
+        deadline = deadline.or_else(|| Deadline::in_block(element));
     };
     let read = read_envelope(text, &mut foreign, |body| match body {
         Payload::Element(reader) => Ok(Some(reader.local_name())),

@@ -26,7 +26,7 @@
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use wsp_core::telemetry::clock;
 use wsp_http::health::{BreakerConfig, BreakerPermit, EndpointHealth};
 use wsp_http::HttpUri;
 
@@ -125,7 +125,7 @@ impl BackendPools {
         candidates: &[E],
         exclude: &[String],
     ) -> Option<BackendLease> {
-        let now = Instant::now();
+        let now = clock::now();
         let mut state = self.state.lock();
         // (load, index): ties break on candidate order. The loads hold
         // still under the lock, so taking the least rank above the last

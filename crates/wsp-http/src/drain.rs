@@ -34,6 +34,7 @@
 
 use std::time::Instant;
 use wsp_simnet::Machine;
+use wsp_telemetry::clock;
 
 /// Where the server is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -232,7 +233,7 @@ impl ServerState {
             if drain.0.active == 0 {
                 return true;
             }
-            let now = Instant::now();
+            let now = clock::now();
             if now >= deadline {
                 return false;
             }

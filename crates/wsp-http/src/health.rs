@@ -22,12 +22,12 @@
 //! Every transition decision lives in the pure
 //! [`crate::breaker::BreakerMachine`]; this module is its runtime
 //! shell. The shell converts `Instant`s to logical ticks (nanoseconds
-//! since a per-breaker epoch), feeds events through
-//! [`wsp_simnet::Machine::step_into`] under one mutex, into an effect
-//! buffer kept under the same mutex, and hands the machine's verdicts
-//! and phases back. The breaker's event methods take an explicit `now:
-//! Instant`, so transitions are unit testable without sleeping;
-//! `wsp-check` exhaustively explores the machine.
+//! since the process origin of [`wsp_telemetry::clock`]), feeds events
+//! through [`wsp_simnet::Machine::step_into`] under one mutex, into an
+//! effect buffer kept under the same mutex, and hands the machine's
+//! verdicts and phases back. The breaker's event methods take an
+//! explicit `now: Instant`, so transitions are unit testable without
+//! sleeping; `wsp-check` exhaustively explores the machine.
 
 pub use crate::breaker::{Admit as Admission, Phase as BreakerState};
 use crate::breaker::{BreakerEffect, BreakerEvent, BreakerMachine, BreakerState as MachineState};
@@ -36,6 +36,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsp_simnet::Machine;
+use wsp_telemetry::clock;
 
 /// Tuning for the per-endpoint breakers.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,9 +62,6 @@ impl Default for BreakerConfig {
 #[derive(Debug)]
 pub struct CircuitBreaker {
     machine: BreakerMachine,
-    /// Wall-clock origin for logical ticks: `Instant`s are converted to
-    /// nanoseconds since this epoch before entering the pure machine.
-    epoch: Instant,
     /// The machine's state, and the buffer every step writes its
     /// effects into: one allocation for the breaker's life.
     state: Mutex<(MachineState, Vec<BreakerEffect>)>,
@@ -76,15 +74,11 @@ impl CircuitBreaker {
             cooldown: config.cooldown.as_nanos() as u64,
         };
         let state = Mutex::new((machine.initial(), Vec::new()));
-        CircuitBreaker {
-            machine,
-            epoch: Instant::now(),
-            state,
-        }
+        CircuitBreaker { machine, state }
     }
 
     fn ticks(&self, now: Instant) -> u64 {
-        now.saturating_duration_since(self.epoch).as_nanos() as u64
+        now.saturating_duration_since(clock::origin()).as_nanos() as u64
     }
 
     /// The breaker's one step point: `event` through the machine under
@@ -115,12 +109,8 @@ impl CircuitBreaker {
 
     /// Report a successful attempt. Returns `true` if this success
     /// *closed* a tripped breaker (the half-open probe succeeded). A
-    /// success does not depend on when it happened: `_now` is unread.
-    pub fn on_success(&self, _now: Instant) -> bool {
-        self.succeeded()
-    }
-
-    fn succeeded(&self) -> bool {
+    /// success does not depend on when it happened.
+    pub fn on_success(&self) -> bool {
         self.step(BreakerEvent::Success) == Some(BreakerEffect::Recovered)
     }
 
@@ -188,7 +178,7 @@ impl BreakerPermit {
     /// breaker (the probe recovered it). Reads no clock.
     pub fn succeed(mut self) -> bool {
         self.probe = false;
-        self.breaker.succeeded()
+        self.breaker.on_success()
     }
 
     /// The call failed against the endpoint. Returns `true` if that
@@ -196,14 +186,14 @@ impl BreakerPermit {
     /// re-opening it).
     pub fn fail(mut self) -> bool {
         self.probe = false;
-        self.breaker.on_failure(Instant::now())
+        self.breaker.on_failure(clock::now())
     }
 }
 
 impl Drop for BreakerPermit {
     fn drop(&mut self) {
         if self.probe {
-            self.breaker.on_probe_aborted(Instant::now());
+            self.breaker.on_probe_aborted(clock::now());
         }
     }
 }
@@ -333,7 +323,7 @@ mod tests {
         let t0 = Instant::now();
         b.on_failure(t0);
         b.on_failure(t0);
-        assert!(!b.on_success(t0), "success while closed is not a recovery");
+        assert!(!b.on_success(), "success while closed is not a recovery");
         assert_eq!(b.consecutive_failures(), 0);
         b.on_failure(t0);
         b.on_failure(t0);
@@ -350,7 +340,7 @@ mod tests {
         let after_cooldown = t0 + Duration::from_millis(150);
         assert_eq!(b.state(after_cooldown), BreakerState::HalfOpen);
         assert_eq!(b.try_acquire(after_cooldown), Admission::Probe);
-        assert!(b.on_success(after_cooldown), "probe success recovers");
+        assert!(b.on_success(), "probe success recovers");
         assert_eq!(b.state(after_cooldown), BreakerState::Closed);
         assert_eq!(b.try_acquire(after_cooldown), Admission::Allowed);
     }
@@ -488,7 +478,7 @@ mod tests {
             Admission::Probe
         );
         // Aborting with no probe in flight is a no-op.
-        assert!(b.on_success(abort_at + Duration::from_millis(120)));
+        assert!(b.on_success());
         assert!(!b.on_probe_aborted(abort_at + Duration::from_millis(130)));
     }
 

@@ -9,6 +9,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
+use wsp_telemetry::clock;
 
 /// Default client-side read timeout for one-shot calls and pooled
 /// exchanges, matching the historical hard-coded 10 s.
@@ -128,7 +129,7 @@ impl PooledConn {
         PooledConn {
             stream,
             read_timeout: None,
-            idle_since: Instant::now(),
+            idle_since: clock::now(),
         }
     }
 }
@@ -215,7 +216,7 @@ impl ConnectionPool {
                 idle.total -= 1;
                 conn
             };
-            if candidate.idle_since.elapsed() <= MAX_IDLE_AGE
+            if clock::now() - candidate.idle_since <= MAX_IDLE_AGE
                 && sys::socket_is_quiet(candidate.stream.as_raw_fd())
             {
                 return Some(candidate);
@@ -225,7 +226,7 @@ impl ConnectionPool {
     }
 
     pub(crate) fn put(&self, authority: &str, mut conn: PooledConn) {
-        conn.idle_since = Instant::now();
+        conn.idle_since = clock::now();
         let mut idle = self.idle.lock();
         if idle.total >= MAX_IDLE {
             idle.evict_oldest();

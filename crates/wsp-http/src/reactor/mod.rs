@@ -78,7 +78,7 @@ use sys::{
     EPOLLOUT, EPOLLRDHUP,
 };
 use wsp_simnet::{Dur, EventKey, EventWheel, Time};
-use wsp_telemetry::{Counter, Gauge};
+use wsp_telemetry::{clock, Counter, Gauge};
 
 /// Work a protocol dispatches: runs on a reactor thread with no lock
 /// held, returns the bytes to write (and whether to close after
@@ -307,7 +307,6 @@ impl Reactor {
                 arms: 0,
                 cancels: 0,
             }),
-            start: Instant::now(),
             gate: Mutex::new(Gate {
                 busy: 0,
                 pending: VecDeque::new(),
@@ -506,7 +505,6 @@ struct Shared {
     next_gen: AtomicU32,
     /// Lock order: a connection's cell, then `timers`.
     timers: Mutex<Timers>,
-    start: Instant,
     gate: Mutex<Gate>,
     max_handlers: usize,
     live_threads: AtomicUsize,
@@ -560,10 +558,6 @@ impl Shared {
             self.release(idx, &mut cell.lock());
         }
         self.gate.lock().pending.clear();
-    }
-
-    fn now(&self) -> Time {
-        Time::micros(self.start.elapsed().as_micros() as u64)
     }
 
     fn cell(&self, idx: usize) -> Option<Arc<Cell>> {
@@ -939,7 +933,7 @@ impl Shared {
                 timers.cancel(key, at);
             }
             if let TimerOp::Arm(after) = *op {
-                let now = self.now();
+                let now = Time::micros(clock::micros());
                 let at = now + Dur::micros(after.as_micros() as u64);
                 let key = timers
                     .wheel
@@ -960,7 +954,7 @@ impl Shared {
         let mut due = Vec::new();
         {
             let mut timers = self.timers.lock();
-            let now = self.now();
+            let now = Time::micros(clock::micros());
             while timers.wheel.next_time().is_some_and(|t| t <= now) {
                 due.extend(timers.wheel.pop());
             }

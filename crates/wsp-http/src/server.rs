@@ -26,8 +26,9 @@ use crate::reactor::{ConnProtocol, Io, JobResult, Reactor, ReactorConfig};
 use crate::router::Router;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wsp_simnet::Machine;
+use wsp_telemetry::clock;
 
 /// Tunables for [`TcpServer`]. `Default` keeps the historical deadlines
 /// (flat 10 s header/body read budgets, no connection cap).
@@ -157,7 +158,7 @@ impl TcpServer {
     /// off abruptly, exactly as [`shutdown_now`](TcpServer::shutdown_now)
     /// would.
     pub fn shutdown(&self) -> bool {
-        self.reactor.shutdown(Instant::now() + self.drain_deadline)
+        self.reactor.shutdown(clock::now() + self.drain_deadline)
     }
 
     /// Abrupt stop: no drain. Live connections are cut off as soon as

@@ -19,7 +19,8 @@
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use wsp_telemetry::clock;
 
 use wsp_http::reactor::{ConnProtocol, Io, JobResult, Reactor, ReactorConfig};
 use wsp_http::TimerKind;
@@ -238,7 +239,7 @@ impl PipeTcpServer {
     /// then stop. Returns `true` when every pipe closed inside the
     /// deadline; on `false` the stragglers were cut off.
     pub fn shutdown(&self) -> bool {
-        self.reactor.shutdown(Instant::now() + DRAIN_DEADLINE)
+        self.reactor.shutdown(clock::now() + DRAIN_DEADLINE)
     }
 }
 

@@ -61,6 +61,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 use wsp_simnet::Time;
+use wsp_telemetry::clock;
 
 /// How often a peer re-broadcasts its own adverts (soft-state refresh).
 const REFRESH_INTERVAL: Duration = Duration::from_secs(5);
@@ -224,12 +225,10 @@ impl Inbox {
             if state.closed {
                 return Next::Closed;
             }
-            let Some(until_refresh) = refresh_at
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())
-            else {
+            let until_refresh = refresh_at.saturating_duration_since(clock::now());
+            if until_refresh.is_zero() {
                 return Next::RefreshDue;
-            };
+            }
             if !state.busy {
                 if let Some(message) = state.messages.pop_front() {
                     state.busy = true;
@@ -269,21 +268,10 @@ struct Traffic {
 }
 
 /// The shared routing fabric for a threaded P2PS network.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ThreadNetwork {
     directory: Arc<RwLock<HashMap<PeerId, Weak<PeerCore>>>>,
-    epoch: Instant,
     traffic: Arc<Traffic>,
-}
-
-impl Default for ThreadNetwork {
-    fn default() -> Self {
-        ThreadNetwork {
-            directory: Arc::default(),
-            epoch: Instant::now(),
-            traffic: Arc::default(),
-        }
-    }
 }
 
 impl ThreadNetwork {
@@ -299,10 +287,6 @@ impl ThreadNetwork {
             inline: traffic.inline.load(Relaxed),
             dropped: traffic.dropped.load(Relaxed),
         }
-    }
-
-    fn now(&self) -> Time {
-        Time::micros(self.epoch.elapsed().as_micros() as u64)
     }
 
     /// Hand `message` to peer `to`: delivered on this thread if the
@@ -395,7 +379,7 @@ impl PeerCore {
     fn step(&self, step: impl FnOnce(&mut Stepped, Time) -> Vec<PeerOutput>) {
         let outputs = {
             let mut stepped = self.stepped.lock();
-            let mut outputs = step(&mut stepped, self.network.now());
+            let mut outputs = step(&mut stepped, Time::micros(clock::micros()));
             for output in &mut outputs {
                 if let PeerOutput::QueryResult { id, .. } = output {
                     *id = stepped.tokens.get(id).copied().unwrap_or(*id);
@@ -502,12 +486,12 @@ impl Drop for Delivering<'_> {
 }
 
 fn inbox_loop(core: &PeerCore) {
-    let mut refresh_at = Instant::now() + REFRESH_INTERVAL;
+    let mut refresh_at = clock::now() + REFRESH_INTERVAL;
     loop {
         match core.inbox.next(refresh_at) {
             Next::Message(message) => process(core, message, false),
             Next::RefreshDue => {
-                refresh_at = Instant::now() + REFRESH_INTERVAL;
+                refresh_at = clock::now() + REFRESH_INTERVAL;
                 core.step(|s, now| s.machine.refresh(now));
             }
             Next::Closed => return,

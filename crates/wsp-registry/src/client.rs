@@ -44,10 +44,9 @@ use parking_lot::RwLock;
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 use wsp_http::health::{BreakerConfig, EndpointHealth};
 use wsp_soap::Fault;
-use wsp_telemetry::{self as telemetry, Counter, Histogram};
+use wsp_telemetry::{self as telemetry, clock, Counter, Histogram};
 pub use wsp_uddi::DataVersions;
 use wsp_uddi::{
     BusinessService, ServiceQuery, UddiError, UddiOp, UddiRequest, UddiResponse, UddiTransport,
@@ -263,7 +262,7 @@ impl ShardedUddiClient {
                 "service needs a name to shard on".into(),
             )));
         }
-        let started = Instant::now();
+        let started = clock::now();
         let shard = self.map.read().shard_of(&service.name);
         let save = UddiRequest::new(UddiOp::SaveService {
             tmodels: Cow::Borrowed(&[]),
@@ -276,7 +275,7 @@ impl ShardedUddiClient {
         match &result {
             Ok(_) => {
                 self.series.publish.incr();
-                self.series.publish_rtt_us.record_micros(started.elapsed());
+                self.series.publish_rtt_us.record_since(started);
             }
             Err(_) => self.series.publish_errors.incr(),
         }
@@ -354,7 +353,7 @@ impl ShardedUddiClient {
         read: impl FnOnce(UddiResponse) -> T,
     ) -> Result<T, CallError> {
         let endpoint = &self.endpoints[node];
-        let Some(permit) = self.health.admit(endpoint, Instant::now()) else {
+        let Some(permit) = self.health.admit(endpoint, clock::now()) else {
             return Err(CallError::Recover(Recovery::NextReplica));
         };
         let Ok(response) = (self.transports[node])(request) else {
@@ -392,7 +391,7 @@ impl ShardedUddiClient {
     /// an exact name, scattered over a cover of the shards otherwise
     /// (module doc). Results are in key order, at most `max_rows`.
     pub fn locate(&self, query: &ServiceQuery) -> Result<Vec<BusinessService>, RegistryError> {
-        let started = Instant::now();
+        let started = clock::now();
         match query.exact_name() {
             Some(_) => self.series.locate_routed.incr(),
             None => self.series.locate_scattered.incr(),
@@ -401,7 +400,7 @@ impl ShardedUddiClient {
         match &result {
             Ok(_) => {
                 self.series.locate.incr();
-                self.series.locate_rtt_us.record_micros(started.elapsed());
+                self.series.locate_rtt_us.record_since(started);
             }
             Err(_) => self.series.locate_errors.incr(),
         }
@@ -829,7 +828,7 @@ mod tests {
     #[test]
     fn a_probe_that_panics_in_the_transport_reopens_the_breaker() {
         use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-        use std::time::Duration;
+        use std::time::{Duration, Instant};
         const PASS: u8 = 0;
         const FAIL: u8 = 1;
         const PANIC_ONCE: u8 = 2;

@@ -37,7 +37,6 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 // --- histogram bucket scheme ------------------------------------------------
 
@@ -161,8 +160,9 @@ impl Histogram {
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    pub fn record_micros(&self, elapsed: std::time::Duration) {
-        self.record(elapsed.as_micros() as u64);
+    /// Record the µs from `started` to [`crate::clock::now`].
+    pub fn record_since(&self, started: std::time::Instant) {
+        self.record((crate::clock::now() - started).as_micros() as u64);
     }
 
     pub fn count(&self) -> u64 {
@@ -387,7 +387,7 @@ pub struct TraceEvent {
     pub token: u64,
     /// Monotonic sequence number (global fire order across threads).
     pub seq: u64,
-    /// Microseconds since the registry was created.
+    /// [`crate::clock::micros`] when the stage was recorded.
     pub at_micros: u64,
     /// Which machinery recorded the stage, e.g. `client.attempt`.
     pub stage: &'static str,
@@ -421,7 +421,6 @@ const TRACE_CAPACITY: usize = 1024;
 /// separate instances exist only in tests.
 pub struct Telemetry {
     enabled: Arc<AtomicBool>,
-    started: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
@@ -440,7 +439,6 @@ impl Telemetry {
     pub fn new() -> Telemetry {
         Telemetry {
             enabled: Arc::new(AtomicBool::new(true)),
-            started: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
@@ -518,7 +516,7 @@ impl Telemetry {
         let event = TraceEvent {
             token,
             seq: self.trace_seq.fetch_add(1, Ordering::Relaxed),
-            at_micros: self.started.elapsed().as_micros() as u64,
+            at_micros: crate::clock::micros(),
             stage,
             detail,
         };

@@ -41,6 +41,12 @@ if cargo tree --offline -p wsp-registry -e normal --prefix none | grep '^wsp-cor
   exit 1
 fi
 
+# Time in one place: the shells read time only through
+# wsp_telemetry::clock, so a virtual clock can stand in for the wall
+# clock in a test, and one `Deadline` owns the budget rule.
+echo "==> no production clock read outside wsp_telemetry::clock"
+scripts/clock_sites.sh
+
 # Lines of Rust per crate is a tracked number (ROADMAP aim 2): print it
 # with every run, so a PR's before/after is two CI logs.
 echo "==> lines of Rust per crate (scripts/loc.sh)"

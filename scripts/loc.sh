@@ -6,31 +6,16 @@
 #   scripts/loc.sh [ROOT]     ROOT defaults to this checkout
 set -euo pipefail
 root="${1:-$(dirname "$0")/..}"
+rule="$(cat "$(dirname "$0")/cfg_test.awk")"
 cd "$root"
 
 # Prints "<total> <non-test>" for the .rs files under the directories
-# given. An item under `#[cfg(test)]` runs to the close of its first
-# bracket group, or to a `;` / `,` if it opens none (`mod tests;`, a
-# field). Files under a `tests/` directory, and files that open with
-# `#![cfg(test)]`, are test code throughout.
+# given; scripts/cfg_test.awk says which lines are test code.
 count() {
   find "$@" -name '*.rs' -not -path '*/target/*' -print0 2>/dev/null | sort -z |
-    xargs -0 -r awk '
-      FNR == 1 { skipping = 0; whole = (FILENAME ~ /\/tests\// || /^#!\[cfg\(test\)\]/) }
+    xargs -0 -r awk "$rule"'
       { total++ }
-      whole { next }
-      !skipping && /^[ \t]*#\[cfg\(test\)\]/ { skipping = 1; depth = 0; opened = 0; next }
-      skipping {
-        if (!opened && /^[ \t]*#\[/) next
-        line = $0
-        opens = gsub(/[({[]/, "", line)
-        closes = gsub(/[)}\]]/, "", line)
-        depth += opens - closes
-        if (opens > 0) opened = 1
-        if ((opened && depth <= 0) || (!opened && /[;,][ \t]*$/)) skipping = 0
-        next
-      }
-      { code++ }
+      !is_test() { code++ }
       END { printf "%d %d\n", total, code }'
 }
 

@@ -14,8 +14,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wsp_core::bindings::HttpUddiBinding;
 use wsp_core::overload::{
-    KeyedLoadShedPolicy, DEADLINE_HEADER, RETRY_AFTER_MS_HEADER, TENANT_HEADER,
+    Deadline, KeyedLoadShedPolicy, DEADLINE_HEADER, RETRY_AFTER_MS_HEADER, TENANT_HEADER,
 };
+use wsp_core::telemetry::clock::VirtualClock;
 use wsp_core::{telemetry, BindingKind, EventBus, LocatedService, Peer};
 use wsp_gateway::{Gateway, GatewayCacheConfig, GatewayConfig, GatewayError};
 use wsp_http::{http_call_uri, parse_request, HttpError, Request, Response, Router, TcpServer};
@@ -264,7 +265,7 @@ fn idempotent_responses_replay_byte_identically_without_the_backend() {
 }
 
 /// TTL expiry backstops the response cache: after the TTL the same
-/// bytes go back to the backend.
+/// bytes go back to the backend. The TTL passes on a virtual clock.
 #[test]
 fn response_ttl_expiry_returns_to_the_backend() {
     let cluster = test_cluster();
@@ -281,6 +282,8 @@ fn response_ttl_expiry_returns_to_the_backend() {
             }),
     );
     let request = soap_request("ttl-bytes");
+    let clock = VirtualClock::default();
+    let _clock = clock.enter();
     gateway
         .invoke("t", "EchoTtl", &request, None)
         .expect("fill the cache");
@@ -290,7 +293,15 @@ fn response_ttl_expiry_returns_to_the_backend() {
             .expect("hit")
             .cached
     );
-    std::thread::sleep(Duration::from_millis(80));
+    clock.advance(Duration::from_millis(39));
+    assert!(
+        gateway
+            .invoke("t", "EchoTtl", &request, None)
+            .expect("hit")
+            .cached,
+        "39 ms into a 40 ms TTL"
+    );
+    clock.advance(Duration::from_millis(41));
     let after = gateway
         .invoke("t", "EchoTtl", &request, None)
         .expect("after TTL");
@@ -757,7 +768,7 @@ fn deadline_is_forwarded_and_an_expired_one_never_reaches_a_backend() {
             "t",
             "Budgeted",
             &soap_request("in time"),
-            Some(Instant::now() + Duration::from_secs(5)),
+            Some(Deadline::after(Duration::from_secs(5))),
         )
         .expect("a live budget is served");
     let forwarded = seen_budget.load(Ordering::SeqCst);
@@ -781,7 +792,7 @@ fn deadline_is_forwarded_and_an_expired_one_never_reaches_a_backend() {
         "t",
         "Stalls",
         &soap_request("too late"),
-        Some(Instant::now() + Duration::from_millis(80)),
+        Some(Deadline::after(Duration::from_millis(80))),
     );
     let waited = started.elapsed();
     assert!(
@@ -807,7 +818,7 @@ fn deadline_is_forwarded_and_an_expired_one_never_reaches_a_backend() {
         "t",
         "Stalls",
         &soap_request("dead on arrival"),
-        Some(Instant::now()),
+        Some(Deadline(Instant::now())),
     );
     assert!(outcome.is_err(), "{outcome:?}");
     assert_eq!(spare_hits.load(Ordering::SeqCst), 0);

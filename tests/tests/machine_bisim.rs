@@ -21,7 +21,7 @@ use wsp_core::machines::keyed_admission::{
     KeyedAdmissionEffect, KeyedAdmissionEvent, KeyedAdmissionMachine,
 };
 use wsp_core::overload::{
-    KeyedAdmissionController, KeyedAdmissionPermit, KeyedLoadShedPolicy, ANONYMOUS_TENANT,
+    Deadline, KeyedAdmissionController, KeyedAdmissionPermit, KeyedLoadShedPolicy, ANONYMOUS_TENANT,
 };
 use wsp_p2ps::rpc::{decode_request, encode_response};
 use wsp_p2ps::{PeerId, PipeAdvertisement, RpcCorrelator};
@@ -51,8 +51,8 @@ fn arb_breaker_ops() -> impl Strategy<Value = Vec<(u8, u8)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The shell converts `Instant`s to tick offsets from a private
-    /// epoch; the mirror uses offsets from the test's own base. All
+    /// The shell converts `Instant`s to tick offsets from the clock's
+    /// process origin; the mirror uses offsets from the test's own base. All
     /// breaker decisions are *differences* of times, so the two frames
     /// must produce identical observables at every step.
     #[test]
@@ -92,7 +92,7 @@ proptest! {
                     prop_assert_eq!(got, expected, "acquire at {:?}", elapsed);
                 }
                 BreakerOp::Success => {
-                    let got = shell.on_success(now);
+                    let got = shell.on_success();
                     let effects = step_mut(&machine, &mut mirror, &BreakerEvent::Success);
                     prop_assert_eq!(got, effects.contains(&BreakerEffect::Recovered));
                 }
@@ -160,9 +160,9 @@ fn admission_lockstep(
         match op {
             0 => {
                 let deadline = if expired {
-                    Some(Instant::now())
+                    Some(Deadline(Instant::now()))
                 } else {
-                    Some(Instant::now() + Duration::from_secs(3600))
+                    Some(Deadline::after(Duration::from_secs(3600)))
                 };
                 let got = shell.try_admit_at(names[t], queue_depth as usize, deadline);
                 let effects = step_mut(

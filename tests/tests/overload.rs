@@ -197,6 +197,47 @@ fn pooled_binding_call_honours_a_short_deadline_against_a_stalled_server() {
     assert!(waited < Duration::from_secs(5), "{waited:?}");
 }
 
+/// A server's `Retry-After` is remote input: seconds whose milliseconds
+/// overflow a `u64` saturate, neither panicking (debug) nor wrapping
+/// (release).
+#[test]
+fn an_overflowing_retry_after_saturates() {
+    let (binding, peer) = peer_with_policy(KeyedLoadShedPolicy::unlimited());
+    peer.server()
+        .deploy_and_publish(
+            nap_descriptor("HintNap"),
+            nap_handler(Arc::default(), Duration::ZERO),
+        )
+        .unwrap();
+    let mut service = peer
+        .client()
+        .locate_one(&ServiceQuery::by_name("HintNap"))
+        .unwrap();
+    let router = Router::new();
+    router.deploy(
+        "HintNap",
+        Arc::new(|_req: &Request| {
+            let mut busy = Response::unavailable("busy");
+            busy.headers
+                .set("Retry-After", (u64::MAX / 1000 + 1).to_string());
+            busy
+        }),
+    );
+    let shedder = TcpServer::launch(0, router).expect("launch");
+    service.endpoint = shedder.service_uri("HintNap");
+    let outcome = binding.invoker().invoke(&service, "nap", &[]);
+    assert!(
+        matches!(
+            outcome,
+            Err(WspError::Overloaded {
+                retry_after_ms: Some(u64::MAX)
+            })
+        ),
+        "{outcome:?}"
+    );
+    shedder.shutdown();
+}
+
 /// Over P2PS the shed takes the form of a SOAP busy fault on the return
 /// pipe; the consumer's invoker decodes it back into `Overloaded` with
 /// the provider's hint instead of a generic fault.

@@ -374,7 +374,7 @@ fn endpoint_breaker_map_is_bounded() {
     for i in 0..100_000 {
         let breaker = health.breaker(&format!("test://healthy-{i}/Echo"));
         assert_eq!(breaker.try_acquire(now), Admission::Allowed);
-        breaker.on_success(now);
+        breaker.on_success();
     }
     let tracked = health.snapshot(now).len();
     assert!(
