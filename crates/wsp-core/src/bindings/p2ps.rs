@@ -21,23 +21,23 @@
 //!
 //! * **provider**: the delivering thread — mostly the consumer's
 //!   caller — reads the request ([`Hosting::read`]) and takes it to the
-//!   edge of the peer's hosting pipeline ([`Hosting::admit`]);
-//!   the rest ([`Hosting::serve`], handler included) runs on the
-//!   dispatcher (so queue-depth shedding, deadlines and nested calls
-//!   behave as on any other binding) and the worker sends the reply
-//!   itself; a request that finds the dispatcher's queue full is
-//!   answered with the busy fault, never helped along by the
-//!   delivering thread;
-//! * **consumer**: the delivering thread — mostly the provider's
-//!   worker — reads the response once: its `RelatesTo` names the call,
-//!   whose own reader decodes the body in the same pass, and the
-//!   caller's `CallHandle` is completed with the value.
+//!   edge of the peer's hosting pipeline ([`Hosting::admit`]); the rest
+//!   ([`Hosting::serve`], handler included, then the reply) runs in one
+//!   of the dispatcher's worker slots, so shedding, deadlines and
+//!   nested calls behave as on any other binding. A request its caller
+//!   brought to an idle peer, naming a return pipe, takes an idle
+//!   worker's slot and is served by that caller once the delivery is
+//!   over (`thread_driver::serve_after`); any other is queued for the
+//!   workers, or answered with the busy fault if the queue is full;
+//! * **consumer**: the delivering thread reads the response once: its
+//!   `RelatesTo` names the call, whose own reader decodes the body in
+//!   the same pass, and the caller's `CallHandle` is completed with it.
 //!
-//! One request/response is caller → provider worker → caller: two
-//! wake-ups. The sink is entered with no peer lock held, so it may send
-//! (the busy-fault reply of a shed request goes out from inside the
-//! delivery); it never waits on anything its sender or an inbox thread
-//! would have to produce.
+//! An echo to an idle provider is caller → caller: no thread is woken.
+//! The sink is entered with no peer lock held, so it may send (the
+//! busy-fault reply of a shed request goes out from inside the
+//! delivery); it runs no handler inside a delivery, and never waits on
+//! anything its sender or an inbox thread would have to produce.
 
 use crate::components::{Binding, Invoker, ServiceDeployer, ServiceLocator, ServicePublisher};
 use crate::dispatch::{Completer, Dispatcher};
@@ -54,7 +54,7 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 use wsp_p2ps::{
-    decode_request, encode_response, P2psUri, PipeAdvertisement, RpcCorrelator,
+    decode_request, encode_response, thread_driver, P2psUri, PipeAdvertisement, RpcCorrelator,
     ServiceAdvertisement, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE, P2PS_NS,
 };
 use wsp_soap::typed::{read_envelope_with, Payload};
@@ -112,6 +112,7 @@ struct Shared {
     /// name takes the registry lock and allocates the key).
     roundtrip_us: Arc<telemetry::Histogram>,
     unknown_pipe: Arc<telemetry::Counter>,
+    served_inline: Arc<telemetry::Counter>,
     discovery_queries: Arc<telemetry::Counter>,
     discovery_hits: Arc<telemetry::Counter>,
     discovery_rtt_us: Arc<telemetry::Histogram>,
@@ -148,9 +149,9 @@ impl Shared {
 
 /// The P2PS binding. Construct with a spawned [`ThreadPeer`] that has
 /// no delivery sink yet: the binding installs its own, which routes
-/// the peer's events to hosted services (server side, served on the
-/// dispatcher's pool) and outstanding calls (client side, completed
-/// through the correlation table).
+/// the peer's events to hosted services (server side, served in the
+/// dispatcher's worker slots) and outstanding calls (client side,
+/// completed through the correlation table).
 #[derive(Clone)]
 pub struct P2psBinding {
     shared: Arc<Shared>,
@@ -185,6 +186,7 @@ impl P2psBinding {
                 hosting: RwLock::new(None),
                 roundtrip_us: registry.histogram("p2ps.roundtrip_us"),
                 unknown_pipe: registry.counter("p2ps.unknown_pipe"),
+                served_inline: registry.counter("p2ps.served_inline"),
                 discovery_queries: registry.counter("p2ps.discovery.queries"),
                 discovery_hits: registry.counter("p2ps.discovery.hits"),
                 discovery_rtt_us: registry.histogram("p2ps.discovery.rtt_us"),
@@ -278,8 +280,7 @@ fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
             if pipe.service.is_some() {
                 // Hosted-service traffic: read once here so admission
                 // sees the propagated deadline, admitted (or shed)
-                // before it is queued, then served on the worker pool
-                // so the delivering thread never blocks on a handler.
+                // before it is served, never inside the delivery.
                 admit_and_serve(shared, pipe, payload);
             } else {
                 deliver_response(shared, &payload);
@@ -339,10 +340,10 @@ fn awaiting(shared: &Shared, headers: &MessageHeaders) -> Option<(u64, Arc<dyn P
 /// Server side of Figure 6, in the binding's two steps: the edge of
 /// the hosting pipeline here, on the delivering thread — a shed answers
 /// immediately with the `wsp:overloaded` busy fault and its retry hint —
-/// and the serve on the pool, under the propagated deadline (expired
-/// deadlines are shed again at dequeue), the worker sending the reply.
-/// The delivering thread never runs a queued job: a request that finds
-/// the pool's queue full is shed with the busy fault too.
+/// and the serve in a worker's slot, under the propagated deadline
+/// (shed again if it has expired by then), sending the reply: after the
+/// delivery on a caller that brought it, else on the pool. No queued
+/// job is run here: a request that finds the queue full is shed too.
 fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: String) {
     let hosting = shared.hosting();
     let name = pipe.service.as_deref().expect("checked by caller");
@@ -403,6 +404,12 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: Strin
             job_shared.peer.send_pipe(reply_pipe, wire_text(bytes));
         }
     };
+    // The caller's own request, with a worker free: served by it.
+    let after = route.is_some() && thread_driver::may_serve_after();
+    if let Some(lent) = after.then(|| hosting.dispatcher().try_lend()).flatten() {
+        shared.served_inline.incr();
+        return thread_driver::serve_after(move || lent.run(deadline, || serve(route)));
+    }
     let queued =
         (hosting.dispatcher()).try_execute(deadline, (route, serve), |(route, serve)| serve(route));
     if let Err((route, unserved)) = queued {

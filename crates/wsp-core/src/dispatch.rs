@@ -217,6 +217,8 @@ struct Queue {
     jobs: VecDeque<Job>,
     /// Workers with nothing to run; a push wakes one.
     idle: Vec<Thread>,
+    /// Idle workers whose slot is lent ([`Dispatcher::try_lend`]).
+    lent: Vec<Thread>,
     /// Parked helping waiters; a push that finds no idle worker wakes one.
     helpers: Vec<Thread>,
 }
@@ -244,6 +246,8 @@ struct Inner {
     cancelled: AtomicU64,
     shed: AtomicU64,
     in_flight: AtomicUsize,
+    /// Jobs running on workers, and lent slots.
+    slots: AtomicUsize,
     /// Queued + running jobs; [`Dispatcher::flush`] waits for zero.
     jobs_pending: AtomicUsize,
     /// Parked flushers; the job that leaves none pending wakes them.
@@ -289,9 +293,14 @@ impl Inner {
             let mut queue = self.queue.lock();
             // Still listed only after a wake-up that was not a push's.
             unlist(&mut queue.idle, &me);
-            if let Some(job) = queue.jobs.pop_front() {
+            if queue.lent.iter().any(|lent| lent.id() == me.id()) {
                 drop(queue);
+                thread::park();
+            } else if let Some(job) = queue.jobs.pop_front() {
+                drop(queue);
+                self.take_slot();
                 self.run_job(job);
+                self.slots.fetch_sub(1, Ordering::SeqCst);
             } else if self.closed.load(Ordering::SeqCst) {
                 return;
             } else {
@@ -324,14 +333,7 @@ impl Inner {
         if queue.jobs.len() >= self.capacity || self.closed.load(Ordering::SeqCst) {
             return Err(input);
         }
-        self.jobs_pending.fetch_add(1, Ordering::SeqCst);
-        self.submitted.fetch_add(1, Ordering::SeqCst);
-        queue.jobs.push_back(Job {
-            run: make(input),
-            enqueued_at: telemetry::global().is_enabled().then(clock::now),
-            deadline,
-            clock: clock::current(),
-        });
+        queue.jobs.push_back(self.accept(make(input), deadline));
         self.queue_depth.record(queue.jobs.len() as u64);
         let woken = queue.idle.pop().or_else(|| queue.helpers.pop());
         drop(queue);
@@ -341,11 +343,29 @@ impl Inner {
         Ok(())
     }
 
+    /// `run`, accepted now: counted, and stamped with this thread's clock.
+    fn accept(&self, run: BoxedFn, deadline: Option<Deadline>) -> Job {
+        self.jobs_pending.fetch_add(1, Ordering::SeqCst);
+        self.submitted.fetch_add(1, Ordering::SeqCst);
+        Job {
+            run,
+            enqueued_at: telemetry::global().is_enabled().then(clock::now),
+            deadline,
+            clock: clock::current(),
+        }
+    }
+
     /// Accept no more jobs; wake the idle workers to drain and exit.
     fn close(&self) {
         let mut queue = self.queue.lock();
         self.closed.store(true, Ordering::SeqCst);
         queue.idle.drain(..).for_each(|worker| worker.unpark());
+    }
+
+    /// One more worker slot taken; there are `workers` of them.
+    fn take_slot(&self) {
+        let taken = self.slots.fetch_add(1, Ordering::SeqCst);
+        debug_assert!(taken < self.workers, "more handlers than workers");
     }
 
     fn run_job(&self, job: Job) {
@@ -695,6 +715,7 @@ impl Dispatcher {
             cancelled: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
+            slots: AtomicUsize::new(0),
             jobs_pending: AtomicUsize::new(0),
             flushers: Mutex::new(Vec::new()),
             workers,
@@ -704,14 +725,18 @@ impl Dispatcher {
             shed_expired: telemetry::global().counter("dispatch.shed_expired"),
         });
         let mut handles = Vec::with_capacity(workers);
+        // Listed idle at once (lendable); each waits for this lock to start.
+        let mut queue = inner.queue.lock();
         for index in 0..workers {
             let inner = inner.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("wsp-worker-{index}"))
                 .spawn(move || inner.work())
                 .expect("spawn dispatcher worker");
+            queue.idle.push(handle.thread().clone());
             handles.push(handle);
         }
+        drop(queue);
         Arc::new(Dispatcher {
             inner,
             worker_handles: Mutex::new(handles),
@@ -822,7 +847,7 @@ impl Dispatcher {
     /// in the queue, else run inside a [`DeadlineScope`] of it — whose
     /// caller never helps: a full or shut-down queue hands `data` back.
     /// For the P2PS delivery sink, which must not run application code
-    /// (it may be another peer's caller or worker).
+    /// inside a delivery (it may be another peer's caller or worker).
     pub(crate) fn try_execute<D: Send + 'static>(
         &self,
         deadline: Option<Deadline>,
@@ -832,6 +857,20 @@ impl Dispatcher {
         (self.inner).push(data, deadline, |data| {
             scoped_job(deadline, move || run(data))
         })
+    }
+
+    /// Lend the caller an idle worker's slot for one job ([`Lent::run`]),
+    /// if the queue is open and empty: the worker stays parked, passed
+    /// over by pushes, until the slot comes back.
+    pub(crate) fn try_lend(self: &Arc<Self>) -> Option<Lent> {
+        let mut queue = self.inner.queue.lock();
+        if !queue.jobs.is_empty() || self.inner.closed.load(Ordering::SeqCst) {
+            return None;
+        }
+        let worker = queue.idle.pop()?;
+        queue.lent.push(worker.clone());
+        self.inner.take_slot();
+        Some(Lent(self.clone(), worker, telemetry::current_correlation()))
     }
 
     /// Non-blocking submit: errors instead of helping when the queue is
@@ -967,6 +1006,35 @@ impl Drop for Dispatcher {
                 let _ = handle.join();
             }
         }
+    }
+}
+
+/// A worker's slot lent ([`Dispatcher::try_lend`]) under the lender's
+/// correlation id; the worker gets it back on drop.
+pub(crate) struct Lent(Arc<Dispatcher>, Thread, u64);
+
+impl Lent {
+    /// Run `run` here as the job [`Dispatcher::try_execute`] would have
+    /// queued: the same books, shed, scopes and isolation.
+    pub(crate) fn run(self, deadline: Option<Deadline>, run: impl FnOnce() + Send + 'static) {
+        let _lender = CorrelationScope::enter(self.2);
+        let inner = &self.0.inner;
+        inner.run_job(inner.accept(scoped_job(deadline, run), deadline));
+    }
+}
+
+impl Drop for Lent {
+    fn drop(&mut self) {
+        let (inner, worker) = (&self.0.inner, &self.1);
+        let mut queue = inner.queue.lock();
+        unlist(&mut queue.lent, worker);
+        inner.slots.fetch_sub(1, Ordering::SeqCst);
+        // Back on the idle list, still parked, unless there is work.
+        if queue.jobs.is_empty() && !inner.closed.load(Ordering::SeqCst) {
+            return queue.idle.push(worker.clone());
+        }
+        drop(queue);
+        worker.unpark();
     }
 }
 
@@ -1462,6 +1530,54 @@ mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("drop on the worker returned");
+    }
+
+    /// A lent slot is its worker's: pushes pass the parked worker over,
+    /// the caller runs its job with a queued job's books, and the worker
+    /// comes back to run what queued meanwhile — a dispatcher whose one
+    /// worker is lent lends no second slot and runs nothing elsewhere.
+    #[test]
+    fn a_lent_slot_keeps_its_worker_parked_until_it_comes_back() {
+        let d = Dispatcher::new(DispatcherConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        let lent = d.try_lend().expect("a fresh dispatcher's worker is idle");
+        assert!(d.try_lend().is_none(), "one worker, one slot");
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let record = ran_on.clone();
+        d.execute(move || record.lock().push(thread::current().id()))
+            .unwrap();
+        assert!(d.try_lend().is_none(), "a queued job comes first");
+        let deadline = Some(Deadline::after(Duration::from_secs(30)));
+        let (seen, dispatcher) = (Arc::new(Mutex::new(None)), d.clone());
+        let see = seen.clone();
+        lent.run(deadline, move || {
+            let depth = dispatcher.queue_depth();
+            *see.lock() = Some((depth, crate::overload::current_deadline()));
+        });
+        let seen = seen.lock().take();
+        assert_eq!(seen, Some((1, deadline.map(|d| d.0))), "queued, not run");
+        assert!(
+            d.flush_within(Duration::from_secs(5)),
+            "the worker came back"
+        );
+        let caller = thread::current().id();
+        assert!(ran_on.lock().iter().all(|&id| id != caller));
+        let stats = d.stats();
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.in_flight),
+            (2, 2, 0)
+        );
+        // The worker gives its slot up once its job has returned.
+        let freed = Deadline::after(Duration::from_secs(5));
+        while d.inner.slots.load(Ordering::SeqCst) != 0 && !freed.expired() {
+            thread::yield_now();
+        }
+        assert_eq!(d.inner.slots.load(Ordering::SeqCst), 0);
+        // A shut-down dispatcher lends nothing.
+        d.inner.close();
+        assert!(d.try_lend().is_none());
     }
 
     #[test]

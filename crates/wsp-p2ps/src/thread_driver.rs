@@ -38,7 +38,10 @@
 //! `QueryResult`, `UnknownPipe`, `Pong`) is handed, on the stepping
 //! thread, to the [`DeliverySink`] the embedder installed; with none
 //! installed it lands in the event channel behind
-//! [`ThreadPeer::recv_event`].
+//! [`ThreadPeer::recv_event`]. The sink of the message a sender brought
+//! itself — no peer claimed further up its stack, not an inbox thread —
+//! may leave work ([`serve_after`]) that the sender runs once it has
+//! released the receiver, before its send returns.
 //!
 //! **Lock rule:** the machine lock is held for the step alone — never
 //! across `ThreadNetwork::route` and never across a sink call — so a
@@ -70,12 +73,31 @@ const REFRESH_INTERVAL: Duration = Duration::from_secs(5);
 /// inside a delivery to another idle peer delivers on the same stack;
 /// a thread already this deep queues the message for the receiver's
 /// inbox thread instead, so a flood through a chain of peers uses a
-/// bounded stack.
+/// bounded stack. [`serve_after`] serves nest no deeper.
 pub const MAX_INLINE_DEPTH: usize = 4;
 
 thread_local! {
     /// Deliveries (`process` calls) running on this thread's stack.
     static DELIVERY_DEPTH: Cell<usize> = const { Cell::new(0) };
+    /// Left serves running on this stack; an inbox thread's starts full.
+    static SERVE_DEPTH: Cell<usize> = const { Cell::new(0) };
+    /// Whether the running sink may still leave a serve; the one left.
+    static OPEN: Cell<bool> = const { Cell::new(false) };
+    static AFTER: Cell<Option<Box<dyn FnOnce()>>> = const { Cell::new(None) };
+}
+
+/// Whether the sink running now may [`serve_after`]: it delivers the
+/// message its thread brought (see the module docs) and left nothing.
+pub fn may_serve_after() -> bool {
+    DELIVERY_DEPTH.get() == 1 && OPEN.get()
+}
+
+/// Leave `serve` for this thread to run once the delivery whose sink
+/// calls this has released its peer. Only where [`may_serve_after`].
+pub fn serve_after(serve: impl FnOnce() + 'static) {
+    debug_assert!(may_serve_after(), "no serve may be left here");
+    OPEN.set(false);
+    AFTER.set(Some(Box::new(serve)));
 }
 
 /// Events surfaced to the embedding application (mirrors
@@ -304,7 +326,11 @@ impl ThreadNetwork {
             match core.inbox.offer(message, &traffic.routed) {
                 Offer::Idle(message) => {
                     traffic.inline.fetch_add(1, Relaxed);
-                    process(&core, message, true);
+                    if let Some(serve) = process(&core, message, true) {
+                        SERVE_DEPTH.set(SERVE_DEPTH.get() + 1);
+                        let _ = catch_unwind(AssertUnwindSafe(serve));
+                        SERVE_DEPTH.set(SERVE_DEPTH.get() - 1);
+                    }
                     true
                 }
                 Offer::Queued => true,
@@ -435,14 +461,21 @@ impl PeerCore {
 /// (`help`) then also delivers the first message that queued behind
 /// its own, if one did, still holding the claim: a second sender that
 /// found the peer busy does not have to wait for the inbox thread to
-/// wake. Anything queued after that is the inbox thread's.
-fn process(core: &PeerCore, message: WireMessage, help: bool) {
+/// wake. Anything queued after that is the inbox thread's. Returns
+/// what the sender's own message left to serve once the claim is gone.
+fn process(core: &PeerCore, message: WireMessage, help: bool) -> Option<Box<dyn FnOnce()>> {
+    let open = help && DELIVERY_DEPTH.get() == 0 && SERVE_DEPTH.get() < MAX_INLINE_DEPTH;
     let _delivering = Delivering::enter(&core.inbox);
-    if deliver(core, message) && help {
+    OPEN.set(open);
+    let delivered = deliver(core, message);
+    OPEN.set(false);
+    let after = open.then(|| AFTER.take()).flatten();
+    if delivered && help {
         if let Some(queued) = core.inbox.take_queued() {
             deliver(core, queued);
         }
     }
+    after
 }
 
 /// Parse one message and step the machine with it. A delivery that
@@ -486,10 +519,11 @@ impl Drop for Delivering<'_> {
 }
 
 fn inbox_loop(core: &PeerCore) {
+    SERVE_DEPTH.set(MAX_INLINE_DEPTH);
     let mut refresh_at = clock::now() + REFRESH_INTERVAL;
     loop {
         match core.inbox.next(refresh_at) {
-            Next::Message(message) => process(core, message, false),
+            Next::Message(message) => drop(process(core, message, false)),
             Next::RefreshDue => {
                 refresh_at = clock::now() + REFRESH_INTERVAL;
                 core.step(|s, now| s.machine.refresh(now));
@@ -520,7 +554,8 @@ impl ThreadPeer {
     /// peer lock held, so it may call back into the peer. It must not
     /// block on its sender, nor on work that needs the inbox thread,
     /// and it sees the sending thread's thread-locals: an embedder
-    /// that keeps per-thread context resets it inside the sink. A
+    /// that keeps per-thread context resets it inside the sink, and
+    /// leaves what must not run inside a delivery to [`serve_after`]. A
     /// sink that panics on wire traffic closes this peer's inbox (see
     /// the module docs). Install it before the peer sees traffic:
     /// events delivered earlier stay in the channel. Returns `false`
@@ -967,6 +1002,67 @@ mod tests {
         assert_ne!(seen[2].1, holder, "the inbox thread delivered the third");
         let stats = network.stats();
         assert_eq!((stats.routed, stats.inline), (3, 1), "{stats:?}");
+    }
+
+    /// Only the sink of the message its sender brought — no peer claimed
+    /// further up that sender's stack, fewer than [`MAX_INLINE_DEPTH`]
+    /// serves nested, not on an inbox thread — may leave a serve, and
+    /// the sender runs it with the receiver released, before its send
+    /// returns.
+    #[test]
+    fn only_a_senders_own_delivery_leaves_a_serve_and_it_runs_after_the_release() {
+        let network = ThreadNetwork::new();
+        let a = network.spawn(PeerConfig::ordinary(PeerId(1)));
+        let b = network.spawn(PeerConfig::ordinary(PeerId(2)));
+        let (seen_tx, seen_rx) = channel::<(String, bool)>();
+        let (ran_tx, ran_rx) = channel::<bool>();
+        let receiver = Arc::downgrade(&b.core);
+        assert!(b.set_sink(Box::new(move |event| {
+            let ThreadPeerEvent::PipeDelivery { payload, .. } = event else {
+                return;
+            };
+            let may = may_serve_after();
+            seen_tx.send((payload, may)).unwrap();
+            if may {
+                let (receiver, ran_tx) = (receiver.clone(), ran_tx.clone());
+                serve_after(move || {
+                    let core = receiver.upgrade().unwrap();
+                    ran_tx.send(core.inbox.state.lock().busy).unwrap();
+                });
+                assert!(!may_serve_after(), "one serve per delivery");
+            }
+        })));
+        let b_pipe = b.open_pipe(None);
+        a.send_pipe(b_pipe.clone(), "brought".into());
+        assert_eq!(
+            ran_rx.try_recv(),
+            Ok(false),
+            "ran, b released, before the send returned"
+        );
+        for (depth, serves, payload) in [(1, 0, "claimed"), (0, MAX_INLINE_DEPTH, "deep")] {
+            DELIVERY_DEPTH.set(depth);
+            SERVE_DEPTH.set(serves);
+            a.send_pipe(b_pipe.clone(), payload.into());
+        }
+        // Queued: the inbox thread delivers it.
+        DELIVERY_DEPTH.set(MAX_INLINE_DEPTH);
+        a.send_pipe(b_pipe.clone(), "queued".into());
+        DELIVERY_DEPTH.set(0);
+        SERVE_DEPTH.set(0);
+        let seen: Vec<_> = (0..4)
+            .map(|_| seen_rx.recv_timeout(WAIT).unwrap())
+            .collect();
+        let brought_only = [true, false, false, false];
+        let names = ["brought", "claimed", "deep", "queued"];
+        assert_eq!(
+            seen,
+            names
+                .iter()
+                .map(|n| n.to_string())
+                .zip(brought_only)
+                .collect::<Vec<_>>()
+        );
+        assert!(ran_rx.try_recv().is_err(), "one serve in all");
     }
 
     /// Two senders racing for one receiver: whichever way each message

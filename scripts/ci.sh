@@ -236,12 +236,19 @@ done'
 # bound down a 64-peer chain, a panicking sink closing its inbox), the
 # correlator's, the 4-thread x 500 nested-invoke storm, scope, teardown
 # and return-pipe checks in lifecycle_p2ps, and the same application
-# code over both bindings.
-echo "==> P2PS threading stress (thread_driver + rpc + lifecycle_p2ps + cross_binding, 20x, release)"
+# code over both bindings. A request its caller brought to an idle
+# provider is served on the caller's thread in a worker's lent slot,
+# so ten more runs of lifecycle_p2ps in debug, where a `debug_assert!`
+# checks that the jobs running on a dispatcher's workers and its lent
+# slots never outnumber its workers.
+echo "==> P2PS threading stress (thread_driver + rpc + lifecycle_p2ps + cross_binding, 20x, release; lifecycle_p2ps 10x, debug)"
 timeout 900 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-p2ps --lib thread_driver || exit 1
   cargo test -q --release -p wsp-p2ps --lib rpc || exit 1
   cargo test -q --release -p wsp-integration-tests --test lifecycle_p2ps --test cross_binding || exit 1
+done'
+timeout 900 bash -c 'for i in $(seq 1 10); do
+  cargo test -q -p wsp-integration-tests --test lifecycle_p2ps || exit 1
 done'
 
 # The dispatcher's waits: an idle worker, a waiter on a call and a

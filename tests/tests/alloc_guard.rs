@@ -770,11 +770,14 @@ fn warm_serve_of_the_echo_request_allocates_sixteen_times_at_most() {
     provider.server().undeploy("Echo");
 }
 
-/// The same invoke over P2PS: the caller, then the provider's worker,
-/// then the caller again — two `PipeData` frames, each envelope read
-/// once (the request by the provider, the response by the thread that
-/// delivers it, with the reader its call registered), the return pipe
-/// opened and closed around it. 63 measured; 73 while every machine
+/// The same invoke over P2PS, caller → caller: the calling thread
+/// delivers the request, serves it in a worker's slot lent by the idle
+/// provider once the delivery is over, and delivers the answer back to
+/// itself — two `PipeData` frames, each envelope read once (the request
+/// by the provider, the response by the thread that delivers it, with
+/// the reader its call registered), the return pipe opened and closed
+/// around it. 64 measured: 63 while a worker served it, the one more
+/// being the serve boxed for after the delivery; 73 while every machine
 /// step returned a fresh effect vector — 10 of them: the breaker's
 /// admit, keyed admission's admit and release (each also copying the
 /// in-flight vector), Complete and Take for both the caller's call and

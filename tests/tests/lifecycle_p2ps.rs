@@ -14,8 +14,9 @@ use wsp_integration_tests::{
     calc_descriptor, calc_handler, locate_until_found, p2ps_star, p2ps_wspeer, wait_until,
 };
 use wsp_p2ps::{
-    decode_request, encode_response, PeerConfig, PeerId, PipeAdvertisement, ServiceAdvertisement,
-    ThreadNetwork, ThreadPeer, ThreadPeerEvent, DEFINITION_PIPE,
+    decode_request, encode_response, request_headers, with_reply_pipe, PeerConfig, PeerId,
+    PipeAdvertisement, ServiceAdvertisement, ThreadNetwork, ThreadPeer, ThreadPeerEvent,
+    DEFINITION_PIPE, MAX_INLINE_DEPTH,
 };
 use wsp_soap::{Envelope, MessageHeaders};
 use wsp_wsdl::{Port, ServiceHandler, TransportKind, Value, WsdlDocument};
@@ -411,11 +412,12 @@ fn dropping_a_peer_frees_its_binding_and_leaves_the_network() {
     assert_eq!(network.stats().dropped, 1);
 }
 
-/// A request to an idle provider is delivered on the consumer's calling
-/// thread, inside the caller's correlation and deadline scopes. The
-/// provider sees neither: its handler runs on its own dispatcher under
-/// the budget the request carried, and its serve spans stay under
-/// correlation 0, as when its inbox thread delivers.
+/// A request to an idle provider is delivered, and then served, on the
+/// consumer's calling thread, inside the caller's correlation and
+/// deadline scopes. The provider sees neither: its handler runs in a
+/// worker's slot of its own dispatcher under the budget the request
+/// carried, and its serve spans stay under correlation 0, as when its
+/// inbox thread delivers.
 #[test]
 fn a_callers_scopes_stop_at_the_provider() {
     let network = ThreadNetwork::new();
@@ -454,10 +456,7 @@ fn a_callers_scopes_stop_at_the_provider() {
         panic!("one call served: {:?}", seen.as_slice());
     };
     assert_eq!(*correlation, 0);
-    assert!(
-        thread.starts_with("wsp-worker-"),
-        "handler ran on {thread:?}"
-    );
+    assert_eq!(*thread, thread_name(), "handler ran on {thread:?}");
     // The propagated budget, re-based on the provider's clock: within
     // a second of the caller's deadline, not the caller's scope itself.
     let budget = budget.expect("the request carried a budget");
@@ -475,6 +474,275 @@ fn a_callers_scopes_stop_at_the_provider() {
         .trace_for(caller)
         .iter()
         .all(|span| !span.stage.starts_with("server.")));
+}
+
+// --- where a provider serves: the caller's thread, or a worker -------------
+
+/// The name of the thread running now.
+fn thread_name() -> String {
+    std::thread::current().name().unwrap_or("").to_owned()
+}
+
+/// `calc_handler`, noting the name of every thread it runs on.
+fn calc_noting_threads() -> (
+    Arc<dyn ServiceHandler>,
+    Arc<parking_lot::Mutex<Vec<String>>>,
+) {
+    let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (record, calc) = (ran_on.clone(), calc_handler());
+    let handler: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
+        record.lock().push(thread_name());
+        calc.invoke(op, args)
+    });
+    (handler, ran_on)
+}
+
+/// The calling thread's voluntary context switches so far.
+#[cfg(target_os = "linux")]
+fn my_switches() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").expect("status");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+    line.expect("status field").trim().parse().unwrap()
+}
+
+/// An echo to an idle provider is delivered, served and answered on the
+/// caller's own thread: the call completes before its caller would
+/// wait, so the caller never parks. The handler gives its CPU up once,
+/// so that a caller who handed the request to a worker is sure to reach
+/// its wait — and park — before the answer is there; on the caller's
+/// own thread that yield is no voluntary switch.
+#[cfg(target_os = "linux")]
+#[test]
+fn sequential_invokes_on_an_idle_provider_never_park_the_caller() {
+    const CALLS: u64 = 1_000;
+    let network = ThreadNetwork::new();
+    let (provider, _pb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xF1))));
+    let (consumer, _cb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xF2))));
+    telemetry::global().set_enabled(true);
+    let calc = calc_handler();
+    let yielding: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
+        std::thread::yield_now();
+        calc.invoke(op, args)
+    });
+    let service = located(
+        &provider
+            .server()
+            .deploy(calc_descriptor(), yielding)
+            .unwrap(),
+    );
+    let args = [Value::Double(1.0), Value::Double(2.0)];
+    let add = || consumer.client().invoke(&service, "add", &args).unwrap();
+    assert_eq!(add(), Value::Double(3.0));
+
+    let served_inline = telemetry::global().counter("p2ps.served_inline");
+    let (served, before) = (served_inline.get(), my_switches());
+    for _ in 0..CALLS {
+        assert_eq!(add(), Value::Double(3.0));
+    }
+    let switched = my_switches() - before;
+    // Handed to a worker and back, each call parks its caller once.
+    assert!(switched <= 100, "{CALLS} invokes switched {switched} times");
+    assert!(served_inline.get() - served >= CALLS, "served inline");
+}
+
+/// A request that finds its provider held by another sender's delivery
+/// queues behind it: the holder delivers the first such request after
+/// its own, the inbox thread the next. Neither is a request its
+/// deliverer brought, so both are served on the provider's workers —
+/// not on the holder's thread, the inbox thread or another caller's.
+#[test]
+fn requests_queued_behind_another_senders_delivery_are_served_on_workers() {
+    let network = ThreadNetwork::new();
+    let (provider, pb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xF3))));
+    let (consumer, _cb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xF4))));
+    let (handler, ran_on) = calc_noting_threads();
+    let calc = located(
+        &provider
+            .server()
+            .deploy(calc_descriptor(), handler)
+            .unwrap(),
+    );
+
+    // A hand-driven peer sends a request whose budget has run out, and
+    // its sink holds the busy fault the provider sheds it with — and so
+    // the provider, claimed by the thread that brought the request.
+    let holder = network.spawn(PeerConfig::ordinary(PeerId(0xF5)));
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let release_rx = parking_lot::Mutex::new(release_rx);
+    assert!(holder.set_sink(Box::new(move |_| {
+        entered_tx.send(()).unwrap();
+        release_rx.lock().recv().unwrap();
+    })));
+    let add = PipeAdvertisement::new(pb.peer_id(), Some("Calc".into()), "add");
+    let headers = with_reply_pipe(request_headers(&add), &holder.open_pipe(None));
+    let mut expired = Envelope::request(Element::new(calc_descriptor().namespace, "add"));
+    let budget = Element::build("", overload::DEADLINE_SOAP_HEADER).text("0");
+    expired.add_header(wsp_soap::HeaderBlock::new(budget.finish()));
+    let ask = under(&headers, expired);
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| holder.send_pipe(add, ask));
+        let held = entered_rx.recv_timeout(Duration::from_secs(5));
+        held.expect("the provider answered the holder");
+        let routed = network.stats().routed;
+        let (consumer, calc) = (&consumer, &calc);
+        let callers: Vec<_> = (0..2)
+            .map(|i| {
+                let args = [Value::Double(i as f64), Value::Double(1.0)];
+                scope.spawn(move || consumer.client().invoke(calc, "add", &args))
+            })
+            .collect();
+        let queued = || network.stats().routed == routed + 2;
+        assert!(wait_until(Duration::from_secs(5), queued), "both queued");
+        release_tx.send(()).unwrap();
+        for (i, caller) in callers.into_iter().enumerate() {
+            let sum = caller.join().unwrap().unwrap();
+            assert_eq!(sum, Value::Double(i as f64 + 1.0));
+        }
+    });
+    let ran_on = ran_on.lock().clone();
+    assert_eq!(ran_on.len(), 2, "{ran_on:?}");
+    assert!(
+        ran_on
+            .iter()
+            .all(|thread| thread.starts_with("wsp-worker-")),
+        "{ran_on:?}"
+    );
+}
+
+/// A one-way request names no return pipe: its serve goes to the pool,
+/// and its caller is back before the handler is done.
+#[test]
+fn a_one_way_invoke_returns_before_its_gated_handler_finishes() {
+    let network = ThreadNetwork::new();
+    let (provider, _pb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xF6))));
+    let (consumer, _cb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xF7))));
+    let (entered_tx, entered_rx) = mpsc::channel::<String>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let gate = parking_lot::Mutex::new(Some((entered_tx, release_rx)));
+    let calc = calc_handler();
+    let gated: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
+        if let Some((entered, release)) = gate.lock().take() {
+            entered.send(thread_name()).unwrap();
+            release.recv().unwrap();
+        }
+        calc.invoke(op, args)
+    });
+    let service = located(&provider.server().deploy(calc_descriptor(), gated).unwrap());
+
+    let (answered, answer) = mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let note = [Value::string("note")];
+        answered.send(consumer.client().invoke(&service, "log", &note))
+    });
+    let returned = answer.recv_timeout(Duration::from_secs(5));
+    let ran_on = entered_rx.recv_timeout(Duration::from_secs(5));
+    release_tx.send(()).unwrap();
+    caller.join().unwrap().unwrap();
+    assert_eq!(
+        returned.expect("returned while gated").unwrap(),
+        Value::Null
+    );
+    let ran_on = ran_on.expect("the handler ran");
+    assert!(ran_on.starts_with("wsp-worker-"), "{ran_on:?}");
+}
+
+/// Services that each invoke the next, `MAX_INLINE_DEPTH + 2` long: the
+/// caller serves at most the first `MAX_INLINE_DEPTH` hops on its own
+/// stack, and the pool's workers the rest.
+#[test]
+fn a_chain_of_services_past_the_inline_depth_completes() {
+    const HOPS: usize = MAX_INLINE_DEPTH + 2;
+    let network = ThreadNetwork::new();
+    let peers: Vec<_> = (0..=HOPS)
+        .map(|i| p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xF00 + i as u64)))))
+        .collect();
+    let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let mut next: Option<LocatedService> = None;
+    for (hop, (peer, _)) in peers[1..].iter().enumerate().rev() {
+        let (record, client, calc) = (ran_on.clone(), peer.client().clone(), calc_handler());
+        let forward = next.take();
+        let handler: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
+            record.lock().push((hop, thread_name()));
+            match &forward {
+                Some(next) => (client.invoke(next, op, args))
+                    .map_err(|e| wsp_soap::Fault::receiver(e.to_string())),
+                None => calc.invoke(op, args),
+            }
+        });
+        let mut descriptor = calc_descriptor();
+        descriptor.name = format!("Hop{hop}");
+        next = Some(located(&peer.server().deploy(descriptor, handler).unwrap()));
+    }
+    let first = next.expect("a first hop");
+    let add = || {
+        let args = [Value::Double(2.0), Value::Double(3.0)];
+        peers[0].0.client().invoke(&first, "add", &args)
+    };
+    // A hop whose provider still delivers the last call's answer goes to
+    // the pool early, so call until the caller served all it may.
+    let caller = thread_name();
+    let deepest = (0..50).any(|_| {
+        ran_on.lock().clear();
+        assert_eq!(add().unwrap(), Value::Double(5.0));
+        let ran_on = ran_on.lock().clone();
+        let hops: Vec<usize> = ran_on.iter().map(|(hop, _)| *hop).collect();
+        assert_eq!(hops, (0..HOPS).collect::<Vec<_>>());
+        let here = ran_on.iter().take_while(|(_, t)| *t == caller).count();
+        let pooled = ran_on[here..].iter();
+        assert!(pooled.clone().all(|(_, t)| t.starts_with("wsp-worker-")));
+        assert!(here <= MAX_INLINE_DEPTH, "{ran_on:?}");
+        here == MAX_INLINE_DEPTH
+    });
+    assert!(deepest, "the caller never served MAX_INLINE_DEPTH hops");
+    // Each handler holds its own peer's client: break the cycles.
+    for (hop, (peer, _)) in peers[1..].iter().enumerate() {
+        peer.server().undeploy(&format!("Hop{hop}"));
+    }
+}
+
+/// A handler that panics while served on its caller's thread fails its
+/// job, as on a worker: the panic stops at the provider's dispatcher,
+/// the call times out unanswered, and the provider keeps serving.
+#[test]
+fn a_handler_panicking_on_its_callers_thread_does_not_unwind_into_it() {
+    let network = ThreadNetwork::new();
+    let (provider, _pb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xF8))));
+    let (consumer, _cb) = consumer_timing_out_after(
+        network.spawn(PeerConfig::ordinary(PeerId(0xF9))),
+        Duration::from_millis(300),
+    );
+    let armed = std::sync::atomic::AtomicBool::new(true);
+    let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (record, calc) = (ran_on.clone(), calc_handler());
+    let handler: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
+        record.lock().push(thread_name());
+        if armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+            panic!("deliberate handler panic");
+        }
+        calc.invoke(op, args)
+    });
+    let service = located(
+        &provider
+            .server()
+            .deploy(calc_descriptor(), handler)
+            .unwrap(),
+    );
+    let args = [Value::Double(1.0), Value::Double(2.0)];
+
+    let err = consumer
+        .client()
+        .invoke(&service, "add", &args)
+        .unwrap_err();
+    assert!(matches!(err, WspError::Timeout { .. }), "{err:?}");
+    assert_eq!(provider.dispatcher().stats().failed, 1);
+    let sum = consumer.client().invoke(&service, "add", &args);
+    assert_eq!(sum.unwrap(), Value::Double(3.0));
+    let caller = thread_name();
+    assert_eq!(*ran_on.lock(), [caller.clone(), caller]);
 }
 
 // --- the return pipe's contracts, against a provider driven by hand ----------
