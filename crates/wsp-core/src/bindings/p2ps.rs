@@ -22,13 +22,13 @@
 //! * **provider**: the delivering thread — mostly the consumer's
 //!   caller — reads the request ([`Hosting::read`]) and takes it to the
 //!   edge of the peer's hosting pipeline ([`Hosting::admit`]); the rest
-//!   ([`Hosting::serve`], handler included, then the reply) runs in one
-//!   of the dispatcher's worker slots, so shedding, deadlines and
-//!   nested calls behave as on any other binding. A request its caller
-//!   brought to an idle peer, naming a return pipe, takes an idle
-//!   worker's slot and is served by that caller once the delivery is
-//!   over (`thread_driver::serve_after`); any other is queued for the
-//!   workers, or answered with the busy fault if the queue is full;
+//!   ([`Hosting::serve`], handler included, then the reply) runs in a
+//!   worker's slot of the dispatcher, so shedding, deadlines and nested
+//!   calls behave as on any other binding: a caller that brought its
+//!   request to an idle peer, names a return pipe and runs no job
+//!   itself serves it once the delivery is over, in an idle worker's
+//!   lent slot (`thread_driver::serve_after`); any other request is
+//!   queued, or answered with the busy fault if the queue is full;
 //! * **consumer**: the delivering thread reads the response once: its
 //!   `RelatesTo` names the call, whose own reader decodes the body in
 //!   the same pass, and the caller's `CallHandle` is completed with it.
@@ -71,7 +71,10 @@ pub struct P2psConfig {
     /// and a capped query it bounds the wait for hits: they return once
     /// they have located the services they asked for.
     pub discovery_window: Duration,
-    /// How long to wait for a response on a return pipe.
+    /// How long to wait for a response on a return pipe, else
+    /// [`WspError::Timeout`]. A request its caller serves itself is timed
+    /// when the handler returns: it runs on the caller's thread, so a
+    /// handler blocking on what its caller holds blocks the caller too.
     pub request_timeout: Duration,
 }
 
@@ -512,12 +515,17 @@ fn request_over_pipe<T: Send + 'static>(
     shared.pending_requests.lock().insert(token, call);
     // Step 3-5: serialise the advert into ReplyTo and send the request.
     let headers = (shared.correlator.lock()).encode_request(token, &target, &return_pipe);
+    let due = Deadline::after(request_timeout);
     let result = write(&leading, &headers).map(|wire| {
         shared.peer.send_pipe(target, wire_text(wire));
         // Step 6: await the response (helping the pool while waiting,
         // so a worker making a nested call still serves incoming
-        // requests).
-        handle.wait_timeout(request_timeout)
+        // requests). An answer this thread served itself past the
+        // bound is a timeout, as it is from a worker.
+        if due.expired() {
+            return Err(handle);
+        }
+        handle.wait_timeout(due.remaining())
     });
     shared.pending_requests.lock().remove(&token);
     // Closing the return pipe abandons any request still correlated to

@@ -247,7 +247,8 @@ struct Inner {
     shed: AtomicU64,
     in_flight: AtomicUsize,
     /// Jobs running on workers, and lent slots.
-    slots: AtomicUsize,
+    #[cfg(debug_assertions)]
+    slots: std::sync::atomic::AtomicIsize,
     /// Queued + running jobs; [`Dispatcher::flush`] waits for zero.
     jobs_pending: AtomicUsize,
     /// Parked flushers; the job that leaves none pending wakes them.
@@ -265,6 +266,11 @@ struct Inner {
 /// so a token doubles as a globally unambiguous correlation id in the
 /// telemetry trace even when several peers share one process.
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// Whether this thread runs a job: a worker's, a helper's or a lent one.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Allocate a correlation token without a dispatcher at hand — a hop
 /// (the mediation gateway) that must mint an id for a request that
@@ -298,9 +304,9 @@ impl Inner {
                 thread::park();
             } else if let Some(job) = queue.jobs.pop_front() {
                 drop(queue);
-                self.take_slot();
+                self.count_slot(1);
                 self.run_job(job);
-                self.slots.fetch_sub(1, Ordering::SeqCst);
+                self.count_slot(-1);
             } else if self.closed.load(Ordering::SeqCst) {
                 return;
             } else {
@@ -362,10 +368,14 @@ impl Inner {
         queue.idle.drain(..).for_each(|worker| worker.unpark());
     }
 
-    /// One more worker slot taken; there are `workers` of them.
-    fn take_slot(&self) {
-        let taken = self.slots.fetch_add(1, Ordering::SeqCst);
-        debug_assert!(taken < self.workers, "more handlers than workers");
+    /// A worker slot taken (`1`) or given back (`-1`); debug builds
+    /// check that no more than `workers` are taken.
+    fn count_slot(&self, _delta: isize) {
+        #[cfg(debug_assertions)]
+        {
+            let held = self.slots.fetch_add(_delta, Ordering::SeqCst) + _delta;
+            debug_assert!(held as usize <= self.workers, "more handlers than workers");
+        }
     }
 
     fn run_job(&self, job: Job) {
@@ -388,7 +398,9 @@ impl Inner {
         });
         // Backstop isolation for fire-and-forget jobs; call-producing
         // jobs catch their own panic and poison their handle.
+        let outer = IN_JOB.replace(true);
         let _ = self.run_counted(timing, job.run);
+        IN_JOB.set(outer);
     }
 
     /// Run one accepted job (`jobs_pending` already counts it) with the
@@ -715,7 +727,8 @@ impl Dispatcher {
             cancelled: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
-            slots: AtomicUsize::new(0),
+            #[cfg(debug_assertions)]
+            slots: std::sync::atomic::AtomicIsize::new(0),
             jobs_pending: AtomicUsize::new(0),
             flushers: Mutex::new(Vec::new()),
             workers,
@@ -725,7 +738,8 @@ impl Dispatcher {
             shed_expired: telemetry::global().counter("dispatch.shed_expired"),
         });
         let mut handles = Vec::with_capacity(workers);
-        // Listed idle at once (lendable); each waits for this lock to start.
+        // Listed idle before they run, so a fresh dispatcher's first
+        // call can be lent a slot; each waits for this lock to start.
         let mut queue = inner.queue.lock();
         for index in 0..workers {
             let inner = inner.clone();
@@ -859,17 +873,18 @@ impl Dispatcher {
         })
     }
 
-    /// Lend the caller an idle worker's slot for one job ([`Lent::run`]),
-    /// if the queue is open and empty: the worker stays parked, passed
-    /// over by pushes, until the slot comes back.
+    /// Lend the caller an idle worker's slot for one job ([`Lent::run`])
+    /// if the queue is open and empty, and the caller runs no job (whose
+    /// pool its waits must keep helping); the worker stays parked,
+    /// passed over by pushes, until the slot comes back.
     pub(crate) fn try_lend(self: &Arc<Self>) -> Option<Lent> {
         let mut queue = self.inner.queue.lock();
-        if !queue.jobs.is_empty() || self.inner.closed.load(Ordering::SeqCst) {
+        if !queue.jobs.is_empty() || self.inner.closed.load(Ordering::SeqCst) || IN_JOB.get() {
             return None;
         }
         let worker = queue.idle.pop()?;
         queue.lent.push(worker.clone());
-        self.inner.take_slot();
+        self.inner.count_slot(1);
         Some(Lent(self.clone(), worker, telemetry::current_correlation()))
     }
 
@@ -1028,7 +1043,7 @@ impl Drop for Lent {
         let (inner, worker) = (&self.0.inner, &self.1);
         let mut queue = inner.queue.lock();
         unlist(&mut queue.lent, worker);
-        inner.slots.fetch_sub(1, Ordering::SeqCst);
+        inner.count_slot(-1);
         // Back on the idle list, still parked, unless there is work.
         if queue.jobs.is_empty() && !inner.closed.load(Ordering::SeqCst) {
             return queue.idle.push(worker.clone());
@@ -1570,14 +1585,52 @@ mod tests {
             (2, 2, 0)
         );
         // The worker gives its slot up once its job has returned.
-        let freed = Deadline::after(Duration::from_secs(5));
-        while d.inner.slots.load(Ordering::SeqCst) != 0 && !freed.expired() {
-            thread::yield_now();
+        #[cfg(debug_assertions)]
+        {
+            let freed = Deadline::after(Duration::from_secs(5));
+            while d.inner.slots.load(Ordering::SeqCst) != 0 && !freed.expired() {
+                thread::yield_now();
+            }
+            assert_eq!(d.inner.slots.load(Ordering::SeqCst), 0);
         }
-        assert_eq!(d.inner.slots.load(Ordering::SeqCst), 0);
         // A shut-down dispatcher lends nothing.
         d.inner.close();
         assert!(d.try_lend().is_none());
+    }
+
+    /// A slot lent once a worker has listed itself idle again.
+    fn lend_when_idle(d: &Arc<Dispatcher>) -> Lent {
+        let listed = Deadline::after(Duration::from_secs(5));
+        loop {
+            match d.try_lend() {
+                Some(lent) => return lent,
+                None if !listed.expired() => thread::yield_now(),
+                None => panic!("no worker listed itself idle"),
+            }
+        }
+    }
+
+    /// A job — on a worker, a helper or a lent slot — is lent no other
+    /// worker's slot, though one is idle: the thread holds its own.
+    #[test]
+    fn a_thread_running_a_job_is_lent_no_slot() {
+        let d = Dispatcher::new(DispatcherConfig {
+            workers: 2,
+            queue_capacity: 8,
+        });
+        drop((lend_when_idle(&d), lend_when_idle(&d)));
+        let (inner, probe) = (d.clone(), d.clone());
+        let on_worker = d
+            .submit(move || probe.try_lend().map(drop).is_some())
+            .unwrap();
+        assert!(!on_worker.wait(), "a worker's job was lent a slot");
+        let (lent, lent_in) = (lend_when_idle(&d), Arc::new(Mutex::new(None)));
+        let record = lent_in.clone();
+        lent.run(None, move || {
+            *record.lock() = Some(inner.try_lend().map(drop).is_some());
+        });
+        assert_eq!(*lent_in.lock(), Some(false), "a lent job was lent a slot");
+        drop(lend_when_idle(&d));
     }
 
     #[test]

@@ -38,10 +38,10 @@
 //! `QueryResult`, `UnknownPipe`, `Pong`) is handed, on the stepping
 //! thread, to the [`DeliverySink`] the embedder installed; with none
 //! installed it lands in the event channel behind
-//! [`ThreadPeer::recv_event`]. The sink of the message a sender brought
-//! itself — no peer claimed further up its stack, not an inbox thread —
-//! may leave work ([`serve_after`]) that the sender runs once it has
-//! released the receiver, before its send returns.
+//! [`ThreadPeer::recv_event`]. The sink of a message its sender brought
+//! with no delivery or serve further up its stack may leave work
+//! ([`serve_after`]) that the sender runs, the receiver released,
+//! before its send returns; an inbox thread brings no request.
 //!
 //! **Lock rule:** the machine lock is held for the step alone — never
 //! across `ThreadNetwork::route` and never across a sink call — so a
@@ -73,14 +73,12 @@ const REFRESH_INTERVAL: Duration = Duration::from_secs(5);
 /// inside a delivery to another idle peer delivers on the same stack;
 /// a thread already this deep queues the message for the receiver's
 /// inbox thread instead, so a flood through a chain of peers uses a
-/// bounded stack. [`serve_after`] serves nest no deeper.
+/// bounded stack. A left serve ([`serve_after`]) counts as one.
 pub const MAX_INLINE_DEPTH: usize = 4;
 
 thread_local! {
-    /// Deliveries (`process` calls) running on this thread's stack.
+    /// Deliveries (`process` calls) and left serves on this thread's stack.
     static DELIVERY_DEPTH: Cell<usize> = const { Cell::new(0) };
-    /// Left serves running on this stack; an inbox thread's starts full.
-    static SERVE_DEPTH: Cell<usize> = const { Cell::new(0) };
     /// Whether the running sink may still leave a serve; the one left.
     static OPEN: Cell<bool> = const { Cell::new(false) };
     static AFTER: Cell<Option<Box<dyn FnOnce()>>> = const { Cell::new(None) };
@@ -89,7 +87,7 @@ thread_local! {
 /// Whether the sink running now may [`serve_after`]: it delivers the
 /// message its thread brought (see the module docs) and left nothing.
 pub fn may_serve_after() -> bool {
-    DELIVERY_DEPTH.get() == 1 && OPEN.get()
+    OPEN.get()
 }
 
 /// Leave `serve` for this thread to run once the delivery whose sink
@@ -327,9 +325,9 @@ impl ThreadNetwork {
                 Offer::Idle(message) => {
                     traffic.inline.fetch_add(1, Relaxed);
                     if let Some(serve) = process(&core, message, true) {
-                        SERVE_DEPTH.set(SERVE_DEPTH.get() + 1);
+                        DELIVERY_DEPTH.set(DELIVERY_DEPTH.get() + 1);
                         let _ = catch_unwind(AssertUnwindSafe(serve));
-                        SERVE_DEPTH.set(SERVE_DEPTH.get() - 1);
+                        DELIVERY_DEPTH.set(DELIVERY_DEPTH.get() - 1);
                     }
                     true
                 }
@@ -464,7 +462,7 @@ impl PeerCore {
 /// wake. Anything queued after that is the inbox thread's. Returns
 /// what the sender's own message left to serve once the claim is gone.
 fn process(core: &PeerCore, message: WireMessage, help: bool) -> Option<Box<dyn FnOnce()>> {
-    let open = help && DELIVERY_DEPTH.get() == 0 && SERVE_DEPTH.get() < MAX_INLINE_DEPTH;
+    let open = help && DELIVERY_DEPTH.get() == 0;
     let _delivering = Delivering::enter(&core.inbox);
     OPEN.set(open);
     let delivered = deliver(core, message);
@@ -519,7 +517,6 @@ impl Drop for Delivering<'_> {
 }
 
 fn inbox_loop(core: &PeerCore) {
-    SERVE_DEPTH.set(MAX_INLINE_DEPTH);
     let mut refresh_at = clock::now() + REFRESH_INTERVAL;
     loop {
         match core.inbox.next(refresh_at) {
@@ -1004,11 +1001,10 @@ mod tests {
         assert_eq!((stats.routed, stats.inline), (3, 1), "{stats:?}");
     }
 
-    /// Only the sink of the message its sender brought — no peer claimed
-    /// further up that sender's stack, fewer than [`MAX_INLINE_DEPTH`]
-    /// serves nested, not on an inbox thread — may leave a serve, and
-    /// the sender runs it with the receiver released, before its send
-    /// returns.
+    /// Only the sink of the message its sender brought — no delivery or
+    /// serve further up that sender's stack, not on an inbox thread —
+    /// may leave a serve, and the sender runs it with the receiver
+    /// released, before its send returns.
     #[test]
     fn only_a_senders_own_delivery_leaves_a_serve_and_it_runs_after_the_release() {
         let network = ThreadNetwork::new();
@@ -1039,21 +1035,18 @@ mod tests {
             Ok(false),
             "ran, b released, before the send returned"
         );
-        for (depth, serves, payload) in [(1, 0, "claimed"), (0, MAX_INLINE_DEPTH, "deep")] {
+        // A delivery or a serve further up; then queued, so the inbox
+        // thread delivers it.
+        for (depth, payload) in [(1, "nested"), (MAX_INLINE_DEPTH, "queued")] {
             DELIVERY_DEPTH.set(depth);
-            SERVE_DEPTH.set(serves);
             a.send_pipe(b_pipe.clone(), payload.into());
         }
-        // Queued: the inbox thread delivers it.
-        DELIVERY_DEPTH.set(MAX_INLINE_DEPTH);
-        a.send_pipe(b_pipe.clone(), "queued".into());
         DELIVERY_DEPTH.set(0);
-        SERVE_DEPTH.set(0);
-        let seen: Vec<_> = (0..4)
+        let seen: Vec<_> = (0..3)
             .map(|_| seen_rx.recv_timeout(WAIT).unwrap())
             .collect();
-        let brought_only = [true, false, false, false];
-        let names = ["brought", "claimed", "deep", "queued"];
+        let brought_only = [true, false, false];
+        let names = ["brought", "nested", "queued"];
         assert_eq!(
             seen,
             names

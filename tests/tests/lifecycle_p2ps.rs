@@ -651,8 +651,8 @@ fn a_one_way_invoke_returns_before_its_gated_handler_finishes() {
 }
 
 /// Services that each invoke the next, `MAX_INLINE_DEPTH + 2` long: the
-/// caller serves at most the first `MAX_INLINE_DEPTH` hops on its own
-/// stack, and the pool's workers the rest.
+/// caller serves the first hop on its own stack, and the pool's workers
+/// the rest — a thread running a handler is lent no worker's slot.
 #[test]
 fn a_chain_of_services_past_the_inline_depth_completes() {
     const HOPS: usize = MAX_INLINE_DEPTH + 2;
@@ -682,26 +682,151 @@ fn a_chain_of_services_past_the_inline_depth_completes() {
         let args = [Value::Double(2.0), Value::Double(3.0)];
         peers[0].0.client().invoke(&first, "add", &args)
     };
-    // A hop whose provider still delivers the last call's answer goes to
-    // the pool early, so call until the caller served all it may.
+    // A worker lists itself idle again only after its answer is out,
+    // so a first hop may find none idle: call until the caller served it.
     let caller = thread_name();
-    let deepest = (0..50).any(|_| {
+    let served_here = (0..50).any(|_| {
         ran_on.lock().clear();
         assert_eq!(add().unwrap(), Value::Double(5.0));
         let ran_on = ran_on.lock().clone();
         let hops: Vec<usize> = ran_on.iter().map(|(hop, _)| *hop).collect();
         assert_eq!(hops, (0..HOPS).collect::<Vec<_>>());
-        let here = ran_on.iter().take_while(|(_, t)| *t == caller).count();
-        let pooled = ran_on[here..].iter();
+        let pooled = ran_on[1..].iter();
         assert!(pooled.clone().all(|(_, t)| t.starts_with("wsp-worker-")));
-        assert!(here <= MAX_INLINE_DEPTH, "{ran_on:?}");
-        here == MAX_INLINE_DEPTH
+        ran_on[0].1 == caller
     });
-    assert!(deepest, "the caller never served MAX_INLINE_DEPTH hops");
+    assert!(served_here, "the caller never served the first hop");
     // Each handler holds its own peer's client: break the cycles.
     for (hop, (peer, _)) in peers[1..].iter().enumerate() {
         peer.server().undeploy(&format!("Hop{hop}"));
     }
+}
+
+/// `p2ps_wspeer`, over a dispatcher with one worker.
+fn one_worker_p2ps_wspeer(thread_peer: ThreadPeer) -> (Peer, P2psBinding) {
+    let config = P2psConfig {
+        discovery_window: Duration::from_millis(400),
+        request_timeout: Duration::from_secs(3),
+    };
+    let binding = P2psBinding::new(thread_peer, EventBus::new(), config);
+    let workers = DispatcherConfig {
+        workers: 1,
+        queue_capacity: 16,
+    };
+    let peer = Peer::with_parts(EventBus::new(), Dispatcher::new(workers));
+    peer.attach(&binding);
+    (peer, binding)
+}
+
+/// `calc_descriptor()` renamed `name`, served by `handler`, on `peer`.
+fn deploy_as(peer: &Peer, name: &str, handler: Arc<dyn ServiceHandler>) -> LocatedService {
+    let mut descriptor = calc_descriptor();
+    descriptor.name = name.into();
+    located(&peer.server().deploy(descriptor, handler).unwrap())
+}
+
+/// A handler that passes each call on to `next` through `client`,
+/// noting the thread it runs on in `ran_on`.
+fn forwarding(
+    client: &Arc<wsp_core::Client>,
+    next: LocatedService,
+    ran_on: &Arc<parking_lot::Mutex<Vec<String>>>,
+) -> Arc<dyn ServiceHandler> {
+    let (client, record) = (client.clone(), ran_on.clone());
+    Arc::new(move |op: &str, args: &[Value]| {
+        record.lock().push(thread_name());
+        (client.invoke(&next, op, args)).map_err(|e| wsp_soap::Fault::receiver(e.to_string()))
+    })
+}
+
+/// P's one worker is lent to a caller serving P's `Outer`, which calls
+/// Q's `Mid`, which calls back into P's `Calc`. The caller, waiting for
+/// `Mid` inside `Outer`, helps P's pool and runs the callback: `Mid`
+/// is served on Q's worker, not nested on the caller's stack, where
+/// the callback would find P's slot taken and no helper to run it.
+#[test]
+fn a_callback_to_a_one_worker_provider_its_caller_serves_completes() {
+    let network = ThreadNetwork::new();
+    let (p, _pb) = one_worker_p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xFA))));
+    let (q, _qb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xFB))));
+    let (consumer, _cb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xFC))));
+    let (outer_ran_on, mid_ran_on) = (Arc::default(), Arc::default());
+    let calc = deploy_as(&p, "Calc", calc_handler());
+    let mid = deploy_as(&q, "Mid", forwarding(q.client(), calc, &mid_ran_on));
+    let outer = deploy_as(&p, "Outer", forwarding(p.client(), mid, &outer_ran_on));
+
+    let caller = thread_name();
+    let args = [Value::Double(2.0), Value::Double(3.0)];
+    // P's one worker lists itself idle again only after its answer is
+    // out: call until the caller served `Outer`.
+    let served_here = (0..50).any(|_| {
+        outer_ran_on.lock().clear();
+        let started = Instant::now();
+        let sum = consumer.client().invoke(&outer, "add", &args);
+        assert_eq!(sum.unwrap(), Value::Double(5.0));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the callback stalled"
+        );
+        *outer_ran_on.lock() == [caller.clone()]
+    });
+    assert!(served_here, "the caller never served Outer");
+    let mid_ran_on = mid_ran_on.lock().clone();
+    assert!(
+        mid_ran_on.iter().all(|t| t.starts_with("wsp-worker-")),
+        "{mid_ran_on:?}"
+    );
+    // Each forwarding handler holds its peer's client: break the cycles.
+    p.server().undeploy("Outer");
+    q.server().undeploy("Mid");
+}
+
+/// A request its caller serves itself is timed when the handler
+/// returns: a handler slower than the caller's `request_timeout` ends
+/// in a timeout — late, since the handler holds the caller's thread —
+/// as the call would from a worker, and its answer is dropped.
+#[test]
+fn a_request_served_past_its_callers_timeout_still_times_out() {
+    const SLOW: Duration = Duration::from_millis(400);
+    let network = ThreadNetwork::new();
+    let (provider, _pb) = p2ps_wspeer(network.spawn(PeerConfig::ordinary(PeerId(0xFD))));
+    let (consumer, _cb) = consumer_timing_out_after(
+        network.spawn(PeerConfig::ordinary(PeerId(0xFE))),
+        Duration::from_millis(100),
+    );
+    let slow = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let (record, armed, calc) = (ran_on.clone(), slow.clone(), calc_handler());
+    let handler: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
+        record.lock().push(thread_name());
+        if armed.load(std::sync::atomic::Ordering::SeqCst) {
+            std::thread::sleep(SLOW);
+        }
+        calc.invoke(op, args)
+    });
+    let service = deploy_as(&provider, "Calc", handler);
+    let args = [Value::Double(1.0), Value::Double(2.0)];
+    let add = || consumer.client().invoke(&service, "add", &args);
+
+    assert_eq!(add().unwrap(), Value::Double(3.0));
+    slow.store(true, std::sync::atomic::Ordering::SeqCst);
+    let caller = thread_name();
+    // Two tries at most: a third timeout in a row would open the breaker.
+    let served_here = (0..2).any(|_| {
+        ran_on.lock().clear();
+        let started = Instant::now();
+        let err = add().unwrap_err();
+        assert!(matches!(err, WspError::Timeout { .. }), "{err:?}");
+        let here = *ran_on.lock() == [caller.clone()];
+        assert!(
+            !here || started.elapsed() >= SLOW,
+            "timed before the handler returned"
+        );
+        here
+    });
+    assert!(served_here, "the caller never served the slow request");
+    slow.store(false, std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(add().unwrap(), Value::Double(3.0));
 }
 
 /// A handler that panics while served on its caller's thread fails its
