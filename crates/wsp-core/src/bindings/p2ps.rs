@@ -34,13 +34,18 @@
 //!   the same pass, and the caller's `CallHandle` is completed with it.
 //!
 //! An echo to an idle provider is caller → caller: no thread is woken.
+//! Any other wake-up a delivery gives — the caller a response
+//! completes, the worker a request is queued for — waits until the
+//! delivering thread has let go of its last peer (the wake rule of
+//! `wsp_p2ps::thread_driver`). A handler that panics fails its job and
+//! answers its caller with a `soap:Receiver` fault.
 //! The sink is entered with no peer lock held, so it may send (the
 //! busy-fault reply of a shed request goes out from inside the
 //! delivery); it runs no handler inside a delivery, and never waits on
 //! anything its sender or an inbox thread would have to produce.
 
 use crate::components::{Binding, Invoker, ServiceDeployer, ServiceLocator, ServicePublisher};
-use crate::dispatch::{Completer, Dispatcher};
+use crate::dispatch::{self, Completer, Dispatcher};
 use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::events::EventBus;
@@ -50,6 +55,7 @@ use crate::server::{HostedService, Hosting, Incoming};
 use crate::telemetry::{self, clock, CorrelationScope};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -273,6 +279,12 @@ fn wire_text(bytes: Vec<u8>) -> String {
 /// machine (see the module docs). Must not block on its sender or on
 /// the inbox thread.
 fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
+    // A thread woken here would preempt this one while it still holds
+    // the peer, and find the peer held: it is woken once this thread
+    // holds no peer (the driver's wake rule).
+    if thread_driver::claimed() && dispatch::hold_wakes() {
+        thread_driver::after_release(dispatch::release_wakes);
+    }
     match event {
         ThreadPeerEvent::QueryResult { token, adverts } => {
             if let Some(tx) = shared.pending_queries.lock().get(&token) {
@@ -402,8 +414,20 @@ fn admit_and_serve(shared: &Arc<Shared>, pipe: PipeAdvertisement, payload: Strin
     let serve = move |route: Route| {
         let readdress = route.as_ref().map(|(_, headers)| headers);
         let request = Incoming::Read(request, &payload);
-        let served = job_hosting.serve(&service, request, readdress, correlation, deadline, permit);
-        if let (Some(bytes), Some((reply_pipe, _))) = (served.into_bytes(), route) {
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            job_hosting.serve(&service, request, readdress, correlation, deadline, permit)
+        }));
+        let bytes = match served {
+            Ok(served) => served.into_bytes(),
+            // The caller hears of the failure now, not at its timeout;
+            // the job still fails.
+            Err(panic) => {
+                let failed = Fault::receiver(format!("service {} failed", service.name()));
+                job_shared.reply(route, Envelope::fault(failed));
+                resume_unwind(panic);
+            }
+        };
+        if let (Some(bytes), Some((reply_pipe, _))) = (bytes, route) {
             job_shared.peer.send_pipe(reply_pipe, wire_text(bytes));
         }
     };

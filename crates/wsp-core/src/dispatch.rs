@@ -59,7 +59,7 @@ use crate::overload::{Deadline, DeadlineScope};
 use crate::telemetry::clock::{self, ClockScope, VirtualClock};
 use crate::telemetry::{self, CorrelationScope, Counter, Histogram};
 use parking_lot::Mutex;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -270,6 +270,35 @@ static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// Whether this thread runs a job: a worker's, a helper's or a lent one.
     static IN_JOB: Cell<bool> = const { Cell::new(false) };
+    /// Whether this thread holds its wake-ups back ([`hold_wakes`]).
+    static HOLDING: Cell<bool> = const { Cell::new(false) };
+    /// The threads it held back from waking, in the order it woke them.
+    static HELD: RefCell<Vec<Thread>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Hold back the wake-ups this thread gives — a completed call's waiter,
+/// the worker a pushed job is handed to — until [`release_wakes`]. For
+/// a thread that holds something the woken thread would want next: on
+/// one CPU the woken thread runs at once and finds it held. `false` if
+/// the thread holds its wake-ups back already.
+pub(crate) fn hold_wakes() -> bool {
+    !HOLDING.replace(true)
+}
+
+/// Wake, in order, the threads held back since [`hold_wakes`], and hold
+/// none back from now on.
+pub(crate) fn release_wakes() {
+    HOLDING.set(false);
+    HELD.with_borrow_mut(|held| held.drain(..).for_each(|thread| thread.unpark()));
+}
+
+/// Unpark `thread`, or hold it back while this thread holds its wake-ups.
+fn wake(thread: Thread) {
+    if HOLDING.get() {
+        HELD.with_borrow_mut(|held| held.push(thread));
+    } else {
+        thread.unpark();
+    }
 }
 
 /// Allocate a correlation token without a dispatcher at hand — a hop
@@ -344,7 +373,7 @@ impl Inner {
         let woken = queue.idle.pop().or_else(|| queue.helpers.pop());
         drop(queue);
         if let Some(thread) = woken {
-            thread.unpark();
+            wake(thread);
         }
         Ok(())
     }
@@ -691,7 +720,7 @@ impl<T: Send + 'static> Completer<T> {
         let waiter = state.waiter.take();
         drop((state, calls));
         if let Some(waiter) = waiter {
-            waiter.unpark();
+            wake(waiter);
         }
         true
     }
@@ -1631,6 +1660,49 @@ mod tests {
         });
         assert_eq!(*lent_in.lock(), Some(false), "a lent job was lent a slot");
         drop(lend_when_idle(&d));
+    }
+
+    /// Wake-ups held back go out on release, in the order they were
+    /// given: a parked waiter whose call completed meanwhile stays
+    /// parked until then, and so does the worker a job was pushed to.
+    #[test]
+    fn held_wakes_go_out_in_order_on_release() {
+        let d = Dispatcher::new(DispatcherConfig {
+            workers: 1,
+            queue_capacity: 8,
+        });
+        // A worker listed idle before it first ran would find the job
+        // below without a wake-up: let it run once and list itself.
+        d.execute(|| {}).unwrap();
+        assert!(d.flush_within(Duration::from_secs(5)));
+        while d.inner.queue.lock().idle.is_empty() {
+            thread::yield_now();
+        }
+        let (handle, completer) = d.register::<u32>(d.next_token());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let done_tx = done_tx.clone();
+            thread::spawn(move || done_tx.send(handle.wait()).unwrap())
+        };
+        while d.inner.queue.lock().helpers.is_empty() {
+            thread::yield_now();
+        }
+        let worker = d.inner.queue.lock().idle.clone();
+        assert!(hold_wakes());
+        assert!(!hold_wakes(), "held already");
+        assert!(completer.complete(5));
+        d.execute(move || done_tx.send(6).unwrap()).unwrap();
+        let held = HELD.with_borrow(|held| held.iter().map(Thread::id).collect::<Vec<_>>());
+        let parked = done_rx.recv_timeout(Duration::from_millis(50));
+        release_wakes();
+        let order = [waiter.thread().id(), worker[0].id()];
+        assert_eq!(held, order, "held in the order given");
+        assert!(parked.is_err(), "woken before the release");
+        let mut woke: Vec<u32> = (0..2).map(|_| done_rx.recv().unwrap()).collect();
+        woke.sort_unstable();
+        assert_eq!(woke, [5, 6]);
+        waiter.join().unwrap();
+        assert!(HELD.with_borrow(Vec::is_empty));
     }
 
     #[test]

@@ -38,17 +38,27 @@
 //! `QueryResult`, `UnknownPipe`, `Pong`) is handed, on the stepping
 //! thread, to the [`DeliverySink`] the embedder installed; with none
 //! installed it lands in the event channel behind
-//! [`ThreadPeer::recv_event`]. The sink of a message its sender brought
-//! with no delivery or serve further up its stack may leave work
-//! ([`serve_after`]) that the sender runs, the receiver released,
-//! before its send returns; an inbox thread brings no request.
+//! [`ThreadPeer::recv_event`]. A sink runs inside its peer's claim, and
+//! may leave work ([`after_release`]) that its thread runs, in order,
+//! once it has let go of its last claim. The sink of a message its
+//! sender brought with no delivery or serve further up its stack may
+//! leave the one serve ([`serve_after`]) that the sender runs before
+//! its send returns; an inbox thread brings no request.
 //!
 //! **Lock rule:** the machine lock is held for the step alone — never
 //! across `ThreadNetwork::route` and never across a sink call — so a
 //! sink may re-enter the peer (`send_pipe` from inside a delivery), two
 //! peers may send to each other concurrently, and a loopback send
 //! delivers on the caller's own stack. Since a sink may run on another
-//! peer's thread, it must not block on its sender.
+//! peer's thread, it must not block on its sender. **Wake rule:** a sink
+//! wakes no thread while its claim is held; it leaves the wake-up to
+//! [`after_release`]. On one CPU a woken thread runs at once, while the
+//! waker still holds the peer, and its next message to that peer queues
+//! for the inbox thread: a caller woken by the thread delivering its
+//! reply sent its next call's reply into that queue, and the two kept
+//! meeting there. Wake-ups wait for the last claim only, never for a
+//! left serve: a serve may block — on a nested call, say, whose worker
+//! it would keep asleep — and a sink may not.
 
 use crate::advert::{PipeAdvertisement, ServiceAdvertisement};
 use crate::id::PeerId;
@@ -56,7 +66,7 @@ use crate::machine::{PeerConfig, PeerMachine, PeerOutput, SEEN_QUERY_CAP};
 use crate::message::P2psMessage;
 use crate::query::P2psQuery;
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -77,15 +87,31 @@ const REFRESH_INTERVAL: Duration = Duration::from_secs(5);
 pub const MAX_INLINE_DEPTH: usize = 4;
 
 thread_local! {
-    /// Deliveries (`process` calls) and left serves on this thread's stack.
+    /// Deliveries (`process` calls) and left work running on this
+    /// thread's stack.
     static DELIVERY_DEPTH: Cell<usize> = const { Cell::new(0) };
-    /// Whether the running sink may still leave a serve; the one left.
+    /// Peers this thread has claimed: deliveries alone, not left work.
+    static CLAIMS: Cell<usize> = const { Cell::new(0) };
+    /// Whether the running sink may still leave a serve.
     static OPEN: Cell<bool> = const { Cell::new(false) };
-    static AFTER: Cell<Option<Box<dyn FnOnce()>>> = const { Cell::new(None) };
+    /// Work left to run, in order, once this thread's last claim goes.
+    static AFTER: RefCell<VecDeque<Box<dyn FnOnce()>>> = const { RefCell::new(VecDeque::new()) };
+}
+
+/// Whether this thread holds a peer's claim: a sink running now does.
+pub fn claimed() -> bool {
+    CLAIMS.get() > 0
+}
+
+/// Leave `run` for this thread to run, after what was left before it,
+/// once it has released its last claim. Only where [`claimed`].
+pub fn after_release(run: impl FnOnce() + 'static) {
+    debug_assert!(claimed(), "nothing is left outside a claim");
+    AFTER.with_borrow_mut(|after| after.push_back(Box::new(run)));
 }
 
 /// Whether the sink running now may [`serve_after`]: it delivers the
-/// message its thread brought (see the module docs) and left nothing.
+/// message its thread brought (see the module docs) and left no serve.
 pub fn may_serve_after() -> bool {
     OPEN.get()
 }
@@ -95,7 +121,17 @@ pub fn may_serve_after() -> bool {
 pub fn serve_after(serve: impl FnOnce() + 'static) {
     debug_assert!(may_serve_after(), "no serve may be left here");
     OPEN.set(false);
-    AFTER.set(Some(Box::new(serve)));
+    after_release(serve);
+}
+
+/// Run what was left to run after this thread's claims, one level of
+/// [`MAX_INLINE_DEPTH`] each, isolated from one another.
+fn run_after() {
+    while let Some(run) = AFTER.with_borrow_mut(VecDeque::pop_front) {
+        DELIVERY_DEPTH.set(DELIVERY_DEPTH.get() + 1);
+        let _ = catch_unwind(AssertUnwindSafe(run));
+        DELIVERY_DEPTH.set(DELIVERY_DEPTH.get() - 1);
+    }
 }
 
 /// Events surfaced to the embedding application (mirrors
@@ -215,13 +251,15 @@ impl Inbox {
     }
 
     /// The delivery that claimed the peer is over: release it, and wake
-    /// the inbox thread if messages queued up behind it.
-    fn finish(&self) {
+    /// the inbox thread if messages queued up behind it — unless it is
+    /// the inbox thread's own delivery (`wake` false): that thread looks
+    /// at the queue before it waits, and nobody else waits on `ready`.
+    fn finish(&self, wake: bool) {
         let mut state = self.state.lock();
         state.busy = false;
         let queued = !state.messages.is_empty();
         drop(state);
-        if queued {
+        if wake && queued {
             self.ready.notify_one();
         }
     }
@@ -324,11 +362,7 @@ impl ThreadNetwork {
             match core.inbox.offer(message, &traffic.routed) {
                 Offer::Idle(message) => {
                     traffic.inline.fetch_add(1, Relaxed);
-                    if let Some(serve) = process(&core, message, true) {
-                        DELIVERY_DEPTH.set(DELIVERY_DEPTH.get() + 1);
-                        let _ = catch_unwind(AssertUnwindSafe(serve));
-                        DELIVERY_DEPTH.set(DELIVERY_DEPTH.get() - 1);
-                    }
+                    process(&core, message, true);
                     true
                 }
                 Offer::Queued => true,
@@ -459,21 +493,23 @@ impl PeerCore {
 /// (`help`) then also delivers the first message that queued behind
 /// its own, if one did, still holding the claim: a second sender that
 /// found the peer busy does not have to wait for the inbox thread to
-/// wake. Anything queued after that is the inbox thread's. Returns
-/// what the sender's own message left to serve once the claim is gone.
-fn process(core: &PeerCore, message: WireMessage, help: bool) -> Option<Box<dyn FnOnce()>> {
+/// wake. Anything queued after that is the inbox thread's. The claim
+/// gone, and with it this thread's last, what the sinks left runs.
+fn process(core: &PeerCore, message: WireMessage, help: bool) {
     let open = help && DELIVERY_DEPTH.get() == 0;
-    let _delivering = Delivering::enter(&core.inbox);
+    let delivering = Delivering::enter(&core.inbox, help);
     OPEN.set(open);
     let delivered = deliver(core, message);
     OPEN.set(false);
-    let after = open.then(|| AFTER.take()).flatten();
     if delivered && help {
         if let Some(queued) = core.inbox.take_queued() {
             deliver(core, queued);
         }
     }
-    after
+    drop(delivering);
+    if !claimed() {
+        run_after();
+    }
 }
 
 /// Parse one message and step the machine with it. A delivery that
@@ -498,21 +534,24 @@ fn deliver(core: &PeerCore, (from, wire): WireMessage) -> bool {
 }
 
 /// A delivery in progress on this thread: one level of
-/// [`MAX_INLINE_DEPTH`] used, the receiver claimed. Dropping it, on
-/// return or unwind, gives both back.
-struct Delivering<'a>(&'a Inbox);
+/// [`MAX_INLINE_DEPTH`] used, the receiver claimed — by a sender
+/// (`true`) or by the inbox thread. Dropping it, on return or unwind,
+/// gives both back.
+struct Delivering<'a>(&'a Inbox, bool);
 
 impl<'a> Delivering<'a> {
-    fn enter(inbox: &'a Inbox) -> Self {
+    fn enter(inbox: &'a Inbox, sender: bool) -> Self {
         DELIVERY_DEPTH.set(DELIVERY_DEPTH.get() + 1);
-        Delivering(inbox)
+        CLAIMS.set(CLAIMS.get() + 1);
+        Delivering(inbox, sender)
     }
 }
 
 impl Drop for Delivering<'_> {
     fn drop(&mut self) {
         DELIVERY_DEPTH.set(DELIVERY_DEPTH.get() - 1);
-        self.0.finish();
+        CLAIMS.set(CLAIMS.get() - 1);
+        self.0.finish(self.1);
     }
 }
 
@@ -520,7 +559,7 @@ fn inbox_loop(core: &PeerCore) {
     let mut refresh_at = clock::now() + REFRESH_INTERVAL;
     loop {
         match core.inbox.next(refresh_at) {
-            Next::Message(message) => drop(process(core, message, false)),
+            Next::Message(message) => process(core, message, false),
             Next::RefreshDue => {
                 refresh_at = clock::now() + REFRESH_INTERVAL;
                 core.step(|s, now| s.machine.refresh(now));
@@ -552,7 +591,8 @@ impl ThreadPeer {
     /// block on its sender, nor on work that needs the inbox thread,
     /// and it sees the sending thread's thread-locals: an embedder
     /// that keeps per-thread context resets it inside the sink, and
-    /// leaves what must not run inside a delivery to [`serve_after`]. A
+    /// leaves what must not run inside a delivery to [`after_release`]
+    /// or [`serve_after`]. A
     /// sink that panics on wire traffic closes this peer's inbox (see
     /// the module docs). Install it before the peer sees traffic:
     /// events delivered earlier stay in the channel. Returns `false`
@@ -1056,6 +1096,47 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(ran_rx.try_recv().is_err(), "one serve in all");
+    }
+
+    /// What a sink leaves with [`after_release`] runs once its thread
+    /// has let go of every peer it claimed: the sink's own, and for a
+    /// nested delivery the one further up the stack — also when the
+    /// sink that left it panicked.
+    #[test]
+    fn work_left_inside_a_claim_runs_once_the_last_claim_is_released() {
+        let network = ThreadNetwork::new();
+        let a = network.spawn(PeerConfig::ordinary(PeerId(1)));
+        let b = Arc::new(network.spawn(PeerConfig::ordinary(PeerId(2))));
+        let c = network.spawn(PeerConfig::ordinary(PeerId(3)));
+        let (b_pipe, c_pipe) = (b.open_pipe(None), c.open_pipe(None));
+        let (ran_tx, ran_rx) = channel::<(String, [bool; 2])>();
+        let cores = [Arc::downgrade(&b.core), Arc::downgrade(&c.core)];
+        assert!(c.set_sink(Box::new(move |event| {
+            let ThreadPeerEvent::PipeDelivery { payload, .. } = event else {
+                return;
+            };
+            assert!(claimed());
+            let (cores, ran_tx) = (cores.clone(), ran_tx.clone());
+            let panics = payload == "panic";
+            after_release(move || {
+                let busy = cores.map(|core| core.upgrade().unwrap().inbox.state.lock().busy);
+                ran_tx.send((payload, busy)).unwrap();
+            });
+            assert!(!panics, "deliberate sink panic");
+        })));
+        let (forwarder, to_c) = (Arc::downgrade(&b), c_pipe.clone());
+        assert!(b.set_sink(Box::new(move |_| {
+            // Delivered to `c` on this stack, `b` still claimed.
+            let b = forwarder.upgrade().unwrap();
+            b.send_pipe(to_c.clone(), "nested".into());
+        })));
+        a.send_pipe(b_pipe, "forward".into());
+        a.send_pipe(c_pipe, "panic".into());
+        // Run on the sender before its sends returned, `b` and `c` free.
+        assert_eq!(ran_rx.try_recv(), Ok(("nested".into(), [false, false])));
+        assert_eq!(ran_rx.try_recv(), Ok(("panic".into(), [false, false])));
+        assert!(c.core.inbox.state.lock().closed, "the panic closed c");
+        assert!(!claimed());
     }
 
     /// Two senders racing for one receiver: whichever way each message

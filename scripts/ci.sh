@@ -92,9 +92,12 @@ WSP_FAULT_SEED=7 cargo test -q -p wsp-integration-tests --test fault_injection h
 # comes from the one registry, and each layer owns its own (the buffer
 # pool's, the reactor's, the advert cache's — DESIGN.md §8). The
 # exposition test holds the page's shape against callers: a tenant or
-# service name sent over either gateway front never adds a line.
+# service name sent over either gateway front never adds a line. The
+# scrape test has a binary of its own: the trace section shows only the
+# newest spans of the process-wide ring, which tests running beside it
+# could fill.
 echo "==> /metrics smoke check (telemetry integration suite + exposition)"
-cargo test -q -p wsp-integration-tests --test telemetry
+cargo test -q -p wsp-integration-tests --test telemetry --test metrics_route
 cargo test -q -p wsp-integration-tests --test gateway tenant_and_service_names_cannot_forge_metrics_lines
 
 # Wire-path guards (PR 5): the single-pass writer stays byte-identical
@@ -240,11 +243,15 @@ done'
 # provider is served on the caller's thread in a worker's lent slot,
 # so ten more runs of lifecycle_p2ps in debug, where a `debug_assert!`
 # checks that the jobs running on a dispatcher's workers and its lent
-# slots never outnumber its workers.
-echo "==> P2PS threading stress (thread_driver + rpc + lifecycle_p2ps + cross_binding, 20x, release; lifecycle_p2ps 10x, debug)"
+# slots never outnumber its workers. A thread that holds a peer holds
+# back the wake-ups its deliveries give until it lets its last peer go,
+# so the dispatcher's unit tests (the hold and its release among them)
+# run in the loop too, as they ship.
+echo "==> P2PS threading stress (thread_driver + rpc + dispatch + lifecycle_p2ps + cross_binding, 20x, release; lifecycle_p2ps 10x, debug)"
 timeout 900 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-p2ps --lib thread_driver || exit 1
   cargo test -q --release -p wsp-p2ps --lib rpc || exit 1
+  cargo test -q --release -p wsp-core --lib dispatch || exit 1
   cargo test -q --release -p wsp-integration-tests --test lifecycle_p2ps --test cross_binding || exit 1
 done'
 timeout 900 bash -c 'for i in $(seq 1 10); do
