@@ -35,17 +35,18 @@
 //!
 //! An echo to an idle provider is caller → caller: no thread is woken.
 //! Any other wake-up a delivery gives — the caller a response
-//! completes, the worker a request is queued for — waits until the
-//! delivering thread has let go of its last peer (the wake rule of
-//! `wsp_p2ps::thread_driver`). A handler that panics fails its job and
-//! answers its caller with a `soap:Receiver` fault.
+//! completes, the worker a request is queued for — is the dispatcher's,
+//! which defers it through `thread_driver::after_release` until the
+//! delivering thread has let go of its last peer (the driver's wake
+//! rule). A handler that panics fails its job and answers its caller
+//! with a `soap:Receiver` fault.
 //! The sink is entered with no peer lock held, so it may send (the
 //! busy-fault reply of a shed request goes out from inside the
 //! delivery); it runs no handler inside a delivery, and never waits on
 //! anything its sender or an inbox thread would have to produce.
 
 use crate::components::{Binding, Invoker, ServiceDeployer, ServiceLocator, ServicePublisher};
-use crate::dispatch::{self, Completer, Dispatcher};
+use crate::dispatch::{Completer, Dispatcher};
 use crate::endpoint::{BindingKind, DeployedService, LocatedService};
 use crate::error::WspError;
 use crate::events::EventBus;
@@ -279,12 +280,6 @@ fn wire_text(bytes: Vec<u8>) -> String {
 /// machine (see the module docs). Must not block on its sender or on
 /// the inbox thread.
 fn on_peer_event(shared: &Arc<Shared>, event: ThreadPeerEvent) {
-    // A thread woken here would preempt this one while it still holds
-    // the peer, and find the peer held: it is woken once this thread
-    // holds no peer (the driver's wake rule).
-    if thread_driver::claimed() && dispatch::hold_wakes() {
-        thread_driver::after_release(dispatch::release_wakes);
-    }
     match event {
         ThreadPeerEvent::QueryResult { token, adverts } => {
             if let Some(tx) = shared.pending_queries.lock().get(&token) {

@@ -59,13 +59,14 @@ use crate::overload::{Deadline, DeadlineScope};
 use crate::telemetry::clock::{self, ClockScope, VirtualClock};
 use crate::telemetry::{self, CorrelationScope, Counter, Histogram};
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
+use wsp_p2ps::thread_driver;
 use wsp_simnet::Machine;
 
 /// Sizing knobs for a [`Dispatcher`].
@@ -270,35 +271,14 @@ static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// Whether this thread runs a job: a worker's, a helper's or a lent one.
     static IN_JOB: Cell<bool> = const { Cell::new(false) };
-    /// Whether this thread holds its wake-ups back ([`hold_wakes`]).
-    static HOLDING: Cell<bool> = const { Cell::new(false) };
-    /// The threads it held back from waking, in the order it woke them.
-    static HELD: RefCell<Vec<Thread>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Hold back the wake-ups this thread gives — a completed call's waiter,
-/// the worker a pushed job is handed to — until [`release_wakes`]. For
-/// a thread that holds something the woken thread would want next: on
-/// one CPU the woken thread runs at once and finds it held. `false` if
-/// the thread holds its wake-ups back already.
-pub(crate) fn hold_wakes() -> bool {
-    !HOLDING.replace(true)
-}
-
-/// Wake, in order, the threads held back since [`hold_wakes`], and hold
-/// none back from now on.
-pub(crate) fn release_wakes() {
-    HOLDING.set(false);
-    HELD.with_borrow_mut(|held| held.drain(..).for_each(|thread| thread.unpark()));
-}
-
-/// Unpark `thread`, or hold it back while this thread holds its wake-ups.
+/// Unpark `thread` — a completed call's waiter, the worker a pushed job
+/// is handed to — once this thread holds no P2PS peer's claim: the wake
+/// rule of [`thread_driver`]. On one CPU the woken thread would run at
+/// once and find the peer still held.
 fn wake(thread: Thread) {
-    if HOLDING.get() {
-        HELD.with_borrow_mut(|held| held.push(thread));
-    } else {
-        thread.unpark();
-    }
+    thread_driver::after_release(move || thread.unpark());
 }
 
 /// Allocate a correlation token without a dispatcher at hand — a hop
@@ -1662,11 +1642,13 @@ mod tests {
         drop(lend_when_idle(&d));
     }
 
-    /// Wake-ups held back go out on release, in the order they were
-    /// given: a parked waiter whose call completed meanwhile stays
-    /// parked until then, and so does the worker a job was pushed to.
+    /// A thread that holds a P2PS peer's claim wakes nobody: a call it
+    /// completes leaves its parked waiter parked, and so does a job it
+    /// pushes its idle worker, until the claim is released; then both
+    /// are woken, in the order given.
     #[test]
-    fn held_wakes_go_out_in_order_on_release() {
+    fn wakes_given_inside_a_peer_claim_go_out_in_order_on_its_release() {
+        use wsp_p2ps::{PeerConfig, PeerId, ThreadNetwork};
         let d = Dispatcher::new(DispatcherConfig {
             workers: 1,
             queue_capacity: 8,
@@ -1687,22 +1669,39 @@ mod tests {
         while d.inner.queue.lock().helpers.is_empty() {
             thread::yield_now();
         }
-        let worker = d.inner.queue.lock().idle.clone();
-        assert!(hold_wakes());
-        assert!(!hold_wakes(), "held already");
-        assert!(completer.complete(5));
-        d.execute(move || done_tx.send(6).unwrap()).unwrap();
-        let held = HELD.with_borrow(|held| held.iter().map(Thread::id).collect::<Vec<_>>());
-        let parked = done_rx.recv_timeout(Duration::from_millis(50));
-        release_wakes();
-        let order = [waiter.thread().id(), worker[0].id()];
-        assert_eq!(held, order, "held in the order given");
-        assert!(parked.is_err(), "woken before the release");
-        let mut woke: Vec<u32> = (0..2).map(|_| done_rx.recv().unwrap()).collect();
-        woke.sort_unstable();
-        assert_eq!(woke, [5, 6]);
+
+        // What reached the test, in order: nothing inside the claim;
+        // the waiter, and not yet the worker, between the two wake-ups;
+        // the worker last.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let done_rx = Arc::new(Mutex::new(done_rx));
+        let look = {
+            let (seen, done_rx) = (seen.clone(), done_rx.clone());
+            move |within: Duration| seen.lock().push(done_rx.lock().recv_timeout(within).ok())
+        };
+        let network = ThreadNetwork::new();
+        let sender = network.spawn(PeerConfig::ordinary(PeerId(1)));
+        let holder = network.spawn(PeerConfig::ordinary(PeerId(2)));
+        let (pool, work) = (d.clone(), Mutex::new(Some((completer, done_tx))));
+        assert!(holder.set_sink(Box::new(move |_| {
+            let Some((completer, done_tx)) = work.lock().take() else {
+                return;
+            };
+            assert!(completer.complete(5));
+            let between = look.clone();
+            thread_driver::after_release(move || {
+                between(Duration::from_secs(5));
+                between(Duration::ZERO);
+            });
+            pool.execute(move || done_tx.send(6).unwrap()).unwrap();
+            look(Duration::from_millis(50));
+        })));
+        // Delivered on this thread, which claims `holder` for it.
+        sender.send_pipe(holder.open_pipe(None), "go".into());
+        let last = done_rx.lock().recv_timeout(Duration::from_secs(5)).ok();
+        seen.lock().push(last);
+        assert_eq!(*seen.lock(), [None, Some(5), None, Some(6)]);
         waiter.join().unwrap();
-        assert!(HELD.with_borrow(Vec::is_empty));
     }
 
     #[test]

@@ -22,17 +22,15 @@
 //!   refresh; it blocks until the next message is queued or the next
 //!   refresh is due.
 //!
-//! Wire traffic stays FIFO per receiver: a message is delivered on the
-//! sending thread only if everything routed to the receiver before it
-//! has been delivered, and while one delivery runs (the receiver's
-//! `busy` flag, set under its inbox lock) later messages queue behind
-//! it. A sender that delivered inline also delivers the first message
-//! that queued behind its own before it lets the peer go, so two
-//! senders that meet at one peer need no inbox wake-up; the rest of the
-//! queue is the inbox thread's. One delivery path, `process`, serves
-//! both threads; a delivery that unwinds closes the receiver's inbox,
-//! so a peer whose sink panicked takes no more traffic and the panic
-//! never reaches the delivering thread's caller.
+//! Wire traffic stays FIFO per receiver, one message per claim: a
+//! message is delivered on the sending thread only if everything routed
+//! to the receiver before it has been delivered, and while one delivery
+//! runs (the receiver's `busy` flag, set under its inbox lock) later
+//! messages queue behind it, for the inbox thread. One way in,
+//! `Inbox::offer`, and one delivery path, `process`, serve both
+//! threads; a delivery that unwinds closes the receiver's inbox, so a
+//! peer whose sink panicked takes no more traffic and the panic never
+//! reaches the delivering thread's caller.
 //!
 //! Whatever the step delivers to the application (`PipeDelivery`,
 //! `QueryResult`, `UnknownPipe`, `Pong`) is handed, on the stepping
@@ -42,30 +40,32 @@
 //! may leave work ([`after_release`]) that its thread runs, in order,
 //! once it has let go of its last claim. The sink of a message its
 //! sender brought with no delivery or serve further up its stack may
-//! leave the one serve ([`serve_after`]) that the sender runs before
-//! its send returns; an inbox thread brings no request.
+//! leave the one serve ([`serve_after`]) that the sender runs, last,
+//! before its send returns; an inbox thread brings no request.
 //!
 //! **Lock rule:** the machine lock is held for the step alone — never
 //! across `ThreadNetwork::route` and never across a sink call — so a
 //! sink may re-enter the peer (`send_pipe` from inside a delivery), two
 //! peers may send to each other concurrently, and a loopback send
 //! delivers on the caller's own stack. Since a sink may run on another
-//! peer's thread, it must not block on its sender. **Wake rule:** a sink
-//! wakes no thread while its claim is held; it leaves the wake-up to
-//! [`after_release`]. On one CPU a woken thread runs at once, while the
-//! waker still holds the peer, and its next message to that peer queues
-//! for the inbox thread: a caller woken by the thread delivering its
-//! reply sent its next call's reply into that queue, and the two kept
-//! meeting there. Wake-ups wait for the last claim only, never for a
-//! left serve: a serve may block — on a nested call, say, whose worker
-//! it would keep asleep — and a sink may not.
+//! peer's thread, it must not block on its sender. **Wake rule:** a
+//! thread that holds a peer's claim wakes nobody: a wake-up goes through
+//! [`after_release`], which gives it at once on a thread that holds no
+//! claim and otherwise when the thread lets go of its last. On one CPU a
+//! woken thread runs at once, while the waker still holds the peer, and
+//! its next message to that peer queues for the inbox thread: a caller
+//! woken by the thread delivering its reply sent its next call's reply
+//! into that queue, and the two kept meeting there. A claim carries one
+//! message and a serve is the last work its delivery leaves, so no
+//! wake-up waits behind a serve: a serve may block — on a nested call,
+//! say, whose worker it would keep asleep — and a sink may not.
 
 use crate::advert::{PipeAdvertisement, ServiceAdvertisement};
 use crate::id::PeerId;
 use crate::machine::{PeerConfig, PeerMachine, PeerOutput, SEEN_QUERY_CAP};
 use crate::message::P2psMessage;
 use crate::query::P2psQuery;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,15 +99,19 @@ thread_local! {
 }
 
 /// Whether this thread holds a peer's claim: a sink running now does.
-pub fn claimed() -> bool {
+fn claimed() -> bool {
     CLAIMS.get() > 0
 }
 
-/// Leave `run` for this thread to run, after what was left before it,
-/// once it has released its last claim. Only where [`claimed`].
+/// Run `run` once this thread holds no peer's claim: at once if it holds
+/// none now, else after what was left before it, when it releases its
+/// last (the wake rule: see the module docs).
 pub fn after_release(run: impl FnOnce() + 'static) {
-    debug_assert!(claimed(), "nothing is left outside a claim");
-    AFTER.with_borrow_mut(|after| after.push_back(Box::new(run)));
+    if claimed() {
+        AFTER.with_borrow_mut(|after| after.push_back(Box::new(run)));
+    } else {
+        run();
+    }
 }
 
 /// Whether the sink running now may [`serve_after`]: it delivers the
@@ -199,55 +203,32 @@ enum Offer {
 }
 
 impl Inbox {
-    /// Queue `message` unless the inbox has closed. `routed` is bumped
+    /// Take `message` unless the inbox has closed. A message for an idle
+    /// peer — empty queue, nobody delivering — from a thread less than
+    /// [`MAX_INLINE_DEPTH`] deliveries deep is handed back with the peer
+    /// claimed (`busy`), for the caller to deliver and [`Inbox::finish`];
+    /// any other is queued for the inbox thread. `routed` is bumped
     /// before the receiver can see the message, so whoever observes the
     /// message's effects also observes it counted.
-    fn push(&self, message: WireMessage, routed: &AtomicU64) -> bool {
-        let state = self.state.lock();
-        if state.closed {
-            return false;
-        }
-        self.enqueue(state, message, routed);
-        true
-    }
-
-    /// [`Inbox::push`], except that a message for an idle peer — empty
-    /// queue, nobody delivering — is handed back with the peer claimed
-    /// (`busy`), for the caller to deliver and [`Inbox::finish`].
     fn offer(&self, message: WireMessage, routed: &AtomicU64) -> Offer {
+        let deep = DELIVERY_DEPTH.get() >= MAX_INLINE_DEPTH;
         let mut state = self.state.lock();
         if state.closed {
             return Offer::Closed;
         }
-        if state.busy || !state.messages.is_empty() {
-            self.enqueue(state, message, routed);
+        routed.fetch_add(1, Relaxed);
+        if deep || state.busy || !state.messages.is_empty() {
+            state.messages.push_back(message);
+            // A busy peer's deliverer wakes the inbox when it finishes.
+            let wake = !state.busy;
+            drop(state);
+            if wake {
+                self.ready.notify_one();
+            }
             return Offer::Queued;
         }
         state.busy = true;
-        routed.fetch_add(1, Relaxed);
         Offer::Idle(message)
-    }
-
-    fn enqueue(
-        &self,
-        mut state: MutexGuard<'_, InboxState>,
-        message: WireMessage,
-        routed: &AtomicU64,
-    ) {
-        state.messages.push_back(message);
-        routed.fetch_add(1, Relaxed);
-        // A busy peer's deliverer wakes the inbox when it finishes.
-        let wake = !state.busy;
-        drop(state);
-        if wake {
-            self.ready.notify_one();
-        }
-    }
-
-    /// The first message queued behind the delivery in progress, for
-    /// the thread that claimed the peer to deliver next, still claimed.
-    fn take_queued(&self) -> Option<WireMessage> {
-        self.state.lock().messages.pop_front()
     }
 
     /// The delivery that claimed the peer is over: release it, and wake
@@ -308,8 +289,8 @@ pub struct ThreadNetworkStats {
     pub routed: u64,
     /// Of `routed`, the messages delivered on the sending thread. The
     /// rest found the receiver busy, or the sender
-    /// [`MAX_INLINE_DEPTH`] deliveries deep, and were queued: delivered
-    /// by the thread that held the receiver or by its inbox thread.
+    /// [`MAX_INLINE_DEPTH`] deliveries deep, and were queued for the
+    /// receiver's inbox thread.
     pub inline: u64,
     /// Messages addressed to a departed (or never-known) peer, or to
     /// one whose inbox closed.
@@ -355,11 +336,8 @@ impl ThreadNetwork {
     fn route(&self, to: PeerId, message: WireMessage) {
         let traffic = &self.traffic;
         let receiver = self.directory.read().get(&to).and_then(Weak::upgrade);
-        let accepted = receiver.is_some_and(|core| {
-            if DELIVERY_DEPTH.get() >= MAX_INLINE_DEPTH {
-                return core.inbox.push(message, &traffic.routed);
-            }
-            match core.inbox.offer(message, &traffic.routed) {
+        let accepted =
+            receiver.is_some_and(|core| match core.inbox.offer(message, &traffic.routed) {
                 Offer::Idle(message) => {
                     traffic.inline.fetch_add(1, Relaxed);
                     process(&core, message, true);
@@ -367,8 +345,7 @@ impl ThreadNetwork {
                 }
                 Offer::Queued => true,
                 Offer::Closed => false,
-            }
-        });
+            });
         if !accepted {
             traffic.dropped.fetch_add(1, Relaxed);
         }
@@ -489,23 +466,16 @@ impl PeerCore {
 
 /// Deliver `message` to the peer the caller claimed for it
 /// ([`Inbox::offer`] or [`Inbox::next`]) — the one delivery path, for
-/// the inbox thread and for a sender delivering inline alike. A sender
-/// (`help`) then also delivers the first message that queued behind
-/// its own, if one did, still holding the claim: a second sender that
-/// found the peer busy does not have to wait for the inbox thread to
-/// wake. Anything queued after that is the inbox thread's. The claim
-/// gone, and with it this thread's last, what the sinks left runs.
-fn process(core: &PeerCore, message: WireMessage, help: bool) {
-    let open = help && DELIVERY_DEPTH.get() == 0;
-    let delivering = Delivering::enter(&core.inbox, help);
+/// the inbox thread and for a `sender` delivering inline alike — and
+/// release the claim: whatever queued behind it is the inbox thread's.
+/// The claim gone, and with it this thread's last, what the sinks left
+/// runs.
+fn process(core: &PeerCore, message: WireMessage, sender: bool) {
+    let open = sender && DELIVERY_DEPTH.get() == 0;
+    let delivering = Delivering::enter(&core.inbox, sender);
     OPEN.set(open);
-    let delivered = deliver(core, message);
+    deliver(core, message);
     OPEN.set(false);
-    if delivered && help {
-        if let Some(queued) = core.inbox.take_queued() {
-            deliver(core, queued);
-        }
-    }
     drop(delivering);
     if !claimed() {
         run_after();
@@ -515,9 +485,8 @@ fn process(core: &PeerCore, message: WireMessage, help: bool) {
 /// Parse one message and step the machine with it. A delivery that
 /// unwinds — a sink that panicked — closes the inbox, so the peer takes
 /// no more wire traffic (later messages count as dropped) and the panic
-/// stops here instead of reaching the delivering thread's caller;
-/// `false` then.
-fn deliver(core: &PeerCore, (from, wire): WireMessage) -> bool {
+/// stops here instead of reaching the delivering thread's caller.
+fn deliver(core: &PeerCore, (from, wire): WireMessage) {
     let delivered = catch_unwind(AssertUnwindSafe(|| {
         let message = P2psMessage::from_xml(&wire);
         // Close the cycle `to_xml` opened on the sender's side.
@@ -530,7 +499,6 @@ fn deliver(core: &PeerCore, (from, wire): WireMessage) -> bool {
     if !delivered {
         core.inbox.close();
     }
-    delivered
 }
 
 /// A delivery in progress on this thread: one level of
@@ -590,9 +558,9 @@ impl ThreadPeer {
     /// peer lock held, so it may call back into the peer. It must not
     /// block on its sender, nor on work that needs the inbox thread,
     /// and it sees the sending thread's thread-locals: an embedder
-    /// that keeps per-thread context resets it inside the sink, and
-    /// leaves what must not run inside a delivery to [`after_release`]
-    /// or [`serve_after`]. A
+    /// that keeps per-thread context resets it inside the sink. A
+    /// wake-up, or anything else that must not run inside a delivery,
+    /// it leaves to [`after_release`] or [`serve_after`]. A
     /// sink that panics on wire traffic closes this peer's inbox (see
     /// the module docs). Install it before the peer sees traffic:
     /// events delivered earlier stay in the channel. Returns `false`
@@ -829,13 +797,17 @@ mod tests {
     fn a_due_refresh_wins_over_queued_traffic_and_close_over_both() {
         let inbox = Inbox::default();
         let routed = AtomicU64::new(0);
-        assert!(inbox.push((PeerId(1), "m".into()), &routed));
+        let offer = |payload: &str| inbox.offer((PeerId(1), payload.into()), &routed);
+        // A sender this deep queues even for an idle peer.
+        DELIVERY_DEPTH.set(MAX_INLINE_DEPTH);
+        assert!(matches!(offer("m"), Offer::Queued));
         let overdue = Instant::now() - Duration::from_millis(1);
         assert!(matches!(inbox.next(overdue), Next::RefreshDue));
         let later = Instant::now() + WAIT;
         assert!(matches!(inbox.next(later), Next::Message((PeerId(1), _))));
         inbox.close();
-        assert!(!inbox.push((PeerId(1), "late".into()), &routed));
+        assert!(matches!(offer("late"), Offer::Closed));
+        DELIVERY_DEPTH.set(0);
         assert_eq!(routed.load(Relaxed), 1);
         assert!(matches!(inbox.next(overdue), Next::Closed));
     }
@@ -992,55 +964,6 @@ mod tests {
         );
     }
 
-    /// A sender that holds a peer while a second message queues behind
-    /// it delivers that message too, on its own thread, before letting
-    /// the peer go; a third is left to the inbox thread.
-    #[test]
-    fn the_sender_holding_a_peer_delivers_the_first_message_queued_behind_it() {
-        let network = ThreadNetwork::new();
-        let a = network.spawn(PeerConfig::ordinary(PeerId(1)));
-        let b = network.spawn(PeerConfig::ordinary(PeerId(2)));
-        let (entered_tx, entered_rx) = channel::<()>();
-        let (release_tx, release_rx) = channel::<()>();
-        let release_rx = Mutex::new(release_rx);
-        let (seen_tx, seen_rx) = channel::<(String, std::thread::ThreadId)>();
-        assert!(b.set_sink(Box::new(move |event| {
-            let ThreadPeerEvent::PipeDelivery { payload, .. } = event else {
-                return;
-            };
-            if payload == "hold" {
-                entered_tx.send(()).unwrap();
-                release_rx.lock().recv().unwrap();
-            }
-            seen_tx
-                .send((payload, std::thread::current().id()))
-                .unwrap();
-        })));
-        let b_pipe = b.open_pipe(None);
-        let holder = std::thread::scope(|scope| {
-            // Delivered inline on this sender, which holds `b` busy...
-            let held = scope.spawn(|| a.send_pipe(b_pipe.clone(), "hold".into()));
-            entered_rx.recv_timeout(WAIT).expect("hold delivered");
-            // ...so these two queue behind it.
-            a.send_pipe(b_pipe.clone(), "second".into());
-            a.send_pipe(b_pipe.clone(), "third".into());
-            let holder = held.thread().id();
-            release_tx.send(()).unwrap();
-            held.join().unwrap();
-            holder
-        });
-        let mut seen = Vec::new();
-        for _ in 0..3 {
-            seen.push(seen_rx.recv_timeout(WAIT).expect("every message arrives"));
-        }
-        let names: Vec<&str> = seen.iter().map(|(payload, _)| payload.as_str()).collect();
-        assert_eq!(names, ["hold", "second", "third"]);
-        assert_eq!(seen[1].1, holder, "the holder delivered the second");
-        assert_ne!(seen[2].1, holder, "the inbox thread delivered the third");
-        let stats = network.stats();
-        assert_eq!((stats.routed, stats.inline), (3, 1), "{stats:?}");
-    }
-
     /// Only the sink of the message its sender brought — no delivery or
     /// serve further up that sender's stack, not on an inbox thread —
     /// may leave a serve, and the sender runs it with the receiver
@@ -1101,9 +1024,13 @@ mod tests {
     /// What a sink leaves with [`after_release`] runs once its thread
     /// has let go of every peer it claimed: the sink's own, and for a
     /// nested delivery the one further up the stack — also when the
-    /// sink that left it panicked.
+    /// sink that left it panicked. A thread that holds no claim runs
+    /// it at once.
     #[test]
     fn work_left_inside_a_claim_runs_once_the_last_claim_is_released() {
+        let (unclaimed_tx, unclaimed_rx) = channel::<()>();
+        after_release(move || unclaimed_tx.send(()).unwrap());
+        assert_eq!(unclaimed_rx.try_recv(), Ok(()), "ran before returning");
         let network = ThreadNetwork::new();
         let a = network.spawn(PeerConfig::ordinary(PeerId(1)));
         let b = Arc::new(network.spawn(PeerConfig::ordinary(PeerId(2))));

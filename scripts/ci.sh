@@ -226,27 +226,29 @@ done'
 
 # Run-to-completion P2PS pipes: a peer's machine is stepped by its
 # callers, by the sending peer's thread when the peer is idle (a
-# delivery runs on the sender's stack, at most four deep, and that
-# sender also takes the first message queued behind it) and by its
-# inbox thread for the rest; deliveries reach the binding on whichever
-# thread stepped it, and a worker sends the reply itself — a race here
-# shows up as a hang or a reordering, not a wrong answer, hence
-# `timeout`. The thread that delivers a response reads it once: it
-# looks the call up by `RelatesTo` and settles it in the correlator
-# under two short locks, the body read between them with no lock held.
-# Twenty release runs of the suites that cross those threads: the
-# driver's own tests (two senders' order at one receiver, the depth
-# bound down a 64-peer chain, a panicking sink closing its inbox), the
-# correlator's, the 4-thread x 500 nested-invoke storm, scope, teardown
-# and return-pipe checks in lifecycle_p2ps, and the same application
-# code over both bindings. A request its caller brought to an idle
-# provider is served on the caller's thread in a worker's lent slot,
-# so ten more runs of lifecycle_p2ps in debug, where a `debug_assert!`
-# checks that the jobs running on a dispatcher's workers and its lent
-# slots never outnumber its workers. A thread that holds a peer holds
-# back the wake-ups its deliveries give until it lets its last peer go,
-# so the dispatcher's unit tests (the hold and its release among them)
-# run in the loop too, as they ship.
+# delivery runs on the sender's stack, at most four deep, one message
+# per claim) and by its inbox thread for whatever queued behind a
+# delivery; deliveries reach the binding on whichever thread stepped
+# it, and a worker sends the reply itself — a race here shows up as a
+# hang or a reordering, not a wrong answer, hence `timeout`. The thread
+# that delivers a response reads it once: it looks the call up by
+# `RelatesTo` and settles it in the correlator under two short locks,
+# the body read between them with no lock held. Twenty release runs of
+# the suites that cross those threads: the driver's own tests (two
+# senders' order at one receiver, the depth bound down a 64-peer chain,
+# a panicking sink closing its inbox, left work waiting for the last
+# claim), the correlator's, the 4-thread x 500 nested-invoke storm,
+# scope, teardown and return-pipe checks and the one-CPU queued-share
+# guard in lifecycle_p2ps, and the same application code over both
+# bindings. A request its caller brought to an idle provider is served
+# on the caller's thread in a worker's lent slot, so ten more runs of
+# lifecycle_p2ps in debug, where a `debug_assert!` checks that the jobs
+# running on a dispatcher's workers and its lent slots never outnumber
+# its workers. A thread that holds a peer wakes nobody until it lets its
+# last peer go: the dispatcher's one `wake` defers through the driver's
+# `after_release`, so the dispatcher's unit tests run in the loop too,
+# `wakes_given_inside_a_peer_claim_go_out_in_order_on_its_release`
+# among them.
 echo "==> P2PS threading stress (thread_driver + rpc + dispatch + lifecycle_p2ps + cross_binding, 20x, release; lifecycle_p2ps 10x, debug)"
 timeout 900 bash -c 'for i in $(seq 1 20); do
   cargo test -q --release -p wsp-p2ps --lib thread_driver || exit 1

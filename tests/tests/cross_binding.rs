@@ -3,7 +3,6 @@
 //! against both bindings; the assertions never mention the substrate.
 
 use std::sync::Arc;
-use std::time::Duration;
 use wsp_core::bindings::HttpUddiBinding;
 use wsp_core::{EventBus, Peer, ServiceQuery};
 use wsp_integration_tests::{
@@ -99,7 +98,6 @@ fn p2ps_server_with_uddi_publisher() {
 
     // A consumer that knows the WSDL (e.g. via the registry's tModel or
     // the definition pipe) can invoke over P2PS.
-    std::thread::sleep(Duration::from_millis(100));
     let service =
         wsp_core::LocatedService::new(deployed.wsdl.clone(), endpoint, wsp_core::BindingKind::P2ps);
     let sum = consumer

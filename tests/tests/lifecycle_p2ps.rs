@@ -119,18 +119,28 @@ fn departed_provider_times_out_not_hangs() {
     let (consumer, _cb) = p2ps_wspeer(peers.pop().unwrap());
     let provider_thread = peers.pop().unwrap();
     let (provider, _pb) = p2ps_wspeer(provider_thread);
+    let owned_by_handler = Arc::new(());
+    let probe = Arc::downgrade(&owned_by_handler);
+    let calc = calc_handler();
+    let handler: Arc<dyn ServiceHandler> = Arc::new(move |op: &str, args: &[Value]| {
+        let _ = &owned_by_handler;
+        calc.invoke(op, args)
+    });
     provider
         .server()
-        .deploy_and_publish(calc_descriptor(), calc_handler())
+        .deploy_and_publish(calc_descriptor(), handler)
         .unwrap();
 
     let service = locate_until_found(&consumer, &ServiceQuery::by_name("Calc"));
-    // The provider (and its peer thread) leaves the network. The
-    // binding's demultiplexer shuts down asynchronously; give it a
-    // moment to disappear from the directory.
+    // The provider (and its peer thread) leaves the network. A worker
+    // that served its definition pipe may hold its state for an
+    // instant; once that is freed, the peer is out of the directory.
     drop(provider);
     drop(_pb);
-    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        wait_until(Duration::from_secs(5), || probe.upgrade().is_none()),
+        "the provider's state outlived every handle to it"
+    );
 
     let started = std::time::Instant::now();
     let err = consumer
@@ -548,10 +558,10 @@ fn sequential_invokes_on_an_idle_provider_never_park_the_caller() {
 }
 
 /// A request that finds its provider held by another sender's delivery
-/// queues behind it: the holder delivers the first such request after
-/// its own, the inbox thread the next. Neither is a request its
-/// deliverer brought, so both are served on the provider's workers —
-/// not on the holder's thread, the inbox thread or another caller's.
+/// queues behind it, for the provider's inbox thread. That thread
+/// brought neither request, so both are served on the provider's
+/// workers — not on the holder's thread, the inbox thread or another
+/// caller's.
 #[test]
 fn requests_queued_behind_another_senders_delivery_are_served_on_workers() {
     let network = ThreadNetwork::new();
